@@ -94,8 +94,9 @@ func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
 	// the fence keeps the compactor from remapping them in between.
 	tbl.AcquireWriteFence()
 	defer tbl.ReleaseWriteFence()
+	env := &dmlEnv{table: s.Table, schema: schema} // one per statement, re-pointed per row
 	tbl.Scan(func(i int, row storage.Row) bool {
-		env := &dmlEnv{table: s.Table, schema: schema, row: row}
+		env.row = row
 		if s.Where != nil {
 			t, err := exec.EvalPredicate(s.Where, env)
 			if err != nil {
@@ -146,12 +147,13 @@ func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
 	// be remapped by a concurrent compaction before Delete resolves them.
 	tbl.AcquireWriteFence()
 	defer tbl.ReleaseWriteFence()
+	env := &dmlEnv{table: s.Table, schema: schema} // one per statement, re-pointed per row
 	tbl.Scan(func(i int, row storage.Row) bool {
 		if s.Where == nil {
 			doomed = append(doomed, i)
 			return true
 		}
-		env := &dmlEnv{table: s.Table, schema: schema, row: row}
+		env.row = row
 		t, err := exec.EvalPredicate(s.Where, env)
 		if err != nil {
 			scanErr = err

@@ -9,7 +9,7 @@
 //   - snapshot Capture/Restore round trip, tombstones and physical row
 //     IDs included (WAL records replayed on top must keep resolving)
 //   - tombstone compaction: full reclaim, index remap, replay determinism
-//   - bulk index rebuild and chunk iteration
+//   - bulk index rebuild
 //
 // The canonical runner (conformance_test.go in this directory) iterates
 // storage.BackendNames(), so registering a new backend automatically
@@ -39,7 +39,6 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("SnapshotRoundTrip", func(t *testing.T) { testSnapshotRoundTrip(t, factory) })
 	t.Run("Compaction", func(t *testing.T) { testCompaction(t, factory) })
 	t.Run("IndexRebuild", func(t *testing.T) { testIndexRebuild(t, factory) })
-	t.Run("ChunkIteration", func(t *testing.T) { testChunkIteration(t, factory) })
 }
 
 // opRecorder captures the journaled op stream — the suite's stand-in for
@@ -469,38 +468,5 @@ func testIndexRebuild(t *testing.T, factory Factory) {
 	}
 	if ids[len(ids)-1] != 200 {
 		t.Fatalf("range probe last id = %d, want 200 (the 999999 row)", ids[len(ids)-1])
-	}
-}
-
-func testChunkIteration(t *testing.T, factory Factory) {
-	be := factory(t, t.TempDir())
-	c := be.Catalog()
-	tbl := mustCreate(t, c, "items",
-		storage.Column{Name: "id", Kind: storage.KindInt},
-		storage.Column{Name: "name", Kind: storage.KindText})
-	n := storage.ChunkRows + 321
-	seedRows(t, tbl, n)
-
-	var sum, count int64
-	starts := []int{}
-	err := tbl.IterateChunks("id", func(start int, vals []storage.Value) bool {
-		starts = append(starts, start)
-		for _, v := range vals {
-			if i, ok := v.AsInt(); ok {
-				sum += i
-				count++
-			}
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(starts) != 2 || starts[0] != 0 || starts[1] != storage.ChunkRows {
-		t.Fatalf("chunk starts = %v", starts)
-	}
-	if count != int64(n) || sum != int64(n)*int64(n-1)/2 {
-		t.Fatalf("chunk iteration saw %d values summing %d, want %d summing %d",
-			count, sum, n, int64(n)*int64(n-1)/2)
 	}
 }

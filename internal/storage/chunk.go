@@ -1,0 +1,462 @@
+package storage
+
+import "math/bits"
+
+// chunk is one column's typed vector of up to ChunkRows cells (see
+// DESIGN.md §15). The column's declared Kind — every stored value is
+// already Coerced to it — selects the one payload slice in use:
+// INTEGER and FLOAT cost 8 bytes a cell, BOOLEAN 1, TEXT a 16-byte
+// string header plus its bytes. A NULL cell holds the payload's zero
+// value and is marked in the chunk's null set, which is nil while the
+// chunk holds no NULL. A nil *chunk is all-NULL: the unfilled-expansion
+// representation, and the only one a KindNull column ever has.
+//
+// The null set has two encodings because of the tail's published-length
+// trick. A sealed chunk is immutable, so its nulls are a packed bitmap
+// (nulls). The tail is appended to in place while pinned readers scan the
+// rows below their own length: a bitmap would have an Insert OR a bit
+// into a word such a reader is loading, so the tail marks NULLs with one
+// byte per row (flags) — distinct rows, distinct memory locations — and
+// sealTail packs them. BOOLEAN payloads stay []bool for the same reason.
+//
+// A published chunk's slice headers never change. A tail's payload and
+// flags are allocated at full capacity (len == cap) and the owning
+// version's row count is the valid prefix; anything that needs a longer
+// payload or a null set the tail lacks builds a new chunk struct.
+type chunk struct {
+	kind   Kind
+	ints   []int64
+	floats []float64
+	bools  []bool
+	strs   []string
+	nulls  []uint64 // sealed chunks: bit i set ↔ cell i is NULL
+	flags  []bool   // tails: flags[i] ↔ cell i is NULL
+}
+
+// newChunk allocates a chunk of n zero cells with no null set.
+func newChunk(kind Kind, n int) *chunk {
+	c := &chunk{kind: kind}
+	switch kind {
+	case KindInt:
+		c.ints = make([]int64, n)
+	case KindFloat:
+		c.floats = make([]float64, n)
+	case KindBool:
+		c.bools = make([]bool, n)
+	case KindText:
+		c.strs = make([]string, n)
+	}
+	return c
+}
+
+// len returns the payload length: exactly ChunkRows for a sealed chunk,
+// the capacity for a tail.
+func (c *chunk) len() int {
+	switch c.kind {
+	case KindInt:
+		return len(c.ints)
+	case KindFloat:
+		return len(c.floats)
+	case KindBool:
+		return len(c.bools)
+	case KindText:
+		return len(c.strs)
+	}
+	return 0
+}
+
+func hasBit(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+func (c *chunk) isNull(i int) bool {
+	if c.nulls != nil {
+		return hasBit(c.nulls, i)
+	}
+	return c.flags != nil && c.flags[i]
+}
+
+// at boxes cell i — the point-read path (Get, index keys, CaptureState).
+func (c *chunk) at(i int) Value {
+	if c.isNull(i) {
+		return Value{}
+	}
+	switch c.kind {
+	case KindInt:
+		return Value{kind: KindInt, i: c.ints[i]}
+	case KindFloat:
+		return Value{kind: KindFloat, f: c.floats[i]}
+	case KindBool:
+		return Value{kind: KindBool, b: c.bools[i]}
+	case KindText:
+		return Value{kind: KindText, s: c.strs[i]}
+	}
+	return Value{}
+}
+
+// put stores val's payload (the zero payload for NULL) in cell i; the
+// caller maintains the null set.
+func (c *chunk) put(i int, val Value) {
+	switch c.kind {
+	case KindInt:
+		c.ints[i] = val.i
+	case KindFloat:
+		c.floats[i] = val.f
+	case KindBool:
+		c.bools[i] = val.b
+	case KindText:
+		c.strs[i] = val.s
+	}
+}
+
+// copyPayload copies the first n cells of src's payload into c.
+func (c *chunk) copyPayload(src *chunk, n int) {
+	switch c.kind {
+	case KindInt:
+		copy(c.ints, src.ints[:n])
+	case KindFloat:
+		copy(c.floats, src.floats[:n])
+	case KindBool:
+		copy(c.bools, src.bools[:n])
+	case KindText:
+		copy(c.strs, src.strs[:n])
+	}
+}
+
+// growTail returns a new tail struct of the given capacity holding the
+// first n cells of old (nil = n NULLs), with a flags array when old has
+// one, old is nil with n > 0, or withFlags asks for it. When old already
+// has the capacity the payload is shared, not copied — the case of a
+// first NULL arriving in a tail that had no flags.
+func growTail(kind Kind, old *chunk, n, capacity int, withFlags bool) *chunk {
+	var t *chunk
+	if old != nil && old.len() >= capacity {
+		cp := *old
+		t = &cp
+		capacity = old.len()
+	} else {
+		t = newChunk(kind, capacity)
+		if old != nil {
+			t.copyPayload(old, n)
+		}
+	}
+	needFlags := withFlags || (old == nil && n > 0) || (old != nil && old.flags != nil)
+	if needFlags && len(t.flags) < capacity {
+		flags := make([]bool, capacity)
+		if old == nil {
+			for i := range flags[:n] {
+				flags[i] = true
+			}
+		} else if old.flags != nil {
+			copy(flags, old.flags[:n])
+		}
+		t.flags = flags
+	}
+	return t
+}
+
+// appendTail extends a column's tail (published length n) with val and
+// returns the tail to publish: the same struct, written in place past
+// every published length, when capacity and null set allow — safe
+// because no published version indexes past its own length — and a
+// reallocated one (doubling, capped at ChunkRows) otherwise. An all-NULL
+// tail stays nil.
+func appendTail(kind Kind, tail *chunk, n int, val Value) *chunk {
+	null := val.IsNull()
+	if tail == nil && null {
+		return nil
+	}
+	full := tail == nil || tail.len() == n
+	if full || (null && tail.flags == nil) {
+		capacity := n + 1 // room is there; only the flags are missing
+		if full {
+			capacity = 2 * n
+			if capacity < 64 {
+				capacity = 64
+			}
+			if capacity > ChunkRows {
+				capacity = ChunkRows
+			}
+			if capacity < n+1 {
+				capacity = n + 1
+			}
+		}
+		tail = growTail(kind, tail, n, capacity, null)
+	}
+	if null {
+		tail.flags[n] = true
+	} else {
+		tail.put(n, val)
+	}
+	return tail
+}
+
+// sealTail turns a full tail into an immutable sealed chunk: the payload
+// array is shared as is, the byte flags are packed into a bitmap (nil
+// when no cell is NULL), and an all-NULL chunk collapses to nil.
+func sealTail(t *chunk) *chunk {
+	if t == nil {
+		return nil
+	}
+	s := *t
+	s.flags = nil
+	if t.flags != nil {
+		n := t.len()
+		nulls := make([]uint64, (n+63)/64)
+		switch packFlags(nulls, t.flags[:n]) {
+		case n:
+			return nil
+		case 0:
+		default:
+			s.nulls = nulls
+		}
+	}
+	return &s
+}
+
+// packFlags ORs flags into the bitmap dst (bit i ↔ flags[i]) and returns
+// how many were set.
+func packFlags(dst []uint64, flags []bool) int {
+	set := 0
+	for i, f := range flags {
+		if f {
+			dst[i>>6] |= 1 << (uint(i) & 63)
+			set++
+		}
+	}
+	return set
+}
+
+// withCell returns a copy of the first n cells of old (nil = all-NULL)
+// with cell i replaced by val — Set's one-chunk copy, sealed again when
+// it replaces a sealed chunk.
+func withCell(kind Kind, old *chunk, n, i int, val Value, sealed bool) *chunk {
+	null := val.IsNull()
+	if old == nil && null {
+		return nil
+	}
+	c := newChunk(kind, n)
+	if old != nil {
+		c.copyPayload(old, n)
+	}
+	c.put(i, val)
+	if null || old == nil || old.nulls != nil || old.flags != nil {
+		c.flags = make([]bool, n)
+		for j := range c.flags {
+			c.flags[j] = old == nil || old.isNull(j)
+		}
+		c.flags[i] = null
+	}
+	if sealed {
+		return sealTail(c)
+	}
+	return c
+}
+
+// colBuilder re-chunks a whole column of rows values appended in physical
+// order — the FillColumn and compaction path. Nothing it holds is
+// published yet, so it writes its tail in place, allocated once at its
+// final size.
+type colBuilder struct {
+	kind Kind
+	rows int // total rows the column will hold
+	cd   colData
+	done int // rows appended so far
+}
+
+func (b *colBuilder) append(val Value) {
+	n := b.done % ChunkRows
+	t := b.cd.tail
+	switch null := val.IsNull(); {
+	case t == nil && null: // still all-NULL
+	case t == nil:
+		t = growTail(b.kind, nil, n, min(b.rows-(b.done-n), ChunkRows), false)
+		b.cd.tail = t
+		t.put(n, val)
+	case null:
+		if t.flags == nil {
+			t.flags = make([]bool, t.len())
+		}
+		t.flags[n] = true
+	default:
+		t.put(n, val)
+	}
+	b.done++
+	if n+1 == ChunkRows {
+		b.cd.chunks = append(b.cd.chunks, sealTail(t))
+		b.cd.tail = nil
+	}
+}
+
+// cellBytes is a column kind's resident bytes per cell, text payload
+// excluded — the unit of the compaction bytes-freed accounting.
+func cellBytes(kind Kind) int64 {
+	switch kind {
+	case KindInt, KindFloat:
+		return 8
+	case KindBool:
+		return 1
+	case KindText:
+		return 16
+	}
+	return 0
+}
+
+// window is the cursor's view of one column over the physical rows of
+// one storage window: cells c[off], c[off+1], … with a null bitmap
+// re-based so that bit i ↔ row off+i. A nil c is an all-NULL window; nil
+// nulls means the window holds no NULL.
+type window struct {
+	c     *chunk
+	off   int
+	nulls []uint64
+	// scratch backs nulls when the chunk's own bitmap cannot be sliced:
+	// tail flags are packed into it, and a window that does not start on a
+	// word boundary gets a shifted copy.
+	scratch []uint64
+}
+
+// setNulls derives the window's null bitmap for n rows starting at off.
+func (w *window) setNulls(n int) {
+	c := w.c
+	w.nulls = nil
+	if c == nil || (c.nulls == nil && c.flags == nil) {
+		return
+	}
+	if c.nulls != nil && w.off&63 == 0 {
+		w.nulls = c.nulls[w.off>>6:]
+		return
+	}
+	words := (n + 63) / 64
+	if cap(w.scratch) < words {
+		w.scratch = make([]uint64, words)
+	}
+	w.nulls = w.scratch[:words]
+	clear(w.nulls)
+	if c.flags != nil {
+		packFlags(w.nulls, c.flags[w.off:w.off+n])
+		return
+	}
+	for i := 0; i < n; i++ {
+		if c.isNull(w.off + i) {
+			w.nulls[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// box writes the cells at the given window offsets into dst[0],
+// dst[stride], dst[2*stride], … — the one place chunk cells become
+// Values on the scan path: one kind switch per column per batch. dst is
+// one column of a cursor's batch buffer, which only ever holds this
+// column's kind or NULL: a non-NULL cell therefore stores just the kind
+// and its payload field (two words instead of five, and no pointer write
+// for the numeric kinds), and a NULL resets the whole slot, so the other
+// fields of every slot stay zero.
+func (w *window) box(offs []int32, dst []Value, stride int) {
+	c := w.c
+	if c == nil {
+		for k := range offs {
+			dst[k*stride] = Value{}
+		}
+		return
+	}
+	switch c.kind {
+	case KindInt:
+		vals := c.ints[w.off:]
+		for k, o := range offs {
+			d := &dst[k*stride]
+			d.kind, d.i = KindInt, vals[o]
+		}
+	case KindFloat:
+		vals := c.floats[w.off:]
+		for k, o := range offs {
+			d := &dst[k*stride]
+			d.kind, d.f = KindFloat, vals[o]
+		}
+	case KindBool:
+		vals := c.bools[w.off:]
+		for k, o := range offs {
+			d := &dst[k*stride]
+			d.kind, d.b = KindBool, vals[o]
+		}
+	case KindText:
+		vals := c.strs[w.off:]
+		for k, o := range offs {
+			d := &dst[k*stride]
+			d.kind, d.s = KindText, vals[o]
+		}
+	}
+	if w.nulls != nil {
+		for k, o := range offs {
+			if hasBit(w.nulls, int(o)) {
+				dst[k*stride] = Value{}
+			}
+		}
+	}
+}
+
+// gather is box for scattered rows — the index cursor's path: it boxes
+// column col of the given physical rows into dst[0], dst[stride], …, with
+// the same slot discipline as box.
+func (v *version) gather(col int, rows []int, dst []Value, stride int) {
+	switch v.schema.cols[col].Kind {
+	case KindInt:
+		for k, row := range rows {
+			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+				d := &dst[k*stride]
+				d.kind, d.i = KindInt, c.ints[i]
+			} else {
+				dst[k*stride] = Value{}
+			}
+		}
+	case KindFloat:
+		for k, row := range rows {
+			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+				d := &dst[k*stride]
+				d.kind, d.f = KindFloat, c.floats[i]
+			} else {
+				dst[k*stride] = Value{}
+			}
+		}
+	case KindBool:
+		for k, row := range rows {
+			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+				d := &dst[k*stride]
+				d.kind, d.b = KindBool, c.bools[i]
+			} else {
+				dst[k*stride] = Value{}
+			}
+		}
+	case KindText:
+		for k, row := range rows {
+			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+				d := &dst[k*stride]
+				d.kind, d.s = KindText, c.strs[i]
+			} else {
+				dst[k*stride] = Value{}
+			}
+		}
+	default:
+		for k := range rows {
+			dst[k*stride] = Value{}
+		}
+	}
+}
+
+// takeSelected appends up to max offsets of set bits of sel to offs,
+// clearing them, scanning from word *word on; *word ends at len(sel) once
+// the bitmap is drained.
+func takeSelected(sel []uint64, word *int, offs []int32, max int) []int32 {
+	wi := *word
+	for wi < len(sel) && len(offs) < max {
+		w := sel[wi]
+		for w != 0 && len(offs) < max {
+			offs = append(offs, int32(wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+		sel[wi] = w
+		if w == 0 {
+			wi++
+		}
+	}
+	*word = wi
+	return offs
+}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 )
@@ -164,13 +163,7 @@ func (t *Table) Compact(policy CompactionPolicy) (CompactionResult, error) {
 		return CompactionResult{}, err
 	}
 
-	var bytesFreed int64
-	width := v.schema.Len()
-	for _, i := range removed {
-		for c := 0; c < width; c++ {
-			bytesFreed += approxValueBytes(v.value(i, c))
-		}
-	}
+	bytesFreed := removedBytes(v, removed)
 	chunksRewritten := 0
 	if len(removed) > 0 && removed[0] < v.sealed {
 		chunksRewritten = v.sealed/ChunkRows - removed[0]/ChunkRows
@@ -239,12 +232,7 @@ func compactApply(v *version, kill []int) (*version, [][2]int) {
 			nkill++
 		}
 	}
-	width := v.schema.Len()
 	nkeep := v.nrows - nkill
-	cols := make([][]Value, width)
-	for c := range cols {
-		cols[c] = make([]Value, 0, nkeep)
-	}
 	var moved [][2]int
 	var newDead []uint64
 	ndead := 0
@@ -252,9 +240,6 @@ func compactApply(v *version, kill []int) (*version, [][2]int) {
 	for i := 0; i < v.nrows; i++ {
 		if killBits[i>>6]&(1<<(uint(i)&63)) != 0 {
 			continue
-		}
-		for c := 0; c < width; c++ {
-			cols[c] = append(cols[c], v.value(i, c))
 		}
 		if v.isDead(i) {
 			if newDead == nil {
@@ -272,8 +257,14 @@ func compactApply(v *version, kill []int) (*version, [][2]int) {
 	nv.epoch = v.epoch + 1
 	nv.nrows = newID
 	nv.sealed = newID / ChunkRows * ChunkRows
-	for c := 0; c < width; c++ {
-		nv.cols[c] = buildColData(cols[c])
+	for c := range nv.cols {
+		b := colBuilder{kind: v.schema.Column(c).Kind, rows: nkeep}
+		for i := 0; i < v.nrows; i++ {
+			if killBits[i>>6]&(1<<(uint(i)&63)) == 0 {
+				b.append(v.value(i, c))
+			}
+		}
+		nv.cols[c] = b.cd
 	}
 	nv.dead = newDead
 	nv.ndead = ndead
@@ -303,13 +294,25 @@ func (t *Table) remapIndexes(nv *version, moved [][2]int) {
 	}
 }
 
-// approxValueBytes estimates a value's in-memory footprint for the
-// bytes-freed counter (struct header plus text payload).
-func approxValueBytes(v Value) int64 {
-	if v.kind == KindText {
-		return 40 + int64(len(v.s))
+// removedBytes is the resident size of the cells of the given rows — the
+// bytes-freed counter: each column's typed cell width plus text payloads;
+// cells of all-NULL (nil) chunks occupy nothing.
+func removedBytes(v *version, rows []int) int64 {
+	var total int64
+	for c := 0; c < v.schema.Len(); c++ {
+		width := cellBytes(v.schema.Column(c).Kind)
+		for _, row := range rows {
+			ch, i := v.cell(row, c)
+			if ch == nil {
+				continue
+			}
+			total += width
+			if ch.kind == KindText {
+				total += int64(len(ch.strs[i]))
+			}
+		}
 	}
-	return 40
+	return total
 }
 
 // --- write fences ---
@@ -347,39 +350,6 @@ func (t *Table) WithWriteFence(fn func() error) error {
 	t.AcquireWriteFence()
 	defer t.ReleaseWriteFence()
 	return fn()
-}
-
-// --- chunk iteration (Backend contract) ---
-
-// IterateChunks streams the named column's storage windows of the
-// current snapshot — each sealed chunk, then the tail — calling fn with
-// the window's starting physical row ID and its values. A nil vals slice
-// is an all-NULL window (the unfilled-expansion representation).
-// Returning false stops the iteration. The slices are the live chunk
-// backing arrays: read-only, valid indefinitely (chunks are immutable).
-func (t *Table) IterateChunks(column string, fn func(start int, vals []Value) bool) error {
-	v := t.snap.Load()
-	col, ok := v.schema.Lookup(column)
-	if !ok {
-		return fmt.Errorf("storage: table %s has no column %q", t.name, column)
-	}
-	for lo := 0; lo < v.sealed; lo += ChunkRows {
-		w, err := v.window(col, lo, lo+ChunkRows)
-		if err != nil {
-			return err
-		}
-		if !fn(lo, w) {
-			return nil
-		}
-	}
-	if v.nrows > v.sealed {
-		w, err := v.window(col, v.sealed, v.nrows)
-		if err != nil {
-			return err
-		}
-		fn(v.sealed, w)
-	}
-	return nil
 }
 
 // RebuildIndexes rebuilds every attached index from the current

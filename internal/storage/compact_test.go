@@ -350,19 +350,41 @@ func TestCompactionRacesPinnedCursorsAndFill(t *testing.T) {
 		}
 	}()
 
-	// Compactor: force a sweep whenever admission allows.
+	// Compactor: force a sweep whenever admission allows. On a loaded
+	// machine it never does by itself — a reader descheduled mid-scan
+	// holds its pin for whole scheduler quanta, so the three readers'
+	// pins never all clear — and a stress run without a compaction checks
+	// nothing. Readers therefore scan under the shared side of pause, and
+	// a compactor starved for 100 ms takes the exclusive side for one
+	// round of attempts (fences, the other admission gate, last
+	// microseconds).
 	var compactions atomic.Int64
+	var pause sync.RWMutex
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for time.Now().Before(deadline) {
+		sweep := func() bool {
 			res, err := tbl.Compact(CompactionPolicy{Force: true})
 			if err != nil {
 				report(err)
-				return
 			}
 			if res.Compacted {
 				compactions.Add(1)
+			}
+			return res.Compacted
+		}
+		last := time.Now()
+		for time.Now().Before(deadline) {
+			switch {
+			case sweep():
+				last = time.Now()
+			case time.Since(last) > 100*time.Millisecond:
+				pause.Lock()
+				for try := 0; try < 100 && !sweep(); try++ {
+					time.Sleep(100 * time.Microsecond)
+				}
+				pause.Unlock()
+				last = time.Now()
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -374,33 +396,33 @@ func TestCompactionRacesPinnedCursorsAndFill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			scan := func() error {
+				pause.RLock()
+				defer pause.RUnlock()
 				cur := tbl.NewCursor(64)
+				defer cur.Close()
 				seen := make(map[int64]bool)
 				for {
 					row, ok := cur.Next()
 					if !ok {
-						break
+						return cur.Err()
 					}
 					id, _ := row[0].AsInt()
 					val, _ := row[1].AsInt()
 					if val != 2*id {
-						report(fmt.Errorf("row id=%d carries val=%d (want %d): cross-row remap", id, val, 2*id))
-						cur.Close()
-						return
+						return fmt.Errorf("row id=%d carries val=%d (want %d): cross-row remap", id, val, 2*id)
 					}
 					if seen[id] {
-						report(fmt.Errorf("id %d surfaced twice in one snapshot", id))
-						cur.Close()
-						return
+						return fmt.Errorf("id %d surfaced twice in one snapshot", id)
 					}
 					seen[id] = true
 				}
-				if err := cur.Err(); err != nil {
+			}
+			for time.Now().Before(deadline) {
+				if err := scan(); err != nil {
 					report(err)
 					return
 				}
-				cur.Close()
 				// Breathe between scans: a reader that re-pins instantly
 				// starves compaction admission forever, which is not the
 				// workload shape this test is about.

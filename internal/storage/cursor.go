@@ -7,9 +7,10 @@ import "fmt"
 // immutable column chunks directly, so long scans never contend with
 // writers — not even a bulk crowd FillColumn landing mid-scan. Each
 // refill evaluates the vectorized predicates (SetPreds) chunk-at-a-time
-// into a selection bitmap, then materializes only the selected rows into
-// one reusable batch buffer; the residual filter closure (SetFilter)
-// runs per selected row for predicates the planner could not vectorize.
+// into a selection bitmap over the typed chunks, then boxes only the
+// selected cells into one reusable batch buffer, column-at-a-time; the
+// residual filter closure (SetFilter) runs per boxed row for predicates
+// the planner could not vectorize.
 //
 // Consistency: the whole scan observes exactly the snapshot pinned at
 // creation. Mutations applied after creation — Set, Delete, FillColumn,
@@ -36,13 +37,14 @@ type Cursor struct {
 	preds  []Pred
 	filter func(Row) (bool, error)
 
-	// Current window state: physical rows [winLo, winLo+winN), selection
-	// bitmap sel, and per-column contiguous value slices (nil = all-NULL).
-	winLo   int
-	winN    int
-	winPos  int // next offset within the window
+	// Current window state: the selection bitmap of its not-yet-surfaced
+	// rows (drained from word selWord on) and one typed view per column.
+	winLo   int // first physical row of the window
+	selWord int
 	sel     []uint64
-	colWins [][]Value
+	wins    []window
+	offs    []int32 // selected window offsets of the batch being boxed
+	ids     []int   // when non-nil: physical row IDs of the batch (Table.Scan)
 
 	buf  []Value // batch backing array, reused across refills
 	hdrs []Row   // row headers into buf, reused across refills
@@ -54,6 +56,11 @@ type Cursor struct {
 
 // DefaultBatchSize is the cursor batch size used when 0 is passed.
 const DefaultBatchSize = 256
+
+// boxRows caps how many rows are boxed column-at-a-time in one go: every
+// column pass strides over the whole block of the batch buffer, so the
+// block has to stay cache-resident however large the caller's batch is.
+const boxRows = 256
 
 // NewCursor creates a batched cursor over the table's current snapshot.
 func (t *Table) NewCursor(batchSize int) *Cursor {
@@ -98,6 +105,7 @@ func newCursorOn(snap *Snap, lo, hi, batchSize int) *Cursor {
 		width: width,
 		next:  lo,
 		limit: hi,
+		offs:  make([]int32, 0, min(batchSize, boxRows)),
 		buf:   make([]Value, batchSize*width),
 		hdrs:  make([]Row, batchSize),
 	}
@@ -164,77 +172,87 @@ func (c *Cursor) loadWindow() bool {
 	}
 	c.sel = c.sel[:words]
 	fillOnes(c.sel, n)
-	// Clear tombstoned rows.
-	if v.dead != nil {
-		for i := 0; i < n; i++ {
-			if v.isDead(lo + i) {
-				c.sel[i>>6] &^= 1 << (uint(i) & 63)
-			}
-		}
+	c.clearDead(lo, n)
+	if c.wins == nil {
+		c.wins = make([]window, c.width)
 	}
-	if c.colWins == nil {
-		c.colWins = make([][]Value, c.width)
-	}
-	for col := 0; col < c.width; col++ {
-		w, err := v.window(col, lo, hi)
-		if err != nil {
+	for col := range c.wins {
+		if err := v.window(&c.wins[col], col, lo, hi); err != nil {
 			c.err = fmt.Errorf("storage: table %s: %w", c.snap.t.name, err)
 			return false
 		}
-		c.colWins[col] = w
 	}
 	for _, p := range c.preds {
-		c.evalPred(p, n)
+		w := &window{} // a column newer than the snapshot: all-NULL
+		if p.Col < c.width {
+			w = &c.wins[p.Col]
+		}
+		evalPredWindow(p, w, n, c.sel)
 	}
-	c.winLo, c.winN, c.winPos = lo, n, 0
+	c.winLo, c.selWord = lo, 0
 	c.next = hi
 	return true
 }
 
-func (c *Cursor) evalPred(p Pred, n int) {
-	var vals []Value
-	if p.Col < c.width {
-		vals = c.colWins[p.Col]
+// clearDead drops the tombstoned rows of the window [lo, lo+n) from sel.
+// Full scans and morsels start on a word boundary, where the tombstone
+// words apply as they are; only an unaligned range cursor tests per row.
+func (c *Cursor) clearDead(lo, n int) {
+	dead := c.v.dead
+	if lo&63 == 0 {
+		if w0 := lo >> 6; w0 < len(dead) {
+			for i, d := range dead[w0:min(len(dead), w0+len(c.sel))] {
+				c.sel[i] &^= d
+			}
+		}
+		return
 	}
-	evalPredWindow(p, vals, n, c.sel)
+	if dead == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		if c.v.isDead(lo + i) {
+			c.sel[i>>6] &^= 1 << (uint(i) & 63)
+		}
+	}
 }
 
-// refill materializes the next batch of selected rows.
+// refill boxes the next batch of selected rows. Rows the residual filter
+// rejects leave their buffer slot unused, so a batch may come back short
+// — or empty, in which case Next refills again.
 func (c *Cursor) refill() {
 	batch := len(c.hdrs)
 	c.n, c.pos = 0, 0
-	for c.n < batch {
-		if c.winPos >= c.winN {
+	for used := 0; used < batch; {
+		if c.selWord >= len(c.sel) {
 			if !c.loadWindow() {
 				c.done = true
 				return
 			}
 			continue
 		}
-		i := c.winPos
-		c.winPos++
-		if c.sel[i>>6]&(1<<(uint(i)&63)) == 0 {
-			continue
+		c.offs = takeSelected(c.sel, &c.selWord, c.offs[:0], min(batch-used, boxRows))
+		for col := range c.wins {
+			c.wins[col].box(c.offs, c.buf[used*c.width+col:], c.width)
 		}
-		dst := c.buf[c.n*c.width : (c.n+1)*c.width]
-		for col := 0; col < c.width; col++ {
-			if w := c.colWins[col]; w != nil {
-				dst[col] = w[i]
-			} else {
-				dst[col] = Null()
+		for _, o := range c.offs {
+			dst := c.buf[used*c.width : (used+1)*c.width]
+			used++
+			if c.filter != nil {
+				ok, err := c.filter(dst)
+				if err != nil {
+					c.err = err
+					return
+				}
+				if !ok {
+					continue
+				}
 			}
+			if c.ids != nil {
+				c.ids[c.n] = c.winLo + int(o)
+			}
+			c.hdrs[c.n] = dst
+			c.n++
 		}
-		if c.filter != nil {
-			ok, err := c.filter(dst)
-			if err != nil {
-				c.err = err
-				return
-			}
-			if !ok {
-				continue
-			}
-		}
-		c.hdrs[c.n] = dst
-		c.n++
 	}
 }

@@ -403,7 +403,8 @@ type IndexCursor struct {
 	owns  bool
 
 	ids  []int
-	next int // next position in ids
+	next int   // next position in ids
+	rows []int // the block of live row IDs being boxed
 
 	filter func(Row) (bool, error)
 
@@ -474,31 +475,40 @@ func (c *IndexCursor) Close() {
 	}
 }
 
-// refill materializes the next batch of rows from the pinned snapshot.
+// refill boxes the next batch of rows from the pinned snapshot, a block
+// of row IDs at a time and column-at-a-time within it (version.gather).
+// Rows the residual filter rejects leave their buffer slot unused, as in
+// Cursor.refill.
 func (c *IndexCursor) refill() {
 	batch := len(c.hdrs)
 	c.n, c.pos = 0, 0
 	v := c.v
-	for c.n < batch && c.next < len(c.ids) {
-		id := c.ids[c.next]
-		c.next++
-		if id < 0 || id >= v.nrows || v.isDead(id) {
-			continue // defensive; a consistent (snapshot, IDs) pair never hits this
-		}
-		dst := c.buf[c.n*c.width : (c.n+1)*c.width]
-		v.materializeRow(id, dst, c.width)
-		if c.filter != nil {
-			ok, err := c.filter(dst)
-			if err != nil {
-				c.err = err
-				return
-			}
-			if !ok {
-				continue
+	for used := 0; used < batch && c.next < len(c.ids); {
+		c.rows = c.rows[:0]
+		for want := min(batch-used, boxRows); len(c.rows) < want && c.next < len(c.ids); c.next++ {
+			if id := c.ids[c.next]; id >= 0 && id < v.nrows && !v.isDead(id) {
+				c.rows = append(c.rows, id) // else defensive; a consistent (snapshot, IDs) pair never skips
 			}
 		}
-		c.hdrs[c.n] = dst
-		c.n++
+		for col := 0; col < c.width; col++ {
+			v.gather(col, c.rows, c.buf[used*c.width+col:], c.width)
+		}
+		for range c.rows {
+			dst := c.buf[used*c.width : (used+1)*c.width]
+			used++
+			if c.filter != nil {
+				ok, err := c.filter(dst)
+				if err != nil {
+					c.err = err
+					return
+				}
+				if !ok {
+					continue
+				}
+			}
+			c.hdrs[c.n] = dst
+			c.n++
+		}
 	}
 	if c.next >= len(c.ids) {
 		c.done = true

@@ -1,157 +1,440 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestTableAgainstModel drives a Table with a random operation sequence
-// mirrored against a plain-slice model; all reads must agree. Row IDs
-// are physical and stable (Delete tombstones instead of compacting), so
-// the model tracks each live row's physical ID alongside its values.
-func TestTableAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
+// modelRow is one physical row of the plain-slice model.
+type modelRow struct {
+	vals []Value
+	dead bool
+}
 
-	for trial := 0; trial < 20; trial++ {
-		schema, err := NewSchema(
-			Column{Name: "k", Kind: KindInt},
-			Column{Name: "v", Kind: KindFloat},
-		)
+// modelHarness drives a Table and a plain-slice model through the same
+// operations. Row IDs are physical and stable (Delete tombstones instead
+// of compacting), so the model is indexed by physical ID; Compact
+// renumbers both sides.
+type modelHarness struct {
+	t    *testing.T
+	rng  *rand.Rand
+	tbl  *Table
+	cols []Column
+	rows []modelRow
+}
+
+var modelKinds = []Kind{KindInt, KindFloat, KindBool, KindText}
+
+func (h *modelHarness) randValue(kind Kind, nullFrac float64) Value {
+	if h.rng.Float64() < nullFrac {
+		return Null()
+	}
+	switch kind {
+	case KindInt:
+		return Int(int64(h.rng.Intn(50)))
+	case KindFloat:
+		return Float(float64(h.rng.Intn(40)) / 4)
+	case KindBool:
+		return Bool(h.rng.Intn(2) == 0)
+	default:
+		return Text(fmt.Sprintf("s%02d", h.rng.Intn(30)))
+	}
+}
+
+func (h *modelHarness) live() []int {
+	var ids []int
+	for id, r := range h.rows {
+		if !r.dead {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+func (h *modelHarness) attachIndex() {
+	if err := h.tbl.AttachIndex(newFakeIndex("ik", "k")); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+func (h *modelHarness) insert(n int) {
+	for ; n > 0; n-- {
+		vals := make([]Value, len(h.cols))
+		for c, col := range h.cols {
+			vals[c] = h.randValue(col.Kind, 0.15)
+		}
+		if err := h.tbl.Insert(vals...); err != nil {
+			h.t.Fatal(err)
+		}
+		h.rows = append(h.rows, modelRow{vals: vals})
+	}
+}
+
+func (h *modelHarness) set(id, col int, val Value) {
+	if err := h.tbl.Set(id, col, val); err != nil {
+		h.t.Fatal(err)
+	}
+	h.rows[id].vals[col] = val
+}
+
+func (h *modelHarness) deleteSome() {
+	live := h.live()
+	if len(live) == 0 {
+		return
+	}
+	var ids []int
+	for n := 1 + h.rng.Intn(30); n > 0; n-- {
+		ids = append(ids, live[h.rng.Intn(len(live))])
+	}
+	want := 0
+	for _, id := range ids {
+		if !h.rows[id].dead {
+			h.rows[id].dead = true
+			want++
+		}
+	}
+	if got := h.tbl.Delete(ids); got != want {
+		h.t.Fatalf("Delete removed %d, model says %d", got, want)
+	}
+	// Deleting again (and out-of-range IDs) must be a no-op.
+	if again := h.tbl.Delete(append(ids, -1, len(h.rows)+5)); again != 0 {
+		h.t.Fatalf("re-Delete removed %d, want 0", again)
+	}
+}
+
+// addColumn expands the schema, then writes into the new column's nil
+// sealed chunk and nil tail, so Set's nil-chunk path runs every time.
+func (h *modelHarness) addColumn() {
+	if len(h.cols) >= 9 {
+		return
+	}
+	col := Column{Name: fmt.Sprintf("x%d", len(h.cols)), Kind: modelKinds[len(h.cols)%4], Origin: ColumnExpanded}
+	idx, err := h.tbl.AddColumn(col)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if idx != len(h.cols) {
+		h.t.Fatalf("AddColumn returned index %d, want %d", idx, len(h.cols))
+	}
+	h.cols = append(h.cols, col)
+	for id := range h.rows {
+		h.rows[id].vals = append(h.rows[id].vals, Null())
+	}
+	live := h.live()
+	if len(live) == 0 {
+		return
+	}
+	h.set(live[0], idx, h.randValue(col.Kind, 0))
+	h.set(live[len(live)-1], idx, h.randValue(col.Kind, 0))
+	h.set(live[len(live)/2], idx, Null())
+}
+
+// fillColumn bulk-assigns a column over the live rows; tombstoned rows
+// in between stay NULL and unreadable.
+func (h *modelHarness) fillColumn() {
+	col := h.rng.Intn(len(h.cols))
+	live := h.live()
+	vals := make([]Value, len(live))
+	for i, id := range live {
+		vals[i] = h.randValue(h.cols[col].Kind, 0.1)
+		h.rows[id].vals[col] = vals[i]
+	}
+	if err := h.tbl.FillColumn(h.cols[col].Name, vals); err != nil {
+		h.t.Fatal(err)
+	}
+	if err := h.tbl.FillColumn(h.cols[col].Name, vals[:len(vals)/2]); err == nil && len(vals) > 1 {
+		h.t.Fatal("FillColumn accepted a short value list")
+	}
+}
+
+func (h *modelHarness) compact() {
+	res, err := h.tbl.Compact(CompactionPolicy{Force: true})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	dead := len(h.rows) - len(h.live())
+	if res.Compacted != (dead > 0) || res.RowsReclaimed != dead {
+		h.t.Fatalf("Compact = %+v with %d tombstones", res, dead)
+	}
+	kept := h.rows[:0]
+	for _, r := range h.rows {
+		if !r.dead {
+			kept = append(kept, r)
+		}
+	}
+	h.rows = kept
+}
+
+// restore round-trips the table through the snapshot path: CaptureState
+// into a TableState, rebuilt in a fresh catalog. Physical IDs and
+// tombstones must survive.
+func (h *modelHarness) restore() {
+	ts := TableState{Name: h.tbl.Name(), Columns: h.tbl.Schema().Columns()}
+	ts.Rows, ts.Deleted = h.tbl.CaptureState()
+	c := NewCatalog()
+	if err := RestoreCatalogTable(c, ts); err != nil {
+		h.t.Fatal(err)
+	}
+	h.tbl, _ = c.Get(ts.Name)
+	h.attachIndex()
+}
+
+// randPred draws a predicate on a random column: every operator, with a
+// literal of the column's class (INTEGER columns also meet fractional
+// float literals), of another class, or NULL.
+func (h *modelHarness) randPred() Pred {
+	col := h.rng.Intn(len(h.cols))
+	p := Pred{Col: col, Op: PredOp(h.rng.Intn(int(PredNotNull) + 1))}
+	switch kind := h.cols[col].Kind; h.rng.Intn(10) {
+	case 0:
+		p.Val = Null()
+	case 1, 2:
+		p.Val = h.randValue(modelKinds[h.rng.Intn(4)], 0)
+	case 3:
+		if kind == KindInt {
+			p.Val = Float(float64(h.rng.Intn(100)) / 2)
+			break
+		}
+		fallthrough
+	default:
+		p.Val = h.randValue(kind, 0)
+	}
+	return p
+}
+
+// rowChecker compares a stream of rows against the model rows with the
+// given physical IDs, in order. It compares with ==, so a boxed Value
+// carrying anything but its kind and that kind's payload fails too.
+type rowChecker struct {
+	h    *modelHarness
+	what string
+	want []int
+	n    int
+}
+
+func (h *modelHarness) expect(want []int, format string, args ...any) *rowChecker {
+	return &rowChecker{h: h, what: fmt.Sprintf(format, args...), want: want}
+}
+
+func (rc *rowChecker) row(got Row) {
+	t := rc.h.t // no t.Helper: this runs per row
+	if rc.n >= len(rc.want) {
+		t.Fatalf("%s: more than the model's %d rows", rc.what, len(rc.want))
+	}
+	id := rc.want[rc.n]
+	want := rc.h.rows[id].vals
+	if len(got) != len(want) {
+		t.Fatalf("%s: row %d has width %d, want %d", rc.what, rc.n, len(got), len(want))
+	}
+	for c := range want {
+		if got[c] != want[c] {
+			t.Fatalf("%s: row %d (id %d) column %s = %#v, model says %#v",
+				rc.what, rc.n, id, rc.h.cols[c].Name, got[c], want[c])
+		}
+	}
+	rc.n++
+}
+
+func (rc *rowChecker) done() {
+	rc.h.t.Helper()
+	if rc.n != len(rc.want) {
+		rc.h.t.Fatalf("%s: %d rows, model says %d", rc.what, rc.n, len(rc.want))
+	}
+}
+
+// drain feeds every row of a cursor to the checker.
+func (rc *rowChecker) drain(next func() (Row, bool), err func() error) {
+	rc.h.t.Helper()
+	for {
+		row, ok := next()
+		if !ok {
+			break
+		}
+		rc.row(row)
+	}
+	if e := err(); e != nil {
+		rc.h.t.Fatal(e)
+	}
+	rc.done()
+}
+
+// check asserts that every read path agrees with the model.
+func (h *modelHarness) check() {
+	h.t.Helper()
+	live := h.live()
+	if h.tbl.NumRows() != len(live) {
+		h.t.Fatalf("NumRows = %d, model says %d", h.tbl.NumRows(), len(live))
+	}
+
+	rc := h.expect(live, "Scan")
+	h.tbl.Scan(func(id int, row Row) bool {
+		if rc.n < len(live) && id != live[rc.n] {
+			h.t.Fatalf("Scan row %d has physical ID %d, model says %d", rc.n, id, live[rc.n])
+		}
+		rc.row(row)
+		return true
+	})
+	rc.done()
+
+	batch := []int{1, 7, 64, 0, 5000}[h.rng.Intn(5)]
+	cur := h.tbl.NewCursor(batch)
+	h.expect(live, "Cursor(batch %d)", batch).drain(cur.Next, cur.Err)
+
+	// A range cursor starting anywhere, word-aligned or not.
+	if n := len(h.rows); n > 0 {
+		lo := h.rng.Intn(n)
+		hi := lo + h.rng.Intn(n-lo+1)
+		var want []int
+		for _, id := range live {
+			if id >= lo && id < hi {
+				want = append(want, id)
+			}
+		}
+		cur := h.tbl.NewRangeCursor(lo, hi, batch)
+		h.expect(want, "RangeCursor[%d,%d)", lo, hi).drain(cur.Next, cur.Err)
+	}
+
+	// Vectorized predicates, with and without a residual filter on top.
+	preds := []Pred{h.randPred()}
+	if h.rng.Intn(2) == 0 {
+		preds = append(preds, h.randPred())
+	}
+	var survivors []int // rows the predicates keep, in scan order
+	for _, id := range live {
+		keep := true
+		for _, p := range preds {
+			keep = keep && predMatch(p, h.rows[id].vals[p.Col])
+		}
+		if keep {
+			survivors = append(survivors, id)
+		}
+	}
+	cur = h.tbl.NewCursor(batch)
+	cur.SetPreds(preds)
+	want := survivors
+	residual := h.rng.Intn(3) == 0
+	if residual {
+		want = nil
+		for _, id := range survivors {
+			if id%3 != 0 {
+				want = append(want, id)
+			}
+		}
+		seen := 0 // the filter must see exactly the survivors, in order
+		cur.SetFilter(func(Row) (bool, error) {
+			id := survivors[seen]
+			seen++
+			return id%3 != 0, nil
+		})
+	}
+	h.expect(want, "pred cursor %+v residual=%v", preds, residual).drain(cur.Next, cur.Err)
+
+	// Point reads.
+	for n := 0; n < 20 && len(h.rows) > 0; n++ {
+		id := h.rng.Intn(len(h.rows))
+		row, err := h.tbl.Get(id)
+		if h.rows[id].dead {
+			if err == nil {
+				h.t.Fatalf("Get(%d) on a deleted row succeeded", id)
+			}
+			if err := h.tbl.Set(id, 0, Int(1)); err == nil {
+				h.t.Fatalf("Set(%d) on a deleted row succeeded", id)
+			}
+			continue
+		}
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		h.expect([]int{id}, "Get(%d)", id).row(row)
+	}
+
+	// Index probes on k: the maintained index, the snapshot pinned with it
+	// and the index cursor's rows all agree with the model.
+	for n := 0; n < 5; n++ {
+		key := Int(int64(h.rng.Intn(50)))
+		var want []int
+		for _, id := range live {
+			if h.rows[id].vals[0].Equal(key) {
+				want = append(want, id)
+			}
+		}
+		snap, ids, err := h.tbl.PinIndexProbe("ik", IndexProbe{Point: &key})
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		sort.Ints(ids)
+		if fmt.Sprint(ids) != fmt.Sprint(want) {
+			h.t.Fatalf("index probe k=%v → %v, model says %v", key, ids, want)
+		}
+		ic := NewIndexCursorAt(snap, ids, batch)
+		h.expect(want, "IndexCursor k=%v", key).drain(ic.Next, ic.Err)
+		snap.Release()
+	}
+	if pins := h.tbl.LiveSnapshotEpochs(); len(pins) != 0 {
+		h.t.Fatalf("leaked snapshot pins: %v", pins)
+	}
+}
+
+// TestTableAgainstModel drives a Table with a random operation sequence
+// mirrored against a plain-slice model: all four kinds with NULLs, more
+// than two sealed chunks, schema expansion, bulk fills over tombstones,
+// Set into never-filled chunks, forced compaction and snapshot→restore.
+// After every structural operation (and every few others) Get, Scan,
+// plain, range and predicate cursors and index probes must all agree
+// with the model.
+func TestTableAgainstModel(t *testing.T) {
+	trials, ops := 2, 250
+	if testing.Short() {
+		trials, ops = 1, 100
+	}
+	for trial := 0; trial < trials; trial++ {
+		h := &modelHarness{t: t, rng: rand.New(rand.NewSource(555 + int64(trial)))}
+		h.cols = []Column{
+			{Name: "k", Kind: KindInt},
+			{Name: "f", Kind: KindFloat},
+			{Name: "b", Kind: KindBool},
+			{Name: "s", Kind: KindText},
+		}
+		schema, err := NewSchema(h.cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl := NewTable("m", schema)
-		type mrow struct {
-			id int // physical row ID
-			k  int64
-			v  float64
-		}
-		var model []mrow // live rows, ascending by physical ID
-		inserted := 0    // total physical rows ever inserted
-		cols := 2
+		h.tbl = NewTable("m", schema)
+		h.attachIndex()
+		h.insert(2*ChunkRows + 300 + h.rng.Intn(200))
+		h.check()
 
-		for op := 0; op < 200; op++ {
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3: // insert
-				k := int64(rng.Intn(1000))
-				v := float64(rng.Intn(1000)) / 8
-				row := make([]Value, cols)
-				row[0], row[1] = Int(k), Float(v)
-				for c := 2; c < cols; c++ {
-					row[c] = Null()
+		for op := 0; op < ops; op++ {
+			structural := true
+			switch r := h.rng.Intn(100); {
+			case r < 30:
+				h.insert(1 + h.rng.Intn(40))
+				structural = false
+			case r < 60:
+				if live := h.live(); len(live) > 0 {
+					col := h.rng.Intn(len(h.cols))
+					h.set(live[h.rng.Intn(len(live))], col, h.randValue(h.cols[col].Kind, 0.2))
 				}
-				if err := tbl.Insert(row...); err != nil {
-					t.Fatal(err)
-				}
-				model = append(model, mrow{id: inserted, k: k, v: v})
-				inserted++
-			case 4, 5: // set, by physical ID
-				if len(model) == 0 {
-					continue
-				}
-				i := rng.Intn(len(model))
-				v := float64(rng.Intn(1000)) / 8
-				if err := tbl.Set(model[i].id, 1, Float(v)); err != nil {
-					t.Fatal(err)
-				}
-				model[i].v = v
-			case 6: // delete a random subset of live rows
-				if len(model) == 0 {
-					continue
-				}
-				var ids []int
-				kill := map[int]bool{}
-				for _, r := range model {
-					if rng.Float64() < 0.2 {
-						ids = append(ids, r.id)
-						kill[r.id] = true
-					}
-				}
-				removed := tbl.Delete(ids)
-				kept := model[:0]
-				for _, r := range model {
-					if !kill[r.id] {
-						kept = append(kept, r)
-					}
-				}
-				if removed != len(ids) {
-					t.Fatalf("Delete removed %d, model says %d", removed, len(ids))
-				}
-				model = kept
-				// Deleting again (and out-of-range IDs) must be a no-op.
-				if again := tbl.Delete(append(ids, -1, inserted+5)); again != 0 {
-					t.Fatalf("re-Delete removed %d, want 0", again)
-				}
-			case 7: // add a column (schema expansion), all NULLs
-				if cols >= 6 {
-					continue
-				}
-				name := string(rune('a' + cols))
-				if _, err := tbl.AddColumn(Column{Name: name, Kind: KindText}); err != nil {
-					t.Fatal(err)
-				}
-				cols++
-			case 8: // point read, by physical ID
-				if len(model) == 0 {
-					continue
-				}
-				i := rng.Intn(len(model))
-				got, err := tbl.Get(model[i].id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				k, _ := got[0].AsInt()
-				v, _ := got[1].AsFloat()
-				if k != model[i].k || v != model[i].v {
-					t.Fatalf("row %d = (%d, %g), model says (%d, %g)", model[i].id, k, v, model[i].k, model[i].v)
-				}
-			default: // full scan comparison
-				if tbl.NumRows() != len(model) {
-					t.Fatalf("NumRows = %d, model says %d", tbl.NumRows(), len(model))
-				}
-				i := 0
-				tbl.Scan(func(idx int, row Row) bool {
-					if idx != model[i].id {
-						t.Fatalf("scan row %d has physical ID %d, model says %d", i, idx, model[i].id)
-					}
-					k, _ := row[0].AsInt()
-					v, _ := row[1].AsFloat()
-					if k != model[i].k || v != model[i].v {
-						t.Fatalf("scan row %d mismatch", i)
-					}
-					if len(row) != cols {
-						t.Fatalf("row width %d, want %d", len(row), cols)
-					}
-					i++
-					return true
-				})
-				if i != len(model) {
-					t.Fatalf("scan visited %d rows, model has %d", i, len(model))
-				}
+				structural = false
+			case r < 75:
+				h.deleteSome()
+				structural = false
+			case r < 81:
+				h.addColumn()
+			case r < 89:
+				h.fillColumn()
+			case r < 95:
+				h.compact()
+			default:
+				h.restore()
+			}
+			if structural || op%15 == 0 {
+				h.check()
 			}
 		}
-
-		// A tombstoned row must be unreadable and unwritable.
-		if inserted > len(model) {
-			dead := -1
-			live := map[int]bool{}
-			for _, r := range model {
-				live[r.id] = true
-			}
-			for id := 0; id < inserted; id++ {
-				if !live[id] {
-					dead = id
-					break
-				}
-			}
-			if dead >= 0 {
-				if _, err := tbl.Get(dead); err == nil {
-					t.Fatalf("Get(%d) on a deleted row succeeded", dead)
-				}
-				if err := tbl.Set(dead, 0, Int(1)); err == nil {
-					t.Fatalf("Set(%d) on a deleted row succeeded", dead)
-				}
-			}
-		}
+		h.compact()
+		h.check()
 	}
 }

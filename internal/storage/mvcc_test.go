@@ -162,8 +162,10 @@ func TestTornChunkPositionedError(t *testing.T) {
 	t.Run("sealed chunk", func(t *testing.T) {
 		v := tbl.snap.Load()
 		nv := v.clone()
-		nv.cols[0].chunks = append([][]Value(nil), nv.cols[0].chunks...)
-		nv.cols[0].chunks[0] = nv.cols[0].chunks[0][:100] // tear chunk 0 of "id"
+		nv.cols[0].chunks = append([]*chunk(nil), nv.cols[0].chunks...)
+		torn := *nv.cols[0].chunks[0]
+		torn.ints = torn.ints[:100] // tear chunk 0 of "id"
+		nv.cols[0].chunks[0] = &torn
 		tbl.snap.Store(nv)
 		defer tbl.snap.Store(v)
 
@@ -185,7 +187,9 @@ func TestTornChunkPositionedError(t *testing.T) {
 	t.Run("tail", func(t *testing.T) {
 		v := tbl.snap.Load()
 		nv := v.clone()
-		nv.cols[1].tail = nv.cols[1].tail[:4] // tear the 10-row tail of "score"
+		torn := *nv.cols[1].tail
+		torn.floats = torn.floats[:4] // tear the 10-row tail of "score"
+		nv.cols[1].tail = &torn
 		tbl.snap.Store(nv)
 		defer tbl.snap.Store(v)
 

@@ -221,12 +221,10 @@ func NewTable(name string, schema *Schema) *Table {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Schema returns a snapshot of the table's schema.
-func (t *Table) Schema() *Schema {
-	v := t.snap.Load()
-	s, _ := NewSchema(v.schema.cols...)
-	return s
-}
+// Schema returns the table's current schema. A published Schema is
+// immutable — AddColumn installs a fresh copy — so the result is a
+// stable snapshot that later expansions never widen.
+func (t *Table) Schema() *Schema { return t.snap.Load().schema }
 
 // NumRows returns the live row count (tombstoned rows excluded).
 func (t *Table) NumRows() int {
@@ -261,16 +259,16 @@ func (t *Table) Insert(vals ...Value) error {
 	nv := v.clone()
 	tailLen := v.nrows - v.sealed
 	for i := range nv.cols {
-		nv.cols[i].tail = appendTail(nv.cols[i].tail, tailLen, row[i])
+		nv.cols[i].tail = appendTail(v.schema.cols[i].Kind, nv.cols[i].tail, tailLen, row[i])
 	}
 	nv.nrows++
 	if nv.nrows-nv.sealed == ChunkRows {
-		// Seal: the full tails become immutable chunks. In-place append
-		// into a shared chunks backing array is safe — published versions
-		// only read their own (shorter) length.
+		// Seal: the full tails become immutable chunks, their null flags
+		// packed. In-place append into a shared chunks backing array is
+		// safe — published versions only read their own (shorter) length.
 		for i := range nv.cols {
 			cd := &nv.cols[i]
-			cd.chunks = append(cd.chunks, cd.tail[:ChunkRows:ChunkRows])
+			cd.chunks = append(cd.chunks, sealTail(cd.tail))
 			cd.tail = nil
 		}
 		nv.sealed += ChunkRows
@@ -328,22 +326,14 @@ func (t *Table) Set(row, col int, val Value) error {
 	}
 	nv := v.clone()
 	cd := &nv.cols[col]
+	kind := v.schema.Column(col).Kind
 	if row >= v.sealed {
-		tailLen := v.nrows - v.sealed
-		nt := make([]Value, tailLen)
-		copy(nt, cd.tail) // nil tail → prefix stays NULL
-		nt[row-v.sealed] = cv
-		cd.tail = nt
+		cd.tail = withCell(kind, cd.tail, v.nrows-v.sealed, row-v.sealed, cv, false)
 	} else {
 		ci := row / ChunkRows
-		nc := make([]Value, ChunkRows)
-		if cd.chunks[ci] != nil {
-			copy(nc, cd.chunks[ci])
-		}
-		nc[row%ChunkRows] = cv
-		chunks := make([][]Value, len(cd.chunks))
+		chunks := make([]*chunk, len(cd.chunks))
 		copy(chunks, cd.chunks)
-		chunks[ci] = nc
+		chunks[ci] = withCell(kind, chunks[ci], ChunkRows, row%ChunkRows, cv, true)
 		cd.chunks = chunks
 	}
 	colName := v.schema.Column(col).Name
@@ -396,7 +386,7 @@ func (t *Table) AddColumn(c Column) (int, error) {
 	}
 	nv := v.clone()
 	nv.schema = v.schema.cloneWith(c)
-	nv.cols = append(nv.cols, colData{chunks: make([][]Value, v.sealed/ChunkRows)})
+	nv.cols = append(nv.cols, colData{chunks: make([]*chunk, v.sealed/ChunkRows)})
 	t.publish(nv, nil)
 	t.notify(Op{Kind: OpAddColumn, Table: t.name})
 	return nv.schema.Len() - 1, nil
@@ -432,17 +422,18 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 	}
 	// Spread live-ordered values over physical positions; tombstoned rows
 	// stay NULL.
-	phys := make([]Value, v.nrows)
+	b := colBuilder{kind: kind, rows: v.nrows}
 	li := 0
 	for i := 0; i < v.nrows; i++ {
 		if v.isDead(i) {
+			b.append(Null())
 			continue
 		}
-		phys[i] = coerced[li]
+		b.append(coerced[li])
 		li++
 	}
 	nv := v.clone()
-	nv.cols[col] = buildColData(phys)
+	nv.cols[col] = b.cd
 	t.publish(nv, func() {
 		// Bulk rebuild beats nrows incremental Replace calls — this is
 		// the crowd-fill landing path for expanded columns.
@@ -454,6 +445,10 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 	return nil
 }
 
+// scanBatchCells bounds the cells (40 bytes each, boxed) in the batch
+// buffer of a Table.Scan.
+const scanBatchCells = 1024
+
 // ScanFunc is invoked once per live row during Scan with the row's
 // physical ID. Returning false stops the scan early. The row must not be
 // mutated or retained — the buffer is reused between calls.
@@ -461,14 +456,18 @@ type ScanFunc func(rowIdx int, row Row) bool
 
 // Scan iterates over all live rows of the current snapshot, lock-free.
 func (t *Table) Scan(f ScanFunc) {
+	// An unpinned cursor: Scan hands out physical IDs without taking part
+	// in compaction admission (callers that keep them hold a write fence).
+	// Its batch shrinks with the table's width — callers such as "is this
+	// column filled yet" stop at the first row of a table that expansion
+	// has made hundreds of columns wide.
 	v := t.snap.Load()
-	buf := make(Row, v.schema.Len())
-	for i := 0; i < v.nrows; i++ {
-		if v.isDead(i) {
-			continue
-		}
-		v.materializeRow(i, buf, len(buf))
-		if !f(i, buf) {
+	batch := max(1, min(DefaultBatchSize, scanBatchCells/max(1, v.schema.Len())))
+	c := newCursorOn(&Snap{t: t, v: v}, 0, -1, batch)
+	c.ids = make([]int, batch)
+	for {
+		row, ok := c.Next()
+		if !ok || !f(c.ids[c.pos-1], row) {
 			return
 		}
 	}
@@ -542,25 +541,14 @@ func (t *Table) LegacyCompact(idx []int) int {
 	if len(kill) == 0 {
 		return 0
 	}
-	width := v.schema.Len()
-	survivors := make([][]Value, width)
+	// Tombstoned rows go too: the old row store never had any.
+	gone := make([]int, 0, len(kill)+v.ndead)
 	for i := 0; i < v.nrows; i++ {
 		if kill[i] || v.isDead(i) {
-			continue
-		}
-		for c := 0; c < width; c++ {
-			survivors[c] = append(survivors[c], v.value(i, c))
+			gone = append(gone, i)
 		}
 	}
-	nv := newVersion(v.schema)
-	nv.epoch = v.epoch + 1
-	if width > 0 {
-		nv.nrows = len(survivors[0])
-		nv.sealed = nv.nrows / ChunkRows * ChunkRows
-		for c := 0; c < width; c++ {
-			nv.cols[c] = buildColData(survivors[c])
-		}
-	}
+	nv, _ := compactApply(v, gone)
 	t.publish(nv, func() {
 		for _, ix := range t.indexes {
 			t.rebuildIndex(ix, nv)

@@ -120,6 +120,30 @@ func TestAddColumnSchemaExpansion(t *testing.T) {
 	}
 }
 
+// TestSchemaSnapshotSurvivesAddColumn: Schema() hands out the published,
+// immutable schema itself, so one taken before an expansion must keep its
+// width and never learn the new column.
+func TestSchemaSnapshotSurvivesAddColumn(t *testing.T) {
+	tb := NewTable("movies", movieSchema(t))
+	before := tb.Schema()
+	if tb.Schema() != before {
+		t.Fatal("Schema() rebuilt the schema although nothing changed")
+	}
+	if _, err := tb.AddColumn(Column{Name: "is_comedy", Kind: KindBool, Origin: ColumnExpanded}); err != nil {
+		t.Fatal(err)
+	}
+	if before.Len() != 3 || len(before.Columns()) != 3 {
+		t.Fatalf("schema taken before AddColumn now has %d columns, want 3", before.Len())
+	}
+	if _, ok := before.Lookup("is_comedy"); ok {
+		t.Fatal("schema taken before AddColumn resolves the new column")
+	}
+	after := tb.Schema()
+	if i, ok := after.Lookup("IS_COMEDY"); !ok || i != 3 || after.Len() != 4 {
+		t.Fatalf("current schema: Len=%d, Lookup(is_comedy)=%d,%v", after.Len(), i, ok)
+	}
+}
+
 func TestFillColumn(t *testing.T) {
 	tb := NewTable("movies", movieSchema(t))
 	for i := 0; i < 4; i++ {

@@ -4,28 +4,29 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 )
 
 // MVCC columnar layout (see DESIGN.md §15).
 //
 // A table's data lives in an immutable *version: per-column sealed chunks
-// of exactly ChunkRows values plus an append-only tail, a tombstone
-// bitmap over physical row IDs, and a monotonically increasing epoch.
-// Writers (serialized by Table.mu) build a new version — copying only
-// what they change — and publish it with one atomic pointer store.
-// Readers load the pointer once and then scan with zero locks: nothing a
-// published version references is ever mutated at an index a reader can
-// see.
+// of exactly ChunkRows cells plus an append-only tail — typed vectors,
+// see chunk.go — a tombstone bitmap over physical row IDs, and a
+// monotonically increasing epoch. Writers (serialized by Table.mu) build
+// a new version — copying only what they change — and publish it with
+// one atomic pointer store. Readers load the pointer once and then scan
+// with zero locks: nothing a published version references is ever
+// mutated at an index a reader can see.
 //
 // Two copy disciplines keep writes cheap:
 //
-//   - The tail uses the published-length trick: the backing array is
+//   - The tail uses the published-length trick: the backing arrays are
 //     shared across versions and appends write past every published
 //     version's nrows, so an Insert extends the tail in place (amortized
 //     by capacity doubling up to ChunkRows). A reader of version v only
 //     indexes below v's row count, so it can never observe the write.
-//   - Set copies exactly one column's chunk (or tail) — ChunkRows values
-//     — plus the chunk-header slice; every other column and chunk is
+//   - Set copies exactly one column's chunk (or tail) — ChunkRows cells —
+//     plus the chunk-header slice; every other column and chunk is
 //     shared with the previous version.
 //
 // Physical row IDs are stable for the life of a table: Delete sets
@@ -37,13 +38,14 @@ import (
 // whole chunks.
 const ChunkRows = 4096
 
-// colData holds one column's values: sealed immutable chunks (a nil
-// chunk is all-NULL, the unfilled-expansion representation) and the
-// shared-backing tail. The valid tail prefix of a version is
-// version.nrows - version.sealed.
+// colData holds one column's cells: sealed immutable chunks and the
+// shared-backing tail, each nil when all-NULL (the unfilled-expansion
+// representation). The valid tail prefix of a version is version.nrows -
+// version.sealed. It stays two words and a pointer because version.clone
+// copies one per column on every Insert.
 type colData struct {
-	chunks [][]Value
-	tail   []Value
+	chunks []*chunk
+	tail   *chunk
 }
 
 // version is one immutable snapshot of a table's data.
@@ -85,102 +87,61 @@ func (v *version) isDead(row int) bool {
 	return w < len(v.dead) && v.dead[w]&(1<<(uint(row)&63)) != 0
 }
 
-// value reads (row, col) with no bounds checks beyond the chunk lookup;
-// callers validate row < v.nrows.
-func (v *version) value(row, col int) Value {
+// cell locates (row, col): the chunk holding it (nil = all-NULL) and the
+// offset within. No bounds checks beyond the chunk lookup; callers
+// validate row < v.nrows.
+func (v *version) cell(row, col int) (*chunk, int) {
 	cd := &v.cols[col]
 	if row >= v.sealed {
-		t := cd.tail
-		if t == nil {
-			return Null()
-		}
-		return t[row-v.sealed]
+		return cd.tail, row - v.sealed
 	}
-	ch := cd.chunks[row/ChunkRows]
-	if ch == nil {
+	return cd.chunks[row/ChunkRows], row % ChunkRows
+}
+
+// value boxes (row, col).
+func (v *version) value(row, col int) Value {
+	c, i := v.cell(row, col)
+	if c == nil {
 		return Null()
 	}
-	return ch[row%ChunkRows]
+	return c.at(i)
 }
 
-// window returns the contiguous value slice backing physical rows
-// [lo, hi) of col, which must not cross a chunk boundary. A nil slice
-// means every value in the window is NULL. A short chunk (torn by
+// window points w at the cells backing physical rows [lo, hi) of col,
+// which must not cross a chunk boundary. A short chunk (torn by
 // corruption) is reported as an error with the offending row position —
 // cursors surface it through Err instead of silently ending the scan.
-func (v *version) window(col, lo, hi int) ([]Value, error) {
-	cd := &v.cols[col]
-	if lo >= v.sealed {
-		if cd.tail == nil {
-			return nil, nil
+func (v *version) window(w *window, col, lo, hi int) error {
+	w.c, w.off = v.cell(lo, col)
+	if w.c != nil && w.c.len() < w.off+hi-lo {
+		have := w.c.len()
+		if lo >= v.sealed {
+			return fmt.Errorf("torn tail at row %d: column %q has %d of %d tail values",
+				v.sealed+have, v.schema.Column(col).Name, have, hi-v.sealed)
 		}
-		if len(cd.tail) < hi-v.sealed {
-			return nil, fmt.Errorf("torn tail at row %d: column %q has %d of %d tail values",
-				v.sealed+len(cd.tail), v.schema.Column(col).Name, len(cd.tail), hi-v.sealed)
-		}
-		return cd.tail[lo-v.sealed : hi-v.sealed], nil
+		base := lo - w.off
+		return fmt.Errorf("torn chunk %d at row %d: column %q has %d of %d values",
+			lo/ChunkRows, base+have, v.schema.Column(col).Name, have, hi-base)
 	}
-	ch := cd.chunks[lo/ChunkRows]
-	if ch == nil {
-		return nil, nil
-	}
-	base := lo / ChunkRows * ChunkRows
-	if len(ch) < hi-base {
-		return nil, fmt.Errorf("torn chunk %d at row %d: column %q has %d of %d values",
-			lo/ChunkRows, base+len(ch), v.schema.Column(col).Name, len(ch), hi-base)
-	}
-	return ch[lo-base : hi-base], nil
+	w.setNulls(hi - lo)
+	return nil
 }
 
-// materializeRow copies physical row `row` into dst (len >= width).
+// materializeRow boxes physical row `row` into dst (len >= width) — the
+// point-read path; scans box column-at-a-time instead (window.box).
 func (v *version) materializeRow(row int, dst []Value, width int) {
+	ci, i := row/ChunkRows, row%ChunkRows
 	for c := 0; c < width; c++ {
-		dst[c] = v.value(row, c)
+		ch := v.cols[c].tail
+		if row < v.sealed {
+			ch = v.cols[c].chunks[ci]
+		}
+		if ch == nil {
+			dst[c] = Value{}
+		} else {
+			dst[c] = ch.at(i)
+		}
 	}
-}
-
-// appendTail extends tail (published length n) with val, writing in
-// place when capacity allows — safe because no published version indexes
-// past its own length — and reallocating with doubling (capped at
-// ChunkRows) otherwise.
-func appendTail(tail []Value, n int, val Value) []Value {
-	if cap(tail) > n {
-		t2 := tail[:n+1]
-		t2[n] = val
-		return t2
-	}
-	newCap := 2 * n
-	if newCap < 64 {
-		newCap = 64
-	}
-	if newCap > ChunkRows {
-		newCap = ChunkRows
-	}
-	if newCap < n+1 {
-		newCap = n + 1
-	}
-	nt := make([]Value, n, newCap)
-	copy(nt, tail) // missing prefix (nil tail of an expanded column) stays NULL
-	return append(nt, val)
-}
-
-// buildColData re-chunks a full column of nrows values — the FillColumn
-// and compaction path.
-func buildColData(vals []Value) colData {
-	var cd colData
-	n := len(vals)
-	sealed := n / ChunkRows * ChunkRows
-	for lo := 0; lo < sealed; lo += ChunkRows {
-		ch := make([]Value, ChunkRows)
-		copy(ch, vals[lo:lo+ChunkRows])
-		cd.chunks = append(cd.chunks, ch)
-	}
-	if n > sealed {
-		tail := make([]Value, n-sealed)
-		copy(tail, vals[sealed:])
-		cd.tail = tail
-	}
-	return cd
 }
 
 // --- tombstone bitmap helpers ---
@@ -311,98 +272,182 @@ type Pred struct {
 	Val Value
 }
 
-// evalPredWindow clears sel bits (bit i ↔ row base+i) for rows of the
-// contiguous window vals that fail p. A nil window is all-NULL: only
-// IS NULL keeps any bits.
-func evalPredWindow(p Pred, vals []Value, n int, sel []uint64) {
-	if vals == nil {
-		if p.Op == PredIsNull {
-			return // NULL satisfies IS NULL; bits stay
+// valueClass groups kinds by comparability: Value.Equal and Value.Compare
+// relate INTEGER and FLOAT to each other and every other kind only to
+// itself.
+func valueClass(k Kind) Kind {
+	if k == KindInt {
+		return KindFloat
+	}
+	return k
+}
+
+// evalPredWindow clears sel bits (bit i ↔ row i of the window) for the
+// rows of w that fail p: one dispatch per window on (column kind, op,
+// literal class) into loops over the typed payload. predMatch on boxed
+// values is the reference these kernels are tested against.
+func evalPredWindow(p Pred, w *window, n int, sel []uint64) {
+	switch {
+	case p.Op == PredIsNull:
+		if w.c != nil {
+			keepNulls(sel, w.nulls)
 		}
-		for i := range sel {
-			sel[i] = 0
+		return
+	case w.c == nil:
+		clear(sel) // all-NULL: IS NOT NULL fails, every comparison is UNKNOWN
+		return
+	}
+	dropNulls(sel, w.nulls) // a NULL cell satisfies nothing below
+	if p.Op == PredNotNull {
+		return
+	}
+	c := w.c
+	if valueClass(c.kind) != valueClass(p.Val.kind) {
+		// Values of different classes (a NULL literal included) are never
+		// equal and never ordered: != holds for every non-NULL cell, the
+		// other comparisons for none.
+		if p.Op != PredNe {
+			clear(sel)
 		}
 		return
 	}
-	// Numeric literals take a call-free sweep: the generic path pays a
-	// non-inlined Value.Compare per row, which costs as much as the
-	// closure it replaced. PredNe must stay generic — against a
-	// mismatched value class != is TRUE (e.g. 'abc' != 5), while the
-	// sweep excludes everything non-numeric.
-	if f, ok := p.Val.AsFloat(); ok && p.Op != PredNe && p.Op != PredIsNull && p.Op != PredNotNull {
-		evalNumericWindow(p.Op, f, vals, n, sel)
-		return
-	}
-	for wi := range sel {
-		w := sel[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi << 6
-		for w != 0 {
-			b := w & (-w)
-			w &^= b
-			i := base + bits.TrailingZeros64(b)
-			if i >= n {
-				break
-			}
-			if !predMatch(p, vals[i]) {
-				sel[wi] &^= b
-			}
-		}
+	switch c.kind {
+	case KindInt:
+		f, _ := p.Val.AsFloat()
+		cmpNumeric(p.Op, c.ints[w.off:w.off+n], f, sel)
+	case KindFloat:
+		f, _ := p.Val.AsFloat()
+		cmpNumeric(p.Op, c.floats[w.off:w.off+n], f, sel)
+	case KindBool:
+		cmpSelected(p.Op, c.bools[w.off:w.off+n], p.Val.b, compareBool, sel)
+	case KindText:
+		cmpSelected(p.Op, c.strs[w.off:w.off+n], p.Val.s, strings.Compare, sel)
 	}
 }
 
-// evalNumericWindow is the hot sweep for comparisons against a numeric
-// literal — the overwhelmingly common pushed-down predicate. It builds
-// each selection word branch-light with the comparison inlined (no
-// predMatch/Compare calls) and ANDs it in, so bits cleared by earlier
-// predicates or tombstones stay cleared. NULLs and non-numeric values
-// drop out, matching predMatch: NULL comparisons are UNKNOWN and
-// mismatched classes never satisfy =, <, <=, >, >=.
-func evalNumericWindow(op PredOp, f float64, vals []Value, n int, sel []uint64) {
+// keepNulls clears the sel bits of non-NULL rows; nil nulls = no NULL.
+func keepNulls(sel, nulls []uint64) {
+	if nulls == nil {
+		clear(sel)
+		return
+	}
+	for i := range sel {
+		sel[i] &= nulls[i]
+	}
+}
+
+// dropNulls clears the sel bits of NULL rows.
+func dropNulls(sel, nulls []uint64) {
+	if nulls == nil {
+		return
+	}
+	for i := range sel {
+		sel[i] &^= nulls[i]
+	}
+}
+
+// cmpNumeric is the hot sweep: a numeric column against a numeric
+// literal, the overwhelmingly common pushed-down predicate. Both sides
+// compare as float64, as Value.Equal and Value.Compare do (so an INTEGER
+// column against a float literal is exact to 2^53 either way). Each
+// selection word is built from a plain loop over its 64 cells and ANDed
+// in, so bits cleared by NULLs, tombstones or earlier predicates stay
+// cleared. <= and >= are written as negations because Compare reports an
+// unordered pair (NaN) as equal.
+func cmpNumeric[T int64 | float64](op PredOp, vals []T, f float64, sel []uint64) {
 	for wi := range sel {
 		if sel[wi] == 0 {
 			continue
 		}
 		lo := wi << 6
 		hi := lo + 64
-		if hi > n {
-			hi = n
+		if hi > len(vals) {
+			hi = len(vals)
 		}
 		var w uint64
-		for i := lo; i < hi; i++ {
-			v := &vals[i]
-			var vf float64
-			switch v.kind {
-			case KindFloat:
-				vf = v.f
-			case KindInt:
-				vf = float64(v.i)
-			default:
-				continue
+		switch op {
+		case PredEq:
+			for i, x := range vals[lo:hi] {
+				if float64(x) == f {
+					w |= 1 << uint(i)
+				}
 			}
-			var keep bool
-			switch op {
-			case PredEq:
-				keep = vf == f
-			case PredLt:
-				keep = vf < f
-			case PredLe:
-				keep = vf <= f
-			case PredGt:
-				keep = vf > f
-			case PredGe:
-				keep = vf >= f
+		case PredNe:
+			for i, x := range vals[lo:hi] {
+				if float64(x) != f {
+					w |= 1 << uint(i)
+				}
 			}
-			if keep {
-				w |= 1 << uint(i-lo)
+		case PredLt:
+			for i, x := range vals[lo:hi] {
+				if float64(x) < f {
+					w |= 1 << uint(i)
+				}
+			}
+		case PredLe:
+			for i, x := range vals[lo:hi] {
+				if !(float64(x) > f) {
+					w |= 1 << uint(i)
+				}
+			}
+		case PredGt:
+			for i, x := range vals[lo:hi] {
+				if float64(x) > f {
+					w |= 1 << uint(i)
+				}
+			}
+		case PredGe:
+			for i, x := range vals[lo:hi] {
+				if !(float64(x) < f) {
+					w |= 1 << uint(i)
+				}
 			}
 		}
 		sel[wi] &= w
 	}
 }
 
+// cmpSelected evaluates a BOOLEAN or TEXT comparison on the still-selected
+// rows only: a string compare costs more than skipping a cleared bit.
+func cmpSelected[T any](op PredOp, vals []T, lit T, compare func(a, b T) int, sel []uint64) {
+	for wi, w := range sel {
+		for w != 0 {
+			b := w & -w
+			w &^= b
+			c := compare(vals[wi<<6+bits.TrailingZeros64(b)], lit)
+			var keep bool
+			switch op {
+			case PredEq:
+				keep = c == 0
+			case PredNe:
+				keep = c != 0
+			case PredLt:
+				keep = c < 0
+			case PredLe:
+				keep = c <= 0
+			case PredGt:
+				keep = c > 0
+			case PredGe:
+				keep = c >= 0
+			}
+			if !keep {
+				sel[wi] &^= b
+			}
+		}
+	}
+}
+
+func compareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	}
+	return 1
+}
+
+// predMatch is the boxed reference semantics of a Pred.
 func predMatch(p Pred, v Value) bool {
 	switch p.Op {
 	case PredIsNull:
