@@ -1318,7 +1318,8 @@ func BenchmarkVectorizedFilter(b *testing.B) {
 }
 
 // BenchmarkPerRowFilterBaseline is the comparison point: the same scan
-// and selectivity through the per-row residual closure.
+// and selectivity with the predicate applied per boxed row, the way the
+// executor evaluates a residual it could not vectorize.
 func BenchmarkPerRowFilterBaseline(b *testing.B) {
 	eng := parallelBenchEngine(b)
 	tbl, _ := eng.Catalog().Get("pscan")
@@ -1326,16 +1327,15 @@ func BenchmarkPerRowFilterBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur := tbl.NewCursor(0)
-		cur.SetFilter(func(r storage.Row) (bool, error) {
-			v, ok := r[1].AsFloat()
-			return ok && v > 990, nil
-		})
 		n := 0
 		for {
-			if _, ok := cur.Next(); !ok {
+			r, ok := cur.Next()
+			if !ok {
 				break
 			}
-			n++
+			if v, ok := r[1].AsFloat(); ok && v > 990 {
+				n++
+			}
 		}
 		if err := cur.Err(); err != nil {
 			b.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/storage"
 	"crowddb/internal/vecmath"
+	"crowddb/internal/wal"
 )
 
 // deadService fails every Collect — opened after recovery it proves that
@@ -276,5 +277,43 @@ func TestSnapshotWithoutDataDirFails(t *testing.T) {
 	defer db.Close()
 	if _, err := db.Snapshot(); !errors.Is(err, ErrNoDataDir) {
 		t.Fatalf("err = %v, want ErrNoDataDir", err)
+	}
+}
+
+// TestLegacyDeleteRecordFailsRecovery: the pre-MVCC compacting "delete"
+// op is no longer replayable. A log that still carries one must stop
+// recovery with a positioned error — skipping it would shift every later
+// record's row IDs silently.
+func TestLegacyDeleteRecordFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{`CREATE TABLE t (id INTEGER)`, `INSERT INTO t VALUES (1), (2)`} {
+		if _, _, err := db.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.AppendSync(recOp, map[string]any{"kind": "delete", "table": "t", "rows": []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(Options{DataDir: dir})
+	want := fmt.Sprintf(`replaying record %d (op): storage: unknown op kind "delete"`, seq)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want an error containing %q", err, want)
 	}
 }

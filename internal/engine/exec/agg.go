@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"sort"
 
 	"crowddb/internal/engine/plan"
@@ -99,14 +98,14 @@ func (st *aggState) finalize(agg sqlparse.AggFunc) storage.Value {
 // group's first row. Aggregates without GROUP BY yield exactly one row,
 // even for empty input (standard SQL).
 //
-// When the node's Dop is > 1 and its input is a morsel chain (input is
-// nil then), Open instead folds partial per-worker group maps over the
-// chain's morsels and merges them — states via aggState.merge, group
-// identity (first row, first-seen sequence) from the partial with the
-// lowest sequence — so output order and values match a serial fold
-// exactly.
+// The fold is a runMorsels phase over the input source: each worker
+// folds a partial group map, and the partials are merged — states via
+// aggState.merge, group identity (first row, first-seen sequence) from
+// the partial with the lowest sequence — so output order and values are
+// the same at any dop. One worker leaves one partial and nothing to
+// merge.
 type aggIter struct {
-	input Iterator // nil when the fold runs parallel over the input chain
+	input sourceFn
 	node  *plan.Aggregate
 	env   rowEnv
 
@@ -159,72 +158,37 @@ func foldRow(s *plan.Aggregate, env *rowEnv, row storage.Row, seq int64, groups 
 func (a *aggIter) Open() error {
 	a.env.layout = a.node.Layout
 	a.out, a.pos = nil, 0
-
-	var groups map[string]*aggGroup
-	var err error
-	if a.input != nil {
-		groups, err = a.foldSerial()
-	} else {
-		groups, err = a.foldParallel()
-	}
+	groups, err := a.fold()
 	if err != nil {
 		return err
 	}
 	return a.emit(groups)
 }
 
-func (a *aggIter) foldSerial() (map[string]*aggGroup, error) {
-	if err := a.input.Open(); err != nil {
-		return nil, err
-	}
-	groups := map[string]*aggGroup{}
-	var seq int64
-	for {
-		row, ok, err := a.input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return groups, nil
-		}
-		if err := foldRow(a.node, &a.env, row, seq, groups); err != nil {
-			return nil, err
-		}
-		seq++
-	}
-}
-
-// foldParallel folds partial group maps per worker over the input
-// chain's morsels, then merges them. Each worker stamps rows with
-// idx*morselRows+local — morsel-ordered sequences — so the merged
-// first-seen order equals the serial one.
-func (a *aggIter) foldParallel() (map[string]*aggGroup, error) {
-	src, err := chainSource(a.node.Input)
+// fold folds a partial group map per worker over the input's morsels,
+// then merges them. Each worker stamps rows with idx*morselRows+local —
+// morsel-ordered sequences — so the merged first-seen order is the input
+// order.
+func (a *aggIter) fold() (map[string]*aggGroup, error) {
+	src, err := a.input()
 	if err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("engine: internal: parallel aggregate input is not a morsel chain")
-	}
-	partials := make([]map[string]*aggGroup, a.node.Dop)
+	partials := make([]map[string]*aggGroup, src.workers(a.node.Dop))
 	err = runMorsels(src, a.node.Dop, func(w int) func(idx int, it Iterator) error {
 		groups := map[string]*aggGroup{}
 		partials[w] = groups
 		env := &rowEnv{layout: a.node.Layout}
 		return func(idx int, it Iterator) error {
 			seq := int64(idx) * morselRows
-			for {
+			for ; ; seq++ {
 				row, ok, err := it.Next()
-				if err != nil {
+				if err != nil || !ok {
 					return err
-				}
-				if !ok {
-					return nil
 				}
 				if err := foldRow(a.node, env, row, seq, groups); err != nil {
 					return err
 				}
-				seq++
 			}
 		}
 	})
@@ -232,8 +196,8 @@ func (a *aggIter) foldParallel() (map[string]*aggGroup, error) {
 		return nil, err
 	}
 
-	merged := map[string]*aggGroup{}
-	for _, part := range partials {
+	merged := partials[0]
+	for _, part := range partials[1:] {
 		for key, g := range part {
 			ex, ok := merged[key]
 			if !ok {
@@ -320,8 +284,5 @@ func (a *aggIter) Next() (storage.Row, bool, error) {
 
 func (a *aggIter) Close() error {
 	a.out = nil
-	if a.input != nil {
-		return a.input.Close()
-	}
 	return nil
 }

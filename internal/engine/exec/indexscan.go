@@ -6,98 +6,68 @@ import (
 	"crowddb/internal/storage"
 )
 
-// indexIter streams the rows an index probe selects, through the storage
-// layer's batched index cursor: matching row IDs come from the index
-// under the table's read lock, and only those rows are copied out, batch
-// by batch — the scan primitive for IndexScan (point probe) and
-// IndexRange (bound probe) plan nodes. The residual predicate runs inside
-// the refill like a pushed-down scan filter, so rows it rejects are never
-// copied at all. Rows returned by Next alias the cursor's batch buffer.
+// indexIter streams the rows an index probe selects through the storage
+// layer's batched index cursor: only the matching rows are boxed, batch
+// by batch, from a snapshot pinned in the same critical section that
+// resolved the row IDs. It is the single index operator, for IndexScan
+// (point probe) and IndexRange (bound probe) alike: the plain form
+// resolves its probe at Open and its cursor owns the pin; a morsel reads
+// one chunk of the ID list its source resolved, over the source's shared
+// pin. The node's residual predicate is a filterIter on top (filterOver).
+// Rows returned by Next alias the cursor's batch buffer.
 type indexIter struct {
-	table    *storage.Table
-	index    string
-	probe    storage.IndexProbe
-	residual sqlparse.Expr
-	layout   *plan.Layout
+	table *storage.Table
+	index string
+	probe storage.IndexProbe
+
+	snap *storage.Snap // a source's shared pin; nil for the plain probe
+	ids  []int         // with snap: this morsel's chunk of the resolved IDs
 
 	cur *storage.IndexCursor
-	env rowEnv
 }
 
-// pointProbeOf lowers an IndexScan node's equality key — composite when
-// the planner matched several conjuncts — into a storage probe. Shared by
-// the serial iterator and the index-only path.
-func pointProbeOf(n *plan.IndexScan) storage.IndexProbe {
-	if len(n.Keys) > 0 {
-		key := make([]storage.Value, len(n.Keys))
-		for i, l := range n.Keys {
-			key[i] = plan.LitValue(l)
-		}
-		return storage.IndexProbe{Key: key}
+// pointProbeOf lowers an equality key — one literal per index key column
+// — into a storage probe.
+func pointProbeOf(keys []*sqlparse.Literal) storage.IndexProbe {
+	key := make([]storage.Value, len(keys))
+	for i, l := range keys {
+		key[i] = plan.LitValue(l)
 	}
-	v := plan.LitValue(n.Key)
-	return storage.IndexProbe{Point: &v}
+	return storage.IndexProbe{Key: key}
 }
 
-// newIndexScanIter builds the iterator for an equality point probe.
-func newIndexScanIter(n *plan.IndexScan) *indexIter {
-	return &indexIter{
-		table: n.Table, index: n.Index,
-		probe:    pointProbeOf(n),
-		residual: n.Residual, layout: n.Layout,
-	}
-}
-
-// rangeProbeOf lowers an IndexRange node's bounds into a storage probe —
-// shared by the serial iterator, the morsel partitioner and the
-// index-only path. Desc becomes a reversed probe: same rows, opposite
-// key order.
-func rangeProbeOf(n *plan.IndexRange) storage.IndexProbe {
-	probe := storage.IndexProbe{LoInc: n.LoInc, HiInc: n.HiInc, Reverse: n.Desc}
-	if n.Lo != nil {
-		v := plan.LitValue(n.Lo)
+// rangeProbeOf lowers range bounds into a storage probe. desc becomes a
+// reversed probe: same rows, opposite key order.
+func rangeProbeOf(lo, hi *sqlparse.Literal, loInc, hiInc, desc bool) storage.IndexProbe {
+	probe := storage.IndexProbe{LoInc: loInc, HiInc: hiInc, Reverse: desc}
+	if lo != nil {
+		v := plan.LitValue(lo)
 		probe.Lo = &v
 	}
-	if n.Hi != nil {
-		v := plan.LitValue(n.Hi)
+	if hi != nil {
+		v := plan.LitValue(hi)
 		probe.Hi = &v
 	}
 	return probe
 }
 
-// newIndexRangeIter builds the iterator for a bound probe.
-func newIndexRangeIter(n *plan.IndexRange) *indexIter {
-	return &indexIter{
-		table: n.Table, index: n.Index,
-		probe:    rangeProbeOf(n),
-		residual: n.Residual, layout: n.Layout,
-	}
+func indexRangeProbe(n *plan.IndexRange) storage.IndexProbe {
+	return rangeProbeOf(n.Lo, n.Hi, n.LoInc, n.HiInc, n.Desc)
 }
 
 func (s *indexIter) Open() error {
+	if s.snap != nil {
+		s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
+		return nil
+	}
 	cur, err := s.table.NewIndexCursor(s.index, s.probe, 0)
-	if err != nil {
-		return err
-	}
 	s.cur = cur
-	s.env.layout = s.layout
-	if s.residual != nil {
-		pred := s.residual
-		s.cur.SetFilter(func(row storage.Row) (bool, error) {
-			s.env.row = row
-			t, err := EvalPredicate(pred, &s.env)
-			return t == TriTrue, err
-		})
-	}
-	return nil
+	return err
 }
 
 func (s *indexIter) Next() (storage.Row, bool, error) {
 	row, ok := s.cur.Next()
-	if !ok {
-		return nil, false, s.cur.Err()
-	}
-	return row, true, nil
+	return row, ok, nil
 }
 
 func (s *indexIter) Close() error {
@@ -123,17 +93,17 @@ type indexOnlyIter struct {
 }
 
 func (s *indexOnlyIter) Open() error {
-	probe := indexOnlyProbeOf(s.node)
-	ids, keys, err := s.node.Table.IndexOnlyProbe(s.node.Index, probe)
+	n := s.node
+	probe := rangeProbeOf(n.Lo, n.Hi, n.LoInc, n.HiInc, n.Desc)
+	if len(n.Keys) > 0 {
+		probe = pointProbeOf(n.Keys)
+	}
+	ids, keys, err := n.Table.IndexOnlyProbe(n.Index, probe)
 	if err != nil {
 		return err
 	}
 	s.ids, s.keys, s.pos = ids, keys, 0
-	if probe.Key != nil {
-		s.key = storage.Row(probe.Key)
-	} else if probe.Point != nil {
-		s.key = storage.Row{*probe.Point}
-	}
+	s.key = storage.Row(probe.Key)
 	return nil
 }
 
@@ -150,25 +120,3 @@ func (s *indexOnlyIter) Next() (storage.Row, bool, error) {
 }
 
 func (s *indexOnlyIter) Close() error { return nil }
-
-// indexOnlyProbeOf lowers an IndexOnlyScan node into its storage probe:
-// point form when key literals are present, range form otherwise.
-func indexOnlyProbeOf(n *plan.IndexOnlyScan) storage.IndexProbe {
-	if len(n.Keys) > 0 {
-		key := make([]storage.Value, len(n.Keys))
-		for i, l := range n.Keys {
-			key[i] = plan.LitValue(l)
-		}
-		return storage.IndexProbe{Key: key}
-	}
-	probe := storage.IndexProbe{LoInc: n.LoInc, HiInc: n.HiInc, Reverse: n.Desc}
-	if n.Lo != nil {
-		v := plan.LitValue(n.Lo)
-		probe.Lo = &v
-	}
-	if n.Hi != nil {
-		v := plan.LitValue(n.Hi)
-		probe.Hi = &v
-	}
-	return probe
-}

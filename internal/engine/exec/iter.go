@@ -28,9 +28,9 @@ func Build(n plan.Node) (Iterator, error) { return build(n, nil) }
 
 // BuildTraced lowers a plan node like Build, additionally wrapping every
 // materialized iterator so tr records per-operator rows-out and wall
-// time. Nodes inside morsel-parallel chains build no iterator and record
-// no stats (see Trace). With tr == nil it is exactly Build — the
-// tracing-off path adds zero work.
+// time. Nodes inside marked morsel chains build no iterator here (their
+// stacks are made per morsel) and record no stats (see Trace). With
+// tr == nil it is exactly Build — the tracing-off path adds zero work.
 func BuildTraced(n plan.Node, tr *Trace) (Iterator, error) { return build(n, tr) }
 
 func build(n plan.Node, tr *Trace) (Iterator, error) {
@@ -44,11 +44,13 @@ func build(n plan.Node, tr *Trace) (Iterator, error) {
 func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &scanIter{node: t}, nil
+		return scanOf(t, nil, 0, -1), nil
 	case *plan.IndexScan:
-		return newIndexScanIter(t), nil
+		it := &indexIter{table: t.Table, index: t.Index, probe: pointProbeOf(t.Keys)}
+		return filterOver(it, t.Residual, t.Layout), nil
 	case *plan.IndexRange:
-		return newIndexRangeIter(t), nil
+		it := &indexIter{table: t.Table, index: t.Index, probe: indexRangeProbe(t)}
+		return filterOver(it, t.Residual, t.Layout), nil
 	case *plan.IndexOnlyScan:
 		return &indexOnlyIter{node: t}, nil
 	case *plan.Filter:
@@ -56,29 +58,23 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterIter{input: in, node: t}, nil
+		return filterOver(in, t.Pred, t.Layout), nil
 	case *plan.Gather:
-		return gatherOf(t), nil
+		src, err := sourceOf(t.Input, tr)
+		if err != nil {
+			return nil, err
+		}
+		return &gatherIter{dop: t.Dop, mkSource: src}, nil
 	case *plan.HashJoin:
-		// A side the Parallelize pass marked as a morsel chain gets no
-		// child iterator: the join runs that phase (build fill or probe)
-		// over the chain's morsels itself.
-		j := &hashJoinIter{node: t}
-		if !(t.Dop > 1 && parallelChain(t.Left)) {
-			left, err := build(t.Left, tr)
-			if err != nil {
-				return nil, err
-			}
-			j.left = left
+		left, err := sourceOf(t.Left, tr)
+		if err != nil {
+			return nil, err
 		}
-		if !(t.Dop > 1 && parallelChain(t.Right)) {
-			right, err := build(t.Right, tr)
-			if err != nil {
-				return nil, err
-			}
-			j.right = right
+		right, err := sourceOf(t.Right, tr)
+		if err != nil {
+			return nil, err
 		}
-		return j, nil
+		return &hashJoinIter{node: t, left: left, right: right}, nil
 	case *plan.Project:
 		in, err := build(t.Input, tr)
 		if err != nil {
@@ -86,10 +82,7 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		}
 		return &projectIter{input: in, node: t}, nil
 	case *plan.Aggregate:
-		if t.Dop > 1 && parallelChain(t.Input) {
-			return &aggIter{node: t}, nil // folds the chain's morsels itself
-		}
-		in, err := build(t.Input, tr)
+		in, err := sourceOf(t.Input, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -1,12 +1,12 @@
 package exec
 
 import (
-	"errors"
 	"sort"
 	"strconv"
 	"sync"
 
 	"crowddb/internal/engine/plan"
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
@@ -20,34 +20,20 @@ import (
 // With no keys, the single hash bucket degenerates into a cross join,
 // filtered by the residual.
 //
-// When the plan's Dop is > 1 and a child is a morsel chain, that phase
-// runs parallel: build workers insert sequence-stamped entries into a
-// sharded table (buckets are re-sorted by sequence after the barrier, so
-// probe output matches a serial build exactly), and the probe side
-// streams through the ordered gather exchange. Either side can be
-// parallel independently; a non-chain child (e.g. a lower join) keeps
-// its serial iterator.
+// Both inputs are sources. The build is a runMorsels phase: workers
+// insert sequence-stamped entries into a sharded table, and buckets are
+// re-sorted by sequence after the barrier when more than one worker
+// filled them, so probe output is the same at any dop. The probe is the
+// ordered gather over the left source with a probeIter on every morsel.
+// A side that is a marked chain gets N workers; a side that is not (a
+// small table, a lower join, any serial plan) is one morsel, drained
+// inline — either side independently.
 type hashJoinIter struct {
 	node        *plan.HashJoin
-	left, right Iterator // serial children; nil when that side runs parallel
+	left, right sourceFn
 
 	table *joinTable
-
-	leftEnv  rowEnv
-	rightEnv rowEnv
-	outEnv   rowEnv
-
-	// Reusable per-iterator scratch for key encoding and key-value
-	// buffers: the probe hot path allocates nothing per input row.
-	scratch []byte
-	valBuf  []storage.Value
-
-	// Serial probe state: the current left row's pending matches.
-	leftRow storage.Row
-	matches []joinEntry
-	mi      int
-
-	gather *gatherIter // parallel probe exchange, nil when left is serial
+	probe *gatherIter
 }
 
 // appendJoinKey appends an encoding of the key values to dst, with the
@@ -144,199 +130,108 @@ func (jt *joinTable) sortBuckets() {
 }
 
 func (j *hashJoinIter) Open() error {
-	j.leftEnv.layout = j.node.LeftLayout
-	j.rightEnv.layout = j.node.RightLayout
-	j.outEnv.layout = j.node.Layout
 	j.table = newJoinTable()
-	j.leftRow, j.matches, j.mi = nil, nil, 0
-
 	if err := j.build(); err != nil {
 		return err
 	}
-	if j.left != nil {
-		return j.left.Open()
-	}
-	j.gather = &gatherIter{dop: j.node.Dop, mkSource: j.probeSource}
-	return j.gather.Open()
+	j.probe = &gatherIter{dop: j.node.Dop, mkSource: j.probeSource}
+	return j.probe.Open()
 }
 
-// build fills the hash table from the right input — serially through the
-// child iterator, or with Dop workers over the chain's morsels. Build
-// rows are cloned either way: the scan beneath reuses its batch buffer.
+// build fills the hash table from the right source. Build rows are
+// cloned: the scan beneath reuses its batch buffer. Each worker keeps
+// private scratch for key encoding and key values, so the fill allocates
+// nothing per input row beyond the clone.
 func (j *hashJoinIter) build() error {
-	if j.right != nil {
-		if err := j.right.Open(); err != nil {
-			return err
-		}
-		var seq int64
-		for {
-			row, ok, err := j.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := j.insertBuildRow(row, seq, &j.rightEnv, &j.scratch, &j.valBuf); err != nil {
-				return err
-			}
-			seq++
-		}
-	}
-
-	src, err := chainSource(j.node.Right)
+	src, err := j.right()
 	if err != nil {
 		return err
 	}
-	if src == nil {
-		return errors.New("engine: internal: parallel build side is not a morsel chain")
-	}
-	err = runMorsels(src, j.node.Dop, func(int) func(idx int, it Iterator) error {
-		env := rowEnv{layout: j.node.RightLayout}
+	node, workers := j.node, src.workers(j.node.Dop)
+	err = runMorsels(src, node.Dop, func(int) func(idx int, it Iterator) error {
+		env := rowEnv{layout: node.RightLayout}
 		var scratch []byte
 		var vals []storage.Value
 		return func(idx int, it Iterator) error {
 			seq := int64(idx) * morselRows
-			for {
+			for ; ; seq++ {
 				row, ok, err := it.Next()
-				if err != nil {
+				if err != nil || !ok {
 					return err
 				}
-				if !ok {
-					return nil
-				}
-				if err := j.insertBuildRow(row, seq, &env, &scratch, &vals); err != nil {
+				env.row = row
+				if vals, err = joinKeyValues(vals[:0], node.RightKeys, &env); err != nil {
 					return err
 				}
-				seq++
+				key, keyOK := appendJoinKey(scratch[:0], vals)
+				scratch = key
+				if keyOK { // NULL keys are dropped
+					j.table.insert(key, seq, row.Clone())
+				}
 			}
 		}
 	})
-	if err != nil {
-		return err
+	if err == nil && workers > 1 {
+		j.table.sortBuckets()
 	}
-	j.table.sortBuckets()
-	return nil
+	return err
 }
 
-// insertBuildRow evaluates the build keys into the caller's scratch
-// buffers and inserts the cloned row. NULL keys are dropped.
-func (j *hashJoinIter) insertBuildRow(row storage.Row, seq int64, env *rowEnv, scratch *[]byte, valBuf *[]storage.Value) error {
-	env.row = row
-	vals := (*valBuf)[:0]
-	for _, e := range j.node.RightKeys {
+// joinKeyValues appends the values of the key expressions to vals.
+func joinKeyValues(vals []storage.Value, keys []sqlparse.Expr, env *rowEnv) ([]storage.Value, error) {
+	for _, e := range keys {
 		v, err := EvalValue(e, env)
 		if err != nil {
-			return err
+			return vals, err
 		}
 		vals = append(vals, v)
 	}
-	*valBuf = vals
-	key, ok := appendJoinKey((*scratch)[:0], vals)
-	*scratch = key
-	if !ok {
-		return nil
-	}
-	j.table.insert(key, seq, row.Clone())
-	return nil
+	return vals, nil
 }
 
-func (j *hashJoinIter) Next() (storage.Row, bool, error) {
-	if j.gather != nil {
-		return j.gather.Next()
-	}
-	for {
-		for j.mi < len(j.matches) {
-			right := j.matches[j.mi].row
-			j.mi++
-			combined := make(storage.Row, 0, len(j.leftRow)+len(right))
-			combined = append(append(combined, j.leftRow...), right...)
-			if j.node.Residual != nil {
-				j.outEnv.row = combined
-				t, err := EvalPredicate(j.node.Residual, &j.outEnv)
-				if err != nil {
-					return nil, false, err
-				}
-				if t != TriTrue {
-					continue
-				}
-			}
-			return combined, true, nil
-		}
+func (j *hashJoinIter) Next() (storage.Row, bool, error) { return j.probe.Next() }
 
-		row, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.leftEnv.row = row
-		vals := j.valBuf[:0]
-		for _, e := range j.node.LeftKeys {
-			v, err := EvalValue(e, &j.leftEnv)
-			if err != nil {
-				return nil, false, err
-			}
-			vals = append(vals, v)
-		}
-		j.valBuf = vals
-		key, keyOK := appendJoinKey(j.scratch[:0], vals)
-		j.scratch = key
-		if !keyOK {
-			continue
-		}
-		// No clone: each emitted row copies the left values, and the scan
-		// buffer beneath is only recycled on the next left pull.
-		j.matches, j.mi, j.leftRow = j.table.lookup(key), 0, row
-	}
-}
-
-// probeSource wraps the left chain's morsels in probe iterators for the
-// gather exchange: each morsel probes the shared (now read-only) build
-// table with worker-private envs and scratch, emitting owned combined
-// rows.
-func (j *hashJoinIter) probeSource() (*morselSource, error) {
-	src, err := chainSource(j.node.Left)
+// probeSource stacks a probeIter on every morsel of the left source: each
+// probes the shared (now read-only) build table with private envs and
+// scratch, emitting owned combined rows.
+func (j *hashJoinIter) probeSource() (*source, error) {
+	src, err := j.left()
 	if err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("engine: internal: parallel probe side is not a morsel chain")
-	}
-	inner := src.open
-	src.open = func(i int) (Iterator, error) {
-		it, err := inner(i)
-		if err != nil {
-			return nil, err
+	src.stack(func(it Iterator) Iterator {
+		return &probeIter{
+			input: it, node: j.node, table: j.table,
+			leftEnv: rowEnv{layout: j.node.LeftLayout}, outEnv: rowEnv{layout: j.node.Layout},
 		}
-		return &probeMorselIter{input: it, j: j}, nil
-	}
+	})
 	src.owned = true // combined rows are fresh allocations
 	return src, nil
 }
 
-// probeMorselIter runs the serial probe loop over one morsel of the left
-// input.
-type probeMorselIter struct {
+// probeIter is the probe loop over one morsel of the left input.
+type probeIter struct {
 	input Iterator
-	j     *hashJoinIter
+	node  *plan.HashJoin
+	table *joinTable
 
 	leftEnv rowEnv
 	outEnv  rowEnv
+	// Reusable scratch for key encoding and key values: the probe hot
+	// path allocates nothing per input row.
 	scratch []byte
 	valBuf  []storage.Value
 
+	// The current left row's pending matches.
 	leftRow storage.Row
 	matches []joinEntry
 	mi      int
 }
 
-func (p *probeMorselIter) Open() error {
-	p.leftEnv.layout = p.j.node.LeftLayout
-	p.outEnv.layout = p.j.node.Layout
-	return p.input.Open()
-}
+func (p *probeIter) Open() error { return p.input.Open() }
 
-func (p *probeMorselIter) Next() (storage.Row, bool, error) {
-	node := p.j.node
+func (p *probeIter) Next() (storage.Row, bool, error) {
+	node := p.node
 	for {
 		for p.mi < len(p.matches) {
 			right := p.matches[p.mi].row
@@ -361,39 +256,29 @@ func (p *probeMorselIter) Next() (storage.Row, bool, error) {
 			return nil, false, err
 		}
 		p.leftEnv.row = row
-		vals := p.valBuf[:0]
-		for _, e := range node.LeftKeys {
-			v, err := EvalValue(e, &p.leftEnv)
-			if err != nil {
-				return nil, false, err
-			}
-			vals = append(vals, v)
+		if p.valBuf, err = joinKeyValues(p.valBuf[:0], node.LeftKeys, &p.leftEnv); err != nil {
+			return nil, false, err
 		}
-		p.valBuf = vals
-		key, keyOK := appendJoinKey(p.scratch[:0], vals)
+		key, keyOK := appendJoinKey(p.scratch[:0], p.valBuf)
 		p.scratch = key
 		if !keyOK {
 			continue
 		}
-		p.matches, p.mi, p.leftRow = p.j.table.lookup(key), 0, row
+		// No clone: each emitted row copies the left values, and the scan
+		// buffer beneath is only recycled on the next left pull.
+		p.matches, p.mi, p.leftRow = p.table.lookup(key), 0, row
 	}
 }
 
-func (p *probeMorselIter) Close() error { return p.input.Close() }
+func (p *probeIter) Close() error { return p.input.Close() }
 
-// Close closes every side it owns, joining errors so a right-side
-// failure is never masked by a left-side one.
+// Close ends the probe first — with N workers that stops and joins them —
+// and only then drops the build table they read.
 func (j *hashJoinIter) Close() error {
+	var err error
+	if j.probe != nil {
+		err = j.probe.Close()
+	}
 	j.table = nil
-	var errs []error
-	if j.left != nil {
-		errs = append(errs, j.left.Close())
-	}
-	if j.right != nil {
-		errs = append(errs, j.right.Close())
-	}
-	if j.gather != nil {
-		errs = append(errs, j.gather.Close())
-	}
-	return errors.Join(errs...)
+	return err
 }

@@ -10,38 +10,71 @@ import (
 	"crowddb/internal/storage"
 )
 
-// Morsel-driven parallelism (see DESIGN.md §14). A plan chain the
+// Morsel-driven execution (see DESIGN.md, "Executor"). Every operator
+// that consumes a whole child reads it through a source: a numbered set
+// of morsels, each opened as an independent iterator. A plan chain the
 // Parallelize pass marked — Filter*/Project* over a Scan or IndexRange —
-// is split into fixed-size morsels: disjoint row-index ranges for scans,
-// disjoint chunks of the resolved row-ID list for index probes. Each
-// worker claims whole morsels and runs a private iterator stack over its
-// morsel, so the only shared state below the exchange is the table's
-// read lock, which the batched cursors already take per 256-row batch.
+// becomes fixed-size morsels: disjoint row-index ranges for scans,
+// disjoint chunks of the resolved row-ID list for index probes, all
+// reading one shared snapshot pin, so workers share nothing mutable below
+// the exchange (cursors take no locks). Any other child is a one-morsel
+// source around its iterator tree. The two consumers (runMorsels, the
+// ordered gather) give a source min(dop, count) workers, and with one
+// worker they run on the calling goroutine — the serial executor is that
+// case, not separate code.
 
 // morselRows is the number of table rows per morsel: big enough that
 // per-morsel setup (cursor allocation, goroutine handoff) is noise,
 // small enough that a filtered scan load-balances across workers.
 const morselRows = 4096
 
-// morselSource describes a partitioned chain: count morsels, each opened
-// as an independent iterator. owned reports that emitted rows are fresh
+// source is a partitioned input: count morsels, each opened as an
+// independent iterator. owned reports that emitted rows are fresh
 // allocations (a Project top) rather than aliases of a cursor batch
-// buffer, letting the exchange skip its copy. release drops the shared
-// snapshot pin every morsel reads through; the phase driver calls it
-// exactly once, after all workers have stopped.
-type morselSource struct {
+// buffer, letting the N-worker exchange skip its copy. release drops the
+// shared snapshot pin every morsel reads through (nil when the morsels
+// pin for themselves); the consumer calls it exactly once, after all
+// workers have stopped.
+type source struct {
 	count   int
 	owned   bool
-	open    func(i int) (Iterator, error)
+	open    func(i int) Iterator
 	release func()
 }
 
 // Release drops the source's snapshot pin, if any. Idempotence is the
 // release closure's job (sync.Once).
-func (s *morselSource) Release() {
-	if s != nil && s.release != nil {
+func (s *source) Release() {
+	if s.release != nil {
 		s.release()
 	}
+}
+
+// workers is how many workers a consumer at degree dop gives the source:
+// never more than it has morsels, and one — the inline case — for any
+// serial plan (dop 0) or one-morsel source.
+func (s *source) workers(dop int) int { return max(1, min(dop, s.count)) }
+
+// sourceFn lowers an operator's child into its source. It runs when the
+// operator opens, which is when a chain pins its snapshot and resolves
+// its partition (row count / row IDs).
+type sourceFn func() (*source, error)
+
+// sourceOf prepares the source of child n at build time: a marked chain
+// builds no iterators (its morsel stacks are made per morsel, by the
+// worker that claims it); anything else builds its iterator tree now and
+// is served as one morsel.
+func sourceOf(n plan.Node, tr *Trace) (sourceFn, error) {
+	if parallelChain(n) {
+		return func() (*source, error) { return chainSource(n) }, nil
+	}
+	it, err := build(n, tr)
+	if err != nil {
+		return nil, err
+	}
+	return func() (*source, error) {
+		return &source{count: 1, open: func(int) Iterator { return it }}, nil
+	}, nil
 }
 
 // parallelChain reports whether the Parallelize pass marked this subtree
@@ -57,38 +90,29 @@ func parallelChain(n plan.Node) bool {
 	}
 }
 
+// stack wraps every morsel iterator of src in another operator.
+func (s *source) stack(wrap func(Iterator) Iterator) {
+	inner := s.open
+	s.open = func(i int) Iterator { return wrap(inner(i)) }
+}
+
 // chainSource lowers a morsel chain into its source, snapshotting the
-// partition (row count / resolved IDs) at call time. Returns nil when the
-// subtree is not a partitionable chain.
-func chainSource(n plan.Node) (*morselSource, error) {
+// partition (row count / resolved IDs) at call time.
+func chainSource(n plan.Node) (*source, error) {
 	switch t := n.(type) {
 	case *plan.Filter:
 		src, err := chainSource(t.Input)
-		if err != nil || src == nil {
-			return src, err
+		if err != nil {
+			return nil, err
 		}
-		inner := src.open
-		src.open = func(i int) (Iterator, error) {
-			it, err := inner(i)
-			if err != nil {
-				return nil, err
-			}
-			return &filterIter{input: it, node: t}, nil
-		}
+		src.stack(func(it Iterator) Iterator { return filterOver(it, t.Pred, t.Layout) })
 		return src, nil
 	case *plan.Project:
 		src, err := chainSource(t.Input)
-		if err != nil || src == nil {
-			return src, err
+		if err != nil {
+			return nil, err
 		}
-		inner := src.open
-		src.open = func(i int) (Iterator, error) {
-			it, err := inner(i)
-			if err != nil {
-				return nil, err
-			}
-			return &projectIter{input: it, node: t}, nil
-		}
+		src.stack(func(it Iterator) Iterator { return &projectIter{input: it, node: t} })
 		src.owned = true
 		return src, nil
 	case *plan.Scan:
@@ -98,116 +122,32 @@ func chainSource(n plan.Node) (*morselSource, error) {
 		snap := t.Table.Pin()
 		rows := snap.NumRows()
 		var once sync.Once
-		return &morselSource{
+		return &source{
 			count:   (rows + morselRows - 1) / morselRows,
 			release: func() { once.Do(snap.Release) },
-			open: func(i int) (Iterator, error) {
+			open: func(i int) Iterator {
 				lo := i * morselRows
-				hi := min(lo+morselRows, rows)
-				return &morselScanIter{node: t, snap: snap, lo: lo, hi: hi}, nil
+				return scanOf(t, snap, lo, min(lo+morselRows, rows))
 			},
 		}, nil
 	case *plan.IndexRange:
-		probe := rangeProbeOf(t)
-		snap, ids, err := t.Table.PinIndexProbe(t.Index, probe)
+		snap, ids, err := t.Table.PinIndexProbe(t.Index, indexRangeProbe(t))
 		if err != nil {
 			return nil, err
 		}
 		var once sync.Once
-		return &morselSource{
+		return &source{
 			count:   (len(ids) + morselRows - 1) / morselRows,
 			release: func() { once.Do(snap.Release) },
-			open: func(i int) (Iterator, error) {
+			open: func(i int) Iterator {
 				lo := i * morselRows
 				hi := min(lo+morselRows, len(ids))
-				return &morselIndexIter{node: t, snap: snap, ids: ids[lo:hi]}, nil
+				return filterOver(&indexIter{snap: snap, ids: ids[lo:hi]}, t.Residual, t.Layout)
 			},
 		}, nil
 	default:
-		return nil, nil
+		return nil, fmt.Errorf("engine: unsupported plan node %T in a morsel chain", n)
 	}
-}
-
-// morselScanIter is scanIter over one row-index window of the source's
-// shared snapshot (borrowed pin — the source releases it).
-type morselScanIter struct {
-	node   *plan.Scan
-	snap   *storage.Snap
-	lo, hi int
-	cur    *storage.Cursor
-	env    rowEnv
-}
-
-func (s *morselScanIter) Open() error {
-	s.cur = storage.NewRangeCursorAt(s.snap, s.lo, s.hi, 0)
-	s.env.layout = s.node.Layout
-	preds, rest := splitVectorizable(s.node.Filter, s.node.Layout)
-	if len(preds) > 0 {
-		s.cur.SetPreds(preds)
-	}
-	if rest != nil {
-		pred := rest
-		s.cur.SetFilter(func(row storage.Row) (bool, error) {
-			s.env.row = row
-			t, err := EvalPredicate(pred, &s.env)
-			return t == TriTrue, err
-		})
-	}
-	return nil
-}
-
-func (s *morselScanIter) Next() (storage.Row, bool, error) {
-	row, ok := s.cur.Next()
-	if !ok {
-		return nil, false, s.cur.Err()
-	}
-	return row, true, nil
-}
-
-func (s *morselScanIter) Close() error {
-	if s.cur != nil {
-		s.cur.Close()
-	}
-	return nil
-}
-
-// morselIndexIter is indexIter over one chunk of pre-resolved row IDs
-// against the source's shared snapshot (borrowed pin).
-type morselIndexIter struct {
-	node *plan.IndexRange
-	snap *storage.Snap
-	ids  []int
-	cur  *storage.IndexCursor
-	env  rowEnv
-}
-
-func (s *morselIndexIter) Open() error {
-	s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
-	s.env.layout = s.node.Layout
-	if s.node.Residual != nil {
-		pred := s.node.Residual
-		s.cur.SetFilter(func(row storage.Row) (bool, error) {
-			s.env.row = row
-			t, err := EvalPredicate(pred, &s.env)
-			return t == TriTrue, err
-		})
-	}
-	return nil
-}
-
-func (s *morselIndexIter) Next() (storage.Row, bool, error) {
-	row, ok := s.cur.Next()
-	if !ok {
-		return nil, false, s.cur.Err()
-	}
-	return row, true, nil
-}
-
-func (s *morselIndexIter) Close() error {
-	if s.cur != nil {
-		s.cur.Close()
-	}
-	return nil
 }
 
 // rowArena copies rows that alias cursor batch buffers into chunked
@@ -232,69 +172,77 @@ func (a *rowArena) add(row storage.Row) storage.Row {
 	return a.chunk[start : start+n : start+n]
 }
 
-// runMorsels drives a barrier-style parallel phase (hash-join build,
-// partial aggregation): dop workers claim morsels off an atomic counter,
-// open each morsel's iterator, hand it to the worker's per-morsel
-// function, and close it. The first error cancels remaining claims;
-// runMorsels returns after every worker has stopped.
-func runMorsels(src *morselSource, dop int, mkWorker func(w int) func(idx int, it Iterator) error) error {
+// runMorsels drives a barrier phase (hash-join build, aggregate fold):
+// the source's workers claim morsels off an atomic counter, open each
+// morsel's iterator, hand it to the worker's per-morsel function, and
+// close it. One worker runs on the calling goroutine. The first error
+// cancels remaining claims; runMorsels returns after every worker has
+// stopped and the source is released.
+func runMorsels(src *source, dop int, mkWorker func(w int) func(idx int, it Iterator) error) error {
 	defer src.Release()
-	if src.count == 0 {
-		return nil
-	}
-	if dop > src.count {
-		dop = src.count
-	}
+	workers := src.workers(dop)
 	var next atomic.Int64
 	var failed atomic.Bool
-	errs := make([]error, dop)
+	errs := make([]error, workers)
+	work := func(w int) {
+		fn := mkWorker(w)
+		for !failed.Load() {
+			idx := int(next.Add(1) - 1)
+			if idx >= src.count {
+				return
+			}
+			it := src.open(idx)
+			err := it.Open()
+			if err == nil {
+				err = fn(idx, it)
+			}
+			if cerr := it.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				errs[w] = err
+				failed.Store(true)
+				return
+			}
+		}
+	}
+	if workers == 1 {
+		work(0)
+		return errs[0]
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < dop; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fn := mkWorker(w)
-			for !failed.Load() {
-				idx := int(next.Add(1) - 1)
-				if idx >= src.count {
-					return
-				}
-				it, err := src.open(idx)
-				if err == nil {
-					if err = it.Open(); err != nil {
-						_ = it.Close()
-					} else {
-						err = fn(idx, it)
-						if cerr := it.Close(); err == nil {
-							err = cerr
-						}
-					}
-				}
-				if err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-			}
+			work(w)
 		}(w)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// gatherIter is the ordered exchange operator: dop workers each drain
-// whole morsels into per-morsel result buffers, and the consumer emits
-// those buffers strictly in morsel order — so the output row sequence is
-// identical to a serial run of the same chain, errors included (a
-// morsel's error surfaces exactly after the rows of every earlier
-// morsel). A bounded claim window (2×dop morsels ahead of the consumer)
-// backpressures workers so a slow consumer doesn't buffer the whole
-// table.
+// gatherIter is the ordered exchange: it streams a source's morsels
+// strictly in morsel order. With one worker it pulls the current
+// morsel's iterator directly on the consumer's goroutine — no goroutine,
+// no copy, no buffering, so rows stream and a LIMIT above stops the scan
+// where it stands. With N workers each drains whole morsels into
+// per-morsel result buffers and the consumer emits those buffers in
+// order — so the output row sequence is the one-worker sequence, errors
+// included (a morsel's error surfaces exactly after the rows that
+// precede it: every earlier morsel's and its own). A bounded claim window
+// (2×workers morsels ahead of the consumer) backpressures workers so a
+// slow consumer doesn't buffer the whole table.
 type gatherIter struct {
-	mkSource func() (*morselSource, error)
+	mkSource sourceFn
 	dop      int
 
-	src  *morselSource
+	src      *source
+	workers  int
+	nextEmit int // next morsel to stream (one worker) or emit (N workers)
+
+	it Iterator // one worker: the open morsel being streamed
+
 	mu   sync.Mutex
 	cond *sync.Cond
 	wg   sync.WaitGroup
@@ -302,12 +250,10 @@ type gatherIter struct {
 
 	results   map[int]*morselResult
 	nextClaim int
-	nextEmit  int
 	closed    bool
 
 	cur    *morselResult
 	curPos int
-	err    error
 }
 
 type morselResult struct {
@@ -320,21 +266,42 @@ func (g *gatherIter) Open() error {
 	if err != nil {
 		return err
 	}
-	g.src = src
+	g.src, g.workers = src, src.workers(g.dop)
+	g.nextClaim, g.nextEmit, g.cur, g.curPos = 0, 0, nil, 0
+	if g.workers == 1 {
+		// Open the first morsel now: a blocking operator beneath does its
+		// work in Open, like every other operator's.
+		return g.advance()
+	}
 	g.results = map[int]*morselResult{}
 	g.cond = sync.NewCond(&g.mu)
-	g.nextClaim, g.nextEmit, g.cur, g.curPos, g.err = 0, 0, nil, 0, nil
-	workers := min(g.dop, src.count)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < g.workers; w++ {
 		g.wg.Add(1)
 		go g.worker()
 	}
 	return nil
 }
 
+// advance is the one-worker step between morsels: close the streamed
+// morsel and open the next. g.it is nil once the source is exhausted.
+func (g *gatherIter) advance() error {
+	if it := g.it; it != nil {
+		g.it = nil
+		if err := it.Close(); err != nil {
+			return err
+		}
+	}
+	if g.nextEmit >= g.src.count {
+		return nil
+	}
+	g.it = g.src.open(g.nextEmit) // set before Open: Close closes a half-opened morsel
+	g.nextEmit++
+	return g.it.Open()
+}
+
 func (g *gatherIter) worker() {
 	defer g.wg.Done()
-	window := 2 * g.dop
+	window := 2 * g.workers
 	for {
 		g.mu.Lock()
 		for !g.closed && g.nextClaim < g.src.count && g.nextClaim >= g.nextEmit+window {
@@ -361,11 +328,7 @@ func (g *gatherIter) worker() {
 // Project already owns pass straight through.
 func (g *gatherIter) runMorsel(idx int) *morselResult {
 	res := &morselResult{}
-	it, err := g.src.open(idx)
-	if err != nil {
-		res.err = err
-		return res
-	}
+	it := g.src.open(idx)
 	if err := it.Open(); err != nil {
 		_ = it.Close()
 		res.err = err
@@ -394,15 +357,27 @@ func (g *gatherIter) runMorsel(idx int) *morselResult {
 }
 
 func (g *gatherIter) Next() (storage.Row, bool, error) {
-	for {
-		if g.err != nil {
-			return nil, false, g.err
+	if g.workers == 1 {
+		for g.it != nil {
+			row, ok, err := g.it.Next()
+			if ok || err != nil {
+				return row, ok, err
+			}
+			if err := g.advance(); err != nil {
+				return nil, false, err
+			}
 		}
+		return nil, false, nil
+	}
+	for {
 		if g.cur != nil {
 			if g.curPos < len(g.cur.rows) {
 				row := g.cur.rows[g.curPos]
 				g.curPos++
 				return row, true, nil
+			}
+			if g.cur.err != nil {
+				return nil, false, g.cur.err // after the rows the morsel produced before failing
 			}
 			g.cur = nil
 			g.mu.Lock()
@@ -422,46 +397,33 @@ func (g *gatherIter) Next() (storage.Row, bool, error) {
 			g.mu.Unlock()
 			return nil, false, nil
 		}
-		res := g.results[g.nextEmit]
+		g.cur, g.curPos = g.results[g.nextEmit], 0
 		delete(g.results, g.nextEmit)
 		g.mu.Unlock()
-		if res.err != nil {
-			g.err = res.err
-			return nil, false, res.err
-		}
-		g.cur, g.curPos = res, 0
 	}
 }
 
-// Close cancels in-flight morsels and waits for every worker to exit, so
-// no goroutine outlives the query.
+// Close stops the source's consumption — the streamed morsel is closed,
+// or in-flight morsels are cancelled and every worker has exited, so no
+// goroutine outlives the query — and only then releases the shared pin.
 func (g *gatherIter) Close() error {
-	if g.cond == nil {
-		return nil // Open never ran (or failed before spawning workers)
+	if g.src == nil {
+		return nil // Open never ran, or failed before it had a source
 	}
-	g.stop.Store(true)
-	g.mu.Lock()
-	g.closed = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	g.wg.Wait()
-	g.src.Release() // after every worker has stopped reading the snapshot
-	return nil
-}
-
-// gatherOf builds the executor for a plan.Gather node.
-func gatherOf(t *plan.Gather) *gatherIter {
-	return &gatherIter{
-		dop: t.Dop,
-		mkSource: func() (*morselSource, error) {
-			src, err := chainSource(t.Input)
-			if err != nil {
-				return nil, err
-			}
-			if src == nil {
-				return nil, fmt.Errorf("engine: internal: Gather over non-chain input %T", t.Input)
-			}
-			return src, nil
-		},
+	var err error
+	if g.workers == 1 {
+		if it := g.it; it != nil {
+			g.it = nil
+			err = it.Close()
+		}
+	} else {
+		g.stop.Store(true)
+		g.mu.Lock()
+		g.closed = true
+		g.cond.Broadcast()
+		g.mu.Unlock()
+		g.wg.Wait()
 	}
+	g.src.Release()
+	return err
 }

@@ -2,35 +2,42 @@ package exec
 
 import (
 	"crowddb/internal/engine/plan"
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
-// scanIter streams a table through the storage cursor: values are copied
-// into the cursor's reusable batch buffer under a per-batch read lock —
-// no per-row allocation, no lock held across operator boundaries. The
-// plan's pushed-down filter runs inside the refill, so rejected rows are
-// never copied at all.
+// scanIter streams one row-index window of a table through the storage
+// cursor, which walks a pinned snapshot with no locks and boxes only the
+// rows the vectorized predicates selected into its reusable batch buffer
+// — no per-row allocation. It is the single scan operator: a plain Scan
+// is the full window over a snapshot the cursor pins (and releases)
+// itself; a morsel is the [lo, hi) window over the pin its source shares
+// among all morsels and releases once. Rows returned by Next alias the
+// cursor's batch buffer.
 type scanIter struct {
-	node *plan.Scan
-	cur  *storage.Cursor
-	env  rowEnv
+	table  *storage.Table
+	preds  []storage.Pred
+	snap   *storage.Snap // a source's shared pin; nil for the plain scan
+	lo, hi int
+	cur    *storage.Cursor
+}
+
+// scanOf lowers a Scan node over one window (snap == nil: the whole
+// table). The vectorizable conjuncts of the pushed-down filter become the
+// cursor's bitmaps; the rest is a filterIter on top, so it sees only rows
+// that survived the bitmaps.
+func scanOf(t *plan.Scan, snap *storage.Snap, lo, hi int) Iterator {
+	preds, rest := splitVectorizable(t.Filter, t.Layout)
+	return filterOver(&scanIter{table: t.Table, preds: preds, snap: snap, lo: lo, hi: hi}, rest, t.Layout)
 }
 
 func (s *scanIter) Open() error {
-	s.cur = s.node.Table.NewCursor(0)
-	s.env.layout = s.node.Layout
-	preds, rest := splitVectorizable(s.node.Filter, s.node.Layout)
-	if len(preds) > 0 {
-		s.cur.SetPreds(preds)
+	if s.snap != nil {
+		s.cur = storage.NewRangeCursorAt(s.snap, s.lo, s.hi, 0)
+	} else {
+		s.cur = s.table.NewCursor(0)
 	}
-	if rest != nil {
-		pred := rest
-		s.cur.SetFilter(func(row storage.Row) (bool, error) {
-			s.env.row = row
-			t, err := EvalPredicate(pred, &s.env)
-			return t == TriTrue, err
-		})
-	}
+	s.cur.SetPreds(s.preds)
 	return nil
 }
 
@@ -49,17 +56,24 @@ func (s *scanIter) Close() error {
 	return nil
 }
 
-// filterIter drops rows whose predicate is not TRUE.
+// filterIter drops rows whose predicate is not TRUE. It serves Filter
+// nodes and the residual (non-vectorizable or post-probe) predicate of
+// every scan and index access path.
 type filterIter struct {
 	input Iterator
-	node  *plan.Filter
+	pred  sqlparse.Expr
 	env   rowEnv
 }
 
-func (f *filterIter) Open() error {
-	f.env.layout = f.node.Layout
-	return f.input.Open()
+// filterOver stacks a filterIter for pred, if there is one, on it.
+func filterOver(it Iterator, pred sqlparse.Expr, layout *plan.Layout) Iterator {
+	if pred == nil {
+		return it
+	}
+	return &filterIter{input: it, pred: pred, env: rowEnv{layout: layout}}
 }
+
+func (f *filterIter) Open() error { return f.input.Open() }
 
 func (f *filterIter) Next() (storage.Row, bool, error) {
 	for {
@@ -68,7 +82,7 @@ func (f *filterIter) Next() (storage.Row, bool, error) {
 			return nil, false, err
 		}
 		f.env.row = row
-		t, err := EvalPredicate(f.node.Pred, &f.env)
+		t, err := EvalPredicate(f.pred, &f.env)
 		if err != nil {
 			return nil, false, err
 		}

@@ -18,17 +18,18 @@ type OpStats struct {
 	Wall time.Duration
 }
 
-// Trace collects OpStats for the plan nodes that materialize as
-// iterators during one execution. Nodes inside a morsel-parallel chain
-// (under a Gather, or the parallel side of a HashJoin/Aggregate) never
-// build an iterator — the parent operator folds their morsels directly —
-// so they carry no stats; Annotate marks them as such. The root operator
-// always has an iterator, so root row counts are exact at any dop.
+// Trace collects OpStats for the plan nodes build() lowers into
+// iterators: every node of a serial plan and, at dop > 1, everything but
+// the interior of marked morsel chains (under a Gather, or a marked side
+// of a HashJoin/Aggregate). A chain is lowered per morsel by the worker
+// that claims it (chainSource), not by build(), so its nodes carry no
+// stats; Annotate marks them as such. The root operator always has an
+// iterator, so root row counts are exact at any dop.
 //
-// The map is built single-threaded during build() and only read after
-// Drain completes, but Gather closes worker-side iterators concurrently,
-// so stat updates go through the per-OpStats pointer (one writer per
-// iterator) and the map itself is guarded for the build phase only.
+// A traced iterator is only ever driven by the goroutine running the
+// query: a built child reaches its parent as a one-morsel source, which
+// every consumer drains inline. Each OpStats therefore has one writer;
+// the mutex orders registration during build() against Stats readers.
 type Trace struct {
 	mu  sync.Mutex
 	ops map[plan.Node]*OpStats
@@ -39,8 +40,8 @@ func NewTrace() *Trace {
 	return &Trace{ops: map[plan.Node]*OpStats{}}
 }
 
-// Stats returns the recorded actuals for n, or nil if n never built an
-// iterator (morsel-chain interior node).
+// Stats returns the recorded actuals for n, or nil if build() never
+// lowered n (morsel-chain interior node).
 func (t *Trace) Stats(n plan.Node) *OpStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -275,3 +275,56 @@ func TestIndexScanInJoin(t *testing.T) {
 		t.Fatalf("tag = %q", tag)
 	}
 }
+
+// TestResidualFiltersAboveCursors pins down what the storage cursors'
+// per-row filter closures used to guarantee, now that the residual of a
+// scan or index probe is a Filter on the cursor's rows: it sees exactly
+// the rows the vectorized predicates and the probe let through, and an
+// evaluation error surfaces after every row that precedes it — across
+// cursor batch boundaries (256 rows) — and ends the scan.
+func TestResidualFiltersAboveCursors(t *testing.T) {
+	e := indexedEngine(t)
+
+	// Scan: one vectorizable conjunct (id < 490) and one residual.
+	run := streamAt(t, e, 1, `SELECT id FROM items WHERE id < 490 AND id + 1 > 480`)
+	if run.err != "" || len(run.rows) != 10 {
+		t.Fatalf("scan residual: %d rows, err %q", len(run.rows), run.err)
+	}
+	for i, row := range run.rows {
+		if id, _ := row[0].AsInt(); id != int64(480+i) {
+			t.Fatalf("scan residual row %d = %v", i, row)
+		}
+	}
+
+	// Error order: ids 0..299 stream, then row 300 divides by zero.
+	run = streamAt(t, e, 1, `SELECT id FROM items WHERE 100 / (id - 300) < 1000`)
+	if run.err != "engine: division by zero" || len(run.rows) != 300 {
+		t.Fatalf("scan error: %d rows before %q", len(run.rows), run.err)
+	}
+
+	// Index probe with a residual: tier t3 is id%5 == 3; the probe is
+	// score >= 100 in index order.
+	const probe = `SELECT id, score FROM items WHERE score >= 100.0 AND tier = 't3'`
+	if plan := planText(t, e, probe); !strings.Contains(plan, "IndexRange(idx_score") || !strings.Contains(plan, "filter=") {
+		t.Fatalf("not an index probe with a residual:\n%s", plan)
+	}
+	run = streamAt(t, e, 1, probe)
+	want := 0
+	for i := 0; i < 500; i++ {
+		if i%50 != 0 && i*37%250 >= 100 && i%5 == 3 {
+			want++
+		}
+	}
+	if run.err != "" || len(run.rows) != want {
+		t.Fatalf("index residual: %d rows, want %d, err %q", len(run.rows), want, run.err)
+	}
+	last := -1.0
+	for _, row := range run.rows {
+		id, _ := row[0].AsInt()
+		score, _ := row[1].AsFloat()
+		if id%5 != 3 || score < 100 || score < last {
+			t.Fatalf("index residual leaked or reordered row %v", row)
+		}
+		last = score
+	}
+}

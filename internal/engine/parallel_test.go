@@ -2,19 +2,25 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"crowddb/internal/engine/plan"
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
-// Parallel-executor coverage: every query here runs once with serial
-// plans (exec-workers 1) and once at dop 8, and the two results must be
-// identical row for row — the morsel executor's ordering contract. The
-// fixtures are sized past plan.MinParallelRows (4096) so the dop-8 runs
-// actually take the parallel paths.
+// Parallel-executor coverage: every query here runs at exec-workers 1, 2
+// and 8, and the three row streams must be identical — rows, row order
+// and, when evaluation fails, the rows before the error and its text:
+// the executor's contract that the degree of parallelism never shows in
+// a result. The fixtures are sized past plan.MinParallelRows (4096) and
+// past one morsel so the dop-2 and dop-8 runs actually fan out.
 
 const parRows = 5000
 
@@ -47,27 +53,103 @@ func parallelEngine(t *testing.T) *Engine {
 	return e
 }
 
-// bothDops runs sql at exec-workers 1 and 8 and requires identical
-// results (columns, rows, and row order).
-func bothDops(t *testing.T, e *Engine, sql string) *Result {
+// dopRun is what one execution of a query produced: the streamed rows up
+// to the end or the first error, and that error's text.
+type dopRun struct {
+	columns []string
+	rows    []storage.Row
+	err     string
+}
+
+// streamAt runs sql through Engine.Stream at the given exec-workers and
+// requires that closing the stream leaves no snapshot pinned on any
+// table and no goroutine behind.
+func streamAt(t *testing.T, e *Engine, workers int, sql string) dopRun {
 	t.Helper()
-	e.SetExecWorkers(1)
-	serial := mustExec(t, e, sql)
-	e.SetExecWorkers(8)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	e.SetExecWorkers(workers)
 	defer e.SetExecWorkers(1)
-	parallel := mustExec(t, e, sql)
-	if !reflect.DeepEqual(serial.Columns, parallel.Columns) {
-		t.Fatalf("columns diverge: serial %v parallel %v", serial.Columns, parallel.Columns)
+	before := runtime.NumGoroutine()
+
+	var run dopRun
+	st, err := e.Stream(stmt.(*sqlparse.SelectStmt))
+	if err != nil {
+		run.err = err.Error()
+	} else {
+		run.columns = st.Columns
+		for {
+			row, ok, err := st.Next()
+			if err != nil {
+				run.err = err.Error()
+			}
+			if err != nil || !ok {
+				break
+			}
+			run.rows = append(run.rows, row.Clone())
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("workers=%d %s: Close: %v", workers, sql, err)
+		}
 	}
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Fatalf("row counts diverge: serial %d parallel %d", len(serial.Rows), len(parallel.Rows))
+
+	requireNoPins(t, e)
+	// A worker's exit trails its WaitGroup.Done by a few instructions.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers=%d %s: %d goroutines before, %d after", workers, sql, before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
-	for i := range serial.Rows {
-		if !reflect.DeepEqual(serial.Rows[i], parallel.Rows[i]) {
-			t.Fatalf("row %d diverges: serial %v parallel %v", i, serial.Rows[i], parallel.Rows[i])
+	return run
+}
+
+// requireNoPins fails if any table still has a pinned snapshot.
+func requireNoPins(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, name := range e.Catalog().Names() {
+		tbl, _ := e.Catalog().Get(name)
+		if live := tbl.LiveSnapshotEpochs(); len(live) != 0 {
+			t.Fatalf("table %s still pins snapshot epochs %v", name, live)
+		}
+	}
+}
+
+// everyDop runs sql at exec-workers 1, 2 and 8 and requires identical
+// streams; it returns the exec-workers 1 run.
+func everyDop(t *testing.T, e *Engine, sql string) dopRun {
+	t.Helper()
+	serial := streamAt(t, e, 1, sql)
+	for _, workers := range []int{2, 8} {
+		got := streamAt(t, e, workers, sql)
+		if !reflect.DeepEqual(serial.columns, got.columns) {
+			t.Fatalf("%s\ncolumns diverge: workers=1 %v workers=%d %v", sql, serial.columns, workers, got.columns)
+		}
+		if serial.err != got.err {
+			t.Fatalf("%s\nerrors diverge: workers=1 %q workers=%d %q", sql, serial.err, workers, got.err)
+		}
+		if len(serial.rows) != len(got.rows) {
+			t.Fatalf("%s\nrow counts diverge: workers=1 %d workers=%d %d", sql, len(serial.rows), workers, len(got.rows))
+		}
+		for i := range serial.rows {
+			if !reflect.DeepEqual(serial.rows[i], got.rows[i]) {
+				t.Fatalf("%s\nrow %d diverges: workers=1 %v workers=%d %v", sql, i, serial.rows[i], workers, got.rows[i])
+			}
 		}
 	}
 	return serial
+}
+
+// bothDops is everyDop for queries that must succeed.
+func bothDops(t *testing.T, e *Engine, sql string) *Result {
+	t.Helper()
+	run := everyDop(t, e, sql)
+	if run.err != "" {
+		t.Fatalf("%s: %s", sql, run.err)
+	}
+	return &Result{Columns: run.columns, Rows: run.rows}
 }
 
 func TestParallelScanFilterMatchesSerial(t *testing.T) {
@@ -247,4 +329,190 @@ func TestParallelJoinDuringCrowdFill(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestParallelJoinEarlyClose closes a parallel hash join while its probe
+// workers are still running: LIMIT is satisfied by the first morsel, so
+// Close arrives with morsels in flight. The join must stop and join the
+// workers before it drops the build table they read.
+func TestParallelJoinEarlyClose(t *testing.T) {
+	e := parallelEngine(t)
+	e.SetExecWorkers(8)
+	defer e.SetExecWorkers(1)
+	for i := 0; i < 200; i++ {
+		res := mustExec(t, e, `SELECT w.id, d.label FROM wide w JOIN dims d ON w.k = d.k LIMIT 3`)
+		if len(res.Rows) != 3 {
+			t.Fatalf("iteration %d: rows = %d", i, len(res.Rows))
+		}
+	}
+	requireNoPins(t, e)
+}
+
+// diffRows is three morsels of facts (4096 + 4096 + 808).
+const diffRows = 9000
+
+// differentialEngine builds the fixture of the seeded differential, with
+// plan.MinParallelRows lowered so that mid (one morsel, a marked chain)
+// parallelizes too while dims and tiny stay unmarked: facts (NULLs in k,
+// score, val, b and flag; an ordered index on score, none on its copy
+// val), dims (10 keys, one NULL), mid (200 rows keyed by id) and tiny (3
+// bounds for keyless joins). Float cells are multiples of 0.5, so SUM
+// and AVG are exact in any fold order.
+func differentialEngine(t *testing.T) *Engine {
+	t.Helper()
+	old := plan.MinParallelRows
+	plan.MinParallelRows = 64
+	t.Cleanup(func() { plan.MinParallelRows = old })
+
+	e := New(storage.NewCatalog())
+	mustExec(t, e, `CREATE TABLE facts (id INTEGER, k INTEGER, grp INTEGER, score FLOAT, val FLOAT,
+		a INTEGER, b INTEGER, flag BOOLEAN, note TEXT)`)
+	mustExec(t, e, `CREATE TABLE dims (k INTEGER, label TEXT)`)
+	mustExec(t, e, `CREATE TABLE mid (id INTEGER, weight FLOAT, tag TEXT)`)
+	mustExec(t, e, `CREATE TABLE tiny (bound INTEGER, tag TEXT)`)
+	facts, _ := e.Catalog().Get("facts")
+	for i := 0; i < diffRows; i++ {
+		k, b, flag := storage.Int(int64(i%10)), storage.Int(int64(i*7%13)), storage.Bool(i%3 == 0)
+		score := storage.Float(float64(i*37%1000) / 2)
+		if i%7 == 0 {
+			k = storage.Null()
+		}
+		if i%11 == 0 {
+			score = storage.Null()
+		}
+		if i%17 == 0 {
+			b = storage.Null()
+		}
+		if i%3 == 2 {
+			flag = storage.Null()
+		}
+		if err := facts.Insert(storage.Int(int64(i)), k, storage.Int(int64(i%5)), score, score,
+			storage.Int(int64(i%13)), b, flag, storage.Text(fmt.Sprintf("n%d", i%50))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, e, `CREATE INDEX facts_score ON facts (score)`)
+	dims, _ := e.Catalog().Get("dims")
+	for k := 0; k < 10; k++ {
+		key := storage.Int(int64(k))
+		if k == 9 {
+			key = storage.Null()
+		}
+		if err := dims.Insert(key, storage.Text(fmt.Sprintf("label-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid, _ := e.Catalog().Get("mid")
+	for i := 0; i < 200; i++ {
+		if err := mid.Insert(storage.Int(int64(i)), storage.Float(float64(i%40)/2), storage.Text(fmt.Sprintf("t%d", i%6))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, e, `INSERT INTO tiny VALUES (3, 'lo'), (8200, 'hi'), (NULL, 'null')`)
+	return e
+}
+
+// diffQuery draws one query over the differential fixture.
+func diffQuery(rng *rand.Rand) string {
+	half := func(n int) float64 { return float64(rng.Intn(n)) / 2 }
+	// pred draws 1–3 conjuncts over facts; p is its column prefix ("" or
+	// an alias inside a join).
+	pred := func(p string) string {
+		// Vectorizable conjuncts, residuals the bitmaps cannot take
+		// (arithmetic, column = column, OR), and NULL-sensitive forms.
+		pool := []string{
+			fmt.Sprintf("%sval > %g", p, half(1000)),
+			fmt.Sprintf("%sval <= %g", p, half(1000)),
+			fmt.Sprintf("%sval + 1 > %g", p, half(1000)),
+			fmt.Sprintf("%sa = %sb", p, p),
+			fmt.Sprintf("%sa + %sb < %d", p, p, rng.Intn(24)),
+			fmt.Sprintf("%sk != %d", p, rng.Intn(10)),
+			fmt.Sprintf("%sk IS NULL", p),
+			fmt.Sprintf("%sb IS NOT NULL", p),
+			fmt.Sprintf("%sflag", p),
+			fmt.Sprintf("%sflag = false", p),
+			fmt.Sprintf("%snote = 'n%d'", p, rng.Intn(50)),
+			fmt.Sprintf("(%sval > %g OR %sk = %d)", p, half(1000), p, rng.Intn(10)),
+		}
+		n := 1 + rng.Intn(3)
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = pool[rng.Intn(len(pool))]
+		}
+		return strings.Join(parts, " AND ")
+	}
+	limit := func() string {
+		return fmt.Sprintf(" LIMIT %d", []int{1, 3, 50, 4096, 4097, 8500}[rng.Intn(6)])
+	}
+	maybe := func(s string) string {
+		if rng.Intn(2) == 0 {
+			return ""
+		}
+		return s
+	}
+	lo := half(1200)
+	dir := []string{"", " DESC"}[rng.Intn(2)]
+	switch rng.Intn(15) {
+	case 0:
+		return `SELECT id, val FROM facts WHERE ` + pred("") + maybe(limit())
+	case 1: // IndexRange with a residual
+		return fmt.Sprintf(`SELECT id, score FROM facts WHERE score > %g AND score <= %g AND %s`, lo, lo+half(600), pred("")) + maybe(limit())
+	case 2: // ordered probe, the sort elided
+		return fmt.Sprintf(`SELECT id, score FROM facts WHERE score >= %g ORDER BY score%s`, lo, dir) + maybe(limit())
+	case 3:
+		return `SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k WHERE ` + pred("f.") + maybe(limit())
+	case 4:
+		return fmt.Sprintf(`SELECT f.id, d.label, m.tag FROM facts f JOIN dims d ON f.k = d.k JOIN mid m ON f.a = m.id
+			WHERE %s AND m.weight < %g`, pred("f."), half(40)) + maybe(limit())
+	case 5: // keyless cross join, residual only
+		return `SELECT f.id, t.tag FROM facts f JOIN tiny t ON f.id < t.bound WHERE ` + pred("f.") + maybe(limit())
+	case 6:
+		return fmt.Sprintf(`SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(score), AVG(val) FROM facts WHERE %s
+			GROUP BY grp HAVING COUNT(*) > %d`, pred(""), rng.Intn(300))
+	case 7:
+		return `SELECT d.label, COUNT(*), SUM(f.val) FROM facts f JOIN dims d ON f.k = d.k WHERE ` + pred("f.") + ` GROUP BY d.label`
+	case 8:
+		return `SELECT COUNT(*), MAX(id) FROM facts WHERE ` + pred("")
+	case 9:
+		return `SELECT DISTINCT grp, a FROM facts WHERE ` + pred("")
+	case 10: // TopN on the heap: val has no index
+		return fmt.Sprintf(`SELECT id, val FROM facts WHERE %s ORDER BY val%s, id`, pred(""), dir) + limit()
+	case 11:
+		return `SELECT id FROM facts` + limit()
+	case 12: // both sides three morsels: an N-worker build with duplicate keys
+		on := []string{"x.id = y.a", "x.a = y.id"}[rng.Intn(2)]
+		return `SELECT x.id, y.id FROM facts x JOIN facts y ON ` + on + ` WHERE ` + pred("y.") + maybe(limit())
+	case 13: // division by zero at row 6000, in the middle of morsel 1
+		return `SELECT id FROM facts WHERE 100 / (id - 6000) < 0 AND ` + pred("") + maybe(limit())
+	default: // the same error under a join's probe side
+		return `SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k WHERE 100 / (f.id - 6000) < 0` + maybe(limit())
+	}
+}
+
+// TestParallelSeededDifferential is the dop differential: generated
+// queries over every operator the executor has, each required to stream
+// identically at exec-workers 1, 2 and 8 and to leave no pin or goroutine
+// behind (streamAt checks both after every run).
+func TestParallelSeededDifferential(t *testing.T) {
+	e := differentialEngine(t)
+	e.SetExecWorkers(8)
+	shape := flattenPlan(t, mustExec(t, e, `EXPLAIN SELECT f.id FROM facts f JOIN mid m ON f.a = m.id JOIN dims d ON f.k = d.k`))
+	e.SetExecWorkers(1)
+	if !strings.Contains(shape, "Scan(facts f) [dop=8]") || !strings.Contains(shape, "Scan(mid m) [dop=8]") ||
+		strings.Contains(shape, "Scan(dims d) [dop") {
+		t.Fatalf("fixture does not cover marked and unmarked join inputs:\n%s", shape)
+	}
+
+	failed := 0
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		for q := 0; q < 60; q++ {
+			if everyDop(t, e, diffQuery(rng)).err != "" {
+				failed++
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no generated query hit the mid-chain evaluation error")
+	}
 }

@@ -25,7 +25,7 @@ import (
 //     comparison is a runtime error in the evaluator, and the scan must
 //     stay the one to raise it.
 //  3. Everything not consumed by the probe stays as a residual filter,
-//     evaluated during batch refill like a pushed-down scan filter.
+//     evaluated on the rows the probe returns.
 //
 // NULL literals never select an index: `col = NULL` is never TRUE under
 // three-valued logic and the filter path already returns zero rows.

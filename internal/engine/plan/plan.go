@@ -112,9 +112,10 @@ type Node interface {
 	Describe() string
 }
 
-// Scan reads one table through the storage cursor, evaluating the
-// pushed-down Filter during batch refill so non-matching rows are never
-// copied out of the table.
+// Scan reads one table through the storage cursor. The vectorizable
+// conjuncts of the pushed-down Filter become the cursor's selection
+// bitmaps, so rows they reject are never copied out of the table; the
+// executor evaluates the rest on the rows that survive.
 type Scan struct {
 	Table   *storage.Table
 	Name    string // table name
@@ -132,7 +133,7 @@ type Scan struct {
 // section that pins the table snapshot, and only those rows are ever
 // copied out. Composite indexes require equality literals on every key
 // column (a prefix cannot probe). Residual carries the remaining
-// pushed-down conjuncts, evaluated during batch refill.
+// pushed-down conjuncts, evaluated on the probed rows.
 type IndexScan struct {
 	Table    *storage.Table
 	Name     string // table name

@@ -3,14 +3,17 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"crowddb/internal/core"
+	"crowddb/internal/storage"
 )
 
 // joinServer builds a two-table database: movies plus a credits table
@@ -182,5 +185,74 @@ func TestStreamingWaitsForExpansion(t *testing.T) {
 	}
 	if svc.calls.Load() == 0 {
 		t.Fatal("expansion never reached the crowd service")
+	}
+}
+
+// TestParallelJoinEarlyCloseOverHTTP closes morsel-parallel joins before
+// they are drained, the two ways a client can: a LIMIT the first morsel
+// satisfies, and a streaming client that goes away after the first row.
+// Both close the join with probe workers in flight; the process must
+// survive, keep answering, and end up with no snapshot pinned.
+func TestParallelJoinEarlyCloseOverHTTP(t *testing.T) {
+	db, err := core.Open(core.Options{ExecWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	for _, sql := range []string{
+		`CREATE TABLE facts (id INTEGER, k INTEGER, pad TEXT)`,
+		`CREATE TABLE dims (k INTEGER, label TEXT)`,
+	} {
+		if _, _, err := db.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rows = 50000 // 13 morsels, and more NDJSON than the socket buffers hold
+	facts, _ := db.Catalog().Get("facts")
+	for i := 0; i < rows; i++ {
+		if err := facts.Insert(storage.Int(int64(i)), storage.Int(int64(i%10)), storage.Text(strings.Repeat("x", 64))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dims, _ := db.Catalog().Get("dims")
+	for k := 0; k < 10; k++ {
+		if err := dims.Insert(storage.Int(int64(k)), storage.Text(fmt.Sprintf("label-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(db, Config{}).Handler())
+	t.Cleanup(ts.Close)
+	const join = `SELECT f.id, d.label, f.pad FROM facts f JOIN dims d ON f.k = d.k`
+
+	for i := 0; i < 20; i++ {
+		// A fresh literal per iteration, or the result cache would answer.
+		code, res := postQuery(t, ts.URL+"/v1", fmt.Sprintf(`%s WHERE f.id >= %d LIMIT 3`, join, i), "sync")
+		if code != http.StatusOK || len(res.Rows) != 3 {
+			t.Fatalf("JOIN … LIMIT 3: status %d, rows %v", code, res.Rows)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		body, _ := json.Marshal(queryRequest{SQL: join})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query?stream=1", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for lines := 0; lines < 2 && sc.Scan(); lines++ { // header, first row
+		}
+		cancel()
+		resp.Body.Close()
+	}
+
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after early closes: %d", code)
+	}
+	// The handler of a cancelled stream closes it on its own goroutine.
+	for deadline := time.Now().Add(5 * time.Second); len(facts.LiveSnapshotEpochs()) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("facts still pins snapshot epochs %v", facts.LiveSnapshotEpochs())
+		}
 	}
 }

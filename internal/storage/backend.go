@@ -149,11 +149,6 @@ func ApplyCatalogOp(c *Catalog, op Op) error {
 		return err
 	case OpFillColumn:
 		return tbl.FillColumn(op.Name, op.Values)
-	case OpDelete:
-		// Pre-MVCC compacting delete: replayed with the old physical-shift
-		// semantics so row indices in subsequent legacy records resolve.
-		tbl.LegacyCompact(op.Rows)
-		return nil
 	case OpTombstone:
 		tbl.Delete(op.Rows)
 		return nil

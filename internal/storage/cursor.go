@@ -8,9 +8,9 @@ import "fmt"
 // writers — not even a bulk crowd FillColumn landing mid-scan. Each
 // refill evaluates the vectorized predicates (SetPreds) chunk-at-a-time
 // into a selection bitmap over the typed chunks, then boxes only the
-// selected cells into one reusable batch buffer, column-at-a-time; the
-// residual filter closure (SetFilter) runs per boxed row for predicates
-// the planner could not vectorize.
+// selected cells into one reusable batch buffer, column-at-a-time. The
+// bitmaps are storage's only filter: predicates the planner could not
+// vectorize are evaluated by the executor on the rows a cursor returns.
 //
 // Consistency: the whole scan observes exactly the snapshot pinned at
 // creation. Mutations applied after creation — Set, Delete, FillColumn,
@@ -34,8 +34,7 @@ type Cursor struct {
 	next  int // next physical row to consider
 	limit int // exclusive upper physical row
 
-	preds  []Pred
-	filter func(Row) (bool, error)
+	preds []Pred
 
 	// Current window state: the selection bitmap of its not-yet-surfaced
 	// rows (drained from word selWord on) and one typed view per column.
@@ -111,15 +110,9 @@ func newCursorOn(snap *Snap, lo, hi, batchSize int) *Cursor {
 	}
 }
 
-// SetFilter installs a residual predicate evaluated per selected row
-// during refill, before the row is surfaced. The Row passed to f aliases
-// the batch buffer and must not be retained or mutated.
-func (c *Cursor) SetFilter(f func(Row) (bool, error)) { c.filter = f }
-
-// SetPreds installs vectorized predicates, ANDed together and with the
-// residual filter. They are evaluated per chunk window into a selection
-// bitmap — no per-row closure call, no row materialization for
-// non-matching rows.
+// SetPreds installs vectorized predicates, ANDed together. They are
+// evaluated per chunk window into a selection bitmap — no per-row call,
+// no row materialization for non-matching rows.
 func (c *Cursor) SetPreds(preds []Pred) { c.preds = preds }
 
 // Next returns the next matching row, or ok=false at the end of the scan
@@ -137,7 +130,7 @@ func (c *Cursor) Next() (Row, bool) {
 	return row, true
 }
 
-// Err returns the first filter or decode error encountered, if any.
+// Err returns the first decode error encountered, if any.
 func (c *Cursor) Err() error { return c.err }
 
 // Close releases the cursor's snapshot pin (if it owns one). It is
@@ -217,13 +210,11 @@ func (c *Cursor) clearDead(lo, n int) {
 	}
 }
 
-// refill boxes the next batch of selected rows. Rows the residual filter
-// rejects leave their buffer slot unused, so a batch may come back short
-// — or empty, in which case Next refills again.
+// refill boxes the next batch of selected rows.
 func (c *Cursor) refill() {
 	batch := len(c.hdrs)
 	c.n, c.pos = 0, 0
-	for used := 0; used < batch; {
+	for c.n < batch {
 		if c.selWord >= len(c.sel) {
 			if !c.loadWindow() {
 				c.done = true
@@ -231,27 +222,15 @@ func (c *Cursor) refill() {
 			}
 			continue
 		}
-		c.offs = takeSelected(c.sel, &c.selWord, c.offs[:0], min(batch-used, boxRows))
+		c.offs = takeSelected(c.sel, &c.selWord, c.offs[:0], min(batch-c.n, boxRows))
 		for col := range c.wins {
-			c.wins[col].box(c.offs, c.buf[used*c.width+col:], c.width)
+			c.wins[col].box(c.offs, c.buf[c.n*c.width+col:], c.width)
 		}
 		for _, o := range c.offs {
-			dst := c.buf[used*c.width : (used+1)*c.width]
-			used++
-			if c.filter != nil {
-				ok, err := c.filter(dst)
-				if err != nil {
-					c.err = err
-					return
-				}
-				if !ok {
-					continue
-				}
-			}
 			if c.ids != nil {
 				c.ids[c.n] = c.winLo + int(o)
 			}
-			c.hdrs[c.n] = dst
+			c.hdrs[c.n] = c.buf[c.n*c.width : (c.n+1)*c.width]
 			c.n++
 		}
 	}

@@ -47,53 +47,6 @@ func TestCursorReadsAllRowsAcrossBatches(t *testing.T) {
 	}
 }
 
-func TestCursorFilterSkipsCopies(t *testing.T) {
-	tbl := cursorTable(t, 100)
-	c := tbl.NewCursor(16)
-	c.SetFilter(func(r Row) (bool, error) {
-		id, _ := r[0].AsInt()
-		return id%10 == 0, nil
-	})
-	var ids []int64
-	for {
-		row, ok := c.Next()
-		if !ok {
-			break
-		}
-		id, _ := row[0].AsInt()
-		ids = append(ids, id)
-	}
-	if len(ids) != 10 || ids[0] != 0 || ids[9] != 90 {
-		t.Fatalf("ids = %v", ids)
-	}
-}
-
-func TestCursorFilterErrorStopsScan(t *testing.T) {
-	tbl := cursorTable(t, 10)
-	c := tbl.NewCursor(4)
-	boom := fmt.Errorf("boom")
-	c.SetFilter(func(r Row) (bool, error) {
-		id, _ := r[0].AsInt()
-		if id == 5 {
-			return false, boom
-		}
-		return true, nil
-	})
-	n := 0
-	for {
-		if _, ok := c.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if c.Err() != boom {
-		t.Fatalf("err = %v", c.Err())
-	}
-	if n != 5 {
-		t.Fatalf("rows before error = %d", n)
-	}
-}
-
 // The cursor's row is valid only until the next call; the batch buffer is
 // reused. This test documents the aliasing contract.
 func TestCursorRowAliasing(t *testing.T) {

@@ -406,13 +406,10 @@ type IndexCursor struct {
 	next int   // next position in ids
 	rows []int // the block of live row IDs being boxed
 
-	filter func(Row) (bool, error)
-
 	buf  []Value
 	hdrs []Row
 	n    int
 	pos  int
-	err  error
 	done bool
 }
 
@@ -445,15 +442,11 @@ func NewIndexCursorAt(snap *Snap, ids []int, batchSize int) *IndexCursor {
 	}
 }
 
-// SetFilter installs a residual predicate evaluated during refill,
-// before a row is surfaced (same contract as Cursor.SetFilter).
-func (c *IndexCursor) SetFilter(f func(Row) (bool, error)) { c.filter = f }
-
-// Next returns the next matching row, or ok=false at the end (check
-// Err). The returned Row is valid until the next call.
+// Next returns the next matching row, or ok=false at the end. The
+// returned Row is valid until the next call.
 func (c *IndexCursor) Next() (Row, bool) {
 	for c.pos >= c.n {
-		if c.err != nil || c.done {
+		if c.done {
 			c.Close()
 			return nil, false
 		}
@@ -463,9 +456,6 @@ func (c *IndexCursor) Next() (Row, bool) {
 	c.pos++
 	return row, true
 }
-
-// Err returns the first filter error encountered, if any.
-func (c *IndexCursor) Err() error { return c.err }
 
 // Close releases the cursor's snapshot pin (if it owns one). Idempotent;
 // called automatically at scan end.
@@ -477,36 +467,22 @@ func (c *IndexCursor) Close() {
 
 // refill boxes the next batch of rows from the pinned snapshot, a block
 // of row IDs at a time and column-at-a-time within it (version.gather).
-// Rows the residual filter rejects leave their buffer slot unused, as in
-// Cursor.refill.
 func (c *IndexCursor) refill() {
 	batch := len(c.hdrs)
 	c.n, c.pos = 0, 0
 	v := c.v
-	for used := 0; used < batch && c.next < len(c.ids); {
+	for c.n < batch && c.next < len(c.ids) {
 		c.rows = c.rows[:0]
-		for want := min(batch-used, boxRows); len(c.rows) < want && c.next < len(c.ids); c.next++ {
+		for want := min(batch-c.n, boxRows); len(c.rows) < want && c.next < len(c.ids); c.next++ {
 			if id := c.ids[c.next]; id >= 0 && id < v.nrows && !v.isDead(id) {
 				c.rows = append(c.rows, id) // else defensive; a consistent (snapshot, IDs) pair never skips
 			}
 		}
 		for col := 0; col < c.width; col++ {
-			v.gather(col, c.rows, c.buf[used*c.width+col:], c.width)
+			v.gather(col, c.rows, c.buf[c.n*c.width+col:], c.width)
 		}
 		for range c.rows {
-			dst := c.buf[used*c.width : (used+1)*c.width]
-			used++
-			if c.filter != nil {
-				ok, err := c.filter(dst)
-				if err != nil {
-					c.err = err
-					return
-				}
-				if !ok {
-					continue
-				}
-			}
-			c.hdrs[c.n] = dst
+			c.hdrs[c.n] = c.buf[c.n*c.width : (c.n+1)*c.width]
 			c.n++
 		}
 	}

@@ -140,34 +140,8 @@ func TestAttachIndexBulkLoadsAndMaintains(t *testing.T) {
 		}
 		n++
 	}
-	if cur.Err() != nil {
-		t.Fatal(cur.Err())
-	}
 	if n != 11 {
 		t.Fatalf("k=3 rows = %d, want 11", n)
-	}
-}
-
-func TestIndexCursorResidualFilter(t *testing.T) {
-	tbl := indexedTable(t, 100)
-	point := Int(7)
-	cur, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur.SetFilter(func(r Row) (bool, error) {
-		s, _ := r[1].AsText()
-		return s == "v7", nil
-	})
-	n := 0
-	for {
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("filtered rows = %d, want 1", n)
 	}
 }
 
@@ -261,9 +235,6 @@ func TestIndexCursorSnapshotStability(t *testing.T) {
 			t.Fatalf("cursor returned k=%d; the pinned snapshot must show as-of-open values", k)
 		}
 		got++
-	}
-	if cur.Err() != nil {
-		t.Fatal(cur.Err())
 	}
 	// All 10 rows matched at open; every one must be emitted with its
 	// as-of-open key, updates and deletes notwithstanding.

@@ -15,11 +15,6 @@ const (
 	OpSet         OpKind = "set"
 	OpAddColumn   OpKind = "add_column"
 	OpFillColumn  OpKind = "fill_column"
-	// OpDelete is the pre-MVCC compacting delete. It is no longer
-	// emitted, but old WALs contain it; replay routes it to
-	// Table.LegacyCompact so row indices in subsequent legacy records
-	// keep resolving.
-	OpDelete OpKind = "delete"
 	// OpTombstone is the MVCC delete: Rows lists the physical row IDs
 	// tombstoned. Row IDs are stable, so replay order is insensitive to
 	// interleaved mutations.
@@ -43,7 +38,6 @@ const (
 //	set           Table, Row, Col, Values[0]
 //	add_column    Table, Column
 //	fill_column   Table, Name, Values (one per live row, in scan order)
-//	delete        Table, Rows (legacy compacting positions; replay-only)
 //	tombstone     Table, Rows (physical row IDs)
 //	compact       Table, Rows (removed physical row IDs, ascending)
 type Op struct {

@@ -521,43 +521,6 @@ func (t *Table) Delete(idx []int) int {
 	return len(killed)
 }
 
-// LegacyCompact applies a pre-MVCC OpDelete record: physically remove
-// the rows at the given positions and shift everything after them down,
-// exactly as the old row store did, so row indices in subsequent legacy
-// WAL records keep resolving correctly. Replay-only — it never logs.
-func (t *Table) LegacyCompact(idx []int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(idx) == 0 {
-		return 0
-	}
-	v := t.snap.Load()
-	kill := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		if i >= 0 && i < v.nrows && !v.isDead(i) {
-			kill[i] = true
-		}
-	}
-	if len(kill) == 0 {
-		return 0
-	}
-	// Tombstoned rows go too: the old row store never had any.
-	gone := make([]int, 0, len(kill)+v.ndead)
-	for i := 0; i < v.nrows; i++ {
-		if kill[i] || v.isDead(i) {
-			gone = append(gone, i)
-		}
-	}
-	nv, _ := compactApply(v, gone)
-	t.publish(nv, func() {
-		for _, ix := range t.indexes {
-			t.rebuildIndex(ix, nv)
-		}
-	})
-	t.notify(Op{Kind: OpDelete, Table: t.name})
-	return len(kill)
-}
-
 // CaptureState returns every physical row (tombstoned included, so row
 // IDs survive a snapshot/restore round trip) plus the sorted list of
 // tombstoned IDs. It reads one immutable snapshot — no locks held while
