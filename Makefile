@@ -56,24 +56,30 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect' -benchtime 1x -benchmem -cpu 1,4 .
 
 # Bench-regression wall: run the guarded benchmarks with enough
-# repetitions for a stable minimum, emit the numbers as JSON
-# ($(BENCH_GUARD_OUT), uploaded as a CI artifact), and fail if
-# BenchmarkTopNSelect, BenchmarkWALReplay, BenchmarkPointLookup,
-# BenchmarkRangeScan, BenchmarkCachedSelect,
-# BenchmarkSpeculativeHitMerge, BenchmarkParallelScanFilter,
-# BenchmarkParallelHashJoin, BenchmarkScanDuringFill,
-# BenchmarkVectorizedFilter, BenchmarkCompactedScan,
-# BenchmarkInstrumentedSelect or BenchmarkStreamingSelect regressed >30%
-# against the committed
-# BENCH_baseline.json. -cpu 1,4 runs every guarded bench serial AND
-# morsel-parallel: benchguard strips the -N suffix and keeps the minimum
-# line, so the baseline (measured serially) can only be beaten by the
-# parallel run, never tripped by it — while the bench log shows the
-# dop-4 speedup for the Parallel* pair.
+# repetitions for a stable minimum, emit ns/op, B/op and allocs/op as JSON
+# ($(BENCH_GUARD_OUT), uploaded as a CI artifact), and fail if a guarded
+# benchmark regressed >30% against the committed BENCH_baseline.json — on
+# ns/op for every name in BENCH_GUARDED, on B/op and allocs/op too for the
+# ones whose allocations do not depend on timing (BENCH_GUARDED_MEM).
+# -cpu 1,4 runs every guarded bench serial AND morsel-parallel: benchguard
+# keeps the minimum of each metric over all lines of a name, so the
+# baseline (measured serially) can only be beaten by the parallel run,
+# never tripped by it. The names in BENCH_SCALING are held to themselves
+# as well: their dop-4 run may not be slower than their dop-1 run of the
+# same process (beyond the same 30% of noise), nor allocate over 4× its
+# bytes — the cliff a per-row copy at the exchange would reopen.
+BENCH_GUARDED = BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect
+BENCH_GUARDED_MEM = BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect
+BENCH_SCALING = BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter
+empty :=
+space := $(empty) $(empty)
+comma := ,
 bench-guard:
-	$(GO) test -run xxx -bench 'BenchmarkTopNSelect$$|BenchmarkWALReplay$$|BenchmarkPointLookup$$|BenchmarkRangeScan$$|BenchmarkCachedSelect$$|BenchmarkSpeculativeHitMerge$$|BenchmarkParallelScanFilter$$|BenchmarkParallelHashJoin$$|BenchmarkScanDuringFill$$|BenchmarkVectorizedFilter$$|BenchmarkCompactedScan$$|BenchmarkInstrumentedSelect$$|BenchmarkStreamingSelect$$' -benchtime 5x -count 3 -cpu 1,4 . | tee bench-guard.txt
+	$(GO) test -run xxx -bench '$(subst $(space),$$|,$(BENCH_GUARDED))$$' -benchtime 5x -count 3 -cpu 1,4 -benchmem . | tee bench-guard.txt
 	$(GO) run ./cmd/benchguard -input bench-guard.txt -baseline BENCH_baseline.json \
-		-out $(BENCH_GUARD_OUT) -require BenchmarkTopNSelect,BenchmarkWALReplay,BenchmarkPointLookup,BenchmarkRangeScan,BenchmarkCachedSelect,BenchmarkSpeculativeHitMerge,BenchmarkParallelScanFilter,BenchmarkParallelHashJoin,BenchmarkScanDuringFill,BenchmarkVectorizedFilter,BenchmarkCompactedScan,BenchmarkInstrumentedSelect,BenchmarkStreamingSelect \
+		-out $(BENCH_GUARD_OUT) -require $(subst $(space),$(comma),$(BENCH_GUARDED)) \
+		-require-mem $(subst $(space),$(comma),$(BENCH_GUARDED_MEM)) \
+		-scaling $(subst $(space),$(comma),$(BENCH_SCALING)) \
 		-threshold $(BENCH_GUARD_THRESHOLD)
 
 # Static analysis beyond go vet; pinned in CI (see ci.yml), best-effort

@@ -114,3 +114,54 @@ func TestExplainAnalyzeRejectsNonSelect(t *testing.T) {
 		t.Fatal("EXPLAIN ANALYZE INSERT must fail")
 	}
 }
+
+var actualTimeRE = regexp.MustCompile(`time=[^)]+`)
+
+// Per-operator actuals are exact whatever the batch boundaries: a traced
+// operator counts the selected rows of every batch it hands up. The
+// figures below are the row-at-a-time executor's for the same queries on
+// the same fixture (parRows rows, every 7th join key NULL), so the move
+// to batches changed none of them.
+func TestExplainAnalyzeRowsExactPerOperator(t *testing.T) {
+	e := parallelEngine(t)
+	e.SetExecWorkers(1)
+	cases := []struct {
+		sql  string
+		plan []string
+	}{
+		{`SELECT id FROM wide WHERE grp = 1 AND score + 1 > 500`, []string{
+			`Project(id) (actual rows=625 time=T)`,
+			`└─ Scan(wide, filter=((grp = 1) AND ((score + 1) > 500))) (actual rows=625 time=T)`,
+		}},
+		{`SELECT w.id FROM wide w JOIN dims d ON w.k = d.k WHERE w.grp + d.k > 10`, []string{
+			`Project(id) (actual rows=215 time=T)`,
+			`└─ Filter(((w.grp + d.k) > 10)) (actual rows=215 time=T)`,
+			`   └─ HashJoin(w.k = d.k) (actual rows=4285 time=T)`,
+			`      ├─ Scan(wide w) (actual rows=5000 time=T)`,
+			`      └─ Scan(dims d) (actual rows=10 time=T)`,
+		}},
+		{`SELECT d.label, COUNT(*) FROM wide w JOIN dims d ON w.k = d.k WHERE w.grp = 2 GROUP BY d.label`, []string{
+			`HashAggregate(by=d.label → label, count(*)) (actual rows=5 time=T)`,
+			`└─ HashJoin(w.k = d.k) (actual rows=1071 time=T)`,
+			`   ├─ Scan(wide w, filter=(w.grp = 2)) (actual rows=1250 time=T)`,
+			`   └─ Scan(dims d) (actual rows=10 time=T)`,
+		}},
+		{`SELECT id, score FROM wide WHERE grp = 3 ORDER BY score DESC, id LIMIT 7`, []string{
+			`Project(id, score) (actual rows=7 time=T)`,
+			`└─ TopN(n=7, score DESC, id) (actual rows=7 time=T)`,
+			`   └─ Scan(wide, filter=(grp = 3)) (actual rows=1250 time=T)`,
+		}},
+		{`SELECT grp, COUNT(*) c, AVG(score) FROM wide WHERE score > 100 GROUP BY grp HAVING c > 1 ORDER BY c DESC`, []string{
+			`Sort(c DESC) (actual rows=4 time=T)`,
+			`└─ HashAggregate(by=grp → grp, c, avg(score)) (actual rows=4 time=T)`,
+			`   └─ Scan(wide, filter=(score > 100)) (actual rows=4495 time=T)`,
+		}},
+	}
+	for _, c := range cases {
+		an := mustExec(t, e, "EXPLAIN ANALYZE "+c.sql)
+		got := actualTimeRE.ReplaceAllString(flattenPlan(t, an), "time=T")
+		if want := strings.Join(c.plan, "\n"); got != want {
+			t.Errorf("%s:\ngot\n%s\nwant\n%s", c.sql, got, want)
+		}
+	}
+}

@@ -18,7 +18,8 @@ type dmlEnv struct {
 	row    storage.Row
 }
 
-func (env *dmlEnv) Lookup(table, name string) (storage.Value, error) {
+func (env *dmlEnv) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
+	table, name := ref.Table, ref.Name
 	if table != "" && !strings.EqualFold(table, env.table) {
 		return storage.Null(), fmt.Errorf("engine: unknown table or alias %q in reference %s.%s", table, table, name)
 	}

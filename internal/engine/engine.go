@@ -4,9 +4,9 @@
 // subpackages: internal/engine/plan lowers SELECTs into a logical plan
 // tree (alias resolution, predicate/projection pushdown, join key
 // extraction, plan-time column validation), and internal/engine/exec runs
-// that tree as volcano-style iterators streaming rows off the storage
-// cursor. DDL and DML stay here (dml.go); SELECT, EXPLAIN and the
-// streaming entry point live in select.go.
+// that tree as iterators passing column batches up from the storage
+// cursor, boxing rows once at the root. DDL and DML stay here (dml.go);
+// SELECT, EXPLAIN and the streaming entry point live in select.go.
 //
 // The engine deliberately knows nothing about crowds: when a query
 // references a column the schema lacks, planning fails with a

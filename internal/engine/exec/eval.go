@@ -1,9 +1,10 @@
 // Package exec executes logical plans from internal/engine/plan as a tree
-// of volcano-style iterators: each operator pulls rows from its input via
-// Open/Next/Close, so results stream from the storage cursor to the
-// caller without materializing intermediate row sets (except where the
-// operator is inherently blocking: sort, aggregation, a join's build
-// side).
+// of batch iterators: each operator pulls column batches — typed vectors
+// plus a selection — from its input via Open/NextBatch/Close, so results
+// stream from the storage cursor to the caller without materializing
+// intermediate row sets (except where the operator is inherently
+// blocking: sort, aggregation, a join's build side), and only the root
+// boxes rows.
 //
 // It also owns SQL expression evaluation under three-valued logic (NULL
 // comparisons yield UNKNOWN, which filters the row out), shared with the
@@ -68,10 +69,11 @@ func (t Tribool) Or(o Tribool) Tribool {
 	return TriFalse
 }
 
-// Env resolves column references during expression evaluation. The table
-// qualifier is empty for unqualified references.
+// Env resolves column references during expression evaluation. It is
+// handed the reference node itself, so an implementation can resolve
+// names once per query and key its bindings on the node.
 type Env interface {
-	Lookup(table, name string) (storage.Value, error)
+	Lookup(ref *sqlparse.ColumnRef) (storage.Value, error)
 }
 
 // EvalValue computes a scalar expression for one row.
@@ -80,7 +82,7 @@ func EvalValue(e sqlparse.Expr, env Env) (storage.Value, error) {
 	case *sqlparse.Literal:
 		return literalValue(n), nil
 	case *sqlparse.ColumnRef:
-		return env.Lookup(n.Table, n.Name)
+		return env.Lookup(n)
 	case *sqlparse.UnaryExpr:
 		switch n.Op {
 		case "-":
@@ -206,7 +208,7 @@ func EvalPredicate(e sqlparse.Expr, env Env) (Tribool, error) {
 		}
 		return TriFalse, fmt.Errorf("engine: %s literal used as predicate", n.String())
 	case *sqlparse.ColumnRef:
-		v, err := env.Lookup(n.Table, n.Name)
+		v, err := env.Lookup(n)
 		if err != nil {
 			return TriFalse, err
 		}

@@ -6,26 +6,6 @@ import (
 	"crowddb/internal/storage"
 )
 
-// indexIter streams the rows an index probe selects through the storage
-// layer's batched index cursor: only the matching rows are boxed, batch
-// by batch, from a snapshot pinned in the same critical section that
-// resolved the row IDs. It is the single index operator, for IndexScan
-// (point probe) and IndexRange (bound probe) alike: the plain form
-// resolves its probe at Open and its cursor owns the pin; a morsel reads
-// one chunk of the ID list its source resolved, over the source's shared
-// pin. The node's residual predicate is a filterIter on top (filterOver).
-// Rows returned by Next alias the cursor's batch buffer.
-type indexIter struct {
-	table *storage.Table
-	index string
-	probe storage.IndexProbe
-
-	snap *storage.Snap // a source's shared pin; nil for the plain probe
-	ids  []int         // with snap: this morsel's chunk of the resolved IDs
-
-	cur *storage.IndexCursor
-}
-
 // pointProbeOf lowers an equality key — one literal per index key column
 // — into a storage probe.
 func pointProbeOf(keys []*sqlparse.Literal) storage.IndexProbe {
@@ -55,34 +35,12 @@ func indexRangeProbe(n *plan.IndexRange) storage.IndexProbe {
 	return rangeProbeOf(n.Lo, n.Hi, n.LoInc, n.HiInc, n.Desc)
 }
 
-func (s *indexIter) Open() error {
-	if s.snap != nil {
-		s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
-		return nil
-	}
-	cur, err := s.table.NewIndexCursor(s.index, s.probe, 0)
-	s.cur = cur
-	return err
-}
-
-func (s *indexIter) Next() (storage.Row, bool, error) {
-	row, ok := s.cur.Next()
-	return row, ok, nil
-}
-
-func (s *indexIter) Close() error {
-	if s.cur != nil {
-		s.cur.Close()
-	}
-	return nil
-}
-
 // indexOnlyIter serves a covering query straight off the index: the
 // executor never touches table data. Point probes emit the probe key
 // itself once per matching row ID; range probes emit each entry's key
-// tuple in probe order. Emitted rows are shaped like the plan node's
-// pseudo-layout (the key columns, in index order) and are owned by the
-// iterator's backing arrays — safe to alias until Close.
+// tuple in probe order. Batches are shaped like the plan node's
+// pseudo-layout (the key columns, in index order), boxed — index keys are
+// Values already.
 type indexOnlyIter struct {
 	node *plan.IndexOnlyScan
 
@@ -90,6 +48,7 @@ type indexOnlyIter struct {
 	keys [][]storage.Value
 	key  storage.Row // point form: the one shared key tuple
 	pos  int
+	out  storage.Batch
 }
 
 func (s *indexOnlyIter) Open() error {
@@ -104,19 +63,29 @@ func (s *indexOnlyIter) Open() error {
 	}
 	s.ids, s.keys, s.pos = ids, keys, 0
 	s.key = storage.Row(probe.Key)
+	s.out.Cols = make([]storage.Vector, len(n.Cols))
 	return nil
 }
 
-func (s *indexOnlyIter) Next() (storage.Row, bool, error) {
-	if s.pos >= len(s.ids) {
-		return nil, false, nil
+func (s *indexOnlyIter) NextBatch() (*storage.Batch, error) {
+	n := min(len(s.ids)-s.pos, morselRows)
+	if n <= 0 {
+		return nil, nil
 	}
-	i := s.pos
-	s.pos++
-	if s.keys == nil {
-		return s.key, true, nil
+	for c := range s.out.Cols {
+		vec := &s.out.Cols[c]
+		vec.Reset()
+		for k := s.pos; k < s.pos+n; k++ {
+			if s.keys == nil {
+				vec.AppendValue(s.key[c])
+			} else {
+				vec.AppendValue(s.keys[k][c])
+			}
+		}
 	}
-	return storage.Row(s.keys[i]), true, nil
+	s.pos += n
+	s.out.N, s.out.Sel = n, storage.IdentitySel(n)
+	return &s.out, nil
 }
 
 func (s *indexOnlyIter) Close() error { return nil }

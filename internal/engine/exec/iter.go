@@ -2,24 +2,33 @@ package exec
 
 import (
 	"fmt"
-	"strconv"
+	"sort"
 	"strings"
 
 	"crowddb/internal/engine/plan"
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
-// Iterator is the volcano row-pull contract every operator implements.
+// Iterator is the batch-pull contract every operator implements.
 //
 // Open prepares the operator (blocking operators consume their whole
-// input here); Next returns the next row, reporting ok=false at end of
-// stream; Close releases resources. Rows returned by Next may alias
-// internal buffers and are valid only until the following Next call —
-// callers that retain rows must Clone them. Operators that construct
-// fresh rows (Project, Aggregate, HashJoin output) hand over ownership.
+// input here); NextBatch returns the next batch of rows; Close releases
+// resources. A nil batch ends the stream. As with io.Reader, a call may
+// return a batch and an error together: the batch's rows precede the
+// error in the row stream, which is how a query that fails on some row
+// still surfaces exactly the rows before it. After an error the stream
+// is over.
+//
+// A batch belongs to the operator that returned it (storage.Batch): the
+// caller reads it until its next NextBatch or Close call on that
+// operator and never writes through it. Operators that narrow rows
+// (Filter, Limit, Distinct) return their input's vectors under a
+// selection of their own; operators that retain rows across calls (the
+// join build, Sort, TopN, Aggregate) copy the cells they keep.
 type Iterator interface {
 	Open() error
-	Next() (storage.Row, bool, error)
+	NextBatch() (*storage.Batch, error)
 	Close() error
 }
 
@@ -29,7 +38,7 @@ func Build(n plan.Node) (Iterator, error) { return build(n, nil) }
 // BuildTraced lowers a plan node like Build, additionally wrapping every
 // materialized iterator so tr records per-operator rows-out and wall
 // time. Nodes inside marked morsel chains build no iterator here (their
-// stacks are made per morsel) and record no stats (see Trace). With
+// stacks are made per worker) and record no stats (see Trace). With
 // tr == nil it is exactly Build — the tracing-off path adds zero work.
 func BuildTraced(n plan.Node, tr *Trace) (Iterator, error) { return build(n, tr) }
 
@@ -44,13 +53,13 @@ func build(n plan.Node, tr *Trace) (Iterator, error) {
 func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return scanOf(t, nil, 0, -1), nil
+		return scanOf(t)(nil).Iterator, nil
 	case *plan.IndexScan:
-		it := &indexIter{table: t.Table, index: t.Index, probe: pointProbeOf(t.Keys)}
-		return filterOver(it, t.Residual, t.Layout), nil
+		leaf := &cursorIter{table: t.Table, index: t.Index, probe: pointProbeOf(t.Keys), cols: t.Out}
+		return newFilter(t.Residual, t.Layout, t.Out)(leaf), nil
 	case *plan.IndexRange:
-		it := &indexIter{table: t.Table, index: t.Index, probe: indexRangeProbe(t)}
-		return filterOver(it, t.Residual, t.Layout), nil
+		leaf := &cursorIter{table: t.Table, index: t.Index, probe: indexRangeProbe(t), cols: t.Out}
+		return newFilter(t.Residual, t.Layout, t.Out)(leaf), nil
 	case *plan.IndexOnlyScan:
 		return &indexOnlyIter{node: t}, nil
 	case *plan.Filter:
@@ -58,7 +67,7 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return filterOver(in, t.Pred, t.Layout), nil
+		return newFilter(t.Pred, t.Layout, plan.OutputCols(t.Input))(in), nil
 	case *plan.Gather:
 		src, err := sourceOf(t.Input, tr)
 		if err != nil {
@@ -74,31 +83,31 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoinIter{node: t, left: left, right: right}, nil
+		return newHashJoin(t, left, right), nil
 	case *plan.Project:
 		in, err := build(t.Input, tr)
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{input: in, node: t}, nil
+		return newProject(t)(in), nil
 	case *plan.Aggregate:
 		in, err := sourceOf(t.Input, tr)
 		if err != nil {
 			return nil, err
 		}
-		return &aggIter{input: in, node: t}, nil
+		return newAggregate(t, in), nil
 	case *plan.Sort:
 		in, err := build(t.Input, tr)
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{input: in, keys: t.Keys, env: keyEnv(t.Layout, t.ByOutput)}, nil
+		return &sortIter{input: in, spec: newOrderSpec(t.Keys, t.Layout, t.ByOutput, t.Input, t.Out)}, nil
 	case *plan.TopN:
 		in, err := build(t.Input, tr)
 		if err != nil {
 			return nil, err
 		}
-		return &topNIter{input: in, keys: t.Keys, n: t.N, env: keyEnv(t.Layout, t.ByOutput)}, nil
+		return &topNIter{input: in, n: t.N, spec: newOrderSpec(t.Keys, t.Layout, t.ByOutput, t.Input, t.Out)}, nil
 	case *plan.Distinct:
 		in, err := build(t.Input, tr)
 		if err != nil {
@@ -116,30 +125,67 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	}
 }
 
-// rowEnv resolves references against a base (layout-shaped) row. The row
-// field is repointed per row, so one env serves a whole scan.
-type rowEnv struct {
-	layout *plan.Layout
-	row    storage.Row
+// colRef locates a bound column reference: column slot of input side. A
+// reference that did not resolve keeps its error, reported when — and
+// only if — the reference is evaluated.
+type colRef struct {
+	side, slot int
+	err        error
 }
 
-func (e *rowEnv) Lookup(table, name string) (storage.Value, error) {
-	idx, err := e.layout.Resolve(table, name)
-	if err != nil {
-		return storage.Null(), err
+// binding maps the column references of an operator's expressions to
+// batch columns. It is resolved once, when the operator is built, and
+// only read afterwards, so the workers running copies of the operator
+// share it.
+type binding map[*sqlparse.ColumnRef]colRef
+
+// resolver resolves one reference for a binding.
+type resolver func(ref *sqlparse.ColumnRef) colRef
+
+// bindExprs resolves every column reference of exprs.
+func bindExprs(res resolver, exprs ...sqlparse.Expr) binding {
+	refs := binding{}
+	refs.add(res, exprs...)
+	return refs
+}
+
+// add resolves the column references of exprs into refs.
+func (refs binding) add(res resolver, exprs ...sqlparse.Expr) {
+	for _, e := range exprs {
+		sqlparse.WalkColumns(e, func(ref *sqlparse.ColumnRef) {
+			if _, ok := refs[ref]; !ok {
+				refs[ref] = res(ref)
+			}
+		})
 	}
-	return e.row[idx], nil
 }
 
-// outputEnv resolves references against named output columns (a grouped
-// query's result shape), for HAVING and grouped ORDER BY.
-type outputEnv struct {
-	names map[string]int
-	row   storage.Row
+// slotOf finds layout position idx among a node's output columns.
+func slotOf(cols []int, idx int) (int, bool) {
+	k := sort.SearchInts(cols, idx)
+	return k, k < len(cols) && cols[k] == idx
 }
 
-// newOutputEnv indexes names; on duplicates the first occurrence wins.
-func newOutputEnv(names []string) *outputEnv {
+// layoutResolver resolves references against batches carrying the columns
+// cols (plan.OutputCols) of layout, as input side 0.
+func layoutResolver(layout *plan.Layout, cols []int) resolver {
+	return func(ref *sqlparse.ColumnRef) colRef {
+		idx, err := layout.Resolve(ref.Table, ref.Name)
+		if err != nil {
+			return colRef{err: err}
+		}
+		slot, ok := slotOf(cols, idx)
+		if !ok {
+			return colRef{err: fmt.Errorf("engine: internal: column %q was pruned from the operator's input", ref.Name)}
+		}
+		return colRef{slot: slot}
+	}
+}
+
+// outputResolver resolves unqualified references against named output
+// columns (a grouped query's result shape), for HAVING and grouped ORDER
+// BY; on duplicate names the first occurrence wins.
+func outputResolver(names []string) resolver {
 	idx := map[string]int{}
 	for i, n := range names {
 		lower := strings.ToLower(n)
@@ -147,57 +193,124 @@ func newOutputEnv(names []string) *outputEnv {
 			idx[lower] = i
 		}
 	}
-	return &outputEnv{names: idx}
+	return func(ref *sqlparse.ColumnRef) colRef {
+		if ref.Table == "" {
+			if i, ok := idx[strings.ToLower(ref.Name)]; ok {
+				return colRef{slot: i}
+			}
+		}
+		return colRef{err: fmt.Errorf("engine: HAVING/ORDER BY column %q is not in the grouped output", ref.Name)}
+	}
 }
 
-func (e *outputEnv) Lookup(table, name string) (storage.Value, error) {
-	if table == "" {
-		if i, ok := e.names[strings.ToLower(name)]; ok {
-			return e.row[i], nil
+// batchEnv evaluates bound expressions at one cell position of each
+// input: in[0] is the operator's input batch; a join residual also reads
+// the build side as in[1]. The positions are repointed per row, so one
+// env serves a whole scan.
+type batchEnv struct {
+	refs binding
+	in   [2]struct {
+		cols []storage.Vector
+		i    int
+	}
+}
+
+func (e *batchEnv) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
+	r := e.refs[ref]
+	if r.err != nil {
+		return storage.Null(), r.err
+	}
+	in := &e.in[r.side]
+	return in.cols[r.slot].Value(in.i), nil
+}
+
+// rowEnv evaluates bound expressions against one boxed row — HAVING over
+// the output row an aggregate is about to emit.
+type rowEnv struct {
+	refs binding
+	row  storage.Row
+}
+
+func (e *rowEnv) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
+	r := e.refs[ref]
+	if r.err != nil {
+		return storage.Null(), r.err
+	}
+	return e.row[r.slot], nil
+}
+
+// boundExprs is a list of expressions bound to an operator's input. A
+// bare column reference reads its vector directly (slots[k] ≥ 0); only
+// computed expressions go through the evaluator.
+type boundExprs struct {
+	exprs []sqlparse.Expr
+	slots []int
+	refs  binding
+}
+
+func bindList(res resolver, exprs []sqlparse.Expr) *boundExprs {
+	b := &boundExprs{exprs: exprs, slots: make([]int, len(exprs)), refs: bindExprs(res, exprs...)}
+	for k, e := range exprs {
+		b.slots[k] = -1
+		if ref, ok := e.(*sqlparse.ColumnRef); ok {
+			if r := b.refs[ref]; r.err == nil {
+				b.slots[k] = r.slot
+			}
 		}
 	}
-	return storage.Null(), fmt.Errorf("engine: HAVING/ORDER BY column %q is not in the grouped output", name)
+	return b
 }
 
-// bindEnv is the repointable env shared by sort/topN key evaluation: one
-// of layout or byOutput is set, matching the plan node.
-type bindEnv interface {
-	Env
-	bind(row storage.Row)
-}
-
-func (e *rowEnv) bind(row storage.Row)    { e.row = row }
-func (e *outputEnv) bind(row storage.Row) { e.row = row }
-
-func keyEnv(layout *plan.Layout, byOutput []string) bindEnv {
-	if layout != nil {
-		return &rowEnv{layout: layout}
+// value evaluates expression k at the env's current position of input 0.
+func (b *boundExprs) value(k int, env *batchEnv) (storage.Value, error) {
+	if s := b.slots[k]; s >= 0 {
+		return env.in[0].cols[s].Value(env.in[0].i), nil
 	}
-	return newOutputEnv(byOutput)
+	return EvalValue(b.exprs[k], env)
 }
 
-// rowKey builds a deduplication key for DISTINCT and GROUP BY. The kind
-// tag keeps 1 and '1' distinct; values are length-prefixed so text
-// containing separator or kind-tag bytes cannot forge a collision
-// between different rows.
-func rowKey(row storage.Row) string {
-	var sb strings.Builder
-	for _, v := range row {
-		s := v.String()
-		sb.WriteByte(byte(v.Kind()))
-		sb.WriteString(strconv.Itoa(len(s)))
-		sb.WriteByte(':')
-		sb.WriteString(s)
-		sb.WriteByte(0x1f)
+// values appends the value of every expression to dst.
+func (b *boundExprs) values(dst []storage.Value, env *batchEnv) ([]storage.Value, error) {
+	for k := range b.exprs {
+		v, err := b.value(k, env)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, v)
 	}
-	return sb.String()
+	return dst, nil
 }
 
-// Drain runs an iterator to completion, returning all rows. It does NOT
-// clone: the caller must ensure the tree's root owns the rows it emits
-// (every root the planner produces — Project, Aggregate, or an operator
-// above them — does; a hand-built tree rooted at Scan or Filter would
-// return rows aliasing the reused batch buffer).
+// appendRowKey appends val's deduplication-key encoding for DISTINCT and
+// GROUP BY. Values are equal as keys exactly when kind and rendering are:
+// the kind tag keeps 1, 1.0 and '1' distinct, every NaN is one key, and
+// text is length-prefixed so separator or kind-tag bytes in it cannot
+// forge a collision between different rows.
+func appendRowKey(dst []byte, val storage.Value) []byte {
+	dst = append(dst, byte(val.Kind()))
+	switch val.Kind() {
+	case storage.KindBool:
+		b, _ := val.AsBool()
+		if b {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	case storage.KindInt:
+		i, _ := val.AsInt()
+		return appendUint64(dst, uint64(i))
+	case storage.KindFloat:
+		f, _ := val.AsFloat()
+		return appendUint64(dst, floatKeyBits(f))
+	case storage.KindText:
+		t, _ := val.AsText()
+		dst = appendUint64(dst, uint64(len(t)))
+		return append(dst, t...)
+	}
+	return dst
+}
+
+// Drain runs an iterator to completion, boxing every batch into rows the
+// caller owns — the one place a materialized query's rows are boxed.
 func Drain(it Iterator) ([]storage.Row, error) {
 	if err := it.Open(); err != nil {
 		_ = it.Close()
@@ -206,13 +319,13 @@ func Drain(it Iterator) ([]storage.Row, error) {
 	defer it.Close()
 	var out []storage.Row
 	for {
-		row, ok, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if b == nil {
 			return out, nil
 		}
-		out = append(out, row)
+		out = b.AppendRows(out)
 	}
 }

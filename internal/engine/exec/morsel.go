@@ -12,7 +12,7 @@ import (
 
 // Morsel-driven execution (see DESIGN.md, "Executor"). Every operator
 // that consumes a whole child reads it through a source: a numbered set
-// of morsels, each opened as an independent iterator. A plan chain the
+// of morsels, read through per-worker operator stacks. A plan chain the
 // Parallelize pass marked — Filter*/Project* over a Scan or IndexRange —
 // becomes fixed-size morsels: disjoint row-index ranges for scans,
 // disjoint chunks of the resolved row-ID list for index probes, all
@@ -23,23 +23,40 @@ import (
 // worker they run on the calling goroutine — the serial executor is that
 // case, not separate code.
 
-// morselRows is the number of table rows per morsel: big enough that
-// per-morsel setup (cursor allocation, goroutine handoff) is noise,
-// small enough that a filtered scan load-balances across workers.
-const morselRows = 4096
+// morselRows is the number of table rows per morsel — one storage chunk,
+// so a scan morsel is one batch: big enough that per-morsel work (a
+// goroutine handoff, re-aiming the cursor) is noise, small enough that a
+// filtered scan load-balances across workers. It is also the most rows
+// any operator puts in a batch of its own.
+const morselRows = storage.ChunkRows
 
-// source is a partitioned input: count morsels, each opened as an
-// independent iterator. owned reports that emitted rows are fresh
-// allocations (a Project top) rather than aliases of a cursor batch
-// buffer, letting the N-worker exchange skip its copy. release drops the
-// shared snapshot pin every morsel reads through (nil when the morsels
-// pin for themselves); the consumer calls it exactly once, after all
-// workers have stopped.
+// source is a partitioned input: count morsels, read through operator
+// stacks made one per worker. release drops the shared snapshot pin every
+// stack reads through (nil when the stack pins for itself); the consumer
+// calls it exactly once, after all workers have stopped.
 type source struct {
 	count   int
-	owned   bool
-	open    func(i int) Iterator
+	stack   func() morselStack
 	release func()
+}
+
+// morselStack is one worker's operator stack over a source: its leaf is
+// aimed at a morsel of the source's rows (or row IDs), then the stack is
+// opened, drained and closed, and aimed again — so whatever scratch its
+// operators and cursor hold is allocated once per worker, not per morsel.
+// A built child has no leaf to aim: it is its own single morsel.
+type morselStack struct {
+	Iterator
+	leaf *cursorIter
+	rows int
+}
+
+// open aims the stack at morsel i and opens it.
+func (st morselStack) open(i int) error {
+	if st.leaf != nil {
+		st.leaf.lo, st.leaf.hi = i*morselRows, min((i+1)*morselRows, st.rows)
+	}
+	return st.Open()
 }
 
 // Release drops the source's snapshot pin, if any. Idempotence is the
@@ -61,9 +78,9 @@ func (s *source) workers(dop int) int { return max(1, min(dop, s.count)) }
 type sourceFn func() (*source, error)
 
 // sourceOf prepares the source of child n at build time: a marked chain
-// builds no iterators (its morsel stacks are made per morsel, by the
-// worker that claims it); anything else builds its iterator tree now and
-// is served as one morsel.
+// builds no iterators (its stacks are made per worker, when the consumer
+// opens); anything else builds its iterator tree now and is served as
+// one morsel.
 func sourceOf(n plan.Node, tr *Trace) (sourceFn, error) {
 	if parallelChain(n) {
 		return func() (*source, error) { return chainSource(n) }, nil
@@ -73,7 +90,7 @@ func sourceOf(n plan.Node, tr *Trace) (sourceFn, error) {
 		return nil, err
 	}
 	return func() (*source, error) {
-		return &source{count: 1, open: func(int) Iterator { return it }}, nil
+		return &source{count: 1, stack: func() morselStack { return morselStack{Iterator: it} }}, nil
 	}, nil
 }
 
@@ -90,10 +107,14 @@ func parallelChain(n plan.Node) bool {
 	}
 }
 
-// stack wraps every morsel iterator of src in another operator.
-func (s *source) stack(wrap func(Iterator) Iterator) {
-	inner := s.open
-	s.open = func(i int) Iterator { return wrap(inner(i)) }
+// wrap puts another operator on top of every stack of src.
+func (s *source) wrap(op func(Iterator) Iterator) {
+	inner := s.stack
+	s.stack = func() morselStack {
+		st := inner()
+		st.Iterator = op(st.Iterator)
+		return st
+	}
 }
 
 // chainSource lowers a morsel chain into its source, snapshotting the
@@ -105,30 +126,26 @@ func chainSource(n plan.Node) (*source, error) {
 		if err != nil {
 			return nil, err
 		}
-		src.stack(func(it Iterator) Iterator { return filterOver(it, t.Pred, t.Layout) })
+		src.wrap(newFilter(t.Pred, t.Layout, plan.OutputCols(t.Input)))
 		return src, nil
 	case *plan.Project:
 		src, err := chainSource(t.Input)
 		if err != nil {
 			return nil, err
 		}
-		src.stack(func(it Iterator) Iterator { return &projectIter{input: it, node: t} })
-		src.owned = true
+		src.wrap(newProject(t))
 		return src, nil
 	case *plan.Scan:
 		// One snapshot pin shared by every morsel: all workers read the
 		// same immutable version, so dop=N output is row-identical to a
 		// serial run regardless of concurrent writers.
 		snap := t.Table.Pin()
-		rows := snap.NumRows()
 		var once sync.Once
+		stack := scanOf(t)
 		return &source{
-			count:   (rows + morselRows - 1) / morselRows,
+			count:   (snap.NumRows() + morselRows - 1) / morselRows,
 			release: func() { once.Do(snap.Release) },
-			open: func(i int) Iterator {
-				lo := i * morselRows
-				return scanOf(t, snap, lo, min(lo+morselRows, rows))
-			},
+			stack:   func() morselStack { return stack(snap) },
 		}, nil
 	case *plan.IndexRange:
 		snap, ids, err := t.Table.PinIndexProbe(t.Index, indexRangeProbe(t))
@@ -136,13 +153,13 @@ func chainSource(n plan.Node) (*source, error) {
 			return nil, err
 		}
 		var once sync.Once
+		residual := newFilter(t.Residual, t.Layout, t.Out)
 		return &source{
 			count:   (len(ids) + morselRows - 1) / morselRows,
 			release: func() { once.Do(snap.Release) },
-			open: func(i int) Iterator {
-				lo := i * morselRows
-				hi := min(lo+morselRows, len(ids))
-				return filterOver(&indexIter{snap: snap, ids: ids[lo:hi]}, t.Residual, t.Layout)
+			stack: func() morselStack {
+				leaf := &cursorIter{cols: t.Out, snap: snap, ids: ids, byID: true}
+				return morselStack{Iterator: residual(leaf), leaf: leaf, rows: len(ids)}
 			},
 		}, nil
 	default:
@@ -150,53 +167,33 @@ func chainSource(n plan.Node) (*source, error) {
 	}
 }
 
-// rowArena copies rows that alias cursor batch buffers into chunked
-// backing arrays: one allocation per ~8K values instead of one per row,
-// and headers stay valid because a chunk is never grown past its
-// capacity.
-const arenaChunkVals = 8192
-
-type rowArena struct{ chunk []storage.Value }
-
-func (a *rowArena) add(row storage.Row) storage.Row {
-	n := len(row)
-	if cap(a.chunk)-len(a.chunk) < n {
-		size := arenaChunkVals
-		if n > size {
-			size = n
-		}
-		a.chunk = make([]storage.Value, 0, size)
-	}
-	start := len(a.chunk)
-	a.chunk = append(a.chunk, row...)
-	return a.chunk[start : start+n : start+n]
-}
-
 // runMorsels drives a barrier phase (hash-join build, aggregate fold):
-// the source's workers claim morsels off an atomic counter, open each
-// morsel's iterator, hand it to the worker's per-morsel function, and
-// close it. One worker runs on the calling goroutine. The first error
-// cancels remaining claims; runMorsels returns after every worker has
-// stopped and the source is released.
+// the source's workers claim morsels off an atomic counter, aim their
+// stack at each, hand it to the worker's per-morsel function, and close
+// it. One worker runs on the calling goroutine. The first error cancels
+// remaining claims; runMorsels returns after every worker has stopped
+// and the source is released.
 func runMorsels(src *source, dop int, mkWorker func(w int) func(idx int, it Iterator) error) error {
 	defer src.Release()
 	workers := src.workers(dop)
 	var next atomic.Int64
 	var failed atomic.Bool
 	errs := make([]error, workers)
+	var wg sync.WaitGroup
 	work := func(w int) {
+		defer wg.Done()
 		fn := mkWorker(w)
+		st := src.stack()
 		for !failed.Load() {
 			idx := int(next.Add(1) - 1)
 			if idx >= src.count {
 				return
 			}
-			it := src.open(idx)
-			err := it.Open()
+			err := st.open(idx)
 			if err == nil {
-				err = fn(idx, it)
+				err = fn(idx, st.Iterator)
 			}
-			if cerr := it.Close(); err == nil {
+			if cerr := st.Close(); err == nil {
 				err = cerr
 			}
 			if err != nil {
@@ -206,17 +203,13 @@ func runMorsels(src *source, dop int, mkWorker func(w int) func(idx int, it Iter
 			}
 		}
 	}
+	wg.Add(workers)
 	if workers == 1 {
 		work(0)
 		return errs[0]
 	}
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
+		go work(w)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -224,15 +217,20 @@ func runMorsels(src *source, dop int, mkWorker func(w int) func(idx int, it Iter
 
 // gatherIter is the ordered exchange: it streams a source's morsels
 // strictly in morsel order. With one worker it pulls the current
-// morsel's iterator directly on the consumer's goroutine — no goroutine,
-// no copy, no buffering, so rows stream and a LIMIT above stops the scan
-// where it stands. With N workers each drains whole morsels into
-// per-morsel result buffers and the consumer emits those buffers in
-// order — so the output row sequence is the one-worker sequence, errors
-// included (a morsel's error surfaces exactly after the rows that
-// precede it: every earlier morsel's and its own). A bounded claim window
-// (2×workers morsels ahead of the consumer) backpressures workers so a
-// slow consumer doesn't buffer the whole table.
+// morsel's batches directly on the consumer's goroutine — no goroutine,
+// no copy, no buffering, so batches stream and a LIMIT above stops the
+// scan where it stands. With N workers each drains whole morsels into
+// per-morsel results and the consumer emits those in order — so the
+// output row sequence is the one-worker sequence, errors included (a
+// morsel's error surfaces exactly after the rows that precede it: every
+// earlier morsel's and its own). What crosses goroutines is the batch,
+// not its rows: a worker holds on to each batch its stack produced
+// (morselResult.hold), which for a scan costs a copy of the selection
+// only — the vectors are views of the snapshot every worker has pinned.
+// A bounded claim window (2×workers morsels ahead of the consumer)
+// backpressures workers so a slow consumer doesn't buffer the whole
+// table, and consumed results go back to the workers, so their buffers
+// are allocated once per window slot.
 type gatherIter struct {
 	mkSource sourceFn
 	dop      int
@@ -241,7 +239,8 @@ type gatherIter struct {
 	workers  int
 	nextEmit int // next morsel to stream (one worker) or emit (N workers)
 
-	it Iterator // one worker: the open morsel being streamed
+	st     morselStack // one worker: the stack, and whether it is open on a morsel
+	opened bool
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -249,6 +248,7 @@ type gatherIter struct {
 	stop atomic.Bool
 
 	results   map[int]*morselResult
+	free      []*morselResult
 	nextClaim int
 	closed    bool
 
@@ -256,9 +256,61 @@ type gatherIter struct {
 	curPos int
 }
 
+// morselResult is what one morsel produced: its batches, detached from
+// the worker's stack, and the error that followed them.
 type morselResult struct {
-	rows []storage.Row
-	err  error
+	batches []heldBatch
+	err     error
+}
+
+// heldBatch is a batch that outlives the NextBatch call that produced it,
+// together with the buffers backing it, which the next use of the result
+// reuses.
+type heldBatch struct {
+	storage.Batch
+	sel  []int32
+	cols []storage.Vector
+}
+
+// hold detaches b from its producer. When every vector is a pinned view
+// only the selection can be the producer's scratch, and only it is copied;
+// otherwise (an index probe's gathered vectors, a computed projection, a
+// join's output, a tail window's packed NULL flags) the selected cells
+// are copied out, compacted.
+func (r *morselResult) hold(b *storage.Batch) {
+	if len(b.Sel) == 0 {
+		return
+	}
+	if len(r.batches) < cap(r.batches) {
+		r.batches = r.batches[:len(r.batches)+1]
+	} else {
+		r.batches = append(r.batches, heldBatch{})
+	}
+	h := &r.batches[len(r.batches)-1]
+	if cap(h.cols) < len(b.Cols) {
+		h.cols = make([]storage.Vector, len(b.Cols))
+	}
+	h.cols = h.cols[:len(b.Cols)]
+	pinned := true
+	for c := range b.Cols {
+		pinned = pinned && b.Cols[c].Pinned
+	}
+	if pinned {
+		sel := b.Sel
+		if !b.AllSelected() {
+			h.sel = append(h.sel[:0], sel...)
+			sel = h.sel
+		}
+		copy(h.cols, b.Cols)
+		h.Batch = storage.Batch{N: b.N, Sel: sel, Cols: h.cols}
+		return
+	}
+	for c := range b.Cols {
+		h.cols[c].Reset()
+		h.cols[c].AppendCells(&b.Cols[c], b.Sel)
+	}
+	n := len(b.Sel)
+	h.Batch = storage.Batch{N: n, Sel: storage.IdentitySel(n), Cols: h.cols}
 }
 
 func (g *gatherIter) Open() error {
@@ -271,6 +323,7 @@ func (g *gatherIter) Open() error {
 	if g.workers == 1 {
 		// Open the first morsel now: a blocking operator beneath does its
 		// work in Open, like every other operator's.
+		g.st = src.stack()
 		return g.advance()
 	}
 	g.results = map[int]*morselResult{}
@@ -283,24 +336,26 @@ func (g *gatherIter) Open() error {
 }
 
 // advance is the one-worker step between morsels: close the streamed
-// morsel and open the next. g.it is nil once the source is exhausted.
+// morsel and open the next. The stack stays closed once the source is
+// exhausted.
 func (g *gatherIter) advance() error {
-	if it := g.it; it != nil {
-		g.it = nil
-		if err := it.Close(); err != nil {
+	if g.opened {
+		g.opened = false
+		if err := g.st.Close(); err != nil {
 			return err
 		}
 	}
 	if g.nextEmit >= g.src.count {
 		return nil
 	}
-	g.it = g.src.open(g.nextEmit) // set before Open: Close closes a half-opened morsel
+	g.opened = true // set before open: Close closes a half-opened morsel
 	g.nextEmit++
-	return g.it.Open()
+	return g.st.open(g.nextEmit - 1)
 }
 
 func (g *gatherIter) worker() {
 	defer g.wg.Done()
+	st := g.src.stack()
 	window := 2 * g.workers
 	for {
 		g.mu.Lock()
@@ -313,9 +368,15 @@ func (g *gatherIter) worker() {
 		}
 		idx := g.nextClaim
 		g.nextClaim++
+		var res *morselResult
+		if n := len(g.free); n > 0 {
+			res, g.free = g.free[n-1], g.free[:n-1]
+		} else {
+			res = &morselResult{}
+		}
 		g.mu.Unlock()
 
-		res := g.runMorsel(idx)
+		g.runMorsel(st, idx, res)
 		g.mu.Lock()
 		g.results[idx] = res
 		g.cond.Broadcast()
@@ -323,64 +384,48 @@ func (g *gatherIter) worker() {
 	}
 }
 
-// runMorsel drains one morsel into an owned buffer. Rows that alias the
-// cursor's batch buffer are copied through a chunked arena; rows a
-// Project already owns pass straight through.
-func (g *gatherIter) runMorsel(idx int) *morselResult {
-	res := &morselResult{}
-	it := g.src.open(idx)
-	if err := it.Open(); err != nil {
-		_ = it.Close()
-		res.err = err
-		return res
-	}
-	var arena rowArena
-	for !g.stop.Load() {
-		row, ok, err := it.Next()
-		if err != nil {
-			res.err = err
+// runMorsel drains morsel idx through the worker's stack into res.
+func (g *gatherIter) runMorsel(st morselStack, idx int, res *morselResult) {
+	res.batches = res.batches[:0]
+	err := st.open(idx)
+	for err == nil && !g.stop.Load() {
+		var b *storage.Batch
+		if b, err = st.NextBatch(); b == nil {
 			break
 		}
-		if !ok {
-			break
-		}
-		if g.src.owned {
-			res.rows = append(res.rows, row)
-		} else {
-			res.rows = append(res.rows, arena.add(row))
-		}
+		res.hold(b)
 	}
-	if err := it.Close(); err != nil && res.err == nil {
-		res.err = err
+	if cerr := st.Close(); err == nil {
+		err = cerr
 	}
-	return res
+	res.err = err
 }
 
-func (g *gatherIter) Next() (storage.Row, bool, error) {
+func (g *gatherIter) NextBatch() (*storage.Batch, error) {
 	if g.workers == 1 {
-		for g.it != nil {
-			row, ok, err := g.it.Next()
-			if ok || err != nil {
-				return row, ok, err
+		for g.opened {
+			b, err := g.st.NextBatch()
+			if b != nil || err != nil {
+				return b, err
 			}
 			if err := g.advance(); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
-		return nil, false, nil
+		return nil, nil
 	}
 	for {
 		if g.cur != nil {
-			if g.curPos < len(g.cur.rows) {
-				row := g.cur.rows[g.curPos]
+			if g.curPos < len(g.cur.batches) {
 				g.curPos++
-				return row, true, nil
+				return &g.cur.batches[g.curPos-1].Batch, nil
 			}
 			if g.cur.err != nil {
-				return nil, false, g.cur.err // after the rows the morsel produced before failing
+				return nil, g.cur.err // after the rows the morsel produced before failing
 			}
-			g.cur = nil
 			g.mu.Lock()
+			g.free = append(g.free, g.cur)
+			g.cur = nil
 			g.nextEmit++
 			g.cond.Broadcast()
 			g.mu.Unlock()
@@ -388,14 +433,14 @@ func (g *gatherIter) Next() (storage.Row, bool, error) {
 		g.mu.Lock()
 		if g.nextEmit >= g.src.count {
 			g.mu.Unlock()
-			return nil, false, nil
+			return nil, nil
 		}
 		for g.results[g.nextEmit] == nil && !g.closed {
 			g.cond.Wait()
 		}
 		if g.closed {
 			g.mu.Unlock()
-			return nil, false, nil
+			return nil, nil
 		}
 		g.cur, g.curPos = g.results[g.nextEmit], 0
 		delete(g.results, g.nextEmit)
@@ -412,9 +457,9 @@ func (g *gatherIter) Close() error {
 	}
 	var err error
 	if g.workers == 1 {
-		if it := g.it; it != nil {
-			g.it = nil
-			err = it.Close()
+		if g.opened {
+			g.opened = false
+			err = g.st.Close()
 		}
 	} else {
 		g.stop.Store(true)

@@ -6,130 +6,237 @@ import (
 	"crowddb/internal/storage"
 )
 
-// scanIter streams one row-index window of a table through the storage
-// cursor, which walks a pinned snapshot with no locks and boxes only the
-// rows the vectorized predicates selected into its reusable batch buffer
-// — no per-row allocation. It is the single scan operator: a plain Scan
-// is the full window over a snapshot the cursor pins (and releases)
-// itself; a morsel is the [lo, hi) window over the pin its source shares
-// among all morsels and releases once. Rows returned by Next alias the
-// cursor's batch buffer.
-type scanIter struct {
-	table  *storage.Table
-	preds  []storage.Pred
-	snap   *storage.Snap // a source's shared pin; nil for the plain scan
+// cursorIter is the single leaf operator: it hands up the batches of a
+// storage cursor — zero-copy views of the pinned snapshot's chunks for a
+// scan, the cursor's gathered vectors for an index probe — carrying only
+// the columns the plan needs. A plain access path (snap == nil) opens a
+// cursor that pins, and releases, its own snapshot: a scan of the whole
+// table, or with index set the probe's rows, resolved at Open. A morsel
+// stack's leaf reads the window [lo, hi) — of the rows, or with ids set
+// of the resolved ID list — that morselStack.open aims it at, through
+// one cursor over the pin its source shares among all workers, re-aimed
+// from morsel to morsel so the cursor's scratch is allocated once per
+// worker.
+type cursorIter struct {
+	table *storage.Table
+	index string // plain index probe
+	probe storage.IndexProbe
+	cols  []int
+	preds []storage.Pred
+
+	snap   *storage.Snap // morsel leaf: the source's pin
+	ids    []int         // and, for an index chain, its resolved IDs
+	byID   bool
 	lo, hi int
-	cur    *storage.Cursor
+
+	cur *storage.Cursor
 }
 
-// scanOf lowers a Scan node over one window (snap == nil: the whole
-// table). The vectorizable conjuncts of the pushed-down filter become the
-// cursor's bitmaps; the rest is a filterIter on top, so it sees only rows
-// that survived the bitmaps.
-func scanOf(t *plan.Scan, snap *storage.Snap, lo, hi int) Iterator {
-	preds, rest := splitVectorizable(t.Filter, t.Layout)
-	return filterOver(&scanIter{table: t.Table, preds: preds, snap: snap, lo: lo, hi: hi}, rest, t.Layout)
-}
-
-func (s *scanIter) Open() error {
-	if s.snap != nil {
-		s.cur = storage.NewRangeCursorAt(s.snap, s.lo, s.hi, 0)
-	} else {
-		s.cur = s.table.NewCursor(0)
+func (s *cursorIter) Open() error {
+	if s.cur == nil {
+		switch {
+		case s.byID:
+			s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
+		case s.snap != nil:
+			s.cur = storage.NewRangeCursorAt(s.snap, 0, 0, 0)
+		case s.index != "":
+			cur, err := s.table.NewIndexCursor(s.index, s.probe, 0)
+			if err != nil {
+				return err
+			}
+			s.cur = cur
+		default:
+			s.cur = s.table.NewCursor(0)
+		}
+		s.cur.SetCols(s.cols)
+		s.cur.SetPreds(s.preds)
 	}
-	s.cur.SetPreds(s.preds)
+	if s.snap != nil {
+		s.cur.Reset(s.lo, s.hi)
+	}
 	return nil
 }
 
-func (s *scanIter) Next() (storage.Row, bool, error) {
-	row, ok := s.cur.Next()
-	if !ok {
-		return nil, false, s.cur.Err()
+func (s *cursorIter) NextBatch() (*storage.Batch, error) {
+	if b := s.cur.NextBatch(); b != nil {
+		return b, nil
 	}
-	return row, true, nil
+	return nil, s.cur.Err()
 }
 
-func (s *scanIter) Close() error {
+func (s *cursorIter) Close() error {
 	if s.cur != nil {
 		s.cur.Close()
 	}
 	return nil
 }
 
-// filterIter drops rows whose predicate is not TRUE. It serves Filter
-// nodes and the residual (non-vectorizable or post-probe) predicate of
-// every scan and index access path.
+// scanOf lowers a Scan node once and returns the constructor of its
+// operator stack: over the whole table (snap == nil), or as one worker's
+// morsel stack over a shared pin. The vectorizable conjuncts of the
+// pushed-down filter become the cursor's bitmaps; the rest is a
+// filterIter on top, so it sees only rows that survived the bitmaps.
+func scanOf(t *plan.Scan) func(snap *storage.Snap) morselStack {
+	preds, rest := splitVectorizable(t.Filter, t.Layout)
+	residual := newFilter(rest, t.Layout, t.Out)
+	return func(snap *storage.Snap) morselStack {
+		leaf := &cursorIter{table: t.Table, cols: t.Out, preds: preds, snap: snap}
+		st := morselStack{Iterator: residual(leaf)}
+		if snap != nil {
+			st.leaf, st.rows = leaf, snap.NumRows()
+		}
+		return st
+	}
+}
+
+// filterIter keeps the rows whose predicate is TRUE by narrowing the
+// selection; the vectors pass through untouched. It serves Filter nodes
+// and the residual (non-vectorizable or post-probe) predicate of every
+// scan and index access path.
 type filterIter struct {
 	input Iterator
 	pred  sqlparse.Expr
-	env   rowEnv
+	env   batchEnv
+	sel   []int32
+	out   storage.Batch
 }
 
-// filterOver stacks a filterIter for pred, if there is one, on it.
-func filterOver(it Iterator, pred sqlparse.Expr, layout *plan.Layout) Iterator {
+// newFilter binds pred — over batches carrying the columns cols of layout
+// — once and returns the constructor of the operator, one instance per
+// worker; without a predicate the constructor returns its input.
+func newFilter(pred sqlparse.Expr, layout *plan.Layout, cols []int) func(Iterator) Iterator {
 	if pred == nil {
-		return it
+		return func(it Iterator) Iterator { return it }
 	}
-	return &filterIter{input: it, pred: pred, env: rowEnv{layout: layout}}
+	refs := bindExprs(layoutResolver(layout, cols), pred)
+	return func(it Iterator) Iterator {
+		return &filterIter{input: it, pred: pred, env: batchEnv{refs: refs}}
+	}
 }
 
 func (f *filterIter) Open() error { return f.input.Open() }
 
-func (f *filterIter) Next() (storage.Row, bool, error) {
+// selScratch empties a selection scratch, making sure it can take n rows
+// without growing: one allocation when the first full batch arrives
+// instead of append's dozen on the way there.
+func selScratch(sel []int32, n int) []int32 {
+	if cap(sel) < n {
+		return make([]int32, 0, n)
+	}
+	return sel[:0]
+}
+
+func (f *filterIter) NextBatch() (*storage.Batch, error) {
 	for {
-		row, ok, err := f.input.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		b, err := f.input.NextBatch()
+		if b == nil {
+			return nil, err
 		}
-		f.env.row = row
-		t, err := EvalPredicate(f.pred, &f.env)
-		if err != nil {
-			return nil, false, err
+		sel := selScratch(f.sel, len(b.Sel))
+		f.env.in[0].cols = b.Cols
+		for _, i := range b.Sel {
+			f.env.in[0].i = int(i)
+			t, perr := EvalPredicate(f.pred, &f.env)
+			if perr != nil {
+				err = perr // the rows before i, then this error; a later one of the input's is never reached
+				break
+			}
+			if t == TriTrue {
+				sel = append(sel, i)
+			}
 		}
-		if t == TriTrue {
-			return row, true, nil
+		f.sel = sel
+		if len(sel) == 0 {
+			if err != nil {
+				return nil, err
+			}
+			continue
 		}
+		f.out = storage.Batch{N: b.N, Sel: sel, Cols: b.Cols}
+		return &f.out, err
 	}
 }
 
 func (f *filterIter) Close() error { return f.input.Close() }
 
-// projectIter evaluates the select list into a fresh output row.
+// projectIter evaluates the select list: a bare column reference forwards
+// the input's vector, and only computed expressions are materialized —
+// boxed, in vectors of the operator's own indexed like the input's, so the
+// input's selection applies to every output column.
 type projectIter struct {
 	input Iterator
-	node  *plan.Project
-	env   rowEnv
+	exprs *boundExprs
+	env   batchEnv
+	vals  [][]storage.Value // per computed expression: its cells, len ≥ the batch's N
+	out   storage.Batch
 }
 
-func (p *projectIter) Open() error {
-	p.env.layout = p.node.Layout
-	return p.input.Open()
-}
-
-func (p *projectIter) Next() (storage.Row, bool, error) {
-	row, ok, err := p.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p.env.row = row
-	out := make(storage.Row, len(p.node.Exprs))
-	for i, e := range p.node.Exprs {
-		v, err := EvalValue(e, &p.env)
-		if err != nil {
-			return nil, false, err
+// newProject binds the select list once and returns the constructor of
+// the operator, one instance per worker.
+func newProject(t *plan.Project) func(Iterator) Iterator {
+	exprs := bindList(layoutResolver(t.Layout, plan.OutputCols(t.Input)), t.Exprs)
+	return func(it Iterator) Iterator {
+		return &projectIter{
+			input: it, exprs: exprs, env: batchEnv{refs: exprs.refs},
+			vals: make([][]storage.Value, len(t.Exprs)),
+			out:  storage.Batch{Cols: make([]storage.Vector, len(t.Exprs))},
 		}
-		out[i] = v
 	}
-	return out, true, nil
+}
+
+func (p *projectIter) Open() error { return p.input.Open() }
+
+func (p *projectIter) NextBatch() (*storage.Batch, error) {
+	b, err := p.input.NextBatch()
+	if b == nil {
+		return nil, err
+	}
+	p.out.N, p.out.Sel = b.N, b.Sel
+	computed := false
+	for k, slot := range p.exprs.slots {
+		if slot >= 0 {
+			p.out.Cols[k] = b.Cols[slot]
+			continue
+		}
+		computed = true
+		if cap(p.vals[k]) < b.N {
+			p.vals[k] = make([]storage.Value, b.N)
+		}
+		p.out.Cols[k] = storage.Vector{Vals: p.vals[k][:b.N]}
+	}
+	if !computed {
+		return &p.out, err
+	}
+	// Row-major, so that an evaluation error leaves every row before it
+	// complete.
+	p.env.in[0].cols = b.Cols
+	for n, i := range b.Sel {
+		p.env.in[0].i = int(i)
+		for k, slot := range p.exprs.slots {
+			if slot >= 0 {
+				continue
+			}
+			v, verr := EvalValue(p.exprs.exprs[k], &p.env)
+			if verr != nil {
+				p.out.Sel = b.Sel[:n]
+				return &p.out, verr
+			}
+			p.vals[k][i] = v
+		}
+	}
+	return &p.out, err
 }
 
 func (p *projectIter) Close() error { return p.input.Close() }
 
-// limitIter passes through at most n rows.
+// limitIter passes through at most n rows: it cuts the selection of the
+// batch that crosses the limit and asks its input for nothing more, so a
+// scan beneath stops where it stands.
 type limitIter struct {
 	input Iterator
 	n     int64
 	seen  int64
+	out   storage.Batch
 }
 
 func (l *limitIter) Open() error {
@@ -137,44 +244,66 @@ func (l *limitIter) Open() error {
 	return l.input.Open()
 }
 
-func (l *limitIter) Next() (storage.Row, bool, error) {
+func (l *limitIter) NextBatch() (*storage.Batch, error) {
 	if l.seen >= l.n {
-		return nil, false, nil
+		return nil, nil
 	}
-	row, ok, err := l.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	b, err := l.input.NextBatch()
+	if b == nil {
+		return nil, err
 	}
-	l.seen++
-	return row, true, nil
+	if rest := l.n - l.seen; int64(len(b.Sel)) >= rest {
+		// An error that follows these rows lies beyond the limit.
+		l.seen = l.n
+		l.out = storage.Batch{N: b.N, Sel: b.Sel[:rest], Cols: b.Cols}
+		return &l.out, nil
+	}
+	l.seen += int64(len(b.Sel))
+	return b, err
 }
 
 func (l *limitIter) Close() error { return l.input.Close() }
 
-// distinctIter drops duplicate rows. Input rows are projection output
-// (fresh), so they can be passed through without cloning.
+// distinctIter drops duplicate rows: it encodes each row's key from the
+// vectors into a reused scratch and keeps the first occurrence in the
+// selection. Only a new key allocates (the string the seen-set retains).
 type distinctIter struct {
 	input Iterator
-	seen  map[string]bool
+	seen  map[string]struct{}
+	key   []byte
+	sel   []int32
+	out   storage.Batch
 }
 
 func (d *distinctIter) Open() error {
-	d.seen = map[string]bool{}
+	d.seen = map[string]struct{}{}
 	return d.input.Open()
 }
 
-func (d *distinctIter) Next() (storage.Row, bool, error) {
+func (d *distinctIter) NextBatch() (*storage.Batch, error) {
 	for {
-		row, ok, err := d.input.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		b, err := d.input.NextBatch()
+		if b == nil {
+			return nil, err
 		}
-		key := rowKey(row)
-		if d.seen[key] {
+		sel := selScratch(d.sel, len(b.Sel))
+		for _, i := range b.Sel {
+			key := d.key[:0]
+			for c := range b.Cols {
+				key = appendRowKey(key, b.Cols[c].Value(int(i)))
+			}
+			d.key = key
+			if _, dup := d.seen[string(key)]; !dup {
+				d.seen[string(key)] = struct{}{}
+				sel = append(sel, i)
+			}
+		}
+		d.sel = sel
+		if len(sel) == 0 && err == nil {
 			continue
 		}
-		d.seen[key] = true
-		return row, true, nil
+		d.out = storage.Batch{N: b.N, Sel: sel, Cols: b.Cols}
+		return &d.out, err
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // OpStats is the per-operator actuals a traced execution records: rows
 // emitted by the operator and inclusive wall time spent inside it
-// (Open + every Next + Close, children included — the PostgreSQL
+// (Open + every NextBatch + Close, children included — the PostgreSQL
 // EXPLAIN ANALYZE convention).
 type OpStats struct {
 	Rows int64
@@ -21,9 +21,9 @@ type OpStats struct {
 // Trace collects OpStats for the plan nodes build() lowers into
 // iterators: every node of a serial plan and, at dop > 1, everything but
 // the interior of marked morsel chains (under a Gather, or a marked side
-// of a HashJoin/Aggregate). A chain is lowered per morsel by the worker
-// that claims it (chainSource), not by build(), so its nodes carry no
-// stats; Annotate marks them as such. The root operator always has an
+// of a HashJoin/Aggregate). A chain is lowered into one operator
+// stack per worker when its consumer opens (chainSource), not by
+// build(), so its nodes carry no stats; Annotate marks them as such. The root operator always has an
 // iterator, so root row counts are exact at any dop.
 //
 // A traced iterator is only ever driven by the goroutine running the
@@ -68,8 +68,10 @@ func (t *Trace) Annotate(n plan.Node) string {
 	return fmt.Sprintf(" (actual rows=%d time=%s)", st.Rows, st.Wall.Round(time.Microsecond))
 }
 
-// tracedIter measures one operator: wall time across Open/Next/Close and
-// rows handed upward. Row ownership passes through untouched.
+// tracedIter measures one operator: wall time across Open/NextBatch/
+// Close and rows handed upward — the selected rows of every batch, so
+// the counts are exact whatever the batch boundaries. Batches pass
+// through untouched.
 type tracedIter struct {
 	inner Iterator
 	st    *OpStats
@@ -82,14 +84,14 @@ func (t *tracedIter) Open() error {
 	return err
 }
 
-func (t *tracedIter) Next() (storage.Row, bool, error) {
+func (t *tracedIter) NextBatch() (*storage.Batch, error) {
 	start := time.Now()
-	row, ok, err := t.inner.Next()
+	b, err := t.inner.NextBatch()
 	t.st.Wall += time.Since(start)
-	if ok {
-		t.st.Rows++
+	if b != nil {
+		t.st.Rows += int64(len(b.Sel))
 	}
-	return row, ok, err
+	return b, err
 }
 
 func (t *tracedIter) Close() error {

@@ -353,9 +353,11 @@ const diffRows = 9000
 
 // differentialEngine builds the fixture of the seeded differential, with
 // plan.MinParallelRows lowered so that mid (one morsel, a marked chain)
-// parallelizes too while dims and tiny stay unmarked: facts (NULLs in k,
-// score, val, b and flag; an ordered index on score, none on its copy
-// val), dims (10 keys, one NULL), mid (200 rows keyed by id) and tiny (3
+// parallelizes too while dims, fdims and tiny stay unmarked: facts (NULLs
+// in k, score, val, b and flag, also in its unsealed tail; an ordered
+// index on score, none on its copy val; tombstones straddling both chunk
+// boundaries), dims (10 keys, one NULL), fdims (the same keys as FLOAT,
+// plus one no integer equals), mid (200 rows keyed by id) and tiny (3
 // bounds for keyless joins). Float cells are multiples of 0.5, so SUM
 // and AVG are exact in any fold order.
 func differentialEngine(t *testing.T) *Engine {
@@ -368,6 +370,7 @@ func differentialEngine(t *testing.T) *Engine {
 	mustExec(t, e, `CREATE TABLE facts (id INTEGER, k INTEGER, grp INTEGER, score FLOAT, val FLOAT,
 		a INTEGER, b INTEGER, flag BOOLEAN, note TEXT)`)
 	mustExec(t, e, `CREATE TABLE dims (k INTEGER, label TEXT)`)
+	mustExec(t, e, `CREATE TABLE fdims (k FLOAT, label TEXT)`)
 	mustExec(t, e, `CREATE TABLE mid (id INTEGER, weight FLOAT, tag TEXT)`)
 	mustExec(t, e, `CREATE TABLE tiny (bound INTEGER, tag TEXT)`)
 	facts, _ := e.Catalog().Get("facts")
@@ -392,13 +395,20 @@ func differentialEngine(t *testing.T) *Engine {
 		}
 	}
 	mustExec(t, e, `CREATE INDEX facts_score ON facts (score)`)
+	// Dead rows on both sides of the boundary between chunks 0 and 1 and
+	// of the one between the sealed chunks and the tail.
+	mustExec(t, e, `DELETE FROM facts WHERE (id >= 4090 AND id < 4101) OR (id >= 8150 AND id < 8197)`)
 	dims, _ := e.Catalog().Get("dims")
+	fdims, _ := e.Catalog().Get("fdims")
 	for k := 0; k < 10; k++ {
-		key := storage.Int(int64(k))
+		key, fkey := storage.Int(int64(k)), storage.Float(float64(k))
 		if k == 9 {
-			key = storage.Null()
+			key, fkey = storage.Null(), storage.Float(2.5)
 		}
 		if err := dims.Insert(key, storage.Text(fmt.Sprintf("label-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+		if err := fdims.Insert(fkey, storage.Text(fmt.Sprintf("flabel-%d", k))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -433,6 +443,11 @@ func diffQuery(rng *rand.Rand) string {
 			fmt.Sprintf("%sflag = false", p),
 			fmt.Sprintf("%snote = 'n%d'", p, rng.Intn(50)),
 			fmt.Sprintf("(%sval > %g OR %sk = %d)", p, half(1000), p, rng.Intn(10)),
+			// Selections that are empty for whole batches: only the last
+			// morsel, only the first rows, no row at all.
+			fmt.Sprintf("%sid >= %d", p, 8192+rng.Intn(800)),
+			fmt.Sprintf("%sid + 0 < %d", p, rng.Intn(300)),
+			fmt.Sprintf("%sval < 0", p),
 		}
 		n := 1 + rng.Intn(3)
 		parts := make([]string, n)
@@ -452,9 +467,21 @@ func diffQuery(rng *rand.Rand) string {
 	}
 	lo := half(1200)
 	dir := []string{"", " DESC"}[rng.Intn(2)]
-	switch rng.Intn(15) {
+	switch rng.Intn(21) {
 	case 0:
 		return `SELECT id, val FROM facts WHERE ` + pred("") + maybe(limit())
+	case 15: // computed projections: vectors of the operator's own beside forwarded ones
+		return `SELECT id, val * 2 + a, k IS NULL, note FROM facts WHERE ` + pred("") + maybe(limit())
+	case 16: // the evaluation error in the select list, mid-batch
+		return `SELECT id, 100 / (id - 6000) FROM facts WHERE ` + pred("") + maybe(limit())
+	case 17: // a full sort, computed key included
+		return fmt.Sprintf(`SELECT id, val, a FROM facts WHERE %s ORDER BY a + b%s, val, id`, pred(""), dir)
+	case 18: // NULL and float group keys
+		return `SELECT k, val, COUNT(*), MAX(id) FROM facts WHERE ` + pred("") + ` GROUP BY k, val`
+	case 19: // INTEGER = FLOAT join keys, grouped by the float side
+		return `SELECT fd.k, COUNT(*), MIN(f.note) FROM facts f JOIN fdims fd ON f.k = fd.k WHERE ` + pred("f.") + ` GROUP BY fd.k`
+	case 20: // a join emitting columns of both sides under a residual
+		return `SELECT f.id, fd.label, f.val FROM facts f JOIN fdims fd ON f.k = fd.k AND f.a > fd.k WHERE ` + pred("f.") + maybe(limit())
 	case 1: // IndexRange with a residual
 		return fmt.Sprintf(`SELECT id, score FROM facts WHERE score > %g AND score <= %g AND %s`, lo, lo+half(600), pred("")) + maybe(limit())
 	case 2: // ordered probe, the sort elided
@@ -506,7 +533,7 @@ func TestParallelSeededDifferential(t *testing.T) {
 	failed := 0
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
-		for q := 0; q < 60; q++ {
+		for q := 0; q < 80; q++ {
 			if everyDop(t, e, diffQuery(rng)).err != "" {
 				failed++
 			}

@@ -50,10 +50,17 @@ func Build(s *sqlparse.SelectStmt, cat *storage.Catalog) (*SelectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	var p *SelectPlan
 	if grouped {
-		return b.finishGrouped(root, orderBy)
+		p, err = b.finishGrouped(root, orderBy)
+	} else {
+		p, err = b.finishPlain(root, orderBy)
 	}
-	return b.finishPlain(root, orderBy)
+	if err != nil {
+		return nil, err
+	}
+	pruneColumns(p.Root)
+	return p, nil
 }
 
 type builder struct {

@@ -4,9 +4,10 @@
 // validates every column reference (so a missing expandable column is
 // detected *before* any row work — the hook query-driven schema expansion
 // relies on), rewrites ORDER BY aliases, splits WHERE into conjuncts and
-// pushes single-table predicates below joins into the scans, and extracts
-// equi-join keys from ON conditions. The resulting tree is executed by
-// the volcano-style iterators in internal/engine/exec.
+// pushes single-table predicates below joins into the scans, extracts
+// equi-join keys from ON conditions, and records which columns each
+// operator has to produce (columns.go). The resulting tree is executed by
+// the batch iterators in internal/engine/exec.
 package plan
 
 import (
@@ -126,6 +127,10 @@ type Scan struct {
 	// many workers (set by Parallelize; the executor partitions by
 	// disjoint row ranges, so batched cursors need no extra coordination).
 	Dop int
+	// Out lists, ascending, the layout positions of the columns this
+	// node's batches carry (set, never to nil, by the needed-columns pass,
+	// columns.go).
+	Out []int
 }
 
 // IndexScan answers equality predicates on an index's key columns with a
@@ -145,6 +150,7 @@ type IndexScan struct {
 	Keys     []*sqlparse.Literal // one equality literal per key column
 	Residual sqlparse.Expr       // nil when the equalities were the whole filter
 	Layout   *Layout
+	Out      []int // see Scan.Out
 }
 
 // IndexRange answers range conjuncts on an ordered-indexed column with a
@@ -171,6 +177,7 @@ type IndexRange struct {
 	// Dop > 1 marks the probe as split into morsels over disjoint chunks
 	// of the resolved row-ID list (set by Parallelize).
 	Dop int
+	Out []int // see Scan.Out
 }
 
 // IndexOnlyScan answers a query entirely from an index: every projected
@@ -214,9 +221,11 @@ type HashJoin struct {
 	// Dop > 1 runs the build and/or probe phase morsel-parallel over
 	// whichever child is a partitionable chain (set by Parallelize).
 	Dop int
+	Out []int // see Scan.Out; positions of Layout
 }
 
-// Project evaluates the select list into fresh output rows.
+// Project evaluates the select list: column references pass their input
+// column on, other expressions are computed per row.
 type Project struct {
 	Input  Node
 	Names  []string
@@ -248,6 +257,7 @@ type Sort struct {
 	Keys     []sqlparse.OrderKey
 	Layout   *Layout
 	ByOutput []string
+	Out      []int // with Layout: see Scan.Out; with ByOutput the input's columns pass through
 }
 
 // TopN keeps the N smallest rows under the sort keys using a bounded
@@ -260,6 +270,7 @@ type TopN struct {
 	N        int64
 	Layout   *Layout
 	ByOutput []string
+	Out      []int // as Sort.Out
 }
 
 // Gather is the exchange operator: it runs its input — a Filter/Project

@@ -51,8 +51,8 @@ func ExecPlan(p *plan.SelectPlan) (*Result, error) {
 }
 
 // ExecPlanTraced runs a SELECT plan with per-operator instrumentation on
-// and returns the result alongside the populated trace. The trace slows
-// every Next call, so this path is reserved for EXPLAIN ANALYZE,
+// and returns the result alongside the populated trace. The trace times
+// every NextBatch call, so this path is reserved for EXPLAIN ANALYZE,
 // ?trace=1 requests, and the slow-query log.
 func ExecPlanTraced(p *plan.SelectPlan) (*Result, *exec.Trace, error) {
 	tr := exec.NewTrace()
@@ -97,14 +97,17 @@ func (e *Engine) execExplain(x *sqlparse.ExplainStmt) (*Result, error) {
 	return res, nil
 }
 
-// StreamResult is a pull-based SELECT result: rows are produced on demand
-// by the iterator tree, with the storage read lock held only per scan
-// batch. Rows may alias internal buffers and are valid until the next
-// call; Close must be called when done.
+// StreamResult is a pull-based SELECT result: batches are produced on
+// demand by the iterator tree and boxed into rows one batch at a time —
+// the streaming counterpart of exec.Drain. Rows are fresh memory the
+// caller may keep; Close must be called when done.
 type StreamResult struct {
 	// Columns are the output column names.
 	Columns []string
 	it      exec.Iterator
+	rows    []storage.Row // the current batch, boxed
+	pos     int
+	err     error // what follows the rows of the current batch
 	done    bool
 }
 
@@ -130,14 +133,21 @@ func (e *Engine) Stream(s *sqlparse.SelectStmt) (*StreamResult, error) {
 
 // Next returns the next row, or ok=false at end of stream.
 func (r *StreamResult) Next() (storage.Row, bool, error) {
-	if r.done {
-		return nil, false, nil
+	for r.pos >= len(r.rows) {
+		if r.done || r.err != nil {
+			err := r.err
+			r.done, r.err = true, nil
+			return nil, false, err
+		}
+		b, err := r.it.NextBatch()
+		r.rows, r.pos, r.err = r.rows[:0], 0, err
+		if b != nil {
+			r.rows = b.AppendRows(r.rows)
+		}
+		r.done = b == nil
 	}
-	row, ok, err := r.it.Next()
-	if err != nil || !ok {
-		r.done = true
-	}
-	return row, ok, err
+	r.pos++
+	return r.rows[r.pos-1], true, nil
 }
 
 // Close releases the stream's resources (idempotent).

@@ -1,0 +1,331 @@
+package storage
+
+import "math/bits"
+
+// Batch is the unit the read path hands upward: a set of column vectors
+// sharing one index space [0, N) and a selection vector naming the cells
+// that are rows of the batch, in emission order. Cursors produce one batch
+// per storage window (at most ChunkRows cells); the executor's operators
+// pass batches on, narrowing Sel or replacing vectors, and rows are boxed
+// into Values once, by whoever finally needs rows (AppendRows).
+//
+// Ownership: a batch and everything it references belong to its producer.
+// A consumer may read it until it asks the producer for the next batch
+// and must never write through Sel or a vector. Vectors marked Pinned are
+// views of immutable snapshot storage and stay valid for as long as the
+// snapshot pin is held; all other vectors (and every Sel) are the
+// producer's scratch, overwritten by its next batch.
+type Batch struct {
+	N    int      // cells per vector
+	Sel  []int32  // selected cells, each in [0, N)
+	Cols []Vector // the columns the reader asked for, in the order asked
+}
+
+// Vector is one column of a batch. Cells are stored typed — the payload
+// slice matching Kind, with NULL cells marked in Nulls (bit i ↔ cell i;
+// nil or short means "no NULL there") and holding the zero payload —
+// unless Vals is non-nil: then the cells are boxed Values of possibly
+// mixed kinds (computed expressions, aggregate results) and Kind, the
+// typed payloads and Nulls are unused. Kind == KindNull without Vals is
+// an all-NULL column: an unfilled expansion costs nothing to read.
+type Vector struct {
+	Kind   Kind
+	Ints   []int64
+	Floats []float64
+	Bools  []bool
+	Strs   []string
+	Nulls  []uint64
+	Vals   []Value
+	// Pinned marks a zero-copy view of snapshot storage (see Batch).
+	Pinned bool
+
+	nullCells int // cells held while Kind is KindNull: there is no payload to measure
+}
+
+// identity backs IdentitySel.
+var identity = func() (s [ChunkRows]int32) {
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// IdentitySel returns the selection 0, 1, …, n-1 (n ≤ ChunkRows) — every
+// cell selected — as a view of one shared read-only array.
+func IdentitySel(n int) []int32 { return identity[:n:n] }
+
+// AllSelected reports whether the batch's selection is IdentitySel(N)
+// itself: every cell a row, in order, and nothing of Sel to copy for
+// whoever keeps the batch.
+func (b *Batch) AllSelected() bool {
+	return len(b.Sel) == b.N && (b.N == 0 || &b.Sel[0] == &identity[0])
+}
+
+// Len returns the number of cells held. It is meaningful for vectors
+// built with AppendCells/AppendValue; a cursor's views are measured by
+// their batch's N.
+func (v *Vector) Len() int {
+	if v.Vals != nil {
+		return len(v.Vals)
+	}
+	switch v.Kind {
+	case KindInt:
+		return len(v.Ints)
+	case KindFloat:
+		return len(v.Floats)
+	case KindBool:
+		return len(v.Bools)
+	case KindText:
+		return len(v.Strs)
+	}
+	return v.nullCells
+}
+
+// IsNull reports whether cell i of a typed vector is NULL.
+func (v *Vector) IsNull(i int) bool {
+	if v.Kind == KindNull {
+		return true
+	}
+	w := i >> 6
+	return w < len(v.Nulls) && v.Nulls[w]&(1<<(uint(i)&63)) != 0
+}
+
+// Value boxes cell i.
+func (v *Vector) Value(i int) Value {
+	if v.Vals != nil {
+		return v.Vals[i]
+	}
+	if v.IsNull(i) {
+		return Value{}
+	}
+	switch v.Kind {
+	case KindInt:
+		return Value{kind: KindInt, i: v.Ints[i]}
+	case KindFloat:
+		return Value{kind: KindFloat, f: v.Floats[i]}
+	case KindBool:
+		return Value{kind: KindBool, b: v.Bools[i]}
+	case KindText:
+		return Value{kind: KindText, s: v.Strs[i]}
+	}
+	return Value{}
+}
+
+// Box writes the cells at sel into dst[0], dst[stride], dst[2*stride], …
+// — the one place typed cells become Values: one kind switch per column
+// per call. A non-NULL typed cell stores just the kind and its payload
+// field (two words instead of five, and no pointer write for the numeric
+// kinds) and a NULL resets the whole slot, so every slot of dst must be
+// zero or last written by Box from a vector of the same Kind: a fresh
+// buffer, or one column of a buffer reused for the same columns.
+func (v *Vector) Box(sel []int32, dst []Value, stride int) {
+	if v.Vals != nil {
+		for k, i := range sel {
+			dst[k*stride] = v.Vals[i]
+		}
+		return
+	}
+	switch v.Kind {
+	case KindInt:
+		for k, i := range sel {
+			d := &dst[k*stride]
+			d.kind, d.i = KindInt, v.Ints[i]
+		}
+	case KindFloat:
+		for k, i := range sel {
+			d := &dst[k*stride]
+			d.kind, d.f = KindFloat, v.Floats[i]
+		}
+	case KindBool:
+		for k, i := range sel {
+			d := &dst[k*stride]
+			d.kind, d.b = KindBool, v.Bools[i]
+		}
+	case KindText:
+		for k, i := range sel {
+			d := &dst[k*stride]
+			d.kind, d.s = KindText, v.Strs[i]
+		}
+	default:
+		for k := range sel {
+			dst[k*stride] = Value{}
+		}
+		return
+	}
+	if len(v.Nulls) != 0 {
+		for k, i := range sel {
+			if v.IsNull(int(i)) {
+				dst[k*stride] = Value{}
+			}
+		}
+	}
+}
+
+// Reset empties a vector an operator owns, keeping its capacity and its
+// representation (typed kind or boxed). A view of storage is dropped
+// instead: its capacity is not the operator's to append into.
+func (v *Vector) Reset() {
+	if v.Pinned {
+		*v = Vector{}
+		return
+	}
+	v.Ints, v.Floats, v.Bools, v.Strs = v.Ints[:0], v.Floats[:0], v.Bools[:0], v.Strs[:0]
+	v.Nulls, v.Vals, v.nullCells = v.Nulls[:0], v.Vals[:0], 0
+}
+
+// AppendValue appends one cell. The vector stays typed while every
+// non-NULL value appended is of one kind — an aggregate's output column,
+// a computed sort key — and turns boxed at the first that is not.
+func (v *Vector) AppendValue(val Value) {
+	switch {
+	case v.Vals != nil:
+		v.Vals = append(v.Vals, val)
+		return
+	case val.kind == KindNull:
+		v.appendNulls(v.Len(), 1)
+		return
+	case v.Kind == KindNull:
+		base := v.nullCells
+		v.Kind, v.nullCells = val.kind, 0
+		v.appendNulls(0, base)
+	case v.Kind != val.kind:
+		v.toBoxed()
+		v.Vals = append(v.Vals, val)
+		return
+	}
+	switch v.Kind {
+	case KindInt:
+		v.Ints = append(v.Ints, val.i)
+	case KindFloat:
+		v.Floats = append(v.Floats, val.f)
+	case KindBool:
+		v.Bools = append(v.Bools, val.b)
+	case KindText:
+		v.Strs = append(v.Strs, val.s)
+	}
+}
+
+// AppendCells appends the cells of src at sel — how an operator copies
+// what it retains (a join's build rows, a sort's input, a batch crossing
+// goroutines) out of a producer's batch. The copy stays typed while src
+// is; NULL-only cells appended before the first typed ones are back-filled
+// when the kind becomes known.
+func (v *Vector) AppendCells(src *Vector, sel []int32) {
+	if src.Vals != nil || v.Vals != nil || (v.Kind != KindNull && src.Kind != KindNull && v.Kind != src.Kind) {
+		v.toBoxed()
+		for _, i := range sel {
+			v.Vals = append(v.Vals, src.Value(int(i)))
+		}
+		return
+	}
+	base := v.Len()
+	if src.Kind == KindNull {
+		v.appendNulls(base, len(sel))
+		return
+	}
+	if v.Kind == KindNull {
+		v.Kind, v.nullCells = src.Kind, 0
+		v.appendNulls(0, base)
+	}
+	switch src.Kind {
+	case KindInt:
+		for _, i := range sel {
+			v.Ints = append(v.Ints, src.Ints[i])
+		}
+	case KindFloat:
+		for _, i := range sel {
+			v.Floats = append(v.Floats, src.Floats[i])
+		}
+	case KindBool:
+		for _, i := range sel {
+			v.Bools = append(v.Bools, src.Bools[i])
+		}
+	case KindText:
+		for _, i := range sel {
+			v.Strs = append(v.Strs, src.Strs[i])
+		}
+	}
+	if len(src.Nulls) != 0 {
+		for k, i := range sel {
+			if src.IsNull(int(i)) {
+				v.markNull(base + k)
+			}
+		}
+	}
+}
+
+// appendNulls appends n NULL cells at position base (== v.Len()).
+func (v *Vector) appendNulls(base, n int) {
+	switch v.Kind {
+	case KindNull:
+		v.nullCells += n
+		return
+	case KindInt:
+		v.Ints = append(v.Ints, make([]int64, n)...)
+	case KindFloat:
+		v.Floats = append(v.Floats, make([]float64, n)...)
+	case KindBool:
+		v.Bools = append(v.Bools, make([]bool, n)...)
+	case KindText:
+		v.Strs = append(v.Strs, make([]string, n)...)
+	}
+	for i := base; i < base+n; i++ {
+		v.markNull(i)
+	}
+}
+
+func (v *Vector) markNull(i int) {
+	for len(v.Nulls) <= i>>6 {
+		v.Nulls = append(v.Nulls, 0)
+	}
+	v.Nulls[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// toBoxed turns a typed vector into a boxed one holding the same cells.
+func (v *Vector) toBoxed() {
+	if v.Vals != nil {
+		return
+	}
+	n := v.Len()
+	vals := make([]Value, n, max(n, 8))
+	for i := range vals {
+		vals[i] = v.Value(i)
+	}
+	*v = Vector{Vals: vals}
+}
+
+// AppendRows boxes the batch's rows and appends them to dst: one backing
+// array for the whole batch, one Row header per row. The rows are fresh
+// memory the caller owns.
+func (b *Batch) AppendRows(dst []Row) []Row {
+	n, w := len(b.Sel), len(b.Cols)
+	buf := make([]Value, n*w)
+	for c := range b.Cols {
+		b.Cols[c].Box(b.Sel, buf[c:], w)
+	}
+	for k := 0; k < n; k++ {
+		dst = append(dst, buf[k*w:(k+1)*w:(k+1)*w])
+	}
+	return dst
+}
+
+// appendSelected appends the offsets of the set bits of sel to offs.
+func appendSelected(offs []int32, sel []uint64) []int32 {
+	for wi, w := range sel {
+		for ; w != 0; w &= w - 1 {
+			offs = append(offs, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return offs
+}
+
+// allSelected reports whether sel selects every one of its n rows.
+func allSelected(sel []uint64, n int) bool {
+	full := n >> 6
+	for _, w := range sel[:full] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return n&63 == 0 || sel[full] == 1<<uint(n&63)-1
+}

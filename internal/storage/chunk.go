@@ -1,7 +1,5 @@
 package storage
 
-import "math/bits"
-
 // chunk is one column's typed vector of up to ChunkRows cells (see
 // DESIGN.md §15). The column's declared Kind — every stored value is
 // already Coerced to it — selects the one payload slice in use:
@@ -342,121 +340,82 @@ func (w *window) setNulls(n int) {
 	}
 }
 
-// box writes the cells at the given window offsets into dst[0],
-// dst[stride], dst[2*stride], … — the one place chunk cells become
-// Values on the scan path: one kind switch per column per batch. dst is
-// one column of a cursor's batch buffer, which only ever holds this
-// column's kind or NULL: a non-NULL cell therefore stores just the kind
-// and its payload field (two words instead of five, and no pointer write
-// for the numeric kinds), and a NULL resets the whole slot, so the other
-// fields of every slot stay zero.
-func (w *window) box(offs []int32, dst []Value, stride int) {
+// vector points dst at the window's n cells: a zero-copy view, Pinned
+// unless the null bitmap had to be built in the window's scratch.
+func (w *window) vector(n int, dst *Vector) {
 	c := w.c
+	*dst = Vector{Nulls: w.nulls, Pinned: len(w.nulls) == 0 || c.nulls != nil && w.off&63 == 0}
 	if c == nil {
-		for k := range offs {
-			dst[k*stride] = Value{}
-		}
 		return
 	}
+	dst.Kind = c.kind
 	switch c.kind {
 	case KindInt:
-		vals := c.ints[w.off:]
-		for k, o := range offs {
-			d := &dst[k*stride]
-			d.kind, d.i = KindInt, vals[o]
-		}
+		dst.Ints = c.ints[w.off : w.off+n : w.off+n]
 	case KindFloat:
-		vals := c.floats[w.off:]
-		for k, o := range offs {
-			d := &dst[k*stride]
-			d.kind, d.f = KindFloat, vals[o]
-		}
+		dst.Floats = c.floats[w.off : w.off+n : w.off+n]
 	case KindBool:
-		vals := c.bools[w.off:]
-		for k, o := range offs {
-			d := &dst[k*stride]
-			d.kind, d.b = KindBool, vals[o]
-		}
+		dst.Bools = c.bools[w.off : w.off+n : w.off+n]
 	case KindText:
-		vals := c.strs[w.off:]
-		for k, o := range offs {
-			d := &dst[k*stride]
-			d.kind, d.s = KindText, vals[o]
-		}
-	}
-	if w.nulls != nil {
-		for k, o := range offs {
-			if hasBit(w.nulls, int(o)) {
-				dst[k*stride] = Value{}
-			}
-		}
+		dst.Strs = c.strs[w.off : w.off+n : w.off+n]
 	}
 }
 
-// gather is box for scattered rows — the index cursor's path: it boxes
-// column col of the given physical rows into dst[0], dst[stride], …, with
-// the same slot discipline as box.
-func (v *version) gather(col int, rows []int, dst []Value, stride int) {
-	switch v.schema.cols[col].Kind {
+// gather copies column col of the given physical rows into dst, typed —
+// the index cursor's path, where the rows are scattered over chunks. dst
+// is the cursor's own vector, reused from batch to batch.
+func (v *version) gather(col int, rows []int, dst *Vector) {
+	n := len(rows)
+	dst.Kind = v.schema.cols[col].Kind
+	dst.Nulls = dst.Nulls[:0]
+	switch dst.Kind {
 	case KindInt:
+		dst.Ints = resize(dst.Ints, n)
 		for k, row := range rows {
 			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
-				d := &dst[k*stride]
-				d.kind, d.i = KindInt, c.ints[i]
+				dst.Ints[k] = c.ints[i]
 			} else {
-				dst[k*stride] = Value{}
+				dst.Ints[k] = 0
+				dst.markNull(k)
 			}
 		}
 	case KindFloat:
+		dst.Floats = resize(dst.Floats, n)
 		for k, row := range rows {
 			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
-				d := &dst[k*stride]
-				d.kind, d.f = KindFloat, c.floats[i]
+				dst.Floats[k] = c.floats[i]
 			} else {
-				dst[k*stride] = Value{}
+				dst.Floats[k] = 0
+				dst.markNull(k)
 			}
 		}
 	case KindBool:
+		dst.Bools = resize(dst.Bools, n)
 		for k, row := range rows {
 			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
-				d := &dst[k*stride]
-				d.kind, d.b = KindBool, c.bools[i]
+				dst.Bools[k] = c.bools[i]
 			} else {
-				dst[k*stride] = Value{}
+				dst.Bools[k] = false
+				dst.markNull(k)
 			}
 		}
 	case KindText:
+		dst.Strs = resize(dst.Strs, n)
 		for k, row := range rows {
 			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
-				d := &dst[k*stride]
-				d.kind, d.s = KindText, c.strs[i]
+				dst.Strs[k] = c.strs[i]
 			} else {
-				dst[k*stride] = Value{}
+				dst.Strs[k] = ""
+				dst.markNull(k)
 			}
-		}
-	default:
-		for k := range rows {
-			dst[k*stride] = Value{}
 		}
 	}
 }
 
-// takeSelected appends up to max offsets of set bits of sel to offs,
-// clearing them, scanning from word *word on; *word ends at len(sel) once
-// the bitmap is drained.
-func takeSelected(sel []uint64, word *int, offs []int32, max int) []int32 {
-	wi := *word
-	for wi < len(sel) && len(offs) < max {
-		w := sel[wi]
-		for w != 0 && len(offs) < max {
-			offs = append(offs, int32(wi<<6+bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-		sel[wi] = w
-		if w == 0 {
-			wi++
-		}
+// resize returns s with length n, reallocating only when it must grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	*word = wi
-	return offs
+	return s[:n]
 }

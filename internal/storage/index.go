@@ -389,34 +389,12 @@ func (t *Table) IndexOnlyProbe(indexName string, probe IndexProbe) (ids []int, k
 	return ids, keys, nil
 }
 
-// IndexCursor streams the rows an index probe selected, in probe order
-// (ascending row ID for point lookups, key order for ranges), reading a
-// snapshot pinned at creation with zero locks per batch. The IDs and the
-// snapshot are captured in one critical section, so every ID resolves to
-// a live row carrying exactly the key the index reported — rows updated
-// or deleted after creation are invisible, closing the old
-// concurrent-delete and updated-out-of-predicate caveats.
-type IndexCursor struct {
-	snap  *Snap
-	v     *version
-	width int
-	owns  bool
-
-	ids  []int
-	next int   // next position in ids
-	rows []int // the block of live row IDs being boxed
-
-	buf  []Value
-	hdrs []Row
-	n    int
-	pos  int
-	done bool
-}
-
-// NewIndexCursor creates a batched cursor over the rows the named index
-// selects for probe. The index must exist; a range probe requires an
-// ordered index. The cursor owns its snapshot pin.
-func (t *Table) NewIndexCursor(indexName string, probe IndexProbe, batchSize int) (*IndexCursor, error) {
+// NewIndexCursor creates a cursor (index form, see Cursor) over the rows
+// the named index selects for probe, in probe order: ascending row ID for
+// point lookups, key order for ranges. The index must exist; a range
+// probe requires an ordered index. The IDs and the snapshot are captured
+// in one critical section; the cursor owns its snapshot pin.
+func (t *Table) NewIndexCursor(indexName string, probe IndexProbe, batchSize int) (*Cursor, error) {
 	snap, ids, err := t.PinIndexProbe(indexName, probe)
 	if err != nil {
 		return nil, err
@@ -424,69 +402,4 @@ func (t *Table) NewIndexCursor(indexName string, probe IndexProbe, batchSize int
 	c := NewIndexCursorAt(snap, ids, batchSize)
 	c.owns = true
 	return c, nil
-}
-
-// NewIndexCursorAt creates a batched cursor over a pre-resolved slice of
-// row IDs (from PinIndexProbe) against the snapshot they were resolved
-// with. The caller keeps ownership of snap.
-func NewIndexCursorAt(snap *Snap, ids []int, batchSize int) *IndexCursor {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	v := snap.v
-	width := v.schema.Len()
-	return &IndexCursor{
-		snap: snap, v: v, width: width, ids: ids,
-		buf:  make([]Value, batchSize*width),
-		hdrs: make([]Row, batchSize),
-	}
-}
-
-// Next returns the next matching row, or ok=false at the end. The
-// returned Row is valid until the next call.
-func (c *IndexCursor) Next() (Row, bool) {
-	for c.pos >= c.n {
-		if c.done {
-			c.Close()
-			return nil, false
-		}
-		c.refill()
-	}
-	row := c.hdrs[c.pos]
-	c.pos++
-	return row, true
-}
-
-// Close releases the cursor's snapshot pin (if it owns one). Idempotent;
-// called automatically at scan end.
-func (c *IndexCursor) Close() {
-	if c.owns {
-		c.snap.Release()
-	}
-}
-
-// refill boxes the next batch of rows from the pinned snapshot, a block
-// of row IDs at a time and column-at-a-time within it (version.gather).
-func (c *IndexCursor) refill() {
-	batch := len(c.hdrs)
-	c.n, c.pos = 0, 0
-	v := c.v
-	for c.n < batch && c.next < len(c.ids) {
-		c.rows = c.rows[:0]
-		for want := min(batch-c.n, boxRows); len(c.rows) < want && c.next < len(c.ids); c.next++ {
-			if id := c.ids[c.next]; id >= 0 && id < v.nrows && !v.isDead(id) {
-				c.rows = append(c.rows, id) // else defensive; a consistent (snapshot, IDs) pair never skips
-			}
-		}
-		for col := 0; col < c.width; col++ {
-			v.gather(col, c.rows, c.buf[c.n*c.width+col:], c.width)
-		}
-		for range c.rows {
-			c.hdrs[c.n] = c.buf[c.n*c.width : (c.n+1)*c.width]
-			c.n++
-		}
-	}
-	if c.next >= len(c.ids) {
-		c.done = true
-	}
 }

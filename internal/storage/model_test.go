@@ -315,6 +315,8 @@ func (h *modelHarness) check() {
 	cur.SetPreds(preds)
 	h.expect(survivors, "pred cursor %+v", preds).drain(cur.Next, cur.Err)
 
+	h.checkBatches(live)
+
 	// Point reads.
 	for n := 0; n < 20 && len(h.rows) > 0; n++ {
 		id := h.rng.Intn(len(h.rows))
@@ -361,6 +363,103 @@ func (h *modelHarness) check() {
 	}
 }
 
+// checkBatches reads the table the way the executor does: NextBatch over
+// a random subset of the columns (possibly none), predicates on columns
+// inside and outside that subset, one cursor re-aimed morsel by morsel
+// over a shared pin. Every batch must select at least one row, every
+// selected cell — read from the vector and boxed through AppendRows —
+// must equal the model, and the windows together must yield exactly the
+// surviving rows. The index form gathers the same subset.
+func (h *modelHarness) checkBatches(live []int) {
+	var cols []int
+	for c := range h.cols {
+		if h.rng.Intn(3) == 0 {
+			cols = append(cols, c)
+		}
+	}
+	if cols == nil {
+		cols = []int{} // nil would ask for every column
+	}
+	var preds []Pred
+	for n := h.rng.Intn(3); n > 0; n-- {
+		preds = append(preds, h.randPred())
+	}
+	keeps := func(id int) bool {
+		for _, p := range preds {
+			if !predMatch(p, h.rows[id].vals[p.Col]) {
+				return false
+			}
+		}
+		return true
+	}
+	// verify checks b's rows against the model rows want, in order.
+	verify := func(what string, b *Batch, want []int) {
+		if len(b.Sel) == 0 || len(b.Sel) != len(want) || len(b.Cols) != len(cols) {
+			h.t.Fatalf("%s: batch of %d rows × %d columns, model says %d × %d", what, len(b.Sel), len(b.Cols), len(want), len(cols))
+		}
+		rows := b.AppendRows(nil)
+		for n, i := range b.Sel {
+			for k, c := range cols {
+				model := h.rows[want[n]].vals[c]
+				if got := b.Cols[k].Value(int(i)); got != model || rows[n][k] != model {
+					h.t.Fatalf("%s: row %d (id %d) column %s = %#v / boxed %#v, model says %#v",
+						what, n, want[n], h.cols[c].Name, got, rows[n][k], model)
+				}
+			}
+		}
+	}
+
+	snap := h.tbl.Pin()
+	defer snap.Release()
+	cur := NewRangeCursorAt(snap, 0, 0, 0)
+	cur.SetCols(cols)
+	cur.SetPreds(preds)
+	next := 0 // position in live
+	for lo := 0; lo < len(h.rows); lo += ChunkRows {
+		hi := min(lo+ChunkRows, len(h.rows))
+		cur.Reset(lo, hi)
+		for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
+			var want []int
+			for ; len(want) < len(b.Sel) && next < len(live) && live[next] < hi; next++ {
+				if keeps(live[next]) {
+					want = append(want, live[next])
+				}
+			}
+			verify(fmt.Sprintf("NextBatch cols %v preds %+v window [%d,%d)", cols, preds, lo, hi), b, want)
+		}
+		if err := cur.Err(); err != nil {
+			h.t.Fatal(err)
+		}
+		for ; next < len(live) && live[next] < hi; next++ {
+			if keeps(live[next]) {
+				h.t.Fatalf("NextBatch cols %v preds %+v: window [%d,%d) ended before row %d", cols, preds, lo, hi, live[next])
+			}
+		}
+	}
+
+	// The index form over a scattered ID list, two windows of it.
+	var ids []int
+	for _, id := range live {
+		if h.rng.Intn(4) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	h.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	ic := NewIndexCursorAt(snap, ids, 100)
+	ic.SetCols(cols)
+	for _, w := range [][2]int{{0, len(ids) / 2}, {len(ids) / 2, len(ids)}} {
+		ic.Reset(w[0], w[1])
+		at := w[0]
+		for b := ic.NextBatch(); b != nil; b = ic.NextBatch() {
+			verify(fmt.Sprintf("index NextBatch cols %v", cols), b, ids[at:min(at+len(b.Sel), w[1])])
+			at += len(b.Sel)
+		}
+		if at != w[1] {
+			h.t.Fatalf("index NextBatch: window %v ended at %d", w, at)
+		}
+	}
+}
+
 // TestTableAgainstModel drives a Table with a random operation sequence
 // mirrored against a plain-slice model: all four kinds with NULLs, more
 // than two sealed chunks, schema expansion, bulk fills over tombstones,
@@ -388,6 +487,20 @@ func TestTableAgainstModel(t *testing.T) {
 		h.tbl = NewTable("m", schema)
 		h.attachIndex()
 		h.insert(2*ChunkRows + 300 + h.rng.Intn(200))
+		h.check()
+		// Tombstones straddling both chunk boundaries, the second one also
+		// the boundary between the sealed chunks and the tail; and a run
+		// long enough to empty whole selection words.
+		var straddle []int
+		for id := ChunkRows - 70; id < ChunkRows+5; id++ {
+			straddle = append(straddle, id, id+ChunkRows)
+		}
+		for _, id := range straddle {
+			h.rows[id].dead = true
+		}
+		if got := h.tbl.Delete(straddle); got != len(straddle) {
+			t.Fatalf("Delete removed %d of %d", got, len(straddle))
+		}
 		h.check()
 
 		for op := 0; op < ops; op++ {

@@ -464,10 +464,10 @@ func (t *Table) Scan(f ScanFunc) {
 	v := t.snap.Load()
 	batch := max(1, min(DefaultBatchSize, scanBatchCells/max(1, v.schema.Len())))
 	c := newCursorOn(&Snap{t: t, v: v}, 0, -1, batch)
-	c.ids = make([]int, batch)
+	c.rowIDs = make([]int, batch)
 	for {
 		row, ok := c.Next()
-		if !ok || !f(c.ids[c.pos-1], row) {
+		if !ok || !f(c.rowIDs[c.pos-1], row) {
 			return
 		}
 	}
