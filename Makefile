@@ -13,7 +13,7 @@ BENCH_GUARD_OUT ?= bench-current.json
 # refresh the baseline (see BENCH_GUARD_OUT) rather than widening this.
 BENCH_GUARD_THRESHOLD ?= 0.30
 
-.PHONY: build test race vet fmt check cover bench bench-smoke bench-guard staticcheck serve
+.PHONY: build test race vet fmt fuzz check cover bench bench-smoke bench-guard staticcheck serve
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,13 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: build fmt vet race
+# Seconds of native fuzzing: arbitrary bytes through the fill_column
+# payload decoder (a positioned error or a canonical payload, never a
+# panic). go test -fuzz takes one target per run.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzFillPayload -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
+
+check: build fmt vet race fuzz
 
 # Coverage over every package; fails below COVER_FLOOR% total statement
 # coverage so the wall only ever moves up. CI runs this.
@@ -68,9 +74,9 @@ bench-smoke:
 # as well: their dop-4 run may not be slower than their dop-1 run of the
 # same process (beyond the same 30% of noise), nor allocate over 4× its
 # bytes — the cliff a per-row copy at the exchange would reopen.
-BENCH_GUARDED = BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect
-BENCH_GUARDED_MEM = BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect
-BENCH_SCALING = BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter
+BENCH_GUARDED = BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED_MEM = BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_SCALING = BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)
 comma := ,

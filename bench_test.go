@@ -33,6 +33,7 @@ import (
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 	"crowddb/internal/svm"
+	"crowddb/internal/vecmath"
 )
 
 var (
@@ -720,8 +721,14 @@ func BenchmarkServerQueryRoundTrip(b *testing.B) {
 }
 
 // BenchmarkWALReplay measures cold-start recovery: rebuilding a database
-// from a 10k-mutation WAL (no snapshot — the worst case). The acceptance
-// bar is well under 1s per replay; a snapshot makes it cheaper still.
+// from a 10k-mutation WAL (no snapshot — the worst case). The record mix
+// is a point log — 9 000 single-row insert records and 1 000 set records,
+// boxed JSON values both — the shape wal.replay_records_per_s sees on the
+// three serving workloads. The expansion log, where a record is one
+// fill_column of 4 000 cells, has its in-process twin in
+// BenchmarkSpaceExpansion, which writes one such record per iteration.
+// The acceptance bar is well under 1s per replay; a snapshot makes it
+// cheaper still.
 func BenchmarkWALReplay(b *testing.B) {
 	dir := b.TempDir()
 	db, err := crowddb.Open(crowddb.Options{DataDir: dir})
@@ -769,6 +776,130 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.ReportMetric(perReplay*1000, "ms/replay-10k")
 	if perReplay >= 1.0 {
 		b.Fatalf("replaying a 10k-mutation log took %.2fs, acceptance bar is <1s", perReplay)
+	}
+}
+
+// --- The paper's path (ISSUE 17) ---
+//
+// expansionBench is the benchmark database's shape at the end of an
+// expand_query_driven window, in process and without the data generator:
+// 4 000 movies in a 16-d space (even items around −1, odd ones around +1),
+// ≈150 columns of which every other expansion is still unfilled, a
+// 40-worker simulated crowd that answers with the item's parity, a WAL.
+
+const (
+	expansionBenchRows = 4000
+	expansionBenchCols = 150
+	expansionBenchDims = 16
+)
+
+func expansionBenchSpace() *space.Space {
+	m := vecmath.NewMatrix(expansionBenchRows, expansionBenchDims)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < m.Rows; i++ {
+		base := -1.0
+		if i%2 == 1 {
+			base = 1.0
+		}
+		for d := range m.Row(i) {
+			m.Row(i)[d] = 0.15*base + rng.NormFloat64() // classes overlap: most of the sample ends up a support vector, as on the movie data
+		}
+	}
+	return space.NewSpace(m)
+}
+
+// BenchmarkSpaceExpansion is one `EXPAND … USING SPACE` per iteration:
+// read the item ids, sample 160 of them, one simulated crowd job, vote,
+// train, predict all 4 000 items on the exec workers, resolve and fill the
+// column, append its fill_column record. B/op is guarded: a boxed Value, a
+// per-cell JSON object or a full-width row anywhere in it costs at least
+// 160 KB an iteration.
+func BenchmarkSpaceExpansion(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	pop := crowd.NewPopulation(crowd.PopulationConfig{Workers: 40}, rng)
+	models := make([]crowd.Item, expansionBenchRows)
+	for i := range models {
+		models[i] = crowd.Item{ID: i, Truth: i%2 == 0, Popularity: 1}
+	}
+	svc := crowddb.NewSimulatedCrowd(pop, func(string) ([]crowd.Item, error) { return models, nil }, rng)
+	db, err := crowddb.Open(crowddb.Options{Service: svc, DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if _, _, err := db.ExecSQL(`CREATE TABLE movies (movie_id INTEGER, name TEXT, year INTEGER)`); err != nil {
+		b.Fatal(err)
+	}
+	tbl, _ := db.Catalog().Get("movies")
+	for i := 0; i < expansionBenchRows; i++ {
+		if err := tbl.Insert(storage.Int(int64(i)), storage.Text(fmt.Sprintf("movie-%04d", i)), storage.Int(int64(1950+i%70))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	filled := make([]storage.Value, expansionBenchRows)
+	for i := range filled {
+		filled[i] = storage.Bool(i%3 == 0)
+	}
+	for c := 3; c < expansionBenchCols; c++ {
+		name := fmt.Sprintf("genre_%03d", c)
+		if _, err := tbl.AddColumn(storage.Column{Name: name, Kind: storage.KindBool, Perceptual: true, Origin: storage.ColumnExpanded}); err != nil {
+			b.Fatal(err)
+		}
+		if c%2 == 0 {
+			if err := tbl.FillColumn(name, filled); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := db.AttachSpace("movies", "movie_id", expansionBenchSpace()); err != nil {
+		b.Fatal(err)
+	}
+	const expand = `EXPAND TABLE movies ADD COLUMN even BOOLEAN USING SPACE`
+	if _, _, err := db.ExecSQL(expand); err != nil { // adds the column; iterations re-elicit it
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := db.ExecSQL(expand)
+		if err != nil || rep.Filled != expansionBenchRows {
+			b.Fatalf("report %+v, err %v", rep, err)
+		}
+	}
+}
+
+// BenchmarkSVCPredictAll scores the 4 000 × 16 space with a model trained
+// on 160 of its items — the step that was 26 of an expansion's 32 ms while
+// it ran item by item through Kernel.Eval on one goroutine. PredictAll
+// fans out over GOMAXPROCS, so -cpu 1,4 is its dop axis.
+func BenchmarkSVCPredictAll(b *testing.B) {
+	sp := expansionBenchSpace()
+	X := make([][]float64, sp.NumItems())
+	for i := range X {
+		X[i] = sp.Vector(i)
+	}
+	var trainX [][]float64
+	var trainY []bool
+	for i := 0; i < len(X); i += len(X) / 160 {
+		trainX, trainY = append(trainX, X[i]), append(trainY, i%2 == 0)
+	}
+	model, err := svm.TrainSVC(trainX, trainY, svm.SVCConfig{C: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	positives := 0
+	for i := 0; i < b.N; i++ {
+		for _, l := range model.PredictAll(X) {
+			if l {
+				positives++
+			}
+		}
+	}
+	b.ReportMetric(float64(model.NumSupport()), "support-vectors")
+	if positives == 0 {
+		b.Fatal("no item labelled positive")
 	}
 }
 

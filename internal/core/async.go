@@ -224,7 +224,8 @@ func (db *DB) SubmitExpand(table, column string, kind storage.Kind, opts ExpandO
 }
 
 // columnFilled reports whether table.column exists and holds at least one
-// non-NULL value — the signature of an expansion that already ran.
+// non-NULL value — the signature of an expansion that already ran. It
+// reads that one column, and of an unfilled one (nil chunks) nothing.
 func (db *DB) columnFilled(table, column string) bool {
 	tbl, ok := db.Catalog().Get(table)
 	if !ok {
@@ -234,13 +235,9 @@ func (db *DB) columnFilled(table, column string) bool {
 	if !ok {
 		return false
 	}
-	filled := false
-	tbl.Scan(func(i int, row storage.Row) bool {
-		if !row[colIdx].IsNull() {
-			filled = true
-			return false
-		}
-		return true
-	})
-	return filled
+	cur := tbl.NewCursor(0)
+	defer cur.Close()
+	cur.SetCols([]int{colIdx})
+	cur.SetPreds([]storage.Pred{{Col: colIdx, Op: storage.PredNotNull}})
+	return cur.NextBatch() != nil
 }

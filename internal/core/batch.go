@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/jobs"
@@ -23,8 +24,8 @@ import (
 // closes, runExpansionBatch receives the sealed members and (1) plans
 // each member's sampling phase, (2) enforces its API key's budget cap,
 // (3) issues ONE CollectBatch per shareable marketplace configuration,
-// and (4) finishes each member — votes, SVM training, column fill — from
-// its share of the combined judgment log.
+// and (4) finishes each member — votes, SVM training, prediction, column
+// fill — from its share of the combined judgment log.
 
 // expansionWork is the payload an expansion carries through the
 // coalescer.
@@ -52,6 +53,19 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 		m *jobs.BatchMember
 		w expansionWork
 		e *elicitation
+		// release ends the member's hold on the table's item ids. finish
+		// calls it before the job completes, so that whoever waited for the
+		// job finds the table free to compact; the deferred call is for a
+		// panicking crowd service.
+		release func()
+	}
+	finish := func(p planned, report *ExpansionReport, err error) {
+		p.release()
+		if err != nil {
+			p.m.Finish(nil, batchErr(p.w.table, p.w.column, err))
+		} else {
+			p.m.Finish(report, nil)
+		}
 	}
 	var ready []planned
 	for _, m := range members {
@@ -82,12 +96,13 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 			}
 			continue
 		}
-		e, err := db.planElicitation(tbl, w.column, opts)
-		if err != nil {
-			m.Finish(nil, batchErr(w.table, w.column, err))
+		p := planned{m: m, w: w, release: db.holdItemIDs(tbl)}
+		defer p.release()
+		if p.e, err = db.planElicitation(tbl, w.column, opts); err != nil {
+			finish(p, nil, err)
 			continue
 		}
-		ready = append(ready, planned{m: m, w: w, e: e})
+		ready = append(ready, p)
 	}
 	if len(ready) == 0 {
 		return
@@ -112,11 +127,7 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 			// runElicitation reserves the member's budget internally.
 			for _, p := range part {
 				report, err := db.runElicitation(p.e)
-				if err != nil {
-					p.m.Finish(nil, batchErr(p.w.table, p.w.column, err))
-				} else {
-					p.m.Finish(report, nil)
-				}
+				finish(p, report, err)
 			}
 			continue
 		}
@@ -131,7 +142,7 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 		for _, p := range part {
 			release, err := db.reserveBudget(p.e.opts.APIKey, p.e.projected())
 			if err != nil {
-				p.m.Finish(nil, batchErr(p.w.table, p.w.column, err))
+				finish(p, nil, err)
 				continue
 			}
 			issued = append(issued, p)
@@ -145,11 +156,13 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 			p.e.opts.phase(jobs.StateSampling)
 			reqs[i] = BatchRequest{Question: p.e.column, ItemIDs: p.e.judgeIDs}
 		}
+		clock := time.Now()
 		batch, err := bsvc.CollectBatch(reqs, issued[0].e.opts.Job)
+		collect := lap(&clock)
 		if err != nil {
 			for i, p := range issued {
 				releases[i]()
-				p.m.Finish(nil, batchErr(p.w.table, p.w.column, err))
+				finish(p, nil, err)
 			}
 			continue
 		}
@@ -161,12 +174,9 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 			share := batch.PerQuestion[i]
 			db.chargeMemberShare(share, &p.e.opts)
 			releases[i]()
+			p.e.steps.Collect = collect
 			report, err := db.finishElicitation(p.e, share)
-			if err != nil {
-				p.m.Finish(nil, batchErr(p.w.table, p.w.column, err))
-			} else {
-				p.m.Finish(report, nil)
-			}
+			finish(p, report, err)
 		}
 	}
 }

@@ -114,6 +114,31 @@ type ExpansionReport struct {
 	Minutes   float64
 	// Requeried counts tuples re-elicited by the HYBRID cleaning pass.
 	Requeried int
+	// Steps is where the expansion's wall-clock went, measured from inside
+	// the job (for HYBRID: its first round).
+	Steps StepSeconds
+}
+
+// StepSeconds attributes one expansion's wall-clock, in seconds, to its
+// steps: reading the item ids and choosing whom to ask (Plan), the crowd
+// job (Collect; a batch member reports the shared job's whole duration),
+// vote aggregation, SVM training, prediction over the space, and the
+// column fill — resolving rows, applying the column and appending its WAL
+// record. Steps a strategy does not have stay zero. Every finished
+// expansion also feeds them to crowddb_expansion_step_seconds{step}.
+type StepSeconds struct {
+	Plan, Collect, Vote, Train, Predict, Fill float64
+}
+
+func (s StepSeconds) observe() {
+	for _, step := range []struct {
+		name string
+		d    float64
+	}{{"plan", s.Plan}, {"collect", s.Collect}, {"vote", s.Vote}, {"train", s.Train}, {"predict", s.Predict}, {"fill", s.Fill}} {
+		if step.d > 0 {
+			mExpansionStep.With(step.name).Observe(step.d)
+		}
+	}
 }
 
 // tableBinding connects a table to a perceptual space.
@@ -578,10 +603,13 @@ func (db *DB) Expand(table, column string, kind storage.Kind, opts ExpandOptions
 	}
 
 	switch opts.Method {
-	case sqlparse.ExpandCrowd:
-		return db.expandDirectCrowd(tbl, column, opts)
-	case sqlparse.ExpandSpace:
-		return db.expandViaSpace(tbl, column, opts)
+	case sqlparse.ExpandCrowd, sqlparse.ExpandSpace:
+		defer db.holdItemIDs(tbl)()
+		e, err := db.planElicitation(tbl, column, opts)
+		if err != nil {
+			return nil, err
+		}
+		return db.runElicitation(e)
 	case sqlparse.ExpandHybrid:
 		return db.expandHybrid(tbl, column, opts)
 	default:

@@ -18,6 +18,9 @@ var (
 	mSlowQueries = obs.Default.Counter("crowddb_slow_queries_total",
 		"Queries that exceeded the -slow-query threshold.")
 
+	mExpansionStep = obs.Default.HistogramVec("crowddb_expansion_step_seconds",
+		"Wall-clock of one expansion's steps, measured inside the job (plan, collect, vote, train, predict, fill).", nil, "step")
+
 	mBudgetDenials = obs.Default.Counter("crowddb_budget_denials_total",
 		"Crowd work rejected because an API key's budget cap could not cover it.")
 	mCrowdCharges = obs.Default.Counter("crowddb_crowd_charges_total",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"crowddb/internal/storage"
 	"crowddb/internal/svm"
@@ -56,8 +57,9 @@ func (db *DB) GoldFill(table, column string, gold []GoldValue) (*ExpansionReport
 		}
 	}
 
-	var X [][]float64
-	var y []float64
+	clock := time.Now()
+	X := make([][]float64, 0, len(gold))
+	y := make([]float64, 0, len(gold))
 	for _, g := range gold {
 		if g.ItemID < 0 || g.ItemID >= sp.NumItems() {
 			return nil, fmt.Errorf("core: gold item %d outside the space [0,%d)", g.ItemID, sp.NumItems())
@@ -69,25 +71,23 @@ func (db *DB) GoldFill(table, column string, gold []GoldValue) (*ExpansionReport
 	if err != nil {
 		return nil, err
 	}
+	report := &ExpansionReport{Table: tbl.Name(), Column: column, Method: "GOLD-SVR", TrainingSize: len(gold)}
+	report.Steps.Train = lap(&clock)
 
-	rows, ids, err := db.rowItemIDs(tbl)
+	// The labels are the regression's value for every item of the space;
+	// which rows carry those items is decided when the column is applied.
+	scores := model.PredictMatrix(sp.Coords(), db.engine.Dop())
+	report.Steps.Predict = lap(&clock)
+	err = fillByItem(db, tbl, column, report, func(id int) (float64, bool) {
+		if id < 0 || id >= len(scores) {
+			return 0, false
+		}
+		return scores[id], true
+	})
 	if err != nil {
 		return nil, err
 	}
-	report := &ExpansionReport{Table: tbl.Name(), Column: column, Method: "GOLD-SVR", TrainingSize: len(gold)}
-	vals := make([]storage.Value, len(rows))
-	for i := range rows {
-		id := ids[i]
-		if id < 0 || id >= sp.NumItems() {
-			vals[i] = storage.Null()
-			report.Unfilled++
-			continue
-		}
-		vals[i] = storage.Float(model.Predict(sp.Vector(id)))
-		report.Filled++
-	}
-	if err := db.mutate(func() error { return tbl.FillColumn(column, vals) }); err != nil {
-		return nil, err
-	}
+	report.Steps.Fill = lap(&clock)
+	report.Steps.observe()
 	return report, nil
 }

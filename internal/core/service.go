@@ -78,25 +78,41 @@ func NewSimulatedCrowd(pop *crowd.Population, items ItemModelFunc, rng *rand.Ran
 	return &SimulatedCrowd{population: pop, items: items, rng: rng}
 }
 
-// Collect implements JudgmentService.
-func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// selectItems returns the question's item models for itemIDs, in that
+// order — crowd.RunJob draws from the shared rng item by item, so the
+// order is part of the result. Only the wanted ids are indexed, not the
+// whole model list.
+func (s *SimulatedCrowd) selectItems(question string, itemIDs []int) ([]crowd.Item, error) {
 	models, err := s.items(question)
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int]crowd.Item, len(models))
-	for _, m := range models {
-		byID[m.ID] = m
-	}
-	selected := make([]crowd.Item, 0, len(itemIDs))
+	at := make(map[int]int, len(itemIDs)) // wanted id → its index in models
 	for _, id := range itemIDs {
-		m, ok := byID[id]
-		if !ok {
+		at[id] = -1
+	}
+	for i, m := range models {
+		if _, wanted := at[m.ID]; wanted {
+			at[m.ID] = i
+		}
+	}
+	selected := make([]crowd.Item, len(itemIDs))
+	for k, id := range itemIDs {
+		if at[id] < 0 {
 			return nil, fmt.Errorf("core: no crowd item model for id %d (question %q)", id, question)
 		}
-		selected = append(selected, m)
+		selected[k] = models[at[id]]
+	}
+	return selected, nil
+}
+
+// Collect implements JudgmentService.
+func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	selected, err := s.selectItems(question, itemIDs)
+	if err != nil {
+		return nil, err
 	}
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
 		cfg.GoldItems = s.Gold
@@ -112,25 +128,13 @@ func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobCo
 func (s *SimulatedCrowd) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batch := make([]crowd.BatchRequest, 0, len(reqs))
-	for _, req := range reqs {
-		models, err := s.items(req.Question)
+	batch := make([]crowd.BatchRequest, len(reqs))
+	for i, req := range reqs {
+		selected, err := s.selectItems(req.Question, req.ItemIDs)
 		if err != nil {
 			return nil, err
 		}
-		byID := make(map[int]crowd.Item, len(models))
-		for _, m := range models {
-			byID[m.ID] = m
-		}
-		selected := make([]crowd.Item, 0, len(req.ItemIDs))
-		for _, id := range req.ItemIDs {
-			m, ok := byID[id]
-			if !ok {
-				return nil, fmt.Errorf("core: no crowd item model for id %d (question %q)", id, req.Question)
-			}
-			selected = append(selected, m)
-		}
-		batch = append(batch, crowd.BatchRequest{Question: req.Question, Items: selected})
+		batch[i] = crowd.BatchRequest{Question: req.Question, Items: selected}
 	}
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
 		cfg.GoldItems = s.Gold

@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
+	"time"
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/jobs"
@@ -48,36 +49,88 @@ func (db *DB) chargeMemberShare(share *crowd.RunResult, opts *ExpandOptions) {
 	}
 }
 
-// rowIDs extracts (rowIndex, itemID) pairs for a table using its space
-// binding's id column, or the row index itself when no binding exists.
-func (db *DB) rowItemIDs(tbl *storage.Table) ([]int, []int, error) {
-	schema := tbl.Schema()
-	binding := db.binding(tbl.Name())
-	idCol := -1
-	if binding != nil {
-		c, ok := schema.Lookup(binding.idColumn)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: id column %q vanished from %q", binding.idColumn, tbl.Name())
-		}
-		idCol = c
+// noItem is the item id of a row whose id cell is NULL: the row is no
+// item, nothing is asked about it and no label names it.
+const noItem = math.MinInt
+
+// itemIDs returns the item id of every live row of snap, in scan order:
+// the binding's id column, read through a one-column cursor so that the
+// cost does not grow with the width of the table, or for a table without
+// a binding the physical row ID.
+func itemIDs(snap *storage.Snap, binding *tableBinding) ([]int, error) {
+	if binding == nil {
+		return snap.LiveRowIDs(), nil
 	}
-	var rows, ids []int
-	var scanErr error
-	tbl.Scan(func(i int, row storage.Row) bool {
-		id := i
-		if idCol >= 0 {
-			v, ok := row[idCol].AsInt()
-			if !ok {
-				scanErr = fmt.Errorf("core: row %d has non-integer id", i)
-				return false
+	idCol, ok := snap.Schema().Lookup(binding.idColumn)
+	if !ok {
+		return nil, fmt.Errorf("core: id column %q vanished", binding.idColumn)
+	}
+	ids := make([]int, 0, snap.NumLive())
+	cur := storage.NewRangeCursorAt(snap, 0, -1, 0)
+	cur.SetCols([]int{idCol})
+	for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
+		col := &b.Cols[0]
+		for _, i := range b.Sel {
+			if col.IsNull(int(i)) {
+				ids = append(ids, noItem)
+			} else {
+				ids = append(ids, int(col.Ints[i]))
 			}
-			id = int(v)
 		}
-		rows = append(rows, i)
-		ids = append(ids, id)
-		return true
+	}
+	return ids, cur.Err()
+}
+
+// currentItemIDs is itemIDs over the table's current snapshot.
+func currentItemIDs(tbl *storage.Table, binding *tableBinding) ([]int, error) {
+	snap := tbl.Pin()
+	defer snap.Release()
+	return itemIDs(snap, binding)
+}
+
+// fillByItem is the one fill step of every strategy: CROWD's votes,
+// SPACE's predictions and GoldFill's regression all arrive as labels by
+// item id (label reports false for an item it has no value for) and land
+// here. The rows are resolved when the column is applied, under the
+// table's write lock and against the very version being replaced — a row
+// inserted during the crowd wait is labelled like any other (or stays
+// NULL when nobody was asked about it), a deleted one is simply not
+// there. Row lists read before the wait were wrong for exactly that
+// reason: one INSERT made them a cell short and the fill failed after the
+// crowd had been paid. The labels go to storage as one typed vector; the
+// report's Filled/Unfilled count the rows of that version.
+func fillByItem[T bool | float64](db *DB, tbl *storage.Table, column string, report *ExpansionReport, label func(id int) (T, bool)) error {
+	binding := db.binding(tbl.Name())
+	return db.mutate(func() error {
+		return tbl.FillColumnFrom(column, func(at *storage.Snap) (*storage.Vector, error) {
+			ids, err := itemIDs(at, binding)
+			if err != nil {
+				return nil, err
+			}
+			cells := make([]T, len(ids))
+			vec := &storage.Vector{}
+			filled := 0
+			for k, id := range ids {
+				if v, ok := label(id); ok {
+					cells[k] = v
+					filled++
+					continue
+				}
+				if vec.Nulls == nil {
+					vec.Nulls = make([]uint64, (len(ids)+63)/64)
+				}
+				vec.Nulls[k>>6] |= 1 << (uint(k) & 63)
+			}
+			switch cells := any(cells).(type) {
+			case []bool:
+				vec.Kind, vec.Bools = storage.KindBool, cells
+			case []float64:
+				vec.Kind, vec.Floats = storage.KindFloat, cells
+			}
+			report.Filled, report.Unfilled = filled, len(ids)-filled
+			return vec, nil
+		})
 	})
-	return rows, ids, scanErr
 }
 
 // applyBudget shrinks the set of items to judge so that the projected cost
@@ -104,20 +157,30 @@ func aggregateVotes(records []crowd.Record, opts ExpandOptions) map[int]bool {
 	return crowd.MajorityVote(records).Label
 }
 
+// lap returns the seconds since *t and restarts the clock.
+func lap(t *time.Time) float64 {
+	now := time.Now()
+	d := now.Sub(*t).Seconds()
+	*t = now
+	return d
+}
+
 // elicitation is the planned sampling phase of one expansion, split off
 // from the collect/finish phases so that the batching layer can merge the
 // sampling of several pending expansions into one shared HIT group: plan
 // each member, issue ONE crowd job for all of them, then finish each
-// member from its share of the judgment log.
+// member from its share of the judgment log. It holds item ids, never
+// rows: which rows carry those items is decided when the column is filled.
 type elicitation struct {
 	tbl    *storage.Table
 	column string
 	method sqlparse.ExpandMethod
 	opts   ExpandOptions
-	// rows/ids cover the whole table; judgeIDs is the subset of ids sent
-	// to the crowd (everything for CROWD, the training sample for SPACE).
-	rows, ids []int
-	judgeIDs  []int
+	// judgeIDs are the items sent to the crowd: every item for CROWD, the
+	// training sample for SPACE.
+	judgeIDs []int
+	// steps collects the wall-clock of the steps as they complete.
+	steps StepSeconds
 }
 
 // projected is the elicitation's up-front cost estimate, the number the
@@ -126,178 +189,200 @@ func (e *elicitation) projected() float64 {
 	return projectedCost(len(e.judgeIDs), &e.opts)
 }
 
+// holdItemIDs keeps the item ids of tbl meaning the same rows from the
+// plan of an elicitation to its fill, until the returned release is
+// called. The ids of a bound table are the values of its id column and
+// need nothing. A table without a binding is asked about by physical row
+// ID, which a compaction renumbers, so the paths that execute a plan hold
+// a write fence over plan, crowd wait and fill: the compactor skips the
+// table meanwhile and retries, as it does beside a fenced DML statement.
+// A plan made only for its price (a budget pre-flight) keeps no ids and
+// holds nothing. release may be called more than once.
+func (db *DB) holdItemIDs(tbl *storage.Table) (release func()) {
+	if db.binding(tbl.Name()) != nil {
+		return func() {}
+	}
+	tbl.AcquireWriteFence()
+	var once sync.Once
+	return func() { once.Do(tbl.ReleaseWriteFence) }
+}
+
 // planCrowd plans the paper's baseline: judge every tuple (Experiments
 // 1–3), capped by the per-expansion dollar budget.
-func (db *DB) planCrowd(tbl *storage.Table, column string, opts ExpandOptions) (*elicitation, error) {
+func (db *DB) planCrowd(e *elicitation) error {
 	if db.service == nil {
-		return nil, fmt.Errorf("core: direct crowd expansion requires a JudgmentService")
+		return fmt.Errorf("core: direct crowd expansion requires a JudgmentService")
 	}
-	rows, ids, err := db.rowItemIDs(tbl)
+	ids, err := currentItemIDs(e.tbl, db.binding(e.tbl.Name()))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	judgeIDs := applyBudget(ids, &opts)
-	if len(judgeIDs) == 0 {
-		return nil, fmt.Errorf("core: budget $%.2f cannot cover a single tuple", opts.Budget)
+	items := ids[:0]
+	for _, id := range ids {
+		if id != noItem {
+			items = append(items, id)
+		}
 	}
-	return &elicitation{
-		tbl: tbl, column: column, method: sqlparse.ExpandCrowd, opts: opts,
-		rows: rows, ids: ids, judgeIDs: judgeIDs,
-	}, nil
+	e.judgeIDs = applyBudget(items, &e.opts)
+	if len(e.judgeIDs) == 0 {
+		return fmt.Errorf("core: budget $%.2f cannot cover a single tuple", e.opts.Budget)
+	}
+	return nil
 }
 
 // planSpace plans the paper's contribution: crowd-source only a small
 // training sample (Experiments 4–6, §4.3).
-func (db *DB) planSpace(tbl *storage.Table, column string, opts ExpandOptions) (*elicitation, error) {
-	binding := db.binding(tbl.Name())
+func (db *DB) planSpace(e *elicitation) error {
+	binding := db.binding(e.tbl.Name())
 	if binding == nil {
-		return nil, fmt.Errorf("core: SPACE expansion of %q requires AttachSpace", tbl.Name())
+		return fmt.Errorf("core: SPACE expansion of %q requires AttachSpace", e.tbl.Name())
 	}
 	if db.service == nil {
-		return nil, fmt.Errorf("core: SPACE expansion requires a JudgmentService for the training sample")
+		return fmt.Errorf("core: SPACE expansion requires a JudgmentService for the training sample")
 	}
-	rows, ids, err := db.rowItemIDs(tbl)
+	ids, err := currentItemIDs(e.tbl, binding)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sp := binding.space
 
 	// Sample tuples to crowd-source: the most popular items give honest
 	// workers the best chance of knowing them, but a uniformly random
 	// sample is the paper's protocol — we take a deterministic spread.
-	inSpace := make([]int, 0, len(ids))
+	inSpace := ids[:0]
 	for _, id := range ids {
 		if id >= 0 && id < sp.NumItems() {
 			inSpace = append(inSpace, id)
 		}
 	}
 	if len(inSpace) == 0 {
-		return nil, fmt.Errorf("core: no row of %q maps into the attached space", tbl.Name())
+		return fmt.Errorf("core: no row of %q maps into the attached space", e.tbl.Name())
 	}
-	want := 2 * opts.SamplesPerClass * 2 // oversample: don't-knows and ties shrink it
+	want := 2 * e.opts.SamplesPerClass * 2 // oversample: don't-knows and ties shrink it
 	if want > len(inSpace) {
 		want = len(inSpace)
 	}
-	sampleIDs := spreadSample(inSpace, want)
-	sampleIDs = applyBudget(sampleIDs, &opts)
-	if len(sampleIDs) == 0 {
-		return nil, fmt.Errorf("core: budget $%.2f cannot cover a training sample", opts.Budget)
+	e.judgeIDs = applyBudget(spreadSample(inSpace, want), &e.opts)
+	if len(e.judgeIDs) == 0 {
+		return fmt.Errorf("core: budget $%.2f cannot cover a training sample", e.opts.Budget)
 	}
-	return &elicitation{
-		tbl: tbl, column: column, method: sqlparse.ExpandSpace, opts: opts,
-		rows: rows, ids: ids, judgeIDs: sampleIDs,
-	}, nil
+	return nil
 }
 
-// planElicitation dispatches on the (defaulted) method. HYBRID has no
-// plannable single sampling phase — it runs two rounds — and returns an
-// error; callers route it through expandHybrid instead.
+// planElicitation plans the sampling phase of the (defaulted) method.
+// HYBRID has no plannable single sampling phase — it runs two rounds,
+// the first of them planned here as CROWD by expandHybrid.
 func (db *DB) planElicitation(tbl *storage.Table, column string, opts ExpandOptions) (*elicitation, error) {
+	start := time.Now()
+	e := &elicitation{tbl: tbl, column: column, method: opts.Method, opts: opts}
+	var err error
 	switch opts.Method {
 	case sqlparse.ExpandCrowd:
-		return db.planCrowd(tbl, column, opts)
+		err = db.planCrowd(e)
 	case sqlparse.ExpandSpace:
-		return db.planSpace(tbl, column, opts)
+		err = db.planSpace(e)
 	default:
-		return nil, fmt.Errorf("core: method %q has no single-phase elicitation plan", opts.Method)
+		err = fmt.Errorf("core: method %q has no single-phase elicitation plan", opts.Method)
 	}
+	if err != nil {
+		return nil, err
+	}
+	e.steps.Plan = lap(&start)
+	return e, nil
 }
 
 // finishElicitation turns a judgment log (the elicitation's share of a
-// crowd run) into column values and a report, per the planned method.
+// crowd run) into labels by item id, per the planned method, fills the
+// column with them and reports.
 func (db *DB) finishElicitation(e *elicitation, res *crowd.RunResult) (*ExpansionReport, error) {
-	switch e.method {
-	case sqlparse.ExpandCrowd:
-		return db.finishCrowd(e, res)
-	case sqlparse.ExpandSpace:
-		return db.finishSpace(e, res)
-	default:
-		return nil, fmt.Errorf("core: cannot finish method %q", e.method)
-	}
-}
-
-// finishCrowd majority-votes the log and writes the result.
-func (db *DB) finishCrowd(e *elicitation, res *crowd.RunResult) (*ExpansionReport, error) {
-	e.opts.phase(jobs.StateFilling)
-	labels := aggregateVotes(res.Records, e.opts)
 	report := &ExpansionReport{
-		Table: e.tbl.Name(), Column: e.column, Method: sqlparse.ExpandCrowd,
+		Table: e.tbl.Name(), Column: e.column, Method: e.method,
 		Judgments: len(res.Records), Cost: res.TotalCost, Minutes: res.DurationMinutes,
 	}
-	vals := make([]storage.Value, len(e.rows))
-	for i := range e.rows {
-		if label, ok := labels[e.ids[i]]; ok {
-			vals[i] = storage.Bool(label)
-			report.Filled++
-		} else {
-			vals[i] = storage.Null()
-			report.Unfilled++
-		}
+	var err error
+	switch e.method {
+	case sqlparse.ExpandCrowd:
+		err = db.finishCrowd(e, res, report)
+	case sqlparse.ExpandSpace:
+		err = db.finishSpace(e, res, report)
+	default:
+		err = fmt.Errorf("core: cannot finish method %q", e.method)
 	}
-	if err := db.mutate(func() error { return e.tbl.FillColumn(e.column, vals) }); err != nil {
+	if err != nil {
 		return nil, err
 	}
+	report.Steps = e.steps
+	report.Steps.observe()
 	return report, nil
 }
 
+// finishCrowd majority-votes the log: the labels are the votes.
+func (db *DB) finishCrowd(e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
+	e.opts.phase(jobs.StateFilling)
+	clock := time.Now()
+	votes := aggregateVotes(res.Records, e.opts)
+	e.steps.Vote = lap(&clock)
+	err := fillByItem(db, e.tbl, e.column, report, func(id int) (bool, bool) {
+		label, ok := votes[id]
+		return label, ok
+	})
+	e.steps.Fill = lap(&clock)
+	return err
+}
+
 // finishSpace trains an RBF-SVM on the voted sample over the perceptual
-// space and predicts every tuple.
-func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult) (*ExpansionReport, error) {
+// space and predicts every item of the space: the labels are the model's.
+func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
 	binding := db.binding(e.tbl.Name())
 	if binding == nil {
-		return nil, fmt.Errorf("core: space binding for %q vanished mid-expansion", e.tbl.Name())
+		return fmt.Errorf("core: space binding for %q vanished mid-expansion", e.tbl.Name())
 	}
 	sp := binding.space
 	e.opts.phase(jobs.StateTraining)
-	voteLabels := aggregateVotes(res.Records, e.opts)
+	clock := time.Now()
+	votes := aggregateVotes(res.Records, e.opts)
+	e.steps.Vote = lap(&clock)
 
 	// Train on every sampled item that reached a majority, with whatever
 	// class balance the crowd produced — the Experiment 4–6 protocol.
 	// (The controlled Table 3 study uses balanced gold samples instead;
 	// that protocol lives in internal/experiments.)
-	var X [][]float64
-	var y []bool
-	perClass := map[bool]int{}
+	X := make([][]float64, 0, len(e.judgeIDs))
+	y := make([]bool, 0, len(e.judgeIDs))
+	pos := 0
 	for _, id := range e.judgeIDs {
-		label, ok := voteLabels[id]
+		label, ok := votes[id]
 		if !ok {
 			continue
 		}
-		perClass[label]++
+		if label {
+			pos++
+		}
 		X = append(X, sp.Vector(id))
 		y = append(y, label)
 	}
-	report := &ExpansionReport{
-		Table: e.tbl.Name(), Column: e.column, Method: sqlparse.ExpandSpace,
-		Judgments: len(res.Records), Cost: res.TotalCost, Minutes: res.DurationMinutes,
-		TrainingSize: len(X),
+	report.TrainingSize = len(X)
+	if pos == 0 || pos == len(X) {
+		return fmt.Errorf("core: crowd training sample for %s is single-class (pos=%d, neg=%d)",
+			e.column, pos, len(X)-pos)
 	}
-	if perClass[true] == 0 || perClass[false] == 0 {
-		return nil, fmt.Errorf("core: crowd training sample for %s is single-class (pos=%d, neg=%d)",
-			e.column, perClass[true], perClass[false])
-	}
-
 	model, err := svm.TrainSVC(X, y, svm.SVCConfig{C: 2})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	e.steps.Train = lap(&clock)
 
 	e.opts.phase(jobs.StateFilling)
-	vals := make([]storage.Value, len(e.rows))
-	for i := range e.rows {
-		id := e.ids[i]
-		if id < 0 || id >= sp.NumItems() {
-			vals[i] = storage.Null()
-			report.Unfilled++
-			continue
+	labels := model.PredictMatrix(sp.Coords(), db.engine.Dop())
+	e.steps.Predict = lap(&clock)
+	err = fillByItem(db, e.tbl, e.column, report, func(id int) (bool, bool) {
+		if id < 0 || id >= len(labels) {
+			return false, false // not an item of the space
 		}
-		vals[i] = storage.Bool(model.Predict(sp.Vector(id)))
-		report.Filled++
-	}
-	if err := db.mutate(func() error { return e.tbl.FillColumn(e.column, vals) }); err != nil {
-		return nil, err
-	}
-	return report, nil
+		return labels[id], true
+	})
+	e.steps.Fill = lap(&clock)
+	return err
 }
 
 // runElicitation is the solo (unbatched) collect step: budget
@@ -312,33 +397,14 @@ func (db *DB) runElicitation(e *elicitation) (*ExpansionReport, error) {
 	// while this one's HITs are in flight.
 	defer release()
 	e.opts.phase(jobs.StateSampling)
+	clock := time.Now()
 	res, err := db.service.Collect(e.column, e.judgeIDs, e.opts.Job)
 	if err != nil {
 		return nil, err
 	}
+	e.steps.Collect = lap(&clock)
 	db.charge(res, &e.opts)
 	return db.finishElicitation(e, res)
-}
-
-// expandDirectCrowd is the paper's baseline: judge every tuple, majority
-// vote, write the result (Experiments 1–3).
-func (db *DB) expandDirectCrowd(tbl *storage.Table, column string, opts ExpandOptions) (*ExpansionReport, error) {
-	e, err := db.planCrowd(tbl, column, opts)
-	if err != nil {
-		return nil, err
-	}
-	return db.runElicitation(e)
-}
-
-// expandViaSpace is the paper's contribution: crowd-source a small
-// training sample, train an RBF-SVM on the perceptual space, predict
-// everything (Experiments 4–6, §4.3).
-func (db *DB) expandViaSpace(tbl *storage.Table, column string, opts ExpandOptions) (*ExpansionReport, error) {
-	e, err := db.planSpace(tbl, column, opts)
-	if err != nil {
-		return nil, err
-	}
-	return db.runElicitation(e)
 }
 
 // expandHybrid crowd-sources everything, then uses the space to flag and
@@ -350,37 +416,32 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	if binding == nil {
 		return nil, fmt.Errorf("core: HYBRID expansion of %q requires AttachSpace", tbl.Name())
 	}
-	crowdReport, err := db.expandDirectCrowd(tbl, column, opts)
+	first := opts
+	first.Method = sqlparse.ExpandCrowd
+	e, err := db.planElicitation(tbl, column, first)
 	if err != nil {
 		return nil, err
 	}
-	report := *crowdReport
+	report, err := db.runElicitation(e)
+	if err != nil {
+		return nil, err
+	}
 	report.Method = sqlparse.ExpandHybrid
 
-	questionable, err := db.IdentifyQuestionable(tbl.Name(), column)
+	questionable, err := db.questionable(tbl, binding, column)
 	if err != nil {
 		return nil, err
 	}
 	if len(questionable) == 0 {
-		return &report, nil
+		return report, nil
 	}
 
 	// Re-elicit flagged tuples with tripled redundancy.
-	rows, ids, err := db.rowItemIDs(tbl)
-	if err != nil {
-		return nil, err
+	reIDs := make([]int, len(questionable))
+	for i, q := range questionable {
+		reIDs[i] = q.id
 	}
-	rowToID := map[int]int{}
-	for i, r := range rows {
-		rowToID[r] = ids[i]
-	}
-	var reIDs []int
-	for _, r := range questionable {
-		if id, ok := rowToID[r]; ok {
-			reIDs = append(reIDs, id)
-		}
-	}
-	// No phase report here: expandDirectCrowd already advanced the job to
+	// No phase report here: the first round already advanced the job to
 	// filling, and the lifecycle only moves forward — the HYBRID
 	// re-elicitation is part of the filling phase from the outside.
 	reOpts := opts
@@ -398,20 +459,27 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	db.charge(res, &opts)
 	requeryLabels := aggregateVotes(res.Records, opts)
 
-	schema := tbl.Schema()
-	colIdx, _ := schema.Lookup(column)
-	// The crowd wait above took minutes; the physical row IDs captured
-	// before it may have been remapped by a compaction since. Re-resolve
-	// item IDs to current rows inside a write fence, which excludes the
-	// compactor across the whole resolve→Set window.
+	colIdx, _ := tbl.Schema().Lookup(column)
+	// The crowd wait above took minutes; rows may have come, gone or been
+	// renumbered by a compaction since. Resolve item ids to current rows
+	// inside a write fence, which excludes the compactor across the whole
+	// resolve→Set window.
 	err = tbl.WithWriteFence(func() error {
-		curRows, curIDs, err := db.rowItemIDs(tbl)
+		snap := tbl.Pin()
+		defer snap.Release()
+		ids, err := itemIDs(snap, binding)
 		if err != nil {
 			return err
 		}
-		idToRow := make(map[int]int, len(curIDs))
-		for i, id := range curIDs {
-			idToRow[id] = curRows[i]
+		rows := snap.LiveRowIDs()
+		idToRow := make(map[int]int, len(reIDs))
+		for _, id := range reIDs {
+			idToRow[id] = -1
+		}
+		for k, id := range ids {
+			if _, wanted := idToRow[id]; wanted {
+				idToRow[id] = rows[k]
+			}
 		}
 		return db.mutate(func() error {
 			for _, id := range reIDs {
@@ -419,8 +487,8 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 				if !ok {
 					continue
 				}
-				r, live := idToRow[id]
-				if !live {
+				r := idToRow[id]
+				if r < 0 {
 					continue // row deleted while the crowd deliberated
 				}
 				if err := tbl.Set(r, colIdx, storage.Bool(label)); err != nil {
@@ -437,7 +505,7 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	report.Cost += res.TotalCost
 	report.Minutes += res.DurationMinutes
 	report.Requeried = len(reIDs)
-	return &report, nil
+	return report, nil
 }
 
 // IdentifyQuestionable trains an SVM on the column's current values over
@@ -452,44 +520,61 @@ func (db *DB) IdentifyQuestionable(table, column string) ([]int, error) {
 	if binding == nil {
 		return nil, fmt.Errorf("core: IdentifyQuestionable requires AttachSpace on %q", table)
 	}
-	schema := tbl.Schema()
-	colIdx, ok := schema.Lookup(column)
-	if !ok {
-		return nil, fmt.Errorf("core: table %q has no column %q", table, column)
-	}
-	if schema.Column(colIdx).Kind != storage.KindBool {
-		return nil, fmt.Errorf("core: IdentifyQuestionable requires a BOOLEAN column")
-	}
-	rows, ids, err := db.rowItemIDs(tbl)
+	flagged, err := db.questionable(tbl, binding, column)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]int, len(flagged))
+	for i, f := range flagged {
+		rows[i] = f.row
+	}
+	return rows, nil
+}
+
+// flaggedRow is one stored label the space model contradicts: the
+// physical row and the item in it, both as of the snapshot examined.
+type flaggedRow struct{ row, id int }
+
+// questionable is IdentifyQuestionable over one pinned snapshot of a
+// bound table, in row order.
+func (db *DB) questionable(tbl *storage.Table, binding *tableBinding, column string) ([]flaggedRow, error) {
+	snap := tbl.Pin()
+	defer snap.Release()
+	colIdx, ok := snap.Schema().Lookup(column)
+	if !ok {
+		return nil, fmt.Errorf("core: table %q has no column %q", tbl.Name(), column)
+	}
+	if snap.Schema().Column(colIdx).Kind != storage.KindBool {
+		return nil, fmt.Errorf("core: IdentifyQuestionable requires a BOOLEAN column")
+	}
+	ids, err := itemIDs(snap, binding)
+	if err != nil {
+		return nil, err
+	}
+	rows := snap.LiveRowIDs()
 	sp := binding.space
 
 	var X [][]float64
 	var y []bool
-	type labeled struct {
-		row   int
-		id    int
-		label bool
+	var labeled []flaggedRow
+	cur := storage.NewRangeCursorAt(snap, 0, -1, 0)
+	cur.SetCols([]int{colIdx})
+	k := 0
+	for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
+		col := &b.Cols[0]
+		for _, i := range b.Sel {
+			id, row := ids[k], rows[k]
+			k++
+			if col.IsNull(int(i)) || id < 0 || id >= sp.NumItems() {
+				continue // nothing to verify, or nothing to verify it with
+			}
+			X = append(X, sp.Vector(id))
+			y = append(y, col.Bools[i])
+			labeled = append(labeled, flaggedRow{row: row, id: id})
+		}
 	}
-	var all []labeled
-	for i, r := range rows {
-		v, err := tbl.Value(r, colIdx)
-		if err != nil {
-			return nil, err
-		}
-		b, ok := v.AsBool()
-		if !ok {
-			continue // NULL or non-bool: nothing to verify
-		}
-		id := ids[i]
-		if id < 0 || id >= sp.NumItems() {
-			continue
-		}
-		X = append(X, sp.Vector(id))
-		y = append(y, b)
-		all = append(all, labeled{row: r, id: id, label: b})
+	if err := cur.Err(); err != nil {
+		return nil, err
 	}
 	if len(X) < 10 {
 		return nil, fmt.Errorf("core: too few labeled rows (%d) to identify questionable responses", len(X))
@@ -498,13 +583,12 @@ func (db *DB) IdentifyQuestionable(table, column string) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []int
-	for _, l := range all {
-		if model.Predict(sp.Vector(l.id)) != l.label {
-			out = append(out, l.row)
+	var out []flaggedRow
+	for j, predicted := range model.PredictAll(X) {
+		if predicted != y[j] {
+			out = append(out, labeled[j])
 		}
 	}
-	sort.Ints(out)
 	return out, nil
 }
 

@@ -65,8 +65,9 @@ func (e *Engine) Catalog() *storage.Catalog { return e.catalog }
 // serving queries — the setting is read at plan time.
 func (e *Engine) SetExecWorkers(n int) { e.execWorkers = n }
 
-// dop resolves the effective degree of parallelism.
-func (e *Engine) dop() int {
+// Dop resolves the effective degree of parallelism: the workers a SELECT's
+// morsel chains get, and the goroutines an expansion predicts on.
+func (e *Engine) Dop() int {
 	if e.execWorkers > 0 {
 		return e.execWorkers
 	}

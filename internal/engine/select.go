@@ -32,7 +32,7 @@ func (e *Engine) PlanSelect(s *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.Parallelize(p, e.dop())
+	plan.Parallelize(p, e.Dop())
 	return p, nil
 }
 

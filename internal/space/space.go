@@ -36,6 +36,10 @@ func (s *Space) NumItems() int { return s.coords.Rows }
 // Vector returns item i's coordinates (a view; callers must not mutate).
 func (s *Space) Vector(i int) []float64 { return s.coords.Row(i) }
 
+// Coords returns the item-coordinate matrix, row i being item i (a view;
+// callers must not mutate).
+func (s *Space) Coords() *vecmath.Matrix { return s.coords }
+
 // Distance returns the Euclidean distance between items i and j.
 func (s *Space) Distance(i, j int) float64 {
 	return vecmath.Dist(s.coords.Row(i), s.coords.Row(j))

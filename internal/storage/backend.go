@@ -148,7 +148,7 @@ func ApplyCatalogOp(c *Catalog, op Op) error {
 		_, err := tbl.AddColumn(*op.Column)
 		return err
 	case OpFillColumn:
-		return tbl.FillColumn(op.Name, op.Values)
+		return tbl.FillColumnFrom(op.Name, func(*Snap) (*Vector, error) { return DecodeColumn(op.Fill) })
 	case OpTombstone:
 		tbl.Delete(op.Rows)
 		return nil

@@ -250,7 +250,7 @@ func withCell(kind Kind, old *chunk, n, i int, val Value, sealed bool) *chunk {
 }
 
 // colBuilder re-chunks a whole column of rows values appended in physical
-// order — the FillColumn and compaction path. Nothing it holds is
+// order — the compaction path. Nothing it holds is
 // published yet, so it writes its tail in place, allocated once at its
 // final size.
 type colBuilder struct {
@@ -282,6 +282,79 @@ func (b *colBuilder) append(val Value) {
 		b.cd.chunks = append(b.cd.chunks, sealTail(t))
 		b.cd.tail = nil
 	}
+}
+
+// layOut turns a fill vector — one typed cell per live row of v, in row
+// order, NULL cells zero — into the column's data over v's physical rows,
+// in the same representation colBuilder would give: a chunk with no NULL
+// has no null set, an all-NULL chunk is nil, tombstoned rows are NULL.
+// Without tombstones the chunks are capacity-limited views of the vector's
+// own payload and null words; otherwise the cells are first spread over
+// their physical positions.
+func (v *version) layOut(vec *Vector) colData {
+	cd := colData{chunks: make([]*chunk, v.sealed/ChunkRows)}
+	if vec.Kind == KindNull {
+		return cd
+	}
+	flat := vec.payload()
+	words := (v.nrows + 63) / 64
+	if v.ndead > 0 {
+		flat = *newChunk(vec.Kind, v.nrows)
+		flat.nulls = make([]uint64, words)
+		li := 0
+		for i := 0; i < v.nrows; i++ {
+			if !v.isDead(i) {
+				// Boxed on the stack, and only on this path: a fill over tombstones.
+				if val := vec.Value(li); !val.IsNull() {
+					flat.put(i, val)
+					li++
+					continue
+				}
+				li++
+			}
+			flat.nulls[i>>6] |= 1 << (uint(i) & 63)
+		}
+	} else if n := len(flat.nulls); n != 0 && n < words {
+		flat.nulls = append(flat.nulls, make([]uint64, words-n)...) // a vector's bitmap may stop after its last NULL
+	}
+	for lo := 0; lo < v.nrows; lo += ChunkRows {
+		hi := min(lo+ChunkRows, v.nrows)
+		nulls := countBits(flat.nulls, lo, hi)
+		if nulls == hi-lo {
+			continue // nil: all-NULL
+		}
+		c := &chunk{kind: flat.kind}
+		switch flat.kind {
+		case KindInt:
+			c.ints = flat.ints[lo:hi:hi]
+		case KindFloat:
+			c.floats = flat.floats[lo:hi:hi]
+		case KindBool:
+			c.bools = flat.bools[lo:hi:hi]
+		case KindText:
+			c.strs = flat.strs[lo:hi:hi]
+		}
+		if lo >= v.sealed {
+			if nulls > 0 {
+				c.flags = make([]bool, hi-lo)
+				for i := range c.flags {
+					c.flags[i] = hasBit(flat.nulls, lo+i)
+				}
+			}
+			cd.tail = c
+			break
+		}
+		if nulls > 0 {
+			c.nulls = flat.nulls[lo>>6 : hi>>6 : hi>>6] // ChunkRows is a whole number of words
+		}
+		cd.chunks[lo/ChunkRows] = c
+	}
+	return cd
+}
+
+// payload views a typed vector's cells and null words as a chunk.
+func (v *Vector) payload() chunk {
+	return chunk{kind: v.Kind, ints: v.Ints, floats: v.Floats, bools: v.Bools, strs: v.Strs, nulls: v.Nulls}
 }
 
 // cellBytes is a column kind's resident bytes per cell, text payload

@@ -37,7 +37,8 @@ const (
 //	insert        Table, Values (one full row, post-coercion)
 //	set           Table, Row, Col, Values[0]
 //	add_column    Table, Column
-//	fill_column   Table, Name, Values (one per live row, in scan order)
+//	fill_column   Table, Name, Fill (the typed column payload of colcodec.go:
+//	              one cell per live row, in scan order)
 //	tombstone     Table, Rows (physical row IDs)
 //	compact       Table, Rows (removed physical row IDs, ascending)
 type Op struct {
@@ -50,6 +51,7 @@ type Op struct {
 	Col     int      `json:"col,omitempty"`
 	Rows    []int    `json:"rows,omitempty"`
 	Values  []Value  `json:"values,omitempty"`
+	Fill    []byte   `json:"fill,omitempty"`
 }
 
 // Journal receives every mutation applied to a catalog's tables, in apply

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -392,12 +393,19 @@ func (t *Table) AddColumn(c Column) (int, error) {
 	return nv.schema.Len() - 1, nil
 }
 
-// FillColumn assigns vals (one per live row, in scan order) to the named
-// column. It is the bulk write path used by expansion strategies after a
-// classifier has produced values for every tuple. The column is rebuilt
-// into fresh chunks in one commit; snapshots pinned before the fill keep
-// reading the old chunks untouched.
-func (t *Table) FillColumn(name string, vals []Value) error {
+// FillColumnFrom replaces the named column with the cells fill computes —
+// the one bulk write path: expansion strategies land their labels through
+// it, FillColumn boxes into it, and replay decodes a fill_column record
+// into it. fill runs under the table's write lock and is handed the very
+// version the cells are applied to, so what it reads there (through
+// NewRangeCursorAt and SetCols — its item ids, say) cannot go stale
+// before the column is published; it must not call back into the table's
+// mutators. It returns a typed vector of the column's kind, or of
+// KindNull for an all-NULL column, holding one cell per live row of at in
+// scan order; the vector's memory becomes the column's. The column is
+// laid out in fresh chunks in one commit, tombstoned rows NULL, and
+// snapshots pinned before the fill keep reading the old chunks.
+func (t *Table) FillColumnFrom(name string, fill func(at *Snap) (*Vector, error)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.snap.Load()
@@ -405,35 +413,20 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 	if !ok {
 		return fmt.Errorf("storage: table %s has no column %q", t.name, name)
 	}
-	if len(vals) != v.live() {
-		return fmt.Errorf("storage: FillColumn %s: %d values for %d rows", name, len(vals), v.live())
-	}
-	kind := v.schema.Column(col).Kind
-	coerced := make([]Value, len(vals))
-	for i, val := range vals {
-		cv, err := val.Coerce(kind)
-		if err != nil {
-			return fmt.Errorf("storage: FillColumn %s row %d: %w", name, i, err)
-		}
-		coerced[i] = cv
-	}
-	if err := t.logOp(Op{Kind: OpFillColumn, Table: t.name, Name: name, Values: coerced}); err != nil {
+	vec, err := fill(&Snap{t: t, v: v, released: true}) // a view, not a pin: nothing to release
+	if err != nil {
 		return err
 	}
-	// Spread live-ordered values over physical positions; tombstoned rows
-	// stay NULL.
-	b := colBuilder{kind: kind, rows: v.nrows}
-	li := 0
-	for i := 0; i < v.nrows; i++ {
-		if v.isDead(i) {
-			b.append(Null())
-			continue
+	if err := conformFill(vec, v.schema.Column(col).Kind, v.live()); err != nil {
+		return fmt.Errorf("storage: FillColumn %s: %w", name, err)
+	}
+	if t.journal != nil {
+		if err := t.logOp(Op{Kind: OpFillColumn, Table: t.name, Name: name, Fill: EncodeColumn(vec, v.live())}); err != nil {
+			return err
 		}
-		b.append(coerced[li])
-		li++
 	}
 	nv := v.clone()
-	nv.cols[col] = b.cd
+	nv.cols[col] = v.layOut(vec)
 	t.publish(nv, func() {
 		// Bulk rebuild beats nrows incremental Replace calls — this is
 		// the crowd-fill landing path for expanded columns.
@@ -442,6 +435,62 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 		}
 	})
 	t.notify(Op{Kind: OpFillColumn, Table: t.name})
+	return nil
+}
+
+// FillColumn assigns vals (one per live row, in scan order) to the named
+// column, each coerced to the column's kind: the boxing adapter over
+// FillColumnFrom, as Cursor.Next is over NextBatch.
+func (t *Table) FillColumn(name string, vals []Value) error {
+	return t.FillColumnFrom(name, func(at *Snap) (*Vector, error) {
+		col, _ := at.v.schema.Lookup(name)
+		kind := at.v.schema.Column(col).Kind
+		c := newChunk(kind, len(vals))
+		vec := &Vector{Kind: kind, Ints: c.ints, Floats: c.floats, Bools: c.bools, Strs: c.strs}
+		if kind == KindNull {
+			vec.nullCells = len(vals)
+		}
+		for i, val := range vals {
+			cv, err := val.Coerce(kind)
+			if err != nil {
+				return nil, fmt.Errorf("storage: FillColumn %s row %d: %w", name, i, err)
+			}
+			if cv.IsNull() {
+				vec.markNull(i)
+			} else {
+				c.put(i, cv)
+			}
+		}
+		return vec, nil
+	})
+}
+
+// conformFill checks that vec can become a column of the given kind over
+// n live rows and zeroes the payload under its NULL cells — the chunk
+// invariant the typed kernels and the column codec both assume.
+func conformFill(vec *Vector, kind Kind, n int) error {
+	if vec.Vals != nil {
+		return fmt.Errorf("boxed vector for a %s column", kind)
+	}
+	if vec.Kind != kind && vec.Kind != KindNull {
+		return fmt.Errorf("%s vector for a %s column", vec.Kind, kind)
+	}
+	if vec.Len() != n {
+		return fmt.Errorf("%d values for %d rows", vec.Len(), n)
+	}
+	if vec.Kind == KindNull {
+		return nil
+	}
+	cells := vec.payload()
+	for wi, w := range vec.Nulls {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			if i >= n {
+				return fmt.Errorf("null bit %d beyond %d rows", i, n)
+			}
+			cells.put(i, Value{})
+		}
+	}
 	return nil
 }
 
@@ -458,9 +507,9 @@ type ScanFunc func(rowIdx int, row Row) bool
 func (t *Table) Scan(f ScanFunc) {
 	// An unpinned cursor: Scan hands out physical IDs without taking part
 	// in compaction admission (callers that keep them hold a write fence).
-	// Its batch shrinks with the table's width — callers such as "is this
-	// column filled yet" stop at the first row of a table that expansion
-	// has made hundreds of columns wide.
+	// Its batch shrinks with the table's width — a caller that stops at
+	// the first row of a table that expansion has made hundreds of columns
+	// wide should not have boxed 256 of them.
 	v := t.snap.Load()
 	batch := max(1, min(DefaultBatchSize, scanBatchCells/max(1, v.schema.Len())))
 	c := newCursorOn(&Snap{t: t, v: v}, 0, -1, batch)

@@ -212,6 +212,25 @@ func (s *Snap) Release() {
 // included) — the partitioning domain for morsel-parallel scans.
 func (s *Snap) NumRows() int { return s.v.nrows }
 
+// Schema returns the snapshot's schema.
+func (s *Snap) Schema() *Schema { return s.v.schema }
+
+// NumLive returns the snapshot's live row count.
+func (s *Snap) NumLive() int { return s.v.live() }
+
+// LiveRowIDs returns the physical IDs of the snapshot's live rows,
+// ascending — cell k of a one-column read of the snapshot belongs to row
+// LiveRowIDs()[k].
+func (s *Snap) LiveRowIDs() []int {
+	ids := make([]int, 0, s.NumLive())
+	for i := 0; i < s.v.nrows; i++ {
+		if !s.v.isDead(i) {
+			ids = append(ids, i)
+		}
+	}
+	return ids
+}
+
 // Epoch returns the snapshot's version epoch.
 func (s *Snap) Epoch() uint64 { return s.v.epoch }
 

@@ -55,41 +55,9 @@ func (c *SVCConfig) fillDefaults(X [][]float64) {
 	}
 }
 
-// SVC is a trained soft-margin kernel classifier.
-type SVC struct {
-	kernel   Kernel
-	supportX [][]float64
-	coef     []float64 // α_i · y_i for each support vector
-	b        float64
-}
-
-// Kernel returns the trained model's kernel.
-func (m *SVC) Kernel() Kernel { return m.kernel }
-
-// NumSupport returns the number of support vectors.
-func (m *SVC) NumSupport() int { return len(m.supportX) }
-
-// Decision returns the signed distance-like score f(x) = Σ αᵢyᵢ K(xᵢ,x) + b.
-func (m *SVC) Decision(x []float64) float64 {
-	s := m.b
-	for i, sv := range m.supportX {
-		s += m.coef[i] * m.kernel.Eval(sv, x)
-	}
-	return s
-}
-
-// Predict classifies x (true = positive class). Points exactly on the
-// boundary are labeled negative.
-func (m *SVC) Predict(x []float64) bool { return m.Decision(x) > 0 }
-
-// PredictAll classifies a batch.
-func (m *SVC) PredictAll(X [][]float64) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
+// SVC is a trained soft-margin kernel classifier; its coefficients are
+// αᵢ·yᵢ per support vector (see machine.go for how it is evaluated).
+type SVC struct{ machine }
 
 // TrainSVC fits a binary classifier on X with boolean labels using
 // sequential minimal optimization (the simplified Platt variant with a
@@ -230,14 +198,13 @@ func TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
 		}
 	}
 
-	model := &SVC{kernel: cfg.Kernel, b: b}
+	model := &SVC{machine{kernel: cfg.Kernel, dim: dim, b: b}}
 	for i := 0; i < n; i++ {
 		if alpha[i] > 1e-9 {
-			model.supportX = append(model.supportX, X[i])
-			model.coef = append(model.coef, alpha[i]*ys[i])
+			model.add(X[i], alpha[i]*ys[i])
 		}
 	}
-	if len(model.supportX) == 0 {
+	if model.NumSupport() == 0 {
 		// Degenerate but possible on trivially separable data with tiny C:
 		// fall back to a nearest-centroid-style decision via bias only.
 		model.b = 0

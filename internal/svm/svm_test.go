@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"crowddb/internal/vecmath"
 )
 
 // twoBlobs generates a linearly separable 2-class problem.
@@ -449,4 +451,107 @@ func TestRBFKernelProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// naiveDecision is the reference the batch paths are held to: the kernel's
+// own Eval per support vector, in stored order.
+func naiveDecision(m *machine, x []float64) float64 {
+	s := m.b
+	for i, c := range m.coef {
+		s += c * m.kernel.Eval(m.sv[i*m.dim:(i+1)*m.dim], x)
+	}
+	return s
+}
+
+// evalOnly hides a kernel's concrete type, forcing the Eval fallback.
+type evalOnly struct{ Kernel }
+
+// The labels an expansion writes must not depend on how the items were
+// batched or on how many goroutines scored them: at every worker count
+// PredictMatrix and PredictAll give, bit for bit, the decision value of
+// per-item Predict and of the naive Kernel.Eval loop.
+func TestPredictAllIsBitIdenticalAtEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const dim = 7
+	kernels := []Kernel{
+		RBFKernel{Gamma: 0.37},
+		LinearKernel{},
+		PolyKernel{Gamma: 0.5, Coef0: 1, Degree: 3},
+		evalOnly{RBFKernel{Gamma: 0.37}},
+	}
+	for _, k := range kernels {
+		X := make([][]float64, 80)
+		y := make([]bool, len(X))
+		for i := range X {
+			X[i] = make([]float64, dim)
+			for j := range X[i] {
+				X[i][j] = rng.NormFloat64()
+			}
+			y[i] = X[i][0]+0.5*X[i][1]+0.3*rng.NormFloat64() > 0 // overlapping classes: many support vectors
+		}
+		svc, err := TrainSVC(X, y, SVCConfig{Kernel: k, C: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := make([]float64, len(X))
+		for i, x := range X {
+			target[i] = x[0] + 0.1*rng.NormFloat64()
+		}
+		svr, err := TrainSVR(X, target, SVRConfig{Kernel: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if svc.NumSupport() == 0 || svr.NumSupport() == 0 {
+			t.Fatalf("%v: model without support vectors proves nothing", k)
+		}
+		for _, n := range []int{0, 1, 3, 257} { // empty, fewer items than workers, an uneven split
+			items := vecmath.NewMatrix(n, dim)
+			items.FillRandom(rng, 3)
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = items.Row(i)
+			}
+			for _, workers := range []int{0, 1, 2, 8} {
+				labels := svc.PredictMatrix(items, workers)
+				scores := svr.PredictMatrix(items, workers)
+				if len(labels) != n || len(scores) != n {
+					t.Fatalf("%v n=%d workers=%d: %d labels, %d scores", k, n, workers, len(labels), len(scores))
+				}
+				for i, x := range rows {
+					want := naiveDecision(&svc.machine, x)
+					if got := svc.Decision(x); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v: Decision %v, naive %v", k, got, want)
+					}
+					if labels[i] != (want > 0) || labels[i] != svc.Predict(x) {
+						t.Fatalf("%v n=%d workers=%d item %d: label %v, decision %v", k, n, workers, i, labels[i], want)
+					}
+					want = naiveDecision(&svr.machine, x)
+					if math.Float64bits(scores[i]) != math.Float64bits(want) || math.Float64bits(svr.Predict(x)) != math.Float64bits(want) {
+						t.Fatalf("%v n=%d workers=%d item %d: score %v, Predict %v, naive %v", k, n, workers, i, scores[i], svr.Predict(x), want)
+					}
+				}
+			}
+			all, allScores := svc.PredictAll(rows), svr.PredictAll(rows)
+			for i := range rows {
+				if all[i] != svc.Predict(rows[i]) || math.Float64bits(allScores[i]) != math.Float64bits(svr.Predict(rows[i])) {
+					t.Fatalf("%v n=%d: PredictAll disagrees with Predict at item %d", k, n, i)
+				}
+			}
+		}
+	}
+}
+
+func TestPredictRejectsWrongDimension(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	X, y := twoBlobs(40, 3, rng)
+	m, err := TrainSVC(X, y, SVCConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 3-d item scored by a 2-d model must panic on the calling goroutine")
+		}
+	}()
+	m.PredictAll([][]float64{{1, 2}, {1, 2, 3}})
 }

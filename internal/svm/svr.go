@@ -50,34 +50,8 @@ func (c *SVRConfig) fillDefaults(X [][]float64) {
 }
 
 // SVR is a trained support vector regression model:
-// f(x) = Σ βᵢ K(xᵢ, x) + b with βᵢ = αᵢ − αᵢ*.
-type SVR struct {
-	kernel   Kernel
-	supportX [][]float64
-	beta     []float64
-	b        float64
-}
-
-// NumSupport returns the number of support vectors.
-func (m *SVR) NumSupport() int { return len(m.supportX) }
-
-// Predict evaluates the regression function at x.
-func (m *SVR) Predict(x []float64) float64 {
-	s := m.b
-	for i, sv := range m.supportX {
-		s += m.beta[i] * m.kernel.Eval(sv, x)
-	}
-	return s
-}
-
-// PredictAll evaluates a batch.
-func (m *SVR) PredictAll(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
+// f(x) = Σ βᵢ K(xᵢ, x) + b with βᵢ = αᵢ − αᵢ* (evaluated in machine.go).
+type SVR struct{ machine }
 
 // TrainSVR fits ε-SVR by pairwise coordinate descent on the dual:
 //
@@ -229,11 +203,10 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 		b = median(res)
 	}
 
-	model := &SVR{kernel: cfg.Kernel, b: b}
+	model := &SVR{machine{kernel: cfg.Kernel, dim: dim, b: b}}
 	for i := 0; i < n; i++ {
 		if math.Abs(beta[i]) > 1e-9 {
-			model.supportX = append(model.supportX, X[i])
-			model.beta = append(model.beta, beta[i])
+			model.add(X[i], beta[i])
 		}
 	}
 	return model, nil

@@ -8,6 +8,7 @@ package crowddb_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -417,15 +418,22 @@ func TestCachedSelectAtLeast20xFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	const iters = 15
+	// The best of three rounds: the cached loop is a few hundred
+	// microseconds, and one preemption beside the other packages' tests
+	// is longer than that.
 	timeIt := func(f func() error) time.Duration {
 		t.Helper()
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := f(); err != nil {
-				t.Fatal(err)
+		best := time.Duration(math.MaxInt64)
+		for round := 0; round < 3; round++ {
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
 			}
+			best = min(best, time.Since(start))
 		}
-		return time.Since(start)
+		return best
 	}
 	cached := timeIt(func() error { _, _, err := db.ExecSQL(cachedSelectSQL); return err })
 	uncached := timeIt(func() error { _, _, err := db.ExecSQLNoCache(cachedSelectSQL); return err })
