@@ -33,9 +33,12 @@ fmt:
 
 # Seconds of native fuzzing: arbitrary bytes through the fill_column
 # payload decoder (a positioned error or a canonical payload, never a
-# panic). go test -fuzz takes one target per run.
+# panic), and arbitrary key sequences through the executor's typed key
+# table against a Go map (group numbers and join chains). go test -fuzz
+# takes one target per run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFillPayload -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
+	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
 
 check: build fmt vet race fuzz
 
@@ -74,9 +77,15 @@ bench-smoke:
 # as well: their dop-4 run may not be slower than their dop-1 run of the
 # same process (beyond the same 30% of noise), nor allocate over 4× its
 # bytes — the cliff a per-row copy at the exchange would reopen.
-BENCH_GUARDED = BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
-BENCH_GUARDED_MEM = BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
-BENCH_SCALING = BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
+# BenchmarkWideRangeTopN is guarded but not among them: its serial run
+# allocates 38 KB in all, so the exchange's fixed buffers at four workers
+# (a held selection per morsel of the claim window, an offsets array per
+# cursor: 180 KB, none of it per row) already read as 5.6×; it joins once
+# TopN folds per-worker heaps instead of reading through a Gather
+# (ROADMAP item 4).
+BENCH_GUARDED = BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED_MEM = BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_SCALING = BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)
 comma := ,

@@ -1623,3 +1623,137 @@ func BenchmarkInstrumentedSelectTraced(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrSelectRows), "rows-scanned/op")
 }
+
+// ---------- analytic range benchmarks: the access path and the key tables ----------
+//
+// The fixture is the shape of the benchmark harness's ratings table
+// (146 306 rows in 36 chunks, an ordered index on rid, 4 000 movies, 1 000
+// users), and BenchmarkWideRangeTopN and BenchmarkGroupByManyGroups are
+// the two analytic_scan statements that carry a wide `rid >= k` next to
+// their filter: the planner counts that range, declines the index and
+// scans, and the GROUP BY hashes its INTEGER key without encoding it.
+
+const (
+	ratingRows   = 146_306
+	ratingMovies = 4000
+	ratingUsers  = 1000
+)
+
+var (
+	ratingsOnce sync.Once
+	ratingsEng  *engine.Engine
+	ratingsErr  error
+)
+
+// ratingsEngine builds ratings, with r_rid, and ratings_plain, the same
+// rows with no index, whose plans are always scans.
+func ratingsEngine(b *testing.B) *engine.Engine {
+	b.Helper()
+	ratingsOnce.Do(func() {
+		eng := engine.New(storage.NewCatalog())
+		for _, name := range []string{"ratings", "ratings_plain"} {
+			if _, ratingsErr = eng.ExecSQL(`CREATE TABLE ` + name + ` (rid INTEGER, movie_id INTEGER, usr INTEGER, score FLOAT)`); ratingsErr != nil {
+				return
+			}
+			tbl, _ := eng.Catalog().Get(name)
+			rng := rand.New(rand.NewSource(19))
+			for i := 0; i < ratingRows && ratingsErr == nil; i++ {
+				ratingsErr = tbl.Insert(storage.Int(int64(i)), storage.Int(rng.Int63n(ratingMovies)),
+					storage.Int(rng.Int63n(ratingUsers)), storage.Float(float64(1+rng.Intn(10))/2))
+			}
+		}
+		if ratingsErr == nil {
+			_, ratingsErr = eng.ExecSQL(`CREATE INDEX r_rid ON ratings (rid)`)
+		}
+		ratingsEng = eng
+	})
+	if ratingsErr != nil {
+		b.Fatal(ratingsErr)
+	}
+	return ratingsEng
+}
+
+func BenchmarkWideRangeTopN(b *testing.B) {
+	eng := ratingsEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.ExecSQL(`SELECT rid, usr, score FROM ratings WHERE usr > 500 AND rid >= 30000 ORDER BY score DESC LIMIT 10`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+	b.ReportMetric(ratingRows, "rows-scanned/op")
+}
+
+func BenchmarkGroupByManyGroups(b *testing.B) {
+	eng := ratingsEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.ExecSQL(`SELECT movie_id, COUNT(*), AVG(score) FROM ratings WHERE usr > 500 AND rid >= 30000 GROUP BY movie_id`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != ratingMovies {
+			b.Fatalf("groups = %d", len(res.Rows))
+		}
+	}
+	b.ReportMetric(ratingRows, "rows-scanned/op")
+}
+
+// BenchmarkRangeCrossover is the measurement behind the planner's
+// indexRangeShare (internal/engine/plan/access.go): one filtered count
+// over a rid range of each width, read through r_rid (the probe's IDs
+// fetched row by row, the residual evaluated per row) and by scanning
+// (both bounds and the residual as predicate kernels over the chunks).
+// The index side is planned against ratings and, where the planner
+// declined the probe, put back; the scan side is planned against the
+// unindexed copy. Run it with
+//
+//	go test -run xxx -bench RangeCrossover -benchtime 200x -cpu 1,2 .
+//
+// and read off the width at which path=scan starts to win.
+func BenchmarkRangeCrossover(b *testing.B) {
+	eng := ratingsEngine(b)
+	for _, permille := range []int{1, 3, 10, 20, 30, 50, 100, 500} {
+		width := ratingRows * permille / 1000
+		for _, path := range []string{"index", "scan"} {
+			table := map[string]string{"index": "ratings", "scan": "ratings_plain"}[path]
+			sql := fmt.Sprintf(`SELECT COUNT(*) FROM %s WHERE usr > 500 AND rid >= 40000 AND rid < %d`, table, 40000+width)
+			b.Run(fmt.Sprintf("width=%.1f%%/path=%s", float64(permille)/10, path), func(b *testing.B) {
+				stmt, err := sqlparse.Parse(sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, err := eng.PlanSelect(stmt.(*sqlparse.SelectStmt))
+				if err != nil {
+					b.Fatal(err)
+				}
+				agg := p.Root.(*plan.Aggregate)
+				if scan, ok := agg.Input.(*plan.Scan); ok && scan.Declined != nil {
+					probe := scan.Declined
+					probe.Out, probe.Dop = scan.Out, scan.Dop
+					agg.Input = probe
+				}
+				if _, isProbe := agg.Input.(*plan.IndexRange); isProbe != (path == "index") {
+					b.Fatalf("path=%s runs %s", path, agg.Input.Describe())
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := engine.ExecPlan(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if n, _ := res.Rows[0][0].AsInt(); n < int64(width)/3 {
+						b.Fatalf("count = %d of a %d-row range", n, width)
+					}
+				}
+			})
+		}
+	}
+}

@@ -169,8 +169,10 @@ func TestIndexSurvivesSnapshotPlusReplay(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
+	// 600 readings, so that the six the range below selects are few enough
+	// of the table for the planner to probe the index for them.
 	exec(db1, `CREATE TABLE readings (sensor INTEGER, temp FLOAT)`)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 400; i++ {
 		exec(db1, fmt.Sprintf(`INSERT INTO readings VALUES (%d, %d.5)`, i%4, i))
 	}
 	exec(db1, `CREATE INDEX r_temp ON readings (temp)`)
@@ -178,7 +180,7 @@ func TestIndexSurvivesSnapshotPlusReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-snapshot tail: replayed inserts must land in the rebuilt index.
-	for i := 40; i < 60; i++ {
+	for i := 400; i < 600; i++ {
 		exec(db1, fmt.Sprintf(`INSERT INTO readings VALUES (%d, %d.5)`, i%4, i))
 	}
 	if err := db1.Close(); err != nil {
@@ -191,17 +193,19 @@ func TestIndexSurvivesSnapshotPlusReplay(t *testing.T) {
 	}
 	defer db2.Close()
 	metas := db2.TableIndexes("readings")
-	if len(metas) != 1 || metas[0].Entries != 60 {
-		t.Fatalf("recovered index = %+v, want 60 entries", metas)
+	if len(metas) != 1 || metas[0].Entries != 600 {
+		t.Fatalf("recovered index = %+v, want 600 entries", metas)
 	}
-	res, _, err := db2.ExecSQL(`SELECT sensor FROM readings WHERE temp > 49.0 AND temp < 55.0`)
+	// The range straddles the snapshot: 397.5 … 399.5 from it, 400.5 …
+	// 402.5 from the replayed tail.
+	res, _, err := db2.ExecSQL(`SELECT sensor FROM readings WHERE temp > 397.0 AND temp < 403.0`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 6 { // temps 49.5 … 54.5
+	if len(res.Rows) != 6 {
 		t.Fatalf("range rows = %d, want 6", len(res.Rows))
 	}
-	if p := explainText(t, db2, `SELECT sensor FROM readings WHERE temp > 49.0 AND temp < 55.0`); !strings.Contains(p, "IndexRange(r_temp") {
+	if p := explainText(t, db2, `SELECT sensor FROM readings WHERE temp > 397.0 AND temp < 403.0`); !strings.Contains(p, "IndexRange(r_temp") {
 		t.Fatalf("replayed index not used:\n%s", p)
 	}
 }

@@ -1,84 +1,14 @@
 package exec
 
 import (
-	"math/bits"
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"crowddb/internal/engine/plan"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
-
-// aggState accumulates one aggregate over one group. It is a few words —
-// a group's states sit in its worker's slab — and only MIN and MAX, which
-// must remember a value, point outside it.
-type aggState struct {
-	count   int
-	sum     float64
-	numeric bool
-	best    *storage.Value // MIN/MAX: the extreme so far
-}
-
-func (st *aggState) observe(agg sqlparse.AggFunc, v storage.Value) {
-	if v.IsNull() {
-		return
-	}
-	st.count++
-	if agg == sqlparse.AggMin || agg == sqlparse.AggMax {
-		st.keepBest(agg, v)
-	} else if f, ok := v.AsFloat(); ok {
-		st.sum += f
-		st.numeric = true
-	}
-}
-
-// keepBest keeps v if it beats the extreme so far; values it cannot be
-// compared with are passed over.
-func (st *aggState) keepBest(agg sqlparse.AggFunc, v storage.Value) {
-	if st.best == nil {
-		first := v // a copy, so that only this branch moves a value to the heap
-		st.best = &first
-		return
-	}
-	if c, err := v.Compare(*st.best); err == nil && (c < 0) == (agg == sqlparse.AggMin) && c != 0 {
-		*st.best = v
-	}
-}
-
-// merge folds another partial state into st — the combine step of
-// parallel partial aggregation. Every supported aggregate is
-// decomposable: count and sum add, min/max compare, avg derives from
-// count+sum at finalize.
-func (st *aggState) merge(agg sqlparse.AggFunc, o *aggState) {
-	st.count += o.count
-	st.sum += o.sum
-	st.numeric = st.numeric || o.numeric
-	if o.best != nil {
-		st.keepBest(agg, *o.best)
-	}
-}
-
-func (st *aggState) finalize(agg sqlparse.AggFunc) storage.Value {
-	switch agg {
-	case sqlparse.AggCount:
-		return storage.Int(int64(st.count))
-	case sqlparse.AggSum:
-		if st.count == 0 || !st.numeric {
-			return storage.Null()
-		}
-		return storage.Float(st.sum)
-	case sqlparse.AggAvg:
-		if st.count == 0 || !st.numeric {
-			return storage.Null()
-		}
-		return storage.Float(st.sum / float64(st.count))
-	case sqlparse.AggMin, sqlparse.AggMax:
-		if st.best != nil {
-			return *st.best
-		}
-	}
-	return storage.Null()
-}
 
 // aggIter implements HashAggregate: Open consumes the whole input,
 // hashing rows into groups and folding aggregate states; NextBatch emits
@@ -87,28 +17,32 @@ func (st *aggState) finalize(agg sqlparse.AggFunc) storage.Value {
 // key values. Aggregates without GROUP BY yield exactly one row, even for
 // empty input (standard SQL).
 //
-// The fold reads vectors: a row's group key is encoded from the GROUP BY
-// cells into a scratch the worker reuses, so finding the group of a row
-// allocates nothing; a new group costs its key string and a stretch of
-// its worker's slabs — the boxed GROUP BY values it is identified by and
-// its states; nothing else of the row is kept. It is a runMorsels phase
-// over the input source: each worker folds a partial (aggGroups), and the
-// partials are merged — states via aggState.merge, first-seen sequence
-// the lowest of the partials' — so output order and values are the same
-// at any dop. One worker leaves one partial and nothing to merge.
+// The fold reads vectors, a batch at a time: first the group number of
+// every row, then each aggregate item over the batch. A key that is one
+// INTEGER, FLOAT or BOOLEAN column (typedKey) is hashed from its payload
+// into a keyTable; any other key is encoded from the GROUP BY cells into a
+// reused scratch and looked up in a map, which costs a new group its key
+// string and boxed GROUP BY values. The states are columns per item
+// (aggCol), and the finished columns are the output vectors. The fold is
+// a runMorsels phase over the input source: each worker folds a partial
+// (aggGroups), and the partials are merged into the first — states added
+// or compared, first-seen sequence the lowest — so output order and values
+// are the same at any dop.
 type aggIter struct {
 	input sourceFn
 	node  *plan.Aggregate
 
 	// Bound when the operator is built, read-only afterwards.
 	groupBy *boundExprs
+	typed   bool        // the key takes the keyTable
+	perRow  bool        // the fold looks at rows: there is a GROUP BY, or an aggregate over an expression
 	args    *boundExprs // one per item; a nil expression for COUNT(*) and scalar items; shares groupBy's binding
 	itemKey []int       // per scalar item: the GROUP BY expression it repeats
 	having  binding
 
-	out storage.Batch // every surviving group's row; Sel is the window being emitted
-	sel []int32
-	pos int
+	out   storage.Batch // every group's row, by group number
+	order []int32       // the groups to emit, in first-seen order
+	pos   int
 }
 
 func newAggregate(t *plan.Aggregate, input sourceFn) *aggIter {
@@ -119,11 +53,14 @@ func newAggregate(t *plan.Aggregate, input sourceFn) *aggIter {
 		itemKey: make([]int, len(t.Items)),
 		having:  bindExprs(outputResolver(t.Names), t.Having),
 	}
+	a.typed, _ = typedKey(a.groupBy)
+	a.perRow = len(t.GroupBy) > 0
 	args := make([]sqlparse.Expr, len(t.Items))
 	for k, item := range t.Items {
 		a.itemKey[k] = -1
 		if item.Agg != sqlparse.AggNone {
 			args[k] = item.Expr
+			a.perRow = a.perRow || item.Expr != nil
 			continue
 		}
 		for gi, g := range t.GroupBy {
@@ -137,147 +74,243 @@ func newAggregate(t *plan.Aggregate, input sourceFn) *aggIter {
 	return a
 }
 
-// slab is an append-only array of fixed-size records that never move:
-// records live in chunks of doubling size (16 records, then 32, 64, …),
-// so growing costs no copy and at most doubles the memory in use —
-// append's amortized regrowth of a large slice would allocate five times
-// the final size along the way.
-type slab[T any] struct {
-	rec    int // elements per record
-	n      int // records held
-	chunks [32 - 4][]T
+// aggCol is the state of one aggregate item over every group: a column
+// per accumulator, indexed by group number, of which an item has only
+// the ones its function needs — a scalar item none.
+type aggCol struct {
+	count []int64         // COUNT: the rows, or the non-NULL values; SUM and AVG: the numeric values
+	sum   []float64       // SUM, AVG
+	best  []storage.Value // MIN, MAX: the extreme so far, NULL before the first value
 }
 
-const slabFirst = 16
-
-// locate maps record g to its chunk and the record's index within it.
-func slabLocate(g int) (chunk, i int) {
-	chunk = bits.Len(uint(g+slabFirst)) - bits.Len(uint(slabFirst))
-	return chunk, g + slabFirst - slabFirst<<chunk
-}
-
-// add appends a zero record and returns it.
-func (s *slab[T]) add() []T {
-	chunk, i := slabLocate(s.n)
-	if s.chunks[chunk] == nil {
-		s.chunks[chunk] = make([]T, s.rec*slabFirst<<chunk)
+// observe folds one value into group g. MIN and MAX keep v if it beats
+// the extreme so far; values it cannot be compared with are passed over.
+func (c *aggCol) observe(agg sqlparse.AggFunc, g int32, v storage.Value) {
+	switch {
+	case v.IsNull():
+	case agg == sqlparse.AggCount:
+		c.count[g]++
+	case agg == sqlparse.AggMin || agg == sqlparse.AggMax:
+		if best := &c.best[g]; best.IsNull() {
+			*best = v
+		} else if d, err := v.Compare(*best); err == nil && d != 0 && (d < 0) == (agg == sqlparse.AggMin) {
+			*best = v
+		}
+	default:
+		if f, ok := v.AsFloat(); ok {
+			c.count[g]++
+			c.sum[g] += f
+		}
 	}
-	s.n++
-	return s.chunks[chunk][i*s.rec : (i+1)*s.rec]
 }
 
-func (s *slab[T]) at(g int32) []T {
-	chunk, i := slabLocate(int(g))
-	return s.chunks[chunk][i*s.rec : (i+1)*s.rec]
-}
+// unseen is the first-seen sequence of a group no row has joined.
+const unseen = math.MaxInt64
 
 // aggGroups is a set of groups — one worker's partial, or the merged
-// whole — numbered in the order they were added, with the GROUP BY values
-// and the states of group g in slabs.
+// whole — numbered in the order they were added. Group 0 is there from
+// the start: the one group of an aggregate without GROUP BY, the
+// NULL-key group of a typed key, nothing under a byte key; it is emitted
+// if a row joined it (or there is no GROUP BY). A typed key's number n in
+// table is group n+1.
 type aggGroups struct {
-	index    map[string]int32
+	items    []sqlparse.SelectItem
 	firstSeq []int64 // input sequence of the group's first row
-	keyVals  slab[storage.Value]
-	states   slab[aggState]
+	cols     []aggCol
+
+	table   keyTable         // typed key
+	index   map[string]int32 // byte key → group
+	keyVals []storage.Value  // byte key: the GROUP BY values of group g at [(g-1)*width, g*width)
+	width   int
 }
 
-func newAggGroups(node *plan.Aggregate) aggGroups {
-	return aggGroups{
-		index:    map[string]int32{},
-		firstSeq: make([]int64, 0, slabFirst),
-		keyVals:  slab[storage.Value]{rec: len(node.GroupBy)},
-		states:   slab[aggState]{rec: len(node.Items)},
+func newAggGroups(a *aggIter) *aggGroups {
+	gs := &aggGroups{items: a.node.Items, cols: make([]aggCol, len(a.node.Items)), width: len(a.node.GroupBy)}
+	if !a.typed && gs.width > 0 {
+		gs.index = map[string]int32{}
 	}
+	gs.add(unseen)
+	return gs
 }
 
-// add appends a group and returns its number.
-func (gs *aggGroups) add(key string, keyVals []storage.Value, seq int64) int32 {
-	g := int32(len(gs.firstSeq))
-	gs.index[key] = g
-	gs.firstSeq = append(gs.firstSeq, seq)
-	copy(gs.keyVals.add(), keyVals)
-	gs.states.add()
+// add appends a group first seen at seq and returns its number.
+func (gs *aggGroups) add(seq int64) int32 {
+	gs.firstSeq = push(gs.firstSeq, seq)
+	for k := range gs.cols {
+		c := &gs.cols[k]
+		switch gs.items[k].Agg {
+		case sqlparse.AggNone:
+		case sqlparse.AggMin, sqlparse.AggMax:
+			c.best = push(c.best, storage.Value{})
+		case sqlparse.AggCount:
+			c.count = push(c.count, 0)
+		default:
+			c.count, c.sum = push(c.count, 0), push(c.sum, 0)
+		}
+	}
+	return int32(len(gs.firstSeq) - 1)
+}
+
+// keyed returns the group of a typed key, adding it if it is new.
+func (gs *aggGroups) keyed(key uint64, seq int64) int32 {
+	n, added := gs.table.insert(key)
+	if added {
+		gs.add(seq)
+	}
+	return n + 1
+}
+
+// named returns the group of an encoded key, adding it — with the GROUP
+// BY values it was encoded from — if it is new.
+func (gs *aggGroups) named(key []byte, vals []storage.Value, seq int64) int32 {
+	g, ok := gs.index[string(key)]
+	if !ok {
+		g = gs.add(seq)
+		gs.index[string(key)] = g
+		gs.keyVals = append(gs.keyVals, vals...)
+	}
 	return g
 }
 
-// aggFolder is one worker's fold state: its partial and the scratch it
-// encodes keys into.
-type aggFolder struct {
-	a    *aggIter
-	env  batchEnv
-	gs   aggGroups
-	key  []byte
-	vals []storage.Value
-	// The scratch starts out in the folder itself: a worker is one
-	// allocation, plus what its groups take.
-	keyBuf [64]byte
-	valBuf [2]storage.Value
+func (gs *aggGroups) valsOf(g int32) []storage.Value {
+	return gs.keyVals[int(g-1)*gs.width : int(g)*gs.width]
 }
 
-// group returns the group of the env's current row, adding it — first
-// seen at input sequence seq — if the worker has not met its key before.
-func (f *aggFolder) group(seq int64) (int32, error) {
-	var err error
-	if f.vals, err = f.a.groupBy.values(f.vals[:0], &f.env); err != nil {
-		return 0, err
+// absorb merges another partial into gs — the combine step of parallel
+// partial aggregation. Every supported aggregate is decomposable: count
+// and sum add, min/max compare, avg derives from count and sum at the
+// end. A group both have keeps the earlier first-seen sequence and, with
+// it, that row's GROUP BY values (the rows of a group may differ in them
+// where the key codec does not: -0 and 0, the NaNs).
+func (gs *aggGroups) absorb(part *aggGroups) {
+	take := func(pg, g int32) {
+		if part.firstSeq[pg] < gs.firstSeq[g] {
+			gs.firstSeq[g] = part.firstSeq[pg]
+			if g > 0 && gs.index != nil {
+				copy(gs.valsOf(g), part.valsOf(pg))
+			}
+		}
+		for k := range gs.cols {
+			c, pc := &gs.cols[k], &part.cols[k]
+			switch {
+			case c.best != nil:
+				c.observe(gs.items[k].Agg, g, pc.best[pg])
+			case c.count != nil:
+				c.count[g] += pc.count[pg]
+				if c.sum != nil {
+					c.sum[g] += pc.sum[pg]
+				}
+			}
+		}
 	}
-	key := f.key[:0]
-	for _, v := range f.vals {
-		key = appendRowKey(key, v)
+	take(0, 0)
+	for n, key := range part.table.keys {
+		take(int32(n)+1, gs.keyed(key, unseen))
 	}
-	f.key = key
-	if g, ok := f.gs.index[string(key)]; ok {
-		return g, nil
+	for key, pg := range part.index {
+		take(pg, gs.named([]byte(key), part.valsOf(pg), unseen))
 	}
-	return f.gs.add(string(key), f.vals, seq), nil
+}
+
+// aggFolder is one worker's fold state: its partial and its scratch.
+type aggFolder struct {
+	a      *aggIter
+	env    batchEnv
+	gs     *aggGroups
+	groups []int32 // the group of every row of the batch (perRow); all zero without GROUP BY
+	key    []byte
+	vals   []storage.Value
+}
+
+// assign writes the group of every row of b into f.groups, adding the
+// groups it meets for the first time; the batch's first row has input
+// sequence seq.
+func (f *aggFolder) assign(b *storage.Batch, seq int64) error {
+	a, gs := f.a, f.gs
+	if len(a.node.GroupBy) == 0 {
+		gs.firstSeq[0] = min(gs.firstSeq[0], seq)
+		return nil
+	}
+	if a.typed {
+		vec := &b.Cols[a.groupBy.slots[0]]
+		for r, i := range b.Sel {
+			if key, ok := cellKey(vec, int(i), false); ok {
+				f.groups[r] = gs.keyed(key, seq+int64(r))
+			} else {
+				f.groups[r] = 0
+				gs.firstSeq[0] = min(gs.firstSeq[0], seq+int64(r))
+			}
+		}
+		return nil
+	}
+	for r, i := range b.Sel {
+		f.env.in[0].i = int(i)
+		var err error
+		if f.vals, err = a.groupBy.values(f.vals[:0], &f.env); err != nil {
+			return err
+		}
+		f.key = f.key[:0]
+		for _, v := range f.vals {
+			f.key = storage.AppendKey(f.key, v, false)
+		}
+		f.groups[r] = gs.named(f.key, f.vals, seq+int64(r))
+	}
+	return nil
 }
 
 // fold observes every row of b, the first of which has input sequence
 // seq, used to keep group output in first-seen order across parallel
 // partials.
 func (f *aggFolder) fold(b *storage.Batch, seq int64) error {
-	items := f.a.node.Items
+	a, gs := f.a, f.gs
 	f.env.in[0].cols = b.Cols
-	grouped := len(f.a.node.GroupBy) > 0
-	if !grouped && len(f.gs.firstSeq) == 0 {
-		f.gs.add("", nil, seq)
+	if a.perRow {
+		if cap(f.groups) < len(b.Sel) {
+			f.groups = make([]int32, max(morselRows, len(b.Sel)))
+		}
+		f.groups = f.groups[:len(b.Sel)]
 	}
-	// COUNT(*) of the one group needs no look at the rows; neither does a
-	// fold that has nothing else to observe.
-	perRow := grouped
-	for k, item := range items {
+	if err := f.assign(b, seq); err != nil {
+		return err
+	}
+	grouped := len(a.node.GroupBy) > 0
+	for k, item := range a.node.Items {
+		c := &gs.cols[k]
+		slot := a.args.slots[k]
 		switch {
 		case item.Agg == sqlparse.AggNone:
-		case item.Expr != nil:
-			perRow = true
-		case !grouped:
-			f.gs.states.at(0)[k].count += len(b.Sel)
-		}
-	}
-	if !perRow {
-		return nil
-	}
-	var g int32
-	for n, i := range b.Sel {
-		f.env.in[0].i = int(i)
-		if grouped {
-			var err error
-			if g, err = f.group(seq + int64(n)); err != nil {
-				return err
+		case item.Expr == nil && !grouped: // COUNT(*) of the one group needs no look at the rows
+			c.count[0] += int64(len(b.Sel))
+		case item.Expr == nil:
+			for _, g := range f.groups {
+				c.count[g]++
 			}
-		}
-		states := f.gs.states.at(g)
-		for k, item := range items {
-			switch {
-			case item.Agg == sqlparse.AggNone:
-			case item.Expr != nil:
-				v, err := f.a.args.value(k, &f.env)
+		case slot >= 0 && c.best == nil && (c.sum == nil || numericKind(a.args.kind(k))):
+			// A bare column under COUNT, or a numeric one under SUM or
+			// AVG, is folded from the payload.
+			vec := &b.Cols[slot]
+			for r, i := range b.Sel {
+				if vec.IsNull(int(i)) {
+					continue
+				}
+				g := f.groups[r]
+				c.count[g]++
+				switch {
+				case c.sum == nil:
+				case vec.Kind == storage.KindInt:
+					c.sum[g] += float64(vec.Ints[i])
+				default:
+					c.sum[g] += vec.Floats[i]
+				}
+			}
+		default:
+			for r, i := range b.Sel {
+				f.env.in[0].i = int(i)
+				v, err := a.args.value(k, &f.env)
 				if err != nil {
 					return err
 				}
-				states[k].observe(item.Agg, v)
-			case grouped: // COUNT(*)
-				states[k].count++
+				c.observe(item.Agg, f.groups[r], v)
 			}
 		}
 	}
@@ -285,7 +318,7 @@ func (f *aggFolder) fold(b *storage.Batch, seq int64) error {
 }
 
 func (a *aggIter) Open() error {
-	a.out, a.pos = storage.Batch{Cols: make([]storage.Vector, len(a.node.Items))}, 0
+	a.pos = 0
 	groups, err := a.fold()
 	if err != nil {
 		return err
@@ -302,12 +335,10 @@ func (a *aggIter) fold() (*aggGroups, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := a.node.Items
 	partials := make([]*aggGroups, src.workers(a.node.Dop))
 	err = runMorsels(src, a.node.Dop, func(w int) func(idx int, it Iterator) error {
-		f := &aggFolder{a: a, env: batchEnv{refs: a.groupBy.refs}, gs: newAggGroups(a.node)}
-		f.key, f.vals = f.keyBuf[:0], f.valBuf[:0]
-		partials[w] = &f.gs
+		f := &aggFolder{a: a, env: batchEnv{refs: a.groupBy.refs}, gs: newAggGroups(a)}
+		partials[w] = f.gs
 		return func(idx int, it Iterator) error {
 			seq := int64(idx) * morselRows
 			for {
@@ -325,88 +356,117 @@ func (a *aggIter) fold() (*aggGroups, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	merged := partials[0]
 	for _, part := range partials[1:] {
-		for key, pg := range part.index {
-			g, ok := merged.index[key]
-			if !ok {
-				g = merged.add(key, part.keyVals.at(pg), part.firstSeq[pg])
-			}
-			merged.firstSeq[g] = min(merged.firstSeq[g], part.firstSeq[pg])
-			states, more := merged.states.at(g), part.states.at(pg)
-			for k := range states {
-				states[k].merge(items[k].Agg, &more[k])
-			}
-		}
+		partials[0].absorb(part)
 	}
-	return merged, nil
+	return partials[0], nil
 }
 
-// emit finalizes every group — in first-seen input order — applying
-// HAVING against the named output columns, into the output columns.
+// emit turns the state columns into the output vectors — COUNT's counts
+// are its column as they stand — and lists the groups to emit: those a
+// row joined, in first-seen input order, that pass HAVING, evaluated
+// against the named output columns.
 func (a *aggIter) emit(gs *aggGroups) error {
 	s := a.node
-	if len(s.GroupBy) == 0 && len(gs.firstSeq) == 0 {
-		gs.add("", nil, 0)
+	n := len(gs.firstSeq)
+	a.out = storage.Batch{N: n, Cols: make([]storage.Vector, len(s.Items))}
+	for k, item := range s.Items {
+		c, vec := &gs.cols[k], &a.out.Cols[k]
+		switch {
+		case item.Agg == sqlparse.AggCount:
+			*vec = storage.Vector{Kind: storage.KindInt, Ints: c.count}
+		case c.sum != nil:
+			*vec = storage.Vector{Kind: storage.KindFloat, Floats: c.sum}
+			for g, cnt := range c.count {
+				if cnt == 0 {
+					vec.MarkNull(g)
+				} else if item.Agg == sqlparse.AggAvg {
+					c.sum[g] /= float64(cnt)
+				}
+			}
+		case c.best != nil:
+			*vec = storage.Vector{Vals: c.best}
+		default:
+			a.keyColumn(gs, a.itemKey[k], vec)
+		}
 	}
-	order := make([]int32, len(gs.firstSeq))
-	for g := range order {
-		order[g] = int32(g)
-	}
-	sort.Slice(order, func(i, j int) bool { return gs.firstSeq[order[i]] < gs.firstSeq[order[j]] })
 
-	havingEnv := rowEnv{refs: a.having, row: make(storage.Row, len(s.Items))}
-	for _, g := range order {
-		out, states, keyVals := havingEnv.row, gs.states.at(g), gs.keyVals.at(g)
-		for k, item := range s.Items {
-			switch {
-			case item.Agg != sqlparse.AggNone:
-				out[k] = states[k].finalize(item.Agg)
-			case a.itemKey[k] >= 0:
-				out[k] = keyVals[a.itemKey[k]]
-			default:
-				out[k] = storage.Null()
-			}
+	a.order = make([]int32, 0, n)
+	for g, seq := range gs.firstSeq {
+		if seq != unseen || g == 0 && len(s.GroupBy) == 0 {
+			a.order = append(a.order, int32(g))
 		}
-		if s.Having != nil {
-			t, err := EvalPredicate(s.Having, &havingEnv)
-			if err != nil {
-				return err
-			}
-			if t != TriTrue {
-				continue
-			}
-		}
-		for k, v := range out {
-			a.out.Cols[k].AppendValue(v)
-		}
-		a.out.N++
 	}
+	slices.SortFunc(a.order, func(x, y int32) int { return cmp.Compare(gs.firstSeq[x], gs.firstSeq[y]) })
+	if s.Having == nil {
+		return nil
+	}
+	env := batchEnv{refs: a.having}
+	env.in[0].cols = a.out.Cols
+	kept := a.order[:0]
+	for _, g := range a.order {
+		env.in[0].i = int(g)
+		t, err := EvalPredicate(s.Having, &env)
+		if err != nil {
+			return err
+		}
+		if t == TriTrue {
+			kept = append(kept, g)
+		}
+	}
+	a.order = kept
 	return nil
 }
 
+// keyColumn fills vec with every group's value of GROUP BY expression gi
+// (NULL for an item that repeats none): a typed key's from the keys as
+// the table holds them, in the column's kind; a byte key's from the
+// boxed values kept with the group.
+func (a *aggIter) keyColumn(gs *aggGroups, gi int, vec *storage.Vector) {
+	n := len(gs.firstSeq)
+	switch {
+	case gi < 0: // the zero vector: every cell NULL
+	case !a.typed:
+		vec.AppendValue(storage.Null())
+		for g := 1; g < n; g++ {
+			vec.AppendValue(gs.valsOf(int32(g))[gi])
+		}
+	default:
+		*vec = storage.Vector{Kind: a.groupBy.kind(0)}
+		vec.MarkNull(0)
+		switch keys := gs.table.keys; vec.Kind {
+		case storage.KindInt:
+			vec.Ints = make([]int64, n)
+			for i, key := range keys {
+				vec.Ints[i+1] = int64(key)
+			}
+		case storage.KindFloat:
+			vec.Floats = make([]float64, n)
+			for i, key := range keys {
+				vec.Floats[i+1] = math.Float64frombits(key)
+			}
+		default:
+			vec.Bools = make([]bool, n)
+			for i, key := range keys {
+				vec.Bools[i+1] = key != 0
+			}
+		}
+	}
+}
+
 // NextBatch emits the groups' rows morselRows at a time: the output
-// columns under a selection of the next window.
+// columns under a selection of the next window of the emit order.
 func (a *aggIter) NextBatch() (*storage.Batch, error) {
-	n := min(a.out.N-a.pos, morselRows)
+	n := min(len(a.order)-a.pos, morselRows)
 	if n <= 0 {
 		return nil, nil
 	}
-	if a.pos == 0 {
-		a.out.Sel = storage.IdentitySel(n)
-	} else {
-		a.sel = a.sel[:0]
-		for i := a.pos; i < a.pos+n; i++ {
-			a.sel = append(a.sel, int32(i))
-		}
-		a.out.Sel = a.sel
-	}
+	a.out.Sel = a.order[a.pos : a.pos+n]
 	a.pos += n
 	return &a.out, nil
 }
 
 func (a *aggIter) Close() error {
-	a.out = storage.Batch{}
+	a.out, a.order = storage.Batch{}, nil
 	return nil
 }

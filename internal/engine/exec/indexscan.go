@@ -19,16 +19,7 @@ func pointProbeOf(keys []*sqlparse.Literal) storage.IndexProbe {
 // rangeProbeOf lowers range bounds into a storage probe. desc becomes a
 // reversed probe: same rows, opposite key order.
 func rangeProbeOf(lo, hi *sqlparse.Literal, loInc, hiInc, desc bool) storage.IndexProbe {
-	probe := storage.IndexProbe{LoInc: loInc, HiInc: hiInc, Reverse: desc}
-	if lo != nil {
-		v := plan.LitValue(lo)
-		probe.Lo = &v
-	}
-	if hi != nil {
-		v := plan.LitValue(hi)
-		probe.Hi = &v
-	}
-	return probe
+	return storage.IndexProbe{Lo: plan.BoundValue(lo), Hi: plan.BoundValue(hi), LoInc: loInc, HiInc: hiInc, Reverse: desc}
 }
 
 func indexRangeProbe(n *plan.IndexRange) storage.IndexProbe {

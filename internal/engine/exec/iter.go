@@ -125,12 +125,15 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	}
 }
 
-// colRef locates a bound column reference: column slot of input side. A
-// reference that did not resolve keeps its error, reported when — and
-// only if — the reference is evaluated.
+// colRef locates a bound column reference: column slot of input side, and
+// for a base column the kind its schema declares. A reference that did
+// not resolve keeps its error, reported when — and only if — the
+// reference is evaluated.
 type colRef struct {
-	side, slot int
-	err        error
+	slot int
+	side uint8
+	kind storage.Kind
+	err  error
 }
 
 // binding maps the column references of an operator's expressions to
@@ -178,7 +181,7 @@ func layoutResolver(layout *plan.Layout, cols []int) resolver {
 		if !ok {
 			return colRef{err: fmt.Errorf("engine: internal: column %q was pruned from the operator's input", ref.Name)}
 		}
-		return colRef{slot: slot}
+		return colRef{slot: slot, kind: layout.Kind(idx)}
 	}
 }
 
@@ -224,21 +227,6 @@ func (e *batchEnv) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
 	return in.cols[r.slot].Value(in.i), nil
 }
 
-// rowEnv evaluates bound expressions against one boxed row — HAVING over
-// the output row an aggregate is about to emit.
-type rowEnv struct {
-	refs binding
-	row  storage.Row
-}
-
-func (e *rowEnv) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
-	r := e.refs[ref]
-	if r.err != nil {
-		return storage.Null(), r.err
-	}
-	return e.row[r.slot], nil
-}
-
 // boundExprs is a list of expressions bound to an operator's input. A
 // bare column reference reads its vector directly (slots[k] ≥ 0); only
 // computed expressions go through the evaluator.
@@ -261,6 +249,15 @@ func bindList(res resolver, exprs []sqlparse.Expr) *boundExprs {
 	return b
 }
 
+// kind is the declared kind of expression k when it is a bare reference
+// to a base column, KindNull otherwise.
+func (b *boundExprs) kind(k int) storage.Kind {
+	if ref, ok := b.exprs[k].(*sqlparse.ColumnRef); ok && b.slots[k] >= 0 {
+		return b.refs[ref].kind
+	}
+	return storage.KindNull
+}
+
 // value evaluates expression k at the env's current position of input 0.
 func (b *boundExprs) value(k int, env *batchEnv) (storage.Value, error) {
 	if s := b.slots[k]; s >= 0 {
@@ -279,34 +276,6 @@ func (b *boundExprs) values(dst []storage.Value, env *batchEnv) ([]storage.Value
 		dst = append(dst, v)
 	}
 	return dst, nil
-}
-
-// appendRowKey appends val's deduplication-key encoding for DISTINCT and
-// GROUP BY. Values are equal as keys exactly when kind and rendering are:
-// the kind tag keeps 1, 1.0 and '1' distinct, every NaN is one key, and
-// text is length-prefixed so separator or kind-tag bytes in it cannot
-// forge a collision between different rows.
-func appendRowKey(dst []byte, val storage.Value) []byte {
-	dst = append(dst, byte(val.Kind()))
-	switch val.Kind() {
-	case storage.KindBool:
-		b, _ := val.AsBool()
-		if b {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	case storage.KindInt:
-		i, _ := val.AsInt()
-		return appendUint64(dst, uint64(i))
-	case storage.KindFloat:
-		f, _ := val.AsFloat()
-		return appendUint64(dst, floatKeyBits(f))
-	case storage.KindText:
-		t, _ := val.AsText()
-		dst = appendUint64(dst, uint64(len(t)))
-		return append(dst, t...)
-	}
-	return dst
 }
 
 // Drain runs an iterator to completion, boxing every batch into rows the

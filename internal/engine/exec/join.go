@@ -1,11 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
-	"math"
-	"sort"
-	"sync"
-
 	"crowddb/internal/engine/plan"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
@@ -28,11 +23,15 @@ import (
 // columns the plan reads above the join (node.Out), gathered per batch
 // from the left batch and the store; a match allocates nothing.
 //
-// Both inputs are sources. The build is a runMorsels phase: workers
-// insert sequence-stamped entries into a sharded table, and buckets are
-// re-sorted by sequence after the barrier when more than one worker
-// filled them, so probe output is the same at any dop. The probe is the
-// ordered gather over the left source with a probeIter on every stack.
+// A key that is one INTEGER, FLOAT or BOOLEAN column on both sides
+// (typedKey) is hashed from its payload into a keyTable; any other key is
+// encoded (appendJoinKey) and looked up in a map. Either way a key has a
+// number, whose build rows are a chain through one flat slice (chainRows).
+//
+// Both inputs are sources. The build is a runMorsels phase: workers fill
+// private parts, put in input order and indexed once after the barrier,
+// so probe output is the same at any dop. The probe is the ordered
+// gather over the left source with a probeIter on every stack.
 // A side that is a marked chain gets N workers; a side that is not (a
 // small table, a lower join, any serial plan) is one morsel, drained
 // inline — either side independently.
@@ -42,20 +41,18 @@ type hashJoinIter struct {
 
 	// Bound when the operator is built, read-only afterwards.
 	leftKeys, rightKeys *boundExprs
+	typed, asFloat      bool     // the key takes the keyTable; INTEGER meets FLOAT in the float form
 	residual            binding  // of node.Residual: side 0 the left batch, side 1 the build store
 	keep                []int    // the right input's batch columns the build store keeps
-	outCols             []outCol // where each emitted column comes from
+	outCols             []colRef // where each emitted column comes from: a slot of the left batch (side 0) or of the build store (side 1)
 
-	table *joinTable
-	store []storage.Vector // the kept build columns, indexed by joinEntry.row
+	// The build: read-only once Open has returned.
+	table keyTable         // typed key → its number
+	named map[string]int32 // byte key → its number
+	byKey []keyRows        // by key number: its build rows
+	next  []int32          // by build row: the next row of its key's chain, -1 at the end
+	store []storage.Vector // the kept build columns, by build row
 	probe *gatherIter
-}
-
-// outCol locates a column of the combined row: a slot of the left batch,
-// or (right) a column of the build store.
-type outCol struct {
-	right bool
-	slot  int
 }
 
 func newHashJoin(t *plan.HashJoin, left, right sourceFn) *hashJoinIter {
@@ -65,6 +62,7 @@ func newHashJoin(t *plan.HashJoin, left, right sourceFn) *hashJoinIter {
 		leftKeys:  bindList(layoutResolver(t.LeftLayout, leftCols), t.LeftKeys),
 		rightKeys: bindList(layoutResolver(t.RightLayout, rightCols), t.RightKeys),
 	}
+	j.typed, j.asFloat = typedKey(j.leftKeys, j.rightKeys)
 	lw := t.LeftLayout.Width
 	var kept []int // right-layout positions, ascending, parallel to j.keep
 	for _, c := range plan.WithExprCols(t.Out, t.Layout, t.Residual) {
@@ -73,13 +71,13 @@ func newHashJoin(t *plan.HashJoin, left, right sourceFn) *hashJoinIter {
 			kept, j.keep = append(kept, c-lw), append(j.keep, slot)
 		}
 	}
-	locate := func(c int) outCol {
+	locate := func(c int) colRef {
 		if c < lw {
 			slot, _ := slotOf(leftCols, c)
-			return outCol{slot: slot}
+			return colRef{slot: slot}
 		}
 		slot, _ := slotOf(kept, c-lw)
-		return outCol{right: true, slot: slot}
+		return colRef{side: 1, slot: slot}
 	}
 	for _, c := range t.Out {
 		j.outCols = append(j.outCols, locate(c))
@@ -89,128 +87,79 @@ func newHashJoin(t *plan.HashJoin, left, right sourceFn) *hashJoinIter {
 		if err != nil {
 			return colRef{err: err}
 		}
-		oc := locate(idx)
-		if oc.right {
-			return colRef{side: 1, slot: oc.slot}
-		}
-		return colRef{slot: oc.slot}
+		return locate(idx)
 	}, t.Residual)
 	return j
 }
 
-// appendJoinKey appends an encoding of the key values to dst, with the
-// same equality semantics as the `=` operator: numeric values compare
-// across int/float, so both hash through their float form (and -0 as 0).
-// Every component is fixed-width or length-prefixed, so text containing
-// any byte cannot forge a multi-key collision (a key list is equal iff
-// every component is). ok=false when any value is NULL. The appended dst
-// is returned so callers can keep one scratch buffer per iterator instead
-// of allocating per row.
+// appendJoinKey appends the byte key of a join's key values to dst, with
+// the equality semantics of the `=` operator (storage.AppendKey's numeric
+// form, in which 1 and 1.0 are one key); a key list is equal iff every
+// component is. ok=false when any value is NULL: the row can match
+// nothing. Callers keep one scratch buffer instead of allocating per row.
 func appendJoinKey(dst []byte, vals []storage.Value) ([]byte, bool) {
 	for _, v := range vals {
-		switch v.Kind() {
-		case storage.KindNull:
+		if v.IsNull() {
 			return dst, false
-		case storage.KindBool:
-			b, _ := v.AsBool()
-			if b {
-				dst = append(dst, 'b', 1)
-			} else {
-				dst = append(dst, 'b', 0)
-			}
-		case storage.KindInt, storage.KindFloat:
-			f, _ := v.AsFloat()
-			if f == 0 {
-				f = 0 // -0 = 0
-			}
-			dst = appendUint64(append(dst, 'n'), floatKeyBits(f))
-		case storage.KindText:
-			t, _ := v.AsText()
-			dst = appendUint64(append(dst, 't'), uint64(len(t)))
-			dst = append(dst, t...)
 		}
+		dst = storage.AppendKey(dst, v, true)
 	}
 	return dst, true
 }
 
-func appendUint64(dst []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(dst, x) }
+// keyRows is the build rows of one key: the first of its chain and how
+// many there are.
+type keyRows struct{ head, n int32 }
 
-// floatKeyBits is f's bit pattern as a hash-key component, every NaN
-// being one key.
-func floatKeyBits(f float64) uint64 {
-	if f != f {
-		f = math.NaN()
-	}
-	return math.Float64bits(f)
-}
-
-// joinTable is the shared build table: a fixed shard array so parallel
-// build workers contend on a shard mutex, not one global lock. After the
-// build barrier it is read-only and probed without locking.
-const joinShards = 64
-
-// joinEntry is one build row: its position in the build store (while the
-// build runs, in the store of worker w) and its build-side sequence, for
-// deterministic probe output.
-type joinEntry struct {
-	seq    int64
-	w, row int32
-}
-
-type joinShard struct {
-	mu sync.Mutex
-	m  map[string][]joinEntry
-}
-
-type joinTable struct{ shards [joinShards]joinShard }
-
-func newJoinTable() *joinTable {
-	jt := &joinTable{}
-	for i := range jt.shards {
-		jt.shards[i] = joinShard{m: map[string][]joinEntry{}}
-	}
-	return jt
-}
-
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (jt *joinTable) insert(key []byte, e joinEntry) {
-	s := &jt.shards[fnv1a(key)%joinShards]
-	s.mu.Lock()
-	s.m[string(key)] = append(s.m[string(key)], e)
-	s.mu.Unlock()
-}
-
-// lookup is lock-free: only legal after the build barrier.
-func (jt *joinTable) lookup(key []byte) []joinEntry {
-	return jt.shards[fnv1a(key)%joinShards].m[string(key)]
-}
-
-// settle finishes a build more than one worker filled: every entry is
-// re-aimed at the merged store (worker w's rows start at base[w]) and
-// every bucket ordered by build sequence. Parallel workers insert in
-// claim-completion order; sorting restores the one-worker bucket order,
-// so probing emits identical row sequences at any dop.
-func (jt *joinTable) settle(base []int32) {
-	for i := range jt.shards {
-		for _, entries := range jt.shards[i].m {
-			for k := range entries {
-				entries[k].row += base[entries[k].w]
-			}
-			sort.Slice(entries, func(a, b int) bool { return entries[a].seq < entries[b].seq })
+// chainRows links rows n-1 … 0, whose key numbers number returns (added
+// for a number's first call), into one chain per key through next: from
+// byKey[num].head, row r is followed by next[r] until -1. Linking from
+// the last row down leaves every chain in ascending row order.
+func chainRows(n int, number func(r int) (num int32, added bool)) (byKey []keyRows, next []int32) {
+	next = make([]int32, n)
+	for r := n - 1; r >= 0; r-- {
+		num, added := number(r)
+		if added {
+			byKey = push(byKey, keyRows{head: -1})
 		}
+		k := &byKey[num]
+		next[r], k.head, k.n = k.head, int32(r), k.n+1
+	}
+	return byKey, next
+}
+
+// joinPart is a share of the build — one worker's, or after the barrier
+// the whole: the kept columns and the keys of the rows kept, in the order
+// they were met.
+type joinPart struct {
+	rows  int
+	store []storage.Vector
+	keys  []uint64 // typed key: one a row
+	bytes []byte   // byte key: the rows' encodings end to end,
+	ends  []int    // row r's from ends[r] to ends[r+1]
+}
+
+// take appends rows [from, to) of src, which sel lists.
+func (p *joinPart) take(src *joinPart, from, to int, sel []int32) {
+	for c := range p.store {
+		p.store[c].AppendCells(&src.store[c], sel)
+	}
+	p.rows += to - from
+	if src.keys != nil {
+		p.keys = append(p.keys, src.keys[from:to]...)
+		return
+	}
+	shift := len(p.bytes) - src.ends[from]
+	p.bytes = append(p.bytes, src.bytes[src.ends[from]:src.ends[to]]...)
+	for _, end := range src.ends[from+1 : to+1] {
+		p.ends = append(p.ends, end+shift)
 	}
 }
+
+// joinRun is the rows [from, to) of worker w's part: one morsel's.
+type joinRun struct{ w, from, to int }
 
 func (j *hashJoinIter) Open() error {
-	j.table = newJoinTable()
 	if err := j.build(); err != nil {
 		return err
 	}
@@ -218,73 +167,96 @@ func (j *hashJoinIter) Open() error {
 	return j.probe.Open()
 }
 
-// build fills the hash table and the build store from the right source.
-// Each worker keeps private scratch for key encoding and appends the
-// batch's kept cells to its own store, so the fill allocates nothing per
-// input row beyond the table entry; the stores are concatenated after the
-// barrier.
+// build fills the build store and the key index from the right source.
+// Each worker appends, to a part of its own, the kept cells and the key of
+// every row whose key is not NULL — nothing shared, nothing locked, no
+// allocation per input row. After the barrier the parts' morsel runs are
+// laid end to end in morsel order, which is the build input's order
+// whatever worker read what, and the rows are chained by key in it.
 func (j *hashJoinIter) build() error {
 	src, err := j.right()
 	if err != nil {
 		return err
 	}
-	workers := src.workers(j.node.Dop)
-	stores := make([][]storage.Vector, workers)
-	rows := make([]int32, workers)
+	newPart := func() *joinPart { return &joinPart{store: make([]storage.Vector, len(j.keep)), ends: []int{0}} }
+	parts := make([]*joinPart, src.workers(j.node.Dop))
+	runs := make([]joinRun, src.count)
 	err = runMorsels(src, j.node.Dop, func(w int) func(idx int, it Iterator) error {
-		store := make([]storage.Vector, len(j.keep))
-		stores[w] = store
+		part := newPart()
+		parts[w] = part
 		env := batchEnv{refs: j.rightKeys.refs}
-		var scratch []byte
 		var vals []storage.Value
 		var kept []int32
 		return func(idx int, it Iterator) error {
-			seq := int64(idx) * morselRows
+			from := part.rows
 			for {
 				b, err := it.NextBatch()
 				if err != nil || b == nil {
+					runs[idx] = joinRun{w: w, from: from, to: part.rows}
 					return err
 				}
 				env.in[0].cols = b.Cols
 				kept = kept[:0]
 				for _, i := range b.Sel {
-					env.in[0].i = int(i)
-					if vals, err = j.rightKeys.values(vals[:0], &env); err != nil {
-						return err
+					ok := false
+					if j.typed {
+						var key uint64
+						if key, ok = cellKey(&b.Cols[j.rightKeys.slots[0]], int(i), j.asFloat); ok {
+							part.keys = push(part.keys, key)
+						}
+					} else {
+						env.in[0].i = int(i)
+						if vals, err = j.rightKeys.values(vals[:0], &env); err != nil {
+							return err
+						}
+						var key []byte
+						if key, ok = appendJoinKey(part.bytes, vals); ok {
+							part.bytes, part.ends = key, append(part.ends, len(key))
+						}
 					}
-					key, ok := appendJoinKey(scratch[:0], vals)
-					scratch = key
 					if ok { // NULL keys are dropped
-						j.table.insert(key, joinEntry{seq: seq, w: int32(w), row: rows[w] + int32(len(kept))})
 						kept = append(kept, i)
 					}
-					seq++
 				}
 				for c, slot := range j.keep {
-					store[c].AppendCells(&b.Cols[slot], kept)
+					part.store[c].AppendCells(&b.Cols[slot], kept)
 				}
-				rows[w] += int32(len(kept))
+				part.rows += len(kept)
 			}
 		}
 	})
 	if err != nil {
 		return err
 	}
-	j.store = stores[0]
-	if workers > 1 {
-		base := make([]int32, workers)
-		for w := 1; w < workers; w++ {
-			base[w] = base[w-1] + rows[w-1]
-			all := make([]int32, rows[w])
-			for i := range all {
-				all[i] = int32(i)
+
+	all := parts[0] // one worker read the morsels in order
+	if len(parts) > 1 {
+		all = newPart()
+		var sel []int32
+		for _, run := range runs {
+			sel = sel[:0]
+			for r := run.from; r < run.to; r++ {
+				sel = append(sel, int32(r))
 			}
-			for c := range j.store {
-				j.store[c].AppendCells(&stores[w][c], all)
-			}
+			all.take(parts[run.w], run.from, run.to, sel)
 		}
-		j.table.settle(base)
 	}
+	j.store, j.table, j.named = all.store, keyTable{}, nil
+	if !j.typed {
+		j.named = map[string]int32{}
+	}
+	j.byKey, j.next = chainRows(all.rows, func(r int) (int32, bool) {
+		if j.typed {
+			return j.table.insert(all.keys[r])
+		}
+		key := all.bytes[all.ends[r]:all.ends[r+1]]
+		num, ok := j.named[string(key)]
+		if !ok {
+			num = int32(len(j.named))
+			j.named[string(key)] = num
+		}
+		return num, !ok
+	})
 	return nil
 }
 
@@ -309,7 +281,7 @@ func (j *hashJoinIter) probeSource() (*source, error) {
 }
 
 // probeIter is the probe loop over one worker's share of the left input.
-// Per left batch it collects the matching (left cell, store row) pairs —
+// Per left batch it collects the matching (left cell, build row) pairs —
 // up to morselRows of them, resuming where it stopped — and gathers the
 // emitted columns from the two sides into vectors it reuses from batch
 // to batch. The hot path allocates nothing per input row or per match.
@@ -321,25 +293,52 @@ type probeIter struct {
 	scratch        []byte
 	vals           []storage.Value
 
-	lb      *storage.Batch // the left batch being probed, and the error that follows its rows
-	lbErr   error
-	k       int         // next position of lb.Sel to probe
-	cell    int32       // the left cell whose matches are pending
-	matches []joinEntry // its pending matches, from mi on
-	mi      int
+	lb    *storage.Batch // the left batch being probed, and the error that follows its rows
+	lbErr error
+	k     int   // next position of lb.Sel to probe
+	cell  int32 // the left cell whose matches are pending:
+	row   int32 // the next of them (-1: none left), or, when nothing reads the matches,
+	left  int32 // how many are still to count
 
 	li, ri []int32 // the collected pairs
 	out    storage.Batch
 }
 
 func (p *probeIter) Open() error {
-	p.lb, p.matches, p.mi = nil, nil, 0
+	p.lb, p.row, p.left = nil, -1, 0
 	return p.input.Open()
+}
+
+// matches finds the build rows of the current left cell's key: nil when
+// the key is NULL or no build row has it.
+func (p *probeIter) matches() (*keyRows, error) {
+	j, num := p.j, int32(-1)
+	if j.typed {
+		if key, ok := cellKey(&p.lb.Cols[j.leftKeys.slots[0]], int(p.cell), j.asFloat); ok {
+			num = j.table.find(key)
+		}
+	} else {
+		p.keyEnv.in[0].i = int(p.cell)
+		var err error
+		if p.vals, err = j.leftKeys.values(p.vals[:0], &p.keyEnv); err != nil {
+			return nil, err
+		}
+		key, ok := appendJoinKey(p.scratch[:0], p.vals)
+		p.scratch = key
+		if n, found := j.named[string(key)]; ok && found {
+			num = n
+		}
+	}
+	if num < 0 {
+		return nil, nil
+	}
+	return &j.byKey[num], nil
 }
 
 func (p *probeIter) NextBatch() (*storage.Batch, error) {
 	j := p.j
 	residual := j.node.Residual
+	countOnly := residual == nil && len(j.outCols) == 0 // nothing reads the matches
 	for {
 		if p.lb == nil {
 			b, err := p.input.NextBatch()
@@ -354,34 +353,32 @@ func (p *probeIter) NextBatch() (*storage.Batch, error) {
 		n := 0
 		var err error
 		for n < morselRows && err == nil {
-			if p.mi >= len(p.matches) {
+			if p.row < 0 && p.left == 0 {
 				if p.k >= len(lb.Sel) {
 					break
 				}
 				p.cell = lb.Sel[p.k]
 				p.k++
-				p.keyEnv.in[0].i = int(p.cell)
-				if p.vals, err = j.leftKeys.values(p.vals[:0], &p.keyEnv); err != nil {
-					break
+				var m *keyRows
+				if m, err = p.matches(); m == nil {
+					continue
 				}
-				key, ok := appendJoinKey(p.scratch[:0], p.vals)
-				p.scratch = key
-				p.matches, p.mi = nil, 0
-				if ok {
-					p.matches = j.table.lookup(key)
+				if countOnly {
+					p.left = m.n
+				} else {
+					p.row = m.head
 				}
 				continue
 			}
-			if residual == nil && len(j.outCols) == 0 {
-				// Nothing reads the matches: count them.
-				take := min(len(p.matches)-p.mi, morselRows-n)
-				n, p.mi = n+take, p.mi+take
+			if countOnly {
+				take := min(int(p.left), morselRows-n)
+				n, p.left = n+take, p.left-int32(take)
 				continue
 			}
-			e := p.matches[p.mi]
-			p.mi++
+			row := p.row
+			p.row = j.next[row]
 			if residual != nil {
-				p.resEnv.in[0].i, p.resEnv.in[1].i = int(p.cell), int(e.row)
+				p.resEnv.in[0].i, p.resEnv.in[1].i = int(p.cell), int(row)
 				t, rerr := EvalPredicate(residual, &p.resEnv)
 				if rerr != nil {
 					err = rerr
@@ -391,15 +388,15 @@ func (p *probeIter) NextBatch() (*storage.Batch, error) {
 					continue
 				}
 			}
-			p.li, p.ri = append(p.li, p.cell), append(p.ri, e.row)
+			p.li, p.ri = append(p.li, p.cell), append(p.ri, row)
 			n++
 		}
-		if err != nil || (p.k >= len(lb.Sel) && p.mi >= len(p.matches)) {
+		if err != nil || (p.k >= len(lb.Sel) && p.row < 0 && p.left == 0) {
 			// The left batch is done: what followed its rows follows ours.
 			if err == nil {
 				err = p.lbErr
 			}
-			p.lb = nil
+			p.lb, p.row, p.left = nil, -1, 0
 		}
 		if n == 0 {
 			if err != nil {
@@ -410,7 +407,7 @@ func (p *probeIter) NextBatch() (*storage.Batch, error) {
 		for c, oc := range j.outCols {
 			vec := &p.out.Cols[c]
 			vec.Reset()
-			if oc.right {
+			if oc.side == 1 {
 				vec.AppendCells(&j.store[oc.slot], p.ri)
 			} else {
 				vec.AppendCells(&lb.Cols[oc.slot], p.li)
@@ -430,6 +427,6 @@ func (j *hashJoinIter) Close() error {
 	if j.probe != nil {
 		err = j.probe.Close()
 	}
-	j.table, j.store = nil, nil
+	j.table, j.named, j.byKey, j.next, j.store = keyTable{}, nil, nil, nil, nil
 	return err
 }

@@ -265,7 +265,8 @@ func (l *limitIter) NextBatch() (*storage.Batch, error) {
 func (l *limitIter) Close() error { return l.input.Close() }
 
 // distinctIter drops duplicate rows: it encodes each row's key from the
-// vectors into a reused scratch and keeps the first occurrence in the
+// vectors into a reused scratch (storage.AppendKey, kinds kept apart: 1,
+// 1.0 and '1' are three rows) and keeps the first occurrence in the
 // selection. Only a new key allocates (the string the seen-set retains).
 type distinctIter struct {
 	input Iterator
@@ -290,7 +291,7 @@ func (d *distinctIter) NextBatch() (*storage.Batch, error) {
 		for _, i := range b.Sel {
 			key := d.key[:0]
 			for c := range b.Cols {
-				key = appendRowKey(key, b.Cols[c].Value(int(i)))
+				key = storage.AppendKey(key, b.Cols[c].Value(int(i)), false)
 			}
 			d.key = key
 			if _, dup := d.seen[string(key)]; !dup {

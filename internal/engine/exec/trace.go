@@ -58,14 +58,15 @@ func (t *Trace) wrap(n plan.Node, it Iterator) Iterator {
 }
 
 // Annotate is the plan.ExplainWith hook rendering one node's actuals,
-// e.g. " (actual rows=42 time=1.3ms)". Nodes executed inside a morsel
-// chain report no per-operator actuals.
+// e.g. " (actual rows=42 time=1.3ms)", after the planner's own note on an
+// access path (plan.AccessNote). Nodes executed inside a morsel chain
+// report no per-operator actuals.
 func (t *Trace) Annotate(n plan.Node) string {
 	st := t.Stats(n)
 	if st == nil {
-		return " (in parallel chain)"
+		return plan.AccessNote(n) + " (in parallel chain)"
 	}
-	return fmt.Sprintf(" (actual rows=%d time=%s)", st.Rows, st.Wall.Round(time.Microsecond))
+	return fmt.Sprintf("%s (actual rows=%d time=%s)", plan.AccessNote(n), st.Rows, st.Wall.Round(time.Microsecond))
 }
 
 // tracedIter measures one operator: wall time across Open/NextBatch/

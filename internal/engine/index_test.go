@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
@@ -35,6 +36,21 @@ func indexedEngine(t *testing.T) *Engine {
 	}
 	mustExec(`CREATE INDEX idx_id ON items (id) USING HASH`)
 	mustExec(`CREATE INDEX idx_score ON items (score)`)
+	return e
+}
+
+// withBallast appends 20 000 rows that no query of these tests selects
+// (ids from 500 up, negative scores, a tier of their own): beside them
+// the fixture's score ranges hold under 1/32 of the table, which is what
+// the planner asks of a range before it probes the index for it.
+func withBallast(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	tbl, _ := e.Catalog().Get("items")
+	for i := 0; i < 20000; i++ {
+		if err := tbl.Insert(storage.Int(int64(500+i)), storage.Float(float64(-1-i)), storage.Text("ballast")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return e
 }
 
@@ -70,7 +86,7 @@ func TestExplainChoosesIndexScanForIndexedEquality(t *testing.T) {
 }
 
 func TestExplainChoosesIndexRangeForRangeConjuncts(t *testing.T) {
-	e := indexedEngine(t)
+	e := withBallast(t, indexedEngine(t))
 	p := planText(t, e, `SELECT id FROM items WHERE score > 100 AND score <= 200`)
 	if !strings.Contains(p, "IndexRange(idx_score, 100..200)") {
 		t.Fatalf("plan does not use the ordered index:\n%s", p)
@@ -283,7 +299,7 @@ func TestIndexScanInJoin(t *testing.T) {
 // evaluation error surfaces after every row that precedes it — across
 // cursor batch boundaries (256 rows) — and ends the scan.
 func TestResidualFiltersAboveCursors(t *testing.T) {
-	e := indexedEngine(t)
+	e := withBallast(t, indexedEngine(t))
 
 	// Scan: one vectorizable conjunct (id < 490) and one residual.
 	run := streamAt(t, e, 1, `SELECT id FROM items WHERE id < 490 AND id + 1 > 480`)
@@ -326,5 +342,99 @@ func TestResidualFiltersAboveCursors(t *testing.T) {
 			t.Fatalf("index residual leaked or reordered row %v", row)
 		}
 		last = score
+	}
+}
+
+// TestRangeAccessPathCountsBeforeProbing is the table of access-path rule
+// 2's count clause: a range on an ordered-indexed column is counted at
+// plan time, and probed only if it holds at most 1/32 of the live rows —
+// otherwise the table is scanned with every conjunct, the bounds
+// included, in the scan's filter. Each case names the EXPLAIN line of
+// the access path, annotation included.
+func TestRangeAccessPathCountsBeforeProbing(t *testing.T) {
+	e := New(storage.NewCatalog())
+	e.SetExecWorkers(1)
+	mustExec(t, e, `CREATE TABLE t (id INTEGER, v INTEGER, d INTEGER, pad TEXT)`)
+	mustExec(t, e, `CREATE TABLE empty (v INTEGER)`)
+	tbl, _ := e.Catalog().Get("t")
+	insert := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := tbl.Insert(storage.Int(int64(i)), storage.Int(int64(i)), storage.Int(int64(i)), storage.Text("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// 2 700 rows bulk-loaded into the indexes' base runs, then 500 more
+	// through Add, which a 1 024-entry delta buffer keeps apart: 3 200 live
+	// rows, of which 1/32 is exactly 100.
+	insert(0, 2700)
+	mustExec(t, e, `CREATE INDEX t_v ON t (v)`)
+	mustExec(t, e, `CREATE INDEX t_d ON t (d DESC)`)
+	mustExec(t, e, `CREATE INDEX empty_v ON empty (v)`)
+	insert(2700, 3200)
+
+	access := func(sql string) string {
+		t.Helper()
+		lines := explainLines(t, e, sql)
+		return strings.TrimLeft(lines[len(lines)-1], " └─│├")
+	}
+	cases := []struct{ name, where, want string }{
+		{"narrow", `v >= 10 AND v < 60`, `IndexRange(t_v, 10..60) rows=50 of 3200`},
+		{"narrow with a residual", `v >= 10 AND v < 60 AND pad = 'x'`, `IndexRange(t_v, 10..60) filter=(pad = 'x') rows=50 of 3200`},
+		{"at the boundary", `v >= 0 AND v < 100`, `IndexRange(t_v, 0..100) rows=100 of 3200`},
+		{"one row past it", `v >= 0 AND v <= 100`,
+			`Scan(t, filter=((v >= 0) AND (v <= 100))) index t_v declined: 101 of 3200 rows`},
+		{"wide: both bounds and the residual stay in the filter", `v >= 1000 AND pad = 'x' AND v < 2000`,
+			`Scan(t, filter=(((v >= 1000) AND (pad = 'x')) AND (v < 2000))) index t_v declined: 1000 of 3200 rows`},
+		{"tightened bounds are counted, every conjunct is kept", `v > 5 AND v > 500 AND v < 3000`,
+			`Scan(t, filter=(((v > 5) AND (v > 500)) AND (v < 3000))) index t_v declined: 2499 of 3200 rows`},
+		{"open above, narrow", `v >= 3150`, `IndexRange(t_v, v >= 3150) rows=50 of 3200`},
+		{"open above, wide", `v > 99`, `Scan(t, filter=(v > 99)) index t_v declined: 3100 of 3200 rows`},
+		{"open below, narrow", `v < 7`, `IndexRange(t_v, v < 7) rows=7 of 3200`},
+		{"across the base and the delta run", `v >= 2650 AND v < 2750`, `IndexRange(t_v, 2650..2750) rows=100 of 3200`},
+		{"DESC index, narrow", `d > 3100 AND d <= 3150`, `IndexRange(t_d, 3100..3150) rows=50 of 3200`},
+		{"DESC index, across the runs", `d >= 2690 AND d <= 2709`, `IndexRange(t_d, 2690..2709) rows=20 of 3200`},
+		{"DESC index, wide", `d < 1600`, `Scan(t, filter=(d < 1600)) index t_d declined: 1600 of 3200 rows`},
+		{"an empty range", `v > 5000`, `IndexRange(t_v, v > 5000) rows=0 of 3200`},
+	}
+	for _, c := range cases {
+		if got := access(`SELECT id FROM t WHERE ` + c.where); got != c.want {
+			t.Errorf("%s: WHERE %s\n got %s\nwant %s", c.name, c.where, got, c.want)
+		}
+	}
+	if got, want := access(`SELECT v FROM empty WHERE v > 5 AND v + 1 > 2`), `IndexRange(empty_v, v > 5) filter=((v + 1) > 2)`; got != want {
+		t.Errorf("empty index: got %s, want %s", got, want)
+	}
+
+	// After deletes both sides of the ratio move: the tombstoned rows leave
+	// the index and the live count. 1 600 rows remain; 1/32 of them is 50.
+	mustExec(t, e, `DELETE FROM t WHERE id < 1600`)
+	for _, c := range []struct{ where, want string }{
+		{`v >= 1600 AND v < 1650`, `IndexRange(t_v, 1600..1650) rows=50 of 1600`},
+		{`v >= 1500 AND v < 1651`, `Scan(t, filter=((v >= 1500) AND (v < 1651))) index t_v declined: 51 of 1600 rows`},
+		{`v < 1600`, `IndexRange(t_v, v < 1600) rows=0 of 1600`},
+	} {
+		if got := access(`SELECT id FROM t WHERE ` + c.where); got != c.want {
+			t.Errorf("after deletes: WHERE %s\n got %s\nwant %s", c.where, got, c.want)
+		}
+	}
+
+	// ORDER BY gets the probe's order first: a range that elides the sort
+	// is kept at any width, and the count is still shown.
+	if got, want := access(`SELECT id FROM t WHERE v >= 1700 ORDER BY v`), `IndexRange(t_v, v >= 1700) rows=1500 of 1600`; got != want {
+		t.Errorf("sort-eliding wide range: got %s, want %s", got, want)
+	}
+	// The count never reaches Explain(), the result cache's fingerprint.
+	stmt, err := sqlparse.Parse(`SELECT id FROM t WHERE v >= 1500 AND v < 1651`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.PlanSelect(stmt.(*sqlparse.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := p.Fingerprint(); strings.Contains(fp, "declined") || strings.Contains(fp, "1600") {
+		t.Errorf("the plan-time count leaked into the fingerprint:\n%s", fp)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -134,12 +135,29 @@ func everyDop(t *testing.T, e *Engine, sql string) dopRun {
 			t.Fatalf("%s\nrow counts diverge: workers=1 %d workers=%d %d", sql, len(serial.rows), workers, len(got.rows))
 		}
 		for i := range serial.rows {
-			if !reflect.DeepEqual(serial.rows[i], got.rows[i]) {
+			if !sameRow(serial.rows[i], got.rows[i]) {
 				t.Fatalf("%s\nrow %d diverges: workers=1 %v workers=%d %v", sql, i, serial.rows[i], workers, got.rows[i])
 			}
 		}
 	}
 	return serial
+}
+
+// sameRow is reflect.DeepEqual over two rows, except that a NaN equals a
+// NaN: a FLOAT group key may be one.
+func sameRow(a, b storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, _ := a[i].AsFloat()
+		y, _ := b[i].AsFloat()
+		bothNaN := a[i].Kind() == storage.KindFloat && b[i].Kind() == storage.KindFloat && x != x && y != y
+		if !bothNaN && !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // bothDops is everyDop for queries that must succeed.
@@ -467,7 +485,12 @@ func diffQuery(rng *rand.Rand) string {
 	}
 	lo := half(1200)
 	dir := []string{"", " DESC"}[rng.Intn(2)]
-	switch rng.Intn(21) {
+	switch rng.Intn(23) {
+	case 21: // an indexed range — probed when narrow, declined when wide — under a typed-key aggregate
+		return fmt.Sprintf(`SELECT grp, COUNT(*), SUM(val), AVG(score) FROM facts WHERE score > %g AND score <= %g AND %s GROUP BY grp`,
+			lo, lo+half(80), pred(""))
+	case 22: // and as the probe side of a typed-key join
+		return fmt.Sprintf(`SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k WHERE f.score >= %g AND f.score < %g`, lo, lo+half(80)) + maybe(limit())
 	case 0:
 		return `SELECT id, val FROM facts WHERE ` + pred("") + maybe(limit())
 	case 15: // computed projections: vectors of the operator's own beside forwarded ones
@@ -516,12 +539,57 @@ func diffQuery(rng *rand.Rand) string {
 	}
 }
 
-// TestParallelSeededDifferential is the dop differential: generated
+// sameAnswer holds the run of a query against the fixture without its
+// indexes to the run with them: an access path may change the order rows
+// arrive in and nothing else. Under ORDER BY (stable, so ties keep table
+// order whichever way the rows were read) the sequences must be equal;
+// without it the multisets; and where a LIMIT cuts an unordered stream,
+// or stops one run short of the row the other fails on, only the counts.
+func sameAnswer(t *testing.T, sql string, indexed, bare dopRun) {
+	t.Helper()
+	limited := strings.Contains(sql, "LIMIT")
+	if indexed.err != "" || bare.err != "" {
+		if !limited && indexed.err != bare.err {
+			t.Fatalf("%s\nerrors diverge: with indexes %q, without %q", sql, indexed.err, bare.err)
+		}
+		return
+	}
+	if len(indexed.rows) != len(bare.rows) {
+		t.Fatalf("%s\nrow counts diverge: with indexes %d, without %d", sql, len(indexed.rows), len(bare.rows))
+	}
+	render := func(rows []storage.Row) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			out[i] = fmt.Sprint(row)
+		}
+		return out
+	}
+	a, b := render(indexed.rows), render(bare.rows)
+	switch {
+	case strings.Contains(sql, "ORDER BY"):
+	case limited:
+		return
+	default:
+		sort.Strings(a)
+		sort.Strings(b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s\nrow %d diverges: with indexes %s, without %s", sql, i, a[i], b[i])
+		}
+	}
+}
+
+// TestParallelSeededDifferential is the seeded differential: generated
 // queries over every operator the executor has, each required to stream
-// identically at exec-workers 1, 2 and 8 and to leave no pin or goroutine
-// behind (streamAt checks both after every run).
+// identically at exec-workers 1, 2 and 8, to leave no pin or goroutine
+// behind (streamAt checks both after every run), and to give the same
+// answer against the same data without its indexes (sameAnswer).
 func TestParallelSeededDifferential(t *testing.T) {
 	e := differentialEngine(t)
+	bare := differentialEngine(t)
+	mustExec(t, bare, `DROP INDEX facts_score ON facts`)
+	probed, declined := 0, 0
 	e.SetExecWorkers(8)
 	shape := flattenPlan(t, mustExec(t, e, `EXPLAIN SELECT f.id FROM facts f JOIN mid m ON f.a = m.id JOIN dims d ON f.k = d.k`))
 	e.SetExecWorkers(1)
@@ -534,12 +602,24 @@ func TestParallelSeededDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
 		for q := 0; q < 80; q++ {
-			if everyDop(t, e, diffQuery(rng)).err != "" {
+			sql := diffQuery(rng)
+			run := everyDop(t, e, sql)
+			if run.err != "" {
 				failed++
+			}
+			sameAnswer(t, sql, run, everyDop(t, bare, sql))
+			switch shape := planText(t, e, sql); {
+			case strings.Contains(shape, "IndexRange(facts_score"):
+				probed++
+			case strings.Contains(shape, "index facts_score declined"):
+				declined++
 			}
 		}
 	}
 	if failed == 0 {
 		t.Fatal("no generated query hit the mid-chain evaluation error")
+	}
+	if probed < 10 || declined < 10 {
+		t.Fatalf("the generator probed facts_score in %d plans and declined it in %d: want both paths covered", probed, declined)
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 
 	"crowddb/internal/sqlparse"
@@ -23,7 +24,14 @@ import (
 //     tightest bound per side. Range probes require the literal's type
 //     class to match the column's (numeric/text/bool): a mismatched
 //     comparison is a runtime error in the evaluator, and the scan must
-//     stay the one to raise it.
+//     stay the one to raise it. The probe is counted as it is planned —
+//     the index answers how many rows lie between the bounds from the two
+//     binary searches the probe itself would start with — and once ORDER
+//     BY has had its chance to ride the probe's order (tryIndexOrder), a
+//     probe that elides no sort and selects more than 1/indexRangeShare of
+//     the live rows is planned as a Scan of all the conjuncts instead
+//     (finishAccess): fetching that many rows by ID costs more than
+//     filtering every chunk in place.
 //  3. Everything not consumed by the probe stays as a residual filter,
 //     evaluated on the rows the probe returns.
 //
@@ -284,18 +292,92 @@ func (b *builder) accessPath(i int, cs []sqlparse.Expr) Node {
 		rest = append(rest, c)
 	}
 	if bounds.used > 0 {
-		return &IndexRange{
+		ir := &IndexRange{
 			Table: tbl, Name: seg.Table, Binding: seg.Binding,
 			Index: rangeMeta.Name, Column: rangeCol,
 			Lo: bounds.lo, Hi: bounds.hi, LoInc: bounds.loInc, HiInc: bounds.hiInc,
-			Residual: conjoin(rest), Layout: layout,
+			Residual: conjoin(rest), Layout: layout, pushed: cs,
 		}
+		ir.Rows, ir.Of, _ = tbl.CountIndexRange(ir.Index, BoundValue(ir.Lo), BoundValue(ir.Hi), ir.LoInc, ir.HiInc)
+		return ir
 	}
 
 	return &Scan{
 		Table: tbl, Name: seg.Table, Binding: seg.Binding,
 		Filter: conjoin(cs), Layout: layout,
 	}
+}
+
+// BoundValue is a range bound as an index probe takes it: nil for an open
+// side.
+func BoundValue(l *sqlparse.Literal) *storage.Value {
+	if l == nil {
+		return nil
+	}
+	v := LitValue(l)
+	return &v
+}
+
+// indexRangeShare is the crossover between the two ways of reading a
+// range of an indexed column: an IndexRange that selects more than
+// 1/indexRangeShare of the table's live rows is planned as a Scan. Set
+// from BenchmarkRangeCrossover (bench_test.go), which runs the same
+// filtered range both ways at widths from 0.1 % to 50 % of a 146 k-row
+// table; DESIGN.md's access-path section records the measurement.
+const indexRangeShare = 32
+
+// finishAccess is the planner's last look at the access paths under
+// *slot, when everything that could depend on one (join order, ORDER BY
+// elision, the index-only rewrite) has been decided: a range probe its
+// count shows to be wide, and whose order nothing uses, becomes a Scan
+// filtering all the conjuncts the probe was built from — both bounds and
+// the residual, so each can lower to a predicate kernel over zero-copy
+// chunk windows — and every path is counted under the name it ended with.
+func finishAccess(slot *Node) {
+	switch t := (*slot).(type) {
+	case *Scan:
+		mAccessScan.Inc()
+	case *IndexScan:
+		mAccessPoint.Inc()
+	case *IndexOnlyScan:
+		if t.Keys != nil {
+			mAccessPoint.Inc()
+		} else {
+			mAccessRange.Inc()
+		}
+	case *IndexRange:
+		if t.elidesSort || t.Rows*indexRangeShare <= t.Of {
+			mAccessRange.Inc()
+			return
+		}
+		mAccessDeclined.Inc()
+		*slot = &Scan{
+			Table: t.Table, Name: t.Name, Binding: t.Binding,
+			Filter: conjoin(t.pushed), Layout: t.Layout, Declined: t,
+		}
+	}
+	in, k := inputs(*slot)
+	for i := 0; i < k; i++ {
+		finishAccess(in[i])
+	}
+}
+
+// AccessNote is the ExplainWith annotation that says why an access path
+// was chosen: the plan-time count on a range probe, and on a scan the
+// probe it was planned instead of. It stays out of Describe because the
+// counts vary with the data while the fingerprint must not.
+func AccessNote(n Node) string {
+	switch t := n.(type) {
+	case *IndexRange:
+		if t.Of > 0 {
+			return fmt.Sprintf(" rows=%d of %d", t.Rows, t.Of)
+		}
+	case *Scan:
+		if d := t.Declined; d != nil {
+			return fmt.Sprintf(" index %s declined: %d of %d rows", d.Index, d.Rows, d.Of)
+		}
+	}
+	return ""
 }
 
 // betterEqIndex ranks equality-probe candidates whose keys are fully
@@ -373,7 +455,7 @@ func (b *builder) tryIndexOrder(node Node, orderBy []sqlparse.OrderKey, limit in
 		if len(names) != 1 || !strings.EqualFold(t.Column, names[0]) {
 			return node, false
 		}
-		t.Desc = orderBy[0].Desc
+		t.Desc, t.elidesSort = orderBy[0].Desc, true
 		return t, true
 	case *Scan:
 		if t.Filter != nil || distinct || limit < 0 || len(names) != 1 {
@@ -386,7 +468,7 @@ func (b *builder) tryIndexOrder(node Node, orderBy []sqlparse.OrderKey, limit in
 		return &IndexRange{
 			Table: t.Table, Name: t.Name, Binding: t.Binding,
 			Index: meta.Name, Column: names[0], Desc: orderBy[0].Desc,
-			Layout: t.Layout,
+			Layout: t.Layout, elidesSort: true,
 		}, true
 	default:
 		return node, false

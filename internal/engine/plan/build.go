@@ -59,6 +59,7 @@ func Build(s *sqlparse.SelectStmt, cat *storage.Catalog) (*SelectPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	finishAccess(&p.Root)
 	pruneColumns(p.Root)
 	return p, nil
 }

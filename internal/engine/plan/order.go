@@ -52,9 +52,10 @@ type joinComponent struct {
 
 // estimateAccess is the no-ANALYZE cardinality guess for an access path:
 // the signals storage maintains anyway (NumRows, index Entries) scaled by
-// fixed selectivity fractions — 1/3 per pushed filter or range probe,
-// 1/10 for an indexed equality. Floored at 1 so empty tables tie (and the
-// tie-break keeps syntax order) instead of producing degenerate zeros.
+// fixed selectivity fractions — 1/3 per pushed filter, 1/10 for an indexed
+// equality — and for a range probe the exact count it was planned with.
+// Floored at 1 so empty tables tie (and the tie-break keeps syntax order)
+// instead of producing degenerate zeros.
 func estimateAccess(n Node) float64 {
 	switch t := n.(type) {
 	case *Scan:
@@ -66,11 +67,7 @@ func estimateAccess(n Node) float64 {
 	case *IndexScan:
 		return math.Max(1, float64(indexEntries(t.Table, t.Index))/10)
 	case *IndexRange:
-		entries := float64(indexEntries(t.Table, t.Index))
-		if t.Lo != nil || t.Hi != nil {
-			entries /= 3
-		}
-		return math.Max(1, entries)
+		return math.Max(1, float64(t.Rows))
 	default:
 		return 1
 	}

@@ -9,9 +9,10 @@ package plan
 //     morsels, the chain runs morsel-local on dop workers, and Gather
 //     re-emits rows in morsel order — the serial row sequence.
 //   - A HashJoin whose build and/or probe child is such a chain gets
-//     Dop set: the build table is filled by parallel workers (entries
-//     carry sequence numbers so probing stays deterministic) and the
-//     probe side streams through an ordered gather.
+//     Dop set: the build rows are collected by parallel workers (and put
+//     back in input order before they are indexed, so probing stays
+//     deterministic) and the probe side streams through an ordered
+//     gather.
 //   - An Aggregate over such a chain gets Dop set: workers fold partial
 //     groups per morsel and a final merge combines them in first-seen
 //     order.

@@ -104,6 +104,16 @@ func (l *Layout) Resolve(table, name string) (int, error) {
 	}
 }
 
+// Kind returns the declared kind of the column at combined-row index idx.
+func (l *Layout) Kind(idx int) storage.Kind {
+	for _, s := range l.Segs {
+		if idx < s.Start+s.Schema.Len() {
+			return s.Schema.Column(idx - s.Start).Kind
+		}
+	}
+	return storage.KindNull
+}
+
 // ---------- plan nodes ----------
 
 // Node is one operator of a logical plan tree.
@@ -123,6 +133,11 @@ type Scan struct {
 	Binding string
 	Filter  sqlparse.Expr // nil when nothing was pushed down
 	Layout  *Layout       // single-segment layout of this scan's rows
+	// Declined is the range probe this scan was planned instead of, its
+	// count having said the range is too wide to fetch by row ID
+	// (finishAccess); nil for any other scan. EXPLAIN names it
+	// (AccessNote).
+	Declined *IndexRange
 	// Dop > 1 marks the scan as split into row-range morsels read by that
 	// many workers (set by Parallelize; the executor partitions by
 	// disjoint row ranges, so batched cursors need no extra coordination).
@@ -174,10 +189,19 @@ type IndexRange struct {
 	Desc         bool
 	Residual     sqlparse.Expr
 	Layout       *Layout
+	// Rows of Of: how many of the table's live rows the probe selects,
+	// counted at plan time (Table.CountIndexRange); Of is 0 for a probe
+	// that was never counted (the open-ended one behind ORDER BY + LIMIT).
+	// Not part of Describe, and so of the fingerprint: it varies with the
+	// data, not with the query.
+	Rows, Of int
 	// Dop > 1 marks the probe as split into morsels over disjoint chunks
 	// of the resolved row-ID list (set by Parallelize).
 	Dop int
 	Out []int // see Scan.Out
+
+	pushed     []sqlparse.Expr // every conjunct behind the bounds and Residual: the filter of the Scan that would replace the probe
+	elidesSort bool            // the ORDER BY above rides the probe's order (tryIndexOrder)
 }
 
 // IndexOnlyScan answers a query entirely from an index: every projected
@@ -445,38 +469,44 @@ func (g *Gather) Describe() string { return fmt.Sprintf("Gather(dop=%d)", g.Dop)
 func (*Distinct) Describe() string { return "Distinct" }
 func (l *Limit) Describe() string  { return fmt.Sprintf("Limit(%d)", l.N) }
 
+// inputs returns the k slots holding a node's inputs, in display order.
+func inputs(n Node) (in [2]*Node, k int) {
+	switch t := n.(type) {
+	case *HashJoin:
+		return [2]*Node{&t.Left, &t.Right}, 2
+	case *Filter:
+		in[0] = &t.Input
+	case *Project:
+		in[0] = &t.Input
+	case *Aggregate:
+		in[0] = &t.Input
+	case *Sort:
+		in[0] = &t.Input
+	case *TopN:
+		in[0] = &t.Input
+	case *Gather:
+		in[0] = &t.Input
+	case *Distinct:
+		in[0] = &t.Input
+	case *Limit:
+		in[0] = &t.Input
+	default:
+		return in, 0
+	}
+	return in, 1
+}
+
 // Children returns a node's inputs in display order.
 func Children(n Node) []Node {
-	switch t := n.(type) {
-	case *Scan:
-		return nil
-	case *IndexScan:
-		return nil
-	case *IndexRange:
-		return nil
-	case *IndexOnlyScan:
-		return nil
-	case *Filter:
-		return []Node{t.Input}
-	case *HashJoin:
-		return []Node{t.Left, t.Right}
-	case *Project:
-		return []Node{t.Input}
-	case *Aggregate:
-		return []Node{t.Input}
-	case *Sort:
-		return []Node{t.Input}
-	case *TopN:
-		return []Node{t.Input}
-	case *Gather:
-		return []Node{t.Input}
-	case *Distinct:
-		return []Node{t.Input}
-	case *Limit:
-		return []Node{t.Input}
-	default:
+	in, k := inputs(n)
+	if k == 0 {
 		return nil
 	}
+	out := make([]Node, k)
+	for i := range out {
+		out[i] = *in[i]
+	}
+	return out
 }
 
 // SelectPlan is a planned SELECT: the operator tree plus the output

@@ -68,7 +68,8 @@ func ExecPlanTraced(p *plan.SelectPlan) (*Result, *exec.Trace, error) {
 }
 
 // execExplain handles EXPLAIN and EXPLAIN ANALYZE over a SELECT. Plain
-// EXPLAIN plans without executing; ANALYZE executes the query with
+// EXPLAIN plans without executing and says, on a range access path, what
+// the plan-time count was (plan.AccessNote); ANALYZE executes the query with
 // tracing on, discards its rows, and annotates each operator line with
 // actual rows-out and wall time. Neither form ever triggers schema
 // expansion — plan errors (missing columns included) surface directly.
@@ -81,7 +82,7 @@ func (e *Engine) execExplain(x *sqlparse.ExplainStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lines := p.Explain()
+	lines := p.ExplainWith(plan.AccessNote)
 	if x.Analyze {
 		_, tr, err := ExecPlanTraced(p)
 		if err != nil {

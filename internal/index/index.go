@@ -21,12 +21,7 @@
 // land.
 package index
 
-import (
-	"encoding/binary"
-	"math"
-
-	"crowddb/internal/storage"
-)
+import "crowddb/internal/storage"
 
 // Kind names an index implementation.
 type Kind string
@@ -67,50 +62,17 @@ func (e *UnknownKindError) Error() string {
 	return "index: unknown index kind " + e.Kind + " (want HASH or ORDERED)"
 }
 
-// appendKeyComp appends one key component's canonical byte encoding to
-// dst. The encoding must agree exactly with storage.Value.Equal: two
-// values encode identically iff Equal reports true. Numerics (int and
-// float) compare through float64 there, so both normalize to float64
-// bits here — Int(2) and Float(2.0) collide by design, and negative
-// zero folds into positive so -0.0 Equal 0.0 holds. Cross-class values
-// never Equal, and their encodings differ in the class tag. Text is
-// length-prefixed so composite keys cannot alias across component
-// boundaries. ok=false for NULL (never indexed, never probed).
-func appendKeyComp(dst []byte, v storage.Value) ([]byte, bool) {
-	switch v.Kind() {
-	case storage.KindNull:
-		return dst, false
-	case storage.KindBool:
-		b, _ := v.AsBool()
-		if b {
-			return append(dst, 'b', 1), true
-		}
-		return append(dst, 'b', 0), true
-	case storage.KindText:
-		s, _ := v.AsText()
-		dst = append(dst, 's')
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...), true
-	default:
-		f, _ := v.AsFloat()
-		if f == 0 {
-			f = 0 // fold -0.0
-		}
-		dst = append(dst, 'n')
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), true
-	}
-}
-
-// encodeKey builds the canonical hash key of a composite key tuple;
-// ok=false when any component is NULL.
+// encodeKey builds the hash key of a composite key tuple — components
+// compare as storage.Value.Equal does, Int(2) and Float(2.0) colliding by
+// design (storage.AppendKey's numeric form); ok=false when any component
+// is NULL (never indexed, never probed).
 func encodeKey(key []storage.Value) (string, bool) {
 	dst := make([]byte, 0, 16*len(key))
 	for _, v := range key {
-		var ok bool
-		dst, ok = appendKeyComp(dst, v)
-		if !ok {
+		if v.IsNull() {
 			return "", false
 		}
+		dst = storage.AppendKey(dst, v, true)
 	}
 	return string(dst), true
 }

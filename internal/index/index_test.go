@@ -276,3 +276,90 @@ func TestNewKinds(t *testing.T) {
 		t.Fatalf("NewComposite: %v %v", idx, err)
 	}
 }
+
+// TestCountRangeEqualsRangeLength is the property the planner's
+// count-before-probe rests on: under any history of Add, Remove, Replace
+// and Rebuild — entries in the base run and in the delta buffer, delta
+// merges crossed — CountRange is len(Range) for any bounds, ASC or DESC.
+func TestCountRangeEqualsRangeLength(t *testing.T) {
+	for _, desc := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(31))
+		o := NewOrdered("ix", []string{"c"}, []bool{desc})
+		vals := map[int]storage.Value{} // the model: row → its value
+		draw := func() storage.Value {
+			switch rng.Intn(12) {
+			case 0:
+				return storage.Null()
+			case 1:
+				return storage.Float(float64(rng.Intn(200)) + 0.5)
+			default:
+				return storage.Int(int64(rng.Intn(200)))
+			}
+		}
+		bound := func() *storage.Value {
+			if rng.Intn(5) == 0 {
+				return nil
+			}
+			v := storage.Value(storage.Float(float64(rng.Intn(220)-10) / 2))
+			if rng.Intn(2) == 0 {
+				v = storage.Int(int64(rng.Intn(220) - 10))
+			}
+			return &v
+		}
+		check := func(step int) {
+			t.Helper()
+			for probe := 0; probe < 8; probe++ {
+				lo, hi, loInc, hiInc := bound(), bound(), rng.Intn(2) == 0, rng.Intn(2) == 0
+				if got, want := o.CountRange(lo, hi, loInc, hiInc), len(o.Range(lo, hi, loInc, hiInc)); got != want {
+					t.Fatalf("desc=%v step %d: CountRange = %d, len(Range) = %d (lo %v inc %v, hi %v inc %v; base %d delta %d)",
+						desc, step, got, want, lo, loInc, hi, hiInc, len(o.base), len(o.delta))
+				}
+			}
+			if got := o.CountRange(nil, nil, false, false); got != o.Entries() {
+				t.Fatalf("desc=%v step %d: open CountRange = %d, Entries = %d", desc, step, got, o.Entries())
+			}
+		}
+		check(-1) // the empty index
+		nextRow := 0
+		for step := 0; step < 6000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 60 || len(vals) == 0:
+				v := draw()
+				o.Add(nextRow, k(v))
+				vals[nextRow] = v
+				nextRow++
+			case op < 78:
+				row := rng.Intn(nextRow)
+				if v, ok := vals[row]; ok {
+					o.Remove(row, k(v))
+					delete(vals, row)
+				}
+			case op < 98:
+				row := rng.Intn(nextRow)
+				if v, ok := vals[row]; ok {
+					nv := draw()
+					o.Replace(row, k(v), k(nv))
+					vals[row] = nv
+				}
+			default:
+				col := make([]storage.Value, nextRow)
+				skip := make([]uint64, (nextRow+63)/64)
+				for row := range col {
+					if v, ok := vals[row]; ok {
+						col[row] = v
+					} else {
+						skip[row>>6] |= 1 << (uint(row) & 63)
+					}
+				}
+				o.Rebuild([][]storage.Value{col}, skip)
+			}
+			if step%40 == 0 {
+				check(step)
+			}
+		}
+		if len(o.base) == 0 || len(o.delta) == 0 {
+			t.Fatalf("desc=%v: the history ended with base %d, delta %d entries: both runs should hold some", desc, len(o.base), len(o.delta))
+		}
+		check(6000)
+	}
+}

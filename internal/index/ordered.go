@@ -212,6 +212,14 @@ func (o *Ordered) runWindows(lo, hi *storage.Value, loInc, hiInc bool) (bf, bt, 
 	return
 }
 
+// CountRange returns len(Range(lo, hi, loInc, hiInc)) from the binary
+// searches Range starts with — the planner's exact, allocation-free
+// cardinality of a range probe (storage.RangeCounter).
+func (o *Ordered) CountRange(lo, hi *storage.Value, loInc, hiInc bool) int {
+	bf, bt, df, dt := o.runWindows(lo, hi, loInc, hiInc)
+	return bt - bf + dt - df
+}
+
 // Range returns the row IDs whose leading key column falls in the probe
 // window, in index order (per-column directions, ties by row ID). Nil
 // bounds are open.

@@ -414,3 +414,61 @@ func TestMetricsScrapeRaceStress(t *testing.T) {
 	default:
 	}
 }
+
+// TestPlanAccessMetric drives one query down each access path and checks
+// that /v1/metrics counted it under the path it was planned with — the
+// scan that declined an index apart from the scan that had none to use.
+func TestPlanAccessMetric(t *testing.T) {
+	s, url := joinServer(t)
+	if _, _, err := s.db.ExecSQL(`CREATE TABLE pts (v INTEGER, pad INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := s.db.Catalog().Get("pts")
+	for i := 0; i < 400; i++ {
+		if err := tbl.Insert(storage.Int(int64(i)), storage.Int(int64(i%7))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.db.ExecSQL(`CREATE INDEX pts_v ON pts (v)`); err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() map[string]int {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		for _, line := range strings.Split(string(body), "\n") {
+			var path string
+			var n int
+			if _, err := fmt.Sscanf(line, `crowddb_plan_access_total{path=%q} %d`, &path, &n); err == nil {
+				got[path] = n
+			}
+		}
+		return got
+	}
+	before := scrape()
+	for _, sql := range []string{
+		`SELECT pad FROM pts WHERE v = 5`,              // index_point
+		`SELECT pad FROM pts WHERE v >= 10 AND v < 15`, // index_range: 5 of 400 rows
+		`SELECT pad FROM pts WHERE v >= 10 AND v < 25`, // scan_declined_index: 15 of 400 is over 1/32
+		`SELECT v FROM pts WHERE pad = 3`,              // scan
+		`SELECT v FROM pts WHERE pad = 4`,              // scan
+	} {
+		if code, _ := postQuery(t, url, sql, "sync"); code != http.StatusOK {
+			t.Fatalf("%s: status %d", sql, code)
+		}
+	}
+	after := scrape()
+	for path, want := range map[string]int{"index_point": 1, "index_range": 1, "scan_declined_index": 1, "scan": 2} {
+		if got := after[path] - before[path]; got != want {
+			t.Errorf("crowddb_plan_access_total{path=%q} moved by %d, want %d", path, got, want)
+		}
+	}
+}

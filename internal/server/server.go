@@ -41,13 +41,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -327,6 +330,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	rows := newRowEncoder()
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
@@ -353,12 +357,12 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 		if !ok {
 			break
 		}
-		vals := make([]any, len(row))
-		for i, v := range row {
-			vals[i] = valueToJSON(v)
+		line, err := rows.line(row)
+		if err == nil {
+			_, err = w.Write(line)
 		}
-		if err := enc.Encode(map[string]any{"row": vals}); err != nil {
-			return // write failed: the client is gone
+		if err != nil {
+			return // a value JSON cannot carry (NaN, ±Inf), or the write failed: the client is gone
 		}
 		if stream.Rows()%flushEvery == 0 {
 			flush()
@@ -370,6 +374,71 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 	}
 	_ = enc.Encode(trailer)
 	flush()
+}
+
+// rowEncoder writes the {"row":[…]} lines of an NDJSON stream into one
+// reused buffer, byte for byte what json.Encoder makes of
+// map[string]any{"row": []any{…}} — without the map, the []any and the
+// boxed numbers per row: numbers through strconv, in encoding/json's
+// float format, and only text through encoding/json itself.
+type rowEncoder struct {
+	buf  []byte
+	text bytes.Buffer
+	enc  *json.Encoder // into text
+}
+
+func newRowEncoder() *rowEncoder {
+	e := &rowEncoder{}
+	e.enc = json.NewEncoder(&e.text)
+	return e
+}
+
+// line returns row's line, newline included, valid until the next call.
+// NaN and ±Inf have no JSON form and are an error, as they are to
+// json.Encoder.
+func (e *rowEncoder) line(row storage.Row) ([]byte, error) {
+	b := append(e.buf[:0], `{"row":[`...)
+	for i, v := range row {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch v.Kind() {
+		case storage.KindBool:
+			t, _ := v.AsBool()
+			b = strconv.AppendBool(b, t)
+		case storage.KindInt:
+			n, _ := v.AsInt()
+			b = strconv.AppendInt(b, n, 10)
+		case storage.KindFloat:
+			f, _ := v.AsFloat()
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("server: %v has no JSON form", f)
+			}
+			// encoding/json's float64 format: the shortest digits that
+			// round-trip, in exponent form outside [1e-6, 1e21), the
+			// exponent's leading zero dropped.
+			format := byte('f')
+			if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+				format = 'e'
+			}
+			b = strconv.AppendFloat(b, f, format, -1, 64)
+			if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
+				b[n-2] = b[n-1]
+				b = b[:n-1]
+			}
+		case storage.KindText:
+			t, _ := v.AsText()
+			e.text.Reset()
+			if err := e.enc.Encode(t); err != nil {
+				return nil, err
+			}
+			b = append(b, e.text.Bytes()[:e.text.Len()-1]...) // without Encode's newline
+		default:
+			b = append(b, "null"...)
+		}
+	}
+	e.buf = append(b, "]}\n"...)
+	return e.buf, nil
 }
 
 func buildQueryResponse(res *core.Result, report *core.ExpansionReport, job *jobs.Status) queryResponse {

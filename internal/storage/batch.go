@@ -248,7 +248,7 @@ func (v *Vector) AppendCells(src *Vector, sel []int32) {
 	if len(src.Nulls) != 0 {
 		for k, i := range sel {
 			if src.IsNull(int(i)) {
-				v.markNull(base + k)
+				v.MarkNull(base + k)
 			}
 		}
 	}
@@ -270,11 +270,13 @@ func (v *Vector) appendNulls(base, n int) {
 		v.Strs = append(v.Strs, make([]string, n)...)
 	}
 	for i := base; i < base+n; i++ {
-		v.markNull(i)
+		v.MarkNull(i)
 	}
 }
 
-func (v *Vector) markNull(i int) {
+// MarkNull marks cell i of a typed vector NULL; its payload stays what it
+// was (zero, by the vector's contract).
+func (v *Vector) MarkNull(i int) {
 	for len(v.Nulls) <= i>>6 {
 		v.Nulls = append(v.Nulls, 0)
 	}

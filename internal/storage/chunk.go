@@ -449,7 +449,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 				dst.Ints[k] = c.ints[i]
 			} else {
 				dst.Ints[k] = 0
-				dst.markNull(k)
+				dst.MarkNull(k)
 			}
 		}
 	case KindFloat:
@@ -459,7 +459,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 				dst.Floats[k] = c.floats[i]
 			} else {
 				dst.Floats[k] = 0
-				dst.markNull(k)
+				dst.MarkNull(k)
 			}
 		}
 	case KindBool:
@@ -469,7 +469,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 				dst.Bools[k] = c.bools[i]
 			} else {
 				dst.Bools[k] = false
-				dst.markNull(k)
+				dst.MarkNull(k)
 			}
 		}
 	case KindText:
@@ -479,7 +479,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 				dst.Strs[k] = c.strs[i]
 			} else {
 				dst.Strs[k] = ""
-				dst.markNull(k)
+				dst.MarkNull(k)
 			}
 		}
 	}

@@ -62,6 +62,14 @@ type KeyRanger interface {
 	RangeWithKeys(lo, hi *Value, loInc, hiInc bool) (ids []int, keys [][]Value)
 }
 
+// RangeCounter is the plan-time cardinality hook of ordered indexes:
+// CountRange is len(Range(lo, hi, loInc, hiInc)) in O(log n) and without
+// allocating, so the planner can count a range before deciding to probe
+// it.
+type RangeCounter interface {
+	CountRange(lo, hi *Value, loInc, hiInc bool) int
+}
+
 // IndexMeta describes one attached index for planning and introspection.
 // Column is the first key column (the only one, for single-column
 // indexes) — kept alongside Columns for wire compatibility.
@@ -361,6 +369,20 @@ func (t *Table) PinIndexProbe(indexName string, probe IndexProbe) (*Snap, []int,
 	}
 	ids := probe.resolve(idx)
 	return t.pinLocked(), ids, nil
+}
+
+// CountIndexRange reports how many rows a range probe of the named index
+// would resolve right now, next to the table's live row count — both read
+// in one critical section, so they describe the same snapshot. ok is false
+// when the index is gone or cannot count (it is not ordered).
+func (t *Table) CountIndexRange(indexName string, lo, hi *Value, loInc, hiInc bool) (rows, live int, ok bool) {
+	t.idxMu.RLock()
+	defer t.idxMu.RUnlock()
+	rc, ok := t.indexes[normName(indexName)].(RangeCounter)
+	if !ok {
+		return 0, 0, false
+	}
+	return rc.CountRange(lo, hi, loInc, hiInc), t.snap.Load().live(), true
 }
 
 // IndexOnlyProbe resolves probe and returns, for each matching row, the

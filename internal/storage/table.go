@@ -456,7 +456,7 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 				return nil, fmt.Errorf("storage: FillColumn %s row %d: %w", name, i, err)
 			}
 			if cv.IsNull() {
-				vec.markNull(i)
+				vec.MarkNull(i)
 			} else {
 				c.put(i, cv)
 			}

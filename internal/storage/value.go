@@ -7,7 +7,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -148,6 +150,50 @@ func (v Value) Equal(o Value) bool {
 	vf, ok1 := v.AsFloat()
 	of, ok2 := o.AsFloat()
 	return ok1 && ok2 && vf == of
+}
+
+// AppendKey appends v's hash-key encoding to dst — the one byte codec
+// behind hash indexes, multi-column join keys, DISTINCT and GROUP BY. Two
+// values encode alike exactly when they are the same key: the kind tag
+// keeps 1, '1' and true apart, a float's -0 is 0 and every NaN one key
+// (FloatKeyBits), and text is length-prefixed, so no byte inside it can
+// forge a boundary between the components of a composite key. numeric is
+// the one thing the callers differ in: with it INTEGER and FLOAT share the
+// float form, as `=` and Equal compare them (an index probe, a join key);
+// without it 1 and 1.0 stay two keys (DISTINCT, GROUP BY). NULL is a key
+// of its own here; callers under whose semantics NULL matches nothing
+// drop it before encoding.
+func AppendKey(dst []byte, v Value, numeric bool) []byte {
+	switch v.kind {
+	case KindBool:
+		if v.b {
+			return append(dst, byte(KindBool), 1)
+		}
+		return append(dst, byte(KindBool), 0)
+	case KindInt:
+		if !numeric {
+			return binary.LittleEndian.AppendUint64(append(dst, byte(KindInt)), uint64(v.i))
+		}
+		return binary.LittleEndian.AppendUint64(append(dst, byte(KindFloat)), FloatKeyBits(float64(v.i)))
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(KindFloat)), FloatKeyBits(v.f))
+	case KindText:
+		dst = binary.LittleEndian.AppendUint64(append(dst, byte(KindText)), uint64(len(v.s)))
+		return append(dst, v.s...)
+	}
+	return append(dst, byte(KindNull))
+}
+
+// FloatKeyBits is f's bit pattern as a hash key: -0 as 0, every NaN the
+// same one.
+func FloatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
 }
 
 // Compare orders two non-NULL values of compatible types: -1, 0, +1.

@@ -187,19 +187,20 @@ func (c *Cache) removeLocked(e *entry) {
 	c.bytes -= e.bytes
 }
 
-// entrySize estimates an entry's memory footprint: value headers plus
-// text payloads plus key/column strings. An estimate is enough — the
-// bound exists to keep the cache from growing without limit, not to
-// account bytes exactly.
+// entrySize estimates an entry's memory footprint: the rows' slice
+// headers and five-word Values plus text payloads plus key/column strings.
+// An estimate is enough — the bound exists to keep the cache from growing
+// without limit, not to account bytes exactly — but it must not flatter:
+// charged 24 bytes for a 40-byte Value, a cache "of 64 MiB" full of
+// numeric rows held 100 MiB of heap, which the collector then doubles.
 func entrySize(key string, columns []string, rows []storage.Row) int64 {
 	size := int64(len(key)) + 64
 	for _, c := range columns {
 		size += int64(len(c)) + 16
 	}
 	for _, r := range rows {
-		size += 24 // slice header
+		size += 24 + 40*int64(len(r)) // slice header, Values
 		for _, v := range r {
-			size += 24
 			if t, ok := v.AsText(); ok {
 				size += int64(len(t))
 			}
