@@ -1167,12 +1167,16 @@ func downgradeToScan(b *testing.B, eng *engine.Engine, sql string) *plan.SelectP
 	if !ok {
 		b.Fatalf("expected Project root, got %T", p.Root)
 	}
+	// The scan carries what the probe it replaces carried, and the columns
+	// of the predicate it now evaluates itself.
 	where := stmt.(*sqlparse.SelectStmt).Where
 	switch n := proj.Input.(type) {
 	case *plan.IndexScan:
-		proj.Input = &plan.Scan{Table: n.Table, Name: n.Name, Binding: n.Binding, Filter: where, Layout: n.Layout}
+		proj.Input = &plan.Scan{Table: n.Table, Name: n.Name, Binding: n.Binding, Filter: where, Layout: n.Layout,
+			Out: plan.WithExprCols(n.Out, n.Layout, where)}
 	case *plan.IndexRange:
-		proj.Input = &plan.Scan{Table: n.Table, Name: n.Name, Binding: n.Binding, Filter: where, Layout: n.Layout}
+		proj.Input = &plan.Scan{Table: n.Table, Name: n.Name, Binding: n.Binding, Filter: where, Layout: n.Layout,
+			Out: plan.WithExprCols(n.Out, n.Layout, where)}
 	default:
 		b.Fatalf("expected an index access path, got %T", proj.Input)
 	}
@@ -1703,6 +1707,138 @@ func BenchmarkGroupByManyGroups(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ratingRows, "rows-scanned/op")
+}
+
+// ---------- DML through the planner (ISSUE 21) ----------
+//
+// The statements of the harness's ingest_mixed workload, in process: a
+// 200-rid range delete and a delete that matches nothing on the indexed
+// 146 k-row ratings table, and a point UPDATE on a table as wide as the
+// paper's movies after its expansion window. They write, so each has a
+// table of its own (built once) and puts back what it deleted outside
+// the timer.
+
+var (
+	dmlEngineOnce sync.Once
+	dmlEngine     *engine.Engine
+	dmlEngineErr  error
+)
+
+const wideMovieCols = 190
+
+// dmlDeleteSpans counts the spans BenchmarkDeleteRangeIndexed has deleted.
+var dmlDeleteSpans int
+
+// dmlBenchEngine builds dratings — ratingsEngine's indexed table again,
+// for the deletes — and widemovies(movie_id, name, year, x3 … x189): 4 000
+// rows, the extra columns BOOLEAN, every second one filled.
+func dmlBenchEngine(b *testing.B) *engine.Engine {
+	b.Helper()
+	dmlEngineOnce.Do(func() {
+		eng := engine.New(storage.NewCatalog())
+		run := func(sql string) {
+			if dmlEngineErr == nil {
+				_, dmlEngineErr = eng.ExecSQL(sql)
+			}
+		}
+		run(`CREATE TABLE dratings (rid INTEGER, movie_id INTEGER, usr INTEGER, score FLOAT)`)
+		run(`CREATE TABLE widemovies (movie_id INTEGER, name TEXT, year INTEGER)`)
+		if dmlEngineErr != nil {
+			return
+		}
+		ratings, _ := eng.Catalog().Get("dratings")
+		for i := 0; i < ratingRows && dmlEngineErr == nil; i++ {
+			dmlEngineErr = ratings.Insert(storage.Int(int64(i)), storage.Int(int64((i*31)%ratingMovies)),
+				storage.Int(int64((i*7)%1000)), storage.Float(float64(i%9)/2+0.5))
+		}
+		run(`CREATE INDEX dr_rid ON dratings (rid)`)
+		movies, _ := eng.Catalog().Get("widemovies")
+		for i := 0; i < ratingMovies && dmlEngineErr == nil; i++ {
+			dmlEngineErr = movies.Insert(storage.Int(int64(i)), storage.Text(fmt.Sprintf("movie-%d", i)), storage.Int(int64(1950+i%70)))
+		}
+		filled := make([]storage.Value, ratingMovies)
+		for i := range filled {
+			filled[i] = storage.Bool(i%3 == 0)
+		}
+		for x := 3; x < wideMovieCols && dmlEngineErr == nil; x++ {
+			col := storage.Column{Name: fmt.Sprintf("x%d", x), Kind: storage.KindBool, Perceptual: true, Origin: storage.ColumnExpanded}
+			if _, dmlEngineErr = movies.AddColumn(col); dmlEngineErr == nil && x%2 == 0 {
+				dmlEngineErr = movies.FillColumn(col.Name, filled)
+			}
+		}
+		dmlEngine = eng
+	})
+	if dmlEngineErr != nil {
+		b.Fatal(dmlEngineErr)
+	}
+	return dmlEngine
+}
+
+// BenchmarkDeleteRangeIndexed deletes 200 of ratingRows rows by a rid
+// range: an index probe finds them and every index drops them in one
+// pass. The rows go back in, at new row IDs, outside the timer.
+func BenchmarkDeleteRangeIndexed(b *testing.B) {
+	eng := dmlBenchEngine(b)
+	ratings, _ := eng.Catalog().Get("dratings")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A span no earlier iteration of any run has deleted: the rows are
+		// the loaded ones, not their re-inserted copies at the table's end.
+		lo := 40000 + (dmlDeleteSpans%500)*200
+		dmlDeleteSpans++
+		res, err := eng.ExecSQL(fmt.Sprintf(`DELETE FROM dratings WHERE rid >= %d AND rid < %d`, lo, lo+200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Affected != 200 {
+			b.Fatalf("deleted %d rows", res.Affected)
+		}
+		b.StopTimer()
+		for rid := lo; rid < lo+200; rid++ {
+			if err := ratings.Insert(storage.Int(int64(rid)), storage.Int(int64((rid*31)%ratingMovies)),
+				storage.Int(int64((rid*7)%1000)), storage.Float(float64(rid%9)/2+0.5)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkDeleteNoMatch is the statement behind the harness's
+// engine.exec.dml_scan_ms: the count of the range says it is empty and the
+// probe returns nothing; no row is read.
+func BenchmarkDeleteNoMatch(b *testing.B) {
+	eng := dmlBenchEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.ExecSQL(`DELETE FROM dratings WHERE rid < 0`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Affected != 0 {
+			b.Fatalf("deleted %d rows", res.Affected)
+		}
+	}
+}
+
+// BenchmarkUpdatePointWide updates one row of a 190-column table through
+// an unindexed equality: one predicate kernel over one column, one cell
+// written, whatever the width.
+func BenchmarkUpdatePointWide(b *testing.B) {
+	eng := dmlBenchEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.ExecSQL(fmt.Sprintf(`UPDATE widemovies SET year = %d WHERE movie_id = %d`, 1950+i%70, (i*37)%ratingMovies))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Affected != 1 {
+			b.Fatalf("updated %d rows", res.Affected)
+		}
+	}
 }
 
 // BenchmarkRangeCrossover is the measurement behind the planner's

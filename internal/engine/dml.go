@@ -2,35 +2,41 @@ package engine
 
 import (
 	"fmt"
-	"strings"
+	"time"
 
 	"crowddb/internal/engine/exec"
+	"crowddb/internal/engine/plan"
+	"crowddb/internal/obs"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
-// dmlEnv resolves column references for one row of a single table during
-// INSERT/UPDATE/DELETE evaluation. A table qualifier, when present, must
-// name the statement's target table.
-type dmlEnv struct {
-	table  string
-	schema *storage.Schema
-	row    storage.Row
-}
+// UPDATE and DELETE are "plan → drain row IDs and new cells → apply": the
+// WHERE is planned and run like a SELECT's (PlanDML, exec.Build), and what
+// it found is handed to the table as one batch (Table.SetBatch, Delete),
+// which journals, writes and maintains the indexes under its write lock.
+// The engine times planning and the scan; storage times the rest
+// (crowddb_dml_phase_seconds).
+var (
+	mInsertPlan = storage.DMLPhase("insert", "plan")
+	// By plan.DML.Verb.
+	mDMLPhases = map[string]struct{ plan, scan *obs.Histogram }{
+		"Update": {storage.DMLPhase("update", "plan"), storage.DMLPhase("update", "scan")},
+		"Delete": {storage.DMLPhase("delete", "plan"), storage.DMLPhase("delete", "scan")},
+	}
+)
 
-func (env *dmlEnv) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
-	table, name := ref.Table, ref.Name
-	if table != "" && !strings.EqualFold(table, env.table) {
-		return storage.Null(), fmt.Errorf("engine: unknown table or alias %q in reference %s.%s", table, table, name)
-	}
-	idx, ok := env.schema.Lookup(name)
-	if !ok {
-		return storage.Null(), &MissingColumnError{Table: env.table, Column: name}
-	}
-	return env.row[idx], nil
+// noColumns is the environment of an expression that stands alone: the
+// VALUES of an INSERT are constants, and a column reference among them
+// has no row to read.
+type noColumns struct{}
+
+func (noColumns) Lookup(ref *sqlparse.ColumnRef) (storage.Value, error) {
+	return storage.Null(), fmt.Errorf("engine: column reference %q in INSERT VALUES", ref.Name)
 }
 
 func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
+	start := time.Now()
 	tbl, ok := e.catalog.Get(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: no such table %q", s.Table)
@@ -53,121 +59,106 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 		}
 	}
 
-	inserted := 0
-	for _, rowExprs := range s.Rows {
+	// Every row is evaluated before the first is inserted.
+	rows := make([][]storage.Value, len(s.Rows))
+	for r, rowExprs := range s.Rows {
 		if len(rowExprs) != len(positions) {
 			return nil, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(rowExprs), len(positions))
 		}
-		vals := make([]storage.Value, schema.Len())
-		for i := range vals {
-			vals[i] = storage.Null()
-		}
-		env := &dmlEnv{table: s.Table, schema: schema, row: make(storage.Row, schema.Len())}
+		vals := make([]storage.Value, schema.Len()) // the zero Value is NULL
 		for i, expr := range rowExprs {
-			v, err := exec.EvalValue(expr, env)
+			v, err := exec.EvalValue(expr, noColumns{})
 			if err != nil {
 				return nil, err
 			}
 			vals[positions[i]] = v
 		}
+		rows[r] = vals
+	}
+	mInsertPlan.Observe(time.Since(start).Seconds())
+	for _, vals := range rows {
 		if err := tbl.Insert(vals...); err != nil {
 			return nil, err
 		}
-		inserted++
 	}
-	return &Result{Affected: inserted, Message: fmt.Sprintf("inserted %d rows", inserted)}, nil
+	return &Result{Affected: len(rows), Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
 }
 
-func (e *Engine) execUpdate(s *sqlparse.UpdateStmt) (*Result, error) {
-	tbl, ok := e.catalog.Get(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("engine: no such table %q", s.Table)
+// PlanDML lowers an UPDATE or DELETE into its plan without running it:
+// a plan.DML root over the access path that finds the rows, parallelized
+// like a SELECT's. EXPLAIN renders it; execDML runs it.
+func (e *Engine) PlanDML(stmt sqlparse.Statement) (*plan.SelectPlan, error) {
+	p, err := plan.BuildDML(stmt, e.catalog)
+	if err != nil {
+		return nil, err
 	}
-	schema := tbl.Schema()
-
-	type change struct {
-		row, col int
-		val      storage.Value
-	}
-	var changes []change
-	var scanErr error
-	// The physical row IDs collected by the scan are written back below;
-	// the fence keeps the compactor from remapping them in between.
-	tbl.AcquireWriteFence()
-	defer tbl.ReleaseWriteFence()
-	env := &dmlEnv{table: s.Table, schema: schema} // one per statement, re-pointed per row
-	tbl.Scan(func(i int, row storage.Row) bool {
-		env.row = row
-		if s.Where != nil {
-			t, err := exec.EvalPredicate(s.Where, env)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if t != exec.TriTrue {
-				return true
-			}
-		}
-		for _, asg := range s.Set {
-			col, ok := schema.Lookup(asg.Column)
-			if !ok {
-				scanErr = &MissingColumnError{Table: s.Table, Column: asg.Column}
-				return false
-			}
-			v, err := exec.EvalValue(asg.Expr, env)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			changes = append(changes, change{row: i, col: col, val: v})
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	touched := map[int]bool{}
-	for _, c := range changes {
-		if err := tbl.Set(c.row, c.col, c.val); err != nil {
-			return nil, err
-		}
-		touched[c.row] = true
-	}
-	return &Result{Affected: len(touched), Message: fmt.Sprintf("updated %d rows", len(touched))}, nil
+	plan.Parallelize(p, e.Dop())
+	return p, nil
 }
 
-func (e *Engine) execDelete(s *sqlparse.DeleteStmt) (*Result, error) {
-	tbl, ok := e.catalog.Get(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("engine: no such table %q", s.Table)
+// execDML plans and runs an UPDATE or DELETE. The plan is drained to the
+// end before anything is written: an error on any row — in the WHERE, in
+// a SET expression, in coercing a new cell to its column — fails the
+// statement with the table untouched.
+func (e *Engine) execDML(stmt sqlparse.Statement) (*Result, error) {
+	start := time.Now()
+	p, err := e.PlanDML(stmt)
+	if err != nil {
+		return nil, err
 	}
-	schema := tbl.Schema()
-	var doomed []int
-	var scanErr error
-	// Fence the scan→Delete window: the collected physical IDs must not
-	// be remapped by a concurrent compaction before Delete resolves them.
+	root := p.Root.(*plan.DML)
+	phases := mDMLPhases[root.Verb]
+	phases.plan.Observe(time.Since(start).Seconds())
+
+	// The scan collects physical row IDs that the apply below writes
+	// through; the fence keeps the compactor from remapping them in
+	// between. Another writer may still get in: a row it deleted is
+	// skipped by the apply, a row it updated is overwritten.
+	tbl := root.Table
 	tbl.AcquireWriteFence()
 	defer tbl.ReleaseWriteFence()
-	env := &dmlEnv{table: s.Table, schema: schema} // one per statement, re-pointed per row
-	tbl.Scan(func(i int, row storage.Row) bool {
-		if s.Where == nil {
-			doomed = append(doomed, i)
-			return true
-		}
-		env.row = row
-		t, err := exec.EvalPredicate(s.Where, env)
+	start = time.Now()
+	ids, cells, err := drainDML(root)
+	if err != nil {
+		return nil, err
+	}
+	phases.scan.Observe(time.Since(start).Seconds())
+
+	var n int
+	if root.Verb == "Delete" {
+		n = tbl.Delete(ids)
+		return &Result{Affected: n, Message: fmt.Sprintf("deleted %d rows", n)}, nil
+	}
+	if n, err = tbl.SetBatch(ids, root.Targets, cells); err != nil {
+		return nil, err
+	}
+	return &Result{Affected: n, Message: fmt.Sprintf("updated %d rows", n)}, nil
+}
+
+// drainDML runs a DML plan to the end and returns the physical IDs of the
+// rows it found with, per SET target, the new cell of each.
+func drainDML(root *plan.DML) (ids []int, cells [][]storage.Value, err error) {
+	it, err := exec.Build(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := it.Open(); err != nil {
+		_ = it.Close()
+		return nil, nil, err
+	}
+	defer it.Close()
+	cells = make([][]storage.Value, len(root.Targets))
+	for {
+		b, err := it.NextBatch()
 		if err != nil {
-			scanErr = err
-			return false
+			return nil, nil, err
 		}
-		if t == exec.TriTrue {
-			doomed = append(doomed, i)
+		if b == nil {
+			return ids, cells, nil
 		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+		ids = append(ids, b.IDs...)
+		for k := range cells {
+			cells[k] = append(cells[k], b.Cols[k].Vals...)
+		}
 	}
-	n := tbl.Delete(doomed)
-	return &Result{Affected: n, Message: fmt.Sprintf("deleted %d rows", n)}, nil
 }

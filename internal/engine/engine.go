@@ -1,14 +1,16 @@
 // Package engine executes parsed SQL statements against the storage layer.
 //
 // Since the planner/executor split, the engine is a thin shell over two
-// subpackages: internal/engine/plan lowers SELECTs into a logical plan
-// tree (alias resolution, predicate/projection pushdown, join key
-// extraction, plan-time column validation), and internal/engine/exec runs
-// that tree as iterators passing column batches up from the storage
-// cursor, boxing rows once at the root. DDL and DML stay here (dml.go);
-// SELECT, EXPLAIN and the streaming entry point live in select.go.
+// subpackages: internal/engine/plan lowers SELECTs — and the WHERE and SET
+// of UPDATE and DELETE — into a logical plan tree (alias resolution,
+// predicate/projection pushdown, join key extraction, plan-time column
+// validation), and internal/engine/exec runs that tree as iterators
+// passing column batches up from the storage cursor, boxing rows once at
+// the root. Dispatch and DDL stay here; dml.go drains a DML plan and hands
+// the rows and cells it found to the table in one batch; SELECT, EXPLAIN
+// and the streaming entry point live in select.go.
 //
-// The engine deliberately knows nothing about crowds: when a query
+// The engine deliberately knows nothing about crowds: when a statement
 // references a column the schema lacks, planning fails with a
 // *MissingColumnError before any row is read. The crowd-enabled layer in
 // internal/core catches that error, performs schema expansion, and
@@ -100,10 +102,8 @@ func (e *Engine) Exec(stmt sqlparse.Statement) (*Result, error) {
 		return e.execDropIndex(s)
 	case *sqlparse.InsertStmt:
 		return e.execInsert(s)
-	case *sqlparse.UpdateStmt:
-		return e.execUpdate(s)
-	case *sqlparse.DeleteStmt:
-		return e.execDelete(s)
+	case *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
+		return e.execDML(s)
 	case *sqlparse.DropTableStmt:
 		if !e.catalog.Drop(s.Table) {
 			return nil, fmt.Errorf("engine: no such table %q", s.Table)

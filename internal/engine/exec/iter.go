@@ -90,6 +90,12 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 			return nil, err
 		}
 		return newProject(t)(in), nil
+	case *plan.DML:
+		in, err := build(t.Input, tr)
+		if err != nil {
+			return nil, err
+		}
+		return newDML(t, in), nil
 	case *plan.Aggregate:
 		in, err := sourceOf(t.Input, tr)
 		if err != nil {

@@ -270,13 +270,15 @@ type heldBatch struct {
 	storage.Batch
 	sel  []int32
 	cols []storage.Vector
+	ids  []int
 }
 
 // hold detaches b from its producer. When every vector is a pinned view
-// only the selection can be the producer's scratch, and only it is copied;
-// otherwise (an index probe's gathered vectors, a computed projection, a
-// join's output, a tail window's packed NULL flags) the selected cells
-// are copied out, compacted.
+// of a scan window only the selection can be the producer's scratch, and
+// only it is copied; otherwise (an index probe's gathered vectors and row
+// IDs, a computed projection, a join's output, a tail window's packed
+// NULL flags) the selected cells are copied out, compacted, with the row
+// each came from.
 func (r *morselResult) hold(b *storage.Batch) {
 	if len(b.Sel) == 0 {
 		return
@@ -291,7 +293,7 @@ func (r *morselResult) hold(b *storage.Batch) {
 		h.cols = make([]storage.Vector, len(b.Cols))
 	}
 	h.cols = h.cols[:len(b.Cols)]
-	pinned := true
+	pinned := b.IDs == nil
 	for c := range b.Cols {
 		pinned = pinned && b.Cols[c].Pinned
 	}
@@ -302,15 +304,19 @@ func (r *morselResult) hold(b *storage.Batch) {
 			sel = h.sel
 		}
 		copy(h.cols, b.Cols)
-		h.Batch = storage.Batch{N: b.N, Sel: sel, Cols: h.cols}
+		h.Batch = storage.Batch{N: b.N, Sel: sel, Cols: h.cols, Lo: b.Lo}
 		return
 	}
 	for c := range b.Cols {
 		h.cols[c].Reset()
 		h.cols[c].AppendCells(&b.Cols[c], b.Sel)
 	}
+	h.ids = h.ids[:0]
+	for _, i := range b.Sel {
+		h.ids = append(h.ids, b.RowID(int(i)))
+	}
 	n := len(b.Sel)
-	h.Batch = storage.Batch{N: n, Sel: storage.IdentitySel(n), Cols: h.cols}
+	h.Batch = storage.Batch{N: n, Sel: storage.IdentitySel(n), Cols: h.cols, IDs: h.ids}
 }
 
 func (g *gatherIter) Open() error {

@@ -152,7 +152,8 @@ func (f *filterIter) NextBatch() (*storage.Batch, error) {
 			}
 			continue
 		}
-		f.out = storage.Batch{N: b.N, Sel: sel, Cols: b.Cols}
+		f.out = *b
+		f.out.Sel = sel
 		return &f.out, err
 	}
 }
@@ -228,6 +229,52 @@ func (p *projectIter) NextBatch() (*storage.Batch, error) {
 }
 
 func (p *projectIter) Close() error { return p.input.Close() }
+
+// dmlIter is the root of an UPDATE's or DELETE's plan. For every row its
+// input selected it emits the row's physical ID (Batch.IDs) and the value
+// of each SET expression over the old row, compacted: a statement that
+// changes one row of a 4096-row window carries one cell per target.
+type dmlIter struct {
+	input Iterator
+	exprs *boundExprs
+	env   batchEnv
+	out   storage.Batch
+}
+
+func newDML(t *plan.DML, input Iterator) Iterator {
+	exprs := bindList(layoutResolver(t.Layout, plan.OutputCols(t.Input)), t.Exprs)
+	return &dmlIter{input: input, exprs: exprs, env: batchEnv{refs: exprs.refs},
+		out: storage.Batch{Cols: make([]storage.Vector, len(t.Exprs))}}
+}
+
+func (d *dmlIter) Open() error { return d.input.Open() }
+
+func (d *dmlIter) NextBatch() (*storage.Batch, error) {
+	b, err := d.input.NextBatch()
+	if b == nil {
+		return nil, err
+	}
+	d.out.IDs = d.out.IDs[:0]
+	for k := range d.out.Cols {
+		d.out.Cols[k].Vals = d.out.Cols[k].Vals[:0]
+	}
+	d.env.in[0].cols = b.Cols
+	for _, i := range b.Sel {
+		d.env.in[0].i = int(i)
+		for k := range d.out.Cols {
+			v, verr := d.exprs.value(k, &d.env)
+			if verr != nil {
+				return nil, verr // the statement fails whole: the rows before are of no use
+			}
+			d.out.Cols[k].Vals = append(d.out.Cols[k].Vals, v)
+		}
+		d.out.IDs = append(d.out.IDs, b.RowID(int(i)))
+	}
+	d.out.N, d.out.Sel = len(b.Sel), storage.IdentitySel(len(b.Sel))
+	return &d.out, err
+}
+
+func (d *dmlIter) Close() error { return d.input.Close() }
 
 // limitIter passes through at most n rows: it cuts the selection of the
 // batch that crosses the limit and asks its input for nothing more, so a

@@ -163,36 +163,24 @@ func (b *builder) rewriteOrderByAliases(orderBy []sqlparse.OrderKey) []sqlparse.
 // (it resolves against output columns), as is ORDER BY for grouped
 // queries.
 func (b *builder) validate(grouped bool, orderBy []sqlparse.OrderKey) error {
-	check := func(e sqlparse.Expr, layout *Layout) error {
-		var firstErr error
-		sqlparse.WalkColumns(e, func(c *sqlparse.ColumnRef) {
-			if firstErr != nil {
-				return
-			}
-			if _, err := layout.Resolve(c.Table, c.Name); err != nil {
-				firstErr = err
-			}
-		})
-		return firstErr
-	}
 	for _, item := range b.stmt.Items {
 		if item.Expr != nil {
-			if err := check(item.Expr, b.layout); err != nil {
+			if err := checkRefs(item.Expr, b.layout); err != nil {
 				return err
 			}
 		}
 	}
-	if err := check(b.stmt.Where, b.layout); err != nil {
+	if err := checkRefs(b.stmt.Where, b.layout); err != nil {
 		return err
 	}
 	for _, g := range b.stmt.GroupBy {
-		if err := check(g, b.layout); err != nil {
+		if err := checkRefs(g, b.layout); err != nil {
 			return err
 		}
 	}
 	if !grouped {
 		for _, key := range orderBy {
-			if err := check(key.Expr, b.layout); err != nil {
+			if err := checkRefs(key.Expr, b.layout); err != nil {
 				return err
 			}
 		}
@@ -200,11 +188,26 @@ func (b *builder) validate(grouped bool, orderBy []sqlparse.OrderKey) error {
 	// ON conditions are scoped to the tables joined so far plus the table
 	// being joined.
 	for i := range b.stmt.Joins {
-		if err := check(b.stmt.Joins[i].On, b.prefixLayout(i+2)); err != nil {
+		if err := checkRefs(b.stmt.Joins[i].On, b.prefixLayout(i+2)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkRefs resolves every column reference of e against layout and
+// returns the first failure.
+func checkRefs(e sqlparse.Expr, layout *Layout) error {
+	var firstErr error
+	sqlparse.WalkColumns(e, func(c *sqlparse.ColumnRef) {
+		if firstErr != nil {
+			return
+		}
+		if _, err := layout.Resolve(c.Table, c.Name); err != nil {
+			firstErr = err
+		}
+	})
+	return firstErr
 }
 
 // conjuncts flattens a predicate's AND tree.

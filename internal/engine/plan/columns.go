@@ -11,7 +11,7 @@ import (
 // a finished plan top-down and records on every node that shapes its own
 // output — the access paths, HashJoin, and a Sort/TopN over base rows —
 // the layout positions it must produce (Out). Everything else either
-// emits a fixed positional list (Project, Aggregate, IndexOnlyScan) or
+// emits a fixed positional list (Project, Aggregate, IndexOnlyScan, DML) or
 // passes its input's columns through (Filter, Gather, Distinct, Limit, a
 // Sort/TopN over grouped output). A table widened to hundreds of columns
 // by schema expansion therefore costs a query only the columns it names,
@@ -61,6 +61,8 @@ func need(n Node, req []int) {
 		need(t.Input, orderNeeds(t.Layout, t.Keys, &t.Out, req))
 	case *TopN:
 		need(t.Input, orderNeeds(t.Layout, t.Keys, &t.Out, req))
+	case *DML:
+		need(t.Input, WithExprCols(nil, t.Layout, t.Exprs...))
 	default:
 		if in := passesThrough(n); in != nil {
 			need(in, req)
@@ -129,6 +131,8 @@ func OutputCols(n Node) []int {
 		return positions(len(t.Exprs))
 	case *Aggregate:
 		return positions(len(t.Items))
+	case *DML:
+		return positions(len(t.Exprs))
 	case *Sort:
 		return t.Out
 	case *TopN:

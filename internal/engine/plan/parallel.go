@@ -83,6 +83,9 @@ func parallelize(n Node, dop int) Node {
 	case *Limit:
 		t.Input = parallelize(t.Input, dop)
 		return t
+	case *DML:
+		t.Input = parallelize(t.Input, dop)
+		return t
 	default:
 		return n
 	}

@@ -1,4 +1,5 @@
-// Package plan lowers parsed SELECT statements into a logical plan tree.
+// Package plan lowers parsed SELECT statements — and the row-finding half
+// of UPDATE and DELETE (dml.go) — into a logical plan tree.
 //
 // The planner is the engine's front half: it resolves tables and aliases,
 // validates every column reference (so a missing expandable column is
@@ -490,6 +491,8 @@ func inputs(n Node) (in [2]*Node, k int) {
 		in[0] = &t.Input
 	case *Limit:
 		in[0] = &t.Input
+	case *DML:
+		in[0] = &t.Input
 	default:
 		return in, 0
 	}
@@ -509,8 +512,9 @@ func Children(n Node) []Node {
 	return out
 }
 
-// SelectPlan is a planned SELECT: the operator tree plus the output
-// column names.
+// SelectPlan is a planned statement: the operator tree plus the output
+// column names of a SELECT. An UPDATE's or DELETE's tree has a *DML root
+// and no output columns (BuildDML).
 type SelectPlan struct {
 	Root    Node
 	Columns []string

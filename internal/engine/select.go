@@ -67,18 +67,28 @@ func ExecPlanTraced(p *plan.SelectPlan) (*Result, *exec.Trace, error) {
 	return &Result{Columns: p.Columns, Rows: rows, Affected: len(rows)}, tr, nil
 }
 
-// execExplain handles EXPLAIN and EXPLAIN ANALYZE over a SELECT. Plain
-// EXPLAIN plans without executing and says, on a range access path, what
-// the plan-time count was (plan.AccessNote); ANALYZE executes the query with
-// tracing on, discards its rows, and annotates each operator line with
-// actual rows-out and wall time. Neither form ever triggers schema
-// expansion — plan errors (missing columns included) surface directly.
+// execExplain handles EXPLAIN over a SELECT, UPDATE or DELETE and EXPLAIN
+// ANALYZE over a SELECT. Plain EXPLAIN plans without executing and says,
+// on a range access path, what the plan-time count was (plan.AccessNote);
+// ANALYZE executes the query with tracing on, discards its rows, and
+// annotates each operator line with actual rows-out and wall time — which
+// for an UPDATE or DELETE would mean changing the table, so it is refused.
+// Neither form ever triggers schema expansion — plan errors (missing
+// columns included) surface directly.
 func (e *Engine) execExplain(x *sqlparse.ExplainStmt) (*Result, error) {
-	sel, ok := x.Stmt.(*sqlparse.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT statements only, got %T", x.Stmt)
+	var p *plan.SelectPlan
+	var err error
+	switch s := x.Stmt.(type) {
+	case *sqlparse.SelectStmt:
+		p, err = e.PlanSelect(s)
+	case *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
+		if x.Analyze {
+			return nil, fmt.Errorf("engine: EXPLAIN ANALYZE supports SELECT statements only, got %T", x.Stmt)
+		}
+		p, err = e.PlanDML(s)
+	default:
+		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE and DELETE statements only, got %T", x.Stmt)
 	}
-	p, err := e.PlanSelect(sel)
 	if err != nil {
 		return nil, err
 	}

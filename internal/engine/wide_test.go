@@ -49,7 +49,7 @@ func paperTable(t *testing.T, e *Engine, name string, rows, extra int) {
 }
 
 // execCost plans sql once and returns what one execution of the plan
-// allocates: objects (testing.AllocsPerRun) and bytes (TotalAlloc).
+// allocates (costOf).
 func execCost(t *testing.T, e *Engine, sql string) (allocs, bytes float64, res *Result) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
@@ -60,11 +60,17 @@ func execCost(t *testing.T, e *Engine, sql string) (allocs, bytes float64, res *
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	allocs, bytes = costOf(func() {
 		if res, err = ExecPlan(p); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
+	return allocs, bytes, res
+}
+
+// costOf returns what one call of run allocates: objects
+// (testing.AllocsPerRun) and bytes (TotalAlloc).
+func costOf(run func()) (allocs, bytes float64) {
 	const runs = 20
 	allocs = testing.AllocsPerRun(runs, run)
 	var before, after runtime.MemStats
@@ -73,7 +79,7 @@ func execCost(t *testing.T, e *Engine, sql string) (allocs, bytes float64, res *
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs, res
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 func TestWideTableCostsWhatANarrowOneDoes(t *testing.T) {
@@ -123,5 +129,67 @@ func TestPointLookupAllocatesForOneRow(t *testing.T) {
 	t.Logf("point lookup: %.0f allocs, %.0f B per execution", allocs, bytes)
 	if bytes > 4096 {
 		t.Errorf("point lookup allocates %.0f B per execution, want a few hundred bytes per needed column", bytes)
+	}
+}
+
+// stmtCost parses sql once and returns what one execution of the statement
+// — planning included — allocates: objects and bytes.
+func stmtCost(t *testing.T, e *Engine, sql string) (allocs, bytes float64, res *Result) {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, bytes = costOf(func() {
+		if res, err = e.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return allocs, bytes, res
+}
+
+// An UPDATE reads the columns its WHERE and SET name and writes the chunk
+// its row lies in: on the paper's table, 200 columns wide after the
+// expansions, it costs what it costs on three columns, but for the one
+// thing a new version has per column — a 32-byte header (storage.colData).
+func TestPointUpdateCostsWhatItDoesOnANarrowTable(t *testing.T) {
+	const rows = storage.ChunkRows + 500
+	e := New(storage.NewCatalog())
+	e.SetExecWorkers(1)
+	paperTable(t, e, "narrow", rows, 0)
+	paperTable(t, e, "wide", rows, 197)
+	for _, q := range []string{
+		`UPDATE %s SET year = 2001 WHERE id = 77`,                     // a sealed chunk
+		`UPDATE %s SET year = year + 1 - 1, c = NULL WHERE id = 4200`, // the tail, two targets, an expression
+	} {
+		nAllocs, nBytes, nRes := stmtCost(t, e, fmt.Sprintf(q, "narrow"))
+		wAllocs, wBytes, wRes := stmtCost(t, e, fmt.Sprintf(q, "wide"))
+		if nRes.Affected != 1 || wRes.Affected != 1 {
+			t.Fatalf("%s: affected %d and %d rows, want 1", q, nRes.Affected, wRes.Affected)
+		}
+		t.Logf("%s: 3 columns %.0f allocs / %.0f B, 200 columns %.0f allocs / %.0f B", q, nAllocs, nBytes, wAllocs, wBytes)
+		const headers = 197 * 32
+		if wAllocs > 1.1*nAllocs || wBytes-headers > 1.1*nBytes {
+			t.Errorf("%s: 200 columns cost %.0f allocs / %.0f B (%d B of them column headers), 3 columns %.0f / %.0f: over 10%% more",
+				q, wAllocs, wBytes, headers, nAllocs, nBytes)
+		}
+	}
+}
+
+// A DELETE whose range holds nothing is answered by the index's count and
+// an empty probe: no window is read, no buffer sized for one.
+func TestNoMatchDeleteAllocatesAlmostNothing(t *testing.T) {
+	e := New(storage.NewCatalog())
+	e.SetExecWorkers(1)
+	paperTable(t, e, "movies", 3*storage.ChunkRows, 0)
+	mustExec(t, e, `CREATE INDEX movies_id ON movies (id)`)
+	sql := `DELETE FROM movies WHERE id < 0`
+	if plan := flattenPlan(t, mustExec(t, e, "EXPLAIN "+sql)); !strings.Contains(plan, "IndexRange(movies_id") {
+		t.Fatalf("not an index probe:\n%s", plan)
+	}
+	allocs, bytes, res := stmtCost(t, e, sql)
+	t.Logf("no-match DELETE: %.0f allocs, %.0f B per statement", allocs, bytes)
+	if res.Affected != 0 || bytes > 4096 {
+		t.Errorf("no-match DELETE affected %d rows and allocates %.0f B per statement, want 0 and under 4 KB", res.Affected, bytes)
 	}
 }

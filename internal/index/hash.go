@@ -46,7 +46,7 @@ func (h *Hash) Add(rowID int, key []storage.Value) {
 	h.n++
 }
 
-// Remove drops rowID's entry under key (the Delete hook).
+// Remove drops rowID's entry under key.
 func (h *Hash) Remove(rowID int, key []storage.Value) {
 	k, ok := encodeKey(key)
 	if !ok {
@@ -67,10 +67,21 @@ func (h *Hash) Remove(rowID int, key []storage.Value) {
 	}
 }
 
-// Replace swaps rowID's entry from oldKey to newKey (the Set hook).
+// Replace swaps rowID's entry from oldKey to newKey.
 func (h *Hash) Replace(rowID int, oldKey, newKey []storage.Value) {
 	h.Remove(rowID, oldKey)
 	h.Add(rowID, newKey)
+}
+
+// RemoveRows drops the entries of rows (the Delete and SetBatch hook): a
+// hash index finds an entry by its key, so each row costs one bucket
+// lookup.
+func (h *Hash) RemoveRows(rows []int, keyOf func(int) ([]storage.Value, bool)) {
+	for _, row := range rows {
+		if key, ok := keyOf(row); ok {
+			h.Remove(row, key)
+		}
+	}
 }
 
 // Rebuild reindexes from scratch: cols[k][i] is row i's value for key

@@ -95,26 +95,34 @@ func (o *Ordered) Add(rowID int, key []storage.Value) {
 	}
 }
 
-// mergeDelta folds the delta buffer into the base run (linear merge).
+// mergeDelta folds the delta buffer into the base run: a linear merge
+// from the back, in place — every probe runs under the owning table's
+// index lock, so no reader holds the run being rewritten. A base without
+// the room grows by a quarter, so that an index taking steady inserts
+// reallocates once in dozens of merges instead of at every one.
 func (o *Ordered) mergeDelta() {
-	merged := make([]entry, 0, len(o.base)+len(o.delta))
-	i, j := 0, 0
-	for i < len(o.base) && j < len(o.delta) {
-		if o.less(o.delta[j], o.base[i]) {
-			merged = append(merged, o.delta[j])
-			j++
+	n, m := len(o.base), len(o.delta)
+	if cap(o.base) < n+m {
+		grown := make([]entry, n, max(n+m, n+n/4))
+		copy(grown, o.base)
+		o.base = grown
+	}
+	base := o.base[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && o.less(o.delta[j], base[i]) {
+			base[k] = base[i]
+			i--
 		} else {
-			merged = append(merged, o.base[i])
-			i++
+			base[k] = o.delta[j]
+			j--
 		}
 	}
-	merged = append(merged, o.base[i:]...)
-	merged = append(merged, o.delta[j:]...)
-	o.base, o.delta = merged, o.delta[:0]
+	clear(o.delta) // the keys now belong to base
+	o.base, o.delta = base, o.delta[:0]
 }
 
-// Remove drops the entry (key, rowID) from whichever run holds it — the
-// point-wise Delete hook; no rebuild, no ID shifting.
+// Remove drops the entry (key, rowID) from whichever run holds it,
+// point-wise; no rebuild, no ID shifting.
 func (o *Ordered) Remove(rowID int, key []storage.Value) {
 	if keyHasNull(key) {
 		return
@@ -130,10 +138,49 @@ func (o *Ordered) Remove(rowID int, key []storage.Value) {
 	}
 }
 
-// Replace swaps rowID's entry from oldKey to newKey (the Set hook).
+// Replace swaps rowID's entry from oldKey to newKey.
 func (o *Ordered) Replace(rowID int, oldKey, newKey []storage.Value) {
 	o.Remove(rowID, oldKey)
 	o.Add(rowID, newKey)
+}
+
+// RemoveRows drops the entries of rows (distinct, ascending) — the
+// Delete and SetBatch hook. One row is removed point-wise: a binary search
+// and one memmove of the run behind it. More are filtered out of both runs
+// by row ID in a single pass, O(entries + rows), which no longer costs a
+// memmove per row and needs no key.
+func (o *Ordered) RemoveRows(rows []int, keyOf func(int) ([]storage.Value, bool)) {
+	if len(rows) == 1 {
+		if key, ok := keyOf(rows[0]); ok {
+			o.Remove(rows[0], key)
+		}
+		return
+	}
+	// A bitmap over the words the rows span: a range delete's rows are
+	// neighbours, whatever their distance from row 0.
+	first := rows[0] >> 6
+	gone := make([]uint64, rows[len(rows)-1]>>6-first+1)
+	for _, row := range rows {
+		gone[row>>6-first] |= 1 << (uint(row) & 63)
+	}
+	o.base, o.delta = dropRows(o.base, first, gone), dropRows(o.delta, first, gone)
+}
+
+// dropRows filters out of run, in place, the entries of the rows set in
+// gone, whose word 0 covers rows 64·first and up.
+func dropRows(run []entry, first int, gone []uint64) []entry {
+	kept := 0
+	for i := range run {
+		if w := run[i].row>>6 - first; w >= 0 && w < len(gone) && gone[w]&(1<<(uint(run[i].row)&63)) != 0 {
+			continue
+		}
+		if kept != i {
+			run[kept] = run[i]
+		}
+		kept++
+	}
+	clear(run[kept:])
+	return run[:kept]
 }
 
 // Rebuild reindexes from scratch: cols[k][i] is row i's value for key

@@ -415,6 +415,21 @@ func TestMetricsScrapeRaceStress(t *testing.T) {
 	}
 }
 
+// metricLines fetches /v1/metrics and returns its lines.
+func metricLines(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(body), "\n")
+}
+
 // TestPlanAccessMetric drives one query down each access path and checks
 // that /v1/metrics counted it under the path it was planned with — the
 // scan that declined an index apart from the scan that had none to use.
@@ -433,18 +448,8 @@ func TestPlanAccessMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrape := func() map[string]int {
-		t.Helper()
-		resp, err := http.Get(url + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got := map[string]int{}
-		for _, line := range strings.Split(string(body), "\n") {
+		for _, line := range metricLines(t, url) {
 			var path string
 			var n int
 			if _, err := fmt.Sscanf(line, `crowddb_plan_access_total{path=%q} %d`, &path, &n); err == nil {
@@ -469,6 +474,63 @@ func TestPlanAccessMetric(t *testing.T) {
 	for path, want := range map[string]int{"index_point": 1, "index_range": 1, "scan_declined_index": 1, "scan": 2} {
 		if got := after[path] - before[path]; got != want {
 			t.Errorf("crowddb_plan_access_total{path=%q} moved by %d, want %d", path, got, want)
+		}
+	}
+}
+
+// DML is planned like a SELECT and timed by phase: an UPDATE and a DELETE
+// move the planner's access-path counters and fill
+// crowddb_dml_phase_seconds for every phase of their statement kind.
+func TestDMLMetrics(t *testing.T) {
+	s, url := joinServer(t)
+	if _, _, err := s.db.ExecSQL(`CREATE TABLE dmlpts (v INTEGER, pad INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := s.db.Catalog().Get("dmlpts")
+	for i := 0; i < 400; i++ {
+		if err := tbl.Insert(storage.Int(int64(i)), storage.Int(int64(i%7))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.db.ExecSQL(`CREATE INDEX dmlpts_v ON dmlpts (v)`); err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() map[string]int {
+		got := map[string]int{}
+		for _, line := range metricLines(t, url) {
+			var a, b string
+			var n int
+			if _, err := fmt.Sscanf(line, `crowddb_plan_access_total{path=%q} %d`, &a, &n); err == nil {
+				got["access "+a] = n
+			}
+			if _, err := fmt.Sscanf(line, `crowddb_dml_phase_seconds_count{stmt=%q,phase=%q} %d`, &a, &b, &n); err == nil {
+				got[a+" "+b] = n
+			}
+		}
+		return got
+	}
+	before := scrape()
+	for _, sql := range []string{
+		`UPDATE dmlpts SET pad = pad + 1 WHERE v = 5`,   // index_point
+		`DELETE FROM dmlpts WHERE v >= 10 AND v < 15`,   // index_range: 5 of 400 rows
+		`DELETE FROM dmlpts WHERE v >= 100 AND v < 150`, // scan_declined_index
+		`UPDATE dmlpts SET pad = 0 WHERE pad = 3`,       // scan
+		`INSERT INTO dmlpts VALUES (1000, 1)`,
+		`EXPLAIN DELETE FROM dmlpts WHERE pad = 1`, // planned (a scan), never run
+	} {
+		if code, _ := postQuery(t, url, sql, "sync"); code != http.StatusOK {
+			t.Fatalf("%s: status %d", sql, code)
+		}
+	}
+	after := scrape()
+	for key, want := range map[string]int{
+		"access index_point": 1, "access index_range": 1, "access scan_declined_index": 1, "access scan": 2,
+		"update plan": 2, "update scan": 2, "update wal": 2, "update apply": 2, "update index": 2,
+		"delete plan": 2, "delete scan": 2, "delete wal": 2, "delete apply": 2, "delete index": 2,
+		"insert plan": 1, "insert wal": 1, "insert apply": 1, "insert index": 1,
+	} {
+		if got := after[key] - before[key]; got != want {
+			t.Errorf("%s moved by %d, want %d", key, got, want)
 		}
 	}
 }

@@ -15,10 +15,26 @@ import "math/bits"
 // views of immutable snapshot storage and stay valid for as long as the
 // snapshot pin is held; all other vectors (and every Sel) are the
 // producer's scratch, overwritten by its next batch.
+//
+// A batch that comes from a cursor, directly or through a Filter or a
+// Gather above it, also says which physical row each cell is: cell i is
+// row IDs[i] when IDs is set (the index form's gathered rows), row Lo+i
+// otherwise (the scan form's window). That is how UPDATE and DELETE learn
+// the rows their WHERE found; other operators leave both zero.
 type Batch struct {
 	N    int      // cells per vector
 	Sel  []int32  // selected cells, each in [0, N)
 	Cols []Vector // the columns the reader asked for, in the order asked
+	Lo   int      // physical row of cell 0 when IDs is nil
+	IDs  []int    // physical row of every cell, or nil
+}
+
+// RowID returns the physical row ID of cell i (see Batch).
+func (b *Batch) RowID(i int) int {
+	if b.IDs != nil {
+		return b.IDs[i]
+	}
+	return b.Lo + i
 }
 
 // Vector is one column of a batch. Cells are stored typed — the payload

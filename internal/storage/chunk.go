@@ -223,25 +223,35 @@ func packFlags(dst []uint64, flags []bool) int {
 	return set
 }
 
-// withCell returns a copy of the first n cells of old (nil = all-NULL)
-// with cell i replaced by val — Set's one-chunk copy, sealed again when
-// it replaces a sealed chunk.
-func withCell(kind Kind, old *chunk, n, i int, val Value, sealed bool) *chunk {
-	null := val.IsNull()
-	if old == nil && null {
+// withCells returns a copy of the first n cells of old (nil = all-NULL),
+// the chunk starting at physical row base, with cell rows[j]-base replaced
+// by vals[j] for every position j in run — SetBatch's one copy of a chunk,
+// sealed again when it replaces a sealed chunk.
+func withCells(kind Kind, old *chunk, n, base int, rows []int, vals []Value, run []int, sealed bool) *chunk {
+	anyNull, allNull := false, true
+	for _, j := range run {
+		null := vals[j].IsNull()
+		anyNull, allNull = anyNull || null, allNull && null
+	}
+	if old == nil && allNull {
 		return nil
 	}
 	c := newChunk(kind, n)
 	if old != nil {
 		c.copyPayload(old, n)
 	}
-	c.put(i, val)
-	if null || old == nil || old.nulls != nil || old.flags != nil {
+	if anyNull || old == nil || old.nulls != nil || old.flags != nil {
 		c.flags = make([]bool, n)
-		for j := range c.flags {
-			c.flags[j] = old == nil || old.isNull(j)
+		for i := range c.flags {
+			c.flags[i] = old == nil || old.isNull(i)
 		}
-		c.flags[i] = null
+	}
+	for _, j := range run {
+		i := rows[j] - base
+		c.put(i, vals[j])
+		if c.flags != nil {
+			c.flags[i] = vals[j].IsNull()
+		}
 	}
 	if sealed {
 		return sealTail(c)

@@ -51,7 +51,6 @@ type Cursor struct {
 	predWin []int // per predicate: its window, or -1 for a column newer than the snapshot
 	sel     [ChunkRows / 64]uint64
 	offs    []int32
-	winLo   int // first physical row of the current window
 
 	rows  []int // index form: the live row IDs of the current batch
 	batch Batch
@@ -62,7 +61,6 @@ type Cursor struct {
 	curPos int
 	buf    []Value
 	hdrs   []Row
-	rowIDs []int // when non-nil: physical row IDs of the boxed rows (Table.Scan)
 	n, pos int
 
 	err  error
@@ -211,9 +209,9 @@ func (c *Cursor) NextBatch() *Batch {
 
 // Next returns the next matching row, or ok=false at the end of the scan
 // (check Err afterwards). It is the boxing adapter over NextBatch for
-// callers that work on rows (Table.Scan and through it DML, tools): the
-// returned Row aliases a buffer reused from refill to refill and is valid
-// only until the next call.
+// callers that work on rows (tools, probes, tests): the returned Row
+// aliases a buffer reused from refill to refill and is valid only until
+// the next call.
 func (c *Cursor) Next() (Row, bool) {
 	for c.pos >= c.n {
 		if !c.refill() {
@@ -271,15 +269,22 @@ func (c *Cursor) windowBatch() *Batch {
 		}
 		evalPredWindow(p, w, n, sel)
 	}
-	c.winLo, c.next = lo, hi
+	c.next = hi
 
 	b := &c.batch
-	b.N = n
+	b.N, b.Lo = n, lo
 	if allSelected(sel, n) {
 		b.Sel = IdentitySel(n)
 	} else {
-		if c.offs == nil {
-			c.offs = make([]int32, 0, ChunkRows)
+		// A cursor's one and only window gets offsets for what it selects —
+		// a point statement on a table of one window finds one row of it;
+		// any other read gets a full window's once.
+		if cnt := countBits(sel, 0, n); cap(c.offs) < cnt {
+			size := ChunkRows
+			if c.offs == nil && hi >= c.limit {
+				size = cnt
+			}
+			c.offs = make([]int32, 0, size)
 		}
 		c.offs = appendSelected(c.offs[:0], sel)
 		b.Sel = c.offs
@@ -330,7 +335,7 @@ func (c *Cursor) gatherBatch() *Batch {
 		return nil
 	}
 	b := &c.batch
-	b.N, b.Sel = len(c.rows), IdentitySel(len(c.rows))
+	b.N, b.Sel, b.IDs = len(c.rows), IdentitySel(len(c.rows)), c.rows
 	for k, col := range c.cols {
 		v.gather(col, c.rows, &b.Cols[k])
 	}
@@ -362,11 +367,6 @@ func (c *Cursor) refill() bool {
 		blk := c.cur.Sel[c.curPos:min(len(c.cur.Sel), c.curPos+min(c.size-c.n, boxRows))]
 		for k := range c.cur.Cols {
 			c.cur.Cols[k].Box(blk, c.buf[c.n*w+k:], w)
-		}
-		if c.rowIDs != nil {
-			for k, o := range blk {
-				c.rowIDs[c.n+k] = c.winLo + int(o)
-			}
 		}
 		c.n += len(blk)
 		c.curPos += len(blk)

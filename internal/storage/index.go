@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,8 +14,8 @@ import (
 // snapshot the update belongs to; probes under the read lock — so
 // implementations need no locking of their own and a probe result is
 // always consistent with the snapshot pinned alongside it. Row IDs are
-// stable physical IDs: Delete removes entries point-wise (Remove), never
-// shifting anything.
+// stable physical IDs: Delete and SetBatch drop the entries of all their
+// rows in one call (RemoveRows), never shifting anything.
 //
 // Keys are value tuples parallel to Columns(); a key with any NULL
 // component is not indexed (Add/Remove/Replace skip it, Rebuild skips
@@ -40,6 +41,11 @@ type ColumnIndex interface {
 	Remove(rowID int, key []Value)
 	// Replace swaps rowID's entry from oldKey to newKey.
 	Replace(rowID int, oldKey, newKey []Value)
+	// RemoveRows drops the entries of the given rows — distinct,
+	// ascending — in one pass. keyOf returns a row's key as it was indexed
+	// (ok=false: the row had a NULL in it and no entry); an index that
+	// finds entries by row need not call it.
+	RemoveRows(rows []int, keyOf func(rowID int) (key []Value, ok bool))
 	// Rebuild reindexes from scratch: cols[k][i] is row i's value for
 	// key column k; rows whose bit is set in skip (may be nil) are
 	// tombstoned and excluded.
@@ -189,16 +195,15 @@ func (t *Table) rebuildIndex(idx ColumnIndex, v *version) {
 	idx.Rebuild(cols, v.dead)
 }
 
-// indexesOn returns the indexes having the named column anywhere in
-// their key. Caller holds t.idxMu or t.mu.
-func (t *Table) indexesOn(col string) []ColumnIndex {
+// indexesOn returns the indexes having any of the named columns anywhere
+// in their key. Caller holds t.idxMu or t.mu.
+func (t *Table) indexesOn(cols ...string) []ColumnIndex {
 	var out []ColumnIndex
 	for _, idx := range t.indexes {
-		for _, c := range idx.Columns() {
-			if normName(c) == normName(col) {
-				out = append(out, idx)
-				break
-			}
+		if slices.ContainsFunc(idx.Columns(), func(key string) bool {
+			return slices.ContainsFunc(cols, func(col string) bool { return normName(col) == normName(key) })
+		}) {
+			out = append(out, idx)
 		}
 	}
 	return out

@@ -14,6 +14,8 @@ type fakeIndex struct {
 	name  string
 	cols  []string
 	byKey map[string][]int
+
+	removeCalls int // RemoveRows calls: one per statement, not per row
 }
 
 func newFakeIndex(name string, cols ...string) *fakeIndex {
@@ -68,6 +70,15 @@ func (f *fakeIndex) Remove(rowID int, key []Value) {
 func (f *fakeIndex) Replace(rowID int, oldKey, newKey []Value) {
 	f.Remove(rowID, oldKey)
 	f.Add(rowID, newKey)
+}
+
+func (f *fakeIndex) RemoveRows(rows []int, keyOf func(int) ([]Value, bool)) {
+	f.removeCalls++
+	for _, row := range rows {
+		if key, ok := keyOf(row); ok {
+			f.Remove(row, key)
+		}
+	}
 }
 
 func (f *fakeIndex) Rebuild(cols [][]Value, skip []uint64) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -242,6 +243,7 @@ func (t *Table) NumCols() int {
 func (t *Table) Insert(vals ...Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	clk := startPhaseClock()
 	v := t.snap.Load()
 	if len(vals) != v.schema.Len() {
 		return fmt.Errorf("storage: table %s expects %d values, got %d", t.name, v.schema.Len(), len(vals))
@@ -254,9 +256,11 @@ func (t *Table) Insert(vals ...Value) error {
 		}
 		row[i] = cv
 	}
+	clk.lap(phaseApply)
 	if err := t.logOp(Op{Kind: OpInsert, Table: t.name, Values: row}); err != nil {
 		return err
 	}
+	clk.lap(phaseWAL)
 	nv := v.clone()
 	tailLen := v.nrows - v.sealed
 	for i := range nv.cols {
@@ -276,6 +280,7 @@ func (t *Table) Insert(vals ...Value) error {
 		mChunkSeals.Inc()
 	}
 	rowID := v.nrows
+	clk.lap(phaseApply)
 	t.publish(nv, func() {
 		for _, idx := range t.indexes {
 			if key, ok := indexKeyOf(idx, nv, rowID); ok {
@@ -283,7 +288,9 @@ func (t *Table) Insert(vals ...Value) error {
 			}
 		}
 	})
+	clk.lap(phaseIndex)
 	t.notify(Op{Kind: OpInsert, Table: t.name})
+	clk.observe(&mInsertPhases)
 	return nil
 }
 
@@ -302,9 +309,8 @@ func (t *Table) Get(i int) (Row, error) {
 	return row, nil
 }
 
-// Set overwrites the value at (row, col) after coercion. The write
-// copies exactly one column chunk (or tail); every other chunk is
-// shared with the previous version.
+// Set overwrites the value at (row, col) after coercion: SetBatch for
+// one cell, except that a row out of range or deleted is an error.
 func (t *Table) Set(row, col int, val Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -312,48 +318,120 @@ func (t *Table) Set(row, col int, val Value) error {
 	if row < 0 || row >= v.nrows {
 		return fmt.Errorf("storage: row %d out of range [0,%d)", row, v.nrows)
 	}
-	if col < 0 || col >= v.schema.Len() {
-		return fmt.Errorf("storage: column %d out of range [0,%d)", col, v.schema.Len())
-	}
 	if v.isDead(row) {
 		return fmt.Errorf("storage: row %d is deleted", row)
 	}
-	cv, err := val.Coerce(v.schema.Column(col).Kind)
-	if err != nil {
-		return err
+	_, err := t.setLocked(v, []int{row}, []int{col}, [][]Value{{val}})
+	return err
+}
+
+// SetBatch writes vals[k][j] to column cols[k] of physical row rows[j] —
+// the whole effect of an UPDATE — as one commit, and returns the number
+// of rows written. The rows are distinct and may come in any order; a row
+// that is out of range or tombstoned (deleted since the caller's scan
+// found it) is skipped. Every cell is coerced to its column's kind, in
+// place in vals, before anything is journaled or written, so a statement
+// whose last row cannot be coerced changes nothing. The journal then
+// receives one OpSet per cell, rows ascending and a row's cells in cols
+// order, whatever order the rows arrived in; the write copies each
+// touched column chunk (or tail) once and publishes one version; and
+// each index on a written column is maintained in one pass. Should the
+// journal refuse a record the error is returned with nothing applied:
+// the records before it are a logged prefix of a statement that was never
+// acknowledged, and the journal has latched its failure.
+func (t *Table) SetBatch(rows, cols []int, vals [][]Value) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.setLocked(t.snap.Load(), rows, cols, vals)
+}
+
+// setLocked is SetBatch against the current version v; the caller holds
+// t.mu.
+func (t *Table) setLocked(v *version, rows, cols []int, vals [][]Value) (int, error) {
+	clk := startPhaseClock()
+	names := make([]string, len(cols))
+	for k, col := range cols {
+		if col < 0 || col >= v.schema.Len() {
+			return 0, fmt.Errorf("storage: column %d out of range [0,%d)", col, v.schema.Len())
+		}
+		def := v.schema.Column(col)
+		names[k] = def.Name
+		for j, val := range vals[k] {
+			cv, err := val.Coerce(def.Kind)
+			if err != nil {
+				return 0, err
+			}
+			vals[k][j] = cv
+		}
 	}
-	if err := t.logOp(Op{Kind: OpSet, Table: t.name, Row: row, Col: col, Values: []Value{cv}}); err != nil {
-		return err
+	// order lists the positions of the rows still there, by ascending row.
+	order := make([]int, 0, len(rows))
+	sorted := true
+	for j, row := range rows {
+		if row < 0 || row >= v.nrows || v.isDead(row) {
+			continue
+		}
+		sorted = sorted && (len(order) == 0 || rows[order[len(order)-1]] < row)
+		order = append(order, j)
 	}
+	if len(order) == 0 {
+		return 0, nil
+	}
+	if !sorted {
+		sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
+	}
+	clk.lap(phaseApply)
+	if t.journal != nil {
+		for _, j := range order {
+			for k, col := range cols {
+				if err := t.logOp(Op{Kind: OpSet, Table: t.name, Row: rows[j], Col: col, Values: []Value{vals[k][j]}}); err != nil {
+					return 0, err
+				}
+			}
+		}
+	}
+	clk.lap(phaseWAL)
 	nv := v.clone()
-	cd := &nv.cols[col]
-	kind := v.schema.Column(col).Kind
-	if row >= v.sealed {
-		cd.tail = withCell(kind, cd.tail, v.nrows-v.sealed, row-v.sealed, cv, false)
-	} else {
-		ci := row / ChunkRows
-		chunks := make([]*chunk, len(cd.chunks))
-		copy(chunks, cd.chunks)
-		chunks[ci] = withCell(kind, chunks[ci], ChunkRows, row%ChunkRows, cv, true)
-		cd.chunks = chunks
+	for k, col := range cols {
+		cd := &nv.cols[col]
+		kind := v.schema.Column(col).Kind
+		ownChunks := false // cd.chunks is copied when the first sealed chunk is replaced
+		for lo := 0; lo < len(order); {
+			ci := rows[order[lo]] / ChunkRows
+			hi := lo + 1
+			for hi < len(order) && rows[order[hi]]/ChunkRows == ci {
+				hi++
+			}
+			if base := ci * ChunkRows; base >= v.sealed {
+				cd.tail = withCells(kind, cd.tail, v.nrows-v.sealed, base, rows, vals[k], order[lo:hi], false)
+			} else {
+				if !ownChunks {
+					cd.chunks, ownChunks = append([]*chunk(nil), cd.chunks...), true
+				}
+				cd.chunks[ci] = withCells(kind, cd.chunks[ci], ChunkRows, base, rows, vals[k], order[lo:hi], true)
+			}
+			lo = hi
+		}
 	}
-	colName := v.schema.Column(col).Name
+	written := make([]int, len(order))
+	for n, j := range order {
+		written[n] = rows[j]
+	}
+	clk.lap(phaseApply)
 	t.publish(nv, func() {
-		for _, idx := range t.indexesOn(colName) {
-			oldKey, oldOK := indexKeyOf(idx, v, row)
-			newKey, newOK := indexKeyOf(idx, nv, row)
-			switch {
-			case oldOK && newOK:
-				idx.Replace(row, oldKey, newKey)
-			case oldOK:
-				idx.Remove(row, oldKey)
-			case newOK:
-				idx.Add(row, newKey)
+		for _, idx := range t.indexesOn(names...) {
+			idx.RemoveRows(written, func(row int) ([]Value, bool) { return indexKeyOf(idx, v, row) })
+			for _, row := range written {
+				if key, ok := indexKeyOf(idx, nv, row); ok {
+					idx.Add(row, key)
+				}
 			}
 		}
 	})
+	clk.lap(phaseIndex)
 	t.notify(Op{Kind: OpSet, Table: t.name})
-	return nil
+	clk.observe(&mUpdatePhases)
+	return len(order), nil
 }
 
 // Value returns the value at (row, col); row is a physical row ID.
@@ -494,79 +572,79 @@ func conformFill(vec *Vector, kind Kind, n int) error {
 	return nil
 }
 
-// scanBatchCells bounds the cells (40 bytes each, boxed) in the batch
-// buffer of a Table.Scan.
-const scanBatchCells = 1024
-
 // ScanFunc is invoked once per live row during Scan with the row's
 // physical ID. Returning false stops the scan early. The row must not be
 // mutated or retained — the buffer is reused between calls.
 type ScanFunc func(rowIdx int, row Row) bool
 
-// Scan iterates over all live rows of the current snapshot, lock-free.
+// Scan iterates over all live rows of the current snapshot, lock-free,
+// boxing one row at a time: the row-at-a-time view of a table for tools,
+// examples and tests. It reads through an unpinned cursor, so it hands
+// out physical IDs without taking part in compaction admission (a caller
+// that keeps them holds a write fence).
 func (t *Table) Scan(f ScanFunc) {
-	// An unpinned cursor: Scan hands out physical IDs without taking part
-	// in compaction admission (callers that keep them hold a write fence).
-	// Its batch shrinks with the table's width — a caller that stops at
-	// the first row of a table that expansion has made hundreds of columns
-	// wide should not have boxed 256 of them.
 	v := t.snap.Load()
-	batch := max(1, min(DefaultBatchSize, scanBatchCells/max(1, v.schema.Len())))
-	c := newCursorOn(&Snap{t: t, v: v}, 0, -1, batch)
-	c.rowIDs = make([]int, batch)
-	for {
-		row, ok := c.Next()
-		if !ok || !f(c.rowIDs[c.pos-1], row) {
-			return
+	c := newCursorOn(&Snap{t: t, v: v}, 0, -1, 0)
+	row := make(Row, v.schema.Len())
+	for b := c.NextBatch(); b != nil; b = c.NextBatch() {
+		for _, i := range b.Sel {
+			for k := range b.Cols {
+				row[k] = b.Cols[k].Value(int(i))
+			}
+			if !f(b.RowID(int(i)), row) {
+				return
+			}
 		}
 	}
 }
 
-// Delete tombstones the rows whose physical IDs appear in idx. IDs
-// outside the valid range or already deleted are ignored. Index entries
-// for the doomed rows are removed point-wise; no data moves, so open
-// snapshots and cursors are unaffected. Returns the newly-dead count.
+// Delete tombstones the rows whose physical IDs appear in idx, in any
+// order. IDs outside the valid range, already deleted or repeated are
+// ignored. Each index drops the doomed rows' entries in one pass
+// (RemoveRows); no data moves, so open snapshots and cursors are
+// unaffected. Returns the newly-dead count.
 func (t *Table) Delete(idx []int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(idx) == 0 {
 		return 0
 	}
+	clk := startPhaseClock()
 	v := t.snap.Load()
-	kill := make(map[int]bool, len(idx))
+	killed := make([]int, 0, len(idx))
 	for _, i := range idx {
 		if i >= 0 && i < v.nrows && !v.isDead(i) {
-			kill[i] = true
+			killed = append(killed, i)
 		}
 	}
-	if len(kill) == 0 {
+	if !sort.IntsAreSorted(killed) {
+		sort.Ints(killed)
+	}
+	killed = slices.Compact(killed)
+	if len(killed) == 0 {
 		return 0
 	}
-	killed := make([]int, 0, len(kill))
-	for i := range kill {
-		killed = append(killed, i)
-	}
-	sort.Ints(killed)
 	// Delete's signature cannot surface a journal failure; the durability
 	// layer latches it (wal.Err) and reports at the next Snapshot/Close.
+	clk.lap(phaseApply)
 	_ = t.logOp(Op{Kind: OpTombstone, Table: t.name, Rows: killed})
+	clk.lap(phaseWAL)
 	nv := v.clone()
 	nv.dead = cloneDead(v.dead, v.nrows)
 	for _, i := range killed {
 		setDead(nv.dead, i)
 	}
 	nv.ndead += len(killed)
+	clk.lap(phaseApply)
 	t.publish(nv, func() {
 		for _, idx := range t.indexes {
-			for _, row := range killed {
-				if key, ok := indexKeyOf(idx, v, row); ok {
-					idx.Remove(row, key)
-				}
-			}
+			idx.RemoveRows(killed, func(row int) ([]Value, bool) { return indexKeyOf(idx, v, row) })
 		}
 	})
+	clk.lap(phaseIndex)
 	t.notify(Op{Kind: OpTombstone, Table: t.name})
 	mTombstones.Add(int64(len(killed)))
+	clk.observe(&mDeletePhases)
 	return len(killed)
 }
 

@@ -25,9 +25,10 @@ import (
 //     version's nrows, so an Insert extends the tail in place (amortized
 //     by capacity doubling up to ChunkRows). A reader of version v only
 //     indexes below v's row count, so it can never observe the write.
-//   - Set copies exactly one column's chunk (or tail) — ChunkRows cells —
-//     plus the chunk-header slice; every other column and chunk is
-//     shared with the previous version.
+//   - SetBatch (Set is its one-cell case) copies each column chunk (or
+//     tail) it writes — ChunkRows cells — once, plus that column's
+//     chunk-header slice; every other column and chunk is shared with the
+//     previous version.
 //
 // Physical row IDs are stable for the life of a table: Delete sets
 // tombstone bits (copy-on-write bitmap) instead of compacting, so open

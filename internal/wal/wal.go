@@ -100,7 +100,7 @@ type WAL struct {
 	closed  bool
 	err     error // sticky append/flush failure
 
-	snapState json.RawMessage // latest snapshot payload, cached by Open
+	snapState json.RawMessage // payload of the snapshot Open found, until LoadSnapshot hands it over
 
 	stopFlush chan struct{}
 	doneFlush chan struct{}
@@ -333,11 +333,15 @@ func (w *WAL) Replay(fn func(Record) error) error {
 	return nil
 }
 
-// LoadSnapshot decodes the latest valid snapshot into v, reporting whether
-// one existed.
+// LoadSnapshot decodes the snapshot Open found into v, reporting whether
+// one existed. It is recovery's one read of it: the payload is released
+// with the call — a 146 k-row database's is 13 MB, which would otherwise
+// stay in the live heap for as long as the log is open — and a snapshot
+// this handle writes later is never read back through it.
 func (w *WAL) LoadSnapshot(v any) (bool, error) {
 	w.mu.Lock()
 	state := w.snapState
+	w.snapState = nil
 	w.mu.Unlock()
 	if state == nil {
 		return false, nil
@@ -369,13 +373,12 @@ func (w *WAL) WriteSnapshot(seq uint64, state any) error {
 	if err != nil {
 		return fmt.Errorf("wal: marshal snapshot: %w", err)
 	}
-	blob, err := json.Marshal(snapshotFile{Seq: seq, CRC: crc32.ChecksumIEEE(raw), State: raw})
-	if err != nil {
-		return fmt.Errorf("wal: marshal snapshot: %w", err)
-	}
+	// A snapshotFile, written around the payload instead of marshalled: a
+	// second Marshal would copy the payload twice more.
+	head := fmt.Sprintf(`{"seq":%d,"crc":%d,"state":`, seq, crc32.ChecksumIEEE(raw))
 	final := filepath.Join(w.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
 	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, blob); err != nil {
+	if err := writeFileSync(tmp, []byte(head), raw, []byte("}")); err != nil {
 		return fmt.Errorf("wal: write snapshot: %w", err)
 	}
 
@@ -399,7 +402,6 @@ func (w *WAL) WriteSnapshot(seq uint64, state any) error {
 	syncDir(w.dir)
 	if seq > w.snapSeq { // a concurrent newer snapshot must not regress
 		w.snapSeq = seq
-		w.snapState = raw
 	}
 
 	// Seal the active segment so truncation below sees a clean boundary:
@@ -627,14 +629,16 @@ func replaySegment(path string, tail bool, afterSeq uint64, fn func(Record) erro
 	}
 }
 
-func writeFileSync(path string, data []byte) error {
+func writeFileSync(path string, parts ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, data := range parts {
+		if _, err := f.Write(data); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
