@@ -31,13 +31,19 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Seconds of native fuzzing: arbitrary bytes through the fill_column
-# payload decoder (a positioned error or a canonical payload, never a
-# panic), and arbitrary key sequences through the executor's typed key
+# Seconds of native fuzzing: arbitrary bytes through the column payload
+# decoder and the op record decoder (a positioned error or a canonical
+# encoding, never a panic; generated ops of every kind through
+# encode→decode), arbitrary bytes as a data dir's last log segment or
+# newest snapshot through recovery (a valid prefix, the previous
+# generation or a positioned error, and no allocation beyond the input's
+# size), and arbitrary key sequences through the executor's typed key
 # table against a Go map (group numbers and join chains). go test -fuzz
 # takes one target per run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFillPayload -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
+	$(GO) test -run xxx -fuzz FuzzOpCodec -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
+	$(GO) test -run xxx -fuzz FuzzWALRecover -fuzztime 5s -fuzzminimizetime 2s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
 
 check: build fmt vet race fuzz
@@ -64,7 +70,7 @@ bench:
 # A benchmark that fails is named again at the end and fails the target:
 # in two screens of -cpu 1,4 lines its `--- FAIL` scrolls past.
 bench-smoke:
-	@{ $(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect|DeleteRangeIndexed|DeleteNoMatch|UpdatePointWide' -benchtime 1x -benchmem -cpu 1,4 . ; echo "go test exit status $$?"; } | tee bench-smoke.txt
+	@{ $(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect|DeleteRangeIndexed|DeleteNoMatch|UpdatePointWide|SnapshotWrite|SnapshotRestore' -benchtime 1x -benchmem -cpu 1,4 . ; echo "go test exit status $$?"; } | tee bench-smoke.txt
 	@if ! grep -q '^go test exit status 0$$' bench-smoke.txt; then echo "bench-smoke: FAILED:"; grep -A1 '^--- FAIL' bench-smoke.txt; exit 1; fi
 
 # Bench-regression wall: run the guarded benchmarks with enough
@@ -86,8 +92,8 @@ bench-smoke:
 # cursor: 180 KB, none of it per row) already read as 5.6×; it joins once
 # TopN folds per-worker heaps instead of reading through a Gather
 # (ROADMAP item 4).
-BENCH_GUARDED = BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
-BENCH_GUARDED_MEM = BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED = BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED_MEM = BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
 BENCH_SCALING = BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)

@@ -31,10 +31,7 @@
 // and their cost ledger — is written to a WAL and recovered on the next
 // start, so a restart never re-elicits (or re-charges for) a column the
 // crowd already filled. POST /admin/snapshot compacts the log. -fsync
-// extends durability from process crashes to power loss. -backend picks
-// the storage engine under the WAL: "mem" (default) snapshots tables
-// inline, "file" externalizes each table to a shard file under
-// <data-dir>/tables/.
+// extends durability from process crashes to power loss.
 //
 // Storage hygiene: DELETE tombstones rows without moving data; the
 // compactor rewrites chunks to reclaim them once sealed-region density
@@ -104,10 +101,6 @@ import (
 	"crowddb/internal/server"
 	"crowddb/internal/space"
 	"crowddb/internal/storage"
-
-	// Register the optional file backend so -backend file resolves
-	// (core itself only pulls in the default "mem" backend).
-	_ "crowddb/internal/storage/filebackend"
 )
 
 // demoConfig collects everything buildDemoDB needs; the integration test
@@ -121,7 +114,6 @@ type demoConfig struct {
 	spammers          float64
 	dataDir           string
 	fsync             bool
-	backend           string
 	compactInterval   time.Duration
 	compactFrac       float64
 	expansionWorkers  int
@@ -146,10 +138,8 @@ func main() {
 		spammers    = flag.Float64("spammers", 0, "spammer fraction of the crowd population")
 		maxInflight = flag.Int("max-inflight", 64, "admitted concurrent /query requests")
 
-		dataDir = flag.String("data-dir", "", "durability directory for WAL+snapshots (empty = in-memory)")
-		fsync   = flag.Bool("fsync", false, "fsync WAL batches (survive power loss, not just crashes)")
-		backend = flag.String("backend", "mem",
-			"storage backend: \"mem\" keeps snapshots inline, \"file\" externalizes per-table shard files under <data-dir>/tables/")
+		dataDir         = flag.String("data-dir", "", "durability directory for WAL+snapshots (empty = in-memory)")
+		fsync           = flag.Bool("fsync", false, "fsync WAL batches (survive power loss, not just crashes)")
 		compactInterval = flag.Duration("compact-interval", 0,
 			"background tombstone-compaction sweep interval (0 = off; POST /v1/admin/compact forces a sweep either way)")
 		compactFrac = flag.Float64("compact-tombstone-frac", 0,
@@ -180,7 +170,7 @@ func main() {
 		seed: *seed, items: *items, dims: *dims, epochs: *epochs,
 		crowdWorkers: *workers, spammers: *spammers,
 		dataDir: *dataDir, fsync: *fsync,
-		backend: *backend, compactInterval: *compactInterval, compactFrac: *compactFrac,
+		compactInterval: *compactInterval, compactFrac: *compactFrac,
 		expansionWorkers: *expWork, expansionQueue: *expQ,
 		batchWindow: *batchWindow, defaultBudget: *defaultBudget,
 		speculativeBudget: *speculativeBudget, cacheBytes: *cacheBytes,
@@ -255,7 +245,6 @@ func buildDemoDB(cfg demoConfig) (*core.DB, error) {
 		Service:              core.NewSimulatedCrowd(pop, u.CrowdItems, rng),
 		DataDir:              cfg.dataDir,
 		Fsync:                cfg.fsync,
-		Backend:              cfg.backend,
 		CompactInterval:      cfg.compactInterval,
 		CompactTombstoneFrac: cfg.compactFrac,
 		Workers:              cfg.expansionWorkers, QueueDepth: cfg.expansionQueue,

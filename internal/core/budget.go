@@ -105,10 +105,8 @@ func (db *DB) SetBudget(key string, limit float64) error {
 	}
 	db.gate.RLock()
 	defer db.gate.RUnlock()
-	if db.wal != nil {
-		if _, err := db.wal.Append(recBudgetCap, budgetCapRecord{Key: key, Cap: limit}); err != nil {
-			return err
-		}
+	if err := db.logJSON(recBudgetCap, budgetCapRecord{Key: key, Cap: limit}, false); err != nil {
+		return err
 	}
 	db.budgets.setCap(key, limit)
 	return nil
@@ -206,9 +204,7 @@ func (db *DB) spendBudget(key string, amount float64) {
 	if key == "" || amount == 0 {
 		return
 	}
-	if db.wal != nil {
-		_, _ = db.wal.Append(recBudgetSpend, budgetSpendRecord{Key: key, Amount: amount})
-	}
+	_ = db.logJSON(recBudgetSpend, budgetSpendRecord{Key: key, Amount: amount}, false) // a failure latches in the WAL
 	db.budgets.addSpend(key, amount)
 }
 

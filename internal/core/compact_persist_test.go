@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"crowddb/internal/storage"
-	_ "crowddb/internal/storage/filebackend"
 )
 
 func allMovieNames(t *testing.T, db *DB) []string {
@@ -183,76 +181,22 @@ func TestBackgroundCompactorReclaims(t *testing.T) {
 	}
 }
 
-// TestFileBackendEndToEnd drives the second Backend implementation
-// through core: snapshots externalize per-table shards under
-// <dir>/tables/, and a restart over the same directory restores from
-// them. This is the proof the seam is real — core never special-cases
-// the backend.
-func TestFileBackendEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	db1, err := Open(Options{Service: &deadService{}, DataDir: dir, Backend: "file"})
+// TestUnknownBackendFailsOpen: Options.Backend names a registered storage
+// engine; "mem" is the only one, and anything else — the file backend this
+// tree once had included — fails Open loudly, listing what is registered.
+func TestUnknownBackendFailsOpen(t *testing.T) {
+	for _, name := range []string{"file", "bogus"} {
+		if _, err := Open(Options{Service: &deadService{}, Backend: name}); err == nil ||
+			!strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("Backend %q: Open = %v, want an unknown-backend error", name, err)
+		}
+	}
+	db, err := Open(Options{Service: &deadService{}, Backend: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db1.Backend(); got != "file" {
+	defer db.Close()
+	if got := db.Backend(); got != "mem" {
 		t.Fatalf("Backend() = %q", got)
-	}
-	if _, _, err := db1.ExecSQL(`CREATE TABLE kv (k INTEGER, v TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, _, err := db1.ExecSQL(fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'x')`, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := db1.ExecSQL(`DELETE FROM kv WHERE k = 3`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db1.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	shards, err := filepath.Glob(filepath.Join(dir, "tables", "*.json"))
-	if err != nil || len(shards) == 0 {
-		t.Fatalf("no shard files written (err=%v)", err)
-	}
-	// Post-snapshot tail mutation.
-	if _, _, err := db1.ExecSQL(`UPDATE kv SET v = 'updated' WHERE k = 7`); err != nil {
-		t.Fatal(err)
-	}
-	if err := db1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(Options{Service: &deadService{}, DataDir: dir, Backend: "file"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	res, _, err := db2.ExecSQL(`SELECT k, v FROM kv ORDER BY k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("recovered %d rows, want 9", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		k, _ := row[0].AsInt()
-		v, _ := row[1].AsText()
-		want := "x"
-		if k == 7 {
-			want = "updated"
-		}
-		if k == 3 {
-			t.Fatal("deleted row recovered")
-		}
-		if v != want {
-			t.Fatalf("k=%d v=%q, want %q", k, v, want)
-		}
-	}
-
-	// The unknown-backend path fails loudly, listing what is registered.
-	if _, err := Open(Options{Service: &deadService{}, Backend: "bogus"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("bogus backend error = %v", err)
 	}
 }

@@ -210,6 +210,11 @@ type DB struct {
 	wal  *wal.WAL
 	gate sync.RWMutex
 
+	// obsPending buffers workload observations until obsBatch of them are
+	// journaled as one record (see observeLocked); obsMu guards it.
+	obsMu      sync.Mutex
+	obsPending []workload.Observation
+
 	mu          sync.RWMutex
 	bindings    map[string]*tableBinding             // table name (lower) → space
 	expandables map[string]map[string]expandableSpec // table → column → spec
@@ -239,6 +244,9 @@ func (db *DB) Close() error {
 		db.coalescer.Close()
 	}
 	db.sched.Close()
+	db.gate.RLock()
+	db.flushObservations(1)
+	db.gate.RUnlock()
 	backendErr := db.backend.Close()
 	if db.wal == nil {
 		return backendErr
@@ -404,13 +412,11 @@ func (db *DB) RegisterExpandable(table, column string, kind storage.Kind, opts E
 		db.expandables[key] = map[string]expandableSpec{}
 	}
 	db.expandables[key][strings.ToLower(column)] = expandableSpec{kind: kind, opts: opts}
-	if db.wal != nil {
-		// The signature cannot surface an append failure; the WAL latches
-		// it and Snapshot/Close reports it.
-		_, _ = db.wal.Append(recExpandable, expandableRecord{
-			Table: key, Column: strings.ToLower(column), Kind: kind, Opts: opts,
-		})
-	}
+	// The signature cannot surface an append failure; the WAL latches it
+	// and Snapshot/Close reports it.
+	_ = db.logJSON(recExpandable, expandableRecord{
+		Table: key, Column: strings.ToLower(column), Kind: kind, Opts: opts,
+	}, false)
 }
 
 // binding returns the space binding for a table, if any.

@@ -59,10 +59,7 @@ func (db *DB) execCreateIndex(ci *sqlparse.CreateIndexStmt) (*Result, error) {
 		for i, c := range cols {
 			names[i], dirs[i] = c.Name, c.Desc
 		}
-		_, _ = db.wal.Append(recIndex, indexRecord{
-			Name: ci.Name, Table: ci.Table, Column: names[0],
-			Columns: names, Dirs: dirs, Kind: ci.Kind,
-		})
+		_ = db.logJSON(recIndex, indexRecord{Name: ci.Name, Table: ci.Table, Columns: names, Dirs: dirs, Kind: ci.Kind}, false)
 	}
 	return res, nil
 }
@@ -80,9 +77,7 @@ func (db *DB) execDropIndex(di *sqlparse.DropIndexStmt) (*Result, error) {
 	if db.rcache != nil {
 		db.rcache.InvalidateTable(strings.ToLower(di.Table))
 	}
-	if db.wal != nil {
-		_, _ = db.wal.Append(recDropIndex, indexRecord{Name: di.Name, Table: di.Table})
-	}
+	_ = db.logJSON(recDropIndex, indexRecord{Name: di.Name, Table: di.Table}, false) // a failure latches in the WAL
 	return res, nil
 }
 
@@ -90,7 +85,13 @@ func (db *DB) execDropIndex(di *sqlparse.DropIndexStmt) (*Result, error) {
 // restored or replayed) table rows. Used by snapshot restore and WAL
 // replay; the journal is not attached yet, so nothing is re-logged.
 func (db *DB) applyIndexRecord(ir indexRecord) error {
-	cols := ir.indexCols()
+	if len(ir.Columns) == 0 {
+		return fmt.Errorf("index record %s on %s names no column", ir.Name, ir.Table)
+	}
+	cols := make([]sqlparse.IndexCol, len(ir.Columns))
+	for i, name := range ir.Columns {
+		cols[i] = sqlparse.IndexCol{Name: name, Desc: i < len(ir.Dirs) && ir.Dirs[i]}
+	}
 	_, err := db.engine.Exec(&sqlparse.CreateIndexStmt{
 		Name: ir.Name, Table: ir.Table, Columns: cols, Column: cols[0].Name, Kind: ir.Kind,
 	})

@@ -21,6 +21,9 @@ var (
 	mExpansionStep = obs.Default.HistogramVec("crowddb_expansion_step_seconds",
 		"Wall-clock of one expansion's steps, measured inside the job (plan, collect, vote, train, predict, fill).", nil, "step")
 
+	mSnapshotGate = obs.Default.Histogram("crowddb_snapshot_gate_seconds",
+		"Time Snapshot holds the statement gate exclusively: pinning the tables and copying the state above them.", nil)
+
 	mBudgetDenials = obs.Default.Counter("crowddb_budget_denials_total",
 		"Crowd work rejected because an API key's budget cap could not cover it.")
 	mCrowdCharges = obs.Default.Counter("crowddb_crowd_charges_total",

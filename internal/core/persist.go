@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -14,7 +16,7 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
-	_ "crowddb/internal/storage/membackend" // registers the default "mem" backend
+	_ "crowddb/internal/storage/membackend" // registers the "mem" backend
 	"crowddb/internal/vecmath"
 	"crowddb/internal/wal"
 	"crowddb/internal/workload"
@@ -28,12 +30,24 @@ import (
 // dollars, and a restart must never charge for them again.
 //
 // Consistency model. Mutators hold db.gate.RLock around the mutation and
-// its log append; Snapshot holds db.gate.Lock while reading state and the
-// covering sequence number. An RWMutex writer excludes readers, so the
-// captured state reflects exactly the records up to the captured seq —
-// replay after restore neither double-applies nor drops a mutation. The
-// gate is never held across crowd waits (only around the storage/ledger
-// touch itself), so snapshots don't stall behind HIT latency.
+// its log append; Snapshot holds db.gate.Lock while it pins every table's
+// current version, copies the small state above the tables and reads the
+// covering sequence number — microseconds, whatever the tables hold. An
+// RWMutex writer excludes readers, so what was pinned and copied reflects
+// exactly the records up to that seq — replay after restore neither
+// double-applies nor drops a mutation — and the pinned versions are
+// immutable, so they are written out after the gate is released, beside
+// whatever statements run next. The gate is never held across crowd waits
+// (only around the storage/ledger touch itself), so snapshots don't stall
+// behind HIT latency.
+//
+// Formats. A storage mutation is logged in storage.Op's binary form, a
+// space binding as its coordinates in one FLOAT column payload, the small
+// control records (charge, job, budget, expandable, index DDL, batched
+// workload observations) as a JSON object each; a snapshot is one JSON
+// meta section (everything in snapshotMeta), one section per space
+// binding, and the tables' sections (storage/snapshot.go). internal/wal's
+// package comment specifies the frames around them.
 
 // Options configures a crowd-enabled database.
 type Options struct {
@@ -73,10 +87,9 @@ type Options struct {
 	// ExecWorkers is the degree of intra-query parallelism for SELECT
 	// execution: 0 picks GOMAXPROCS, 1 forces fully serial plans.
 	ExecWorkers int
-	// Backend selects the storage engine below the journal by registry
-	// name (see storage.RegisterBackend). Empty means "mem", the MVCC
-	// in-memory engine with inline snapshots; "file" snapshots each
-	// table to its own shard file under DataDir.
+	// Backend names the storage engine below the journal (see
+	// storage.RegisterBackend). Empty means "mem", the MVCC in-memory
+	// engine and the only one there is; any other name fails Open.
 	Backend string
 	// CompactInterval, when positive, runs the background tombstone
 	// compactor: every interval, each table whose sealed-chunk tombstone
@@ -115,15 +128,76 @@ const (
 	recBudgetSpend = "budget_spend" // crowd spend debited against a key
 	recIndex       = "create_index" // secondary index created on a table
 	recDropIndex   = "drop_index"   // secondary index dropped from a table
-	recWorkload    = "workload_obs" // one workload observation (query footprint)
+	recWorkload    = "workload_obs" // a batch of workload observations (query footprints)
+)
+
+// Snapshot section kinds written here; the tables' are storage's
+// (storage.SectionTable and above).
+const (
+	sectionMeta  byte = 1 // snapshotMeta as JSON
+	sectionSpace byte = 2 // one space binding, as in a space record
 )
 
 // spaceRecord persists one table↔space binding, coordinates included, so
-// SPACE/HYBRID strategies work immediately after recovery.
+// SPACE/HYBRID strategies work immediately after recovery. Its binary
+// form — a space record's body and a snapshot's space section — is
+//
+//	table · id column      each a uvarint length and the bytes
+//	items · dimensions     uvarints
+//	coordinates            one FLOAT column payload (storage/colcodec.go)
+//	                       of items × dimensions cells, row-major
 type spaceRecord struct {
-	Table    string      `json:"table"`
-	IDColumn string      `json:"id_column"`
-	Vectors  [][]float64 `json:"vectors"`
+	Table    string
+	IDColumn string
+	Coords   *vecmath.Matrix
+}
+
+// AppendBinary appends the record's binary form.
+func (sr spaceRecord) AppendBinary(b []byte) ([]byte, error) {
+	for _, s := range []string{sr.Table, sr.IDColumn} {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	b = binary.AppendUvarint(b, uint64(sr.Coords.Rows))
+	b = binary.AppendUvarint(b, uint64(sr.Coords.Cols))
+	return storage.AppendColumn(b, &storage.Vector{Kind: storage.KindFloat, Floats: sr.Coords.Data}, len(sr.Coords.Data)), nil
+}
+
+func decodeSpaceRecord(b []byte) (spaceRecord, error) {
+	var sr spaceRecord
+	off := 0
+	bad := func(what string) (spaceRecord, error) {
+		return spaceRecord{}, fmt.Errorf("space record: offset %d: %s", off, what)
+	}
+	uvarint := func() (int, bool) {
+		x, n := binary.Uvarint(b[off:])
+		if n <= 0 || x > uint64(len(b)) {
+			return 0, false
+		}
+		off += n
+		return int(x), true
+	}
+	for _, dst := range []*string{&sr.Table, &sr.IDColumn} {
+		n, ok := uvarint()
+		if !ok || n > len(b)-off {
+			return bad("name cut short")
+		}
+		*dst = string(b[off : off+n])
+		off += n
+	}
+	items, ok1 := uvarint()
+	dims, ok2 := uvarint()
+	if !ok1 || !ok2 {
+		return bad("no item count and dimensions")
+	}
+	vec, err := storage.DecodeColumn(b[off:])
+	if err != nil {
+		return spaceRecord{}, fmt.Errorf("space record for %q: coordinates at offset %d: %w", sr.Table, off, err)
+	}
+	if vec.Kind != storage.KindFloat || len(vec.Floats) != items*dims || vec.Nulls != nil {
+		return bad(fmt.Sprintf("%d %s coordinates for %d items of %d dimensions", vec.Len(), vec.Kind, items, dims))
+	}
+	sr.Coords = &vecmath.Matrix{Rows: items, Cols: dims, Data: vec.Floats}
+	return sr, nil
 }
 
 // expandableRecord persists one RegisterExpandable declaration.
@@ -159,51 +233,30 @@ type jobRecord struct {
 	Report   *ExpansionReport `json:"report,omitempty"`
 }
 
-// indexRecord persists one CREATE INDEX. Only the definition is durable:
-// index contents are derived data, rebuilt from the recovered rows by
-// re-running the attach during restore/replay — no entry payload to keep
-// consistent with the row log.
+// indexRecord persists one CREATE INDEX (and, by name and table alone, one
+// DROP INDEX). Only the definition is durable: index contents are derived
+// data, rebuilt from the recovered rows by re-running the attach during
+// restore/replay — no entry payload to keep consistent with the row log.
 type indexRecord struct {
-	Name  string `json:"name"`
-	Table string `json:"table"`
-	// Column is the first key column — written for every record so logs
-	// produced by this version still decode on pre-composite readers.
-	Column string `json:"column"`
-	// Columns/Dirs carry the full composite key; absent on legacy records
-	// (which decode as a single ascending column).
+	Name    string   `json:"name"`
+	Table   string   `json:"table"`
 	Columns []string `json:"columns,omitempty"`
-	Dirs    []bool   `json:"dirs,omitempty"`
-	Kind    string   `json:"kind"` // "hash" or "ordered"
+	Dirs    []bool   `json:"dirs,omitempty"` // per key column: descending
+	Kind    string   `json:"kind,omitempty"` // "hash" or "ordered"
 }
 
-// indexCols converts a persisted record's key spec into statement columns,
-// tolerating legacy single-column records.
-func (ir indexRecord) indexCols() []sqlparse.IndexCol {
-	if len(ir.Columns) == 0 {
-		return []sqlparse.IndexCol{{Name: ir.Column}}
-	}
-	cols := make([]sqlparse.IndexCol, len(ir.Columns))
-	for i, name := range ir.Columns {
-		cols[i] = sqlparse.IndexCol{Name: name, Desc: i < len(ir.Dirs) && ir.Dirs[i]}
-	}
-	return cols
-}
-
-// snapshotState is the complete durable state of a DB at one sequence
-// number. Tables are captured and restored by the storage backend
-// (storage.TableState keeps the legacy inline wire form, so snapshots
-// written before the Backend seam still decode).
-type snapshotState struct {
-	Tables      []storage.TableState `json:"tables"`
-	Bindings    []spaceRecord        `json:"bindings,omitempty"`
-	Expandables []expandableRecord   `json:"expandables,omitempty"`
-	Ledger      LedgerTotals         `json:"ledger"`
-	Jobs        []jobRecord          `json:"jobs,omitempty"`
+// snapshotMeta is the durable state above the tables at one sequence
+// number — a snapshot's meta section. The tables and the space bindings
+// have sections of their own.
+type snapshotMeta struct {
+	Expandables []expandableRecord `json:"expandables,omitempty"`
+	Ledger      LedgerTotals       `json:"ledger"`
+	Jobs        []jobRecord        `json:"jobs,omitempty"`
 	// Budgets carries every API key's cap and cumulative spend: money
 	// state, as durable as the ledger itself.
 	Budgets []BudgetStatus `json:"budgets,omitempty"`
 	// Indexes carries every secondary-index definition; contents are
-	// rebuilt from Tables during restore.
+	// rebuilt from the restored tables.
 	Indexes []indexRecord `json:"indexes,omitempty"`
 	// Workload carries the tracker's aggregate counters (the durable half
 	// of the workload trace; the recent-observation ring restarts empty).
@@ -217,6 +270,26 @@ type walJournal struct{ db *DB }
 
 func (j walJournal) LogOp(op storage.Op) error {
 	_, err := j.db.wal.Append(recOp, op)
+	return err
+}
+
+// logJSON appends a control record whose body is v as JSON (flushed
+// before returning when sync is set). The record structs live here, so
+// here is where they are marshalled; the log sees bytes. Without a data
+// dir it does nothing.
+func (db *DB) logJSON(typ string, v any, sync bool) error {
+	if db.wal == nil {
+		return nil
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("core: marshal %s record: %w", typ, err)
+	}
+	if sync {
+		_, err = db.wal.AppendSync(typ, body)
+	} else {
+		_, err = db.wal.Append(typ, body)
+	}
 	return err
 }
 
@@ -276,17 +349,9 @@ func Open(opts Options) (*DB, error) {
 		return nil, walErr
 	}
 	restored := map[string]jobs.RestoredJob{}
-	var snap snapshotState
-	ok, err := w.LoadSnapshot(&snap)
-	if err != nil {
+	if _, err := w.LoadSnapshot(func(sr *wal.SnapshotReader) error { return db.restoreSnapshot(sr, restored) }); err != nil {
 		w.Close()
-		return nil, err
-	}
-	if ok {
-		if err := db.restoreSnapshot(&snap, restored); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("core: restoring snapshot: %w", err)
-		}
+		return nil, fmt.Errorf("core: restoring snapshot: %w", err)
 	}
 	if err := w.Replay(func(rec wal.Record) error {
 		if err := db.applyRecord(rec, restored); err != nil {
@@ -330,9 +395,11 @@ func (db *DB) finishOpen(opts Options) {
 }
 
 // Snapshot persists the full current state and truncates the WAL segments
-// it covers, returning the covered sequence number. Mutations are briefly
-// excluded while state is captured (see the consistency-model comment);
-// the file write happens outside the gate.
+// it covers, returning the covered sequence number. Statements are
+// excluded only while the tables are pinned and the small state above them
+// is copied (see the consistency-model comment; the time is observed in
+// crowddb_snapshot_gate_seconds); encoding and writing the file happen
+// outside the gate, from the pinned versions.
 func (db *DB) Snapshot() (uint64, error) {
 	if db.wal == nil {
 		return 0, ErrNoDataDir
@@ -340,30 +407,57 @@ func (db *DB) Snapshot() (uint64, error) {
 	if err := db.wal.Err(); err != nil {
 		return 0, fmt.Errorf("core: WAL is wedged, refusing to snapshot: %w", err)
 	}
+	start := time.Now()
 	db.gate.Lock()
-	state, err := db.collectState()
+	cp := db.backend.Checkpoint()
+	meta, spaces := db.collectMeta()
+	// The pending workload observations are inside the tracker counters
+	// just captured; journaling them after this snapshot would count them
+	// twice on recovery.
+	db.takeObservations(0)
 	seq := db.wal.Seq()
 	db.gate.Unlock()
+	mSnapshotGate.Observe(time.Since(start).Seconds())
+	defer cp.Release()
+
+	// Map order made deterministic, outside the gate.
+	sort.Slice(spaces, func(i, j int) bool { return spaces[i].Table < spaces[j].Table })
+	sort.Slice(meta.Expandables, func(i, j int) bool {
+		a, b := meta.Expandables[i], meta.Expandables[j]
+		if a.Table != b.Table {
+			return a.Table < b.Table
+		}
+		return a.Column < b.Column
+	})
+
+	err := db.wal.WriteSnapshot(seq, func(sw *wal.SnapshotWriter) error {
+		body, err := json.Marshal(meta)
+		if err != nil {
+			return fmt.Errorf("core: marshal snapshot meta: %w", err)
+		}
+		if err := sw.Emit(append(sw.Section(sectionMeta), body...)); err != nil {
+			return err
+		}
+		for _, sr := range spaces {
+			b, _ := sr.AppendBinary(sw.Section(sectionSpace)) // cannot fail
+			if err := sw.Emit(b); err != nil {
+				return err
+			}
+		}
+		return cp.Write(sw)
+	})
 	if err != nil {
-		return 0, err
-	}
-	if err := db.wal.WriteSnapshot(seq, state); err != nil {
 		return 0, err
 	}
 	return seq, nil
 }
 
-// collectState captures the DB's durable state. Caller holds db.gate.Lock,
-// so no journaled mutation is mid-flight. Table contents come from the
-// backend (which may externalize them); index definitions are collected
-// here, since they live above the seam.
-func (db *DB) collectState() (*snapshotState, error) {
-	st := &snapshotState{Ledger: db.ledger.Snapshot()}
-	tables, err := db.backend.Capture()
-	if err != nil {
-		return nil, fmt.Errorf("core: backend capture: %w", err)
-	}
-	st.Tables = tables
+// collectMeta copies the DB's durable state above the tables. Caller holds
+// db.gate.Lock, so no journaled mutation is mid-flight; what is returned
+// references only immutable objects (a bound space's coordinates, a
+// terminal job's report) and is marshalled after the gate is released.
+func (db *DB) collectMeta() (*snapshotMeta, []spaceRecord) {
+	st := &snapshotMeta{Ledger: db.ledger.Snapshot()}
 	c := db.Catalog()
 	for _, name := range c.Names() {
 		tbl, ok := c.Get(name)
@@ -372,15 +466,15 @@ func (db *DB) collectState() (*snapshotState, error) {
 		}
 		for _, im := range tbl.IndexMetas() {
 			st.Indexes = append(st.Indexes, indexRecord{
-				Name: im.Name, Table: tbl.Name(), Column: im.Column,
-				Columns: im.Columns, Dirs: im.Dirs, Kind: im.Kind(),
+				Name: im.Name, Table: tbl.Name(), Columns: im.Columns, Dirs: im.Dirs, Kind: im.Kind(),
 			})
 		}
 	}
 
+	var spaces []spaceRecord
 	db.mu.RLock()
 	for table, b := range db.bindings {
-		st.Bindings = append(st.Bindings, bindingToRecord(table, b))
+		spaces = append(spaces, bindingToRecord(table, b))
 	}
 	for table, cols := range db.expandables {
 		for col, spec := range cols {
@@ -390,14 +484,6 @@ func (db *DB) collectState() (*snapshotState, error) {
 		}
 	}
 	db.mu.RUnlock()
-	sort.Slice(st.Bindings, func(i, j int) bool { return st.Bindings[i].Table < st.Bindings[j].Table })
-	sort.Slice(st.Expandables, func(i, j int) bool {
-		a, b := st.Expandables[i], st.Expandables[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		return a.Column < b.Column
-	})
 
 	// Only terminal jobs are durable: a job still running has written no
 	// completion record, and after a crash it simply re-runs.
@@ -412,23 +498,44 @@ func (db *DB) collectState() (*snapshotState, error) {
 		cs := db.tracker.Export()
 		st.Workload = &cs
 	}
-	return st, nil
+	return st, spaces
 }
 
-// restoreSnapshot rebuilds the DB from a snapshot. The catalog has no
-// journal attached yet, so nothing here is re-logged.
-func (db *DB) restoreSnapshot(st *snapshotState, restored map[string]jobs.RestoredJob) error {
-	if err := db.backend.Restore(st.Tables); err != nil {
-		return err
+// restoreSnapshot rebuilds the DB from a snapshot's sections: each table
+// straight from its chunks, then — once the tables are there — the indexes
+// (bulk-built by the attach), the bindings and the rest of the meta
+// section. The catalog has no journal attached yet, so nothing here is
+// re-logged.
+func (db *DB) restoreSnapshot(sr *wal.SnapshotReader, restored map[string]jobs.RestoredJob) error {
+	var st snapshotMeta
+	for {
+		kind, body, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		switch kind {
+		case sectionMeta:
+			err = json.Unmarshal(body, &st)
+		case sectionSpace:
+			var rec spaceRecord
+			if rec, err = decodeSpaceRecord(body); err == nil {
+				db.applySpaceRecord(rec)
+			}
+		case storage.SectionTable:
+			err = db.backend.RestoreTable(body, sr)
+		default:
+			err = fmt.Errorf("unknown section kind %d", kind)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	for _, ir := range st.Indexes {
 		if err := db.applyIndexRecord(ir); err != nil {
 			return fmt.Errorf("index %s on %s: %w", ir.Name, ir.Table, err)
-		}
-	}
-	for _, b := range st.Bindings {
-		if err := db.applySpaceRecord(b); err != nil {
-			return err
 		}
 	}
 	for _, e := range st.Expandables {
@@ -452,17 +559,18 @@ func (db *DB) restoreSnapshot(st *snapshotState, restored map[string]jobs.Restor
 func (db *DB) applyRecord(rec wal.Record, restored map[string]jobs.RestoredJob) error {
 	switch rec.Type {
 	case recOp:
-		var op storage.Op
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
+		op, err := storage.DecodeOp(rec.Data)
+		if err != nil {
 			return err
 		}
 		return db.backend.ApplyOp(op)
 	case recSpace:
-		var sr spaceRecord
-		if err := json.Unmarshal(rec.Data, &sr); err != nil {
+		sr, err := decodeSpaceRecord(rec.Data)
+		if err != nil {
 			return err
 		}
-		return db.applySpaceRecord(sr)
+		db.applySpaceRecord(sr)
+		return nil
 	case recExpandable:
 		var er expandableRecord
 		if err := json.Unmarshal(rec.Data, &er); err != nil {
@@ -512,45 +620,32 @@ func (db *DB) applyRecord(rec wal.Record, restored map[string]jobs.RestoredJob) 
 		_, err := db.engine.Exec(&sqlparse.DropIndexStmt{Name: ir.Name, Table: ir.Table})
 		return err
 	case recWorkload:
-		var obs workload.Observation
-		if err := json.Unmarshal(rec.Data, &obs); err != nil {
+		var batch []workload.Observation
+		if err := json.Unmarshal(rec.Data, &batch); err != nil {
 			return err
 		}
 		// Straight into the tracker — replay must not re-append.
-		db.tracker.Observe(obs)
+		for _, obs := range batch {
+			db.tracker.Observe(obs)
+		}
 		return nil
 	default:
 		return fmt.Errorf("unknown record type %q", rec.Type)
 	}
 }
 
-// applySpaceRecord rebuilds a perceptual space from persisted coordinates
-// and binds it, without logging (used by restore and replay).
-func (db *DB) applySpaceRecord(sr spaceRecord) error {
-	if len(sr.Vectors) == 0 {
-		return fmt.Errorf("space record for %q has no vectors", sr.Table)
-	}
-	m := vecmath.NewMatrix(len(sr.Vectors), len(sr.Vectors[0]))
-	for i, v := range sr.Vectors {
-		if len(v) != m.Cols {
-			return fmt.Errorf("space record for %q: ragged vector %d", sr.Table, i)
-		}
-		copy(m.Row(i), v)
-	}
+// applySpaceRecord binds the space of a decoded record — whose coordinates
+// are the record's own memory — without logging (restore and replay).
+func (db *DB) applySpaceRecord(sr spaceRecord) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.bindings[strings.ToLower(sr.Table)] = &tableBinding{
-		space: space.NewSpace(m), idColumn: sr.IDColumn,
+		space: space.NewSpace(sr.Coords), idColumn: sr.IDColumn,
 	}
-	return nil
 }
 
 func bindingToRecord(table string, b *tableBinding) spaceRecord {
-	sr := spaceRecord{Table: table, IDColumn: b.idColumn}
-	for i := 0; i < b.space.NumItems(); i++ {
-		sr.Vectors = append(sr.Vectors, append([]float64(nil), b.space.Vector(i)...))
-	}
-	return sr
+	return spaceRecord{Table: table, IDColumn: b.idColumn, Coords: b.space.Coords()}
 }
 
 func statusToJobRecord(st jobs.Status) jobRecord {
@@ -615,18 +710,15 @@ func (db *DB) onJobTerminal(st jobs.Status) {
 	defer db.gate.RUnlock()
 	// Synchronous append: losing a completion record means re-paying the
 	// crowd for a finished job after a crash.
-	_, _ = db.wal.AppendSync(recJob, statusToJobRecord(st))
+	_ = db.logJSON(recJob, statusToJobRecord(st), true)
 }
 
 // logCharge books crowd spend into the WAL; called by db.charge under the
 // gate.
 func (db *DB) logCharge(res *crowd.RunResult) {
-	if db.wal == nil {
-		return
-	}
-	_, _ = db.wal.Append(recCharge, chargeRecord{
+	_ = db.logJSON(recCharge, chargeRecord{
 		Judgments: len(res.Records), Cost: res.TotalCost, Minutes: res.DurationMinutes,
-	})
+	}, false)
 }
 
 // restore overwrites the ledger with recovered totals.

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,7 +16,6 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/storage"
 	"crowddb/internal/vecmath"
-	"crowddb/internal/wal"
 )
 
 // deadService fails every Collect — opened after recovery it proves that
@@ -280,39 +284,74 @@ func TestSnapshotWithoutDataDirFails(t *testing.T) {
 	}
 }
 
-// TestLegacyDeleteRecordFailsRecovery: the pre-MVCC compacting "delete"
-// op is no longer replayable. A log that still carries one must stop
-// recovery with a positioned error — skipping it would shift every later
-// record's row IDs silently.
-func TestLegacyDeleteRecordFailsRecovery(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{DataDir: dir})
+// appendFrame appends one CRC-framed log record (seq, type tag, body) to
+// the data dir's last segment, as a writer of some other format version
+// would have.
+func appendFrame(t *testing.T, dir string, seq uint64, tag byte, body []byte) (file string, offset int64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segment in %s (err=%v)", dir, err)
+	}
+	sort.Strings(segs)
+	path := segs[len(segs)-1]
+	payload := append(binary.AppendUvarint(nil, seq), tag)
+	payload = append(payload, body...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{`CREATE TABLE t (id INTEGER)`, `INSERT INTO t VALUES (1), (2)`} {
-		if _, _, err := db.ExecSQL(sql); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Base(path), fi.Size()
+}
+
+// TestUnknownRecordTagFailsRecovery: a whole frame — its CRC holds — that
+// this format's writer cannot have written must stop recovery with a
+// positioned error, in the last segment too: it is not a torn write, and
+// skipping it would silently drop a mutation (the pre-MVCC compacting
+// "delete" op was one: every later record's row IDs would shift). The same
+// for a known tag whose body names an op kind there is no replay for.
+func TestUnknownRecordTagFailsRecovery(t *testing.T) {
+	seed := func() string {
+		dir := t.TempDir()
+		db, err := Open(Options{DataDir: dir})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := w.AppendSync(recOp, map[string]any{"kind": "delete", "table": "t", "rows": []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		for _, sql := range []string{`CREATE TABLE t (id INTEGER)`, `INSERT INTO t VALUES (1), (2)`} {
+			if _, _, err := db.ExecSQL(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
 
+	dir := seed()
+	file, off := appendFrame(t, dir, 4, 200, []byte("from the future"))
+	_, err := Open(Options{DataDir: dir})
+	want := fmt.Sprintf("%s: offset %d: malformed record: record 4 has unknown type tag 200", file, off)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want an error containing %q", err, want)
+	}
+
+	dir = seed()
+	appendFrame(t, dir, 4, 1, []byte{9, 1, 't', 1, 0}) // tag 1 is "op"; there is no op kind 9
 	_, err = Open(Options{DataDir: dir})
-	want := fmt.Sprintf(`replaying record %d (op): storage: unknown op kind "delete"`, seq)
+	want = "replaying record 4 (op): storage: op record: offset 0: unknown op kind 9"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Open = %v, want an error containing %q", err, want)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -47,16 +48,54 @@ const SpeculativeBudgetKey = "__speculative__"
 // admission headroom demand work may want.
 const maxSpeculations = 2
 
-// observeLocked records one workload event and journals it as a typed
-// workload_obs record. Caller holds db.gate.RLock (the execEngineOpt
-// path), so the record lands atomically with respect to Snapshot.
+// obsBatch is how many workload observations one workload_obs record
+// carries.
+const obsBatch = 256
+
+// observeLocked feeds one workload event to the tracker and buffers it
+// for the log: a read appends nothing, and every obsBatch observations
+// are journaled as one workload_obs record (the rest at Close). Snapshot,
+// which persists the tracker's counters, discards the buffer instead — its
+// contents are inside those counters. The observations are advisory
+// evidence for the pre-expansion predictor: a crash loses at most the
+// unflushed tail of predictor counts, never money state. Caller holds
+// db.gate.RLock (the execEngineOpt path), so a flush lands atomically with
+// respect to Snapshot.
 func (db *DB) observeLocked(obs workload.Observation) {
 	if db.tracker == nil {
 		return
 	}
 	db.tracker.Observe(obs)
-	if db.wal != nil {
-		_, _ = db.wal.Append(recWorkload, obs)
+	if db.wal == nil {
+		return
+	}
+	db.obsMu.Lock()
+	if db.obsPending == nil {
+		db.obsPending = make([]workload.Observation, 0, obsBatch)
+	}
+	db.obsPending = append(db.obsPending, obs)
+	db.obsMu.Unlock()
+	db.flushObservations(obsBatch)
+}
+
+// takeObservations hands over the buffered observations, if there are at
+// least min of them.
+func (db *DB) takeObservations(min int) []workload.Observation {
+	db.obsMu.Lock()
+	defer db.obsMu.Unlock()
+	if len(db.obsPending) < min {
+		return nil
+	}
+	batch := db.obsPending
+	db.obsPending = nil
+	return batch
+}
+
+// flushObservations journals the buffered observations as one record, if
+// there are at least min of them. Caller holds db.gate.RLock.
+func (db *DB) flushObservations(min int) {
+	if batch := db.takeObservations(min); len(batch) > 0 {
+		_ = db.logJSON(recWorkload, batch, false) // a failure latches in the WAL
 	}
 }
 
@@ -73,6 +112,7 @@ func (db *DB) observe(obs workload.Observation) {
 // model from an external query log before the predictor has seen live
 // traffic; table and column names are normalized internally.
 func (db *DB) RecordObservation(obs workload.Observation) {
+	obs.Columns = slices.Clone(obs.Columns) // buffered until the next flush
 	db.observe(obs)
 }
 

@@ -49,15 +49,15 @@ func TestFailedUpdateChangesNothing(t *testing.T) {
 	}
 
 	// The same statement over rows that all coerce: one notification for
-	// the statement, one journal record per cell.
+	// the statement, one journal record per SET column.
 	if res := mustExec(t, e, `UPDATE t SET a = f WHERE f != 30.5`); res.Affected != 3 {
 		t.Fatalf("affected %d rows, want 3", res.Affected)
 	}
 	if got := selectInts(t, e, `SELECT a FROM t`); fmt.Sprint(got) != "[10 20 3 40]" {
 		t.Fatalf("a = %v, want [10 20 3 40]", got)
 	}
-	if fmt.Sprint(log.logged) != "[set set set]" || fmt.Sprint(log.observed) != "[set]" {
-		t.Fatalf("journaled %v, notified %v; want three set records and one notification", log.logged, log.observed)
+	if fmt.Sprint(log.logged) != "[set]" || fmt.Sprint(log.observed) != "[set]" {
+		t.Fatalf("journaled %v, notified %v; want one set record and one notification", log.logged, log.observed)
 	}
 }
 

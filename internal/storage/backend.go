@@ -9,16 +9,16 @@ import (
 // Backend is the storage-engine contract under the journal: everything
 // internal/core needs from an engine, and nothing more. The durability
 // layer logs typed Ops above this seam and replays them through
-// ApplyOp; snapshots flow through Capture/Restore; the compactor and
-// index machinery are reached through per-table hooks. Swapping the
+// ApplyOp; snapshots flow through Checkpoint/RestoreTable; the compactor
+// and index machinery are reached through per-table hooks. Swapping the
 // in-memory chunk store for an LSM/KV engine means implementing this
 // interface — core, the SQL engine, and the HTTP surface don't change.
 //
 // The serving representation is always a *Catalog of MVCC tables (the
 // SQL engine executes against it directly); a Backend owns how that
-// state is (re)built, persisted out-of-line, and compacted.
+// state is (re)built, checkpointed, and compacted.
 type Backend interface {
-	// Name is the backend's registry key ("mem", "file", ...).
+	// Name is the backend's registry key ("mem").
 	Name() string
 	// Open prepares the backend. dir is the database's data directory
 	// (empty for a purely in-memory database); backends with out-of-line
@@ -31,14 +31,14 @@ type Backend interface {
 	// The catalog has no journal attached during replay, so nothing is
 	// re-logged.
 	ApplyOp(op Op) error
-	// Capture serializes every table's durable state for a snapshot.
-	// Backends may externalize row payloads (TableState.External) and
-	// return only a reference.
-	Capture() ([]TableState, error)
-	// Restore rebuilds tables from captured state (inline rows or
-	// external references). Called once, before replay, on an empty
-	// catalog.
-	Restore(states []TableState) error
+	// Checkpoint pins every table's current version for a snapshot; the
+	// caller writes the pinned state out (Checkpoint.Write) without
+	// holding anything and releases it.
+	Checkpoint() *Checkpoint
+	// RestoreTable rebuilds one table from its snapshot sections: header
+	// is the body of the SectionTable section, the sections after it come
+	// from r. Called before replay, on an empty catalog.
+	RestoreTable(header []byte, r SectionReader) error
 	// Compact reclaims tombstoned rows of the named table under the
 	// given policy (see Table.Compact for the admission gates).
 	Compact(table string, policy CompactionPolicy) (CompactionResult, error)
@@ -48,25 +48,6 @@ type Backend interface {
 	// Close releases backend resources. The WAL is owned above the seam
 	// and closed separately.
 	Close() error
-}
-
-// TableState is one table's full contents inside a snapshot. Columns
-// keep their Origin, so expanded columns recover as expanded. Rows
-// carries every PHYSICAL row — tombstoned ones included — and Deleted
-// lists the tombstoned IDs: restore re-inserts everything then
-// re-deletes, so physical row IDs (which WAL records replayed on top
-// reference) survive the round trip. Legacy snapshots have no Deleted
-// field and decode as all-live.
-//
-// A backend that stores row payloads out-of-line sets External and
-// File; Rows is then empty and Restore resolves the reference.
-type TableState struct {
-	Name     string   `json:"name"`
-	Columns  []Column `json:"columns"`
-	Rows     []Row    `json:"rows,omitempty"`
-	Deleted  []int    `json:"deleted,omitempty"`
-	External bool     `json:"external,omitempty"`
-	File     string   `json:"file,omitempty"`
 }
 
 // --- registry ---
@@ -137,10 +118,19 @@ func ApplyCatalogOp(c *Catalog, op Op) error {
 	case OpInsert:
 		return tbl.Insert(op.Values...)
 	case OpSet:
-		if len(op.Values) != 1 {
-			return fmt.Errorf("storage: set op carries %d values", len(op.Values))
+		vec, err := DecodeColumn(op.Fill)
+		if err != nil {
+			return err
 		}
-		return tbl.Set(op.Row, op.Col, op.Values[0])
+		if vec.Len() != len(op.Rows) {
+			return fmt.Errorf("storage: set op carries %d cells for %d rows", vec.Len(), len(op.Rows))
+		}
+		vals := make([]Value, len(op.Rows))
+		for i := range vals {
+			vals[i] = vec.Value(i)
+		}
+		_, err = tbl.SetBatch(op.Rows, []int{op.Col}, [][]Value{vals})
+		return err
 	case OpAddColumn:
 		if op.Column == nil {
 			return fmt.Errorf("storage: add_column op without column")
@@ -158,41 +148,4 @@ func ApplyCatalogOp(c *Catalog, op Op) error {
 	default:
 		return fmt.Errorf("storage: unknown op kind %q", op.Kind)
 	}
-}
-
-// CaptureCatalog serializes every table of c inline — the shared
-// Capture path for catalog-backed backends without out-of-line storage.
-func CaptureCatalog(c *Catalog) []TableState {
-	var out []TableState
-	for _, name := range c.Names() {
-		tbl, ok := c.Get(name)
-		if !ok {
-			continue
-		}
-		ts := TableState{Name: tbl.Name(), Columns: tbl.Schema().Columns()}
-		ts.Rows, ts.Deleted = tbl.CaptureState()
-		out = append(out, ts)
-	}
-	return out
-}
-
-// RestoreCatalogTable rebuilds one inline table state into c.
-func RestoreCatalogTable(c *Catalog, ts TableState) error {
-	schema, err := NewSchema(ts.Columns...)
-	if err != nil {
-		return fmt.Errorf("storage: table %s: %w", ts.Name, err)
-	}
-	tbl, err := c.Create(ts.Name, schema)
-	if err != nil {
-		return err
-	}
-	for i, row := range ts.Rows {
-		if err := tbl.Insert(row...); err != nil {
-			return fmt.Errorf("storage: table %s row %d: %w", ts.Name, i, err)
-		}
-	}
-	if len(ts.Deleted) > 0 {
-		tbl.Delete(ts.Deleted)
-	}
-	return nil
 }

@@ -6,8 +6,9 @@
 //   - mutate/scan/delete/fill across the sealed-chunk boundary
 //   - crash replay: a journaled op stream applied through ApplyOp into a
 //     fresh backend reproduces the original state bit-for-bit
-//   - snapshot Capture/Restore round trip, tombstones and physical row
-//     IDs included (WAL records replayed on top must keep resolving)
+//   - snapshot Checkpoint/RestoreTable round trip, tombstones and
+//     physical row IDs included (WAL records replayed on top must keep
+//     resolving)
 //   - tombstone compaction: full reclaim, index remap, replay determinism
 //   - bulk index rebuild
 //
@@ -18,6 +19,7 @@ package backendtest
 
 import (
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,7 +31,7 @@ import (
 // Factory returns a fresh backend, already Opened on dir, cleaned up via
 // t.Cleanup. Each call must yield an independent instance; calling it
 // twice with the same dir models a process restart over the same data
-// directory (how Capture's external references are resolved by Restore).
+// directory.
 type Factory func(t *testing.T, dir string) storage.Backend
 
 // Run executes the conformance suite against backends from factory.
@@ -279,21 +281,55 @@ func testCrashReplay(t *testing.T, factory Factory) {
 	}
 }
 
+// sections is a snapshot file in memory: what a Checkpoint writes and
+// RestoreTable reads back.
+type sections struct {
+	buf   []byte
+	kinds []byte
+	body  [][]byte
+	next  int
+}
+
+func (s *sections) Section(kind byte) []byte { return append(s.buf[:0], kind) }
+
+func (s *sections) Emit(b []byte) error {
+	s.buf = b
+	s.kinds = append(s.kinds, b[0])
+	s.body = append(s.body, append([]byte(nil), b[1:]...))
+	return nil
+}
+
+func (s *sections) Next() (byte, []byte, error) {
+	if s.next == len(s.body) {
+		return 0, nil, io.EOF
+	}
+	s.next++
+	return s.kinds[s.next-1], s.body[s.next-1], nil
+}
+
 func testSnapshotRoundTrip(t *testing.T, factory Factory) {
-	// Both backends share one data directory: Restore resolves external
-	// state (e.g. filebackend shards) against the dir Capture wrote to,
-	// exactly as a restart does.
-	dir := t.TempDir()
-	live := factory(t, dir)
+	live := factory(t, t.TempDir())
 	workload(t, live)
-	states, err := live.Capture()
+	var snap sections
+	cp := live.Checkpoint()
+	err := cp.Write(&snap)
+	cp.Release()
 	if err != nil {
-		t.Fatalf("Capture: %v", err)
+		t.Fatalf("Checkpoint.Write: %v", err)
 	}
 
-	restored := factory(t, dir)
-	if err := restored.Restore(states); err != nil {
-		t.Fatalf("Restore: %v", err)
+	restored := factory(t, t.TempDir())
+	for {
+		kind, body, err := snap.Next()
+		if err == io.EOF {
+			break
+		}
+		if kind != storage.SectionTable {
+			t.Fatalf("section kind %d between tables", kind)
+		}
+		if err := restored.RestoreTable(body, &snap); err != nil {
+			t.Fatalf("RestoreTable: %v", err)
+		}
 	}
 	want := dumpCatalog(t, live.Catalog())
 	got := dumpCatalog(t, restored.Catalog())
@@ -303,17 +339,19 @@ func testSnapshotRoundTrip(t *testing.T, factory Factory) {
 
 	// Physical row IDs must survive the round trip: a WAL record logged
 	// after the snapshot references them. Apply one to both and re-compare.
-	op := storage.Op{Kind: storage.OpSet, Table: "items", Row: 9, Col: 1,
-		Values: []storage.Value{storage.Text("post-snapshot")}}
+	rec := &opRecorder{}
+	live.Catalog().SetJournal(rec)
 	tbl, _ := live.Catalog().Get("items")
-	if err := tbl.Set(op.Row, op.Col, op.Values[0]); err != nil {
+	if err := tbl.Set(9, 1, storage.Text("post-snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.ApplyOp(op); err != nil {
-		t.Fatalf("ApplyOp on restored backend: %v", err)
+	for _, op := range rec.snapshot() {
+		if err := restored.ApplyOp(op); err != nil {
+			t.Fatalf("ApplyOp on restored backend: %v", err)
+		}
 	}
 	if !reflect.DeepEqual(dumpCatalog(t, live.Catalog()), dumpCatalog(t, restored.Catalog())) {
-		t.Fatal("post-snapshot mutation diverged: physical row IDs did not survive Restore")
+		t.Fatal("post-snapshot mutation diverged: physical row IDs did not survive RestoreTable")
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"math/bits"
 )
 
-// The typed column payload: a whole column's cells as bytes, the form a
-// fill_column record carries (riding base64 inside the JSON frame) and
-// the column section of the binary record codec ROADMAP item 3 asks for.
+// The typed column payload: a run of one column's cells as bytes — the
+// body of a fill_column or set record (opcodec.go), the coordinates of a
+// space record, and one column chunk of a snapshot (snapshot.go).
 // Integers are little-endian:
 //
 //	[0]    kind: the column Kind (KindNull = every cell NULL, no cells)
@@ -43,25 +43,38 @@ func colCellsSize(kind Kind, n int) int {
 }
 
 // EncodeColumn encodes the first n cells of a typed vector (not a boxed
-// one). NULL cells must hold the zero payload, as conformFill leaves them.
+// one) into a payload of its own. NULL cells must hold the zero payload,
+// as conformFill leaves them.
 func EncodeColumn(vec *Vector, n int) []byte {
-	kind := vec.Kind
-	hasNulls := kind != KindNull && countBits(vec.Nulls, 0, n) > 0
-	size := colHeader + colCellsSize(kind, n)
-	if kind == KindText {
+	return AppendColumn(make([]byte, 0, columnSize(vec, n)), vec, n)
+}
+
+// columnSize is the length of the payload AppendColumn writes.
+func columnSize(vec *Vector, n int) int {
+	size := colHeader + colCellsSize(vec.Kind, n)
+	if vec.Kind == KindText {
 		for _, s := range vec.Strs[:n] {
 			size += len(s)
 		}
 	}
-	if hasNulls {
+	if vec.Kind != KindNull && countBits(vec.Nulls, 0, n) > 0 {
 		size += (n + 7) / 8
 	}
-	b := make([]byte, colHeader, size)
-	b[0] = byte(kind)
+	return size
+}
+
+// AppendColumn appends the payload of the first n cells of a typed vector
+// to b — EncodeColumn over a buffer the caller reuses, which is how a
+// checkpoint writes a table's chunks without an allocation per chunk.
+func AppendColumn(b []byte, vec *Vector, n int) []byte {
+	kind := vec.Kind
+	hasNulls := kind != KindNull && countBits(vec.Nulls, 0, n) > 0
+	var flag byte
 	if hasNulls {
-		b[1] = 1
+		flag = 1
 	}
-	binary.LittleEndian.PutUint32(b[2:], uint32(n))
+	b = append(b, byte(kind), flag)
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	switch kind {
 	case KindInt:
 		for _, x := range vec.Ints[:n] {
@@ -72,8 +85,9 @@ func EncodeColumn(vec *Vector, n int) []byte {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 		}
 	case KindBool:
-		b = b[:len(b)+(n+7)/8]
-		cells := b[colHeader:]
+		at := len(b)
+		b = append(b, make([]byte, (n+7)/8)...)
+		cells := b[at:]
 		for i, x := range vec.Bools[:n] {
 			if x {
 				cells[i>>3] |= 1 << (uint(i) & 7)

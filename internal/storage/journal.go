@@ -1,10 +1,5 @@
 package storage
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // OpKind enumerates the typed mutation records a table or catalog emits.
 type OpKind string
 
@@ -28,30 +23,30 @@ const (
 	OpCompact OpKind = "compact"
 )
 
-// Op is one typed storage mutation — the unit a durability layer logs and
-// replays. Every field is wire-serializable; which fields are meaningful
-// depends on Kind:
+// Op is one typed storage mutation — the unit a durability layer logs
+// (in the binary form of opcodec.go) and replays. Which fields are
+// meaningful depends on Kind:
 //
 //	create_table  Table, Columns
 //	drop_table    Table
 //	insert        Table, Values (one full row, post-coercion)
-//	set           Table, Row, Col, Values[0]
+//	set           Table, Col, Rows, Fill: one statement's new cells of one
+//	              column — Fill is the typed column payload of colcodec.go,
+//	              cell k for physical row Rows[k], Rows ascending
 //	add_column    Table, Column
-//	fill_column   Table, Name, Fill (the typed column payload of colcodec.go:
-//	              one cell per live row, in scan order)
-//	tombstone     Table, Rows (physical row IDs)
+//	fill_column   Table, Name, Fill (one cell per live row, in scan order)
+//	tombstone     Table, Rows (physical row IDs, ascending)
 //	compact       Table, Rows (removed physical row IDs, ascending)
 type Op struct {
-	Kind    OpKind   `json:"kind"`
-	Table   string   `json:"table"`
-	Columns []Column `json:"columns,omitempty"`
-	Column  *Column  `json:"column,omitempty"`
-	Name    string   `json:"name,omitempty"`
-	Row     int      `json:"row,omitempty"`
-	Col     int      `json:"col,omitempty"`
-	Rows    []int    `json:"rows,omitempty"`
-	Values  []Value  `json:"values,omitempty"`
-	Fill    []byte   `json:"fill,omitempty"`
+	Kind    OpKind
+	Table   string
+	Columns []Column
+	Column  *Column
+	Name    string
+	Col     int
+	Rows    []int
+	Values  []Value
+	Fill    []byte
 }
 
 // Journal receives every mutation applied to a catalog's tables, in apply
@@ -102,44 +97,4 @@ func (c *Catalog) SetObserver(f Observer) {
 		t.observer = f
 		t.mu.Unlock()
 	}
-}
-
-// valueJSON is Value's wire form. The kind tag disambiguates; absent
-// payload fields decode to the kind's zero value, which round-trips
-// correctly (e.g. Int(0) → {"k":2} → Int(0)).
-type valueJSON struct {
-	K Kind    `json:"k"`
-	B bool    `json:"b,omitempty"`
-	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
-	S string  `json:"s,omitempty"`
-}
-
-// MarshalJSON encodes the value in a kind-tagged wire form that preserves
-// the int/float distinction JSON numbers would lose.
-func (v Value) MarshalJSON() ([]byte, error) {
-	return json.Marshal(valueJSON{K: v.kind, B: v.b, I: v.i, F: v.f, S: v.s})
-}
-
-// UnmarshalJSON decodes the wire form produced by MarshalJSON.
-func (v *Value) UnmarshalJSON(data []byte) error {
-	var w valueJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	switch w.K {
-	case KindNull:
-		*v = Null()
-	case KindBool:
-		*v = Bool(w.B)
-	case KindInt:
-		*v = Int(w.I)
-	case KindFloat:
-		*v = Float(w.F)
-	case KindText:
-		*v = Text(w.S)
-	default:
-		return fmt.Errorf("storage: unknown value kind %d", w.K)
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -21,6 +21,7 @@ func (j *recordingJournal) LogOp(op Op) error {
 	cp := op
 	cp.Values = append([]Value(nil), op.Values...)
 	cp.Rows = append([]int(nil), op.Rows...)
+	cp.Fill = append([]byte(nil), op.Fill...)
 	j.ops = append(j.ops, cp)
 	return nil
 }
@@ -33,39 +34,6 @@ func (j *recordingJournal) kinds() []OpKind {
 		out[i] = op.Kind
 	}
 	return out
-}
-
-func TestValueJSONRoundTrip(t *testing.T) {
-	vals := []Value{
-		Null(), Bool(true), Bool(false), Int(0), Int(-42), Int(1 << 60),
-		Float(0), Float(3.25), Text(""), Text("quoted \"text\""),
-	}
-	blob, err := json.Marshal(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []Value
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(vals) {
-		t.Fatalf("round-tripped %d values, want %d", len(back), len(vals))
-	}
-	for i, v := range vals {
-		if back[i].Kind() != v.Kind() || back[i].String() != v.String() {
-			t.Errorf("value %d: %s(%s) → %s(%s)", i, v.Kind(), v, back[i].Kind(), back[i])
-		}
-	}
-	// The int/float distinction must survive: Int(1) and Float(1) stringify
-	// alike but are different kinds.
-	one, _ := json.Marshal(Int(1))
-	var v Value
-	if err := json.Unmarshal(one, &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Kind() != KindInt {
-		t.Fatalf("Int(1) round-tripped to kind %s", v.Kind())
-	}
 }
 
 func TestMutationsEmitTypedOps(t *testing.T) {
@@ -114,18 +82,18 @@ func TestMutationsEmitTypedOps(t *testing.T) {
 		}
 	}
 
-	// Every op must survive a JSON round trip unchanged in kind and shape
-	// — this is exactly what the WAL does to it.
+	// Every op must survive the binary round trip unchanged — this is
+	// exactly what the WAL does to it.
 	for _, op := range j.ops {
-		blob, err := json.Marshal(op)
+		blob, err := op.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back Op
-		if err := json.Unmarshal(blob, &back); err != nil {
+		back, err := DecodeOp(blob)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Kind != op.Kind || back.Table != op.Table || len(back.Values) != len(op.Values) {
+		if !reflect.DeepEqual(back, op) {
 			t.Fatalf("op %s did not round-trip: %+v → %+v", op.Kind, op, back)
 		}
 	}

@@ -1,6 +1,6 @@
-// Package membackend is the default storage.Backend: the MVCC columnar
-// in-memory engine with all durable state carried inline in snapshots
-// (the WAL above the seam provides crash recovery). It is a thin
+// Package membackend is the storage.Backend: the MVCC columnar in-memory
+// engine, checkpointed chunk by chunk into the snapshot above the seam
+// (where the WAL provides crash recovery). It is a thin
 // binding of the shared catalog machinery to the Backend contract —
 // deliberately so, since the contract was extracted from it.
 package membackend
@@ -15,7 +15,7 @@ func init() {
 	storage.RegisterBackend("mem", func() storage.Backend { return New() })
 }
 
-// Backend serves tables from memory and snapshots them inline.
+// Backend serves tables from memory.
 type Backend struct {
 	catalog *storage.Catalog
 }
@@ -40,22 +40,12 @@ func (b *Backend) ApplyOp(op storage.Op) error {
 	return storage.ApplyCatalogOp(b.catalog, op)
 }
 
-// Capture implements storage.Backend: every table inline.
-func (b *Backend) Capture() ([]storage.TableState, error) {
-	return storage.CaptureCatalog(b.catalog), nil
-}
+// Checkpoint implements storage.Backend.
+func (b *Backend) Checkpoint() *storage.Checkpoint { return b.catalog.Checkpoint() }
 
-// Restore implements storage.Backend.
-func (b *Backend) Restore(states []storage.TableState) error {
-	for _, ts := range states {
-		if ts.External {
-			return fmt.Errorf("membackend: snapshot references external table file %q; reopen with the backend that wrote it", ts.File)
-		}
-		if err := storage.RestoreCatalogTable(b.catalog, ts); err != nil {
-			return err
-		}
-	}
-	return nil
+// RestoreTable implements storage.Backend.
+func (b *Backend) RestoreTable(header []byte, r storage.SectionReader) error {
+	return storage.RestoreTable(b.catalog, header, r)
 }
 
 // Compact implements storage.Backend.

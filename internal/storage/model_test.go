@@ -167,17 +167,15 @@ func (h *modelHarness) compact() {
 	h.rows = kept
 }
 
-// restore round-trips the table through the snapshot path: CaptureState
-// into a TableState, rebuilt in a fresh catalog. Physical IDs and
-// tombstones must survive.
+// restore round-trips the table through the snapshot path: a checkpoint's
+// sections, rebuilt in a fresh catalog. Physical IDs and tombstones must
+// survive.
 func (h *modelHarness) restore() {
-	ts := TableState{Name: h.tbl.Name(), Columns: h.tbl.Schema().Columns()}
-	ts.Rows, ts.Deleted = h.tbl.CaptureState()
+	var snap memSections
+	snap.write(h.t, h.tbl)
 	c := NewCatalog()
-	if err := RestoreCatalogTable(c, ts); err != nil {
-		h.t.Fatal(err)
-	}
-	h.tbl, _ = c.Get(ts.Name)
+	snap.restore(h.t, c)
+	h.tbl, _ = c.Get(h.tbl.Name())
 	h.attachIndex()
 }
 

@@ -17,6 +17,20 @@ func batchTable(t *testing.T, rows int) (*Table, *fakeIndex, *recordingJournal) 
 	return tbl, idx, j
 }
 
+// describeSet renders a set op with its payload decoded.
+func describeSet(t *testing.T, op Op) string {
+	t.Helper()
+	vec, err := DecodeColumn(op.Fill)
+	if err != nil {
+		t.Fatalf("%s op payload: %v", op.Kind, err)
+	}
+	cells := make([]Value, vec.Len())
+	for i := range cells {
+		cells[i] = vec.Value(i)
+	}
+	return fmt.Sprintf("%s col %d rows %v = %v", op.Kind, op.Col, op.Rows, cells)
+}
+
 func TestSetBatchIsOneCommit(t *testing.T) {
 	tbl, idx, j := batchTable(t, ChunkRows+100)
 	notified := 0
@@ -54,15 +68,16 @@ func TestSetBatchIsOneCommit(t *testing.T) {
 		t.Errorf("untouched row 4 v = %v", got)
 	}
 
-	// The journal: one set per cell, rows ascending whatever order they
-	// came in, a row's cells in column order, values already coerced.
+	// The journal: one set per column, in column order — the rows ascending
+	// whatever order they came in, their cells as one typed payload, values
+	// already coerced.
 	var log []string
 	for _, op := range j.ops {
-		log = append(log, fmt.Sprintf("%s %d.%d=%v", op.Kind, op.Row, op.Col, op.Values[0]))
+		log = append(log, describeSet(t, op))
 	}
-	want := fmt.Sprintf("set 3.0=78 set 3.1=b set 42.0=79 set 42.1=NULL set %d.0=NULL set %d.1=c set %d.0=77 set %d.1=a",
-		ChunkRows-1, ChunkRows-1, ChunkRows+7, ChunkRows+7)
-	if got := strings.Join(log, " "); got != want {
+	want := fmt.Sprintf("set col 0 rows [3 42 %d %d] = [78 79 NULL 77];set col 1 rows [3 42 %d %d] = [b NULL c a]",
+		ChunkRows-1, ChunkRows+7, ChunkRows-1, ChunkRows+7)
+	if got := strings.Join(log, ";"); got != want {
 		t.Fatalf("journal:\n%s\nwant\n%s", got, want)
 	}
 
@@ -110,10 +125,10 @@ func TestSetBatchSkipsRowsThatAreGone(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("SetBatch over a tombstoned and two impossible rows = %d, %v; want 2 rows written", n, err)
 	}
-	if len(j.ops) != 2 || j.ops[0].Row != 4 || j.ops[1].Row != 6 {
-		t.Fatalf("journal %+v, want sets of rows 4 and 6", j.ops)
+	if len(j.ops) != 1 || describeSet(t, j.ops[0]) != "set col 1 rows [4 6] = [a c]" {
+		t.Fatalf("journal %+v, want one set of rows 4 and 6", j.ops)
 	}
-	if n, err := tbl.SetBatch([]int{5}, []int{1}, [][]Value{{Text("x")}}); n != 0 || err != nil || len(j.ops) != 2 {
+	if n, err := tbl.SetBatch([]int{5}, []int{1}, [][]Value{{Text("x")}}); n != 0 || err != nil || len(j.ops) != 1 {
 		t.Fatalf("SetBatch of only a dead row = %d, %v, %d ops", n, err, len(j.ops))
 	}
 	if err := tbl.Set(5, 1, Text("x")); err == nil {

@@ -332,13 +332,14 @@ func (t *Table) Set(row, col int, val Value) error {
 // found it) is skipped. Every cell is coerced to its column's kind, in
 // place in vals, before anything is journaled or written, so a statement
 // whose last row cannot be coerced changes nothing. The journal then
-// receives one OpSet per cell, rows ascending and a row's cells in cols
-// order, whatever order the rows arrived in; the write copies each
-// touched column chunk (or tail) once and publishes one version; and
-// each index on a written column is maintained in one pass. Should the
-// journal refuse a record the error is returned with nothing applied:
-// the records before it are a logged prefix of a statement that was never
-// acknowledged, and the journal has latched its failure.
+// receives one OpSet per column, in cols order — the rows written,
+// ascending whatever order they arrived in, and their new cells as one
+// typed column payload; the write copies each touched column chunk (or
+// tail) once and publishes one version; and each index on a written column
+// is maintained in one pass. Should the journal refuse a record the error
+// is returned with nothing applied: the records before it are a logged
+// prefix of a statement that was never acknowledged, and the journal has
+// latched its failure.
 func (t *Table) SetBatch(rows, cols []int, vals [][]Value) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -380,13 +381,24 @@ func (t *Table) setLocked(v *version, rows, cols []int, vals [][]Value) (int, er
 	if !sorted {
 		sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
 	}
+	written := make([]int, len(order))
+	for n, j := range order {
+		written[n] = rows[j]
+	}
 	clk.lap(phaseApply)
 	if t.journal != nil {
-		for _, j := range order {
-			for k, col := range cols {
-				if err := t.logOp(Op{Kind: OpSet, Table: t.name, Row: rows[j], Col: col, Values: []Value{vals[k][j]}}); err != nil {
-					return 0, err
+		for k, col := range cols {
+			kind := v.schema.Column(col).Kind
+			vec, c := newFillVector(kind, len(order))
+			for n, j := range order {
+				if val := vals[k][j]; val.IsNull() {
+					vec.MarkNull(n)
+				} else {
+					c.put(n, val)
 				}
+			}
+			if err := t.logOp(Op{Kind: OpSet, Table: t.name, Col: col, Rows: written, Fill: EncodeColumn(vec, len(order))}); err != nil {
+				return 0, err
 			}
 		}
 	}
@@ -412,10 +424,6 @@ func (t *Table) setLocked(v *version, rows, cols []int, vals [][]Value) (int, er
 			}
 			lo = hi
 		}
-	}
-	written := make([]int, len(order))
-	for n, j := range order {
-		written[n] = rows[j]
 	}
 	clk.lap(phaseApply)
 	t.publish(nv, func() {
@@ -523,11 +531,7 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 	return t.FillColumnFrom(name, func(at *Snap) (*Vector, error) {
 		col, _ := at.v.schema.Lookup(name)
 		kind := at.v.schema.Column(col).Kind
-		c := newChunk(kind, len(vals))
-		vec := &Vector{Kind: kind, Ints: c.ints, Floats: c.floats, Bools: c.bools, Strs: c.strs}
-		if kind == KindNull {
-			vec.nullCells = len(vals)
-		}
+		vec, c := newFillVector(kind, len(vals))
 		for i, val := range vals {
 			cv, err := val.Coerce(kind)
 			if err != nil {
@@ -541,6 +545,17 @@ func (t *Table) FillColumn(name string, vals []Value) error {
 		}
 		return vec, nil
 	})
+}
+
+// newFillVector returns a typed vector of n zero cells of the given kind
+// and the chunk view through which boxed values are put into it.
+func newFillVector(kind Kind, n int) (*Vector, *chunk) {
+	c := newChunk(kind, n)
+	vec := &Vector{Kind: kind, Ints: c.ints, Floats: c.floats, Bools: c.bools, Strs: c.strs}
+	if kind == KindNull {
+		vec.nullCells = n
+	}
+	return vec, c
 }
 
 // conformFill checks that vec can become a column of the given kind over
@@ -646,25 +661,6 @@ func (t *Table) Delete(idx []int) int {
 	mTombstones.Add(int64(len(killed)))
 	clk.observe(&mDeletePhases)
 	return len(killed)
-}
-
-// CaptureState returns every physical row (tombstoned included, so row
-// IDs survive a snapshot/restore round trip) plus the sorted list of
-// tombstoned IDs. It reads one immutable snapshot — no locks held while
-// the caller serializes the result.
-func (t *Table) CaptureState() (rows []Row, deleted []int) {
-	v := t.snap.Load()
-	width := v.schema.Len()
-	rows = make([]Row, v.nrows)
-	for i := 0; i < v.nrows; i++ {
-		r := make(Row, width)
-		v.materializeRow(i, r, width)
-		rows[i] = r
-		if v.isDead(i) {
-			deleted = append(deleted, i)
-		}
-	}
-	return rows, deleted
 }
 
 // Catalog maps table names to tables, case-insensitively.

@@ -1,35 +1,96 @@
-// Package wal provides the durability substrate of the crowd-enabled
-// database: an append-only, CRC-framed record log with segment rotation
-// and batched fsync, plus an atomic snapshot writer/loader.
+// Package wal is the durability substrate of the crowd-enabled database:
+// an append-only record log with segment rotation and batched fsync, and
+// an atomic, streamed snapshot writer/loader. Both files are sequences of
+// the same CRC frame; this comment is their format specification.
 //
 // Expanded columns are the most expensive state in the system — every one
 // costs real crowd dollars and minutes of HIT latency — so losing them to
-// a restart means paying the crowd twice. The WAL records every mutation
+// a restart means paying the crowd twice. The log records every mutation
 // (storage ops, ledger charges, job completions) as it happens; a snapshot
 // captures the full state at a sequence number and lets the log be
 // truncated. Recovery is snapshot + replay of the records after it.
 //
-// # On-disk layout
+// # Files
 //
 //	<dir>/wal-0000000000000001.log   segment; name = first seq it holds
 //	<dir>/wal-0000000000004096.log
 //	<dir>/snap-0000000000004095.snap snapshot; name = last seq it covers
+//	<dir>/snap-….snap.tmp            a snapshot being written; removed on Open
 //
-// Each log record is framed as
+// # Frame
 //
-//	[4B little-endian payload length][4B IEEE CRC32 of payload][payload]
+// Every record and every snapshot section is one frame, integers
+// little-endian:
 //
-// where the payload is a JSON envelope {"seq":N,"type":T,"data":...}.
-// A torn write at the tail of the *last* segment (the only place a crash
-// can tear) is detected by the CRC or a short frame and truncated away on
-// Open; a bad frame in any earlier segment is data corruption and fails
-// recovery loudly.
+//	[u32 payload length][u32 IEEE CRC-32 of the payload][payload]
+//
+// A reader compares the length with the bytes the file still holds before
+// it allocates anything for the payload, so no input makes it allocate
+// more than the input's own size.
+//
+// # Records
+//
+// A record's payload is
+//
+//	uvarint seq · 1-byte type tag · body
+//
+// Sequence numbers increase from record to record, across segments (by
+// one, except where a power loss without Fsync cost the log a tail that a
+// snapshot already covered). The tag names the record type (recordTypes below; a tag is
+// never reused) and the body belongs to whoever appends it: Append takes
+// the bytes as given or asks the payload to append itself
+// (AppendBinary). Bodies in use:
+//
+//	op            storage.Op's binary form (storage/opcodec.go): kind
+//	              byte, table name, then per kind a row of typed cells,
+//	              row IDs as ascending deltas, column definitions or a
+//	              typed column payload (storage/colcodec.go)
+//	space         table, id column, item count, dimensions, the
+//	              coordinates as one FLOAT column payload (core)
+//	workload_obs  a JSON array of observations, journaled 256 at a time
+//	the rest      one small JSON object each (core/persist.go)
+//
+// # Snapshots
+//
+//	"CRDBSNAP" · u64 covered seq · u32 CRC-32 of those 16 bytes
+//	section frames …
+//	end frame
+//
+// A section's payload is a 1-byte kind and a body; the kinds and bodies
+// are the writer's (core: meta, space; storage: table, column chunk,
+// tombstones — see core/persist.go and storage/snapshot.go). Kind 0 is
+// the end frame, whose body is the u32 count of sections before it; a
+// file that stops anywhere earlier, frame boundary or not, is incomplete.
+//
+// # What is verified when
+//
+// Open reads the newest snapshot through once — header CRC, every
+// section's CRC, the end frame's count, nothing after it — and falls back
+// to the previous generation (two are kept) when any of that fails; then
+// it reads every segment, checking each frame's CRC, each record's
+// envelope and that sequence numbers increase. LoadSnapshot and Replay
+// read the same bytes a second time and check them the same way. What a
+// body means is checked by its decoder, which reports the byte offset of
+// what it could not read.
+//
+// # Torn writes
+//
+// A snapshot is written to a .tmp file, fsynced and renamed, so a crash
+// leaves either no new snapshot or a whole one (and a .tmp to delete). A
+// crash can tear the log only at the end of its last segment: a short
+// header, a length beyond the end of the file or a CRC mismatch there is
+// the recoverable end of the log, truncated away on Open. The same in an
+// earlier segment is corruption and fails Open, as does — in any segment —
+// a frame whose CRC holds but whose record does not parse (an unknown tag,
+// a sequence number out of order): that is not what a torn write looks
+// like, and skipping it would silently drop a mutation. Every such error
+// names the file and the byte offset.
 package wal
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -42,11 +103,37 @@ import (
 	"time"
 )
 
-// Record is one logged entry, as handed to Replay callbacks.
+// Record is one logged entry, as handed to Replay callbacks. Data is the
+// record's body; it aliases the reader's buffer and is valid until the
+// callback returns.
 type Record struct {
-	Seq  uint64          `json:"seq"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
+	Seq  uint64
+	Type string
+	Data []byte
+}
+
+// recordTypes maps the tag a record carries on disk (the index) to the
+// type name Append and Replay use. Tag 0 is never written.
+var recordTypes = [...]string{
+	1:  "op",
+	2:  "space",
+	3:  "expandable",
+	4:  "charge",
+	5:  "job",
+	6:  "budget_cap",
+	7:  "budget_spend",
+	8:  "create_index",
+	9:  "drop_index",
+	10: "workload_obs",
+}
+
+func tagOf(typ string) (byte, bool) {
+	for tag := 1; tag < len(recordTypes); tag++ {
+		if recordTypes[tag] == typ {
+			return byte(tag), true
+		}
+	}
+	return 0, false
 }
 
 // Options tunes a WAL.
@@ -79,9 +166,14 @@ const (
 	segSuffix    = ".log"
 	snapPrefix   = "snap-"
 	snapSuffix   = ".snap"
+	tmpSuffix    = ".tmp"
 	// keptSnapshots is how many generations survive a WriteSnapshot; the
 	// previous one is a fallback if the newest is found corrupt on Open.
 	keptSnapshots = 2
+	// keptBuffer bounds the encode buffer an append leaves behind: one
+	// large record (a space binding, a column fill) does not pin its size
+	// for the life of the log.
+	keptBuffer = 1 << 20
 )
 
 // WAL is an append-only log plus snapshot store rooted at one directory.
@@ -93,6 +185,7 @@ type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
+	buf     []byte // the frame being encoded; reused from append to append
 	seq     uint64 // last assigned sequence number
 	snapSeq uint64 // covered by the latest loadable snapshot
 	segSize int64
@@ -100,21 +193,27 @@ type WAL struct {
 	closed  bool
 	err     error // sticky append/flush failure
 
-	snapState json.RawMessage // payload of the snapshot Open found, until LoadSnapshot hands it over
+	snapPath string // the snapshot Open verified, until LoadSnapshot reads it
 
 	stopFlush chan struct{}
 	doneFlush chan struct{}
 }
 
-// Open opens (creating if necessary) the WAL in dir: it locates the latest
-// valid snapshot, scans every segment validating frames, truncates a torn
-// tail off the last segment, and positions the log for appending.
+// Open opens (creating if necessary) the WAL in dir: it removes what a
+// crash inside WriteSnapshot left behind, locates the latest valid
+// snapshot, scans every segment validating frames, truncates a torn tail
+// off the last segment, and positions the log for appending.
 func Open(dir string, opts Options) (*WAL, error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	w := &WAL{dir: dir, opts: opts, stopFlush: make(chan struct{}), doneFlush: make(chan struct{})}
+	if stale, err := w.list(snapPrefix, snapSuffix+tmpSuffix); err == nil {
+		for _, s := range stale {
+			_ = os.Remove(s.path) // best-effort: a leftover costs disk, not correctness
+		}
+	}
 	if err := w.loadLatestSnapshot(); err != nil {
 		return nil, err
 	}
@@ -124,9 +223,10 @@ func Open(dir string, opts Options) (*WAL, error) {
 	}
 	w.seq = w.snapSeq
 	var last string
+	var prevSeq uint64
 	for i, seg := range segs {
 		tail := i == len(segs)-1
-		lastSeq, goodLen, err := scanSegment(seg.path, tail)
+		goodLen, err := readSegment(seg.path, tail, &prevSeq, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -141,9 +241,9 @@ func Open(dir string, opts Options) (*WAL, error) {
 			last = seg.path
 			w.segSize = goodLen
 		}
-		if lastSeq > w.seq {
-			w.seq = lastSeq
-		}
+	}
+	if prevSeq > w.seq {
+		w.seq = prevSeq
 	}
 	if last == "" {
 		last = w.segmentPath(w.seq + 1)
@@ -183,9 +283,17 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
-// Append logs one record and returns its sequence number. The record is
-// buffered; it reaches the OS within FsyncInterval (and the platter, when
-// Fsync is on).
+// binaryAppender is a payload that writes its own record body
+// (encoding.BinaryAppender, which go.mod's language version predates).
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// Append logs one record of a type in recordTypes and returns its
+// sequence number. The payload is the record's body: a []byte taken as it
+// is, a value with an AppendBinary method asked to append itself, or nil
+// for an empty body. The record is buffered; it reaches the OS within
+// FsyncInterval (and the platter, when Fsync is on).
 func (w *WAL) Append(typ string, payload any) (uint64, error) {
 	return w.append(typ, payload, false)
 }
@@ -198,9 +306,9 @@ func (w *WAL) AppendSync(typ string, payload any) (uint64, error) {
 }
 
 func (w *WAL) append(typ string, payload any, sync bool) (uint64, error) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return 0, fmt.Errorf("wal: marshal %s record: %w", typ, err)
+	tag, ok := tagOf(typ)
+	if !ok {
+		return 0, fmt.Errorf("wal: unknown record type %q", typ)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -211,16 +319,36 @@ func (w *WAL) append(typ string, payload any, sync bool) (uint64, error) {
 		return 0, w.err
 	}
 	seq := w.seq + 1
-	frame, err := encodeFrame(Record{Seq: seq, Type: typ, Data: data})
-	if err != nil {
-		return 0, err
+	b := append(w.buf[:0], make([]byte, frameHeader)...)
+	b = binary.AppendUvarint(b, seq)
+	b = append(b, tag)
+	switch p := payload.(type) {
+	case nil:
+	case []byte:
+		b = append(b, p...)
+	case binaryAppender:
+		var err error
+		if b, err = p.AppendBinary(b); err != nil {
+			return 0, fmt.Errorf("wal: encode %s record: %w", typ, err)
+		}
+	default:
+		return 0, fmt.Errorf("wal: %s record payload %T is neither bytes nor a binary appender", typ, payload)
 	}
-	if _, err := w.w.Write(frame); err != nil {
+	if cap(b) <= keptBuffer {
+		w.buf = b
+	} else {
+		w.buf = nil
+	}
+	if len(b)-frameHeader > maxFrameSize {
+		return 0, fmt.Errorf("wal: %s record of %d bytes exceeds the %d-byte frame limit", typ, len(b)-frameHeader, maxFrameSize)
+	}
+	sealFrame(b)
+	if _, err := w.w.Write(b); err != nil {
 		w.err = fmt.Errorf("wal: append: %w", err)
 		return 0, w.err
 	}
 	w.seq = seq
-	w.segSize += int64(len(frame))
+	w.segSize += int64(len(b))
 	w.dirty = true
 	mAppends.Inc()
 	if sync {
@@ -234,6 +362,14 @@ func (w *WAL) append(typ string, payload any, sync bool) (uint64, error) {
 		}
 	}
 	return seq, nil
+}
+
+// sealFrame fills in the header of a frame whose payload follows its
+// first frameHeader bytes.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // Sync flushes buffered records to the OS and, when Fsync is on, to disk.
@@ -324,128 +460,20 @@ func (w *WAL) Replay(fn func(Record) error) error {
 	if err != nil {
 		return err
 	}
+	var prevSeq uint64
 	for i, seg := range segs {
 		tail := i == len(segs)-1
-		if err := replaySegment(seg.path, tail, snapSeq, fn); err != nil {
+		_, err := readSegment(seg.path, tail, &prevSeq, func(rec Record) error {
+			if rec.Seq <= snapSeq {
+				return nil
+			}
+			return fn(rec)
+		})
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// LoadSnapshot decodes the snapshot Open found into v, reporting whether
-// one existed. It is recovery's one read of it: the payload is released
-// with the call — a 146 k-row database's is 13 MB, which would otherwise
-// stay in the live heap for as long as the log is open — and a snapshot
-// this handle writes later is never read back through it.
-func (w *WAL) LoadSnapshot(v any) (bool, error) {
-	w.mu.Lock()
-	state := w.snapState
-	w.snapState = nil
-	w.mu.Unlock()
-	if state == nil {
-		return false, nil
-	}
-	if err := json.Unmarshal(state, v); err != nil {
-		return false, fmt.Errorf("wal: decode snapshot: %w", err)
-	}
-	return true, nil
-}
-
-// snapshotFile is the on-disk snapshot format. The CRC covers State, so a
-// half-written or bit-rotted snapshot is detected and skipped on Open.
-type snapshotFile struct {
-	Seq   uint64          `json:"seq"`
-	CRC   uint32          `json:"crc"`
-	State json.RawMessage `json:"state"`
-}
-
-// WriteSnapshot atomically persists state as the snapshot covering every
-// record up to and including seq, then drops fully covered log segments
-// and stale snapshot generations. The caller must guarantee that state
-// reflects all records ≤ seq and none after (see core's snapshot gate).
-//
-// The expensive part — marshalling and fsyncing the full state to a temp
-// file — happens outside w.mu, so concurrent appends never stall behind
-// snapshot I/O; only the rename, rotation, and pruning hold the lock.
-func (w *WAL) WriteSnapshot(seq uint64, state any) error {
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return fmt.Errorf("wal: marshal snapshot: %w", err)
-	}
-	// A snapshotFile, written around the payload instead of marshalled: a
-	// second Marshal would copy the payload twice more.
-	head := fmt.Sprintf(`{"seq":%d,"crc":%d,"state":`, seq, crc32.ChecksumIEEE(raw))
-	final := filepath.Join(w.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, []byte(head), raw, []byte("}")); err != nil {
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("wal: closed")
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if seq > w.seq {
-		return fmt.Errorf("wal: snapshot seq %d beyond log seq %d", seq, w.seq)
-	}
-	if err := w.flushLocked(w.opts.Fsync); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: publish snapshot: %w", err)
-	}
-	syncDir(w.dir)
-	if seq > w.snapSeq { // a concurrent newer snapshot must not regress
-		w.snapSeq = seq
-	}
-
-	// Seal the active segment so truncation below sees a clean boundary:
-	// every segment except the fresh one starts at or before seq.
-	if err := w.rotateLocked(); err != nil {
-		return err
-	}
-	w.pruneLocked()
-	return nil
-}
-
-// pruneLocked removes all but the newest keptSnapshots snapshot files,
-// then the log segments fully covered by the *oldest retained* snapshot —
-// not the newest: if the newest generation is later found corrupt, Open
-// falls back to the previous one and must still find every record since
-// it in the log. Best-effort: an undeletable file costs disk, not
-// correctness.
-func (w *WAL) pruneLocked() {
-	snaps, err := w.snapshots()
-	if err != nil {
-		return
-	}
-	for i := 0; i < len(snaps)-keptSnapshots; i++ {
-		_ = os.Remove(snaps[i].path)
-		snaps[i].path = ""
-	}
-	pruneSeq := w.snapSeq
-	for _, s := range snaps {
-		if s.path != "" { // oldest retained generation
-			pruneSeq = s.firstSeq
-			break
-		}
-	}
-	segs, err := w.segments()
-	if err != nil {
-		return
-	}
-	// Segment i covers [firstSeq_i, firstSeq_{i+1}-1]; the last (active)
-	// segment is never removed.
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].firstSeq <= pruneSeq+1 {
-			_ = os.Remove(segs[i].path)
-		}
-	}
 }
 
 // Close flushes and closes the log. Safe to call once.
@@ -507,144 +535,121 @@ func (w *WAL) list(prefix, suffix string) ([]fileRef, error) {
 	return out, nil
 }
 
-// loadLatestSnapshot finds the newest snapshot whose CRC verifies, caching
-// its state. Corrupt generations are skipped (falling back to the previous
-// one), matching the keptSnapshots retention.
-func (w *WAL) loadLatestSnapshot() error {
-	snaps, err := w.snapshots()
-	if err != nil {
-		return err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		blob, err := os.ReadFile(snaps[i].path)
-		if err != nil {
-			continue
-		}
-		var sf snapshotFile
-		if json.Unmarshal(blob, &sf) != nil || crc32.ChecksumIEEE(sf.State) != sf.CRC {
-			continue
-		}
-		w.snapSeq = sf.Seq
-		w.snapState = sf.State
-		return nil
-	}
-	return nil
+// errTorn marks a frame that ends early or fails its CRC — what a torn
+// write leaves, and the recoverable end of the log when it is found at
+// the end of the last segment.
+var errTorn = errors.New("torn or corrupt frame")
+
+// frameReader reads the frames of one file. It knows how many bytes the
+// file holds, so a length field is checked against them before anything
+// is allocated for the payload.
+type frameReader struct {
+	name string // file base name, for error positions
+	r    *bufio.Reader
+	off  int64 // offset of the next frame
+	size int64 // bytes in the file
+	hdr  [frameHeader]byte
+	buf  []byte
 }
 
-func encodeFrame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+func openFrames(path string) (*frameReader, *os.File, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: marshal record: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
-	return frame, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	return &frameReader{name: filepath.Base(path), r: bufio.NewReaderSize(f, 64<<10), size: fi.Size()}, f, nil
 }
 
-// readFrame decodes the next frame. io.EOF means a clean end;
-// errTornFrame wraps any short read or CRC mismatch.
-var errTornFrame = fmt.Errorf("wal: torn or corrupt frame")
+// errorf positions an error at the frame the reader is about to read.
+func (fr *frameReader) errorf(kind error, format string, args ...any) error {
+	return posError(fr.name, fr.off, kind, format, args...)
+}
 
-func readFrame(r *bufio.Reader) (Record, int, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err == io.EOF {
-		return Record{}, 0, io.EOF
-	} else if err != nil {
-		return Record{}, 0, fmt.Errorf("%w: %v", errTornFrame, err)
+func posError(file string, off int64, kind error, format string, args ...any) error {
+	return fmt.Errorf("wal: %s: offset %d: %w: %s", file, off, kind, fmt.Sprintf(format, args...))
+}
+
+// next returns the payload of the next frame, valid until the call after.
+// io.EOF means the file ended on a frame boundary; an error wrapping
+// errTorn means it did not, or the frame fails its CRC.
+func (fr *frameReader) next() ([]byte, error) {
+	left := fr.size - fr.off
+	if left == 0 {
+		return nil, io.EOF
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: short header: %v", errTornFrame, err)
+	if left < frameHeader {
+		return nil, fr.errorf(errTorn, "%d-byte frame header cut short at %d bytes", frameHeader, left)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxFrameSize {
-		return Record{}, 0, fmt.Errorf("%w: implausible length %d", errTornFrame, n)
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return nil, fr.errorf(errTorn, "reading frame header: %v", err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: short payload: %v", errTornFrame, err)
+	n := int64(binary.LittleEndian.Uint32(fr.hdr[0:4]))
+	crc := binary.LittleEndian.Uint32(fr.hdr[4:8])
+	if n == 0 || n > maxFrameSize || n > left-frameHeader {
+		return nil, fr.errorf(errTorn, "frame length %d with %d bytes left in the file", n, left-frameHeader)
+	}
+	if int64(cap(fr.buf)) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return nil, fr.errorf(errTorn, "reading %d-byte payload: %v", n, err)
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", errTornFrame)
+		return nil, fr.errorf(errTorn, "CRC mismatch over a %d-byte payload", n)
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: bad envelope: %v", errTornFrame, err)
-	}
-	return rec, frameHeader + int(n), nil
+	fr.off += frameHeader + n
+	return payload, nil
 }
 
-// scanSegment validates a segment, returning its last record's seq and the
-// byte offset after the last good frame. In the tail segment a bad frame
-// marks the recoverable end; elsewhere it is corruption.
-func scanSegment(path string, tail bool) (lastSeq uint64, goodLen int64, err error) {
-	f, err := os.Open(path)
+// errFormat marks a frame that is whole — its CRC holds — but is not what
+// this format's writer writes.
+var errFormat = errors.New("malformed record")
+
+// readSegment reads a segment's records in order, handing each to fn
+// (which may be nil), and returns the byte offset after the last good
+// frame. prevSeq carries the last sequence number seen from segment to
+// segment. In the tail segment a torn frame marks the recoverable end;
+// elsewhere it is corruption. A whole frame that does not parse, or whose
+// sequence number does not follow, is an error in any segment.
+func readSegment(path string, tail bool, prevSeq *uint64, fn func(Record) error) (goodLen int64, err error) {
+	fr, f, err := openFrames(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
 	for {
-		rec, n, err := readFrame(r)
-		if err == io.EOF {
-			return lastSeq, goodLen, nil
+		at := fr.off
+		payload, err := fr.next()
+		if err == io.EOF || (tail && errors.Is(err, errTorn)) {
+			return at, nil
 		}
 		if err != nil {
-			if tail {
-				return lastSeq, goodLen, nil
+			return 0, err
+		}
+		seq, n := binary.Uvarint(payload)
+		if n <= 0 || n >= len(payload) {
+			return 0, posError(fr.name, at, errFormat, "no sequence number and type tag in a %d-byte payload", len(payload))
+		}
+		tag := payload[n]
+		if tag == 0 || int(tag) >= len(recordTypes) {
+			return 0, posError(fr.name, at, errFormat, "record %d has unknown type tag %d", seq, tag)
+		}
+		if seq <= *prevSeq {
+			return 0, posError(fr.name, at, errFormat, "record %d follows record %d", seq, *prevSeq)
+		}
+		*prevSeq = seq
+		if fn != nil {
+			if err := fn(Record{Seq: seq, Type: recordTypes[tag], Data: payload[n+1:]}); err != nil {
+				return 0, err
 			}
-			return 0, 0, fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
-		}
-		lastSeq = rec.Seq
-		goodLen += int64(n)
-	}
-}
-
-func replaySegment(path string, tail bool, afterSeq uint64, fn func(Record) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
-	for {
-		rec, _, err := readFrame(r)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if tail {
-				return nil
-			}
-			return fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
-		}
-		if rec.Seq <= afterSeq {
-			continue
-		}
-		if err := fn(rec); err != nil {
-			return err
 		}
 	}
-}
-
-func writeFileSync(path string, parts ...[]byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, data := range parts {
-		if _, err := f.Write(data); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // syncDir fsyncs a directory so a rename is durable; best-effort on
