@@ -70,7 +70,7 @@ bench:
 # A benchmark that fails is named again at the end and fails the target:
 # in two screens of -cpu 1,4 lines its `--- FAIL` scrolls past.
 bench-smoke:
-	@{ $(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect|DeleteRangeIndexed|DeleteNoMatch|UpdatePointWide|SnapshotWrite|SnapshotRestore' -benchtime 1x -benchmem -cpu 1,4 . ; echo "go test exit status $$?"; } | tee bench-smoke.txt
+	@{ $(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect|DeleteRangeIndexed|DeleteNoMatch|UpdatePointWide|SnapshotWrite|SnapshotRestore|ServeGroupBy|ServeCachedPoint' -benchtime 1x -benchmem -cpu 1,4 . ; echo "go test exit status $$?"; } | tee bench-smoke.txt
 	@if ! grep -q '^go test exit status 0$$' bench-smoke.txt; then echo "bench-smoke: FAILED:"; grep -A1 '^--- FAIL' bench-smoke.txt; exit 1; fi
 
 # Bench-regression wall: run the guarded benchmarks with enough
@@ -92,8 +92,8 @@ bench-smoke:
 # cursor: 180 KB, none of it per row) already read as 5.6×; it joins once
 # TopN folds per-worker heaps instead of reading through a Gather
 # (ROADMAP item 4).
-BENCH_GUARDED = BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
-BENCH_GUARDED_MEM = BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
 BENCH_SCALING = BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)

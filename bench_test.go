@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -1096,8 +1097,8 @@ func BenchmarkSortEverythingBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 10 {
-			b.Fatalf("rows = %d", len(rows))
+		if n := storage.RowCount(rows); n != 10 {
+			b.Fatalf("rows = %d", n)
 		}
 	}
 }
@@ -1302,8 +1303,8 @@ func BenchmarkPointLookupScanBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 1 {
-			b.Fatalf("rows = %d", len(rows))
+		if n := storage.RowCount(rows); n != 1 {
+			b.Fatalf("rows = %d", n)
 		}
 	}
 	b.ReportMetric(float64(topNRows), "rows-scanned/op")
@@ -1812,6 +1813,113 @@ func BenchmarkGroupByManyGroups(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ratingRows, "rows-scanned/op")
+}
+
+// ---------- columnar results: root → cache → wire ----------
+//
+// The same fixture behind the HTTP handler, the way the harness's
+// analytic_scan and serve_point reach it: BenchmarkServeGroupBy is the
+// 4 000-group GROUP BY as a miss (a literal nobody repeats: executed,
+// stored in the result cache, encoded), BenchmarkServeCachedPoint a point
+// SELECT answered from the cache. Neither boxes a row: the handler encodes
+// from the batch list the executor returned and the cache shares.
+
+var (
+	servedRatingsOnce sync.Once
+	servedRatingsH    http.Handler
+	servedRatingsErr  error
+	// servedLiteral makes every BenchmarkServeGroupBy statement of a
+	// process a fingerprint of its own.
+	servedLiteral int
+)
+
+// servedRatings serves ratingsEngine's indexed ratings table from a
+// database with the result cache on.
+func servedRatings(b *testing.B) http.Handler {
+	b.Helper()
+	servedRatingsOnce.Do(func() {
+		db := crowddb.New(nil)
+		for _, sql := range []string{
+			`CREATE TABLE ratings (rid INTEGER, movie_id INTEGER, usr INTEGER, score FLOAT)`,
+			`CREATE INDEX r_rid ON ratings (rid)`,
+		} {
+			if _, _, servedRatingsErr = db.ExecSQL(sql); servedRatingsErr != nil {
+				return
+			}
+		}
+		tbl, _ := db.Catalog().Get("ratings")
+		rng := rand.New(rand.NewSource(19))
+		for i := 0; i < ratingRows && servedRatingsErr == nil; i++ {
+			servedRatingsErr = tbl.Insert(storage.Int(int64(i)), storage.Int(rng.Int63n(ratingMovies)),
+				storage.Int(rng.Int63n(ratingUsers)), storage.Float(float64(1+rng.Intn(10))/2))
+		}
+		servedRatingsH = server.New(db, server.Config{}).Handler()
+	})
+	if servedRatingsErr != nil {
+		b.Fatal(servedRatingsErr)
+	}
+	return servedRatingsH
+}
+
+// countingResponse is a ResponseWriter that keeps the status and counts
+// the body, so that what a benchmark allocates is the handler's.
+type countingResponse struct {
+	header http.Header
+	status int
+	bytes  int
+}
+
+func (c *countingResponse) Header() http.Header         { return c.header }
+func (c *countingResponse) WriteHeader(status int)      { c.status = status }
+func (c *countingResponse) Write(p []byte) (int, error) { c.bytes += len(p); return len(p), nil }
+
+// quietRequestLog turns the server's request log line off for b: go test
+// merges it into the benchmark's own output, mid-line.
+func quietRequestLog(b *testing.B) {
+	old := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})))
+	b.Cleanup(func() { slog.SetDefault(old) })
+}
+
+// serveSQL posts sql to /v1/query of h and returns the size of the 200's body.
+func serveSQL(b *testing.B, h http.Handler, sql string) int {
+	body, _ := json.Marshal(map[string]string{"sql": sql})
+	w := &countingResponse{header: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+	if w.status != http.StatusOK {
+		b.Fatalf("%s: status %d", sql, w.status)
+	}
+	return w.bytes
+}
+
+func BenchmarkServeGroupBy(b *testing.B) {
+	h := servedRatings(b)
+	quietRequestLog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		servedLiteral++
+		n := serveSQL(b, h, fmt.Sprintf(
+			`SELECT movie_id, COUNT(*), AVG(score) FROM ratings WHERE usr > 500 AND rid >= %d GROUP BY movie_id`, 30000+servedLiteral))
+		if n < ratingMovies*10 {
+			b.Fatalf("a %d-byte answer does not hold %d groups", n, ratingMovies)
+		}
+	}
+	b.ReportMetric(ratingRows, "rows-scanned/op")
+}
+
+func BenchmarkServeCachedPoint(b *testing.B) {
+	h := servedRatings(b)
+	quietRequestLog(b)
+	const sql = `SELECT rid, movie_id, score FROM ratings WHERE rid = 777`
+	want := serveSQL(b, h, sql)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := serveSQL(b, h, sql); n != want {
+			b.Fatalf("the hit answers %d bytes, the miss %d", n, want)
+		}
+	}
 }
 
 // ---------- DML through the planner (ISSUE 21) ----------

@@ -131,9 +131,11 @@ type LedgerTotals = core.LedgerTotals
 type Result = core.Result
 
 // RowStream is a pull-based SELECT result (db.ExecSQLStream): rows are
-// produced on demand by the planner/iterator executor, with storage read
-// locks held only per scan batch. A query that triggers a schema
-// expansion completes the crowd job before the first row is produced.
+// produced on demand by the planner/iterator executor over a pinned
+// snapshot, with no lock held between calls. Next returns rows the caller
+// may keep; NextBatch the executor's column batches, the stream's until
+// the next call. A query that triggers a schema expansion completes the
+// crowd job before the first row is produced.
 type RowStream = core.RowStream
 
 // Job is a handle on an asynchronous expansion job (Wait/Status/Done).

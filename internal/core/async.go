@@ -80,7 +80,7 @@ func (db *DB) ExecAsync(stmt sqlparse.Statement) (*Result, *jobs.Job, error) {
 	}
 	res, err := db.execEngine(stmt)
 	if err == nil {
-		return res, nil, nil
+		return res.Boxed(), nil, nil
 	}
 	// EXPLAIN never triggers an expansion (see Exec).
 	if _, isExplain := stmt.(*sqlparse.ExplainStmt); isExplain {

@@ -327,18 +327,14 @@ func (db *DB) mutate(fn func() error) error {
 // atomically with respect to Snapshot. SELECT-heavy workloads are not
 // serialized: the gate is an RWMutex and statements take the read side.
 func (db *DB) execEngine(stmt sqlparse.Statement) (*Result, error) {
-	return db.execEngineOpt(stmt, false)
+	return db.execEngineQT(stmt, false, nil)
 }
 
-// execEngineOpt is execEngine with the result cache optionally bypassed
-// for this statement (the ?nocache=1 escape hatch).
-func (db *DB) execEngineOpt(stmt sqlparse.Statement, nocache bool) (*Result, error) {
-	return db.execEngineQT(stmt, nocache, nil)
-}
-
-// execEngineQT is execEngineOpt with an optional query trace: when qt is
-// non-nil, SELECTs execute with per-operator instrumentation and fill in
-// their phase timings.
+// execEngineQT is execEngine with the result cache optionally bypassed for
+// this statement (the ?nocache=1 escape hatch) and an optional query
+// trace: when qt is non-nil, SELECTs execute with per-operator
+// instrumentation and fill in their phase timings. The result is columnar
+// (Result.Batches); the exported entry points box it.
 func (db *DB) execEngineQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, error) {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
@@ -353,7 +349,7 @@ func (db *DB) execEngineQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace
 	case *sqlparse.SelectStmt:
 		return db.execSelectStmt(s, nocache, qt)
 	}
-	return db.engine.Exec(stmt)
+	return db.engine.Run(stmt)
 }
 
 // Engine exposes the underlying SQL engine (read-only use).
@@ -445,8 +441,8 @@ type Result = engine.Result
 // are then re-executed — the query-driven loop of the paper's title.
 // The returned report is non-nil iff an expansion happened.
 func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
-	res, rep, _, err := db.execSQLTimed(sql, false, db.autoTrace())
-	return res, rep, err
+	res, rep, _, err := db.Query(sql, false, false)
+	return res.Boxed(), rep, err
 }
 
 // ExecSQLNoCache is ExecSQL with the semantic result cache bypassed for
@@ -454,8 +450,8 @@ func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
 // escape hatch behind POST /query?nocache=1 — for verifying a cached
 // answer or benchmarking the executor.
 func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
-	res, rep, _, err := db.execSQLTimed(sql, true, db.autoTrace())
-	return res, rep, err
+	res, rep, _, err := db.Query(sql, true, false)
+	return res.Boxed(), rep, err
 }
 
 // Exec executes a parsed statement (see ExecSQL). The caller blocks until
@@ -463,15 +459,13 @@ func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
 // scheduler: concurrent queries hitting the same missing column join one
 // shared job (singleflight) instead of each paying for its own crowd run.
 func (db *DB) Exec(stmt sqlparse.Statement) (*Result, *ExpansionReport, error) {
-	return db.exec(stmt, false)
+	res, rep, err := db.execQT(stmt, false, nil)
+	return res.Boxed(), rep, err
 }
 
-func (db *DB) exec(stmt sqlparse.Statement, nocache bool) (*Result, *ExpansionReport, error) {
-	return db.execQT(stmt, nocache, nil)
-}
-
-// execQT is exec with an optional query trace threaded down to the
-// SELECT path (nil means untraced).
+// execQT is Exec with the result left columnar, the cache optionally
+// bypassed and an optional query trace threaded down to the SELECT path
+// (nil means untraced).
 func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, *ExpansionReport, error) {
 	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
 		job, err := db.submitExpandStmt(ex)

@@ -1,0 +1,237 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"crowddb/internal/storage"
+)
+
+// pathDB is a three-chunk table with NULLs, a text column and a small
+// dimension table, served at the given degree of parallelism.
+func pathDB(t *testing.T, workers int) *DB {
+	t.Helper()
+	db, err := Open(Options{ExecWorkers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	for _, sql := range []string{
+		`CREATE TABLE facts (id INTEGER, k INTEGER, score FLOAT, tag TEXT)`,
+		`CREATE TABLE dims (k INTEGER, label TEXT)`,
+		`CREATE INDEX facts_id ON facts (id) USING ORDERED`,
+	} {
+		if _, _, err := db.ExecSQL(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	facts, _ := db.Catalog().Get("facts")
+	for i := 0; i < 2*storage.ChunkRows+700; i++ {
+		k, score := storage.Int(int64(i%7)), storage.Float(float64(i%1000)/4)
+		if i%11 == 0 {
+			k = storage.Null()
+		}
+		if i%13 == 0 {
+			score = storage.Null()
+		}
+		if err := facts.Insert(storage.Int(int64(i)), k, score, storage.Text(fmt.Sprintf("t%03d", i%500))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dims, _ := db.Catalog().Get("dims")
+	for k := 0; k < 5; k++ {
+		if err := dims.Insert(storage.Int(int64(k)), storage.Text(fmt.Sprintf("label-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestSameRowsWhateverThePath: one query's answer is the same rows as a
+// cache miss, as the hit that follows, with the cache bypassed, streamed a
+// row at a time and streamed a batch at a time — at exec-workers 1, 2 and
+// 8, for results of no row, of one batch and of several, with typed, boxed
+// and all-NULL columns.
+func TestSameRowsWhateverThePath(t *testing.T) {
+	queries := []string{
+		`SELECT id, k, score, tag FROM facts WHERE score > 100.0`, // three batches
+		`SELECT id, score FROM facts WHERE id >= 100 AND id < 140`,
+		`SELECT id FROM facts WHERE id < 0`, // no row
+		`SELECT k, COUNT(*), AVG(score), MIN(tag), MAX(score) FROM facts GROUP BY k`,
+		`SELECT tag, COUNT(*) FROM facts WHERE score >= 0.0 GROUP BY tag HAVING COUNT(*) > 10`,
+		`SELECT f.id, d.label, f.score * 2, f.k + NULL FROM facts f JOIN dims d ON f.k = d.k WHERE f.score < 50.0`,
+		`SELECT id, score FROM facts WHERE k = 3 ORDER BY score DESC, id LIMIT 25`,
+		`SELECT DISTINCT k FROM facts`,
+		`SELECT COUNT(*) FROM facts f JOIN dims d ON f.k = d.k`,
+		`SELECT id, tag FROM facts ORDER BY tag, id`,
+	}
+	for _, workers := range []int{1, 2, 8} {
+		db := pathDB(t, workers)
+		for _, sql := range queries {
+			before := db.CacheStats()
+			miss, _, err := db.ExecSQL(sql)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, sql, err)
+			}
+			hit, _, err := db.ExecSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := db.CacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses+1 {
+				t.Fatalf("workers=%d %s: cache went %+v → %+v, want one miss and one hit", workers, sql, before, after)
+			}
+			nocache, _, err := db.ExecSQLNoCache(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			columnar, _, _, err := db.Query(sql, false, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if columnar.Rows != nil {
+				t.Fatalf("workers=%d %s: Query boxed %d rows", workers, sql, len(columnar.Rows))
+			}
+			if len(hit.Batches) > 0 && &columnar.Batches[0] != &hit.Batches[0] {
+				t.Fatalf("workers=%d %s: two hits do not share the entry's batch list", workers, sql)
+			}
+
+			byRow, err := db.ExecSQLStream(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []storage.Row
+			for {
+				row, ok, err := byRow.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				rows = append(rows, row)
+			}
+			byBatch, err := db.ExecSQLStream(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batched []storage.Row
+			for {
+				b, err := byBatch.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				batched = b.AppendRows(batched)
+			}
+			if byRow.Rows() != len(rows) || byBatch.Rows() != len(rows) {
+				t.Fatalf("workers=%d %s: streams count %d and %d rows, delivered %d", workers, sql, byRow.Rows(), byBatch.Rows(), len(rows))
+			}
+			_, _ = byRow.Close(), byBatch.Close()
+
+			if miss.Affected != len(miss.Rows) || hit.Affected != len(miss.Rows) {
+				t.Fatalf("workers=%d %s: Affected %d on the miss, %d on the hit, %d rows", workers, sql, miss.Affected, hit.Affected, len(miss.Rows))
+			}
+			for name, got := range map[string][]storage.Row{
+				"hit": hit.Rows, "nocache": nocache.Rows, "columnar hit": storage.RowsOf(columnar.Batches),
+				"row stream": rows, "batch stream": batched,
+			} {
+				if !reflect.DeepEqual(got, miss.Rows) {
+					t.Fatalf("workers=%d %s: the %s answers %d rows, the miss %d, or other rows", workers, sql, name, len(got), len(miss.Rows))
+				}
+			}
+			if !reflect.DeepEqual(hit.Columns, miss.Columns) || !reflect.DeepEqual(byBatch.Columns(), miss.Columns) {
+				t.Fatalf("workers=%d %s: columns %v, %v, %v", workers, sql, miss.Columns, hit.Columns, byBatch.Columns())
+			}
+			// A caller may do to its rows what it likes.
+			if len(hit.Rows) > 0 {
+				hit.Rows[0][0] = storage.Text("scribbled")
+				again, _, _ := db.ExecSQL(sql)
+				if !reflect.DeepEqual(again.Rows, miss.Rows) {
+					t.Fatalf("workers=%d %s: a hit's rows were written through to the entry", workers, sql)
+				}
+			}
+		}
+		for _, name := range db.Catalog().Names() {
+			tbl, _ := db.Catalog().Get(name)
+			if live := tbl.LiveSnapshotEpochs(); len(live) != 0 {
+				t.Fatalf("workers=%d: table %s still pins snapshot epochs %v", workers, name, live)
+			}
+		}
+	}
+}
+
+// TestStreamedSelectIsAccounted: a streamed SELECT is a query to the
+// program's own accounting like any other — it feeds the workload tracker
+// and every phase histogram once, and the end-to-end histogram when it is
+// closed.
+func TestStreamedSelectIsAccounted(t *testing.T) {
+	db := pathDB(t, 1)
+	counts := func() [5]int64 {
+		return [5]int64{
+			int64(db.Workload().Counters.TotalQueries),
+			mQueryPhase.With("parse").Count(), mQueryPhase.With("plan").Count(), mQueryPhase.With("execute").Count(),
+			mQuerySeconds.Count(),
+		}
+	}
+	before := counts()
+	s, err := db.ExecSQLStream(`SELECT id, tag FROM facts WHERE score > 200.0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counts(); got != [5]int64{before[0] + 1, before[1] + 1, before[2] + 1, before[3], before[4]} {
+		t.Fatalf("opening the stream moved queries/parse/plan/execute/total from %v to %v, want the first three up by one", before, got)
+	}
+	for {
+		b, err := s.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Close() // accounted once
+	want := [5]int64{before[0] + 1, before[1] + 1, before[2] + 1, before[3] + 1, before[4] + 1}
+	if got := counts(); got != want {
+		t.Fatalf("a streamed SELECT moved queries/parse/plan/execute/total from %v to %v, want each up by one", before, got)
+	}
+	cols := db.Workload().Counters
+	found := false
+	for _, tc := range cols.Tables {
+		found = found || tc.Table == "facts" && tc.Queries > 0
+	}
+	if !found {
+		t.Fatalf("the tracker has no access to facts: %+v", cols.Tables)
+	}
+}
+
+// TestTraceRowsReadsAffected: the trace (and with it the slow-query log)
+// counts rows from Result.Affected — the columnar result has no Rows to
+// count.
+func TestTraceRowsReadsAffected(t *testing.T) {
+	db := pathDB(t, 1)
+	for sql, want := range map[string]int{
+		`SELECT id FROM facts WHERE id < 37`:          37,
+		`UPDATE dims SET label = 'x' WHERE k >= 3`:    2,
+		`CREATE TABLE scratch (a INTEGER)`:            0,
+		`SELECT k, COUNT(*) FROM facts GROUP BY k`:    8,
+		`SELECT id FROM facts WHERE id < 37 LIMIT 10`: 10,
+	} {
+		res, _, qt, err := db.Query(sql, false, true)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if qt.Rows != want || res.Affected != want || res.Rows != nil {
+			t.Fatalf("%s: trace rows %d, affected %d, %d boxed rows; want %d, %d and none", sql, qt.Rows, res.Affected, len(res.Rows), want, want)
+		}
+	}
+	if _, _, qt, err := db.Query(`SELECT 1 FROM dims`, false, false); err != nil || qt != nil {
+		t.Fatalf("an untraced Query returned trace %+v, error %v", qt, err)
+	}
+}

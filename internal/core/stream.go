@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"crowddb/internal/engine"
 	"crowddb/internal/sqlparse"
@@ -12,20 +13,30 @@ import (
 //
 // Unlike Exec, which materializes the whole answer under one read-side
 // acquisition of the snapshot gate, a RowStream holds no locks at all
-// between Next calls: the storage cursors underneath pin an immutable
-// MVCC snapshot at open and read it lock-free, so a client slowly
-// draining a large result never blocks snapshots, writers, or expansions
-// for the duration of the transfer. The stream sees the table as of
-// open; concurrent mutations land in later versions it never reads.
+// between calls: the storage cursors underneath pin an immutable MVCC
+// snapshot at open and read it lock-free, so a client slowly draining a
+// large result never blocks snapshots, writers, or expansions for the
+// duration of the transfer. The stream sees the table as of open;
+// concurrent mutations land in later versions it never reads.
 //
-// Rows may alias executor buffers and are valid only until the next call;
-// callers that retain rows must Clone them. Close must be called when
-// done (it is idempotent).
+// Ownership is exec.Iterator's rule: a batch from NextBatch belongs to
+// the stream — read it until the next NextBatch or Close, never write
+// through it, copy what is kept. Next is the boxed view of the same rows,
+// one at a time, each fresh memory the caller may keep; use one or the
+// other on a stream. Close must be called when done (it is idempotent):
+// it releases the pin and accounts the statement's execute phase and
+// end-to-end latency.
 type RowStream struct {
-	db     *DB
 	res    *engine.StreamResult
 	report *ExpansionReport
 	rows   int
+	start  time.Time     // of the statement, parse included
+	exec   time.Duration // in the executor: the open, then every batch
+
+	// Next's view of the current batch, and the error that follows it.
+	boxed []storage.Row
+	pos   int
+	err   error
 }
 
 // Columns returns the output column names.
@@ -37,53 +48,101 @@ func (s *RowStream) Expansion() *ExpansionReport { return s.report }
 // Rows returns the number of rows streamed so far.
 func (s *RowStream) Rows() int { return s.rows }
 
-// Next returns the next row, or ok=false at end of stream. No gate
-// acquisition: the cursors read a pinned snapshot, and the gate only
-// orders mutations against WAL capture — a pure reader needs neither.
-func (s *RowStream) Next() (storage.Row, bool, error) {
-	row, ok, err := s.res.Next()
-	if ok {
-		s.rows++
+// NextBatch returns the next batch of rows, nil at end of stream; a batch
+// and an error may come together, the rows first. No gate acquisition:
+// the cursors read a pinned snapshot, and the gate only orders mutations
+// against WAL capture — a pure reader needs neither.
+func (s *RowStream) NextBatch() (*storage.Batch, error) {
+	b, err := s.nextBatch()
+	if b != nil {
+		s.rows += len(b.Sel)
 	}
-	return row, ok, err
+	return b, err
+}
+
+func (s *RowStream) nextBatch() (*storage.Batch, error) {
+	start := time.Now()
+	b, err := s.res.NextBatch()
+	s.exec += time.Since(start)
+	return b, err
+}
+
+// Next returns the next row, or ok=false at end of stream.
+func (s *RowStream) Next() (storage.Row, bool, error) {
+	for s.pos >= len(s.boxed) {
+		if err := s.err; err != nil {
+			s.err = nil
+			return nil, false, err
+		}
+		b, err := s.nextBatch()
+		if b == nil {
+			return nil, false, err
+		}
+		s.boxed, s.pos, s.err = b.AppendRows(s.boxed[:0]), 0, err
+	}
+	s.pos++
+	s.rows++
+	return s.boxed[s.pos-1], true, nil
 }
 
 // Close releases the stream's resources.
-func (s *RowStream) Close() error { return s.res.Close() }
+func (s *RowStream) Close() error {
+	if !s.start.IsZero() {
+		mQueryPhase.With("execute").Observe(s.exec.Seconds())
+		mQuerySeconds.Observe(time.Since(s.start).Seconds())
+		s.start = time.Time{}
+	}
+	return s.res.Close()
+}
 
 // ExecSQLStream parses sql and opens a streaming SELECT (see ExecStream).
 func (db *DB) ExecSQLStream(sql string) (*RowStream, error) {
+	start := time.Now()
 	stmt, err := sqlparse.Parse(sql)
+	mQueryPhase.With("parse").Observe(time.Since(start).Seconds())
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStream(stmt)
+	return db.execStream(stmt, start)
 }
 
-// ExecStream opens a SELECT for row-at-a-time consumption. Like Exec, a
-// query referencing a registered expandable column triggers (or joins)
-// the expansion job and blocks until it completes — the stream only
-// starts producing rows once the column is filled, so a client never
-// observes a half-expanded answer. Statements other than SELECT are not
-// streamable.
+// ExecStream opens a SELECT for consumption a batch or a row at a time.
+// Like Exec, a query referencing a registered expandable column triggers
+// (or joins) the expansion job and blocks until it completes — the stream
+// only starts producing rows once the column is filled, so a client never
+// observes a half-expanded answer. Like Exec's SELECTs it feeds the
+// workload tracker and the query metrics. Statements other than SELECT
+// are not streamable.
 func (db *DB) ExecStream(stmt sqlparse.Statement) (*RowStream, error) {
+	return db.execStream(stmt, time.Now())
+}
+
+func (db *DB) execStream(stmt sqlparse.Statement, start time.Time) (*RowStream, error) {
 	sel, ok := stmt.(*sqlparse.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming supports SELECT statements only, got %T", stmt)
 	}
 
-	open := func() (*engine.StreamResult, error) {
-		// Planning validates columns and opens the iterators (blocking
-		// operators do their work here) under the gate's read side; row
-		// delivery re-acquires it per Next.
+	s := &RowStream{start: start}
+	open := func() error {
+		// Planning validates columns and opening the iterators pins the
+		// snapshot (blocking operators do their work here), both under the
+		// gate's read side; the batches are then read without it.
 		db.gate.RLock()
 		defer db.gate.RUnlock()
-		return db.engine.Stream(sel)
+		p, err := db.planSelect(sel, nil)
+		if err != nil {
+			return err
+		}
+		execStart := time.Now()
+		s.res, err = engine.OpenPlan(p)
+		s.exec += time.Since(execStart)
+		return err
 	}
 
-	res, err := open()
+	err := open()
 	if err == nil {
-		return &RowStream{db: db, res: res}, nil
+		return s, nil
 	}
 	// Plan-time detection of a missing expandable column: the job runs
 	// (or is joined) before a single row is produced.
@@ -94,13 +153,11 @@ func (db *DB) ExecStream(stmt sqlparse.Statement) (*RowStream, error) {
 	if job == nil {
 		return nil, err
 	}
-	report, err := waitReport(job)
-	if err != nil {
+	if s.report, err = waitReport(job); err != nil {
 		return nil, err
 	}
-	res, err = open()
-	if err != nil {
+	if err := open(); err != nil {
 		return nil, err
 	}
-	return &RowStream{db: db, res: res, report: report}, nil
+	return s, nil
 }

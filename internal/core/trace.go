@@ -18,12 +18,14 @@ type QueryTrace struct {
 	PlanUS  int64  `json:"plan_us"`
 	// CacheUS is the result-cache probe time (0 when the cache is
 	// disabled or bypassed).
-	CacheUS  int64    `json:"cache_lookup_us"`
-	ExecUS   int64    `json:"execute_us"`
-	TotalUS  int64    `json:"total_us"`
-	CacheHit bool     `json:"cache_hit"`
-	Rows     int      `json:"rows"`
-	Plan     []string `json:"plan,omitempty"`
+	CacheUS  int64 `json:"cache_lookup_us"`
+	ExecUS   int64 `json:"execute_us"`
+	TotalUS  int64 `json:"total_us"`
+	CacheHit bool  `json:"cache_hit"`
+	// Rows is the statement's Result.Affected: rows returned by a SELECT,
+	// rows changed by DML.
+	Rows int      `json:"rows"`
+	Plan []string `json:"plan,omitempty"`
 }
 
 // ExecSQLTraced is ExecSQL with per-phase and per-operator tracing on:
@@ -33,22 +35,27 @@ type QueryTrace struct {
 // (?trace=1&nocache=1 composes). Tracing slows the executor's row path,
 // so this is the ?trace=1 / slow-query path, not the default.
 func (db *DB) ExecSQLTraced(sql string, nocache bool) (*Result, *ExpansionReport, *QueryTrace, error) {
-	return db.execSQLTimed(sql, nocache, true)
+	res, rep, qt, err := db.Query(sql, nocache, true)
+	return res.Boxed(), rep, qt, err
 }
 
-// autoTrace reports whether plain ExecSQL calls should run traced anyway:
+// autoTrace reports whether untraced statements should run traced anyway:
 // a slow-query threshold needs the operator breakdown in hand *before*
 // it knows the query was slow, so configuring -slow-query (or -trace)
 // prices every SELECT at traced cost. The ≤2% overhead contract of
 // BenchmarkInstrumentedSelect applies only with both off.
 func (db *DB) autoTrace() bool { return db.traceAll || db.slowQuery > 0 }
 
-// execSQLTimed is the shared ExecSQL spine: parse, execute, record the
-// end-to-end and parse-phase metrics, and — when traced — assemble the
-// QueryTrace and feed the slow-query log.
-func (db *DB) execSQLTimed(sql string, nocache, traced bool) (*Result, *ExpansionReport, *QueryTrace, error) {
+// Query is the spine under every ExecSQL variant and the HTTP server:
+// parse, execute (expansions included, see Exec), record the end-to-end
+// and parse-phase metrics, and — when traced, or when the database traces
+// everything (autoTrace) — assemble the QueryTrace and feed the slow-query
+// log. The result is columnar: Result.Batches, possibly shared with the
+// result cache, and no Rows. The server encodes from it; the ExecSQL
+// variants box it (Result.Boxed) for callers that want rows.
+func (db *DB) Query(sql string, nocache, traced bool) (*Result, *ExpansionReport, *QueryTrace, error) {
 	var qt *QueryTrace
-	if traced {
+	if traced || db.autoTrace() {
 		qt = &QueryTrace{SQL: sql}
 	}
 	start := time.Now()
@@ -67,9 +74,12 @@ func (db *DB) execSQLTimed(sql string, nocache, traced bool) (*Result, *Expansio
 	if qt != nil {
 		qt.TotalUS = total.Microseconds()
 		if res != nil {
-			qt.Rows = len(res.Rows)
+			qt.Rows = res.Affected
 		}
 		db.logSlow(qt, total, execErr)
+	}
+	if !traced {
+		qt = nil // assembled for the slow-query log only
 	}
 	return res, rep, qt, execErr
 }

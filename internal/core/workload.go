@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"crowddb/internal/engine"
+	"crowddb/internal/engine/exec"
+	"crowddb/internal/engine/plan"
 	"crowddb/internal/sqlparse"
+	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 	rescache "crowddb/internal/workload/cache"
 )
@@ -59,7 +62,7 @@ const obsBatch = 256
 // contents are inside those counters. The observations are advisory
 // evidence for the pre-expansion predictor: a crash loses at most the
 // unflushed tail of predictor counts, never money state. Caller holds
-// db.gate.RLock (the execEngineOpt path), so a flush lands atomically with
+// db.gate.RLock (the execEngineQT path), so a flush lands atomically with
 // respect to Snapshot.
 func (db *DB) observeLocked(obs workload.Observation) {
 	if db.tracker == nil {
@@ -154,18 +157,12 @@ func (db *DB) CacheStats() rescache.Stats {
 	return db.rcache.Stats()
 }
 
-// execSelectStmt is the cached SELECT path. Caller holds db.gate.RLock.
-//
-// Order matters: the table-seq snapshot is taken BEFORE execution, so a
-// mutation landing mid-query bumps the live seq past the snapshot and
-// the entry — stored against the snapshot — can never be served (the
-// cache validates seqs on every Get). Plan errors propagate untouched so
-// a MissingColumnError still reaches the expansion machinery.
-//
-// Every phase feeds the crowddb_query_phase_seconds histogram; a non-nil
-// qt additionally runs the executor with per-operator tracing and fills
-// in the QueryTrace.
-func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTrace) (*Result, error) {
+// planSelect is the step every SELECT takes first, materialized or
+// streamed: plan it, account the plan phase, and feed the workload tracker
+// one observation per table in scope. Caller holds db.gate.RLock. Plan
+// errors propagate untouched so a MissingColumnError still reaches the
+// expansion machinery.
+func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.SelectPlan, error) {
 	planStart := time.Now()
 	p, err := db.engine.PlanSelect(sel)
 	planDur := time.Since(planStart)
@@ -179,27 +176,45 @@ func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTr
 	for _, obs := range accessObservations(sel) {
 		db.observeLocked(obs)
 	}
+	return p, nil
+}
+
+// execSelectStmt is the cached SELECT path. Caller holds db.gate.RLock.
+// The result is columnar: a miss's batches are the executor's owned copy,
+// a hit's are the cache entry itself, and a miss that is stored shares its
+// list with the entry — nothing on this path boxes or copies a row.
+//
+// Order matters: the table-seq snapshot is taken BEFORE execution, so a
+// mutation landing mid-query bumps the live seq past the snapshot and
+// the entry — stored against the snapshot — can never be served (the
+// cache validates seqs on every Get).
+//
+// Every phase feeds the crowddb_query_phase_seconds histogram; a non-nil
+// qt additionally runs the executor with per-operator tracing and fills
+// in the QueryTrace.
+func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTrace) (*Result, error) {
+	p, err := db.planSelect(sel, qt)
+	if err != nil {
+		return nil, err
+	}
 	// run executes the plan, traced iff qt is set, and accounts the
 	// execute phase either way.
 	run := func() (*Result, error) {
 		execStart := time.Now()
-		var res *Result
-		var rerr error
+		var tr *exec.Trace
 		if qt != nil {
-			res2, tr, terr := engine.ExecPlanTraced(p)
-			res, rerr = res2, terr
-			if terr == nil {
-				qt.Plan = p.ExplainWith(tr.Annotate)
-			}
-		} else {
-			res, rerr = engine.ExecPlan(p)
+			tr = exec.NewTrace()
 		}
+		res, err := engine.RunPlan(p, tr)
 		execDur := time.Since(execStart)
 		mQueryPhase.With("execute").Observe(execDur.Seconds())
 		if qt != nil {
 			qt.ExecUS += execDur.Microseconds()
+			if err == nil {
+				qt.Plan = p.ExplainWith(tr.Annotate)
+			}
 		}
-		return res, rerr
+		return res, err
 	}
 	if db.rcache == nil {
 		return run()
@@ -207,7 +222,7 @@ func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTr
 	fp := p.Fingerprint()
 	if !nocache {
 		cacheStart := time.Now()
-		cols, rows, ok := db.rcache.Get(fp)
+		cols, batches, ok := db.rcache.GetBatches(fp)
 		cacheDur := time.Since(cacheStart)
 		mQueryPhase.With("cache_lookup").Observe(cacheDur.Seconds())
 		if qt != nil {
@@ -221,7 +236,7 @@ func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTr
 				qt.CacheHit = true
 				qt.Plan = p.Explain()
 			}
-			return &Result{Columns: cols, Rows: rows, Affected: len(rows)}, nil
+			return &Result{Columns: cols, Batches: batches, Affected: storage.RowCount(batches)}, nil
 		}
 		mCacheMisses.Inc()
 	}
@@ -231,7 +246,7 @@ func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTr
 		return nil, err
 	}
 	if !nocache {
-		db.rcache.Put(fp, snap, res.Columns, res.Rows)
+		db.rcache.PutBatches(fp, snap, res.Columns, res.Batches)
 	}
 	return res, nil
 }

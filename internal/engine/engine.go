@@ -5,8 +5,10 @@
 // of UPDATE and DELETE — into a logical plan tree (alias resolution,
 // predicate/projection pushdown, join key extraction, plan-time column
 // validation), and internal/engine/exec runs that tree as iterators
-// passing column batches up from the storage cursor, boxing rows once at
-// the root. Dispatch and DDL stay here; dml.go drains a DML plan and hands
+// passing column batches up from the storage cursor; the root's batches are
+// copied once into the result (Result.Batches), and rows are boxed only for
+// the callers of the row-typed entry points (Result.Boxed). Dispatch and
+// DDL stay here; dml.go drains a DML plan and hands
 // the rows and cells it found to the table in one batch; SELECT, EXPLAIN
 // and the streaming entry point live in select.go.
 //
@@ -38,13 +40,28 @@ type MissingColumnError = plan.MissingColumnError
 type Result struct {
 	// Columns are the output column names (SELECT only).
 	Columns []string
-	// Rows are the output tuples (SELECT only).
+	// Batches are the output tuples (SELECT and EXPLAIN only) as a list of
+	// owned column batches (storage.AppendOwned): immutable, holding no pin,
+	// and possibly shared with the result cache and with other requests.
+	Batches []storage.Batch
+	// Rows are the same tuples boxed, fresh memory the caller owns. Only
+	// the entry points embedded callers read rows from fill it in (Boxed);
+	// Run, RunPlan and what internal/core builds on them leave it nil.
 	Rows []storage.Row
 	// Affected counts rows inserted/updated/deleted for DML, or rows in
 	// the result set for SELECT.
 	Affected int
 	// Message is a human-readable summary for DDL.
 	Message string
+}
+
+// Boxed fills in Rows from Batches and returns r (nil stays nil): the one
+// step between the columnar result and the row-typed API.
+func (r *Result) Boxed() *Result {
+	if r != nil && r.Rows == nil {
+		r.Rows = storage.RowsOf(r.Batches)
+	}
+	return r
 }
 
 // Engine executes statements against a catalog.
@@ -85,10 +102,16 @@ func (e *Engine) ExecSQL(sql string) (*Result, error) {
 	return e.Exec(stmt)
 }
 
-// Exec executes a parsed statement. ExpandStmt is not handled here — it
-// requires crowd machinery and is executed by internal/core, which owns an
-// Engine.
+// Exec executes a parsed statement and boxes its rows. ExpandStmt is not
+// handled here — it requires crowd machinery and is executed by
+// internal/core, which owns an Engine.
 func (e *Engine) Exec(stmt sqlparse.Statement) (*Result, error) {
+	res, err := e.Run(stmt)
+	return res.Boxed(), err
+}
+
+// Run is Exec with the result left columnar (Result.Batches).
+func (e *Engine) Run(stmt sqlparse.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		return e.execSelect(s)

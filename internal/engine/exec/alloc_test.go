@@ -85,7 +85,7 @@ func drainPlan(t *testing.T, p *plan.SelectPlan) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(out)
+	return storage.RowCount(out)
 }
 
 // bytesOf is allocsOf in bytes, serially: the heap bytes one build and

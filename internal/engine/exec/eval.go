@@ -3,8 +3,8 @@
 // plus a selection — from its input via Open/NextBatch/Close, so results
 // stream from the storage cursor to the caller without materializing
 // intermediate row sets (except where the operator is inherently
-// blocking: sort, aggregation, a join's build side), and only the root
-// boxes rows.
+// blocking: sort, aggregation, a join's build side), and no operator
+// boxes rows: Drain copies the root's batches into the result, typed.
 //
 // It also owns SQL expression evaluation under three-valued logic (NULL
 // comparisons yield UNKNOWN, which filters the row out), shared with the

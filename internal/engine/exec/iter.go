@@ -25,7 +25,8 @@ import (
 // operator and never writes through it. Operators that narrow rows
 // (Filter, Limit, Distinct) return their input's vectors under a
 // selection of their own; operators that retain rows across calls (the
-// join build, Sort, TopN, Aggregate) copy the cells they keep.
+// join build, Sort, TopN, Aggregate) copy the cells they keep — as does
+// whoever keeps a result beyond the tree that produced it (Drain).
 type Iterator interface {
 	Open() error
 	NextBatch() (*storage.Batch, error)
@@ -284,15 +285,17 @@ func (b *boundExprs) values(dst []storage.Value, env *batchEnv) ([]storage.Value
 	return dst, nil
 }
 
-// Drain runs an iterator to completion, boxing every batch into rows the
-// caller owns — the one place a materialized query's rows are boxed.
-func Drain(it Iterator) ([]storage.Row, error) {
+// Drain runs an iterator to completion and returns its rows as a list of
+// owned batches (storage.AppendOwned): the result outlives the iterator,
+// which is closed — its pins released — before Drain returns, so nothing
+// in the list is a view of storage or of an operator's scratch.
+func Drain(it Iterator) ([]storage.Batch, error) {
 	if err := it.Open(); err != nil {
 		_ = it.Close()
 		return nil, err
 	}
 	defer it.Close()
-	var out []storage.Row
+	var out []storage.Batch
 	for {
 		b, err := it.NextBatch()
 		if err != nil {
@@ -301,6 +304,6 @@ func Drain(it Iterator) ([]storage.Row, error) {
 		if b == nil {
 			return out, nil
 		}
-		out = b.AppendRows(out)
+		out = storage.AppendOwned(out, b)
 	}
 }

@@ -62,9 +62,12 @@ type dopRun struct {
 	err     string
 }
 
-// streamAt runs sql through Engine.Stream at the given exec-workers and
-// requires that closing the stream leaves no snapshot pinned on any
-// table and no goroutine behind.
+// streamAt plans sql at the given exec-workers and streams it (OpenPlan),
+// boxing every batch as it is handed up, and requires that closing the
+// stream leaves no snapshot pinned on any table and no goroutine behind —
+// and that Engine.Exec, whose rows are boxed from the owned batch list
+// after the iterators are closed, returns the same rows (or, where the
+// stream ended in an error, that error and no rows).
 func streamAt(t *testing.T, e *Engine, workers int, sql string) dopRun {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
@@ -76,23 +79,58 @@ func streamAt(t *testing.T, e *Engine, workers int, sql string) dopRun {
 	before := runtime.NumGoroutine()
 
 	var run dopRun
-	st, err := e.Stream(stmt.(*sqlparse.SelectStmt))
+	var st *StreamResult
+	p, err := e.PlanSelect(stmt.(*sqlparse.SelectStmt))
+	if err == nil {
+		st, err = OpenPlan(p)
+	}
 	if err != nil {
 		run.err = err.Error()
 	} else {
 		run.columns = st.Columns
 		for {
-			row, ok, err := st.Next()
+			b, err := st.NextBatch()
+			if b != nil {
+				run.rows = b.AppendRows(run.rows)
+			}
 			if err != nil {
 				run.err = err.Error()
 			}
-			if err != nil || !ok {
+			if err != nil || b == nil {
 				break
 			}
-			run.rows = append(run.rows, row.Clone())
 		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("workers=%d %s: Close: %v", workers, sql, err)
+		}
+	}
+	res, err := e.Exec(stmt)
+	switch {
+	case err != nil:
+		if err.Error() != run.err {
+			t.Fatalf("workers=%d %s: Exec fails with %q, the stream with %q", workers, sql, err, run.err)
+		}
+	case run.err != "":
+		t.Fatalf("workers=%d %s: the stream fails with %q, Exec returns %d rows", workers, sql, run.err, len(res.Rows))
+	case storage.RowCount(res.Batches) != len(res.Rows) || res.Affected != len(res.Rows) || len(res.Rows) != len(run.rows):
+		t.Fatalf("workers=%d %s: Exec returns %d rows in Rows, %d in Batches, Affected %d; the stream %d",
+			workers, sql, len(res.Rows), storage.RowCount(res.Batches), res.Affected, len(run.rows))
+	default:
+		for i := range run.rows {
+			if !sameRow(run.rows[i], res.Rows[i]) {
+				t.Fatalf("workers=%d %s: row %d is %v from the batch list, %v from the stream", workers, sql, i, res.Rows[i], run.rows[i])
+			}
+		}
+		for i := range res.Batches {
+			b := &res.Batches[i]
+			if !b.AllSelected() || b.N == 0 || b.N > storage.ChunkRows || i < len(res.Batches)-1 && b.N != storage.ChunkRows {
+				t.Fatalf("workers=%d %s: result batch %d of %d holds %d cells under a selection of %d", workers, sql, i, len(res.Batches), b.N, len(b.Sel))
+			}
+			for c := range b.Cols {
+				if b.Cols[c].Pinned {
+					t.Fatalf("workers=%d %s: result batch %d column %d views pinned storage", workers, sql, i, c)
+				}
+			}
 		}
 	}
 

@@ -17,7 +17,7 @@ func (e *Engine) execSelect(s *sqlparse.SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ExecPlan(p)
+	return RunPlan(p, nil)
 }
 
 // PlanSelect lowers a SELECT into its logical plan without executing it.
@@ -36,35 +36,26 @@ func (e *Engine) PlanSelect(s *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
 	return p, nil
 }
 
-// ExecPlan runs a previously built SELECT plan and materializes the
-// result.
-func ExecPlan(p *plan.SelectPlan) (*Result, error) {
-	it, err := exec.Build(p.Root)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.Drain(it)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: p.Columns, Rows: rows, Affected: len(rows)}, nil
-}
-
-// ExecPlanTraced runs a SELECT plan with per-operator instrumentation on
-// and returns the result alongside the populated trace. The trace times
-// every NextBatch call, so this path is reserved for EXPLAIN ANALYZE,
-// ?trace=1 requests, and the slow-query log.
-func ExecPlanTraced(p *plan.SelectPlan) (*Result, *exec.Trace, error) {
-	tr := exec.NewTrace()
+// RunPlan runs a previously built SELECT plan and materializes the result
+// as owned batches; a non-nil tr additionally records per-operator rows
+// and wall time (every NextBatch call is timed, so that is reserved for
+// EXPLAIN ANALYZE, ?trace=1 requests and the slow-query log).
+func RunPlan(p *plan.SelectPlan, tr *exec.Trace) (*Result, error) {
 	it, err := exec.BuildTraced(p.Root, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows, err := exec.Drain(it)
+	batches, err := exec.Drain(it)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Result{Columns: p.Columns, Rows: rows, Affected: len(rows)}, tr, nil
+	return &Result{Columns: p.Columns, Batches: batches, Affected: storage.RowCount(batches)}, nil
+}
+
+// ExecPlan is RunPlan with the rows boxed.
+func ExecPlan(p *plan.SelectPlan) (*Result, error) {
+	res, err := RunPlan(p, nil)
+	return res.Boxed(), err
 }
 
 // execExplain handles EXPLAIN over a SELECT, UPDATE or DELETE and EXPLAIN
@@ -94,43 +85,36 @@ func (e *Engine) execExplain(x *sqlparse.ExplainStmt) (*Result, error) {
 	}
 	lines := p.ExplainWith(plan.AccessNote)
 	if x.Analyze {
-		_, tr, err := ExecPlanTraced(p)
-		if err != nil {
+		tr := exec.NewTrace()
+		if _, err := RunPlan(p, tr); err != nil {
 			return nil, err
 		}
 		lines = p.ExplainWith(tr.Annotate)
 	}
-	res := &Result{Columns: []string{"plan"}}
-	for _, line := range lines {
-		res.Rows = append(res.Rows, storage.Row{storage.Text(line)})
+	rows := make([]storage.Row, len(lines))
+	for i, line := range lines {
+		rows[i] = storage.Row{storage.Text(line)}
 	}
-	res.Affected = len(res.Rows)
-	return res, nil
+	return &Result{Columns: []string{"plan"}, Batches: storage.BatchesOf(rows), Affected: len(rows)}, nil
 }
 
 // StreamResult is a pull-based SELECT result: batches are produced on
-// demand by the iterator tree and boxed into rows one batch at a time —
-// the streaming counterpart of exec.Drain. Rows are fresh memory the
-// caller may keep; Close must be called when done.
+// demand by the iterator tree and handed up under exec.Iterator's
+// ownership rule — a batch is the stream's until the next NextBatch or
+// Close, read-only, and what the caller keeps it copies. Close must be
+// called when done.
 type StreamResult struct {
 	// Columns are the output column names.
 	Columns []string
 	it      exec.Iterator
-	rows    []storage.Row // the current batch, boxed
-	pos     int
-	err     error // what follows the rows of the current batch
 	done    bool
 }
 
-// Stream plans and opens a SELECT for row-at-a-time consumption.
-// Blocking operators (sort, aggregation, a join's build side) still do
-// their work inside this call; pure scan/filter/project/limit pipelines
-// stream end to end.
-func (e *Engine) Stream(s *sqlparse.SelectStmt) (*StreamResult, error) {
-	p, err := e.PlanSelect(s)
-	if err != nil {
-		return nil, err
-	}
+// OpenPlan opens a previously built SELECT plan for consumption a batch
+// at a time. Blocking operators (sort, aggregation, a join's
+// build side) still do their work inside this call; pure
+// scan/filter/project/limit pipelines stream end to end.
+func OpenPlan(p *plan.SelectPlan) (*StreamResult, error) {
 	it, err := exec.Build(p.Root)
 	if err != nil {
 		return nil, err
@@ -142,23 +126,16 @@ func (e *Engine) Stream(s *sqlparse.SelectStmt) (*StreamResult, error) {
 	return &StreamResult{Columns: p.Columns, it: it}, nil
 }
 
-// Next returns the next row, or ok=false at end of stream.
-func (r *StreamResult) Next() (storage.Row, bool, error) {
-	for r.pos >= len(r.rows) {
-		if r.done || r.err != nil {
-			err := r.err
-			r.done, r.err = true, nil
-			return nil, false, err
-		}
-		b, err := r.it.NextBatch()
-		r.rows, r.pos, r.err = r.rows[:0], 0, err
-		if b != nil {
-			r.rows = b.AppendRows(r.rows)
-		}
-		r.done = b == nil
+// NextBatch returns the next batch of rows, nil at end of stream. As with
+// exec.Iterator, a batch and an error may come together: the batch's rows
+// precede the error, and the stream is over.
+func (r *StreamResult) NextBatch() (*storage.Batch, error) {
+	if r.done {
+		return nil, nil
 	}
-	r.pos++
-	return r.rows[r.pos-1], true, nil
+	b, err := r.it.NextBatch()
+	r.done = b == nil || err != nil
+	return b, err
 }
 
 // Close releases the stream's resources (idempotent).

@@ -39,6 +39,9 @@ const (
 	// CodeNoDataDir maps core.ErrNoDataDir: snapshot requested on a
 	// database opened without durability (409).
 	CodeNoDataDir = "no_data_dir"
+	// CodeUnencodableValue is a result holding a value JSON cannot carry
+	// (NaN, ±Inf): the message names the row and column (500).
+	CodeUnencodableValue = "unencodable_value"
 	// CodeInternal is an unclassified server-side failure (500).
 	CodeInternal = "internal"
 )

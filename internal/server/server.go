@@ -52,6 +52,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"crowddb/internal/core"
@@ -215,9 +216,10 @@ type queryRequest struct {
 	Mode string `json:"mode"`
 }
 
-type queryResponse struct {
-	Columns   []string              `json:"columns,omitempty"`
-	Rows      [][]any               `json:"rows,omitempty"`
+// queryTail is every member of the /v1/query envelope after "columns" and
+// "rows" — which writeQueryResponse encodes from the result's vectors —
+// in the envelope's member order.
+type queryTail struct {
 	Affected  int                   `json:"affected"`
 	Message   string                `json:"message,omitempty"`
 	Expansion *core.ExpansionReport `json:"expansion,omitempty"`
@@ -273,27 +275,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	switch req.Mode {
 	case "", "sync":
-		if trace {
-			res, report, qt, err := s.db.ExecSQLTraced(req.SQL, nocache)
-			if err != nil {
-				writeQueryError(w, err)
-				return
-			}
-			resp := buildQueryResponse(res, report, nil)
-			resp.Trace = qt
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		exec := s.db.ExecSQL
-		if nocache {
-			exec = s.db.ExecSQLNoCache
-		}
-		res, report, err := exec(req.SQL)
+		res, report, qt, err := s.db.Query(req.SQL, nocache, trace)
 		if err != nil {
 			writeQueryError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, buildQueryResponse(res, report, nil))
+		writeQueryResponse(w, http.StatusOK, res, queryTail{Expansion: report, Trace: qt})
 	case "async":
 		res, job, err := s.db.ExecSQLAsync(req.SQL)
 		if err != nil {
@@ -302,10 +289,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if job != nil {
 			st := job.Status()
-			writeJSON(w, http.StatusAccepted, buildQueryResponse(nil, nil, &st))
+			writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
 			return
 		}
-		writeJSON(w, http.StatusOK, buildQueryResponse(res, nil, nil))
+		writeQueryResponse(w, http.StatusOK, res, queryTail{})
 	default:
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: unknown mode %q", req.Mode))
 	}
@@ -314,10 +301,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // streamQuery serves a SELECT as NDJSON (one JSON object per line):
 // a header line {"columns": […]}, then {"row": […]} per result row, and
 // finally a trailer {"done": true, "rows": n, "expansion": …} — or
-// {"error": "…"} at whatever point the query failed. The response is
-// flushed as rows are produced, so a client sees data while the scan is
-// still running; the engine holds its read locks only per batch, never
-// for the duration of the transfer.
+// {"error": "…"} at whatever point the query failed. Rows are encoded
+// from the stream's batches as they are produced and the response is
+// flushed as it goes, so a client sees data while the scan is still
+// running; the stream holds a snapshot pin, never a lock, for the
+// duration of the transfer.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string) {
 	stream, err := s.db.ExecSQLStream(sql)
 	if err != nil {
@@ -330,7 +318,8 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	rows := newRowEncoder()
+	rows := encoders.Get().(*rowEncoder)
+	defer encoders.Put(rows)
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
@@ -339,8 +328,10 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 
 	_ = enc.Encode(map[string]any{"columns": stream.Columns()})
 	flush()
-	// Flush every flushEvery rows: responsive without one syscall per row.
+	// Flush once flushEvery rows are written: responsive without one
+	// syscall per row.
 	const flushEvery = 64
+	unflushed := 0
 	ctx := r.Context()
 	for {
 		// A disconnected client must stop the scan, not leave it running
@@ -348,24 +339,24 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 		if ctx.Err() != nil {
 			return
 		}
-		row, ok, err := stream.Next()
+		b, err := stream.NextBatch()
+		if b != nil {
+			lines, encErr := rows.lines(b)
+			if _, werr := w.Write(lines); encErr != nil || werr != nil {
+				return // a value JSON cannot carry (NaN, ±Inf) ends the stream after the rows before it; or the client is gone
+			}
+			if unflushed += len(b.Sel); unflushed >= flushEvery {
+				flush()
+				unflushed = 0
+			}
+		}
 		if err != nil {
 			_ = enc.Encode(map[string]any{"error": err.Error()})
 			flush()
 			return
 		}
-		if !ok {
+		if b == nil {
 			break
-		}
-		line, err := rows.line(row)
-		if err == nil {
-			_, err = w.Write(line)
-		}
-		if err != nil {
-			return // a value JSON cannot carry (NaN, ±Inf), or the write failed: the client is gone
-		}
-		if stream.Rows()%flushEvery == 0 {
-			flush()
 		}
 	}
 	trailer := map[string]any{"done": true, "rows": stream.Rows()}
@@ -376,88 +367,173 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 	flush()
 }
 
-// rowEncoder writes the {"row":[…]} lines of an NDJSON stream into one
-// reused buffer, byte for byte what json.Encoder makes of
-// map[string]any{"row": []any{…}} — without the map, the []any and the
-// boxed numbers per row: numbers through strconv, in encoding/json's
-// float format, and only text through encoding/json itself.
+// rowEncoder writes result rows as JSON arrays straight from column
+// vectors into one reused buffer — the {"row":[…]} lines of an NDJSON
+// stream and the "rows" member of the buffered envelope — byte for byte
+// what json.Encoder makes of []any{…} of the cells, without the []any and
+// the boxed cell: numbers through strconv, in encoding/json's float
+// format, and only text through encoding/json itself.
 type rowEncoder struct {
 	buf  []byte
 	text bytes.Buffer
 	enc  *json.Encoder // into text
+	str  string        // the text cell being encoded: a *string boxes without allocating
 }
 
-func newRowEncoder() *rowEncoder {
+// encoders recycles the encoders' buffers across requests.
+var encoders = sync.Pool{New: func() any {
 	e := &rowEncoder{}
 	e.enc = json.NewEncoder(&e.text)
 	return e
+}}
+
+// cell appends cell i of v. NaN and ±Inf have no JSON form and are an
+// error, as they are to json.Encoder.
+func (e *rowEncoder) cell(b []byte, v *storage.Vector, i int) ([]byte, error) {
+	switch val := v.Value(i); val.Kind() {
+	case storage.KindBool:
+		t, _ := val.AsBool()
+		b = strconv.AppendBool(b, t)
+	case storage.KindInt:
+		n, _ := val.AsInt()
+		b = strconv.AppendInt(b, n, 10)
+	case storage.KindFloat:
+		f, _ := val.AsFloat()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, fmt.Errorf("%v has no JSON form", f)
+		}
+		// encoding/json's float64 format: the shortest digits that
+		// round-trip, in exponent form outside [1e-6, 1e21), the
+		// exponent's leading zero dropped.
+		format := byte('f')
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, f, format, -1, 64)
+		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	case storage.KindText:
+		e.str, _ = val.AsText()
+		return e.json(b, &e.str)
+	default:
+		b = append(b, "null"...)
+	}
+	return b, nil
 }
 
-// line returns row's line, newline included, valid until the next call.
-// NaN and ±Inf have no JSON form and are an error, as they are to
-// json.Encoder.
-func (e *rowEncoder) line(row storage.Row) ([]byte, error) {
-	b := append(e.buf[:0], `{"row":[`...)
-	for i, v := range row {
-		if i > 0 {
+// json appends encoding/json's form of v, without Encode's newline.
+func (e *rowEncoder) json(b []byte, v any) ([]byte, error) {
+	e.text.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return b, err
+	}
+	return append(b, e.text.Bytes()[:e.text.Len()-1]...), nil
+}
+
+// row appends the array of row i's cells; with an error it says which
+// column's cell has no JSON form.
+func (e *rowEncoder) row(b []byte, cols []storage.Vector, i int) (_ []byte, col int, err error) {
+	b = append(b, '[')
+	for c := range cols {
+		if c > 0 {
 			b = append(b, ',')
 		}
-		switch v.Kind() {
-		case storage.KindBool:
-			t, _ := v.AsBool()
-			b = strconv.AppendBool(b, t)
-		case storage.KindInt:
-			n, _ := v.AsInt()
-			b = strconv.AppendInt(b, n, 10)
-		case storage.KindFloat:
-			f, _ := v.AsFloat()
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("server: %v has no JSON form", f)
-			}
-			// encoding/json's float64 format: the shortest digits that
-			// round-trip, in exponent form outside [1e-6, 1e21), the
-			// exponent's leading zero dropped.
-			format := byte('f')
-			if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-				format = 'e'
-			}
-			b = strconv.AppendFloat(b, f, format, -1, 64)
-			if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
-				b[n-2] = b[n-1]
-				b = b[:n-1]
-			}
-		case storage.KindText:
-			t, _ := v.AsText()
-			e.text.Reset()
-			if err := e.enc.Encode(t); err != nil {
-				return nil, err
-			}
-			b = append(b, e.text.Bytes()[:e.text.Len()-1]...) // without Encode's newline
-		default:
-			b = append(b, "null"...)
+		if b, err = e.cell(b, &cols[c], i); err != nil {
+			return b, c, err
 		}
 	}
-	e.buf = append(b, "]}\n"...)
+	return append(b, ']'), 0, nil
+}
+
+// lines returns the {"row":[…]} lines of a batch's rows, valid until the
+// encoder's next call. A cell without a JSON form is an error, and what
+// is returned with it is the lines of the rows before.
+func (e *rowEncoder) lines(batch *storage.Batch) ([]byte, error) {
+	b := e.buf[:0]
+	for _, i := range batch.Sel {
+		start := len(b)
+		b = append(b, `{"row":`...)
+		var err error
+		if b, _, err = e.row(b, batch.Cols, int(i)); err != nil {
+			e.buf = b[:start]
+			return e.buf, err
+		}
+		b = append(b, "}\n"...)
+	}
+	e.buf = b
+	return b, nil
+}
+
+// envelope returns the /v1/query response body, valid until the
+// encoder's next call — byte for byte json.Encoder's encoding of
+//
+//	struct {
+//		Columns []string `json:"columns,omitempty"`
+//		Rows    [][]any  `json:"rows,omitempty"`
+//		queryTail
+//	}
+//
+// with res's rows encoded from its batches. res may be nil (an answer
+// that is only a job handle).
+func (e *rowEncoder) envelope(res *core.Result, tail queryTail) ([]byte, error) {
+	b := append(e.buf[:0], '{')
+	if res != nil {
+		tail.Affected, tail.Message = res.Affected, res.Message
+		if len(res.Columns) > 0 {
+			b = append(b, `"columns":`...)
+			var err error
+			if b, err = e.json(b, &res.Columns); err != nil {
+				return nil, err
+			}
+			b = append(b, ',')
+		}
+		ordinal := 0
+		for k := range res.Batches {
+			batch := &res.Batches[k]
+			for _, i := range batch.Sel {
+				if ordinal == 0 {
+					b = append(b, `"rows":[`...)
+				} else {
+					b = append(b, ',')
+				}
+				var col int
+				var err error
+				if b, col, err = e.row(b, batch.Cols, int(i)); err != nil {
+					e.buf = b
+					return nil, fmt.Errorf("server: row %d, column %q: %w", ordinal, res.Columns[col], err)
+				}
+				ordinal++
+			}
+		}
+		if ordinal > 0 {
+			b = append(b, "],"...)
+		}
+	}
+	e.text.Reset()
+	if err := e.enc.Encode(&tail); err != nil {
+		e.buf = b
+		return nil, err
+	}
+	e.buf = append(b, e.text.Bytes()[1:]...) // the tail's members, its closing brace and newline
 	return e.buf, nil
 }
 
-func buildQueryResponse(res *core.Result, report *core.ExpansionReport, job *jobs.Status) queryResponse {
-	out := queryResponse{Expansion: report, Job: job}
-	if res == nil {
-		return out
+// writeQueryResponse answers a statement: the envelope of res and tail,
+// encoded whole before the status line is sent — a result JSON cannot
+// carry is answered with the error envelope, not with half a body.
+func writeQueryResponse(w http.ResponseWriter, status int, res *core.Result, tail queryTail) {
+	e := encoders.Get().(*rowEncoder)
+	defer encoders.Put(e)
+	body, err := e.envelope(res, tail)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeUnencodableValue, err)
+		return
 	}
-	out.Columns = res.Columns
-	out.Affected = res.Affected
-	out.Message = res.Message
-	out.Rows = make([][]any, len(res.Rows))
-	for i, row := range res.Rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			vals[j] = valueToJSON(v)
-		}
-		out.Rows[i] = vals
-	}
-	return out
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -655,7 +731,7 @@ func (s *Server) handleAdminExpand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	writeJSON(w, http.StatusAccepted, buildQueryResponse(nil, nil, &st))
+	writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
 }
 
 // handleBudgets lists every API key's cap and cumulative spend.
@@ -691,25 +767,6 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers ---
-
-func valueToJSON(v storage.Value) any {
-	switch v.Kind() {
-	case storage.KindBool:
-		b, _ := v.AsBool()
-		return b
-	case storage.KindInt:
-		i, _ := v.AsInt()
-		return i
-	case storage.KindFloat:
-		f, _ := v.AsFloat()
-		return f
-	case storage.KindText:
-		t, _ := v.AsText()
-		return t
-	default:
-		return nil
-	}
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

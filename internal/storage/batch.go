@@ -1,20 +1,28 @@
 package storage
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+	"unsafe"
+)
 
 // Batch is the unit the read path hands upward: a set of column vectors
 // sharing one index space [0, N) and a selection vector naming the cells
 // that are rows of the batch, in emission order. Cursors produce one batch
 // per storage window (at most ChunkRows cells); the executor's operators
 // pass batches on, narrowing Sel or replacing vectors, and rows are boxed
-// into Values once, by whoever finally needs rows (AppendRows).
+// into Values by whoever finally needs rows (AppendRows, RowsOf) — the
+// embedded API's callers; the server encodes from the vectors.
 //
 // Ownership: a batch and everything it references belong to its producer.
 // A consumer may read it until it asks the producer for the next batch
 // and must never write through Sel or a vector. Vectors marked Pinned are
 // views of immutable snapshot storage and stay valid for as long as the
 // snapshot pin is held; all other vectors (and every Sel) are the
-// producer's scratch, overwritten by its next batch.
+// producer's scratch, overwritten by its next batch. What outlives the
+// producer — a materialized result, a cache entry — is an owned batch
+// (AppendOwned): a copy of the selected cells that references no producer
+// and no pin, immutable from the moment it is shared.
 //
 // A batch that comes from a cursor, directly or through a Filter or a
 // Gather above it, also says which physical row each cell is: cell i is
@@ -45,15 +53,15 @@ func (b *Batch) RowID(i int) int {
 // typed payloads and Nulls are unused. Kind == KindNull without Vals is
 // an all-NULL column: an unfilled expansion costs nothing to read.
 type Vector struct {
-	Kind   Kind
+	Kind Kind
+	// Pinned marks a zero-copy view of snapshot storage (see Batch).
+	Pinned bool
 	Ints   []int64
 	Floats []float64
 	Bools  []bool
 	Strs   []string
 	Nulls  []uint64
 	Vals   []Value
-	// Pinned marks a zero-copy view of snapshot storage (see Batch).
-	Pinned bool
 
 	nullCells int // cells held while Kind is KindNull: there is no payload to measure
 }
@@ -243,20 +251,26 @@ func (v *Vector) AppendCells(src *Vector, sel []int32) {
 		v.Kind, v.nullCells = src.Kind, 0
 		v.appendNulls(0, base)
 	}
+	// Grown once for the whole selection: an empty vector ends up with
+	// exactly the cells it was given, not append's next power of two.
 	switch src.Kind {
 	case KindInt:
+		v.Ints = slices.Grow(v.Ints, len(sel))
 		for _, i := range sel {
 			v.Ints = append(v.Ints, src.Ints[i])
 		}
 	case KindFloat:
+		v.Floats = slices.Grow(v.Floats, len(sel))
 		for _, i := range sel {
 			v.Floats = append(v.Floats, src.Floats[i])
 		}
 	case KindBool:
+		v.Bools = slices.Grow(v.Bools, len(sel))
 		for _, i := range sel {
 			v.Bools = append(v.Bools, src.Bools[i])
 		}
 	case KindText:
+		v.Strs = slices.Grow(v.Strs, len(sel))
 		for _, i := range sel {
 			v.Strs = append(v.Strs, src.Strs[i])
 		}
@@ -325,6 +339,93 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 		dst = append(dst, buf[k*w:(k+1)*w:(k+1)*w])
 	}
 	return dst
+}
+
+// AppendOwned appends the rows of src to dst, a list of owned batches: the
+// selected cells are copied once, typed (a boxed vector's too, while its
+// cells are of one kind), into vectors that belong to the list, packed
+// ChunkRows rows to a batch under the dense selection. An owned batch has
+// no Pinned vector and needs no pin, so it may outlive the producer of
+// src — and once shared it is never written again.
+func AppendOwned(dst []Batch, src *Batch) []Batch {
+	for sel := src.Sel; len(sel) > 0; {
+		if len(dst) == 0 || dst[len(dst)-1].N == ChunkRows {
+			dst = append(dst, Batch{Cols: make([]Vector, len(src.Cols))})
+		}
+		b := &dst[len(dst)-1]
+		take := sel[:min(len(sel), ChunkRows-b.N)]
+		for c := range b.Cols {
+			if from := &src.Cols[c]; from.Vals == nil {
+				b.Cols[c].AppendCells(from, take)
+			} else {
+				for _, i := range take {
+					b.Cols[c].AppendValue(from.Vals[i])
+				}
+			}
+		}
+		b.N += len(take)
+		b.Sel = IdentitySel(b.N)
+		sel = sel[len(take):]
+	}
+	return dst
+}
+
+// BatchesOf turns rows of one width into owned batches: AppendOwned for a
+// result that exists only boxed (EXPLAIN's lines, the result cache's
+// row-typed adapter).
+func BatchesOf(rows []Row) []Batch {
+	var out []Batch
+	for len(rows) > 0 {
+		n := min(len(rows), ChunkRows)
+		b := Batch{N: n, Sel: IdentitySel(n), Cols: make([]Vector, len(rows[0]))}
+		for _, r := range rows[:n] {
+			for c := range b.Cols {
+				b.Cols[c].AppendValue(r[c])
+			}
+		}
+		out, rows = append(out, b), rows[n:]
+	}
+	return out
+}
+
+// RowCount returns the number of rows a batch list holds.
+func RowCount(batches []Batch) int {
+	n := 0
+	for i := range batches {
+		n += len(batches[i].Sel)
+	}
+	return n
+}
+
+// RowsOf boxes every row of a batch list (nil when there is none).
+func RowsOf(batches []Batch) []Row {
+	n := RowCount(batches)
+	if n == 0 {
+		return nil
+	}
+	rows := make([]Row, 0, n)
+	for i := range batches {
+		rows = batches[i].AppendRows(rows)
+	}
+	return rows
+}
+
+// Bytes is what an owned batch keeps alive: its header, a header per
+// vector and every payload array at its capacity, text included.
+func (b *Batch) Bytes() int64 {
+	size := int64(unsafe.Sizeof(*b)) + int64(len(b.Cols))*int64(unsafe.Sizeof(Vector{}))
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		size += 8*int64(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + int64(cap(v.Bools)) +
+			int64(cap(v.Strs))*int64(unsafe.Sizeof("")) + int64(cap(v.Vals))*int64(unsafe.Sizeof(Value{}))
+		for _, s := range v.Strs {
+			size += int64(len(s))
+		}
+		for i := range v.Vals {
+			size += int64(len(v.Vals[i].s))
+		}
+	}
+	return size
 }
 
 // appendSelected appends the offsets of the set bits of sel to offs.

@@ -2,6 +2,12 @@
 // results keyed on the planner's normalized plan fingerprint and
 // invalidated by per-table sequence numbers.
 //
+// An entry is the result as the executor returned it: the column names
+// and the list of owned column batches (storage.AppendOwned) — immutable,
+// holding no snapshot pin — which PutBatches stores and GetBatches hands
+// to every hit without copying a cell. The miss that stored an entry,
+// every later hit and the entry itself share one list; nobody writes it.
+//
 // Two queries that lower to the same plan (aliases resolved, predicates
 // canonicalized, pushdowns applied) produce the same answer against
 // unchanged tables, so the fingerprint — not the SQL text — is the cache
@@ -19,6 +25,7 @@ package cache
 
 import (
 	"container/list"
+	"maps"
 	"sync"
 
 	"crowddb/internal/storage"
@@ -41,7 +48,7 @@ type Stats struct {
 type entry struct {
 	key     string
 	columns []string
-	rows    []storage.Row
+	batches []storage.Batch
 	// seqs records each read table's sequence number at capture time.
 	seqs  map[string]uint64
 	bytes int64
@@ -88,10 +95,10 @@ func (c *Cache) TableSeqs(tables []string) map[string]uint64 {
 	return snap
 }
 
-// Get returns the cached result for the fingerprint if every table it
-// read is unchanged since capture. The returned rows are fresh copies —
-// callers may retain or mutate them without corrupting the cache.
-func (c *Cache) Get(fingerprint string) (columns []string, rows []storage.Row, ok bool) {
+// GetBatches returns the cached result for the fingerprint if every table
+// it read is unchanged since capture. The columns and batches are the
+// entry's own, shared with every other hit: read-only to the caller.
+func (c *Cache) GetBatches(fingerprint string) (columns []string, batches []storage.Batch, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, found := c.entries[fingerprint]
@@ -109,23 +116,33 @@ func (c *Cache) Get(fingerprint string) (columns []string, rows []storage.Row, o
 	}
 	c.lru.MoveToFront(e.elem)
 	c.hits++
-	columns = append([]string(nil), e.columns...)
-	rows = make([]storage.Row, len(e.rows))
-	for i, r := range e.rows {
-		rows[i] = r.Clone()
-	}
-	return columns, rows, true
+	return e.columns, e.batches, true
 }
 
-// Put stores a result captured against the given table-sequence snapshot
-// (from TableSeqs, taken before execution). The rows are copied in, so
-// the caller's result stays independently mutable. Entries that would
-// exceed the byte limit on their own are not cached; otherwise LRU
-// entries are evicted until the new one fits. If any captured table has
-// already moved past its snapshot sequence, the entry is stored anyway —
-// Get's validation guarantees it can never be served.
-func (c *Cache) Put(fingerprint string, seqs map[string]uint64, columns []string, rows []storage.Row) {
-	size := entrySize(fingerprint, columns, rows)
+// PutBatches stores a result captured against the given table-sequence
+// snapshot (from TableSeqs, taken before execution). The entry is the
+// caller's snapshot, columns and batch list, not a copy: all three must be
+// immutable from here on, and the batches owned — a vector that views
+// pinned storage would dangle once its pin is released, so one is a bug
+// worth a panic.
+// Entries that would exceed the byte limit on their own are not cached;
+// otherwise LRU entries are evicted until the new one fits. If any
+// captured table has already moved past its snapshot sequence, the entry
+// is stored anyway — GetBatches' validation guarantees it can never be
+// served.
+func (c *Cache) PutBatches(fingerprint string, seqs map[string]uint64, columns []string, batches []storage.Batch) {
+	size := int64(len(fingerprint)) + 64
+	for _, col := range columns {
+		size += int64(len(col)) + 16
+	}
+	for i := range batches {
+		for k := range batches[i].Cols {
+			if batches[i].Cols[k].Pinned {
+				panic("cache: PutBatches of a batch that views pinned storage")
+			}
+		}
+		size += batches[i].Bytes()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.limit {
@@ -142,22 +159,25 @@ func (c *Cache) Put(fingerprint string, seqs map[string]uint64, columns []string
 		c.removeLocked(back.Value.(*entry))
 		c.evictions++
 	}
-	e := &entry{
-		key:     fingerprint,
-		columns: append([]string(nil), columns...),
-		rows:    make([]storage.Row, len(rows)),
-		seqs:    make(map[string]uint64, len(seqs)),
-		bytes:   size,
-	}
-	for i, r := range rows {
-		e.rows[i] = r.Clone()
-	}
-	for t, s := range seqs {
-		e.seqs[t] = s
-	}
+	e := &entry{key: fingerprint, columns: columns, batches: batches, seqs: seqs, bytes: size}
 	e.elem = c.lru.PushFront(e)
 	c.entries[fingerprint] = e
 	c.bytes += size
+}
+
+// Get and Put are the row-typed form of GetBatches and PutBatches, kept
+// for benchmark/ (which a PR that claims a gain may not edit) and due to
+// go in the next benchmark PR that claims none: Put copies the snapshot and
+// the column names and converts the rows to owned batches, Get boxes the
+// entry into fresh rows, so what the caller holds on either side may be
+// kept and written to.
+func (c *Cache) Get(fingerprint string) (columns []string, rows []storage.Row, ok bool) {
+	columns, batches, ok := c.GetBatches(fingerprint)
+	return columns, storage.RowsOf(batches), ok
+}
+
+func (c *Cache) Put(fingerprint string, seqs map[string]uint64, columns []string, rows []storage.Row) {
+	c.PutBatches(fingerprint, maps.Clone(seqs), append([]string(nil), columns...), storage.BatchesOf(rows))
 }
 
 // InvalidateTable bumps the table's sequence number, killing every entry
@@ -185,26 +205,4 @@ func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
 	c.bytes -= e.bytes
-}
-
-// entrySize estimates an entry's memory footprint: the rows' slice
-// headers and five-word Values plus text payloads plus key/column strings.
-// An estimate is enough — the bound exists to keep the cache from growing
-// without limit, not to account bytes exactly — but it must not flatter:
-// charged 24 bytes for a 40-byte Value, a cache "of 64 MiB" full of
-// numeric rows held 100 MiB of heap, which the collector then doubles.
-func entrySize(key string, columns []string, rows []storage.Row) int64 {
-	size := int64(len(key)) + 64
-	for _, c := range columns {
-		size += int64(len(c)) + 16
-	}
-	for _, r := range rows {
-		size += 24 + 40*int64(len(r)) // slice header, Values
-		for _, v := range r {
-			if t, ok := v.AsText(); ok {
-				size += int64(len(t))
-			}
-		}
-	}
-	return size
 }

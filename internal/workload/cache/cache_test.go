@@ -59,6 +59,96 @@ func TestMultiTableInvalidation(t *testing.T) {
 	}
 }
 
+// TestBatchesAreSharedRowsAreNot pins the two contracts side by side: the
+// columnar pair hands every hit the entry's own batch list — the list
+// PutBatches was given, no cell copied — while the row adapters box fresh
+// rows each time, so writing through a hit's rows or the Put caller's
+// changes nothing a later hit sees.
+func TestBatchesAreSharedRowsAreNot(t *testing.T) {
+	c := New(0)
+	snap := c.TableSeqs([]string{"movies"})
+	mine := []storage.Row{{storage.Text("alien"), storage.Int(1979), storage.Null()}, {storage.Text("brazil"), storage.Int(1985), storage.Float(7.9)}}
+	c.Put("rows", snap, []string{"name", "year", "score"}, mine)
+	mine[0][0], mine[1][2] = storage.Text("mutated-after-put"), storage.Null()
+
+	_, hit, ok := c.Get("rows")
+	if !ok || len(hit) != 2 {
+		t.Fatalf("hit = %v, %v", hit, ok)
+	}
+	want := fmt.Sprint(hit)
+	if want != "[[alien 1979 NULL] [brazil 1985 7.9]]" {
+		t.Fatalf("hit = %s", want)
+	}
+	hit[0][0], hit[1] = storage.Text("corrupted"), nil
+	if _, again, _ := c.Get("rows"); fmt.Sprint(again) != want {
+		t.Fatalf("second hit = %v, want %s", again, want)
+	}
+
+	batches := storage.BatchesOf([]storage.Row{{storage.Int(1)}, {storage.Int(2)}})
+	cols := []string{"n"}
+	c.PutBatches("batches", snap, cols, batches)
+	for i := 0; i < 2; i++ {
+		gotCols, got, ok := c.GetBatches("batches")
+		if !ok || &gotCols[0] != &cols[0] || &got[0] != &batches[0] || &got[0].Cols[0].Ints[0] != &batches[0].Cols[0].Ints[0] {
+			t.Fatalf("hit %d is not the list PutBatches was given", i)
+		}
+	}
+}
+
+// TestPutBatchesRefusesPinnedVectors: a view of pinned storage in an entry
+// would outlive its pin.
+func TestPutBatchesRefusesPinnedVectors(t *testing.T) {
+	batches := storage.BatchesOf([]storage.Row{{storage.Int(1)}})
+	batches[0].Cols[0].Pinned = true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PutBatches accepted a pinned vector")
+		}
+	}()
+	New(0).PutBatches("fp", nil, []string{"n"}, batches)
+}
+
+// TestGetBatchesAllocatesNothing is the hit path's allocation wall.
+func TestGetBatchesAllocatesNothing(t *testing.T) {
+	c := New(0)
+	rows := make([]storage.Row, 100)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int(int64(i)), storage.Float(float64(i) / 2), storage.Text("t")}
+	}
+	c.Put("fp", c.TableSeqs([]string{"t"}), []string{"a", "b", "c"}, rows)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.GetBatches("fp"); !ok {
+			t.Fatal("miss")
+		}
+	}); allocs != 0 {
+		t.Fatalf("GetBatches of a hit allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestEntriesAreSizedByPayload: a numeric result is charged for its
+// typed arrays at their capacity — 8 bytes a cell, up to twice that where
+// append grew them, and a header per column — not 40 a cell for boxed
+// Values, and text for its bytes.
+func TestEntriesAreSizedByPayload(t *testing.T) {
+	sized := func(rows []storage.Row) int64 {
+		c := New(0)
+		c.Put("fp", nil, []string{"a", "b"}, rows)
+		return c.Stats().Bytes
+	}
+	numeric := make([]storage.Row, 4000)
+	for i := range numeric {
+		numeric[i] = storage.Row{storage.Int(int64(i)), storage.Float(float64(i))}
+	}
+	if got, payload := sized(numeric), int64(4000*2*8); got < payload || got > 2*payload {
+		t.Fatalf("a 4000×2 numeric result is charged %d bytes, want between its %d of payload and twice that", got, payload)
+	}
+	short := sized([]storage.Row{{storage.Text("x"), storage.Null()}})
+	long := sized([]storage.Row{{storage.Text(string(make([]byte, 1000))), storage.Null()}})
+	if long-short != 999 {
+		t.Fatalf("999 more bytes of text are charged %d", long-short)
+	}
+}
+
 func TestGetReturnsIndependentCopies(t *testing.T) {
 	c := New(0)
 	snap := c.TableSeqs([]string{"movies"})
@@ -87,8 +177,10 @@ func TestPutCopiesCallerRows(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Limit sized for roughly two entries.
-	c := New(400)
+	// Limit sized for two entries and a half.
+	one := New(0)
+	one.Put("a", nil, []string{"v"}, []storage.Row{row("aaaa")})
+	c := New(one.Stats().Bytes * 5 / 2)
 	snap := c.TableSeqs([]string{"t"})
 	c.Put("a", snap, []string{"v"}, []storage.Row{row("aaaa")})
 	c.Put("b", snap, []string{"v"}, []storage.Row{row("bbbb")})
@@ -155,4 +247,67 @@ func TestConcurrentAccessIsRaceClean(t *testing.T) {
 		c.Stats()
 	}
 	<-done
+}
+
+// BenchmarkColumnarGetPut is the harness's workload.cache probe on the
+// columnar pair — 4 096 entries of one small row, stored once and hit once
+// each — beside the same entries through the row adapters the probe times.
+func BenchmarkColumnarGetPut(b *testing.B) {
+	const entries = 4096
+	keys := make([]string, entries)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("select|ratings|rid=%d", i)
+	}
+	cols := []string{"rid", "movie_id", "score"}
+	rows := []storage.Row{{storage.Int(1), storage.Int(2), storage.Float(3)}}
+	batches := storage.BatchesOf(rows) // immutable: every entry may share it
+	b.Run("PutBatches", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := New(0)
+			seqs := c.TableSeqs([]string{"ratings"})
+			for _, k := range keys {
+				c.PutBatches(k, seqs, cols, batches)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+	})
+	b.Run("Put", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := New(0)
+			seqs := c.TableSeqs([]string{"ratings"})
+			for _, k := range keys {
+				c.Put(k, seqs, cols, rows)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+	})
+	c := New(0)
+	seqs := c.TableSeqs([]string{"ratings"})
+	for _, k := range keys {
+		c.Put(k, seqs, cols, rows)
+	}
+	b.Run("GetBatches", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, k := range keys {
+				if _, _, ok := c.GetBatches(k); !ok {
+					b.Fatal("miss")
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+	})
+	b.Run("Get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, k := range keys {
+				if _, _, ok := c.Get(k); !ok {
+					b.Fatal("miss")
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+	})
 }
