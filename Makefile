@@ -13,7 +13,7 @@ BENCH_GUARD_OUT ?= bench-current.json
 # refresh the baseline (see BENCH_GUARD_OUT) rather than widening this.
 BENCH_GUARD_THRESHOLD ?= 0.30
 
-.PHONY: build test race vet fmt fuzz check cover bench bench-smoke bench-guard staticcheck serve
+.PHONY: build test race vet fmt fuzz walls check cover bench bench-smoke bench-guard staticcheck serve
 
 build:
 	$(GO) build ./...
@@ -46,7 +46,13 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzWALRecover -fuzztime 5s -fuzzminimizetime 2s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
 
-check: build fmt vet race fuzz
+# The expansion's allocation wall, twenty times over: what it bounds —
+# one id list, the model, the labels, no Gram matrix — must not depend on
+# where the garbage collector happens to be.
+walls:
+	$(GO) test -run 'TestSpaceExpansionAllocationIsWidthIndependent$$' -count 20 ./internal/core
+
+check: build fmt vet race walls fuzz
 
 # Coverage over every package; fails below COVER_FLOOR% total statement
 # coverage so the wall only ever moves up. CI runs this.
@@ -70,7 +76,7 @@ bench:
 # A benchmark that fails is named again at the end and fails the target:
 # in two screens of -cpu 1,4 lines its `--- FAIL` scrolls past.
 bench-smoke:
-	@{ $(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect|DeleteRangeIndexed|DeleteNoMatch|UpdatePointWide|SnapshotWrite|SnapshotRestore|ServeGroupBy|ServeCachedPoint' -benchtime 1x -benchmem -cpu 1,4 . ; echo "go test exit status $$?"; } | tee bench-smoke.txt
+	@{ $(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect|DeleteRangeIndexed|DeleteNoMatch|UpdatePointWide|SnapshotWrite|SnapshotRestore|ServeGroupBy|ServeCachedPoint|BenchmarkRunJob' -benchtime 1x -benchmem -cpu 1,4 . ; echo "go test exit status $$?"; } | tee bench-smoke.txt
 	@if ! grep -q '^go test exit status 0$$' bench-smoke.txt; then echo "bench-smoke: FAILED:"; grep -A1 '^--- FAIL' bench-smoke.txt; exit 1; fi
 
 # Bench-regression wall: run the guarded benchmarks with enough
@@ -92,8 +98,8 @@ bench-smoke:
 # cursor: 180 KB, none of it per row) already read as 5.6×; it joins once
 # TopN folds per-worker heaps instead of reading through a Gather
 # (ROADMAP item 4).
-BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
-BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll
+BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
+BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
 BENCH_SCALING = BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)

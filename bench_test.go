@@ -974,6 +974,38 @@ func BenchmarkSpaceExpansion(b *testing.B) {
 	}
 }
 
+// benchmarkRunJob is one simulated crowd job per iteration over the
+// benchmark's population of 40 workers. B/op and allocs/op are guarded:
+// the job's state is sized once from items × assignments × workers, so
+// allocs/op does not move with the redundancy and B/op is the judgment
+// log plus a tenth.
+func benchmarkRunJob(b *testing.B, nItems, assignments int) {
+	rng := rand.New(rand.NewSource(42))
+	pop := crowd.NewPopulation(crowd.PopulationConfig{Workers: 40}, rng)
+	items := make([]crowd.Item, nItems)
+	for i := range items {
+		items[i] = crowd.Item{ID: i, Truth: i%3 == 0, Popularity: 0.1 + 0.9*rng.Float64(), Ambiguity: 0.1 * rng.Float64()}
+	}
+	cfg := crowd.JobConfig{ItemsPerHIT: 10, AssignmentsPerItem: assignments, PayPerHIT: 0.02, JudgmentsPerMinute: 95, AllowDontKnow: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := crowd.RunJob(pop, items, cfg, rng)
+		if err != nil || len(res.Records) != nItems*assignments {
+			b.Fatalf("%d records, err %v", len(res.Records), err)
+		}
+	}
+}
+
+// BenchmarkRunJob160x5 is the crowd job of a SPACE expansion: a training
+// sample of 160 items, five judgments each.
+func BenchmarkRunJob160x5(b *testing.B) { benchmarkRunJob(b, 160, 5) }
+
+// BenchmarkRunJob300x10 is a direct-crowd fill of a 300-row table, ten
+// judgments an item. (Two flat names, not sub-benchmarks: benchguard and
+// the Makefile's -bench pattern match whole names.)
+func BenchmarkRunJob300x10(b *testing.B) { benchmarkRunJob(b, 300, 10) }
+
 // BenchmarkSVCPredictAll scores the 4 000 × 16 space with a model trained
 // on 160 of its items — the step that was 26 of an expansion's 32 ms while
 // it ran item by item through Kernel.Eval on one goroutine. PredictAll

@@ -14,6 +14,7 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
+	"crowddb/internal/svm"
 	"crowddb/internal/wal"
 	"crowddb/internal/workload"
 	rescache "crowddb/internal/workload/cache"
@@ -214,6 +215,10 @@ type DB struct {
 	// journaled as one record (see observeLocked); obsMu guards it.
 	obsMu      sync.Mutex
 	obsPending []workload.Observation
+
+	// trainers are the idle SVM working sets of trainSVC (strategy.go).
+	trainerMu sync.Mutex
+	trainers  []*svm.Trainer
 
 	mu          sync.RWMutex
 	bindings    map[string]*tableBinding             // table name (lower) → space

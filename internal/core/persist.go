@@ -17,6 +17,7 @@ import (
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 	_ "crowddb/internal/storage/membackend" // registers the "mem" backend
+	"crowddb/internal/svm"
 	"crowddb/internal/vecmath"
 	"crowddb/internal/wal"
 	"crowddb/internal/workload"
@@ -323,6 +324,7 @@ func Open(opts Options) (*DB, error) {
 		service:     opts.Service,
 		ledger:      &Ledger{},
 		sched:       jobs.NewScheduler(workers, depth),
+		trainers:    make([]*svm.Trainer, 0, workers),
 		bindings:    map[string]*tableBinding{},
 		expandables: map[string]map[string]expandableSpec{},
 		tracker:     workload.NewTracker(0),

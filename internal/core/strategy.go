@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -53,32 +54,43 @@ func (db *DB) chargeMemberShare(share *crowd.RunResult, opts *ExpandOptions) {
 // item, nothing is asked about it and no label names it.
 const noItem = math.MinInt
 
-// itemIDs returns the item id of every live row of snap, in scan order:
-// the binding's id column, read through a one-column cursor so that the
-// cost does not grow with the width of the table, or for a table without
-// a binding the physical row ID.
-func itemIDs(snap *storage.Snap, binding *tableBinding) ([]int, error) {
+// eachItemID calls fn with the item id of every live row of snap, in scan
+// order: the binding's id column, read through a one-column cursor so
+// that the cost does not grow with the width of the table (noItem for a
+// NULL cell), or for a table without a binding the physical row ID.
+func eachItemID(snap *storage.Snap, binding *tableBinding, fn func(id int)) error {
 	if binding == nil {
-		return snap.LiveRowIDs(), nil
+		for _, row := range snap.LiveRowIDs() {
+			fn(row)
+		}
+		return nil
 	}
 	idCol, ok := snap.Schema().Lookup(binding.idColumn)
 	if !ok {
-		return nil, fmt.Errorf("core: id column %q vanished", binding.idColumn)
+		return fmt.Errorf("core: id column %q vanished", binding.idColumn)
 	}
-	ids := make([]int, 0, snap.NumLive())
 	cur := storage.NewRangeCursorAt(snap, 0, -1, 0)
 	cur.SetCols([]int{idCol})
 	for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
 		col := &b.Cols[0]
 		for _, i := range b.Sel {
 			if col.IsNull(int(i)) {
-				ids = append(ids, noItem)
+				fn(noItem)
 			} else {
-				ids = append(ids, int(col.Ints[i]))
+				fn(int(col.Ints[i]))
 			}
 		}
 	}
-	return ids, cur.Err()
+	return cur.Err()
+}
+
+// itemIDs returns the item id of every live row of snap, in scan order —
+// for the steps that pick among the items or pair them with rows; the
+// fill streams them instead.
+func itemIDs(snap *storage.Snap, binding *tableBinding) ([]int, error) {
+	ids := make([]int, 0, snap.NumLive())
+	err := eachItemID(snap, binding, func(id int) { ids = append(ids, id) })
+	return ids, err
 }
 
 // currentItemIDs is itemIDs over the table's current snapshot.
@@ -97,29 +109,31 @@ func currentItemIDs(tbl *storage.Table, binding *tableBinding) ([]int, error) {
 // NULL when nobody was asked about it), a deleted one is simply not
 // there. Row lists read before the wait were wrong for exactly that
 // reason: one INSERT made them a cell short and the fill failed after the
-// crowd had been paid. The labels go to storage as one typed vector; the
-// report's Filled/Unfilled count the rows of that version.
+// crowd had been paid. Each id is labelled as the cursor yields it — no
+// id list is built — and the labels go to storage as one typed vector;
+// the report's Filled/Unfilled count the rows of that version.
 func fillByItem[T bool | float64](db *DB, tbl *storage.Table, column string, report *ExpansionReport, label func(id int) (T, bool)) error {
 	binding := db.binding(tbl.Name())
 	return db.mutate(func() error {
 		return tbl.FillColumnFrom(column, func(at *storage.Snap) (*storage.Vector, error) {
-			ids, err := itemIDs(at, binding)
+			rows := at.NumLive()
+			cells := make([]T, 0, rows)
+			vec := &storage.Vector{}
+			unfilled := 0
+			err := eachItemID(at, binding, func(id int) {
+				v, ok := label(id)
+				if !ok {
+					if vec.Nulls == nil {
+						vec.Nulls = make([]uint64, (rows+63)/64)
+					}
+					k := len(cells)
+					vec.Nulls[k>>6] |= 1 << (uint(k) & 63)
+					unfilled++
+				}
+				cells = append(cells, v)
+			})
 			if err != nil {
 				return nil, err
-			}
-			cells := make([]T, len(ids))
-			vec := &storage.Vector{}
-			filled := 0
-			for k, id := range ids {
-				if v, ok := label(id); ok {
-					cells[k] = v
-					filled++
-					continue
-				}
-				if vec.Nulls == nil {
-					vec.Nulls = make([]uint64, (len(ids)+63)/64)
-				}
-				vec.Nulls[k>>6] |= 1 << (uint(k) & 63)
 			}
 			switch cells := any(cells).(type) {
 			case []bool:
@@ -127,26 +141,24 @@ func fillByItem[T bool | float64](db *DB, tbl *storage.Table, column string, rep
 			case []float64:
 				vec.Kind, vec.Floats = storage.KindFloat, cells
 			}
-			report.Filled, report.Unfilled = filled, len(ids)-filled
+			report.Filled, report.Unfilled = len(cells)-unfilled, unfilled
 			return vec, nil
 		})
 	})
 }
 
 // applyBudget shrinks the set of items to judge so that the projected cost
-// stays within budget (0 = unlimited). Judging fewer items mirrors a
-// requester stopping when the money runs out.
+// stays within budget (0 = unlimited): it keeps the largest prefix whose
+// projectedCost — the very arithmetic the cap is checked with — the budget
+// covers. Judging fewer items mirrors a requester stopping when the money
+// runs out.
 func applyBudget(ids []int, opts *ExpandOptions) []int {
 	if opts.Budget <= 0 {
 		return ids
 	}
-	perJudgment := opts.Job.PayPerHIT / float64(opts.Job.ItemsPerHIT)
-	maxJudgments := int(opts.Budget / perJudgment)
-	maxItems := maxJudgments / opts.Assignments
-	if maxItems < len(ids) {
-		return ids[:maxItems]
-	}
-	return ids
+	// projectedCost grows with the item count, so the affordable counts
+	// are a prefix of 1..len(ids).
+	return ids[:sort.Search(len(ids), func(n int) bool { return projectedCost(n+1, opts) > opts.Budget })]
 }
 
 // aggregateVotes applies the configured vote aggregation.
@@ -366,7 +378,7 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 		return fmt.Errorf("core: crowd training sample for %s is single-class (pos=%d, neg=%d)",
 			e.column, pos, len(X)-pos)
 	}
-	model, err := svm.TrainSVC(X, y, svm.SVCConfig{C: 2})
+	model, err := db.trainSVC(X, y, svm.SVCConfig{C: 2})
 	if err != nil {
 		return err
 	}
@@ -383,6 +395,39 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 	})
 	e.steps.Fill = lap(&clock)
 	return err
+}
+
+// trainerKeepBytes bounds the working memory a Trainer may hold and still
+// be kept for the next training: a training sample of the default size
+// (160 items) holds 0.1 MB, one of 500 items reaches the bound, and the
+// 64 MB Gram matrix of a cleaning pass over 4 000 labelled rows is
+// garbage as soon as its model exists.
+const trainerKeepBytes = 1 << 20
+
+// trainSVC is svm.TrainSVC in the memory of one of the database's idle
+// Trainers (a new one when all are busy), so that an expansion's Gram
+// matrix and working vectors are allocated once per concurrent expansion
+// and not once per column. A model does not depend on the Trainer that
+// fitted it. At most as many Trainers are kept as expansions can run at
+// once — the scheduler's worker count, the capacity of db.trainers.
+func (db *DB) trainSVC(X [][]float64, y []bool, cfg svm.SVCConfig) (*svm.SVC, error) {
+	db.trainerMu.Lock()
+	var t *svm.Trainer
+	if n := len(db.trainers); n > 0 {
+		t, db.trainers = db.trainers[n-1], db.trainers[:n-1]
+	} else {
+		t = new(svm.Trainer)
+	}
+	db.trainerMu.Unlock()
+
+	model, err := t.TrainSVC(X, y, cfg)
+
+	db.trainerMu.Lock()
+	if len(db.trainers) < cap(db.trainers) && t.Footprint() <= trainerKeepBytes {
+		db.trainers = append(db.trainers, t)
+	}
+	db.trainerMu.Unlock()
+	return model, err
 }
 
 // runElicitation is the solo (unbatched) collect step: budget
@@ -579,7 +624,7 @@ func (db *DB) questionable(tbl *storage.Table, binding *tableBinding, column str
 	if len(X) < 10 {
 		return nil, fmt.Errorf("core: too few labeled rows (%d) to identify questionable responses", len(X))
 	}
-	model, err := svm.TrainSVC(X, y, svm.SVCConfig{C: 2})
+	model, err := db.trainSVC(X, y, svm.SVCConfig{C: 2})
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package crowd
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Batched HIT issuing: several pending elicitations — typically different
@@ -62,8 +61,15 @@ func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.
 		req int
 		id  int
 	}
-	var merged []Item
-	var origins []origin
+	slots := 0
+	for _, req := range reqs {
+		slots += len(req.Items)
+	}
+	if slots == 0 {
+		return nil, fmt.Errorf("crowd: batch has no items")
+	}
+	merged := make([]Item, 0, slots)
+	origins := make([]origin, 0, slots)
 	for ri, req := range reqs {
 		for _, it := range req.Items {
 			slot := it
@@ -72,9 +78,6 @@ func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.
 			origins = append(origins, origin{req: ri, id: it.ID})
 		}
 	}
-	if len(merged) == 0 {
-		return nil, fmt.Errorf("crowd: batch has no items")
-	}
 
 	combined, err := RunJob(pop, merged, cfg, rng)
 	if err != nil {
@@ -82,24 +85,42 @@ func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.
 	}
 
 	// Split the timeline back per question, restoring original item IDs.
+	// Each question's records are counted first and allocated once; taken
+	// in the combined order, they are already sorted by time. seen holds
+	// one row per question over the workers of the combined run's Stats:
+	// a question's distinct workers are the entries set in its row.
 	per := make([]*RunResult, len(reqs))
 	for i := range per {
 		per[i] = &RunResult{DurationMinutes: combined.DurationMinutes}
 	}
-	workersSeen := make([]map[int]bool, len(reqs))
-	for i := range workersSeen {
-		workersSeen[i] = map[int]bool{}
-	}
+	counts := make([]int, len(reqs))
 	kept := 0
 	for _, rec := range combined.Records {
+		if !rec.Gold { // screening questions belong to the whole batch
+			counts[origins[rec.ItemID].req]++
+			kept++
+		}
+	}
+	for i, r := range per {
+		r.Records = make([]Record, 0, counts[i])
+	}
+	workerAt := make(map[int]int, len(combined.Stats))
+	for i, st := range combined.Stats {
+		workerAt[st.WorkerID] = i
+	}
+	seen := make([]bool, len(reqs)*len(combined.Stats))
+	for _, rec := range combined.Records {
 		if rec.Gold {
-			continue // screening questions belong to the whole batch
+			continue
 		}
 		o := origins[rec.ItemID]
 		rec.ItemID = o.id
-		per[o.req].Records = append(per[o.req].Records, rec)
-		workersSeen[o.req][rec.WorkerID] = true
-		kept++
+		r := per[o.req]
+		r.Records = append(r.Records, rec)
+		if at := o.req*len(combined.Stats) + workerAt[rec.WorkerID]; !seen[at] {
+			seen[at] = true
+			r.DistinctWorkers++
+		}
 	}
 
 	// Proportional cost split; the remainder from rounding overhead onto
@@ -108,7 +129,6 @@ func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.
 	assigned := 0.0
 	last := -1
 	for i, r := range per {
-		r.DistinctWorkers = len(workersSeen[i])
 		r.ExcludedWorkers = append([]int(nil), combined.ExcludedWorkers...)
 		if kept > 0 {
 			r.TotalCost = combined.TotalCost * float64(len(r.Records)) / float64(kept)
@@ -122,9 +142,6 @@ func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.
 	}
 	if last >= 0 {
 		per[last].TotalCost += combined.TotalCost - assigned
-	}
-	for _, r := range per {
-		sort.SliceStable(r.Records, func(i, j int) bool { return r.Records[i].Time < r.Records[j].Time })
 	}
 	return &BatchResult{Combined: combined, PerQuestion: per}, nil
 }

@@ -1,9 +1,11 @@
 package crowd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -142,7 +144,7 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 		item Item
 		gold bool
 	}
-	var queue []slot
+	queue := make([]slot, 0, len(items)+len(cfg.GoldItems))
 	for _, it := range items {
 		queue = append(queue, slot{item: it})
 	}
@@ -152,19 +154,20 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 	// Shuffle so gold questions are indistinguishable by position.
 	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 
-	// pending[i] = remaining assignments for queue entry i.
+	// pending[i] = remaining assignments for queue entry i. Every live
+	// record holds one assignment of its entry (a discarded one gives it
+	// back), so len(records)+remaining never exceeds total.
 	pending := make([]int, len(queue))
-	remaining := 0
-	for i := range queue {
+	for i := range pending {
 		pending[i] = cfg.AssignmentsPerItem
-		remaining += cfg.AssignmentsPerItem
 	}
+	total := len(queue) * cfg.AssignmentsPerItem
+	remaining := total
 
-	// judged[worker] = set of queue indices already judged by the worker.
-	judged := make([]map[int]bool, len(workers))
-	for i := range judged {
-		judged[i] = make(map[int]bool)
-	}
+	// judged is a workers × queue-entries bitset: bit (wi, qi) says worker
+	// wi has judged entry qi.
+	words := (len(queue) + 63) / 64
+	judged := make([]uint64, len(workers)*words)
 
 	totalSpeed := 0.0
 	for _, w := range workers {
@@ -177,8 +180,8 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 		stats[i] = WorkerStats{WorkerID: w.ID, Archetype: w.Archetype}
 	}
 
-	var records []Record
-	recordOwner := make([]int, 0) // parallel to records: local worker index
+	records := make([]Record, 0, total)
+	recordOwner := make([]int32, 0, total) // parallel to records: local worker index
 	now := 0.0
 	judgmentsDone := 0
 
@@ -225,8 +228,9 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 		// Find a queue entry this worker has not judged yet, preferring
 		// the most under-served entries (highest pending).
 		best := -1
+		mine := judged[wi*words : (wi+1)*words]
 		for qi := range queue {
-			if pending[qi] == 0 || judged[wi][qi] {
+			if pending[qi] == 0 || mine[qi>>6]&(1<<(qi&63)) != 0 {
 				continue
 			}
 			if best == -1 || pending[qi] > pending[best] {
@@ -247,7 +251,7 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 		sl := queue[best]
 		ans := w.Judge(sl.item, cfg.AllowDontKnow, rng)
 
-		judged[wi][best] = true
+		mine[best>>6] |= 1 << (best & 63)
 		pending[best]--
 		remaining--
 		judgmentsDone++
@@ -275,7 +279,7 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 					kept := records[:0]
 					keptOwners := recordOwner[:0]
 					for ri, rec := range records {
-						if recordOwner[ri] == wi {
+						if int(recordOwner[ri]) == wi {
 							// Find the queue entry and put the
 							// assignment back.
 							for qi := range queue {
@@ -308,10 +312,10 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 			Gold:     sl.gold,
 			Answer:   ans,
 		})
-		recordOwner = append(recordOwner, wi)
+		recordOwner = append(recordOwner, int32(wi))
 	}
 
-	sort.SliceStable(records, func(i, j int) bool { return records[i].Time < records[j].Time })
+	slices.SortStableFunc(records, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
 
 	res := &RunResult{
 		Records:         records,
@@ -321,6 +325,11 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 	for i := range stats {
 		if stats[i].Judgments > 0 {
 			res.DistinctWorkers++
+		}
+	}
+	res.Stats = make([]WorkerStats, 0, res.DistinctWorkers)
+	for i := range stats {
+		if stats[i].Judgments > 0 {
 			res.Stats = append(res.Stats, stats[i])
 		}
 		if stats[i].Excluded {
@@ -353,31 +362,44 @@ func MajorityVote(records []Record) *VoteOutcome {
 // Experiments 4–6 use it to snapshot the crowd's progress every five
 // simulated minutes while the SVM trains on the evolving majority.
 func MajorityVoteAt(records []Record, t float64) *VoteOutcome {
-	pos := map[int]int{}
-	neg := map[int]int{}
-	seen := map[int]bool{}
+	// One tally per item: positives minus negatives. A don't-know adds
+	// nothing but enters the item, which then counts as judged and — with
+	// no majority — ends up unclassified. The map is sized from the log's
+	// own redundancy: usable records over the judgments its first item
+	// received, exact when every item was judged equally often.
+	usable, ofFirst, first := 0, 0, 0
 	for _, r := range records {
 		if r.Gold || r.Time > t {
 			continue
 		}
-		seen[r.ItemID] = true
-		switch r.Answer {
-		case Positive:
-			pos[r.ItemID]++
-		case Negative:
-			neg[r.ItemID]++
+		if usable == 0 {
+			first = r.ItemID
+		}
+		usable++
+		if r.ItemID == first {
+			ofFirst++
 		}
 	}
-	out := &VoteOutcome{Label: make(map[int]bool)}
-	for id := range seen {
-		p, n := pos[id], neg[id]
-		switch {
-		case p > n:
-			out.Label[id] = true
-		case n > p:
-			out.Label[id] = false
+	tally := make(map[int]int, usable/max(ofFirst, 1))
+	for _, r := range records {
+		if r.Gold || r.Time > t {
+			continue
+		}
+		switch r.Answer {
+		case Positive:
+			tally[r.ItemID]++
+		case Negative:
+			tally[r.ItemID]--
 		default:
+			tally[r.ItemID] += 0
+		}
+	}
+	out := &VoteOutcome{Label: make(map[int]bool, len(tally))}
+	for id, net := range tally {
+		if net == 0 {
 			out.Unclassified = append(out.Unclassified, id)
+		} else {
+			out.Label[id] = net > 0
 		}
 	}
 	sort.Ints(out.Unclassified)

@@ -2,6 +2,7 @@ package crowd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -217,6 +218,9 @@ func TestMajorityVote(t *testing.T) {
 		{ItemID: 3, Answer: Negative}, // tie
 		{ItemID: 4, Answer: DontKnow}, // no usable votes
 		{ItemID: 5, Answer: Positive, Gold: true},
+		{ItemID: 6, Answer: DontKnow}, // judged three times, never answered
+		{ItemID: 6, Answer: DontKnow},
+		{ItemID: 6, Answer: DontKnow},
 	}
 	v := MajorityVote(recs)
 	if got, ok := v.Label[1]; !ok || !got {
@@ -234,8 +238,11 @@ func TestMajorityVote(t *testing.T) {
 	if _, ok := v.Label[5]; ok {
 		t.Fatal("gold records must be ignored")
 	}
-	if len(v.Unclassified) != 2 {
-		t.Fatalf("unclassified = %v", v.Unclassified)
+	if _, ok := v.Label[6]; ok {
+		t.Fatal("an item with only dont-know answers must stay unclassified")
+	}
+	if !slices.Equal(v.Unclassified, []int{3, 4, 6}) {
+		t.Fatalf("unclassified = %v, want the tie and the two unanswered items", v.Unclassified)
 	}
 	if v.Classified() != 2 {
 		t.Fatalf("classified = %d", v.Classified())
@@ -382,5 +389,29 @@ func TestRunJobDeterministic(t *testing.T) {
 		if a.Records[i] != b.Records[i] {
 			t.Fatalf("record %d differs", i)
 		}
+	}
+}
+
+// RunJob sizes its state from the job — items, assignments, workers — and
+// allocates each piece once: the number of objects does not depend on how
+// many judgments are collected.
+func TestRunJobAllocationIsPerJobNotPerJudgment(t *testing.T) {
+	objects := func(assignments int) float64 {
+		rng := rand.New(rand.NewSource(3))
+		pop := NewPopulation(PopulationConfig{Workers: 40, SpammerFraction: 0.2}, rng)
+		items := makeItems(160, rng)
+		cfg := defaultJob()
+		cfg.AssignmentsPerItem = assignments
+		return testing.AllocsPerRun(5, func() {
+			res, err := RunJob(pop, items, cfg, rng)
+			if err != nil || len(res.Records) != len(items)*assignments {
+				t.Fatalf("%d assignments: %d records, err %v", assignments, len(res.Records), err)
+			}
+		})
+	}
+	five, ten := objects(5), objects(10)
+	t.Logf("RunJob over 160 items: %.0f objects at 5 assignments, %.0f at 10", five, ten)
+	if five != ten || five > 16 {
+		t.Fatalf("RunJob allocates %.0f objects at 5 assignments and %.0f at 10, want the same and at most 16", five, ten)
 	}
 }

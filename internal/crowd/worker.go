@@ -19,6 +19,7 @@ package crowd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Judgment is one worker's answer for one item.
@@ -247,16 +248,16 @@ func NewPopulation(cfg PopulationConfig, rng *rand.Rand) *Population {
 	return pop
 }
 
-// Filter returns the sub-population whose country is not in excluded.
+// Filter returns the sub-population whose country is not in excluded —
+// the population itself when nothing is excluded.
 // This is Experiment 2's crude-but-effective country filter.
 func (p *Population) Filter(excluded []string) *Population {
-	bad := make(map[string]bool, len(excluded))
-	for _, c := range excluded {
-		bad[c] = true
+	if len(excluded) == 0 {
+		return p
 	}
-	out := &Population{}
+	out := &Population{Workers: make([]*Worker, 0, len(p.Workers))}
 	for _, w := range p.Workers {
-		if !bad[w.Country] {
+		if !slices.Contains(excluded, w.Country) {
 			out.Workers = append(out.Workers, w)
 		}
 	}

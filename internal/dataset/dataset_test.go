@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
+	"crowddb/internal/crowd"
 	"crowddb/internal/eval"
 	"crowddb/internal/space"
 	"crowddb/internal/vecmath"
@@ -173,18 +176,62 @@ func TestCrowdItems(t *testing.T) {
 	if rate < 0.80 || rate == 1.0 {
 		t.Fatalf("perceived/reference agreement = %.3f, want in [0.80, 1)", rate)
 	}
-	// Determinism: a second call yields identical perceived labels.
-	again, err := u.CrowdItems("Comedy")
+	// Determinism: the same universe generated again perceives the same.
+	again, err := tinyMovies(t).CrowdItems("Comedy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range items {
-		if items[i].Truth != again[i].Truth {
-			t.Fatal("CrowdItems must be deterministic")
-		}
+	if !slices.Equal(items, again) {
+		t.Fatal("CrowdItems must be deterministic")
 	}
 	if _, err := u.CrowdItems("NoSuch"); err == nil {
 		t.Fatal("unknown category must fail")
+	}
+}
+
+// A category's models are computed once: the second call allocates nothing
+// and returns the first call's backing array, whoever made the first call.
+func TestCrowdItemsAreComputedOnce(t *testing.T) {
+	u := tinyMovies(t)
+	const callers = 8
+	got := make([][]crowd.Item, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			items, err := u.CrowdItems("Drama")
+			if err != nil {
+				t.Error(err)
+			}
+			got[c] = items
+		}()
+	}
+	wg.Wait()
+	want, err := tinyMovies(t).CrowdItems("Drama")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, items := range got {
+		if len(items) == 0 || &items[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own slice", c)
+		}
+		if !slices.Equal(items, want) {
+			t.Fatalf("caller %d's models differ from a fresh universe's", c)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		items, err := u.CrowdItems("Drama")
+		if err != nil || &items[0] != &got[0][0] {
+			t.Fatal("a later call returned another slice")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a second CrowdItems of a category allocates %.0f objects, want 0", allocs)
+	}
+	// Categories do not share models.
+	other, err := u.CrowdItems("Comedy")
+	if err != nil || &other[0] == &got[0][0] {
+		t.Fatalf("Comedy returned Drama's slice (err %v)", err)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/space"
@@ -156,6 +157,11 @@ type Universe struct {
 	Ratings    *space.Dataset
 	// UserLatent retains user positions for diagnostics.
 	UserLatent *vecmath.Matrix
+
+	// crowdItems holds each category's crowd-simulator item models once
+	// CrowdItems has computed them.
+	crowdMu    sync.Mutex
+	crowdItems map[string][]crowd.Item
 }
 
 // Generate builds a universe from cfg. Generation is deterministic in
@@ -409,7 +415,19 @@ func quantile(xs []float64, q float64) float64 {
 // honest-majority accuracy below 100% without inflating tie rates — the
 // paper's Exp 2 stalls at 79.4% and Exp 3 at 93.5% for exactly this
 // reason. Per-judgment ambiguity adds individual wobble on top.
+//
+// The models are a pure function of the seed and the category, and the
+// rng is drawn once per item in item order, so a subset cannot be derived
+// alone: a category's models are computed on its first call and the same
+// slice is returned to every caller from then on. It is SHARED and must
+// not be written — a caller that wants to reorder, sample or alter items
+// copies them out.
 func (u *Universe) CrowdItems(category string) ([]crowd.Item, error) {
+	u.crowdMu.Lock()
+	defer u.crowdMu.Unlock()
+	if items, ok := u.crowdItems[category]; ok {
+		return items, nil
+	}
 	cat, ok := u.Categories[category]
 	if !ok {
 		return nil, fmt.Errorf("dataset: unknown category %q", category)
@@ -430,6 +448,10 @@ func (u *Universe) CrowdItems(category string) ([]crowd.Item, error) {
 			Ambiguity:  vecmath.Clamp(amb, 0, 0.35),
 		}
 	}
+	if u.crowdItems == nil {
+		u.crowdItems = make(map[string][]crowd.Item, len(u.Categories))
+	}
+	u.crowdItems[category] = out
 	return out, nil
 }
 

@@ -61,6 +61,7 @@ func GridSearchSVC(X [][]float64, y []bool, cs, gammas []float64, folds int, see
 	}
 
 	var out []GridPoint
+	var trainer Trainer
 	for _, c := range cs {
 		for _, g := range gammas {
 			var kernel Kernel
@@ -83,7 +84,7 @@ func GridSearchSVC(X [][]float64, y []bool, cs, gammas []float64, folds int, see
 						trY = append(trY, y[i])
 					}
 				}
-				model, err := TrainSVC(trX, trY, SVCConfig{Kernel: kernel, C: c, Seed: seed})
+				model, err := trainer.TrainSVC(trX, trY, SVCConfig{Kernel: kernel, C: c, Seed: seed})
 				if err != nil {
 					continue // degenerate fold (single class): skip
 				}

@@ -92,11 +92,16 @@ type kernelMatrix struct {
 }
 
 // newKernelMatrix caches the full Gram matrix when it needs at most
-// maxEntries float32 cells.
-func newKernelMatrix(k Kernel, x [][]float64, maxEntries int) *kernelMatrix {
-	km := &kernelMatrix{k: k, x: x, n: len(x)}
+// maxEntries float32 cells. The cells are written into buf when it has
+// the capacity (every one of them is overwritten, so buf may hold a
+// previous matrix) and into a fresh array otherwise.
+func newKernelMatrix(k Kernel, x [][]float64, maxEntries int, buf []float32) kernelMatrix {
+	km := kernelMatrix{k: k, x: x, n: len(x)}
 	if km.n*km.n <= maxEntries {
-		km.full = make([]float32, km.n*km.n)
+		if cap(buf) < km.n*km.n {
+			buf = make([]float32, km.n*km.n)
+		}
+		km.full = buf[:km.n*km.n]
 		for i := 0; i < km.n; i++ {
 			km.full[i*km.n+i] = float32(k.Eval(x[i], x[i]))
 			for j := i + 1; j < km.n; j++ {

@@ -27,10 +27,25 @@ type machine struct {
 	b      float64
 }
 
-// add appends one support vector with its coefficient.
-func (m *machine) add(x []float64, c float64) {
-	m.sv = append(m.sv, x...)
-	m.coef = append(m.coef, c)
+// newMachine keeps the samples of X that are support vectors — a
+// coefficient beyond ±1e-9 — in sample order. They are counted first, so
+// that the two arrays are allocated once at their final size.
+func newMachine(k Kernel, dim int, b float64, X [][]float64, coef []float64) machine {
+	support := func(c float64) bool { return math.Abs(c) > 1e-9 }
+	n := 0
+	for _, c := range coef {
+		if support(c) {
+			n++
+		}
+	}
+	m := machine{kernel: k, dim: dim, b: b, sv: make([]float64, 0, n*dim), coef: make([]float64, 0, n)}
+	for i, c := range coef {
+		if support(c) {
+			m.sv = append(m.sv, X[i]...)
+			m.coef = append(m.coef, c)
+		}
+	}
+	return m
 }
 
 // Kernel returns the trained model's kernel.

@@ -59,10 +59,34 @@ func (c *SVCConfig) fillDefaults(X [][]float64) {
 // αᵢ·yᵢ per support vector (see machine.go for how it is evaluated).
 type SVC struct{ machine }
 
+// Trainer owns the working memory of SVC training — the n×n Gram matrix,
+// the six n-vectors of the SMO loop and the random source — and reuses it
+// from one training to the next: a training of n samples on a Trainer
+// that has seen n before allocates only the model it returns. Nothing of
+// a previous training survives into the next (every cell is rewritten or
+// cleared, the source re-seeded), so a model does not depend on what its
+// Trainer fitted before. A Trainer is not safe for concurrent use; the
+// zero value is ready.
+type Trainer struct {
+	gram []float32
+	vecs []float64
+	rng  *rand.Rand
+}
+
+// Footprint is the number of bytes the Trainer holds on to between
+// trainings: its Gram matrix and vectors, the parts that grow with the
+// sample.
+func (t *Trainer) Footprint() int { return 4*cap(t.gram) + 8*cap(t.vecs) }
+
 // TrainSVC fits a binary classifier on X with boolean labels using
 // sequential minimal optimization (the simplified Platt variant with a
 // randomized second working-set index). Both classes must be present.
 func TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
+	return new(Trainer).TrainSVC(X, y, cfg)
+}
+
+// TrainSVC is the package's TrainSVC in the Trainer's memory.
+func (t *Trainer) TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("svm: empty training set")
 	}
@@ -87,42 +111,47 @@ func TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
 	cfg.fillDefaults(X)
 
 	n := len(X)
-	Cs := make([]float64, n)
-	if cfg.PerSampleC != nil {
-		if len(cfg.PerSampleC) != n {
-			return nil, fmt.Errorf("svm: PerSampleC has %d entries for %d samples", len(cfg.PerSampleC), n)
-		}
-		for i, c := range cfg.PerSampleC {
-			if c <= 0 {
-				return nil, fmt.Errorf("svm: PerSampleC[%d] = %g must be positive", i, c)
-			}
-			Cs[i] = c
-		}
-	} else {
-		for i := range Cs {
-			Cs[i] = cfg.C
+	if cfg.PerSampleC != nil && len(cfg.PerSampleC) != n {
+		return nil, fmt.Errorf("svm: PerSampleC has %d entries for %d samples", len(cfg.PerSampleC), n)
+	}
+	for i, c := range cfg.PerSampleC {
+		if c <= 0 {
+			return nil, fmt.Errorf("svm: PerSampleC[%d] = %g must be positive", i, c)
 		}
 	}
-	ys := make([]float64, n)
-	for i := range y {
-		if y[i] {
-			ys[i] = 1
-		} else {
-			ys[i] = -1
-		}
+
+	if cap(t.vecs) < 6*n {
+		t.vecs = make([]float64, 6*n)
 	}
-	km := newKernelMatrix(cfg.Kernel, X, cfg.CacheEntries)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	alpha := make([]float64, n)
-	b := 0.0
-
+	vec := func(k int) []float64 { return t.vecs[k*n : (k+1)*n : (k+1)*n] }
+	Cs, ys, alpha := vec(0), vec(1), vec(2)
 	// fvals caches the decision value of every training sample; it is
 	// updated incrementally after each successful alpha step, which turns
 	// the simplified-SMO inner loop from O(n²) into O(n).
-	fvals := make([]float64, n) // all zero: alpha = 0, b = 0
-	rowI := make([]float64, n)
-	rowJ := make([]float64, n)
+	fvals, rowI, rowJ := vec(3), vec(4), vec(5)
+	for i := range Cs {
+		Cs[i] = cfg.C
+		if cfg.PerSampleC != nil {
+			Cs[i] = cfg.PerSampleC[i]
+		}
+		ys[i] = -1
+		if y[i] {
+			ys[i] = 1
+		}
+	}
+	clear(alpha)
+	clear(fvals) // alpha = 0, b = 0
+	b := 0.0
+
+	km := newKernelMatrix(cfg.Kernel, X, cfg.CacheEntries, t.gram)
+	if km.full != nil {
+		t.gram = km.full
+	}
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(0))
+	}
+	rng := t.rng
+	rng.Seed(cfg.Seed) // the state of a new source of that seed
 
 	passes, iter := 0, 0
 	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
@@ -198,12 +227,10 @@ func TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
 		}
 	}
 
-	model := &SVC{machine{kernel: cfg.Kernel, dim: dim, b: b}}
-	for i := 0; i < n; i++ {
-		if alpha[i] > 1e-9 {
-			model.add(X[i], alpha[i]*ys[i])
-		}
+	for i := range alpha {
+		alpha[i] *= ys[i] // the coefficient αᵢ·yᵢ
 	}
+	model := &SVC{newMachine(cfg.Kernel, dim, b, X, alpha)}
 	if model.NumSupport() == 0 {
 		// Degenerate but possible on trivially separable data with tiny C:
 		// fall back to a nearest-centroid-style decision via bias only.

@@ -3,6 +3,7 @@ package svm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,8 +94,15 @@ func TestKernelMatrixCacheAgreesWithDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, _ := twoBlobs(20, 2, rng)
 	k := RBFKernel{Gamma: 0.7}
-	cached := newKernelMatrix(k, X, 1<<20)
-	uncached := newKernelMatrix(k, X, 1) // too small: no cache
+	dirty := make([]float32, 20*20+7) // a previous, larger matrix: every cell in use is rewritten
+	for i := range dirty {
+		dirty[i] = float32(math.NaN())
+	}
+	cached := newKernelMatrix(k, X, 1<<20, dirty)
+	uncached := newKernelMatrix(k, X, 1, nil) // too small: no cache
+	if &cached.full[0] != &dirty[0] || len(cached.full) != 20*20 {
+		t.Fatal("a buffer with the capacity was not reused")
+	}
 	if cached.full == nil || uncached.full != nil {
 		t.Fatal("cache decision wrong")
 	}
@@ -118,6 +126,57 @@ func TestKernelMatrixCacheAgreesWithDirect(t *testing.T) {
 		if math.Abs(row[j]-uncached.at(3, j)) > 1e-9 {
 			t.Fatal("uncached rowInto mismatch")
 		}
+	}
+}
+
+// A Trainer's memory carries nothing from one training into the next: a
+// model fitted after trainings of other sizes, data and seeds is the model
+// a fresh Trainer fits, bit for bit — and the second training of a size
+// allocates the model alone.
+func TestTrainerReusesItsMemoryAndNothingElse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	X, y := twoBlobs(80, 4, rng)
+	other, otherY := twoBlobs(120, 4, rng)
+	cfg := SVCConfig{C: 2}
+	want, err := TrainSVC(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Trainer
+	for _, warm := range []struct {
+		X   [][]float64
+		y   []bool
+		cfg SVCConfig
+	}{{other, otherY, SVCConfig{C: 5, Seed: 9}}, {X[:50], y[:50], SVCConfig{Kernel: LinearKernel{}}}, {X, y, cfg}} {
+		if _, err := tr.TrainSVC(warm.X, warm.y, warm.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := tr.Footprint()
+	if wantHeld := 4*len(other)*len(other) + 8*6*len(other); held != wantHeld {
+		t.Fatalf("the Trainer holds %d B after its largest training of %d samples, want %d", held, len(other), wantHeld)
+	}
+	got, err := tr.TrainSVC(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.b != want.b || !slices.Equal(got.coef, want.coef) || !slices.Equal(got.sv, want.sv) || got.kernel != want.kernel {
+		t.Fatalf("a reused Trainer fitted another model: %d support vectors, b %v; fresh %d, b %v",
+			got.NumSupport(), got.b, want.NumSupport(), want.b)
+	}
+	if cap(got.coef) != len(got.coef) || cap(got.sv) != len(got.sv) {
+		t.Fatalf("support arrays over-allocated: coef %d/%d, sv %d/%d", len(got.coef), cap(got.coef), len(got.sv), cap(got.sv))
+	}
+	// The model: the SVC, its two arrays and the boxed default kernel.
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := tr.TrainSVC(X, y, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Fatalf("a second training of %d samples allocates %.0f objects, want the model's 4", len(X), allocs)
+	}
+	if tr.Footprint() != held {
+		t.Fatalf("the Trainer grew from %d to %d B on a size it had seen", held, tr.Footprint())
 	}
 }
 

@@ -78,7 +78,7 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 	cfg.fillDefaults(X)
 
 	n := len(X)
-	km := newKernelMatrix(cfg.Kernel, X, cfg.CacheEntries)
+	km := newKernelMatrix(cfg.Kernel, X, cfg.CacheEntries, nil)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	beta := make([]float64, n)
@@ -203,13 +203,7 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 		b = median(res)
 	}
 
-	model := &SVR{machine{kernel: cfg.Kernel, dim: dim, b: b}}
-	for i := 0; i < n; i++ {
-		if math.Abs(beta[i]) > 1e-9 {
-			model.add(X[i], beta[i])
-		}
-	}
-	return model, nil
+	return &SVR{newMachine(cfg.Kernel, dim, b, X, beta)}, nil
 }
 
 func sign(v float64) float64 {

@@ -42,8 +42,9 @@ type TSVMStats struct {
 func TrainTSVM(Xl [][]float64, yl []bool, Xu [][]float64, cfg TSVMConfig) (*SVC, TSVMStats, error) {
 	start := time.Now()
 	stats := TSVMStats{}
+	var trainer Trainer // every retraining below is the same size
 	if len(Xu) == 0 {
-		model, err := TrainSVC(Xl, yl, cfg.SVC)
+		model, err := trainer.TrainSVC(Xl, yl, cfg.SVC)
 		stats.Retrains = 1
 		stats.Elapsed = time.Since(start)
 		return model, stats, err
@@ -52,7 +53,7 @@ func TrainTSVM(Xl [][]float64, yl []bool, Xu [][]float64, cfg TSVMConfig) (*SVC,
 		cfg.MaxRetrains = 200
 	}
 
-	base, err := TrainSVC(Xl, yl, cfg.SVC)
+	base, err := trainer.TrainSVC(Xl, yl, cfg.SVC)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -120,7 +121,7 @@ func TrainTSVM(Xl [][]float64, yl []bool, Xu [][]float64, cfg TSVMConfig) (*SVC,
 		}
 		c := cfg.SVC
 		c.PerSampleC = perC
-		m, err := TrainSVC(X, y, c)
+		m, err := trainer.TrainSVC(X, y, c)
 		if err != nil {
 			return err
 		}
