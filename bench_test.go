@@ -688,7 +688,7 @@ func BenchmarkSerializedSelectBaseline(b *testing.B) {
 }
 
 // BenchmarkServerQueryRoundTrip measures one full HTTP round-trip of
-// POST /query against an in-process server, at 8 concurrent clients.
+// POST /v1/query against an in-process server, at 8 concurrent clients.
 func BenchmarkServerQueryRoundTrip(b *testing.B) {
 	db := benchServeDB(b)
 	ts := httptest.NewServer(server.New(db, server.Config{MaxInflight: 128}).Handler())
@@ -705,7 +705,7 @@ func BenchmarkServerQueryRoundTrip(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for next.Add(1) <= int64(b.N) {
-				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 				if err != nil {
 					b.Error(err)
 					return
@@ -1198,7 +1198,7 @@ func BenchmarkHashJoin(b *testing.B) {
 
 // BenchmarkStreamingSelect drains 200k rows through the end-to-end
 // streaming path (core.RowStream over the batched storage cursor), the
-// per-row cost a POST /query?stream=1 client pays.
+// per-row cost a POST /v1/query?stream=1 client pays.
 func BenchmarkStreamingSelect(b *testing.B) {
 	db := crowddb.New(nil)
 	defer db.Close()

@@ -8,15 +8,15 @@
 //
 //	crowdserve -addr :8080 -data-dir /var/lib/crowdserve
 //
-//	curl -s localhost:8080/query -d '{"sql":"SELECT COUNT(*) FROM movies"}'
-//	curl -s localhost:8080/query \
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT COUNT(*) FROM movies"}'
+//	curl -s localhost:8080/v1/query \
 //	    -d '{"sql":"SELECT name FROM movies WHERE Comedy = true LIMIT 5","mode":"async"}'
-//	curl -sN 'localhost:8080/query?stream=1' \
+//	curl -sN 'localhost:8080/v1/query?stream=1' \
 //	    -d '{"sql":"SELECT name FROM movies ORDER BY year LIMIT 100"}'
-//	curl -s localhost:8080/query -d '{"sql":"EXPLAIN SELECT name FROM movies ORDER BY year LIMIT 5"}'
-//	curl -s localhost:8080/jobs/job-1?wait=1
-//	curl -s localhost:8080/ledger
-//	curl -s -X POST localhost:8080/admin/snapshot
+//	curl -s localhost:8080/v1/query -d '{"sql":"EXPLAIN SELECT name FROM movies ORDER BY year LIMIT 5"}'
+//	curl -s localhost:8080/v1/jobs/job-1?wait=1
+//	curl -s localhost:8080/v1/ledger
+//	curl -s -X POST localhost:8080/v1/admin/snapshot
 //
 // stream=1 serves SELECTs as NDJSON rows flushed while the scan runs;
 // EXPLAIN renders the planner's operator tree (scans with pushed-down
@@ -30,7 +30,7 @@
 // With -data-dir set, every mutation — including crowd-expanded columns
 // and their cost ledger — is written to a WAL and recovered on the next
 // start, so a restart never re-elicits (or re-charges for) a column the
-// crowd already filled. POST /admin/snapshot compacts the log. -fsync
+// crowd already filled. POST /v1/admin/snapshot compacts the log. -fsync
 // extends durability from process crashes to power loss.
 //
 // Storage hygiene: DELETE tombstones rows without moving data; the
@@ -38,32 +38,32 @@
 // crosses -compact-tombstone-frac, checking every -compact-interval
 // (0 = background compaction off). POST /v1/admin/compact forces a
 // sweep; GET /v1/schema/{table} reports tombstones and cumulative
-// compaction counters. The HTTP API is versioned under /v1/ — legacy
-// unversioned paths still answer, stamped with a Deprecation header.
+// compaction counters. Every HTTP route is under /v1/; only the
+// liveness probe also answers unversioned, at /healthz.
 //
 // Cost controls: -batch-window merges expansions of the same table that
 // arrive within the window into shared HIT groups (one crowd charge for
 // N columns); -default-budget caps each API key's crowd spend, enforced
 // before HITs are issued. Caps can also be set per key via
 //
-//	curl -s localhost:8080/admin/expand \
+//	curl -s localhost:8080/v1/admin/expand \
 //	    -d '{"table":"movies","column":"Comedy","key":"team-a","budget":2.50}'
-//	curl -s localhost:8080/budgets
+//	curl -s localhost:8080/v1/budgets
 //
 // which pre-warms a column explicitly; a request the key's budget cannot
 // cover is rejected with 402, and both the cap and the spend survive
 // restarts.
 //
 // Workload-aware serving: every query feeds a durable co-access model
-// (inspect it via GET /workload). -speculative-budget lets the server
+// (inspect it via GET /v1/workload). -speculative-budget lets the server
 // pre-expand the column the model predicts will be demanded next, inside
 // the same batch window as the demand expansion — so the speculative
 // HITs merge into the demand job's crowd charge; the dollar cap bounds
 // total speculative spend and speculation never displaces demand work.
 // SELECT results are served from a semantic result cache keyed on the
 // normalized plan and invalidated by any table mutation; -cache-bytes
-// sizes it (-1 disables), and ?nocache=1 on POST /query bypasses it per
-// request.
+// sizes it (-1 disables), and ?nocache=1 on POST /v1/query bypasses it
+// per request.
 //
 // Query execution is morsel-parallel: large scans, joins, and
 // aggregations fan out across -exec-workers goroutines (0 = one per

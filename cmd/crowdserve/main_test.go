@@ -27,7 +27,7 @@ func TestBuildDemoDBServesEndToEnd(t *testing.T) {
 	post := func(sql, mode string) (int, map[string]json.RawMessage) {
 		t.Helper()
 		body, _ := json.Marshal(map[string]string{"sql": sql, "mode": mode})
-		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestBuildDemoDBServesEndToEnd(t *testing.T) {
 	}
 
 	// Long-poll the job to completion, then re-issue the query.
-	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "?wait=1")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "?wait=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestKillAndRestartDurability(t *testing.T) {
 	query := func(ts *httptest.Server, sql string) (float64, map[string]json.RawMessage) {
 		t.Helper()
 		body, _ := json.Marshal(map[string]string{"sql": sql, "mode": "sync"})
-		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestKillAndRestartDurability(t *testing.T) {
 	}
 	ledger := func(ts *httptest.Server) (cost, judgments float64, perJob []json.RawMessage) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/ledger")
+		resp, err := http.Get(ts.URL + "/v1/ledger")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestKillAndRestartDurability(t *testing.T) {
 	}
 
 	// The recovered schema still marks Comedy as expanded.
-	resp, err := http.Get(ts2.URL + "/schema/movies")
+	resp, err := http.Get(ts2.URL + "/v1/schema/movies")
 	if err != nil {
 		t.Fatal(err)
 	}

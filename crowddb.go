@@ -45,7 +45,7 @@
 //
 // Job status is observable via db.Job(id) / db.Jobs(), each job carrying
 // its own cost ledger. cmd/crowdserve serves this API over HTTP/JSON
-// (POST /query, GET /jobs/{id}, GET /schema/{table}, GET /ledger) with a
+// (POST /v1/query, GET /v1/jobs/{id}, GET /v1/schema/{table}, GET /v1/ledger) with a
 // bounded admission queue and graceful shutdown; see internal/server.
 //
 // See examples/quickstart for a complete runnable program, and DESIGN.md
@@ -172,7 +172,7 @@ func BuildSpace(data *RatingDataset, cfg SpaceConfig) (*Space, error) {
 }
 
 // WorkloadStats is the workload subsystem's observable state (DB.Workload
-// and GET /workload): durable co-access counters, the recent observation
+// and GET /v1/workload): durable co-access counters, the recent observation
 // trace, result-cache effectiveness, and the speculative budget account.
 // See Options.SpeculativeBudget / Options.CacheBytes and DESIGN.md §13.
 type WorkloadStats = core.WorkloadStats

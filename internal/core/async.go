@@ -184,7 +184,7 @@ func (db *DB) submitExpandStmt(ex *sqlparse.ExpandStmt) (*jobs.Job, error) {
 }
 
 // SubmitExpand schedules an explicit expansion programmatically — the
-// POST /admin/expand path: pre-warm a column before queries need it,
+// POST /v1/admin/expand path: pre-warm a column before queries need it,
 // attributed to an API key whose budget cap is checked up front. The
 // projected sampling cost is reserved against opts.APIKey at submission
 // (ErrBudgetExceeded maps to 402 at the HTTP layer); the job re-checks

@@ -162,9 +162,6 @@ type expandableSpec struct {
 // expansion metadata (space bindings and expandable registrations), so
 // read-only queries never serialize behind crowd latency.
 type DB struct {
-	// backend is the storage engine below the journal (see
-	// storage.Backend); the engine executes against its catalog.
-	backend storage.Backend
 	engine  *engine.Engine
 	service JudgmentService
 	ledger  *Ledger
@@ -252,28 +249,20 @@ func (db *DB) Close() error {
 	db.gate.RLock()
 	db.flushObservations(1)
 	db.gate.RUnlock()
-	backendErr := db.backend.Close()
 	if db.wal == nil {
-		return backendErr
+		return nil
 	}
 	stickyErr := db.wal.Err()
 	if err := db.wal.Close(); err != nil {
 		return err
 	}
-	if stickyErr != nil {
-		return stickyErr
-	}
-	return backendErr
+	return stickyErr
 }
-
-// Backend exposes the storage backend's registry name (for /schema
-// introspection and the server banner).
-func (db *DB) Backend() string { return db.backend.Name() }
 
 // CompactNow synchronously compacts every table, bypassing the density
 // threshold (the pin/fence admission gates still apply — see
 // storage.Table.Compact). It returns the per-table results, keyed by
-// table name. This is the POST /admin/compact handler and the test
+// table name. This is the POST /v1/admin/compact handler and the test
 // hook; the background compactor runs the same pass with the
 // configured threshold instead of Force.
 func (db *DB) CompactNow() map[string]storage.CompactionResult {
@@ -286,11 +275,16 @@ func (db *DB) CompactNow() map[string]storage.CompactionResult {
 // Snapshot — exactly like any other journaled mutation.
 func (db *DB) compactPass(policy storage.CompactionPolicy) map[string]storage.CompactionResult {
 	out := make(map[string]storage.CompactionResult)
-	for _, name := range db.Catalog().Names() {
+	c := db.Catalog()
+	for _, name := range c.Names() {
 		var res storage.CompactionResult
 		err := db.mutate(func() error {
+			tbl, ok := c.Get(name)
+			if !ok {
+				return fmt.Errorf("core: no table %q", name)
+			}
 			var cerr error
-			res, cerr = db.backend.Compact(name, policy)
+			res, cerr = tbl.Compact(policy)
 			return cerr
 		})
 		if err != nil {
@@ -452,7 +446,7 @@ func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
 
 // ExecSQLNoCache is ExecSQL with the semantic result cache bypassed for
 // this statement: neither served from nor stored into the cache. The
-// escape hatch behind POST /query?nocache=1 — for verifying a cached
+// escape hatch behind POST /v1/query?nocache=1 — for verifying a cached
 // answer or benchmarking the executor.
 func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
 	res, rep, _, err := db.Query(sql, true, false)

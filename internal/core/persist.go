@@ -16,7 +16,6 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
-	_ "crowddb/internal/storage/membackend" // registers the "mem" backend
 	"crowddb/internal/svm"
 	"crowddb/internal/vecmath"
 	"crowddb/internal/wal"
@@ -88,9 +87,8 @@ type Options struct {
 	// ExecWorkers is the degree of intra-query parallelism for SELECT
 	// execution: 0 picks GOMAXPROCS, 1 forces fully serial plans.
 	ExecWorkers int
-	// Backend names the storage engine below the journal (see
-	// storage.RegisterBackend). Empty means "mem", the MVCC in-memory
-	// engine and the only one there is; any other name fails Open.
+	// Backend names the storage engine: empty or BackendName, the MVCC
+	// catalog and the only engine there is. Any other name fails Open.
 	Backend string
 	// CompactInterval, when positive, runs the background tombstone
 	// compactor: every interval, each table whose sealed-chunk tombstone
@@ -113,6 +111,10 @@ type Options struct {
 	// threshold or not — the -trace flag, for debugging sessions.
 	TraceQueries bool
 }
+
+// BackendName is the storage engine's name: what Options.Backend accepts
+// and GET /v1/schema reports.
+const BackendName = "mem"
 
 // ErrNoDataDir is returned by Snapshot on a database opened without a
 // data directory.
@@ -307,20 +309,11 @@ func Open(opts Options) (*DB, error) {
 	if depth <= 0 {
 		depth = defaultExpansionQueue
 	}
-	backendName := opts.Backend
-	if backendName == "" {
-		backendName = "mem"
-	}
-	be, err := storage.NewBackend(backendName)
-	if err != nil {
-		return nil, err
-	}
-	if err := be.Open(opts.DataDir); err != nil {
-		return nil, err
+	if opts.Backend != "" && opts.Backend != BackendName {
+		return nil, fmt.Errorf("core: unknown backend %q (the only one is %q)", opts.Backend, BackendName)
 	}
 	db := &DB{
-		backend:     be,
-		engine:      engine.New(be.Catalog()),
+		engine:      engine.New(storage.NewCatalog()),
 		service:     opts.Service,
 		ledger:      &Ledger{},
 		sched:       jobs.NewScheduler(workers, depth),
@@ -411,7 +404,7 @@ func (db *DB) Snapshot() (uint64, error) {
 	}
 	start := time.Now()
 	db.gate.Lock()
-	cp := db.backend.Checkpoint()
+	cp := db.Catalog().Checkpoint()
 	meta, spaces := db.collectMeta()
 	// The pending workload observations are inside the tracker counters
 	// just captured; journaling them after this snapshot would count them
@@ -527,7 +520,7 @@ func (db *DB) restoreSnapshot(sr *wal.SnapshotReader, restored map[string]jobs.R
 				db.applySpaceRecord(rec)
 			}
 		case storage.SectionTable:
-			err = db.backend.RestoreTable(body, sr)
+			err = storage.RestoreTable(db.Catalog(), body, sr)
 		default:
 			err = fmt.Errorf("unknown section kind %d", kind)
 		}
@@ -565,7 +558,7 @@ func (db *DB) applyRecord(rec wal.Record, restored map[string]jobs.RestoredJob) 
 		if err != nil {
 			return err
 		}
-		return db.backend.ApplyOp(op)
+		return db.Catalog().Apply(op)
 	case recSpace:
 		sr, err := decodeSpaceRecord(rec.Data)
 		if err != nil {

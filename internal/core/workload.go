@@ -33,7 +33,7 @@ const (
 	// predictor. Best effort by contract: capped by SpeculativeBudget,
 	// admission-bounded, never joined-on by a blocked query at submission.
 	OriginSpeculative = "speculative"
-	// OriginAdmin marks an expansion submitted via POST /admin/expand.
+	// OriginAdmin marks an expansion submitted via POST /v1/admin/expand.
 	OriginAdmin = "admin"
 )
 
@@ -119,7 +119,7 @@ func (db *DB) RecordObservation(obs workload.Observation) {
 	db.observe(obs)
 }
 
-// WorkloadStats is the GET /workload payload: durable counters, the
+// WorkloadStats is the GET /v1/workload payload: durable counters, the
 // recent in-memory trace, cache effectiveness, and the speculative
 // budget account.
 type WorkloadStats struct {

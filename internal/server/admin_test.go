@@ -13,7 +13,7 @@ import (
 func postAdminExpand(t *testing.T, url string, req adminExpandRequest) (int, queryResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/admin/expand", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/admin/expand", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAdminExpandPreWarm(t *testing.T) {
 		var st struct {
 			State string `json:"state"`
 		}
-		if c := getJSON(t, ts.URL+"/jobs/"+out.Job.ID+"?wait=1", &st); c != http.StatusOK {
+		if c := getJSON(t, ts.URL+"/v1/jobs/"+out.Job.ID+"?wait=1", &st); c != http.StatusOK {
 			t.Fatalf("job poll status %d", c)
 		}
 		if st.State == "done" {
@@ -71,7 +71,7 @@ func TestAdminExpandPreWarm(t *testing.T) {
 	var budgets struct {
 		Budgets []core.BudgetStatus `json:"budgets"`
 	}
-	if c := getJSON(t, ts.URL+"/budgets", &budgets); c != http.StatusOK {
+	if c := getJSON(t, ts.URL+"/v1/budgets", &budgets); c != http.StatusOK {
 		t.Fatalf("budgets status %d", c)
 	}
 	if len(budgets.Budgets) != 1 || budgets.Budgets[0].Key != "team-a" || budgets.Budgets[0].Spent <= 0 {
@@ -97,9 +97,14 @@ func TestAdminExpandBudgetRejection(t *testing.T) {
 }
 
 // TestAdminExpandValidation: bad bodies and unknown tables are client
-// errors with useful statuses.
+// errors with useful statuses, answered before anything is submitted: no
+// job, no crowd call, no ledger or budget movement.
 func TestAdminExpandValidation(t *testing.T) {
-	_, ts := newTestServer(t, &fakeService{}, Config{})
+	svc := &fakeService{}
+	s, ts := newTestServer(t, svc, Config{})
+	if err := s.db.SetBudget("k", 3); err != nil {
+		t.Fatal(err)
+	}
 
 	if code, _ := postAdminExpand(t, ts.URL, adminExpandRequest{Table: "movies"}); code != http.StatusBadRequest {
 		t.Fatalf("missing column: %d, want 400", code)
@@ -113,6 +118,20 @@ func TestAdminExpandValidation(t *testing.T) {
 	// A budget without a key would run uncapped; it must be rejected.
 	if code, _ := postAdminExpand(t, ts.URL, adminExpandRequest{Table: "movies", Column: "is_comedy", Budget: 2.5}); code != http.StatusBadRequest {
 		t.Fatalf("budget without key: %d, want 400", code)
+	}
+	// A negative budget is no cap at all; it must not run under k's.
+	if code, _ := postAdminExpand(t, ts.URL, adminExpandRequest{Table: "movies", Column: "is_comedy", Key: "k", Budget: -5}); code != http.StatusBadRequest {
+		t.Fatalf("negative budget: %d, want 400", code)
+	}
+
+	if jobs := s.db.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected requests created jobs: %+v", jobs)
+	}
+	if led := s.db.Ledger(); led != (core.LedgerTotals{}) || svc.calls.Load() != 0 {
+		t.Fatalf("rejected requests reached the crowd: ledger %+v, %d calls", led, svc.calls.Load())
+	}
+	if b, _ := s.db.Budget("k"); b.Cap != 3 || b.Spent != 0 {
+		t.Fatalf("budget of k = %+v, want cap 3 and no spend", b)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestCreateIndexOverHTTP(t *testing.T) {
 	}
 
 	// Schema inventory surfaces the index.
-	httpRes, err := http.Get(ts.URL + "/schema/movies")
+	httpRes, err := http.Get(ts.URL + "/v1/schema/movies")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCreateIndexOnVirtualColumnIs400(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", code)
 	}
-	res, err := http.Post(ts.URL+"/query", "application/json",
+	res, err := http.Post(ts.URL+"/v1/query", "application/json",
 		strings.NewReader(`{"sql":"CREATE INDEX idx_c ON movies (is_comedy)"}`))
 	if err != nil {
 		t.Fatal(err)

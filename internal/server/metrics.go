@@ -24,7 +24,7 @@ var (
 )
 
 // statusRecorder captures the response status for metrics and logs.
-// Flush passes through so NDJSON streaming (POST /query?stream=1) keeps
+// Flush passes through so NDJSON streaming (POST /v1/query?stream=1) keeps
 // its per-batch flushes.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -54,9 +54,8 @@ func newRequestID() string {
 // instrument wraps a handler with the per-route observability envelope:
 // in-flight gauge, request counter by status class, latency histogram,
 // and one structured request log line carrying the request ID. An
-// inbound X-Request-Id is propagated; otherwise one is minted. The same
-// wrapper serves the /v1 mount and its deprecated alias, so both report
-// under the canonical route label.
+// inbound X-Request-Id is propagated; otherwise one is minted. route is
+// the label the metrics carry: the path without its /v1 prefix.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		mHTTPInflight.Inc()

@@ -156,7 +156,7 @@ func TestMetricsEnvelopeOnBadMethod(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeOverHTTP: EXPLAIN ANALYZE runs through POST /query
+// TestExplainAnalyzeOverHTTP: EXPLAIN ANALYZE runs through POST /v1/query
 // and the root actuals match a real run of the same query; failures use
 // the error envelope.
 func TestExplainAnalyzeOverHTTP(t *testing.T) {
@@ -273,37 +273,23 @@ func TestRequestIDHeader(t *testing.T) {
 	}
 }
 
-// TestPprofUnderV1: with EnablePprof the index answers under both the
-// conventional and the versioned mount, and neither is stamped
-// deprecated.
-func TestPprofUnderV1(t *testing.T) {
-	_, ts := newTestServer(t, &fakeService{}, Config{EnablePprof: true})
-	for _, path := range []string{"/debug/pprof/", "/v1/debug/pprof/"} {
-		resp, err := http.Get(ts.URL + path)
+// TestPprofOnlyWhenEnabled: /debug/pprof/ — the path go tool pprof
+// expects — serves the profile index with EnablePprof and is 404 without.
+func TestPprofOnlyWhenEnabled(t *testing.T) {
+	for _, enabled := range []bool{true, false} {
+		_, ts := newTestServer(t, &fakeService{}, Config{EnablePprof: enabled})
+		resp, err := http.Get(ts.URL + "/debug/pprof/")
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d", path, resp.StatusCode)
+		switch {
+		case enabled && (resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("goroutine"))):
+			t.Errorf("EnablePprof: status %d, body does not look like a pprof index", resp.StatusCode)
+		case !enabled && resp.StatusCode != http.StatusNotFound:
+			t.Errorf("pprof mounted without EnablePprof: %d", resp.StatusCode)
 		}
-		if !bytes.Contains(body, []byte("goroutine")) {
-			t.Errorf("%s does not look like a pprof index", path)
-		}
-		if d := resp.Header.Get("Deprecation"); d != "" {
-			t.Errorf("%s carries Deprecation = %q", path, d)
-		}
-	}
-	// Disabled by default.
-	_, ts2 := newTestServer(t, &fakeService{}, Config{})
-	resp, err := http.Get(ts2.URL + "/v1/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof mounted without EnablePprof: %d", resp.StatusCode)
 	}
 }
 

@@ -265,7 +265,7 @@ func TestBufferedAnswerWithUnencodableValueIsAnError(t *testing.T) {
 		!strings.Contains(out.Error.Message, `row 2, column "v"`) || !strings.Contains(out.Error.Message, "NaN") {
 		t.Fatalf("status %d, error %+v: want a 500 %s naming row 2, column v and the NaN", resp.StatusCode, out.Error, CodeUnencodableValue)
 	}
-	if code, res := postQuery(t, url+"/v1", `SELECT id, v FROM readings WHERE id <> 2`, "sync"); code != http.StatusOK || len(res.Rows) != 3 {
+	if code, res := postQuery(t, url, `SELECT id, v FROM readings WHERE id <> 2`, "sync"); code != http.StatusOK || len(res.Rows) != 3 {
 		t.Fatalf("the rows around the NaN: status %d, %v", code, res.Rows)
 	}
 }

@@ -10,7 +10,7 @@
 //	GET  /v1/metrics        Prometheus text exposition of all subsystems
 //	GET  /v1/jobs           all expansion jobs, submission order
 //	GET  /v1/jobs/{id}      one job (add ?wait=1 to block until terminal)
-//	GET  /v1/schema         table names + storage backend
+//	GET  /v1/schema         table names + storage engine
 //	GET  /v1/schema/{table} column/index inventory + storage health
 //	GET  /v1/ledger         cumulative crowd spend + per-job breakdown
 //	GET  /v1/budgets        per-API-key budget caps and spend
@@ -20,15 +20,11 @@
 //	POST /v1/admin/compact  force a tombstone-compaction sweep
 //	GET  /v1/healthz        liveness (also unversioned: /healthz)
 //
-// With pprof enabled, /debug/pprof/* is additionally mounted at
-// /v1/debug/pprof/*; neither mount carries deprecation headers. Every
-// route is wrapped in the observability middleware: per-route request
-// counters, latency histograms, an in-flight gauge, and a structured
-// request log line with an X-Request-Id (inbound IDs propagate).
-//
-// Every pre-versioning route remains mounted unversioned as a thin
-// alias answering identically, with a "Deprecation: true" header and a
-// Link to its /v1 successor. Errors share one envelope —
+// Nothing else answers except, with Config.EnablePprof, net/http/pprof
+// under /debug/pprof/*. Every route is wrapped in the observability
+// middleware: per-route request counters, latency histograms, an
+// in-flight gauge, and a structured request log line with an
+// X-Request-Id (inbound IDs propagate). Errors share one envelope —
 // {"error":{"code","message","status"}} — with stable machine-readable
 // codes (see errors.go and DESIGN.md §16).
 //
@@ -66,12 +62,13 @@ type Config struct {
 	// MaxInflight bounds concurrently admitted /query requests
 	// (default 64). Excess requests receive 503 + Retry-After.
 	MaxInflight int
-	// WaitTimeout caps how long GET /jobs/{id}?wait=1 blocks
+	// WaitTimeout caps how long GET /v1/jobs/{id}?wait=1 blocks
 	// (default 30s).
 	WaitTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — the
-	// profiling companion to the storage metrics on GET /schema/{table}.
-	// Off by default: profiles expose internals and cost CPU to collect.
+	// profiling companion to the storage metrics on
+	// GET /v1/schema/{table}. Off by default: profiles expose internals
+	// and cost CPU to collect.
 	EnablePprof bool
 }
 
@@ -102,11 +99,9 @@ func New(db *core.DB, cfg Config) *Server {
 		sem: make(chan struct{}, cfg.MaxInflight),
 		mux: http.NewServeMux(),
 	}
-	// Canonical routes live under /v1/. Every pre-versioning route stays
-	// mounted unversioned as a thin alias answering identically, stamped
-	// with a Deprecation header and a Link to its successor — clients
-	// migrate on their own schedule, proxies can alert on the header.
-	versioned := []struct {
+	// Every route lives under /v1/; its metric label is the path without
+	// the prefix.
+	routes := []struct {
 		method, path string
 		h            http.HandlerFunc
 	}{
@@ -120,22 +115,15 @@ func New(db *core.DB, cfg Config) *Server {
 		{"GET", "/workload", s.handleWorkload},
 		{"POST", "/admin/expand", s.handleAdminExpand},
 		{"POST", "/admin/snapshot", s.handleSnapshot},
+		{"POST", "/admin/compact", s.handleAdminCompact},
 	}
-	for _, rt := range versioned {
-		// Both mounts share one instrumentation wrapper keyed by the
-		// canonical route, so legacy-alias traffic reports under the same
-		// metric labels it will keep after migrating.
-		h := s.instrument(rt.path, rt.h)
-		s.mux.HandleFunc(rt.method+" /v1"+rt.path, h)
-		s.mux.HandleFunc(rt.method+" "+rt.path, s.instrument(rt.path, deprecatedAlias(rt.h)))
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.method+" /v1"+rt.path, s.instrument(rt.path, rt.h))
 	}
-	// New in v1 — no legacy alias.
-	s.mux.HandleFunc("POST /v1/admin/compact", s.instrument("/admin/compact", s.handleAdminCompact))
 	// Registered without a method so non-GETs get the error envelope
 	// (the mux's own 405 is plain text); the handler enforces GET.
 	s.mux.HandleFunc("/v1/metrics", s.instrument("/metrics", s.handleMetrics))
-	// Liveness stays reachable unversioned (load balancers hardcode it)
-	// without a Deprecation stamp, and under /v1 for uniform clients.
+	// Liveness also answers unversioned: load balancers hardcode it.
 	healthz := s.instrument("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -143,39 +131,19 @@ func New(db *core.DB, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/healthz", healthz)
 	if cfg.EnablePprof {
 		// net/http/pprof registers on DefaultServeMux as an import side
-		// effect; route our mux's /debug/pprof/ straight to the handlers
-		// so the profiles come up on the same port as the API. Mounted
-		// both unversioned (the traditional path tooling expects) and
-		// under /v1 for consistency with the versioning scheme; NEITHER
-		// is a deprecated alias, so no Deprecation headers here. The v1
-		// mount strips its prefix because pprof.Index derives the profile
-		// name from the path after /debug/pprof/.
+		// effect; route our mux's /debug/pprof/ — the path go tool pprof
+		// expects — straight to the handlers so the profiles come up on
+		// the same port as the API.
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		s.mux.Handle("/v1/debug/pprof/", http.StripPrefix("/v1", http.HandlerFunc(pprof.Index)))
-		s.mux.HandleFunc("/v1/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/v1/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/v1/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/v1/debug/pprof/trace", pprof.Trace)
 	}
 	// Built here, not in Serve, so a Shutdown racing (or preceding)
 	// Serve still closes the listener instead of silently no-opping.
 	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
 	return s
-}
-
-// deprecatedAlias wraps a canonical handler for its legacy unversioned
-// mount: identical behavior, plus the RFC 8594 deprecation signal and a
-// successor link.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // Handler returns the routing handler (exported for tests and embedding).
@@ -249,7 +217,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
+	if boolParam(r, "stream") {
 		if req.Mode == "async" {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("server: stream=1 is incompatible with mode=async"))
 			return
@@ -261,17 +229,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// ?nocache=1 bypasses the semantic result cache for this statement —
 	// the escape hatch for clients that must observe the live rows (e.g.
 	// verifying an invalidation bug) without disabling the cache globally.
-	nocache := false
-	if v := r.URL.Query().Get("nocache"); v == "1" || v == "true" {
-		nocache = true
-	}
+	nocache := boolParam(r, "nocache")
 	// ?trace=1 executes with per-phase and per-operator tracing on and
 	// attaches the annotated plan tree to the response (sync only —
 	// async work runs on the scheduler, detached from this request).
-	trace := false
-	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
-		trace = true
-	}
+	trace := boolParam(r, "trace")
 
 	switch req.Mode {
 	case "", "sync":
@@ -542,7 +504,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if r.URL.Query().Get("wait") != "" {
+	if boolParam(r, "wait") {
 		if job, ok := s.db.JobHandle(id); ok {
 			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.WaitTimeout)
 			defer cancel()
@@ -562,7 +524,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSchemaList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tables":  s.db.Catalog().Names(),
-		"backend": s.db.Backend(),
+		"backend": core.BackendName,
 	})
 }
 
@@ -661,7 +623,7 @@ func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// adminExpandRequest is the POST /admin/expand body: an explicit
+// adminExpandRequest is the POST /v1/admin/expand body: an explicit
 // pre-warm expansion attributed to an API key, with an optional budget
 // cap installed for that key in the same call.
 type adminExpandRequest struct {
@@ -704,13 +666,14 @@ func (s *Server) handleAdminExpand(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: unsupported kind %q (only BOOLEAN is crowd-expandable)", req.Kind))
 		return
 	}
-	if req.Budget > 0 && req.Key == "" {
+	if req.Budget != 0 && req.Key == "" {
 		// A budget with no key to bind it to would silently run the
 		// expansion uncapped — the opposite of what the caller asked.
 		writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("server: budget requires a key to attribute it to"))
 		return
 	}
-	if req.Budget > 0 {
+	if req.Budget != 0 {
+		// SetBudget rejects a negative cap before anything is submitted.
 		if err := s.db.SetBudget(req.Key, req.Budget); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 			return
@@ -767,6 +730,13 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers ---
+
+// boolParam reports whether query parameter name is on: "1" or "true".
+// Anything else, "0" and "false" included, is off.
+func boolParam(r *http.Request, name string) bool {
+	v := r.URL.Query().Get(name)
+	return v == "1" || v == "true"
+}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -68,7 +68,7 @@ func newTestServer(t *testing.T, svc core.JudgmentService, cfg Config) (*Server,
 func postQuery(t *testing.T, url, sql, mode string) (int, queryResponse) {
 	t.Helper()
 	body, _ := json.Marshal(queryRequest{SQL: sql, Mode: mode})
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +142,26 @@ func TestAsyncQueryJobPolling(t *testing.T) {
 
 	// Poll without wait: still running.
 	var st jobs.Status
-	if code := getJSON(t, ts.URL+"/jobs/"+out.Job.ID, &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+out.Job.ID, &st); code != http.StatusOK {
 		t.Fatalf("poll code = %d", code)
 	}
 	if st.State.Terminal() {
 		t.Fatalf("premature terminal state %s", st.State)
 	}
+	// ?wait=0 and ?wait=false are a plain poll too: at once, still running.
+	for _, off := range []string{"0", "false"} {
+		start := time.Now()
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+out.Job.ID+"?wait="+off, &st); code != http.StatusOK {
+			t.Fatalf("wait=%s code = %d", off, code)
+		}
+		if st.State.Terminal() || time.Since(start) > 5*time.Second {
+			t.Fatalf("wait=%s: state %s after %v, want a prompt non-terminal answer", off, st.State, time.Since(start))
+		}
+	}
 
 	// Release the crowd and long-poll to completion.
 	close(svc.gate)
-	if code := getJSON(t, ts.URL+"/jobs/"+out.Job.ID+"?wait=1", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+out.Job.ID+"?wait=1", &st); code != http.StatusOK {
 		t.Fatalf("wait code = %d", code)
 	}
 	if st.State != jobs.StateDone || st.Ledger.Charges != 1 {
@@ -172,7 +182,7 @@ func TestAsyncQueryJobPolling(t *testing.T) {
 
 	// The job list shows exactly one job.
 	var list []jobs.Status
-	if code := getJSON(t, ts.URL+"/jobs", &list); code != http.StatusOK || len(list) != 1 {
+	if code := getJSON(t, ts.URL+"/v1/jobs", &list); code != http.StatusOK || len(list) != 1 {
 		t.Fatalf("jobs list code=%d len=%d", code, len(list))
 	}
 }
@@ -183,7 +193,7 @@ func TestSchemaAndLedgerEndpoints(t *testing.T) {
 	var tables struct {
 		Tables []string `json:"tables"`
 	}
-	if code := getJSON(t, ts.URL+"/schema", &tables); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/schema", &tables); code != http.StatusOK {
 		t.Fatalf("code = %d", code)
 	}
 	if len(tables.Tables) != 1 || tables.Tables[0] != "movies" {
@@ -199,7 +209,7 @@ func TestSchemaAndLedgerEndpoints(t *testing.T) {
 		Rows    int          `json:"rows"`
 		Columns []columnInfo `json:"columns"`
 	}
-	if code := getJSON(t, ts.URL+"/schema/movies", &schema); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/schema/movies", &schema); code != http.StatusOK {
 		t.Fatalf("code = %d", code)
 	}
 	if schema.Rows != 20 || len(schema.Columns) != 4 {
@@ -209,12 +219,12 @@ func TestSchemaAndLedgerEndpoints(t *testing.T) {
 	if last.Name != "is_comedy" || last.Origin != "expanded" || !last.Perceptual {
 		t.Fatalf("expanded column = %+v", last)
 	}
-	if code := getJSON(t, ts.URL+"/schema/nope", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/v1/schema/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("missing table code = %d", code)
 	}
 
 	var led core.LedgerTotals
-	if code := getJSON(t, ts.URL+"/ledger", &led); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/ledger", &led); code != http.StatusOK {
 		t.Fatalf("code = %d", code)
 	}
 	if led.Jobs != 1 || led.Judgments == 0 {
@@ -237,7 +247,7 @@ func TestLedgerPerJobBreakdown(t *testing.T) {
 	}
 
 	var led ledgerResponse
-	if code := getJSON(t, ts.URL+"/ledger", &led); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/ledger", &led); code != http.StatusOK {
 		t.Fatalf("code = %d", code)
 	}
 	if len(led.PerJob) != 2 {
@@ -280,7 +290,7 @@ func TestAdminSnapshot(t *testing.T) {
 	ts := httptest.NewServer(New(db, Config{}).Handler())
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Post(ts.URL+"/admin/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/admin/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +307,7 @@ func TestAdminSnapshot(t *testing.T) {
 
 	// In-memory DB: snapshot is a conflict, not a crash.
 	_, tsMem := newTestServer(t, &fakeService{}, Config{})
-	resp, err = http.Post(tsMem.URL+"/admin/snapshot", "application/json", nil)
+	resp, err = http.Post(tsMem.URL+"/v1/admin/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,23 +322,26 @@ func TestAdmissionQueueSheds(t *testing.T) {
 	_, ts := newTestServer(t, svc, Config{MaxInflight: 1})
 
 	// Occupy the single admission slot with a sync expanding query.
-	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		close(started)
 		code, _ := postQuery(t, ts.URL, `SELECT 1 FROM movies WHERE is_comedy = true`, "sync")
 		if code != http.StatusOK {
 			t.Errorf("blocked query finished with %d", code)
 		}
 	}()
-	<-started
-	// Give the in-flight request time to take the slot, then expect 503.
+	// Once it reaches the stalled crowd it holds the slot; then expect 503.
 	deadline := time.Now().Add(2 * time.Second)
+	for svc.calls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("expansion never reached the crowd")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	got503 := false
 	for time.Now().Before(deadline) {
 		body, _ := json.Marshal(queryRequest{SQL: `SELECT 1 FROM movies`})
-		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +375,7 @@ func TestBadRequests(t *testing.T) {
 	if code, _ := postQuery(t, ts.URL, "SELEKT broken", ""); code != http.StatusBadRequest {
 		t.Fatalf("parse error code = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/jobs/job-999", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/v1/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Fatalf("missing job code = %d", code)
 	}
 }

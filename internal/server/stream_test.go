@@ -101,7 +101,7 @@ func TestExplainOverHTTPShowsPushdownBelowJoin(t *testing.T) {
 func streamLines(t *testing.T, url, sql string) (int, []map[string]any) {
 	t.Helper()
 	body, _ := json.Marshal(queryRequest{SQL: sql})
-	resp, err := http.Post(url+"/query?stream=1", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query?stream=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestStreamingRejectsNonSelectAndAsync(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(queryRequest{SQL: "SELECT name FROM movies", Mode: "async"})
-	resp, err := http.Post(url+"/query?stream=1", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query?stream=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestParallelJoinEarlyCloseOverHTTP(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		// A fresh literal per iteration, or the result cache would answer.
-		code, res := postQuery(t, ts.URL+"/v1", fmt.Sprintf(`%s WHERE f.id >= %d LIMIT 3`, join, i), "sync")
+		code, res := postQuery(t, ts.URL, fmt.Sprintf(`%s WHERE f.id >= %d LIMIT 3`, join, i), "sync")
 		if code != http.StatusOK || len(res.Rows) != 3 {
 			t.Fatalf("JOIN … LIMIT 3: status %d, rows %v", code, res.Rows)
 		}

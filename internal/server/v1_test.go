@@ -9,69 +9,44 @@ import (
 	"testing"
 )
 
-// TestV1AndLegacyAnswerIdentically exercises every aliased endpoint under
-// both mounts: same status, same body bytes, and the legacy mount carries
-// the RFC 8594 Deprecation header plus a successor Link while /v1 stays
-// clean.
-func TestV1AndLegacyAnswerIdentically(t *testing.T) {
-	_, ts := newTestServer(t, &fakeService{}, Config{})
-
-	queryBody := `{"sql":"SELECT name FROM movies WHERE movie_id = 3"}`
-	cases := []struct {
-		method, path, body string
-	}{
-		{"POST", "/query", queryBody},
-		{"GET", "/jobs", ""},
-		{"GET", "/schema", ""},
-		{"GET", "/schema/movies", ""},
-		{"GET", "/ledger", ""},
-		{"GET", "/budgets", ""},
-		{"GET", "/workload", ""},
-	}
-	do := func(method, url, body string) (*http.Response, string) {
-		t.Helper()
-		req, err := http.NewRequest(method, url, strings.NewReader(body))
+// TestUnversionedRoutesAreGone: every route answers under /v1 only. The
+// pre-versioning paths, and the /v1 mount pprof once had, are 404 — even
+// with pprof enabled.
+func TestUnversionedRoutesAreGone(t *testing.T) {
+	_, ts := newTestServer(t, &fakeService{}, Config{EnablePprof: true})
+	for _, c := range []struct{ method, path string }{
+		{"POST", "/query"},
+		{"GET", "/jobs"},
+		{"GET", "/jobs/job-1"},
+		{"GET", "/schema"},
+		{"GET", "/schema/movies"},
+		{"GET", "/ledger"},
+		{"GET", "/budgets"},
+		{"GET", "/workload"},
+		{"GET", "/metrics"},
+		{"POST", "/admin/expand"},
+		{"POST", "/admin/snapshot"},
+		{"POST", "/admin/compact"},
+		{"GET", "/v1/debug/pprof/"},
+		{"GET", "/v1/debug/pprof/cmdline"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{"sql":"SELECT 1 FROM movies"}`))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if body != "" {
-			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, string(b)
-	}
-	for _, c := range cases {
-		legacy, legacyBody := do(c.method, ts.URL+c.path, c.body)
-		v1, v1Body := do(c.method, ts.URL+"/v1"+c.path, c.body)
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s %s: legacy status %d, v1 status %d", c.method, c.path, legacy.StatusCode, v1.StatusCode)
-		}
-		if legacyBody != v1Body {
-			t.Errorf("%s %s: body diverged\nlegacy: %s\nv1:     %s", c.method, c.path, legacyBody, v1Body)
-		}
-		if got := legacy.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("%s %s: legacy Deprecation header = %q, want \"true\"", c.method, c.path, got)
-		}
-		wantLink := `</v1` + c.path + `>; rel="successor-version"`
-		if got := legacy.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s %s: legacy Link = %q, want %q", c.method, c.path, got, wantLink)
-		}
-		if got := v1.Header.Get("Deprecation"); got != "" {
-			t.Errorf("%s %s: /v1 mount must not carry Deprecation, got %q", c.method, c.path, got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", c.method, c.path, resp.StatusCode)
 		}
 	}
 }
 
-// TestHealthzNotDeprecated: load balancers hardcode /healthz; it stays
-// unversioned without a deprecation stamp, and also answers under /v1.
+// TestHealthzNotDeprecated: load balancers hardcode /healthz, so it is the
+// one route that also answers unversioned, beside /v1/healthz.
 func TestHealthzNotDeprecated(t *testing.T) {
 	_, ts := newTestServer(t, &fakeService{}, Config{})
 	for _, path := range []string{"/healthz", "/v1/healthz"} {
@@ -83,15 +58,11 @@ func TestHealthzNotDeprecated(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s status = %d", path, resp.StatusCode)
 		}
-		if got := resp.Header.Get("Deprecation"); got != "" {
-			t.Errorf("%s carries Deprecation = %q", path, got)
-		}
 	}
 }
 
 // TestErrorEnvelopeShape: every failure uses the unified
-// {"error":{code,message,status}} envelope with stable codes, on both
-// mounts.
+// {"error":{code,message,status}} envelope with stable codes.
 func TestErrorEnvelopeShape(t *testing.T) {
 	_, ts := newTestServer(t, &fakeService{}, Config{})
 
@@ -105,24 +76,22 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		return body["error"]
 	}
 
-	// Parse error → bad_request, both mounts.
-	for _, prefix := range []string{"", "/v1"} {
-		resp, err := http.Post(ts.URL+prefix+"/query", "application/json",
-			strings.NewReader(`{"sql":"SELECTT * FROM movies"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := decode(resp)
-		if resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || e.Status != http.StatusBadRequest {
-			t.Errorf("%s/query parse error: status=%d envelope=%+v", prefix, resp.StatusCode, e)
-		}
-		if e.Message == "" {
-			t.Errorf("%s/query: empty message in envelope", prefix)
-		}
+	// Parse error → bad_request.
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"sql":"SELECTT * FROM movies"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := decode(resp)
+	if resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || e.Status != http.StatusBadRequest {
+		t.Errorf("/v1/query parse error: status=%d envelope=%+v", resp.StatusCode, e)
+	}
+	if e.Message == "" {
+		t.Error("/v1/query: empty message in envelope")
 	}
 
 	// Unknown job → not_found.
-	resp, err := http.Get(ts.URL + "/v1/jobs/9999")
+	resp, err = http.Get(ts.URL + "/v1/jobs/9999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +195,9 @@ func TestAdminCompactEndpoint(t *testing.T) {
 		t.Fatalf("post-compact query: status=%d rows=%+v", code, q.Rows)
 	}
 
-	// Legacy mount has no /admin/compact — it is new in v1.
-	resp, err = http.Post(ts.URL+"/admin/compact", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("legacy /admin/compact status = %d, want 404", resp.StatusCode)
-	}
 }
 
-// TestSchemaListReportsBackend: GET /v1/schema names the active storage
-// backend so operators can confirm which seam implementation is live.
+// TestSchemaListReportsBackend: GET /v1/schema names the storage engine.
 func TestSchemaListReportsBackend(t *testing.T) {
 	_, ts := newTestServer(t, &fakeService{}, Config{})
 	var out struct {

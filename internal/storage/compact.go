@@ -351,16 +351,3 @@ func (t *Table) WithWriteFence(fn func() error) error {
 	defer t.ReleaseWriteFence()
 	return fn()
 }
-
-// RebuildIndexes rebuilds every attached index from the current
-// snapshot — the Backend rebuild hook, used after a bulk restore.
-func (t *Table) RebuildIndexes() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.snap.Load()
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	for _, idx := range t.indexes {
-		t.rebuildIndex(idx, v)
-	}
-}

@@ -74,6 +74,28 @@ func TestCompactThresholdAndSkipReasons(t *testing.T) {
 	if !res.Compacted || res.RowsReclaimed != 1 {
 		t.Fatalf("forced single-tombstone compaction: %+v", res)
 	}
+
+	// Every other row dead: the default threshold admits the sealed
+	// region's 50 %, and the pass reclaims the tail's tombstones with it.
+	doomed = doomed[:0]
+	for i := 0; i < tbl.NumRows(); i += 2 {
+		doomed = append(doomed, i)
+	}
+	tbl.Delete(doomed)
+	res, err = tbl.Compact(CompactionPolicy{MinTombstoneFrac: DefaultCompactionFrac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Compacted || res.RowsReclaimed != len(doomed) {
+		t.Fatalf("50%% density with default threshold: %+v, want %d reclaimed", res, len(doomed))
+	}
+	res, err = tbl.Compact(CompactionPolicy{MinTombstoneFrac: DefaultCompactionFrac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Compacted || res.Skipped != CompactSkipClean {
+		t.Fatalf("second pass = %+v, want clean skip", res)
+	}
 }
 
 func TestCompactSkipsPinnedSnapshotsAndFences(t *testing.T) {
@@ -147,10 +169,10 @@ func TestFenceWaitsForCompaction(t *testing.T) {
 	tbl.ReleaseWriteFence()
 }
 
-// Real hash/ordered index implementations are exercised through the
-// backend conformance suite (internal/storage/backendtest), which can
-// import internal/index without a cycle; here fakeIndex (see
-// index_cursor_test.go) observes the remap calls.
+// Real hash/ordered indexes meet compaction in internal/core's
+// TestRestartDifferential (internal/index imports storage, so they cannot
+// be used here); fakeIndex (see index_cursor_test.go) observes the remap
+// calls.
 func TestCompactRemapsIndexesPointwise(t *testing.T) {
 	tbl := compactTestTable(t, ChunkRows+100)
 	if err := tbl.AttachIndex(newFakeIndex("by_id", "id")); err != nil {

@@ -1,5 +1,7 @@
 package storage
 
+import "fmt"
+
 // OpKind enumerates the typed mutation records a table or catalog emits.
 type OpKind string
 
@@ -71,6 +73,61 @@ func (c *Catalog) SetJournal(j Journal) {
 		t.mu.Lock()
 		t.journal = j
 		t.mu.Unlock()
+	}
+}
+
+// Apply applies one typed mutation — the replay entry point. The catalog
+// must have no journal attached (replay must not re-log).
+func (c *Catalog) Apply(op Op) error {
+	switch op.Kind {
+	case OpCreateTable:
+		schema, err := NewSchema(op.Columns...)
+		if err != nil {
+			return err
+		}
+		_, err = c.Create(op.Table, schema)
+		return err
+	case OpDropTable:
+		c.Drop(op.Table)
+		return nil
+	}
+	tbl, ok := c.Get(op.Table)
+	if !ok {
+		return fmt.Errorf("storage: op %s targets unknown table %q", op.Kind, op.Table)
+	}
+	switch op.Kind {
+	case OpInsert:
+		return tbl.Insert(op.Values...)
+	case OpSet:
+		vec, err := DecodeColumn(op.Fill)
+		if err != nil {
+			return err
+		}
+		if vec.Len() != len(op.Rows) {
+			return fmt.Errorf("storage: set op carries %d cells for %d rows", vec.Len(), len(op.Rows))
+		}
+		vals := make([]Value, len(op.Rows))
+		for i := range vals {
+			vals[i] = vec.Value(i)
+		}
+		_, err = tbl.SetBatch(op.Rows, []int{op.Col}, [][]Value{vals})
+		return err
+	case OpAddColumn:
+		if op.Column == nil {
+			return fmt.Errorf("storage: add_column op without column")
+		}
+		_, err := tbl.AddColumn(*op.Column)
+		return err
+	case OpFillColumn:
+		return tbl.FillColumnFrom(op.Name, func(*Snap) (*Vector, error) { return DecodeColumn(op.Fill) })
+	case OpTombstone:
+		tbl.Delete(op.Rows)
+		return nil
+	case OpCompact:
+		tbl.ReplayCompact(op.Rows)
+		return nil
+	default:
+		return fmt.Errorf("storage: unknown op kind %q", op.Kind)
 	}
 }
 

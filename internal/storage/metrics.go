@@ -7,7 +7,7 @@ import (
 )
 
 // Storage-layer metric families (catalog: DESIGN.md §17). Process-wide
-// across all tables and backends; per-table breakdowns stay on
+// across all tables; per-table breakdowns stay on
 // GET /v1/schema/{table} (CompactionStats, Tombstones, LiveSnapshotEpochs).
 var (
 	mChunkSeals = obs.Default.Counter("crowddb_storage_chunk_seals_total",

@@ -265,6 +265,9 @@ func (h *modelHarness) check() {
 	if h.tbl.NumRows() != len(live) {
 		h.t.Fatalf("NumRows = %d, model says %d", h.tbl.NumRows(), len(live))
 	}
+	if dead := len(h.rows) - len(live); h.tbl.Tombstones() != dead {
+		h.t.Fatalf("Tombstones = %d, model says %d", h.tbl.Tombstones(), dead)
+	}
 
 	rc := h.expect(live, "Scan")
 	h.tbl.Scan(func(id int, row Row) bool {

@@ -20,7 +20,7 @@
 // so the entry can be stored but never served.
 //
 // Memory is bounded in bytes with LRU eviction; hit/miss/invalidation
-// counters feed GET /workload.
+// counters feed GET /v1/workload.
 package cache
 
 import (

@@ -15,7 +15,7 @@
 //
 // The model is deliberately not machine learning: pairwise lift over a
 // sliding co-occurrence window needs no training phase, no dependency,
-// and is fully inspectable over GET /workload.
+// and is fully inspectable over GET /v1/workload.
 package workload
 
 import (
