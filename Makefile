@@ -104,7 +104,7 @@ bench-smoke:
 # TopN folds per-worker heaps instead of reading through a Gather
 # (ROADMAP item 7(a)).
 BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
-BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
+BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
 BENCH_SCALING = BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)

@@ -60,8 +60,8 @@
 // the same batch window as the demand expansion — so the speculative
 // HITs merge into the demand job's crowd charge; the dollar cap bounds
 // total speculative spend and speculation never displaces demand work.
-// SELECT results are served from a semantic result cache keyed on the
-// normalized plan and invalidated by any table mutation; -cache-bytes
+// SELECT results are served from a result cache keyed on the SQL text,
+// probed before parsing and invalidated by any table mutation; -cache-bytes
 // sizes it (-1 disables), and ?nocache=1 on POST /v1/query bypasses it
 // per request.
 //

@@ -62,15 +62,25 @@ func (db *DB) JobHandle(id string) (*jobs.Job, bool) { return db.sched.Get(id) }
 // This is the serving-path API: an HTTP frontend returns 202 + job ID
 // instead of holding a connection open for crowd minutes.
 func (db *DB) ExecSQLAsync(sql string) (*Result, *jobs.Job, error) {
+	res, key := db.cachedResult(sql, false, nil)
+	if res != nil {
+		return res.Boxed(), nil, nil
+	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.ExecAsync(stmt)
+	return db.execAsync(stmt, key)
 }
 
-// ExecAsync executes a parsed statement (see ExecSQLAsync).
+// ExecAsync executes a parsed statement (see ExecSQLAsync). Like Exec, it
+// bypasses the result cache, which is keyed on SQL text.
 func (db *DB) ExecAsync(stmt sqlparse.Statement) (*Result, *jobs.Job, error) {
+	return db.execAsync(stmt, "")
+}
+
+// execAsync is ExecAsync with the cache key of execEngine.
+func (db *DB) execAsync(stmt sqlparse.Statement, key string) (*Result, *jobs.Job, error) {
 	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
 		job, err := db.submitExpandStmt(ex)
 		if err != nil {
@@ -78,7 +88,7 @@ func (db *DB) ExecAsync(stmt sqlparse.Statement) (*Result, *jobs.Job, error) {
 		}
 		return nil, job, nil
 	}
-	res, err := db.execEngine(stmt)
+	res, err := db.execEngine(stmt, key, nil)
 	if err == nil {
 		return res.Boxed(), nil, nil
 	}

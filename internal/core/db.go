@@ -184,7 +184,7 @@ type DB struct {
 	// tracker records every query's column footprint and misses — the
 	// co-access model behind predictive pre-expansion (always present).
 	tracker *workload.Tracker
-	// rcache is the semantic result cache (nil when disabled via
+	// rcache is the result cache, keyed on SQL text (nil when disabled via
 	// Options.CacheBytes < 0). Invalidation is seq-based: the storage
 	// observer bumps a per-table sequence on every journaled mutation,
 	// and core bumps it explicitly for index DDL, which emits no Op.
@@ -325,16 +325,12 @@ func (db *DB) mutate(fn func() error) error {
 // execEngine executes a statement under the snapshot gate, so DML lands
 // atomically with respect to Snapshot. SELECT-heavy workloads are not
 // serialized: the gate is an RWMutex and statements take the read side.
-func (db *DB) execEngine(stmt sqlparse.Statement) (*Result, error) {
-	return db.execEngineQT(stmt, false, nil)
-}
-
-// execEngineQT is execEngine with the result cache optionally bypassed for
-// this statement (the ?nocache=1 escape hatch) and an optional query
-// trace: when qt is non-nil, SELECTs execute with per-operator
+// A SELECT's result is stored in the result cache under key, its text ("" —
+// nocache, or a statement handed over parsed — stores nothing; see
+// cachedResult). When qt is non-nil, SELECTs execute with per-operator
 // instrumentation and fill in their phase timings. The result is columnar
 // (Result.Batches); the exported entry points box it.
-func (db *DB) execEngineQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, error) {
+func (db *DB) execEngine(stmt sqlparse.Statement, key string, qt *QueryTrace) (*Result, error) {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	switch s := stmt.(type) {
@@ -346,7 +342,7 @@ func (db *DB) execEngineQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace
 		return db.execDropIndex(s)
 	// SELECTs route through the workload tracker and result cache.
 	case *sqlparse.SelectStmt:
-		return db.execSelectStmt(s, nocache, qt)
+		return db.execSelectStmt(s, key, qt)
 	}
 	return db.engine.Run(stmt)
 }
@@ -457,15 +453,18 @@ func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
 // the answer is complete, but the expansion itself runs on the job
 // scheduler: concurrent queries hitting the same missing column join one
 // shared job (singleflight) instead of each paying for its own crowd run.
+// The result cache is keyed on SQL text, which a parsed statement does not
+// carry, so Exec bypasses it: its SELECTs are neither served from the cache
+// nor stored into it.
 func (db *DB) Exec(stmt sqlparse.Statement) (*Result, *ExpansionReport, error) {
-	res, rep, err := db.execQT(stmt, false, nil)
+	res, rep, err := db.execQT(stmt, "", nil)
 	return res.Boxed(), rep, err
 }
 
-// execQT is Exec with the result left columnar, the cache optionally
-// bypassed and an optional query trace threaded down to the SELECT path
+// execQT is Exec with the result left columnar, the cache key of
+// execEngine, and an optional query trace threaded down to the SELECT path
 // (nil means untraced).
-func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, *ExpansionReport, error) {
+func (db *DB) execQT(stmt sqlparse.Statement, key string, qt *QueryTrace) (*Result, *ExpansionReport, error) {
 	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
 		job, err := db.submitExpandStmt(ex)
 		if err != nil {
@@ -480,7 +479,7 @@ func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Re
 		return &Result{Message: msg}, report, nil
 	}
 
-	res, err := db.execEngineQT(stmt, nocache, qt)
+	res, err := db.execEngine(stmt, key, qt)
 	if err == nil {
 		return res, nil, nil
 	}
@@ -502,7 +501,7 @@ func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Re
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err = db.execEngineQT(stmt, nocache, qt)
+	res, err = db.execEngine(stmt, key, qt)
 	if err != nil {
 		return nil, report, err
 	}

@@ -130,7 +130,7 @@ func (db *DB) execStream(stmt sqlparse.Statement, start time.Time) (*RowStream, 
 		// gate's read side; the batches are then read without it.
 		db.gate.RLock()
 		defer db.gate.RUnlock()
-		p, err := db.planSelect(sel, nil)
+		p, _, err := db.planSelect(sel, nil)
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,197 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"unicode/utf8"
+
+	"crowddb/internal/sqlparse"
+	"crowddb/internal/storage"
+)
+
+// twinQueries are SELECTs of one table and of two, with aliases, a GROUP
+// BY and names in upper case, so their observations are not trivial.
+var twinQueries = []string{
+	`SELECT id, score FROM facts WHERE id = 7`,
+	`SELECT K, COUNT(*), AVG(Score) FROM facts WHERE score > 1.5 GROUP BY K`,
+	`SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k WHERE f.score < 2.0`,
+	`SELECT tag FROM facts ORDER BY tag LIMIT 3`,
+}
+
+// twinDB opens a durable database over dir holding a small facts table
+// and a dimension table.
+func twinDB(t *testing.T, dir string, create bool) *DB {
+	t.Helper()
+	db, err := Open(Options{DataDir: dir, ExecWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !create {
+		return db
+	}
+	stmts := []string{
+		`CREATE TABLE facts (id INTEGER, k INTEGER, score FLOAT, tag TEXT)`,
+		`CREATE TABLE dims (k INTEGER, label TEXT)`,
+		`INSERT INTO dims VALUES (0, 'zero'), (1, 'one'), (2, 'two')`,
+	}
+	for i := 0; i < 40; i++ {
+		stmts = append(stmts, fmt.Sprintf(`INSERT INTO facts VALUES (%d, %d, %d.5, 't%02d')`, i, i%3, i%4, i%9))
+	}
+	for _, sql := range stmts {
+		if _, _, err := db.ExecSQL(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	return db
+}
+
+// TestTextHitsFeedTheWorkloadLikeExecutions: a hit is never parsed or
+// planned, yet the workload model must not be able to tell. One database
+// answers every repeat from the cache by its text (Query), its twin
+// executes every one of them (Exec, which carries no text and so bypasses
+// the cache); the tracker's counters must agree — in memory, and after
+// both are reopened from what they journaled.
+func TestTextHitsFeedTheWorkloadLikeExecutions(t *testing.T) {
+	const repeats = 100 // 400 observations: the log gets full workload_obs records and a tail
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, b := twinDB(t, dirA, true), twinDB(t, dirB, true)
+	for i := 0; i < repeats; i++ {
+		for _, sql := range twinQueries {
+			hit, _, _, err := a.Query(sql, false, false)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			stmt, err := sqlparse.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec, _, err := b.Exec(stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if !reflect.DeepEqual(storage.RowsOf(hit.Batches), exec.Rows) {
+				t.Fatalf("%s: the text path and Exec answer differently", sql)
+			}
+		}
+	}
+	n := uint64(len(twinQueries))
+	if st := a.CacheStats(); st.Hits != (repeats-1)*n || st.Misses != n {
+		t.Fatalf("Query's cache saw %d hits and %d misses, want %d and %d", st.Hits, st.Misses, (repeats-1)*n, n)
+	}
+	if st := b.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("Exec touched the cache: %+v", st)
+	}
+	want := b.Workload().Counters
+	if got := a.Workload().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("served from the cache the tracker counts\n%+v\nexecuted\n%+v", got, want)
+	}
+	if want.TotalQueries < repeats*n {
+		t.Fatalf("TotalQueries = %d after %d SELECTs", want.TotalQueries, repeats*n)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, b = twinDB(t, dirA, false), twinDB(t, dirB, false)
+	defer a.Close()
+	defer b.Close()
+	if got, replayed := a.Workload().Counters, b.Workload().Counters; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(replayed, want) {
+		t.Fatalf("after a restart the twins count\n%+v\nand\n%+v\nwant\n%+v", got, replayed, want)
+	}
+}
+
+// TestAsyncEntryPointsAndTheCache: ExecSQLAsync is served from the cache
+// by its text like Query; ExecAsync, handed a parsed statement, bypasses it.
+func TestAsyncEntryPointsAndTheCache(t *testing.T) {
+	db := pathDB(t, 1)
+	const sql = `SELECT id, score FROM facts WHERE id >= 100 AND id < 110`
+	miss, _, err := db.ExecSQLAsync(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, _, err := db.ExecSQLAsync(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("two ExecSQLAsync of one text: %+v, want one miss then one hit", st)
+	}
+	if len(hit.Rows) != 10 || !reflect.DeepEqual(hit.Rows, miss.Rows) {
+		t.Fatalf("the hit boxes %d rows, the miss %d", len(hit.Rows), len(miss.Rows))
+	}
+	stmt, _ := sqlparse.Parse(sql)
+	before := db.CacheStats()
+	if res, _, err := db.ExecAsync(stmt); err != nil || !reflect.DeepEqual(res.Rows, miss.Rows) {
+		t.Fatalf("ExecAsync: %v", err)
+	}
+	if after := db.CacheStats(); after != before {
+		t.Fatalf("ExecAsync touched the cache: %+v → %+v", before, after)
+	}
+}
+
+// TestTracedHitCarriesItsPlan: a traced hit is parsed and planned after
+// the lookup, for its trace alone — the plan tree without actuals, and
+// the workload counted once, as for an untraced hit.
+func TestTracedHitCarriesItsPlan(t *testing.T) {
+	db := pathDB(t, 1)
+	const sql = `SELECT id, score FROM facts WHERE k = 3 ORDER BY score DESC, id LIMIT 5`
+	if _, _, _, err := db.Query(sql, false, true); err != nil {
+		t.Fatal(err)
+	}
+	queries := db.Workload().Counters.TotalQueries
+	res, _, qt, err := db.Query(sql, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, _ := sqlparse.Parse(sql)
+	p, err := db.Engine().PlanSelect(stmt.(*sqlparse.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qt.CacheHit || qt.Rows != 5 || res.Affected != 5 || qt.ExecUS != 0 || !reflect.DeepEqual(qt.Plan, p.Explain()) {
+		t.Fatalf("traced hit: %+v, want a 5-row hit with the statement's plan and no execution", qt)
+	}
+	if got := db.Workload().Counters.TotalQueries; got != queries+1 {
+		t.Fatalf("a traced hit moved TotalQueries by %d, want 1", got-queries)
+	}
+}
+
+// TestTextHitAllocations: an in-process hit is one map lookup — no parse,
+// no plan, no fingerprint. What it allocates is the Result around the
+// entry's batches and the column list the tracker keeps of its one
+// observation. Keyed on the plan fingerprint, the same hit was 77 objects.
+func TestTextHitAllocations(t *testing.T) {
+	db := pathDB(t, 1)
+	const sql = `SELECT id, score FROM facts WHERE id >= 100 AND id < 140`
+	if _, _, _, err := db.Query(sql, false, false); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if res, _, _, err := db.Query(sql, false, false); err != nil || res.Affected != 40 {
+			t.Fatalf("hit: %v", err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("a text hit allocates %.0f objects, want at most 2", allocs)
+	}
+	if st := db.CacheStats(); st.Misses != 1 {
+		t.Fatalf("the hits were not hits: %+v", st)
+	}
+}
+
+func TestTruncateSQLBacksOffToARuneBoundary(t *testing.T) {
+	sql := strings.Repeat("x", 511) + "é" + strings.Repeat("y", 100) // é is bytes 511 and 512
+	got := truncateSQL(sql)
+	if !utf8.ValidString(got) {
+		t.Fatalf("truncated SQL is invalid UTF-8: %q", got[500:])
+	}
+	if want := strings.Repeat("x", 511) + "…"; got != want {
+		t.Fatalf("truncated to %q…, want the 511 ASCII bytes and an ellipsis", got[505:])
+	}
+	if short := "SELECT 'é'"; truncateSQL(short) != short {
+		t.Fatal("a short statement was cut")
+	}
+}

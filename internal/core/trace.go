@@ -3,6 +3,7 @@ package core
 import (
 	"log/slog"
 	"time"
+	"unicode/utf8"
 
 	"crowddb/internal/sqlparse"
 )
@@ -47,28 +48,39 @@ func (db *DB) ExecSQLTraced(sql string, nocache bool) (*Result, *ExpansionReport
 func (db *DB) autoTrace() bool { return db.traceAll || db.slowQuery > 0 }
 
 // Query is the spine under every ExecSQL variant and the HTTP server:
-// parse, execute (expansions included, see Exec), record the end-to-end
-// and parse-phase metrics, and — when traced, or when the database traces
+// probe the result cache with the text (unless nocache), and on a miss
+// parse and execute (expansions included, see Exec); record the end-to-end
+// and phase metrics, and — when traced, or when the database traces
 // everything (autoTrace) — assemble the QueryTrace and feed the slow-query
-// log. The result is columnar: Result.Batches, possibly shared with the
-// result cache, and no Rows. The server encodes from it; the ExecSQL
-// variants box it (Result.Boxed) for callers that want rows.
+// log. A hit is neither parsed nor planned, except that a traced one is,
+// after the fact, for its trace's plan tree. The result is columnar:
+// Result.Batches, possibly shared with the result cache, and no Rows. The
+// server encodes from it; the ExecSQL variants box it (Result.Boxed) for
+// callers that want rows.
 func (db *DB) Query(sql string, nocache, traced bool) (*Result, *ExpansionReport, *QueryTrace, error) {
 	var qt *QueryTrace
 	if traced || db.autoTrace() {
 		qt = &QueryTrace{SQL: sql}
 	}
 	start := time.Now()
-	stmt, err := sqlparse.Parse(sql)
-	parse := time.Since(start)
-	mQueryPhase.With("parse").Observe(parse.Seconds())
-	if qt != nil {
-		qt.ParseUS = parse.Microseconds()
+	res, key := db.cachedResult(sql, nocache, qt)
+	var rep *ExpansionReport
+	var execErr error
+	if res == nil {
+		parseStart := time.Now()
+		stmt, err := sqlparse.Parse(sql)
+		parse := time.Since(parseStart)
+		mQueryPhase.With("parse").Observe(parse.Seconds())
+		if qt != nil {
+			qt.ParseUS = parse.Microseconds()
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		res, rep, execErr = db.execQT(stmt, key, qt)
+	} else if traced {
+		db.explainHit(sql, qt)
 	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, rep, execErr := db.execQT(stmt, nocache, qt)
 	total := time.Since(start)
 	mQuerySeconds.Observe(total.Seconds())
 	if qt != nil {
@@ -113,11 +125,16 @@ func (db *DB) logSlow(qt *QueryTrace, total time.Duration, execErr error) {
 }
 
 // truncateSQL bounds the SQL text in a log record; a multi-megabyte
-// INSERT must not become a multi-megabyte log line.
+// INSERT must not become a multi-megabyte log line. The cut backs off to
+// a rune boundary, so the record stays valid UTF-8.
 func truncateSQL(sql string) string {
 	const max = 512
 	if len(sql) <= max {
 		return sql
 	}
-	return sql[:max] + "…"
+	cut := max
+	for cut > 0 && !utf8.RuneStart(sql[cut]) {
+		cut--
+	}
+	return sql[:cut] + "…"
 }

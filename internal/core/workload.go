@@ -16,10 +16,10 @@ import (
 
 // Workload-aware serving layer: every SELECT feeds the workload tracker
 // (the co-access model behind predictive pre-expansion) and, unless
-// bypassed, the semantic result cache. The pieces live in
-// internal/workload; this file is the glue that decides WHEN they fire —
-// observation under the snapshot gate, speculation inside the open
-// coalescer window, cache seq-capture before execution. See DESIGN.md §13.
+// bypassed, the result cache. The pieces live in internal/workload; this
+// file is the glue that decides WHEN they fire — the cache probe before the
+// parser, observation under the snapshot gate, speculation inside the open
+// coalescer window, cache seq-capture before planning. See DESIGN.md §13.
 
 // Origin values for expansion jobs. The tag rides the job (jobs.Status),
 // the per-job WAL completion record, and /ledger, so operators can audit
@@ -62,8 +62,8 @@ const obsBatch = 256
 // contents are inside those counters. The observations are advisory
 // evidence for the pre-expansion predictor: a crash loses at most the
 // unflushed tail of predictor counts, never money state. Caller holds
-// db.gate.RLock (the execEngineQT path), so a flush lands atomically with
-// respect to Snapshot.
+// db.gate.RLock (the execEngine path, or a cache hit's replay), so a flush
+// lands atomically with respect to Snapshot.
 func (db *DB) observeLocked(obs workload.Observation) {
 	if db.tracker == nil {
 		return
@@ -159,10 +159,10 @@ func (db *DB) CacheStats() rescache.Stats {
 
 // planSelect is the step every SELECT takes first, materialized or
 // streamed: plan it, account the plan phase, and feed the workload tracker
-// one observation per table in scope. Caller holds db.gate.RLock. Plan
-// errors propagate untouched so a MissingColumnError still reaches the
-// expansion machinery.
-func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.SelectPlan, error) {
+// one observation per table in scope, which it returns for the result
+// cache to keep. Caller holds db.gate.RLock. Plan errors propagate
+// untouched so a MissingColumnError still reaches the expansion machinery.
+func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.SelectPlan, []workload.Observation, error) {
 	planStart := time.Now()
 	p, err := db.engine.PlanSelect(sel)
 	planDur := time.Since(planStart)
@@ -171,84 +171,132 @@ func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.Select
 		qt.PlanUS += planDur.Microseconds()
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for _, obs := range accessObservations(sel) {
-		db.observeLocked(obs)
+	obs := accessObservations(sel)
+	for _, o := range obs {
+		db.observeLocked(o)
 	}
-	return p, nil
+	return p, obs, nil
 }
 
-// execSelectStmt is the cached SELECT path. Caller holds db.gate.RLock.
-// The result is columnar: a miss's batches are the executor's owned copy,
-// a hit's are the cache entry itself, and a miss that is stored shares its
-// list with the entry — nothing on this path boxes or copies a row.
+// cachedResult probes the result cache with a statement's text, before
+// anything parses it. On a hit it feeds the workload tracker the
+// observations the entry's statement produced — the tracker, the
+// workload_obs records and TotalQueries see a hit as they see a miss — and
+// returns the entry's result, whose batches it shares. Otherwise it returns
+// the key to store the statement's result under: the text, or "" when the
+// cache is off or bypassed (nocache). Only the cache_lookup phase is
+// observed; a miss is counted by the SELECT it turns out to be
+// (execSelectStmt).
+func (db *DB) cachedResult(sql string, nocache bool, qt *QueryTrace) (res *Result, key string) {
+	if db.rcache == nil || nocache {
+		return nil, ""
+	}
+	start := time.Now()
+	cols, batches, obs, ok := db.rcache.GetBatches(sql)
+	dur := time.Since(start)
+	mQueryPhase.With("cache_lookup").Observe(dur.Seconds())
+	if qt != nil {
+		qt.CacheUS += dur.Microseconds()
+	}
+	if !ok {
+		return nil, sql
+	}
+	mCacheHits.Inc()
+	db.gate.RLock()
+	for _, o := range obs {
+		db.observeLocked(o)
+	}
+	db.gate.RUnlock()
+	if qt != nil {
+		qt.CacheHit = true
+	}
+	return &Result{Columns: cols, Batches: batches, Affected: storage.RowCount(batches)}, ""
+}
+
+// explainHit fills in a traced hit's parse and plan times and its plan
+// tree — without actuals, since nothing ran — by parsing and planning the
+// text again, for the trace alone: nothing is observed or counted.
+func (db *DB) explainHit(sql string, qt *QueryTrace) {
+	start := time.Now()
+	stmt, err := sqlparse.Parse(sql)
+	qt.ParseUS = time.Since(start).Microseconds()
+	sel, ok := stmt.(*sqlparse.SelectStmt)
+	if err != nil || !ok {
+		return
+	}
+	start = time.Now()
+	p, err := db.engine.PlanSelect(sel)
+	qt.PlanUS = time.Since(start).Microseconds()
+	if err == nil {
+		qt.Plan = p.Explain()
+	}
+}
+
+// execSelectStmt runs a SELECT the result cache did not answer and, under
+// a non-empty key, counts the miss and stores the result. Caller holds
+// db.gate.RLock. The result is columnar: the executor's owned batches,
+// which a stored miss shares with its entry — nothing on this path boxes
+// or copies a row.
 //
-// Order matters: the table-seq snapshot is taken BEFORE execution, so a
-// mutation landing mid-query bumps the live seq past the snapshot and
-// the entry — stored against the snapshot — can never be served (the
-// cache validates seqs on every Get).
+// Order matters: the table-seq snapshot is taken BEFORE planning, because
+// the plan binds the tables it reads and their schemas (SELECT * is
+// expanded then). A mutation, a re-created table or an added column that
+// lands after the snapshot bumps the live seq past it, and the entry —
+// stored against the snapshot — can never be served (the cache validates
+// seqs on every Get).
 //
 // Every phase feeds the crowddb_query_phase_seconds histogram; a non-nil
 // qt additionally runs the executor with per-operator tracing and fills
 // in the QueryTrace.
-func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, nocache bool, qt *QueryTrace) (*Result, error) {
-	p, err := db.planSelect(sel, qt)
+func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, key string, qt *QueryTrace) (*Result, error) {
+	var snap []rescache.TableSeq
+	if key != "" {
+		snap = db.rcache.TableSeqs(selectTables(sel))
+	}
+	p, obs, err := db.planSelect(sel, qt)
 	if err != nil {
 		return nil, err
 	}
-	// run executes the plan, traced iff qt is set, and accounts the
-	// execute phase either way.
-	run := func() (*Result, error) {
-		execStart := time.Now()
-		var tr *exec.Trace
-		if qt != nil {
-			tr = exec.NewTrace()
-		}
-		res, err := engine.RunPlan(p, tr)
-		execDur := time.Since(execStart)
-		mQueryPhase.With("execute").Observe(execDur.Seconds())
-		if qt != nil {
-			qt.ExecUS += execDur.Microseconds()
-			if err == nil {
-				qt.Plan = p.ExplainWith(tr.Annotate)
-			}
-		}
-		return res, err
-	}
-	if db.rcache == nil {
-		return run()
-	}
-	fp := p.Fingerprint()
-	if !nocache {
-		cacheStart := time.Now()
-		cols, batches, ok := db.rcache.GetBatches(fp)
-		cacheDur := time.Since(cacheStart)
-		mQueryPhase.With("cache_lookup").Observe(cacheDur.Seconds())
-		if qt != nil {
-			qt.CacheUS += cacheDur.Microseconds()
-		}
-		if ok {
-			mCacheHits.Inc()
-			if qt != nil {
-				// Served from cache: nothing executed, so the plan tree
-				// carries no actuals.
-				qt.CacheHit = true
-				qt.Plan = p.Explain()
-			}
-			return &Result{Columns: cols, Batches: batches, Affected: storage.RowCount(batches)}, nil
-		}
+	if key != "" {
+		db.rcache.CountMiss()
 		mCacheMisses.Inc()
 	}
-	snap := db.rcache.TableSeqs(p.Tables())
-	res, err := run()
+	execStart := time.Now()
+	var tr *exec.Trace
+	if qt != nil {
+		tr = exec.NewTrace()
+	}
+	res, err := engine.RunPlan(p, tr)
+	execDur := time.Since(execStart)
+	mQueryPhase.With("execute").Observe(execDur.Seconds())
+	if qt != nil {
+		qt.ExecUS += execDur.Microseconds()
+		if err == nil {
+			qt.Plan = p.ExplainWith(tr.Annotate)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	if !nocache {
-		db.rcache.PutBatches(fp, snap, res.Columns, res.Batches)
+	if key != "" {
+		db.rcache.PutBatches(key, snap, obs, res.Columns, res.Batches)
 	}
 	return res, nil
+}
+
+// selectTables returns the tables a SELECT names, lower-cased and distinct:
+// the result cache's invalidation scope, known before the plan is.
+func selectTables(sel *sqlparse.SelectStmt) []string {
+	tables := make([]string, 1, 1+len(sel.Joins))
+	tables[0] = strings.ToLower(sel.Table)
+	for _, j := range sel.Joins {
+		if t := strings.ToLower(j.Table); !slices.Contains(tables, t) {
+			tables = append(tables, t)
+		}
+	}
+	return tables
 }
 
 // accessObservations derives per-table workload observations from a

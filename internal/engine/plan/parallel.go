@@ -19,7 +19,7 @@ package plan
 //
 // Leaves estimated below MinParallelRows stay serial: tiny inputs gain
 // nothing from fan-out, and keeping their plans byte-identical keeps
-// result-cache fingerprints and EXPLAIN output stable for small tables.
+// EXPLAIN output and plan fingerprints stable for small tables.
 // IndexScan point probes are never split — they select a handful of rows
 // by construction.
 //

@@ -354,7 +354,7 @@ func (s *Scan) Describe() string {
 
 // eqKeyList renders "a=1 AND b=2" for a point probe's key columns. The
 // single-column form matches the historical EXPLAIN output byte for byte,
-// keeping result-cache fingerprints of existing plans stable.
+// keeping the EXPLAIN output and fingerprints of existing plans stable.
 func eqKeyList(cols []string, keys []*sqlparse.Literal) string {
 	eqs := make([]string, len(cols))
 	for i, col := range cols {
@@ -521,9 +521,9 @@ type SelectPlan struct {
 }
 
 // Explain renders the plan tree, one operator per line, children indented
-// under their parent. Its output feeds Fingerprint (the result-cache key),
-// so it must stay free of runtime annotations — EXPLAIN ANALYZE goes
-// through ExplainWith instead.
+// under their parent. Its output feeds Fingerprint and a traced cache
+// hit's plan tree, so it must stay free of runtime annotations — EXPLAIN
+// ANALYZE goes through ExplainWith instead.
 func (p *SelectPlan) Explain() []string {
 	return p.ExplainWith(nil)
 }
@@ -557,13 +557,14 @@ func (p *SelectPlan) ExplainWith(annot func(Node) string) []string {
 	return lines
 }
 
-// Fingerprint is the plan's normalized identity, used as the semantic
-// result-cache key. Two SQL texts that lower to the same plan — aliases
-// resolved, predicates canonicalized by Expr.String, pushdowns applied,
-// output columns fixed — produce the same fingerprint and therefore the
-// same result against unchanged tables. Built from Explain() rather than
-// the AST so every normalization the planner performs is inherited for
-// free.
+// Fingerprint is the plan's normalized identity: two SQL texts that lower
+// to the same plan — aliases resolved, predicates canonicalized by
+// Expr.String, pushdowns applied, output columns fixed — produce the same
+// fingerprint and therefore the same result against unchanged tables.
+// Built from Explain() rather than the AST so every normalization the
+// planner performs is inherited for free. It is not on the serving path:
+// the result cache is keyed on SQL text, probed before anything parses
+// (internal/core). The benchmark harness keys its own cache mirror with it.
 func (p *SelectPlan) Fingerprint() string {
 	return strings.Join(p.Columns, ",") + "\n" + strings.Join(p.Explain(), "\n")
 }

@@ -20,13 +20,12 @@ func (e *Engine) execSelect(s *sqlparse.SelectStmt) (*Result, error) {
 	return RunPlan(p, nil)
 }
 
-// PlanSelect lowers a SELECT into its logical plan without executing it.
-// The split from ExecPlan exists for the result cache in internal/core:
-// the plan's fingerprint (plan.SelectPlan.Fingerprint) is the cache key,
-// so core plans first, consults the cache, and only executes on a miss.
-// The parallelism pass runs here so the fingerprint covers the physical
-// shape (a dop-8 plan and a serial plan produce identical rows, but
-// EXPLAIN must render what will actually run).
+// PlanSelect lowers a SELECT into its logical plan without executing it:
+// internal/core plans a statement the result cache did not answer, feeds
+// the workload tracker, and only then executes; a traced cache hit is
+// planned for its trace's plan tree alone. The parallelism pass runs here
+// so the plan is the physical shape (a dop-8 plan and a serial plan
+// produce identical rows, but EXPLAIN must render what will actually run).
 func (e *Engine) PlanSelect(s *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
 	p, err := plan.Build(s, e.catalog)
 	if err != nil {

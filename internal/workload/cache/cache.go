@@ -1,34 +1,42 @@
-// Package cache is the semantic result cache: materialized SELECT
-// results keyed on the planner's normalized plan fingerprint and
-// invalidated by per-table sequence numbers.
+// Package cache is the result cache: materialized SELECT results keyed on
+// the exact SQL text of the statement and invalidated by per-table
+// sequence numbers.
 //
 // An entry is the result as the executor returned it: the column names
 // and the list of owned column batches (storage.AppendOwned) — immutable,
 // holding no snapshot pin — which PutBatches stores and GetBatches hands
 // to every hit without copying a cell. The miss that stored an entry,
 // every later hit and the entry itself share one list; nobody writes it.
+// Beside the result an entry keeps the workload observations its statement
+// produced, so a hit — which is never parsed or planned — can feed the
+// workload tracker exactly what a miss of the same text would.
 //
-// Two queries that lower to the same plan (aliases resolved, predicates
-// canonicalized, pushdowns applied) produce the same answer against
-// unchanged tables, so the fingerprint — not the SQL text — is the cache
-// key. Every mutation of a table (insert, update, bulk crowd fill, index
-// create/drop) bumps that table's sequence number; an entry records the
-// sequence of every table it read at *capture* time and is validated
-// against the current sequences on every hit. The capture-before-execute
-// discipline closes the stale-store race: a mutation that lands while a
-// SELECT is executing bumps the sequence past the one the entry recorded,
-// so the entry can be stored but never served.
+// The key is the text, not a plan: a text is probed before it is parsed,
+// so a hit costs one map lookup. Planning is a function of the text and of
+// the catalog and table states the plan read, so an entry whose tables are
+// all unchanged is the answer the text would compute now. Every mutation
+// of a table (insert, update, delete, bulk crowd fill, add-column,
+// compaction, CREATE and DROP TABLE, index create/drop) bumps that table's
+// sequence number; an entry records the sequence of every table it read at
+// *capture* time and is validated against the current sequences on every
+// hit. Capturing before the query is planned closes the stale-store race: a
+// mutation that lands while a SELECT is planned or executing bumps the
+// sequence past the one the entry recorded, so the entry can be stored but
+// never served.
 //
-// Memory is bounded in bytes with LRU eviction; hit/miss/invalidation
-// counters feed GET /v1/workload.
+// Memory is bounded in bytes with LRU eviction, an entry charged for
+// everything it keeps alive; hit/miss/invalidation counters feed
+// GET /v1/workload.
 package cache
 
 import (
 	"container/list"
-	"maps"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"crowddb/internal/storage"
+	"crowddb/internal/workload"
 )
 
 // DefaultLimitBytes bounds the cache when the caller passes no limit.
@@ -45,15 +53,31 @@ type Stats struct {
 	LimitBytes    int64  `json:"limit_bytes"`
 }
 
+// TableSeq is one table's sequence number (the table lower-cased).
+type TableSeq struct {
+	Table string
+	Seq   uint64
+}
+
 type entry struct {
 	key     string
 	columns []string
 	batches []storage.Batch
+	obs     []workload.Observation
 	// seqs records each read table's sequence number at capture time.
-	seqs  map[string]uint64
+	seqs  []TableSeq
 	bytes int64
 	elem  *list.Element
 }
+
+// Sizes charged to every entry beside its payload: the entry, its LRU
+// element, and its slot in the key map — a key, a pointer and a control
+// byte, doubled for the half load a map table has right after it grows.
+const (
+	entryBytes   = int64(unsafe.Sizeof(entry{}))
+	elemBytes    = int64(unsafe.Sizeof(list.Element{}))
+	mapSlotBytes = 2 * int64(unsafe.Sizeof("")+unsafe.Sizeof((*entry)(nil))+1)
+)
 
 // Cache is a concurrency-safe, byte-bounded, LRU result cache.
 type Cache struct {
@@ -61,7 +85,7 @@ type Cache struct {
 	limit   int64
 	bytes   int64
 	seqs    map[string]uint64 // table (lower) → current sequence
-	entries map[string]*entry // fingerprint → entry
+	entries map[string]*entry // SQL text → entry
 	lru     *list.List        // front = most recently used; values are *entry
 
 	hits, misses, invalidations, evictions uint64
@@ -82,46 +106,60 @@ func New(limit int64) *Cache {
 }
 
 // TableSeqs snapshots the current sequence numbers of the given tables
-// (lower-cased by the caller). Call it BEFORE executing the query whose
-// result will be Put: an entry captured against these sequences is
-// invalidated by any mutation that lands during execution.
-func (c *Cache) TableSeqs(tables []string) map[string]uint64 {
+// (lower-cased by the caller). Call it BEFORE planning the query whose
+// result will be Put — the plan binds the tables and their schemas: an
+// entry captured against these sequences is invalidated by any mutation
+// that lands while the query is planned or executed.
+func (c *Cache) TableSeqs(tables []string) []TableSeq {
+	snap := make([]TableSeq, len(tables))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snap := make(map[string]uint64, len(tables))
-	for _, t := range tables {
-		snap[t] = c.seqs[t]
+	for i, t := range tables {
+		snap[i] = TableSeq{Table: t, Seq: c.seqs[t]}
 	}
 	return snap
 }
 
-// GetBatches returns the cached result for the fingerprint if every table
-// it read is unchanged since capture. The columns and batches are the
+// GetBatches returns the result stored under key and the observations its
+// statement produced, if every table it read is unchanged since capture,
+// and counts the hit. The columns, batches and observations are the
 // entry's own, shared with every other hit: read-only to the caller.
-func (c *Cache) GetBatches(fingerprint string) (columns []string, batches []storage.Batch, ok bool) {
+//
+// A lookup that serves nothing is not counted as a miss here: a server
+// probes the text of every statement before parsing it, and only the
+// caller learns whether that text was a SELECT the cache could have
+// answered — it counts the miss with CountMiss. A stale entry is dropped
+// and counted as an invalidation.
+func (c *Cache) GetBatches(key string) (columns []string, batches []storage.Batch, obs []workload.Observation, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, found := c.entries[fingerprint]
+	e, found := c.entries[key]
 	if !found {
-		c.misses++
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	for table, seq := range e.seqs {
-		if c.seqs[table] != seq {
+	for _, s := range e.seqs {
+		if c.seqs[s.Table] != s.Seq {
 			c.removeLocked(e)
 			c.invalidations++
-			c.misses++
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 	}
 	c.lru.MoveToFront(e.elem)
 	c.hits++
-	return e.columns, e.batches, true
+	return e.columns, e.batches, e.obs, true
+}
+
+// CountMiss counts one cacheable statement the cache did not answer.
+func (c *Cache) CountMiss() {
+	c.mu.Lock()
+	c.misses++
+	c.mu.Unlock()
 }
 
 // PutBatches stores a result captured against the given table-sequence
-// snapshot (from TableSeqs, taken before execution). The entry is the
-// caller's snapshot, columns and batch list, not a copy: all three must be
+// snapshot (from TableSeqs, taken before planning), with the workload
+// observations its statement produced. The entry is the caller's snapshot,
+// observations, columns and batches, not a copy: all four must be
 // immutable from here on, and the batches owned — a vector that views
 // pinned storage would dangle once its pin is released, so one is a bug
 // worth a panic.
@@ -130,11 +168,15 @@ func (c *Cache) GetBatches(fingerprint string) (columns []string, batches []stor
 // captured table has already moved past its snapshot sequence, the entry
 // is stored anyway — GetBatches' validation guarantees it can never be
 // served.
-func (c *Cache) PutBatches(fingerprint string, seqs map[string]uint64, columns []string, batches []storage.Batch) {
-	size := int64(len(fingerprint)) + 64
-	for _, col := range columns {
-		size += int64(len(col)) + 16
+func (c *Cache) PutBatches(key string, seqs []TableSeq, obs []workload.Observation, columns []string, batches []storage.Batch) {
+	size := entryBytes + elemBytes + mapSlotBytes + int64(len(key))
+	for _, s := range seqs {
+		size += int64(unsafe.Sizeof(s)) + int64(len(s.Table))
 	}
+	for _, o := range obs {
+		size += int64(unsafe.Sizeof(o)) + int64(len(o.Table)) + stringsBytes(o.Columns)
+	}
+	size += stringsBytes(columns)
 	for i := range batches {
 		for k := range batches[i].Cols {
 			if batches[i].Cols[k].Pinned {
@@ -148,7 +190,7 @@ func (c *Cache) PutBatches(fingerprint string, seqs map[string]uint64, columns [
 	if size > c.limit {
 		return
 	}
-	if old, dup := c.entries[fingerprint]; dup {
+	if old, dup := c.entries[key]; dup {
 		c.removeLocked(old)
 	}
 	for c.bytes+size > c.limit {
@@ -159,25 +201,38 @@ func (c *Cache) PutBatches(fingerprint string, seqs map[string]uint64, columns [
 		c.removeLocked(back.Value.(*entry))
 		c.evictions++
 	}
-	e := &entry{key: fingerprint, columns: columns, batches: batches, seqs: seqs, bytes: size}
+	e := &entry{key: key, columns: columns, batches: batches, obs: obs, seqs: seqs, bytes: size}
 	e.elem = c.lru.PushFront(e)
-	c.entries[fingerprint] = e
+	c.entries[key] = e
 	c.bytes += size
+}
+
+// stringsBytes is what a string list keeps: a header and the text of each.
+func stringsBytes(ss []string) int64 {
+	n := int64(len(ss)) * int64(unsafe.Sizeof(""))
+	for _, s := range ss {
+		n += int64(len(s))
+	}
+	return n
 }
 
 // Get and Put are the row-typed form of GetBatches and PutBatches, kept
 // for benchmark/ (which a PR that claims a gain may not edit) and due to
 // go in the next benchmark PR that claims none: Put copies the snapshot and
-// the column names and converts the rows to owned batches, Get boxes the
-// entry into fresh rows, so what the caller holds on either side may be
-// kept and written to.
-func (c *Cache) Get(fingerprint string) (columns []string, rows []storage.Row, ok bool) {
-	columns, batches, ok := c.GetBatches(fingerprint)
+// the column names and converts the rows to owned batches, storing no
+// observations; Get boxes the entry into fresh rows and, unlike GetBatches,
+// counts a lookup that serves nothing as a miss. What the caller holds on
+// either side may be kept and written to.
+func (c *Cache) Get(key string) (columns []string, rows []storage.Row, ok bool) {
+	columns, batches, _, ok := c.GetBatches(key)
+	if !ok {
+		c.CountMiss()
+	}
 	return columns, storage.RowsOf(batches), ok
 }
 
-func (c *Cache) Put(fingerprint string, seqs map[string]uint64, columns []string, rows []storage.Row) {
-	c.PutBatches(fingerprint, maps.Clone(seqs), append([]string(nil), columns...), storage.BatchesOf(rows))
+func (c *Cache) Put(key string, seqs []TableSeq, columns []string, rows []storage.Row) {
+	c.PutBatches(key, slices.Clone(seqs), nil, slices.Clone(columns), storage.BatchesOf(rows))
 }
 
 // InvalidateTable bumps the table's sequence number, killing every entry

@@ -2,9 +2,11 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"crowddb/internal/storage"
+	"crowddb/internal/workload"
 )
 
 func row(vals ...string) storage.Row {
@@ -35,6 +37,64 @@ func TestHitMutateMiss(t *testing.T) {
 	if st.Entries != 0 {
 		t.Fatalf("invalidated entry still resident: %+v", st)
 	}
+}
+
+// TestGetBatchesCountsHitsNotMisses: the columnar probe runs on every
+// statement's text, so only its caller can count a miss; an entry comes
+// back with the observations it was stored with.
+func TestGetBatchesCountsHitsNotMisses(t *testing.T) {
+	c := New(0)
+	obs := []workload.Observation{{Table: "movies", Columns: []string{"name"}, Kind: workload.KindAccess}}
+	c.PutBatches("q", c.TableSeqs([]string{"movies"}), obs, []string{"name"}, storage.BatchesOf([]storage.Row{row("alien")}))
+	if _, _, _, ok := c.GetBatches("INSERT INTO movies VALUES ('x')"); ok {
+		t.Fatal("a text never stored was served")
+	}
+	_, _, got, ok := c.GetBatches("q")
+	if !ok || len(got) != 1 || &got[0] != &obs[0] {
+		t.Fatalf("hit = %v with observations %v, want the list it was stored with", ok, got)
+	}
+	c.InvalidateTable("movies")
+	if _, _, _, ok := c.GetBatches("q"); ok {
+		t.Fatal("stale entry served")
+	}
+	c.CountMiss()
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want one hit, the one counted miss, one invalidation, no entry", st)
+	}
+}
+
+// TestBytesCountWhatEntriesKeep: the byte bound is only a bound if an
+// entry is charged for everything it keeps alive — its key text, its
+// struct, LRU element and map slot, its table seqs and observations, not
+// only its result. Twenty thousand one-row entries, each with its own key,
+// seqs, observation and batches, may grow the heap by at most a quarter
+// more than the cache says it holds.
+func TestBytesCountWhatEntriesKeep(t *testing.T) {
+	const entries = 20000
+	c := New(1 << 30)
+	tables := []string{"ratings"}
+	cols := []string{"rid", "movie_id", "score"}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < entries; i++ {
+		key := fmt.Sprintf("SELECT rid, movie_id, score FROM ratings WHERE rid = %d", i)
+		obs := []workload.Observation{{Table: "ratings", Columns: []string{"rid", "movie_id", "score"}, Kind: workload.KindAccess}}
+		batches := storage.BatchesOf([]storage.Row{{storage.Int(int64(i)), storage.Int(2), storage.Float(3)}})
+		c.PutBatches(key, c.TableSeqs(tables), obs, cols, batches)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := c.Stats()
+	if st.Entries != entries {
+		t.Fatalf("%d entries resident, want %d", st.Entries, entries)
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if float64(grown) > 1.25*float64(st.Bytes) {
+		t.Fatalf("%d entries grew the heap by %d bytes, the cache counts %d: %.2f×, want at most 1.25×", entries, grown, st.Bytes, float64(grown)/float64(st.Bytes))
+	}
+	t.Logf("%d entries grew the heap by %d bytes, the cache counts %d (%.2f×)", entries, grown, st.Bytes, float64(grown)/float64(st.Bytes))
+	runtime.KeepAlive(c)
 }
 
 func TestStaleStoreNeverServed(t *testing.T) {
@@ -86,9 +146,9 @@ func TestBatchesAreSharedRowsAreNot(t *testing.T) {
 
 	batches := storage.BatchesOf([]storage.Row{{storage.Int(1)}, {storage.Int(2)}})
 	cols := []string{"n"}
-	c.PutBatches("batches", snap, cols, batches)
+	c.PutBatches("batches", snap, nil, cols, batches)
 	for i := 0; i < 2; i++ {
-		gotCols, got, ok := c.GetBatches("batches")
+		gotCols, got, _, ok := c.GetBatches("batches")
 		if !ok || &gotCols[0] != &cols[0] || &got[0] != &batches[0] || &got[0].Cols[0].Ints[0] != &batches[0].Cols[0].Ints[0] {
 			t.Fatalf("hit %d is not the list PutBatches was given", i)
 		}
@@ -105,7 +165,7 @@ func TestPutBatchesRefusesPinnedVectors(t *testing.T) {
 			t.Fatal("PutBatches accepted a pinned vector")
 		}
 	}()
-	New(0).PutBatches("fp", nil, []string{"n"}, batches)
+	New(0).PutBatches("fp", nil, nil, []string{"n"}, batches)
 }
 
 // TestGetBatchesAllocatesNothing is the hit path's allocation wall.
@@ -117,7 +177,7 @@ func TestGetBatchesAllocatesNothing(t *testing.T) {
 	}
 	c.Put("fp", c.TableSeqs([]string{"t"}), []string{"a", "b", "c"}, rows)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, ok := c.GetBatches("fp"); !ok {
+		if _, _, _, ok := c.GetBatches("fp"); !ok {
 			t.Fatal("miss")
 		}
 	}); allocs != 0 {
@@ -267,7 +327,7 @@ func BenchmarkColumnarGetPut(b *testing.B) {
 			c := New(0)
 			seqs := c.TableSeqs([]string{"ratings"})
 			for _, k := range keys {
-				c.PutBatches(k, seqs, cols, batches)
+				c.PutBatches(k, seqs, nil, cols, batches)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
@@ -292,7 +352,7 @@ func BenchmarkColumnarGetPut(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, k := range keys {
-				if _, _, ok := c.GetBatches(k); !ok {
+				if _, _, _, ok := c.GetBatches(k); !ok {
 					b.Fatal("miss")
 				}
 			}

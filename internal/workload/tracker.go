@@ -19,6 +19,7 @@
 package workload
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,9 +94,11 @@ type tableStats struct {
 	expands uint64
 	cols    map[string]uint64
 	pairs   map[string]map[string]uint64
-	// window holds the column sets of the last few access/miss
-	// observations, for cross-query co-occurrence counting.
-	window [][]string
+	// window is a ring of the column sets of the last windowSize
+	// access/miss observations, for cross-query co-occurrence counting;
+	// next is the slot the next one overwrites.
+	window [windowSize][]string
+	next   int
 }
 
 // windowSize bounds how many past observations a new one co-occurs with.
@@ -112,11 +115,14 @@ const DefaultTraceCap = 512
 
 // Tracker is the concurrency-safe workload trace + co-access model.
 type Tracker struct {
-	mu       sync.Mutex
-	traceCap int
-	trace    []Observation // ring, oldest first
-	tables   map[string]*tableStats
-	totals   struct{ queries, misses, expands uint64 }
+	mu sync.Mutex
+	// trace is a ring of at most traceCap observations; once full,
+	// traceNext is both the oldest one and the slot the next overwrites.
+	trace     []Observation
+	traceCap  int
+	traceNext int
+	tables    map[string]*tableStats
+	totals    struct{ queries, misses, expands uint64 }
 }
 
 // NewTracker creates a tracker whose recent-trace ring holds at most cap
@@ -131,19 +137,21 @@ func NewTracker(cap int) *Tracker {
 func norm(s string) string { return strings.ToLower(s) }
 
 // Observe records one workload event. It is the single ingestion path:
-// live queries, WAL replay, and programmatic warm-up (feeding an external
-// query log) all flow through here, so replayed counters always match the
-// ones the live path produced.
+// live queries, cache hits replaying their statement's observations, WAL
+// replay, and programmatic warm-up (feeding an external query log) all
+// flow through here, so replayed counters always match the ones the live
+// path produced. On a table and column pairs it has seen before, named in
+// lower case, it allocates one thing: the normalized column list the trace
+// and the window keep.
 func (t *Tracker) Observe(obs Observation) {
 	table := norm(obs.Table)
 	if table == "" {
 		return
 	}
+	// A query names a handful of columns: a linear scan dedupes them.
 	cols := make([]string, 0, len(obs.Columns))
-	seen := map[string]bool{}
 	for _, c := range obs.Columns {
-		if lc := norm(c); lc != "" && !seen[lc] {
-			seen[lc] = true
+		if lc := norm(c); lc != "" && !slices.Contains(cols, lc) {
 			cols = append(cols, lc)
 		}
 	}
@@ -188,16 +196,17 @@ func (t *Tracker) Observe(obs Observation) {
 				}
 			}
 		}
-		ts.window = append(ts.window, cols)
-		if len(ts.window) > windowSize {
-			ts.window = ts.window[1:]
-		}
+		ts.window[ts.next] = cols
+		ts.next = (ts.next + 1) % windowSize
 	}
 
-	t.trace = append(t.trace, Observation{Table: table, Columns: cols, Kind: obs.Kind})
-	if len(t.trace) > t.traceCap {
-		t.trace = t.trace[len(t.trace)-t.traceCap:]
+	o := Observation{Table: table, Columns: cols, Kind: obs.Kind}
+	if len(t.trace) < t.traceCap {
+		t.trace = append(t.trace, o)
+		return
 	}
+	t.trace[t.traceNext] = o
+	t.traceNext = (t.traceNext + 1) % t.traceCap
 }
 
 func (ts *tableStats) pair(a, b string) {
@@ -263,9 +272,9 @@ func (t *Tracker) Predict(table, trigger string, limit int) []Prediction {
 func (t *Tracker) Recent() []Observation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Observation, len(t.trace))
-	copy(out, t.trace)
-	return out
+	out := make([]Observation, 0, len(t.trace))
+	out = append(out, t.trace[t.traceNext:]...)
+	return append(out, t.trace[:t.traceNext]...)
 }
 
 // Export captures the aggregate counters for a snapshot, tables sorted by

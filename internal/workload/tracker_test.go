@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -101,13 +102,62 @@ func TestExpandObservationsDoNotFeedPairs(t *testing.T) {
 	}
 }
 
+// TestTraceRingIsBounded: the trace keeps the newest observations, at
+// most its capacity of them, oldest first.
 func TestTraceRingIsBounded(t *testing.T) {
 	tr := NewTracker(4)
 	for i := 0; i < 10; i++ {
-		tr.Observe(obs("movies", KindAccess, "year"))
+		tr.Observe(obs("movies", KindAccess, fmt.Sprintf("c%d", i)))
+		recent := tr.Recent()
+		if len(recent) != min(i+1, 4) {
+			t.Fatalf("after %d observations the trace holds %d", i+1, len(recent))
+		}
+		for k, o := range recent {
+			if want := fmt.Sprintf("c%d", i+1-len(recent)+k); o.Columns[0] != want {
+				t.Fatalf("after %d observations trace[%d] is %v, want %s", i+1, k, o.Columns, want)
+			}
+		}
 	}
-	if got := len(tr.Recent()); got != 4 {
-		t.Fatalf("trace length = %d, want 4", got)
+}
+
+// TestWindowSpansWindowSizeObservations: a column co-occurs with what the
+// last windowSize observations of its table demanded, and no further back.
+func TestWindowSpansWindowSizeObservations(t *testing.T) {
+	pairs := func(fillers int) uint64 {
+		tr := NewTracker(0)
+		tr.Observe(obs("movies", KindAccess, "a"))
+		for i := 0; i < fillers; i++ {
+			tr.Observe(obs("movies", KindAccess, "x"))
+			tr.Observe(obs("other", KindAccess, "a")) // another table's window
+		}
+		tr.Observe(obs("movies", KindAccess, "b"))
+		return tr.Export().Tables[0].Pairs["a"]["b"]
+	}
+	if got := pairs(windowSize - 1); got != 1 {
+		t.Fatalf("a, %d others, then b: a→b counted %d times, want 1", windowSize-1, got)
+	}
+	if got := pairs(windowSize); got != 0 {
+		t.Fatalf("a, %d others, then b: a→b counted %d times, want 0", windowSize, got)
+	}
+}
+
+// TestObserveAllocatesOnlyItsColumnList: once a table and its column pairs
+// are known, an observation allocates the column list it keeps and
+// nothing else — no dedupe map, and no ring regrown now and then, which
+// is why a run is a full window of observations.
+func TestObserveAllocatesOnlyItsColumnList(t *testing.T) {
+	tr := NewTracker(0)
+	o := obs("movies", KindAccess, "name", "year", "comedy", "year")
+	for i := 0; i < 2*DefaultTraceCap; i++ {
+		tr.Observe(o)
+	}
+	const perRun = 2 * windowSize
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < perRun; i++ {
+			tr.Observe(o)
+		}
+	}); allocs > perRun {
+		t.Fatalf("%d observations of a known table allocate %.0f objects, want at most one each", perRun, allocs)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,11 +175,27 @@ func TestSpeculationRespectsBudgetAndNeverBlocksDemand(t *testing.T) {
 	}
 }
 
-// TestCacheHitMutateMiss walks the semantic result cache through every
-// mutation class the ISSUE names — INSERT, FillColumn, CREATE INDEX,
-// DROP INDEX — asserting hit → mutate → miss with live data each time.
+// TestCacheHitMutateMiss walks the result cache through every mutation
+// class that must invalidate an entry keyed on its SQL text — INSERT,
+// FillColumn, CREATE INDEX, DROP INDEX, UPDATE, DELETE, a forced
+// compaction, an EXPAND that adds a column, and DROP TABLE followed by a
+// CREATE TABLE of the same name and another schema — asserting hit →
+// mutate → miss with live data each time, and that every cached read is
+// exactly one hit or exactly one miss, never both.
 func TestCacheHitMutateMiss(t *testing.T) {
-	db := crowddb.New(nil)
+	rng := rand.New(rand.NewSource(7))
+	pop := crowd.NewPopulation(crowd.PopulationConfig{Workers: 40}, rng)
+	items := func(string) ([]crowd.Item, error) {
+		out := make([]crowd.Item, 16)
+		for i := range out {
+			out[i] = crowd.Item{ID: i, Truth: i%2 == 0, Popularity: 1}
+		}
+		return out, nil
+	}
+	db, err := crowddb.Open(crowddb.Options{Service: crowddb.NewSimulatedCrowd(pop, items, rng)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { _ = db.Close() })
 	mustExec := func(sql string) *crowddb.Result {
 		t.Helper()
@@ -187,70 +205,120 @@ func TestCacheHitMutateMiss(t *testing.T) {
 		}
 		return res
 	}
+	// read runs a cached SELECT that must be one hit (hit) or one miss.
+	read := func(sql string, hit bool) *crowddb.Result {
+		t.Helper()
+		before := db.CacheStats()
+		res := mustExec(sql)
+		after := db.CacheStats()
+		if hit && (after.Hits != before.Hits+1 || after.Misses != before.Misses) ||
+			!hit && (after.Hits != before.Hits || after.Misses != before.Misses+1) {
+			t.Fatalf("%s (hit=%v): cache hits/misses went %d/%d → %d/%d", sql, hit, before.Hits, before.Misses, after.Hits, after.Misses)
+		}
+		return res
+	}
 	mustExec(`CREATE TABLE movies (movie_id INTEGER, name TEXT, year INTEGER)`)
 	mustExec(`INSERT INTO movies VALUES (1, 'alpha', 2000), (2, 'beta', 2001), (3, 'gamma', 2002)`)
 
 	const q = `SELECT name, year FROM movies ORDER BY year`
-	wantStats := func(hits, misses uint64, rows, n int) {
-		t.Helper()
-		st := db.CacheStats()
-		if st.Hits != hits || st.Misses != misses {
-			t.Fatalf("step %d: cache hits/misses = %d/%d, want %d/%d", n, st.Hits, st.Misses, hits, misses)
-		}
-		if res := mustExec(q); len(res.Rows) != rows {
-			t.Fatalf("step %d: %d rows, want %d", n, len(res.Rows), rows)
-		}
+	if res := read(q, false); len(res.Rows) != 3 { // cold: miss, fills
+		t.Fatalf("cold read: %d rows, want 3", len(res.Rows))
 	}
-
-	wantStats(0, 0, 3, 1) // cold: miss, fills
-	wantStats(0, 1, 3, 2) // warm: hit
-	st := db.CacheStats()
-	if st.Hits != 1 {
-		t.Fatalf("second read did not hit the cache: %+v", st)
+	if res := read(q, true); len(res.Rows) != 3 { // warm: hit
+		t.Fatalf("warm read: %d rows, want 3", len(res.Rows))
+	}
+	if st := db.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache hits/misses = %d/%d after a cold and a warm read, want 1/1", st.Hits, st.Misses)
 	}
 
 	// INSERT invalidates.
 	mustExec(`INSERT INTO movies VALUES (4, 'delta', 1999)`)
-	res := mustExec(q)
-	if len(res.Rows) != 4 {
+	if res := read(q, false); len(res.Rows) != 4 {
 		t.Fatalf("post-insert read served %d rows — a stale cache entry", len(res.Rows))
 	}
 
 	// FillColumn (the crowd-fill storage primitive) invalidates.
 	tbl, _ := db.Catalog().Get("movies")
 	years := []storage.Value{storage.Int(1990), storage.Int(1991), storage.Int(1992), storage.Int(1993)}
-	mustExec(q) // warm again
+	read(q, true) // warm again
 	if err := tbl.FillColumn("year", years); err != nil {
 		t.Fatal(err)
 	}
-	res = mustExec(q)
-	if y, _ := res.Rows[0][1].AsInt(); y != 1990 {
-		t.Fatalf("post-fill read served year %d — a stale cache entry", y)
+	if res := read(q, false); res.Rows[0][1] != storage.Int(1990) {
+		t.Fatalf("post-fill read served year %v — a stale cache entry", res.Rows[0][1])
 	}
 
 	// CREATE INDEX and DROP INDEX both invalidate (plan shape may
 	// change). Stale entries are counted lazily: the seq bump lands at
 	// DDL time, the invalidation registers on the entry's next Get.
-	mustExec(q) // warm
+	read(q, true) // warm
 	before := db.CacheStats()
 	mustExec(`CREATE INDEX by_year ON movies (year)`)
-	mustExec(q)
-	if got := db.CacheStats(); got.Invalidations <= before.Invalidations || got.Misses <= before.Misses {
+	read(q, false)
+	if got := db.CacheStats(); got.Invalidations != before.Invalidations+1 {
 		t.Fatalf("read after CREATE INDEX was served stale: %+v -> %+v", before, got)
 	}
-	mustExec(q) // warm again
+	read(q, true) // warm again
 	before = db.CacheStats()
 	mustExec(`DROP INDEX by_year ON movies`)
-	if res = mustExec(q); len(res.Rows) != 4 {
+	if res := read(q, false); len(res.Rows) != 4 {
 		t.Fatalf("post-drop read served %d rows", len(res.Rows))
 	}
-	if got := db.CacheStats(); got.Invalidations <= before.Invalidations || got.Misses <= before.Misses {
+	if got := db.CacheStats(); got.Invalidations != before.Invalidations+1 {
 		t.Fatalf("read after DROP INDEX was served stale: %+v -> %+v", before, got)
 	}
 
+	// UPDATE, DELETE and a forced compaction (which renumbers the rows and
+	// so must not leave an entry over the old ones) invalidate.
+	read(q, true)
+	mustExec(`UPDATE movies SET name = 'omega' WHERE movie_id = 1`)
+	if res := read(q, false); res.Rows[0][0] != storage.Text("omega") {
+		t.Fatalf("post-update read served %v — a stale cache entry", res.Rows)
+	}
+	read(q, true)
+	mustExec(`DELETE FROM movies WHERE movie_id = 2`)
+	if res := read(q, false); len(res.Rows) != 3 {
+		t.Fatalf("post-delete read served %d rows — a stale cache entry", len(res.Rows))
+	}
+	read(q, true)
+	if compacted := db.CompactNow()["movies"]; compacted.RowsReclaimed != 1 {
+		t.Fatalf("CompactNow reclaimed %+v, want the deleted row", compacted)
+	}
+	if res := read(q, false); len(res.Rows) != 3 {
+		t.Fatalf("post-compaction read served %d rows", len(res.Rows))
+	}
+
+	// An EXPAND adds a column: SELECT * grows by it.
+	const star = `SELECT * FROM movies`
+	read(star, false)
+	if res := read(star, true); len(res.Columns) != 3 {
+		t.Fatalf("SELECT * answers columns %v before the expansion", res.Columns)
+	}
+	mustExec(`EXPAND TABLE movies ADD COLUMN comedy BOOLEAN USING CROWD`)
+	if res := read(star, false); len(res.Columns) != 4 || res.Columns[3] != "comedy" || len(res.Rows) != 3 || len(res.Rows[0]) != 4 {
+		t.Fatalf("post-expand SELECT * answers columns %v and %d rows — a stale cache entry", res.Columns, len(res.Rows))
+	}
+	// So does the add-column step alone, an expansion whose fill never came.
+	read(star, true)
+	if _, err := tbl.AddColumn(storage.Column{Name: "drama", Kind: storage.KindBool}); err != nil {
+		t.Fatal(err)
+	}
+	if res := read(star, false); len(res.Columns) != 5 || res.Rows[0][4] != storage.Null() {
+		t.Fatalf("post-add-column SELECT * answers columns %v — a stale cache entry", res.Columns)
+	}
+
+	// DROP TABLE, then a CREATE TABLE of the same name with another schema.
+	read(star, true)
+	mustExec(`DROP TABLE movies`)
+	mustExec(`CREATE TABLE movies (title TEXT, rating FLOAT)`)
+	if res := read(star, false); !reflect.DeepEqual(res.Columns, []string{"title", "rating"}) || len(res.Rows) != 0 {
+		t.Fatalf("SELECT * over the re-created table answers columns %v and %d rows — a stale cache entry", res.Columns, len(res.Rows))
+	}
+	read(star, true)
+
 	// The nocache escape hatch bypasses without disturbing entries.
 	hits := db.CacheStats().Hits
-	if _, _, err := db.ExecSQLNoCache(q); err != nil {
+	if _, _, err := db.ExecSQLNoCache(star); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.CacheStats().Hits; got != hits {
@@ -381,6 +449,143 @@ func TestConcurrentCacheReadsDuringCrowdFill(t *testing.T) {
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("expanded column returned no rows after the fill")
+	}
+}
+
+// TestTextHitsRaceWritesAndDDL races readers served from the cache by
+// their SQL text against a writer that inserts, creates and drops an
+// index, and drops the table to re-create it with one column more or one
+// fewer. Run under -race in the nightly sweep. A reader's answer must be
+// one some version of the table could have given — v = 2·id and w = 3·id
+// on every row, ids ascending — or, while the table is gone, a missing
+// table; and after every step the writer's own read of each text must be
+// what the statement answers with the cache bypassed, columns included.
+func TestTextHitsRaceWritesAndDDL(t *testing.T) {
+	db := crowddb.New(nil)
+	t.Cleanup(func() { _ = db.Close() })
+	const (
+		q    = `SELECT id, v FROM churn ORDER BY id`
+		star = `SELECT * FROM churn ORDER BY id`
+	)
+	wide := false // the writer's view of the schema: (id, v) or (id, v, w)
+	insert := func(id int) string {
+		if wide {
+			return fmt.Sprintf(`INSERT INTO churn VALUES (%d, %d, %d)`, id, 2*id, 3*id)
+		}
+		return fmt.Sprintf(`INSERT INTO churn VALUES (%d, %d)`, id, 2*id)
+	}
+	create := func() error {
+		schema := `CREATE TABLE churn (id INTEGER, v INTEGER)`
+		if wide {
+			schema = `CREATE TABLE churn (id INTEGER, v INTEGER, w INTEGER)`
+		}
+		if _, _, err := db.ExecSQL(schema); err != nil {
+			return err
+		}
+		for id := 0; id < 40; id++ {
+			if _, _, err := db.ExecSQL(insert(id)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := create(); err != nil {
+		t.Fatal(err)
+	}
+	// plausible reports whether res is an answer some version of churn gives.
+	plausible := func(res *crowddb.Result) bool {
+		if len(res.Columns) < 2 || res.Columns[0] != "id" || res.Columns[1] != "v" {
+			return false
+		}
+		last := int64(-1)
+		for _, row := range res.Rows {
+			id, _ := row[0].AsInt()
+			v, _ := row[1].AsInt()
+			if len(row) != len(res.Columns) || id <= last || v != 2*id {
+				return false
+			}
+			if len(row) == 3 {
+				if w, _ := row[2].AsInt(); w != 3*id {
+					return false
+				}
+			}
+			last = id
+		}
+		return true
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sql := q
+				if (r+i)%2 == 1 {
+					sql = star
+				}
+				res, _, err := db.ExecSQL(sql)
+				if err != nil {
+					if !strings.Contains(err.Error(), `no such table "churn"`) {
+						t.Errorf("reader %d: %s: %v", r, sql, err)
+						return
+					}
+					continue
+				}
+				if !plausible(res) {
+					t.Errorf("reader %d: %s answered columns %v, rows %v", r, sql, res.Columns, res.Rows)
+					return
+				}
+			}
+		}(r)
+	}
+
+	// settled: with the writer between steps, each text read through the
+	// cache answers what the statement answers now.
+	settled := func(step string) {
+		t.Helper()
+		for _, sql := range []string{q, star} {
+			cached, _, err := db.ExecSQL(sql)
+			if err != nil {
+				t.Fatalf("after %s: %s: %v", step, sql, err)
+			}
+			live, _, err := db.ExecSQLNoCache(sql)
+			if err != nil {
+				t.Fatalf("after %s: %s: %v", step, sql, err)
+			}
+			if !reflect.DeepEqual(cached.Columns, live.Columns) || !reflect.DeepEqual(cached.Rows, live.Rows) {
+				t.Fatalf("after %s: %s served columns %v and %d rows, the table answers %v and %d", step, sql, cached.Columns, len(cached.Rows), live.Columns, len(live.Rows))
+			}
+		}
+	}
+	for i := 0; i < 30 && !t.Failed(); i++ {
+		for _, step := range []string{insert(1000 + i), `CREATE INDEX churn_id ON churn (id)`, `DROP INDEX churn_id ON churn`} {
+			if _, _, err := db.ExecSQL(step); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			settled(step)
+		}
+		if i%3 == 2 {
+			if _, _, err := db.ExecSQL(`DROP TABLE churn`); err != nil {
+				t.Fatal(err)
+			}
+			wide = !wide
+			if err := create(); err != nil {
+				t.Fatal(err)
+			}
+			settled("DROP TABLE and CREATE TABLE")
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := db.CacheStats(); st.Hits == 0 || st.Invalidations == 0 {
+		t.Fatalf("the race saw %d hits and %d invalidations: want some of each", st.Hits, st.Invalidations)
 	}
 }
 
