@@ -23,7 +23,7 @@
 // filters, hash joins, TopN) without executing the query.
 //
 // The async query returns 202 with a job handle while the crowd fills
-// the column on the expansion scheduler's worker pool; concurrent reads
+// the column as one of the expansion scheduler's batches; concurrent reads
 // keep flowing meanwhile. SIGINT/SIGTERM trigger a graceful shutdown:
 // the listener drains, then in-flight expansion jobs finish.
 //

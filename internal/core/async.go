@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"crowddb/internal/crowd"
 	"crowddb/internal/engine"
 	"crowddb/internal/jobs"
 	"crowddb/internal/sqlparse"
@@ -70,40 +69,16 @@ func (db *DB) ExecSQLAsync(sql string) (*Result, *jobs.Job, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.execAsync(stmt, key)
-}
-
-// ExecAsync executes a parsed statement (see ExecSQLAsync). Like Exec, it
-// bypasses the result cache, which is keyed on SQL text.
-func (db *DB) ExecAsync(stmt sqlparse.Statement) (*Result, *jobs.Job, error) {
-	return db.execAsync(stmt, "")
-}
-
-// execAsync is ExecAsync with the cache key of execEngine.
-func (db *DB) execAsync(stmt sqlparse.Statement, key string) (*Result, *jobs.Job, error) {
 	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
 		job, err := db.submitExpandStmt(ex)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, job, nil
+		return nil, job, err
 	}
-	res, err := db.execEngine(stmt, key, nil)
+	res, err = db.execEngine(stmt, key, nil)
 	if err == nil {
 		return res.Boxed(), nil, nil
 	}
-	// EXPLAIN never triggers an expansion (see Exec).
-	if _, isExplain := stmt.(*sqlparse.ExplainStmt); isExplain {
-		return nil, nil, err
-	}
-	job, expErr := db.submitMissingColumn(err)
-	if expErr != nil {
-		return nil, nil, expErr
-	}
-	if job == nil {
-		return nil, nil, err
-	}
-	return nil, job, nil
+	job, err := db.submitMissingColumn(stmt, err)
+	return nil, job, err
 }
 
 // expansionKey is the singleflight identity of an expansion.
@@ -119,43 +94,18 @@ func expansionKey(table, column string) string {
 // pass implicit=false: re-expanding an existing column re-elicits it by
 // design.
 //
-// With batching enabled (Options.BatchWindow), the expansion routes
-// through the coalescer instead of straight onto the worker pool:
-// expansions of the same table submitted within one window merge their
-// sampling phases into shared HIT groups (see batch.go). Singleflight
-// semantics are identical on both paths.
+// The expansion joins its table's open batch (see batch.go), tagged with
+// its origin from the start.
 func (db *DB) submitExpansion(table, column string, kind storage.Kind, opts ExpandOptions, implicit bool) (*jobs.Job, bool, error) {
 	if opts.Origin == "" {
 		opts.Origin = OriginDemand
 	}
-	var job *jobs.Job
-	var created bool
-	var err error
-	if db.coalescer != nil {
-		job, created, err = db.coalescer.Submit(batchGroupKey(table), expansionKey(table, column), expansionWork{
-			table: table, column: column, kind: kind, opts: opts, implicit: implicit,
-		})
-	} else {
-		job, created, err = db.sched.Submit(expansionKey(table, column), func(ctl *jobs.Ctl) (any, error) {
-			if implicit && db.columnFilled(table, column) {
-				return nil, nil
-			}
-			runOpts := opts
-			runOpts.onPhase = ctl.Phase
-			runOpts.onCharge = func(res *crowd.RunResult) {
-				ctl.Charge(len(res.Records), res.TotalCost, res.DurationMinutes)
-			}
-			report, err := db.Expand(table, column, kind, runOpts)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s.%s: %w", ErrExpansionFailed, table, column, err)
-			}
-			return report, nil
-		})
-	}
+	job, created, err := db.sched.Submit(batchGroupKey(table), expansionKey(table, column), opts.Origin, expansionWork{
+		table: table, column: column, kind: kind, opts: opts, implicit: implicit,
+	})
 	if err != nil || !created {
 		return job, created, err
 	}
-	job.SetOrigin(opts.Origin)
 	db.observe(workload.Observation{Table: table, Columns: []string{column}, Kind: workload.KindExpand})
 	// A freshly admitted demand expansion is the predictor's trigger:
 	// speculate NOW, while the table's batch window is still open, so
@@ -201,26 +151,8 @@ func (db *DB) submitExpandStmt(ex *sqlparse.ExpandStmt) (*jobs.Job, error) {
 // authoritatively before issuing HITs. Like EXPAND statements, a same-
 // column expansion already in flight is an error, not a silent join.
 func (db *DB) SubmitExpand(table, column string, kind storage.Kind, opts ExpandOptions) (*jobs.Job, error) {
-	tbl, ok := db.Catalog().Get(table)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
-	}
-	// Pre-flight budget check on a submission-time plan. Best-effort: a
-	// plan that cannot be built yet (HYBRID's two rounds, missing space)
-	// defers entirely to the run-time check inside the job.
-	pre := opts
-	defaultMethod := sqlparse.ExpandCrowd
-	if db.binding(table) != nil {
-		defaultMethod = sqlparse.ExpandSpace
-	}
-	pre.fillDefaults(defaultMethod)
-	if pre.Method == sqlparse.ExpandHybrid {
-		pre.Method = sqlparse.ExpandCrowd // estimate HYBRID by its first round
-	}
-	if e, err := db.planElicitation(tbl, column, pre); err == nil {
-		if err := db.checkBudget(pre.APIKey, e.projected()); err != nil {
-			return nil, err
-		}
+	if err := db.preflight(table, column, opts); err != nil {
+		return nil, err
 	}
 	job, created, err := db.submitExpansion(table, column, kind, opts, false)
 	if err != nil {
@@ -231,6 +163,27 @@ func (db *DB) SubmitExpand(table, column string, kind storage.Kind, opts ExpandO
 			ErrExpansionInFlight, table, column, job.ID())
 	}
 	return job, nil
+}
+
+// preflight checks an expansion's projected sampling cost against its
+// API key's budget before it is submitted; an unknown table is
+// ErrNoSuchTable. Best-effort: HYBRID is estimated by its first round,
+// and a plan that cannot be built yet (a missing space) defers entirely
+// to the authoritative reservation inside the job.
+func (db *DB) preflight(table, column string, opts ExpandOptions) error {
+	tbl, ok := db.Catalog().Get(table)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoSuchTable, table)
+	}
+	opts.fillDefaults(db.defaultMethod(table))
+	if opts.Method == sqlparse.ExpandHybrid {
+		opts.Method = sqlparse.ExpandCrowd
+	}
+	e, err := db.planElicitation(tbl, column, opts)
+	if err != nil {
+		return nil
+	}
+	return db.checkBudget(opts.APIKey, e.projected())
 }
 
 // columnFilled reports whether table.column exists and holds at least one

@@ -246,3 +246,50 @@ func TestImplicitRaceAfterCompletion(t *testing.T) {
 		t.Fatalf("late resubmit re-ran the crowd: calls = %d", got)
 	}
 }
+
+// TestOriginReachesOnTerminal: an expansion's origin is on its job from
+// the moment the job exists, so even one that finishes before its submit
+// returns reaches the completion hook (and the WAL's job record) with it.
+// The expansions here fail at once: a FLOAT column is not crowd-
+// expandable.
+func TestOriginReachesOnTerminal(t *testing.T) {
+	for _, window := range []time.Duration{0, 5 * time.Millisecond} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			db, err := Open(Options{BatchWindow: window, QueueDepth: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = db.Close() })
+			if _, _, err := db.ExecSQL(`CREATE TABLE t (id INTEGER)`); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			origins := map[string]string{}
+			db.sched.OnTerminal = func(st jobs.Status) {
+				mu.Lock()
+				origins[st.ID] = st.Origin
+				mu.Unlock()
+				db.onJobTerminal(st)
+			}
+			var handles []*jobs.Job
+			for i := 0; i < 64; i++ {
+				job, err := db.SubmitExpand("t", fmt.Sprintf("c%d", i), storage.KindFloat, ExpandOptions{Origin: OriginAdmin})
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, job)
+			}
+			for _, h := range handles {
+				if _, err := h.Wait(context.Background()); err == nil {
+					t.Fatalf("job %s: a FLOAT expansion succeeded", h.ID())
+				}
+				mu.Lock()
+				got := origins[h.ID()]
+				mu.Unlock()
+				if got != OriginAdmin {
+					t.Fatalf("job %s reached OnTerminal with origin %q, want %q", h.ID(), got, OriginAdmin)
+				}
+			}
+		})
+	}
+}

@@ -7,28 +7,29 @@ import (
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/jobs"
-	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
-// Batched HIT elicitation, the cost lever of this layer: when several
-// expansions of the same table are in flight together — four genre
-// columns touched by one dashboard, a pre-warm sweep over a category set —
-// their sampling phases are merged into shared HIT groups. The crowd is
-// engaged once per batch: one job, one charge booked to the global
-// ledger, the cost split across the member jobs' ledgers in proportion to
-// the judgments each received.
+// Every expansion runs here, as a member of a batch of same-table
+// expansions (jobs.Scheduler, grouped by batchGroupKey). With a zero
+// Options.BatchWindow each batch holds one member; with a positive one,
+// the expansions submitted within the window — four genre columns
+// touched by one dashboard, a pre-warm sweep over a category set — share
+// a batch, and their sampling phases merge into shared HIT groups. The
+// crowd is then engaged once per shared group: one job, one charge
+// booked to the global ledger, the cost split across the member jobs'
+// ledgers in proportion to the judgments each received.
 //
-// The flow: submitExpansion routes into the jobs.Coalescer (grouped by
-// table) instead of straight onto the scheduler; when the batching window
-// closes, runExpansionBatch receives the sealed members and (1) plans
-// each member's sampling phase, (2) enforces its API key's budget cap,
-// (3) issues ONE CollectBatch per shareable marketplace configuration,
-// and (4) finishes each member — votes, SVM training, prediction, column
-// fill — from its share of the combined judgment log.
+// runExpansionBatch (1) starts each member as Expand does
+// (startExpansion: prepare, HYBRID solo, hold the item ids, plan), (2)
+// partitions the planned members by marketplace configuration, (3)
+// elicits a partition of one through runElicitation, as Expand does, and
+// a larger one through ONE CollectBatch after reserving every member's
+// budget, and (4) finishes each member — votes, SVM training,
+// prediction, column fill — from its share of the combined judgment log.
 
 // expansionWork is the payload an expansion carries through the
-// coalescer.
+// scheduler.
 type expansionWork struct {
 	table, column string
 	kind          storage.Kind
@@ -36,18 +37,21 @@ type expansionWork struct {
 	implicit      bool
 }
 
-// batchErr wraps a member failure the way scheduler-run expansions do, so
-// the HTTP layer classifies batched and solo failures identically.
-func batchErr(table, column string, err error) error {
-	return fmt.Errorf("%w: %s.%s: %w", ErrExpansionFailed, table, column, err)
+// finishMember completes a member's job with its outcome, wrapping a
+// failure in ErrExpansionFailed so the HTTP layer classifies it as one.
+func finishMember(m *jobs.BatchMember, w expansionWork, report *ExpansionReport, err error) {
+	if err != nil {
+		m.Finish(nil, fmt.Errorf("%w: %s.%s: %w", ErrExpansionFailed, w.table, w.column, err))
+	} else {
+		m.Finish(report, nil)
+	}
 }
 
 // runExpansionBatch executes one sealed batch of same-table expansions.
 // Members that cannot join a shared HIT group — already-filled implicit
-// expansions, plan or budget rejections, HYBRID's two-round protocol —
-// are finished individually; the rest are partitioned by marketplace
-// configuration and elicited through CollectBatch, one charge per
-// partition.
+// expansions, plan rejections, HYBRID's two-round protocol — are
+// finished individually; the rest are partitioned by marketplace
+// configuration and elicited one charge per partition.
 func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 	type planned struct {
 		m *jobs.BatchMember
@@ -61,11 +65,7 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 	}
 	finish := func(p planned, report *ExpansionReport, err error) {
 		p.release()
-		if err != nil {
-			p.m.Finish(nil, batchErr(p.w.table, p.w.column, err))
-		} else {
-			p.m.Finish(report, nil)
-		}
+		finishMember(p.m, p.w, report, err)
 	}
 	var ready []planned
 	for _, m := range members {
@@ -80,29 +80,13 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 		opts.onCharge = func(res *crowd.RunResult) {
 			ctl.Charge(len(res.Records), res.TotalCost, res.DurationMinutes)
 		}
-		tbl, err := db.prepareExpansion(w.table, w.column, w.kind, &opts)
-		if err != nil {
-			m.Finish(nil, batchErr(w.table, w.column, err))
+		e, release, report, err := db.startExpansion(w.table, w.column, w.kind, opts)
+		if e == nil {
+			finishMember(m, w, report, err)
 			continue
 		}
-		if opts.Method == sqlparse.ExpandHybrid {
-			// Two crowd rounds (elicit, clean, re-elicit): no single
-			// sampling phase to merge, so it runs solo inside the batch.
-			report, err := db.expandHybrid(tbl, w.column, opts)
-			if err != nil {
-				m.Finish(nil, batchErr(w.table, w.column, err))
-			} else {
-				m.Finish(report, nil)
-			}
-			continue
-		}
-		p := planned{m: m, w: w, release: db.holdItemIDs(tbl)}
-		defer p.release()
-		if p.e, err = db.planElicitation(tbl, w.column, opts); err != nil {
-			finish(p, nil, err)
-			continue
-		}
-		ready = append(ready, p)
+		defer release()
+		ready = append(ready, planned{m: m, w: w, e: e, release: release})
 	}
 	if len(ready) == 0 {
 		return
@@ -124,7 +108,8 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 	for _, key := range order {
 		part := partitions[key]
 		if len(part) == 1 || !batchable {
-			// runElicitation reserves the member's budget internally.
+			// Elicited as Expand elicits: runElicitation reserves the
+			// member's budget itself.
 			for _, p := range part {
 				report, err := db.runElicitation(p.e)
 				finish(p, report, err)
@@ -181,5 +166,5 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 	}
 }
 
-// batchGroupKey groups expansions for coalescing: one batch per table.
+// batchGroupKey groups expansions into batches: one open batch per table.
 func batchGroupKey(table string) string { return strings.ToLower(table) }

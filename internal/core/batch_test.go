@@ -177,7 +177,7 @@ func TestBatchWindowSplitsDistantSubmissions(t *testing.T) {
 }
 
 // TestBatchFallbackWithoutBatchService: a JudgmentService that lacks
-// CollectBatch still works under a coalescer — members elicit solo.
+// CollectBatch still works with a batch window — members elicit solo.
 func TestBatchFallbackWithoutBatchService(t *testing.T) {
 	svc := &slowService{}
 	db, err := Open(Options{Service: svc, BatchWindow: 30 * time.Millisecond})

@@ -172,11 +172,6 @@ type DB struct {
 	compactStop chan struct{}
 	compactDone chan struct{}
 
-	// coalescer, when non-nil, batches same-table expansions submitted
-	// within a short window into shared HIT groups (see batch.go). Nil
-	// means every expansion runs as its own crowd job.
-	coalescer *jobs.Coalescer
-
 	// budgets holds per-API-key spending caps and cumulative spend,
 	// enforced before HITs are issued and persisted via the WAL.
 	budgets budgetBook
@@ -191,6 +186,8 @@ type DB struct {
 	rcache *rescache.Cache
 	// specBudget caps total speculative crowd spend (dollars booked under
 	// SpeculativeBudgetKey); non-positive disables speculation entirely.
+	// Open leaves it zero without a batch window: speculation exists to
+	// merge into the demand expansion's batch.
 	specBudget float64
 
 	// slowQuery, when positive, logs every query slower than the
@@ -230,8 +227,8 @@ func NewDB(service JudgmentService) *DB {
 	return db
 }
 
-// Close shuts down the batching coalescer (flushing pending batches) and
-// the expansion scheduler, waiting for in-flight jobs, then flushes and
+// Close shuts down the expansion scheduler, starting batches whose window
+// is still open and waiting for every batch to finish, then flushes and
 // closes the WAL. The returned error reports any append failure latched
 // during operation — state that may not have reached disk.
 func (db *DB) Close() error {
@@ -241,9 +238,6 @@ func (db *DB) Close() error {
 		close(db.compactStop)
 		<-db.compactDone
 		db.compactStop = nil
-	}
-	if db.coalescer != nil {
-		db.coalescer.Close()
 	}
 	db.sched.Close()
 	db.gate.RLock()
@@ -483,17 +477,7 @@ func (db *DB) execQT(stmt sqlparse.Statement, key string, qt *QueryTrace) (*Resu
 	if err == nil {
 		return res, nil, nil
 	}
-	// EXPLAIN never runs (or pays for) an expansion: planning a query on
-	// a missing column reports the miss instead of eliciting it.
-	if _, isExplain := stmt.(*sqlparse.ExplainStmt); isExplain {
-		return nil, nil, err
-	}
-	// Implicit query-driven expansion: only registered columns qualify —
-	// a typo must stay an error, not a $20 crowd job.
-	job, expErr := db.submitMissingColumn(err)
-	if expErr != nil {
-		return nil, nil, expErr
-	}
+	job, err := db.submitMissingColumn(stmt, err)
 	if job == nil {
 		return nil, nil, err
 	}
@@ -508,17 +492,24 @@ func (db *DB) execQT(stmt sqlparse.Statement, key string, qt *QueryTrace) (*Resu
 	return res, report, nil
 }
 
-// submitMissingColumn inspects err; if it is a MissingColumnError on a
-// registered expandable column, the expansion is submitted (or joined, if
-// already in flight) and the job returned. For an unqualified miss in a
-// multi-table query the planner cannot know the intended table, so every
-// candidate table's registry is consulted (FROM order). A nil, nil return
-// means err was not an expandable miss and the caller should surface it
-// unchanged.
-func (db *DB) submitMissingColumn(err error) (*jobs.Job, error) {
+// submitMissingColumn is the query-driven step of every entry point: stmt
+// failed with err, and if err is a MissingColumnError on a registered
+// expandable column, the expansion is submitted (or joined, if already in
+// flight) and its job returned for the caller to wait on before running
+// stmt again. For an unqualified miss in a multi-table query the planner
+// cannot know the intended table, so every candidate table's registry is
+// consulted (FROM order). Otherwise the job is nil and the error is err
+// unchanged, or the submission's rejection: only registered columns
+// qualify — a typo must stay an error, not a $20 crowd job — and EXPLAIN
+// never runs (or pays for) an expansion: planning a query on a missing
+// column reports the miss instead of eliciting it.
+func (db *DB) submitMissingColumn(stmt sqlparse.Statement, err error) (*jobs.Job, error) {
+	if _, isExplain := stmt.(*sqlparse.ExplainStmt); isExplain {
+		return nil, err
+	}
 	var missing *engine.MissingColumnError
 	if !errors.As(err, &missing) {
-		return nil, nil
+		return nil, err
 	}
 	table := missing.Table
 	spec, ok := db.expandableSpec(table, missing.Column)
@@ -530,7 +521,7 @@ func (db *DB) submitMissingColumn(err error) (*jobs.Job, error) {
 		spec, ok = db.expandableSpec(table, missing.Column)
 	}
 	if !ok {
-		return nil, nil
+		return nil, err
 	}
 	// The miss is a workload signal in its own right: it feeds the
 	// co-access model (a miss IS a demand for the column) and the
@@ -557,27 +548,32 @@ func waitReport(job *jobs.Job) (*ExpansionReport, error) {
 	return report, nil
 }
 
-// prepareExpansion is the shared pre-sampling phase of Expand and of the
-// batch runner: resolve defaults, validate the kind, and add the column
-// to the table if absent. opts is updated in place with its defaults.
-func (db *DB) prepareExpansion(table, column string, kind storage.Kind, opts *ExpandOptions) (*storage.Table, error) {
+// defaultMethod is the method an expansion of table without one uses:
+// SPACE over an attached perceptual space, CROWD otherwise.
+func (db *DB) defaultMethod(table string) sqlparse.ExpandMethod {
+	if db.binding(table) != nil {
+		return sqlparse.ExpandSpace
+	}
+	return sqlparse.ExpandCrowd
+}
+
+// startExpansion is everything an expansion does before its crowd phase,
+// for Expand and for each member of an expansion batch: resolve
+// defaults, validate the kind, add the column to the table if absent,
+// then either run HYBRID to the end — two crowd rounds, no single
+// sampling phase to share — or hold the table's item ids and plan the
+// elicitation. A nil elicitation means the expansion is over, with
+// report and err its outcome; otherwise release ends the hold.
+func (db *DB) startExpansion(table, column string, kind storage.Kind, opts ExpandOptions) (e *elicitation, release func(), report *ExpansionReport, err error) {
 	tbl, ok := db.Catalog().Get(table)
 	if !ok {
-		return nil, fmt.Errorf("core: no such table %q", table)
+		return nil, nil, nil, fmt.Errorf("core: no such table %q", table)
 	}
-
-	defaultMethod := sqlparse.ExpandCrowd
-	if db.binding(table) != nil {
-		defaultMethod = sqlparse.ExpandSpace
-	}
-	opts.fillDefaults(defaultMethod)
-
+	opts.fillDefaults(db.defaultMethod(table))
 	if kind != storage.KindBool {
-		return nil, fmt.Errorf("core: only BOOLEAN perceptual attributes are crowd-expandable in this build; %s has kind %s (use GoldFill for numeric attributes)", column, kind)
+		return nil, nil, nil, fmt.Errorf("core: only BOOLEAN perceptual attributes are crowd-expandable in this build; %s has kind %s (use GoldFill for numeric attributes)", column, kind)
 	}
-
-	schema := tbl.Schema()
-	if _, exists := schema.Lookup(column); !exists {
+	if _, exists := tbl.Schema().Lookup(column); !exists {
 		err := db.mutate(func() error {
 			_, err := tbl.AddColumn(storage.Column{
 				Name: column, Kind: kind, Perceptual: true, Origin: storage.ColumnExpanded,
@@ -585,32 +581,30 @@ func (db *DB) prepareExpansion(table, column string, kind storage.Kind, opts *Ex
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
-	return tbl, nil
+	if opts.Method == sqlparse.ExpandHybrid {
+		report, err := db.expandHybrid(tbl, column, opts)
+		return nil, nil, report, err
+	}
+	release = db.holdItemIDs(tbl)
+	if e, err = db.planElicitation(tbl, column, opts); err != nil {
+		release()
+		return nil, nil, nil, err
+	}
+	return e, release, nil, nil
 }
 
 // Expand adds the column to the table (if absent) and fills it with the
-// selected strategy. It is idempotent on the column: re-expanding an
-// existing column re-elicits its values.
+// selected strategy, synchronously, as a batch of one would. It is
+// idempotent on the column: re-expanding an existing column re-elicits
+// its values.
 func (db *DB) Expand(table, column string, kind storage.Kind, opts ExpandOptions) (*ExpansionReport, error) {
-	tbl, err := db.prepareExpansion(table, column, kind, &opts)
-	if err != nil {
-		return nil, err
+	e, release, report, err := db.startExpansion(table, column, kind, opts)
+	if e == nil {
+		return report, err
 	}
-
-	switch opts.Method {
-	case sqlparse.ExpandCrowd, sqlparse.ExpandSpace:
-		defer db.holdItemIDs(tbl)()
-		e, err := db.planElicitation(tbl, column, opts)
-		if err != nil {
-			return nil, err
-		}
-		return db.runElicitation(e)
-	case sqlparse.ExpandHybrid:
-		return db.expandHybrid(tbl, column, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown expansion method %q", opts.Method)
-	}
+	defer release()
+	return db.runElicitation(e)
 }

@@ -196,7 +196,7 @@ func TestRowsChangingDuringCrowdWaitDoNotLoseTheCharge(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		method       sqlparse.ExpandMethod
-		columns      []string // more than one: expanded together, through the coalescer
+		columns      []string // more than one: expanded together, in one batch
 		lateLabelled bool
 		unbound      bool // no space attached: the item ids are physical row IDs
 	}{
@@ -351,7 +351,7 @@ func (s *flakyService) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*
 // because it was a price check — the table is free to compact afterwards.
 func TestUnboundTableIsFreeToCompactAfterEveryExpansionOutcome(t *testing.T) {
 	const rows = 60
-	for _, window := range []time.Duration{0, 50 * time.Millisecond} { // solo, and through the coalescer
+	for _, window := range []time.Duration{0, 50 * time.Millisecond} { // batches of one, and shared batches
 		t.Run(fmt.Sprintf("window=%s", window), func(t *testing.T) {
 			svc := &flakyService{inner: parityCrowd(5, rows)}
 			db := parityTable(t, Options{Service: svc, BatchWindow: window}, rows)
@@ -389,10 +389,10 @@ func TestUnboundTableIsFreeToCompactAfterEveryExpansionOutcome(t *testing.T) {
 			}
 			crowdOpts := ExpandOptions{Method: sqlparse.ExpandCrowd, APIKey: "alice"}
 
-			if !db.speculationAffordable("movies", "a", crowdOpts) {
-				t.Fatal("an uncapped key cannot afford a speculation")
+			if err := db.preflight("movies", "a", crowdOpts); err != nil {
+				t.Fatalf("an uncapped key fails the pre-flight: %v", err)
 			}
-			freeToCompact("a speculation pre-flight")
+			freeToCompact("a pre-flight")
 
 			if err := submit(crowdOpts, "a", "b"); err != nil {
 				t.Fatal(err)

@@ -67,10 +67,11 @@ type Options struct {
 	Workers int
 	// QueueDepth bounds the expansion admission queue (default 64).
 	QueueDepth int
-	// BatchWindow, when positive, enables batched HIT elicitation:
-	// expansions of the same table submitted within this window merge
-	// their sampling phases into shared HIT groups, charged once. Zero
-	// disables batching (every expansion is its own crowd job).
+	// BatchWindow is how long a table's batch of expansions stays open:
+	// expansions of the same table submitted within it merge their
+	// sampling phases into shared HIT groups, charged once. Zero seals
+	// every batch at submit, so each expansion is its own crowd job and
+	// its own charge; the expansion runs the same way either way.
 	BatchWindow time.Duration
 	// DefaultBudget, when positive, caps the crowd spend of every API
 	// key that has no explicit SetBudget cap. Zero leaves unknown keys
@@ -316,12 +317,10 @@ func Open(opts Options) (*DB, error) {
 		engine:      engine.New(storage.NewCatalog()),
 		service:     opts.Service,
 		ledger:      &Ledger{},
-		sched:       jobs.NewScheduler(workers, depth),
 		trainers:    make([]*svm.Trainer, 0, workers),
 		bindings:    map[string]*tableBinding{},
 		expandables: map[string]map[string]expandableSpec{},
 		tracker:     workload.NewTracker(0),
-		specBudget:  opts.SpeculativeBudget,
 		slowQuery:   opts.SlowQuery,
 		traceAll:    opts.TraceQueries,
 	}
@@ -329,10 +328,11 @@ func Open(opts Options) (*DB, error) {
 	if opts.CacheBytes >= 0 {
 		db.rcache = rescache.New(opts.CacheBytes)
 	}
+	db.sched = jobs.NewScheduler(workers, depth, opts.BatchWindow, db.runExpansionBatch)
 	db.sched.OnTerminal = db.onJobTerminal
 	db.budgets.defaultCap = opts.DefaultBudget
 	if opts.BatchWindow > 0 {
-		db.coalescer = jobs.NewCoalescer(db.sched, opts.BatchWindow, db.runExpansionBatch)
+		db.specBudget = opts.SpeculativeBudget
 	}
 	if opts.DataDir == "" {
 		db.finishOpen(opts)

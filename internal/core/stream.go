@@ -95,7 +95,13 @@ func (s *RowStream) Close() error {
 	return s.res.Close()
 }
 
-// ExecSQLStream parses sql and opens a streaming SELECT (see ExecStream).
+// ExecSQLStream parses sql and opens a SELECT for consumption a batch or
+// a row at a time. Like ExecSQL, a query referencing a registered
+// expandable column triggers (or joins) the expansion job and blocks
+// until it completes — the stream only starts producing rows once the
+// column is filled, so a client never observes a half-expanded answer.
+// Like ExecSQL's SELECTs it feeds the workload tracker and the query
+// metrics. Statements other than SELECT are not streamable.
 func (db *DB) ExecSQLStream(sql string) (*RowStream, error) {
 	start := time.Now()
 	stmt, err := sqlparse.Parse(sql)
@@ -103,21 +109,6 @@ func (db *DB) ExecSQLStream(sql string) (*RowStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.execStream(stmt, start)
-}
-
-// ExecStream opens a SELECT for consumption a batch or a row at a time.
-// Like Exec, a query referencing a registered expandable column triggers
-// (or joins) the expansion job and blocks until it completes — the stream
-// only starts producing rows once the column is filled, so a client never
-// observes a half-expanded answer. Like Exec's SELECTs it feeds the
-// workload tracker and the query metrics. Statements other than SELECT
-// are not streamable.
-func (db *DB) ExecStream(stmt sqlparse.Statement) (*RowStream, error) {
-	return db.execStream(stmt, time.Now())
-}
-
-func (db *DB) execStream(stmt sqlparse.Statement, start time.Time) (*RowStream, error) {
 	sel, ok := stmt.(*sqlparse.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming supports SELECT statements only, got %T", stmt)
@@ -140,16 +131,13 @@ func (db *DB) execStream(stmt sqlparse.Statement, start time.Time) (*RowStream, 
 		return err
 	}
 
-	err := open()
+	err = open()
 	if err == nil {
 		return s, nil
 	}
 	// Plan-time detection of a missing expandable column: the job runs
 	// (or is joined) before a single row is produced.
-	job, expErr := db.submitMissingColumn(err)
-	if expErr != nil {
-		return nil, expErr
-	}
+	job, err := db.submitMissingColumn(stmt, err)
 	if job == nil {
 		return nil, err
 	}

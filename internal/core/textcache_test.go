@@ -105,7 +105,7 @@ func TestTextHitsFeedTheWorkloadLikeExecutions(t *testing.T) {
 }
 
 // TestAsyncEntryPointsAndTheCache: ExecSQLAsync is served from the cache
-// by its text like Query; ExecAsync, handed a parsed statement, bypasses it.
+// by its text like Query, and a write through it invalidates the text.
 func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 	db := pathDB(t, 1)
 	const sql = `SELECT id, score FROM facts WHERE id >= 100 AND id < 110`
@@ -123,13 +123,21 @@ func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 	if len(hit.Rows) != 10 || !reflect.DeepEqual(hit.Rows, miss.Rows) {
 		t.Fatalf("the hit boxes %d rows, the miss %d", len(hit.Rows), len(miss.Rows))
 	}
-	stmt, _ := sqlparse.Parse(sql)
+	// A write through ExecSQLAsync is no lookup, and the text it changed
+	// misses again and sees the new row.
 	before := db.CacheStats()
-	if res, _, err := db.ExecAsync(stmt); err != nil || !reflect.DeepEqual(res.Rows, miss.Rows) {
-		t.Fatalf("ExecAsync: %v", err)
+	if _, _, err := db.ExecSQLAsync(`INSERT INTO facts VALUES (105, 1, 9.5, 'new')`); err != nil {
+		t.Fatal(err)
 	}
-	if after := db.CacheStats(); after != before {
-		t.Fatalf("ExecAsync touched the cache: %+v → %+v", before, after)
+	if after := db.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("an INSERT counted as a lookup: %+v → %+v", before, after)
+	}
+	again, _, err := db.ExecSQLAsync(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.CacheStats(); st.Hits != 1 || st.Misses != 2 || len(again.Rows) != 11 {
+		t.Fatalf("after the INSERT: %+v and %d rows, want a second miss and 11 rows", st, len(again.Rows))
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // (the co-access model behind predictive pre-expansion) and, unless
 // bypassed, the result cache. The pieces live in internal/workload; this
 // file is the glue that decides WHEN they fire — the cache probe before the
-// parser, observation under the snapshot gate, speculation inside the open
-// coalescer window, cache seq-capture before planning. See DESIGN.md §13.
+// parser, observation under the snapshot gate, speculation inside the
+// table's open batch, cache seq-capture before planning. See DESIGN.md §13.
 
 // Origin values for expansion jobs. The tag rides the job (jobs.Status),
 // the per-job WAL completion record, and /ledger, so operators can audit
@@ -358,23 +358,24 @@ func accessObservations(sel *sqlparse.SelectStmt) []workload.Observation {
 // speculate submits pre-expansions for the columns the workload model
 // predicts will be demanded next, given that table.trigger was just
 // demand-expanded. Called synchronously from submitExpansion right after
-// the demand member was admitted, while the coalescer's batch window for
-// the table is still open — so speculative and demand members seal into
-// ONE batch and their sampling phases merge into shared HIT groups,
-// charged once (see runExpansionBatch).
+// the demand member was admitted, while the table's batch is still open —
+// so speculative and demand members seal into ONE batch and their
+// sampling phases merge into shared HIT groups, charged once (see
+// runExpansionBatch).
 //
-// Strictly best effort, in this order: speculation requires batching and
-// a positive speculative budget; it stops when pending members reach
-// half the admission bound (never starving demand submissions into
+// Strictly best effort, in this order: speculation requires a positive
+// batch window and speculative budget (Open leaves specBudget zero
+// without the window); it stops when pending members reach half the
+// admission bound (never starving demand submissions into
 // ErrQueueFull); it skips columns already filled or not registered; and
 // it pre-flights the projected cost against SpeculativeBudget, with the
 // batch runner's per-member reservation as the authoritative check.
 func (db *DB) speculate(table, trigger string) {
-	if db.coalescer == nil || db.specBudget <= 0 || db.tracker == nil {
+	if db.specBudget <= 0 || db.tracker == nil {
 		return
 	}
 	for _, pred := range db.tracker.Predict(table, trigger, maxSpeculations) {
-		if db.coalescer.Pending()*2 >= db.coalescer.Depth() {
+		if db.sched.Pending()*2 >= db.sched.Depth() {
 			return
 		}
 		spec, ok := db.expandableSpec(table, pred.Column)
@@ -384,37 +385,11 @@ func (db *DB) speculate(table, trigger string) {
 		opts := spec.opts
 		opts.Origin = OriginSpeculative
 		opts.APIKey = SpeculativeBudgetKey
-		if !db.speculationAffordable(table, pred.Column, opts) {
+		if db.preflight(table, pred.Column, opts) != nil {
 			continue
 		}
 		// implicit=true: if a racing job fills the column first, the
 		// speculative run degrades to a no-op instead of re-eliciting.
 		_, _, _ = db.submitExpansion(table, pred.Column, spec.kind, opts, true)
 	}
-}
-
-// speculationAffordable pre-flights a speculative expansion's projected
-// sampling cost against the speculative budget — the same best-effort
-// shape as SubmitExpand's check: a plan that cannot be built yet defers
-// entirely to the batch runner's authoritative per-member reservation.
-func (db *DB) speculationAffordable(table, column string, opts ExpandOptions) bool {
-	tbl, ok := db.Catalog().Get(table)
-	if !ok {
-		return false
-	}
-	pre := opts
-	defaultMethod := sqlparse.ExpandCrowd
-	if db.binding(table) != nil {
-		defaultMethod = sqlparse.ExpandSpace
-	}
-	pre.fillDefaults(defaultMethod)
-	if pre.Method == sqlparse.ExpandHybrid {
-		pre.Method = sqlparse.ExpandCrowd // estimate HYBRID by its first round
-	}
-	if e, err := db.planElicitation(tbl, column, pre); err == nil {
-		if err := db.checkBudget(pre.APIKey, e.projected()); err != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -9,7 +9,7 @@ import "crowddb/internal/obs"
 // which for crowd work is dominated by simulated elicitation minutes.
 var (
 	mQueueDepth = obs.Default.Gauge("crowddb_jobs_queue_depth",
-		"Expansion jobs admitted but not yet picked up by a worker.")
+		"Expansion jobs admitted whose batch has not started.")
 	mJobsTotal = obs.Default.CounterVec("crowddb_jobs_total",
 		"Expansion jobs by terminal state (done, failed).", "state")
 	mPhaseSeconds = obs.Default.HistogramVec("crowddb_expansion_phase_seconds",

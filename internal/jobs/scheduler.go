@@ -1,15 +1,25 @@
-// Package jobs implements the asynchronous expansion-job subsystem: a
-// worker-pool scheduler with a typed job lifecycle, singleflight
-// deduplication, and per-job cost accounting.
+// Package jobs runs asynchronous expansion jobs: a typed job lifecycle,
+// singleflight deduplication, per-job cost accounting and time-window
+// batching, on one execution path.
 //
 // Schema expansion is slow and expensive — a crowd job takes simulated
 // minutes and costs real dollars — so it must never run on a query
 // goroutine's critical path, and N concurrent queries touching the same
-// missing column must trigger exactly one crowd job. The scheduler is
-// deliberately generic: it runs opaque RunFuncs and knows nothing about
-// SQL, tables, or crowds. internal/core submits expansion closures; a
-// future PR can reuse the same pool for space re-training or cleaning
-// sweeps.
+// missing column must trigger exactly one crowd job. Expansions of one
+// table also tend to arrive in bursts (a dashboard touching four missing
+// genre columns), and each crowd job pays the marketplace's fixed
+// overhead, so the scheduler runs batches and nothing else: Submit adds
+// a job to its group's open batch, the batch is sealed when the group's
+// window closes — at once with a zero window, which makes every job a
+// batch of one — and a sealed batch goes to the one BatchRunFunc, at
+// most as many at a time as the scheduler has workers.
+//
+// Every member keeps its own *Job: polling, per-job ledgers and
+// singleflight work the same whether a batch holds one member or many.
+// The scheduler knows nothing about SQL, tables or crowds: groups and
+// keys are opaque strings and payloads opaque values. internal/core
+// groups expansions by table and merges a batch's sampling phases into
+// shared HIT groups, charged once.
 package jobs
 
 import (
@@ -17,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -90,10 +101,6 @@ func (c *Ctl) Charge(judgments int, cost, minutes float64) {
 	c.job.ledger.Charges++
 }
 
-// RunFunc performs the job's work. The result is opaque to the scheduler
-// (internal/core returns its *ExpansionReport through it).
-type RunFunc func(ctl *Ctl) (any, error)
-
 // Job is one scheduled unit of work. All fields are guarded by mu; readers
 // use Status for a consistent snapshot and Done/Wait for completion.
 type Job struct {
@@ -119,19 +126,10 @@ func (j *Job) ID() string { return j.id }
 // Key returns the singleflight key the job was submitted under.
 func (j *Job) Key() string { return j.key }
 
-// SetOrigin tags the job with what triggered it (demand | speculative |
-// admin). The scheduler only carries the tag — it is set by the layer
-// that knows the provenance and surfaced in Status for spend auditing.
-// Singleflight callers joining an existing job must not re-tag it, so
-// only the creator (created=true from Submit, or the Coalescer's adopt
-// path) should call this.
-func (j *Job) SetOrigin(origin string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.origin = origin
-}
-
-// Origin returns the job's provenance tag ("" if never set).
+// Origin returns what triggered the job (demand | speculative | admin),
+// as passed to Submit. The scheduler only carries the tag; the layer that
+// knows the provenance sets it, and Status surfaces it for spend
+// auditing.
 func (j *Job) Origin() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -197,113 +195,160 @@ func (j *Job) Status() Status {
 	return st
 }
 
-// ErrQueueFull is returned by Submit when the admission queue is at
-// capacity; callers should retry later (the HTTP layer maps it to 503).
+// ErrQueueFull is returned by Submit when as many members as the queue
+// depth are admitted whose batches have not started; callers should
+// retry later (the HTTP layer maps it to 503).
 var ErrQueueFull = errors.New("jobs: queue full")
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("jobs: scheduler closed")
 
-type task struct {
-	job *Job
-	run RunFunc
+// BatchMember is one submission inside a sealed batch.
+type BatchMember struct {
+	// Payload is the opaque value passed to Submit.
+	Payload any
+
+	job      *Job
+	sched    *Scheduler
+	finished atomic.Bool
 }
 
-// Scheduler runs jobs on a fixed worker pool with a bounded queue.
-// Submissions are deduplicated by key while a job for that key is queued
-// or running (singleflight); once it finishes, the key is free again so
-// explicit re-expansion stays possible.
+// Job returns the member's job handle.
+func (m *BatchMember) Job() *Job { return m.job }
+
+// Ctl returns the member's control handle for phase/charge reporting.
+func (m *BatchMember) Ctl() *Ctl { return &Ctl{job: m.job} }
+
+// Finish completes the member's job with the given result or error.
+// Only the first call has effect; the batch runner uses this to complete
+// members one by one as their shares of the batch resolve.
+func (m *BatchMember) Finish(result any, err error) {
+	if !m.finished.CompareAndSwap(false, true) {
+		return
+	}
+	m.sched.finish(m.job, result, err)
+}
+
+// Finished reports whether Finish has been called.
+func (m *BatchMember) Finished() bool { return m.finished.Load() }
+
+// BatchRunFunc executes one sealed batch. It must call Finish on every
+// member (members it leaves unfinished are failed by the scheduler); a
+// panic fails every unfinished member rather than killing the process.
+type BatchRunFunc func(members []*BatchMember)
+
+// Scheduler admits jobs into per-group batches and runs sealed batches
+// on at most workers goroutines at a time. Submissions are deduplicated
+// by key while a job for that key is pending or running (singleflight);
+// once it finishes, the key is free again so explicit re-expansion stays
+// possible. At most depth members may be admitted whose batches have not
+// started before Submit sheds load with ErrQueueFull.
 type Scheduler struct {
-	queue chan task
-	wg    sync.WaitGroup
+	window time.Duration
+	run    BatchRunFunc
+	sem    chan struct{} // bounds concurrently running batches
+	depth  int
+	wg     sync.WaitGroup // running batches
 
-	workers int
-
-	// OnTerminal, when set, is invoked (on the worker goroutine) after a
-	// job reaches a terminal state and its Done channel is closed. The
-	// durability layer uses it to log a completion record so a finished
-	// expansion is never re-elicited after a restart. Set it before the
-	// first Submit; it is not synchronized afterwards.
+	// OnTerminal, when set, is invoked (on the batch's goroutine) after a
+	// job reaches a terminal state and before its Done channel is closed.
+	// The durability layer uses it to log a completion record so a
+	// finished expansion is never re-elicited after a restart. Set it
+	// before the first Submit; it is not synchronized afterwards.
 	OnTerminal func(Status)
 
 	mu       sync.Mutex
-	started  bool
 	closed   bool
 	seq      int
-	inflight map[string]*Job // key → active job (singleflight window)
-	jobs     map[string]*Job // id → job, kept after completion for polling
-	order    []string        // job IDs in submission order
+	pending  int               // members admitted whose batch has not started
+	groups   map[string]*batch // group → its open batch
+	inflight map[string]*Job   // key → active job (singleflight window)
+	jobs     map[string]*Job   // id → job, kept after completion for polling
+	order    []string          // job IDs in submission order
 }
 
-// NewScheduler creates a scheduler with the given worker-pool size and
-// queue depth. Non-positive values get modest defaults (2 workers, 64
-// queued jobs). Workers start lazily on first Submit, so constructing a
-// scheduler is free.
-func NewScheduler(workers, depth int) *Scheduler {
+// batch is a group's open batch: the members admitted since it opened,
+// and the timer that seals it when the window closes.
+type batch struct {
+	members []*BatchMember
+	timer   *time.Timer
+}
+
+// NewScheduler creates a scheduler that runs at most workers batches at
+// once, sheds submissions beyond depth pending members, holds each
+// group's batch open for window and runs sealed batches with run.
+// Non-positive workers and depth get modest defaults (2 and 64); a
+// non-positive window seals every batch at submit, so each job runs as a
+// batch of one. Constructing a scheduler starts no goroutine.
+func NewScheduler(workers, depth int, window time.Duration, run BatchRunFunc) *Scheduler {
 	if workers <= 0 {
 		workers = 2
 	}
 	if depth <= 0 {
 		depth = 64
 	}
-	return &Scheduler{workers: workers, queue: make(chan task, depth)}
+	return &Scheduler{
+		window: max(window, 0), run: run, depth: depth,
+		sem:      make(chan struct{}, workers),
+		groups:   map[string]*batch{},
+		inflight: map[string]*Job{},
+		jobs:     map[string]*Job{},
+	}
 }
 
-// Submit enqueues run under the singleflight key. If a job for key is
-// already queued or running, that job is returned with created=false and
-// run is discarded — this is how N concurrent queries on the same missing
-// column share one crowd job. Otherwise a new job is created (created=true).
-func (s *Scheduler) Submit(key string, run RunFunc) (job *Job, created bool, err error) {
+// Submit adds payload to the group's open batch as a new job under the
+// singleflight key, tagged with origin. If a job for key is already
+// pending or running, that job is returned with created=false and
+// payload is discarded — this is how N concurrent queries on the same
+// missing column share one crowd job. Otherwise the job joins the
+// group's open batch, opening one (and starting its window timer) if
+// none is open; with a zero window the batch is sealed and started here.
+func (s *Scheduler) Submit(group, key, origin string, payload any) (job *Job, created bool, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
 	if j, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
 		return j, false, nil
 	}
-	j := s.newJobLocked(key)
-	select {
-	case s.queue <- task{job: j, run: run}:
-		mQueueDepth.Inc()
-	default:
-		s.seq--
-		s.mu.Unlock()
+	if s.pending >= s.depth {
 		return nil, false, ErrQueueFull
 	}
-	s.registerLocked(j)
-	if !s.started {
-		s.started = true
-		for i := 0; i < s.workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-	}
-	s.mu.Unlock()
-	return j, true, nil
-}
-
-// newJobLocked allocates the next job for key. Caller holds s.mu and must
-// either registerLocked the job or roll s.seq back.
-func (s *Scheduler) newJobLocked(key string) *Job {
 	s.seq++
-	return &Job{
+	j := &Job{
 		id:      fmt.Sprintf("job-%d", s.seq),
 		key:     key,
+		origin:  origin,
 		created: time.Now(),
 		done:    make(chan struct{}),
 		state:   StateQueued,
 	}
+	s.registerLocked(j)
+	s.pending++
+	mQueueDepth.Inc()
+	m := &BatchMember{Payload: payload, job: j, sched: s}
+	if s.window == 0 {
+		s.startLocked([]*BatchMember{m})
+		return j, true, nil
+	}
+	g := s.groups[group]
+	if g == nil {
+		g = &batch{}
+		s.groups[group] = g
+		g.timer = time.AfterFunc(s.window, func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.sealLocked(group, g)
+		})
+	}
+	g.members = append(g.members, m)
+	return j, true, nil
 }
 
 // registerLocked installs a new job into the singleflight map, the ID
 // index, and the history. Caller holds s.mu.
 func (s *Scheduler) registerLocked(j *Job) {
-	if s.inflight == nil {
-		s.inflight = map[string]*Job{}
-		s.jobs = map[string]*Job{}
-	}
 	s.inflight[j.key] = j
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -340,28 +385,58 @@ func (s *Scheduler) evictLocked() {
 	s.order = kept
 }
 
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		s.execute(t)
+// sealLocked closes the group's batch g, if it is still the open one,
+// and starts it. Caller holds s.mu.
+func (s *Scheduler) sealLocked(group string, g *batch) {
+	if s.groups[group] != g {
+		return // already sealed by Close
 	}
+	delete(s.groups, group)
+	s.startLocked(g.members)
 }
 
-func (s *Scheduler) execute(t task) {
-	mQueueDepth.Dec()
-	j := t.job
-	j.mu.Lock()
-	j.started = time.Now()
-	j.mu.Unlock()
+// startLocked runs a sealed batch on a fresh goroutine. Caller holds
+// s.mu, so Close's Wait cannot miss it.
+func (s *Scheduler) startLocked(members []*BatchMember) {
+	s.wg.Add(1)
+	go s.runBatch(members)
+}
 
-	result, err := s.runSafely(t)
-	s.finish(j, result, err)
+func (s *Scheduler) runBatch(members []*BatchMember) {
+	defer s.wg.Done()
+	// Sealed batches beyond the worker count wait here instead of
+	// engaging the crowd all at once.
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	s.mu.Lock()
+	s.pending -= len(members)
+	s.mu.Unlock()
+	mQueueDepth.Add(-int64(len(members)))
+
+	now := time.Now()
+	for _, m := range members {
+		m.job.mu.Lock()
+		m.job.started = now
+		m.job.mu.Unlock()
+	}
+	defer func() {
+		r := recover()
+		for _, m := range members {
+			if !m.Finished() {
+				if r != nil {
+					m.Finish(nil, fmt.Errorf("jobs: batch run panicked: %v", r))
+				} else {
+					m.Finish(nil, fmt.Errorf("jobs: batch run ended without finishing job %s", m.job.id))
+				}
+			}
+		}
+	}()
+	s.run(members)
 }
 
 // finish drives a job to its terminal state: it records the outcome,
 // releases the singleflight key, runs the completion hook, and closes
-// Done. Shared by worker-executed jobs and externally-driven (batched)
-// ones, so both get identical completion semantics.
+// Done.
 func (s *Scheduler) finish(j *Job, result any, err error) {
 	j.mu.Lock()
 	j.result, j.err = result, err
@@ -392,24 +467,18 @@ func (s *Scheduler) finish(j *Job, result any, err error) {
 	close(j.done)
 }
 
-// adopt creates and registers a job whose execution is driven externally
-// (by a Coalescer batch) instead of by the worker pool. It shares the
-// singleflight map with Submit: if a job for key is already queued,
-// batched, or running, that job is returned with created=false. The
-// caller owns completion via finish.
-func (s *Scheduler) adopt(key string) (job *Job, created bool, err error) {
+// Pending returns the number of members admitted whose batch has not
+// started. Speculative submitters use it as a headroom check so that
+// best-effort work never fills the admission bound and starves demand
+// submissions with ErrQueueFull.
+func (s *Scheduler) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	if j, ok := s.inflight[key]; ok {
-		return j, false, nil
-	}
-	j := s.newJobLocked(key)
-	s.registerLocked(j)
-	return j, true, nil
+	return s.pending
 }
+
+// Depth returns the admission bound on pending members.
+func (s *Scheduler) Depth() int { return s.depth }
 
 // RestoredJob describes one terminal job recovered from durable storage,
 // for Restore.
@@ -436,10 +505,6 @@ type RestoredJob struct {
 func (s *Scheduler) Restore(restored []RestoredJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.jobs == nil {
-		s.inflight = map[string]*Job{}
-		s.jobs = map[string]*Job{}
-	}
 	for _, r := range restored {
 		if !r.State.Terminal() {
 			continue
@@ -461,17 +526,6 @@ func (s *Scheduler) Restore(restored []RestoredJob) {
 		}
 	}
 	s.evictLocked()
-}
-
-// runSafely converts a panicking RunFunc into a failed job instead of
-// killing the worker (a crashed expansion must not take the pool down).
-func (s *Scheduler) runSafely(t task) (result any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("jobs: job %s panicked: %v", t.job.id, r)
-		}
-	}()
-	return t.run(&Ctl{job: t.job})
 }
 
 // Get returns the job with the given ID, including finished ones.
@@ -510,8 +564,9 @@ func (s *Scheduler) Totals() Ledger {
 	return sum
 }
 
-// Close stops accepting new jobs, drains the queue, and waits for running
-// jobs to finish. Safe to call more than once.
+// Close stops accepting jobs, seals and starts every open batch without
+// waiting for its window, and waits for all batches to finish. Safe to
+// call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -519,10 +574,10 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	started := s.started
-	s.mu.Unlock()
-	close(s.queue)
-	if started {
-		s.wg.Wait()
+	for group, g := range s.groups {
+		g.timer.Stop()
+		s.sealLocked(group, g)
 	}
+	s.mu.Unlock()
+	s.wg.Wait()
 }

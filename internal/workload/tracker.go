@@ -9,7 +9,7 @@
 // bounded in-memory trace plus durable aggregate counters, and derives a
 // simple pairwise-lift model over column co-access. internal/core uses
 // the model to pre-expand the likely-next column *inside the same
-// coalescer batch window* as the demand expansion, so the speculative
+// batch* as the demand expansion, so the speculative
 // HITs ride the demand job's marketplace charge instead of paying their
 // own (see core's speculation hook and DESIGN.md §13).
 //
