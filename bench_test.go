@@ -914,13 +914,10 @@ func expansionBenchSpace() *space.Space {
 	return space.NewSpace(m)
 }
 
-// BenchmarkSpaceExpansion is one `EXPAND … USING SPACE` per iteration:
-// read the item ids, sample 160 of them, one simulated crowd job, vote,
-// train, predict all 4 000 items on the exec workers, resolve and fill the
-// column, append its fill_column record. B/op is guarded: a boxed Value, a
-// per-cell JSON object or a full-width row anywhere in it costs at least
-// 160 KB an iteration.
-func BenchmarkSpaceExpansion(b *testing.B) {
+// expansionBenchDB is expansionBench's database at the given width, its
+// space attached: a 40-worker simulated crowd answering with the item's
+// parity, a WAL, every other expanded column still unfilled.
+func expansionBenchDB(b *testing.B, cols int) *crowddb.DB {
 	rng := rand.New(rand.NewSource(42))
 	pop := crowd.NewPopulation(crowd.PopulationConfig{Workers: 40}, rng)
 	models := make([]crowd.Item, expansionBenchRows)
@@ -932,7 +929,7 @@ func BenchmarkSpaceExpansion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
+	b.Cleanup(func() { db.Close() })
 	if _, _, err := db.ExecSQL(`CREATE TABLE movies (movie_id INTEGER, name TEXT, year INTEGER)`); err != nil {
 		b.Fatal(err)
 	}
@@ -946,7 +943,7 @@ func BenchmarkSpaceExpansion(b *testing.B) {
 	for i := range filled {
 		filled[i] = storage.Bool(i%3 == 0)
 	}
-	for c := 3; c < expansionBenchCols; c++ {
+	for c := 3; c < cols; c++ {
 		name := fmt.Sprintf("genre_%03d", c)
 		if _, err := tbl.AddColumn(storage.Column{Name: name, Kind: storage.KindBool, Perceptual: true, Origin: storage.ColumnExpanded}); err != nil {
 			b.Fatal(err)
@@ -960,6 +957,17 @@ func BenchmarkSpaceExpansion(b *testing.B) {
 	if err := db.AttachSpace("movies", "movie_id", expansionBenchSpace()); err != nil {
 		b.Fatal(err)
 	}
+	return db
+}
+
+// BenchmarkSpaceExpansion is one `EXPAND … USING SPACE` per iteration:
+// read the item ids, sample 160 of them, one simulated crowd job, vote,
+// train, predict all 4 000 items on the exec workers, resolve and fill the
+// column, append its fill_column record. B/op is guarded: a boxed Value, a
+// per-cell JSON object or a full-width row anywhere in it costs at least
+// 160 KB an iteration, a list of the table's item ids 32 KB.
+func BenchmarkSpaceExpansion(b *testing.B) {
+	db := expansionBenchDB(b, expansionBenchCols)
 	const expand = `EXPAND TABLE movies ADD COLUMN even BOOLEAN USING SPACE`
 	if _, _, err := db.ExecSQL(expand); err != nil { // adds the column; iterations re-elicit it
 		b.Fatal(err)
@@ -968,6 +976,31 @@ func BenchmarkSpaceExpansion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, rep, err := db.ExecSQL(expand)
+		if err != nil || rep.Filled != expansionBenchRows {
+			b.Fatalf("report %+v, err %v", rep, err)
+		}
+	}
+}
+
+// BenchmarkSpaceExpansionWide is the query-driven form of the same step on
+// a 200-column table: every iteration expands a column the table does not
+// have yet, so AddColumn — its add_column record, the schema's new entry,
+// the new version's last header page — is inside the loop. B/op is guarded
+// and stays within 1 KiB of BenchmarkSpaceExpansion's: nothing of an
+// expansion grows with the width of the table.
+func BenchmarkSpaceExpansionWide(b *testing.B) {
+	db := expansionBenchDB(b, 200)
+	if _, _, err := db.ExecSQL(`EXPAND TABLE movies ADD COLUMN even BOOLEAN USING SPACE`); err != nil { // the first Trainer
+		b.Fatal(err)
+	}
+	stmts := make([]string, b.N)
+	for i := range stmts {
+		stmts[i] = fmt.Sprintf("EXPAND TABLE movies ADD COLUMN even_%d BOOLEAN USING SPACE", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := db.ExecSQL(stmts[i])
 		if err != nil || rep.Filled != expansionBenchRows {
 			b.Fatalf("report %+v, err %v", rep, err)
 		}

@@ -179,7 +179,7 @@ func (db *DB) preflight(table, column string, opts ExpandOptions) error {
 	if opts.Method == sqlparse.ExpandHybrid {
 		opts.Method = sqlparse.ExpandCrowd
 	}
-	e, err := db.planElicitation(tbl, column, opts)
+	e, err := db.planElicitation(tbl, column, opts, true)
 	if err != nil {
 		return nil
 	}

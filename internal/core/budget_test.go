@@ -283,7 +283,7 @@ func TestBudgetSurvivesRestart(t *testing.T) {
 	}
 }
 
-// applyBudget keeps exactly the items the budget pays for, by the
+// affordable keeps exactly the items the budget pays for, by the
 // arithmetic the cap is checked with: a budget that is projectedCost(n)
 // to the bit keeps n (a float quotient floored it to n−1 for 510 of the
 // 8 000 pairs below at $0.03), and one judgment less keeps n−1. Every
@@ -291,7 +291,7 @@ func TestBudgetSurvivesRestart(t *testing.T) {
 // the paper's three HIT prices.
 func TestApplyBudgetKeepsWhatTheBudgetCovers(t *testing.T) {
 	const rows = 4000
-	ids := make([]int, rows+1)
+	const items = rows + 1
 	for _, pay := range []float64{0.02, 0.03, 0.05} {
 		for _, assignments := range []int{5, 10} {
 			opts := ExpandOptions{Assignments: assignments}
@@ -300,14 +300,14 @@ func TestApplyBudgetKeepsWhatTheBudgetCovers(t *testing.T) {
 			perJudgment := opts.Job.PayPerHIT / float64(opts.Job.ItemsPerHIT)
 			for n := 1; n <= rows; n++ {
 				opts.Budget = projectedCost(n, &opts)
-				if got := len(applyBudget(ids, &opts)); got != n {
+				if got := affordable(items, &opts); got != n {
 					t.Fatalf("$%.2f/HIT × %d: a budget of projectedCost(%d) = %v keeps %d items", pay, assignments, n, opts.Budget, got)
 				}
-				if got := len(applyBudget(ids[:n], &opts)); got != n {
+				if got := affordable(n, &opts); got != n {
 					t.Fatalf("$%.2f/HIT × %d: a budget that covers all %d items keeps %d", pay, assignments, n, got)
 				}
 				opts.Budget = float64(n*assignments-1) * perJudgment
-				if got := len(applyBudget(ids, &opts)); got != n-1 {
+				if got := affordable(items, &opts); got != n-1 {
 					t.Fatalf("$%.2f/HIT × %d: a budget one judgment short of %d items (%v) keeps %d", pay, assignments, n, opts.Budget, got)
 				}
 			}
@@ -315,7 +315,7 @@ func TestApplyBudgetKeepsWhatTheBudgetCovers(t *testing.T) {
 	}
 	opts := ExpandOptions{}
 	opts.fillDefaults(sqlparse.ExpandSpace)
-	if got := len(applyBudget(ids, &opts)); got != len(ids) {
-		t.Fatalf("no budget keeps %d of %d items", got, len(ids))
+	if got := affordable(items, &opts); got != items {
+		t.Fatalf("no budget keeps %d of %d items", got, items)
 	}
 }

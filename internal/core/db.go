@@ -589,7 +589,7 @@ func (db *DB) startExpansion(table, column string, kind storage.Kind, opts Expan
 		return nil, nil, report, err
 	}
 	release = db.holdItemIDs(tbl)
-	if e, err = db.planElicitation(tbl, column, opts); err != nil {
+	if e, err = db.planElicitation(tbl, column, opts, false); err != nil {
 		release()
 		return nil, nil, nil, err
 	}

@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"crowddb/internal/crowd"
@@ -55,8 +56,11 @@ type BatchJudgmentService interface {
 }
 
 // ItemModelFunc supplies the simulator's behavioural item models for a
-// question (latent truth, popularity, ambiguity), keyed by item ID.
-// dataset.Universe.CrowdItems provides exactly this shape.
+// question (latent truth, popularity, ambiguity). Position i of the list
+// holds the model of item i (Item.ID == i), so that an item's model is
+// found by indexing; dataset.Universe.CrowdItems provides exactly this
+// shape. Any other order still works, at the price of a linear search
+// for every item asked about.
 type ItemModelFunc func(question string) ([]crowd.Item, error)
 
 // SimulatedCrowd is a JudgmentService backed by the marketplace simulator.
@@ -65,6 +69,10 @@ type SimulatedCrowd struct {
 	population *crowd.Population
 	items      ItemModelFunc
 	rng        *rand.Rand
+	// selected is the item models of the job being run, kept from job to
+	// job (under mu) while it stays within selectedKeep: crowd.RunJob
+	// copies what it needs of them.
+	selected []crowd.Item
 
 	// Gold optionally mixes known-answer screening questions into every
 	// job (Experiment 3 setup).
@@ -78,42 +86,50 @@ func NewSimulatedCrowd(pop *crowd.Population, items ItemModelFunc, rng *rand.Ran
 	return &SimulatedCrowd{population: pop, items: items, rng: rng}
 }
 
-// selectItems returns the question's item models for itemIDs, in that
-// order — crowd.RunJob draws from the shared rng item by item, so the
-// order is part of the result. Only the wanted ids are indexed, not the
-// whole model list.
-func (s *SimulatedCrowd) selectItems(question string, itemIDs []int) ([]crowd.Item, error) {
+// selectedKeep bounds the item models a SimulatedCrowd keeps for the next
+// job: a training sample (160 items) fits, a direct crowd fill of a
+// large table is garbage once its job has run.
+const selectedKeep = 1024
+
+// selectItems appends to dst the question's item models for itemIDs, in
+// that order — crowd.RunJob draws from the shared rng item by item, so
+// the order is part of the result. Each id's model is at its own
+// position of the list (ItemModelFunc's contract), or else found by a
+// linear search.
+func (s *SimulatedCrowd) selectItems(dst []crowd.Item, question string, itemIDs []int) ([]crowd.Item, error) {
 	models, err := s.items(question)
 	if err != nil {
 		return nil, err
 	}
-	at := make(map[int]int, len(itemIDs)) // wanted id → its index in models
 	for _, id := range itemIDs {
-		at[id] = -1
-	}
-	for i, m := range models {
-		if _, wanted := at[m.ID]; wanted {
-			at[m.ID] = i
+		i := id
+		if i < 0 || i >= len(models) || models[i].ID != id {
+			i = slices.IndexFunc(models, func(m crowd.Item) bool { return m.ID == id })
 		}
-	}
-	selected := make([]crowd.Item, len(itemIDs))
-	for k, id := range itemIDs {
-		if at[id] < 0 {
+		if i < 0 {
 			return nil, fmt.Errorf("core: no crowd item model for id %d (question %q)", id, question)
 		}
-		selected[k] = models[at[id]]
+		dst = append(dst, models[i])
 	}
-	return selected, nil
+	return dst, nil
+}
+
+// keepSelected keeps sel's memory for the next job's selection.
+func (s *SimulatedCrowd) keepSelected(sel []crowd.Item) {
+	if cap(sel) <= selectedKeep {
+		s.selected = sel[:0]
+	}
 }
 
 // Collect implements JudgmentService.
 func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	selected, err := s.selectItems(question, itemIDs)
+	selected, err := s.selectItems(slices.Grow(s.selected, len(itemIDs)), question, itemIDs)
 	if err != nil {
 		return nil, err
 	}
+	defer s.keepSelected(selected)
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
 		cfg.GoldItems = s.Gold
 		cfg.GoldFailureLimit = s.GoldFailureLimit
@@ -128,14 +144,21 @@ func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobCo
 func (s *SimulatedCrowd) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	total := 0
+	for _, req := range reqs {
+		total += len(req.ItemIDs)
+	}
+	selected := slices.Grow(s.selected, total)
 	batch := make([]crowd.BatchRequest, len(reqs))
 	for i, req := range reqs {
-		selected, err := s.selectItems(req.Question, req.ItemIDs)
-		if err != nil {
+		from := len(selected)
+		var err error
+		if selected, err = s.selectItems(selected, req.Question, req.ItemIDs); err != nil {
 			return nil, err
 		}
-		batch[i] = crowd.BatchRequest{Question: req.Question, Items: selected}
+		batch[i] = crowd.BatchRequest{Question: req.Question, Items: selected[from:]}
 	}
+	defer s.keepSelected(selected)
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
 		cfg.GoldItems = s.Gold
 		cfg.GoldFailureLimit = s.GoldFailureLimit

@@ -85,19 +85,12 @@ func eachItemID(snap *storage.Snap, binding *tableBinding, fn func(id int)) erro
 }
 
 // itemIDs returns the item id of every live row of snap, in scan order —
-// for the steps that pick among the items or pair them with rows; the
-// fill streams them instead.
+// for HYBRID's steps that pair the items with rows; the plan and the fill
+// stream them instead.
 func itemIDs(snap *storage.Snap, binding *tableBinding) ([]int, error) {
 	ids := make([]int, 0, snap.NumLive())
 	err := eachItemID(snap, binding, func(id int) { ids = append(ids, id) })
 	return ids, err
-}
-
-// currentItemIDs is itemIDs over the table's current snapshot.
-func currentItemIDs(tbl *storage.Table, binding *tableBinding) ([]int, error) {
-	snap := tbl.Pin()
-	defer snap.Release()
-	return itemIDs(snap, binding)
 }
 
 // fillByItem is the one fill step of every strategy: CROWD's votes,
@@ -147,18 +140,18 @@ func fillByItem[T bool | float64](db *DB, tbl *storage.Table, column string, rep
 	})
 }
 
-// applyBudget shrinks the set of items to judge so that the projected cost
-// stays within budget (0 = unlimited): it keeps the largest prefix whose
-// projectedCost — the very arithmetic the cap is checked with — the budget
-// covers. Judging fewer items mirrors a requester stopping when the money
-// runs out.
-func applyBudget(ids []int, opts *ExpandOptions) []int {
+// affordable is how many of n planned items the budget lets the crowd
+// judge (0 = unlimited): the largest count whose projectedCost — the very
+// arithmetic the cap is checked with — the budget covers. A plan keeps
+// that prefix of its items; judging fewer mirrors a requester stopping
+// when the money runs out.
+func affordable(n int, opts *ExpandOptions) int {
 	if opts.Budget <= 0 {
-		return ids
+		return n
 	}
 	// projectedCost grows with the item count, so the affordable counts
-	// are a prefix of 1..len(ids).
-	return ids[:sort.Search(len(ids), func(n int) bool { return projectedCost(n+1, opts) > opts.Budget })]
+	// are a prefix of 1..n.
+	return sort.Search(n, func(k int) bool { return projectedCost(k+1, opts) > opts.Budget })
 }
 
 // aggregateVotes applies the configured vote aggregation.
@@ -188,8 +181,13 @@ type elicitation struct {
 	column string
 	method sqlparse.ExpandMethod
 	opts   ExpandOptions
-	// judgeIDs are the items sent to the crowd: every item for CROWD, the
+	// priceOnly marks a plan made for its price (a budget pre-flight): it
+	// counts the items to judge and collects none of them.
+	priceOnly bool
+	// judged is the number of items to send to the crowd, and judgeIDs,
+	// unless priceOnly, are those items: every item for CROWD, the
 	// training sample for SPACE.
+	judged   int
 	judgeIDs []int
 	// steps collects the wall-clock of the steps as they complete.
 	steps StepSeconds
@@ -198,7 +196,47 @@ type elicitation struct {
 // projected is the elicitation's up-front cost estimate, the number the
 // per-key budget cap is checked against before any HIT is issued.
 func (e *elicitation) projected() float64 {
-	return projectedCost(len(e.judgeIDs), &e.opts)
+	return projectedCost(e.judged, &e.opts)
+}
+
+// planItems plans e over one pinned snapshot of its table in two passes
+// over the id column, so that no list of the table's items is built. The
+// first pass counts the n items keep admits. The plan judges want(n) of
+// them spread evenly — the i-th at position ⌊i·n/want⌋ of the admitted
+// items in scan order — cut to the prefix the budget affords; the second
+// pass takes those as they stream by. A price-only plan stops after the
+// count. It returns n.
+func planItems(e *elicitation, binding *tableBinding, keep func(id int) bool, want func(n int) int) (int, error) {
+	snap := e.tbl.Pin()
+	defer snap.Release()
+	n := 0
+	if err := eachItemID(snap, binding, func(id int) {
+		if keep(id) {
+			n++
+		}
+	}); err != nil {
+		return 0, err
+	}
+	k := want(n)
+	e.judged = affordable(k, &e.opts)
+	if e.priceOnly || e.judged == 0 {
+		return n, nil
+	}
+	step := float64(n) / float64(k)
+	ids := make([]int, 0, e.judged)
+	pos, next := 0, 0 // the admitted item's position, and the next one to take
+	err := eachItemID(snap, binding, func(id int) {
+		if !keep(id) {
+			return
+		}
+		if pos == next && len(ids) < e.judged {
+			ids = append(ids, id)
+			next = int(math.Floor(float64(len(ids)) * step))
+		}
+		pos++
+	})
+	e.judgeIDs = ids
+	return n, err
 }
 
 // holdItemIDs keeps the item ids of tbl meaning the same rows from the
@@ -225,18 +263,12 @@ func (db *DB) planCrowd(e *elicitation) error {
 	if db.service == nil {
 		return fmt.Errorf("core: direct crowd expansion requires a JudgmentService")
 	}
-	ids, err := currentItemIDs(e.tbl, db.binding(e.tbl.Name()))
-	if err != nil {
+	isItem := func(id int) bool { return id != noItem }
+	every := func(n int) int { return n }
+	if _, err := planItems(e, db.binding(e.tbl.Name()), isItem, every); err != nil {
 		return err
 	}
-	items := ids[:0]
-	for _, id := range ids {
-		if id != noItem {
-			items = append(items, id)
-		}
-	}
-	e.judgeIDs = applyBudget(items, &e.opts)
-	if len(e.judgeIDs) == 0 {
+	if e.judged == 0 {
 		return fmt.Errorf("core: budget $%.2f cannot cover a single tuple", e.opts.Budget)
 	}
 	return nil
@@ -252,41 +284,34 @@ func (db *DB) planSpace(e *elicitation) error {
 	if db.service == nil {
 		return fmt.Errorf("core: SPACE expansion requires a JudgmentService for the training sample")
 	}
-	ids, err := currentItemIDs(e.tbl, binding)
-	if err != nil {
-		return err
-	}
-	sp := binding.space
-
 	// Sample tuples to crowd-source: the most popular items give honest
 	// workers the best chance of knowing them, but a uniformly random
 	// sample is the paper's protocol — we take a deterministic spread.
-	inSpace := ids[:0]
-	for _, id := range ids {
-		if id >= 0 && id < sp.NumItems() {
-			inSpace = append(inSpace, id)
-		}
+	items := binding.space.NumItems()
+	inSpace := func(id int) bool { return id >= 0 && id < items }
+	sample := func(n int) int {
+		return min(n, 2*e.opts.SamplesPerClass*2) // oversample: don't-knows and ties shrink it
 	}
-	if len(inSpace) == 0 {
+	n, err := planItems(e, binding, inSpace, sample)
+	if err != nil {
+		return err
+	}
+	if n == 0 {
 		return fmt.Errorf("core: no row of %q maps into the attached space", e.tbl.Name())
 	}
-	want := 2 * e.opts.SamplesPerClass * 2 // oversample: don't-knows and ties shrink it
-	if want > len(inSpace) {
-		want = len(inSpace)
-	}
-	e.judgeIDs = applyBudget(spreadSample(inSpace, want), &e.opts)
-	if len(e.judgeIDs) == 0 {
+	if e.judged == 0 {
 		return fmt.Errorf("core: budget $%.2f cannot cover a training sample", e.opts.Budget)
 	}
 	return nil
 }
 
-// planElicitation plans the sampling phase of the (defaulted) method.
-// HYBRID has no plannable single sampling phase — it runs two rounds,
-// the first of them planned here as CROWD by expandHybrid.
-func (db *DB) planElicitation(tbl *storage.Table, column string, opts ExpandOptions) (*elicitation, error) {
+// planElicitation plans the sampling phase of the (defaulted) method;
+// a priceOnly plan is for projected alone. HYBRID has no plannable single
+// sampling phase — it runs two rounds, the first of them planned here as
+// CROWD by expandHybrid.
+func (db *DB) planElicitation(tbl *storage.Table, column string, opts ExpandOptions, priceOnly bool) (*elicitation, error) {
 	start := time.Now()
-	e := &elicitation{tbl: tbl, column: column, method: opts.Method, opts: opts}
+	e := &elicitation{tbl: tbl, column: column, method: opts.Method, opts: opts, priceOnly: priceOnly}
 	var err error
 	switch opts.Method {
 	case sqlparse.ExpandCrowd:
@@ -463,7 +488,7 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	}
 	first := opts
 	first.Method = sqlparse.ExpandCrowd
-	e, err := db.planElicitation(tbl, column, first)
+	e, err := db.planElicitation(tbl, column, first, false)
 	if err != nil {
 		return nil, err
 	}
@@ -635,17 +660,4 @@ func (db *DB) questionable(tbl *storage.Table, binding *tableBinding, column str
 		}
 	}
 	return out, nil
-}
-
-// spreadSample picks k elements evenly spread over ids (deterministic).
-func spreadSample(ids []int, k int) []int {
-	if k >= len(ids) {
-		return append([]int(nil), ids...)
-	}
-	out := make([]int, 0, k)
-	step := float64(len(ids)) / float64(k)
-	for i := 0; i < k; i++ {
-		out = append(out, ids[int(math.Floor(float64(i)*step))])
-	}
-	return out
 }

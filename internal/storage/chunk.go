@@ -308,7 +308,7 @@ func (v *version) layOut(vec *Vector) colData {
 	}
 	flat := vec.payload()
 	words := (v.nrows + 63) / 64
-	if v.ndead > 0 {
+	if v.ndead() > 0 {
 		flat = *newChunk(vec.Kind, v.nrows)
 		flat.nulls = make([]uint64, words)
 		li := 0
@@ -449,7 +449,7 @@ func (w *window) vector(n int, dst *Vector) {
 // is the cursor's own vector, reused from batch to batch.
 func (v *version) gather(col int, rows []int, dst *Vector) {
 	n := len(rows)
-	dst.Kind = v.schema.cols[col].Kind
+	dst.Kind = v.schema.Column(col).Kind
 	dst.Nulls = dst.Nulls[:0]
 	switch dst.Kind {
 	case KindInt:

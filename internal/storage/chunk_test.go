@@ -151,7 +151,7 @@ func TestAllNullColumnsStayNil(t *testing.T) {
 	}
 	v := tbl.snap.Load()
 	for _, col := range []int{1, 2} {
-		cd := v.cols[col]
+		cd := *v.col(col)
 		if len(cd.chunks) != 2 || cd.chunks[0] != nil || cd.chunks[1] != nil || cd.tail != nil {
 			t.Fatalf("column %d: chunks=%v tail=%v, want all nil", col, cd.chunks, cd.tail)
 		}
@@ -160,7 +160,7 @@ func TestAllNullColumnsStayNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	v = tbl.snap.Load()
-	if cd := v.cols[2]; cd.chunks[0] != nil || cd.chunks[1] == nil || cd.tail != nil {
+	if cd := v.col(2); cd.chunks[0] != nil || cd.chunks[1] == nil || cd.tail != nil {
 		t.Fatalf("after one Set: chunks=%v tail=%v, want only chunk 1 materialized", cd.chunks, cd.tail)
 	}
 	if got := v.value(ChunkRows+5, 2); got != Bool(true) {

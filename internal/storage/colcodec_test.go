@@ -187,7 +187,7 @@ func TestFillColumnFromLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := tbl.snap.Load()
-	cd := v.cols[1]
+	cd := *v.col(1)
 	if len(cd.chunks) != 2 || cd.chunks[0] == nil || cd.chunks[1] != nil || cd.tail == nil {
 		t.Fatalf("chunks %v tail %v: want [filled, nil] and a tail", cd.chunks, cd.tail)
 	}

@@ -106,14 +106,15 @@ func (t *Table) Compact(policy CompactionPolicy) (CompactionResult, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.snap.Load()
-	if v.ndead == 0 {
+	if v.ndead() == 0 {
 		return CompactionResult{Skipped: CompactSkipClean}, nil
 	}
 	// Sealed-region tombstone density drives the threshold: tail rows are
 	// cheap to carry (one partial chunk) and churn too fast to chase.
 	sealedDead := 0
-	for w := 0; w < v.sealed/64 && w < len(v.dead); w++ {
-		sealedDead += bits.OnesCount64(v.dead[w])
+	dead := v.deadBits()
+	for _, d := range dead[:min(v.sealed/64, len(dead))] {
+		sealedDead += bits.OnesCount64(d)
 	}
 	if !policy.Force {
 		if v.sealed == 0 || sealedDead == 0 {
@@ -151,7 +152,7 @@ func (t *Table) Compact(policy CompactionPolicy) (CompactionResult, error) {
 		t.pinMu.Unlock()
 	}()
 
-	removed := make([]int, 0, v.ndead)
+	removed := make([]int, 0, v.ndead())
 	for i := 0; i < v.nrows; i++ {
 		if v.isDead(i) {
 			removed = append(removed, i)
@@ -234,8 +235,7 @@ func compactApply(v *version, kill []int) (*version, [][2]int) {
 	}
 	nkeep := v.nrows - nkill
 	var moved [][2]int
-	var newDead []uint64
-	ndead := 0
+	var newDead *tombstones
 	newID := 0
 	for i := 0; i < v.nrows; i++ {
 		if killBits[i>>6]&(1<<(uint(i)&63)) != 0 {
@@ -243,10 +243,10 @@ func compactApply(v *version, kill []int) (*version, [][2]int) {
 		}
 		if v.isDead(i) {
 			if newDead == nil {
-				newDead = make([]uint64, (nkeep+63)/64)
+				newDead = &tombstones{bits: make([]uint64, (nkeep+63)/64)}
 			}
-			setDead(newDead, newID)
-			ndead++
+			setDead(newDead.bits, newID)
+			newDead.n++
 		}
 		if i != newID {
 			moved = append(moved, [2]int{i, newID})
@@ -257,17 +257,16 @@ func compactApply(v *version, kill []int) (*version, [][2]int) {
 	nv.epoch = v.epoch + 1
 	nv.nrows = newID
 	nv.sealed = newID / ChunkRows * ChunkRows
-	for c := range nv.cols {
+	for c := 0; c < v.schema.Len(); c++ {
 		b := colBuilder{kind: v.schema.Column(c).Kind, rows: nkeep}
 		for i := 0; i < v.nrows; i++ {
 			if killBits[i>>6]&(1<<(uint(i)&63)) == 0 {
 				b.append(v.value(i, c))
 			}
 		}
-		nv.cols[c] = b.cd
+		*nv.col(c) = b.cd
 	}
 	nv.dead = newDead
-	nv.ndead = ndead
 	return nv, moved
 }
 

@@ -301,7 +301,7 @@ func (c *Cursor) windowBatch() *Batch {
 // Full scans and morsels start on a word boundary, where the tombstone
 // words apply as they are; only an unaligned range cursor tests per row.
 func (c *Cursor) clearDead(sel []uint64, lo, n int) {
-	dead := c.v.dead
+	dead := c.v.deadBits()
 	if lo&63 == 0 {
 		if w0 := lo >> 6; w0 < len(dead) {
 			for i, d := range dead[w0:min(len(dead), w0+len(sel))] {

@@ -192,7 +192,7 @@ func (t *Table) rebuildIndex(idx ColumnIndex, v *version) {
 		}
 		cols[k] = columnValues(v, ci)
 	}
-	idx.Rebuild(cols, v.dead)
+	idx.Rebuild(cols, v.deadBits())
 }
 
 // indexesOn returns the indexes having any of the named columns anywhere
@@ -201,7 +201,7 @@ func (t *Table) indexesOn(cols ...string) []ColumnIndex {
 	var out []ColumnIndex
 	for _, idx := range t.indexes {
 		if slices.ContainsFunc(idx.Columns(), func(key string) bool {
-			return slices.ContainsFunc(cols, func(col string) bool { return normName(col) == normName(key) })
+			return slices.ContainsFunc(cols, func(col string) bool { return foldEqual(col, key) })
 		}) {
 			out = append(out, idx)
 		}
@@ -232,7 +232,7 @@ func (t *Table) IndexOn(column string, wantOrdered bool) (IndexMeta, bool) {
 	var best ColumnIndex
 	for _, idx := range t.indexes {
 		cols := idx.Columns()
-		if normName(cols[0]) != normName(column) {
+		if !foldEqual(cols[0], column) {
 			continue
 		}
 		if wantOrdered {

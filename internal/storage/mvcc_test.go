@@ -162,10 +162,12 @@ func TestTornChunkPositionedError(t *testing.T) {
 	t.Run("sealed chunk", func(t *testing.T) {
 		v := tbl.snap.Load()
 		nv := v.clone()
-		nv.cols[0].chunks = append([]*chunk(nil), nv.cols[0].chunks...)
-		torn := *nv.cols[0].chunks[0]
+		cd := *nv.col(0)
+		cd.chunks = append([]*chunk(nil), cd.chunks...)
+		torn := *cd.chunks[0]
 		torn.ints = torn.ints[:100] // tear chunk 0 of "id"
-		nv.cols[0].chunks[0] = &torn
+		cd.chunks[0] = &torn
+		nv.setCol(v, 0, cd)
 		tbl.snap.Store(nv)
 		defer tbl.snap.Store(v)
 
@@ -187,9 +189,11 @@ func TestTornChunkPositionedError(t *testing.T) {
 	t.Run("tail", func(t *testing.T) {
 		v := tbl.snap.Load()
 		nv := v.clone()
-		torn := *nv.cols[1].tail
+		cd := *nv.col(1)
+		torn := *cd.tail
 		torn.floats = torn.floats[:4] // tear the 10-row tail of "score"
-		nv.cols[1].tail = &torn
+		cd.tail = &torn
+		nv.setCol(v, 1, cd)
 		tbl.snap.Store(nv)
 		defer tbl.snap.Store(v)
 

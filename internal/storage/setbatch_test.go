@@ -36,7 +36,7 @@ func TestSetBatchIsOneCommit(t *testing.T) {
 	notified := 0
 	tbl.observer = func(Op) { notified++ }
 	epoch := tbl.snap.Load().epoch
-	sealed := tbl.snap.Load().cols[1].chunks[0]
+	sealed := tbl.snap.Load().col(1).chunks[0]
 
 	// Rows of the sealed chunk and of the tail, out of order, two columns.
 	rows := []int{ChunkRows + 7, 3, ChunkRows - 1, 42}
@@ -51,7 +51,7 @@ func TestSetBatchIsOneCommit(t *testing.T) {
 	if v.epoch != epoch+1 || notified != 1 {
 		t.Fatalf("epoch moved by %d with %d notifications; want one version, one notification", v.epoch-epoch, notified)
 	}
-	if v.cols[1].chunks[0] == sealed || tbl.ChunkCount() != 2 {
+	if v.col(1).chunks[0] == sealed || tbl.ChunkCount() != 2 {
 		t.Fatal("the sealed chunk of v was not replaced by a copy")
 	}
 	for i, row := range rows {

@@ -80,11 +80,11 @@ func (cp *Checkpoint) Write(w SectionWriter) error {
 			b = appendColumnDef(b, c)
 		}
 		b = binary.AppendUvarint(b, uint64(v.nrows))
-		b = binary.AppendUvarint(b, uint64(v.ndead))
+		b = binary.AppendUvarint(b, uint64(v.ndead()))
 		if err := w.Emit(b); err != nil {
 			return err
 		}
-		for col := range v.cols {
+		for col := 0; col < v.schema.Len(); col++ {
 			for lo := 0; lo < v.nrows; lo += ChunkRows {
 				c, _ := v.cell(lo, col)
 				n := min(ChunkRows, v.nrows-lo)
@@ -103,12 +103,12 @@ func (cp *Checkpoint) Write(w SectionWriter) error {
 				}
 			}
 		}
-		if v.ndead > 0 {
+		if dead := v.deadBits(); v.ndead() > 0 {
 			b := w.Section(SectionDead)
 			for i := 0; i < (v.nrows+7)/8; i++ {
 				var word uint64
-				if i>>3 < len(v.dead) {
-					word = v.dead[i>>3]
+				if i>>3 < len(dead) {
+					word = dead[i>>3]
 				}
 				b = append(b, byte(word>>(uint(i&7)*8)))
 			}
@@ -154,7 +154,7 @@ func RestoreTable(c *Catalog, header []byte, r SectionReader) error {
 	v.epoch = 1
 	v.nrows = nrows
 	v.sealed = nrows / ChunkRows * ChunkRows
-	for col := range v.cols {
+	for col := range cols {
 		var cd colData // grown a chunk at a time: the row count is only a claim until its sections are read
 		for lo := 0; lo < nrows; lo += ChunkRows {
 			n := min(ChunkRows, nrows-lo)
@@ -180,7 +180,7 @@ func RestoreTable(c *Catalog, header []byte, r SectionReader) error {
 				cd.chunks = append(cd.chunks, ch)
 			}
 		}
-		v.cols[col] = cd
+		*v.col(col) = cd
 	}
 	if ndead > 0 {
 		kind, body, err := r.Next()
@@ -190,16 +190,17 @@ func RestoreTable(c *Catalog, header []byte, r SectionReader) error {
 		if kind != SectionDead || len(body) != (nrows+7)/8 {
 			return bad("tombstones: section kind %d of %d bytes for %d rows", kind, len(body), nrows)
 		}
-		v.dead = make([]uint64, (nrows+63)/64)
+		ts := &tombstones{bits: make([]uint64, (nrows+63)/64)}
 		for i, x := range body {
-			v.dead[i>>3] |= uint64(x) << (uint(i&7) * 8)
+			ts.bits[i>>3] |= uint64(x) << (uint(i&7) * 8)
 		}
-		for _, w := range v.dead {
-			v.ndead += bits.OnesCount64(w)
+		for _, w := range ts.bits {
+			ts.n += bits.OnesCount64(w)
 		}
-		if pad := nrows & 7; v.ndead != ndead || (pad != 0 && body[len(body)-1]>>uint(pad) != 0) {
-			return bad("tombstones: bitmap marks %d rows, the table section says %d", v.ndead, ndead)
+		if pad := nrows & 7; ts.n != ndead || (pad != 0 && body[len(body)-1]>>uint(pad) != 0) {
+			return bad("tombstones: bitmap marks %d rows, the table section says %d", ts.n, ndead)
 		}
+		v.dead = ts
 	}
 	tbl.mu.Lock()
 	tbl.publish(v, nil)

@@ -42,82 +42,7 @@ type Column struct {
 	Origin     ColumnOrigin
 }
 
-// Schema is an ordered list of columns with unique case-insensitive names.
-// Once attached to a published table version a Schema is immutable;
-// AddColumn installs a fresh copy.
-type Schema struct {
-	cols  []Column
-	index map[string]int
-}
-
-// NewSchema builds a schema from cols. Duplicate names are an error.
-func NewSchema(cols ...Column) (*Schema, error) {
-	s := &Schema{index: make(map[string]int, len(cols))}
-	for _, c := range cols {
-		if err := s.add(c); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
 func normName(name string) string { return strings.ToLower(name) }
-
-// validate checks that c could be added without mutating anything —
-// split from add so AddColumn can validate before logging the mutation.
-func (s *Schema) validate(c Column) error {
-	if c.Name == "" {
-		return fmt.Errorf("storage: empty column name")
-	}
-	if _, dup := s.index[normName(c.Name)]; dup {
-		return fmt.Errorf("storage: duplicate column %q", c.Name)
-	}
-	return nil
-}
-
-func (s *Schema) add(c Column) error {
-	if err := s.validate(c); err != nil {
-		return err
-	}
-	s.index[normName(c.Name)] = len(s.cols)
-	s.cols = append(s.cols, c)
-	return nil
-}
-
-// cloneWith returns a copy of s with c appended; c must already be
-// validated against s.
-func (s *Schema) cloneWith(c Column) *Schema {
-	ns := &Schema{
-		cols:  make([]Column, len(s.cols), len(s.cols)+1),
-		index: make(map[string]int, len(s.cols)+1),
-	}
-	copy(ns.cols, s.cols)
-	for k, v := range s.index {
-		ns.index[k] = v
-	}
-	ns.index[normName(c.Name)] = len(ns.cols)
-	ns.cols = append(ns.cols, c)
-	return ns
-}
-
-// Len returns the number of columns.
-func (s *Schema) Len() int { return len(s.cols) }
-
-// Column returns the i-th column.
-func (s *Schema) Column(i int) Column { return s.cols[i] }
-
-// Columns returns a copy of the column list.
-func (s *Schema) Columns() []Column {
-	out := make([]Column, len(s.cols))
-	copy(out, s.cols)
-	return out
-}
-
-// Lookup returns the index of the named column (case-insensitive).
-func (s *Schema) Lookup(name string) (int, bool) {
-	i, ok := s.index[normName(name)]
-	return i, ok
-}
 
 // Row is a tuple; the i-th entry corresponds to schema column i.
 type Row []Value
@@ -224,7 +149,7 @@ func NewTable(name string, schema *Schema) *Table {
 func (t *Table) Name() string { return t.name }
 
 // Schema returns the table's current schema. A published Schema is
-// immutable — AddColumn installs a fresh copy — so the result is a
+// immutable — AddColumn installs an extended one — so the result is a
 // stable snapshot that later expansions never widen.
 func (t *Table) Schema() *Schema { return t.snap.Load().schema }
 
@@ -262,17 +187,19 @@ func (t *Table) Insert(vals ...Value) error {
 	}
 	clk.lap(phaseWAL)
 	nv := v.clone()
+	nv.ownAll()
 	tailLen := v.nrows - v.sealed
-	for i := range nv.cols {
-		nv.cols[i].tail = appendTail(v.schema.cols[i].Kind, nv.cols[i].tail, tailLen, row[i])
+	for i := range row {
+		cd := nv.col(i)
+		cd.tail = appendTail(v.schema.cols[i].Kind, cd.tail, tailLen, row[i])
 	}
 	nv.nrows++
 	if nv.nrows-nv.sealed == ChunkRows {
 		// Seal: the full tails become immutable chunks, their null flags
 		// packed. In-place append into a shared chunks backing array is
 		// safe — published versions only read their own (shorter) length.
-		for i := range nv.cols {
-			cd := &nv.cols[i]
+		for i := range row {
+			cd := nv.col(i)
 			cd.chunks = append(cd.chunks, sealTail(cd.tail))
 			cd.tail = nil
 		}
@@ -405,7 +332,7 @@ func (t *Table) setLocked(v *version, rows, cols []int, vals [][]Value) (int, er
 	clk.lap(phaseWAL)
 	nv := v.clone()
 	for k, col := range cols {
-		cd := &nv.cols[col]
+		cd := *nv.col(col)
 		kind := v.schema.Column(col).Kind
 		ownChunks := false // cd.chunks is copied when the first sealed chunk is replaced
 		for lo := 0; lo < len(order); {
@@ -424,6 +351,7 @@ func (t *Table) setLocked(v *version, rows, cols []int, vals [][]Value) (int, er
 			}
 			lo = hi
 		}
+		nv.setCol(v, col, cd)
 	}
 	clk.lap(phaseApply)
 	t.publish(nv, func() {
@@ -459,7 +387,9 @@ func (t *Table) Value(row, col int) (Value, error) {
 
 // AddColumn appends a new column (schema expansion). Every existing row
 // receives NULL for it — represented as nil chunks, so the column costs
-// nothing until filled. Returns the new column's index.
+// nothing until filled. The new schema extends the old one in place and
+// the new version copies only its last header page, so the cost does not
+// grow with the width of the table. Returns the new column's index.
 func (t *Table) AddColumn(c Column) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -472,8 +402,8 @@ func (t *Table) AddColumn(c Column) (int, error) {
 		return 0, err
 	}
 	nv := v.clone()
-	nv.schema = v.schema.cloneWith(c)
-	nv.cols = append(nv.cols, colData{chunks: make([]*chunk, v.sealed/ChunkRows)})
+	nv.schema = v.schema.with(c)
+	nv.addCol(colData{chunks: make([]*chunk, v.sealed/ChunkRows)})
 	t.publish(nv, nil)
 	t.notify(Op{Kind: OpAddColumn, Table: t.name})
 	return nv.schema.Len() - 1, nil
@@ -512,7 +442,7 @@ func (t *Table) FillColumnFrom(name string, fill func(at *Snap) (*Vector, error)
 		}
 	}
 	nv := v.clone()
-	nv.cols[col] = v.layOut(vec)
+	nv.setCol(v, col, v.layOut(vec))
 	t.publish(nv, func() {
 		// Bulk rebuild beats nrows incremental Replace calls — this is
 		// the crowd-fill landing path for expanded columns.
@@ -645,11 +575,7 @@ func (t *Table) Delete(idx []int) int {
 	_ = t.logOp(Op{Kind: OpTombstone, Table: t.name, Rows: killed})
 	clk.lap(phaseWAL)
 	nv := v.clone()
-	nv.dead = cloneDead(v.dead, v.nrows)
-	for _, i := range killed {
-		setDead(nv.dead, i)
-	}
-	nv.ndead += len(killed)
+	nv.dead = v.withDead(killed)
 	clk.lap(phaseApply)
 	t.publish(nv, func() {
 		for _, idx := range t.indexes {

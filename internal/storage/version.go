@@ -30,6 +30,14 @@ import (
 //     chunk-header slice; every other column and chunk is shared with the
 //     previous version.
 //
+// The column headers themselves are kept in pages of pageCols, reached
+// through a page directory, and a last page of up to pageCols beside it,
+// so that a commit copies the pages it writes (and the directory, if it
+// writes a full page) and shares every other page: a fill or an UPDATE of
+// one column of a wide table copies one page, not a header per column,
+// and AddColumn — which writes the last page — copies that page alone.
+// Only Insert, which writes every column's tail, copies them all.
+//
 // Physical row IDs are stable for the life of a table: Delete sets
 // tombstone bits (copy-on-write bitmap) instead of compacting, so open
 // snapshots, index entries, and in-flight cursors never see IDs shift.
@@ -39,60 +47,160 @@ import (
 // whole chunks.
 const ChunkRows = 4096
 
+// pageCols is the number of column headers a page holds: a commit that
+// writes one column copies at most this many headers (1 KB).
+const pageCols = 32
+
 // colData holds one column's cells: sealed immutable chunks and the
 // shared-backing tail, each nil when all-NULL (the unfilled-expansion
 // representation). The valid tail prefix of a version is version.nrows -
-// version.sealed. It stays two words and a pointer because version.clone
-// copies one per column on every Insert.
+// version.sealed. It stays two words and a pointer because an Insert
+// copies one per column.
 type colData struct {
 	chunks []*chunk
 	tail   *chunk
 }
 
-// version is one immutable snapshot of a table's data.
+// tombstones is a version's deleted rows: bit i of bits ↔ physical row i,
+// n bits set. Versions that do not delete share it; nil means none.
+type tombstones struct {
+	bits []uint64
+	n    int
+}
+
+// version is one immutable snapshot of a table's data. It is 88 bytes, in
+// the 96-byte size class: an Insert on a table of at most pageCols
+// columns allocates the version and its last page and nothing else.
 type version struct {
 	schema *Schema
-	cols   []colData
+	// pages is the directory of the full pages: page p holds the headers
+	// of columns [p·pageCols, (p+1)·pageCols). last holds the rest, 1 to
+	// pageCols of them (none for a table without columns).
+	pages  [][]colData
+	last   []colData
 	nrows  int // physical rows (live + tombstoned)
 	sealed int // rows covered by sealed chunks (multiple of ChunkRows)
-	dead   []uint64
-	ndead  int
+	dead   *tombstones
 	epoch  uint64
 }
 
+// newVersion returns an empty version of schema with private pages.
 func newVersion(schema *Schema) *version {
-	return &version{schema: schema, cols: make([]colData, schema.Len())}
+	v := &version{schema: schema}
+	v.setPages(make([]colData, schema.Len()))
+	return v
 }
 
-// clone returns a shallow working copy for the next commit: shared
-// chunks/tail/dead, fresh cols header slice, epoch bumped.
+// setPages makes cells, one header per column, v's private pages.
+func (v *version) setPages(cells []colData) {
+	full := max(0, len(cells)-1) / pageCols
+	v.pages = nil
+	if full > 0 {
+		v.pages = make([][]colData, full)
+	}
+	for p := range v.pages {
+		v.pages[p] = cells[p*pageCols : (p+1)*pageCols : (p+1)*pageCols]
+	}
+	v.last = cells[full*pageCols:]
+}
+
+// clone returns a shallow working copy for the next commit: every page,
+// chunk, tail and the tombstones shared, epoch bumped.
 func (v *version) clone() *version {
-	nv := &version{
+	return &version{
 		schema: v.schema,
-		cols:   make([]colData, len(v.cols)),
+		pages:  v.pages,
+		last:   v.last,
 		nrows:  v.nrows,
 		sealed: v.sealed,
 		dead:   v.dead,
-		ndead:  v.ndead,
 		epoch:  v.epoch + 1,
 	}
-	copy(nv.cols, v.cols)
-	return nv
 }
 
-func (v *version) live() int { return v.nrows - v.ndead }
+// col returns column c's header. Through a working copy it may be
+// written only after ownAll or through setCol.
+func (v *version) col(c int) *colData {
+	if p := c / pageCols; p < len(v.pages) {
+		return &v.pages[p][c%pageCols]
+	}
+	return &v.last[c-len(v.pages)*pageCols]
+}
+
+// ownAll gives nv, a clone, private copies of all its pages, in one
+// allocation: for a commit that writes every column (Insert).
+func (nv *version) ownAll() {
+	cells := make([]colData, nv.schema.Len())
+	for p, page := range nv.pages {
+		copy(cells[p*pageCols:], page)
+	}
+	copy(cells[len(nv.pages)*pageCols:], nv.last)
+	nv.setPages(cells)
+}
+
+// setCol installs cd as column c's header of nv, a clone of base: the
+// first write of a commit to a page copies it, and a full page the
+// directory with it; later writes to the page go in place.
+func (nv *version) setCol(base *version, c int, cd colData) {
+	p := c / pageCols
+	if p == len(nv.pages) {
+		if &nv.last[0] == &base.last[0] {
+			nv.last = append(nv.last[:0:0], nv.last...)
+		}
+		nv.last[c%pageCols] = cd
+		return
+	}
+	if &nv.pages[0] == &base.pages[0] {
+		nv.pages = append([][]colData(nil), nv.pages...)
+	}
+	if page := nv.pages[p]; &page[0] == &base.pages[p][0] {
+		nv.pages[p] = append(page[:0:0], page...)
+	}
+	nv.pages[p][c%pageCols] = cd
+}
+
+// addCol appends cd as the header of a new last column to nv, a clone
+// whose schema already has it: the last page is copied one header longer
+// or, when full, joins the directory and a last page of one begins.
+func (nv *version) addCol(cd colData) {
+	if len(nv.last) == pageCols {
+		nv.pages = append(nv.pages[:len(nv.pages):len(nv.pages)], nv.last)
+		nv.last = nil
+	}
+	nv.last = append(append(make([]colData, 0, len(nv.last)+1), nv.last...), cd)
+}
+
+func (v *version) ndead() int {
+	if v.dead == nil {
+		return 0
+	}
+	return v.dead.n
+}
+
+// deadBits returns the tombstone bitmap, nil when no row is deleted.
+func (v *version) deadBits() []uint64 {
+	if v.dead == nil {
+		return nil
+	}
+	return v.dead.bits
+}
+
+func (v *version) live() int { return v.nrows - v.ndead() }
 
 func (v *version) isDead(row int) bool {
 	// Rows inserted after the last Delete lie beyond the bitmap: alive.
+	if v.dead == nil {
+		return false
+	}
 	w := row >> 6
-	return w < len(v.dead) && v.dead[w]&(1<<(uint(row)&63)) != 0
+	return w < len(v.dead.bits) && v.dead.bits[w]&(1<<(uint(row)&63)) != 0
 }
 
 // cell locates (row, col): the chunk holding it (nil = all-NULL) and the
 // offset within. No bounds checks beyond the chunk lookup; callers
 // validate row < v.nrows.
 func (v *version) cell(row, col int) (*chunk, int) {
-	cd := &v.cols[col]
+	cd := v.col(col)
 	if row >= v.sealed {
 		return cd.tail, row - v.sealed
 	}
@@ -133,9 +241,10 @@ func (v *version) window(w *window, col, lo, hi int) error {
 func (v *version) materializeRow(row int, dst []Value, width int) {
 	ci, i := row/ChunkRows, row%ChunkRows
 	for c := 0; c < width; c++ {
-		ch := v.cols[c].tail
+		cd := v.col(c)
+		ch := cd.tail
 		if row < v.sealed {
-			ch = v.cols[c].chunks[ci]
+			ch = cd.chunks[ci]
 		}
 		if ch == nil {
 			dst[c] = Value{}
@@ -149,12 +258,15 @@ func (v *version) materializeRow(row int, dst []Value, width int) {
 
 func setDead(dead []uint64, row int) { dead[row>>6] |= 1 << (uint(row) & 63) }
 
-// cloneDead copies the bitmap, growing it to cover nrows.
-func cloneDead(dead []uint64, nrows int) []uint64 {
-	words := (nrows + 63) / 64
-	out := make([]uint64, words)
-	copy(out, dead)
-	return out
+// withDead returns v's tombstones plus the rows of killed, which are live
+// in v, as a new set whose bitmap covers v's rows.
+func (v *version) withDead(killed []int) *tombstones {
+	ts := &tombstones{bits: make([]uint64, (v.nrows+63)/64), n: v.ndead() + len(killed)}
+	copy(ts.bits, v.deadBits())
+	for _, i := range killed {
+		setDead(ts.bits, i)
+	}
+	return ts
 }
 
 // --- snapshot pinning ---
@@ -261,7 +373,7 @@ func (t *Table) ChunkCount() int {
 
 // Tombstones returns the number of tombstoned (deleted) physical rows in
 // the current version.
-func (t *Table) Tombstones() int { return t.snap.Load().ndead }
+func (t *Table) Tombstones() int { return t.snap.Load().ndead() }
 
 // --- vectorized predicates ---
 
