@@ -727,10 +727,12 @@ func BenchmarkServerQueryRoundTrip(b *testing.B) {
 // from a 10k-mutation WAL (no snapshot — the worst case). The record mix
 // is a point log — 9 000 single-row insert records and 1 000 one-row set
 // records in storage.Op's binary form — the shape wal.replay_records_per_s
-// sees on the three serving workloads. What it allocates is storage's, not
-// the codec's: of 81 MB a replay, 79 are newChunk under SetBatch (a set
-// copies the 4 096-cell chunk it writes, as it does live) and Insert (the
-// tail regrown after such a copy); decoding the records takes 1.7 MB. The expansion log, where a record is one
+// sees on the three serving workloads. A set record patches the chunk it
+// writes, as a live SetBatch does, instead of copying its 4 096 cells, and
+// the patched tail keeps taking Inserts in place: a replay allocates
+// ≈ 7.6 MB, down from 80.8 MB when each set copied its chunk and the next
+// Insert regrew the tail that copy left (2 vCPU Xeon). Decoding the
+// records takes 1.7 MB of it. The expansion log, where a record is one
 // fill_column of 4 000 cells, has its in-process twin in
 // BenchmarkSpaceExpansion, which writes one such record per iteration.
 // The acceptance bar is well under 1s per replay; a snapshot makes it

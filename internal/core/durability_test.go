@@ -516,6 +516,65 @@ func TestUpdateJournalsOneRecordPerColumn(t *testing.T) {
 	}
 }
 
+// TestHybridRelabelsJournalOneSet: a HYBRID expansion writes the labels it
+// re-queried as one SetBatch — one set record whatever the number of
+// re-queried items — and a crash right after it recovers every cell.
+func TestHybridRelabelsJournalOneSet(t *testing.T) {
+	h := newHistory(t, 9)
+	h.exec(`CREATE TABLE movies (movie_id INTEGER, name TEXT, year INTEGER, score FLOAT)`)
+	h.insertRows(0, histItems)
+	if err := h.db.AttachSpace("movies", "movie_id", persistTestSpace(histItems, 4)); err != nil {
+		h.failf("AttachSpace: %v", err)
+	}
+	before := setRecords(t, h.crash())
+	h.note("EXPAND TABLE movies ADD COLUMN is_comedy BOOLEAN USING HYBRID")
+	_, rep, err := h.db.ExecSQL(`EXPAND TABLE movies ADD COLUMN is_comedy BOOLEAN USING HYBRID`)
+	if err != nil {
+		h.failf("HYBRID expansion: %v", err)
+	}
+	if rep.Requeried < 2 {
+		h.failf("HYBRID re-queried %d items; the test needs at least 2", rep.Requeried)
+	}
+	crashed := h.crash()
+	if got := setRecords(t, crashed) - before; got != 1 {
+		h.failf("a HYBRID expansion re-querying %d items journaled %d set records, want 1", rep.Requeried, got)
+	}
+	db, err := Open(Options{Service: &deadService{}, DataDir: crashed})
+	if err != nil {
+		h.failf("reopen: %v", err)
+	}
+	defer db.Close()
+	if err := diffDatabases(h.db, db); err != nil {
+		h.failf("after the crash: %v", err)
+	}
+}
+
+// setRecords counts the set records a data dir's log holds after its
+// latest snapshot.
+func setRecords(t *testing.T, dir string) int {
+	t.Helper()
+	w, err := wal.Open(copyDataDir(t, dir), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	n := 0
+	err = w.Replay(func(rec wal.Record) error {
+		if rec.Type != recOp {
+			return nil
+		}
+		op, err := storage.DecodeOp(rec.Data)
+		if op.Kind == storage.OpSet {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestObservationsAreBatched: reads do not write. 1 000 SELECTs feed the
 // tracker one by one but reach the log 256 at a time (the rest at Close),
 // and a snapshot in between — which persists the tracker's counters —

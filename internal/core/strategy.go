@@ -533,7 +533,8 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	// The crowd wait above took minutes; rows may have come, gone or been
 	// renumbered by a compaction since. Resolve item ids to current rows
 	// inside a write fence, which excludes the compactor across the whole
-	// resolve→Set window.
+	// resolve→write window. The labels land as one SetBatch: one commit and
+	// one set record per expansion, a row deleted since the pin skipped.
 	err = tbl.WithWriteFence(func() error {
 		snap := tbl.Pin()
 		defer snap.Release()
@@ -551,21 +552,21 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 				idToRow[id] = rows[k]
 			}
 		}
-		return db.mutate(func() error {
-			for _, id := range reIDs {
-				label, ok := requeryLabels[id]
-				if !ok {
-					continue
-				}
-				r := idToRow[id]
-				if r < 0 {
-					continue // row deleted while the crowd deliberated
-				}
-				if err := tbl.Set(r, colIdx, storage.Bool(label)); err != nil {
-					return err
-				}
+		var targets []int
+		var labels []storage.Value
+		for _, id := range reIDs {
+			label, ok := requeryLabels[id]
+			r, found := idToRow[id]
+			if !ok || !found || r < 0 {
+				continue // no verdict, or the row was deleted while the crowd deliberated
 			}
-			return nil
+			delete(idToRow, id) // an item listed twice is written once
+			targets = append(targets, r)
+			labels = append(labels, storage.Bool(label))
+		}
+		return db.mutate(func() error {
+			_, err := tbl.SetBatch(targets, []int{colIdx}, [][]storage.Value{labels})
+			return err
 		})
 	})
 	if err != nil {

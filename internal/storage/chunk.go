@@ -1,5 +1,7 @@
 package storage
 
+import "slices"
+
 // chunk is one column's typed vector of up to ChunkRows cells (see
 // DESIGN.md §15). The column's declared Kind — every stored value is
 // already Coerced to it — selects the one payload slice in use:
@@ -21,6 +23,19 @@ package storage
 // flags are allocated at full capacity (len == cap) and the owning
 // version's row count is the valid prefix; anything that needs a longer
 // payload or a null set the tail lacks builds a new chunk struct.
+//
+// A write into cells a chunk already holds — SetBatch, Set — does not
+// copy the payload: it publishes a copy of the chunk struct carrying a
+// patch, the written cells by offset, which replace the payload's. A
+// patch is immutable and holds at most patchCells cells; the write that
+// would pass that folds payload, patch and write into a fresh chunk. The
+// payload under a patch is shared with the chunk the write replaced, so a
+// patched tail still takes Inserts in place. Every read goes through a
+// patch-aware funnel: at (and locate) for a cell, window for a scan —
+// predicates run over the payload and re-test the patched rows; a
+// projected patched window is folded into the window's scratch — and the
+// snapshot writer, the compactor and sealTail see and write folded
+// chunks, so no patch outlives its table's memory.
 type chunk struct {
 	kind   Kind
 	ints   []int64
@@ -29,6 +44,23 @@ type chunk struct {
 	strs   []string
 	nulls  []uint64 // sealed chunks: bit i set ↔ cell i is NULL
 	flags  []bool   // tails: flags[i] ↔ cell i is NULL
+	p      *patch   // cells written since the payload was copied; nil when none
+}
+
+// patchCells bounds a patch: past it a write folds, so the fold's copy of
+// a whole chunk is paid once per patchCells cells written — ≤ 512 bytes a
+// cell for an INTEGER or FLOAT chunk — and a scan re-tests at most
+// patchCells rows a window. It is a constant, not a knob.
+const patchCells = ChunkRows / 64
+
+// patch is the overlay a chunk's written cells live in: cell j of cells
+// replaces cell offs[j] of the payload.
+type patch struct {
+	offs []uint16 // ascending, distinct
+	// cells holds len(offs) cells, a NULL one with the zero payload and
+	// its bit set in nulls — nil while none is NULL, and a published
+	// patch's in the first word.
+	cells chunk
 }
 
 // newChunk allocates a chunk of n zero cells with no null set.
@@ -65,6 +97,7 @@ func (c *chunk) len() int {
 
 func hasBit(words []uint64, i int) bool { return words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// isNull reports whether cell i of the payload is NULL, the patch aside.
 func (c *chunk) isNull(i int) bool {
 	if c.nulls != nil {
 		return hasBit(c.nulls, i)
@@ -72,8 +105,32 @@ func (c *chunk) isNull(i int) bool {
 	return c.flags != nil && c.flags[i]
 }
 
-// at boxes cell i — the point-read path (Get, index keys, CaptureState).
+// locate returns where cell i of c is read: in c's patch when it replaces
+// the cell, in c's payload otherwise.
+func (c *chunk) locate(i int) (*chunk, int) {
+	if c.p != nil {
+		if j, ok := slices.BinarySearch(c.p.offs, uint16(i)); ok {
+			return &c.p.cells, j
+		}
+	}
+	return c, i
+}
+
+// patched returns the span [lo, hi) of c's patch entries that replace
+// cells in [off, off+n); lo == hi when none does.
+func (c *chunk) patched(off, n int) (lo, hi int) {
+	if c == nil || c.p == nil {
+		return 0, 0
+	}
+	lo, _ = slices.BinarySearch(c.p.offs, uint16(off))
+	hi, _ = slices.BinarySearch(c.p.offs, uint16(off+n))
+	return lo, hi
+}
+
+// at boxes cell i, patch applied — the point-read path (Get, index keys,
+// the compactor).
 func (c *chunk) at(i int) Value {
+	c, i = c.locate(i)
 	if c.isNull(i) {
 		return Value{}
 	}
@@ -120,35 +177,62 @@ func (c *chunk) copyPayload(src *chunk, n int) {
 }
 
 // growTail returns a new tail struct of the given capacity holding the
-// first n cells of old (nil = n NULLs), with a flags array when old has
-// one, old is nil with n > 0, or withFlags asks for it. When old already
-// has the capacity the payload is shared, not copied — the case of a
-// first NULL arriving in a tail that had no flags.
+// first n cells of old (nil = n NULLs), with a flags array when any of
+// them is NULL or withFlags asks for it. When old already has the
+// capacity the payload and patch are shared, not copied — the case of a
+// first NULL arriving in a tail that had no flags; otherwise old is
+// folded into the new payload.
 func growTail(kind Kind, old *chunk, n, capacity int, withFlags bool) *chunk {
-	var t *chunk
-	if old != nil && old.len() >= capacity {
-		cp := *old
-		t = &cp
-		capacity = old.len()
-	} else {
-		t = newChunk(kind, capacity)
-		if old != nil {
-			t.copyPayload(old, n)
+	if old == nil || old.len() < capacity {
+		t := fold(kind, old, n, capacity)
+		if withFlags && t.flags == nil {
+			t.flags = make([]bool, capacity)
 		}
+		return t
 	}
-	needFlags := withFlags || (old == nil && n > 0) || (old != nil && old.flags != nil)
-	if needFlags && len(t.flags) < capacity {
-		flags := make([]bool, capacity)
-		if old == nil {
-			for i := range flags[:n] {
-				flags[i] = true
+	t := *old
+	if withFlags && t.flags == nil {
+		t.flags = make([]bool, t.len())
+	}
+	return &t
+}
+
+// fold returns a chunk of capacity cells whose first n are the cells of c
+// (nil = all-NULL) as read, patch applied, in a payload of its own, with
+// flags marking the NULLs — none when no cell is NULL.
+func fold(kind Kind, c *chunk, n, capacity int) *chunk {
+	f := newChunk(kind, capacity)
+	if c == nil {
+		if n > 0 {
+			f.flags = make([]bool, capacity)
+			for i := range f.flags[:n] {
+				f.flags[i] = true
 			}
-		} else if old.flags != nil {
-			copy(flags, old.flags[:n])
 		}
-		t.flags = flags
+		return f
 	}
-	return t
+	f.copyPayload(c, n)
+	if c.nulls != nil || c.flags != nil || c.p != nil && c.p.cells.nulls != nil {
+		f.flags = make([]bool, capacity)
+		for i := range f.flags[:n] {
+			f.flags[i] = c.isNull(i)
+		}
+	}
+	if c.p != nil {
+		for j, off := range c.p.offs {
+			f.set(int(off), c.p.cells.at(j))
+		}
+	}
+	return f
+}
+
+// set stores val in cell i, payload and null set: the write into a chunk
+// no reader has seen yet.
+func (c *chunk) set(i int, val Value) {
+	c.put(i, val)
+	if c.flags != nil {
+		c.flags[i] = val.IsNull()
+	}
 }
 
 // appendTail extends a column's tail (published length n) with val and
@@ -188,11 +272,15 @@ func appendTail(kind Kind, tail *chunk, n int, val Value) *chunk {
 }
 
 // sealTail turns a full tail into an immutable sealed chunk: the payload
-// array is shared as is, the byte flags are packed into a bitmap (nil
-// when no cell is NULL), and an all-NULL chunk collapses to nil.
+// array is shared as is (a patched tail is folded first), the byte flags
+// are packed into a bitmap (nil when no cell is NULL), and an all-NULL
+// chunk collapses to nil.
 func sealTail(t *chunk) *chunk {
 	if t == nil {
 		return nil
+	}
+	if t.p != nil {
+		t = fold(t.kind, t, t.len(), t.len()) // the payload is shared with older tails
 	}
 	s := *t
 	s.flags = nil
@@ -223,11 +311,22 @@ func packFlags(dst []uint64, flags []bool) int {
 	return set
 }
 
-// withCells returns a copy of the first n cells of old (nil = all-NULL),
-// the chunk starting at physical row base, with cell rows[j]-base replaced
-// by vals[j] for every position j in run — SetBatch's one copy of a chunk,
-// sealed again when it replaces a sealed chunk.
+// withCells returns old (nil = all-NULL), whose first n cells are valid
+// and whose first cell is physical row base, with cell rows[j]-base
+// replaced by vals[j] for every position j in run (ascending rows) —
+// SetBatch's write into one chunk or tail. A write that keeps the patch
+// within patchCells publishes old's payload again under a merged patch;
+// any other folds old and the write into a fresh chunk — of old's
+// capacity, so a tail keeps taking Inserts in place — sealed again when it
+// replaces a sealed chunk.
 func withCells(kind Kind, old *chunk, n, base int, rows []int, vals []Value, run []int, sealed bool) *chunk {
+	if old != nil && len(run) <= patchCells {
+		if p := old.p.with(kind, base, rows, vals, run); len(p.offs) <= patchCells {
+			c := *old
+			c.p = p
+			return &c
+		}
+	}
 	anyNull, allNull := false, true
 	for _, j := range run {
 		null := vals[j].IsNull()
@@ -236,27 +335,59 @@ func withCells(kind Kind, old *chunk, n, base int, rows []int, vals []Value, run
 	if old == nil && allNull {
 		return nil
 	}
-	c := newChunk(kind, n)
+	capacity := n
 	if old != nil {
-		c.copyPayload(old, n)
+		capacity = old.len()
 	}
-	if anyNull || old == nil || old.nulls != nil || old.flags != nil {
-		c.flags = make([]bool, n)
-		for i := range c.flags {
-			c.flags[i] = old == nil || old.isNull(i)
-		}
+	c := fold(kind, old, n, capacity)
+	if anyNull && c.flags == nil {
+		c.flags = make([]bool, capacity)
 	}
 	for _, j := range run {
-		i := rows[j] - base
-		c.put(i, vals[j])
-		if c.flags != nil {
-			c.flags[i] = vals[j].IsNull()
-		}
+		c.set(rows[j]-base, vals[j])
 	}
 	if sealed {
 		return sealTail(c)
 	}
 	return c
+}
+
+// with returns a new patch holding p's cells (nil = none) merged with the
+// write of vals[j] to offset rows[j]-base for every j in run, the write
+// winning where both hold an offset.
+func (p *patch) with(kind Kind, base int, rows []int, vals []Value, run []int) *patch {
+	var offs []uint16
+	var cells *chunk
+	if p != nil {
+		offs, cells = p.offs, &p.cells
+	}
+	m := len(offs) + len(run)
+	np := &patch{offs: make([]uint16, 0, m), cells: *newChunk(kind, m)}
+	add := func(off int, val Value) {
+		k := len(np.offs)
+		np.offs = append(np.offs, uint16(off))
+		np.cells.put(k, val)
+		if val.IsNull() {
+			if np.cells.nulls == nil {
+				np.cells.nulls = make([]uint64, (m+63)/64)
+			}
+			np.cells.nulls[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+	a := 0
+	for _, j := range run {
+		off := rows[j] - base
+		for ; a < len(offs) && int(offs[a]) <= off; a++ {
+			if int(offs[a]) < off {
+				add(int(offs[a]), cells.at(a))
+			}
+		}
+		add(off, vals[j])
+	}
+	for ; a < len(offs); a++ {
+		add(int(offs[a]), cells.at(a))
+	}
+	return np
 }
 
 // colBuilder re-chunks a whole column of rows values appended in physical
@@ -390,19 +521,28 @@ type window struct {
 	off   int
 	nulls []uint64
 	// scratch backs nulls when the chunk's own bitmap cannot be sliced:
-	// tail flags are packed into it, and a window that does not start on a
-	// word boundary gets a shifted copy.
+	// tail flags are packed into it, a window that does not start on a
+	// word boundary gets a shifted copy, and a patched window the patch's
+	// NULLs.
 	scratch []uint64
+	// folded holds a patched window's cells, patch applied, once vector
+	// asks for them; nil until a window of the cursor is patched.
+	folded *chunk
 }
 
 // setNulls derives the window's null bitmap for n rows starting at off.
 func (w *window) setNulls(n int) {
 	c := w.c
 	w.nulls = nil
-	if c == nil || (c.nulls == nil && c.flags == nil) {
+	plo, phi := c.patched(w.off, n)
+	if c == nil {
 		return
 	}
-	if c.nulls != nil && w.off&63 == 0 {
+	patchNulls := phi > plo && c.p.cells.nulls != nil
+	if c.nulls == nil && c.flags == nil && !patchNulls {
+		return
+	}
+	if c.nulls != nil && w.off&63 == 0 && phi == plo {
 		w.nulls = c.nulls[w.off>>6:]
 		return
 	}
@@ -412,36 +552,87 @@ func (w *window) setNulls(n int) {
 	}
 	w.nulls = w.scratch[:words]
 	clear(w.nulls)
-	if c.flags != nil {
+	switch {
+	case c.flags != nil:
 		packFlags(w.nulls, c.flags[w.off:w.off+n])
-		return
+	case c.nulls != nil && w.off&63 == 0: // aligned, but patched
+		copy(w.nulls, c.nulls[w.off>>6:])
+	case c.nulls != nil:
+		for i := 0; i < n; i++ {
+			if c.isNull(w.off + i) {
+				w.nulls[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		if c.isNull(w.off + i) {
+	for j := plo; j < phi; j++ {
+		i := int(c.p.offs[j]) - w.off
+		if c.p.cells.isNull(j) {
 			w.nulls[i>>6] |= 1 << (uint(i) & 63)
+		} else {
+			w.nulls[i>>6] &^= 1 << (uint(i) & 63)
 		}
 	}
 }
 
 // vector points dst at the window's n cells: a zero-copy view, Pinned
-// unless the null bitmap had to be built in the window's scratch.
+// unless the null bitmap had to be built in the window's scratch or the
+// window is patched — then the cells are folded into the window's own
+// buffer, reused from window to window.
 func (w *window) vector(n int, dst *Vector) {
 	c := w.c
 	*dst = Vector{Nulls: w.nulls, Pinned: len(w.nulls) == 0 || c.nulls != nil && w.off&63 == 0}
 	if c == nil {
 		return
 	}
+	off := w.off
+	if plo, phi := c.patched(off, n); phi > plo {
+		c, off = w.fold(n, plo, phi), 0
+		dst.Pinned = false
+	}
 	dst.Kind = c.kind
 	switch c.kind {
 	case KindInt:
-		dst.Ints = c.ints[w.off : w.off+n : w.off+n]
+		dst.Ints = c.ints[off : off+n : off+n]
 	case KindFloat:
-		dst.Floats = c.floats[w.off : w.off+n : w.off+n]
+		dst.Floats = c.floats[off : off+n : off+n]
 	case KindBool:
-		dst.Bools = c.bools[w.off : w.off+n : w.off+n]
+		dst.Bools = c.bools[off : off+n : off+n]
 	case KindText:
-		dst.Strs = c.strs[w.off : w.off+n : w.off+n]
+		dst.Strs = c.strs[off : off+n : off+n]
 	}
+}
+
+// fold copies the window's n payload cells into w.folded and lays the
+// patch entries [plo, phi), those that fall in the window, over them.
+func (w *window) fold(n, plo, phi int) *chunk {
+	if w.folded == nil {
+		w.folded = &chunk{}
+	}
+	c, f := w.c, w.folded
+	offs, cells := c.p.offs[plo:phi], &c.p.cells
+	f.kind = c.kind
+	switch c.kind {
+	case KindInt:
+		f.ints = foldCells(f.ints, c.ints[w.off:w.off+n], offs, cells.ints[plo:], w.off)
+	case KindFloat:
+		f.floats = foldCells(f.floats, c.floats[w.off:w.off+n], offs, cells.floats[plo:], w.off)
+	case KindBool:
+		f.bools = foldCells(f.bools, c.bools[w.off:w.off+n], offs, cells.bools[plo:], w.off)
+	case KindText:
+		f.strs = foldCells(f.strs, c.strs[w.off:w.off+n], offs, cells.strs[plo:], w.off)
+	}
+	return f
+}
+
+// foldCells copies payload into dst (reallocated only to grow) and writes
+// patched[j] over cell offs[j]-base of it.
+func foldCells[T any](dst, payload []T, offs []uint16, patched []T, base int) []T {
+	dst = resize(dst, len(payload))
+	copy(dst, payload)
+	for j, off := range offs {
+		dst[int(off)-base] = patched[j]
+	}
+	return dst
 }
 
 // gather copies column col of the given physical rows into dst, typed —
@@ -455,7 +646,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 	case KindInt:
 		dst.Ints = resize(dst.Ints, n)
 		for k, row := range rows {
-			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+			if c, i := v.read(row, col); c != nil && !c.isNull(i) {
 				dst.Ints[k] = c.ints[i]
 			} else {
 				dst.Ints[k] = 0
@@ -465,7 +656,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 	case KindFloat:
 		dst.Floats = resize(dst.Floats, n)
 		for k, row := range rows {
-			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+			if c, i := v.read(row, col); c != nil && !c.isNull(i) {
 				dst.Floats[k] = c.floats[i]
 			} else {
 				dst.Floats[k] = 0
@@ -475,7 +666,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 	case KindBool:
 		dst.Bools = resize(dst.Bools, n)
 		for k, row := range rows {
-			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+			if c, i := v.read(row, col); c != nil && !c.isNull(i) {
 				dst.Bools[k] = c.bools[i]
 			} else {
 				dst.Bools[k] = false
@@ -485,7 +676,7 @@ func (v *version) gather(col int, rows []int, dst *Vector) {
 	case KindText:
 		dst.Strs = resize(dst.Strs, n)
 		for k, row := range rows {
-			if c, i := v.cell(row, col); c != nil && !c.isNull(i) {
+			if c, i := v.read(row, col); c != nil && !c.isNull(i) {
 				dst.Strs[k] = c.strs[i]
 			} else {
 				dst.Strs[k] = ""

@@ -44,9 +44,9 @@ func kernelTail(kind Kind, n int, nulls bool) *chunk {
 // TestPredKernelsMatchPredMatch is the kernel-vs-reference differential:
 // for every column kind × operator × literal class (NULL and mismatched
 // classes included), over sealed chunks and tails with and without a
-// null set, word-aligned and shifted windows, and the all-NULL nil
-// window, evalPredWindow must leave exactly the bits predMatch accepts —
-// and never resurrect a bit that was already cleared.
+// null set and a patch, word-aligned and shifted windows, and the
+// all-NULL nil window, evalPredWindow must leave exactly the bits
+// predMatch accepts — and never resurrect a bit that was already cleared.
 func TestPredKernelsMatchPredMatch(t *testing.T) {
 	literals := []Value{
 		Null(),
@@ -82,11 +82,27 @@ func TestPredKernelsMatchPredMatch(t *testing.T) {
 			} else if (c.flags != nil) != lay.nulls {
 				t.Fatalf("%s %s: tail has flags=%v", kind, lay.name, c.flags != nil)
 			}
-			w := &window{c: c, off: lay.off}
-			w.setNulls(lay.n)
-			for op := PredEq; op <= PredNotNull; op++ {
-				for _, lit := range literals {
-					checkKernel(t, fmt.Sprintf("%s column, %s", kind, lay.name), Pred{Op: op, Val: lit}, w, lay.n)
+			// The same layout under a full patch: cells spread over the
+			// chunk, NULLs and non-NULLs written over both.
+			rows := make([]int, patchCells)
+			vals := make([]Value, patchCells)
+			run := make([]int, patchCells)
+			for j := range rows {
+				rows[j], run[j] = j*(ChunkRows/patchCells)+j%5, j
+				vals[j] = kernelCell(kind, 3*j+1, true)
+			}
+			patched := withCells(kind, c, ChunkRows, 0, rows, vals, run, lay.sealed)
+			if patched.p == nil || len(patched.p.offs) != patchCells {
+				t.Fatalf("%s %s: the write did not leave a full patch", kind, lay.name)
+			}
+			for _, c := range []*chunk{c, patched} {
+				w := &window{c: c, off: lay.off}
+				w.setNulls(lay.n)
+				what := fmt.Sprintf("%s column, %s, patched=%v", kind, lay.name, c.p != nil)
+				for op := PredEq; op <= PredNotNull; op++ {
+					for _, lit := range literals {
+						checkKernel(t, what, Pred{Op: op, Val: lit}, w, lay.n)
+					}
 				}
 			}
 		}

@@ -301,7 +301,7 @@ func removedBytes(v *version, rows []int) int64 {
 	for c := 0; c < v.schema.Len(); c++ {
 		width := cellBytes(v.schema.Column(c).Kind)
 		for _, row := range rows {
-			ch, i := v.cell(row, c)
+			ch, i := v.read(row, c)
 			if ch == nil {
 				continue
 			}

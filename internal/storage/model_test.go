@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -23,6 +24,8 @@ type modelHarness struct {
 	tbl  *Table
 	cols []Column
 	rows []modelRow
+
+	patched int // patched chunks seen in snapshots pinned mid-burst
 }
 
 var modelKinds = []Kind{KindInt, KindFloat, KindBool, KindText}
@@ -43,9 +46,11 @@ func (h *modelHarness) randValue(kind Kind, nullFrac float64) Value {
 	}
 }
 
-func (h *modelHarness) live() []int {
+func (h *modelHarness) live() []int { return liveIn(h.rows) }
+
+func liveIn(rows []modelRow) []int {
 	var ids []int
-	for id, r := range h.rows {
+	for id, r := range rows {
 		if !r.dead {
 			ids = append(ids, id)
 		}
@@ -169,14 +174,195 @@ func (h *modelHarness) compact() {
 
 // restore round-trips the table through the snapshot path: a checkpoint's
 // sections, rebuilt in a fresh catalog. Physical IDs and tombstones must
-// survive.
+// survive, and the sections must not depend on how the cells were written.
 func (h *modelHarness) restore() {
+	h.snapshotIsCanonical()
 	var snap memSections
 	snap.write(h.t, h.tbl)
 	c := NewCatalog()
 	snap.restore(h.t, c)
 	h.tbl, _ = c.Get(h.tbl.Name())
 	h.attachIndex()
+}
+
+// snapshotIsCanonical asserts that the table's snapshot is byte for byte
+// the snapshot of a table holding the same cells written without a patch:
+// every column rebuilt cell by cell as it reads (compactApply removing
+// nothing), the tombstones kept.
+func (h *modelHarness) snapshotIsCanonical() {
+	h.t.Helper()
+	v := h.tbl.snap.Load()
+	plain := NewTable(h.tbl.Name(), v.schema)
+	nv, _ := compactApply(v, nil)
+	plain.snap.Store(nv)
+	var got, want memSections
+	got.write(h.t, h.tbl)
+	want.write(h.t, plain)
+	if len(got.body) != len(want.body) {
+		h.t.Fatalf("snapshot has %d sections, the unpatched table's %d", len(got.body), len(want.body))
+	}
+	for i := range got.body {
+		if got.kinds[i] != want.kinds[i] || !bytes.Equal(got.body[i], want.body[i]) {
+			h.t.Fatalf("snapshot section %d (kind %d, %d bytes) differs from the unpatched table's (kind %d, %d bytes); %d chunks patched",
+				i, got.kinds[i], len(got.body[i]), want.kinds[i], len(want.body[i]), patchedChunks(v))
+		}
+	}
+}
+
+// patchedChunks counts v's chunks and tails that carry a patch.
+func patchedChunks(v *version) int {
+	n := 0
+	for c := 0; c < v.schema.Len(); c++ {
+		cd := v.col(c)
+		for _, ch := range append(cd.chunks[:len(cd.chunks):len(cd.chunks)], cd.tail) {
+			if ch != nil && ch.p != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// freeze returns a deep copy of the model rows: what a snapshot pinned now
+// must keep reading.
+func (h *modelHarness) freeze() []modelRow {
+	rows := make([]modelRow, len(h.rows))
+	for id, r := range h.rows {
+		rows[id] = modelRow{vals: append([]Value(nil), r.vals...), dead: r.dead}
+	}
+	return rows
+}
+
+// burst writes into one chunk of one or two columns — a sealed chunk or,
+// when tail is set or there is none, the tail — through Set and SetBatch
+// calls of one to 40 cells, NULLs and deleted rows among them, 40 to 200
+// cells in all: the chunk's patch grows, is read and folds. With seal, the
+// patched tail is then filled until it seals. Snapshots pinned before the
+// burst and in its middle must still read the cells of their own instant;
+// the caller checks the table against the model.
+func (h *modelHarness) burst(tail, seal bool) {
+	sealed := h.tbl.snap.Load().sealed
+	base := sealed
+	if !tail && sealed > 0 {
+		base = h.rng.Intn(sealed/ChunkRows) * ChunkRows
+	}
+	var ids []int // every row of the chunk, live or not
+	for id := base; id < min(base+ChunkRows, len(h.rows)); id++ {
+		ids = append(ids, id)
+	}
+	if len(ids) == 0 {
+		return
+	}
+	cols := h.rng.Perm(len(h.cols))[:1+h.rng.Intn(2)]
+	pins := []*Snap{h.tbl.Pin()}
+	frozen := [][]modelRow{h.freeze()}
+	total := 40 + h.rng.Intn(160)
+	mid := h.rng.Intn(total)
+	for written := 0; written < total; {
+		if len(pins) == 1 && written >= mid {
+			pins, frozen = append(pins, h.tbl.Pin()), append(frozen, h.freeze())
+			h.patched += patchedChunks(pins[1].v)
+		}
+		n := min(1+h.rng.Intn(40), len(ids))
+		if n == 1 && h.rng.Intn(2) == 0 {
+			if id := ids[h.rng.Intn(len(ids))]; !h.rows[id].dead {
+				h.set(id, cols[0], h.randValue(h.cols[cols[0]].Kind, 0.25))
+			}
+			written++
+			continue
+		}
+		rows := make([]int, n)
+		for j, k := range h.rng.Perm(len(ids))[:n] {
+			rows[j] = ids[k]
+		}
+		vals := make([][]Value, len(cols))
+		want := 0
+		for k, col := range cols {
+			vals[k] = make([]Value, n)
+			for j, id := range rows {
+				vals[k][j] = h.randValue(h.cols[col].Kind, 0.25)
+				if !h.rows[id].dead {
+					h.rows[id].vals[col] = vals[k][j]
+				}
+			}
+		}
+		for _, id := range rows {
+			if !h.rows[id].dead {
+				want++
+			}
+		}
+		got, err := h.tbl.SetBatch(rows, cols, vals)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if got != want {
+			h.t.Fatalf("SetBatch wrote %d rows, model says %d", got, want)
+		}
+		written += n
+	}
+	if seal {
+		h.insert(ChunkRows - (len(h.rows) - sealed) + h.rng.Intn(20))
+	}
+	for i, pin := range pins {
+		h.checkPin(pin, frozen[i])
+		pin.Release()
+	}
+}
+
+// checkPin asserts that a pinned snapshot reads the model rows frozen when
+// it was pinned: point reads, plain, range and predicate cursors over the
+// pin, and the index form over the rows a key matches there.
+func (h *modelHarness) checkPin(snap *Snap, rows []modelRow) {
+	h.t.Helper()
+	v := snap.v
+	if v.nrows != len(rows) {
+		h.t.Fatalf("pinned snapshot has %d rows, its model %d", v.nrows, len(rows))
+	}
+	live := liveIn(rows)
+	got := make(Row, v.schema.Len())
+	for n := 0; n < 20 && len(live) > 0; n++ {
+		id := live[h.rng.Intn(len(live))]
+		v.materializeRow(id, got, len(got))
+		h.expectIn(rows, []int{id}, "pinned row %d", id).row(got)
+	}
+	cur := NewRangeCursorAt(snap, 0, -1, 0)
+	h.expectIn(rows, live, "pinned cursor").drain(cur.Next, cur.Err)
+
+	lo := h.rng.Intn(len(rows))
+	hi := lo + h.rng.Intn(len(rows)-lo+1)
+	var want []int
+	for _, id := range live {
+		if id >= lo && id < hi {
+			want = append(want, id)
+		}
+	}
+	cur = NewRangeCursorAt(snap, lo, hi, 0)
+	h.expectIn(rows, want, "pinned RangeCursor[%d,%d)", lo, hi).drain(cur.Next, cur.Err)
+
+	preds := []Pred{h.randPred(), h.randPred()}[:1+h.rng.Intn(2)]
+	want = nil
+	for _, id := range live {
+		keep := true
+		for _, p := range preds {
+			keep = keep && predMatch(p, rows[id].vals[p.Col])
+		}
+		if keep {
+			want = append(want, id)
+		}
+	}
+	cur = NewRangeCursorAt(snap, 0, -1, 0)
+	cur.SetPreds(preds)
+	h.expectIn(rows, want, "pinned pred cursor %+v", preds).drain(cur.Next, cur.Err)
+
+	key := Int(int64(h.rng.Intn(50)))
+	want = nil
+	for _, id := range live {
+		if rows[id].vals[0].Equal(key) {
+			want = append(want, id)
+		}
+	}
+	ic := NewIndexCursorAt(snap, want, 0)
+	h.expectIn(rows, want, "pinned IndexCursor k=%v", key).drain(ic.Next, ic.Err)
 }
 
 // randPred draws a predicate on a random column: every operator, with a
@@ -207,13 +393,20 @@ func (h *modelHarness) randPred() Pred {
 // carrying anything but its kind and that kind's payload fails too.
 type rowChecker struct {
 	h    *modelHarness
+	rows []modelRow
 	what string
 	want []int
 	n    int
 }
 
 func (h *modelHarness) expect(want []int, format string, args ...any) *rowChecker {
-	return &rowChecker{h: h, what: fmt.Sprintf(format, args...), want: want}
+	return h.expectIn(h.rows, want, format, args...)
+}
+
+// expectIn is expect against model rows other than the live ones: a copy
+// frozen when a snapshot was pinned.
+func (h *modelHarness) expectIn(rows []modelRow, want []int, format string, args ...any) *rowChecker {
+	return &rowChecker{h: h, rows: rows, what: fmt.Sprintf(format, args...), want: want}
 }
 
 func (rc *rowChecker) row(got Row) {
@@ -222,7 +415,7 @@ func (rc *rowChecker) row(got Row) {
 		t.Fatalf("%s: more than the model's %d rows", rc.what, len(rc.want))
 	}
 	id := rc.want[rc.n]
-	want := rc.h.rows[id].vals
+	want := rc.rows[id].vals
 	if len(got) != len(want) {
 		t.Fatalf("%s: row %d has width %d, want %d", rc.what, rc.n, len(got), len(want))
 	}
@@ -464,10 +657,12 @@ func (h *modelHarness) checkBatches(live []int) {
 // TestTableAgainstModel drives a Table with a random operation sequence
 // mirrored against a plain-slice model: all four kinds with NULLs, more
 // than two sealed chunks, schema expansion, bulk fills over tombstones,
-// Set into never-filled chunks, forced compaction and snapshot→restore.
-// After every structural operation (and every few others) Get, Scan,
-// plain, range and predicate cursors and index probes must all agree
-// with the model.
+// Set into never-filled chunks, bursts of writes into one chunk that
+// patch it and fold it (snapshots pinned across them, a patched tail
+// sealed), forced compaction and snapshot→restore, patched chunks
+// included. After every structural operation (and every few others) Get,
+// Scan, plain, range and predicate cursors and index probes must all
+// agree with the model.
 func TestTableAgainstModel(t *testing.T) {
 	trials, ops := 2, 250
 	if testing.Short() {
@@ -503,6 +698,10 @@ func TestTableAgainstModel(t *testing.T) {
 			t.Fatalf("Delete removed %d of %d", got, len(straddle))
 		}
 		h.check()
+		h.burst(false, false)
+		h.check()
+		h.restore()
+		h.check()
 
 		for op := 0; op < ops; op++ {
 			structural := true
@@ -510,6 +709,16 @@ func TestTableAgainstModel(t *testing.T) {
 			case r < 30:
 				h.insert(1 + h.rng.Intn(40))
 				structural = false
+			case r < 36:
+				h.burst(h.rng.Intn(2) == 0, false)
+				if r := h.rng.Intn(3); r < 2 {
+					h.check()
+					if r == 0 {
+						h.compact()
+					} else {
+						h.restore()
+					}
+				}
 			case r < 60:
 				if live := h.live(); len(live) > 0 {
 					col := h.rng.Intn(len(h.cols))
@@ -532,7 +741,12 @@ func TestTableAgainstModel(t *testing.T) {
 				h.check()
 			}
 		}
+		h.burst(true, true)
+		h.check()
 		h.compact()
 		h.check()
+		if h.patched == 0 {
+			t.Fatal("no snapshot pinned mid-burst held a patched chunk")
+		}
 	}
 }

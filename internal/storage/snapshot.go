@@ -71,7 +71,7 @@ func (cp *Checkpoint) Release() {
 
 // Write emits the pinned tables' sections.
 func (cp *Checkpoint) Write(w SectionWriter) error {
-	var scratch []uint64 // a tail's NULL flags, packed
+	var win window // reads each chunk as a cursor does: flags packed, patch folded
 	for _, s := range cp.snaps {
 		v := s.v
 		b := appendString(w.Section(SectionTable), s.t.name)
@@ -86,17 +86,13 @@ func (cp *Checkpoint) Write(w SectionWriter) error {
 		}
 		for col := 0; col < v.schema.Len(); col++ {
 			for lo := 0; lo < v.nrows; lo += ChunkRows {
-				c, _ := v.cell(lo, col)
 				n := min(ChunkRows, v.nrows-lo)
-				vec := Vector{Kind: KindNull}
-				if c != nil {
-					vec = Vector{Kind: c.kind, Ints: c.ints, Floats: c.floats, Bools: c.bools, Strs: c.strs, Nulls: c.nulls}
-					if c.flags != nil {
-						scratch = resize(scratch, (n+63)/64)
-						clear(scratch)
-						packFlags(scratch, c.flags[:n])
-						vec.Nulls = scratch
-					}
+				if err := v.window(&win, col, lo, lo+n); err != nil {
+					return fmt.Errorf("storage: snapshot table %s: %w", s.t.name, err)
+				}
+				var vec Vector
+				if win.vector(n, &vec); countBits(vec.Nulls, 0, n) == n {
+					vec = Vector{Kind: KindNull} // every cell NULL, whatever the chunk
 				}
 				if err := w.Emit(AppendColumn(w.Section(SectionColumn), &vec, n)); err != nil {
 					return err

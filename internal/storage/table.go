@@ -261,9 +261,11 @@ func (t *Table) Set(row, col int, val Value) error {
 // whose last row cannot be coerced changes nothing. The journal then
 // receives one OpSet per column, in cols order — the rows written,
 // ascending whatever order they arrived in, and their new cells as one
-// typed column payload; the write copies each touched column chunk (or
-// tail) once and publishes one version; and each index on a written column
-// is maintained in one pass. Should the journal refuse a record the error
+// typed column payload; the write patches each touched column chunk (or
+// tail) once — its payload is shared, only the chunk struct and a patch of
+// at most patchCells cells are new, and a write that would pass that bound
+// folds the chunk into a fresh one (see chunk) — and publishes one
+// version; and each index on a written column is maintained in one pass. Should the journal refuse a record the error
 // is returned with nothing applied: the records before it are a logged
 // prefix of a statement that was never acknowledged, and the journal has
 // latched its failure.

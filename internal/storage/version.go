@@ -25,10 +25,11 @@ import (
 //     version's nrows, so an Insert extends the tail in place (amortized
 //     by capacity doubling up to ChunkRows). A reader of version v only
 //     indexes below v's row count, so it can never observe the write.
-//   - SetBatch (Set is its one-cell case) copies each column chunk (or
-//     tail) it writes — ChunkRows cells — once, plus that column's
-//     chunk-header slice; every other column and chunk is shared with the
-//     previous version.
+//   - SetBatch (Set is its one-cell case) gives each column chunk (or
+//     tail) it writes a new patch — the written cells over the shared
+//     payload, folded into a fresh chunk once it would pass patchCells
+//     (see chunk) — plus that column's chunk-header slice; every other
+//     column and chunk is shared with the previous version.
 //
 // The column headers themselves are kept in pages of pageCols, reached
 // through a page directory, and a last page of up to pageCols beside it,
@@ -205,6 +206,16 @@ func (v *version) cell(row, col int) (*chunk, int) {
 		return cd.tail, row - v.sealed
 	}
 	return cd.chunks[row/ChunkRows], row % ChunkRows
+}
+
+// read locates (row, col) as it reads: in the patch that replaced it or
+// in its chunk's payload (nil = an all-NULL chunk).
+func (v *version) read(row, col int) (*chunk, int) {
+	c, i := v.cell(row, col)
+	if c == nil {
+		return nil, 0
+	}
+	return c.locate(i)
 }
 
 // value boxes (row, col).
@@ -417,8 +428,44 @@ func valueClass(k Kind) Kind {
 // evalPredWindow clears sel bits (bit i ↔ row i of the window) for the
 // rows of w that fail p: one dispatch per window on (column kind, op,
 // literal class) into loops over the typed payload. predMatch on boxed
-// values is the reference these kernels are tested against.
+// values is the reference these kernels are tested against. The kernels
+// read the payload under a patch, so the rows the patch replaces are
+// tested again afterwards: their selection bits gathered into one word,
+// the same kernel run over the patch's own cells, the word scattered back.
 func evalPredWindow(p Pred, w *window, n int, sel []uint64) {
+	c := w.c
+	plo, phi := c.patched(w.off, n)
+	if phi == plo {
+		evalPredPayload(p, w, n, sel)
+		return
+	}
+	offs := c.p.offs[plo:phi]
+	var was [1]uint64 // bit j ↔ the row of patch entry plo+j is selected
+	for j, off := range offs {
+		if hasBit(sel, int(off)-w.off) {
+			was[0] |= 1 << uint(j)
+		}
+	}
+	evalPredPayload(p, w, n, sel)
+	pw := window{c: &c.p.cells, off: plo}
+	var nulls [1]uint64
+	if c.p.cells.nulls != nil {
+		nulls[0] = c.p.cells.nulls[0] >> uint(plo)
+		pw.nulls = nulls[:]
+	}
+	evalPredPayload(p, &pw, len(offs), was[:])
+	for j, off := range offs {
+		i := int(off) - w.off
+		if was[0]&(1<<uint(j)) != 0 {
+			sel[i>>6] |= 1 << (uint(i) & 63)
+		} else {
+			sel[i>>6] &^= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// evalPredPayload is evalPredWindow over the window's payload alone.
+func evalPredPayload(p Pred, w *window, n int, sel []uint64) {
 	switch {
 	case p.Op == PredIsNull:
 		if w.c != nil {
