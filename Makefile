@@ -104,8 +104,8 @@ bench-smoke:
 # cursor: 180 KB, none of it per row) already read as 5.6×; it joins once
 # TopN folds per-worker heaps instead of reading through a Gather
 # (ROADMAP item 7(a)).
-BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSpaceExpansionWide BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
-BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSpaceExpansionWide BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
+BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSpaceExpansionWide BenchmarkSpaceTrainingHarness BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
+BENCH_GUARDED_MEM = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSpaceExpansionWide BenchmarkSpaceTrainingHarness BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10
 BENCH_SCALING = BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkStreamingSelect BenchmarkParallelScanFilter BenchmarkSVCPredictAll
 empty :=
 space := $(empty) $(empty)

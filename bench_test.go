@@ -224,7 +224,9 @@ func BenchmarkTSVMVsSVM(b *testing.B) {
 
 // BenchmarkSpaceTraining measures the cost of building the perceptual
 // space itself (the paper reports ~2 h for 103M ratings on a notebook; the
-// metric here is ratings processed per second).
+// metric here is ratings processed per second). ScaleTiny's ratings fit in
+// cache, so this bench hardly sees how an epoch reads them;
+// BenchmarkSpaceTrainingHarness does.
 func BenchmarkSpaceTraining(b *testing.B) {
 	u, err := dataset.Generate(dataset.Movies(dataset.ScaleTiny, 3))
 	if err != nil {
@@ -233,13 +235,36 @@ func BenchmarkSpaceTraining(b *testing.B) {
 	cfg := space.DefaultConfig()
 	cfg.Dims = 16
 	cfg.Epochs = 5
+	benchTrainEuclidean(b, u.Ratings, cfg)
+}
+
+// BenchmarkSpaceTrainingHarness trains the space the end-to-end harness
+// trains at set-up (benchmark/setup.go: Movies 4000 × 1000 × 150, seed 42,
+// d = 16, 25 epochs): 146 k ratings, 1.7 MB of them, walked 25 times. Each
+// epoch walks a shuffled copy of the ratings in order while the next
+// epoch's order is drawn on another goroutine (space.sgdEpochs); before
+// that, each step read its rating through a shuffled index and the draw
+// ran between epochs, about 2× slower on a 2-vCPU Xeon.
+func BenchmarkSpaceTrainingHarness(b *testing.B) {
+	u, err := dataset.Generate(dataset.Movies(dataset.Scale{Items: 4000, Users: 1000, RatingsPerUser: 150}, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := space.DefaultConfig()
+	cfg.Dims = 16
+	cfg.Epochs = 25
+	benchTrainEuclidean(b, u.Ratings, cfg)
+}
+
+func benchTrainEuclidean(b *testing.B, data *space.Dataset, cfg space.Config) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := space.TrainEuclidean(u.Ratings, cfg); err != nil {
+		if _, _, err := space.TrainEuclidean(data, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	perIter := float64(len(u.Ratings.Ratings) * cfg.Epochs)
+	perIter := float64(len(data.Ratings) * cfg.Epochs)
 	b.ReportMetric(perIter*float64(b.N)/b.Elapsed().Seconds(), "rating-updates/s")
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -107,4 +108,21 @@ func readFile(t *testing.T, path string) (string, error) {
 	t.Helper()
 	b, err := osReadFile(path)
 	return string(b), err
+}
+
+// A NaN λ or a NaN score in the CSV (strconv.ParseFloat accepts "NaN")
+// must fail the run instead of writing an all-NaN space.
+func TestRunRejectsNonFiniteInput(t *testing.T) {
+	dir := t.TempDir()
+	if err := run("", dir+"/space.csv", 4, math.NaN(), 2, 1, true); err == nil {
+		t.Fatal("-lambda NaN must fail")
+	}
+	in := dir + "/ratings.csv"
+	if err := os.WriteFile(in, []byte("item_id,user_id,score\n0,0,4\n1,0,NaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(in, dir+"/space2.csv", 4, 0.02, 2, 1, false)
+	if err == nil || !strings.Contains(err.Error(), "rating 1 ") {
+		t.Fatalf("a NaN score must fail naming its rating, got %v", err)
+	}
 }

@@ -51,11 +51,18 @@ func (c Config) validate() error {
 	if c.Epochs <= 0 {
 		return fmt.Errorf("space: Epochs must be positive, got %d", c.Epochs)
 	}
-	if c.LearnRate <= 0 {
-		return fmt.Errorf("space: LearnRate must be positive, got %g", c.LearnRate)
+	// Written so that a NaN fails every comparison: a non-finite
+	// hyperparameter would train an all-NaN space without an error.
+	if !(c.LearnRate > 0) || math.IsInf(c.LearnRate, 0) {
+		return fmt.Errorf("space: LearnRate must be positive and finite, got %g", c.LearnRate)
 	}
-	if c.Lambda < 0 {
-		return fmt.Errorf("space: Lambda must be non-negative, got %g", c.Lambda)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Lambda", c.Lambda}, {"LearnRateDecay", c.LearnRateDecay}, {"InitScale", c.InitScale}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("space: %s must be non-negative and finite, got %g", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -136,20 +143,25 @@ func (m *EuclideanModel) RMSE(ratings []Rating) float64 {
 //	Σ ( r − [μ + δm + δu − d²(a,b)] )² + λ ( d⁴(a,b) + δm² + δu² ).
 //
 // Biases start at zero, coordinates at small uniform noise; each epoch
-// visits the ratings in a fresh random order. Gradient steps are clipped to
-// keep early epochs stable at large learning rates.
+// visits the ratings in a fresh random order (sgdEpochs). Gradient steps
+// are clipped to keep early epochs stable at large learning rates.
 func TrainEuclidean(data *Dataset, cfg Config) (*EuclideanModel, TrainStats, error) {
-	if err := cfg.validate(); err != nil {
+	if err := checkTrainable(data, cfg); err != nil {
 		return nil, TrainStats{}, err
 	}
-	if err := data.Validate(); err != nil {
-		return nil, TrainStats{}, err
-	}
-	if len(data.Ratings) == 0 {
-		return nil, TrainStats{}, fmt.Errorf("space: cannot train on zero ratings")
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	model := initModel(data, cfg, rng)
+	stats := sgdEpochs(data.Ratings, rng, cfg, func(rs []Rating, lr float64) float64 {
+		return model.sgdPass(rs, lr, cfg.Lambda)
+	})
+	return model, stats, nil
+}
+
+// initModel allocates a model for the dataset's items and users: μ is the
+// mean rating, biases start at zero and coordinates at uniform noise of
+// scale InitScale/√d, drawn from rng items first. The SVD trainers convert
+// it: both models have the same fields.
+func initModel(data *Dataset, cfg Config, rng *rand.Rand) *EuclideanModel {
 	model := &EuclideanModel{
 		Mu:       data.Mean(),
 		ItemBias: make([]float64, data.Items),
@@ -159,49 +171,5 @@ func TrainEuclidean(data *Dataset, cfg Config) (*EuclideanModel, TrainStats, err
 	}
 	model.Items.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(cfg.Dims)))
 	model.Users.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(cfg.Dims)))
-
-	stats := TrainStats{}
-	lr := cfg.LearnRate
-	order := make([]int, len(data.Ratings))
-	for i := range order {
-		order[i] = i
-	}
-
-	const clip = 4.0 // bound per-sample error signal; keeps SGD stable
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sumSq float64
-		for _, ri := range order {
-			r := data.Ratings[ri]
-			mi, ui := int(r.Item), int(r.User)
-			a := model.Items.Row(mi)
-			b := model.Users.Row(ui)
-
-			d2 := vecmath.SqDist(a, b)
-			pred := model.Mu + model.ItemBias[mi] + model.UserBias[ui] - d2
-			e := float64(r.Score) - pred
-			sumSq += e * e
-			e = vecmath.Clamp(e, -clip, clip)
-
-			// Bias updates: δ ← δ + lr (e − λ δ).
-			model.ItemBias[mi] += lr * (e - cfg.Lambda*model.ItemBias[mi])
-			model.UserBias[ui] += lr * (e - cfg.Lambda*model.UserBias[ui])
-
-			// Coordinate updates. For each dimension k:
-			//   ∂loss/∂a_k = 4 (a_k − b_k)(e + λ d²)   [descent direction]
-			// (the shared factor 4 is absorbed into the learning rate; the
-			// sign convention: positive error e pulls the item toward the
-			// user, the d⁴ regularizer always contracts distances).
-			g := lr * (e + cfg.Lambda*d2)
-			for k := range a {
-				diff := a[k] - b[k]
-				a[k] -= g * diff
-				b[k] += g * diff
-			}
-		}
-		stats.EpochRMSE = append(stats.EpochRMSE, math.Sqrt(sumSq/float64(len(order))))
-		lr *= cfg.LearnRateDecay
-	}
-	return model, stats, nil
+	return model
 }

@@ -1,13 +1,10 @@
 package space
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
-
-	"crowddb/internal/vecmath"
 )
 
 // TrainEuclideanParallel fits the Euclidean-embedding model with
@@ -22,14 +19,8 @@ import (
 // workers <= 0 selects GOMAXPROCS (capped at 8; beyond that, stratum
 // imbalance dominates).
 func TrainEuclideanParallel(data *Dataset, cfg Config, workers int) (*EuclideanModel, TrainStats, error) {
-	if err := cfg.validate(); err != nil {
+	if err := checkTrainable(data, cfg); err != nil {
 		return nil, TrainStats{}, err
-	}
-	if err := data.Validate(); err != nil {
-		return nil, TrainStats{}, err
-	}
-	if len(data.Ratings) == 0 {
-		return nil, TrainStats{}, fmt.Errorf("space: cannot train on zero ratings")
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -48,57 +39,26 @@ func TrainEuclideanParallel(data *Dataset, cfg Config, workers int) (*EuclideanM
 	}
 	P := workers
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := &EuclideanModel{
-		Mu:       data.Mean(),
-		ItemBias: make([]float64, data.Items),
-		UserBias: make([]float64, data.Users),
-		Items:    vecmath.NewMatrix(data.Items, cfg.Dims),
-		Users:    vecmath.NewMatrix(data.Users, cfg.Dims),
-	}
-	model.Items.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(cfg.Dims)))
-	model.Users.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(cfg.Dims)))
+	model := initModel(data, cfg, rand.New(rand.NewSource(cfg.Seed)))
 
-	// Bucket ratings into the P×P grid by contiguous ranges.
+	// Bucket the ratings into the P×P grid by contiguous ranges, each
+	// bucket keeping the ratings' order.
 	itemBlock := func(i int32) int { return int(int64(i) * int64(P) / int64(data.Items)) }
 	userBlock := func(u int32) int { return int(int64(u) * int64(P) / int64(data.Users)) }
-	buckets := make([][]int, P*P) // rating indices
-	for ri, r := range data.Ratings {
+	buckets := make([][]Rating, P*P)
+	for _, r := range data.Ratings {
 		b := itemBlock(r.Item)*P + userBlock(r.User)
-		buckets[b] = append(buckets[b], ri)
+		buckets[b] = append(buckets[b], r)
 	}
 
 	stats := TrainStats{}
 	lr := cfg.LearnRate
-	const clip = 4.0
-
-	// processBucket runs plain SGD over one bucket with its own RNG.
-	processBucket := func(bucket []int, lr float64, seed int64) float64 {
-		brng := rand.New(rand.NewSource(seed))
-		order := make([]int, len(bucket))
-		copy(order, bucket)
-		brng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sumSq float64
-		for _, ri := range order {
-			r := data.Ratings[ri]
-			mi, ui := int(r.Item), int(r.User)
-			a := model.Items.Row(mi)
-			b := model.Users.Row(ui)
-			d2 := vecmath.SqDist(a, b)
-			pred := model.Mu + model.ItemBias[mi] + model.UserBias[ui] - d2
-			e := float64(r.Score) - pred
-			sumSq += e * e
-			e = vecmath.Clamp(e, -clip, clip)
-			model.ItemBias[mi] += lr * (e - cfg.Lambda*model.ItemBias[mi])
-			model.UserBias[ui] += lr * (e - cfg.Lambda*model.UserBias[ui])
-			g := lr * (e + cfg.Lambda*d2)
-			for k := range a {
-				diff := a[k] - b[k]
-				a[k] -= g * diff
-				b[k] += g * diff
-			}
-		}
-		return sumSq
+	// processBucket shuffles a copy of one bucket with its own RNG and
+	// runs the Euclidean pass over it.
+	processBucket := func(bucket []Rating, lr float64, seed int64) float64 {
+		order := append([]Rating(nil), bucket...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		return model.sgdPass(order, lr, cfg.Lambda)
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {

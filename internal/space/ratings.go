@@ -16,6 +16,7 @@ package space
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -34,8 +35,10 @@ type Dataset struct {
 	Ratings []Rating
 }
 
-// Validate checks index bounds. Training on an invalid dataset would
-// silently corrupt memory-adjacent rows, so trainers call this first.
+// Validate checks index bounds and that every score is finite. Training on
+// an out-of-range index would silently corrupt memory-adjacent rows, and
+// on a NaN or infinite score would make every coordinate NaN, so trainers
+// call this first.
 func (d *Dataset) Validate() error {
 	if d.Items <= 0 || d.Users <= 0 {
 		return fmt.Errorf("space: dataset needs positive Items and Users, got %d×%d", d.Items, d.Users)
@@ -46,6 +49,9 @@ func (d *Dataset) Validate() error {
 		}
 		if r.User < 0 || int(r.User) >= d.Users {
 			return fmt.Errorf("space: rating %d has user %d out of [0,%d)", i, r.User, d.Users)
+		}
+		if s := float64(r.Score); math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("space: rating %d has non-finite score %g", i, s)
 		}
 	}
 	return nil

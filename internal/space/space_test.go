@@ -3,6 +3,7 @@ package space
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +94,16 @@ func TestDatasetValidate(t *testing.T) {
 	}
 	if err := (&Dataset{}).Validate(); err == nil {
 		t.Fatal("empty shape must fail")
+	}
+	for _, score := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		bad = &Dataset{Items: 2, Users: 2, Ratings: []Rating{{Item: 0, User: 0, Score: 3}, {Item: 1, User: 1, Score: score}}}
+		err := bad.Validate()
+		if err == nil {
+			t.Fatalf("score %v must fail", score)
+		}
+		if !strings.Contains(err.Error(), "rating 1 ") {
+			t.Fatalf("score %v: error %q does not name rating 1", score, err)
+		}
 	}
 }
 
@@ -318,6 +329,40 @@ func TestTrainValidation(t *testing.T) {
 	bad.Lambda = -1
 	if _, _, err := TrainSVD(w.data, bad); err == nil {
 		t.Fatal("negative Lambda must fail")
+	}
+	// A non-finite or negative hyperparameter would train an all-NaN
+	// space; every trainer must refuse it.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"LearnRate=NaN", func(c *Config) { c.LearnRate = nan }},
+		{"LearnRate=+Inf", func(c *Config) { c.LearnRate = inf }},
+		{"Lambda=NaN", func(c *Config) { c.Lambda = nan }},
+		{"Lambda=+Inf", func(c *Config) { c.Lambda = inf }},
+		{"LearnRateDecay=NaN", func(c *Config) { c.LearnRateDecay = nan }},
+		{"LearnRateDecay=+Inf", func(c *Config) { c.LearnRateDecay = inf }},
+		{"LearnRateDecay=-0.5", func(c *Config) { c.LearnRateDecay = -0.5 }},
+		{"InitScale=NaN", func(c *Config) { c.InitScale = nan }},
+		{"InitScale=-Inf", func(c *Config) { c.InitScale = -inf }},
+		{"InitScale=-0.1", func(c *Config) { c.InitScale = -0.1 }},
+	} {
+		bad = smallConfig()
+		c.set(&bad)
+		if _, _, err := TrainEuclidean(w.data, bad); err == nil {
+			t.Fatalf("%s must fail", c.name)
+		}
+		if _, _, err := TrainSVD(w.data, bad); err == nil {
+			t.Fatalf("TrainSVD: %s must fail", c.name)
+		}
+		if _, _, err := TrainEuclideanParallel(w.data, bad, 2); err == nil {
+			t.Fatalf("TrainEuclideanParallel: %s must fail", c.name)
+		}
+	}
+	nanScore := &Dataset{Items: 2, Users: 2, Ratings: []Rating{{Item: 1, User: 0, Score: float32(math.NaN())}}}
+	if _, _, err := TrainEuclidean(nanScore, smallConfig()); err == nil {
+		t.Fatal("a NaN score must fail")
 	}
 	empty := &Dataset{Items: 5, Users: 5}
 	if _, _, err := TrainEuclidean(empty, smallConfig()); err == nil {

@@ -1,7 +1,6 @@
 package space
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -46,62 +45,16 @@ func (m *SVDModel) RMSE(ratings []Rating) float64 {
 }
 
 // TrainSVD fits the dot-product model by SGD with L2 regularization
-// (the classic Funk-SVD recipe).
+// (the classic Funk-SVD recipe), one epoch at a time like TrainEuclidean.
 func TrainSVD(data *Dataset, cfg Config) (*SVDModel, TrainStats, error) {
-	if err := cfg.validate(); err != nil {
+	if err := checkTrainable(data, cfg); err != nil {
 		return nil, TrainStats{}, err
 	}
-	if err := data.Validate(); err != nil {
-		return nil, TrainStats{}, err
-	}
-	if len(data.Ratings) == 0 {
-		return nil, TrainStats{}, fmt.Errorf("space: cannot train on zero ratings")
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := &SVDModel{
-		Mu:       data.Mean(),
-		ItemBias: make([]float64, data.Items),
-		UserBias: make([]float64, data.Users),
-		Items:    vecmath.NewMatrix(data.Items, cfg.Dims),
-		Users:    vecmath.NewMatrix(data.Users, cfg.Dims),
-	}
-	model.Items.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(cfg.Dims)))
-	model.Users.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(cfg.Dims)))
-
-	stats := TrainStats{}
-	lr := cfg.LearnRate
-	order := make([]int, len(data.Ratings))
-	for i := range order {
-		order[i] = i
-	}
-	const clip = 4.0
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sumSq float64
-		for _, ri := range order {
-			r := data.Ratings[ri]
-			mi, ui := int(r.Item), int(r.User)
-			a := model.Items.Row(mi)
-			b := model.Users.Row(ui)
-
-			pred := model.Mu + model.ItemBias[mi] + model.UserBias[ui] + vecmath.Dot(a, b)
-			e := float64(r.Score) - pred
-			sumSq += e * e
-			e = vecmath.Clamp(e, -clip, clip)
-
-			model.ItemBias[mi] += lr * (e - cfg.Lambda*model.ItemBias[mi])
-			model.UserBias[ui] += lr * (e - cfg.Lambda*model.UserBias[ui])
-			for k := range a {
-				ak, bk := a[k], b[k]
-				a[k] += lr * (e*bk - cfg.Lambda*ak)
-				b[k] += lr * (e*ak - cfg.Lambda*bk)
-			}
-		}
-		stats.EpochRMSE = append(stats.EpochRMSE, math.Sqrt(sumSq/float64(len(order))))
-		lr *= cfg.LearnRateDecay
-	}
+	model := (*SVDModel)(initModel(data, cfg, rng))
+	stats := sgdEpochs(data.Ratings, rng, cfg, func(rs []Rating, lr float64) float64 {
+		return model.sgdPass(rs, lr, cfg.Lambda)
+	})
 	return model, stats, nil
 }
 
@@ -112,27 +65,11 @@ func TrainSVD(data *Dataset, cfg Config) (*SVDModel, TrainStats, error) {
 // time-critical applications; one Config.Epochs unit is one full
 // alternation (items then users).
 func TrainSVDALS(data *Dataset, cfg Config) (*SVDModel, TrainStats, error) {
-	if err := cfg.validate(); err != nil {
+	if err := checkTrainable(data, cfg); err != nil {
 		return nil, TrainStats{}, err
 	}
-	if err := data.Validate(); err != nil {
-		return nil, TrainStats{}, err
-	}
-	if len(data.Ratings) == 0 {
-		return nil, TrainStats{}, fmt.Errorf("space: cannot train on zero ratings")
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := cfg.Dims
-	model := &SVDModel{
-		Mu:       data.Mean(),
-		ItemBias: make([]float64, data.Items),
-		UserBias: make([]float64, data.Users),
-		Items:    vecmath.NewMatrix(data.Items, d),
-		Users:    vecmath.NewMatrix(data.Users, d),
-	}
-	model.Items.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(d)))
-	model.Users.FillRandom(rng, cfg.InitScale/math.Sqrt(float64(d)))
+	model := (*SVDModel)(initModel(data, cfg, rand.New(rand.NewSource(cfg.Seed))))
 
 	// Index ratings by item and by user.
 	byItem := make([][]int, data.Items)
