@@ -39,12 +39,15 @@ fmt:
 # generation or a positioned error, and no allocation beyond the input's
 # size), and arbitrary key sequences through the executor's typed key
 # table against a Go map (group numbers and join chains, and a reset
-# table numbering as a new one). go test -fuzz takes one target per run.
+# table numbering as a new one), and arbitrary bytes through the SQL parser
+# (no panic, and a parsed WHERE prints to text that parses back to the same
+# text). go test -fuzz takes one target per run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFillPayload -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
 	$(GO) test -run xxx -fuzz FuzzOpCodec -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
 	$(GO) test -run xxx -fuzz FuzzWALRecover -fuzztime 5s -fuzzminimizetime 2s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 2s ./internal/sqlparse
 
 # The expansion's allocation wall, twenty times over: what it bounds —
 # adding a column and filling it, the model and the labels, no list of the

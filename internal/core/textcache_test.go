@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,6 +188,59 @@ func TestTextHitAllocations(t *testing.T) {
 	}
 	if st := db.CacheStats(); st.Misses != 1 {
 		t.Fatalf("the hits were not hits: %+v", st)
+	}
+}
+
+// TestDeferredEntryNeverServedStale: a large answer deferred on its
+// text's first miss and stored on a later one is still only ever the
+// table's current answer. Seeded runs interleave a few large texts (and a
+// small one) with INSERTs and UPDATEs of the rows they read, so writes land
+// between a text's first and second sightings, between its store and its
+// hits, and between an invalidation and the next store. Every answer is
+// checked against ExecSQLNoCache.
+func TestDeferredEntryNeverServedStale(t *testing.T) {
+	texts := []string{
+		`SELECT id, k, score, tag FROM facts WHERE id >= 8000`,
+		`SELECT id, score FROM facts WHERE score > 200.0 ORDER BY id`,
+		`SELECT tag, COUNT(*), MAX(id) FROM facts GROUP BY tag`,
+		`SELECT id, tag FROM facts WHERE id >= 8880`, // small
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		db := pathDB(t, 2)
+		rng := rand.New(rand.NewSource(seed))
+		next := int64(2*storage.ChunkRows + 700)
+		var steps []string
+		for step := 0; step < 150; step++ {
+			var sql string
+			switch r := rng.Intn(10); {
+			case r < 2:
+				sql = fmt.Sprintf(`INSERT INTO facts VALUES (%d, %d, %d.25, 't%03d')`, next, next%7, rng.Intn(1000), rng.Intn(500))
+				next++
+			case r < 4:
+				sql = fmt.Sprintf(`UPDATE facts SET score = %d.75, tag = 'u%03d' WHERE id = %d`, rng.Intn(1000), rng.Intn(50), 7990+rng.Int63n(next-7990))
+			default:
+				sql = texts[rng.Intn(len(texts))]
+			}
+			steps = append(steps, sql)
+			got, _, err := db.ExecSQL(sql)
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, sql, err)
+			}
+			if !strings.HasPrefix(sql, "SELECT") {
+				continue
+			}
+			want, _, err := db.ExecSQLNoCache(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("seed %d: %s answered %d rows, the table holds %d, or other rows; statements:\n%s",
+					seed, sql, len(got.Rows), len(want.Rows), strings.Join(steps, "\n"))
+			}
+		}
+		if st := db.CacheStats(); st.Deferred == 0 || st.Hits == 0 || st.Invalidations == 0 {
+			t.Fatalf("seed %d: %+v, want deferrals, hits and invalidations", seed, st)
+		}
 	}
 }
 

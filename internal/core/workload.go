@@ -235,7 +235,8 @@ func (db *DB) explainHit(sql string, qt *QueryTrace) {
 }
 
 // execSelectStmt runs a SELECT the result cache did not answer and, under
-// a non-empty key, counts the miss and stores the result. Caller holds
+// a non-empty key, counts the miss and offers the result to the cache
+// (which keeps a large one only on its text's second miss). Caller holds
 // db.gate.RLock. The result is columnar: the executor's owned batches,
 // which a stored miss shares with its entry — nothing on this path boxes
 // or copies a row.

@@ -42,6 +42,9 @@ const (
 	// CodeUnencodableValue is a result holding a value JSON cannot carry
 	// (NaN, ±Inf): the message names the row and column (500).
 	CodeUnencodableValue = "unencodable_value"
+	// CodeRequestTooLarge is a request body over the server's 1 MiB
+	// bound (413).
+	CodeRequestTooLarge = "request_too_large"
 	// CodeInternal is an unclassified server-side failure (500).
 	CodeInternal = "internal"
 )

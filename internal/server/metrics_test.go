@@ -102,6 +102,7 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"crowddb_query_phase_seconds",     // core phase split
 		"crowddb_cache_hits_total",        // result cache
 		"crowddb_cache_misses_total",
+		"crowddb_cache_deferred_total",
 		"crowddb_storage_tombstones_total", // storage
 		"crowddb_wal_appends_total",        // wal (registered; may be zero samples)
 		"crowddb_jobs_total",               // jobs

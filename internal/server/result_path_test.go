@@ -128,7 +128,8 @@ func TestResultPathAllocationWalls(t *testing.T) {
 // batch list: readers encoding hits of the same entries while a writer
 // inserts into, deletes from and compacts the scanned table (invalidating
 // them and retiring the chunks their cursors had pinned), in a cache small
-// enough that every Put evicts. Run under -race; every body must be one the
+// enough that every Put evicts. Every answer here is over the cache's
+// admission line, so each is stored on its text's second miss. Run under -race; every body must be one the
 // table could have answered with — whole rows, v = 2·id, ids ascending —
 // and nothing may stay pinned.
 func TestSharedEntriesUnderWritersEvictionAndCompaction(t *testing.T) {
@@ -179,8 +180,11 @@ func TestSharedEntriesUnderWritersEvictionAndCompaction(t *testing.T) {
 					}
 					last = id
 				}
-				// A fingerprint nobody repeats: evicts in a 256 KiB cache.
-				serveBody(t, h, fmt.Sprintf(`SELECT id, v FROM stable WHERE id >= %d`, r*rounds+i))
+				// A text asked twice and never again: a large answer, stored
+				// on its second miss, that evicts in a 256 KiB cache.
+				once := fmt.Sprintf(`SELECT id, v FROM stable WHERE id >= %d`, r*rounds+i)
+				serveBody(t, h, once)
+				serveBody(t, h, once)
 			}
 		}(r)
 	}

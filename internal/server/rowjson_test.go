@@ -273,11 +273,12 @@ func TestBufferedAnswerWithUnencodableValueIsAnError(t *testing.T) {
 // TestRecordedBodies holds one buffered and one streamed answer — a join
 // with integer, text, float, boolean and NULL cells, a computed column
 // whose name json escapes — to the bytes the server sent for them before
-// results were columnar.
+// results were columnar, except that the computed column is named with its
+// float literal as written (4.0), which once printed as an integer.
 func TestRecordedBodies(t *testing.T) {
 	_, url := joinServer(t)
 	const sql = `SELECT m.movie_id, m.name, c.role, m.year / 4.0, m.year > 1995, c.credit_id + NULL FROM movies m JOIN credits c ON m.movie_id = c.movie WHERE m.year >= 1997 ORDER BY m.year DESC, c.role LIMIT 5`
-	const columns = `"columns":["movie_id","name","role","(m.year / 4)","(m.year \u003e 1995)","(c.credit_id + NULL)"]`
+	const columns = `"columns":["movie_id","name","role","(m.year / 4.0)","(m.year \u003e 1995)","(c.credit_id + NULL)"]`
 	rows := []string{
 		`[9,"movie-09","director",499.75,true,null]`,
 		`[9,"movie-09","writer",499.75,true,null]`,

@@ -197,6 +197,37 @@ type queryTail struct {
 	Trace *core.QueryTrace `json:"trace,omitempty"`
 }
 
+// maxBodyBytes bounds a request body: a larger one is refused with 413
+// request_too_large before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v.
+// On failure it writes the error envelope and returns false. A body that
+// declares its length is refused on that length, and net/http reads no
+// more than it declares; only a body of unknown length (chunked) is read
+// through http.MaxBytesReader, which allocates a reader per request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.ContentLength > maxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, fmt.Errorf("server: request body of %d bytes is over %d", r.ContentLength, maxBodyBytes))
+		return false
+	}
+	body := r.Body
+	if r.ContentLength < 0 {
+		body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	}
+	err := json.NewDecoder(body).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, fmt.Errorf("server: request body over %d bytes", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	}
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.sem <- struct{}{}:
@@ -208,8 +239,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -651,8 +681,7 @@ type adminExpandRequest struct {
 // the job handle to poll.
 func (s *Server) handleAdminExpand(w http.ResponseWriter, r *http.Request) {
 	var req adminExpandRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Table == "" || req.Column == "" {

@@ -3,10 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"crowddb/internal/core"
+	"crowddb/internal/storage"
 )
 
 // TestUnversionedRoutesAreGone: every route answers under /v1 only. The
@@ -212,5 +217,73 @@ func TestSchemaListReportsBackend(t *testing.T) {
 	}
 	if len(out.Tables) != 1 || out.Tables[0] != "movies" {
 		t.Errorf("tables = %v", out.Tables)
+	}
+}
+
+// TestOversizedBodyIsRefused: a body over 1 MiB to either route that takes
+// one is refused with 413 request_too_large — whether it declares its
+// length or is sent chunked — and the server goes on serving.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	_, ts := newTestServer(t, &fakeService{}, Config{})
+	huge := strings.Repeat("x", 2<<20)
+	bodies := map[string]string{
+		"/v1/query":        `{"sql":"SELECT name FROM movies WHERE name = '` + huge + `'"}`,
+		"/v1/admin/expand": `{"table":"movies","column":"` + huge + `"}`,
+	}
+	for path, body := range bodies {
+		for _, chunked := range []bool{false, true} {
+			var r io.Reader = strings.NewReader(body)
+			if chunked {
+				r = io.MultiReader(r) // hides the length: sent chunked
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", r)
+			if err != nil {
+				t.Fatalf("%s (chunked %v): %v", path, chunked, err)
+			}
+			var env map[string]errorBody
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if e := env["error"]; err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge || e.Code != CodeRequestTooLarge || e.Status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s with a 2 MiB body (chunked %v): status %d, envelope %+v, %v", path, chunked, resp.StatusCode, e, err)
+			}
+			if code, out := postQuery(t, ts.URL, `SELECT COUNT(*) FROM movies`, ""); code != http.StatusOK || len(out.Rows) != 1 {
+				t.Fatalf("the request after %s's refusal: status %d, %+v", path, code, out)
+			}
+		}
+	}
+}
+
+// TestWorkloadReportsDeferredAnswers: GET /v1/workload counts the large
+// answer the cache did not store on its text's first miss — a miss, a
+// miss and a hit, one of them deferred.
+func TestWorkloadReportsDeferredAnswers(t *testing.T) {
+	db, err := core.Open(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	if _, _, err := db.ExecSQL(`CREATE TABLE t (id INTEGER, tag TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Catalog().Get("t")
+	for i := 0; i < 2000; i++ {
+		if err := tbl.Insert(storage.Int(int64(i)), storage.Text(fmt.Sprintf("tag-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := New(db, Config{}).Handler()
+	for i := 0; i < 3; i++ {
+		serveBody(t, h, `SELECT id, tag FROM t`)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/workload", nil))
+	var out struct {
+		Cache struct{ Hits, Misses, Deferred uint64 }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if c := out.Cache; c.Hits != 1 || c.Misses != 2 || c.Deferred != 1 {
+		t.Fatalf("/v1/workload cache = %+v, want 1 hit, 2 misses, 1 deferred", c)
 	}
 }

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -52,7 +53,13 @@ func (l *Literal) String() string {
 	case LitInt:
 		return fmt.Sprintf("%d", l.Int)
 	case LitFloat:
-		return fmt.Sprintf("%g", l.Float)
+		// An integral float prints with a point: "2" would read back as an
+		// integer.
+		s := strconv.FormatFloat(l.Float, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	case LitString:
 		return "'" + strings.ReplaceAll(l.Str, "'", "''") + "'"
 	default:

@@ -27,14 +27,28 @@
 // Memory is bounded in bytes with LRU eviction, an entry charged for
 // everything it keeps alive; hit/miss/invalidation counters feed
 // GET /v1/workload.
+//
+// A large answer is stored only when its text is asked a second time. An
+// entry charged over admitBytes is deferred on its text's first miss, and
+// the text's fingerprint goes into a doorkeeper: a fixed, direct-mapped
+// table of maphash fingerprints, allocated on the first large put. The
+// next miss that finds the fingerprint in its slot stores the entry. A
+// text whose literals never repeat therefore never fills the cache with
+// answers nobody asks for again, while small answers (point rows, short
+// ranges, counts, TopN) are stored at once. Two texts that share a slot
+// only overwrite each other's record: that delays a store by one more
+// miss and decides nothing else — what is served is looked up by the
+// whole text and validated by table sequences, as before.
 package cache
 
 import (
 	"container/list"
+	"hash/maphash"
 	"slices"
 	"sync"
 	"unsafe"
 
+	"crowddb/internal/obs"
 	"crowddb/internal/storage"
 	"crowddb/internal/workload"
 )
@@ -42,15 +56,31 @@ import (
 // DefaultLimitBytes bounds the cache when the caller passes no limit.
 const DefaultLimitBytes = 64 << 20
 
+const (
+	// admitBytes is the largest entry stored on its text's first miss.
+	// Point rows, 20-row ranges, counts and TopN of 10 are charged under
+	// 2 KiB; a GROUP BY over thousands of groups 30–100 KiB.
+	admitBytes = 16 << 10
+	// doorkeeperSlots is the doorkeeper's size: as many large entries as
+	// the default limit holds. Its table is 32 KiB.
+	doorkeeperSlots = DefaultLimitBytes / admitBytes
+)
+
+var mDeferred = obs.Default.Counter("crowddb_cache_deferred_total",
+	"Result-cache entries over the admission size not stored because their text was seen for the first time.")
+
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	LimitBytes    int64  `json:"limit_bytes"`
+	// Deferred counts large answers computed and not stored because the
+	// doorkeeper did not hold their text: first sightings.
+	Deferred   uint64 `json:"deferred"`
+	Entries    int    `json:"entries"`
+	Bytes      int64  `json:"bytes"`
+	LimitBytes int64  `json:"limit_bytes"`
 }
 
 // TableSeq is one table's sequence number (the table lower-cased).
@@ -87,8 +117,13 @@ type Cache struct {
 	seqs    map[string]uint64 // table (lower) → current sequence
 	entries map[string]*entry // SQL text → entry
 	lru     *list.List        // front = most recently used; values are *entry
+	// seen is the doorkeeper (nil until the first large put): the slot a
+	// text's hash picks holds the fingerprint of the last large text
+	// deferred there, or 0.
+	seen []uint64
+	seed maphash.Seed
 
-	hits, misses, invalidations, evictions uint64
+	hits, misses, invalidations, evictions, deferred uint64
 }
 
 // New creates a cache bounded to limit bytes (non-positive limit gets
@@ -163,31 +198,22 @@ func (c *Cache) CountMiss() {
 // immutable from here on, and the batches owned — a vector that views
 // pinned storage would dangle once its pin is released, so one is a bug
 // worth a panic.
-// Entries that would exceed the byte limit on their own are not cached;
-// otherwise LRU entries are evicted until the new one fits. If any
-// captured table has already moved past its snapshot sequence, the entry
-// is stored anyway — GetBatches' validation guarantees it can never be
-// served.
+// Entries that would exceed the byte limit on their own are not cached,
+// and one charged over admitBytes is stored only if its text was deferred
+// before (see the package comment); otherwise LRU entries are evicted
+// until the new one fits. If any captured table has already moved past its
+// snapshot sequence, the entry is stored anyway — GetBatches' validation
+// guarantees it can never be served.
 func (c *Cache) PutBatches(key string, seqs []TableSeq, obs []workload.Observation, columns []string, batches []storage.Batch) {
-	size := entryBytes + elemBytes + mapSlotBytes + int64(len(key))
-	for _, s := range seqs {
-		size += int64(unsafe.Sizeof(s)) + int64(len(s.Table))
-	}
-	for _, o := range obs {
-		size += int64(unsafe.Sizeof(o)) + int64(len(o.Table)) + stringsBytes(o.Columns)
-	}
-	size += stringsBytes(columns)
-	for i := range batches {
-		for k := range batches[i].Cols {
-			if batches[i].Cols[k].Pinned {
-				panic("cache: PutBatches of a batch that views pinned storage")
-			}
-		}
-		size += batches[i].Bytes()
-	}
+	size := entrySize(key, seqs, obs, columns, batches)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.limit {
+		return
+	}
+	if size > admitBytes && !c.seenBeforeLocked(key) {
+		c.deferred++
+		mDeferred.Inc()
 		return
 	}
 	if old, dup := c.entries[key]; dup {
@@ -205,6 +231,43 @@ func (c *Cache) PutBatches(key string, seqs []TableSeq, obs []workload.Observati
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += size
+}
+
+// entrySize is what an entry is charged: everything it keeps alive.
+func entrySize(key string, seqs []TableSeq, obs []workload.Observation, columns []string, batches []storage.Batch) int64 {
+	size := entryBytes + elemBytes + mapSlotBytes + int64(len(key))
+	for _, s := range seqs {
+		size += int64(unsafe.Sizeof(s)) + int64(len(s.Table))
+	}
+	for _, o := range obs {
+		size += int64(unsafe.Sizeof(o)) + int64(len(o.Table)) + stringsBytes(o.Columns)
+	}
+	size += stringsBytes(columns)
+	for i := range batches {
+		for k := range batches[i].Cols {
+			if batches[i].Cols[k].Pinned {
+				panic("cache: PutBatches of a batch that views pinned storage")
+			}
+		}
+		size += batches[i].Bytes()
+	}
+	return size
+}
+
+// seenBeforeLocked reports whether the doorkeeper holds key's fingerprint,
+// and records it if not. Caller holds c.mu.
+func (c *Cache) seenBeforeLocked(key string) bool {
+	if c.seen == nil {
+		c.seen = make([]uint64, doorkeeperSlots)
+		c.seed = maphash.MakeSeed()
+	}
+	h := maphash.String(c.seed, key)
+	slot, fp := &c.seen[h%doorkeeperSlots], h|1 // a fingerprint is never 0, the empty slot
+	if *slot == fp {
+		return true
+	}
+	*slot = fp
+	return false
 }
 
 // stringsBytes is what a string list keeps: a header and the text of each.
@@ -250,7 +313,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Hits: c.hits, Misses: c.misses,
-		Invalidations: c.invalidations, Evictions: c.evictions,
+		Invalidations: c.invalidations, Evictions: c.evictions, Deferred: c.deferred,
 		Entries: len(c.entries), Bytes: c.bytes, LimitBytes: c.limit,
 	}
 }

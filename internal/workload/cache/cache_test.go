@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"testing"
 
@@ -193,6 +194,7 @@ func TestEntriesAreSizedByPayload(t *testing.T) {
 	sized := func(rows []storage.Row) int64 {
 		c := New(0)
 		c.Put("fp", nil, []string{"a", "b"}, rows)
+		c.Put("fp", nil, []string{"a", "b"}, rows) // a large entry is stored on its second sighting
 		return c.Stats().Bytes
 	}
 	numeric := make([]storage.Row, 4000)
@@ -206,6 +208,135 @@ func TestEntriesAreSizedByPayload(t *testing.T) {
 	long := sized([]storage.Row{{storage.Text(string(make([]byte, 1000))), storage.Null()}})
 	if long-short != 999 {
 		t.Fatalf("999 more bytes of text are charged %d", long-short)
+	}
+}
+
+// largeBatches is a one-column numeric answer charged well over admitBytes.
+func largeBatches(first int64) []storage.Batch {
+	rows := make([]storage.Row, 4000)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int(first + int64(i))}
+	}
+	return storage.BatchesOf(rows)
+}
+
+// TestLargeEntryStoredOnSecondSighting: an entry charged over admitBytes
+// is computed and dropped on its text's first miss, counted as deferred,
+// and stored — then served — on the second; the row adapter Put follows
+// the same rule.
+func TestLargeEntryStoredOnSecondSighting(t *testing.T) {
+	c := New(0)
+	seqs := c.TableSeqs([]string{"t"})
+	batches := largeBatches(0)
+	if size := entrySize("big", seqs, nil, []string{"n"}, batches); size <= admitBytes {
+		t.Fatalf("the large answer is charged %d bytes, not over %d", size, admitBytes)
+	}
+	before := mDeferred.Value()
+	c.PutBatches("big", seqs, nil, []string{"n"}, batches)
+	if _, _, _, ok := c.GetBatches("big"); ok {
+		t.Fatal("a large entry was served after its text's first miss")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Deferred != 1 {
+		t.Fatalf("after the first sighting: %+v, want nothing stored and one deferral", st)
+	}
+	if got := mDeferred.Value() - before; got != 1 {
+		t.Fatalf("crowddb_cache_deferred_total moved by %d, want 1", got)
+	}
+	c.PutBatches("big", seqs, nil, []string{"n"}, batches)
+	if _, got, _, ok := c.GetBatches("big"); !ok || &got[0] != &batches[0] {
+		t.Fatal("a large entry was not stored on its text's second miss")
+	}
+
+	rows := storage.RowsOf(largeBatches(1))
+	c.Put("big rows", seqs, []string{"n"}, rows)
+	if _, _, ok := c.Get("big rows"); ok {
+		t.Fatal("Put stored a large entry on its text's first sighting")
+	}
+	c.Put("big rows", seqs, []string{"n"}, rows)
+	if _, got, ok := c.Get("big rows"); !ok || len(got) != len(rows) {
+		t.Fatal("Put did not store a large entry on its text's second sighting")
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Deferred != 2 {
+		t.Fatalf("stats = %+v, want two entries after two deferrals", st)
+	}
+}
+
+// TestSmallEntryStoredAtOnce: an entry charged at most admitBytes is
+// stored on its first miss — one byte more is deferred — and a cache that
+// never sees a large entry allocates no doorkeeper. The first half is the
+// benchmark harness's workload.cache probe: 4 096 one-row Puts, each Get
+// after them a hit.
+func TestSmallEntryStoredAtOnce(t *testing.T) {
+	c := New(0)
+	seqs := c.TableSeqs([]string{"ratings"})
+	cols := []string{"rid", "movie_id", "score"}
+	row := []storage.Row{{storage.Int(1), storage.Int(2), storage.Float(3)}}
+	for i := 0; i < 4096; i++ {
+		c.Put(fmt.Sprintf("select|ratings|rid=%d", i), seqs, cols, row)
+	}
+	for i := 0; i < 4096; i++ {
+		if _, _, ok := c.Get(fmt.Sprintf("select|ratings|rid=%d", i)); !ok {
+			t.Fatalf("one-row entry %d was not stored on its first Put", i)
+		}
+	}
+	if st := c.Stats(); st.Deferred != 0 || c.seen != nil {
+		t.Fatalf("one-row entries deferred %d, doorkeeper allocated: %v", st.Deferred, c.seen != nil)
+	}
+
+	text := func(n int) []storage.Batch {
+		return storage.BatchesOf([]storage.Row{{storage.Text(string(make([]byte, n)))}})
+	}
+	n := int(admitBytes - entrySize("edge", seqs, nil, []string{"v"}, text(0)))
+	if size := entrySize("edge", seqs, nil, []string{"v"}, text(n)); size != admitBytes {
+		t.Fatalf("the edge entry is charged %d bytes, want %d", size, admitBytes)
+	}
+	c.PutBatches("edge", seqs, nil, []string{"v"}, text(n))
+	if _, _, _, ok := c.GetBatches("edge"); !ok {
+		t.Fatalf("an entry charged exactly %d bytes was not stored at once", admitBytes)
+	}
+	c.PutBatches("over", seqs, nil, []string{"v"}, text(n+1))
+	if _, _, _, ok := c.GetBatches("over"); ok {
+		t.Fatalf("an entry charged %d bytes was stored on its first sighting", admitBytes+1)
+	}
+}
+
+// TestDoorkeeperCollisionOnlyDelays: two large texts whose fingerprints
+// share a doorkeeper slot overwrite each other's record. Each is stored
+// one miss later than it would be alone, and each is served its own
+// answer.
+func TestDoorkeeperCollisionOnlyDelays(t *testing.T) {
+	c := New(0)
+	seqs := c.TableSeqs([]string{"t"})
+	answer := map[string][]storage.Batch{"a": largeBatches(0)}
+	put := func(key string) { c.PutBatches(key, seqs, nil, []string{"n"}, answer[key]) }
+	put("a") // allocates the doorkeeper and its seed
+	slot := func(key string) uint64 { return maphash.String(c.seed, key) % doorkeeperSlots }
+	b := ""
+	for i := 0; b == ""; i++ {
+		if k := fmt.Sprintf("b%d", i); slot(k) == slot("a") {
+			b = k
+		}
+	}
+	answer[b] = largeBatches(1 << 20)
+
+	put(b) // overwrites a's record
+	put("a")
+	if _, _, _, ok := c.GetBatches("a"); ok {
+		t.Fatal("a was stored although b overwrote its record")
+	}
+	put("a")
+	put(b) // overwrites a's record, which a no longer needs
+	if _, _, _, ok := c.GetBatches(b); ok {
+		t.Fatal("b was stored although a overwrote its record")
+	}
+	put(b)
+	for key, want := range answer {
+		if _, got, _, ok := c.GetBatches(key); !ok || &got[0] != &want[0] {
+			t.Fatalf("%s: served %v, want its own answer", key, ok)
+		}
+	}
+	if st := c.Stats(); st.Deferred != 4 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want four deferrals and two entries", st)
 	}
 }
 
@@ -293,6 +424,7 @@ func TestDuplicatePutReplaces(t *testing.T) {
 
 func TestConcurrentAccessIsRaceClean(t *testing.T) {
 	c := New(1 << 20)
+	large := largeBatches(0)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -300,10 +432,12 @@ func TestConcurrentAccessIsRaceClean(t *testing.T) {
 			c.InvalidateTable("t")
 			snap := c.TableSeqs([]string{"t"})
 			c.Put(fmt.Sprintf("fp%d", i%7), snap, []string{"v"}, []storage.Row{row("x")})
+			c.PutBatches(fmt.Sprintf("large%d", i%5), snap, nil, []string{"n"}, large)
 		}
 	}()
 	for i := 0; i < 500; i++ {
 		c.Get(fmt.Sprintf("fp%d", i%7))
+		c.GetBatches(fmt.Sprintf("large%d", i%5))
 		c.Stats()
 	}
 	<-done
