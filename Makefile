@@ -39,15 +39,18 @@ fmt:
 # generation or a positioned error, and no allocation beyond the input's
 # size), and arbitrary key sequences through the executor's typed key
 # table against a Go map (group numbers and join chains, and a reset
-# table numbering as a new one), and arbitrary bytes through the SQL parser
+# table numbering as a new one), arbitrary bytes through the SQL parser
 # (no panic, and a parsed WHERE prints to text that parses back to the same
-# text). go test -fuzz takes one target per run.
+# text), and arbitrary text through POST /v1/query, buffered, streamed and
+# async (one well-formed envelope or a coded error; a stream that ends in
+# its trailer or an error line). go test -fuzz takes one target per run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFillPayload -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
 	$(GO) test -run xxx -fuzz FuzzOpCodec -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
 	$(GO) test -run xxx -fuzz FuzzWALRecover -fuzztime 5s -fuzzminimizetime 2s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 2s ./internal/sqlparse
+	$(GO) test -run xxx -fuzz FuzzQueryHTTP -fuzztime 5s -fuzzminimizetime 2s ./internal/server
 
 # The expansion's allocation wall, twenty times over: what it bounds —
 # adding a column and filling it, the model and the labels, no list of the
@@ -102,9 +105,9 @@ bench-smoke:
 # and 9–12 ms when it does not, so a minimum over both lines passed or
 # failed by luck.
 # BenchmarkWideRangeTopN is guarded but not among them: its serial run
-# allocates 38 KB in all, so the exchange's fixed buffers at four workers
-# (a held selection per morsel of the claim window, an offsets array per
-# cursor: 180 KB, none of it per row) already read as 5.6×; it joins once
+# allocates 22 KB in all, so the exchange's fixed buffers at four workers
+# (a held selection per morsel of the claim window: 130 KB, none of it per
+# row) already read as 6.8×; it joins once
 # TopN folds per-worker heaps instead of reading through a Gather
 # (ROADMAP item 7(a)).
 BENCH_GUARDED = BenchmarkServeGroupBy BenchmarkServeCachedPoint BenchmarkSnapshotWrite BenchmarkSnapshotRestore BenchmarkDeleteRangeIndexed BenchmarkDeleteNoMatch BenchmarkUpdatePointWide BenchmarkWideRangeTopN BenchmarkGroupByManyGroups BenchmarkTopNSelect BenchmarkWALReplay BenchmarkPointLookup BenchmarkRangeScan BenchmarkCachedSelect BenchmarkSpeculativeHitMerge BenchmarkParallelScanFilter BenchmarkParallelHashJoin BenchmarkScanDuringFill BenchmarkVectorizedFilter BenchmarkCompactedScan BenchmarkInstrumentedSelect BenchmarkStreamingSelect BenchmarkSpaceExpansion BenchmarkSpaceExpansionWide BenchmarkSpaceTrainingHarness BenchmarkSVCPredictAll BenchmarkRunJob160x5 BenchmarkRunJob300x10

@@ -1911,10 +1911,12 @@ func BenchmarkGroupByManyGroups(b *testing.B) {
 //
 // The same fixture behind the HTTP handler, the way the harness's
 // analytic_scan and serve_point reach it: BenchmarkServeGroupBy is the
-// 4 000-group GROUP BY as a miss (a literal nobody repeats: executed,
-// stored in the result cache, encoded), BenchmarkServeCachedPoint a point
-// SELECT answered from the cache. Neither boxes a row: the handler encodes
-// from the batch list the executor returned and the cache shares.
+// 4 000-group GROUP BY as a miss (a literal nobody repeats: a first
+// sighting, whose answer the result cache defers, so it is read from the
+// executor into the encoder and copied no further than the cache's
+// admission line), BenchmarkServeCachedPoint a point SELECT answered from
+// the cache. Neither boxes a row: the handler encodes from the executor's
+// batches, or from the batch list the cache shares.
 
 var (
 	servedRatingsOnce sync.Once

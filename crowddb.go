@@ -36,11 +36,14 @@
 // job, one ledger charge), and read-only queries keep flowing while an
 // expansion is in flight. ExecSQLAsync never waits on the crowd:
 //
-//	res, job, err := db.ExecSQLAsync(
+//	rows, job, err := db.ExecSQLAsync(
 //	    `SELECT name FROM movies WHERE is_comedy = true`)
 //	if job != nil {            // expansion started (or joined): poll it
 //	    report, err := job.Wait(ctx)
-//	    res, _, err = db.ExecSQL(…) // re-issue once done
+//	    res, _, err := db.ExecSQL(…) // re-issue once done
+//	} else if err == nil {     // answered at once: read, then close
+//	    defer rows.Close()
+//	    row, ok, err := rows.Next()
 //	}
 //
 // Job status is observable via db.Job(id) / db.Jobs(), each job carrying
@@ -130,12 +133,13 @@ type LedgerTotals = core.LedgerTotals
 // Result is a query result set.
 type Result = core.Result
 
-// RowStream is a pull-based SELECT result (db.ExecSQLStream): rows are
+// RowStream is a statement's answer read a row or a batch at a time
+// (db.ExecSQLStream, db.QueryStream, db.ExecSQLAsync): a SELECT's rows are
 // produced on demand by the planner/iterator executor over a pinned
 // snapshot, with no lock held between calls. Next returns rows the caller
 // may keep; NextBatch the executor's column batches, the stream's until
 // the next call. A query that triggers a schema expansion completes the
-// crowd job before the first row is produced.
+// crowd job before the first row is produced. Close it when done.
 type RowStream = core.RowStream
 
 // Job is a handle on an asynchronous expansion job (Wait/Status/Done).

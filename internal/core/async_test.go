@@ -182,8 +182,27 @@ func TestConcurrentReadsDuringExpansion(t *testing.T) {
 	if job2 != nil {
 		t.Fatal("column already expanded; no new job expected")
 	}
-	if n, _ := res.Rows[0][0].AsInt(); n != 20 {
+	if rows := streamRows(t, res); len(rows) != 1 {
+		t.Fatalf("the count answers %d rows", len(rows))
+	} else if n, _ := rows[0][0].AsInt(); n != 20 {
 		t.Fatalf("comedies = %d, want 20", n)
+	}
+}
+
+// streamRows reads every row of s and closes it.
+func streamRows(t *testing.T, s *RowStream) []storage.Row {
+	t.Helper()
+	defer s.Close()
+	var rows []storage.Row
+	for {
+		row, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
 	}
 }
 

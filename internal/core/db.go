@@ -316,31 +316,6 @@ func (db *DB) mutate(fn func() error) error {
 	return fn()
 }
 
-// execEngine executes a statement under the snapshot gate, so DML lands
-// atomically with respect to Snapshot. SELECT-heavy workloads are not
-// serialized: the gate is an RWMutex and statements take the read side.
-// A SELECT's result is stored in the result cache under key, its text ("" —
-// nocache, or a statement handed over parsed — stores nothing; see
-// cachedResult). When qt is non-nil, SELECTs execute with per-operator
-// instrumentation and fill in their phase timings. The result is columnar
-// (Result.Batches); the exported entry points box it.
-func (db *DB) execEngine(stmt sqlparse.Statement, key string, qt *QueryTrace) (*Result, error) {
-	db.gate.RLock()
-	defer db.gate.RUnlock()
-	switch s := stmt.(type) {
-	// Index DDL takes a detour for the virtual-column check, its
-	// durability record, and cache invalidation (see indexes.go).
-	case *sqlparse.CreateIndexStmt:
-		return db.execCreateIndex(s)
-	case *sqlparse.DropIndexStmt:
-		return db.execDropIndex(s)
-	// SELECTs route through the workload tracker and result cache.
-	case *sqlparse.SelectStmt:
-		return db.execSelectStmt(s, key, qt)
-	}
-	return db.engine.Run(stmt)
-}
-
 // Engine exposes the underlying SQL engine (read-only use).
 func (db *DB) Engine() *engine.Engine { return db.engine }
 
@@ -428,10 +403,11 @@ type Result = engine.Result
 // ExecSQL parses and executes one statement. SELECTs that reference a
 // registered expandable column trigger schema expansion transparently and
 // are then re-executed — the query-driven loop of the paper's title.
-// The returned report is non-nil iff an expansion happened.
+// The returned report is non-nil iff an expansion happened. A SELECT's
+// rows are boxed from the executor's batches as they are read.
 func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
-	res, rep, _, err := db.Query(sql, false, false)
-	return res.Boxed(), rep, err
+	res, rep, _, err := db.drain(sql, false, false, true)
+	return res, rep, err
 }
 
 // ExecSQLNoCache is ExecSQL with the semantic result cache bypassed for
@@ -439,8 +415,8 @@ func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
 // escape hatch behind POST /v1/query?nocache=1 — for verifying a cached
 // answer or benchmarking the executor.
 func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
-	res, rep, _, err := db.Query(sql, true, false)
-	return res.Boxed(), rep, err
+	res, rep, _, err := db.drain(sql, true, false, true)
+	return res, rep, err
 }
 
 // Exec executes a parsed statement (see ExecSQL). The caller blocks until
@@ -451,45 +427,28 @@ func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
 // carry, so Exec bypasses it: its SELECTs are neither served from the cache
 // nor stored into it.
 func (db *DB) Exec(stmt sqlparse.Statement) (*Result, *ExpansionReport, error) {
-	res, rep, err := db.execQT(stmt, "", nil)
-	return res.Boxed(), rep, err
+	s := RowStream{db: db, start: time.Now()}
+	if _, err := db.run(&s, stmt, "", false); err != nil {
+		s.finish(false, err)
+		return nil, nil, err
+	}
+	res, err := s.result(true)
+	return res, s.report, err
 }
 
-// execQT is Exec with the result left columnar, the cache key of
-// execEngine, and an optional query trace threaded down to the SELECT path
-// (nil means untraced).
-func (db *DB) execQT(stmt sqlparse.Statement, key string, qt *QueryTrace) (*Result, *ExpansionReport, error) {
-	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
-		job, err := db.submitExpandStmt(ex)
-		if err != nil {
-			return nil, nil, err
-		}
-		report, err := waitReport(job)
-		if err != nil {
-			return nil, nil, err
-		}
-		msg := fmt.Sprintf("expanded %s.%s via %s: %d filled, %d unfilled, $%.2f",
-			ex.Table, ex.Column.Name, report.Method, report.Filled, report.Unfilled, report.Cost)
-		return &Result{Message: msg}, report, nil
+// drain opens sql's answer (DB.query, waiting for any expansion) and
+// reads it into a Result: boxed rows for the ExecSQL variants, owned
+// batches for Query.
+func (db *DB) drain(sql string, nocache, traced, boxed bool) (*Result, *ExpansionReport, *QueryTrace, error) {
+	var s RowStream
+	if _, err := db.query(&s, sql, modeWait, nocache, traced); err != nil {
+		return nil, nil, nil, err
 	}
-
-	res, err := db.execEngine(stmt, key, qt)
-	if err == nil {
-		return res, nil, nil
-	}
-	job, err := db.submitMissingColumn(stmt, err)
-	if job == nil {
-		return nil, nil, err
-	}
-	report, err := waitReport(job)
+	res, err := s.result(boxed)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	res, err = db.execEngine(stmt, key, qt)
-	if err != nil {
-		return nil, report, err
-	}
-	return res, report, nil
+	return res, s.report, s.Trace(), nil
 }
 
 // submitMissingColumn is the query-driven step of every entry point: stmt

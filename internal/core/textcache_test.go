@@ -106,39 +106,64 @@ func TestTextHitsFeedTheWorkloadLikeExecutions(t *testing.T) {
 }
 
 // TestAsyncEntryPointsAndTheCache: ExecSQLAsync is served from the cache
-// by its text like Query, and a write through it invalidates the text.
+// by its text like Query, and a write through it invalidates the text. Its
+// answer is the stream every entry point opens: a SELECT is accounted like
+// any other query, and a hit is read from the entry's batches, boxing
+// nothing.
 func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 	db := pathDB(t, 1)
 	const sql = `SELECT id, score FROM facts WHERE id >= 100 AND id < 110`
-	miss, _, err := db.ExecSQLAsync(sql)
-	if err != nil {
-		t.Fatal(err)
+	async := func(sql string) []storage.Row {
+		t.Helper()
+		s, job, err := db.ExecSQLAsync(sql)
+		if err != nil || job != nil {
+			t.Fatalf("%s: job %v, error %v", sql, job, err)
+		}
+		return streamRows(t, s)
 	}
-	hit, _, err := db.ExecSQLAsync(sql)
-	if err != nil {
-		t.Fatal(err)
+	seconds := mQuerySeconds.Count()
+	miss := async(sql)
+	if got := mQuerySeconds.Count(); got != seconds+1 {
+		t.Fatalf("an async SELECT moved crowddb_core_query_seconds_count by %d, want 1", got-seconds)
 	}
+	hit := async(sql)
 	if st := db.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("two ExecSQLAsync of one text: %+v, want one miss then one hit", st)
 	}
-	if len(hit.Rows) != 10 || !reflect.DeepEqual(hit.Rows, miss.Rows) {
-		t.Fatalf("the hit boxes %d rows, the miss %d", len(hit.Rows), len(miss.Rows))
+	if len(hit) != 10 || !reflect.DeepEqual(hit, miss) {
+		t.Fatalf("the hit answers %d rows, the miss %d", len(hit), len(miss))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s, _, err := db.ExecSQLAsync(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, err := s.NextBatch(); b != nil || err != nil; b, err = s.NextBatch() {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = s.Close()
+	}); allocs > 2 {
+		t.Fatalf("an async hit allocates %.0f objects, want at most 2: its stream and the tracker's column list, no boxed row", allocs)
 	}
 	// A write through ExecSQLAsync is no lookup, and the text it changed
 	// misses again and sees the new row.
 	before := db.CacheStats()
-	if _, _, err := db.ExecSQLAsync(`INSERT INTO facts VALUES (105, 1, 9.5, 'new')`); err != nil {
-		t.Fatal(err)
-	}
-	if after := db.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("an INSERT counted as a lookup: %+v → %+v", before, after)
-	}
-	again, _, err := db.ExecSQLAsync(sql)
+	s, _, err := db.ExecSQLAsync(`INSERT INTO facts VALUES (105, 1, 9.5, 'new')`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := db.CacheStats(); st.Hits != 1 || st.Misses != 2 || len(again.Rows) != 11 {
-		t.Fatalf("after the INSERT: %+v and %d rows, want a second miss and 11 rows", st, len(again.Rows))
+	if s.Affected() != 1 {
+		t.Fatalf("the INSERT affected %d rows", s.Affected())
+	}
+	_ = s.Close()
+	if after := db.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("an INSERT counted as a lookup: %+v → %+v", before, after)
+	}
+	again := async(sql)
+	if st := db.CacheStats(); st.Hits != before.Hits || st.Misses != 2 || len(again) != 11 {
+		t.Fatalf("after the INSERT: %+v and %d rows, want a second miss and 11 rows", st, len(again))
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"log/slog"
 	"time"
 	"unicode/utf8"
-
-	"crowddb/internal/sqlparse"
 )
 
 // QueryTrace is one query's phase breakdown, produced by ExecSQLTraced
@@ -36,8 +34,7 @@ type QueryTrace struct {
 // (?trace=1&nocache=1 composes). Tracing slows the executor's row path,
 // so this is the ?trace=1 / slow-query path, not the default.
 func (db *DB) ExecSQLTraced(sql string, nocache bool) (*Result, *ExpansionReport, *QueryTrace, error) {
-	res, rep, qt, err := db.Query(sql, nocache, true)
-	return res.Boxed(), rep, qt, err
+	return db.drain(sql, nocache, true, true)
 }
 
 // autoTrace reports whether untraced statements should run traced anyway:
@@ -47,53 +44,13 @@ func (db *DB) ExecSQLTraced(sql string, nocache bool) (*Result, *ExpansionReport
 // BenchmarkInstrumentedSelect applies only with both off.
 func (db *DB) autoTrace() bool { return db.traceAll || db.slowQuery > 0 }
 
-// Query is the spine under every ExecSQL variant and the HTTP server:
-// probe the result cache with the text (unless nocache), and on a miss
-// parse and execute (expansions included, see Exec); record the end-to-end
-// and phase metrics, and — when traced, or when the database traces
-// everything (autoTrace) — assemble the QueryTrace and feed the slow-query
-// log. A hit is neither parsed nor planned, except that a traced one is,
-// after the fact, for its trace's plan tree. The result is columnar:
-// Result.Batches, possibly shared with the result cache, and no Rows. The
-// server encodes from it; the ExecSQL variants box it (Result.Boxed) for
-// callers that want rows.
+// Query is ExecSQL with the answer left columnar: Result.Batches — a
+// hit's, shared with the result cache, or an owned copy of the executor's
+// — and no Rows. nocache bypasses the
+// cache, traced returns the statement's QueryTrace (see QueryStream, which
+// leaves the answer to be read from the executor instead).
 func (db *DB) Query(sql string, nocache, traced bool) (*Result, *ExpansionReport, *QueryTrace, error) {
-	var qt *QueryTrace
-	if traced || db.autoTrace() {
-		qt = &QueryTrace{SQL: sql}
-	}
-	start := time.Now()
-	res, key := db.cachedResult(sql, nocache, qt)
-	var rep *ExpansionReport
-	var execErr error
-	if res == nil {
-		parseStart := time.Now()
-		stmt, err := sqlparse.Parse(sql)
-		parse := time.Since(parseStart)
-		mQueryPhase.With("parse").Observe(parse.Seconds())
-		if qt != nil {
-			qt.ParseUS = parse.Microseconds()
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		res, rep, execErr = db.execQT(stmt, key, qt)
-	} else if traced {
-		db.explainHit(sql, qt)
-	}
-	total := time.Since(start)
-	mQuerySeconds.Observe(total.Seconds())
-	if qt != nil {
-		qt.TotalUS = total.Microseconds()
-		if res != nil {
-			qt.Rows = res.Affected
-		}
-		db.logSlow(qt, total, execErr)
-	}
-	if !traced {
-		qt = nil // assembled for the slow-query log only
-	}
-	return res, rep, qt, execErr
+	return db.drain(sql, nocache, traced, false)
 }
 
 // logSlow emits the slow-query log record when the threshold is set and

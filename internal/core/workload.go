@@ -184,24 +184,24 @@ func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.Select
 // anything parses it. On a hit it feeds the workload tracker the
 // observations the entry's statement produced — the tracker, the
 // workload_obs records and TotalQueries see a hit as they see a miss — and
-// returns the entry's result, whose batches it shares. Otherwise it returns
-// the key to store the statement's result under: the text, or "" when the
-// cache is off or bypassed (nocache). Only the cache_lookup phase is
-// observed; a miss is counted by the SELECT it turns out to be
-// (execSelectStmt).
-func (db *DB) cachedResult(sql string, nocache bool, qt *QueryTrace) (res *Result, key string) {
+// puts the entry's result, whose batches it shares, in s's hand.
+// Otherwise it returns the key to store the statement's result under: the
+// text, or "" when the cache is off or bypassed (nocache). Only the
+// cache_lookup phase is observed; a miss is counted by the SELECT it turns
+// out to be (openSelect).
+func (db *DB) cachedResult(s *RowStream, sql string, nocache bool) (key string, hit bool) {
 	if db.rcache == nil || nocache {
-		return nil, ""
+		return "", false
 	}
 	start := time.Now()
 	cols, batches, obs, ok := db.rcache.GetBatches(sql)
 	dur := time.Since(start)
 	mQueryPhase.With("cache_lookup").Observe(dur.Seconds())
-	if qt != nil {
-		qt.CacheUS += dur.Microseconds()
+	if s.qt != nil {
+		s.qt.CacheUS += dur.Microseconds()
 	}
 	if !ok {
-		return nil, sql
+		return sql, false
 	}
 	mCacheHits.Inc()
 	db.gate.RLock()
@@ -209,10 +209,11 @@ func (db *DB) cachedResult(sql string, nocache bool, qt *QueryTrace) (res *Resul
 		db.observeLocked(o)
 	}
 	db.gate.RUnlock()
-	if qt != nil {
-		qt.CacheHit = true
+	if s.qt != nil {
+		s.qt.CacheHit = true
 	}
-	return &Result{Columns: cols, Batches: batches, Affected: storage.RowCount(batches)}, ""
+	s.done = Result{Columns: cols, Batches: batches, Affected: storage.RowCount(batches)}
+	return "", true
 }
 
 // explainHit fills in a traced hit's parse and plan times and its plan
@@ -234,12 +235,12 @@ func (db *DB) explainHit(sql string, qt *QueryTrace) {
 	}
 }
 
-// execSelectStmt runs a SELECT the result cache did not answer and, under
-// a non-empty key, counts the miss and offers the result to the cache
-// (which keeps a large one only on its text's second miss). Caller holds
-// db.gate.RLock. The result is columnar: the executor's owned batches,
-// which a stored miss shares with its entry — nothing on this path boxes
-// or copies a row.
+// openSelect plans and opens a SELECT on s. Caller holds db.gate.RLock;
+// the stream is read after it is released. Under a non-empty key — a
+// text the result cache did not answer — it counts the miss and begins
+// the cache's copy of the answer (rescache.Fill), which the cache keeps
+// only if it could store the entry: a large answer to a text seen for the
+// first time is read from the executor and never copied.
 //
 // Order matters: the table-seq snapshot is taken BEFORE planning, because
 // the plan binds the tables it reads and their schemas (SELECT * is
@@ -248,43 +249,32 @@ func (db *DB) explainHit(sql string, qt *QueryTrace) {
 // stored against the snapshot — can never be served (the cache validates
 // seqs on every Get).
 //
-// Every phase feeds the crowddb_query_phase_seconds histogram; a non-nil
-// qt additionally runs the executor with per-operator tracing and fills
-// in the QueryTrace.
-func (db *DB) execSelectStmt(sel *sqlparse.SelectStmt, key string, qt *QueryTrace) (*Result, error) {
+// Every phase feeds the crowddb_query_phase_seconds histogram; a traced
+// stream additionally runs the executor with per-operator tracing, for
+// the annotated plan tree of its QueryTrace.
+func (db *DB) openSelect(s *RowStream, sel *sqlparse.SelectStmt, key string) error {
 	var snap []rescache.TableSeq
 	if key != "" {
 		snap = db.rcache.TableSeqs(selectTables(sel))
 	}
-	p, obs, err := db.planSelect(sel, qt)
+	p, obs, err := db.planSelect(sel, s.qt)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	s.reading = true
+	x := &s.x
 	if key != "" {
 		db.rcache.CountMiss()
 		mCacheMisses.Inc()
+		db.rcache.Begin(&x.fill, key, snap, obs, p.Columns)
 	}
-	execStart := time.Now()
-	var tr *exec.Trace
-	if qt != nil {
-		tr = exec.NewTrace()
+	if s.qt != nil {
+		x.plan, x.tr = p, exec.NewTrace()
 	}
-	res, err := engine.RunPlan(p, tr)
-	execDur := time.Since(execStart)
-	mQueryPhase.With("execute").Observe(execDur.Seconds())
-	if qt != nil {
-		qt.ExecUS += execDur.Microseconds()
-		if err == nil {
-			qt.Plan = p.ExplainWith(tr.Annotate)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		db.rcache.PutBatches(key, snap, obs, res.Columns, res.Batches)
-	}
-	return res, nil
+	start := time.Now()
+	x.res, err = engine.OpenPlan(p, x.tr)
+	x.exec += time.Since(start)
+	return err
 }
 
 // selectTables returns the tables a SELECT names, lower-cased and distinct:

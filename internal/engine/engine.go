@@ -5,12 +5,14 @@
 // of UPDATE and DELETE — into a logical plan tree (alias resolution,
 // predicate/projection pushdown, join key extraction, plan-time column
 // validation), and internal/engine/exec runs that tree as iterators
-// passing column batches up from the storage cursor; the root's batches are
-// copied once into the result (Result.Batches), and rows are boxed only for
-// the callers of the row-typed entry points (Result.Boxed). Dispatch and
-// DDL stay here; dml.go drains a DML plan and hands
-// the rows and cells it found to the table in one batch; SELECT, EXPLAIN
-// and the streaming entry point live in select.go.
+// passing column batches up from the storage cursor. OpenPlan hands the
+// root's batches up one at a time (StreamResult) — internal/core reads
+// every SELECT so, straight into the server's encoders, copying a batch
+// only for the result cache — and RunPlan copies them once into a result
+// (Result.Batches); rows are boxed only for the callers of the row-typed
+// entry points. Dispatch and DDL stay here; dml.go drains a DML plan and
+// hands the rows and cells it found to the table in one batch; SELECT,
+// EXPLAIN and OpenPlan live in select.go.
 //
 // The engine deliberately knows nothing about crowds: when a statement
 // references a column the schema lacks, planning fails with a
@@ -43,10 +45,12 @@ type Result struct {
 	// Batches are the output tuples (SELECT and EXPLAIN only) as a list of
 	// owned column batches (storage.AppendOwned): immutable, holding no pin,
 	// and possibly shared with the result cache and with other requests.
+	// The row-typed entry points of internal/core, which box a SELECT's
+	// rows as they read them from the executor, may leave it nil.
 	Batches []storage.Batch
 	// Rows are the same tuples boxed, fresh memory the caller owns. Only
-	// the entry points embedded callers read rows from fill it in (Boxed);
-	// Run, RunPlan and what internal/core builds on them leave it nil.
+	// the entry points embedded callers read rows from fill it in; Run,
+	// RunPlan and internal/core's Query leave it nil.
 	Rows []storage.Row
 	// Affected counts rows inserted/updated/deleted for DML, or rows in
 	// the result set for SELECT.

@@ -82,7 +82,7 @@ func streamAt(t *testing.T, e *Engine, workers int, sql string) dopRun {
 	var st *StreamResult
 	p, err := e.PlanSelect(stmt.(*sqlparse.SelectStmt))
 	if err == nil {
-		st, err = OpenPlan(p)
+		st, err = OpenPlan(p, nil)
 	}
 	if err != nil {
 		run.err = err.Error()

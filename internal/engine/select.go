@@ -112,9 +112,10 @@ type StreamResult struct {
 // OpenPlan opens a previously built SELECT plan for consumption a batch
 // at a time. Blocking operators (sort, aggregation, a join's
 // build side) still do their work inside this call; pure
-// scan/filter/project/limit pipelines stream end to end.
-func OpenPlan(p *plan.SelectPlan) (*StreamResult, error) {
-	it, err := exec.Build(p.Root)
+// scan/filter/project/limit pipelines stream end to end. A non-nil tr
+// records per-operator rows and wall time, as RunPlan's does.
+func OpenPlan(p *plan.SelectPlan, tr *exec.Trace) (*StreamResult, error) {
+	it, err := exec.BuildTraced(p.Root, tr)
 	if err != nil {
 		return nil, err
 	}

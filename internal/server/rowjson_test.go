@@ -69,6 +69,32 @@ func referenceBody(t *testing.T, res *core.Result, tail queryTail) []byte {
 	return want.Bytes()
 }
 
+// resultAnswer reads a Result as the envelope reads a stream.
+type resultAnswer struct {
+	res  *core.Result
+	next int
+}
+
+func (a *resultAnswer) Columns() []string { return a.res.Columns }
+func (a *resultAnswer) Affected() int     { return a.res.Affected }
+func (a *resultAnswer) Message() string   { return a.res.Message }
+
+func (a *resultAnswer) NextBatch() (*storage.Batch, error) {
+	if a.next == len(a.res.Batches) {
+		return nil, nil
+	}
+	a.next++
+	return &a.res.Batches[a.next-1], nil
+}
+
+// answerOf is res as an answer, nil for nil.
+func answerOf(res *core.Result) answer {
+	if res == nil {
+		return nil
+	}
+	return &resultAnswer{res: res}
+}
+
 // encoderRows is every kind, NULL, the float formats on both sides of
 // encoding/json's exponent thresholds, and the text it escapes.
 var encoderRows = []storage.Row{
@@ -183,7 +209,7 @@ func TestRowEncoderMatchesJSONEncoder(t *testing.T) {
 		}{"several batches", &res, queryTail{Expansion: report}})
 	}
 	for _, c := range envelopes {
-		got, err := enc.envelope(c.res, c.tail)
+		got, err := enc.envelope(answerOf(c.res), c.tail)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -203,7 +229,7 @@ func TestRowEncoderMatchesJSONEncoder(t *testing.T) {
 		if lines, err := enc.lines(&batch); err == nil || string(lines) != `{"row":[1,0.5]}`+"\n" {
 			t.Errorf("%v: lines %q, error %v: want the first row and an error", f, lines, err)
 		}
-		_, err := enc.envelope(&core.Result{Columns: []string{"id", "reading"}, Batches: []storage.Batch{batch}}, queryTail{})
+		_, err := enc.envelope(answerOf(&core.Result{Columns: []string{"id", "reading"}, Batches: []storage.Batch{batch}}), queryTail{})
 		if err == nil || !strings.Contains(err.Error(), `row 1, column "reading"`) {
 			t.Errorf("%v: envelope error %v: want one naming row 1 and column reading", f, err)
 		}
@@ -225,14 +251,18 @@ func readingsWithNaN(t *testing.T, s *Server) {
 }
 
 // TestStreamEndsAtUnencodableValue pins what a NaN does to a stream: the
-// rows before it arrive, and then the stream just ends — no row, no error
-// object, no trailer — as when json.Encoder refused the row.
+// rows before it arrive, and then an error line naming the value ends the
+// stream — no row of it, no trailer — as every stream ends in a trailer or
+// an error.
 func TestStreamEndsAtUnencodableValue(t *testing.T) {
 	s, url := joinServer(t)
 	readingsWithNaN(t, s)
 	code, lines := streamLines(t, url, `SELECT id, v FROM readings`)
-	if code != http.StatusOK || len(lines) != 3 {
-		t.Fatalf("status %d, lines %v: want the header and the two rows before the NaN", code, lines)
+	if code != http.StatusOK || len(lines) != 4 {
+		t.Fatalf("status %d, lines %v: want the header, the two rows before the NaN and an error", code, lines)
+	}
+	if msg, _ := lines[3]["error"].(string); !strings.Contains(msg, "NaN") {
+		t.Fatalf("last line = %v, want an error naming the NaN", lines[3])
 	}
 	if _, ok := lines[0]["columns"]; !ok {
 		t.Fatalf("header = %v", lines[0])

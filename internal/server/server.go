@@ -46,6 +46,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,7 +248,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if boolParam(r, "stream") {
+	params := queryParams(r)
+	if boolParam(params, "stream") {
 		if req.Mode == "async" {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("server: stream=1 is incompatible with mode=async"))
 			return
@@ -259,22 +261,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// ?nocache=1 bypasses the semantic result cache for this statement —
 	// the escape hatch for clients that must observe the live rows (e.g.
 	// verifying an invalidation bug) without disabling the cache globally.
-	nocache := boolParam(r, "nocache")
+	nocache := boolParam(params, "nocache")
 	// ?trace=1 executes with per-phase and per-operator tracing on and
 	// attaches the annotated plan tree to the response (sync only —
 	// async work runs on the scheduler, detached from this request).
-	trace := boolParam(r, "trace")
+	trace := boolParam(params, "trace")
 
 	switch req.Mode {
 	case "", "sync":
-		res, report, qt, err := s.db.Query(req.SQL, nocache, trace)
-		if err != nil {
+		ans := streams.Get().(*core.RowStream)
+		defer release(ans)
+		if err := s.db.QueryStream(ans, req.SQL, nocache, trace); err != nil {
 			writeQueryError(w, err)
 			return
 		}
-		writeQueryResponse(w, http.StatusOK, res, queryTail{Expansion: report, Trace: qt})
+		writeQueryResponse(w, http.StatusOK, ans, queryTail{Expansion: ans.Expansion(), Trace: ans.Trace()})
 	case "async":
-		res, job, err := s.db.ExecSQLAsync(req.SQL)
+		ans, job, err := s.db.ExecSQLAsync(req.SQL)
 		if err != nil {
 			writeQueryError(w, err)
 			return
@@ -284,7 +287,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
 			return
 		}
-		writeQueryResponse(w, http.StatusOK, res, queryTail{})
+		defer ans.Close()
+		writeQueryResponse(w, http.StatusOK, ans, queryTail{})
 	default:
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: unknown mode %q", req.Mode))
 	}
@@ -293,7 +297,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // streamQuery serves a SELECT as NDJSON (one JSON object per line):
 // a header line {"columns": […]}, then {"row": […]} per result row, and
 // finally a trailer {"done": true, "rows": n, "expansion": …} — or
-// {"error": "…"} at whatever point the query failed. Rows are encoded
+// {"error": "…"} at whatever point the query failed, or at the first row
+// holding a value JSON cannot carry (NaN, ±Inf). Rows are encoded
 // from the stream's batches as they are produced and the response is
 // flushed as it goes, so a client sees data while the scan is still
 // running; the stream holds a snapshot pin, never a lock, for the
@@ -334,10 +339,12 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 		b, err := stream.NextBatch()
 		if b != nil {
 			lines, encErr := rows.lines(b)
-			if _, werr := w.Write(lines); encErr != nil || werr != nil {
-				return // a value JSON cannot carry (NaN, ±Inf) ends the stream after the rows before it; or the client is gone
+			if _, werr := w.Write(lines); werr != nil {
+				return // the client is gone
 			}
-			if unflushed += len(b.Sel); unflushed >= flushEvery {
+			if encErr != nil {
+				err = encErr // the rows before it are out
+			} else if unflushed += len(b.Sel); unflushed >= flushEvery {
 				flush()
 				unflushed = 0
 			}
@@ -359,6 +366,18 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 	flush()
 }
 
+// streams recycles the answers of buffered queries: a RowStream is a few
+// hundred bytes of state that a request needs only until it is answered.
+var streams = sync.Pool{New: func() any { return new(core.RowStream) }}
+
+// release closes a buffered query's answer, forgets what it read — the
+// closed executor tree, a cache entry's batches — and recycles it.
+func release(ans *core.RowStream) {
+	_ = ans.Close() // the answer was read to its end, or the request failed
+	*ans = core.RowStream{}
+	streams.Put(ans)
+}
+
 // rowEncoder writes result rows as JSON arrays straight from column
 // vectors into one reused buffer — the {"row":[…]} lines of an NDJSON
 // stream and the "rows" member of the buffered envelope — byte for byte
@@ -370,6 +389,8 @@ type rowEncoder struct {
 	text bytes.Buffer
 	enc  *json.Encoder // into text
 	str  string        // the text cell being encoded: a *string boxes without allocating
+	cols []string      // the column names being encoded, likewise
+	tail queryTail     // and the envelope's tail
 }
 
 // encoders recycles the encoders' buffers across requests.
@@ -458,6 +479,21 @@ func (e *rowEncoder) lines(batch *storage.Batch) ([]byte, error) {
 	return b, nil
 }
 
+// answer is a statement's answer as the envelope reads it: a
+// *core.RowStream — the executor's batches, a cache entry's, or an
+// answer in hand — read to its end, after which Affected and Message are
+// final.
+type answer interface {
+	Columns() []string
+	NextBatch() (*storage.Batch, error)
+	Affected() int
+	Message() string
+}
+
+// unencodableError is an answer the envelope cannot carry: a cell without
+// a JSON form.
+type unencodableError struct{ error }
+
 // envelope returns the /v1/query response body, valid until the
 // encoder's next call — byte for byte json.Encoder's encoding of
 //
@@ -467,23 +503,34 @@ func (e *rowEncoder) lines(batch *storage.Batch) ([]byte, error) {
 //		queryTail
 //	}
 //
-// with res's rows encoded from its batches. res may be nil (an answer
-// that is only a job handle).
-func (e *rowEncoder) envelope(res *core.Result, tail queryTail) ([]byte, error) {
+// with ans's rows encoded from its batches as they are read, and its
+// Affected and Message in the tail. ans may be nil (an answer that is
+// only a job handle). An error reading ans is returned as it is; one
+// encoding it is an unencodableError.
+func (e *rowEncoder) envelope(ans answer, tail queryTail) ([]byte, error) {
 	b := append(e.buf[:0], '{')
-	if res != nil {
-		tail.Affected, tail.Message = res.Affected, res.Message
-		if len(res.Columns) > 0 {
+	if ans != nil {
+		e.cols = ans.Columns()
+		defer func() { e.cols = nil }()
+		if len(e.cols) > 0 {
 			b = append(b, `"columns":`...)
 			var err error
-			if b, err = e.json(b, &res.Columns); err != nil {
-				return nil, err
+			if b, err = e.json(b, &e.cols); err != nil {
+				e.buf = b
+				return nil, unencodableError{err}
 			}
 			b = append(b, ',')
 		}
 		ordinal := 0
-		for k := range res.Batches {
-			batch := &res.Batches[k]
+		for {
+			batch, err := ans.NextBatch()
+			if err != nil {
+				e.buf = b
+				return nil, err
+			}
+			if batch == nil {
+				break
+			}
 			for _, i := range batch.Sel {
 				if ordinal == 0 {
 					b = append(b, `"rows":[`...)
@@ -491,10 +538,9 @@ func (e *rowEncoder) envelope(res *core.Result, tail queryTail) ([]byte, error) 
 					b = append(b, ',')
 				}
 				var col int
-				var err error
 				if b, col, err = e.row(b, batch.Cols, int(i)); err != nil {
 					e.buf = b
-					return nil, fmt.Errorf("server: row %d, column %q: %w", ordinal, res.Columns[col], err)
+					return nil, unencodableError{fmt.Errorf("server: row %d, column %q: %w", ordinal, e.cols[col], err)}
 				}
 				ordinal++
 			}
@@ -502,25 +548,35 @@ func (e *rowEncoder) envelope(res *core.Result, tail queryTail) ([]byte, error) 
 		if ordinal > 0 {
 			b = append(b, "],"...)
 		}
+		tail.Affected, tail.Message = ans.Affected(), ans.Message()
 	}
 	e.text.Reset()
-	if err := e.enc.Encode(&tail); err != nil {
+	e.tail = tail
+	err := e.enc.Encode(&e.tail)
+	e.tail = queryTail{}
+	if err != nil {
 		e.buf = b
-		return nil, err
+		return nil, unencodableError{err}
 	}
 	e.buf = append(b, e.text.Bytes()[1:]...) // the tail's members, its closing brace and newline
 	return e.buf, nil
 }
 
-// writeQueryResponse answers a statement: the envelope of res and tail,
-// encoded whole before the status line is sent — a result JSON cannot
-// carry is answered with the error envelope, not with half a body.
-func writeQueryResponse(w http.ResponseWriter, status int, res *core.Result, tail queryTail) {
+// writeQueryResponse answers a statement: the envelope of ans and tail,
+// encoded whole before the status line is sent — an answer that fails
+// while it is read is answered with its error's envelope, and one JSON
+// cannot carry with unencodable_value, not with half a body.
+func writeQueryResponse(w http.ResponseWriter, status int, ans answer, tail queryTail) {
 	e := encoders.Get().(*rowEncoder)
 	defer encoders.Put(e)
-	body, err := e.envelope(res, tail)
-	if err != nil {
+	body, err := e.envelope(ans, tail)
+	var unencodable unencodableError
+	switch {
+	case errors.As(err, &unencodable):
 		writeError(w, http.StatusInternalServerError, CodeUnencodableValue, err)
+		return
+	case err != nil:
+		writeQueryError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -534,7 +590,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if boolParam(r, "wait") {
+	if boolParam(queryParams(r), "wait") {
 		if job, ok := s.db.JobHandle(id); ok {
 			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.WaitTimeout)
 			defer cancel()
@@ -760,10 +816,19 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers ---
 
+// queryParams parses r's query string, once per request, and not at
+// all when there is none.
+func queryParams(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
+}
+
 // boolParam reports whether query parameter name is on: "1" or "true".
 // Anything else, "0" and "false" included, is off.
-func boolParam(r *http.Request, name string) bool {
-	v := r.URL.Query().Get(name)
+func boolParam(params url.Values, name string) bool {
+	v := params.Get(name)
 	return v == "1" || v == "true"
 }
 

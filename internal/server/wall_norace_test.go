@@ -2,6 +2,10 @@
 
 package server
 
-// groupByWall is TestResultPathAllocationWalls' byte wall for its 4 000-group
-// GROUP BY (wall_race_test.go has the -race one).
-const groupByWall = 300000
+// firstSightWall and groupByWall are TestResultPathAllocationWalls' byte
+// walls for its 4 000-group GROUP BY, sighted once and sighted twice
+// (wall_race_test.go has the -race ones).
+const (
+	firstSightWall = 64000
+	groupByWall    = 300000
+)

@@ -428,6 +428,28 @@ func (b *Batch) Bytes() int64 {
 	return size
 }
 
+// CopyFloor is a lower bound of what AppendOwned's copy of b's rows adds
+// to the Bytes of the batches it lands in, known before anything is
+// copied: the selected cells times the width of one, for every typed
+// vector. A boxed vector may be copied typed, a cell of any kind, so it
+// counts nothing; nor do headers, NULL words, text and growth.
+func (b *Batch) CopyFloor() int64 {
+	width := 0
+	for c := range b.Cols {
+		if v := &b.Cols[c]; v.Vals == nil {
+			switch v.Kind {
+			case KindInt, KindFloat:
+				width += 8
+			case KindBool:
+				width++
+			case KindText:
+				width += int(unsafe.Sizeof(""))
+			}
+		}
+	}
+	return int64(len(b.Sel)) * int64(width)
+}
+
 // appendSelected appends the offsets of the set bits of sel to offs.
 func appendSelected(offs []int32, sel []uint64) []int32 {
 	for wi, w := range sel {

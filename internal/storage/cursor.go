@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Cursor reads a pinned table snapshot batch by batch with zero locks on
 // the hot path: it walks the immutable column chunks directly, so long
@@ -187,7 +190,8 @@ func (c *Cursor) bind() {
 
 // NextBatch returns the next batch with at least one selected row, or nil
 // at the end of the read (check Err afterwards). The batch is the
-// cursor's: valid until the following NextBatch, Next or Reset call.
+// cursor's: valid until the following NextBatch, Next, Reset or Close
+// call.
 func (c *Cursor) NextBatch() *Batch {
 	if !c.bound {
 		c.bind()
@@ -226,13 +230,64 @@ func (c *Cursor) Next() (Row, bool) {
 // Err returns the first decode error encountered, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// Close releases the cursor's snapshot pin (if it owns one). It is
-// called automatically when the read ends; callers abandoning a cursor
-// early should call it themselves. Idempotent.
+// Close releases the cursor's snapshot pin (if it owns one) and gives its
+// selection offsets back to the free list. It is called automatically
+// when the read ends; callers abandoning a cursor early should call it
+// themselves. Idempotent; a cursor Reset after Close reads again.
 func (c *Cursor) Close() {
 	if c.owns {
 		c.snap.Release()
 	}
+	putOffsets(c.offs)
+	c.offs = nil
+}
+
+// A window only partly selected needs its selection as offsets (Batch.Sel),
+// up to a window's worth. The arrays outlive the cursors: a cursor takes
+// one from a process-wide free list on first need and gives it back in
+// Close, after its last batch has been read or abandoned. So a scan split
+// into morsels — one cursor per worker, closed after every morsel — makes
+// none once the list holds as many arrays as there are cursors open.
+// What reads a batch after the cursor moves on copies Sel first, as
+// Gather's held batches do; an owned copy (AppendOwned) has a selection
+// of its own.
+//
+// The list is a mutex-guarded LIFO bounded by a count, like the executor's
+// hash-state list, and not a sync.Pool, which garbage collections empty.
+const keepOffsets = 64 // idle arrays kept at most: 1 MiB
+
+var offsetArrays struct {
+	mu   sync.Mutex
+	free [][]int32
+}
+
+// takeOffsets returns an empty array of a window's capacity: an idle one,
+// or a new one.
+func takeOffsets() []int32 {
+	l := &offsetArrays
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := len(l.free)
+	if k == 0 {
+		return make([]int32, 0, ChunkRows)
+	}
+	offs := l.free[k-1]
+	l.free[k-1], l.free = nil, l.free[:k-1]
+	return offs
+}
+
+// putOffsets keeps offs for the next takeOffsets, unless it is nil or
+// the list is full.
+func putOffsets(offs []int32) {
+	if offs == nil {
+		return
+	}
+	l := &offsetArrays
+	l.mu.Lock()
+	if len(l.free) < keepOffsets {
+		l.free = append(l.free, offs[:0])
+	}
+	l.mu.Unlock()
 }
 
 // windowBatch positions the window machinery over the next span of
@@ -276,15 +331,8 @@ func (c *Cursor) windowBatch() *Batch {
 	if allSelected(sel, n) {
 		b.Sel = IdentitySel(n)
 	} else {
-		// A cursor's one and only window gets offsets for what it selects —
-		// a point statement on a table of one window finds one row of it;
-		// any other read gets a full window's once.
-		if cnt := countBits(sel, 0, n); cap(c.offs) < cnt {
-			size := ChunkRows
-			if c.offs == nil && hi >= c.limit {
-				size = cnt
-			}
-			c.offs = make([]int32, 0, size)
+		if c.offs == nil {
+			c.offs = takeOffsets()
 		}
 		c.offs = appendSelected(c.offs[:0], sel)
 		b.Sel = c.offs

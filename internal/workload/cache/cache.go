@@ -38,7 +38,9 @@
 // ranges, counts, TopN) are stored at once. Two texts that share a slot
 // only overwrite each other's record: that delays a store by one more
 // miss and decides nothing else — what is served is looked up by the
-// whole text and validated by table sequences, as before.
+// whole text and validated by table sequences, as before. A miss read a
+// batch at a time reaches PutBatches through a Fill, which copies the
+// answer only while the rule could still store it.
 package cache
 
 import (
@@ -235,14 +237,7 @@ func (c *Cache) PutBatches(key string, seqs []TableSeq, obs []workload.Observati
 
 // entrySize is what an entry is charged: everything it keeps alive.
 func entrySize(key string, seqs []TableSeq, obs []workload.Observation, columns []string, batches []storage.Batch) int64 {
-	size := entryBytes + elemBytes + mapSlotBytes + int64(len(key))
-	for _, s := range seqs {
-		size += int64(unsafe.Sizeof(s)) + int64(len(s.Table))
-	}
-	for _, o := range obs {
-		size += int64(unsafe.Sizeof(o)) + int64(len(o.Table)) + stringsBytes(o.Columns)
-	}
-	size += stringsBytes(columns)
+	size := headerSize(key, seqs, obs, columns)
 	for i := range batches {
 		for k := range batches[i].Cols {
 			if batches[i].Cols[k].Pinned {
@@ -254,6 +249,18 @@ func entrySize(key string, seqs []TableSeq, obs []workload.Observation, columns 
 	return size
 }
 
+// headerSize is what an entry is charged beside its batches.
+func headerSize(key string, seqs []TableSeq, obs []workload.Observation, columns []string) int64 {
+	size := entryBytes + elemBytes + mapSlotBytes + int64(len(key))
+	for _, s := range seqs {
+		size += int64(unsafe.Sizeof(s)) + int64(len(s.Table))
+	}
+	for _, o := range obs {
+		size += int64(unsafe.Sizeof(o)) + int64(len(o.Table)) + stringsBytes(o.Columns)
+	}
+	return size + stringsBytes(columns)
+}
+
 // seenBeforeLocked reports whether the doorkeeper holds key's fingerprint,
 // and records it if not. Caller holds c.mu.
 func (c *Cache) seenBeforeLocked(key string) bool {
@@ -261,13 +268,111 @@ func (c *Cache) seenBeforeLocked(key string) bool {
 		c.seen = make([]uint64, doorkeeperSlots)
 		c.seed = maphash.MakeSeed()
 	}
-	h := maphash.String(c.seed, key)
-	slot, fp := &c.seen[h%doorkeeperSlots], h|1 // a fingerprint is never 0, the empty slot
+	slot, fp := c.slotLocked(key)
 	if *slot == fp {
 		return true
 	}
 	*slot = fp
 	return false
+}
+
+// slotLocked returns the doorkeeper slot key's hash picks and key's
+// fingerprint, which is never 0, the empty slot. Caller holds c.mu and
+// has allocated the doorkeeper.
+func (c *Cache) slotLocked(key string) (*uint64, uint64) {
+	h := maphash.String(c.seed, key)
+	return &c.seen[h%doorkeeperSlots], h | 1
+}
+
+// Fill is one miss's answer on its way into the cache: the copy PutBatches
+// stores, made a batch at a time while the answer is read (Add), and
+// given up as soon as the entry could no longer be stored. So a reader
+// that never needed the answer owned — the server's encoders, which read
+// the executor's batches — pays for a copy only while the cache may keep
+// it.
+//
+// Begin fixes the line the entry's charge must stay under: the cache's
+// limit for a text the doorkeeper already holds, admitBytes for any other.
+// Before each batch is copied, a lower bound of the entry's charge — its
+// header and Batch.CopyFloor of every batch so far — is held to that
+// line, and once it passes, the copy is dropped and no batch is copied
+// again: PutBatches would have refused an entry charged at least that
+// much. Finish, once the whole answer has been read, offers a complete
+// copy to PutBatches, which applies the rule to the exact charge as it
+// always has; a copy given up at admitBytes records the text in the
+// doorkeeper and counts a deferral, as PutBatches would have — unless the
+// bound, which Add keeps after the copy is gone, has passed the cache's
+// limit, over which PutBatches stores and records nothing. So the same
+// texts are stored, at the same charges, as when every answer was copied,
+// and the same deferred but for an answer charged just over the limit
+// whose bound is not. A text enters the doorkeeper only when its answer
+// completes: an answer abandoned half read (a client that hung up, an
+// error) is no sighting. Two misses of one text in flight at once may
+// both give up and both count a deferral where, copied whole, the second
+// would have stored — a delay of one more miss, like a doorkeeper
+// collision.
+//
+// A Fill is a value its reader embeds; the zero Fill does nothing.
+type Fill struct {
+	c       *Cache
+	key     string
+	seqs    []TableSeq
+	obs     []workload.Observation
+	columns []string
+	batches []storage.Batch
+	floor   int64 // ≤ the charge of an entry of the rows added so far
+	line    int64 // a charge over it is not stored
+	over    bool  // floor passed line: the copy is given up
+}
+
+// Begin starts f for the answer of key's statement (see PutBatches for
+// the rest of the arguments, which f hands to it).
+func (c *Cache) Begin(f *Fill, key string, seqs []TableSeq, obs []workload.Observation, columns []string) {
+	*f = Fill{c: c, key: key, seqs: seqs, obs: obs, columns: columns,
+		floor: headerSize(key, seqs, obs, columns), line: min(admitBytes, c.limit)}
+	c.mu.Lock()
+	if c.seen != nil {
+		if slot, fp := c.slotLocked(key); *slot == fp {
+			f.line = c.limit
+		}
+	}
+	c.mu.Unlock()
+}
+
+// Add copies the rows of b while the entry could still be stored.
+func (f *Fill) Add(b *storage.Batch) {
+	if f.c == nil {
+		return
+	}
+	if f.floor += b.CopyFloor(); f.floor > f.line {
+		f.over, f.batches = true, nil
+	}
+	if !f.over {
+		f.batches = storage.AppendOwned(f.batches, b)
+	}
+}
+
+// Finish is Add's end: the whole answer has been read. It offers a
+// complete copy to the cache, or records the deferral of a copy given up.
+func (f *Fill) Finish() {
+	switch {
+	case f.c == nil:
+	case !f.over:
+		f.c.PutBatches(f.key, f.seqs, f.obs, f.columns, f.batches)
+	case f.line < f.c.limit && f.floor <= f.c.limit:
+		f.c.deferText(f.key)
+	}
+	*f = Fill{}
+}
+
+// deferText counts a large answer not stored because its text had not
+// been seen, and records the text (see PutBatches).
+func (c *Cache) deferText(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seenBeforeLocked(key)
+	c.deferred++
+	mDeferred.Inc()
 }
 
 // stringsBytes is what a string list keeps: a header and the text of each.

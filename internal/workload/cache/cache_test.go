@@ -340,6 +340,99 @@ func TestDoorkeeperCollisionOnlyDelays(t *testing.T) {
 	}
 }
 
+// everyOther is the odd rows of n rows of (i, "r<i>", i/4), as an
+// executor hands them up: typed batches under a sparse selection.
+func everyOther(n int) []storage.Batch {
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int(int64(i)), storage.Text(fmt.Sprintf("r%d", i)), storage.Float(float64(i) / 4)}
+	}
+	batches := storage.BatchesOf(rows)
+	for k := range batches {
+		b := &batches[k]
+		b.Sel = b.Sel[:0:0]
+		for i := 1; i < b.N; i += 2 {
+			b.Sel = append(b.Sel, int32(i))
+		}
+	}
+	return batches
+}
+
+// fill feeds batches to a Fill of c under key and finishes it.
+func fill(c *Cache, key string, batches []storage.Batch) {
+	var f Fill
+	c.Begin(&f, key, c.TableSeqs([]string{"t"}), nil, []string{"i", "s", "f"})
+	for k := range batches {
+		f.Add(&batches[k])
+	}
+	f.Finish()
+}
+
+// TestFillDecidesAsPutBatches: an answer fed to a Fill a batch at a time
+// is stored, deferred and charged as PutBatches of the whole copy would
+// store, defer and charge it — small answers at once, one at the
+// admission line at once, large ones on their second sighting, and one
+// over the limit never. A Fill abandoned before Finish is no sighting; a
+// Fill past its line holds no copy and makes none.
+func TestFillDecidesAsPutBatches(t *testing.T) {
+	whole, fed := New(1<<20), New(1<<20)
+	answers := map[string][]storage.Batch{"small": everyOther(40), "large": everyOther(3000), "huge": everyOther(100000)}
+	seqs := whole.TableSeqs([]string{"t"})
+	cols := []string{"i", "s", "f"}
+	// An answer charged admitBytes exactly, a text cell sized to the line,
+	// and one a byte over it.
+	text := func(n int) []storage.Batch {
+		return storage.BatchesOf([]storage.Row{{storage.Int(0), storage.Text(string(make([]byte, n))), storage.Float(0)}})
+	}
+	n := int(admitBytes - entrySize("edge", seqs, nil, cols, text(0)))
+	answers["edge"], answers["over edge"] = text(n), text(n+1)
+	for sighting := 1; sighting <= 3; sighting++ {
+		for _, key := range []string{"small", "large", "huge", "edge", "over edge"} {
+			var owned []storage.Batch
+			for k := range answers[key] {
+				owned = storage.AppendOwned(owned, &answers[key][k])
+			}
+			whole.PutBatches(key, seqs, nil, cols, owned)
+			fill(fed, key, answers[key])
+			w, f := whole.Stats(), fed.Stats()
+			if w.Deferred != f.Deferred || w.Entries != f.Entries || w.Bytes != f.Bytes {
+				t.Fatalf("sighting %d of %s: PutBatches of the whole answer leaves %+v, a Fill %+v", sighting, key, w, f)
+			}
+		}
+	}
+	if st := fed.Stats(); st.Entries != 4 || st.Deferred != 2 {
+		t.Fatalf("after three sightings: %+v, want every answer but the huge one stored, and the large and the over-edge one deferred once", st)
+	}
+
+	// Abandoned twice, then read to its end: the first completion is the
+	// first sighting.
+	c := New(0)
+	large := answers["large"]
+	for i := 0; i < 2; i++ {
+		var f Fill
+		c.Begin(&f, "q", c.TableSeqs([]string{"t"}), nil, cols)
+		f.Add(&large[0])
+	}
+	if st := c.Stats(); st.Deferred != 0 || c.seen != nil {
+		t.Fatalf("abandoned fills left %+v, doorkeeper %v", st, c.seen != nil)
+	}
+	if fill(c, "q", large); c.Stats().Deferred != 1 {
+		t.Fatal("the first completed fill of a large answer was not deferred")
+	}
+
+	// Past its line a Fill holds nothing and copies nothing more.
+	var f Fill
+	c.Begin(&f, "r", c.TableSeqs([]string{"t"}), nil, cols)
+	f.Add(&large[0])
+	if f.batches != nil || !f.over {
+		t.Fatalf("a Fill %d bytes over its line still holds %d batches", f.floor-f.line, len(f.batches))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.Add(&large[0]) }); allocs != 0 {
+		t.Fatalf("a Fill past its line allocates %.0f objects a batch", allocs)
+	}
+
+}
+
 func TestGetReturnsIndependentCopies(t *testing.T) {
 	c := New(0)
 	snap := c.TableSeqs([]string{"movies"})
