@@ -65,7 +65,7 @@ func expandAllColumns(tb testing.TB, db *crowddb.DB) crowddb.LedgerTotals {
 	tb.Helper()
 	var handles []*crowddb.Job
 	for _, col := range batchBenchColumns {
-		_, job, err := db.ExecSQLAsync(fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col))
+		job, err := db.Do(context.Background(), new(crowddb.RowStream), crowddb.Request{SQL: fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col), Mode: crowddb.ModeAsync})
 		if err != nil {
 			tb.Fatalf("%s: %v", col, err)
 		}

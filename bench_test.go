@@ -8,6 +8,7 @@ package crowddb_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -1273,11 +1274,12 @@ func BenchmarkStreamingSelect(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
+	ctx := context.Background()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		s, err := db.ExecSQLStream(`SELECT id FROM events WHERE id >= 0`)
-		if err != nil {
+		var s crowddb.RowStream
+		if _, err := db.Do(ctx, &s, crowddb.Request{SQL: `SELECT id FROM events WHERE id >= 0`, Mode: crowddb.ModeStream}); err != nil {
 			b.Fatal(err)
 		}
 		rows := 0
@@ -1771,7 +1773,7 @@ func BenchmarkCompactedScan(b *testing.B) {
 // Guarded in BENCH_baseline.json (with BenchmarkStreamingSelect) so the
 // ≤2% tracing-off contract is enforced as a benchguard wall rather than
 // a one-off measurement. BenchmarkInstrumentedSelectTraced runs the
-// identical statement through ExecSQLTraced, pricing what ?trace=1,
+// identical statement through a traced Do (Request.Trace), pricing what ?trace=1,
 // -trace, and -slow-query actually pay for the per-operator breakdown.
 
 const instrSelectRows = 100_000
@@ -1813,14 +1815,27 @@ func BenchmarkInstrumentedSelect(b *testing.B) {
 func BenchmarkInstrumentedSelectTraced(b *testing.B) {
 	db := instrumentedSelectDB(b)
 	b.ReportAllocs()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, qt, err := db.ExecSQLTraced(instrSelectSQL, true)
-		if err != nil {
+		var s crowddb.RowStream
+		if _, err := db.Do(ctx, &s, crowddb.Request{SQL: instrSelectSQL, NoCache: true, Trace: true}); err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) != 100 || qt == nil || len(qt.Plan) == 0 {
-			b.Fatalf("rows = %d trace = %+v", len(res.Rows), qt)
+		var rows []storage.Row
+		for {
+			batch, err := s.NextBatch()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			rows = batch.AppendRows(rows)
+		}
+		s.Close()
+		if qt := s.Trace(); len(rows) != 100 || qt == nil || len(qt.Plan) == 0 {
+			b.Fatalf("rows = %d trace = %+v", len(rows), qt)
 		}
 	}
 	b.ReportMetric(float64(instrSelectRows), "rows-scanned/op")

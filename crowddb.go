@@ -34,10 +34,12 @@
 // until the answer is complete, but concurrent queries hitting the same
 // missing column share a single expansion job (singleflight — one crowd
 // job, one ledger charge), and read-only queries keep flowing while an
-// expansion is in flight. ExecSQLAsync never waits on the crowd:
+// expansion is in flight. Do is the one way into a statement; in
+// ModeAsync it never waits on the crowd:
 //
-//	rows, job, err := db.ExecSQLAsync(
-//	    `SELECT name FROM movies WHERE is_comedy = true`)
+//	var rows crowddb.RowStream
+//	job, err := db.Do(ctx, &rows, crowddb.Request{
+//	    SQL: `SELECT name FROM movies WHERE is_comedy = true`, Mode: crowddb.ModeAsync})
 //	if job != nil {            // expansion started (or joined): poll it
 //	    report, err := job.Wait(ctx)
 //	    res, _, err := db.ExecSQL(…) // re-issue once done
@@ -45,6 +47,9 @@
 //	    defer rows.Close()
 //	    row, ok, err := rows.Next()
 //	}
+//
+// In ModeWait (the zero Mode) and ModeStream, Do waits for the expansion
+// until ctx is done; the job runs on when a caller stops waiting.
 //
 // Job status is observable via db.Job(id) / db.Jobs(), each job carrying
 // its own cost ledger. cmd/crowdserve serves this API over HTTP/JSON
@@ -134,13 +139,32 @@ type LedgerTotals = core.LedgerTotals
 type Result = core.Result
 
 // RowStream is a statement's answer read a row or a batch at a time
-// (db.ExecSQLStream, db.QueryStream, db.ExecSQLAsync): a SELECT's rows are
-// produced on demand by the planner/iterator executor over a pinned
-// snapshot, with no lock held between calls. Next returns rows the caller
-// may keep; NextBatch the executor's column batches, the stream's until
-// the next call. A query that triggers a schema expansion completes the
-// crowd job before the first row is produced. Close it when done.
+// (db.Do opens it): a SELECT's rows are produced on demand by the
+// planner/iterator executor over a pinned snapshot, with no lock held
+// between calls. Next returns rows the caller may keep; NextBatch the
+// executor's column batches, the stream's until the next call. A query
+// that triggers a schema expansion completes the crowd job before the
+// first row is produced. Close it when done.
 type RowStream = core.RowStream
+
+// Request is one statement for db.Do: the SQL text, the Mode, and
+// whether to bypass the result cache (NoCache) and to attach the
+// statement's trace (Trace).
+type Request = core.Request
+
+// Mode is what db.Do does about a query-driven expansion.
+type Mode = core.Mode
+
+// Modes of a Request.
+const (
+	// ModeWait waits for the expansion and answers any statement.
+	ModeWait = core.ModeWait
+	// ModeAsync returns the expansion's job instead of waiting.
+	ModeAsync = core.ModeAsync
+	// ModeStream waits and answers SELECTs only, never through the
+	// result cache.
+	ModeStream = core.ModeStream
+)
 
 // Job is a handle on an asynchronous expansion job (Wait/Status/Done).
 type Job = jobs.Job

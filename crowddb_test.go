@@ -1,6 +1,7 @@
 package crowddb_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,6 +71,43 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	led := db.Ledger()
 	if led.Cost <= 0 || led.Cost != report.Cost {
 		t.Fatalf("ledger = %+v vs report cost %v", led, report.Cost)
+	}
+
+	// The package example, as written: an async query on a second
+	// registered column hands back its job; once the job is done the
+	// re-issued query is answered, and an async one is answered at once.
+	ctx := context.Background()
+	db.RegisterExpandable("movies", "Drama", crowddb.KindBool,
+		crowddb.ExpandOptions{SamplesPerClass: 25})
+	const dramas = `SELECT name FROM movies WHERE Drama = true`
+	var rows crowddb.RowStream
+	job, err := db.Do(ctx, &rows, crowddb.Request{SQL: dramas, Mode: crowddb.ModeAsync})
+	if err != nil || job == nil {
+		t.Fatalf("async query on an unexpanded column: job %v, error %v", job, err)
+	}
+	if _, err := job.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, report, err = db.ExecSQL(dramas)
+	if err != nil || report != nil || len(res.Rows) == 0 {
+		t.Fatalf("re-issued query: %d rows, report %+v, error %v", len(res.Rows), report, err)
+	}
+	if job, err = db.Do(ctx, &rows, crowddb.Request{SQL: dramas, Mode: crowddb.ModeAsync}); err != nil || job != nil {
+		t.Fatalf("async query on a filled column: job %v, error %v", job, err)
+	}
+	n := 0
+	for {
+		_, ok, err := rows.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	if err := rows.Close(); err != nil || n != len(res.Rows) {
+		t.Fatalf("the async answer streamed %d rows, ExecSQL %d (close: %v)", n, len(res.Rows), err)
 	}
 
 	// GoldFill is part of the façade too.

@@ -49,27 +49,6 @@ func (db *DB) Job(id string) (jobs.Status, bool) {
 // JobHandle returns the live job handle for Wait/Done composition.
 func (db *DB) JobHandle(id string) (*jobs.Job, bool) { return db.sched.Get(id) }
 
-// ExecSQLAsync parses and opens one statement without ever blocking on
-// the crowd. Three outcomes:
-//
-//   - the statement needs no expansion: the answer is non-nil, job is nil
-//     — the same stream QueryStream opens, served from and stored into
-//     the result cache, which the caller reads and must Close;
-//   - the statement triggers (or joins) an expansion: the answer is nil
-//     and job is the handle to poll or Wait on — re-issue the query once
-//     the job is done;
-//   - anything else is an error.
-//
-// This is the serving-path API: an HTTP frontend returns 202 + job ID
-// instead of holding a connection open for crowd minutes.
-func (db *DB) ExecSQLAsync(sql string) (*RowStream, *jobs.Job, error) {
-	s := new(RowStream)
-	if job, err := db.query(s, sql, modeAsync, false, false); err != nil || job != nil {
-		return nil, job, err
-	}
-	return s, nil, nil
-}
-
 // expansionKey is the singleflight identity of an expansion.
 func expansionKey(table, column string) string {
 	return strings.ToLower(table) + "." + strings.ToLower(column)

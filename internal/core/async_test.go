@@ -123,7 +123,7 @@ func TestConcurrentReadsDuringExpansion(t *testing.T) {
 	db := newAsyncDB(t, svc)
 
 	// Kick off the expansion asynchronously; it stalls on the gate.
-	_, job, err := db.ExecSQLAsync(`SELECT name FROM movies WHERE is_comedy = true`)
+	_, job, err := do(db, Request{SQL: `SELECT name FROM movies WHERE is_comedy = true`, Mode: ModeAsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestConcurrentReadsDuringExpansion(t *testing.T) {
 	if _, err := job.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, job2, err := db.ExecSQLAsync(`SELECT COUNT(*) FROM movies WHERE is_comedy = true`)
+	res, job2, err := do(db, Request{SQL: `SELECT COUNT(*) FROM movies WHERE is_comedy = true`, Mode: ModeAsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,18 +206,18 @@ func streamRows(t *testing.T, s *RowStream) []storage.Row {
 	}
 }
 
-// TestAsyncExpandStatement routes an explicit EXPAND through the async
-// API and polls it to completion.
+// TestAsyncExpandStatement routes an explicit EXPAND through a ModeAsync
+// request and polls it to completion.
 func TestAsyncExpandStatement(t *testing.T) {
 	svc := &slowService{}
 	db := newAsyncDB(t, svc)
 
-	res, job, err := db.ExecSQLAsync(`EXPAND TABLE movies ADD COLUMN is_comedy BOOLEAN USING CROWD`)
+	res, job, err := do(db, Request{SQL: `EXPAND TABLE movies ADD COLUMN is_comedy BOOLEAN USING CROWD`, Mode: ModeAsync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != nil || job == nil {
-		t.Fatalf("want job-only response, got res=%v job=%v", res, job)
+	if res.Message() != "" || res.Expansion() != nil || job == nil {
+		t.Fatalf("want job-only response, got message %q, report %v, job=%v", res.Message(), res.Expansion(), job)
 	}
 	result, err := job.Wait(context.Background())
 	if err != nil {

@@ -94,7 +94,7 @@ func TestBatchedExpansionsShareOneCharge(t *testing.T) {
 	cols := []string{"comedy", "drama", "action", "horror"}
 	var handles []*jobs.Job
 	for _, col := range cols {
-		_, job, err := db.ExecSQLAsync(fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col))
+		_, job, err := do(db, Request{SQL: fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col), Mode: ModeAsync})
 		if err != nil {
 			t.Fatalf("%s: %v", col, err)
 		}
@@ -232,7 +232,7 @@ func TestBatchedSimulatedCrowd(t *testing.T) {
 
 	var handles []*jobs.Job
 	for _, col := range []string{"comedy", "drama"} {
-		_, job, err := db.ExecSQLAsync(fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col))
+		_, job, err := do(db, Request{SQL: fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col), Mode: ModeAsync})
 		if err != nil {
 			t.Fatalf("%s: %v", col, err)
 		}

@@ -179,7 +179,7 @@ func TestBudgetReservationInBatch(t *testing.T) {
 	}
 	var handles []*jobs.Job
 	for _, col := range cols {
-		_, job, err := db.ExecSQLAsync(fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col))
+		_, job, err := do(db, Request{SQL: fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col), Mode: ModeAsync})
 		if err != nil {
 			t.Fatalf("%s: %v", col, err)
 		}

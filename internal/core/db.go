@@ -406,8 +406,7 @@ type Result = engine.Result
 // The returned report is non-nil iff an expansion happened. A SELECT's
 // rows are boxed from the executor's batches as they are read.
 func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
-	res, rep, _, err := db.drain(sql, false, false, true)
-	return res, rep, err
+	return db.drain(Request{SQL: sql})
 }
 
 // ExecSQLNoCache is ExecSQL with the semantic result cache bypassed for
@@ -415,43 +414,10 @@ func (db *DB) ExecSQL(sql string) (*Result, *ExpansionReport, error) {
 // escape hatch behind POST /v1/query?nocache=1 — for verifying a cached
 // answer or benchmarking the executor.
 func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
-	res, rep, _, err := db.drain(sql, true, false, true)
-	return res, rep, err
+	return db.drain(Request{SQL: sql, NoCache: true})
 }
 
-// Exec executes a parsed statement (see ExecSQL). The caller blocks until
-// the answer is complete, but the expansion itself runs on the job
-// scheduler: concurrent queries hitting the same missing column join one
-// shared job (singleflight) instead of each paying for its own crowd run.
-// The result cache is keyed on SQL text, which a parsed statement does not
-// carry, so Exec bypasses it: its SELECTs are neither served from the cache
-// nor stored into it.
-func (db *DB) Exec(stmt sqlparse.Statement) (*Result, *ExpansionReport, error) {
-	s := RowStream{db: db, start: time.Now()}
-	if _, err := db.run(&s, stmt, "", false); err != nil {
-		s.finish(false, err)
-		return nil, nil, err
-	}
-	res, err := s.result(true)
-	return res, s.report, err
-}
-
-// drain opens sql's answer (DB.query, waiting for any expansion) and
-// reads it into a Result: boxed rows for the ExecSQL variants, owned
-// batches for Query.
-func (db *DB) drain(sql string, nocache, traced, boxed bool) (*Result, *ExpansionReport, *QueryTrace, error) {
-	var s RowStream
-	if _, err := db.query(&s, sql, modeWait, nocache, traced); err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := s.result(boxed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, s.report, s.Trace(), nil
-}
-
-// submitMissingColumn is the query-driven step of every entry point: stmt
+// submitMissingColumn is the query-driven step of every statement: stmt
 // failed with err, and if err is a MissingColumnError on a registered
 // expandable column, the expansion is submitted (or joined, if already in
 // flight) and its job returned for the caller to wait on before running
@@ -496,10 +462,11 @@ func (db *DB) submitMissingColumn(stmt sqlparse.Statement, err error) (*jobs.Job
 	return job, nil
 }
 
-// waitReport blocks on the job and unwraps its *ExpansionReport. A nil
-// report with nil error means a racing job already filled the column.
-func waitReport(job *jobs.Job) (*ExpansionReport, error) {
-	result, err := job.Wait(context.Background())
+// waitReport blocks on the job until it ends or ctx is done, and unwraps
+// its *ExpansionReport. A nil report with nil error means a racing job
+// already filled the column.
+func waitReport(ctx context.Context, job *jobs.Job) (*ExpansionReport, error) {
+	result, err := job.Wait(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
@@ -100,11 +99,7 @@ func TestIndexStressConcurrentInsertsReadsAndFill(t *testing.T) {
 	// The in-flight expansion: re-elicit is_comedy, whose bulk FillColumn
 	// rebuilds idx_comedy under the table lock while the readers above
 	// are probing it.
-	stmt, err := sqlparse.Parse(`EXPAND TABLE movies ADD COLUMN is_comedy BOOLEAN USING SPACE WITH SAMPLES 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Exec(stmt); err != nil {
+	if _, _, err := db.ExecSQL(`EXPAND TABLE movies ADD COLUMN is_comedy BOOLEAN USING SPACE WITH SAMPLES 10`); err != nil {
 		t.Fatalf("re-expansion: %v", err)
 	}
 	close(stop)

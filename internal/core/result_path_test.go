@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"crowddb/internal/jobs"
 	"crowddb/internal/storage"
 )
 
@@ -99,18 +101,20 @@ func TestSameRowsWhateverThePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			columnar, _, _, err := db.Query(sql, false, false)
+			columnar, _, err := do(db, Request{SQL: sql})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if columnar.Rows != nil {
-				t.Fatalf("workers=%d %s: Query boxed %d rows", workers, sql, len(columnar.Rows))
+			first, err := columnar.NextBatch()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(hit.Batches) > 0 && &columnar.Batches[0] != &hit.Batches[0] {
+			if len(hit.Batches) > 0 && first != &hit.Batches[0] {
 				t.Fatalf("workers=%d %s: two hits do not share the entry's batch list", workers, sql)
 			}
+			columnarRows := batchRows(t, columnar, first)
 
-			byRow, err := db.ExecSQLStream(sql)
+			byRow, _, err := do(db, Request{SQL: sql, Mode: ModeStream})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,21 +129,11 @@ func TestSameRowsWhateverThePath(t *testing.T) {
 				}
 				rows = append(rows, row)
 			}
-			byBatch, err := db.ExecSQLStream(sql)
+			byBatch, _, err := do(db, Request{SQL: sql, Mode: ModeStream})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var batched []storage.Row
-			for {
-				b, err := byBatch.NextBatch()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b == nil {
-					break
-				}
-				batched = b.AppendRows(batched)
-			}
+			batched := batchRows(t, byBatch, nil)
 			if byRow.Rows() != len(rows) || byBatch.Rows() != len(rows) {
 				t.Fatalf("workers=%d %s: streams count %d and %d rows, delivered %d", workers, sql, byRow.Rows(), byBatch.Rows(), len(rows))
 			}
@@ -149,7 +143,7 @@ func TestSameRowsWhateverThePath(t *testing.T) {
 				t.Fatalf("workers=%d %s: Affected %d on the miss, %d on the hit, %d rows", workers, sql, miss.Affected, hit.Affected, len(miss.Rows))
 			}
 			for name, got := range map[string][]storage.Row{
-				"second miss": secondMiss.Rows, "hit": hit.Rows, "nocache": nocache.Rows, "columnar hit": storage.RowsOf(columnar.Batches),
+				"second miss": secondMiss.Rows, "hit": hit.Rows, "nocache": nocache.Rows, "columnar hit": columnarRows,
 				"row stream": rows, "batch stream": batched,
 			} {
 				if !reflect.DeepEqual(got, miss.Rows) {
@@ -191,7 +185,7 @@ func TestStreamedSelectIsAccounted(t *testing.T) {
 		}
 	}
 	before := counts()
-	s, err := db.ExecSQLStream(`SELECT id, tag FROM facts WHERE score > 200.0`)
+	s, _, err := do(db, Request{SQL: `SELECT id, tag FROM facts WHERE score > 200.0`, Mode: ModeStream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +220,8 @@ func TestStreamedSelectIsAccounted(t *testing.T) {
 }
 
 // TestTraceRowsReadsAffected: the trace (and with it the slow-query log)
-// counts rows from Result.Affected — the columnar result has no Rows to
-// count.
+// counts rows from the stream's Affected — a stream read a batch at a
+// time boxes no Rows to count.
 func TestTraceRowsReadsAffected(t *testing.T) {
 	db := pathDB(t, 1)
 	for sql, want := range map[string]int{
@@ -237,15 +231,45 @@ func TestTraceRowsReadsAffected(t *testing.T) {
 		`SELECT k, COUNT(*) FROM facts GROUP BY k`:    8,
 		`SELECT id FROM facts WHERE id < 37 LIMIT 10`: 10,
 	} {
-		res, _, qt, err := db.Query(sql, false, true)
+		s, _, err := do(db, Request{SQL: sql, Trace: true})
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if qt.Rows != want || res.Affected != want || res.Rows != nil {
-			t.Fatalf("%s: trace rows %d, affected %d, %d boxed rows; want %d, %d and none", sql, qt.Rows, res.Affected, len(res.Rows), want, want)
+		rows := batchRows(t, s, nil)
+		if qt := s.Trace(); qt.Rows != want || s.Affected() != want || len(rows) != s.Rows() {
+			t.Fatalf("%s: trace rows %d, affected %d, %d rows read of %d; want %d, %d and all", sql, qt.Rows, s.Affected(), len(rows), s.Rows(), want, want)
 		}
 	}
-	if _, _, qt, err := db.Query(`SELECT 1 FROM dims`, false, false); err != nil || qt != nil {
-		t.Fatalf("an untraced Query returned trace %+v, error %v", qt, err)
+	s, _, err := do(db, Request{SQL: `SELECT 1 FROM dims`})
+	if err != nil || s.Trace() != nil {
+		t.Fatalf("an untraced request returned trace %+v, error %v", s.Trace(), err)
+	}
+	_ = s.Close()
+}
+
+// do is Do on a stream of its own, under the background context.
+func do(db *DB, req Request) (*RowStream, *jobs.Job, error) {
+	s := new(RowStream)
+	job, err := db.Do(context.Background(), s, req)
+	return s, job, err
+}
+
+// batchRows reads s to its end a batch at a time, after first — a batch
+// already read, or nil — and closes it. It returns the rows boxed.
+func batchRows(t *testing.T, s *RowStream, first *storage.Batch) []storage.Row {
+	t.Helper()
+	defer s.Close()
+	var rows []storage.Row
+	for b := first; ; {
+		if b != nil {
+			rows = b.AppendRows(rows)
+		}
+		var err error
+		if b, err = s.NextBatch(); err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return rows
+		}
 	}
 }

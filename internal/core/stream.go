@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -13,13 +14,12 @@ import (
 	rescache "crowddb/internal/workload/cache"
 )
 
-// RowStream is a statement's answer, read a batch or a row at a time. It
-// is what every entry point opens — QueryStream, ExecSQLStream and
-// ExecSQLAsync hand it over, Query, Exec and the ExecSQL variants drain it
-// into a Result — so there is one path from the text to the answer: probe
-// the result cache with the text, parse, plan and open under the
-// snapshot gate's read side, and on a missing expandable column expand and
-// open again (DB.run).
+// RowStream is a statement's answer, read a batch or a row at a time. Do
+// opens it on the caller's stream, and ExecSQL and ExecSQLNoCache drain
+// it into a Result, so there is one path from the text to the answer:
+// probe the result cache with the text, parse, plan and open under the
+// snapshot gate's read side, and on a missing expandable column expand
+// and open again (DB.run).
 //
 // A SELECT the cache did not answer is read from the executor: a
 // RowStream holds no locks between calls, the storage cursors underneath
@@ -221,106 +221,124 @@ func (s *RowStream) finish(complete bool, err error) {
 	}
 }
 
-// result drains the stream into a Result of its own: the rows boxed,
-// fresh memory the caller owns, or the answer as owned batches — a hit's
-// shared ones, or a copy of the executor's. The stream is closed, and not
-// referenced by the Result: a drain's stream can live on its caller's
-// stack.
-func (s *RowStream) result(boxed bool) (*Result, error) {
-	defer s.Close()
-	r := new(Result)
-	*r = s.done
-	if !s.reading {
-		s.finish(true, nil)
-		if boxed {
-			r.Boxed()
-		}
-		return r, nil
-	}
-	for {
-		b, err := s.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if boxed {
-			r.Rows = b.AppendRows(r.Rows)
-		} else {
-			r.Batches = storage.AppendOwned(r.Batches, b)
-		}
-	}
-	r.Columns, r.Affected = s.x.res.Columns, s.rows
-	return r, nil
-}
-
-// queryMode is what an entry point does about a query-driven expansion,
-// and which answers it takes.
-type queryMode uint8
+// Mode is what Do does about a query-driven expansion, and which
+// statements it answers.
+type Mode uint8
 
 const (
-	// modeWait waits for the expansion and answers any statement.
-	modeWait queryMode = iota
-	// modeAsync hands back the expansion's job instead of waiting.
-	modeAsync
-	// modeStream waits and answers SELECTs only.
-	modeStream
+	// ModeWait waits for the expansion and answers any statement.
+	ModeWait Mode = iota
+	// ModeAsync hands back the expansion's job instead of waiting.
+	ModeAsync
+	// ModeStream waits and answers SELECTs only, never through the
+	// result cache.
+	ModeStream
 )
 
-// query is the text's side of every entry point: probe the result cache
-// with the text (unless nocache) and on a miss parse it and run it (DB.run).
-// A traced statement — or every statement, when the database traces
-// everything (autoTrace) — assembles a QueryTrace, which a traced hit
-// fills in by planning the text after the fact. The answer is opened on
-// s, the caller's, which is overwritten; an error, or a job (modeAsync),
-// leaves s finished.
-func (db *DB) query(s *RowStream, sql string, mode queryMode, nocache, traced bool) (*jobs.Job, error) {
-	*s = RowStream{db: db, start: time.Now(), traced: traced}
-	if traced || db.autoTrace() {
-		s.qt = &QueryTrace{SQL: sql}
+// Request is one statement as a client asks for it: the text, the mode,
+// and whether to bypass the result cache — neither served from it nor
+// stored into it — and to attach the statement's QueryTrace
+// (RowStream.Trace).
+type Request struct {
+	SQL     string
+	Mode    Mode
+	NoCache bool
+	Trace   bool
+}
+
+// Do opens req's answer on s: the one way into a statement. It probes the
+// result cache with the text (unless NoCache, or ModeStream), and on a
+// miss parses the text and runs it (DB.run). A traced statement — or
+// every statement, when the database traces everything (autoTrace) —
+// assembles a QueryTrace, which a traced hit fills in by planning the
+// text after the fact.
+//
+// A statement that needs a schema expansion submits it, or joins the one
+// in flight. ModeAsync returns its job at once: poll it or Wait on it,
+// then issue the request again. The other modes wait for it until ctx is
+// done; a caller that gives up gets ctx's error, and the job runs on, so
+// a later request is answered from the column it filled.
+//
+// s is the caller's — the server recycles them, so a request allocates
+// no stream — and is overwritten: the caller must have closed what it
+// held, and must Close it again when done with this answer. An error, or
+// a job, leaves s finished.
+func (db *DB) Do(ctx context.Context, s *RowStream, req Request) (*jobs.Job, error) {
+	*s = RowStream{db: db, start: time.Now(), traced: req.Trace}
+	if req.Trace || db.autoTrace() {
+		s.qt = &QueryTrace{SQL: req.SQL}
 	}
-	key, hit := db.cachedResult(s, sql, nocache)
+	key, hit := db.cachedResult(s, req.SQL, req.NoCache || req.Mode == ModeStream)
 	if hit {
-		if traced {
-			db.explainHit(sql, s.qt)
+		if req.Trace {
+			db.explainHit(req.SQL, s.qt)
 		}
 		return nil, nil
 	}
 	parseStart := time.Now()
-	stmt, err := sqlparse.Parse(sql)
+	stmt, err := sqlparse.Parse(req.SQL)
 	parse := time.Since(parseStart)
 	mQueryPhase.With("parse").Observe(parse.Seconds())
 	if s.qt != nil {
 		s.qt.ParseUS = parse.Microseconds()
 	}
-	if _, ok := stmt.(*sqlparse.SelectStmt); err == nil && !ok && mode == modeStream {
+	if _, ok := stmt.(*sqlparse.SelectStmt); err == nil && !ok && req.Mode == ModeStream {
 		err = fmt.Errorf("core: streaming supports SELECT statements only, got %T", stmt)
 	}
 	if err != nil {
 		s.finished = true // a statement that never ran is not accounted
 		return nil, err
 	}
-	job, err := db.run(s, stmt, key, mode == modeAsync)
+	job, err := db.run(ctx, s, stmt, key, req.Mode == ModeAsync)
 	if err != nil || job != nil {
 		s.finish(false, err)
 	}
 	return job, err
 }
 
+// drain answers req through Do on a stream of its own, waiting for any
+// expansion to its end (ExecSQL's signature carries no context), and
+// reads the answer into a Result with a SELECT's rows boxed: fresh memory
+// the caller owns. A hit's Result also carries the entry's shared batches.
+func (db *DB) drain(req Request) (*Result, *ExpansionReport, error) {
+	var s RowStream
+	if _, err := db.Do(context.TODO(), &s, req); err != nil {
+		return nil, nil, err
+	}
+	defer s.Close()
+	r := new(Result)
+	*r = s.done
+	if !s.reading {
+		s.finish(true, nil)
+		return r.Boxed(), s.report, nil
+	}
+	for {
+		b, err := s.NextBatch()
+		if err != nil {
+			return nil, nil, err
+		}
+		if b == nil {
+			break
+		}
+		r.Rows = b.AppendRows(r.Rows)
+	}
+	r.Columns, r.Affected = s.x.res.Columns, s.rows
+	return r, s.report, nil
+}
+
 // run opens stmt's answer on s: the one loop "open, and on a missing
-// expandable column expand and open again" of every entry point. The
-// expansion is submitted (or joined) on the job scheduler; async hands
-// its job back instead of waiting for it, as it does an EXPAND's. A
-// SELECT's answer is stored in the result cache under key, its text (""
-// stores nothing: nocache, a stream, or a statement handed over parsed).
-func (db *DB) run(s *RowStream, stmt sqlparse.Statement, key string, async bool) (*jobs.Job, error) {
+// expandable column expand and open again". The expansion is submitted
+// (or joined) on the job scheduler; async hands its job back instead of
+// waiting for it, as it does an EXPAND's, and otherwise it is waited for
+// until ctx is done. A SELECT's answer is stored in the result cache
+// under key, its text ("" stores nothing: NoCache, or a stream).
+func (db *DB) run(ctx context.Context, s *RowStream, stmt sqlparse.Statement, key string, async bool) (*jobs.Job, error) {
 	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
 		job, err := db.submitExpandStmt(ex)
 		if err != nil || async {
 			return job, err
 		}
-		if s.report, err = waitReport(job); err != nil {
+		if s.report, err = waitReport(ctx, job); err != nil {
 			return nil, err
 		}
 		s.done.Message = fmt.Sprintf("expanded %s.%s via %s: %d filled, %d unfilled, $%.2f",
@@ -335,7 +353,7 @@ func (db *DB) run(s *RowStream, stmt sqlparse.Statement, key string, async bool)
 	if job == nil || async {
 		return job, err
 	}
-	if s.report, err = waitReport(job); err != nil {
+	if s.report, err = waitReport(ctx, job); err != nil {
 		return nil, err
 	}
 	return nil, db.open(s, stmt, key)
@@ -367,33 +385,4 @@ func (db *DB) open(s *RowStream, stmt sqlparse.Statement, key string) error {
 		s.done = *res
 	}
 	return err
-}
-
-// QueryStream opens one statement's answer on s for the server's
-// buffered path: probe the result cache with the text (unless nocache),
-// and on a miss parse, plan and open it, waiting for any expansion it
-// triggers. traced attaches the statement's QueryTrace (RowStream.Trace),
-// which ?trace=1 encodes after the rows. s is the caller's — the server
-// recycles them, so a request allocates no stream — and is overwritten:
-// the caller must have closed what it held, and must Close it again when
-// done with this answer, error or not.
-func (db *DB) QueryStream(s *RowStream, sql string, nocache, traced bool) error {
-	_, err := db.query(s, sql, modeWait, nocache, traced)
-	return err
-}
-
-// ExecSQLStream parses sql and opens a SELECT for consumption a batch or
-// a row at a time. Like ExecSQL, a query referencing a registered
-// expandable column triggers (or joins) the expansion job and blocks
-// until it completes — the stream only starts producing rows once the
-// column is filled, so a client never observes a half-expanded answer.
-// Like ExecSQL's SELECTs it feeds the workload tracker and the query
-// metrics; unlike them it neither reads nor fills the result cache.
-// Statements other than SELECT are not streamable.
-func (db *DB) ExecSQLStream(sql string) (*RowStream, error) {
-	s := new(RowStream)
-	if _, err := db.query(s, sql, modeStream, true, false); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -20,7 +20,7 @@ func TestExecStreamBasic(t *testing.T) {
 	mustSQL(`CREATE TABLE nums (n INTEGER)`)
 	mustSQL(`INSERT INTO nums VALUES (1), (2), (3), (4), (5)`)
 
-	s, err := db.ExecSQLStream(`SELECT n FROM nums WHERE n >= 2 ORDER BY n DESC`)
+	s, _, err := do(db, Request{SQL: `SELECT n FROM nums WHERE n >= 2 ORDER BY n DESC`, Mode: ModeStream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExecStreamBasic(t *testing.T) {
 func TestExecStreamRejectsNonSelect(t *testing.T) {
 	db := NewDB(nil)
 	defer db.Close()
-	if _, err := db.ExecSQLStream(`DELETE FROM nowhere`); err == nil {
+	if _, _, err := do(db, Request{SQL: `DELETE FROM nowhere`, Mode: ModeStream}); err == nil {
 		t.Fatal("streaming DML must fail")
 	}
 }
@@ -66,7 +66,7 @@ func TestExecStreamTriggersExpansionBeforeFirstRow(t *testing.T) {
 	db.RegisterExpandable("movies", genre, storage.KindBool,
 		ExpandOptions{SamplesPerClass: 8, Assignments: 3})
 
-	s, err := db.ExecSQLStream(`SELECT name FROM movies WHERE ` + genre + ` = true`)
+	s, _, err := do(db, Request{SQL: `SELECT name FROM movies WHERE ` + genre + ` = true`, Mode: ModeStream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestExecStreamUnregisteredColumnFails(t *testing.T) {
 	if _, _, err := db.ExecSQL(`CREATE TABLE t (a INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.ExecSQLStream(`SELECT nosuch FROM t`)
+	_, _, err := do(db, Request{SQL: `SELECT nosuch FROM t`, Mode: ModeStream})
 	var missing *engine.MissingColumnError
 	if !errors.As(err, &missing) {
 		t.Fatalf("err = %v, want MissingColumnError", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -50,39 +51,35 @@ func twinDB(t *testing.T, dir string, create bool) *DB {
 
 // TestTextHitsFeedTheWorkloadLikeExecutions: a hit is never parsed or
 // planned, yet the workload model must not be able to tell. One database
-// answers every repeat from the cache by its text (Query), its twin
-// executes every one of them (Exec, which carries no text and so bypasses
-// the cache); the tracker's counters must agree — in memory, and after
-// both are reopened from what they journaled.
+// answers every repeat from the cache by its text (ExecSQL), its twin
+// executes every one of them (ExecSQLNoCache, which bypasses the cache);
+// the tracker's counters must agree — in memory, and after both are
+// reopened from what they journaled.
 func TestTextHitsFeedTheWorkloadLikeExecutions(t *testing.T) {
 	const repeats = 100 // 400 observations: the log gets full workload_obs records and a tail
 	dirA, dirB := t.TempDir(), t.TempDir()
 	a, b := twinDB(t, dirA, true), twinDB(t, dirB, true)
 	for i := 0; i < repeats; i++ {
 		for _, sql := range twinQueries {
-			hit, _, _, err := a.Query(sql, false, false)
+			hit, _, err := a.ExecSQL(sql)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			stmt, err := sqlparse.Parse(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exec, _, err := b.Exec(stmt)
+			exec, _, err := b.ExecSQLNoCache(sql)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			if !reflect.DeepEqual(storage.RowsOf(hit.Batches), exec.Rows) {
-				t.Fatalf("%s: the text path and Exec answer differently", sql)
+			if !reflect.DeepEqual(hit.Rows, exec.Rows) {
+				t.Fatalf("%s: the cached text path and ExecSQLNoCache answer differently", sql)
 			}
 		}
 	}
 	n := uint64(len(twinQueries))
 	if st := a.CacheStats(); st.Hits != (repeats-1)*n || st.Misses != n {
-		t.Fatalf("Query's cache saw %d hits and %d misses, want %d and %d", st.Hits, st.Misses, (repeats-1)*n, n)
+		t.Fatalf("ExecSQL's cache saw %d hits and %d misses, want %d and %d", st.Hits, st.Misses, (repeats-1)*n, n)
 	}
 	if st := b.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("Exec touched the cache: %+v", st)
+		t.Fatalf("ExecSQLNoCache touched the cache: %+v", st)
 	}
 	want := b.Workload().Counters
 	if got := a.Workload().Counters; !reflect.DeepEqual(got, want) {
@@ -105,17 +102,17 @@ func TestTextHitsFeedTheWorkloadLikeExecutions(t *testing.T) {
 	}
 }
 
-// TestAsyncEntryPointsAndTheCache: ExecSQLAsync is served from the cache
-// by its text like Query, and a write through it invalidates the text. Its
-// answer is the stream every entry point opens: a SELECT is accounted like
-// any other query, and a hit is read from the entry's batches, boxing
-// nothing.
+// TestAsyncEntryPointsAndTheCache: a ModeAsync request is served from
+// the cache by its text like a waiting one, and a write through it
+// invalidates the text. Its answer is the stream every request opens: a
+// SELECT is accounted like any other query, and a hit is read from the
+// entry's batches, boxing nothing.
 func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 	db := pathDB(t, 1)
 	const sql = `SELECT id, score FROM facts WHERE id >= 100 AND id < 110`
 	async := func(sql string) []storage.Row {
 		t.Helper()
-		s, job, err := db.ExecSQLAsync(sql)
+		s, job, err := do(db, Request{SQL: sql, Mode: ModeAsync})
 		if err != nil || job != nil {
 			t.Fatalf("%s: job %v, error %v", sql, job, err)
 		}
@@ -128,13 +125,13 @@ func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 	}
 	hit := async(sql)
 	if st := db.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("two ExecSQLAsync of one text: %+v, want one miss then one hit", st)
+		t.Fatalf("two async requests of one text: %+v, want one miss then one hit", st)
 	}
 	if len(hit) != 10 || !reflect.DeepEqual(hit, miss) {
 		t.Fatalf("the hit answers %d rows, the miss %d", len(hit), len(miss))
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		s, _, err := db.ExecSQLAsync(sql)
+		s, _, err := do(db, Request{SQL: sql, Mode: ModeAsync})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +144,10 @@ func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("an async hit allocates %.0f objects, want at most 2: its stream and the tracker's column list, no boxed row", allocs)
 	}
-	// A write through ExecSQLAsync is no lookup, and the text it changed
-	// misses again and sees the new row.
+	// A write through an async request is no lookup, and the text it
+	// changed misses again and sees the new row.
 	before := db.CacheStats()
-	s, _, err := db.ExecSQLAsync(`INSERT INTO facts VALUES (105, 1, 9.5, 'new')`)
+	s, _, err := do(db, Request{SQL: `INSERT INTO facts VALUES (105, 1, 9.5, 'new')`, Mode: ModeAsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,20 +170,24 @@ func TestAsyncEntryPointsAndTheCache(t *testing.T) {
 func TestTracedHitCarriesItsPlan(t *testing.T) {
 	db := pathDB(t, 1)
 	const sql = `SELECT id, score FROM facts WHERE k = 3 ORDER BY score DESC, id LIMIT 5`
-	if _, _, _, err := db.Query(sql, false, true); err != nil {
-		t.Fatal(err)
-	}
-	queries := db.Workload().Counters.TotalQueries
-	res, _, qt, err := db.Query(sql, false, true)
+	miss, _, err := do(db, Request{SQL: sql, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batchRows(t, miss, nil)
+	queries := db.Workload().Counters.TotalQueries
+	res, _, err := do(db, Request{SQL: sql, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchRows(t, res, nil)
+	qt := res.Trace()
 	stmt, _ := sqlparse.Parse(sql)
 	p, err := db.Engine().PlanSelect(stmt.(*sqlparse.SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qt.CacheHit || qt.Rows != 5 || res.Affected != 5 || qt.ExecUS != 0 || !reflect.DeepEqual(qt.Plan, p.Explain()) {
+	if !qt.CacheHit || qt.Rows != 5 || res.Affected() != 5 || qt.ExecUS != 0 || !reflect.DeepEqual(qt.Plan, p.Explain()) {
 		t.Fatalf("traced hit: %+v, want a 5-row hit with the statement's plan and no execution", qt)
 	}
 	if got := db.Workload().Counters.TotalQueries; got != queries+1 {
@@ -195,19 +196,30 @@ func TestTracedHitCarriesItsPlan(t *testing.T) {
 }
 
 // TestTextHitAllocations: an in-process hit is one map lookup — no parse,
-// no plan, no fingerprint. What it allocates is the Result around the
-// entry's batches and the column list the tracker keeps of its one
+// no plan, no fingerprint. What it allocates is at most the stream around
+// the entry's batches and the column list the tracker keeps of its one
 // observation. Keyed on the plan fingerprint, the same hit was 77 objects.
 func TestTextHitAllocations(t *testing.T) {
 	db := pathDB(t, 1)
 	const sql = `SELECT id, score FROM facts WHERE id >= 100 AND id < 140`
-	if _, _, _, err := db.Query(sql, false, false); err != nil {
+	if _, _, err := db.ExecSQL(sql); err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(200, func() {
-		if res, _, _, err := db.Query(sql, false, false); err != nil || res.Affected != 40 {
+		var s RowStream
+		if _, err := db.Do(ctx, &s, Request{SQL: sql}); err != nil {
 			t.Fatalf("hit: %v", err)
 		}
+		for b, err := s.NextBatch(); b != nil || err != nil; b, err = s.NextBatch() {
+			if err != nil {
+				t.Fatalf("hit: %v", err)
+			}
+		}
+		if s.Affected() != 40 {
+			t.Fatalf("hit answered %d rows", s.Affected())
+		}
+		_ = s.Close()
 	}); allocs > 2 {
 		t.Fatalf("a text hit allocates %.0f objects, want at most 2", allocs)
 	}

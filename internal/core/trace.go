@@ -6,8 +6,9 @@ import (
 	"unicode/utf8"
 )
 
-// QueryTrace is one query's phase breakdown, produced by ExecSQLTraced
-// (the POST /v1/query?trace=1 payload and the slow-query log record).
+// QueryTrace is one query's phase breakdown, produced by a traced
+// request (Request.Trace: the POST /v1/query?trace=1 payload) and for the
+// slow-query log record.
 // Durations are microseconds; Plan carries the operator tree annotated
 // with per-operator actuals when the query executed (un-annotated when
 // the answer came from the result cache — nothing ran).
@@ -27,31 +28,12 @@ type QueryTrace struct {
 	Plan []string `json:"plan,omitempty"`
 }
 
-// ExecSQLTraced is ExecSQL with per-phase and per-operator tracing on:
-// the returned QueryTrace carries the phase split and, for SELECTs that
-// actually executed, the plan tree annotated with actual rows and wall
-// time per operator. nocache additionally bypasses the result cache
-// (?trace=1&nocache=1 composes). Tracing slows the executor's row path,
-// so this is the ?trace=1 / slow-query path, not the default.
-func (db *DB) ExecSQLTraced(sql string, nocache bool) (*Result, *ExpansionReport, *QueryTrace, error) {
-	return db.drain(sql, nocache, true, true)
-}
-
 // autoTrace reports whether untraced statements should run traced anyway:
 // a slow-query threshold needs the operator breakdown in hand *before*
 // it knows the query was slow, so configuring -slow-query (or -trace)
 // prices every SELECT at traced cost. The ≤2% overhead contract of
 // BenchmarkInstrumentedSelect applies only with both off.
 func (db *DB) autoTrace() bool { return db.traceAll || db.slowQuery > 0 }
-
-// Query is ExecSQL with the answer left columnar: Result.Batches — a
-// hit's, shared with the result cache, or an owned copy of the executor's
-// — and no Rows. nocache bypasses the
-// cache, traced returns the statement's QueryTrace (see QueryStream, which
-// leaves the answer to be read from the executor instead).
-func (db *DB) Query(sql string, nocache, traced bool) (*Result, *ExpansionReport, *QueryTrace, error) {
-	return db.drain(sql, nocache, traced, false)
-}
 
 // logSlow emits the slow-query log record when the threshold is set and
 // exceeded. Structured (slog) so it is machine-collectable; the format

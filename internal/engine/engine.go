@@ -49,8 +49,8 @@ type Result struct {
 	// rows as they read them from the executor, may leave it nil.
 	Batches []storage.Batch
 	// Rows are the same tuples boxed, fresh memory the caller owns. Only
-	// the entry points embedded callers read rows from fill it in; Run,
-	// RunPlan and internal/core's Query leave it nil.
+	// the entry points embedded callers read rows from fill it in; Run
+	// and RunPlan leave it nil.
 	Rows []storage.Row
 	// Affected counts rows inserted/updated/deleted for DML, or rows in
 	// the result set for SELECT.

@@ -8,8 +8,8 @@ import (
 	"crowddb/internal/jobs"
 )
 
-// Unified error envelope. Every error response from every endpoint —
-// versioned or legacy — has the shape
+// Unified error envelope. Every error response from every endpoint has
+// the shape
 //
 //	{"error": {"code": "budget_exceeded", "message": "...", "status": 402}}
 //

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"crowddb/internal/sqlref"
@@ -17,12 +18,14 @@ import (
 
 // fuzzPaths are the ways FuzzQueryHTTP sends a statement: the buffered
 // envelope, the NDJSON stream, the envelope traced and past the cache, and
-// the async mode.
+// the async mode; the stream traced, and async traced past the cache.
 var fuzzPaths = []struct{ path, mode string }{
 	{"/v1/query", ""},
 	{"/v1/query?stream=1", ""},
 	{"/v1/query?nocache=1&trace=1", ""},
 	{"/v1/query", "async"},
+	{"/v1/query?stream=1&trace=1", ""},
+	{"/v1/query?nocache=1&trace=1", "async"},
 }
 
 // FuzzQueryHTTP sends arbitrary text through /v1/query over the sqlref
@@ -64,7 +67,7 @@ func FuzzQueryHTTP(f *testing.F) {
 		rec := httptest.NewRecorder()
 		srv.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, p.path, bytes.NewReader(body)))
 		var err error
-		if p.path == "/v1/query?stream=1" && rec.Code == http.StatusOK {
+		if strings.Contains(p.path, "stream=1") && rec.Code == http.StatusOK {
 			err = checkStream(rec.Body.Bytes())
 		} else {
 			err = checkEnvelope(rec.Code, rec.Body.Bytes())
@@ -155,6 +158,7 @@ func checkStream(body []byte) error {
 			Rows      *int              `json:"rows"`
 			Error     *string           `json:"error"`
 			Expansion json.RawMessage   `json:"expansion"`
+			Trace     json.RawMessage   `json:"trace"`
 		}
 		if err := decodeOne(append(line, '\n'), &l); err != nil {
 			return err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -373,7 +374,16 @@ func TestMetricsScrapeRaceStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; time.Now().Before(deadline); i++ {
 			sql := fmt.Sprintf(`SELECT name FROM movies WHERE year > %d LIMIT 5`, 1950+i%40)
-			if _, _, _, err := db.ExecSQLTraced(sql, i%2 == 0); err != nil {
+			var s core.RowStream
+			_, err := db.Do(context.Background(), &s, core.Request{SQL: sql, NoCache: i%2 == 0, Trace: true})
+			for err == nil {
+				var b *storage.Batch
+				if b, err = s.NextBatch(); b == nil {
+					break
+				}
+			}
+			_ = s.Close()
+			if err != nil {
 				fail <- "query: " + err.Error()
 				return
 			}

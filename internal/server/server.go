@@ -4,21 +4,22 @@
 //
 // The API is versioned under /v1/:
 //
-//	POST /v1/query          {"sql": "...", "mode": "sync"|"async"}
-//	POST /v1/query?stream=1 NDJSON row streaming for SELECTs (sync only)
-//	POST /v1/query?trace=1  attach the per-phase/per-operator trace (sync)
-//	GET  /v1/metrics        Prometheus text exposition of all subsystems
-//	GET  /v1/jobs           all expansion jobs, submission order
-//	GET  /v1/jobs/{id}      one job (add ?wait=1 to block until terminal)
-//	GET  /v1/schema         table names + storage engine
-//	GET  /v1/schema/{table} column/index inventory + storage health
-//	GET  /v1/ledger         cumulative crowd spend + per-job breakdown
-//	GET  /v1/budgets        per-API-key budget caps and spend
-//	GET  /v1/workload       workload trace + result-cache effectiveness
-//	POST /v1/admin/expand   explicit pre-warm expansion with budget/key
-//	POST /v1/admin/snapshot persist a snapshot and truncate the WAL
-//	POST /v1/admin/compact  force a tombstone-compaction sweep
-//	GET  /v1/healthz        liveness (also unversioned: /healthz)
+//	POST /v1/query           {"sql": "...", "mode": "sync"|"async"}
+//	POST /v1/query?stream=1  NDJSON row streaming for SELECTs (not async)
+//	POST /v1/query?nocache=1 bypass the result cache (any mode)
+//	POST /v1/query?trace=1   attach the per-phase/per-operator trace
+//	GET  /v1/metrics         Prometheus text exposition of all subsystems
+//	GET  /v1/jobs            all expansion jobs, submission order
+//	GET  /v1/jobs/{id}       one job (add ?wait=1 to block until terminal)
+//	GET  /v1/schema          table names + storage engine
+//	GET  /v1/schema/{table}  column/index inventory + storage health
+//	GET  /v1/ledger          cumulative crowd spend + per-job breakdown
+//	GET  /v1/budgets         per-API-key budget caps and spend
+//	GET  /v1/workload        workload trace + result-cache effectiveness
+//	POST /v1/admin/expand    explicit pre-warm expansion with budget/key
+//	POST /v1/admin/snapshot  persist a snapshot and truncate the WAL
+//	POST /v1/admin/compact   force a tombstone-compaction sweep
+//	GET  /v1/healthz         liveness (also unversioned: /healthz)
 //
 // Nothing else answers except, with Config.EnablePprof, net/http/pprof
 // under /debug/pprof/*. Every route is wrapped in the observability
@@ -29,11 +30,12 @@
 // codes (see errors.go and DESIGN.md §16).
 //
 // Sync queries block until the answer is complete — including any crowd
-// expansion they trigger — which can take simulated crowd minutes; async
-// queries return 202 with a job handle instead. A bounded admission
-// semaphore sheds load with 503 + Retry-After once MaxInflight queries
-// are in flight, so a burst of expensive queries degrades loudly rather
-// than queueing without bound.
+// expansion they trigger — which can take simulated crowd minutes, or
+// until their client hangs up; async queries return 202 with a job handle
+// instead. Every mode is one core.Request, answered by one DB.Do. A
+// bounded admission semaphore sheds load with 503 + Retry-After once
+// MaxInflight queries are in flight, so a burst of expensive queries
+// degrades loudly rather than queueing without bound.
 package server
 
 import (
@@ -181,7 +183,7 @@ type queryRequest struct {
 	SQL string `json:"sql"`
 	// Mode is "sync" (default: block until the answer, expansions
 	// included) or "async" (return 202 + job when an expansion is
-	// needed).
+	// needed): core.ModeWait or core.ModeAsync.
 	Mode string `json:"mode"`
 }
 
@@ -239,78 +241,66 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req queryRequest
-	if !decodeBody(w, r, &req) {
+	var body queryRequest
+	if !decodeBody(w, r, &body) {
 		return
 	}
-	if req.SQL == "" {
+	if body.SQL == "" {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("server: empty sql"))
-		return
-	}
-
-	params := queryParams(r)
-	if boolParam(params, "stream") {
-		if req.Mode == "async" {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("server: stream=1 is incompatible with mode=async"))
-			return
-		}
-		s.streamQuery(w, r, req.SQL)
 		return
 	}
 
 	// ?nocache=1 bypasses the semantic result cache for this statement —
 	// the escape hatch for clients that must observe the live rows (e.g.
 	// verifying an invalidation bug) without disabling the cache globally.
-	nocache := boolParam(params, "nocache")
 	// ?trace=1 executes with per-phase and per-operator tracing on and
-	// attaches the annotated plan tree to the response (sync only —
-	// async work runs on the scheduler, detached from this request).
-	trace := boolParam(params, "trace")
-
-	switch req.Mode {
+	// attaches the annotated plan tree to the answer.
+	params := queryParams(r)
+	req := core.Request{SQL: body.SQL, NoCache: boolParam(params, "nocache"), Trace: boolParam(params, "trace")}
+	switch body.Mode {
 	case "", "sync":
-		ans := streams.Get().(*core.RowStream)
-		defer release(ans)
-		if err := s.db.QueryStream(ans, req.SQL, nocache, trace); err != nil {
-			writeQueryError(w, err)
-			return
-		}
-		writeQueryResponse(w, http.StatusOK, ans, queryTail{Expansion: ans.Expansion(), Trace: ans.Trace()})
 	case "async":
-		ans, job, err := s.db.ExecSQLAsync(req.SQL)
-		if err != nil {
-			writeQueryError(w, err)
-			return
-		}
-		if job != nil {
-			st := job.Status()
-			writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
-			return
-		}
-		defer ans.Close()
-		writeQueryResponse(w, http.StatusOK, ans, queryTail{})
+		req.Mode = core.ModeAsync
 	default:
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: unknown mode %q", req.Mode))
+		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: unknown mode %q", body.Mode))
+		return
+	}
+	if boolParam(params, "stream") {
+		if req.Mode == core.ModeAsync {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("server: stream=1 is incompatible with mode=async"))
+			return
+		}
+		req.Mode = core.ModeStream
+	}
+
+	// A client that hangs up while its query waits for the crowd ends
+	// the wait — and frees its admission slot — but not the expansion.
+	ans := streams.Get().(*core.RowStream)
+	defer release(ans)
+	job, err := s.db.Do(r.Context(), ans, req)
+	switch {
+	case err != nil:
+		writeQueryError(w, err)
+	case job != nil:
+		st := job.Status()
+		writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
+	case req.Mode == core.ModeStream:
+		streamQuery(w, r, ans)
+	default:
+		writeQueryResponse(w, http.StatusOK, ans, queryTail{Expansion: ans.Expansion(), Trace: ans.Trace()})
 	}
 }
 
-// streamQuery serves a SELECT as NDJSON (one JSON object per line):
-// a header line {"columns": […]}, then {"row": […]} per result row, and
-// finally a trailer {"done": true, "rows": n, "expansion": …} — or
-// {"error": "…"} at whatever point the query failed, or at the first row
-// holding a value JSON cannot carry (NaN, ±Inf). Rows are encoded
-// from the stream's batches as they are produced and the response is
-// flushed as it goes, so a client sees data while the scan is still
-// running; the stream holds a snapshot pin, never a lock, for the
-// duration of the transfer.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string) {
-	stream, err := s.db.ExecSQLStream(sql)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	defer stream.Close()
-
+// streamQuery serves an opened SELECT as NDJSON (one JSON object per
+// line): a header line {"columns": […]}, then {"row": […]} per result
+// row, and finally a trailer {"done": true, "rows": n, "expansion": …,
+// "trace": …} — or {"error": "…"} at whatever point the query failed, or
+// at the first row holding a value JSON cannot carry (NaN, ±Inf). Rows
+// are encoded from the stream's batches as they are produced and the
+// response is flushed as it goes, so a client sees data while the scan
+// is still running; the stream holds a snapshot pin, never a lock, for
+// the duration of the transfer.
+func streamQuery(w http.ResponseWriter, r *http.Request, stream *core.RowStream) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -361,6 +351,9 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string)
 	trailer := map[string]any{"done": true, "rows": stream.Rows()}
 	if rep := stream.Expansion(); rep != nil {
 		trailer["expansion"] = rep
+	}
+	if qt := stream.Trace(); qt != nil {
+		trailer["trace"] = qt
 	}
 	_ = enc.Encode(trailer)
 	flush()

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -416,5 +417,120 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve returned %v after graceful shutdown", err)
+	}
+}
+
+// TestCancelledQueryLetsGoOfItsSlot: a client that hangs up while its
+// sync query waits for the crowd ends the wait — its handler returns and
+// its admission slot is free for the next query while the crowd is still
+// out — but not the expansion, which finishes with one charge and fills
+// the column the next query reads.
+func TestCancelledQueryLetsGoOfItsSlot(t *testing.T) {
+	svc := &fakeService{gate: make(chan struct{})}
+	s, _ := newTestServer(t, svc, Config{MaxInflight: 1})
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/v1/query" {
+			returned <- struct{}{}
+		}
+	}))
+	defer ts.Close()
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(svc.gate) }) }
+	defer open() // before ts.Close, which waits for the handlers
+	const sql = `SELECT name FROM movies WHERE is_comedy = true`
+
+	ctx, cancel := context.WithCancel(context.Background())
+	clientDone := make(chan error, 1)
+	go func() {
+		body, _ := json.Marshal(queryRequest{SQL: sql})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientDone <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.calls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("expansion never reached the crowd")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-clientDone; err == nil {
+		t.Fatal("the cancelled request was answered")
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler still waits for the crowd after its client hung up")
+	}
+
+	// The slot is free while the crowd is still out.
+	if code, _ := postQuery(t, ts.URL, `SELECT COUNT(*) FROM movies`, ""); code != http.StatusOK {
+		t.Fatalf("the next query answered %d, want 200", code)
+	}
+	<-returned
+
+	open()
+	list := s.db.Jobs()
+	if len(list) != 1 {
+		t.Fatalf("%d jobs, want 1", len(list))
+	}
+	job, _ := s.db.JobHandle(list[0].ID)
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Status(); st.State != jobs.StateDone || st.Ledger.Charges != 1 {
+		t.Fatalf("job status = %+v, want done with one charge", st)
+	}
+
+	// A re-query reads the filled column and submits nothing.
+	code, out := postQuery(t, ts.URL, sql, "")
+	if code != http.StatusOK || out.Expansion != nil || len(out.Rows) != 10 {
+		t.Fatalf("re-query: code %d, %d rows, expansion %+v", code, len(out.Rows), out.Expansion)
+	}
+	if n, calls := len(s.db.Jobs()), svc.calls.Load(); n != 1 || calls != 1 {
+		t.Fatalf("after the re-query: %d jobs and %d crowd calls, want 1 and 1", n, calls)
+	}
+	if led := s.db.Ledger(); led.Jobs != 1 {
+		t.Fatalf("ledger charged %d jobs, want 1", led.Jobs)
+	}
+}
+
+// TestAsyncHonoursNoCacheAndTrace: an async query answered at once is the
+// same request as a sync one — ?nocache=1 serves it live, touching the
+// result cache not at all, and ?trace=1 attaches its trace.
+func TestAsyncHonoursNoCacheAndTrace(t *testing.T) {
+	s, _ := newTestServer(t, &fakeService{}, Config{})
+	const sql = `SELECT name FROM movies WHERE year >= 2005`
+	async := func(path string) (int, queryResponse) {
+		t.Helper()
+		code, body := post(s.Handler(), path, queryRequest{SQL: sql, Mode: "async"})
+		var out queryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return code, out
+	}
+
+	before := s.db.CacheStats()
+	code, out := async("/v1/query?nocache=1")
+	if code != http.StatusOK || len(out.Rows) != 5 || out.Trace != nil {
+		t.Fatalf("mode=async&nocache=1: code %d, %d rows, trace %+v", code, len(out.Rows), out.Trace)
+	}
+	if after := s.db.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses || after.Entries != before.Entries {
+		t.Fatalf("mode=async&nocache=1 moved the cache %+v → %+v", before, after)
+	}
+
+	code, out = async("/v1/query?nocache=1&trace=1")
+	if code != http.StatusOK || len(out.Rows) != 5 || out.Trace == nil || out.Trace.CacheHit || out.Trace.Rows != 5 || len(out.Trace.Plan) == 0 {
+		t.Fatalf("mode=async&nocache=1&trace=1: code %d, %d rows, trace %+v", code, len(out.Rows), out.Trace)
+	}
+	if after := s.db.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses || after.Entries != before.Entries {
+		t.Fatalf("a traced mode=async&nocache=1 moved the cache %+v → %+v", before, after)
 	}
 }

@@ -38,18 +38,18 @@ func newRefServer(tb testing.TB, workers int) refServer {
 	return refServer{db: db, h: New(db, Config{}).Handler()}
 }
 
-// post sends sql to path of h and returns the status and the body.
-func post(h http.Handler, path, sql string) (int, []byte) {
-	body, _ := json.Marshal(queryRequest{SQL: sql})
+// post sends req to path of h and returns the status and the body.
+func post(h http.Handler, path string, req queryRequest) (int, []byte) {
+	body, _ := json.Marshal(req)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	return rec.Code, rec.Body.Bytes()
 }
 
-// envelopeKeys answers sql through /v1/query — path carries the query
+// envelopeKeys answers req through /v1/query — path carries the query
 // string — as sqlref keys: each row's JSON array as the server wrote it.
-func envelopeKeys(h http.Handler, path, sql string) ([]string, error) {
-	code, body := post(h, path, sql)
+func envelopeKeys(h http.Handler, path string, req queryRequest) ([]string, error) {
+	code, body := post(h, path, req)
 	var out struct {
 		Rows     [][]json.RawMessage `json:"rows"`
 		Affected int                 `json:"affected"`
@@ -73,7 +73,7 @@ func envelopeKeys(h http.Handler, path, sql string) ([]string, error) {
 
 // streamKeys answers sql through /v1/query?stream=1 as sqlref keys.
 func streamKeys(h http.Handler, sql string) ([]string, error) {
-	code, body := post(h, "/v1/query?stream=1", sql)
+	code, body := post(h, "/v1/query?stream=1", queryRequest{SQL: sql})
 	if code != http.StatusOK {
 		return nil, fmt.Errorf("stream: status %d: %.200s", code, body)
 	}
@@ -112,16 +112,18 @@ func streamKeys(h http.Handler, sql string) ([]string, error) {
 // the answer, and holds each to the reference interpreter's: the envelope
 // at the text's first sighting (a miss, whose large answer the cache
 // defers), ExecSQL at its second (a miss that stores it, or a hit), the
-// envelope at its third (a hit), a ?stream=1 stream and ExecSQLNoCache,
-// which bypass the cache.
+// envelope at its third (a hit), mode=async (a hit) and
+// mode=async&nocache=1 (the executor), a ?stream=1 stream and
+// ExecSQLNoCache, which bypass the cache.
 func checkReference(t *testing.T, srv refServer, q *sqlref.Query, want []string) {
 	t.Helper()
 	sql, ordered := q.SQL(), q.Ordered()
+	sync, async := queryRequest{SQL: sql}, queryRequest{SQL: sql, Mode: "async"}
 	answers := []struct {
 		path string
 		get  func() ([]string, error)
 	}{
-		{"first sighting, /v1/query", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sql) }},
+		{"first sighting, /v1/query", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sync) }},
 		{"second sighting, ExecSQL", func() ([]string, error) {
 			res, _, err := srv.db.ExecSQL(sql)
 			if err != nil {
@@ -129,7 +131,9 @@ func checkReference(t *testing.T, srv refServer, q *sqlref.Query, want []string)
 			}
 			return sqlref.Keys(res.Rows, true), nil
 		}},
-		{"third sighting, /v1/query", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sql) }},
+		{"third sighting, /v1/query", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sync) }},
+		{"mode=async", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", async) }},
+		{"mode=async&nocache=1", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query?nocache=1", async) }},
 		{"?stream=1", func() ([]string, error) { return streamKeys(srv.h, sql) }},
 		{"ExecSQLNoCache", func() ([]string, error) {
 			res, _, err := srv.db.ExecSQLNoCache(sql)
@@ -159,9 +163,9 @@ const generatedSeeds, generatedQueriesPerSeed = 24, 4
 
 // FuzzGeneratedSelects holds every query the sqlref generator writes from
 // a seed to the reference interpreter's answer, along each axis this
-// path's answers must not depend on: dop 1 and 4, the buffered envelope,
-// ExecSQL, the NDJSON stream and the cache bypassed, and a text's first,
-// second and third sightings — deferred, stored and hit when its answer
+// path's answers must not depend on: dop 1 and 4, the buffered envelope
+// in sync and async mode, ExecSQL, the NDJSON stream and the cache
+// bypassed, and a text's first, second and third sightings — deferred, stored and hit when its answer
 // is over the cache's 16 KiB admission line, stored and hit when under.
 // go test runs the fixed seeds below; go test -fuzz FuzzGeneratedSelects
 // searches more of them. A failure prints the query.

@@ -144,6 +144,28 @@ func TestStreamingSelectNDJSON(t *testing.T) {
 	}
 }
 
+// TestStreamTrailerCarriesTrace: ?stream=1&trace=1 ends in a trailer
+// carrying the statement's trace, complete once its rows are out.
+func TestStreamTrailerCarriesTrace(t *testing.T) {
+	srv, _ := joinServer(t)
+	code, raw := post(srv.Handler(), "/v1/query?stream=1&trace=1", queryRequest{SQL: `SELECT name FROM movies WHERE year < 1995 ORDER BY year`})
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte{'\n'})
+	var trailer struct {
+		Done  bool             `json:"done"`
+		Rows  int              `json:"rows"`
+		Trace *core.QueryTrace `json:"trace"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &trailer); err != nil {
+		t.Fatal(err)
+	}
+	if qt := trailer.Trace; !trailer.Done || trailer.Rows != 5 || qt == nil || qt.Rows != 5 || qt.CacheHit || len(qt.Plan) == 0 {
+		t.Fatalf("trailer %s", lines[len(lines)-1])
+	}
+}
+
 func TestStreamingRejectsNonSelectAndAsync(t *testing.T) {
 	_, url := joinServer(t)
 	code, lines := streamLines(t, url, `DELETE FROM movies`)

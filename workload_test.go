@@ -97,7 +97,7 @@ func TestSpeculativePreExpansionSharesOneCharge(t *testing.T) {
 	db := speculativeDB(t, 42, 30*time.Millisecond, cap)
 	teachComedyThenDrama(db, 4)
 
-	_, job, err := db.ExecSQLAsync(`SELECT name FROM movies WHERE comedy = true`)
+	job, err := db.Do(context.Background(), new(crowddb.RowStream), crowddb.Request{SQL: `SELECT name FROM movies WHERE comedy = true`, Mode: crowddb.ModeAsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestWorkloadSurvivesRestartCacheCold(t *testing.T) {
 func TestConcurrentCacheReadsDuringCrowdFill(t *testing.T) {
 	db := speculativeDB(t, 44, 10*time.Millisecond, 0)
 
-	_, job, err := db.ExecSQLAsync(`SELECT name FROM movies WHERE comedy = true`)
+	job, err := db.Do(context.Background(), new(crowddb.RowStream), crowddb.Request{SQL: `SELECT name FROM movies WHERE comedy = true`, Mode: crowddb.ModeAsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +713,7 @@ func BenchmarkSpeculativeHitMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db := speculativeDB(b, int64(200+i), 20*time.Millisecond, 2.0)
 		teachComedyThenDrama(db, 4)
-		_, job, err := db.ExecSQLAsync(`SELECT name FROM movies WHERE comedy = true`)
+		job, err := db.Do(context.Background(), new(crowddb.RowStream), crowddb.Request{SQL: `SELECT name FROM movies WHERE comedy = true`, Mode: crowddb.ModeAsync})
 		if err != nil {
 			b.Fatal(err)
 		}
