@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -367,6 +368,24 @@ func (db *DB) finishCrowd(e *elicitation, res *crowd.RunResult, report *Expansio
 	return err
 }
 
+// FillC is the soft-margin penalty of the SVM a SPACE expansion trains on
+// the crowd's voted sample and fills the column with.
+const FillC = 2
+
+// CleaningC is the soft-margin penalty of the SVM that flags questionable
+// responses (IdentifyQuestionable, HYBRID's cleaning pass). It is softer
+// than FillC because that SVM trains on every stored label, the wrong ones
+// among them, and must smooth over an isolated wrong label rather than
+// memorize it: a model that memorizes its labels contradicts none of them
+// and flags nothing — which is why the metadata space fails in the
+// paper's Table 4. 0.5 is the value Table 4 was established with.
+const CleaningC = 0.5
+
+// ErrSingleClass is the error of a SPACE expansion whose voted training
+// sample holds one class only (or none): no classifier can be trained on
+// it, and the column is left as it was.
+var ErrSingleClass = errors.New("core: crowd training sample is single-class")
+
 // finishSpace trains an RBF-SVM on the voted sample over the perceptual
 // space and predicts every item of the space: the labels are the model's.
 func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
@@ -400,10 +419,9 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 	}
 	report.TrainingSize = len(X)
 	if pos == 0 || pos == len(X) {
-		return fmt.Errorf("core: crowd training sample for %s is single-class (pos=%d, neg=%d)",
-			e.column, pos, len(X)-pos)
+		return fmt.Errorf("%w: %s (pos=%d, neg=%d)", ErrSingleClass, e.column, pos, len(X)-pos)
 	}
-	model, err := db.trainSVC(X, y, svm.SVCConfig{C: 2})
+	model, err := db.trainSVC(X, y, svm.SVCConfig{C: FillC})
 	if err != nil {
 		return err
 	}
@@ -650,7 +668,7 @@ func (db *DB) questionable(tbl *storage.Table, binding *tableBinding, column str
 	if len(X) < 10 {
 		return nil, fmt.Errorf("core: too few labeled rows (%d) to identify questionable responses", len(X))
 	}
-	model, err := db.trainSVC(X, y, svm.SVCConfig{C: 2})
+	model, err := db.trainSVC(X, y, svm.SVCConfig{C: CleaningC})
 	if err != nil {
 		return nil, err
 	}

@@ -316,11 +316,11 @@ func TestDocumentsShape(t *testing.T) {
 			t.Fatalf("document %d suspiciously short: %v", i, d)
 		}
 	}
-	// Determinism.
+	// Determinism, token for token.
 	again := u.Documents(4)
 	for i := range docs {
-		if len(docs[i]) != len(again[i]) {
-			t.Fatal("Documents must be deterministic per seed")
+		if !slices.Equal(docs[i], again[i]) {
+			t.Fatalf("document %d differs across equal seeds:\n%v\n%v", i, docs[i], again[i])
 		}
 	}
 }

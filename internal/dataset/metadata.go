@@ -85,13 +85,14 @@ func (u *Universe) Documents(seed int64) [][]string {
 		for k := 0; k < nPlot; k++ {
 			doc = append(doc, plotWords[rng.Intn(len(plotWords))])
 		}
-		// Weak category hints.
-		for name, cat := range u.Categories {
-			hint, ok := genreHints[name]
-			if !ok || cat.Spec.Kind != Perceptual {
+		// Weak category hints, in declaration order: the draws below
+		// share rng with every other token of the corpus.
+		for _, spec := range u.Config.Categories {
+			hint, ok := genreHints[spec.Name]
+			if !ok || spec.Kind != Perceptual {
 				continue
 			}
-			if cat.Reference[i] && rng.Float64() < 0.15 {
+			if u.Categories[spec.Name].Reference[i] && rng.Float64() < 0.15 {
 				doc = append(doc, hint)
 			}
 		}

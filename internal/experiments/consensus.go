@@ -36,7 +36,6 @@ func (e *Env) RunConsensus(pairs int) (*ConsensusResult, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("experiments: space too small")
 	}
-	sampled := make([][2]int, 0, pairs)
 	consensus := make([]float64, 0, pairs)
 	learned := make([]float64, 0, pairs)
 	for k := 0; k < pairs; k++ {
@@ -44,11 +43,10 @@ func (e *Env) RunConsensus(pairs int) (*ConsensusResult, error) {
 		if i == j {
 			continue
 		}
-		sampled = append(sampled, [2]int{i, j})
 		consensus = append(consensus, vecmath.Dist(e.U.Latent.Row(i), e.U.Latent.Row(j)))
 		learned = append(learned, e.Space.Distance(i, j))
 	}
-	res := &ConsensusResult{Pairs: len(sampled)}
+	res := &ConsensusResult{Pairs: len(consensus)}
 	res.SpaceVsConsensus = vecmath.Pearson(learned, consensus)
 
 	// Individual users: consensus + personal noise scaled to match the

@@ -5,8 +5,7 @@ import (
 	"io"
 
 	"crowddb/internal/dataset"
-	"crowddb/internal/eval"
-	"crowddb/internal/space"
+	"crowddb/internal/svm"
 )
 
 // DomainRow is one category's small-sample g-means in a non-movie domain.
@@ -33,15 +32,10 @@ func runDomain(cfg dataset.Config, opt Options) (*DomainResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scfg := space.DefaultConfig()
-	scfg.Dims = opt.SpaceDims
-	scfg.Epochs = opt.SpaceEpochs
-	scfg.Seed = opt.Seed
-	model, _, err := space.TrainEuclidean(u.Ratings, scfg)
+	sp, _, err := trainSpace(u, opt)
 	if err != nil {
 		return nil, err
 	}
-	sp := space.FromModel(model)
 
 	res := &DomainResult{
 		Domain:      cfg.Name,
@@ -50,27 +44,19 @@ func runDomain(cfg dataset.Config, opt Options) (*DomainResult, error) {
 		Mean:        make([]float64, len(SampleSizes)),
 	}
 	counted := make([]int, len(SampleSizes))
+	var tr svm.Trainer
 	for _, spec := range cfg.Categories {
 		cat := u.Categories[spec.Name]
 		row := DomainRow{Category: spec.Name, Kind: spec.Kind}
-		for si, n := range SampleSizes {
-			var gs []float64
-			for rep := 0; rep < opt.Repetitions; rep++ {
-				seed := opt.Seed + int64(1000*si+rep)
-				if g, ok := smallSampleGMean(sp, cat.Reference, n, seed); ok {
-					gs = append(gs, g)
-				}
-			}
-			if len(gs) == 0 {
-				// Rare category too small for this n at this scale; report
-				// NaN-free zero and skip it in the mean.
-				row.GMean = append(row.GMean, 0)
-				continue
-			}
-			m, _ := eval.MeanStd(gs)
+		for si := range SampleSizes {
+			// A rare category too small for this n at this scale reports
+			// zero and stays out of the mean.
+			m, _, ok := repeatedGMean(&tr, sp, cat.Reference, si, opt)
 			row.GMean = append(row.GMean, m)
-			res.Mean[si] += m
-			counted[si]++
+			if ok {
+				res.Mean[si] += m
+				counted[si]++
+			}
 		}
 		res.Rows = append(res.Rows, row)
 	}

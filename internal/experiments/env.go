@@ -12,9 +12,11 @@ import (
 	"math/rand"
 	"time"
 
+	"crowddb/internal/core"
 	"crowddb/internal/dataset"
 	"crowddb/internal/lsi"
 	"crowddb/internal/space"
+	"crowddb/internal/storage"
 )
 
 // Options configures an experiment environment.
@@ -68,36 +70,29 @@ func TinyOptions() Options {
 	}
 }
 
+// fillDefaults gives every unset field DefaultOptions' value, clamps the
+// sample to the universe and derives Table4Repetitions from Repetitions.
 func (o *Options) fillDefaults() {
+	d := DefaultOptions()
 	if o.Scale.Items == 0 {
-		o.Scale = dataset.ScaleSmall
+		o.Scale = d.Scale
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = d.Seed
 	}
-	if o.SpaceDims <= 0 {
-		o.SpaceDims = 50
-	}
-	if o.SpaceEpochs <= 0 {
-		o.SpaceEpochs = 30
-	}
-	if o.MetaDims <= 0 {
-		o.MetaDims = 50
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 1000
-	}
-	if o.SampleSize > o.Scale.Items {
-		o.SampleSize = o.Scale.Items
-	}
-	if o.Repetitions <= 0 {
-		o.Repetitions = 20
-	}
-	if o.Table4Repetitions <= 0 {
-		o.Table4Repetitions = o.Repetitions / 4
-		if o.Table4Repetitions < 3 {
-			o.Table4Repetitions = 3
-		}
+	orDefault(&o.SpaceDims, d.SpaceDims)
+	orDefault(&o.SpaceEpochs, d.SpaceEpochs)
+	orDefault(&o.MetaDims, d.MetaDims)
+	orDefault(&o.SampleSize, d.SampleSize)
+	o.SampleSize = min(o.SampleSize, o.Scale.Items)
+	orDefault(&o.Repetitions, d.Repetitions)
+	orDefault(&o.Table4Repetitions, max(3, o.Repetitions/4))
+}
+
+// orDefault sets *v to d unless it is positive.
+func orDefault(v *int, d int) {
+	if *v <= 0 {
+		*v = d
 	}
 }
 
@@ -138,16 +133,9 @@ func NewEnv(opt Options) (*Env, error) {
 		opt.Scale.Items, opt.Scale.Users, len(u.Ratings.Ratings), time.Since(start).Seconds())
 
 	start = time.Now()
-	scfg := space.DefaultConfig()
-	scfg.Dims = opt.SpaceDims
-	scfg.Epochs = opt.SpaceEpochs
-	scfg.Seed = opt.Seed
-	model, stats, err := space.TrainEuclidean(u.Ratings, scfg)
-	if err != nil {
+	if env.Space, env.SpaceRMSE, err = trainSpace(u, opt); err != nil {
 		return nil, err
 	}
-	env.Space = space.FromModel(model)
-	env.SpaceRMSE = stats.FinalRMSE()
 	env.logf("perceptual space: d=%d, RMSE=%.4f (%.1fs)",
 		opt.SpaceDims, env.SpaceRMSE, time.Since(start).Seconds())
 
@@ -165,8 +153,70 @@ func NewEnv(opt Options) (*Env, error) {
 		emb.Coords.Cols, corpus.VocabSize(), time.Since(start).Seconds())
 
 	// The fixed random 1,000-movie sample of §4.1.
-	rng := rand.New(rand.NewSource(opt.Seed + 1000))
-	perm := rng.Perm(opt.Scale.Items)
-	env.Sample = append(env.Sample, perm[:opt.SampleSize]...)
+	env.Sample = rand.New(rand.NewSource(opt.Seed + 1000)).Perm(opt.Scale.Items)[:opt.SampleSize]
 	return env, nil
+}
+
+// trainSpace trains the perceptual space of u's ratings at opt's
+// dimensions, epochs and seed, and returns it with its final training
+// RMSE.
+func trainSpace(u *dataset.Universe, opt Options) (*space.Space, float64, error) {
+	cfg := space.DefaultConfig()
+	cfg.Dims, cfg.Epochs, cfg.Seed = opt.SpaceDims, opt.SpaceEpochs, opt.Seed
+	model, stats, err := space.TrainEuclidean(u.Ratings, cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	return space.FromModel(model), stats.FinalRMSE(), nil
+}
+
+// openItemDB opens an in-memory database with one table, movies, bound to
+// sp by its INTEGER id column: row k holds the item ids[k] and, when
+// labels is not nil, labels[k] in the BOOLEAN column label. svc answers
+// the crowd's questions (nil when nothing is asked).
+func openItemDB(svc core.JudgmentService, sp *space.Space, ids []int, labels []bool) (_ *core.DB, err error) {
+	db := core.NewDB(svc)
+	defer func() {
+		if err != nil {
+			db.Close()
+		}
+	}()
+	ddl := "CREATE TABLE movies (id INTEGER)"
+	if labels != nil {
+		ddl = "CREATE TABLE movies (id INTEGER, label BOOLEAN)"
+	}
+	if _, _, err := db.ExecSQL(ddl); err != nil {
+		return nil, err
+	}
+	tbl, _ := db.Catalog().Get("movies")
+	for k, id := range ids {
+		row := []storage.Value{storage.Int(int64(id))}
+		if labels != nil {
+			row = append(row, storage.Bool(labels[k]))
+		}
+		if err := tbl.Insert(row...); err != nil {
+			return nil, err
+		}
+	}
+	if err := db.AttachSpace("movies", "id", sp); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// scoreColumn reads column back from db's movies table and counts its
+// non-NULL cells and those equal to the item's truth.
+func scoreColumn(db *core.DB, column string, truth []bool) (filled, correct int, err error) {
+	res, _, err := db.ExecSQLNoCache(fmt.Sprintf("SELECT id, %s FROM movies WHERE %s IS NOT NULL", column, column))
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, row := range res.Rows {
+		id, _ := row[0].AsInt()
+		label, _ := row[1].AsBool()
+		if label == truth[id] {
+			correct++
+		}
+	}
+	return len(res.Rows), correct, nil
 }

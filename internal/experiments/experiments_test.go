@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -162,6 +163,31 @@ func TestFiguresShape(t *testing.T) {
 	figs.RenderFigure4(&buf)
 	if !strings.Contains(buf.String(), "Figure 3") || !strings.Contains(buf.String(), "Figure 4") {
 		t.Fatal("figure rendering broken")
+	}
+}
+
+// The same env and seed give the same figures and Table 3, run after run.
+func TestArtifactsDeterministic(t *testing.T) {
+	e := tinyEnv(t)
+	t1, err := e.RunCrowdExperiments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var figs [2]*FiguresResult
+	var t3 [2]*Table3Result
+	for i := range figs {
+		if figs[i], err = e.RunBoostExperiments(t1); err != nil {
+			t.Fatal(err)
+		}
+		if t3[i], err = e.RunTable3(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(figs[0], figs[1]) {
+		t.Error("two runs of Figures 3/4 differ")
+	}
+	if !reflect.DeepEqual(t3[0], t3[1]) {
+		t.Error("two runs of Table 3 differ")
 	}
 }
 

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"sort"
 
+	"crowddb/internal/core"
 	"crowddb/internal/crowd"
-	"crowddb/internal/svm"
+	"crowddb/internal/sqlparse"
+	"crowddb/internal/storage"
 )
 
 // BoostPoint is one checkpoint of Experiments 4–6: the crowd's progress at
@@ -48,18 +52,15 @@ type FiguresResult struct {
 }
 
 // RunBoostExperiments reproduces Experiments 4–6 (§4.2): every few
-// simulated minutes the crowd's current majority labels become the SVM
-// training set; the SVM classifies all sample movies from their
+// simulated minutes core expands the sample's Comedy column twice from the
+// crowd's judgments so far — CROWD, the raw majority, and SPACE, an SVM
+// trained on that majority that classifies every sample movie from its
 // perceptual-space coordinates, fixing labeling errors and covering even
 // movies no worker knows.
 func (e *Env) RunBoostExperiments(t1 *Table1Result) (*FiguresResult, error) {
-	truth, err := e.U.ReferenceMap(Question)
-	if err != nil {
-		return nil, err
-	}
 	out := &FiguresResult{SampleSize: t1.SampleSize}
 	for i, ex := range t1.Experiments {
-		series, err := e.boostSeries(fmt.Sprintf("Exp %d", i+4), ex, truth)
+		series, err := e.boostSeries(fmt.Sprintf("Exp %d", i+4), ex)
 		if err != nil {
 			return nil, err
 		}
@@ -84,57 +85,62 @@ func checkpoints(duration float64) []float64 {
 	return ts
 }
 
-func (e *Env) boostSeries(name string, ex *CrowdExperiment, truth map[int]bool) (*BoostSeries, error) {
+// replay is the JudgmentService of a checkpoint: whatever it is asked, it
+// serves the judgments of a finished run up to minute at, and the money
+// the run had cost by then.
+type replay struct {
+	run *crowd.RunResult
+	cfg crowd.JobConfig
+	at  float64
+}
+
+func (r *replay) Collect(string, []int, crowd.JobConfig) (*crowd.RunResult, error) {
+	recs := r.run.Records // sorted by time
+	n := sort.Search(len(recs), func(i int) bool { return recs[i].Time > r.at })
+	return &crowd.RunResult{
+		Records:         recs[:n],
+		DurationMinutes: r.at,
+		TotalCost:       r.run.CostAt(r.at, r.cfg),
+	}, nil
+}
+
+func (e *Env) boostSeries(name string, ex *CrowdExperiment) (*BoostSeries, error) {
 	series := &BoostSeries{Name: name, Source: ex.Name}
-	sp := e.Space
+	truth := e.U.Categories[Question].Reference
+	svc := &replay{run: ex.Run, cfg: ex.Cfg}
+	db, err := openItemDB(svc, e.Space, e.Sample, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	// SPACE trains on every sample movie that has a majority: its plan
+	// takes all n of them once the sample per class reaches n.
+	crowdOpts := core.ExpandOptions{Method: sqlparse.ExpandCrowd}
+	spaceOpts := core.ExpandOptions{Method: sqlparse.ExpandSpace, SamplesPerClass: len(e.Sample)}
 
 	for _, t := range checkpoints(ex.Run.DurationMinutes) {
-		votes := crowd.MajorityVoteAt(ex.Run.Records, t)
-		point := BoostPoint{
-			Minute:  t,
-			RelTime: t / ex.Run.DurationMinutes,
-			Cost:    ex.Run.CostAt(t, ex.Cfg),
+		svc.at = t
+		point := BoostPoint{Minute: t, RelTime: t / ex.Run.DurationMinutes}
+		rep, err := db.Expand("movies", Question, storage.KindBool, crowdOpts)
+		if err != nil {
+			return nil, fmt.Errorf("%s at minute %.1f: %w", name, t, err)
 		}
-		// Raw crowd progress.
-		_, correct := votes.AccuracyAgainst(truth)
-		point.CrowdCorrect = correct
-
-		// Space boost: train on every currently-classified movie.
-		var X [][]float64
-		var y []bool
-		pos, neg := 0, 0
-		for id, label := range votes.Label {
-			if id < 0 || id >= sp.NumItems() {
-				continue
-			}
-			X = append(X, sp.Vector(id))
-			y = append(y, label)
-			if label {
-				pos++
-			} else {
-				neg++
-			}
+		point.Cost = rep.Cost
+		if point.TrainSize, point.CrowdCorrect, err = scoreColumn(db, Question, truth); err != nil {
+			return nil, err
 		}
-		point.TrainSize = len(X)
-		if pos > 0 && neg > 0 {
-			model, err := svm.TrainSVC(X, y, svm.SVCConfig{C: 2, Seed: e.Opt.Seed})
-			if err != nil {
+		// A log holding one class so far trains nothing: no boost yet.
+		if _, err := db.Expand("movies", Question, storage.KindBool, spaceOpts); err == nil {
+			if _, point.BoostCorrect, err = scoreColumn(db, Question, truth); err != nil {
 				return nil, err
 			}
-			boostCorrect := 0
-			for _, id := range e.Sample {
-				if model.Predict(sp.Vector(id)) == truth[id] {
-					boostCorrect++
-				}
-			}
-			point.BoostCorrect = boostCorrect
+		} else if !errors.Is(err, core.ErrSingleClass) {
+			return nil, fmt.Errorf("%s at minute %.1f: %w", name, t, err)
 		}
 		series.Points = append(series.Points, point)
 	}
-	if n := len(series.Points); n > 0 {
-		series.FinalCrowdCorrect = series.Points[n-1].CrowdCorrect
-		series.FinalBoostCorrect = series.Points[n-1].BoostCorrect
-	}
+	last := series.Points[len(series.Points)-1]
+	series.FinalCrowdCorrect, series.FinalBoostCorrect = last.CrowdCorrect, last.BoostCorrect
 	e.logf("%s (boosting %s): final crowd %d vs boosted %d correct",
 		name, ex.Name, series.FinalCrowdCorrect, series.FinalBoostCorrect)
 	return series, nil

@@ -5,7 +5,10 @@ import (
 	"io"
 	"math/rand"
 
+	"crowddb/internal/core"
 	"crowddb/internal/crowd"
+	"crowddb/internal/sqlparse"
+	"crowddb/internal/storage"
 )
 
 // CrowdExperiment is one of the paper's three direct-crowdsourcing runs
@@ -43,39 +46,23 @@ type Table1Result struct {
 const Question = "Comedy"
 
 // RunCrowdExperiments executes Experiments 1–3 on the environment's movie
-// sample. Population compositions are calibrated to the paper's observed
-// worker statistics (§4.1); see internal/crowd for the archetype models.
+// sample: each is core's CROWD expansion of the Comedy column over the
+// sample, asked of a simulated marketplace. Population compositions are
+// calibrated to the paper's observed worker statistics (§4.1); see
+// internal/crowd for the archetype models.
 func (e *Env) RunCrowdExperiments() (*Table1Result, error) {
-	items, err := e.U.CrowdItems(Question)
-	if err != nil {
-		return nil, err
-	}
-	sample := make([]crowd.Item, 0, len(e.Sample))
-	for _, id := range e.Sample {
-		sample = append(sample, items[id])
-	}
-	truth, err := e.U.ReferenceMap(Question)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Table1Result{SampleSize: len(sample)}
+	res := &Table1Result{SampleSize: len(e.Sample)}
 
 	// Experiment 1: open population. The paper observed 89 workers, most
 	// of the judgment volume from spammers, 95 judgments/min, $0.02/HIT.
-	rng := rand.New(rand.NewSource(e.Opt.Seed + 11))
+	rng1 := rand.New(rand.NewSource(e.Opt.Seed + 11))
 	openPop := crowd.NewPopulation(crowd.PopulationConfig{
 		Workers: 89, SpammerFraction: 0.45,
-	}, rng)
+	}, rng1)
 	cfg1 := crowd.JobConfig{
 		ItemsPerHIT: 10, AssignmentsPerItem: 10, PayPerHIT: 0.02,
 		JudgmentsPerMinute: 95, AllowDontKnow: true,
 	}
-	exp1, err := e.runCrowdExperiment("Exp 1: All", openPop, sample, cfg1, truth, rng)
-	if err != nil {
-		return nil, err
-	}
-	res.Experiments = append(res.Experiments, exp1)
 
 	// Experiment 2: the same marketplace with spammer countries excluded.
 	// The paper saw 27 workers and a similar completion time (116 min).
@@ -83,11 +70,6 @@ func (e *Env) RunCrowdExperiments() (*Table1Result, error) {
 	cfg2 := cfg1
 	cfg2.ExcludeCountries = []string{"ZZ", "YY"}
 	cfg2.JudgmentsPerMinute = 86
-	exp2, err := e.runCrowdExperiment("Exp 2: Trusted", openPop, sample, cfg2, truth, rng2)
-	if err != nil {
-		return nil, err
-	}
-	res.Experiments = append(res.Experiments, exp2)
 
 	// Experiment 3: the lookup formulation — workers research answers on
 	// the Web (slow, accurate), 100 gold questions screen cheaters, no
@@ -96,15 +78,10 @@ func (e *Env) RunCrowdExperiments() (*Table1Result, error) {
 	lookupPop := crowd.NewPopulation(crowd.PopulationConfig{
 		Workers: 51, SpammerFraction: 0.25, LookupFraction: 0.75,
 	}, rng3)
-	nGold := 100
-	if nGold > len(sample)/10 {
-		nGold = len(sample) / 10 // keep the recommended ~10% gold ratio
-	}
-	gold := make([]crowd.Item, 0, nGold)
-	for i := 0; i < nGold; i++ {
-		gold = append(gold, crowd.Item{
-			ID: -(i + 1), Truth: i%3 == 0, Popularity: 1,
-		})
+	nGold := min(100, len(e.Sample)/10) // keep the recommended ~10% gold ratio
+	gold := make([]crowd.Item, nGold)
+	for i := range gold {
+		gold[i] = crowd.Item{ID: -(i + 1), Truth: i%3 == 0, Popularity: 1}
 	}
 	// The observed net throughput was ~17.8 judgments/min (10,000 in 562
 	// minutes); the gross rate is higher because judgments from workers
@@ -114,30 +91,60 @@ func (e *Env) RunCrowdExperiments() (*Table1Result, error) {
 		JudgmentsPerMinute: 21, AllowDontKnow: false,
 		GoldItems: gold, GoldFailureLimit: 2,
 	}
-	exp3, err := e.runCrowdExperiment("Exp 3: Lookup", lookupPop, sample, cfg3, truth, rng3)
-	if err != nil {
+
+	if err := e.runCrowdExperiment(res, "Exp 1: All", openPop, cfg1, rng1); err != nil {
 		return nil, err
 	}
-	res.Experiments = append(res.Experiments, exp3)
+	if err := e.runCrowdExperiment(res, "Exp 2: Trusted", openPop, cfg2, rng2); err != nil {
+		return nil, err
+	}
+	if err := e.runCrowdExperiment(res, "Exp 3: Lookup", lookupPop, cfg3, rng3); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-func (e *Env) runCrowdExperiment(name string, pop *crowd.Population, items []crowd.Item,
-	cfg crowd.JobConfig, truth map[int]bool, rng *rand.Rand) (*CrowdExperiment, error) {
+// recordedCrowd is a JudgmentService that keeps the last run it served,
+// whose timeline Figures 3/4 replay.
+type recordedCrowd struct {
+	core.JudgmentService
+	run *crowd.RunResult
+}
 
-	run, err := crowd.RunJob(pop, items, cfg, rng)
+func (r *recordedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+	run, err := r.JudgmentService.Collect(question, itemIDs, cfg)
+	r.run = run
+	return run, err
+}
+
+// runCrowdExperiment expands the Comedy column of the sample with core's
+// CROWD strategy and cfg as the job, the population judging with rng,
+// scores the filled column against the reference and adds the outcome to
+// res.
+func (e *Env) runCrowdExperiment(res *Table1Result, name string, pop *crowd.Population, cfg crowd.JobConfig, rng *rand.Rand) error {
+	svc := &recordedCrowd{JudgmentService: core.NewSimulatedCrowd(pop, e.U.CrowdItems, rng)}
+	db, err := openItemDB(svc, e.Space, e.Sample, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return err
 	}
-	votes := crowd.MajorityVote(run.Records)
-	classified, correct := votes.AccuracyAgainst(truth)
+	defer db.Close()
+	opts := core.ExpandOptions{Method: sqlparse.ExpandCrowd, Job: cfg}
+	if _, err := db.Expand("movies", Question, storage.KindBool, opts); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	classified, correct, err := scoreColumn(db, Question, e.U.Categories[Question].Reference)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	run := svc.run
 	e.logf("%s: %d classified, %d correct (%.1f%%), %.0f min, $%.2f, %d workers",
 		name, classified, correct, 100*float64(correct)/float64(max(classified, 1)),
 		run.DurationMinutes, run.TotalCost, run.DistinctWorkers)
-	return &CrowdExperiment{
+	res.Experiments = append(res.Experiments, &CrowdExperiment{
 		Name: name, Cfg: cfg, Run: run,
 		Classified: classified, Correct: correct,
-	}, nil
+	})
+	return nil
 }
 
 // Render prints the table in the paper's format.
@@ -150,11 +157,4 @@ func (t *Table1Result) Render(w io.Writer) {
 			ex.Name, ex.Classified, 100*ex.PctCorrect(),
 			ex.Run.DurationMinutes, ex.Run.TotalCost, ex.Run.DistinctWorkers)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

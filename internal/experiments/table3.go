@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
+	"crowddb/internal/core"
 	"crowddb/internal/eval"
 	"crowddb/internal/space"
 	"crowddb/internal/svm"
@@ -40,17 +42,14 @@ type Table3Result struct {
 	MeanExpert     []float64
 }
 
-// smallSampleGMean trains an RBF-SVM on n positive + n negative examples
-// drawn from labels (over sp's coordinates) and evaluates g-mean on all
-// remaining items. It returns ok=false when the class population cannot
-// supply n examples.
-func smallSampleGMean(sp *space.Space, labels []bool, n int, seed int64) (float64, bool) {
-	rng := rand.New(rand.NewSource(seed))
+// balancedSample draws the controlled protocol's training set from the
+// labelled items of sp: n positive and n negative, interleaved as pos₀,
+// neg₀, pos₁, …, each class shuffled by rng first. It returns the items
+// with their coordinates and labels, or nil when a class cannot supply n
+// examples and keep one out for evaluation.
+func balancedSample(sp *space.Space, labels []bool, n int, rng *rand.Rand) (train []int, X [][]float64, y []bool) {
 	var pos, neg []int
-	for i, v := range labels {
-		if i >= sp.NumItems() {
-			break
-		}
+	for i, v := range labels[:min(len(labels), sp.NumItems())] {
 		if v {
 			pos = append(pos, i)
 		} else {
@@ -58,34 +57,61 @@ func smallSampleGMean(sp *space.Space, labels []bool, n int, seed int64) (float6
 		}
 	}
 	if len(pos) < n+1 || len(neg) < n+1 {
-		return 0, false
+		return nil, nil, nil
 	}
 	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
 	rng.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
-
-	var X [][]float64
-	var y []bool
-	train := make(map[int]bool, 2*n)
 	for i := 0; i < n; i++ {
-		X = append(X, sp.Vector(pos[i]))
-		y = append(y, true)
-		train[pos[i]] = true
-		X = append(X, sp.Vector(neg[i]))
-		y = append(y, false)
-		train[neg[i]] = true
+		train = append(train, pos[i], neg[i])
+		X = append(X, sp.Vector(pos[i]), sp.Vector(neg[i]))
+		y = append(y, true, false)
 	}
-	model, err := svm.TrainSVC(X, y, svm.SVCConfig{C: 2, Seed: seed})
+	return train, X, y
+}
+
+// heldOutGMean scores predicted, one label per item of the space, against
+// labels on every item outside train.
+func heldOutGMean(predicted, labels []bool, train []int) float64 {
+	var conf eval.Confusion
+	for i, v := range labels[:min(len(labels), len(predicted))] {
+		if !slices.Contains(train, i) {
+			conf.Observe(predicted[i], v)
+		}
+	}
+	return conf.GMean()
+}
+
+// smallSampleGMean trains an RBF-SVM with core's fill C on a balanced
+// sample of n examples per class drawn from labels (over sp's
+// coordinates) and evaluates g-mean on all remaining items. It returns
+// ok=false when the class population cannot supply n examples.
+func smallSampleGMean(tr *svm.Trainer, sp *space.Space, labels []bool, n int, seed int64) (float64, bool) {
+	train, X, y := balancedSample(sp, labels, n, rand.New(rand.NewSource(seed)))
+	if train == nil {
+		return 0, false
+	}
+	model, err := tr.TrainSVC(X, y, svm.SVCConfig{C: core.FillC, Seed: seed})
 	if err != nil {
 		return 0, false
 	}
-	var conf eval.Confusion
-	for i, v := range labels {
-		if i >= sp.NumItems() || train[i] {
-			continue
+	return heldOutGMean(model.PredictMatrix(sp.Coords(), 0), labels, train), true
+}
+
+// repeatedGMean is the mean and standard deviation of smallSampleGMean
+// over opt.Repetitions draws of SampleSizes[si] examples per class; ok is
+// false when no draw could be made.
+func repeatedGMean(tr *svm.Trainer, sp *space.Space, labels []bool, si int, opt Options) (mean, std float64, ok bool) {
+	var gs []float64
+	for rep := 0; rep < opt.Repetitions; rep++ {
+		if g, ok := smallSampleGMean(tr, sp, labels, SampleSizes[si], opt.Seed+int64(1000*si+rep)); ok {
+			gs = append(gs, g)
 		}
-		conf.Observe(model.Predict(sp.Vector(i)), v)
 	}
-	return conf.GMean(), true
+	if len(gs) == 0 {
+		return 0, 0, false
+	}
+	mean, std = eval.MeanStd(gs)
+	return mean, std, true
 }
 
 // RunTable3 runs the controlled small-sample study: for every genre and
@@ -101,47 +127,34 @@ func (e *Env) RunTable3() (*Table3Result, error) {
 		MeanMetadata:   make([]float64, len(SampleSizes)),
 	}
 	contributors := make([]int, len(SampleSizes))
+	var tr svm.Trainer
 	for _, spec := range e.U.Config.Categories {
 		cat := e.U.Categories[spec.Name]
 		row := Table3Row{Genre: spec.Name}
 		for si, n := range SampleSizes {
-			var pG, mG []float64
-			for rep := 0; rep < e.Opt.Repetitions; rep++ {
-				seed := e.Opt.Seed + int64(1000*si+rep)
-				if g, ok := smallSampleGMean(e.Space, cat.Reference, n, seed); ok {
-					pG = append(pG, g)
-				}
-				if g, ok := smallSampleGMean(e.MetaSpace, cat.Reference, n, seed); ok {
-					mG = append(mG, g)
-				}
-			}
-			if len(pG) == 0 || len(mG) == 0 {
+			pm, ps, okP := repeatedGMean(&tr, e.Space, cat.Reference, si, e.Opt)
+			mm, ms, okM := repeatedGMean(&tr, e.MetaSpace, cat.Reference, si, e.Opt)
+			if okP && okM {
+				res.MeanPerceptual[si] += pm
+				res.MeanMetadata[si] += mm
+				contributors[si]++
+			} else {
 				// The genre population cannot supply n examples per class
 				// at this scale (e.g. Documentary at CI scale). Record
 				// zeros and exclude the combination from the means.
 				e.logf("Table 3: %s skipped at n=%d (class too small)", spec.Name, n)
-				row.PerceptualGMean = append(row.PerceptualGMean, 0)
-				row.PerceptualStd = append(row.PerceptualStd, 0)
-				row.MetadataGMean = append(row.MetadataGMean, 0)
-				row.MetadataStd = append(row.MetadataStd, 0)
-				continue
+				pm, ps, mm, ms = 0, 0, 0, 0
 			}
-			pm, ps := eval.MeanStd(pG)
-			mm, ms := eval.MeanStd(mG)
 			row.PerceptualGMean = append(row.PerceptualGMean, pm)
 			row.PerceptualStd = append(row.PerceptualStd, ps)
 			row.MetadataGMean = append(row.MetadataGMean, mm)
 			row.MetadataStd = append(row.MetadataStd, ms)
-			res.MeanPerceptual[si] += pm
-			res.MeanMetadata[si] += mm
-			contributors[si]++
 		}
 		for eIdx := range cat.Expert {
-			c := eval.CompareLabels(cat.Expert[eIdx], cat.Reference)
-			row.ExpertGMean = append(row.ExpertGMean, c.GMean())
+			row.ExpertGMean = append(row.ExpertGMean, eval.CompareLabels(cat.Expert[eIdx], cat.Reference).GMean())
 		}
-		e.logf("Table 3: %-12s perceptual %v metadata %v",
-			spec.Name, fmtVals(row.PerceptualGMean), fmtVals(row.MetadataGMean))
+		e.logf("Table 3: %-12s perceptual %.2f metadata %.2f",
+			spec.Name, row.PerceptualGMean, row.MetadataGMean)
 		res.Rows = append(res.Rows, row)
 	}
 	for si := range SampleSizes {
@@ -150,31 +163,19 @@ func (e *Env) RunTable3() (*Table3Result, error) {
 			res.MeanMetadata[si] /= float64(contributors[si])
 		}
 	}
-	// Mean expert g-mean per expert index.
-	if len(res.Rows) > 0 && len(res.Rows[0].ExpertGMean) > 0 {
-		nExp := len(res.Rows[0].ExpertGMean)
-		res.MeanExpert = make([]float64, nExp)
-		for _, row := range res.Rows {
-			for eIdx := 0; eIdx < nExp && eIdx < len(row.ExpertGMean); eIdx++ {
-				res.MeanExpert[eIdx] += row.ExpertGMean[eIdx]
-			}
+	// Mean expert g-mean per expert index (every genre has every expert).
+	for _, row := range res.Rows {
+		if res.MeanExpert == nil {
+			res.MeanExpert = make([]float64, len(row.ExpertGMean))
 		}
-		for i := range res.MeanExpert {
-			res.MeanExpert[i] /= float64(len(res.Rows))
+		for eIdx, g := range row.ExpertGMean {
+			res.MeanExpert[eIdx] += g
 		}
+	}
+	for i := range res.MeanExpert {
+		res.MeanExpert[i] /= float64(len(res.Rows))
 	}
 	return res, nil
-}
-
-func fmtVals(vals []float64) string {
-	s := ""
-	for i, v := range vals {
-		if i > 0 {
-			s += "/"
-		}
-		s += fmt.Sprintf("%.2f", v)
-	}
-	return s
 }
 
 // Render prints the table in the paper's layout.

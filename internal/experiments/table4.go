@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"crowddb/internal/space"
-	"crowddb/internal/svm"
 )
 
 // SwapRates are the paper's corrupted-label fractions x.
@@ -17,6 +17,12 @@ type Table4Cell struct {
 	Precision float64
 	Recall    float64
 }
+
+func (c Table4Cell) plus(o Table4Cell) Table4Cell {
+	return Table4Cell{c.Precision + o.Precision, c.Recall + o.Recall}
+}
+
+func (c Table4Cell) over(f float64) Table4Cell { return Table4Cell{c.Precision / f, c.Recall / f} }
 
 // Table4Row is one genre's results across swap rates, on both spaces.
 type Table4Row struct {
@@ -35,58 +41,53 @@ type Table4Result struct {
 	MeanMetadata   []Table4Cell
 }
 
-// questionablePR swaps x of the labels, trains an SVM on ALL (corrupted)
-// labels over sp, flags items whose label contradicts the prediction, and
-// scores the flags against the true swap set.
-func questionablePR(sp *space.Space, labels []bool, x float64, seed int64) (precision, recall float64) {
+// questionablePR swaps x of the labels, stores the corrupted labels of
+// every item in a column and lets core's cleaning primitive flag the
+// questionable ones, once over each space; it scores both flag sets
+// against the true swap set.
+func questionablePR(spaces [2]*space.Space, labels []bool, x float64, seed int64) (pr [2]Table4Cell, err error) {
 	rng := rand.New(rand.NewSource(seed))
-	n := len(labels)
-	if n > sp.NumItems() {
-		n = sp.NumItems()
+	n := min(len(labels), spaces[0].NumItems(), spaces[1].NumItems())
+	corrupted := slices.Clone(labels[:n])
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	corrupted := make([]bool, n)
-	copy(corrupted, labels[:n])
-	nSwap := int(x * float64(n))
-	swapped := make(map[int]bool, nSwap)
-	for len(swapped) < nSwap {
-		i := rng.Intn(n)
-		if swapped[i] {
-			continue
+	swapped := map[int]bool{}
+	for len(swapped) < int(x*float64(n)) {
+		if i := rng.Intn(n); !swapped[i] {
+			swapped[i] = true
+			corrupted[i] = !corrupted[i]
 		}
-		swapped[i] = true
-		corrupted[i] = !corrupted[i]
 	}
-
-	X := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		X[i] = sp.Vector(i)
-	}
-	// A soft margin (C = 0.5) is essential here: the SVM must smooth over
-	// isolated wrong labels rather than memorize them — memorization flags
-	// nothing (this is exactly why the metadata space fails in the paper).
-	model, err := svm.TrainSVC(X, corrupted, svm.SVCConfig{C: 0.5, Seed: seed})
+	db, err := openItemDB(nil, spaces[0], ids, corrupted)
 	if err != nil {
-		return 0, 0
+		return pr, err
 	}
-	tp, fp, fn := 0, 0, 0
-	for i := 0; i < n; i++ {
-		flagged := model.Predict(X[i]) != corrupted[i]
-		switch {
-		case flagged && swapped[i]:
-			tp++
-		case flagged && !swapped[i]:
-			fp++
-		case !flagged && swapped[i]:
-			fn++
+	defer db.Close()
+	for k, sp := range spaces {
+		if err := db.AttachSpace("movies", "id", sp); err != nil {
+			return pr, err
+		}
+		// Row i holds item i, so the flagged rows are the flagged items.
+		flagged, err := db.IdentifyQuestionable("movies", "label")
+		if err != nil {
+			return pr, err
+		}
+		tp := 0
+		for _, i := range flagged {
+			if swapped[i] {
+				tp++
+			}
+		}
+		if len(flagged) > 0 {
+			pr[k].Precision = float64(tp) / float64(len(flagged))
+		}
+		if len(swapped) > 0 {
+			pr[k].Recall = float64(tp) / float64(len(swapped))
 		}
 	}
-	if tp+fp > 0 {
-		precision = float64(tp) / float64(tp+fp)
-	}
-	if tp+fn > 0 {
-		recall = float64(tp) / float64(tp+fn)
-	}
-	return precision, recall
+	return pr, nil
 }
 
 // RunTable4 runs the questionable-response study for every genre and swap
@@ -98,39 +99,33 @@ func (e *Env) RunTable4() (*Table4Result, error) {
 		MeanPerceptual: make([]Table4Cell, len(SwapRates)),
 		MeanMetadata:   make([]Table4Cell, len(SwapRates)),
 	}
+	spaces := [2]*space.Space{e.Space, e.MetaSpace}
 	for _, spec := range e.U.Config.Categories {
 		cat := e.U.Categories[spec.Name]
 		row := Table4Row{Genre: spec.Name}
 		for xi, x := range SwapRates {
-			var pP, pR, mP, mR float64
+			var sum [2]Table4Cell
 			for rep := 0; rep < reps; rep++ {
-				seed := e.Opt.Seed + int64(100*xi+rep)
-				p1, r1 := questionablePR(e.Space, cat.Reference, x, seed)
-				p2, r2 := questionablePR(e.MetaSpace, cat.Reference, x, seed)
-				pP += p1
-				pR += r1
-				mP += p2
-				mR += r2
+				pr, err := questionablePR(spaces, cat.Reference, x, e.Opt.Seed+int64(100*xi+rep))
+				if err != nil {
+					return nil, fmt.Errorf("Table 4 (%s, x=%.2f): %w", spec.Name, x, err)
+				}
+				sum[0], sum[1] = sum[0].plus(pr[0]), sum[1].plus(pr[1])
 			}
-			f := float64(reps)
-			row.Perceptual = append(row.Perceptual, Table4Cell{pP / f, pR / f})
-			row.Metadata = append(row.Metadata, Table4Cell{mP / f, mR / f})
-			res.MeanPerceptual[xi].Precision += pP / f
-			res.MeanPerceptual[xi].Recall += pR / f
-			res.MeanMetadata[xi].Precision += mP / f
-			res.MeanMetadata[xi].Recall += mR / f
+			p, m := sum[0].over(float64(reps)), sum[1].over(float64(reps))
+			row.Perceptual = append(row.Perceptual, p)
+			row.Metadata = append(row.Metadata, m)
+			res.MeanPerceptual[xi] = res.MeanPerceptual[xi].plus(p)
+			res.MeanMetadata[xi] = res.MeanMetadata[xi].plus(m)
 		}
 		e.logf("Table 4: %-12s perceptual P/R at 20%% = %.2f/%.2f",
 			spec.Name, row.Perceptual[len(row.Perceptual)-1].Precision,
 			row.Perceptual[len(row.Perceptual)-1].Recall)
 		res.Rows = append(res.Rows, row)
 	}
-	nG := float64(len(res.Rows))
 	for xi := range SwapRates {
-		res.MeanPerceptual[xi].Precision /= nG
-		res.MeanPerceptual[xi].Recall /= nG
-		res.MeanMetadata[xi].Precision /= nG
-		res.MeanMetadata[xi].Recall /= nG
+		res.MeanPerceptual[xi] = res.MeanPerceptual[xi].over(float64(len(res.Rows)))
+		res.MeanMetadata[xi] = res.MeanMetadata[xi].over(float64(len(res.Rows)))
 	}
 	return res, nil
 }

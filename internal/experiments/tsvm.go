@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
-	"crowddb/internal/eval"
+	"crowddb/internal/core"
 	"crowddb/internal/svm"
 )
 
@@ -42,75 +43,36 @@ func (e *Env) RunTSVMComparison(genre string, n int) (*TSVMResult, error) {
 		return nil, fmt.Errorf("experiments: unknown genre %q", genre)
 	}
 	sp := e.Space
-	rng := rand.New(rand.NewSource(e.Opt.Seed + 500))
-
-	var pos, neg []int
-	for i, v := range cat.Reference {
-		if i >= sp.NumItems() {
-			break
-		}
-		if v {
-			pos = append(pos, i)
-		} else {
-			neg = append(neg, i)
-		}
-	}
-	if len(pos) < n+1 || len(neg) < n+1 {
+	train, Xl, yl := balancedSample(sp, cat.Reference, n, rand.New(rand.NewSource(e.Opt.Seed+500)))
+	if train == nil {
 		return nil, fmt.Errorf("experiments: genre %s too small for n=%d", genre, n)
 	}
-	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
-	rng.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
-
-	var Xl [][]float64
-	var yl []bool
-	train := map[int]bool{}
-	for i := 0; i < n; i++ {
-		Xl = append(Xl, sp.Vector(pos[i]))
-		yl = append(yl, true)
-		train[pos[i]] = true
-		Xl = append(Xl, sp.Vector(neg[i]))
-		yl = append(yl, false)
-		train[neg[i]] = true
-	}
 	var Xu [][]float64
-	var idxU []int
-	for i := range cat.Reference {
-		if i >= sp.NumItems() || train[i] {
-			continue
+	for i := range cat.Reference[:min(len(cat.Reference), sp.NumItems())] {
+		if !slices.Contains(train, i) {
+			Xu = append(Xu, sp.Vector(i))
 		}
-		Xu = append(Xu, sp.Vector(i))
-		idxU = append(idxU, i)
 	}
 
 	res := &TSVMResult{Genre: genre, N: n, UnlabeledCount: len(Xu)}
+	cfg := svm.SVCConfig{C: core.FillC, Seed: e.Opt.Seed}
 
 	start := time.Now()
-	svc, err := svm.TrainSVC(Xl, yl, svm.SVCConfig{C: 2, Seed: e.Opt.Seed})
+	svc, err := new(svm.Trainer).TrainSVC(Xl, yl, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res.SVMDuration = time.Since(start)
-	var confS eval.Confusion
-	for k, i := range idxU {
-		confS.Observe(svc.Predict(Xu[k]), cat.Reference[i])
-	}
-	res.SVMGMean = confS.GMean()
+	res.SVMGMean = heldOutGMean(svc.PredictMatrix(sp.Coords(), 0), cat.Reference, train)
 
 	start = time.Now()
-	tsvm, stats, err := svm.TrainTSVM(Xl, yl, Xu, svm.TSVMConfig{
-		SVC:         svm.SVCConfig{C: 2, Seed: e.Opt.Seed},
-		MaxRetrains: 50,
-	})
+	tsvm, stats, err := svm.TrainTSVM(Xl, yl, Xu, svm.TSVMConfig{SVC: cfg, MaxRetrains: 50})
 	if err != nil {
 		return nil, err
 	}
 	res.TSVMDuration = time.Since(start)
 	res.TSVMRetrains = stats.Retrains
-	var confT eval.Confusion
-	for k, i := range idxU {
-		confT.Observe(tsvm.Predict(Xu[k]), cat.Reference[i])
-	}
-	res.TSVMGMean = confT.GMean()
+	res.TSVMGMean = heldOutGMean(tsvm.PredictMatrix(sp.Coords(), 0), cat.Reference, train)
 
 	e.logf("TSVM (%s, n=%d): SVM g=%.3f in %v; TSVM g=%.3f in %v (%d retrains, %.0fx slower)",
 		genre, n, res.SVMGMean, res.SVMDuration, res.TSVMGMean, res.TSVMDuration,
