@@ -41,9 +41,12 @@ fmt:
 # table against a Go map (group numbers and join chains, and a reset
 # table numbering as a new one), arbitrary bytes through the SQL parser
 # (no panic, and a parsed WHERE prints to text that parses back to the same
-# text), and arbitrary text through POST /v1/query, buffered, streamed and
+# text), arbitrary text through POST /v1/query, buffered, streamed and
 # async (one well-formed envelope or a coded error; a stream that ends in
-# its trailer or an error line). go test -fuzz takes one target per run.
+# its trailer or an error line), generated SELECTs held to the reference
+# interpreter along every answer path, and those SELECTs, cached, held to
+# it again after every INSERT, UPDATE, DELETE and compaction of a seeded
+# run. go test -fuzz takes one target per run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFillPayload -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
 	$(GO) test -run xxx -fuzz FuzzOpCodec -fuzztime 5s -fuzzminimizetime 2s ./internal/storage
@@ -51,6 +54,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 2s ./internal/sqlparse
 	$(GO) test -run xxx -fuzz FuzzQueryHTTP -fuzztime 5s -fuzzminimizetime 2s ./internal/server
+	$(GO) test -run xxx -fuzz 'FuzzGeneratedSelects$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/server
+	$(GO) test -run xxx -fuzz 'FuzzCachedSelectsUnderDML$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/server
 
 # The expansion's allocation wall, twenty times over: what it bounds —
 # adding a column and filling it, the model and the labels, no list of the

@@ -68,7 +68,7 @@ func (db *DB) execCreateIndex(ci *sqlparse.CreateIndexStmt) (*Result, error) {
 // the detach to the engine, invalidate cached plans over the table, and
 // journal a drop_index record so the removal survives recovery (replay
 // re-creates then re-drops; the snapshot simply omits dropped indexes).
-// Caller holds db.gate.RLock.
+// Caller holds db.gate.Lock (see DB.open).
 func (db *DB) execDropIndex(di *sqlparse.DropIndexStmt) (*Result, error) {
 	res, err := db.engine.Exec(di)
 	if err != nil {

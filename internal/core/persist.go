@@ -366,18 +366,15 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// finishOpen wires the workload subsystem after any recovery: the cache
-// invalidation observer attaches only now, so replayed mutations are not
-// re-observed (the cache is empty anyway — correctly cold after a
-// restart), and the speculative cap from Options is applied last so the
-// flag always wins over a stale recovered cap. The cap is set directly
+// finishOpen wires the workload subsystem after any recovery: the result
+// cache attaches as the catalog's observer only now, so replayed
+// mutations are not re-observed (the cache is empty anyway — correctly
+// cold after a restart), and the speculative cap from Options is applied
+// last so the flag always wins over a stale recovered cap. The cap is set directly
 // (no WAL record): Options re-asserts it on every Open.
 func (db *DB) finishOpen(opts Options) {
 	if db.rcache != nil {
-		rc := db.rcache
-		db.Catalog().SetObserver(func(op storage.Op) {
-			rc.InvalidateTable(strings.ToLower(op.Table))
-		})
+		db.Catalog().SetObserver(db.rcache)
 	}
 	if opts.SpeculativeBudget > 0 {
 		db.budgets.setCap(SpeculativeBudgetKey, opts.SpeculativeBudget)

@@ -190,8 +190,9 @@ func (s *RowStream) Close() error {
 
 // finish ends the statement once: it closes the executor's answer —
 // releasing its pin the moment the last batch is read — hands a complete
-// answer's copy to the cache (a partial one is dropped: no entry, and no
-// sighting for the doorkeeper), and does the accounting.
+// answer's copy to the cache (a partial one is dropped and its capture
+// given back: no entry, and no sighting for the doorkeeper), and does the
+// accounting.
 func (s *RowStream) finish(complete bool, err error) {
 	if s.finished {
 		return
@@ -201,9 +202,11 @@ func (s *RowStream) finish(complete bool, err error) {
 	if x := &s.x; s.reading {
 		if x.res != nil {
 			x.closeErr = x.res.Close()
-			if complete {
-				x.fill.Finish()
-			}
+		}
+		if complete {
+			x.fill.Finish()
+		} else {
+			x.fill.Abandon()
 		}
 		execDur = x.exec
 		mQueryPhase.With("execute").Observe(execDur.Seconds())
@@ -363,10 +366,17 @@ func (db *DB) run(ctx context.Context, s *RowStream, stmt sqlparse.Statement, ke
 // atomically with respect to Snapshot; SELECT-heavy workloads are not
 // serialized, since statements take the gate's read side. A SELECT is
 // planned and opened (openSelect), then read without the gate; every
-// other statement runs to its end here.
+// other statement runs to its end here. DROP INDEX takes the gate's write
+// side: a statement planned over an index finds it by name when it
+// opens, so no statement may sit between the two while it goes.
 func (db *DB) open(s *RowStream, stmt sqlparse.Statement, key string) error {
-	db.gate.RLock()
-	defer db.gate.RUnlock()
+	if _, ok := stmt.(*sqlparse.DropIndexStmt); ok {
+		db.gate.Lock()
+		defer db.gate.Unlock()
+	} else {
+		db.gate.RLock()
+		defer db.gate.RUnlock()
+	}
 	var res *Result
 	var err error
 	switch st := stmt.(type) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
+	rescache "crowddb/internal/workload/cache"
 )
 
 // twinQueries are SELECTs of one table and of two, with aliases, a GROUP
@@ -292,5 +294,127 @@ func TestTruncateSQLBacksOffToARuneBoundary(t *testing.T) {
 	}
 	if short := "SELECT 'é'"; truncateSQL(short) != short {
 		t.Fatal("a short statement was cut")
+	}
+}
+
+// TestInsertAllocatesTheSameWithCachedPoints: a single-row INSERT costs
+// what it cost with no entry cached over its table when 10 000 point
+// entries are. It reports its row's cell of the watched column, the cache
+// looks that cell up in the column's point index, and every entry is
+// spared without being walked (cache.TestInsertWorkDoesNotGrowWithPoints
+// times the lookup).
+func TestInsertAllocatesTheSameWithCachedPoints(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	const points = 10_000
+	if _, _, err := db.ExecSQL(`CREATE TABLE r (rid INTEGER, v INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := db.Catalog().Get("r")
+	for i := 0; i < points; i++ {
+		if err := r.Insert(storage.Int(int64(i)), storage.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := points
+	insertAllocs := func() float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, _, err := db.ExecSQL(fmt.Sprintf(`INSERT INTO r VALUES (%d, 2)`, next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	none := insertAllocs()
+	for i := 0; i < points; i++ {
+		if _, _, err := db.ExecSQL(fmt.Sprintf(`SELECT v FROM r WHERE rid = %d`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if many := insertAllocs(); many != none {
+		t.Fatalf("an INSERT allocates %.0f objects with %d point entries cached, %.0f with none", many, points, none)
+	}
+	if st := db.CacheStats(); st.Entries != points || st.Invalidations != 0 {
+		t.Fatalf("after the INSERTs: %+v; want every point entry alive", st)
+	}
+}
+
+// TestFootprintOfASelect: the narrowest interval a single-table SELECT's
+// WHERE's top-level AND conjuncts put on an INTEGER column with integer
+// literals — none from OR, !=, a FLOAT column or an expression — beside
+// the columns it names, every one for SELECT *.
+func TestFootprintOfASelect(t *testing.T) {
+	schema, err := storage.NewSchema(
+		storage.Column{Name: "rid", Kind: storage.KindInt},
+		storage.Column{Name: "v", Kind: storage.KindInt},
+		storage.Column{Name: "f", Kind: storage.KindFloat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(cols ...string) rescache.Footprint { return rescache.Footprint{Table: "r", Columns: cols} }
+	on := func(key string, lo, hi int64, cols ...string) rescache.Footprint {
+		return rescache.Footprint{Table: "r", Columns: cols, Key: key, Lo: lo, Hi: hi}
+	}
+	for sql, want := range map[string]rescache.Footprint{
+		`SELECT rid, v FROM r WHERE rid = 5`:                            on("rid", 5, 5, "rid", "v", "rid"),
+		`SELECT COUNT(*) FROM r x WHERE 3 < x.rid AND rid <= 9`:         on("rid", 4, 9, "rid", "rid"),
+		`SELECT f FROM r WHERE rid > 1 AND v = 2 AND f > 0.5`:           on("v", 2, 2, "f", "rid", "v", "f"),
+		`SELECT V FROM R WHERE RID >= 2 GROUP BY V HAVING COUNT(*) > 1`: on("rid", 2, math.MaxInt64, "V", "RID", "V", "count(*)"),
+		`SELECT v FROM r WHERE rid < -9223372036854775807 - 1`:          none("v", "rid"),
+		`SELECT v FROM r WHERE rid > 9223372036854775807`:               on("rid", 1, 0, "v", "rid"),
+		`SELECT v FROM r WHERE rid = 1 OR rid = 2`:                      none("v", "rid", "rid"),
+		`SELECT v FROM r WHERE rid != 3 ORDER BY f`:                     none("v", "rid", "f"),
+		`SELECT v FROM r WHERE f < 3`:                                   none("v", "f"),
+		`SELECT v FROM r WHERE rid + 1 = 3`:                             none("v", "rid"),
+		`SELECT * FROM r WHERE rid = 7`:                                 {Table: "r", Star: true, Key: "rid", Lo: 7, Hi: 7},
+	} {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		sel := stmt.(*sqlparse.SelectStmt)
+		if got := footprint(sel, tableColumns(sel), schema); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: footprint %+v, want %+v", sql, got, want)
+		}
+	}
+}
+
+// TestWriteWhilePlanningKillsTheMiss: a miss registers its footprint
+// before its plan binds the table, so a write that lands after the
+// binding — here a column added under a SELECT * planned without it —
+// kills the miss, whose answer is then not stored; registered after
+// planning, the old-width answer would be served on the next ask.
+func TestWriteWhilePlanningKillsTheMiss(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	for _, sql := range []string{`CREATE TABLE w (id INTEGER, v INTEGER)`, `INSERT INTO w VALUES (1, 2)`} {
+		if _, _, err := db.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, _ := db.Catalog().Get("w")
+	t.Cleanup(func() { planned = nil })
+	planned = func() {
+		planned = nil
+		if _, err := w.AddColumn(storage.Column{Name: "x", Kind: storage.KindInt}); err != nil {
+			t.Error(err)
+		}
+	}
+	const star = `SELECT * FROM w WHERE id = 1`
+	if res, _, err := db.ExecSQL(star); err != nil || len(res.Columns) != 2 {
+		t.Fatalf("the SELECT planned before the column came: %v, %v", res, err)
+	}
+	res, _, err := db.ExecSQL(star)
+	if err != nil || len(res.Columns) != 3 || len(res.Rows) != 1 || len(res.Rows[0]) != 3 {
+		t.Fatalf("asked again: %+v, %v; want the row with the added column", res, err)
+	}
+	if st := db.CacheStats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("%+v: the answer of the miss the write killed was stored", st)
 	}
 }

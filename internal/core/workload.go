@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -157,27 +158,25 @@ func (db *DB) CacheStats() rescache.Stats {
 	return db.rcache.Stats()
 }
 
-// planSelect is the step every SELECT takes first, materialized or
-// streamed: plan it, account the plan phase, and feed the workload tracker
-// one observation per table in scope, which it returns for the result
-// cache to keep. Caller holds db.gate.RLock. Plan errors propagate
-// untouched so a MissingColumnError still reaches the expansion machinery.
-func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.SelectPlan, []workload.Observation, error) {
+// planned, when set, runs as soon as a SELECT's plan is built, so a test
+// can land a write between the plan binding its table and its execution.
+var planned func()
+
+// planSelect plans a SELECT and accounts the plan phase. Plan errors
+// propagate untouched so a MissingColumnError still reaches the expansion
+// machinery.
+func (db *DB) planSelect(sel *sqlparse.SelectStmt, qt *QueryTrace) (*plan.SelectPlan, error) {
 	planStart := time.Now()
 	p, err := db.engine.PlanSelect(sel)
+	if planned != nil {
+		planned()
+	}
 	planDur := time.Since(planStart)
 	mQueryPhase.With("plan").Observe(planDur.Seconds())
 	if qt != nil {
 		qt.PlanUS += planDur.Microseconds()
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	obs := accessObservations(sel)
-	for _, o := range obs {
-		db.observeLocked(o)
-	}
-	return p, obs, nil
+	return p, err
 }
 
 // cachedResult probes the result cache with a statement's text, before
@@ -235,38 +234,54 @@ func (db *DB) explainHit(sql string, qt *QueryTrace) {
 	}
 }
 
-// openSelect plans and opens a SELECT on s. Caller holds db.gate.RLock;
+// openSelect plans and opens a SELECT on s, and once it is planned feeds
+// the workload tracker its observations (one per table in scope), which
+// the result cache keeps with the entry and a single-table footprint
+// shares. Caller holds db.gate.RLock;
 // the stream is read after it is released. Under a non-empty key — a
 // text the result cache did not answer — it counts the miss and begins
 // the cache's copy of the answer (rescache.Fill), which the cache keeps
 // only if it could store the entry: a large answer to a text seen for the
 // first time is read from the executor and never copied.
 //
-// Order matters: the table-seq snapshot is taken BEFORE planning, because
-// the plan binds the tables it reads and their schemas (SELECT * is
-// expanded then). A mutation, a re-created table or an added column that
-// lands after the snapshot bumps the live seq past it, and the entry —
-// stored against the snapshot — can never be served (the cache validates
-// seqs on every Get).
+// Order matters: the miss is captured — its footprint registered, or
+// its tables' seqs taken — BEFORE planning, because the plan binds the
+// tables it reads and their schemas (SELECT * is expanded then). A write,
+// a re-created table or an added column that lands after the capture and
+// could change the answer kills the miss, or moves a seq past the one
+// its entry holds, so the entry is never served.
 //
 // Every phase feeds the crowddb_query_phase_seconds histogram; a traced
 // stream additionally runs the executor with per-operator tracing, for
 // the annotated plan tree of its QueryTrace.
 func (db *DB) openSelect(s *RowStream, sel *sqlparse.SelectStmt, key string) error {
-	var snap []rescache.TableSeq
+	var cp rescache.Capture
+	var obs []workload.Observation
+	captured := false
 	if key != "" {
-		snap = db.rcache.TableSeqs(selectTables(sel))
+		cp, obs, captured = db.capture(sel)
 	}
-	p, obs, err := db.planSelect(sel, s.qt)
+	p, err := db.planSelect(sel, s.qt)
 	if err != nil {
+		if captured {
+			db.rcache.Release(cp)
+		}
 		return err
+	}
+	if obs == nil {
+		obs = accessObservations(sel)
+	}
+	for _, o := range obs {
+		db.observeLocked(o)
 	}
 	s.reading = true
 	x := &s.x
 	if key != "" {
 		db.rcache.CountMiss()
 		mCacheMisses.Inc()
-		db.rcache.Begin(&x.fill, key, snap, obs, p.Columns)
+		if captured {
+			db.rcache.Begin(&x.fill, key, cp, obs, p.Columns)
+		}
 	}
 	if s.qt != nil {
 		x.plan, x.tr = p, exec.NewTrace()
@@ -274,7 +289,180 @@ func (db *DB) openSelect(s *RowStream, sel *sqlparse.SelectStmt, key string) err
 	start := time.Now()
 	x.res, err = engine.OpenPlan(p, x.tr)
 	x.exec += time.Since(start)
+	if err != nil {
+		x.fill.Abandon()
+	}
 	return err
+}
+
+// capture registers a SELECT's miss with the result cache: a join by its
+// tables' seqs, a single-table SELECT by its footprint, whose columns are
+// those of the observations it returns. It registers nothing (ok false),
+// and the answer is not stored, when the table is missing or lacks a
+// column the items or the WHERE name: the plan fails — a query-driven
+// expansion's first attempt — and the registration would be garbage.
+func (db *DB) capture(sel *sqlparse.SelectStmt) (cp rescache.Capture, obs []workload.Observation, ok bool) {
+	if len(sel.Joins) > 0 {
+		return db.rcache.CaptureTables(selectTables(sel)), nil, true
+	}
+	t, ok := db.Catalog().Get(sel.Table)
+	if !ok {
+		return cp, nil, false
+	}
+	schema := t.Schema()
+	lacks := false
+	check := func(c *sqlparse.ColumnRef) {
+		if _, ok := schema.Lookup(c.Name); !ok {
+			lacks = true
+		}
+	}
+	for _, it := range sel.Items {
+		sqlparse.WalkColumns(it.Expr, check)
+	}
+	if sqlparse.WalkColumns(sel.Where, check); lacks {
+		return cp, nil, false
+	}
+	obs = accessObservations(sel)
+	return db.rcache.CaptureFootprint(footprint(sel, obs[0].Columns, schema)), obs, true
+}
+
+// footprint is what a single-table SELECT's answer depends on, read off
+// the statement, the columns it names (its observation's: in its items,
+// WHERE, GROUP BY, HAVING and ORDER BY) and the table's schema: those
+// columns, or every column for SELECT *, and the narrowest interval on an
+// INTEGER column that the WHERE's top-level AND conjuncts bound with
+// integer literals (none when no conjunct does: OR, NOT, floats, !=,
+// expressions bound nothing). A name the schema lacks — a select-list
+// alias in ORDER BY or HAVING — only widens the column set.
+func footprint(sel *sqlparse.SelectStmt, cols []string, schema *storage.Schema) rescache.Footprint {
+	fp := rescache.Footprint{Table: strings.ToLower(sel.Table), Columns: cols}
+	for _, it := range sel.Items {
+		fp.Star = fp.Star || it.Star
+	}
+	if fp.Star {
+		fp.Columns = nil
+	}
+	var b bounds
+	b.conjuncts(sel.Where, schema)
+	if iv := b.narrowest(); iv != nil {
+		fp.Key, fp.Lo, fp.Hi = strings.ToLower(iv.col), iv.lo, iv.hi
+	}
+	return fp
+}
+
+// bounds collects the intervals a WHERE's top-level AND conjuncts put on
+// INTEGER columns, for the first few columns they bound.
+type bounds struct {
+	c [4]interval
+	n int
+}
+
+// interval is [lo, hi] on one column; lo > hi holds no value.
+type interval struct {
+	col    string
+	lo, hi int64
+}
+
+// width is one less than the number of values a non-empty interval
+// holds.
+func (iv *interval) width() uint64 { return uint64(iv.hi) - uint64(iv.lo) }
+
+func (b *bounds) conjuncts(e sqlparse.Expr, schema *storage.Schema) {
+	be, ok := e.(*sqlparse.BinaryExpr)
+	if !ok {
+		return
+	}
+	if be.Op == "AND" {
+		b.conjuncts(be.Left, schema)
+		b.conjuncts(be.Right, schema)
+		return
+	}
+	col, colOK := be.Left.(*sqlparse.ColumnRef)
+	lit, litOK := be.Right.(*sqlparse.Literal)
+	op := be.Op
+	if !colOK || !litOK {
+		// A literal on the left: the comparison, mirrored.
+		col, colOK = be.Right.(*sqlparse.ColumnRef)
+		lit, litOK = be.Left.(*sqlparse.Literal)
+		switch op {
+		case "<":
+			op = ">"
+		case "<=":
+			op = ">="
+		case ">":
+			op = "<"
+		case ">=":
+			op = "<="
+		}
+	}
+	switch op {
+	case "=", "<", "<=", ">", ">=":
+	default:
+		return
+	}
+	if !colOK || !litOK || lit.Kind != sqlparse.LitInt {
+		return
+	}
+	if i, ok := schema.Lookup(col.Name); !ok || schema.Column(i).Kind != storage.KindInt {
+		return
+	}
+	iv := b.on(col.Name)
+	if iv == nil {
+		return
+	}
+	v := lit.Int
+	switch op {
+	case "=":
+		iv.lo, iv.hi = max(iv.lo, v), min(iv.hi, v)
+	case ">=":
+		iv.lo = max(iv.lo, v)
+	case "<=":
+		iv.hi = min(iv.hi, v)
+	case ">":
+		if v == math.MaxInt64 {
+			iv.lo, iv.hi = 1, 0
+		} else {
+			iv.lo = max(iv.lo, v+1)
+		}
+	case "<":
+		if v == math.MinInt64 {
+			iv.lo, iv.hi = 1, 0
+		} else {
+			iv.hi = min(iv.hi, v-1)
+		}
+	}
+}
+
+// narrowest returns the interval holding the fewest values — an empty
+// one first — or nil when there is none.
+func (b *bounds) narrowest() *interval {
+	var best *interval
+	for i := range b.n {
+		iv := &b.c[i]
+		if iv.lo > iv.hi {
+			return iv
+		}
+		if best == nil || iv.width() < best.width() {
+			best = iv
+		}
+	}
+	return best
+}
+
+// on returns the interval on col, starting an unbounded one — nil past
+// the first few columns.
+func (b *bounds) on(col string) *interval {
+	for i := range b.n {
+		if strings.EqualFold(b.c[i].col, col) {
+			return &b.c[i]
+		}
+	}
+	if b.n == len(b.c) {
+		return nil
+	}
+	b.c[b.n] = interval{col: col, lo: math.MinInt64, hi: math.MaxInt64}
+	b.n++
+	return &b.c[b.n-1]
 }
 
 // selectTables returns the tables a SELECT names, lower-cased and distinct:
@@ -298,6 +486,9 @@ func selectTables(sel *sqlparse.SelectStmt) []string {
 // successfully, and single-table queries — the workload the predictor
 // targets — have no ambiguity).
 func accessObservations(sel *sqlparse.SelectStmt) []workload.Observation {
+	if len(sel.Joins) == 0 {
+		return []workload.Observation{{Table: strings.ToLower(sel.Table), Columns: tableColumns(sel), Kind: workload.KindAccess}}
+	}
 	primary := strings.ToLower(sel.Table)
 	bindings := map[string]string{}
 	alias := sel.TableAlias
@@ -343,6 +534,41 @@ func accessObservations(sel *sqlparse.SelectStmt) []workload.Observation {
 	for table, cols := range colsByTable {
 		out = append(out, workload.Observation{Table: table, Columns: cols, Kind: workload.KindAccess})
 	}
+	return out
+}
+
+// tableColumns lists the columns a single-table SELECT names, in the order
+// accessObservations' walk meets them (duplicates kept): the references
+// qualified by its table's binding, or not at all. It allocates the list
+// alone.
+func tableColumns(sel *sqlparse.SelectStmt) []string {
+	binding := sel.TableAlias
+	if binding == "" {
+		binding = sel.Table
+	}
+	var buf [16]string
+	cols := buf[:0]
+	add := func(c *sqlparse.ColumnRef) {
+		if c.Table == "" || strings.EqualFold(c.Table, binding) {
+			cols = append(cols, c.Name)
+		}
+	}
+	for _, it := range sel.Items {
+		sqlparse.WalkColumns(it.Expr, add)
+	}
+	sqlparse.WalkColumns(sel.Where, add)
+	for _, g := range sel.GroupBy {
+		sqlparse.WalkColumns(g, add)
+	}
+	sqlparse.WalkColumns(sel.Having, add)
+	for _, o := range sel.OrderBy {
+		sqlparse.WalkColumns(o.Expr, add)
+	}
+	if len(cols) == 0 {
+		return nil
+	}
+	out := make([]string, len(cols))
+	copy(out, cols)
 	return out
 }
 

@@ -35,7 +35,7 @@ func TestFailedUpdateChangesNothing(t *testing.T) {
 	mustExec(t, e, `INSERT INTO t VALUES (1, 10.0), (2, 20.0), (3, 30.5), (4, 40.0)`)
 	log := &opLog{}
 	e.Catalog().SetJournal(log)
-	e.Catalog().SetObserver(func(op storage.Op) { log.observed = append(log.observed, op.Kind) })
+	e.Catalog().SetObserver(storage.ObserverFunc(func(w storage.Write) { log.observed = append(log.observed, w.Kind) }))
 
 	_, err := e.ExecSQL(`UPDATE t SET a = f`)
 	if err == nil || !strings.Contains(err.Error(), `cannot coerce FLOAT value "30.5" to INTEGER`) {

@@ -104,6 +104,8 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"crowddb_cache_hits_total",        // result cache
 		"crowddb_cache_misses_total",
 		"crowddb_cache_deferred_total",
+		"crowddb_cache_invalidations_total",
+		"crowddb_cache_evictions_total",
 		"crowddb_storage_tombstones_total", // storage
 		"crowddb_wal_appends_total",        // wal (registered; may be zero samples)
 		"crowddb_jobs_total",               // jobs

@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"crowddb/internal/core"
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/sqlref"
 )
 
@@ -226,4 +228,162 @@ func TestGeneratedSelectsCrossTheAdmissionLine(t *testing.T) {
 		}
 	}
 	t.Logf("%d texts, %d deferred; shapes %v", generatedSeeds*generatedQueriesPerSeed, st.Deferred, seen)
+}
+
+// cachedDMLSeeds, cachedDMLQueries and cachedDMLSteps are
+// FuzzCachedSelectsUnderDML's fixed seeds' count, how many queries of
+// each generator one seed warms, and how many writes it runs.
+const cachedDMLSeeds, cachedDMLQueries, cachedDMLSteps = 5, 4, 12
+
+// FuzzCachedSelectsUnderDML is the result cache's correctness wall under
+// writes. A seed warms a few generated queries, and as many whose answer
+// moves with every row of an interval (sqlref.GenerateBounded) — each
+// asked twice, so that large answers are stored too — and then
+// interleaves seeded writes:
+// INSERTs into t and u whose integers lie in the generated literals'
+// range (−1…8), on an edge of a warmed query's interval (a literal or
+// one off it) or are NULL, UPDATEs of t's k (an interval column) and of
+// t's x (a column some entries do not read) by id, DELETEs of an id
+// range, and compactions. After every write, each warmed text, through
+// ExecSQL and ExecSQLNoCache, must answer what the reference interpreter
+// answers over the live tables; and some cached answers must survive a
+// write, since an entry dies only by a write that meets its footprint.
+// go test -fuzz FuzzCachedSelectsUnderDML searches more seeds. A failure
+// prints the writes so far and the query.
+func FuzzCachedSelectsUnderDML(f *testing.F) {
+	for seed := int64(0); seed < cachedDMLSeeds; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		db := newRefServer(t, 1).db
+		rng := rand.New(rand.NewSource(seed))
+		queries := make([]*sqlref.Query, 2*cachedDMLQueries)
+		oneTable := false
+		var edges []int64
+		for i := range queries {
+			if i < cachedDMLQueries {
+				queries[i] = sqlref.Generate(rng)
+			} else {
+				queries[i] = sqlref.GenerateBounded(rng)
+			}
+			oneTable = oneTable || !queries[i].Join
+			edges = appendEdges(edges, queries[i].SQL())
+			for n := 0; n < 2; n++ {
+				if _, _, err := db.ExecSQL(queries[i].SQL()); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, queries[i].SQL(), err)
+				}
+			}
+		}
+		var writes []string
+		survived := 0
+		for round := 0; len(writes) < cachedDMLSteps; round++ {
+			for _, kind := range rng.Perm(6) {
+				w := cachedDMLWrite(rng, kind, edges)
+				writes = append(writes, w)
+				if w == "COMPACT" {
+					db.CompactNow()
+				} else if _, _, err := db.ExecSQL(w); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, w, err)
+				}
+				for _, q := range queries {
+					hits := db.CacheStats().Hits
+					checkUnderDML(t, db, q, fmt.Sprintf("seed %d, after\n%s", seed, strings.Join(writes, "\n")))
+					if db.CacheStats().Hits > hits {
+						survived++
+					}
+				}
+			}
+		}
+		if oneTable && survived == 0 {
+			t.Fatalf("seed %d: no cached answer survived any of the writes\n%s", seed, strings.Join(writes, "\n"))
+		}
+	})
+}
+
+// appendEdges appends the integer literals of sql's WHERE, and the
+// integers one off each, to edges.
+func appendEdges(edges []int64, sql string) []int64 {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return edges
+	}
+	var walk func(e sqlparse.Expr)
+	walk = func(e sqlparse.Expr) {
+		switch n := e.(type) {
+		case *sqlparse.BinaryExpr:
+			walk(n.Left)
+			walk(n.Right)
+		case *sqlparse.UnaryExpr:
+			walk(n.Expr)
+		case *sqlparse.Literal:
+			if n.Kind == sqlparse.LitInt {
+				edges = append(edges, n.Int-1, n.Int, n.Int+1)
+			}
+		}
+	}
+	walk(stmt.(*sqlparse.SelectStmt).Where)
+	return edges
+}
+
+// cachedDMLWrite writes one of FuzzCachedSelectsUnderDML's writes, of the
+// given kind; "COMPACT" stands for a compaction. Half the integers are
+// drawn from edges, when it holds any.
+func cachedDMLWrite(rng *rand.Rand, kind int, edges []int64) string {
+	small := func() string {
+		if len(edges) > 0 && rng.Intn(2) == 0 {
+			return fmt.Sprint(edges[rng.Intn(len(edges))])
+		}
+		return fmt.Sprint(rng.Intn(10) - 1)
+	}
+	edge := func() string {
+		if rng.Intn(11) == 0 {
+			return "NULL"
+		}
+		return small()
+	}
+	id := func() string {
+		if rng.Intn(4) == 0 {
+			return fmt.Sprint(rng.Intn(sqlref.FixtureRows))
+		}
+		return small()
+	}
+	quarter := func() string { return fmt.Sprintf("%.2f", float64(rng.Intn(44)-2)/4) }
+	switch kind {
+	case 0:
+		return fmt.Sprintf("INSERT INTO t VALUES (%s, %s, %s, 's%02d', %v)", edge(), edge(), quarter(), rng.Intn(32), rng.Intn(2) == 0)
+	case 1:
+		return fmt.Sprintf("INSERT INTO u VALUES (%s, 'new', %s)", edge(), edge())
+	case 2:
+		return fmt.Sprintf("UPDATE t SET k = %s WHERE id = %s", edge(), id())
+	case 3:
+		return fmt.Sprintf("UPDATE t SET x = %s WHERE id = %s", quarter(), id())
+	case 4:
+		lo, _ := strconv.Atoi(small())
+		return fmt.Sprintf("DELETE FROM t WHERE id >= %d AND id < %d", lo, lo+1+rng.Intn(3))
+	default:
+		return "COMPACT"
+	}
+}
+
+// checkUnderDML holds q's answer through ExecSQL (the cache) and
+// ExecSQLNoCache to the reference interpreter's over the live tables.
+func checkUnderDML(t *testing.T, db *core.DB, q *sqlref.Query, context string) {
+	t.Helper()
+	sql, ordered := q.SQL(), q.Ordered()
+	rows, err := sqlref.Eval(db.Catalog(), q)
+	if err != nil {
+		t.Fatalf("%s\n%s: %v", context, sql, err)
+	}
+	want := sqlref.Keys(rows, ordered)
+	for path, exec := range map[string]func(string) (*core.Result, *core.ExpansionReport, error){
+		"ExecSQL": db.ExecSQL, "ExecSQLNoCache": db.ExecSQLNoCache,
+	} {
+		res, _, err := exec(sql)
+		if err != nil {
+			t.Fatalf("%s\n%s: %s: %v", context, sql, path, err)
+		}
+		if got := sqlref.Keys(res.Rows, ordered); !slices.Equal(got, want) {
+			t.Fatalf("%s\n%s\n%s answers %d rows, the reference %d:\n got %.300v\nwant %.300v", context, sql, path, len(got), len(want), got, want)
+		}
+	}
 }

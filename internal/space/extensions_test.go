@@ -1,12 +1,6 @@
 package space
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-
-	"crowddb/internal/vecmath"
-)
+import "testing"
 
 func TestParallelMatchesSequentialQuality(t *testing.T) {
 	w := makeWorld(150, 250, 35, 3, 21)
@@ -69,133 +63,5 @@ func TestParallelWorkerCountEdgeCases(t *testing.T) {
 	bad.Dims = 0
 	if _, _, err := TrainEuclideanParallel(w.data, bad, 2); err == nil {
 		t.Fatal("invalid config must fail")
-	}
-}
-
-// bimodalWorld generates users with two distinct taste modes: each user
-// alternates between two far-apart latent positions. A single-point user
-// model cannot explain both; the multi-point model can.
-func bimodalWorld(nItems, nUsers, perMode int, seed int64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	const dims = 2
-	itemPos := vecmath.NewMatrix(nItems, dims)
-	itemPos.FillRandom(rng, 3.0)
-	var ratings []Rating
-	for u := 0; u < nUsers; u++ {
-		// Two taste centres on opposite sides of the space.
-		modes := [2][]float64{
-			{2 + rng.NormFloat64()*0.3, 2 + rng.NormFloat64()*0.3},
-			{-2 + rng.NormFloat64()*0.3, -2 + rng.NormFloat64()*0.3},
-		}
-		for mode := 0; mode < 2; mode++ {
-			seen := map[int]bool{}
-			for n := 0; n < perMode; n++ {
-				m := rng.Intn(nItems)
-				if seen[m] {
-					continue
-				}
-				seen[m] = true
-				d2 := vecmath.SqDist(itemPos.Row(m), modes[mode])
-				score := 4.5 - 0.08*d2 + rng.NormFloat64()*0.2
-				ratings = append(ratings, Rating{
-					Item: int32(m), User: int32(u),
-					Score: float32(vecmath.Clamp(score, 1, 5)),
-				})
-			}
-		}
-	}
-	return &Dataset{Items: nItems, Users: nUsers, Ratings: ratings}
-}
-
-func TestMultiPointBeatsSinglePointOnBimodalUsers(t *testing.T) {
-	data := bimodalWorld(100, 120, 15, 24)
-	cfg := smallConfig()
-	cfg.Dims = 4
-	cfg.Epochs = 40
-
-	single, _, err := TrainEuclidean(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, _, err := TrainMultiPoint(data, cfg, 2, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmseSingle := single.RMSE(data.Ratings)
-	rmseMulti := multi.RMSE(data.Ratings)
-	if rmseMulti >= rmseSingle*0.97 {
-		t.Fatalf("multi-point RMSE %.4f should clearly beat single-point %.4f on bimodal users",
-			rmseMulti, rmseSingle)
-	}
-}
-
-func TestMultiPointReducesToSingleBehaviour(t *testing.T) {
-	w := makeWorld(80, 120, 25, 3, 25)
-	cfg := smallConfig()
-	cfg.Epochs = 20
-	multi, stats, err := TrainMultiPoint(w.data, cfg, 1, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FinalRMSE() > 0.8 {
-		t.Fatalf("K=1 multi-point RMSE = %.4f, should train fine", stats.FinalRMSE())
-	}
-	// Interface sanity.
-	if multi.Dims() != cfg.Dims || multi.NumItems() != 80 {
-		t.Fatal("model interface broken")
-	}
-	p := multi.Predict(0, 0)
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		t.Fatalf("prediction = %v", p)
-	}
-	// The item space snapshot works like any other model's.
-	sp := FromModel(multi)
-	if sp.NumItems() != 80 {
-		t.Fatal("FromModel on multi-point model broken")
-	}
-}
-
-func TestMultiPointValidation(t *testing.T) {
-	w := makeWorld(20, 20, 5, 2, 26)
-	cfg := smallConfig()
-	if _, _, err := TrainMultiPoint(w.data, cfg, 0, 1); err == nil {
-		t.Fatal("K=0 must fail")
-	}
-	empty := &Dataset{Items: 2, Users: 2}
-	if _, _, err := TrainMultiPoint(empty, cfg, 2, 1); err == nil {
-		t.Fatal("empty must fail")
-	}
-	bad := cfg
-	bad.Epochs = 0
-	if _, _, err := TrainMultiPoint(w.data, bad, 2, 1); err == nil {
-		t.Fatal("bad config must fail")
-	}
-	// tau <= 0 falls back to a sane default rather than failing.
-	if _, _, err := TrainMultiPoint(w.data, cfg, 2, -1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiPointWeightsSumToOne(t *testing.T) {
-	w := makeWorld(30, 30, 10, 2, 27)
-	cfg := smallConfig()
-	cfg.Epochs = 5
-	m, _, err := TrainMultiPoint(w.data, cfg, 3, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := make([]float64, 3)
-	for i := 0; i < 10; i++ {
-		m.userWeights(m.Items.Row(i), i%30, weights)
-		var sum float64
-		for _, v := range weights {
-			if v < 0 || v > 1 {
-				t.Fatalf("weight %v outside [0,1]", v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("weights sum to %v", sum)
-		}
 	}
 }

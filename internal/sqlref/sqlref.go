@@ -163,6 +163,32 @@ func Generate(rng *rand.Rand) *Query {
 	return q
 }
 
+// GenerateBounded writes a query over t alone whose WHERE is a
+// conjunction that bounds an INTEGER column, id or k, with a literal in
+// the generated range — the shape a result-cache entry is checked by
+// interval — and whose answer moves with every row it selects: the
+// selected rows' COUNT(*) and SUM of k or of x, grouped by k or by b.
+func GenerateBounded(rng *rand.Rand) *Query {
+	bound := func() Expr {
+		return &colCmp{col: &tCols[rng.Intn(2)], op: cmpOps[2+rng.Intn(4)], lit: genLiteral(rng, storage.KindInt, false)}
+	}
+	by := &tCols[1+3*rng.Intn(2)]
+	q := &Query{
+		Items:   []Item{{Col: by}, {Agg: "COUNT"}, {Agg: "SUM", Col: &tCols[1+rng.Intn(2)]}},
+		GroupBy: []int{0},
+		Where:   bound(),
+	}
+	switch rng.Intn(4) {
+	case 0:
+		q.Where = &logic{op: "AND", l: q.Where, r: bound()}
+	case 1:
+		q.Where = &logic{op: "AND", l: genPred(rng, tCols, 1), r: q.Where}
+	case 2:
+		q.Where = &colCmp{col: &tCols[rng.Intn(2)], op: "=", lit: genLiteral(rng, storage.KindInt, false)}
+	}
+	return q
+}
+
 // pickColumns returns n items, columns of cols in a random order.
 func pickColumns(rng *rand.Rand, cols []column, n int) []Item {
 	items := make([]Item, 0, n)

@@ -182,7 +182,7 @@ func (t *Table) Compact(policy CompactionPolicy) (CompactionResult, error) {
 	t.compactLastEpoch.Store(nv.epoch)
 	mCompactionRuns.Inc()
 	mCompactionRows.Add(int64(len(removed)))
-	t.notify(Op{Kind: OpCompact, Table: t.name})
+	t.notify(OpCompact, "")
 	return CompactionResult{
 		Compacted:       true,
 		RowsReclaimed:   len(removed),
@@ -214,7 +214,7 @@ func (t *Table) ReplayCompact(rows []int) int {
 	t.compactRuns.Add(1)
 	t.compactRows.Add(int64(reclaimed))
 	t.compactLastEpoch.Store(nv.epoch)
-	t.notify(Op{Kind: OpCompact, Table: t.name})
+	t.notify(OpCompact, "")
 	return reclaimed
 }
 

@@ -131,16 +131,52 @@ func (c *Catalog) Apply(op Op) error {
 	}
 }
 
-// Observer is notified after a mutation has been successfully applied —
-// journaled, validated, and visible in memory. It runs under the mutated
+// Observer is notified after a mutation has been applied — journaled,
+// validated, and visible in memory. Both methods run under the mutated
 // table's write lock (DDL under the catalog lock), so implementations
 // must be fast and must never call back into the table or catalog. The
-// result-cache invalidation hook is the motivating consumer: it only
-// bumps a per-table sequence number.
+// result cache is the consumer: a write kills the cached answers it can
+// change, and only those (see Write).
 //
 // Unlike Journal, an observer cannot veto or fail a mutation; it sees
-// the op strictly after the fact.
-type Observer func(Op)
+// the write strictly after it is published.
+type Observer interface {
+	// Watched names the columns of table whose cells the observer wants
+	// in a row write's images (Write.Keys): nil for none, and then the
+	// write gathers nothing. It is asked after the write is published, so
+	// whoever starts watching later reads the written version. The slice
+	// is the observer's, and is never written.
+	Watched(table string) []string
+	// Observe reports one applied mutation. Its slices are valid only
+	// during the call.
+	Observe(w Write)
+}
+
+// Write is one applied mutation as an Observer sees it.
+type Write struct {
+	Kind  OpKind
+	Table string
+	// Cols names the columns written in rows that stay: an UPDATE's SET
+	// columns, or the filled or added column. Nil for the other kinds.
+	Cols []string
+	// Keys are the watched columns the table has, and Old and New hold
+	// their cells in every row image a row write removes and adds: a
+	// deleted row, an UPDATE's row before and after, an inserted row.
+	// Image i's cell of Keys[j] is at i*len(Keys)+j. Only insert, set and
+	// tombstone report images; the other kinds change rows, columns or
+	// the table in ways no image describes.
+	Keys     []string
+	Old, New []Value
+}
+
+// ObserverFunc is an Observer that watches no columns.
+type ObserverFunc func(Write)
+
+// Watched returns nil.
+func (ObserverFunc) Watched(string) []string { return nil }
+
+// Observe calls f.
+func (f ObserverFunc) Observe(w Write) { f(w) }
 
 // SetObserver attaches f to the catalog and every current table; tables
 // created afterwards inherit it. Pass nil to detach. Like SetJournal it

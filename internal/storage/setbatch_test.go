@@ -34,7 +34,7 @@ func describeSet(t *testing.T, op Op) string {
 func TestSetBatchIsOneCommit(t *testing.T) {
 	tbl, idx, j := batchTable(t, ChunkRows+100)
 	notified := 0
-	tbl.observer = func(Op) { notified++ }
+	tbl.observer = ObserverFunc(func(Write) { notified++ })
 	epoch := tbl.snap.Load().epoch
 	sealed := tbl.snap.Load().col(1).chunks[0]
 

@@ -79,6 +79,13 @@ type Table struct {
 	snap     atomic.Pointer[version]
 	journal  Journal
 	observer Observer
+	// keyCols, keyNames and images are notifyRows' buffers, reused under
+	// mu: the watched columns' positions and names, and their cells;
+	// written is notify's.
+	keyCols  []int
+	keyNames []string
+	images   []Value
+	written  [1]string
 
 	// idxMu couples snapshot publication with index maintenance: every
 	// commit stores the new version and patches the indexes inside
@@ -118,12 +125,62 @@ func (t *Table) logOp(op Op) error {
 	return t.journal.LogOp(op)
 }
 
-// notify reports an applied mutation to the attached observer. Caller
-// holds t.mu; the mutation has already been published.
-func (t *Table) notify(op Op) {
-	if t.observer != nil {
-		t.observer(op)
+// notify reports an applied mutation that carries no row images — a
+// compaction, an added or a filled column — to the attached observer,
+// with the column it wrote ("" for none). Caller holds t.mu; the mutation
+// has already been published.
+func (t *Table) notify(kind OpKind, col string) {
+	if t.observer == nil {
+		return
 	}
+	w := Write{Kind: kind, Table: t.name}
+	if col != "" {
+		t.written[0] = col
+		w.Cols = t.written[:]
+	}
+	t.observer.Observe(w)
+}
+
+// notifyRows reports a row write to the attached observer: the rows
+// removed from v and those added in nv (nil when none are), written
+// through cols (nil for whole rows). The cells of the watched columns in
+// their images are gathered only when the observer watches some, into
+// buffers the table reuses. Caller holds t.mu; nv has been published.
+func (t *Table) notifyRows(kind OpKind, cols []string, v *version, removed []int, nv *version, added []int) {
+	if t.observer == nil {
+		return
+	}
+	w := Write{Kind: kind, Table: t.name, Cols: cols}
+	if watched := t.observer.Watched(t.name); len(watched) > 0 {
+		t.keyCols, t.keyNames = t.keyCols[:0], t.keyNames[:0]
+		for _, name := range watched {
+			if col, ok := v.schema.Lookup(name); ok {
+				t.keyCols = append(t.keyCols, col)
+				t.keyNames = append(t.keyNames, name)
+			}
+		}
+		t.images = t.appendCells(t.images[:0], v, removed)
+		n := len(t.images)
+		t.images = t.appendCells(t.images, nv, added)
+		w.Keys, w.Old, w.New = t.keyNames, t.images[:n:n], t.images[n:]
+	}
+	t.observer.Observe(w)
+	if cap(t.images) > maxKeptImages {
+		t.images = nil // a bulk write's cells are not kept for the next
+	}
+}
+
+// maxKeptImages bounds the cells notifyRows keeps for reuse.
+const maxKeptImages = 4096
+
+// appendCells appends the watched columns' cells of v's rows to dst.
+func (t *Table) appendCells(dst []Value, v *version, rows []int) []Value {
+	for _, row := range rows {
+		for _, col := range t.keyCols {
+			dst = append(dst, v.value(row, col))
+		}
+	}
+	return dst
 }
 
 // publish installs nv as the current version, holding idxMu so index
@@ -216,7 +273,7 @@ func (t *Table) Insert(vals ...Value) error {
 		}
 	})
 	clk.lap(phaseIndex)
-	t.notify(Op{Kind: OpInsert, Table: t.name})
+	t.notifyRows(OpInsert, nil, v, nil, nv, []int{rowID})
 	clk.observe(&mInsertPhases)
 	return nil
 }
@@ -367,7 +424,7 @@ func (t *Table) setLocked(v *version, rows, cols []int, vals [][]Value) (int, er
 		}
 	})
 	clk.lap(phaseIndex)
-	t.notify(Op{Kind: OpSet, Table: t.name})
+	t.notifyRows(OpSet, names, v, written, nv, written)
 	clk.observe(&mUpdatePhases)
 	return len(order), nil
 }
@@ -407,7 +464,7 @@ func (t *Table) AddColumn(c Column) (int, error) {
 	nv.schema = v.schema.with(c)
 	nv.addCol(colData{chunks: make([]*chunk, v.sealed/ChunkRows)})
 	t.publish(nv, nil)
-	t.notify(Op{Kind: OpAddColumn, Table: t.name})
+	t.notify(OpAddColumn, c.Name)
 	return nv.schema.Len() - 1, nil
 }
 
@@ -452,7 +509,7 @@ func (t *Table) FillColumnFrom(name string, fill func(at *Snap) (*Vector, error)
 			t.rebuildIndex(idx, nv)
 		}
 	})
-	t.notify(Op{Kind: OpFillColumn, Table: t.name})
+	t.notify(OpFillColumn, name)
 	return nil
 }
 
@@ -585,7 +642,7 @@ func (t *Table) Delete(idx []int) int {
 		}
 	})
 	clk.lap(phaseIndex)
-	t.notify(Op{Kind: OpTombstone, Table: t.name})
+	t.notifyRows(OpTombstone, nil, v, killed, nil, nil)
 	mTombstones.Add(int64(len(killed)))
 	clk.observe(&mDeletePhases)
 	return len(killed)
@@ -622,7 +679,7 @@ func (c *Catalog) Create(name string, schema *Schema) (*Table, error) {
 	t.observer = c.observer
 	c.tables[key] = t
 	if c.observer != nil {
-		c.observer(Op{Kind: OpCreateTable, Table: name})
+		c.observer.Observe(Write{Kind: OpCreateTable, Table: name})
 	}
 	return t, nil
 }
@@ -647,7 +704,7 @@ func (c *Catalog) Drop(name string) bool {
 	}
 	delete(c.tables, key)
 	if ok && c.observer != nil {
-		c.observer(Op{Kind: OpDropTable, Table: name})
+		c.observer.Observe(Write{Kind: OpDropTable, Table: name})
 	}
 	return ok
 }

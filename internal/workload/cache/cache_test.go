@@ -3,8 +3,10 @@ package cache
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"crowddb/internal/storage"
 	"crowddb/internal/workload"
@@ -46,7 +48,7 @@ func TestHitMutateMiss(t *testing.T) {
 func TestGetBatchesCountsHitsNotMisses(t *testing.T) {
 	c := New(0)
 	obs := []workload.Observation{{Table: "movies", Columns: []string{"name"}, Kind: workload.KindAccess}}
-	c.PutBatches("q", c.TableSeqs([]string{"movies"}), obs, []string{"name"}, storage.BatchesOf([]storage.Row{row("alien")}))
+	c.PutBatches("q", c.CaptureTables([]string{"movies"}), obs, []string{"name"}, storage.BatchesOf([]storage.Row{row("alien")}))
 	if _, _, _, ok := c.GetBatches("INSERT INTO movies VALUES ('x')"); ok {
 		t.Fatal("a text never stored was served")
 	}
@@ -82,7 +84,7 @@ func TestBytesCountWhatEntriesKeep(t *testing.T) {
 		key := fmt.Sprintf("SELECT rid, movie_id, score FROM ratings WHERE rid = %d", i)
 		obs := []workload.Observation{{Table: "ratings", Columns: []string{"rid", "movie_id", "score"}, Kind: workload.KindAccess}}
 		batches := storage.BatchesOf([]storage.Row{{storage.Int(int64(i)), storage.Int(2), storage.Float(3)}})
-		c.PutBatches(key, c.TableSeqs(tables), obs, cols, batches)
+		c.PutBatches(key, c.CaptureTables(tables), obs, cols, batches)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -147,7 +149,7 @@ func TestBatchesAreSharedRowsAreNot(t *testing.T) {
 
 	batches := storage.BatchesOf([]storage.Row{{storage.Int(1)}, {storage.Int(2)}})
 	cols := []string{"n"}
-	c.PutBatches("batches", snap, nil, cols, batches)
+	c.PutBatches("batches", Capture{seqs: snap}, nil, cols, batches)
 	for i := 0; i < 2; i++ {
 		gotCols, got, _, ok := c.GetBatches("batches")
 		if !ok || &gotCols[0] != &cols[0] || &got[0] != &batches[0] || &got[0].Cols[0].Ints[0] != &batches[0].Cols[0].Ints[0] {
@@ -166,7 +168,7 @@ func TestPutBatchesRefusesPinnedVectors(t *testing.T) {
 			t.Fatal("PutBatches accepted a pinned vector")
 		}
 	}()
-	New(0).PutBatches("fp", nil, nil, []string{"n"}, batches)
+	New(0).PutBatches("fp", Capture{}, nil, []string{"n"}, batches)
 }
 
 // TestGetBatchesAllocatesNothing is the hit path's allocation wall.
@@ -228,11 +230,11 @@ func TestLargeEntryStoredOnSecondSighting(t *testing.T) {
 	c := New(0)
 	seqs := c.TableSeqs([]string{"t"})
 	batches := largeBatches(0)
-	if size := entrySize("big", seqs, nil, []string{"n"}, batches); size <= admitBytes {
+	if size := entrySize("big", Capture{seqs: seqs}, nil, []string{"n"}, batches); size <= admitBytes {
 		t.Fatalf("the large answer is charged %d bytes, not over %d", size, admitBytes)
 	}
 	before := mDeferred.Value()
-	c.PutBatches("big", seqs, nil, []string{"n"}, batches)
+	c.PutBatches("big", Capture{seqs: seqs}, nil, []string{"n"}, batches)
 	if _, _, _, ok := c.GetBatches("big"); ok {
 		t.Fatal("a large entry was served after its text's first miss")
 	}
@@ -242,7 +244,7 @@ func TestLargeEntryStoredOnSecondSighting(t *testing.T) {
 	if got := mDeferred.Value() - before; got != 1 {
 		t.Fatalf("crowddb_cache_deferred_total moved by %d, want 1", got)
 	}
-	c.PutBatches("big", seqs, nil, []string{"n"}, batches)
+	c.PutBatches("big", Capture{seqs: seqs}, nil, []string{"n"}, batches)
 	if _, got, _, ok := c.GetBatches("big"); !ok || &got[0] != &batches[0] {
 		t.Fatal("a large entry was not stored on its text's second miss")
 	}
@@ -286,15 +288,15 @@ func TestSmallEntryStoredAtOnce(t *testing.T) {
 	text := func(n int) []storage.Batch {
 		return storage.BatchesOf([]storage.Row{{storage.Text(string(make([]byte, n)))}})
 	}
-	n := int(admitBytes - entrySize("edge", seqs, nil, []string{"v"}, text(0)))
-	if size := entrySize("edge", seqs, nil, []string{"v"}, text(n)); size != admitBytes {
+	n := int(admitBytes - entrySize("edge", Capture{seqs: seqs}, nil, []string{"v"}, text(0)))
+	if size := entrySize("edge", Capture{seqs: seqs}, nil, []string{"v"}, text(n)); size != admitBytes {
 		t.Fatalf("the edge entry is charged %d bytes, want %d", size, admitBytes)
 	}
-	c.PutBatches("edge", seqs, nil, []string{"v"}, text(n))
+	c.PutBatches("edge", Capture{seqs: seqs}, nil, []string{"v"}, text(n))
 	if _, _, _, ok := c.GetBatches("edge"); !ok {
 		t.Fatalf("an entry charged exactly %d bytes was not stored at once", admitBytes)
 	}
-	c.PutBatches("over", seqs, nil, []string{"v"}, text(n+1))
+	c.PutBatches("over", Capture{seqs: seqs}, nil, []string{"v"}, text(n+1))
 	if _, _, _, ok := c.GetBatches("over"); ok {
 		t.Fatalf("an entry charged %d bytes was stored on its first sighting", admitBytes+1)
 	}
@@ -308,7 +310,7 @@ func TestDoorkeeperCollisionOnlyDelays(t *testing.T) {
 	c := New(0)
 	seqs := c.TableSeqs([]string{"t"})
 	answer := map[string][]storage.Batch{"a": largeBatches(0)}
-	put := func(key string) { c.PutBatches(key, seqs, nil, []string{"n"}, answer[key]) }
+	put := func(key string) { c.PutBatches(key, Capture{seqs: seqs}, nil, []string{"n"}, answer[key]) }
 	put("a") // allocates the doorkeeper and its seed
 	slot := func(key string) uint64 { return maphash.String(c.seed, key) % doorkeeperSlots }
 	b := ""
@@ -361,7 +363,7 @@ func everyOther(n int) []storage.Batch {
 // fill feeds batches to a Fill of c under key and finishes it.
 func fill(c *Cache, key string, batches []storage.Batch) {
 	var f Fill
-	c.Begin(&f, key, c.TableSeqs([]string{"t"}), nil, []string{"i", "s", "f"})
+	c.Begin(&f, key, c.CaptureTables([]string{"t"}), nil, []string{"i", "s", "f"})
 	for k := range batches {
 		f.Add(&batches[k])
 	}
@@ -384,7 +386,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 	text := func(n int) []storage.Batch {
 		return storage.BatchesOf([]storage.Row{{storage.Int(0), storage.Text(string(make([]byte, n))), storage.Float(0)}})
 	}
-	n := int(admitBytes - entrySize("edge", seqs, nil, cols, text(0)))
+	n := int(admitBytes - entrySize("edge", Capture{seqs: seqs}, nil, cols, text(0)))
 	answers["edge"], answers["over edge"] = text(n), text(n+1)
 	for sighting := 1; sighting <= 3; sighting++ {
 		for _, key := range []string{"small", "large", "huge", "edge", "over edge"} {
@@ -392,7 +394,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 			for k := range answers[key] {
 				owned = storage.AppendOwned(owned, &answers[key][k])
 			}
-			whole.PutBatches(key, seqs, nil, cols, owned)
+			whole.PutBatches(key, Capture{seqs: seqs}, nil, cols, owned)
 			fill(fed, key, answers[key])
 			w, f := whole.Stats(), fed.Stats()
 			if w.Deferred != f.Deferred || w.Entries != f.Entries || w.Bytes != f.Bytes {
@@ -410,7 +412,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 	large := answers["large"]
 	for i := 0; i < 2; i++ {
 		var f Fill
-		c.Begin(&f, "q", c.TableSeqs([]string{"t"}), nil, cols)
+		c.Begin(&f, "q", c.CaptureTables([]string{"t"}), nil, cols)
 		f.Add(&large[0])
 	}
 	if st := c.Stats(); st.Deferred != 0 || c.seen != nil {
@@ -422,7 +424,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 
 	// Past its line a Fill holds nothing and copies nothing more.
 	var f Fill
-	c.Begin(&f, "r", c.TableSeqs([]string{"t"}), nil, cols)
+	c.Begin(&f, "r", c.CaptureTables([]string{"t"}), nil, cols)
 	f.Add(&large[0])
 	if f.batches != nil || !f.over {
 		t.Fatalf("a Fill %d bytes over its line still holds %d batches", f.floor-f.line, len(f.batches))
@@ -525,7 +527,7 @@ func TestConcurrentAccessIsRaceClean(t *testing.T) {
 			c.InvalidateTable("t")
 			snap := c.TableSeqs([]string{"t"})
 			c.Put(fmt.Sprintf("fp%d", i%7), snap, []string{"v"}, []storage.Row{row("x")})
-			c.PutBatches(fmt.Sprintf("large%d", i%5), snap, nil, []string{"n"}, large)
+			c.PutBatches(fmt.Sprintf("large%d", i%5), Capture{seqs: snap}, nil, []string{"n"}, large)
 		}
 	}()
 	for i := 0; i < 500; i++ {
@@ -554,7 +556,7 @@ func BenchmarkColumnarGetPut(b *testing.B) {
 			c := New(0)
 			seqs := c.TableSeqs([]string{"ratings"})
 			for _, k := range keys {
-				c.PutBatches(k, seqs, nil, cols, batches)
+				c.PutBatches(k, Capture{seqs: seqs}, nil, cols, batches)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
@@ -597,4 +599,117 @@ func BenchmarkColumnarGetPut(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
 	})
+}
+
+// TestInsertWorkDoesNotGrowWithPoints: a write's images are looked up in
+// the point index of each watched column, so an INSERT that meets none of
+// 10 000 point entries takes about as long as one that meets none of 10 —
+// a walk of the entries would take a thousand times as long — allocates
+// nothing, and spares them all.
+func TestInsertWorkDoesNotGrowWithPoints(t *testing.T) {
+	insert := storage.Write{Kind: storage.OpInsert, Table: "t", Keys: []string{"rid"}, New: []storage.Value{storage.Int(-1)}}
+	timeInsert := func(points int) time.Duration {
+		c := New(0)
+		for i := 0; i < points; i++ {
+			cp := c.CaptureFootprint(Footprint{Table: "t", Columns: []string{"v"}, Key: "rid", Lo: int64(i), Hi: int64(i)})
+			c.PutBatches(fmt.Sprintf("q%d", i), cp, nil, []string{"v"}, storage.BatchesOf([]storage.Row{{storage.Int(1)}}))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.Observe(insert) }); allocs != 0 {
+			t.Fatalf("an INSERT's invalidation allocates %.0f objects over %d point entries", allocs, points)
+		}
+		best := time.Duration(math.MaxInt64)
+		for round := 0; round < 5; round++ {
+			start := time.Now()
+			for j := 0; j < 20_000; j++ {
+				c.Observe(insert)
+			}
+			best = min(best, time.Since(start))
+		}
+		if st := c.Stats(); st.Entries != points || st.Invalidations != 0 {
+			t.Fatalf("%d point entries after the INSERTs: %+v", points, st)
+		}
+		return best
+	}
+	few, many := timeInsert(10), timeInsert(10_000)
+	if many > 5*few {
+		t.Fatalf("20 000 INSERTs' invalidation took %v over 10 000 point entries, %v over 10", many, few)
+	}
+}
+
+// TestWriteKillsWhatItMeets walks the footprint rule write by write: an
+// INSERT or DELETE kills the entries whose interval holds a row image's
+// cell and those without an interval, an UPDATE only those of them that
+// read a SET column, a FILL COLUMN those that read the column, an ADD
+// COLUMN those of SELECT *, a compaction all; a miss a write meets in
+// flight is not stored, and a released one is no longer watched.
+func TestWriteKillsWhatItMeets(t *testing.T) {
+	c := New(0)
+	put := func(key string, fp Footprint) {
+		fp.Table = "t"
+		c.PutBatches(key, c.CaptureFootprint(fp), nil, []string{"n"}, storage.BatchesOf([]storage.Row{{storage.Int(1)}}))
+	}
+	point := func(n int64, cols ...string) Footprint { return Footprint{Columns: cols, Key: "rid", Lo: n, Hi: n} }
+	write := func(kind storage.OpKind, cols []string, old, new []storage.Value) {
+		c.Observe(storage.Write{Kind: kind, Table: "T", Cols: cols, Keys: []string{"rid"}, Old: old, New: new})
+	}
+	alive := func(step string, want ...string) {
+		t.Helper()
+		var got []string
+		for _, key := range []string{"point", "count", "range", "empty", "whole", "star"} {
+			if _, ok := c.entries[key]; ok {
+				got = append(got, key)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %s the entries %v are alive, want %v", step, got, want)
+		}
+	}
+	all := func() {
+		put("point", point(5, "rid", "v"))
+		put("count", point(5, "rid"))
+		put("range", Footprint{Columns: []string{"v", "rid"}, Key: "rid", Lo: 10, Hi: 20})
+		put("empty", Footprint{Columns: []string{"v"}, Key: "rid", Lo: 1, Hi: 0})
+		put("whole", Footprint{Columns: []string{"w"}})
+		put("star", Footprint{Star: true, Key: "rid", Lo: 5, Hi: 5})
+	}
+	all()
+	if got := c.Watched("T"); fmt.Sprint(got) != "[rid]" {
+		t.Fatalf("Watched = %v, want [rid]", got)
+	}
+	five, six, fifteen, null := storage.Int(5), storage.Int(6), storage.Int(15), storage.Null()
+	write(storage.OpInsert, nil, nil, []storage.Value{six})
+	alive("INSERT rid 6", "point", "count", "range", "empty", "star")
+	write(storage.OpInsert, nil, nil, []storage.Value{null})
+	alive("INSERT rid NULL", "point", "count", "range", "empty", "star")
+	write(storage.OpSet, []string{"W"}, []storage.Value{five}, []storage.Value{five})
+	alive("UPDATE SET w of rid 5", "point", "count", "range", "empty")
+	write(storage.OpSet, []string{"v"}, []storage.Value{six}, []storage.Value{fifteen})
+	alive("UPDATE SET v, rid 6 → 15", "point", "count", "empty")
+	write(storage.OpTombstone, nil, []storage.Value{five}, nil)
+	alive("DELETE rid 5", "empty")
+	if st := c.Stats(); st.Invalidations != 5 {
+		t.Fatalf("%d invalidations, want one per entry killed", st.Invalidations)
+	}
+
+	all()
+	c.Observe(storage.Write{Kind: storage.OpAddColumn, Table: "t", Cols: []string{"x"}})
+	alive("ADD COLUMN x", "point", "count", "range", "empty", "whole")
+	c.Observe(storage.Write{Kind: storage.OpFillColumn, Table: "t", Cols: []string{"V"}})
+	alive("FILL COLUMN v", "count", "whole")
+	c.Observe(storage.Write{Kind: storage.OpCompact, Table: "t"})
+	alive("a compaction")
+	if got := c.Watched("t"); got != nil {
+		t.Fatalf("Watched = %v with no entry left", got)
+	}
+
+	// A write that meets a miss in flight: the miss is not stored.
+	cp := c.CaptureFootprint(Footprint{Table: "t", Columns: []string{"v"}, Key: "rid", Lo: 7, Hi: 7})
+	write(storage.OpInsert, nil, nil, []storage.Value{storage.Int(7)})
+	c.PutBatches("point", cp, nil, []string{"n"}, storage.BatchesOf([]storage.Row{{storage.Int(1)}}))
+	alive("a miss killed in flight")
+	// A released miss is watched no more.
+	c.Release(c.CaptureFootprint(Footprint{Table: "t", Key: "rid", Lo: 8, Hi: 8}))
+	if got := c.Watched("t"); got != nil {
+		t.Fatalf("Watched = %v after the only miss was released", got)
+	}
 }

@@ -453,26 +453,40 @@ func TestConcurrentCacheReadsDuringCrowdFill(t *testing.T) {
 }
 
 // TestTextHitsRaceWritesAndDDL races readers served from the cache by
-// their SQL text against a writer that inserts, creates and drops an
-// index, and drops the table to re-create it with one column more or one
-// fewer. Run under -race in the nightly sweep. A reader's answer must be
+// their SQL text against a writer that inserts, moves a row into and out
+// of the point id = 2500 with UPDATEs of id, creates and drops an index,
+// and drops the table to re-create it with one column more or one fewer.
+// Two of the texts read only the point, so writes elsewhere spare their
+// entries. Run under -race in the nightly sweep. A reader's answer must be
 // one some version of the table could have given — v = 2·id and w = 3·id
-// on every row, ids ascending — or, while the table is gone, a missing
-// table; and after every step the writer's own read of each text must be
-// what the statement answers with the cache bypassed, columns included.
+// on every row, ids ascending, only id = 2500 for the point — or, while
+// the table is gone, a missing table; and after every step the writer's
+// own read of each text must be what the statement answers with the cache
+// bypassed, columns included.
 func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 	db := crowddb.New(nil)
 	t.Cleanup(func() { _ = db.Close() })
 	const (
-		q    = `SELECT id, v FROM churn ORDER BY id`
-		star = `SELECT * FROM churn ORDER BY id`
+		q         = `SELECT id, v FROM churn ORDER BY id`
+		star      = `SELECT * FROM churn ORDER BY id`
+		k         = 2500
+		point     = `SELECT id, v FROM churn WHERE id = 2500`
+		starPoint = `SELECT * FROM churn WHERE 2500 = id`
 	)
+	texts := []string{q, star, point, starPoint}
 	wide := false // the writer's view of the schema: (id, v) or (id, v, w)
 	insert := func(id int) string {
 		if wide {
 			return fmt.Sprintf(`INSERT INTO churn VALUES (%d, %d, %d)`, id, 2*id, 3*id)
 		}
 		return fmt.Sprintf(`INSERT INTO churn VALUES (%d, %d)`, id, 2*id)
+	}
+	// move renumbers the rows of id from to id to.
+	move := func(from, to int) string {
+		if wide {
+			return fmt.Sprintf(`UPDATE churn SET id = %d, v = %d, w = %d WHERE id = %d`, to, 2*to, 3*to, from)
+		}
+		return fmt.Sprintf(`UPDATE churn SET id = %d, v = %d WHERE id = %d`, to, 2*to, from)
 	}
 	create := func() error {
 		schema := `CREATE TABLE churn (id INTEGER, v INTEGER)`
@@ -492,8 +506,9 @@ func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 	if err := create(); err != nil {
 		t.Fatal(err)
 	}
-	// plausible reports whether res is an answer some version of churn gives.
-	plausible := func(res *crowddb.Result) bool {
+	// plausible reports whether res is an answer some version of churn
+	// gives to sql.
+	plausible := func(sql string, res *crowddb.Result) bool {
 		if len(res.Columns) < 2 || res.Columns[0] != "id" || res.Columns[1] != "v" {
 			return false
 		}
@@ -502,6 +517,9 @@ func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 			id, _ := row[0].AsInt()
 			v, _ := row[1].AsInt()
 			if len(row) != len(res.Columns) || id <= last || v != 2*id {
+				return false
+			}
+			if (sql == point || sql == starPoint) && id != k {
 				return false
 			}
 			if len(row) == 3 {
@@ -526,10 +544,7 @@ func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 					return
 				default:
 				}
-				sql := q
-				if (r+i)%2 == 1 {
-					sql = star
-				}
+				sql := texts[(r+i)%len(texts)]
 				res, _, err := db.ExecSQL(sql)
 				if err != nil {
 					if !strings.Contains(err.Error(), `no such table "churn"`) {
@@ -538,7 +553,7 @@ func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 					}
 					continue
 				}
-				if !plausible(res) {
+				if !plausible(sql, res) {
 					t.Errorf("reader %d: %s answered columns %v, rows %v", r, sql, res.Columns, res.Rows)
 					return
 				}
@@ -550,7 +565,7 @@ func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 	// cache answers what the statement answers now.
 	settled := func(step string) {
 		t.Helper()
-		for _, sql := range []string{q, star} {
+		for _, sql := range texts {
 			cached, _, err := db.ExecSQL(sql)
 			if err != nil {
 				t.Fatalf("after %s: %s: %v", step, sql, err)
@@ -565,22 +580,24 @@ func TestTextHitsRaceWritesAndDDL(t *testing.T) {
 		}
 	}
 	for i := 0; i < 30 && !t.Failed(); i++ {
-		for _, step := range []string{insert(1000 + i), `CREATE INDEX churn_id ON churn (id)`, `DROP INDEX churn_id ON churn`} {
+		steps := []string{insert(1000 + i), insert(k), move(k, 4000+i), move(4000+i, k), move(k, 5000+i),
+			`CREATE INDEX churn_id ON churn (id)`, `DROP INDEX churn_id ON churn`}
+		for _, step := range steps {
 			if _, _, err := db.ExecSQL(step); err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
 			settled(step)
 		}
-		if i%3 == 2 {
-			if _, _, err := db.ExecSQL(`DROP TABLE churn`); err != nil {
-				t.Fatal(err)
-			}
-			wide = !wide
-			if err := create(); err != nil {
-				t.Fatal(err)
-			}
-			settled("DROP TABLE and CREATE TABLE")
+		// Every round re-creates the table: a reader that planned over the
+		// dropped one must not leave an entry the new one would serve.
+		if _, _, err := db.ExecSQL(`DROP TABLE churn`); err != nil {
+			t.Fatal(err)
 		}
+		wide = !wide
+		if err := create(); err != nil {
+			t.Fatal(err)
+		}
+		settled("DROP TABLE and CREATE TABLE")
 	}
 	close(stop)
 	wg.Wait()
