@@ -58,9 +58,10 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzCachedSelectsUnderDML$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/server
 
 # The expansion's allocation wall, twenty times over: what it bounds —
-# adding a column and filling it, the model and the labels, no list of the
-# table's ids, no Gram matrix, nothing that grows with the table's width —
-# must not depend on where the garbage collector happens to be.
+# adding a column and filling it; no model, vote, label buffer or Gram
+# matrix of its own (they are the expansion workspace's), no list of the
+# table's ids, nothing that grows with the table's width — must not depend
+# on where the garbage collector happens to be.
 walls:
 	$(GO) test -run 'TestSpaceExpansionAllocationIsWidthIndependent$$' -count 20 ./internal/core
 

@@ -14,7 +14,6 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
-	"crowddb/internal/svm"
 	"crowddb/internal/wal"
 	"crowddb/internal/workload"
 	rescache "crowddb/internal/workload/cache"
@@ -210,9 +209,9 @@ type DB struct {
 	obsMu      sync.Mutex
 	obsPending []workload.Observation
 
-	// trainers are the idle SVM working sets of trainSVC (strategy.go).
-	trainerMu sync.Mutex
-	trainers  []*svm.Trainer
+	// workspaces are the idle expansion workspaces (workspace.go).
+	workspaceMu sync.Mutex
+	workspaces  []*workspace
 
 	mu          sync.RWMutex
 	bindings    map[string]*tableBinding             // table name (lower) → space

@@ -625,15 +625,18 @@ func (s *cannedService) Collect(_ string, ids []int, _ crowd.JobConfig) (*crowd.
 func TestSpaceExpansionAllocationIsWidthIndependent(t *testing.T) {
 	const rows = 4000
 	// ceiling bounds one expansion of 4 000 rows in a 16-d space without
-	// the crowd simulator: the model's support vectors (≈20 KB), two 4 KB
-	// label vectors, the vote's two maps, the 160 sampled ids, the
-	// add_column and fill_column records and a page of column headers for
-	// each — 32–34 KB measured. The Gram matrix and working vectors (≈110
-	// KB for 160 samples) are the warm-up expansion's and reused; the plan
-	// and the fill stream the ids. A list of the table's ids (rows × 8 B =
-	// 32 KB), a fresh Gram matrix, or a boxed or row-at-a-time step
-	// anywhere in the path (rows × 40 B = 160 KB) breaks it.
-	const ceiling = 64 << 10
+	// the crowd simulator: the column's 4 KB label vector, the 160 sampled
+	// ids, the add_column and fill_column records and a page of column
+	// headers for each — 11.8–12.8 KB measured, about half the ceiling.
+	// Everything else is the expansion workspace the warm-up expansion
+	// left behind, reused: the vote's two maps, the training rows, the
+	// Gram matrix and working vectors (≈110 KB for 160 samples), the
+	// model's support vectors (≈20 KB) and the 4 KB of predicted labels;
+	// the plan and the fill stream the ids. A model copied out of its
+	// Trainer, a list of the table's ids (rows × 8 B = 32 KB), a fresh
+	// Gram matrix, or a boxed or row-at-a-time step anywhere in the path
+	// (rows × 40 B = 160 KB) breaks it.
+	const ceiling = 24 << 10
 	sp := paritySpace(rows, 16)
 	measure := func(width int) uint64 {
 		svc := &cannedService{}
@@ -706,10 +709,10 @@ func TestSpaceExpansionAllocationIsWidthIndependent(t *testing.T) {
 	}
 }
 
-// The database keeps at most one idle Trainer per expansion worker, keeps
-// none whose working memory outgrew trainerKeepBytes, and a model fitted
-// in a shared Trainer — whichever, after whatever — is the model
-// svm.TrainSVC fits.
+// The database keeps at most one idle workspace per expansion worker,
+// keeps none whose memory outgrew workspaceKeepBytes, and a model fitted
+// in a shared workspace's Trainer — whichever, after whatever — is the
+// model svm.TrainSVC fits.
 func TestTrainersAreSharedBoundedAndForgetful(t *testing.T) {
 	const workers, callers = 2, 8
 	db, err := Open(Options{Workers: workers})
@@ -737,7 +740,8 @@ func TestTrainersAreSharedBoundedAndForgetful(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, err := db.trainSVC(X, y, cfg)
+				ws := db.takeWorkspace()
+				got, err := ws.trainer.Fit(X, y, cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -745,20 +749,23 @@ func TestTrainersAreSharedBoundedAndForgetful(t *testing.T) {
 				if got.NumSupport() != want.NumSupport() || !slices.Equal(got.PredictAll(X), want.PredictAll(X)) || got.Decision(X[0]) != want.Decision(X[0]) {
 					t.Errorf("caller %d round %d: the shared Trainer fitted another model", c, round)
 				}
+				db.giveWorkspace(ws)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := len(db.trainers); n == 0 || n > workers {
-		t.Fatalf("%d idle trainers after %d concurrent callers, want 1..%d", n, callers, workers)
+	if n := len(db.workspaces); n == 0 || n > workers {
+		t.Fatalf("%d idle workspaces after %d concurrent callers, want 1..%d", n, callers, workers)
 	}
 	// 600 samples: a 1.4 MB Gram matrix, over the bound.
 	X, y := sample(600, 1)
-	db.trainers = db.trainers[:0]
-	if _, err := db.trainSVC(X, y, svm.SVCConfig{C: 2}); err != nil {
+	db.workspaces = db.workspaces[:0]
+	ws := db.takeWorkspace()
+	if _, err := ws.trainer.Fit(X, y, svm.SVCConfig{C: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if len(db.trainers) != 0 {
-		t.Fatalf("a Trainer holding %d B was kept (bound %d)", db.trainers[0].Footprint(), trainerKeepBytes)
+	db.giveWorkspace(ws)
+	if len(db.workspaces) != 0 {
+		t.Fatalf("a workspace holding %d B was kept (bound %d)", db.workspaces[0].footprint(), workspaceKeepBytes)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"crowddb/internal/space"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
-	"crowddb/internal/svm"
 	"crowddb/internal/vecmath"
 	"crowddb/internal/wal"
 	"crowddb/internal/workload"
@@ -317,7 +316,7 @@ func Open(opts Options) (*DB, error) {
 		engine:      engine.New(storage.NewCatalog()),
 		service:     opts.Service,
 		ledger:      &Ledger{},
-		trainers:    make([]*svm.Trainer, 0, workers),
+		workspaces:  make([]*workspace, 0, workers),
 		bindings:    map[string]*tableBinding{},
 		expandables: map[string]map[string]expandableSpec{},
 		tracker:     workload.NewTracker(0),

@@ -69,10 +69,12 @@ type SimulatedCrowd struct {
 	population *crowd.Population
 	items      ItemModelFunc
 	rng        *rand.Rand
-	// selected is the item models of the job being run, kept from job to
-	// job (under mu) while it stays within selectedKeep: crowd.RunJob
-	// copies what it needs of them.
+	// selected is the item models of the job being run, and runner the
+	// job's working memory; both are kept from job to job (under mu) while
+	// they stay within selectedKeep items. A job copies what it needs of
+	// the models and returns nothing of the runner's.
 	selected []crowd.Item
+	runner   crowd.Runner
 
 	// Gold optionally mixes known-answer screening questions into every
 	// job (Experiment 3 setup).
@@ -86,13 +88,13 @@ func NewSimulatedCrowd(pop *crowd.Population, items ItemModelFunc, rng *rand.Ran
 	return &SimulatedCrowd{population: pop, items: items, rng: rng}
 }
 
-// selectedKeep bounds the item models a SimulatedCrowd keeps for the next
-// job: a training sample (160 items) fits, a direct crowd fill of a
-// large table is garbage once its job has run.
+// selectedKeep bounds the item models and the job memory a SimulatedCrowd
+// keeps for the next job: a training sample (160 items) fits, a direct
+// crowd fill of a large table is garbage once its job has run.
 const selectedKeep = 1024
 
 // selectItems appends to dst the question's item models for itemIDs, in
-// that order — crowd.RunJob draws from the shared rng item by item, so
+// that order — a crowd job draws from the shared rng item by item, so
 // the order is part of the result. Each id's model is at its own
 // position of the list (ItemModelFunc's contract), or else found by a
 // linear search.
@@ -114,10 +116,14 @@ func (s *SimulatedCrowd) selectItems(dst []crowd.Item, question string, itemIDs 
 	return dst, nil
 }
 
-// keepSelected keeps sel's memory for the next job's selection.
-func (s *SimulatedCrowd) keepSelected(sel []crowd.Item) {
+// keep keeps sel's memory for the next job's selection, and the runner's
+// for the next job, each while it is within selectedKeep.
+func (s *SimulatedCrowd) keep(sel []crowd.Item) {
 	if cap(sel) <= selectedKeep {
 		s.selected = sel[:0]
+	}
+	if s.runner.Entries() > selectedKeep {
+		s.runner = crowd.Runner{}
 	}
 }
 
@@ -129,12 +135,12 @@ func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobCo
 	if err != nil {
 		return nil, err
 	}
-	defer s.keepSelected(selected)
+	defer s.keep(selected)
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
 		cfg.GoldItems = s.Gold
 		cfg.GoldFailureLimit = s.GoldFailureLimit
 	}
-	return crowd.RunJob(s.population, selected, cfg, s.rng)
+	return s.runner.Run(s.population, selected, cfg, s.rng)
 }
 
 // CollectBatch implements BatchJudgmentService: the requests' items are
@@ -158,12 +164,12 @@ func (s *SimulatedCrowd) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) 
 		}
 		batch[i] = crowd.BatchRequest{Question: req.Question, Items: selected[from:]}
 	}
-	defer s.keepSelected(selected)
+	defer s.keep(selected)
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
 		cfg.GoldItems = s.Gold
 		cfg.GoldFailureLimit = s.GoldFailureLimit
 	}
-	return crowd.RunBatchJob(s.population, batch, cfg, s.rng)
+	return s.runner.RunBatch(s.population, batch, cfg, s.rng)
 }
 
 // LedgerTotals is a point-in-time snapshot of crowd-sourcing spend.

@@ -155,14 +155,6 @@ func affordable(n int, opts *ExpandOptions) int {
 	return sort.Search(n, func(k int) bool { return projectedCost(k+1, opts) > opts.Budget })
 }
 
-// aggregateVotes applies the configured vote aggregation.
-func aggregateVotes(records []crowd.Record, opts ExpandOptions) map[int]bool {
-	if opts.WeightedVote {
-		return crowd.WeightedMajorityVote(records, 0).Label
-	}
-	return crowd.MajorityVote(records).Label
-}
-
 // lap returns the seconds since *t and restarts the clock.
 func lap(t *time.Time) float64 {
 	now := time.Now()
@@ -358,7 +350,9 @@ func (db *DB) finishElicitation(e *elicitation, res *crowd.RunResult) (*Expansio
 func (db *DB) finishCrowd(e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
 	e.opts.phase(jobs.StateFilling)
 	clock := time.Now()
-	votes := aggregateVotes(res.Records, e.opts)
+	ws := db.takeWorkspace()
+	defer db.giveWorkspace(ws) // after the fill, which reads the votes
+	votes := ws.vote(res.Records, e.opts)
 	e.steps.Vote = lap(&clock)
 	err := fillByItem(db, e.tbl, e.column, report, func(id int) (bool, bool) {
 		label, ok := votes[id]
@@ -396,15 +390,16 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 	sp := binding.space
 	e.opts.phase(jobs.StateTraining)
 	clock := time.Now()
-	votes := aggregateVotes(res.Records, e.opts)
+	ws := db.takeWorkspace()
+	defer db.giveWorkspace(ws) // after the fill, which reads the model's labels
+	votes := ws.vote(res.Records, e.opts)
 	e.steps.Vote = lap(&clock)
 
 	// Train on every sampled item that reached a majority, with whatever
 	// class balance the crowd produced — the Experiment 4–6 protocol.
 	// (The controlled Table 3 study uses balanced gold samples instead;
 	// that protocol lives in internal/experiments.)
-	X := make([][]float64, 0, len(e.judgeIDs))
-	y := make([]bool, 0, len(e.judgeIDs))
+	X, y := ws.X[:0], ws.y[:0]
 	pos := 0
 	for _, id := range e.judgeIDs {
 		label, ok := votes[id]
@@ -417,18 +412,20 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 		X = append(X, sp.Vector(id))
 		y = append(y, label)
 	}
+	ws.X, ws.y = X, y
 	report.TrainingSize = len(X)
 	if pos == 0 || pos == len(X) {
 		return fmt.Errorf("%w: %s (pos=%d, neg=%d)", ErrSingleClass, e.column, pos, len(X)-pos)
 	}
-	model, err := db.trainSVC(X, y, svm.SVCConfig{C: FillC})
+	model, err := ws.trainer.Fit(X, y, svm.SVCConfig{C: FillC})
 	if err != nil {
 		return err
 	}
 	e.steps.Train = lap(&clock)
 
 	e.opts.phase(jobs.StateFilling)
-	labels := model.PredictMatrix(sp.Coords(), db.engine.Dop())
+	ws.labels = model.PredictMatrixInto(ws.labels, sp.Coords(), db.engine.Dop())
+	labels := ws.labels
 	e.steps.Predict = lap(&clock)
 	err = fillByItem(db, e.tbl, e.column, report, func(id int) (bool, bool) {
 		if id < 0 || id >= len(labels) {
@@ -438,39 +435,6 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 	})
 	e.steps.Fill = lap(&clock)
 	return err
-}
-
-// trainerKeepBytes bounds the working memory a Trainer may hold and still
-// be kept for the next training: a training sample of the default size
-// (160 items) holds 0.1 MB, one of 500 items reaches the bound, and the
-// 64 MB Gram matrix of a cleaning pass over 4 000 labelled rows is
-// garbage as soon as its model exists.
-const trainerKeepBytes = 1 << 20
-
-// trainSVC is svm.TrainSVC in the memory of one of the database's idle
-// Trainers (a new one when all are busy), so that an expansion's Gram
-// matrix and working vectors are allocated once per concurrent expansion
-// and not once per column. A model does not depend on the Trainer that
-// fitted it. At most as many Trainers are kept as expansions can run at
-// once — the scheduler's worker count, the capacity of db.trainers.
-func (db *DB) trainSVC(X [][]float64, y []bool, cfg svm.SVCConfig) (*svm.SVC, error) {
-	db.trainerMu.Lock()
-	var t *svm.Trainer
-	if n := len(db.trainers); n > 0 {
-		t, db.trainers = db.trainers[n-1], db.trainers[:n-1]
-	} else {
-		t = new(svm.Trainer)
-	}
-	db.trainerMu.Unlock()
-
-	model, err := t.TrainSVC(X, y, cfg)
-
-	db.trainerMu.Lock()
-	if len(db.trainers) < cap(db.trainers) && t.Footprint() <= trainerKeepBytes {
-		db.trainers = append(db.trainers, t)
-	}
-	db.trainerMu.Unlock()
-	return model, err
 }
 
 // runElicitation is the solo (unbatched) collect step: budget
@@ -545,7 +509,9 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 		return nil, err
 	}
 	db.charge(res, &opts)
-	requeryLabels := aggregateVotes(res.Records, opts)
+	ws := db.takeWorkspace()
+	defer db.giveWorkspace(ws) // after the relabelling, which reads the votes
+	requeryLabels := ws.vote(res.Records, opts)
 
 	colIdx, _ := tbl.Schema().Lookup(column)
 	// The crowd wait above took minutes; rows may have come, gone or been
@@ -643,8 +609,9 @@ func (db *DB) questionable(tbl *storage.Table, binding *tableBinding, column str
 	rows := snap.LiveRowIDs()
 	sp := binding.space
 
-	var X [][]float64
-	var y []bool
+	ws := db.takeWorkspace()
+	defer db.giveWorkspace(ws) // after the prediction, which runs the model
+	X, y := ws.X[:0], ws.y[:0]
 	var labeled []flaggedRow
 	cur := storage.NewRangeCursorAt(snap, 0, -1, 0)
 	cur.SetCols([]int{colIdx})
@@ -662,13 +629,14 @@ func (db *DB) questionable(tbl *storage.Table, binding *tableBinding, column str
 			labeled = append(labeled, flaggedRow{row: row, id: id})
 		}
 	}
+	ws.X, ws.y = X, y
 	if err := cur.Err(); err != nil {
 		return nil, err
 	}
 	if len(X) < 10 {
 		return nil, fmt.Errorf("core: too few labeled rows (%d) to identify questionable responses", len(X))
 	}
-	model, err := db.trainSVC(X, y, svm.SVCConfig{C: CleaningC})
+	model, err := ws.trainer.Fit(X, y, svm.SVCConfig{C: CleaningC})
 	if err != nil {
 		return nil, err
 	}

@@ -40,8 +40,15 @@ type BatchResult struct {
 }
 
 // RunBatchJob executes several elicitation requests as one simulated
-// crowd job. Each (question, item) pair is remapped onto a unique slot ID,
-// the merged slot list runs through RunJob — so worker behaviour, gold
+// crowd job. It is RunBatch on a new Runner.
+func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.Rand) (*BatchResult, error) {
+	var r Runner
+	return r.RunBatch(pop, reqs, cfg, rng)
+}
+
+// RunBatch executes several elicitation requests as one crowd job in the
+// Runner's memory. Each (question, item) pair is remapped onto a unique
+// slot ID, the merged slot list runs through Run — so worker behaviour, gold
 // screening, and marketplace dynamics are exactly those of a single job —
 // and the judgment log is split back per question afterwards.
 //
@@ -49,7 +56,7 @@ type BatchResult struct {
 // judgments each question's items received; overhead judgments (gold
 // questions, discarded work from excluded workers) are distributed the
 // same way, so the per-question costs sum to the combined total.
-func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.Rand) (*BatchResult, error) {
+func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.Rand) (*BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("crowd: empty batch")
 	}
@@ -79,7 +86,7 @@ func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.
 		}
 	}
 
-	combined, err := RunJob(pop, merged, cfg, rng)
+	combined, err := r.Run(pop, merged, cfg, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // JobConfig describes one crowd-sourcing job (a HIT group).
@@ -124,8 +123,52 @@ func (r *RunResult) CostAt(t float64, cfg JobConfig) float64 {
 // population. The simulation is an arrival process: judgment slots arrive
 // at an exponential rate of cfg.JudgmentsPerMinute and are served by
 // workers sampled proportionally to their Speed, subject to the constraint
-// that a worker judges any given item at most once.
+// that a worker judges any given item at most once. It is Run on a new
+// Runner.
 func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunResult, error) {
+	var r Runner
+	return r.Run(pop, items, cfg, rng)
+}
+
+// slot is one entry of a job's work queue: an item to be judged
+// AssignmentsPerItem times, or a gold question.
+type slot struct {
+	item Item
+	gold bool
+}
+
+// Runner holds the working memory of a crowd job — the work queue, the
+// assignments each entry still needs, the workers × entries bitset of who
+// judged what, the exclusions, the per-worker tallies and the owner of
+// every record — and reuses it from one job to the next: a job no larger
+// than one the Runner has run allocates only what it returns. Everything
+// is rewritten or cleared before a job reads it, so a job's result does
+// not depend on what its Runner ran before. A Runner is not safe for
+// concurrent use; the zero value is ready.
+type Runner struct {
+	queue    []slot
+	pending  []int
+	judged   []uint64
+	excluded []bool
+	stats    []WorkerStats
+	owners   []int32
+}
+
+// Entries is the number of queue entries the Runner holds memory for.
+func (r *Runner) Entries() int { return cap(r.queue) }
+
+// resize returns s at length n, reusing its array when it is large
+// enough. The cells are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Run is RunJob in the Runner's memory. The result shares nothing with
+// the Runner.
+func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunResult, error) {
 	if cfg.ItemsPerHIT <= 0 || cfg.AssignmentsPerItem <= 0 {
 		return nil, fmt.Errorf("crowd: ItemsPerHIT and AssignmentsPerItem must be positive")
 	}
@@ -140,24 +183,22 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 	// The work queue: every item needs AssignmentsPerItem judgments; gold
 	// items are interleaved at the recommended ~10% ratio by listing them
 	// like ordinary items.
-	type slot struct {
-		item Item
-		gold bool
-	}
-	queue := make([]slot, 0, len(items)+len(cfg.GoldItems))
+	queue := resize(r.queue, len(items)+len(cfg.GoldItems))[:0]
 	for _, it := range items {
 		queue = append(queue, slot{item: it})
 	}
 	for _, g := range cfg.GoldItems {
 		queue = append(queue, slot{item: g, gold: true})
 	}
+	r.queue = queue
 	// Shuffle so gold questions are indistinguishable by position.
 	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 
 	// pending[i] = remaining assignments for queue entry i. Every live
 	// record holds one assignment of its entry (a discarded one gives it
 	// back), so len(records)+remaining never exceeds total.
-	pending := make([]int, len(queue))
+	pending := resize(r.pending, len(queue))
+	r.pending = pending
 	for i := range pending {
 		pending[i] = cfg.AssignmentsPerItem
 	}
@@ -167,21 +208,22 @@ func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunR
 	// judged is a workers × queue-entries bitset: bit (wi, qi) says worker
 	// wi has judged entry qi.
 	words := (len(queue) + 63) / 64
-	judged := make([]uint64, len(workers)*words)
+	judged := resize(r.judged, len(workers)*words)
+	r.judged = judged
+	clear(judged)
 
-	totalSpeed := 0.0
-	for _, w := range workers {
-		totalSpeed += w.Speed
-	}
-
-	excluded := make([]bool, len(workers))
-	stats := make([]WorkerStats, len(workers))
+	excluded := resize(r.excluded, len(workers))
+	r.excluded = excluded
+	clear(excluded)
+	stats := resize(r.stats, len(workers))
+	r.stats = stats
 	for i, w := range workers {
 		stats[i] = WorkerStats{WorkerID: w.ID, Archetype: w.Archetype}
 	}
 
 	records := make([]Record, 0, total)
-	recordOwner := make([]int32, 0, total) // parallel to records: local worker index
+	r.owners = resize(r.owners, total)
+	recordOwner := r.owners[:0] // parallel to records: local worker index; never past total
 	now := 0.0
 	judgmentsDone := 0
 
@@ -360,49 +402,95 @@ func MajorityVote(records []Record) *VoteOutcome {
 
 // MajorityVoteAt is MajorityVote restricted to records with Time <= t.
 // Experiments 4–6 use it to snapshot the crowd's progress every five
-// simulated minutes while the SVM trains on the evolving majority.
+// simulated minutes while the SVM trains on the evolving majority. It is
+// VoteAt on a new Voter, whose maps the outcome keeps.
 func MajorityVoteAt(records []Record, t float64) *VoteOutcome {
+	var v Voter
+	label := v.VoteAt(records, t)
+	return &VoteOutcome{Label: label, Unclassified: v.Unclassified()}
+}
+
+// Voter majority-votes judgment logs in two maps — one net tally per item,
+// and the labels — that it keeps from one vote to the next and empties
+// with clear, which keeps their buckets: a vote over no more items than
+// one the Voter has held allocates nothing. A Voter is not safe for
+// concurrent use; the zero value is ready.
+type Voter struct {
+	tally map[int]int
+	label map[int]bool
+	// held is the most items a vote has tallied: the maps' size.
+	held int
+}
+
+// Footprint estimates the bytes the Voter's maps hold on to: about 48 B an
+// item for the two.
+func (v *Voter) Footprint() int { return 48 * v.held }
+
+// VoteAt returns the majority label of every item judged in a record with
+// Time <= t, ignoring DontKnow answers and gold questions, as
+// MajorityVoteAt does. The map is the Voter's: it is valid until the
+// Voter's next vote.
+func (v *Voter) VoteAt(records []Record, t float64) map[int]bool {
 	// One tally per item: positives minus negatives. A don't-know adds
 	// nothing but enters the item, which then counts as judged and — with
-	// no majority — ends up unclassified. The map is sized from the log's
-	// own redundancy: usable records over the judgments its first item
-	// received, exact when every item was judged equally often.
-	usable, ofFirst, first := 0, 0, 0
-	for _, r := range records {
-		if r.Gold || r.Time > t {
-			continue
+	// no majority — ends up unclassified. A new map is sized from the
+	// log's own redundancy: usable records over the judgments its first
+	// item received, exact when every item was judged equally often.
+	if v.tally == nil {
+		usable, ofFirst, first := 0, 0, 0
+		for _, r := range records {
+			if r.Gold || r.Time > t {
+				continue
+			}
+			if usable == 0 {
+				first = r.ItemID
+			}
+			usable++
+			if r.ItemID == first {
+				ofFirst++
+			}
 		}
-		if usable == 0 {
-			first = r.ItemID
-		}
-		usable++
-		if r.ItemID == first {
-			ofFirst++
-		}
+		v.tally = make(map[int]int, usable/max(ofFirst, 1))
+	} else {
+		clear(v.tally)
 	}
-	tally := make(map[int]int, usable/max(ofFirst, 1))
 	for _, r := range records {
 		if r.Gold || r.Time > t {
 			continue
 		}
 		switch r.Answer {
 		case Positive:
-			tally[r.ItemID]++
+			v.tally[r.ItemID]++
 		case Negative:
-			tally[r.ItemID]--
+			v.tally[r.ItemID]--
 		default:
-			tally[r.ItemID] += 0
+			v.tally[r.ItemID] += 0
 		}
 	}
-	out := &VoteOutcome{Label: make(map[int]bool, len(tally))}
-	for id, net := range tally {
+	if v.label == nil {
+		v.label = make(map[int]bool, len(v.tally))
+	} else {
+		clear(v.label)
+	}
+	for id, net := range v.tally {
+		if net != 0 {
+			v.label[id] = net > 0
+		}
+	}
+	v.held = max(v.held, len(v.tally))
+	return v.label
+}
+
+// Unclassified returns the items of the last vote that were judged but
+// reached no majority, in ascending order (nil when there are none).
+func (v *Voter) Unclassified() []int {
+	var out []int
+	for id, net := range v.tally {
 		if net == 0 {
-			out.Unclassified = append(out.Unclassified, id)
-		} else {
-			out.Label[id] = net > 0
+			out = append(out, id)
 		}
 	}
-	sort.Ints(out.Unclassified)
+	slices.Sort(out)
 	return out
 }
 

@@ -4,8 +4,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"runtime/metrics"
 	"time"
 
 	"crowddb/internal/obs"
@@ -93,8 +95,44 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.Default.WriteText(w); err != nil {
+	err := obs.Default.WriteText(w)
+	if err == nil {
+		err = writeRuntimeMetrics(w)
+	}
+	if err != nil {
 		// Headers are gone by now; all we can do is log.
 		slog.Error("metrics scrape failed", "error", err)
 	}
+}
+
+// runtimeFamilies are the Go runtime's figures a scrape carries beside
+// the registry's, each under the runtime/metrics name it is read from.
+// The heap-allocation counter's rate is the process's allocation rate —
+// the figure an expansion's reused workspace lowers — without a gctrace
+// session.
+var runtimeFamilies = [...]struct{ name, kind, help, key string }{
+	{"go_gc_heap_allocs_bytes_total", "counter", "Cumulative bytes allocated on the heap by the process.", "/gc/heap/allocs:bytes"},
+	{"go_gc_cycles_total", "counter", "Completed garbage-collection cycles.", "/gc/cycles/total:gc-cycles"},
+	{"go_goroutines", "gauge", "Goroutines that currently exist.", "/sched/goroutines:goroutines"},
+}
+
+// writeRuntimeMetrics reads runtimeFamilies from runtime/metrics — when
+// /v1/metrics is scraped, never on a query path — and writes them in the
+// registry's text format.
+func writeRuntimeMetrics(w io.Writer) error {
+	var samples [len(runtimeFamilies)]metrics.Sample
+	for i, f := range runtimeFamilies {
+		samples[i].Name = f.key
+	}
+	metrics.Read(samples[:])
+	for i, f := range runtimeFamilies {
+		var v uint64
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			v = samples[i].Value.Uint64()
+		}
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", f.name, f.help, f.name, f.kind, f.name, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -111,9 +111,20 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"crowddb_jobs_total",               // jobs
 		"crowddb_crowd_charges_total",      // crowd cost
 		"crowddb_crowd_cost_dollars_total",
+		"go_gc_heap_allocs_bytes_total", // Go runtime, read at the scrape
+		"go_gc_cycles_total",
+		"go_goroutines",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("scrape missing family %s", family)
+		}
+	}
+
+	// The runtime's figures are read, not defaulted: the process has
+	// allocated and runs goroutines.
+	for _, family := range []string{"go_gc_heap_allocs_bytes_total", "go_goroutines"} {
+		if strings.Contains(text, "\n"+family+" 0\n") {
+			t.Errorf("%s reads 0:\n%s", family, grepLines(text, family))
 		}
 	}
 

@@ -178,11 +178,18 @@ func TestSharedEntriesUnderWritersEvictionAndCompaction(t *testing.T) {
 	stable := serveBody(t, h, `SELECT id, v, tag FROM stable WHERE id >= 4000`)
 
 	const rounds = 60
+	// The writer takes one round per round reader 0 ends, so its writes
+	// land among the reads: unpaced, it can finish before any reader has
+	// stored an entry for it to invalidate.
+	paced := make(chan struct{}, rounds)
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			if r == 0 {
+				defer close(paced)
+			}
 			for i := 0; i < rounds; i++ {
 				if got := serveBody(t, h, `SELECT id, v, tag FROM stable WHERE id >= 4000`); got != stable {
 					t.Errorf("reader %d: the answer over the untouched table changed", r)
@@ -207,6 +214,9 @@ func TestSharedEntriesUnderWritersEvictionAndCompaction(t *testing.T) {
 				once := fmt.Sprintf(`SELECT id, v FROM stable WHERE id >= %d`, r*rounds+i)
 				serveBody(t, h, once)
 				serveBody(t, h, once)
+				if r == 0 {
+					paced <- struct{}{}
+				}
 			}
 		}(r)
 	}
@@ -214,6 +224,9 @@ func TestSharedEntriesUnderWritersEvictionAndCompaction(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
+			if _, ok := <-paced; !ok {
+				return
+			}
 			id := rows + i
 			for _, sql := range []string{
 				fmt.Sprintf(`INSERT INTO churn VALUES (%d, %d, 'tag-%d')`, id, 2*id, id),

@@ -28,9 +28,18 @@ type machine struct {
 }
 
 // newMachine keeps the samples of X that are support vectors — a
-// coefficient beyond ±1e-9 — in sample order. They are counted first, so
-// that the two arrays are allocated once at their final size.
+// coefficient beyond ±1e-9 — in sample order, in arrays of their own.
 func newMachine(k Kernel, dim int, b float64, X [][]float64, coef []float64) machine {
+	var m machine
+	m.keepSupport(k, dim, b, X, coef)
+	return m
+}
+
+// keepSupport makes m the machine of kernel k, bias b and the samples of X
+// that are support vectors, in sample order. They are counted first: m's
+// arrays are reused when they are large enough, or else allocated once at
+// their final size.
+func (m *machine) keepSupport(k Kernel, dim int, b float64, X [][]float64, coef []float64) {
 	support := func(c float64) bool { return math.Abs(c) > 1e-9 }
 	n := 0
 	for _, c := range coef {
@@ -38,14 +47,20 @@ func newMachine(k Kernel, dim int, b float64, X [][]float64, coef []float64) mac
 			n++
 		}
 	}
-	m := machine{kernel: k, dim: dim, b: b, sv: make([]float64, 0, n*dim), coef: make([]float64, 0, n)}
+	sv, kept := m.sv[:0], m.coef[:0]
+	if cap(sv) < n*dim {
+		sv = make([]float64, 0, n*dim)
+	}
+	if cap(kept) < n {
+		kept = make([]float64, 0, n)
+	}
 	for i, c := range coef {
 		if support(c) {
-			m.sv = append(m.sv, X[i]...)
-			m.coef = append(m.coef, c)
+			sv = append(sv, X[i]...)
+			kept = append(kept, c)
 		}
 	}
-	return m
+	*m = machine{kernel: k, dim: dim, b: b, sv: sv, coef: kept}
 }
 
 // Kernel returns the trained model's kernel.
@@ -134,12 +149,17 @@ func dot(a, x []float64) float64 {
 }
 
 // predictAll scores items 0..n-1, row(i) being item i's coordinates, and
-// stores label(f) for each, four items to a pass over the support vectors.
+// stores label(f) for each in dst's array when it holds n (or else a new
+// one), four items to a pass over the support vectors.
 // The items are cut into one contiguous range per worker (0 =
 // GOMAXPROCS); ranges share nothing but the read-only model, and each cell
 // of the result has exactly one writer.
-func predictAll[T any](m *machine, n, workers int, row func(i int) []float64, label func(f float64) T) []T {
-	out := make([]T, n)
+func predictAll[T any](m *machine, dst []T, n, workers int, row func(i int) []float64, label func(f float64) T) []T {
+	out := dst
+	if cap(out) < n {
+		out = make([]T, n)
+	}
+	out = out[:n]
 	for i := range out {
 		m.checkDim(len(row(i))) // here, where the caller can still recover it
 	}
@@ -193,14 +213,20 @@ func (m *SVC) Predict(x []float64) bool { return m.Decision(x) > 0 }
 
 // PredictAll classifies a batch on GOMAXPROCS goroutines.
 func (m *SVC) PredictAll(X [][]float64) []bool {
-	return predictAll(&m.machine, len(X), 0, rowsOf(X), positive)
+	return predictAll(&m.machine, nil, len(X), 0, rowsOf(X), positive)
 }
 
 // PredictMatrix classifies every row of X — a perceptual space's
 // coordinate matrix, say — on the given number of goroutines
 // (0 = GOMAXPROCS). It is PredictAll without the row slices.
 func (m *SVC) PredictMatrix(X *vecmath.Matrix, workers int) []bool {
-	return predictAll(&m.machine, X.Rows, workers, X.Row, positive)
+	return m.PredictMatrixInto(nil, X, workers)
+}
+
+// PredictMatrixInto is PredictMatrix into dst's array when it holds a
+// label for every row of X (or else a new one); it returns the labels.
+func (m *SVC) PredictMatrixInto(dst []bool, X *vecmath.Matrix, workers int) []bool {
+	return predictAll(&m.machine, dst, X.Rows, workers, X.Row, positive)
 }
 
 // Predict evaluates the regression function at x.
@@ -211,11 +237,11 @@ func (m *SVR) Predict(x []float64) float64 {
 
 // PredictAll evaluates a batch on GOMAXPROCS goroutines.
 func (m *SVR) PredictAll(X [][]float64) []float64 {
-	return predictAll(&m.machine, len(X), 0, rowsOf(X), identity)
+	return predictAll(&m.machine, nil, len(X), 0, rowsOf(X), identity)
 }
 
 // PredictMatrix evaluates every row of X on the given number of
 // goroutines (0 = GOMAXPROCS).
 func (m *SVR) PredictMatrix(X *vecmath.Matrix, workers int) []float64 {
-	return predictAll(&m.machine, X.Rows, workers, X.Row, identity)
+	return predictAll(&m.machine, nil, X.Rows, workers, X.Row, identity)
 }

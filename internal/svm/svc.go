@@ -65,18 +65,27 @@ type SVC struct{ machine }
 // that has seen n before allocates only the model it returns. Nothing of
 // a previous training survives into the next (every cell is rewritten or
 // cleared, the source re-seeded), so a model does not depend on what its
-// Trainer fitted before. A Trainer is not safe for concurrent use; the
-// zero value is ready.
+// Trainer fitted before.
+//
+// Training has one path and two exits. TrainSVC copies the support
+// vectors out into arrays of their own: the model outlives the Trainer's
+// next training. Fit leaves them in arrays the Trainer keeps too, for a
+// model that is used once and dropped. A Trainer is not safe for
+// concurrent use; the zero value is ready.
 type Trainer struct {
 	gram []float32
 	vecs []float64
 	rng  *rand.Rand
+	// model is Fit's model, its arrays reused from one Fit to the next.
+	model SVC
 }
 
 // Footprint is the number of bytes the Trainer holds on to between
 // trainings: its Gram matrix and vectors, the parts that grow with the
-// sample.
-func (t *Trainer) Footprint() int { return 4*cap(t.gram) + 8*cap(t.vecs) }
+// sample, and the arrays of Fit's model.
+func (t *Trainer) Footprint() int {
+	return 4*cap(t.gram) + 8*cap(t.vecs) + 8*cap(t.model.sv) + 8*cap(t.model.coef)
+}
 
 // TrainSVC fits a binary classifier on X with boolean labels using
 // sequential minimal optimization (the simplified Platt variant with a
@@ -85,19 +94,41 @@ func TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
 	return new(Trainer).TrainSVC(X, y, cfg)
 }
 
-// TrainSVC is the package's TrainSVC in the Trainer's memory.
+// TrainSVC is the package's TrainSVC in the Trainer's memory. The model
+// owns its arrays.
 func (t *Trainer) TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
+	var m machine
+	if err := t.train(&m, X, y, cfg); err != nil {
+		return nil, err
+	}
+	return &SVC{m}, nil
+}
+
+// Fit is TrainSVC with the model in the Trainer's memory: it lives in the
+// Trainer until the Trainer's next Fit, which overwrites it, so it must
+// not be used after that. A Fit of no more support vectors than one the
+// Trainer has fitted before allocates nothing for the model.
+func (t *Trainer) Fit(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error) {
+	if err := t.train(&t.model.machine, X, y, cfg); err != nil {
+		return nil, err
+	}
+	return &t.model, nil
+}
+
+// train runs the SMO and stores the fitted model in m, reusing m's arrays
+// when they are large enough; m is untouched when training fails.
+func (t *Trainer) train(m *machine, X [][]float64, y []bool, cfg SVCConfig) error {
 	if len(X) == 0 {
-		return nil, fmt.Errorf("svm: empty training set")
+		return fmt.Errorf("svm: empty training set")
 	}
 	if len(X) != len(y) {
-		return nil, fmt.Errorf("svm: %d samples but %d labels", len(X), len(y))
+		return fmt.Errorf("svm: %d samples but %d labels", len(X), len(y))
 	}
 	dim := len(X[0])
 	pos, neg := 0, 0
 	for i, x := range X {
 		if len(x) != dim {
-			return nil, fmt.Errorf("svm: sample %d has dimension %d, want %d", i, len(x), dim)
+			return fmt.Errorf("svm: sample %d has dimension %d, want %d", i, len(x), dim)
 		}
 		if y[i] {
 			pos++
@@ -106,17 +137,17 @@ func (t *Trainer) TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error)
 		}
 	}
 	if pos == 0 || neg == 0 {
-		return nil, fmt.Errorf("svm: training set needs both classes (pos=%d, neg=%d)", pos, neg)
+		return fmt.Errorf("svm: training set needs both classes (pos=%d, neg=%d)", pos, neg)
 	}
 	cfg.fillDefaults(X)
 
 	n := len(X)
 	if cfg.PerSampleC != nil && len(cfg.PerSampleC) != n {
-		return nil, fmt.Errorf("svm: PerSampleC has %d entries for %d samples", len(cfg.PerSampleC), n)
+		return fmt.Errorf("svm: PerSampleC has %d entries for %d samples", len(cfg.PerSampleC), n)
 	}
 	for i, c := range cfg.PerSampleC {
 		if c <= 0 {
-			return nil, fmt.Errorf("svm: PerSampleC[%d] = %g must be positive", i, c)
+			return fmt.Errorf("svm: PerSampleC[%d] = %g must be positive", i, c)
 		}
 	}
 
@@ -230,16 +261,16 @@ func (t *Trainer) TrainSVC(X [][]float64, y []bool, cfg SVCConfig) (*SVC, error)
 	for i := range alpha {
 		alpha[i] *= ys[i] // the coefficient αᵢ·yᵢ
 	}
-	model := &SVC{newMachine(cfg.Kernel, dim, b, X, alpha)}
-	if model.NumSupport() == 0 {
+	m.keepSupport(cfg.Kernel, dim, b, X, alpha)
+	if m.NumSupport() == 0 {
 		// Degenerate but possible on trivially separable data with tiny C:
 		// fall back to a nearest-centroid-style decision via bias only.
-		model.b = 0
+		m.b = 0
 		if pos >= neg {
-			model.b = 1e-9
+			m.b = 1e-9
 		} else {
-			model.b = -1e-9
+			m.b = -1e-9
 		}
 	}
-	return model, nil
+	return nil
 }

@@ -614,3 +614,59 @@ func TestPredictRejectsWrongDimension(t *testing.T) {
 	}()
 	m.PredictAll([][]float64{{1, 2}, {1, 2, 3}})
 }
+
+// One Trainer fitting samples of 40, 300, 20 and 160 items, each model
+// predicted into one reused label buffer, labels what TrainSVC and
+// PredictMatrix label, bit for bit: Fit's model reuses the arrays of the
+// one before it and keeps nothing of it. A model TrainSVC returned owns
+// its arrays — a later Fit on its Trainer leaves it as it was — and a Fit
+// of a size the Trainer has fitted before allocates at most the boxed
+// default kernel.
+func TestKeptModelMatchesOwnedModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	points, _ := rings(500, rng)
+	grid := vecmath.NewMatrix(len(points), 2)
+	for i, p := range points {
+		copy(grid.Row(i), p)
+	}
+	var tr Trainer
+	var labels []bool
+	for _, n := range []int{40, 300, 20, 160} {
+		X, y := rings(n, rng)
+		for i := range y {
+			if rng.Intn(8) == 0 {
+				y[i] = !y[i] // a few wrong labels: bounded support vectors too
+			}
+		}
+		cfg := SVCConfig{C: 2, Seed: int64(n)}
+		owned, err := TrainSVC(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := owned.PredictMatrix(grid, 2)
+		kept, err := tr.Fit(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = kept.PredictMatrixInto(labels, grid, 2)
+		if !slices.Equal(labels, want) || kept.NumSupport() != owned.NumSupport() || kept.b != owned.b {
+			t.Fatalf("%d samples: the kept model (%d support vectors) labels otherwise than the owned one (%d)", n, kept.NumSupport(), owned.NumSupport())
+		}
+
+		mine, err := tr.TrainSVC(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, coef := slices.Clone(mine.sv), slices.Clone(mine.coef)
+		if allocs := testing.AllocsPerRun(3, func() {
+			if _, err := tr.Fit(X, y, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 1 {
+			t.Fatalf("%d samples: a Fit of a size the Trainer has fitted allocates %.0f objects, want at most 1", n, allocs)
+		}
+		if !slices.Equal(mine.sv, sv) || !slices.Equal(mine.coef, coef) || !slices.Equal(mine.PredictMatrix(grid, 2), want) {
+			t.Fatalf("%d samples: a Fit changed a model TrainSVC returned", n)
+		}
+	}
+}
