@@ -43,7 +43,9 @@ fmt:
 # (no panic, and a parsed WHERE prints to text that parses back to the same
 # text), arbitrary text through POST /v1/query, buffered, streamed and
 # async (one well-formed envelope or a coded error; a stream that ends in
-# its trailer or an error line), generated SELECTs held to the reference
+# its trailer or an error line), arbitrary bytes as its request body (no
+# 5xx, a coded refusal, or exactly the statement json.Unmarshal reads in
+# them, answered as a twin server answers it), generated SELECTs held to the reference
 # interpreter along every answer path, and those SELECTs, cached, held to
 # it again after every INSERT, UPDATE, DELETE and compaction of a seeded
 # run. go test -fuzz takes one target per run.
@@ -54,6 +56,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzKeyTable -fuzztime 5s -fuzzminimizetime 2s ./internal/engine/exec
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 2s ./internal/sqlparse
 	$(GO) test -run xxx -fuzz FuzzQueryHTTP -fuzztime 5s -fuzzminimizetime 2s ./internal/server
+	$(GO) test -run xxx -fuzz 'FuzzQueryBody$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzGeneratedSelects$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzCachedSelectsUnderDML$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/server
 

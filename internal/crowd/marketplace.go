@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -148,6 +149,7 @@ type slot struct {
 type Runner struct {
 	queue    []slot
 	pending  []int
+	levels   []uint64
 	judged   []uint64
 	excluded []bool
 	stats    []WorkerStats
@@ -205,9 +207,37 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 	total := len(queue) * cfg.AssignmentsPerItem
 	remaining := total
 
+	// levels is a bitset of queue entries per pending count: bit qi of
+	// level p (1 ≤ p ≤ maxLevel) says pending[qi] == p. Entries with
+	// nothing pending are in no level. A discarded judgment is given back
+	// to the first entry of its item, so an item queued twice can take an
+	// entry past AssignmentsPerItem: the levels then grow.
+	words := (len(queue) + 63) / 64
+	maxLevel := cfg.AssignmentsPerItem
+	levels := resize(r.levels, (maxLevel+1)*words)
+	clear(levels)
+	level := func(p int) []uint64 { return levels[p*words : (p+1)*words] }
+	top := level(maxLevel)
+	for qi := range queue {
+		top[qi>>6] |= 1 << (qi & 63)
+	}
+	setPending := func(qi, p int) {
+		bit := uint64(1) << (qi & 63)
+		if old := pending[qi]; old > 0 {
+			level(old)[qi>>6] &^= bit
+		}
+		for ; p > maxLevel; maxLevel++ {
+			levels = append(levels, make([]uint64, words)...)
+		}
+		if p > 0 {
+			level(p)[qi>>6] |= bit
+		}
+		pending[qi] = p
+	}
+	defer func() { r.levels = levels }()
+
 	// judged is a workers × queue-entries bitset: bit (wi, qi) says worker
 	// wi has judged entry qi.
-	words := (len(queue) + 63) / 64
 	judged := resize(r.judged, len(workers)*words)
 	r.judged = judged
 	clear(judged)
@@ -268,15 +298,18 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 			break // everyone excluded
 		}
 		// Find a queue entry this worker has not judged yet, preferring
-		// the most under-served entries (highest pending).
+		// the most under-served entries (highest pending), the first of
+		// them in queue order: the lowest bit of level &^ mine, from the
+		// highest level down.
 		best := -1
 		mine := judged[wi*words : (wi+1)*words]
-		for qi := range queue {
-			if pending[qi] == 0 || mine[qi>>6]&(1<<(qi&63)) != 0 {
-				continue
-			}
-			if best == -1 || pending[qi] > pending[best] {
-				best = qi
+	search:
+		for p := maxLevel; p > 0; p-- {
+			for k, w := range level(p) {
+				if free := w &^ mine[k]; free != 0 {
+					best = k<<6 + bits.TrailingZeros64(free)
+					break search
+				}
 			}
 		}
 		if best == -1 {
@@ -294,7 +327,7 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 		ans := w.Judge(sl.item, cfg.AllowDontKnow, rng)
 
 		mine[best>>6] |= 1 << (best & 63)
-		pending[best]--
+		setPending(best, pending[best]-1)
 		remaining--
 		judgmentsDone++
 
@@ -326,7 +359,7 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 							// assignment back.
 							for qi := range queue {
 								if queue[qi].item.ID == rec.ItemID && queue[qi].gold == rec.Gold {
-									pending[qi]++
+									setPending(qi, pending[qi]+1)
 									remaining++
 									break
 								}
@@ -340,7 +373,7 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 					recordOwner = keptOwners
 					// The triggering gold judgment is dropped and
 					// re-issued as well.
-					pending[best]++
+					setPending(best, pending[best]+1)
 					remaining++
 					continue
 				}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"crowddb/internal/engine/exec"
@@ -44,7 +45,8 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 	schema := tbl.Schema()
 
 	// Map the statement's column list onto schema positions.
-	positions := make([]int, 0, schema.Len())
+	var stack [16]int
+	positions := stack[:0]
 	if s.Columns == nil {
 		for i := 0; i < schema.Len(); i++ {
 			positions = append(positions, i)
@@ -59,13 +61,15 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 		}
 	}
 
-	// Every row is evaluated before the first is inserted.
-	rows := make([][]storage.Value, len(s.Rows))
+	// Every row is evaluated before the first is inserted, into one slice
+	// of width cells per row.
+	width := schema.Len()
+	cells := make([]storage.Value, len(s.Rows)*width) // the zero Value is NULL
 	for r, rowExprs := range s.Rows {
 		if len(rowExprs) != len(positions) {
 			return nil, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(rowExprs), len(positions))
 		}
-		vals := make([]storage.Value, schema.Len()) // the zero Value is NULL
+		vals := cells[r*width : (r+1)*width]
 		for i, expr := range rowExprs {
 			v, err := exec.EvalValue(expr, noColumns{})
 			if err != nil {
@@ -73,15 +77,30 @@ func (e *Engine) execInsert(s *sqlparse.InsertStmt) (*Result, error) {
 			}
 			vals[positions[i]] = v
 		}
-		rows[r] = vals
 	}
 	mInsertPlan.Observe(time.Since(start).Seconds())
-	for _, vals := range rows {
-		if err := tbl.Insert(vals...); err != nil {
+	for r := range s.Rows {
+		if err := tbl.Insert(cells[r*width : (r+1)*width]...); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(rows), Message: fmt.Sprintf("inserted %d rows", len(rows))}, nil
+	return &Result{Affected: len(s.Rows), Message: rowsMessage("inserted", len(s.Rows))}, nil
+}
+
+// rowsMessage is a DML statement's message, "<verb> <n> rows"; that of a
+// statement of one row, the common case, is a constant.
+func rowsMessage(verb string, n int) string {
+	if n == 1 {
+		switch verb {
+		case "inserted":
+			return "inserted 1 rows"
+		case "updated":
+			return "updated 1 rows"
+		case "deleted":
+			return "deleted 1 rows"
+		}
+	}
+	return verb + " " + strconv.Itoa(n) + " rows"
 }
 
 // PlanDML lowers an UPDATE or DELETE into its plan without running it:
@@ -127,12 +146,12 @@ func (e *Engine) execDML(stmt sqlparse.Statement) (*Result, error) {
 	var n int
 	if root.Verb == "Delete" {
 		n = tbl.Delete(ids)
-		return &Result{Affected: n, Message: fmt.Sprintf("deleted %d rows", n)}, nil
+		return &Result{Affected: n, Message: rowsMessage("deleted", n)}, nil
 	}
 	if n, err = tbl.SetBatch(ids, root.Targets, cells); err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Message: fmt.Sprintf("updated %d rows", n)}, nil
+	return &Result{Affected: n, Message: rowsMessage("updated", n)}, nil
 }
 
 // drainDML runs a DML plan to the end and returns the physical IDs of the

@@ -116,8 +116,21 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
+// NewHistogram returns a histogram outside any registry (nil bounds picks
+// DefSecondsBuckets), for figures kept elsewhere and rendered with
+// WriteHistogram at scrape time.
+func NewHistogram(bounds []float64) *Histogram {
+	if bounds == nil {
+		bounds = DefSecondsBuckets
+	}
+	return newHistogram(bounds)
+}
+
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v.
+func (h *Histogram) ObserveN(v float64, n int64) {
 	// Binary search for the first bound >= v.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
@@ -128,12 +141,12 @@ func (h *Histogram) Observe(v float64) {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo].Add(1)
-	h.total.Add(1)
+	h.counts[lo].Add(n)
+	h.total.Add(n)
 	for {
 		old := h.sum.Load()
 		cur := math.Float64frombits(old)
-		if h.sum.CompareAndSwap(old, math.Float64bits(cur+v)) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(cur+v*float64(n))) {
 			break
 		}
 	}
@@ -339,21 +352,31 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // sane label values and keeps ("a","bc") distinct from ("ab","c").
 const labelSep = "\x1f"
 
+// child returns the child of the label values, made by mk on first use.
+// The key of a child that exists is looked up from a stack buffer: a
+// counter bumped per request allocates nothing to find itself.
 func (f *family) child(values []string, mk func() any) any {
-	key := strings.Join(values, labelSep)
+	var buf [64]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, labelSep...)
+		}
+		key = append(key, v...)
+	}
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
 	c = mk()
-	f.children[key] = c
+	f.children[string(key)] = c
 	return c
 }
 
@@ -376,6 +399,14 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteHistogram renders h as the unlabeled histogram family name, its
+// HELP and TYPE lines included, exactly as WriteText renders one of the
+// registry's.
+func WriteHistogram(w io.Writer, name, help string, h *Histogram) error {
+	f := &family{name: name, help: help, kind: kindHistogram, single: h}
+	return f.writeText(w)
 }
 
 func (f *family) writeText(w io.Writer) error {

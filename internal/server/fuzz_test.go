@@ -181,3 +181,59 @@ func checkStream(body []byte) error {
 	}
 	return nil
 }
+
+// FuzzQueryBody sends arbitrary bytes as the body of POST /v1/query, with
+// its length declared or sent chunked, to one sqlref server, and the body
+// json.Unmarshal makes of them, re-encoded, to a twin. Whatever the bytes,
+// nothing panics, no reply is a 5xx and every refusal is one coded error
+// envelope; whenever json.Unmarshal accepts them, the server ran exactly
+// the SQL and mode they hold: its reply is byte for byte the twin's.
+func FuzzQueryBody(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		body, _ := json.Marshal(queryRequest{SQL: sqlref.Generate(rng).SQL()})
+		f.Add(body, i%2 == 0)
+	}
+	for _, body := range []string{
+		``, `{}`, `null`, `[]`, `"SELECT id FROM t"`, `{"sql":1}`, `{"sql":"SELECT id FROM t"`,
+		`{"sql":"SELECT id FROM t"} {"sql":"DELETE FROM t"}`, `{"sql":"SELECT id FROM t"}x`,
+		`{"sql":"SELECT id FROM t"}` + "\n\t ", `{"SQL":"SELECT id FROM t","Mode":"async"}`,
+		`{"sql":"SELECT id FROM t","mode":"stream"}`, `{"sql":"SELECT id FROM t","sql":"SELECT k FROM t"}`,
+		`{"sql":"INSERT INTO u VALUES (7, 8)","mode":"sync","extra":[1,{"a":null}]}`,
+		`{"sql":"SELECT s FROM t WHERE s = 'é\ud800'"}`, "{\"sql\":\"SELECT id FROM t\xff\"}",
+		`{"sql":"DELETE FROM u WHERE k = 3"}`,
+	} {
+		f.Add([]byte(body), false)
+	}
+	srv, twin := newRefServer(f, 1), newRefServer(f, 1)
+	send := func(h http.Handler, body []byte, chunked bool) *httptest.ResponseRecorder {
+		var r io.Reader = bytes.NewReader(body)
+		if chunked {
+			r = io.MultiReader(r) // hides the length
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", r))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte, chunked bool) {
+		rec := send(srv.h, body, chunked)
+		if rec.Code >= 500 {
+			t.Fatalf("%q: status %d\n%.400s", body, rec.Code, rec.Body.Bytes())
+		}
+		if err := checkEnvelope(rec.Code, rec.Body.Bytes()); err != nil {
+			t.Fatalf("%q: status %d: %v\n%.400s", body, rec.Code, err, rec.Body.Bytes())
+		}
+		var req queryRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%q, which json.Unmarshal refuses (%v): status %d, want 400", body, err, rec.Code)
+			}
+			return
+		}
+		canonical, _ := json.Marshal(req)
+		want := send(twin.h, canonical, false)
+		if rec.Code != want.Code || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%q: status %d, %.400s\nits request %q: status %d, %.400s", body, rec.Code, rec.Body.Bytes(), canonical, want.Code, want.Body.Bytes())
+		}
+	})
+}

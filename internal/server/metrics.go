@@ -1,11 +1,13 @@
 package server
 
 import (
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"runtime/metrics"
 	"time"
@@ -46,18 +48,22 @@ func (r *statusRecorder) Flush() {
 
 // newRequestID mints a 16-hex-char random request ID.
 func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(b[:])
+	var b [16]byte
+	hex.Encode(b[:], binary.BigEndian.AppendUint64(b[8:8], rand.Uint64()))
+	return string(b[:])
 }
+
+// statusClasses are the status_class label values, by status / 100
+// (net/http's status codes are 100–999).
+var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
 
 // instrument wraps a handler with the per-route observability envelope:
 // in-flight gauge, request counter by status class, latency histogram,
 // and one structured request log line carrying the request ID. An
 // inbound X-Request-Id is propagated; otherwise one is minted. route is
-// the label the metrics carry: the path without its /v1 prefix.
+// the label the metrics carry: the path without its /v1 prefix. The
+// handler writes to the request's exchange, taken from exchanges here and
+// given back once the request is counted and logged.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		mHTTPInflight.Inc()
@@ -67,19 +73,23 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			reqID = newRequestID()
 		}
 		w.Header().Set("X-Request-Id", reqID)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		x := exchanges.Get().(*exchange)
+		defer exchanges.Put(x)
+		defer x.reset()
+		x.statusRecorder = statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		h(rec, r)
+		h(x, r)
 		dur := time.Since(start)
-		mHTTPRequests.With(route, r.Method, fmt.Sprintf("%dxx", rec.status/100)).Inc()
+		mHTTPRequests.With(route, r.Method, statusClasses[x.status/100]).Inc()
 		mHTTPSeconds.With(route).Observe(dur.Seconds())
-		slog.Info("http request",
-			"request_id", reqID,
-			"method", r.Method,
-			"route", route,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"duration_us", dur.Microseconds(),
+		x.logTail = [2]slog.Attr{slog.Int("status", x.status), slog.Int64("duration_us", dur.Microseconds())}
+		slog.LogAttrs(r.Context(), slog.LevelInfo, "http request",
+			slog.String("request_id", reqID),
+			slog.String("method", r.Method),
+			slog.String("route", route),
+			slog.String("path", r.URL.Path),
+			// An unnamed group's attributes are the line's own.
+			slog.Attr{Value: slog.GroupValue(x.logTail[:]...)},
 		)
 	}
 }
@@ -116,14 +126,19 @@ var runtimeFamilies = [...]struct{ name, kind, help, key string }{
 	{"go_goroutines", "gauge", "Goroutines that currently exist.", "/sched/goroutines:goroutines"},
 }
 
-// writeRuntimeMetrics reads runtimeFamilies from runtime/metrics — when
-// /v1/metrics is scraped, never on a query path — and writes them in the
-// registry's text format.
+// gcPausesKey is the runtime/metrics histogram of the stop-the-world
+// pauses of the garbage collector, scraped as go_gc_pauses_seconds.
+const gcPausesKey = "/sched/pauses/total/gc:seconds"
+
+// writeRuntimeMetrics reads runtimeFamilies and the GC pause histogram
+// from runtime/metrics — when /v1/metrics is scraped, never on a query
+// path — and writes them in the registry's text format.
 func writeRuntimeMetrics(w io.Writer) error {
-	var samples [len(runtimeFamilies)]metrics.Sample
+	var samples [len(runtimeFamilies) + 1]metrics.Sample
 	for i, f := range runtimeFamilies {
 		samples[i].Name = f.key
 	}
+	samples[len(runtimeFamilies)].Name = gcPausesKey
 	metrics.Read(samples[:])
 	for i, f := range runtimeFamilies {
 		var v uint64
@@ -134,5 +149,32 @@ func writeRuntimeMetrics(w io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	return obs.WriteHistogram(w, "go_gc_pauses_seconds",
+		"Stop-the-world pauses of the garbage collector, in seconds (the runtime's own histogram, read at the scrape).",
+		gcPauses(samples[len(runtimeFamilies)].Value))
+}
+
+// gcPauses maps the runtime's pause histogram onto the registry's bucket
+// layout. Each runtime bucket [lo, hi) is counted at hi, so a pause lands
+// under the first bound at or above its bucket's upper edge — never under
+// a bound it may exceed — and the sum is an estimate from those edges
+// (the runtime's buckets are a few percent wide; an unbounded last
+// bucket is counted at its lower edge).
+func gcPauses(v metrics.Value) *obs.Histogram {
+	h := obs.NewHistogram(nil)
+	if v.Kind() != metrics.KindFloat64Histogram {
+		return h
+	}
+	rh := v.Float64Histogram()
+	for i, n := range rh.Counts {
+		if n == 0 {
+			continue
+		}
+		at := rh.Buckets[i+1]
+		if math.IsInf(at, 1) {
+			at = rh.Buckets[i]
+		}
+		h.ObserveN(max(at, 0), int64(n))
+	}
+	return h
 }

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"crowddb/internal/core"
+	"crowddb/internal/obs"
 	"crowddb/internal/storage"
 )
 
@@ -114,6 +116,7 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"go_gc_heap_allocs_bytes_total", // Go runtime, read at the scrape
 		"go_gc_cycles_total",
 		"go_goroutines",
+		"go_gc_pauses_seconds", // the runtime's pause histogram, on the registry's buckets
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("scrape missing family %s", family)
@@ -126,6 +129,14 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		if strings.Contains(text, "\n"+family+" 0\n") {
 			t.Errorf("%s reads 0:\n%s", family, grepLines(text, family))
 		}
+	}
+
+	// The pause histogram is one well-formed histogram: cumulative buckets
+	// on the registry's bounds, ending in +Inf at its count. A forced
+	// collection makes sure it has pauses to count.
+	runtime.GC()
+	if err := checkGCPauses(ts.URL); err != nil {
+		t.Error(err)
 	}
 
 	// The traffic above produced at least one cache hit and one miss.
@@ -543,4 +554,39 @@ func TestDMLMetrics(t *testing.T) {
 			t.Errorf("%s moved by %d, want %d", key, got, want)
 		}
 	}
+}
+
+// checkGCPauses scrapes url's /v1/metrics and holds go_gc_pauses_seconds
+// to the shape of a histogram with pauses in it: one bucket per registry
+// bound, cumulative counts, +Inf last at the _count, a positive count.
+func checkGCPauses(url string) error {
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	text := string(body)
+	lines := strings.Split(grepLines(text, "go_gc_pauses_seconds"), "\n")
+	if len(lines) != 2+len(obs.DefSecondsBuckets)+3 || lines[1] != "# TYPE go_gc_pauses_seconds histogram" {
+		return fmt.Errorf("go_gc_pauses_seconds is not a histogram on the registry's %d bounds:\n%s", len(obs.DefSecondsBuckets), strings.Join(lines, "\n"))
+	}
+	var prev, inf int64
+	for i, line := range lines[2 : 2+len(obs.DefSecondsBuckets)+1] {
+		var n int64
+		if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n); err != nil || n < prev {
+			return fmt.Errorf("go_gc_pauses_seconds bucket %d is not cumulative: %q", i, line)
+		}
+		prev, inf = n, n
+	}
+	if !strings.Contains(lines[len(lines)-3], `le="+Inf"`) {
+		return fmt.Errorf("go_gc_pauses_seconds' last bucket is not +Inf: %q", lines[len(lines)-3])
+	}
+	if want := fmt.Sprintf("go_gc_pauses_seconds_count %d", inf); lines[len(lines)-1] != want || inf == 0 {
+		return fmt.Errorf("go_gc_pauses_seconds counts %q, want %q and pauses in it", lines[len(lines)-1], want)
+	}
+	return nil
 }

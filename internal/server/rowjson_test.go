@@ -142,7 +142,7 @@ func encoderBatches() []storage.Batch {
 // an empty result ("rows" omitted), DDL and DML answers, and the
 // expansion, job and trace members.
 func TestRowEncoderMatchesJSONEncoder(t *testing.T) {
-	enc := encoders.Get().(*rowEncoder)
+	enc := &newExchange().rows
 	for _, batch := range encoderBatches() {
 		var want bytes.Buffer
 		for _, row := range batch.AppendRows(nil) {

@@ -51,7 +51,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"crowddb/internal/core"
@@ -200,37 +199,6 @@ type queryTail struct {
 	Trace *core.QueryTrace `json:"trace,omitempty"`
 }
 
-// maxBodyBytes bounds a request body: a larger one is refused with 413
-// request_too_large before it is buffered.
-const maxBodyBytes = 1 << 20
-
-// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v.
-// On failure it writes the error envelope and returns false. A body that
-// declares its length is refused on that length, and net/http reads no
-// more than it declares; only a body of unknown length (chunked) is read
-// through http.MaxBytesReader, which allocates a reader per request.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.ContentLength > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, fmt.Errorf("server: request body of %d bytes is over %d", r.ContentLength, maxBodyBytes))
-		return false
-	}
-	body := r.Body
-	if r.ContentLength < 0 {
-		body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	}
-	err := json.NewDecoder(body).Decode(v)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, fmt.Errorf("server: request body over %d bytes", tooLarge.Limit))
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("server: bad request body: %w", err))
-	}
-	return false
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.sem <- struct{}{}:
@@ -241,8 +209,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var body queryRequest
-	if !decodeBody(w, r, &body) {
+	x := w.(*exchange) // every route is served through instrument
+	body := &x.query
+	if !x.decodeBody(r, body) {
 		return
 	}
 	if body.SQL == "" {
@@ -275,19 +244,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// A client that hangs up while its query waits for the crowd ends
 	// the wait — and frees its admission slot — but not the expansion.
-	ans := streams.Get().(*core.RowStream)
-	defer release(ans)
+	ans := &x.ans
+	defer ans.Close() // the answer was read to its end, or the request failed
 	job, err := s.db.Do(r.Context(), ans, req)
 	switch {
 	case err != nil:
 		writeQueryError(w, err)
 	case job != nil:
 		st := job.Status()
-		writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
+		x.writeQueryResponse(http.StatusAccepted, nil, queryTail{Job: &st})
 	case req.Mode == core.ModeStream:
-		streamQuery(w, r, ans)
+		x.streamQuery(r)
 	default:
-		writeQueryResponse(w, http.StatusOK, ans, queryTail{Expansion: ans.Expansion(), Trace: ans.Trace()})
+		x.writeQueryResponse(http.StatusOK, ans, queryTail{Expansion: ans.Expansion(), Trace: ans.Trace()})
 	}
 }
 
@@ -300,18 +269,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // response is flushed as it goes, so a client sees data while the scan
 // is still running; the stream holds a snapshot pin, never a lock, for
 // the duration of the transfer.
-func streamQuery(w http.ResponseWriter, r *http.Request, stream *core.RowStream) {
+func (x *exchange) streamQuery(r *http.Request) {
+	w, stream, rows := x, &x.ans, &x.rows
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	rows := encoders.Get().(*rowEncoder)
-	defer encoders.Put(rows)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	flush := w.Flush
 
 	_ = enc.Encode(map[string]any{"columns": stream.Columns()})
 	flush()
@@ -359,18 +322,6 @@ func streamQuery(w http.ResponseWriter, r *http.Request, stream *core.RowStream)
 	flush()
 }
 
-// streams recycles the answers of buffered queries: a RowStream is a few
-// hundred bytes of state that a request needs only until it is answered.
-var streams = sync.Pool{New: func() any { return new(core.RowStream) }}
-
-// release closes a buffered query's answer, forgets what it read — the
-// closed executor tree, a cache entry's batches — and recycles it.
-func release(ans *core.RowStream) {
-	_ = ans.Close() // the answer was read to its end, or the request failed
-	*ans = core.RowStream{}
-	streams.Put(ans)
-}
-
 // rowEncoder writes result rows as JSON arrays straight from column
 // vectors into one reused buffer — the {"row":[…]} lines of an NDJSON
 // stream and the "rows" member of the buffered envelope — byte for byte
@@ -385,13 +336,6 @@ type rowEncoder struct {
 	cols []string      // the column names being encoded, likewise
 	tail queryTail     // and the envelope's tail
 }
-
-// encoders recycles the encoders' buffers across requests.
-var encoders = sync.Pool{New: func() any {
-	e := &rowEncoder{}
-	e.enc = json.NewEncoder(&e.text)
-	return e
-}}
 
 // cell appends cell i of v. NaN and ±Inf have no JSON form and are an
 // error, as they are to json.Encoder.
@@ -559,22 +503,19 @@ func (e *rowEncoder) envelope(ans answer, tail queryTail) ([]byte, error) {
 // encoded whole before the status line is sent — an answer that fails
 // while it is read is answered with its error's envelope, and one JSON
 // cannot carry with unencodable_value, not with half a body.
-func writeQueryResponse(w http.ResponseWriter, status int, ans answer, tail queryTail) {
-	e := encoders.Get().(*rowEncoder)
-	defer encoders.Put(e)
-	body, err := e.envelope(ans, tail)
-	var unencodable unencodableError
-	switch {
-	case errors.As(err, &unencodable):
-		writeError(w, http.StatusInternalServerError, CodeUnencodableValue, err)
-		return
-	case err != nil:
-		writeQueryError(w, err)
+func (x *exchange) writeQueryResponse(status int, ans answer, tail queryTail) {
+	body, err := x.rows.envelope(ans, tail)
+	if err != nil {
+		if errors.As(err, new(unencodableError)) {
+			writeError(x, http.StatusInternalServerError, CodeUnencodableValue, err)
+		} else {
+			writeQueryError(x, err)
+		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	x.Header()["Content-Type"] = jsonContentType
+	x.WriteHeader(status)
+	_, _ = x.Write(body)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -729,8 +670,9 @@ type adminExpandRequest struct {
 // rejection is reproducible across restarts). Success returns 202 with
 // the job handle to poll.
 func (s *Server) handleAdminExpand(w http.ResponseWriter, r *http.Request) {
+	x := w.(*exchange)
 	var req adminExpandRequest
-	if !decodeBody(w, r, &req) {
+	if !x.decodeBody(r, &req) {
 		return
 	}
 	if req.Table == "" || req.Column == "" {
@@ -772,7 +714,7 @@ func (s *Server) handleAdminExpand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	writeQueryResponse(w, http.StatusAccepted, nil, queryTail{Job: &st})
+	x.writeQueryResponse(http.StatusAccepted, nil, queryTail{Job: &st})
 }
 
 // handleBudgets lists every API key's cap and cumulative spend.
@@ -825,8 +767,14 @@ func boolParam(params url.Values, name string) bool {
 	return v == "1" || v == "true"
 }
 
+// jsonContentType is the Content-Type of every JSON reply, one slice for
+// all of them: net/http copies a header's values when the status line is
+// written and never writes into them, and a handler that adds a value
+// appends to a full slice, which copies it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -287,3 +287,45 @@ func TestWorkloadReportsDeferredAnswers(t *testing.T) {
 		t.Fatalf("/v1/workload cache = %+v, want 1 hit, 2 misses, 1 deferred", c)
 	}
 }
+
+// TestOneBodyOneValue: a request body is one JSON value. Anything but
+// white space after it — a second statement included — is a 400
+// bad_request on both routes that take a body, and nothing of it runs.
+func TestOneBodyOneValue(t *testing.T) {
+	s, ts := newTestServer(t, &fakeService{}, Config{})
+	post := func(path, body string) (int, errorBody) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env map[string]errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env["error"]
+	}
+	for _, body := range []string{
+		`{"sql":"DELETE FROM movies"} {"sql":"SELECT COUNT(*) FROM movies"}`,
+		`{"sql":"DELETE FROM movies"}{}`,
+		`{"sql":"DELETE FROM movies"} x`,
+		`{"sql":"DELETE FROM movies"}]`,
+	} {
+		if code, e := post("/v1/query", body); code != http.StatusBadRequest || e.Code != CodeBadRequest || e.Status != http.StatusBadRequest {
+			t.Errorf("/v1/query %q: status %d, envelope %+v; want 400 bad_request", body, code, e)
+		}
+	}
+	if code, out := postQuery(t, ts.URL, `SELECT COUNT(*) FROM movies`, ""); code != http.StatusOK || fmt.Sprint(out.Rows) != "[[20]]" {
+		t.Fatalf("after the refused bodies: status %d, rows %v; want the 20 movies untouched", code, out.Rows)
+	}
+	if code, e := post("/v1/query", "{\"sql\":\"SELECT COUNT(*) FROM movies\"}\r\n\t "); code != http.StatusOK {
+		t.Errorf("a body with trailing white space: status %d, envelope %+v; want 200", code, e)
+	}
+
+	body := `{"table":"movies","column":"is_comedy"} {"table":"movies","column":"is_comedy"}`
+	if code, e := post("/v1/admin/expand", body); code != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Errorf("/v1/admin/expand %q: status %d, envelope %+v; want 400 bad_request", body, code, e)
+	}
+	if jobs := s.db.Jobs(); len(jobs) != 0 {
+		t.Fatalf("a refused /v1/admin/expand submitted %d jobs", len(jobs))
+	}
+}

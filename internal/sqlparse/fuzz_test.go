@@ -1,14 +1,18 @@
 package sqlparse
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// FuzzParse: arbitrary bytes through Parse never panic, and the WHERE
-// expression of every SELECT that parses prints to text that parses back
-// to the same text. The corpus is seeded with the round-trip generator's
-// expressions.
+// FuzzParse: arbitrary bytes through Parse never panic; text Tokenize
+// refuses, Parse refuses with Tokenize's error, wherever in the text the
+// lexing error is; the same text parses twice to equal statements (or
+// the same error); and the WHERE expression of every SELECT that parses
+// prints to text that parses back to the same text. The corpus is seeded
+// with the round-trip generator's expressions.
 func FuzzParse(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 64; i++ {
@@ -24,11 +28,21 @@ func FuzzParse(f *testing.F) {
 		`CREATE INDEX i ON t (a) USING ORDERED`,
 		`SELECT*FROM A WHERE(-.0)`, // an integral float once printed as an integer
 		`SELECT * FROM t WHERE x > 2.0 + 99999999999999999999`,
+		`SELECT * FROM t WHERE a = 1 AND AND b = 'unterminated`, // a parse error before a lexing error
+		`SELECT FROM; SELECT * FROM t WHERE 1e`,
+		`INSERT INTO t VALUES ('it''s', 'x''', '''')`,
 	} {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		stmt, err := Parse(sql)
+		if _, lexErr := Tokenize(sql); lexErr != nil && (err == nil || err.Error() != lexErr.Error()) {
+			t.Fatalf("%q: Tokenize fails with %q, Parse with %v", sql, lexErr, err)
+		}
+		again, againErr := Parse(sql)
+		if !reflect.DeepEqual(stmt, again) || fmt.Sprint(err) != fmt.Sprint(againErr) {
+			t.Fatalf("%q parses to %#v, %v, then to %#v, %v", sql, stmt, err, again, againErr)
+		}
 		if err != nil {
 			return
 		}
@@ -37,11 +51,11 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		text := sel.Where.String()
-		again, err := Parse("SELECT * FROM t WHERE " + text)
+		back, err := Parse("SELECT * FROM t WHERE " + text)
 		if err != nil {
 			t.Fatalf("%q: its WHERE prints as %q, which does not parse: %v", sql, text, err)
 		}
-		if got := again.(*SelectStmt).Where.String(); got != text {
+		if got := back.(*SelectStmt).Where.String(); got != text {
 			t.Fatalf("%q: its WHERE prints as %q, which parses back as %q", sql, text, got)
 		}
 	})

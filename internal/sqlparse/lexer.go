@@ -129,22 +129,34 @@ done:
 	return Token{Type: TokNumber, Text: text, Pos: start}, nil
 }
 
+// lexString scans a quoted literal. Its text is a copy, never a view of
+// the input: a literal an INSERT stores must not pin the statement's text.
 func (lx *Lexer) lexString(start int) (Token, error) {
 	lx.pos++ // opening quote
 	var sb strings.Builder
+	escaped := false
 	for lx.pos < len(lx.input) {
 		c := lx.input[lx.pos]
 		if c == '\'' {
 			// '' escapes a single quote, SQL style.
 			if lx.pos+1 < len(lx.input) && lx.input[lx.pos+1] == '\'' {
+				if !escaped {
+					escaped = true
+					sb.WriteString(lx.input[start+1 : lx.pos])
+				}
 				sb.WriteByte('\'')
 				lx.pos += 2
 				continue
 			}
 			lx.pos++
+			if !escaped {
+				return Token{Type: TokString, Text: strings.Clone(lx.input[start+1 : lx.pos-1]), Pos: start}, nil
+			}
 			return Token{Type: TokString, Text: sb.String(), Pos: start}, nil
 		}
-		sb.WriteByte(c)
+		if escaped {
+			sb.WriteByte(c)
+		}
 		lx.pos++
 	}
 	return Token{}, fmt.Errorf("sqlparse: unterminated string starting at offset %d", start)
@@ -167,7 +179,7 @@ func (lx *Lexer) lexSymbol(start int) (Token, error) {
 	switch c {
 	case '(', ')', ',', '=', '<', '>', '+', '-', '*', '/', ';', '.':
 		lx.pos++
-		return Token{Type: TokSymbol, Text: string(c), Pos: start}, nil
+		return Token{Type: TokSymbol, Text: lx.input[start:lx.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, start)
 }

