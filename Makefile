@@ -13,7 +13,7 @@ BENCH_GUARD_OUT ?= bench-current.json
 # refresh the baseline (see BENCH_GUARD_OUT) rather than widening this.
 BENCH_GUARD_THRESHOLD ?= 0.30
 
-.PHONY: build test race vet fmt fuzz walls check cover bench bench-smoke bench-guard staticcheck serve
+.PHONY: build test race vet fmt size fuzz walls check cover bench bench-smoke bench-guard staticcheck serve
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ vet:
 # Fails (listing the offenders) if any file is not gofmt-clean.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The size ratchet (cmd/sizeguard): prints every package's non-test Go
+# lines and DESIGN.md's bytes beside their record in SIZE.json, writes
+# them to size-current.json, and fails when one exceeds its record or has
+# none. A change that shrinks them commits size-current.json as SIZE.json.
+size:
+	$(GO) run ./cmd/sizeguard
 
 # Seconds of native fuzzing: arbitrary bytes through the column payload
 # decoder and the op record decoder (a positioned error or a canonical

@@ -43,9 +43,9 @@ func (db *DB) execCreateIndex(ci *sqlparse.CreateIndexStmt) (*Result, error) {
 		return nil, err
 	}
 	// Index DDL emits no storage.Op, so the result cache's observer never
-	// fires — bump the table's sequence here. (Strictly the rows are
-	// unchanged, but the ISSUE's invalidation contract is "any mutation
-	// bumps the seq", and a plan-shape change is cheap to over-invalidate.)
+	// fires — kill the table's entries here. The rows are unchanged, but an
+	// index can change the row order of an answer without ORDER BY, and a
+	// plan-shape change is cheap to over-invalidate.
 	if db.rcache != nil {
 		db.rcache.InvalidateTable(strings.ToLower(ci.Table))
 	}

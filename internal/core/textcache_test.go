@@ -382,6 +382,32 @@ func TestFootprintOfASelect(t *testing.T) {
 	}
 }
 
+// TestJoinObservationsNameTheRightTable: an unqualified column of a join
+// is the workload tracker's evidence for the table whose schema has it,
+// not for the FROM table, and a select-list alias is evidence for none —
+// through a miss, through a hit, and with the cache bypassed.
+func TestJoinObservationsNameTheRightTable(t *testing.T) {
+	db := twinDB(t, "", true)
+	t.Cleanup(func() { _ = db.Close() })
+	const sql = `SELECT label, score sc FROM facts JOIN dims ON facts.k = dims.k ORDER BY sc`
+	for _, exec := range []func(string) (*Result, *ExpansionReport, error){db.ExecSQL, db.ExecSQL, db.ExecSQLNoCache} {
+		if _, _, err := exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.CacheStats(); st.Hits != 1 {
+		t.Fatalf("cache %+v, want the second ask a hit", st)
+	}
+	got := map[string]map[string]uint64{}
+	for _, tc := range db.Workload().Counters.Tables {
+		got[tc.Table] = tc.Columns
+	}
+	want := map[string]map[string]uint64{"facts": {"k": 3, "score": 3}, "dims": {"k": 3, "label": 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the tracker counts columns %v, want %v", got, want)
+	}
+}
+
 // TestWriteWhilePlanningKillsTheMiss: a miss registers its footprint
 // before its plan binds the table, so a write that lands after the
 // binding — here a column added under a SELECT * planned without it —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -20,7 +21,8 @@ import (
 // bypassed, the result cache. The pieces live in internal/workload; this
 // file is the glue that decides WHEN they fire — the cache probe before the
 // parser, observation under the snapshot gate, speculation inside the
-// table's open batch, cache seq-capture before planning. See DESIGN.md §13.
+// table's open batch, the cache's footprint capture before planning. See
+// DESIGN.md §13.
 
 // Origin values for expansion jobs. The tag rides the job (jobs.Status),
 // the per-job WAL completion record, and /ledger, so operators can audit
@@ -236,24 +238,19 @@ func (db *DB) explainHit(sql string, qt *QueryTrace) {
 
 // openSelect plans and opens a SELECT on s, and once it is planned feeds
 // the workload tracker its observations (one per table in scope), which
-// the result cache keeps with the entry and a single-table footprint
-// shares. Caller holds db.gate.RLock;
-// the stream is read after it is released. Under a non-empty key — a
-// text the result cache did not answer — it counts the miss and begins
-// the cache's copy of the answer (rescache.Fill), which the cache keeps
-// only if it could store the entry: a large answer to a text seen for the
-// first time is read from the executor and never copied.
+// the result cache keeps with the entry and whose columns its footprints
+// share. Caller holds db.gate.RLock; the stream is read after it is
+// released. Under a non-empty key — a text the result cache did not
+// answer — it counts the miss and begins the cache's copy of the answer
+// (rescache.Fill), which the cache keeps only if it could store the entry.
 //
-// Order matters: the miss is captured — its footprint registered, or
-// its tables' seqs taken — BEFORE planning, because the plan binds the
-// tables it reads and their schemas (SELECT * is expanded then). A write,
-// a re-created table or an added column that lands after the capture and
-// could change the answer kills the miss, or moves a seq past the one
-// its entry holds, so the entry is never served.
+// Order matters: the miss's footprints are registered BEFORE planning,
+// because the plan binds the tables it reads and their schemas (SELECT *
+// is expanded then), so a write that lands after the capture and could
+// change the answer kills the miss, whose entry is then never stored.
 //
 // Every phase feeds the crowddb_query_phase_seconds histogram; a traced
-// stream additionally runs the executor with per-operator tracing, for
-// the annotated plan tree of its QueryTrace.
+// stream additionally runs the executor with per-operator tracing.
 func (db *DB) openSelect(s *RowStream, sel *sqlparse.SelectStmt, key string) error {
 	var cp rescache.Capture
 	var obs []workload.Observation
@@ -269,7 +266,7 @@ func (db *DB) openSelect(s *RowStream, sel *sqlparse.SelectStmt, key string) err
 		return err
 	}
 	if obs == nil {
-		obs = accessObservations(sel)
+		obs = db.accessObservations(sel)
 	}
 	for _, o := range obs {
 		db.observeLocked(o)
@@ -295,15 +292,29 @@ func (db *DB) openSelect(s *RowStream, sel *sqlparse.SelectStmt, key string) err
 	return err
 }
 
-// capture registers a SELECT's miss with the result cache: a join by its
-// tables' seqs, a single-table SELECT by its footprint, whose columns are
-// those of the observations it returns. It registers nothing (ok false),
-// and the answer is not stored, when the table is missing or lacks a
-// column the items or the WHERE name: the plan fails — a query-driven
+// capture registers a SELECT's miss with the result cache: one footprint
+// per table it reads, whose columns are those of the observations it
+// returns — for a join, with the names joinObservations attributes to no
+// table added to each, and no interval: joins are read, not written,
+// where they are served. It registers nothing (ok false), and the answer
+// is not stored, when a table is missing or a single-table SELECT's table
+// lacks a column its items or WHERE name: the plan fails — a query-driven
 // expansion's first attempt — and the registration would be garbage.
 func (db *DB) capture(sel *sqlparse.SelectStmt) (cp rescache.Capture, obs []workload.Observation, ok bool) {
 	if len(sel.Joins) > 0 {
-		return db.rcache.CaptureTables(selectTables(sel)), nil, true
+		obs, unresolved, ok := joinObservations(sel, db.Catalog())
+		if !ok {
+			return cp, nil, false
+		}
+		star := slices.ContainsFunc(sel.Items, func(it sqlparse.SelectItem) bool { return it.Star })
+		fps := make([]rescache.Footprint, len(obs))
+		for i, o := range obs {
+			fps[i] = rescache.Footprint{Table: o.Table, Columns: o.Columns, Star: star}
+			if len(unresolved) > 0 {
+				fps[i].Columns = append(slices.Clip(o.Columns), unresolved...)
+			}
+		}
+		return db.rcache.CaptureFootprint(fps...), obs, true
 	}
 	t, ok := db.Catalog().Get(sel.Table)
 	if !ok {
@@ -322,18 +333,17 @@ func (db *DB) capture(sel *sqlparse.SelectStmt) (cp rescache.Capture, obs []work
 	if sqlparse.WalkColumns(sel.Where, check); lacks {
 		return cp, nil, false
 	}
-	obs = accessObservations(sel)
+	obs = db.accessObservations(sel)
 	return db.rcache.CaptureFootprint(footprint(sel, obs[0].Columns, schema)), obs, true
 }
 
-// footprint is what a single-table SELECT's answer depends on, read off
-// the statement, the columns it names (its observation's: in its items,
-// WHERE, GROUP BY, HAVING and ORDER BY) and the table's schema: those
-// columns, or every column for SELECT *, and the narrowest interval on an
-// INTEGER column that the WHERE's top-level AND conjuncts bound with
-// integer literals (none when no conjunct does: OR, NOT, floats, !=,
-// expressions bound nothing). A name the schema lacks — a select-list
-// alias in ORDER BY or HAVING — only widens the column set.
+// footprint is what a single-table SELECT's answer depends on: the
+// columns it names (its observation's), or every column for SELECT *, and
+// the narrowest interval on an INTEGER column that the WHERE's top-level
+// AND conjuncts bound with integer literals (none when no conjunct does:
+// OR, NOT, floats, != and expressions bound nothing). A name the schema
+// lacks — a select-list alias in ORDER BY or HAVING — only widens the
+// column set.
 func footprint(sel *sqlparse.SelectStmt, cols []string, schema *storage.Schema) rescache.Footprint {
 	fp := rescache.Footprint{Table: strings.ToLower(sel.Table), Columns: cols}
 	for _, it := range sel.Items {
@@ -367,6 +377,10 @@ type interval struct {
 // holds.
 func (iv *interval) width() uint64 { return uint64(iv.hi) - uint64(iv.lo) }
 
+// mirrored maps each comparison that bounds an interval to itself with
+// its operands swapped.
+var mirrored = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 func (b *bounds) conjuncts(e sqlparse.Expr, schema *storage.Schema) {
 	be, ok := e.(*sqlparse.BinaryExpr)
 	if !ok {
@@ -379,28 +393,14 @@ func (b *bounds) conjuncts(e sqlparse.Expr, schema *storage.Schema) {
 	}
 	col, colOK := be.Left.(*sqlparse.ColumnRef)
 	lit, litOK := be.Right.(*sqlparse.Literal)
-	op := be.Op
-	if !colOK || !litOK {
-		// A literal on the left: the comparison, mirrored.
+	op, bounding := mirrored[be.Op]
+	if colOK && litOK {
+		op = be.Op
+	} else { // a literal on the left: the comparison, mirrored
 		col, colOK = be.Right.(*sqlparse.ColumnRef)
 		lit, litOK = be.Left.(*sqlparse.Literal)
-		switch op {
-		case "<":
-			op = ">"
-		case "<=":
-			op = ">="
-		case ">":
-			op = "<"
-		case ">=":
-			op = "<="
-		}
 	}
-	switch op {
-	case "=", "<", "<=", ">", ">=":
-	default:
-		return
-	}
-	if !colOK || !litOK || lit.Kind != sqlparse.LitInt {
+	if !bounding || !colOK || !litOK || lit.Kind != sqlparse.LitInt {
 		return
 	}
 	if i, ok := schema.Lookup(col.Name); !ok || schema.Column(i).Kind != storage.KindInt {
@@ -465,80 +465,96 @@ func (b *bounds) on(col string) *interval {
 	return &b.c[b.n-1]
 }
 
-// selectTables returns the tables a SELECT names, lower-cased and distinct:
-// the result cache's invalidation scope, known before the plan is.
-func selectTables(sel *sqlparse.SelectStmt) []string {
-	tables := make([]string, 1, 1+len(sel.Joins))
-	tables[0] = strings.ToLower(sel.Table)
-	for _, j := range sel.Joins {
-		if t := strings.ToLower(j.Table); !slices.Contains(tables, t) {
-			tables = append(tables, t)
-		}
-	}
-	return tables
-}
-
 // accessObservations derives per-table workload observations from a
 // plannable SELECT: each base table in scope gets one observation
-// carrying the columns the query references on it. Qualified references
-// resolve through the statement's alias bindings; unqualified ones are
-// attributed to the primary FROM table (the planner resolved them
-// successfully, and single-table queries — the workload the predictor
-// targets — have no ambiguity).
-func accessObservations(sel *sqlparse.SelectStmt) []workload.Observation {
+// carrying the columns the query references on it.
+func (db *DB) accessObservations(sel *sqlparse.SelectStmt) []workload.Observation {
 	if len(sel.Joins) == 0 {
 		return []workload.Observation{{Table: strings.ToLower(sel.Table), Columns: tableColumns(sel), Kind: workload.KindAccess}}
 	}
-	primary := strings.ToLower(sel.Table)
-	bindings := map[string]string{}
-	alias := sel.TableAlias
-	if alias == "" {
-		alias = sel.Table
+	obs, _, _ := joinObservations(sel, db.Catalog())
+	return obs
+}
+
+// joinObservations derives a join's observations, one per table in scope
+// (a table bound twice is one), from the columns its items, ON, WHERE,
+// GROUP BY, HAVING and ORDER BY name. A qualified name belongs to its
+// binding's table and an unqualified one to the table whose schema has
+// it; a name no table has — a select-list alias — or several have, which
+// the planner rejects, is returned in unresolved instead. ok is false when
+// a table is missing.
+func joinObservations(sel *sqlparse.SelectStmt, cat *storage.Catalog) (obs []workload.Observation, unresolved []string, ok bool) {
+	type scope struct {
+		binding string
+		obs     int
+		schema  *storage.Schema
 	}
-	bindings[strings.ToLower(alias)] = primary
-	colsByTable := map[string][]string{primary: nil}
-	for _, j := range sel.Joins {
-		a := j.Alias
-		if a == "" {
-			a = j.Table
+	scopes := make([]scope, 0, 1+len(sel.Joins))
+	for i := -1; i < len(sel.Joins); i++ {
+		table, alias := sel.Table, sel.TableAlias
+		if i >= 0 {
+			table, alias = sel.Joins[i].Table, sel.Joins[i].Alias
 		}
-		bindings[strings.ToLower(a)] = strings.ToLower(j.Table)
-		colsByTable[strings.ToLower(j.Table)] = nil
+		t, ok := cat.Get(table)
+		if !ok {
+			return nil, nil, false
+		}
+		table = strings.ToLower(table)
+		j := slices.IndexFunc(obs, func(o workload.Observation) bool { return o.Table == table })
+		if j < 0 {
+			j = len(obs)
+			obs = append(obs, workload.Observation{Table: table, Kind: workload.KindAccess})
+		}
+		scopes = append(scopes, scope{binding: cmp.Or(alias, table), obs: j, schema: t.Schema()})
 	}
 	add := func(c *sqlparse.ColumnRef) {
-		table := primary
-		if c.Table != "" {
-			t, ok := bindings[strings.ToLower(c.Table)]
-			if !ok {
-				return
+		found := -1
+		for _, s := range scopes {
+			if c.Table != "" {
+				if strings.EqualFold(c.Table, s.binding) {
+					found = s.obs
+					break
+				}
+			} else if _, has := s.schema.Lookup(c.Name); has && found != s.obs {
+				if found >= 0 {
+					found = -1 // ambiguous
+					break
+				}
+				found = s.obs
 			}
-			table = t
 		}
-		colsByTable[table] = append(colsByTable[table], c.Name)
+		switch {
+		case found >= 0:
+			obs[found].Columns = append(obs[found].Columns, c.Name)
+		case c.Table == "":
+			unresolved = append(unresolved, c.Name)
+		}
 	}
+	walkSelect(sel, add)
+	return obs, unresolved, true
+}
+
+// walkSelect calls f for every column a SELECT names: in its items, ON,
+// WHERE, GROUP BY, HAVING and ORDER BY, in that order.
+func walkSelect(sel *sqlparse.SelectStmt, f func(*sqlparse.ColumnRef)) {
 	for _, it := range sel.Items {
-		sqlparse.WalkColumns(it.Expr, add)
+		sqlparse.WalkColumns(it.Expr, f)
 	}
 	for _, j := range sel.Joins {
-		sqlparse.WalkColumns(j.On, add)
+		sqlparse.WalkColumns(j.On, f)
 	}
-	sqlparse.WalkColumns(sel.Where, add)
+	sqlparse.WalkColumns(sel.Where, f)
 	for _, g := range sel.GroupBy {
-		sqlparse.WalkColumns(g, add)
+		sqlparse.WalkColumns(g, f)
 	}
-	sqlparse.WalkColumns(sel.Having, add)
+	sqlparse.WalkColumns(sel.Having, f)
 	for _, o := range sel.OrderBy {
-		sqlparse.WalkColumns(o.Expr, add)
+		sqlparse.WalkColumns(o.Expr, f)
 	}
-	out := make([]workload.Observation, 0, len(colsByTable))
-	for table, cols := range colsByTable {
-		out = append(out, workload.Observation{Table: table, Columns: cols, Kind: workload.KindAccess})
-	}
-	return out
 }
 
 // tableColumns lists the columns a single-table SELECT names, in the order
-// accessObservations' walk meets them (duplicates kept): the references
+// walkSelect meets them (duplicates kept): the references
 // qualified by its table's binding, or not at all. It allocates the list
 // alone.
 func tableColumns(sel *sqlparse.SelectStmt) []string {
@@ -553,18 +569,7 @@ func tableColumns(sel *sqlparse.SelectStmt) []string {
 			cols = append(cols, c.Name)
 		}
 	}
-	for _, it := range sel.Items {
-		sqlparse.WalkColumns(it.Expr, add)
-	}
-	sqlparse.WalkColumns(sel.Where, add)
-	for _, g := range sel.GroupBy {
-		sqlparse.WalkColumns(g, add)
-	}
-	sqlparse.WalkColumns(sel.Having, add)
-	for _, o := range sel.OrderBy {
-		sqlparse.WalkColumns(o.Expr, add)
-	}
-	if len(cols) == 0 {
+	if walkSelect(sel, add); len(cols) == 0 {
 		return nil
 	}
 	out := make([]string, len(cols))

@@ -19,10 +19,11 @@ import (
 )
 
 // refServer is the sqlref fixture in a database of its own, behind a
-// handler.
+// handler, and the texts checkReference has asked it.
 type refServer struct {
-	db *core.DB
-	h  http.Handler
+	db   *core.DB
+	h    http.Handler
+	seen map[string]bool
 }
 
 func newRefServer(tb testing.TB, workers int) refServer {
@@ -37,7 +38,7 @@ func newRefServer(tb testing.TB, workers int) refServer {
 			tb.Fatalf("%s: %v", sql, err)
 		}
 	}
-	return refServer{db: db, h: New(db, Config{}).Handler()}
+	return refServer{db: db, h: New(db, Config{}).Handler(), seen: map[string]bool{}}
 }
 
 // post sends req to path of h and returns the status and the body.
@@ -111,33 +112,37 @@ func streamKeys(h http.Handler, sql string) ([]string, error) {
 }
 
 // checkReference answers q on srv along every path that must not change
-// the answer, and holds each to the reference interpreter's: the envelope
-// at the text's first sighting (a miss, whose large answer the cache
-// defers), ExecSQL at its second (a miss that stores it, or a hit), the
-// envelope at its third (a hit), mode=async (a hit) and
-// mode=async&nocache=1 (the executor), a ?stream=1 stream and
-// ExecSQLNoCache, which bypass the cache.
+// the answer, and holds each to the reference interpreter's, and the
+// cache's hit and miss counters to what each path does to them: the
+// envelope at the text's first sighting (a miss, whose large answer the
+// cache defers — or a hit, if srv was asked the text before and still
+// holds it), ExecSQL at its second (a miss that stores a deferred answer,
+// a hit otherwise), the envelope at its third (a hit), mode=async (a hit)
+// and mode=async&nocache=1 (the executor), a ?stream=1 stream and
+// ExecSQLNoCache, which bypass the cache and count nothing.
 func checkReference(t *testing.T, srv refServer, q *sqlref.Query, want []string) {
 	t.Helper()
 	sql, ordered := q.SQL(), q.Ordered()
 	sync, async := queryRequest{SQL: sql}, queryRequest{SQL: sql, Mode: "async"}
+	const hit, miss, none = "hit", "miss", "neither"
 	answers := []struct {
-		path string
-		get  func() ([]string, error)
+		path  string
+		cache string // what the answer counts; "" on the first sighting
+		get   func() ([]string, error)
 	}{
-		{"first sighting, /v1/query", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sync) }},
-		{"second sighting, ExecSQL", func() ([]string, error) {
+		{"first sighting, /v1/query", "", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sync) }},
+		{"second sighting, ExecSQL", hit, func() ([]string, error) {
 			res, _, err := srv.db.ExecSQL(sql)
 			if err != nil {
 				return nil, err
 			}
 			return sqlref.Keys(res.Rows, true), nil
 		}},
-		{"third sighting, /v1/query", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sync) }},
-		{"mode=async", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", async) }},
-		{"mode=async&nocache=1", func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query?nocache=1", async) }},
-		{"?stream=1", func() ([]string, error) { return streamKeys(srv.h, sql) }},
-		{"ExecSQLNoCache", func() ([]string, error) {
+		{"third sighting, /v1/query", hit, func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", sync) }},
+		{"mode=async", hit, func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query", async) }},
+		{"mode=async&nocache=1", none, func() ([]string, error) { return envelopeKeys(srv.h, "/v1/query?nocache=1", async) }},
+		{"?stream=1", none, func() ([]string, error) { return streamKeys(srv.h, sql) }},
+		{"ExecSQLNoCache", none, func() ([]string, error) {
 			res, _, err := srv.db.ExecSQLNoCache(sql)
 			if err != nil {
 				return nil, err
@@ -145,7 +150,8 @@ func checkReference(t *testing.T, srv refServer, q *sqlref.Query, want []string)
 			return sqlref.Keys(res.Rows, true), nil
 		}},
 	}
-	for _, a := range answers {
+	for i, a := range answers {
+		before := srv.db.CacheStats()
 		got, err := a.get()
 		if err != nil {
 			t.Fatalf("%s\n%s: %v", sql, a.path, err)
@@ -155,6 +161,29 @@ func checkReference(t *testing.T, srv refServer, q *sqlref.Query, want []string)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s\n%s answers %d rows, the reference %d:\n got %.300v\nwant %.300v", sql, a.path, len(got), len(want), got, want)
+		}
+		after := srv.db.CacheStats()
+		counted := none
+		switch {
+		case after.Hits == before.Hits+1 && after.Misses == before.Misses:
+			counted = hit
+		case after.Misses == before.Misses+1 && after.Hits == before.Hits:
+			counted = miss
+		case after.Hits != before.Hits || after.Misses != before.Misses:
+			counted = fmt.Sprintf("%d hits and %d misses", after.Hits-before.Hits, after.Misses-before.Misses)
+		}
+		if i == 0 {
+			// A deferred first sighting leaves the second a miss.
+			if after.Deferred > before.Deferred {
+				answers[1].cache = miss
+			}
+			if a.cache = miss; counted == hit && srv.seen[sql] {
+				a.cache = hit
+			}
+			srv.seen[sql] = true
+		}
+		if counted != a.cache {
+			t.Fatalf("%s\n%s counts %s in the cache, want %s", sql, a.path, counted, a.cache)
 		}
 	}
 }
@@ -233,7 +262,7 @@ func TestGeneratedSelectsCrossTheAdmissionLine(t *testing.T) {
 // cachedDMLSeeds, cachedDMLQueries and cachedDMLSteps are
 // FuzzCachedSelectsUnderDML's fixed seeds' count, how many queries of
 // each generator one seed warms, and how many writes it runs.
-const cachedDMLSeeds, cachedDMLQueries, cachedDMLSteps = 5, 4, 12
+const cachedDMLSeeds, cachedDMLQueries, cachedDMLSteps = 5, 4, 14
 
 // FuzzCachedSelectsUnderDML is the result cache's correctness wall under
 // writes. A seed warms a few generated queries, and as many whose answer
@@ -242,14 +271,16 @@ const cachedDMLSeeds, cachedDMLQueries, cachedDMLSteps = 5, 4, 12
 // interleaves seeded writes:
 // INSERTs into t and u whose integers lie in the generated literals'
 // range (−1…8), on an edge of a warmed query's interval (a literal or
-// one off it) or are NULL, UPDATEs of t's k (an interval column) and of
-// t's x (a column some entries do not read) by id, DELETEs of an id
+// one off it) or are NULL, UPDATEs of t's k (an interval column), of t's
+// x and of u's w (columns some entries do not read), DELETEs of an id
 // range, and compactions. After every write, each warmed text, through
 // ExecSQL and ExecSQLNoCache, must answer what the reference interpreter
-// answers over the live tables; and some cached answers must survive a
-// write, since an entry dies only by a write that meets its footprint.
-// go test -fuzz FuzzCachedSelectsUnderDML searches more seeds. A failure
-// prints the writes so far and the query.
+// answers over the live tables; and since an entry dies only by a write
+// that meets one of its footprints, every text whose entry was stored
+// before the write must hit after a compaction, and after an UPDATE of a
+// column it does not read. (The texts' answers fit the cache many times
+// over: nothing is evicted.) go test -fuzz FuzzCachedSelectsUnderDML
+// searches more seeds. A failure prints the writes so far and the query.
 func FuzzCachedSelectsUnderDML(f *testing.F) {
 	for seed := int64(0); seed < cachedDMLSeeds; seed++ {
 		f.Add(seed)
@@ -258,26 +289,36 @@ func FuzzCachedSelectsUnderDML(f *testing.F) {
 		db := newRefServer(t, 1).db
 		rng := rand.New(rand.NewSource(seed))
 		queries := make([]*sqlref.Query, 2*cachedDMLQueries)
-		oneTable := false
 		var edges []int64
+		// stored[i] tells whether queries[i]'s entry is in the cache: a
+		// text asked through it is stored after, unless the ask was a miss
+		// whose large answer the cache deferred.
+		stored := make([]bool, len(queries))
+		ask := func(i int, check func()) (hit bool) {
+			before := db.CacheStats()
+			check()
+			after := db.CacheStats()
+			stored[i] = after.Hits > before.Hits || after.Deferred == before.Deferred
+			return after.Hits > before.Hits
+		}
 		for i := range queries {
 			if i < cachedDMLQueries {
 				queries[i] = sqlref.Generate(rng)
 			} else {
 				queries[i] = sqlref.GenerateBounded(rng)
 			}
-			oneTable = oneTable || !queries[i].Join
 			edges = appendEdges(edges, queries[i].SQL())
 			for n := 0; n < 2; n++ {
-				if _, _, err := db.ExecSQL(queries[i].SQL()); err != nil {
-					t.Fatalf("seed %d: %s: %v", seed, queries[i].SQL(), err)
-				}
+				ask(i, func() {
+					if _, _, err := db.ExecSQL(queries[i].SQL()); err != nil {
+						t.Fatalf("seed %d: %s: %v", seed, queries[i].SQL(), err)
+					}
+				})
 			}
 		}
 		var writes []string
-		survived := 0
 		for round := 0; len(writes) < cachedDMLSteps; round++ {
-			for _, kind := range rng.Perm(6) {
+			for _, kind := range rng.Perm(7) {
 				w := cachedDMLWrite(rng, kind, edges)
 				writes = append(writes, w)
 				if w == "COMPACT" {
@@ -285,28 +326,62 @@ func FuzzCachedSelectsUnderDML(f *testing.F) {
 				} else if _, _, err := db.ExecSQL(w); err != nil {
 					t.Fatalf("seed %d: %s: %v", seed, w, err)
 				}
-				for _, q := range queries {
-					hits := db.CacheStats().Hits
-					checkUnderDML(t, db, q, fmt.Sprintf("seed %d, after\n%s", seed, strings.Join(writes, "\n")))
-					if db.CacheStats().Hits > hits {
-						survived++
+				var table, col string
+				fmt.Sscanf(w, "UPDATE %s SET %s =", &table, &col)
+				context := fmt.Sprintf("seed %d, after\n%s", seed, strings.Join(writes, "\n"))
+				for i, q := range queries {
+					mustHit := stored[i] && (w == "COMPACT" || col != "" && !readsColumn(q.SQL(), table, col))
+					if hit := ask(i, func() { checkUnderDML(t, db, q, context) }); mustHit && !hit {
+						t.Fatalf("%s\n%s: its stored entry did not survive a write that meets none of its footprints", context, q.SQL())
 					}
 				}
 			}
 		}
-		if oneTable && survived == 0 {
-			t.Fatalf("seed %d: no cached answer survived any of the writes\n%s", seed, strings.Join(writes, "\n"))
-		}
 	})
+}
+
+// readsColumn reports whether the SELECT sql reads col of table: names it
+// qualified by table, or unqualified when table is in its FROM — sqlref
+// writes a join column bare only when one table alone has the name.
+func readsColumn(sql, table, col string) bool {
+	sel := mustParseSelect(sql)
+	if !strings.EqualFold(sel.Table, table) && !slices.ContainsFunc(sel.Joins, func(j sqlparse.JoinClause) bool { return strings.EqualFold(j.Table, table) }) {
+		return false
+	}
+	reads := false
+	f := func(c *sqlparse.ColumnRef) {
+		reads = reads || strings.EqualFold(c.Name, col) && (c.Table == "" || strings.EqualFold(c.Table, table))
+	}
+	for _, it := range sel.Items {
+		reads = reads || it.Star
+		sqlparse.WalkColumns(it.Expr, f)
+	}
+	for _, j := range sel.Joins {
+		sqlparse.WalkColumns(j.On, f)
+	}
+	sqlparse.WalkColumns(sel.Where, f)
+	for _, g := range sel.GroupBy {
+		sqlparse.WalkColumns(g, f)
+	}
+	sqlparse.WalkColumns(sel.Having, f)
+	for _, o := range sel.OrderBy {
+		sqlparse.WalkColumns(o.Expr, f)
+	}
+	return reads
+}
+
+// mustParseSelect parses a generated SELECT.
+func mustParseSelect(sql string) *sqlparse.SelectStmt {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", sql, err))
+	}
+	return stmt.(*sqlparse.SelectStmt)
 }
 
 // appendEdges appends the integer literals of sql's WHERE, and the
 // integers one off each, to edges.
 func appendEdges(edges []int64, sql string) []int64 {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return edges
-	}
 	var walk func(e sqlparse.Expr)
 	walk = func(e sqlparse.Expr) {
 		switch n := e.(type) {
@@ -321,7 +396,7 @@ func appendEdges(edges []int64, sql string) []int64 {
 			}
 		}
 	}
-	walk(stmt.(*sqlparse.SelectStmt).Where)
+	walk(mustParseSelect(sql).Where)
 	return edges
 }
 
@@ -358,6 +433,8 @@ func cachedDMLWrite(rng *rand.Rand, kind int, edges []int64) string {
 	case 3:
 		return fmt.Sprintf("UPDATE t SET x = %s WHERE id = %s", quarter(), id())
 	case 4:
+		return fmt.Sprintf("UPDATE u SET w = %s WHERE k = %s", edge(), edge())
+	case 5:
 		lo, _ := strconv.Atoi(small())
 		return fmt.Sprintf("DELETE FROM t WHERE id >= %d AND id < %d", lo, lo+1+rng.Intn(3))
 	default:

@@ -9,8 +9,9 @@
 // The generated queries cover WHERE with AND, OR, NOT, comparisons and IS
 // [NOT] NULL; GROUP BY with HAVING over COUNT, SUM, AVG, MIN and MAX;
 // DISTINCT; ORDER BY ASC/DESC with LIMIT; and the two-table equi-join
-// t JOIN u ON t.k = u.k. Floats are quarters, so sums do not depend on
-// the order they are added in.
+// t JOIN u ON t.k = u.k, whose columns are written qualified, or in half
+// the joins bare where one table alone has the name. Floats are quarters,
+// so sums do not depend on the order they are added in.
 package sqlref
 
 import (
@@ -80,7 +81,11 @@ var (
 
 // Query is one generated SELECT.
 type Query struct {
-	Join     bool // FROM t JOIN u ON t.k = u.k; otherwise FROM t
+	Join bool // FROM t JOIN u ON t.k = u.k; otherwise FROM t
+	// Bare writes a join's columns unqualified where one table alone has
+	// the name: the planner, and the cache's footprints, resolve them by
+	// the tables' schemas.
+	Bare     bool
 	Distinct bool
 	Items    []Item
 	Where    Expr
@@ -159,6 +164,7 @@ func Generate(rng *rand.Rand) *Query {
 		if rng.Intn(3) > 0 {
 			q.Where = genPred(rng, append(slices.Clone(tCols), uCols...), 2)
 		}
+		q.Bare = rng.Intn(2) == 0
 	}
 	return q
 }
@@ -337,10 +343,16 @@ func (q *Query) SQL() string {
 }
 
 func (q *Query) colSQL(c *column) string {
-	if q.Join {
+	if q.Join && !(q.Bare && unique(c.name)) {
 		return c.table + "." + c.name
 	}
 	return c.name
+}
+
+// unique reports whether one fixture table alone has a column named name.
+func unique(name string) bool {
+	has := func(c column) bool { return c.name == name }
+	return slices.ContainsFunc(tCols, has) != slices.ContainsFunc(uCols, has)
 }
 
 func (q *Query) itemSQL(it Item) string {

@@ -5,67 +5,52 @@
 // An entry is the result as the executor returned it: the column names
 // and the list of owned column batches (storage.AppendOwned) — immutable,
 // holding no snapshot pin — which PutBatches stores and GetBatches hands
-// to every hit without copying a cell. The miss that stored an entry,
-// every later hit and the entry itself share one list; nobody writes it.
-// Beside the result an entry keeps the workload observations its statement
-// produced, so a hit — which is never parsed or planned — can feed the
-// workload tracker exactly what a miss of the same text would.
+// to every hit without copying a cell. Beside the result an entry keeps
+// the workload observations its statement produced, so a hit — which is
+// never parsed or planned — can feed the workload tracker exactly what a
+// miss of the same text would. The key is the text, not a plan: a text is
+// probed before it is parsed, so a hit costs one map lookup.
 //
-// The key is the text, not a plan: a text is probed before it is parsed,
-// so a hit costs one map lookup. Planning is a function of the text and of
-// the catalog and table states the plan read, and an entry is served only
-// while no write since its capture could have changed its answer.
-//
-// Most entries are checked by a footprint (Footprint): a single-table
-// SELECT reads some columns of one table, and — when top-level AND
-// conjuncts compare one INTEGER column with integer literals — only rows
-// whose cell of that column lies in an interval. A write can change such
-// an answer only if it writes a column the answer reads and a row image it
+// An entry is served only while no write since its capture could have
+// changed its answer. It is checked by its footprints (Footprint), one per
+// table its statement reads: the columns it reads from that table and —
+// for a single-table SELECT whose top-level AND conjuncts bound one
+// INTEGER column with integer literals — only rows whose cell of that
+// column lies in an interval. A write to a table can change the answer
+// only if it writes a column the answer reads there and a row image it
 // adds or removes lies in the interval (Zhang et al.'s select-project
-// determinacy, for one table). So storage reports each write with the
+// determinacy, table by table). So storage reports each write with the
 // columns it wrote and the watched columns' cells of every old and new
 // row image (storage.Write), and the write kills, at once, exactly the
-// entries whose footprint it meets: an INSERT or DELETE those whose
-// interval holds an image's cell, an UPDATE those that also read a SET
-// column, a FILL COLUMN those that read the column, an ADD COLUMN those
-// of SELECT *, and a compaction, DDL or index change every entry over the
-// table. Point intervals are indexed by value in a hash map per (table,
-// column), so an INSERT costs one lookup per watched column however many
-// entries it spares; wider intervals and entries without one are walked.
+// entries one of whose footprints it meets: an INSERT or DELETE those
+// whose interval holds an image's cell, an UPDATE those that also read a
+// SET column, a FILL COLUMN those that read the column, an ADD COLUMN
+// those of SELECT *, and DDL or an index change every entry over the
+// table. A compaction kills nothing: it drops deleted rows only and keeps
+// the live rows in their order, and an entry holds values, not row IDs.
+// Point intervals are indexed by value in a hash map per (table, column),
+// so an INSERT costs one lookup per watched column however many entries
+// it spares; wider intervals and footprints without one are walked.
 //
-// The race between a write and a miss in flight is closed by registering
-// the miss's footprint when it is captured, before the query is planned
-// (Capture): a write that lands while the miss is planned or executed and
-// meets the footprint marks it dead, and a dead miss is never stored. A
-// write asks which columns are watched only after it is published, so a
-// miss that registers later reads the written version.
-//
-// Other entries — joins, and the row adapter Put — are checked by table
-// sequence numbers, as every entry once was: every write bumps its
-// table's sequence, an entry records the sequence of every table it read
-// at capture time, and an entry over a table that moved is dropped on its
-// next Get.
-//
-// Lock order: a write holds its table's lock when it takes the cache's
-// mutex, and the cache never calls storage while holding its mutex.
+// A miss registers its footprints before the query is planned
+// (CaptureFootprint): a write that lands while the miss is planned or
+// executed and meets one marks it dead, and a dead miss is never stored.
+// A write asks which columns are watched only after it is published, so
+// a miss that registers later reads the written version. Lock order: a
+// write holds its table's lock when it takes the cache's mutex, and the
+// cache never calls storage while holding its mutex.
 //
 // Memory is bounded in bytes with LRU eviction, an entry charged for
-// everything it keeps alive; hit/miss/invalidation counters feed
-// GET /v1/workload.
-//
-// A large answer is stored only when its text is asked a second time. An
-// entry charged over admitBytes is deferred on its text's first miss, and
-// the text's fingerprint goes into a doorkeeper: a fixed, direct-mapped
-// table of maphash fingerprints, allocated on the first large put. The
-// next miss that finds the fingerprint in its slot stores the entry. A
-// text whose literals never repeat therefore never fills the cache with
-// answers nobody asks for again, while small answers (point rows, short
-// ranges, counts, TopN) are stored at once. Two texts that share a slot
-// only overwrite each other's record: that delays a store by one more
-// miss and decides nothing else — what is served is looked up by the
-// whole text and checked by its footprint or sequences, as before. A miss
-// read a batch at a time reaches PutBatches through a Fill, which copies
-// the answer only while the rule could still store it.
+// everything it keeps alive. A large answer is stored only when its text
+// is asked a second time: an entry charged over admitBytes is deferred on
+// its text's first miss, and the text's fingerprint goes into a
+// doorkeeper, a direct-mapped table of maphash fingerprints; the next miss
+// that finds it in its slot stores the entry. Texts whose literals never
+// repeat therefore never fill the cache, while small answers (point rows,
+// short ranges, counts, TopN) are stored at once. Two texts that share a
+// slot only delay each other's store by one more miss. A miss read a
+// batch at a time reaches PutBatches through a Fill, which copies the
+// answer only while the rule could still store it.
 package cache
 
 import (
@@ -117,16 +102,17 @@ type Stats struct {
 	LimitBytes int64  `json:"limit_bytes"`
 }
 
-// TableSeq is one table's sequence number (the table lower-cased).
+// TableSeq names one table for the row adapter Put, beside the cache's
+// count of writes when TableSeqs took it.
 type TableSeq struct {
 	Table string
 	Seq   uint64
 }
 
-// Footprint is what a single-table SELECT's answer depends on: the
-// columns it reads and, when Key is set, the rows whose Key cell is an
-// integer in [Lo, Hi] — none when Lo > Hi. Table and Key are lower-cased;
-// Columns may be in any case, and repeat.
+// Footprint is what a SELECT's answer depends on in one table: the
+// columns it reads there and, when Key is set, the rows whose Key cell is
+// an integer in [Lo, Hi] — none when Lo > Hi. Table and Key are
+// lower-cased; Columns may be in any case, and repeat.
 type Footprint struct {
 	Table   string
 	Columns []string
@@ -136,24 +122,22 @@ type Footprint struct {
 	Lo, Hi int64
 }
 
-// Capture is what a miss's entry is checked by, taken before the query
-// is planned: the sequence numbers of the tables it reads (CaptureTables),
-// or its footprint, registered with the cache (CaptureFootprint). A
-// Capture is handed to PutBatches or Begin, or given back with Release.
+// Capture is a miss's footprints, registered before the query is planned
+// (CaptureFootprint): handed to PutBatches or Begin, or given back with
+// Release.
 type Capture struct {
-	seqs []TableSeq
-	e    *entry // the registered footprint's entry
+	e *entry // the registered footprints' entry
 }
 
-// An entry's state: a footprint registered for a miss in flight, a
-// stored entry, or a miss a write killed or that was given up.
+// An entry's state: footprints registered for a miss in flight, a stored
+// entry, or a miss a write killed or that was given up.
 const (
 	pending uint8 = iota
 	stored
 	dead
 )
 
-// entry is a stored answer, or a footprint registered for a miss in
+// entry is a stored answer, or the footprints registered for a miss in
 // flight that becomes one. Its links are intrusive, so neither the LRU
 // order nor the watch index allocates per entry.
 type entry struct {
@@ -161,32 +145,35 @@ type entry struct {
 	columns []string
 	batches []storage.Batch
 	obs     []workload.Observation
-	// seqs records each read table's sequence number at capture time, for
-	// an entry without a footprint.
-	seqs  []TableSeq
-	bytes int64
+	bytes   int64
 	// newer and older link the stored entries in LRU order.
 	newer, older *entry
+	state        uint8
+	// fps are the entry's footprints, one per table it read: one, in
+	// one, for a single-table SELECT.
+	fps []watcher
+	one [1]watcher
+}
 
-	// The footprint: the list it is watched in (nil when there is none,
-	// or it is watched no more), the columns it reads and its interval.
+// watcher is one footprint of an entry — cols, lo, hi and star — linked
+// by prev and next into kw, the list of its table it is watched in (nil
+// once it is watched no more): one point's, or the others'.
+type watcher struct {
+	e           *entry
 	kw          *keyWatch
 	cols        []string
 	lo, hi      int64
 	star, point bool
-	state       uint8
-	// prev and next link the entries of kw's list: one point's, or the
-	// others'.
-	prev, next *entry
+	prev, next  *watcher
 }
 
 // reads reports whether the answer reads any of cols.
-func (e *entry) reads(cols []string) bool {
-	if e.star {
+func (w *watcher) reads(cols []string) bool {
+	if w.star {
 		return true
 	}
 	for _, c := range cols {
-		for _, r := range e.cols {
+		for _, r := range w.cols {
 			if strings.EqualFold(c, r) {
 				return true
 			}
@@ -197,7 +184,7 @@ func (e *entry) reads(cols []string) bool {
 
 // holds reports whether a row whose interval-column cell is n can satisfy
 // the selection.
-func (e *entry) holds(n int64) bool { return e.lo <= n && n <= e.hi }
+func (w *watcher) holds(n int64) bool { return w.lo <= n && n <= w.hi }
 
 // watch indexes the footprints registered over one table by their
 // interval column, those without an interval under the key "".
@@ -214,37 +201,40 @@ type watch struct {
 type keyWatch struct {
 	w      *watch
 	key    string
-	points map[int64]*entry // a point's value → the first of its entries
-	others *entry           // the first of the rest: wider, empty, none
+	points map[int64]*watcher // a point's value → the first of its footprints
+	others *watcher           // the first of the rest: wider, empty, none
 	n      int
 }
 
-// each calls f on every footprint of kw; f may kill it.
-func (kw *keyWatch) each(f func(*entry)) {
+// each calls f on every footprint of kw; f may kill its entry.
+func (kw *keyWatch) each(f func(*watcher)) {
 	for _, first := range kw.points {
 		eachFrom(first, f)
 	}
 	eachFrom(kw.others, f)
 }
 
-// eachFrom calls f on e and the entries after it in its list; f may kill
-// the one it is called on.
-func eachFrom(e *entry, f func(*entry)) {
-	for e != nil {
-		next := e.next
-		f(e)
-		e = next
+// eachFrom calls f on w and the footprints after it in its list; f may
+// kill the entry of the one it is called on, which has no other footprint
+// in the list.
+func eachFrom(w *watcher, f func(*watcher)) {
+	for w != nil {
+		next := w.next
+		f(w)
+		w = next
 	}
 }
 
 // Sizes charged to every entry beside its payload: the entry, and its
 // slot in the key map — a key, a pointer and a control byte, doubled for
-// the half load a map table has right after it grows — and for a point
-// footprint its slot in the point index, likewise.
+// the half load a map table has right after it grows — for a point
+// footprint its slot in the point index, likewise, and for a join the
+// footprints the entry does not hold itself.
 const (
 	entryBytes     = int64(unsafe.Sizeof(entry{}))
+	watcherBytes   = int64(unsafe.Sizeof(watcher{}))
 	mapSlotBytes   = 2 * int64(unsafe.Sizeof("")+unsafe.Sizeof((*entry)(nil))+1)
-	pointSlotBytes = 2 * int64(unsafe.Sizeof(int64(0))+unsafe.Sizeof((*entry)(nil))+1)
+	pointSlotBytes = 2 * int64(unsafe.Sizeof(int64(0))+unsafe.Sizeof((*watcher)(nil))+1)
 )
 
 // Cache is a concurrency-safe, byte-bounded, LRU result cache.
@@ -252,7 +242,6 @@ type Cache struct {
 	mu      sync.Mutex
 	limit   int64
 	bytes   int64
-	seqs    map[string]uint64 // table (lower) → current sequence
 	watches map[string]*watch // table (lower) → its footprints
 	// keyed counts the interval columns watched over all tables, so that
 	// Watched answers a cache with none without taking the mutex.
@@ -265,6 +254,9 @@ type Cache struct {
 	// deferred there, or 0.
 	seen []uint64
 	seed maphash.Seed
+	// writes counts the writes observed and the tables invalidated: what
+	// Put checks its TableSeqs by.
+	writes uint64
 
 	hits, misses, invalidations, evictions, deferred uint64
 }
@@ -277,25 +269,26 @@ func New(limit int64) *Cache {
 	}
 	return &Cache{
 		limit:   limit,
-		seqs:    map[string]uint64{},
 		watches: map[string]*watch{},
 		entries: map[string]*entry{},
 	}
 }
 
-// CaptureTables captures a miss by the sequence numbers of the tables it
-// reads (lower-cased by the caller): any write to one of them, from now
-// on, makes its entry unservable.
-func (c *Cache) CaptureTables(tables []string) Capture {
-	return Capture{seqs: c.TableSeqs(tables)}
-}
-
-// CaptureFootprint registers a miss's footprint: from now on a write
-// that meets it kills the miss, and then the entry it becomes.
-func (c *Cache) CaptureFootprint(fp Footprint) Capture {
-	e := &entry{cols: fp.Columns, lo: fp.Lo, hi: fp.Hi, star: fp.Star, point: fp.Key != "" && fp.Lo == fp.Hi}
+// CaptureFootprint registers a miss's footprints, one per table it reads
+// (no two of one table): from now on a write that meets one kills the
+// miss, and then the entry it becomes.
+func (c *Cache) CaptureFootprint(fps ...Footprint) Capture {
+	e := &entry{}
+	if e.fps = e.one[:min(len(fps), 1)]; len(fps) > 1 {
+		e.fps = make([]watcher, len(fps))
+	}
+	for i, fp := range fps {
+		e.fps[i] = watcher{e: e, cols: fp.Columns, lo: fp.Lo, hi: fp.Hi, star: fp.Star, point: fp.Key != "" && fp.Lo == fp.Hi}
+	}
 	c.mu.Lock()
-	c.watchLocked(e, fp.Table, fp.Key)
+	for i, fp := range fps {
+		c.watchLocked(&e.fps[i], fp.Table, fp.Key)
+	}
 	c.mu.Unlock()
 	return Capture{e: e}
 }
@@ -303,9 +296,6 @@ func (c *Cache) CaptureFootprint(fp Footprint) Capture {
 // Release gives back a Capture whose entry will not be stored: a miss
 // whose plan failed, or whose answer was abandoned.
 func (c *Cache) Release(cp Capture) {
-	if cp.e == nil {
-		return
-	}
 	c.mu.Lock()
 	c.releaseLocked(cp)
 	c.mu.Unlock()
@@ -318,44 +308,36 @@ func (c *Cache) releaseLocked(cp Capture) {
 	}
 }
 
-// TableSeqs snapshots the current sequence numbers of the given tables
-// (lower-cased by the caller). Call it BEFORE planning the query whose
-// result will be Put — the plan binds the tables and their schemas: an
-// entry captured against these sequences is invalidated by any mutation
-// that lands while the query is planned or executed.
+// TableSeqs names the given tables (lower-cased by the caller) for Put,
+// with the cache's count of writes. Call it before planning the query
+// whose result will be Put: a write between the two means Put stores
+// nothing.
 func (c *Cache) TableSeqs(tables []string) []TableSeq {
 	snap := make([]TableSeq, len(tables))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, t := range tables {
-		snap[i] = TableSeq{Table: t, Seq: c.seqs[t]}
+		snap[i] = TableSeq{Table: t, Seq: c.writes}
 	}
 	return snap
 }
 
 // GetBatches returns the result stored under key and the observations its
-// statement produced, if every table it read is unchanged since capture,
-// and counts the hit. The columns, batches and observations are the
-// entry's own, shared with every other hit: read-only to the caller.
+// statement produced, and counts the hit; nothing is checked, since the
+// write that meets an entry removes it. The columns, batches and
+// observations are the entry's own, shared with every other hit:
+// read-only to the caller.
 //
 // A lookup that serves nothing is not counted as a miss here: a server
 // probes the text of every statement before parsing it, and only the
 // caller learns whether that text was a SELECT the cache could have
-// answered — it counts the miss with CountMiss. A stale entry is dropped
-// and counted as an invalidation.
+// answered — it counts the miss with CountMiss.
 func (c *Cache) GetBatches(key string) (columns []string, batches []storage.Batch, obs []workload.Observation, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, found := c.entries[key]
 	if !found {
 		return nil, nil, nil, false
-	}
-	for _, s := range e.seqs {
-		if c.seqs[s.Table] != s.Seq {
-			c.removeLocked(e)
-			c.invalidated()
-			return nil, nil, nil, false
-		}
 	}
 	c.unlinkLocked(e)
 	c.pushLocked(e)
@@ -380,9 +362,7 @@ func (c *Cache) CountMiss() {
 // and one charged over admitBytes is stored only if its text was deferred
 // before (see the package comment); otherwise LRU entries are evicted
 // until the new one fits. A miss whose footprint a write met in flight is
-// not stored. If a table captured by sequence has already moved past it,
-// the entry is stored anyway — GetBatches' validation guarantees it can
-// never be served.
+// not stored.
 func (c *Cache) PutBatches(key string, cp Capture, obs []workload.Observation, columns []string, batches []storage.Batch) {
 	size := entrySize(key, cp, obs, columns, batches)
 	c.mu.Lock()
@@ -410,7 +390,7 @@ func (c *Cache) PutBatches(key string, cp Capture, obs []workload.Observation, c
 	}
 	e := cp.e
 	if e == nil {
-		e = &entry{seqs: cp.seqs}
+		e = &entry{}
 	}
 	e.key, e.columns, e.batches, e.obs, e.bytes, e.state = key, columns, batches, obs, size, stored
 	c.pushLocked(e)
@@ -463,11 +443,15 @@ func entrySize(key string, cp Capture, obs []workload.Observation, columns []str
 // footprint's columns are its observation's.
 func headerSize(key string, cp Capture, obs []workload.Observation, columns []string) int64 {
 	size := entryBytes + mapSlotBytes + int64(len(key))
-	for _, s := range cp.seqs {
-		size += int64(unsafe.Sizeof(s)) + int64(len(s.Table))
-	}
-	if cp.e != nil && cp.e.point {
-		size += pointSlotBytes
+	if e := cp.e; e != nil {
+		if len(e.fps) > 1 {
+			size += int64(len(e.fps)) * watcherBytes
+		}
+		for i := range e.fps {
+			if e.fps[i].point {
+				size += pointSlotBytes
+			}
+		}
 	}
 	for _, o := range obs {
 		size += int64(unsafe.Sizeof(o)) + int64(len(o.Table)) + stringsBytes(o.Columns)
@@ -499,32 +483,24 @@ func (c *Cache) slotLocked(key string) (*uint64, uint64) {
 }
 
 // Fill is one miss's answer on its way into the cache: the copy PutBatches
-// stores, made a batch at a time while the answer is read (Add), and
-// given up as soon as the entry could no longer be stored. So a reader
-// that never needed the answer owned — the server's encoders, which read
-// the executor's batches — pays for a copy only while the cache may keep
-// it.
+// stores, made a batch at a time while the answer is read (Add) and given
+// up as soon as the entry could no longer be stored, so a reader that
+// never needed the answer owned — the server's encoders — pays for a copy
+// only while the cache may keep it.
 //
 // Begin fixes the line the entry's charge must stay under: the cache's
 // limit for a text the doorkeeper already holds, admitBytes for any other.
-// Before each batch is copied, a lower bound of the entry's charge — its
-// header and Batch.CopyFloor of every batch so far — is held to that
-// line, and once it passes, the copy is dropped and no batch is copied
-// again: PutBatches would have refused an entry charged at least that
-// much. Finish, once the whole answer has been read, offers a complete
-// copy to PutBatches, which applies the rule to the exact charge as it
-// always has; a copy given up at admitBytes records the text in the
-// doorkeeper and counts a deferral, as PutBatches would have — unless the
-// bound, which Add keeps after the copy is gone, has passed the cache's
-// limit, over which PutBatches stores and records nothing. So the same
-// texts are stored, at the same charges, as when every answer was copied,
-// and the same deferred but for an answer charged just over the limit
-// whose bound is not. A text enters the doorkeeper only when its answer
-// completes: an answer abandoned half read (a client that hung up, an
-// error) is no sighting. Two misses of one text in flight at once may
-// both give up and both count a deferral where, copied whole, the second
-// would have stored — a delay of one more miss, like a doorkeeper
-// collision.
+// Before each batch is copied, a lower bound of the charge — the header and
+// Batch.CopyFloor of every batch so far — is held to that line; once it
+// passes, the copy is dropped and nothing more is copied. Finish offers a
+// complete copy to PutBatches, which applies the rule to the exact charge;
+// a copy given up at admitBytes records the text in the doorkeeper and
+// counts a deferral, as PutBatches would have, unless its bound passed the
+// cache's limit. So the same texts are stored and deferred, at the same
+// charges, as when every answer was copied whole — but for an answer
+// charged just over the limit whose bound is not. An answer abandoned half
+// read is no sighting. Two misses of one text in flight at once may both
+// give up where, copied whole, the second would have stored: one more miss.
 //
 // A Fill is a value its reader embeds; the zero Fill does nothing.
 type Fill struct {
@@ -613,12 +589,10 @@ func stringsBytes(ss []string) int64 {
 }
 
 // Get and Put are the row-typed form of GetBatches and PutBatches, kept
-// for benchmark/ (which a PR that claims a gain may not edit) and due to
-// go in the next benchmark PR that claims none: Put copies the snapshot and
-// the column names and converts the rows to owned batches, storing no
-// observations; Get boxes the entry into fresh rows and, unlike GetBatches,
-// counts a lookup that serves nothing as a miss. What the caller holds on
-// either side may be kept and written to.
+// for the benchmark harness: Put copies the column names and converts the
+// rows to owned batches, storing no observations; Get boxes the entry into
+// fresh rows and, unlike GetBatches, counts a lookup that serves nothing as
+// a miss. What the caller holds on either side may be kept and written to.
 func (c *Cache) Get(key string) (columns []string, rows []storage.Row, ok bool) {
 	columns, batches, _, ok := c.GetBatches(key)
 	if !ok {
@@ -627,17 +601,31 @@ func (c *Cache) Get(key string) (columns []string, rows []storage.Row, ok bool) 
 	return columns, storage.RowsOf(batches), ok
 }
 
-func (c *Cache) Put(key string, seqs []TableSeq, columns []string, rows []storage.Row) {
-	c.PutBatches(key, Capture{seqs: slices.Clone(seqs)}, nil, slices.Clone(columns), storage.BatchesOf(rows))
+// Put registers a whole-table footprint for each of tables (distinct, as
+// CaptureFootprint's), and stores nothing when a write has been observed,
+// or a table invalidated, since TableSeqs took them.
+func (c *Cache) Put(key string, tables []TableSeq, columns []string, rows []storage.Row) {
+	fps := make([]Footprint, len(tables))
+	for i, t := range tables {
+		fps[i] = Footprint{Table: t.Table, Star: true}
+	}
+	cp := c.CaptureFootprint(fps...)
+	c.mu.Lock()
+	moved := slices.ContainsFunc(tables, func(t TableSeq) bool { return t.Seq != c.writes })
+	c.mu.Unlock()
+	if moved {
+		c.Release(cp)
+		return
+	}
+	c.PutBatches(key, cp, nil, slices.Clone(columns), storage.BatchesOf(rows))
 }
 
 // InvalidateTable kills every entry that read the table (lower-cased by
-// the caller): those with a footprint at once, those captured by sequence
-// on their next Get.
+// the caller).
 func (c *Cache) InvalidateTable(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seqs[table]++
+	c.writes++
 	if w := c.watches[table]; w != nil {
 		c.killAllLocked(w, nil)
 	}
@@ -661,13 +649,17 @@ func (c *Cache) Watched(table string) []string {
 }
 
 // Observe kills the entries, stored or in flight, whose answer w could
-// have changed (storage.Observer), and bumps the table's sequence. The
-// write holds its table's lock.
+// have changed (storage.Observer). The write holds its table's lock. A
+// compaction changes no answer: it drops deleted rows only, and keeps the
+// live rows in their order.
 func (c *Cache) Observe(w storage.Write) {
+	if w.Kind == storage.OpCompact {
+		return
+	}
 	table := strings.ToLower(w.Table)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seqs[table]++
+	c.writes++
 	wt := c.watches[table]
 	if wt == nil {
 		return
@@ -676,15 +668,15 @@ func (c *Cache) Observe(w storage.Write) {
 	case storage.OpInsert, storage.OpTombstone, storage.OpSet:
 		c.rowWriteLocked(wt, &w)
 	case storage.OpAddColumn:
-		c.killAllLocked(wt, func(e *entry) bool { return e.star })
+		c.killAllLocked(wt, func(fp *watcher) bool { return fp.star })
 	case storage.OpFillColumn:
-		c.killAllLocked(wt, func(e *entry) bool { return e.reads(w.Cols) })
-	default: // compaction renumbers rows; DDL replaces the table
+		c.killAllLocked(wt, func(fp *watcher) bool { return fp.reads(w.Cols) })
+	default: // CREATE or DROP TABLE replaces the table
 		c.killAllLocked(wt, nil)
 	}
 }
 
-// rowWriteLocked kills the footprints a row write meets. An INSERT or a
+// rowWriteLocked kills the entries a row write meets. An INSERT or a
 // DELETE meets every footprint without an interval and every one with
 // an image's cell in its interval; an UPDATE only those of them that
 // read a SET column. A footprint whose interval column the write did not
@@ -694,9 +686,9 @@ func (c *Cache) rowWriteLocked(wt *watch, w *storage.Write) {
 	if w.Kind == storage.OpSet {
 		cols = w.Cols
 	}
-	kill := func(e *entry) {
-		if cols == nil || e.reads(cols) {
-			c.killLocked(e)
+	kill := func(fp *watcher) {
+		if cols == nil || fp.reads(cols) {
+			c.killLocked(fp.e)
 		}
 	}
 	for key, kw := range wt.byKey {
@@ -717,15 +709,15 @@ func (c *Cache) rowWriteLocked(wt *watch, w *storage.Write) {
 // image's cell v. A NULL satisfies no comparison; a value of another
 // kind, which an INTEGER column never holds, is taken to satisfy every
 // one.
-func killAt(kw *keyWatch, v storage.Value, kill func(*entry)) {
+func killAt(kw *keyWatch, v storage.Value, kill func(*watcher)) {
 	switch v.Kind() {
 	case storage.KindNull:
 	case storage.KindInt:
 		n, _ := v.AsInt()
 		eachFrom(kw.points[n], kill)
-		eachFrom(kw.others, func(e *entry) {
-			if e.holds(n) {
-				kill(e)
+		eachFrom(kw.others, func(fp *watcher) {
+			if fp.holds(n) {
+				kill(fp)
 			}
 		})
 	default:
@@ -733,41 +725,35 @@ func killAt(kw *keyWatch, v storage.Value, kill func(*entry)) {
 	}
 }
 
-// killAllLocked kills the footprints over wt that match (all of them when
-// match is nil).
-func (c *Cache) killAllLocked(wt *watch, match func(*entry) bool) {
+// killAllLocked kills the entries of the footprints over wt that match
+// (all of them when match is nil).
+func (c *Cache) killAllLocked(wt *watch, match func(*watcher) bool) {
 	for _, kw := range wt.byKey {
-		kw.each(func(e *entry) {
-			if match == nil || match(e) {
-				c.killLocked(e)
+		kw.each(func(fp *watcher) {
+			if match == nil || match(fp) {
+				c.killLocked(fp.e)
 			}
 		})
 	}
 }
 
-// killLocked kills a footprint's entry: a stored one is dropped and
-// counted as an invalidation, a miss in flight will not be stored.
+// killLocked kills an entry: a stored one is dropped and counted as an
+// invalidation, a miss in flight will not be stored.
 func (c *Cache) killLocked(e *entry) {
 	switch e.state {
 	case stored:
 		c.removeLocked(e)
-		c.invalidated()
+		c.invalidations++
+		mInvalidations.Inc()
 	case pending:
 		c.unwatchLocked(e)
 	}
 	e.state = dead
 }
 
-// invalidated counts one entry dropped because its tables changed.
-// Caller holds c.mu.
-func (c *Cache) invalidated() {
-	c.invalidations++
-	mInvalidations.Inc()
-}
-
-// watchLocked lists a footprint's entry under its table and interval
-// column (key, "" for none). Caller holds c.mu.
-func (c *Cache) watchLocked(e *entry, table, key string) {
+// watchLocked lists a footprint under its table and interval column (key,
+// "" for none). Caller holds c.mu.
+func (c *Cache) watchLocked(fp *watcher, table, key string) {
 	wt := c.watches[table]
 	if wt == nil {
 		wt = &watch{table: table, byKey: map[string]*keyWatch{}}
@@ -777,44 +763,52 @@ func (c *Cache) watchLocked(e *entry, table, key string) {
 	if kw == nil {
 		kw = &keyWatch{w: wt, key: key}
 		if key != "" {
-			kw.points = map[int64]*entry{}
+			kw.points = map[int64]*watcher{}
 			wt.keys = append(slices.Clip(wt.keys), key)
 			c.keyed.Add(1)
 		}
 		wt.byKey[key] = kw
 	}
 	kw.n++
-	e.kw = kw
-	if e.point {
-		e.next = kw.points[e.lo]
-		kw.points[e.lo] = e
+	fp.kw = kw
+	if fp.point {
+		fp.next = kw.points[fp.lo]
+		kw.points[fp.lo] = fp
 	} else {
-		e.next = kw.others
-		kw.others = e
+		fp.next = kw.others
+		kw.others = fp
 	}
-	if e.next != nil {
-		e.next.prev = e
+	if fp.next != nil {
+		fp.next.prev = fp
 	}
 }
 
-// unwatchLocked takes a footprint's entry out of its list, and drops the
-// list, and the table's watch, once empty. Caller holds c.mu.
+// unwatchLocked takes an entry's footprints out of their lists, and drops
+// a list, and a table's watch, once empty. Caller holds c.mu.
 func (c *Cache) unwatchLocked(e *entry) {
-	kw := e.kw
+	for i := range e.fps {
+		if fp := &e.fps[i]; fp.kw != nil {
+			c.unlinkWatchLocked(fp)
+		}
+	}
+}
+
+func (c *Cache) unlinkWatchLocked(fp *watcher) {
+	kw := fp.kw
 	switch {
-	case e.prev != nil:
-		e.prev.next = e.next
-	case !e.point:
-		kw.others = e.next
-	case e.next != nil:
-		kw.points[e.lo] = e.next
+	case fp.prev != nil:
+		fp.prev.next = fp.next
+	case !fp.point:
+		kw.others = fp.next
+	case fp.next != nil:
+		kw.points[fp.lo] = fp.next
 	default:
-		delete(kw.points, e.lo)
+		delete(kw.points, fp.lo)
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if fp.next != nil {
+		fp.next.prev = fp.prev
 	}
-	e.kw, e.prev, e.next = nil, nil, nil
+	fp.kw, fp.prev, fp.next = nil, nil, nil
 	if kw.n--; kw.n > 0 {
 		return
 	}
@@ -840,14 +834,12 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// removeLocked unlinks a stored entry, and its footprint from the index.
+// removeLocked unlinks a stored entry, and its footprints from the index.
 // Caller holds c.mu.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.unlinkLocked(e)
 	c.bytes -= e.bytes
-	if e.kw != nil {
-		c.unwatchLocked(e)
-	}
+	c.unwatchLocked(e)
 	e.state = dead
 }

@@ -48,7 +48,7 @@ func TestHitMutateMiss(t *testing.T) {
 func TestGetBatchesCountsHitsNotMisses(t *testing.T) {
 	c := New(0)
 	obs := []workload.Observation{{Table: "movies", Columns: []string{"name"}, Kind: workload.KindAccess}}
-	c.PutBatches("q", c.CaptureTables([]string{"movies"}), obs, []string{"name"}, storage.BatchesOf([]storage.Row{row("alien")}))
+	c.PutBatches("q", c.CaptureFootprint(Footprint{Table: "movies", Columns: obs[0].Columns}), obs, []string{"name"}, storage.BatchesOf([]storage.Row{row("alien")}))
 	if _, _, _, ok := c.GetBatches("INSERT INTO movies VALUES ('x')"); ok {
 		t.Fatal("a text never stored was served")
 	}
@@ -68,14 +68,13 @@ func TestGetBatchesCountsHitsNotMisses(t *testing.T) {
 
 // TestBytesCountWhatEntriesKeep: the byte bound is only a bound if an
 // entry is charged for everything it keeps alive — its key text, its
-// struct, LRU element and map slot, its table seqs and observations, not
+// struct, LRU element and map slot, its footprint and observations, not
 // only its result. Twenty thousand one-row entries, each with its own key,
-// seqs, observation and batches, may grow the heap by at most a quarter
+// footprint, observation and batches, may grow the heap by at most a quarter
 // more than the cache says it holds.
 func TestBytesCountWhatEntriesKeep(t *testing.T) {
 	const entries = 20000
 	c := New(1 << 30)
-	tables := []string{"ratings"}
 	cols := []string{"rid", "movie_id", "score"}
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -84,7 +83,7 @@ func TestBytesCountWhatEntriesKeep(t *testing.T) {
 		key := fmt.Sprintf("SELECT rid, movie_id, score FROM ratings WHERE rid = %d", i)
 		obs := []workload.Observation{{Table: "ratings", Columns: []string{"rid", "movie_id", "score"}, Kind: workload.KindAccess}}
 		batches := storage.BatchesOf([]storage.Row{{storage.Int(int64(i)), storage.Int(2), storage.Float(3)}})
-		c.PutBatches(key, c.CaptureTables(tables), obs, cols, batches)
+		c.PutBatches(key, c.CaptureFootprint(Footprint{Table: "ratings", Columns: obs[0].Columns}), obs, cols, batches)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -149,7 +148,7 @@ func TestBatchesAreSharedRowsAreNot(t *testing.T) {
 
 	batches := storage.BatchesOf([]storage.Row{{storage.Int(1)}, {storage.Int(2)}})
 	cols := []string{"n"}
-	c.PutBatches("batches", Capture{seqs: snap}, nil, cols, batches)
+	c.PutBatches("batches", Capture{}, nil, cols, batches)
 	for i := 0; i < 2; i++ {
 		gotCols, got, _, ok := c.GetBatches("batches")
 		if !ok || &gotCols[0] != &cols[0] || &got[0] != &batches[0] || &got[0].Cols[0].Ints[0] != &batches[0].Cols[0].Ints[0] {
@@ -230,11 +229,11 @@ func TestLargeEntryStoredOnSecondSighting(t *testing.T) {
 	c := New(0)
 	seqs := c.TableSeqs([]string{"t"})
 	batches := largeBatches(0)
-	if size := entrySize("big", Capture{seqs: seqs}, nil, []string{"n"}, batches); size <= admitBytes {
+	if size := entrySize("big", Capture{}, nil, []string{"n"}, batches); size <= admitBytes {
 		t.Fatalf("the large answer is charged %d bytes, not over %d", size, admitBytes)
 	}
 	before := mDeferred.Value()
-	c.PutBatches("big", Capture{seqs: seqs}, nil, []string{"n"}, batches)
+	c.PutBatches("big", Capture{}, nil, []string{"n"}, batches)
 	if _, _, _, ok := c.GetBatches("big"); ok {
 		t.Fatal("a large entry was served after its text's first miss")
 	}
@@ -244,7 +243,7 @@ func TestLargeEntryStoredOnSecondSighting(t *testing.T) {
 	if got := mDeferred.Value() - before; got != 1 {
 		t.Fatalf("crowddb_cache_deferred_total moved by %d, want 1", got)
 	}
-	c.PutBatches("big", Capture{seqs: seqs}, nil, []string{"n"}, batches)
+	c.PutBatches("big", Capture{}, nil, []string{"n"}, batches)
 	if _, got, _, ok := c.GetBatches("big"); !ok || &got[0] != &batches[0] {
 		t.Fatal("a large entry was not stored on its text's second miss")
 	}
@@ -288,15 +287,15 @@ func TestSmallEntryStoredAtOnce(t *testing.T) {
 	text := func(n int) []storage.Batch {
 		return storage.BatchesOf([]storage.Row{{storage.Text(string(make([]byte, n)))}})
 	}
-	n := int(admitBytes - entrySize("edge", Capture{seqs: seqs}, nil, []string{"v"}, text(0)))
-	if size := entrySize("edge", Capture{seqs: seqs}, nil, []string{"v"}, text(n)); size != admitBytes {
+	n := int(admitBytes - entrySize("edge", Capture{}, nil, []string{"v"}, text(0)))
+	if size := entrySize("edge", Capture{}, nil, []string{"v"}, text(n)); size != admitBytes {
 		t.Fatalf("the edge entry is charged %d bytes, want %d", size, admitBytes)
 	}
-	c.PutBatches("edge", Capture{seqs: seqs}, nil, []string{"v"}, text(n))
+	c.PutBatches("edge", Capture{}, nil, []string{"v"}, text(n))
 	if _, _, _, ok := c.GetBatches("edge"); !ok {
 		t.Fatalf("an entry charged exactly %d bytes was not stored at once", admitBytes)
 	}
-	c.PutBatches("over", Capture{seqs: seqs}, nil, []string{"v"}, text(n+1))
+	c.PutBatches("over", Capture{}, nil, []string{"v"}, text(n+1))
 	if _, _, _, ok := c.GetBatches("over"); ok {
 		t.Fatalf("an entry charged %d bytes was stored on its first sighting", admitBytes+1)
 	}
@@ -308,9 +307,8 @@ func TestSmallEntryStoredAtOnce(t *testing.T) {
 // answer.
 func TestDoorkeeperCollisionOnlyDelays(t *testing.T) {
 	c := New(0)
-	seqs := c.TableSeqs([]string{"t"})
 	answer := map[string][]storage.Batch{"a": largeBatches(0)}
-	put := func(key string) { c.PutBatches(key, Capture{seqs: seqs}, nil, []string{"n"}, answer[key]) }
+	put := func(key string) { c.PutBatches(key, Capture{}, nil, []string{"n"}, answer[key]) }
 	put("a") // allocates the doorkeeper and its seed
 	slot := func(key string) uint64 { return maphash.String(c.seed, key) % doorkeeperSlots }
 	b := ""
@@ -363,7 +361,7 @@ func everyOther(n int) []storage.Batch {
 // fill feeds batches to a Fill of c under key and finishes it.
 func fill(c *Cache, key string, batches []storage.Batch) {
 	var f Fill
-	c.Begin(&f, key, c.CaptureTables([]string{"t"}), nil, []string{"i", "s", "f"})
+	c.Begin(&f, key, c.CaptureFootprint(Footprint{Table: "t", Columns: []string{"i", "s", "f"}}), nil, []string{"i", "s", "f"})
 	for k := range batches {
 		f.Add(&batches[k])
 	}
@@ -379,14 +377,13 @@ func fill(c *Cache, key string, batches []storage.Batch) {
 func TestFillDecidesAsPutBatches(t *testing.T) {
 	whole, fed := New(1<<20), New(1<<20)
 	answers := map[string][]storage.Batch{"small": everyOther(40), "large": everyOther(3000), "huge": everyOther(100000)}
-	seqs := whole.TableSeqs([]string{"t"})
 	cols := []string{"i", "s", "f"}
 	// An answer charged admitBytes exactly, a text cell sized to the line,
 	// and one a byte over it.
 	text := func(n int) []storage.Batch {
 		return storage.BatchesOf([]storage.Row{{storage.Int(0), storage.Text(string(make([]byte, n))), storage.Float(0)}})
 	}
-	n := int(admitBytes - entrySize("edge", Capture{seqs: seqs}, nil, cols, text(0)))
+	n := int(admitBytes - entrySize("edge", Capture{}, nil, cols, text(0)))
 	answers["edge"], answers["over edge"] = text(n), text(n+1)
 	for sighting := 1; sighting <= 3; sighting++ {
 		for _, key := range []string{"small", "large", "huge", "edge", "over edge"} {
@@ -394,7 +391,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 			for k := range answers[key] {
 				owned = storage.AppendOwned(owned, &answers[key][k])
 			}
-			whole.PutBatches(key, Capture{seqs: seqs}, nil, cols, owned)
+			whole.PutBatches(key, Capture{}, nil, cols, owned)
 			fill(fed, key, answers[key])
 			w, f := whole.Stats(), fed.Stats()
 			if w.Deferred != f.Deferred || w.Entries != f.Entries || w.Bytes != f.Bytes {
@@ -412,7 +409,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 	large := answers["large"]
 	for i := 0; i < 2; i++ {
 		var f Fill
-		c.Begin(&f, "q", c.CaptureTables([]string{"t"}), nil, cols)
+		c.Begin(&f, "q", c.CaptureFootprint(Footprint{Table: "t", Columns: cols}), nil, cols)
 		f.Add(&large[0])
 	}
 	if st := c.Stats(); st.Deferred != 0 || c.seen != nil {
@@ -424,7 +421,7 @@ func TestFillDecidesAsPutBatches(t *testing.T) {
 
 	// Past its line a Fill holds nothing and copies nothing more.
 	var f Fill
-	c.Begin(&f, "r", c.CaptureTables([]string{"t"}), nil, cols)
+	c.Begin(&f, "r", c.CaptureFootprint(Footprint{Table: "t", Columns: cols}), nil, cols)
 	f.Add(&large[0])
 	if f.batches != nil || !f.over {
 		t.Fatalf("a Fill %d bytes over its line still holds %d batches", f.floor-f.line, len(f.batches))
@@ -527,7 +524,7 @@ func TestConcurrentAccessIsRaceClean(t *testing.T) {
 			c.InvalidateTable("t")
 			snap := c.TableSeqs([]string{"t"})
 			c.Put(fmt.Sprintf("fp%d", i%7), snap, []string{"v"}, []storage.Row{row("x")})
-			c.PutBatches(fmt.Sprintf("large%d", i%5), Capture{seqs: snap}, nil, []string{"n"}, large)
+			c.PutBatches(fmt.Sprintf("large%d", i%5), c.CaptureFootprint(Footprint{Table: "t", Star: true}), nil, []string{"n"}, large)
 		}
 	}()
 	for i := 0; i < 500; i++ {
@@ -554,9 +551,8 @@ func BenchmarkColumnarGetPut(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := New(0)
-			seqs := c.TableSeqs([]string{"ratings"})
 			for _, k := range keys {
-				c.PutBatches(k, Capture{seqs: seqs}, nil, cols, batches)
+				c.PutBatches(k, c.CaptureFootprint(Footprint{Table: "ratings", Star: true}), nil, cols, batches)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
@@ -640,8 +636,9 @@ func TestInsertWorkDoesNotGrowWithPoints(t *testing.T) {
 // INSERT or DELETE kills the entries whose interval holds a row image's
 // cell and those without an interval, an UPDATE only those of them that
 // read a SET column, a FILL COLUMN those that read the column, an ADD
-// COLUMN those of SELECT *, a compaction all; a miss a write meets in
-// flight is not stored, and a released one is no longer watched.
+// COLUMN those of SELECT *, a compaction none and an index change all; a
+// miss a write meets in flight is not stored, and a released one is no
+// longer watched.
 func TestWriteKillsWhatItMeets(t *testing.T) {
 	c := New(0)
 	put := func(key string, fp Footprint) {
@@ -697,7 +694,12 @@ func TestWriteKillsWhatItMeets(t *testing.T) {
 	c.Observe(storage.Write{Kind: storage.OpFillColumn, Table: "t", Cols: []string{"V"}})
 	alive("FILL COLUMN v", "count", "whole")
 	c.Observe(storage.Write{Kind: storage.OpCompact, Table: "t"})
-	alive("a compaction")
+	alive("a compaction", "count", "whole")
+	if got := c.Watched("t"); fmt.Sprint(got) != "[rid]" {
+		t.Fatalf("Watched = %v after a compaction, want [rid]", got)
+	}
+	c.InvalidateTable("t")
+	alive("an index change")
 	if got := c.Watched("t"); got != nil {
 		t.Fatalf("Watched = %v with no entry left", got)
 	}
@@ -711,5 +713,63 @@ func TestWriteKillsWhatItMeets(t *testing.T) {
 	c.Release(c.CaptureFootprint(Footprint{Table: "t", Key: "rid", Lo: 8, Hi: 8}))
 	if got := c.Watched("t"); got != nil {
 		t.Fatalf("Watched = %v after the only miss was released", got)
+	}
+}
+
+// TestJoinEntryDiesByEitherTable: a join's entry is watched by one
+// footprint per table, and a write to either table that meets its
+// footprint there kills the entry and unwatches both; a write that meets
+// neither spares it.
+func TestJoinEntryDiesByEitherTable(t *testing.T) {
+	c := New(0)
+	put := func() {
+		cp := c.CaptureFootprint(Footprint{Table: "t", Columns: []string{"k", "x"}}, Footprint{Table: "u", Columns: []string{"k", "w"}})
+		c.PutBatches("join", cp, nil, []string{"x", "w"}, storage.BatchesOf([]storage.Row{{storage.Int(1), storage.Int(2)}}))
+	}
+	alive := func() bool { _, ok := c.entries["join"]; return ok }
+	for _, w := range []storage.Write{
+		{Kind: storage.OpSet, Table: "t", Cols: []string{"x"}},
+		{Kind: storage.OpSet, Table: "U", Cols: []string{"W"}},
+		{Kind: storage.OpInsert, Table: "u"},
+		{Kind: storage.OpTombstone, Table: "t"},
+		{Kind: storage.OpFillColumn, Table: "u", Cols: []string{"k"}},
+	} {
+		put()
+		c.Observe(storage.Write{Kind: storage.OpSet, Table: "u", Cols: []string{"label"}})
+		c.Observe(storage.Write{Kind: storage.OpSet, Table: "t", Cols: []string{"s"}})
+		c.Observe(storage.Write{Kind: storage.OpAddColumn, Table: "t", Cols: []string{"y"}})
+		c.Observe(storage.Write{Kind: storage.OpCompact, Table: "u"})
+		if !alive() {
+			t.Fatalf("before %+v: a write that meets neither footprint killed the join", w)
+		}
+		c.Observe(w)
+		if alive() || len(c.watches) != 0 {
+			t.Fatalf("%+v: entry alive %v, %d tables still watched", w, alive(), len(c.watches))
+		}
+	}
+	if st := c.Stats(); st.Invalidations != 5 {
+		t.Fatalf("%d invalidations, want one per write that met the join", st.Invalidations)
+	}
+}
+
+// TestPutAfterAWriteStoresNothing: the row adapter's entry is stored only
+// if no write was observed since its TableSeqs, and then dies by any row
+// write to one of its tables — counted at the write, not at a Get.
+func TestPutAfterAWriteStoresNothing(t *testing.T) {
+	c := New(0)
+	seqs := c.TableSeqs([]string{"t", "u"})
+	c.Observe(storage.Write{Kind: storage.OpInsert, Table: "v"})
+	c.Put("q", seqs, []string{"n"}, []storage.Row{row("stale")})
+	if st := c.Stats(); st.Entries != 0 || len(c.watches) != 0 {
+		t.Fatalf("a Put after a write: %+v, %d tables watched", st, len(c.watches))
+	}
+	c.Put("q", c.TableSeqs([]string{"t", "u"}), []string{"n"}, []storage.Row{row("fresh")})
+	c.Observe(storage.Write{Kind: storage.OpCompact, Table: "u"})
+	if _, _, ok := c.Get("q"); !ok {
+		t.Fatal("a compaction killed the adapter's entry")
+	}
+	c.Observe(storage.Write{Kind: storage.OpSet, Table: "u", Cols: []string{"anything"}})
+	if st := c.Stats(); st.Entries != 0 || st.Invalidations != 1 || len(c.watches) != 0 {
+		t.Fatalf("after an UPDATE of u: %+v, %d tables watched", st, len(c.watches))
 	}
 }
