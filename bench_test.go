@@ -314,35 +314,6 @@ func gmeanOn(b *testing.B, sp *space.Space, labels []bool, seed int64) float64 {
 	return conf.GMean()
 }
 
-// BenchmarkAblationEuclideanVsSVD contrasts the paper's Euclidean
-// embedding with the dot-product SVD space on genre extraction.
-func BenchmarkAblationEuclideanVsSVD(b *testing.B) {
-	u, err := dataset.Generate(dataset.Movies(dataset.ScaleTiny, 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := space.DefaultConfig()
-	cfg.Dims = 16
-	cfg.Epochs = 20
-	labels := u.Categories["Comedy"].Reference
-	b.ResetTimer()
-	var gEuc, gSVD float64
-	for i := 0; i < b.N; i++ {
-		em, _, err := space.TrainEuclidean(u.Ratings, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sm, _, err := space.TrainSVD(u.Ratings, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gEuc = gmeanOn(b, space.FromModel(em), labels, 7)
-		gSVD = gmeanOn(b, space.FromModel(sm), labels, 7)
-	}
-	b.ReportMetric(gEuc, "euclidean-gmean")
-	b.ReportMetric(gSVD, "svd-gmean")
-}
-
 // BenchmarkAblationDimensionality sweeps the space dimensionality d
 // (the paper: quality is stable once d is "large enough").
 func BenchmarkAblationDimensionality(b *testing.B) {
@@ -398,38 +369,6 @@ func BenchmarkAblationRegularization(b *testing.B) {
 	b.ReportMetric(results[0], "gmean-lambda0")
 	b.ReportMetric(results[1], "gmean-lambda0.02")
 	b.ReportMetric(results[2], "gmean-lambda0.2")
-}
-
-// BenchmarkAblationSGDvsALS contrasts the SGD and ALS trainers of the
-// dot-product model on held-out RMSE.
-func BenchmarkAblationSGDvsALS(b *testing.B) {
-	u, err := dataset.Generate(dataset.Movies(dataset.ScaleTiny, 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	train, test := u.Ratings.Split(0.2, rng)
-	cfg := space.DefaultConfig()
-	cfg.Dims = 8
-	cfg.Epochs = 10
-	alsCfg := cfg
-	alsCfg.Epochs = 4
-	b.ResetTimer()
-	var rmseSGD, rmseALS float64
-	for i := 0; i < b.N; i++ {
-		sgd, _, err := space.TrainSVD(train, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		als, _, err := space.TrainSVDALS(train, alsCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rmseSGD = sgd.RMSE(test.Ratings)
-		rmseALS = als.RMSE(test.Ratings)
-	}
-	b.ReportMetric(rmseSGD, "sgd-test-rmse")
-	b.ReportMetric(rmseALS, "als-test-rmse")
 }
 
 // BenchmarkAblationKernel contrasts the RBF kernel (the paper's choice)
@@ -489,45 +428,6 @@ func BenchmarkAblationKernel(b *testing.B) {
 	b.ReportMetric(gRBF, "rbf-gmean")
 	b.ReportMetric(gLin, "linear-gmean")
 }
-
-// BenchmarkAblationParallelSGD contrasts sequential SGD with the DSGD
-// parallel trainer (paper §4.2: "parallelization techniques are quite
-// easy to exploit").
-func BenchmarkAblationParallelSGD(b *testing.B) {
-	u, err := dataset.Generate(dataset.Movies(dataset.ScaleTiny, 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := space.DefaultConfig()
-	cfg.Dims = 16
-	cfg.Epochs = 10
-	b.ResetTimer()
-	var rmseSeq, rmsePar float64
-	var seqNs, parNs int64
-	for i := 0; i < b.N; i++ {
-		t0 := nowNano()
-		_, sStats, err := space.TrainEuclidean(u.Ratings, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t1 := nowNano()
-		_, pStats, err := space.TrainEuclideanParallel(u.Ratings, cfg, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t2 := nowNano()
-		rmseSeq, rmsePar = sStats.FinalRMSE(), pStats.FinalRMSE()
-		seqNs += t1 - t0
-		parNs += t2 - t1
-	}
-	b.ReportMetric(rmseSeq, "seq-rmse")
-	b.ReportMetric(rmsePar, "dsgd-rmse")
-	if parNs > 0 {
-		b.ReportMetric(float64(seqNs)/float64(parNs), "dsgd-speedup-x")
-	}
-}
-
-func nowNano() int64 { return time.Now().UnixNano() }
 
 // --- concurrent serving (ISSUE 1: async scheduler + query server) ---
 

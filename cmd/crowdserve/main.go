@@ -61,9 +61,9 @@
 // HITs merge into the demand job's crowd charge; the dollar cap bounds
 // total speculative spend and speculation never displaces demand work.
 // SELECT results are served from a result cache keyed on the SQL text,
-// probed before parsing and invalidated by any table mutation; -cache-bytes
-// sizes it (-1 disables), and ?nocache=1 on POST /v1/query bypasses it
-// per request.
+// probed before parsing and invalidated by a write that meets what the
+// answer read; -cache-bytes sizes it (-1 disables), and ?nocache=1 on
+// POST /v1/query bypasses it per request.
 //
 // Query execution is morsel-parallel: large scans, joins, and
 // aggregations fan out across -exec-workers goroutines (0 = one per
@@ -79,9 +79,8 @@
 // carries an X-Request-Id (inbound IDs propagate) and every request is
 // logged structurally via log/slog. -slow-query DURATION logs any
 // statement slower than the threshold with its full traced breakdown
-// (this prices every SELECT at traced cost, as does -trace, which
-// attaches the breakdown to all queries); both default off, keeping the
-// hot path free of tracing overhead.
+// (this prices every SELECT at traced cost); it defaults off, keeping
+// the hot path free of tracing overhead.
 package main
 
 import (
@@ -124,7 +123,6 @@ type demoConfig struct {
 	cacheBytes        int64
 	execWorkers       int
 	slowQuery         time.Duration
-	traceQueries      bool
 }
 
 func main() {
@@ -161,8 +159,6 @@ func main() {
 			"mount net/http/pprof under /debug/pprof/ on the API port (profiles expose internals; enable only on trusted networks)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log statements slower than this threshold with a traced phase/operator breakdown (0 = off; setting it runs every SELECT traced)")
-		traceQueries = flag.Bool("trace", false,
-			"attach a traced phase/operator breakdown to every query (same cost as -slow-query; surfaces via ?trace=1 responses and the slow-query log)")
 	)
 	flag.Parse()
 
@@ -174,9 +170,8 @@ func main() {
 		expansionWorkers: *expWork, expansionQueue: *expQ,
 		batchWindow: *batchWindow, defaultBudget: *defaultBudget,
 		speculativeBudget: *speculativeBudget, cacheBytes: *cacheBytes,
-		execWorkers:  *execWorkers,
-		slowQuery:    *slowQuery,
-		traceQueries: *traceQueries,
+		execWorkers: *execWorkers,
+		slowQuery:   *slowQuery,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -254,7 +249,6 @@ func buildDemoDB(cfg demoConfig) (*core.DB, error) {
 		CacheBytes:        cfg.cacheBytes,
 		ExecWorkers:       cfg.execWorkers,
 		SlowQuery:         cfg.slowQuery,
-		TraceQueries:      cfg.traceQueries,
 	})
 	if err != nil {
 		return nil, err

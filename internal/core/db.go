@@ -179,9 +179,9 @@ type DB struct {
 	// co-access model behind predictive pre-expansion (always present).
 	tracker *workload.Tracker
 	// rcache is the result cache, keyed on SQL text (nil when disabled via
-	// Options.CacheBytes < 0). Invalidation is seq-based: the storage
-	// observer bumps a per-table sequence on every journaled mutation,
-	// and core bumps it explicitly for index DDL, which emits no Op.
+	// Options.CacheBytes < 0). A write kills the entries whose footprint
+	// it meets (storage reports it to the cache as the table's observer);
+	// core kills a table's entries itself on index DDL, which emits no Op.
 	rcache *rescache.Cache
 	// specBudget caps total speculative crowd spend (dollars booked under
 	// SpeculativeBudgetKey); non-positive disables speculation entirely.
@@ -193,9 +193,6 @@ type DB struct {
 	// threshold via slog with its traced phase/operator breakdown; it
 	// forces the traced execution path for all SELECTs (see autoTrace).
 	slowQuery time.Duration
-	// traceAll forces traced execution for every ExecSQL even without a
-	// slow-query threshold (the -trace flag).
-	traceAll bool
 
 	// wal is the durability log (nil when opened without a DataDir).
 	// gate serializes snapshots against journaled mutations: every

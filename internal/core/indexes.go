@@ -23,12 +23,8 @@ var ErrIndexOnVirtualColumn = errors.New("core: cannot index a not-yet-expanded 
 // db.gate.RLock (the execEngine path), so the record lands atomically
 // with respect to Snapshot.
 func (db *DB) execCreateIndex(ci *sqlparse.CreateIndexStmt) (*Result, error) {
-	cols := ci.Columns
-	if len(cols) == 0 {
-		cols = []sqlparse.IndexCol{{Name: ci.Column}}
-	}
 	if tbl, ok := db.Catalog().Get(ci.Table); ok {
-		for _, col := range cols {
+		for _, col := range ci.Columns {
 			if _, exists := tbl.Schema().Lookup(col.Name); exists {
 				continue
 			}
@@ -54,9 +50,9 @@ func (db *DB) execCreateIndex(ci *sqlparse.CreateIndexStmt) (*Result, error) {
 		// state (rebuildable from rows), so a crash in the window loses
 		// only the index, never data. An append failure latches in the WAL
 		// and surfaces at the next Snapshot/Close.
-		names := make([]string, len(cols))
-		dirs := make([]bool, len(cols))
-		for i, c := range cols {
+		names := make([]string, len(ci.Columns))
+		dirs := make([]bool, len(ci.Columns))
+		for i, c := range ci.Columns {
 			names[i], dirs[i] = c.Name, c.Desc
 		}
 		_ = db.logJSON(recIndex, indexRecord{Name: ci.Name, Table: ci.Table, Columns: names, Dirs: dirs, Kind: ci.Kind}, false)
@@ -93,7 +89,7 @@ func (db *DB) applyIndexRecord(ir indexRecord) error {
 		cols[i] = sqlparse.IndexCol{Name: name, Desc: i < len(ir.Dirs) && ir.Dirs[i]}
 	}
 	_, err := db.engine.Exec(&sqlparse.CreateIndexStmt{
-		Name: ir.Name, Table: ir.Table, Columns: cols, Column: cols[0].Name, Kind: ir.Kind,
+		Name: ir.Name, Table: ir.Table, Columns: cols, Kind: ir.Kind,
 	})
 	return err
 }

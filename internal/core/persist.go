@@ -107,9 +107,6 @@ type Options struct {
 	// exist before the query is known to be slow), trading a little
 	// per-row overhead for attribution.
 	SlowQuery time.Duration
-	// TraceQueries forces the traced executor path for every statement,
-	// threshold or not — the -trace flag, for debugging sessions.
-	TraceQueries bool
 }
 
 // BackendName is the storage engine's name: what Options.Backend accepts
@@ -321,7 +318,6 @@ func Open(opts Options) (*DB, error) {
 		expandables: map[string]map[string]expandableSpec{},
 		tracker:     workload.NewTracker(0),
 		slowQuery:   opts.SlowQuery,
-		traceAll:    opts.TraceQueries,
 	}
 	db.engine.SetExecWorkers(opts.ExecWorkers)
 	if opts.CacheBytes >= 0 {

@@ -252,7 +252,7 @@ type Request struct {
 // Do opens req's answer on s: the one way into a statement. It probes the
 // result cache with the text (unless NoCache, or ModeStream), and on a
 // miss parses the text and runs it (DB.run). A traced statement — or
-// every statement, when the database traces everything (autoTrace) —
+// every statement, when a slow-query threshold is set (autoTrace) —
 // assembles a QueryTrace, which a traced hit fills in by planning the
 // text after the fact.
 //

@@ -30,10 +30,10 @@ type QueryTrace struct {
 
 // autoTrace reports whether untraced statements should run traced anyway:
 // a slow-query threshold needs the operator breakdown in hand *before*
-// it knows the query was slow, so configuring -slow-query (or -trace)
-// prices every SELECT at traced cost. The ≤2% overhead contract of
-// BenchmarkInstrumentedSelect applies only with both off.
-func (db *DB) autoTrace() bool { return db.traceAll || db.slowQuery > 0 }
+// it knows the query was slow, so configuring -slow-query prices every
+// SELECT at traced cost. The ≤2% overhead contract of
+// BenchmarkInstrumentedSelect applies only with it off.
+func (db *DB) autoTrace() bool { return db.slowQuery > 0 }
 
 // logSlow emits the slow-query log record when the threshold is set and
 // exceeded. Structured (slog) so it is machine-collectable; the format

@@ -192,13 +192,9 @@ func (e *Engine) execCreateIndex(s *sqlparse.CreateIndexStmt) (*Result, error) {
 		s.Kind, s.Name, s.Table, strings.Join(cols, ", "), idx.Entries())}, nil
 }
 
-// indexKeySpec normalizes a CreateIndexStmt's key columns. Programmatic
-// callers (WAL replay of pre-composite records, embedders) may populate
-// only the legacy single-column field.
+// indexKeySpec splits a CreateIndexStmt's key columns into names and
+// directions.
 func indexKeySpec(s *sqlparse.CreateIndexStmt) (cols []string, dirs []bool) {
-	if len(s.Columns) == 0 {
-		return []string{s.Column}, []bool{false}
-	}
 	cols = make([]string, len(s.Columns))
 	dirs = make([]bool, len(s.Columns))
 	for i, c := range s.Columns {

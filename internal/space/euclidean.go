@@ -81,18 +81,6 @@ func (s TrainStats) FinalRMSE() float64 {
 	return s.EpochRMSE[len(s.EpochRMSE)-1]
 }
 
-// Model is the common interface of the factor models in this package.
-type Model interface {
-	// Predict estimates the rating of item m by user u.
-	Predict(m, u int) float64
-	// ItemVector returns item m's coordinates (a view, do not mutate).
-	ItemVector(m int) []float64
-	// Dims returns the space dimensionality.
-	Dims() int
-	// NumItems returns the number of items.
-	NumItems() int
-}
-
 // EuclideanModel is the paper's modified Euclidean-embedding factor model.
 type EuclideanModel struct {
 	Mu       float64
@@ -102,39 +90,24 @@ type EuclideanModel struct {
 	Users    *vecmath.Matrix // nUsers × d
 }
 
-var _ Model = (*EuclideanModel)(nil)
-
-// Dims returns the space dimensionality.
-func (m *EuclideanModel) Dims() int { return m.Items.Cols }
-
-// NumItems returns the number of items.
-func (m *EuclideanModel) NumItems() int { return m.Items.Rows }
-
-// ItemVector returns item i's coordinates in the perceptual space.
-func (m *EuclideanModel) ItemVector(i int) []float64 { return m.Items.Row(i) }
-
 // Predict estimates r̂ = μ + δm + δu − ‖a_m − b_u‖².
 func (m *EuclideanModel) Predict(item, user int) float64 {
 	return m.Mu + m.ItemBias[item] + m.UserBias[user] -
 		vecmath.SqDist(m.Items.Row(item), m.Users.Row(user))
 }
 
-// RMSE computes the model's root-mean-square error over ratings.
-func modelRMSE(m Model, ratings []Rating, predict func(Rating) float64) float64 {
+// RMSE computes the model's root-mean-square error over ratings, or 0 for
+// none.
+func (m *EuclideanModel) RMSE(ratings []Rating) float64 {
 	if len(ratings) == 0 {
 		return 0
 	}
 	var s float64
 	for _, r := range ratings {
-		e := float64(r.Score) - predict(r)
+		e := float64(r.Score) - m.Predict(int(r.Item), int(r.User))
 		s += e * e
 	}
 	return math.Sqrt(s / float64(len(ratings)))
-}
-
-// RMSE computes the model's error on a rating set.
-func (m *EuclideanModel) RMSE(ratings []Rating) float64 {
-	return modelRMSE(m, ratings, func(r Rating) float64 { return m.Predict(int(r.Item), int(r.User)) })
 }
 
 // TrainEuclidean fits the paper's Euclidean-embedding model to the dataset
@@ -151,16 +124,12 @@ func TrainEuclidean(data *Dataset, cfg Config) (*EuclideanModel, TrainStats, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model := initModel(data, cfg, rng)
-	stats := sgdEpochs(data.Ratings, rng, cfg, func(rs []Rating, lr float64) float64 {
-		return model.sgdPass(rs, lr, cfg.Lambda)
-	})
-	return model, stats, nil
+	return model, model.sgdEpochs(data.Ratings, rng, cfg), nil
 }
 
 // initModel allocates a model for the dataset's items and users: μ is the
 // mean rating, biases start at zero and coordinates at uniform noise of
-// scale InitScale/√d, drawn from rng items first. The SVD trainers convert
-// it: both models have the same fields.
+// scale InitScale/√d, drawn from rng items first.
 func initModel(data *Dataset, cfg Config, rng *rand.Rand) *EuclideanModel {
 	model := &EuclideanModel{
 		Mu:       data.Mean(),

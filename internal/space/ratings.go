@@ -8,16 +8,14 @@
 //
 // where μ is the global rating mean and δm, δu are item and user biases.
 // The model parameters are fit to observed ratings by stochastic gradient
-// descent on the regularized squared error of §3.3. The package also
-// implements the classic dot-product SVD factor model (with both SGD and
-// ALS trainers) as the baseline the paper contrasts against: effective for
-// rating prediction, but without a meaningful item–item distance.
+// descent on the regularized squared error of §3.3 (TrainEuclidean), and
+// FromModel snapshots the item coordinates as the Space that classifiers
+// and nearest-neighbour queries read.
 package space
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Rating is one ⟨item, user, score⟩ triple.
@@ -37,8 +35,8 @@ type Dataset struct {
 
 // Validate checks index bounds and that every score is finite. Training on
 // an out-of-range index would silently corrupt memory-adjacent rows, and
-// on a NaN or infinite score would make every coordinate NaN, so trainers
-// call this first.
+// on a NaN or infinite score would make every coordinate NaN, so
+// TrainEuclidean calls this first.
 func (d *Dataset) Validate() error {
 	if d.Items <= 0 || d.Users <= 0 {
 		return fmt.Errorf("space: dataset needs positive Items and Users, got %d×%d", d.Items, d.Users)
@@ -76,22 +74,4 @@ func (d *Dataset) Density() float64 {
 		return 0
 	}
 	return float64(len(d.Ratings)) / (float64(d.Items) * float64(d.Users))
-}
-
-// Split partitions the ratings into a training and a held-out set with the
-// given holdout fraction, shuffled by rng. Used by cross-validation.
-func (d *Dataset) Split(holdout float64, rng *rand.Rand) (train, test *Dataset) {
-	idx := rng.Perm(len(d.Ratings))
-	nTest := int(holdout * float64(len(d.Ratings)))
-	testR := make([]Rating, 0, nTest)
-	trainR := make([]Rating, 0, len(d.Ratings)-nTest)
-	for i, j := range idx {
-		if i < nTest {
-			testR = append(testR, d.Ratings[j])
-		} else {
-			trainR = append(trainR, d.Ratings[j])
-		}
-	}
-	return &Dataset{Items: d.Items, Users: d.Users, Ratings: trainR},
-		&Dataset{Items: d.Items, Users: d.Users, Ratings: testR}
 }

@@ -26,10 +26,9 @@ func checkTrainable(data *Dataset, cfg Config) error {
 	return nil
 }
 
-// sgdEpochs runs cfg.Epochs passes of SGD over the ratings, each in a fresh
-// random order drawn from rng, and returns each epoch's training RMSE.
-// pass trains on the ratings in the order given at step size lr and
-// returns their summed squared error.
+// sgdEpochs runs cfg.Epochs passes of m.sgdPass over the ratings, each in
+// a fresh random order drawn from rng, and returns each epoch's training
+// RMSE.
 //
 // The order is exactly the one rng.Shuffle would give an index array that
 // is shuffled again every epoch, but the ratings themselves are permuted:
@@ -40,12 +39,12 @@ func checkTrainable(data *Dataset, cfg Config) error {
 // pass trains — rng has no other use during a pass — so the draw leaves
 // the critical path when a second P is free. The trainer holds 16 B per
 // rating: the 12-byte copy and one int32 per swap.
-func sgdEpochs(ratings []Rating, rng *rand.Rand, cfg Config, pass func(rs []Rating, lr float64) float64) TrainStats {
+func (m *EuclideanModel) sgdEpochs(ratings []Rating, rng *rand.Rand, cfg Config) TrainStats {
 	n := len(ratings)
 	work := append([]Rating(nil), ratings...)
 	js := make([]int32, n)
 	draw := func() { rng.Shuffle(n, func(i, j int) { js[i] = int32(j) }) }
-	drawn := make(chan struct{}, 1) // the drawer never blocks, even if pass panics
+	drawn := make(chan struct{}, 1) // the drawer never blocks, even if a pass panics
 
 	stats := TrainStats{EpochRMSE: make([]float64, 0, cfg.Epochs)}
 	lr := cfg.LearnRate
@@ -62,7 +61,7 @@ func sgdEpochs(ratings []Rating, rng *rand.Rand, cfg Config, pass func(rs []Rati
 				drawn <- struct{}{}
 			}()
 		}
-		sumSq := pass(work, lr)
+		sumSq := m.sgdPass(work, lr, cfg.Lambda)
 		stats.EpochRMSE = append(stats.EpochRMSE, math.Sqrt(sumSq/float64(n)))
 		lr *= cfg.LearnRateDecay
 		if next {
@@ -74,7 +73,7 @@ func sgdEpochs(ratings []Rating, rng *rand.Rand, cfg Config, pass func(rs []Rati
 
 // sgdPass takes one SGD step of the Euclidean model per rating, in the
 // order given, on the objective of §3.3, and returns the summed squared
-// error the steps saw. TrainEuclidean and each DSGD stratum run it.
+// error the steps saw.
 func (m *EuclideanModel) sgdPass(rs []Rating, lr, lambda float64) float64 {
 	var sumSq float64
 	for _, r := range rs {
@@ -110,31 +109,6 @@ func (m *EuclideanModel) sgdPass(rs []Rating, lr, lambda float64) float64 {
 			diff := a[k] - b[k]
 			a[k] -= g * diff
 			b[k] += g * diff
-		}
-	}
-	return sumSq
-}
-
-// sgdPass takes one Funk-SVD step per rating, in the order given, and
-// returns the summed squared error the steps saw.
-func (m *SVDModel) sgdPass(rs []Rating, lr, lambda float64) float64 {
-	var sumSq float64
-	for _, r := range rs {
-		mi, ui := int(r.Item), int(r.User)
-		a := m.Items.Row(mi)
-		b := m.Users.Row(ui)
-
-		pred := m.Mu + m.ItemBias[mi] + m.UserBias[ui] + vecmath.Dot(a, b)
-		e := float64(r.Score) - pred
-		sumSq += e * e
-		e = vecmath.Clamp(e, -sgdClip, sgdClip)
-
-		m.ItemBias[mi] += lr * (e - lambda*m.ItemBias[mi])
-		m.UserBias[ui] += lr * (e - lambda*m.UserBias[ui])
-		for k := range a {
-			ak, bk := a[k], b[k]
-			a[k] += lr * (e*bk - lambda*ak)
-			b[k] += lr * (e*ak - lambda*bk)
 		}
 	}
 	return sumSq

@@ -2,7 +2,6 @@ package space
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"crowddb/internal/vecmath"
@@ -18,13 +17,9 @@ type Space struct {
 // NewSpace wraps an item-coordinate matrix.
 func NewSpace(coords *vecmath.Matrix) *Space { return &Space{coords: coords} }
 
-// FromModel snapshots the item coordinates of a trained factor model.
-func FromModel(m Model) *Space {
-	out := vecmath.NewMatrix(m.NumItems(), m.Dims())
-	for i := 0; i < m.NumItems(); i++ {
-		copy(out.Row(i), m.ItemVector(i))
-	}
-	return &Space{coords: out}
+// FromModel snapshots the item coordinates of a trained model.
+func FromModel(m *EuclideanModel) *Space {
+	return &Space{coords: m.Items.Clone()}
 }
 
 // Dims returns the dimensionality.
@@ -82,93 +77,3 @@ func (s *Space) NearestNeighbors(item, k int) ([]Neighbor, error) {
 	}
 	return out, nil
 }
-
-// PairwiseConsensus computes the Pearson correlation between the space's
-// item–item distances and an external dissimilarity judgment for the given
-// item pairs. The paper reports 0.52 against human consensus (§4.2); the
-// experiments reproduce the measurement against synthetic ground truth.
-func (s *Space) PairwiseConsensus(pairs [][2]int, dissimilarity []float64) (float64, error) {
-	if len(pairs) != len(dissimilarity) {
-		return 0, fmt.Errorf("space: %d pairs but %d judgments", len(pairs), len(dissimilarity))
-	}
-	if len(pairs) == 0 {
-		return 0, nil
-	}
-	dists := make([]float64, len(pairs))
-	for i, p := range pairs {
-		if p[0] < 0 || p[0] >= s.NumItems() || p[1] < 0 || p[1] >= s.NumItems() {
-			return 0, fmt.Errorf("space: pair %v out of range", p)
-		}
-		dists[i] = s.Distance(p[0], p[1])
-	}
-	return vecmath.Pearson(dists, dissimilarity), nil
-}
-
-// CVResult reports one cross-validation configuration's held-out error.
-type CVResult struct {
-	Dims     int
-	Lambda   float64
-	TestRMSE float64
-}
-
-// CrossValidate evaluates the Euclidean model over a hyperparameter grid
-// using holdout validation, returning results sorted by ascending RMSE.
-// This is the procedure the paper uses to choose d and λ (§3.3) — and to
-// observe that the choices barely matter beyond "d large enough".
-func CrossValidate(data *Dataset, base Config, dims []int, lambdas []float64, holdout float64) ([]CVResult, error) {
-	if holdout <= 0 || holdout >= 1 {
-		return nil, fmt.Errorf("space: holdout must be in (0,1), got %g", holdout)
-	}
-	var out []CVResult
-	for _, d := range dims {
-		for _, lam := range lambdas {
-			cfg := base
-			cfg.Dims = d
-			cfg.Lambda = lam
-			// A fixed split per configuration keeps comparisons paired.
-			rng := newRand(cfg.Seed)
-			train, test := data.Split(holdout, rng)
-			model, _, err := TrainEuclidean(train, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, CVResult{Dims: d, Lambda: lam, TestRMSE: model.RMSE(test.Ratings)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TestRMSE != out[j].TestRMSE {
-			return out[i].TestRMSE < out[j].TestRMSE
-		}
-		if out[i].Dims != out[j].Dims {
-			return out[i].Dims < out[j].Dims
-		}
-		return out[i].Lambda < out[j].Lambda
-	})
-	return out, nil
-}
-
-// Spread reports the mean and max pairwise distance over a sample of item
-// pairs; useful for diagnosing degenerate (collapsed) spaces in tests.
-func (s *Space) Spread(sample int) (mean, max float64) {
-	n := s.NumItems()
-	if n < 2 {
-		return 0, 0
-	}
-	count := 0
-	for i := 0; i < n && count < sample; i++ {
-		for j := i + 1; j < n && count < sample; j++ {
-			d := s.Distance(i, j)
-			mean += d
-			if d > max {
-				max = d
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, 0
-	}
-	return mean / float64(count), max
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

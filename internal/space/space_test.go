@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"crowddb/internal/vecmath"
 )
@@ -119,19 +118,6 @@ func TestDatasetMeanDensity(t *testing.T) {
 	}
 	if (&Dataset{Items: 1, Users: 1}).Mean() != 0 {
 		t.Fatal("empty Mean must be 0")
-	}
-}
-
-func TestDatasetSplit(t *testing.T) {
-	w := makeWorld(50, 40, 10, 3, 1)
-	rng := rand.New(rand.NewSource(2))
-	train, test := w.data.Split(0.25, rng)
-	if len(train.Ratings)+len(test.Ratings) != len(w.data.Ratings) {
-		t.Fatal("split lost ratings")
-	}
-	wantTest := int(0.25 * float64(len(w.data.Ratings)))
-	if len(test.Ratings) != wantTest {
-		t.Fatalf("test size = %d, want %d", len(test.Ratings), wantTest)
 	}
 }
 
@@ -277,37 +263,6 @@ func TestNearestNeighborsErrors(t *testing.T) {
 	}
 }
 
-func TestTrainSVDReducesRMSEAndPredicts(t *testing.T) {
-	w := makeWorld(100, 150, 25, 3, 8)
-	model, stats, err := TrainSVD(w.data, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FinalRMSE() >= stats.EpochRMSE[0] {
-		t.Fatal("SVD training did not reduce RMSE")
-	}
-	if rmse := model.RMSE(w.data.Ratings); rmse > 0.7 {
-		t.Fatalf("SVD RMSE = %v", rmse)
-	}
-}
-
-func TestTrainSVDALSConverges(t *testing.T) {
-	w := makeWorld(60, 80, 20, 3, 9)
-	cfg := smallConfig()
-	cfg.Dims = 4
-	cfg.Epochs = 8
-	model, stats, err := TrainSVDALS(w.data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FinalRMSE() > stats.EpochRMSE[0] {
-		t.Fatalf("ALS RMSE rose: %v -> %v", stats.EpochRMSE[0], stats.FinalRMSE())
-	}
-	if rmse := model.RMSE(w.data.Ratings); rmse > 0.8 {
-		t.Fatalf("ALS RMSE = %v", rmse)
-	}
-}
-
 func TestTrainValidation(t *testing.T) {
 	w := makeWorld(10, 10, 3, 2, 10)
 	bad := smallConfig()
@@ -322,16 +277,16 @@ func TestTrainValidation(t *testing.T) {
 	}
 	bad = smallConfig()
 	bad.LearnRate = 0
-	if _, _, err := TrainSVD(w.data, bad); err == nil {
+	if _, _, err := TrainEuclidean(w.data, bad); err == nil {
 		t.Fatal("LearnRate=0 must fail")
 	}
 	bad = smallConfig()
 	bad.Lambda = -1
-	if _, _, err := TrainSVD(w.data, bad); err == nil {
+	if _, _, err := TrainEuclidean(w.data, bad); err == nil {
 		t.Fatal("negative Lambda must fail")
 	}
 	// A non-finite or negative hyperparameter would train an all-NaN
-	// space; every trainer must refuse it.
+	// space; the trainer must refuse it.
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
 		name string
@@ -353,12 +308,6 @@ func TestTrainValidation(t *testing.T) {
 		if _, _, err := TrainEuclidean(w.data, bad); err == nil {
 			t.Fatalf("%s must fail", c.name)
 		}
-		if _, _, err := TrainSVD(w.data, bad); err == nil {
-			t.Fatalf("TrainSVD: %s must fail", c.name)
-		}
-		if _, _, err := TrainEuclideanParallel(w.data, bad, 2); err == nil {
-			t.Fatalf("TrainEuclideanParallel: %s must fail", c.name)
-		}
 	}
 	nanScore := &Dataset{Items: 2, Users: 2, Ratings: []Rating{{Item: 1, User: 0, Score: float32(math.NaN())}}}
 	if _, _, err := TrainEuclidean(nanScore, smallConfig()); err == nil {
@@ -367,9 +316,6 @@ func TestTrainValidation(t *testing.T) {
 	empty := &Dataset{Items: 5, Users: 5}
 	if _, _, err := TrainEuclidean(empty, smallConfig()); err == nil {
 		t.Fatal("empty ratings must fail")
-	}
-	if _, _, err := TrainSVDALS(empty, smallConfig()); err == nil {
-		t.Fatal("ALS empty ratings must fail")
 	}
 	invalid := &Dataset{Items: 2, Users: 2, Ratings: []Rating{{Item: 5, User: 0}}}
 	if _, _, err := TrainEuclidean(invalid, smallConfig()); err == nil {
@@ -393,127 +339,6 @@ func TestTrainingIsDeterministic(t *testing.T) {
 		if m1.Items.Data[i] != m2.Items.Data[i] {
 			t.Fatal("equal seeds must give identical models")
 		}
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	w := makeWorld(80, 120, 20, 3, 12)
-	cfg := smallConfig()
-	cfg.Epochs = 10
-	results, err := CrossValidate(w.data, cfg, []int{2, 8}, []float64{0.02}, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].TestRMSE < results[i-1].TestRMSE {
-			t.Fatal("results not sorted by RMSE")
-		}
-	}
-	if _, err := CrossValidate(w.data, cfg, []int{2}, []float64{0}, 1.5); err == nil {
-		t.Fatal("bad holdout must fail")
-	}
-}
-
-func TestPairwiseConsensus(t *testing.T) {
-	coords := vecmath.NewMatrix(3, 2)
-	copy(coords.Row(1), []float64{1, 0})
-	copy(coords.Row(2), []float64{5, 0})
-	sp := NewSpace(coords)
-	pairs := [][2]int{{0, 1}, {0, 2}, {1, 2}}
-	// External dissimilarity perfectly aligned with distance.
-	r, err := sp.PairwiseConsensus(pairs, []float64{1, 5, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 0.99 {
-		t.Fatalf("consensus = %v, want ≈ 1", r)
-	}
-	if _, err := sp.PairwiseConsensus(pairs, []float64{1}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if _, err := sp.PairwiseConsensus([][2]int{{0, 9}}, []float64{1}); err == nil {
-		t.Fatal("out-of-range pair must fail")
-	}
-	if r, err := sp.PairwiseConsensus(nil, nil); err != nil || r != 0 {
-		t.Fatal("empty input must return 0, nil")
-	}
-}
-
-func TestSpread(t *testing.T) {
-	coords := vecmath.NewMatrix(3, 1)
-	coords.Set(1, 0, 3)
-	coords.Set(2, 0, 4)
-	sp := NewSpace(coords)
-	mean, max := sp.Spread(100)
-	if max != 4 {
-		t.Fatalf("max = %v", max)
-	}
-	if math.Abs(mean-(3.0+4.0+1.0)/3) > 1e-12 {
-		t.Fatalf("mean = %v", mean)
-	}
-	tiny := NewSpace(vecmath.NewMatrix(1, 1))
-	if m, x := tiny.Spread(10); m != 0 || x != 0 {
-		t.Fatal("single-item spread must be 0")
-	}
-}
-
-func TestGaussSolve(t *testing.T) {
-	A := vecmath.NewMatrix(3, 3)
-	copy(A.Data, []float64{2, 1, 0, 1, 3, 1, 0, 1, 2})
-	b := []float64{3, 5, 3}
-	x := make([]float64, 3)
-	if !gaussSolve(A.Clone(), append([]float64(nil), b...), x) {
-		t.Fatal("solve failed")
-	}
-	// Verify A·x = b.
-	A2 := vecmath.NewMatrix(3, 3)
-	copy(A2.Data, []float64{2, 1, 0, 1, 3, 1, 0, 1, 2})
-	got := A2.MulVec(x, nil)
-	for i := range b {
-		if math.Abs(got[i]-b[i]) > 1e-9 {
-			t.Fatalf("A·x = %v, want %v", got, b)
-		}
-	}
-	// Singular matrix must be reported.
-	S := vecmath.NewMatrix(2, 2)
-	copy(S.Data, []float64{1, 2, 2, 4})
-	if gaussSolve(S, []float64{1, 2}, make([]float64, 2)) {
-		t.Fatal("singular system must return false")
-	}
-}
-
-// Property: gaussSolve solutions satisfy the original system for random
-// well-conditioned matrices.
-func TestGaussSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4
-		A := vecmath.NewMatrix(n, n)
-		A.FillRandom(rng, 1)
-		for i := 0; i < n; i++ {
-			A.Set(i, i, A.At(i, i)+3) // diagonally dominant
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x := make([]float64, n)
-		if !gaussSolve(A.Clone(), append([]float64(nil), b...), x) {
-			return false
-		}
-		got := A.MulVec(x, nil)
-		for i := range b {
-			if math.Abs(got[i]-b[i]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

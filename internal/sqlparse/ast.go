@@ -273,8 +273,6 @@ type CreateIndexStmt struct {
 	Name    string
 	Table   string
 	Columns []IndexCol
-	// Column is the first key column — kept for single-column callers.
-	Column string
 	// Kind is "hash" or "ordered" (the default when USING is absent).
 	Kind string
 }

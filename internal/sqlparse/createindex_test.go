@@ -13,21 +13,21 @@ func TestParseCreateIndex(t *testing.T) {
 	}{
 		{`CREATE INDEX idx_year ON movies (year)`,
 			CreateIndexStmt{Name: "idx_year", Table: "movies",
-				Columns: []IndexCol{{Name: "year"}}, Column: "year", Kind: "ordered"}},
+				Columns: []IndexCol{{Name: "year"}}, Kind: "ordered"}},
 		{`create index i1 on t (c) using hash`,
 			CreateIndexStmt{Name: "i1", Table: "t",
-				Columns: []IndexCol{{Name: "c"}}, Column: "c", Kind: "hash"}},
+				Columns: []IndexCol{{Name: "c"}}, Kind: "hash"}},
 		{`CREATE INDEX i1 ON t (c) USING ORDERED;`,
 			CreateIndexStmt{Name: "i1", Table: "t",
-				Columns: []IndexCol{{Name: "c"}}, Column: "c", Kind: "ordered"}},
+				Columns: []IndexCol{{Name: "c"}}, Kind: "ordered"}},
 		{`CREATE INDEX gy ON movies (genre, year DESC)`,
 			CreateIndexStmt{Name: "gy", Table: "movies",
 				Columns: []IndexCol{{Name: "genre"}, {Name: "year", Desc: true}},
-				Column:  "genre", Kind: "ordered"}},
+				Kind:    "ordered"}},
 		{`CREATE INDEX abc ON t (a ASC, b DESC, c) USING HASH`,
 			CreateIndexStmt{Name: "abc", Table: "t",
 				Columns: []IndexCol{{Name: "a"}, {Name: "b", Desc: true}, {Name: "c"}},
-				Column:  "a", Kind: "hash"}},
+				Kind:    "hash"}},
 	}
 	for _, c := range cases {
 		stmt, err := Parse(c.sql)

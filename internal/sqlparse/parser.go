@@ -669,7 +669,7 @@ func (p *Parser) parseCreateIndex() (*CreateIndexStmt, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	stmt := &CreateIndexStmt{Name: name, Table: table, Columns: cols, Column: cols[0].Name, Kind: "ordered"}
+	stmt := &CreateIndexStmt{Name: name, Table: table, Columns: cols, Kind: "ordered"}
 	if p.acceptKeyword("USING") {
 		// HASH and ORDERED are not reserved words; they arrive as plain
 		// identifiers here.
