@@ -71,9 +71,11 @@ fuzz:
 # adding a column and filling it; no model, vote, label buffer or Gram
 # matrix of its own (they are the expansion workspace's), no list of the
 # table's ids, nothing that grows with the table's width — must not depend
-# on where the garbage collector happens to be.
+# on where the garbage collector happens to be. And a crowd batch of one
+# request is its job, bit for bit and within two allocations.
 walls:
 	$(GO) test -run 'TestSpaceExpansionAllocationIsWidthIndependent$$' -count 20 ./internal/core
+	$(GO) test -run 'TestRunBatchOfOneIsRun$$' -count 20 ./internal/crowd
 
 check: build fmt vet race walls fuzz
 

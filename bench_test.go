@@ -486,19 +486,20 @@ func runConcurrentSelect(b *testing.B, gor int, serialize bool) {
 }
 
 // sleepingService is a JudgmentService whose Collect takes real
-// wall-clock time, standing in for human crowd latency.
+// wall-clock time, standing in for human crowd latency. It is asked one
+// question at a time: the benchmark's database has no batch window.
 type sleepingService struct{ latency time.Duration }
 
-func (s *sleepingService) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s *sleepingService) Collect(reqs []crowddb.BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	time.Sleep(s.latency)
 	res := &crowd.RunResult{DurationMinutes: 1}
-	for _, id := range itemIDs {
+	for _, id := range reqs[0].ItemIDs {
 		for a := 0; a < cfg.AssignmentsPerItem; a++ {
 			res.Records = append(res.Records, crowd.Record{ItemID: id, WorkerID: a, Answer: crowd.Positive})
 		}
 	}
 	res.TotalCost = float64(len(res.Records)) * cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
-	return res, nil
+	return &crowd.BatchResult{Combined: res, PerQuestion: []*crowd.RunResult{res}}, nil
 }
 
 // runSelectDuringExpansion measures how many reads gor goroutines

@@ -94,7 +94,10 @@ type Options = core.Options
 func Open(opts Options) (*DB, error) { return core.Open(opts) }
 
 // JudgmentService obtains human judgments for items; implement it to
-// connect a real crowd-sourcing platform, or use NewSimulatedCrowd.
+// connect a real crowd-sourcing platform, or use NewSimulatedCrowd. Its
+// one method, Collect, runs one crowd job for one or more questions: a
+// solo expansion is a batch of one, expansions that share a batch window
+// (Options.BatchWindow) share one job and one charge.
 type JudgmentService = core.JudgmentService
 
 // SimulatedCrowd is a JudgmentService backed by the bundled marketplace
@@ -107,12 +110,7 @@ func NewSimulatedCrowd(pop *crowd.Population, items core.ItemModelFunc, rng *ran
 	return core.NewSimulatedCrowd(pop, items, rng)
 }
 
-// BatchJudgmentService is the optional batching extension of
-// JudgmentService: one call elicits several questions in ONE shared HIT
-// group (see Options.BatchWindow). SimulatedCrowd implements it.
-type BatchJudgmentService = core.BatchJudgmentService
-
-// BatchRequest is one elicitation's share of a shared HIT group.
+// BatchRequest is one elicitation's share of a crowd job.
 type BatchRequest = core.BatchRequest
 
 // BudgetStatus is one API key's budget cap and cumulative crowd spend

@@ -100,14 +100,14 @@ func main() {
 		ids = append(ids, r) // row index == movie_id in this table
 	}
 	svc := crowddb.NewSimulatedCrowd(pop, universe.CrowdItems, rng)
-	res, err := svc.Collect(genre, ids, crowd.JobConfig{
+	res, err := svc.Collect([]crowddb.BatchRequest{{Question: genre, ItemIDs: ids}}, crowd.JobConfig{
 		ItemsPerHIT: 10, AssignmentsPerItem: 15, PayPerHIT: 0.02,
 		JudgmentsPerMinute: 95, AllowDontKnow: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	votes := crowd.MajorityVote(res.Records)
+	votes := crowd.MajorityVote(res.Combined.Records)
 	for _, r := range flagged {
 		if label, ok := votes.Label[r]; ok {
 			if err := tbl.Set(r, colIdx, storage.Bool(label)); err != nil {
@@ -118,7 +118,7 @@ func main() {
 	after := countCorrect(tbl, colIdx, ref)
 	fullCost := float64(len(ref)) * 15 / 10 * 0.02
 	fmt.Printf("re-elicited flagged rows for $%.2f (vs $%.2f to redo everything)\n",
-		res.TotalCost, fullCost)
+		res.Combined.TotalCost, fullCost)
 	fmt.Printf("correct labels: %d → %d of %d\n", before, after, len(ref))
 }
 

@@ -21,23 +21,12 @@ type slowService struct {
 	calls atomic.Int32
 }
 
-func (s *slowService) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s *slowService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.calls.Add(1)
 	if s.gate != nil {
 		<-s.gate
 	}
-	res := &crowd.RunResult{DurationMinutes: 1}
-	for _, id := range itemIDs {
-		for a := 0; a < cfg.AssignmentsPerItem; a++ {
-			ans := crowd.Positive
-			if id%2 == 1 {
-				ans = crowd.Negative
-			}
-			res.Records = append(res.Records, crowd.Record{ItemID: id, WorkerID: a, Answer: ans})
-		}
-	}
-	res.TotalCost = float64(len(res.Records)) * cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
-	return res, nil
+	return perQuestion(parityRun).Collect(reqs, cfg)
 }
 
 // newAsyncDB builds a 40-row table with a registered CROWD-method

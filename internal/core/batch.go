@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/jobs"
@@ -23,10 +22,10 @@ import (
 // runExpansionBatch (1) starts each member as Expand does
 // (startExpansion: prepare, HYBRID solo, hold the item ids, plan), (2)
 // partitions the planned members by marketplace configuration, (3)
-// elicits a partition of one through runElicitation, as Expand does, and
-// a larger one through ONE CollectBatch after reserving every member's
-// budget, and (4) finishes each member — votes, SVM training,
-// prediction, column fill — from its share of the combined judgment log.
+// elicits each partition through elicit — the budget wall, ONE Collect,
+// one charge — as Expand elicits its batch of one, and (4) finishes each
+// member — votes, SVM training, prediction, column fill — from its share
+// of the combined judgment log.
 
 // expansionWork is the payload an expansion carries through the
 // scheduler.
@@ -104,64 +103,20 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 		partitions[key] = append(partitions[key], p)
 	}
 
-	bsvc, batchable := db.service.(BatchJudgmentService)
 	for _, key := range order {
 		part := partitions[key]
-		if len(part) == 1 || !batchable {
-			// Elicited as Expand elicits: runElicitation reserves the
-			// member's budget itself.
-			for _, p := range part {
-				report, err := db.runElicitation(p.e)
-				finish(p, report, err)
-			}
-			continue
-		}
-
-		// The budget wall: reserve every member's projected share before
-		// the shared HIT group is issued. Reservations are sequential
-		// and cumulative, so N same-key members cannot each pass against
-		// the same headroom; members that don't fit are rejected here,
-		// costing (and charging) nothing.
-		var issued []planned
-		var releases []func()
+		es, out := make([]*elicitation, 0, 4), make([]elicited, 0, 4) // on the stack for up to four members
 		for _, p := range part {
-			release, err := db.reserveBudget(p.e.opts.APIKey, p.e.projected())
-			if err != nil {
-				finish(p, nil, err)
+			es, out = append(es, p.e), append(out, elicited{})
+		}
+		db.elicit(es, out)
+		for i, o := range out {
+			if o.err != nil {
+				finish(part[i], nil, o.err)
 				continue
 			}
-			issued = append(issued, p)
-			releases = append(releases, release)
-		}
-		if len(issued) == 0 {
-			continue
-		}
-		reqs := make([]BatchRequest, len(issued))
-		for i, p := range issued {
-			p.e.opts.phase(jobs.StateSampling)
-			reqs[i] = BatchRequest{Question: p.e.column, ItemIDs: p.e.judgeIDs}
-		}
-		clock := time.Now()
-		batch, err := bsvc.CollectBatch(reqs, issued[0].e.opts.Job)
-		collect := lap(&clock)
-		if err != nil {
-			for i, p := range issued {
-				releases[i]()
-				finish(p, nil, err)
-			}
-			continue
-		}
-		// One charge for the whole shared HIT group; each member's job
-		// ledger and budget key sees only its proportional share, and
-		// its reservation is released once that share is booked.
-		db.chargeCombined(batch.Combined)
-		for i, p := range issued {
-			share := batch.PerQuestion[i]
-			db.chargeMemberShare(share, &p.e.opts)
-			releases[i]()
-			p.e.steps.Collect = collect
-			report, err := db.finishElicitation(p.e, share)
-			finish(p, report, err)
+			report, err := db.finishElicitation(part[i].e, o.share)
+			finish(part[i], report, err)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,19 +12,51 @@ import (
 
 	"crowddb/internal/crowd"
 	"crowddb/internal/jobs"
+	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
 
-// batchCountingService is deterministic like slowService but also
-// implements BatchJudgmentService, counting how the database chose to
-// elicit: per-question Collect calls vs merged CollectBatch calls.
-type batchCountingService struct {
-	collects      atomic.Int32
-	batchCollects atomic.Int32
-	batchSizes    sync.Map // call ordinal → member count
+// perQuestion adapts a fake crowd written one question at a time to
+// JudgmentService: each request of a call is answered by one call of the
+// function, and the job they make together is their concatenation — its
+// records, its cost added up, its longest duration. A single request's
+// run is the job itself.
+type perQuestion func(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error)
+
+func (f perQuestion) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+	batch := &crowd.BatchResult{PerQuestion: make([]*crowd.RunResult, len(reqs))}
+	for i, req := range reqs {
+		res, err := f(req.Question, req.ItemIDs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		batch.PerQuestion[i] = res
+	}
+	if len(reqs) == 1 {
+		batch.Combined = batch.PerQuestion[0]
+		return batch, nil
+	}
+	batch.Combined = &crowd.RunResult{}
+	for _, res := range batch.PerQuestion {
+		c := batch.Combined
+		c.Records = append(c.Records, res.Records...)
+		c.TotalCost += res.TotalCost
+		c.DurationMinutes = max(c.DurationMinutes, res.DurationMinutes)
+	}
+	return batch, nil
 }
 
-func deterministicRun(question string, itemIDs []int, cfg crowd.JobConfig) *crowd.RunResult {
+// batchCountingService is deterministic like slowService, counting how
+// the database chose to elicit: how many crowd calls, of how many
+// requests each.
+type batchCountingService struct {
+	calls      atomic.Int32
+	batchSizes sync.Map // call ordinal → member count
+}
+
+// parityRun judges every item Assignments times, with a majority equal
+// to (id%2 == 0).
+func parityRun(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
 	res := &crowd.RunResult{DurationMinutes: 1}
 	for _, id := range itemIDs {
 		for a := 0; a < cfg.AssignmentsPerItem; a++ {
@@ -34,26 +68,12 @@ func deterministicRun(question string, itemIDs []int, cfg crowd.JobConfig) *crow
 		}
 	}
 	res.TotalCost = float64(len(res.Records)) * cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
-	return res
+	return res, nil
 }
 
-func (s *batchCountingService) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
-	s.collects.Add(1)
-	return deterministicRun(question, itemIDs, cfg), nil
-}
-
-func (s *batchCountingService) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
-	n := s.batchCollects.Add(1)
-	s.batchSizes.Store(n, len(reqs))
-	combined := &crowd.RunResult{DurationMinutes: 1}
-	per := make([]*crowd.RunResult, len(reqs))
-	for i, req := range reqs {
-		r := deterministicRun(req.Question, req.ItemIDs, cfg)
-		per[i] = r
-		combined.Records = append(combined.Records, r.Records...)
-		combined.TotalCost += r.TotalCost
-	}
-	return &crowd.BatchResult{Combined: combined, PerQuestion: per}, nil
+func (s *batchCountingService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+	s.batchSizes.Store(s.calls.Add(1), len(reqs))
+	return perQuestion(parityRun).Collect(reqs, cfg)
 }
 
 // newBatchedDB builds an in-memory DB with batching enabled and four
@@ -82,7 +102,7 @@ func newBatchedDB(t testing.TB, svc JudgmentService, window time.Duration) *DB {
 
 // TestBatchedExpansionsShareOneCharge is the tentpole acceptance test:
 // four concurrent expansions of one table must issue ONE crowd charge
-// (one CollectBatch, one global-ledger job), with the cost split across
+// (one Collect, one global-ledger job), with the cost split across
 // the four member job ledgers.
 func TestBatchedExpansionsShareOneCharge(t *testing.T) {
 	svc := &batchCountingService{}
@@ -114,11 +134,8 @@ func TestBatchedExpansionsShareOneCharge(t *testing.T) {
 		}
 	}
 
-	if got := svc.batchCollects.Load(); got != 1 {
-		t.Fatalf("CollectBatch called %d times, want 1", got)
-	}
-	if got := svc.collects.Load(); got != 0 {
-		t.Fatalf("solo Collect called %d times, want 0 (batching bypassed)", got)
+	if got := svc.calls.Load(); got != 1 {
+		t.Fatalf("Collect called %d times, want 1", got)
 	}
 	if size, _ := svc.batchSizes.Load(int32(1)); size != 4 {
 		t.Fatalf("batch merged %v members, want 4", size)
@@ -155,6 +172,110 @@ func TestBatchedExpansionsShareOneCharge(t *testing.T) {
 	}
 }
 
+// moneyService answers like batchCountingService and counts the calls it
+// answers; told to fail, it answers none.
+type moneyService struct {
+	fail     bool
+	answered atomic.Int32
+}
+
+func (s *moneyService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+	if s.fail {
+		return nil, errors.New("moneyService: the crowd is gone")
+	}
+	s.answered.Add(1)
+	return perQuestion(parityRun).Collect(reqs, cfg)
+}
+
+// The money invariants of every way an expansion reaches the crowd, for
+// batches of one, two and four members over two API keys: the global
+// ledger books one job per answered crowd call, the members' job ledgers
+// add up to it, each key is debited exactly its members' shares and never
+// past its cap, no reservation outlives the batch, and a member the cap
+// rejects or the crowd fails is charged nothing and fills nothing.
+func TestElicitationMoneyInvariants(t *testing.T) {
+	opts := ExpandOptions{Method: sqlparse.ExpandCrowd}
+	opts.fillDefaults(sqlparse.ExpandCrowd)
+	each := projectedCost(40, &opts) // one member's projection: newBatchedDB has 40 rows
+	keys := []string{"k0", "k1"}     // member i's key is keys[i%2]
+	modes := []struct {
+		name     string
+		caps     map[string]float64 // nil: no key is capped
+		fail     bool
+		admitted func(i int) bool
+	}{
+		{name: "no cap", admitted: func(int) bool { return true }},
+		// k0 affords no member; k1 affords one, so its second is rejected
+		// by the first one's reservation.
+		{name: "cap admits some", caps: map[string]float64{"k0": each / 2, "k1": 1.5 * each},
+			admitted: func(i int) bool { return i == 1 }},
+		// Capped, so that the reservations are real and must be released.
+		{name: "service fails", caps: map[string]float64{"k0": 10 * each, "k1": 10 * each}, fail: true,
+			admitted: func(int) bool { return false }},
+	}
+	for _, n := range []int{1, 2, 4} {
+		for _, mode := range modes {
+			t.Run(fmt.Sprintf("%d/%s", n, mode.name), func(t *testing.T) {
+				svc := &moneyService{fail: mode.fail}
+				db := newBatchedDB(t, svc, 50*time.Millisecond)
+				for key, limit := range mode.caps {
+					if err := db.SetBudget(key, limit); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cols := []string{"comedy", "drama", "action", "horror"}[:n]
+				handles := make([]*jobs.Job, n)
+				for i, col := range cols {
+					job, _, err := db.submitExpansion("movies", col, storage.KindBool,
+						ExpandOptions{Method: sqlparse.ExpandCrowd, APIKey: keys[i%2], Origin: OriginAdmin}, false)
+					if err != nil {
+						t.Fatalf("%s: %v", col, err)
+					}
+					handles[i] = job
+				}
+				spent := map[string]float64{}
+				shares := 0.0
+				for i, job := range handles {
+					_, err := job.Wait(context.Background())
+					led := job.Status().Ledger
+					spent[keys[i%2]] += led.Cost
+					shares += led.Cost
+					switch ok := mode.admitted(i); {
+					case ok && err != nil:
+						t.Fatalf("member %d (%s): %v", i, cols[i], err)
+					case !ok && err == nil:
+						t.Fatalf("member %d (%s) succeeded, want it rejected or failed", i, cols[i])
+					case !ok && (led.Charges != 0 || led.Cost != 0 || db.columnFilled("movies", cols[i])):
+						t.Fatalf("member %d (%s) failed (%v) yet was charged %+v or filled", i, cols[i], err, led)
+					case ok && (led.Charges != 1 || !db.columnFilled("movies", cols[i])):
+						t.Fatalf("member %d (%s) succeeded with %d charges, filled: %v", i, cols[i], led.Charges, db.columnFilled("movies", cols[i]))
+					}
+				}
+				total := db.Ledger()
+				if calls := int(svc.answered.Load()); total.Jobs != calls {
+					t.Fatalf("the ledger booked %d jobs for %d answered crowd calls", total.Jobs, calls)
+				}
+				if math.Abs(shares-total.Cost) > 1e-9 {
+					t.Fatalf("the job ledgers add up to $%.9f, the ledger to $%.9f", shares, total.Cost)
+				}
+				db.budgets.mu.Lock()
+				defer db.budgets.mu.Unlock()
+				for _, key := range keys {
+					if got := db.budgets.spent[key]; math.Abs(got-spent[key]) > 1e-9 {
+						t.Fatalf("key %s spent $%.9f, its members' shares $%.9f", key, got, spent[key])
+					}
+					if limit, capped := db.budgets.caps[key]; capped && db.budgets.spent[key] > limit+1e-9 {
+						t.Fatalf("key %s spent $%.9f past its cap $%.9f", key, db.budgets.spent[key], limit)
+					}
+				}
+				if len(db.budgets.reserved) != 0 {
+					t.Fatalf("reservations still held: %v", db.budgets.reserved)
+				}
+			})
+		}
+	}
+}
+
 // TestBatchWindowSplitsDistantSubmissions: submissions further apart than
 // the window run as separate batches — batching trades a bounded delay,
 // never unbounded staleness.
@@ -170,40 +291,8 @@ func TestBatchWindowSplitsDistantSubmissions(t *testing.T) {
 	if _, _, err := db.ExecSQL(`SELECT name FROM movies WHERE drama = true`); err != nil {
 		t.Fatal(err)
 	}
-	total := svc.batchCollects.Load() + svc.collects.Load()
-	if total != 2 {
+	if total := svc.calls.Load(); total != 2 {
 		t.Fatalf("%d elicitations for 2 distant expansions, want 2", total)
-	}
-}
-
-// TestBatchFallbackWithoutBatchService: a JudgmentService that lacks
-// CollectBatch still works with a batch window — members elicit solo.
-func TestBatchFallbackWithoutBatchService(t *testing.T) {
-	svc := &slowService{}
-	db, err := Open(Options{Service: svc, BatchWindow: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = db.Close() })
-	if _, _, err := db.ExecSQL(`CREATE TABLE movies (movie_id INTEGER, name TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.Catalog().Get("movies")
-	for i := 0; i < 10; i++ {
-		if err := tbl.Insert(storage.Int(int64(i)), storage.Text(fmt.Sprintf("m%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.RegisterExpandable("movies", "comedy", storage.KindBool, ExpandOptions{Method: "CROWD"})
-	db.RegisterExpandable("movies", "drama", storage.KindBool, ExpandOptions{Method: "CROWD"})
-
-	for _, col := range []string{"comedy", "drama"} {
-		if _, _, err := db.ExecSQL(fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col)); err != nil {
-			t.Fatalf("%s: %v", col, err)
-		}
-	}
-	if got := svc.calls.Load(); got != 2 {
-		t.Fatalf("fallback made %d Collect calls, want 2", got)
 	}
 }
 

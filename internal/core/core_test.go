@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"crowddb/internal/crowd"
 	"crowddb/internal/dataset"
 	"crowddb/internal/eval"
+	"crowddb/internal/jobs"
 	"crowddb/internal/space"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
@@ -326,6 +328,23 @@ func TestIdentifyQuestionableErrors(t *testing.T) {
 	}
 }
 
+// phaseProbe records, at every crowd call, the state of the jobs in
+// flight.
+type phaseProbe struct {
+	JudgmentService
+	db     *DB
+	states []jobs.State
+}
+
+func (p *phaseProbe) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+	for _, st := range p.db.Jobs() {
+		if !st.State.Terminal() {
+			p.states = append(p.states, st.State)
+		}
+	}
+	return p.JudgmentService.Collect(reqs, cfg)
+}
+
 func TestHybridExpansion(t *testing.T) {
 	// Same seed and population for both runs: the only difference is the
 	// §4.4 cleaning pass.
@@ -336,9 +355,16 @@ func TestHybridExpansion(t *testing.T) {
 	_, confCrowd := columnConfusion(t, dbCrowd, "Comedy", u.Categories["Comedy"].Reference)
 
 	dbHybrid, _ := newMovieDB(t, 0.2, 12)
+	probe := &phaseProbe{JudgmentService: dbHybrid.service, db: dbHybrid}
+	dbHybrid.service = probe
 	_, rep, err := dbHybrid.ExecSQL("EXPAND TABLE movies ADD COLUMN Comedy BOOLEAN USING HYBRID")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The re-elicitation is part of the filling phase: the job never
+	// moves back to sampling.
+	if want := []jobs.State{jobs.StateSampling, jobs.StateFilling}; !slices.Equal(probe.states, want) {
+		t.Fatalf("job states at the crowd calls: %v, want %v", probe.states, want)
 	}
 	if rep.Method != sqlparse.ExpandHybrid {
 		t.Fatalf("method = %v", rep.Method)
@@ -487,13 +513,13 @@ func TestSimulatedCrowdUnknownItem(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pop := crowd.NewPopulation(crowd.PopulationConfig{Workers: 5}, rng)
 	svc := NewSimulatedCrowd(pop, u.CrowdItems, rng)
-	_, err := svc.Collect("Comedy", []int{999999}, crowd.JobConfig{
+	_, err := svc.Collect([]BatchRequest{{Question: "Comedy", ItemIDs: []int{999999}}}, crowd.JobConfig{
 		ItemsPerHIT: 10, AssignmentsPerItem: 1, PayPerHIT: 0.02, JudgmentsPerMinute: 95,
 	})
 	if err == nil || !strings.Contains(err.Error(), "no crowd item model") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := svc.Collect("NoSuchCategory", []int{0}, crowd.JobConfig{}); err == nil {
+	if _, err := svc.Collect([]BatchRequest{{Question: "NoSuchCategory", ItemIDs: []int{0}}}, crowd.JobConfig{}); err == nil {
 		t.Fatal("unknown question must fail")
 	}
 }

@@ -528,5 +528,5 @@ func (db *DB) Expand(table, column string, kind storage.Kind, opts ExpandOptions
 		return report, err
 	}
 	defer release()
-	return db.runElicitation(e)
+	return db.elicitOne(e)
 }

@@ -65,16 +65,9 @@ type churnService struct {
 	calls  int
 }
 
-func (s *churnService) Collect(q string, ids []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s *churnService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.calls++
-	res, err := s.inner.Collect(q, ids, cfg)
-	s.once.Do(s.during)
-	return res, err
-}
-
-func (s *churnService) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
-	s.calls++
-	res, err := s.inner.CollectBatch(reqs, cfg)
+	res, err := s.inner.Collect(reqs, cfg)
 	s.once.Do(s.during)
 	return res, err
 }
@@ -332,18 +325,11 @@ type flakyService struct {
 	fail  bool
 }
 
-func (s *flakyService) Collect(q string, ids []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s *flakyService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	if s.fail {
 		return nil, fmt.Errorf("flakyService: the crowd is gone")
 	}
-	return s.inner.Collect(q, ids, cfg)
-}
-
-func (s *flakyService) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
-	if s.fail {
-		return nil, fmt.Errorf("flakyService: the crowd is gone")
-	}
-	return s.inner.CollectBatch(reqs, cfg)
+	return s.inner.Collect(reqs, cfg)
 }
 
 // An expansion of a table without a binding holds a write fence while its
@@ -597,24 +583,26 @@ func TestFillColumnRecordRoundTripAndTornFrame(t *testing.T) {
 }
 
 // cannedService answers from one judgment log computed up front — five
-// correct judgments an item — so that a measurement around an expansion
-// sees the database's allocations and not the crowd simulator's.
-type cannedService struct{ res *crowd.RunResult }
+// correct judgments an item of the first request it is asked — so that a
+// measurement around an expansion sees the database's allocations and not
+// the crowd simulator's.
+type cannedService struct{ batch *crowd.BatchResult }
 
-func (s *cannedService) Collect(_ string, ids []int, _ crowd.JobConfig) (*crowd.RunResult, error) {
-	if s.res == nil {
-		s.res = &crowd.RunResult{TotalCost: 1, DurationMinutes: 1}
-		for _, id := range ids {
+func (s *cannedService) Collect(reqs []BatchRequest, _ crowd.JobConfig) (*crowd.BatchResult, error) {
+	if s.batch == nil {
+		res := &crowd.RunResult{TotalCost: 1, DurationMinutes: 1}
+		for _, id := range reqs[0].ItemIDs {
 			answer := crowd.Negative
 			if id%2 == 0 {
 				answer = crowd.Positive
 			}
 			for w := 0; w < 5; w++ {
-				s.res.Records = append(s.res.Records, crowd.Record{WorkerID: w, ItemID: id, Answer: answer})
+				res.Records = append(res.Records, crowd.Record{WorkerID: w, ItemID: id, Answer: answer})
 			}
 		}
+		s.batch = &crowd.BatchResult{Combined: res, PerQuestion: []*crowd.RunResult{res}}
 	}
-	return s.res, nil
+	return s.batch, nil
 }
 
 // One SPACE expansion of a new column costs the same whatever the width of

@@ -23,7 +23,7 @@ import (
 // crowd work.
 type deadService struct{ calls int }
 
-func (s *deadService) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s *deadService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.calls++
 	return nil, errors.New("deadService: the crowd is gone")
 }

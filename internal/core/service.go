@@ -30,29 +30,23 @@ import (
 
 // JudgmentService obtains human judgments for items. Implementations may
 // talk to a real crowd-sourcing platform or to the bundled simulator.
+//
+// Every expansion reaches the crowd through its one method, alone or in a
+// batch: a solo expansion is a batch of one request, charged exactly as
+// the job it is.
 type JudgmentService interface {
-	// Collect runs a crowd job asking the given yes/no question about the
-	// identified items and returns the full judgment log.
-	Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error)
+	// Collect runs ONE crowd job whose HITs ask every request's yes/no
+	// question about its items, and returns the combined run plus its
+	// per-question split, indexed like reqs. For a single request the
+	// split is the run itself: PerQuestion[0] is Combined.
+	Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error)
 }
 
-// BatchRequest is one elicitation's share of a shared HIT group: a yes/no
+// BatchRequest is one elicitation's share of a crowd job: a yes/no
 // question over a set of item IDs.
 type BatchRequest struct {
 	Question string
 	ItemIDs  []int
-}
-
-// BatchJudgmentService is the optional batching extension of
-// JudgmentService: one call runs ONE crowd job whose HITs interleave
-// several questions, so N pending elicitations engage (and charge) the
-// marketplace once instead of N times. Services that do not implement it
-// fall back to per-question Collect calls.
-type BatchJudgmentService interface {
-	// CollectBatch merges the requests into a single shared HIT group
-	// and returns the combined run plus its per-question split (indexed
-	// like reqs).
-	CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error)
 }
 
 // ItemModelFunc supplies the simulator's behavioural item models for a
@@ -127,27 +121,11 @@ func (s *SimulatedCrowd) keep(sel []crowd.Item) {
 	}
 }
 
-// Collect implements JudgmentService.
-func (s *SimulatedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	selected, err := s.selectItems(slices.Grow(s.selected, len(itemIDs)), question, itemIDs)
-	if err != nil {
-		return nil, err
-	}
-	defer s.keep(selected)
-	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
-		cfg.GoldItems = s.Gold
-		cfg.GoldFailureLimit = s.GoldFailureLimit
-	}
-	return s.runner.Run(s.population, selected, cfg, s.rng)
-}
-
-// CollectBatch implements BatchJudgmentService: the requests' items are
-// merged into one simulated crowd job (shared HIT group, shared worker
-// pass, one wall-clock window) and the judgment log is split back per
-// question.
-func (s *SimulatedCrowd) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+// Collect implements JudgmentService: the requests' items are merged into
+// one simulated crowd job (shared HIT group, shared worker pass, one
+// wall-clock window) and the judgment log is split back per question; a
+// single request's items are the job as they are.
+func (s *SimulatedCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	total := 0
@@ -155,14 +133,14 @@ func (s *SimulatedCrowd) CollectBatch(reqs []BatchRequest, cfg crowd.JobConfig) 
 		total += len(req.ItemIDs)
 	}
 	selected := slices.Grow(s.selected, total)
-	batch := make([]crowd.BatchRequest, len(reqs))
-	for i, req := range reqs {
+	batch := make([]crowd.BatchRequest, 0, 4) // on the stack for up to four questions
+	for _, req := range reqs {
 		from := len(selected)
 		var err error
 		if selected, err = s.selectItems(selected, req.Question, req.ItemIDs); err != nil {
 			return nil, err
 		}
-		batch[i] = crowd.BatchRequest{Question: req.Question, Items: selected[from:]}
+		batch = append(batch, crowd.BatchRequest{Question: req.Question, Items: selected[from:]})
 	}
 	defer s.keep(selected)
 	if len(s.Gold) > 0 && len(cfg.GoldItems) == 0 {
@@ -198,8 +176,8 @@ func (l *Ledger) add(res *crowd.RunResult) {
 	l.totals.Cost += res.TotalCost
 	l.totals.Minutes += res.DurationMinutes
 	l.totals.Jobs++
-	// The money metrics: every global-ledger booking (direct or batched
-	// combined run) is one charge. Member shares of a combined run are
+	// The money metrics: every global-ledger booking — one crowd job,
+	// however many expansions it served — is one charge. Member shares are
 	// budget debits, not new charges, and do not pass through here.
 	mCrowdCharges.Inc()
 	mCrowdJudgments.Add(int64(len(res.Records)))

@@ -15,42 +15,6 @@ import (
 	"crowddb/internal/svm"
 )
 
-// charge books one crowd run into the global ledger (and its WAL record,
-// under the snapshot gate so totals and log stay consistent), debits the
-// attributed API key's budget, and, when the expansion runs under a
-// scheduled job, books into that job's ledger too.
-func (db *DB) charge(res *crowd.RunResult, opts *ExpandOptions) {
-	db.gate.RLock()
-	db.ledger.add(res)
-	db.logCharge(res)
-	db.spendBudget(opts.APIKey, res.TotalCost)
-	db.gate.RUnlock()
-	if opts.onCharge != nil {
-		opts.onCharge(res)
-	}
-}
-
-// chargeCombined books ONE combined (batched) crowd run into the global
-// ledger: N merged elicitations cost the requester a single charge.
-func (db *DB) chargeCombined(res *crowd.RunResult) {
-	db.gate.RLock()
-	db.ledger.add(res)
-	db.logCharge(res)
-	db.gate.RUnlock()
-}
-
-// chargeMemberShare books one member's split of a combined run: the
-// member's API-key budget and its per-job ledger see exactly its share,
-// while the global ledger saw the batch once via chargeCombined.
-func (db *DB) chargeMemberShare(share *crowd.RunResult, opts *ExpandOptions) {
-	db.gate.RLock()
-	db.spendBudget(opts.APIKey, share.TotalCost)
-	db.gate.RUnlock()
-	if opts.onCharge != nil {
-		opts.onCharge(share)
-	}
-}
-
 // noItem is the item id of a row whose id cell is NULL: the row is no
 // item, nothing is asked about it and no label names it.
 const noItem = math.MinInt
@@ -437,32 +401,88 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 	return err
 }
 
-// runElicitation is the solo (unbatched) collect step: budget
-// reservation, one crowd job for this elicitation alone, one charge.
-func (db *DB) runElicitation(e *elicitation) (*ExpansionReport, error) {
-	release, err := db.reserveBudget(e.opts.APIKey, e.projected())
-	if err != nil {
-		return nil, err
+// elicited is one member's outcome of elicit: its share of the crowd
+// job, or the error that stopped it. release ends its budget reservation.
+type elicited struct {
+	share   *crowd.RunResult
+	err     error
+	release func()
+}
+
+// elicit is the one way expansions reach the crowd, whether one asks
+// (Expand, either round of HYBRID) or a batch of them
+// (runExpansionBatch); es share one marketplace configuration. It
+// reserves each member's projected cost against its key's cap, in order,
+// so that same-key members cannot each pass against the same headroom; a
+// member the cap rejects is asked nothing and charged nothing. The rest
+// are asked in ONE Collect: one crowd job, one charge. The combined run
+// is booked once to the global ledger and the WAL, each member's share to
+// its key's budget and its job, and only then are the reservations
+// released — or when the call fails, or panics. It writes the outcomes to
+// out, indexed like es.
+func (db *DB) elicit(es []*elicitation, out []elicited) {
+	defer func() {
+		for _, o := range out {
+			if o.release != nil {
+				o.release()
+			}
+		}
+	}()
+	reqs := make([]BatchRequest, 0, len(es))
+	for i, e := range es {
+		if out[i].release, out[i].err = db.reserveBudget(e.opts.APIKey, e.projected()); out[i].err == nil {
+			e.opts.phase(jobs.StateSampling)
+			reqs = append(reqs, BatchRequest{Question: e.column, ItemIDs: e.judgeIDs})
+		}
 	}
-	// Released after charge books the actual spend (or on error), so a
-	// concurrent same-key elicitation never sees the cap headroom free
-	// while this one's HITs are in flight.
-	defer release()
-	e.opts.phase(jobs.StateSampling)
+	if len(reqs) == 0 {
+		return
+	}
 	clock := time.Now()
-	res, err := db.service.Collect(e.column, e.judgeIDs, e.opts.Job)
+	batch, err := db.service.Collect(reqs, es[0].opts.Job)
+	collect := lap(&clock)
 	if err != nil {
-		return nil, err
+		for i := range out {
+			if out[i].err == nil {
+				out[i].err = err
+			}
+		}
+		return
 	}
-	e.steps.Collect = lap(&clock)
-	db.charge(res, &e.opts)
-	return db.finishElicitation(e, res)
+	db.gate.RLock()
+	db.ledger.add(batch.Combined)
+	db.logCharge(batch.Combined)
+	shares := batch.PerQuestion
+	for i, e := range es {
+		if out[i].err == nil {
+			out[i].share, shares = shares[0], shares[1:]
+			db.spendBudget(e.opts.APIKey, out[i].share.TotalCost)
+		}
+	}
+	db.gate.RUnlock()
+	for i, e := range es {
+		if share := out[i].share; share != nil {
+			if e.opts.onCharge != nil {
+				e.opts.onCharge(share)
+			}
+			e.steps.Collect = collect
+		}
+	}
+}
+
+// elicitOne elicits e as a batch of one and finishes it.
+func (db *DB) elicitOne(e *elicitation) (*ExpansionReport, error) {
+	var out [1]elicited
+	if db.elicit([]*elicitation{e}, out[:]); out[0].err != nil {
+		return nil, out[0].err
+	}
+	return db.finishElicitation(e, out[0].share)
 }
 
 // expandHybrid crowd-sources everything, then uses the space to flag and
 // re-elicit questionable responses (§4.4): direct crowd quality at a
-// fraction of the re-verification cost. Two crowd rounds, so it never
-// joins a shared HIT batch.
+// fraction of the re-verification cost. Each round is a batch of one of
+// its own, so HYBRID never joins a shared HIT group.
 func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions) (*ExpansionReport, error) {
 	binding := db.binding(tbl.Name())
 	if binding == nil {
@@ -474,7 +494,7 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	if err != nil {
 		return nil, err
 	}
-	report, err := db.runElicitation(e)
+	report, err := db.elicitOne(e)
 	if err != nil {
 		return nil, err
 	}
@@ -493,22 +513,18 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	for i, q := range questionable {
 		reIDs[i] = q.id
 	}
+	re := &elicitation{tbl: tbl, column: column, method: sqlparse.ExpandCrowd, opts: opts, judged: len(reIDs), judgeIDs: reIDs}
+	re.opts.Assignments = opts.Assignments * 3
+	re.opts.Job.AssignmentsPerItem = re.opts.Assignments
 	// No phase report here: the first round already advanced the job to
 	// filling, and the lifecycle only moves forward — the HYBRID
 	// re-elicitation is part of the filling phase from the outside.
-	reOpts := opts
-	reOpts.Assignments = opts.Assignments * 3
-	reOpts.Job.AssignmentsPerItem = reOpts.Assignments
-	release, err := db.reserveBudget(opts.APIKey, projectedCost(len(reIDs), &reOpts))
-	if err != nil {
-		return nil, err
+	re.opts.onPhase = nil
+	var out [1]elicited
+	if db.elicit([]*elicitation{re}, out[:]); out[0].err != nil {
+		return nil, out[0].err
 	}
-	defer release()
-	res, err := db.service.Collect(column, reIDs, reOpts.Job)
-	if err != nil {
-		return nil, err
-	}
-	db.charge(res, &opts)
+	res := out[0].share
 	ws := db.takeWorkspace()
 	defer db.giveWorkspace(ws) // after the relabelling, which reads the votes
 	requeryLabels := ws.vote(res.Records, opts)

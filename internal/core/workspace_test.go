@@ -22,7 +22,11 @@ import (
 // asked and whatever runs beside it. It is safe for concurrent use.
 type questionCrowd struct{ pop *crowd.Population }
 
-func (s questionCrowd) Collect(question string, ids []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s questionCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+	return perQuestion(s.run).Collect(reqs, cfg)
+}
+
+func (s questionCrowd) run(question string, ids []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
 	h := fnv.New64a()
 	h.Write([]byte(question))
 	seed := int64(h.Sum64() >> 1)

@@ -22,14 +22,12 @@ type BatchRequest struct {
 	Items    []Item
 }
 
-// BatchResult is the outcome of one shared HIT group that served several
-// questions at once.
+// BatchResult is the outcome of one crowd job that served its questions.
 type BatchResult struct {
 	// Combined is the shared job as the marketplace saw it: the full
-	// judgment timeline over the merged item set, total cost, total
-	// duration. Item IDs in Combined.Records are the batch's internal
-	// (question, item) slot IDs, not the callers' item IDs — use
-	// PerQuestion for anything per-item.
+	// judgment timeline, total cost, total duration. Item IDs in a merged
+	// batch's Combined.Records are internal (question, item) slot IDs —
+	// use PerQuestion for anything per-item.
 	Combined *RunResult
 	// PerQuestion has one entry per request, in request order: the
 	// records of that question's items (original item IDs restored),
@@ -39,16 +37,10 @@ type BatchResult struct {
 	PerQuestion []*RunResult
 }
 
-// RunBatchJob executes several elicitation requests as one simulated
-// crowd job. It is RunBatch on a new Runner.
-func RunBatchJob(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.Rand) (*BatchResult, error) {
-	var r Runner
-	return r.RunBatch(pop, reqs, cfg, rng)
-}
-
-// RunBatch executes several elicitation requests as one crowd job in the
-// Runner's memory. Each (question, item) pair is remapped onto a unique
-// slot ID, the merged slot list runs through Run — so worker behaviour, gold
+// RunBatch executes elicitation requests as one crowd job in the Runner's
+// memory. One request is Run on its items: PerQuestion[0] is Combined.
+// Several are merged: each (question, item) pair is remapped onto a unique
+// slot ID, the slot list runs through Run — so worker behaviour, gold
 // screening, and marketplace dynamics are exactly those of a single job —
 // and the judgment log is split back per question afterwards.
 //
@@ -74,6 +66,13 @@ func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, r
 	}
 	if slots == 0 {
 		return nil, fmt.Errorf("crowd: batch has no items")
+	}
+	if len(reqs) == 1 {
+		res, err := r.Run(pop, reqs[0].Items, cfg, rng)
+		if err != nil {
+			return nil, err
+		}
+		return &BatchResult{Combined: res, PerQuestion: []*RunResult{res}}, nil
 	}
 	merged := make([]Item, 0, slots)
 	origins := make([]origin, 0, slots)

@@ -3,6 +3,7 @@ package crowd
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func TestRunBatchJobSplitsPerQuestion(t *testing.T) {
 	cfg := defaultJob()
 	cfg.AllowDontKnow = false
 
-	res, err := RunBatchJob(pop, []BatchRequest{
+	res, err := (&Runner{}).RunBatch(pop, []BatchRequest{
 		{Question: "comedy", Items: itemsA},
 		{Question: "drama", Items: itemsB},
 	}, cfg, rng)
@@ -92,7 +93,7 @@ func TestRunBatchJobMajoritiesMatchSingleJobs(t *testing.T) {
 		a = append(a, Item{ID: i, Truth: i%2 == 0, Popularity: 1})
 		b = append(b, Item{ID: i, Truth: i%2 != 0, Popularity: 1})
 	}
-	res, err := RunBatchJob(pop, []BatchRequest{
+	res, err := (&Runner{}).RunBatch(pop, []BatchRequest{
 		{Question: "q-a", Items: a},
 		{Question: "q-b", Items: b},
 	}, cfg, rng)
@@ -116,10 +117,69 @@ func TestRunBatchJobMajoritiesMatchSingleJobs(t *testing.T) {
 func TestRunBatchJobRejectsEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pop := NewPopulation(PopulationConfig{Workers: 5}, rng)
-	if _, err := RunBatchJob(pop, nil, defaultJob(), rng); err == nil {
+	if _, err := (&Runner{}).RunBatch(pop, nil, defaultJob(), rng); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := RunBatchJob(pop, []BatchRequest{{Question: "q"}}, defaultJob(), rng); err == nil {
+	if _, err := (&Runner{}).RunBatch(pop, []BatchRequest{{Question: "q"}}, defaultJob(), rng); err == nil {
 		t.Fatal("itemless batch accepted")
+	}
+}
+
+// A batch of one request is the job itself: RunBatch returns bit for bit
+// what Run returns for the same items and seed — gold records, cost,
+// duration, exclusions and worker counts — under the caller's item IDs,
+// and PerQuestion[0] is Combined. It allocates what Run does, plus the
+// BatchResult and its one-entry list.
+func TestRunBatchOfOneIsRun(t *testing.T) {
+	job := func() (*Population, []Item, JobConfig, *rand.Rand) {
+		rng := rand.New(rand.NewSource(29))
+		pop := NewPopulation(PopulationConfig{Workers: 40, SpammerFraction: 0.2}, rng)
+		items := makeItems(80, rng)
+		for i := range items {
+			items[i].ID = 1000 + 3*i // no slot numbering could produce these
+		}
+		cfg := defaultJob()
+		for i := 0; i < 8; i++ {
+			cfg.GoldItems = append(cfg.GoldItems, Item{ID: -(i + 1), Truth: i%2 == 0, Popularity: 1})
+		}
+		cfg.GoldFailureLimit = 2
+		return pop, items, cfg, rng
+	}
+	pop, items, cfg, rng := job()
+	want, err := (&Runner{}).Run(pop, items, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.ExcludedWorkers) == 0 {
+		t.Fatal("gold screening excluded no worker: the exclusion path is not covered")
+	}
+	pop, items, cfg, rng = job()
+	got, err := (&Runner{}).RunBatch(pop, []BatchRequest{{Question: "q", Items: items}}, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Combined, want) {
+		t.Fatalf("a batch of one differs from its job: %d records $%v %v min %d workers %v excluded, want %d records $%v %v min %d workers %v excluded",
+			len(got.Combined.Records), got.Combined.TotalCost, got.Combined.DurationMinutes, got.Combined.DistinctWorkers, got.Combined.ExcludedWorkers,
+			len(want.Records), want.TotalCost, want.DurationMinutes, want.DistinctWorkers, want.ExcludedWorkers)
+	}
+	if len(got.PerQuestion) != 1 || got.PerQuestion[0] != got.Combined {
+		t.Fatalf("PerQuestion = %v, want [Combined]", got.PerQuestion)
+	}
+
+	var runner Runner
+	runs := testing.AllocsPerRun(20, func() {
+		if _, err := runner.Run(pop, items, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	reqs := []BatchRequest{{Question: "q", Items: items}}
+	batches := testing.AllocsPerRun(20, func() {
+		if _, err := runner.RunBatch(pop, reqs, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if batches > runs+2 {
+		t.Fatalf("a batch of one allocates %v times, its job %v", batches, runs)
 	}
 }

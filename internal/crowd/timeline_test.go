@@ -155,7 +155,7 @@ func TestRunJobTimelineIsPinned(t *testing.T) {
 					{Question: "Drama", Items: makeItems(90, rng)},
 					{Question: "Horror", Items: makeItems(40, rng)},
 				}
-				res, err := RunBatchJob(pop, reqs, cfg, rng)
+				res, err := (&Runner{}).RunBatch(pop, reqs, cfg, rng)
 				if err != nil {
 					t.Fatal(err)
 				}

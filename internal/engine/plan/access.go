@@ -247,8 +247,7 @@ func (b *builder) accessPath(i int, cs []sqlparse.Expr) Node {
 			}
 			return &IndexScan{
 				Table: tbl, Name: seg.Table, Binding: seg.Binding,
-				Index: best.Name, Column: best.Columns[0], Cols: best.Columns,
-				Key: keys[0], Keys: keys,
+				Index: best.Name, Cols: best.Columns, Keys: keys,
 				Residual: conjoin(rest), Layout: layout,
 			}
 		}
@@ -442,9 +441,6 @@ func (b *builder) tryIndexOrder(node Node, orderBy []sqlparse.OrderKey, limit in
 		for _, c := range t.Cols {
 			fixed[strings.ToLower(c)] = true
 		}
-		if len(t.Cols) == 0 {
-			fixed[strings.ToLower(t.Column)] = true
-		}
 		for _, n := range names {
 			if !fixed[strings.ToLower(n)] {
 				return node, false
@@ -495,7 +491,7 @@ func (b *builder) tryIndexOnly(node Node, exprs []sqlparse.Expr) (Node, *Layout,
 	var io *IndexOnlyScan
 	switch t := inner.(type) {
 	case *IndexScan:
-		if t.Residual != nil || len(t.Cols) == 0 {
+		if t.Residual != nil {
 			return nil, nil, false
 		}
 		io = &IndexOnlyScan{

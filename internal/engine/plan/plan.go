@@ -160,9 +160,7 @@ type IndexScan struct {
 	Name     string // table name
 	Binding  string
 	Index    string              // index name
-	Column   string              // first key column (= Cols[0])
 	Cols     []string            // full key columns of the chosen index
-	Key      *sqlparse.Literal   // first key literal (= Keys[0])
 	Keys     []*sqlparse.Literal // one equality literal per key column
 	Residual sqlparse.Expr       // nil when the equalities were the whole filter
 	Layout   *Layout
@@ -364,11 +362,7 @@ func eqKeyList(cols []string, keys []*sqlparse.Literal) string {
 }
 
 func (s *IndexScan) Describe() string {
-	cols, keys := s.Cols, s.Keys
-	if len(cols) == 0 {
-		cols, keys = []string{s.Column}, []*sqlparse.Literal{s.Key}
-	}
-	d := fmt.Sprintf("IndexScan(%s, %s)", s.Index, eqKeyList(cols, keys))
+	d := fmt.Sprintf("IndexScan(%s, %s)", s.Index, eqKeyList(s.Cols, s.Keys))
 	if s.Residual != nil {
 		d += fmt.Sprintf(" filter=%s", s.Residual.String())
 	}

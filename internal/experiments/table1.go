@@ -104,17 +104,17 @@ func (e *Env) RunCrowdExperiments() (*Table1Result, error) {
 	return res, nil
 }
 
-// recordedCrowd is a JudgmentService that keeps the last run it served,
-// whose timeline Figures 3/4 replay.
+// recordedCrowd is a JudgmentService that keeps the last job it ran,
+// gold records included, whose timeline Figures 3/4 replay.
 type recordedCrowd struct {
 	core.JudgmentService
-	run *crowd.RunResult
+	last *crowd.BatchResult
 }
 
-func (r *recordedCrowd) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
-	run, err := r.JudgmentService.Collect(question, itemIDs, cfg)
-	r.run = run
-	return run, err
+func (r *recordedCrowd) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+	batch, err := r.JudgmentService.Collect(reqs, cfg)
+	r.last = batch
+	return batch, err
 }
 
 // runCrowdExperiment expands the Comedy column of the sample with core's
@@ -136,7 +136,7 @@ func (e *Env) runCrowdExperiment(res *Table1Result, name string, pop *crowd.Popu
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
-	run := svc.run
+	run := svc.last.Combined
 	e.logf("%s: %d classified, %d correct (%.1f%%), %.0f min, $%.2f, %d workers",
 		name, classified, correct, 100*float64(correct)/float64(max(classified, 1)),
 		run.DurationMinutes, run.TotalCost, run.DistinctWorkers)

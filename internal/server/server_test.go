@@ -20,29 +20,36 @@ import (
 )
 
 // fakeService answers every item with a deterministic majority:
-// positive iff the item ID is even. A non-nil gate stalls Collect.
+// positive iff the item ID is even; a call of several questions is the
+// concatenation of their runs. A non-nil gate stalls Collect.
 type fakeService struct {
 	gate  chan struct{}
 	calls atomic.Int32
 }
 
-func (s *fakeService) Collect(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {
+func (s *fakeService) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
 	s.calls.Add(1)
 	if s.gate != nil {
 		<-s.gate
 	}
-	res := &crowd.RunResult{DurationMinutes: 1}
-	for _, id := range itemIDs {
-		for a := 0; a < cfg.AssignmentsPerItem; a++ {
-			ans := crowd.Positive
-			if id%2 == 1 {
-				ans = crowd.Negative
+	batch := &crowd.BatchResult{Combined: &crowd.RunResult{DurationMinutes: 1}}
+	for _, req := range reqs {
+		res := &crowd.RunResult{DurationMinutes: 1}
+		for _, id := range req.ItemIDs {
+			for a := 0; a < cfg.AssignmentsPerItem; a++ {
+				ans := crowd.Positive
+				if id%2 == 1 {
+					ans = crowd.Negative
+				}
+				res.Records = append(res.Records, crowd.Record{ItemID: id, WorkerID: a, Answer: ans})
 			}
-			res.Records = append(res.Records, crowd.Record{ItemID: id, WorkerID: a, Answer: ans})
 		}
+		res.TotalCost = float64(len(res.Records)) * cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
+		batch.PerQuestion = append(batch.PerQuestion, res)
+		batch.Combined.Records = append(batch.Combined.Records, res.Records...)
+		batch.Combined.TotalCost += res.TotalCost
 	}
-	res.TotalCost = float64(len(res.Records)) * cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
-	return res, nil
+	return batch, nil
 }
 
 func newTestServer(t *testing.T, svc core.JudgmentService, cfg Config) (*Server, *httptest.Server) {
