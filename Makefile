@@ -71,11 +71,14 @@ fuzz:
 # adding a column and filling it; no model, vote, label buffer or Gram
 # matrix of its own (they are the expansion workspace's), no list of the
 # table's ids, nothing that grows with the table's width — must not depend
-# on where the garbage collector happens to be. And a crowd batch of one
-# request is its job, bit for bit and within two allocations.
+# on where the garbage collector happens to be. A crowd batch of one
+# request is its job, bit for bit and within two allocations. And an
+# index point lookup, read through the one-worker gather every serial
+# chain takes, stays under its 4 KiB.
 walls:
 	$(GO) test -run 'TestSpaceExpansionAllocationIsWidthIndependent$$' -count 20 ./internal/core
 	$(GO) test -run 'TestRunBatchOfOneIsRun$$' -count 20 ./internal/crowd
+	$(GO) test -run 'TestPointLookupAllocatesForOneRow$$' -count 20 ./internal/engine
 
 check: build fmt vet race walls fuzz
 

@@ -87,24 +87,18 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 		defer release()
 		ready = append(ready, planned{m: m, w: w, e: e, release: release})
 	}
-	if len(ready) == 0 {
-		return
-	}
-
 	// Partition by marketplace configuration: two elicitations share a
 	// HIT group only if workers would see identical job parameters.
-	partitions := map[string][]planned{}
-	var order []string
-	for _, p := range ready {
-		key := fmt.Sprintf("%+v", p.e.opts.Job)
-		if _, ok := partitions[key]; !ok {
-			order = append(order, key)
+	for len(ready) > 0 {
+		first, part, rest := ready[0].e, make([]planned, 0, 4), ready[:0]
+		for _, p := range ready {
+			if p.e.opts.Job.Equal(&first.opts.Job) {
+				part = append(part, p)
+			} else {
+				rest = append(rest, p)
+			}
 		}
-		partitions[key] = append(partitions[key], p)
-	}
-
-	for _, key := range order {
-		part := partitions[key]
+		ready = rest
 		es, out := make([]*elicitation, 0, 4), make([]elicited, 0, 4) // on the stack for up to four members
 		for _, p := range part {
 			es, out = append(es, p.e), append(out, elicited{})

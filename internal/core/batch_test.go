@@ -172,6 +172,41 @@ func TestBatchedExpansionsShareOneCharge(t *testing.T) {
 	}
 }
 
+// TestBatchPartitionsByJobConfig: members of one batch share a Collect
+// only when their marketplace configurations are equal field by field —
+// two whose configurations differ only in ExcludeCountries are elicited
+// apart, two with equal ones (in lists of their own) together.
+func TestBatchPartitionsByJobConfig(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		exclude []string // drama's; comedy's is {"US"}
+		calls   int32
+	}{{"equal configs", []string{"US"}, 1}, {"countries differ", []string{"IN"}, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			svc := &batchCountingService{}
+			db := newBatchedDB(t, svc, 50*time.Millisecond)
+			db.RegisterExpandable("movies", "comedy", storage.KindBool, ExpandOptions{Method: "CROWD", Job: crowd.JobConfig{ExcludeCountries: []string{"US"}}})
+			db.RegisterExpandable("movies", "drama", storage.KindBool, ExpandOptions{Method: "CROWD", Job: crowd.JobConfig{ExcludeCountries: c.exclude}})
+			var handles []*jobs.Job
+			for _, col := range []string{"comedy", "drama"} {
+				_, job, err := do(db, Request{SQL: fmt.Sprintf(`SELECT name FROM movies WHERE %s = true`, col), Mode: ModeAsync})
+				if err != nil || job == nil {
+					t.Fatalf("%s: job %v, %v", col, job, err)
+				}
+				handles = append(handles, job)
+			}
+			for i, job := range handles {
+				if _, err := job.Wait(context.Background()); err != nil {
+					t.Fatalf("job %d: %v", i, err)
+				}
+			}
+			if got := svc.calls.Load(); got != c.calls {
+				t.Fatalf("Collect called %d times, want %d", got, c.calls)
+			}
+		})
+	}
+}
+
 // moneyService answers like batchCountingService and counts the calls it
 // answers; told to fail, it answers none.
 type moneyService struct {

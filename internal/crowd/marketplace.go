@@ -38,6 +38,14 @@ type JobConfig struct {
 	GoldFailureLimit int
 }
 
+// Equal reports whether workers would see identical job parameters under c and o.
+func (c *JobConfig) Equal(o *JobConfig) bool {
+	return c.ItemsPerHIT == o.ItemsPerHIT && c.AssignmentsPerItem == o.AssignmentsPerItem &&
+		c.PayPerHIT == o.PayPerHIT && c.JudgmentsPerMinute == o.JudgmentsPerMinute &&
+		c.AllowDontKnow == o.AllowDontKnow && c.GoldFailureLimit == o.GoldFailureLimit &&
+		slices.Equal(c.ExcludeCountries, o.ExcludeCountries) && slices.Equal(c.GoldItems, o.GoldItems)
+}
+
 // Record is one judgment event in the job's timeline.
 type Record struct {
 	// Time is minutes since the job started.

@@ -181,14 +181,15 @@ type PopulationConfig struct {
 	SpammerFraction float64
 	// LookupFraction is the share of workers that research answers.
 	LookupFraction float64
-	// SpammerCountries is the country set spammers are drawn from;
-	// Experiment 2's filter excludes exactly these. Defaults to
-	// {"ZZ", "YY"} when empty.
-	SpammerCountries []string
-	// HonestCountries is the country set for everyone else. Defaults to
-	// {"US", "DE", "GB", "IN"} when empty.
-	HonestCountries []string
 }
+
+// spamCountries is the country set spammers are drawn from; Experiment
+// 2's filter excludes exactly these. honestCountries is the set for
+// everyone else. Read only.
+var (
+	spamCountries   = []string{"ZZ", "YY"}
+	honestCountries = []string{"US", "DE", "GB", "IN"}
+)
 
 // Population is an immutable set of simulated workers.
 type Population struct {
@@ -205,15 +206,6 @@ func NewPopulation(cfg PopulationConfig, rng *rand.Rand) *Population {
 	if cfg.Workers <= 0 {
 		panic("crowd: PopulationConfig.Workers must be positive")
 	}
-	spamCountries := cfg.SpammerCountries
-	if len(spamCountries) == 0 {
-		spamCountries = []string{"ZZ", "YY"}
-	}
-	honestCountries := cfg.HonestCountries
-	if len(honestCountries) == 0 {
-		honestCountries = []string{"US", "DE", "GB", "IN"}
-	}
-
 	nSpam := int(float64(cfg.Workers)*cfg.SpammerFraction + 0.5)
 	nLookup := int(float64(cfg.Workers)*cfg.LookupFraction + 0.5)
 	if nSpam+nLookup > cfg.Workers {

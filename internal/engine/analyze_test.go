@@ -9,9 +9,8 @@ import (
 
 // EXPLAIN ANALYZE coverage. The acceptance bar: the root operator's
 // "actual rows" annotation must exactly match the row count the same
-// query returns when run for real — at dop=1 (every operator traced)
-// and dop=8 (morsel chains under Gather carry no per-op iterator, but
-// the root always does).
+// query returns when run for real, and every operator carries actuals —
+// at dop=1 and at dop=8, where a chain's operators run once per worker.
 
 var actualRowsRE = regexp.MustCompile(`actual rows=(\d+)`)
 
@@ -92,20 +91,66 @@ func TestExplainWithoutAnalyzeHasNoActuals(t *testing.T) {
 	}
 }
 
-// Parallel chains build no per-operator iterator; their lines must say
-// so rather than reporting misleading zeros.
-func TestExplainAnalyzeMarksParallelChains(t *testing.T) {
+// Every operator reports actuals at any dop: a chain's operators run
+// in every worker's stack and add to one OpStats per node, so at dop 8
+// each line carries actuals, and every operator the serial plan has
+// reports the rows it reports at dop 1 — the Gather lines the parallel
+// plan adds aside.
+func TestExplainAnalyzeReportsEveryOperatorAtAnyDop(t *testing.T) {
 	e := parallelEngine(t)
-	e.SetExecWorkers(8)
+	mustExec(t, e, `CREATE INDEX wide_id ON wide (id)`)
 	defer e.SetExecWorkers(1)
-	an := mustExec(t, e, `EXPLAIN ANALYZE SELECT id, score FROM wide WHERE score > 899.0`)
-	txt := flattenPlan(t, an)
-	if !strings.Contains(txt, "[dop=8]") {
-		t.Skipf("plan did not parallelize (small machine?):\n%s", txt)
+	queries := []string{
+		`SELECT id, score FROM wide WHERE score > 899.0`,
+		`SELECT id FROM wide WHERE id >= 100 AND id < 150 AND grp + 0 = 1`,
+		`SELECT id, score FROM wide WHERE id = 4321`,
+		`SELECT grp, COUNT(*) c FROM wide WHERE score > 100 GROUP BY grp`,
+		`SELECT w.id, d.label FROM wide w JOIN dims d ON w.k = d.k WHERE w.grp = 2`,
+		`SELECT id FROM wide WHERE grp = 3 ORDER BY score DESC, id LIMIT 7`,
 	}
-	if !strings.Contains(txt, "(in parallel chain)") {
-		t.Fatalf("dop-8 plan lacks parallel-chain marker:\n%s", txt)
+	var plans strings.Builder
+	for _, sql := range queries {
+		e.SetExecWorkers(1)
+		serial := operatorRows(t, mustExec(t, e, "EXPLAIN ANALYZE "+sql))
+		e.SetExecWorkers(8)
+		an := mustExec(t, e, "EXPLAIN ANALYZE "+sql)
+		txt := flattenPlan(t, an)
+		plans.WriteString(txt)
+		if got, want := strings.Join(operatorRows(t, an), "\n"), strings.Join(serial, "\n"); got != want {
+			t.Errorf("%s: operator rows at dop 8\n%s\nat dop 1\n%s\nplan\n%s", sql, got, want, txt)
+		}
 	}
+	for _, want := range []string{"[dop=8]", "IndexScan(", "IndexRange("} {
+		if !strings.Contains(plans.String(), want) {
+			t.Errorf("no dop-8 plan has %s:\n%s", want, plans.String())
+		}
+	}
+}
+
+var (
+	treeGlyphsRE = regexp.MustCompile(`^[│├└─ ]*`)
+	dopSuffixRE  = regexp.MustCompile(` \[dop=\d+\]`)
+)
+
+// operatorRows lists an EXPLAIN ANALYZE result's operators but Gather,
+// each as its description and actual rows, failing the test for a line
+// without actuals.
+func operatorRows(t *testing.T, res *Result) []string {
+	t.Helper()
+	var ops []string
+	for _, row := range res.Rows {
+		line, _ := row[0].AsText()
+		m := actualRowsRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("plan line missing actuals: %q", line)
+			continue
+		}
+		desc := treeGlyphsRE.ReplaceAllString(line[:strings.Index(line, " (actual")], "")
+		if !strings.HasPrefix(desc, "Gather(") {
+			ops = append(ops, dopSuffixRE.ReplaceAllString(desc, "")+" rows="+m[1])
+		}
+	}
+	return ops
 }
 
 func TestExplainAnalyzeRejectsNonSelect(t *testing.T) {

@@ -32,7 +32,7 @@ import (
 // merge, the merged one — which the emitted batches are views of — in
 // Close.
 type aggIter struct {
-	input sourceFn
+	input source
 	node  *plan.Aggregate
 
 	// Bound when the operator is built, read-only afterwards.
@@ -49,7 +49,7 @@ type aggIter struct {
 	pos   int
 }
 
-func newAggregate(t *plan.Aggregate, input sourceFn) *aggIter {
+func newAggregate(t *plan.Aggregate, input source) *aggIter {
 	res := layoutResolver(t.Layout, plan.OutputCols(t.Input))
 	a := &aggIter{
 		input: input, node: t,
@@ -341,12 +341,12 @@ func (a *aggIter) Open() error {
 // worker stamps rows with idx*morselRows+local — morsel-ordered sequences
 // — so the merged first-seen order is the input order.
 func (a *aggIter) fold() (*aggGroups, error) {
-	src, err := a.input()
-	if err != nil {
+	src := &a.input
+	if err := src.open(); err != nil {
 		return nil, err
 	}
-	partials := make([]*aggGroups, src.workers(a.node.Dop))
-	err = runMorsels(src, a.node.Dop, func(w int) func(idx int, it Iterator) error {
+	partials := make([]*aggGroups, src.workers())
+	err := runMorsels(src, func(w int) func(idx int, it Iterator) error {
 		f := &aggFolder{a: a, env: batchEnv{refs: a.groupBy.refs}, gs: newAggGroups(a)}
 		partials[w] = f.gs
 		return func(idx int, it Iterator) error {

@@ -37,13 +37,19 @@ type Iterator interface {
 func Build(n plan.Node) (Iterator, error) { return build(n, nil) }
 
 // BuildTraced lowers a plan node like Build, additionally wrapping every
-// materialized iterator so tr records per-operator rows-out and wall
-// time. Nodes inside marked morsel chains build no iterator here (their
-// stacks are made per worker) and record no stats (see Trace). With
-// tr == nil it is exactly Build — the tracing-off path adds zero work.
+// operator so tr records per-operator rows-out and wall time: a built
+// iterator once, a chain's operators in every worker's stack (see
+// Trace). With tr == nil it is exactly Build — the tracing-off path adds
+// zero work.
 func BuildTraced(n plan.Node, tr *Trace) (Iterator, error) { return build(n, tr) }
 
+// build lowers n into an iterator. A chain (plan.ChainLeaf) is read
+// through a one-worker gather over its source, whose stacks the trace
+// wraps; anything else is built here and wrapped whole.
 func build(n plan.Node, tr *Trace) (Iterator, error) {
+	if plan.ChainLeaf(n) != nil {
+		return &gatherIter{src: source{chain: lowerChain(n, tr)}}, nil
+	}
 	it, err := buildRaw(n, tr)
 	if err != nil || tr == nil {
 		return it, err
@@ -53,14 +59,6 @@ func build(n plan.Node, tr *Trace) (Iterator, error) {
 
 func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	switch t := n.(type) {
-	case *plan.Scan:
-		return scanOf(t)(nil).Iterator, nil
-	case *plan.IndexScan:
-		leaf := &cursorIter{table: t.Table, index: t.Index, probe: pointProbeOf(t.Keys), cols: t.Out}
-		return newFilter(t.Residual, t.Layout, t.Out)(leaf), nil
-	case *plan.IndexRange:
-		leaf := &cursorIter{table: t.Table, index: t.Index, probe: indexRangeProbe(t), cols: t.Out}
-		return newFilter(t.Residual, t.Layout, t.Out)(leaf), nil
 	case *plan.IndexOnlyScan:
 		return &indexOnlyIter{node: t}, nil
 	case *plan.Filter:
@@ -74,7 +72,7 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &gatherIter{dop: t.Dop, mkSource: src}, nil
+		return &gatherIter{src: src}, nil
 	case *plan.HashJoin:
 		left, err := sourceOf(t.Left, tr)
 		if err != nil {

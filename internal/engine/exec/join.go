@@ -32,14 +32,14 @@ import (
 // private parts, put in input order and indexed once after the barrier,
 // so probe output is the same at any dop. The probe is the ordered
 // gather over the left source with a probeIter on every stack.
-// A side that is a marked chain gets N workers; a side that is not (a
-// small table, a lower join, any serial plan) is one morsel, drained
-// inline — either side independently. Every part, and the table, is a
-// hashState off the free list: a worker's part goes back once the parts
-// are laid end to end, the built table in Close.
+// A side that is a marked chain gets N workers; an unmarked chain (a
+// small table, any serial plan) gets one, and a lower join is one
+// morsel — either way drained inline, either side independently. Every
+// part, and the table, is a hashState off the free list: a worker's part
+// goes back once the parts are laid end to end, the built table in Close.
 type hashJoinIter struct {
-	node        *plan.HashJoin
-	left, right sourceFn
+	node  *plan.HashJoin
+	right source
 
 	// Bound when the operator is built, read-only afterwards.
 	leftKeys, rightKeys *boundExprs
@@ -52,17 +52,18 @@ type hashJoinIter struct {
 	// index, its byKey and next the chains — read-only once Open has
 	// returned.
 	built *hashState
-	probe *gatherIter
+	probe gatherIter // over the left source, a probeIter on every stack
 }
 
-func newHashJoin(t *plan.HashJoin, left, right sourceFn) *hashJoinIter {
+func newHashJoin(t *plan.HashJoin, left, right source) *hashJoinIter {
 	leftCols, rightCols := plan.OutputCols(t.Left), plan.OutputCols(t.Right)
 	j := &hashJoinIter{
-		node: t, left: left, right: right,
+		node: t, right: right, probe: gatherIter{src: left},
 		leftKeys:  bindList(layoutResolver(t.LeftLayout, leftCols), t.LeftKeys),
 		rightKeys: bindList(layoutResolver(t.RightLayout, rightCols), t.RightKeys),
 	}
 	j.typed, j.asFloat = typedKey(j.leftKeys, j.rightKeys)
+	j.probe.src.top = j.newProbe
 	lw := t.LeftLayout.Width
 	var kept []int // right-layout positions, ascending, parallel to j.keep
 	for _, c := range plan.WithExprCols(t.Out, t.Layout, t.Residual) {
@@ -165,7 +166,6 @@ func (j *hashJoinIter) Open() error {
 	if err := j.build(); err != nil {
 		return err
 	}
-	j.probe = &gatherIter{dop: j.node.Dop, mkSource: j.probeSource}
 	return j.probe.Open()
 }
 
@@ -184,13 +184,13 @@ func (j *hashJoinIter) newPart() *hashState {
 // laid end to end in morsel order, which is the build input's order
 // whatever worker read what, and the rows are chained by key in it.
 func (j *hashJoinIter) build() error {
-	src, err := j.right()
-	if err != nil {
+	src := &j.right
+	if err := src.open(); err != nil {
 		return err
 	}
-	parts := make([]*hashState, src.workers(j.node.Dop))
+	parts := make([]*hashState, src.workers())
 	runs := make([]joinRun, src.count)
-	err = runMorsels(src, j.node.Dop, func(w int) func(idx int, it Iterator) error {
+	err := runMorsels(src, func(w int) func(idx int, it Iterator) error {
 		st := j.newPart()
 		parts[w] = st
 		part := &st.part
@@ -275,22 +275,15 @@ func (j *hashJoinIter) build() error {
 
 func (j *hashJoinIter) NextBatch() (*storage.Batch, error) { return j.probe.NextBatch() }
 
-// probeSource stacks a probeIter on every stack of the left source: each
-// probes the shared (now read-only) build table and store with private
-// envs and scratch.
-func (j *hashJoinIter) probeSource() (*source, error) {
-	src, err := j.left()
-	if err != nil {
-		return nil, err
+// newProbe is what every stack of the left source gets on top: a
+// probeIter, probing the shared (once built, read-only) build table and
+// store with private envs and scratch.
+func (j *hashJoinIter) newProbe(it Iterator) Iterator {
+	return &probeIter{
+		input: it, j: j,
+		keyEnv: batchEnv{refs: j.leftKeys.refs}, resEnv: batchEnv{refs: j.residual},
+		out: storage.Batch{Cols: make([]storage.Vector, len(j.outCols))},
 	}
-	src.wrap(func(it Iterator) Iterator {
-		return &probeIter{
-			input: it, j: j,
-			keyEnv: batchEnv{refs: j.leftKeys.refs}, resEnv: batchEnv{refs: j.residual},
-			out: storage.Batch{Cols: make([]storage.Vector, len(j.outCols))},
-		}
-	})
-	return src, nil
 }
 
 // probeIter is the probe loop over one worker's share of the left input.
@@ -437,10 +430,7 @@ func (p *probeIter) Close() error { return p.input.Close() }
 // Close ends the probe first — with N workers that stops and joins them —
 // and only then gives the build they read back to the free list.
 func (j *hashJoinIter) Close() error {
-	var err error
-	if j.probe != nil {
-		err = j.probe.Close()
-	}
+	err := j.probe.Close()
 	release(&j.built)
 	return err
 }

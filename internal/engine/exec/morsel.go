@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,16 +11,18 @@ import (
 
 // Morsel-driven execution (see DESIGN.md, "Executor"). Every operator
 // that consumes a whole child reads it through a source: a numbered set
-// of morsels, read through per-worker operator stacks. A plan chain the
-// Parallelize pass marked — Filter*/Project* over a Scan or IndexRange —
-// becomes fixed-size morsels: disjoint row-index ranges for scans,
-// disjoint chunks of the resolved row-ID list for index probes, all
-// reading one shared snapshot pin, so workers share nothing mutable below
-// the exchange (cursors take no locks). Any other child is a one-morsel
-// source around its iterator tree. The two consumers (runMorsels, the
-// ordered gather) give a source min(dop, count) workers, and with one
-// worker they run on the calling goroutine — the serial executor is that
-// case, not separate code.
+// of morsels, read through per-worker operator stacks. A Filter*/Project*
+// chain over a Scan, IndexScan or IndexRange — at any dop — becomes
+// fixed-size morsels: disjoint row-index ranges for scans, disjoint chunks
+// of the resolved row-ID list for index probes, all reading one snapshot
+// pin the source takes when its consumer opens, so workers share nothing
+// mutable below the exchange (cursors take no locks). Any other child is
+// a one-morsel source around its iterator tree. A chain that no operator
+// consumes whole — the root, or under Sort, TopN, Limit, Distinct or DML —
+// is read through a one-worker gather. The consumers (runMorsels, the
+// ordered gather) give a source as many workers as its leaf's Dop allows
+// and it has morsels, and one worker runs on the calling goroutine — the
+// serial executor is that case, not separate code.
 
 // morselRows is the number of table rows per morsel — one storage chunk,
 // so a scan morsel is one batch: big enough that per-morsel work (a
@@ -30,14 +31,138 @@ import (
 // any operator puts in a batch of its own.
 const morselRows = storage.ChunkRows
 
+// chain is a Filter*/Project* chain over a Scan, IndexScan or IndexRange
+// leaf, lowered once when the plan is built: the leaf, the columns and
+// vectorized predicates of its cursor, and the operators a worker's stack
+// puts on that cursor, bottom up — bound once, made once per worker.
+// Traced, every node's operator is followed by its measuring wrapper.
+type chain struct {
+	leaf  plan.Node // *plan.Scan, *plan.IndexScan or *plan.IndexRange
+	dop   int       // the leaf's Dop: the most workers its source gets
+	cols  []int
+	preds []storage.Pred
+	ops   []func(Iterator) Iterator
+}
+
+// lowerChain lowers the chain n (plan.ChainLeaf(n) != nil). A scan's
+// vectorizable conjuncts become the cursor's bitmaps and the rest a
+// filter on top, so it sees only rows that survived them; an index
+// leaf's residual is a filter over the probed rows.
+func lowerChain(n plan.Node, tr *Trace) *chain {
+	var c *chain
+	switch t := n.(type) {
+	case *plan.Filter:
+		c = lowerChain(t.Input, tr)
+		c.push(newFilter(t.Pred, t.Layout, plan.OutputCols(t.Input)))
+	case *plan.Project:
+		c = lowerChain(t.Input, tr)
+		c.push(newProject(t))
+	case *plan.Scan:
+		preds, rest := splitVectorizable(t.Filter, t.Layout)
+		c = &chain{leaf: t, dop: t.Dop, cols: t.Out, preds: preds}
+		c.push(newFilter(rest, t.Layout, t.Out))
+	case *plan.IndexScan:
+		c = &chain{leaf: t, cols: t.Out}
+		c.push(newFilter(t.Residual, t.Layout, t.Out))
+	case *plan.IndexRange:
+		c = &chain{leaf: t, dop: t.Dop, cols: t.Out}
+		c.push(newFilter(t.Residual, t.Layout, t.Out))
+	}
+	if tr != nil {
+		c.push(tr.measure(n))
+	}
+	return c
+}
+
+// push puts op, unless it is nil, on top of the chain's operators.
+func (c *chain) push(op func(Iterator) Iterator) {
+	if op != nil {
+		c.ops = append(c.ops, op)
+	}
+}
+
 // source is a partitioned input: count morsels, read through operator
-// stacks made one per worker. release drops the shared snapshot pin every
-// stack reads through (nil when the stack pins for itself); the consumer
-// calls it exactly once, after all workers have stopped.
+// stacks made one per worker. A chain's source pins its snapshot (and
+// resolves an index leaf's probe with it) in open, and release drops the
+// pin; the consumer calls release after all workers have stopped. A
+// source's stacks point into it, so it is not copied once opened.
 type source struct {
-	count   int
-	stack   func() morselStack
-	release func()
+	chain *chain                  // nil: it is the source's one morsel
+	it    Iterator                // a built child
+	top   func(Iterator) Iterator // what the consumer puts on every stack (the join's probe), or nil
+
+	count int
+	snap  *storage.Snap // a chain's pin, from open to release
+	ids   []int         // and an index leaf's resolved row IDs
+}
+
+// sourceOf prepares the source of child n at build time: a chain is
+// lowered (its stacks are made per worker, when the consumer opens);
+// anything else builds its iterator tree now and is served as one morsel.
+func sourceOf(n plan.Node, tr *Trace) (source, error) {
+	if plan.ChainLeaf(n) != nil {
+		return source{chain: lowerChain(n, tr)}, nil
+	}
+	it, err := build(n, tr)
+	return source{it: it}, err
+}
+
+// open partitions the source: a chain pins its snapshot now and counts
+// its rows, or the row IDs its probe resolved, in morsels.
+func (s *source) open() error {
+	if s.chain == nil {
+		s.count = 1
+		return nil
+	}
+	var err error
+	rows := 0
+	switch t := s.chain.leaf.(type) {
+	case *plan.Scan:
+		s.snap = t.Table.Pin()
+		rows = s.snap.NumRows()
+	case *plan.IndexScan:
+		s.snap, s.ids, err = t.Table.PinIndexProbe(t.Index, pointProbeOf(t.Keys))
+		rows = len(s.ids)
+	case *plan.IndexRange:
+		s.snap, s.ids, err = t.Table.PinIndexProbe(t.Index, indexRangeProbe(t))
+		rows = len(s.ids)
+	}
+	s.count = (rows + morselRows - 1) / morselRows
+	return err
+}
+
+// release drops the chain's snapshot pin, if it holds one.
+func (s *source) release() {
+	if s.snap != nil {
+		s.snap.Release()
+		s.snap = nil
+	}
+}
+
+// workers is how many workers a consumer gives the source: as many as
+// its leaf's Dop, never more than it has morsels, and one — the inline
+// case — for a serial chain (Dop 0) or a one-morsel source.
+func (s *source) workers() int {
+	if s.chain == nil {
+		return 1
+	}
+	return max(1, min(s.chain.dop, s.count))
+}
+
+// stack makes one worker's operator stack over the source.
+func (s *source) stack() morselStack {
+	st := morselStack{Iterator: s.it}
+	if s.chain != nil {
+		st.leaf = &cursorIter{src: s}
+		st.Iterator = st.leaf
+		for _, op := range s.chain.ops {
+			st.Iterator = op(st.Iterator)
+		}
+	}
+	if s.top != nil {
+		st.Iterator = s.top(st.Iterator)
+	}
+	return st
 }
 
 // morselStack is one worker's operator stack over a source: its leaf is
@@ -48,134 +173,25 @@ type source struct {
 type morselStack struct {
 	Iterator
 	leaf *cursorIter
-	rows int
 }
 
 // open aims the stack at morsel i and opens it.
 func (st morselStack) open(i int) error {
 	if st.leaf != nil {
-		st.leaf.lo, st.leaf.hi = i*morselRows, min((i+1)*morselRows, st.rows)
+		st.leaf.morsel = i
 	}
 	return st.Open()
 }
 
-// Release drops the source's snapshot pin, if any. Idempotence is the
-// release closure's job (sync.Once).
-func (s *source) Release() {
-	if s.release != nil {
-		s.release()
-	}
-}
-
-// workers is how many workers a consumer at degree dop gives the source:
-// never more than it has morsels, and one — the inline case — for any
-// serial plan (dop 0) or one-morsel source.
-func (s *source) workers(dop int) int { return max(1, min(dop, s.count)) }
-
-// sourceFn lowers an operator's child into its source. It runs when the
-// operator opens, which is when a chain pins its snapshot and resolves
-// its partition (row count / row IDs).
-type sourceFn func() (*source, error)
-
-// sourceOf prepares the source of child n at build time: a marked chain
-// builds no iterators (its stacks are made per worker, when the consumer
-// opens); anything else builds its iterator tree now and is served as
-// one morsel.
-func sourceOf(n plan.Node, tr *Trace) (sourceFn, error) {
-	if parallelChain(n) {
-		return func() (*source, error) { return chainSource(n) }, nil
-	}
-	it, err := build(n, tr)
-	if err != nil {
-		return nil, err
-	}
-	return func() (*source, error) {
-		return &source{count: 1, stack: func() morselStack { return morselStack{Iterator: it} }}, nil
-	}, nil
-}
-
-// parallelChain reports whether the Parallelize pass marked this subtree
-// as a morsel chain (its partitionable leaf carries Dop > 1).
-func parallelChain(n plan.Node) bool {
-	switch leaf := plan.ChainLeaf(n).(type) {
-	case *plan.Scan:
-		return leaf.Dop > 1
-	case *plan.IndexRange:
-		return leaf.Dop > 1
-	default:
-		return false
-	}
-}
-
-// wrap puts another operator on top of every stack of src.
-func (s *source) wrap(op func(Iterator) Iterator) {
-	inner := s.stack
-	s.stack = func() morselStack {
-		st := inner()
-		st.Iterator = op(st.Iterator)
-		return st
-	}
-}
-
-// chainSource lowers a morsel chain into its source, snapshotting the
-// partition (row count / resolved IDs) at call time.
-func chainSource(n plan.Node) (*source, error) {
-	switch t := n.(type) {
-	case *plan.Filter:
-		src, err := chainSource(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		src.wrap(newFilter(t.Pred, t.Layout, plan.OutputCols(t.Input)))
-		return src, nil
-	case *plan.Project:
-		src, err := chainSource(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		src.wrap(newProject(t))
-		return src, nil
-	case *plan.Scan:
-		// One snapshot pin shared by every morsel: all workers read the
-		// same immutable version, so dop=N output is row-identical to a
-		// serial run regardless of concurrent writers.
-		snap := t.Table.Pin()
-		var once sync.Once
-		stack := scanOf(t)
-		return &source{
-			count:   (snap.NumRows() + morselRows - 1) / morselRows,
-			release: func() { once.Do(snap.Release) },
-			stack:   func() morselStack { return stack(snap) },
-		}, nil
-	case *plan.IndexRange:
-		snap, ids, err := t.Table.PinIndexProbe(t.Index, indexRangeProbe(t))
-		if err != nil {
-			return nil, err
-		}
-		var once sync.Once
-		residual := newFilter(t.Residual, t.Layout, t.Out)
-		return &source{
-			count:   (len(ids) + morselRows - 1) / morselRows,
-			release: func() { once.Do(snap.Release) },
-			stack: func() morselStack {
-				leaf := &cursorIter{cols: t.Out, snap: snap, ids: ids, byID: true}
-				return morselStack{Iterator: residual(leaf), leaf: leaf, rows: len(ids)}
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("engine: unsupported plan node %T in a morsel chain", n)
-	}
-}
-
-// runMorsels drives a barrier phase (hash-join build, aggregate fold):
-// the source's workers claim morsels off an atomic counter, aim their
-// stack at each, hand it to the worker's per-morsel function, and close
-// it. One worker runs on the calling goroutine. The first error cancels
-// remaining claims; runMorsels returns after every worker has stopped
-// and the source is released.
-func runMorsels(src *source, dop int, mkWorker func(w int) func(idx int, it Iterator) error) error {
-	defer src.Release()
-	workers := src.workers(dop)
+// runMorsels drives a barrier phase (hash-join build, aggregate fold)
+// over an opened source: its workers claim morsels off an atomic counter,
+// aim their stack at each, hand it to the worker's per-morsel function,
+// and close it. One worker runs on the calling goroutine. The first error
+// cancels remaining claims; runMorsels returns after every worker has
+// stopped and the source is released.
+func runMorsels(src *source, mkWorker func(w int) func(idx int, it Iterator) error) error {
+	defer src.release()
+	workers := src.workers()
 	var next atomic.Int64
 	var failed atomic.Bool
 	errs := make([]error, workers)
@@ -232,21 +248,24 @@ func runMorsels(src *source, dop int, mkWorker func(w int) func(idx int, it Iter
 // table, and consumed results go back to the workers, so their buffers
 // are allocated once per window slot.
 type gatherIter struct {
-	mkSource sourceFn
-	dop      int
-
-	src      *source
-	workers  int
+	src      source
 	nextEmit int // next morsel to stream (one worker) or emit (N workers)
 
 	st     morselStack // one worker: the stack, and whether it is open on a morsel
 	opened bool
 
+	par *exchange // N workers
+}
+
+// exchange is the N-worker state of a gatherIter, made only when the
+// source has more than one worker.
+type exchange struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond
 	wg   sync.WaitGroup
 	stop atomic.Bool
 
+	workers   int
 	results   map[int]*morselResult
 	free      []*morselResult
 	nextClaim int
@@ -320,22 +339,22 @@ func (r *morselResult) hold(b *storage.Batch) {
 }
 
 func (g *gatherIter) Open() error {
-	src, err := g.mkSource()
-	if err != nil {
+	if err := g.src.open(); err != nil {
 		return err
 	}
-	g.src, g.workers = src, src.workers(g.dop)
-	g.nextClaim, g.nextEmit, g.cur, g.curPos = 0, 0, nil, 0
-	if g.workers == 1 {
+	g.nextEmit = 0
+	workers := g.src.workers()
+	if workers == 1 {
 		// Open the first morsel now: a blocking operator beneath does its
 		// work in Open, like every other operator's.
-		g.st = src.stack()
+		g.st = g.src.stack()
 		return g.advance()
 	}
-	g.results = map[int]*morselResult{}
-	g.cond = sync.NewCond(&g.mu)
-	for w := 0; w < g.workers; w++ {
-		g.wg.Add(1)
+	x := &exchange{workers: workers, results: map[int]*morselResult{}}
+	x.cond.L = &x.mu
+	g.par = x
+	x.wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go g.worker()
 	}
 	return nil
@@ -360,41 +379,42 @@ func (g *gatherIter) advance() error {
 }
 
 func (g *gatherIter) worker() {
-	defer g.wg.Done()
+	x := g.par
+	defer x.wg.Done()
 	st := g.src.stack()
-	window := 2 * g.workers
+	window := 2 * x.workers
 	for {
-		g.mu.Lock()
-		for !g.closed && g.nextClaim < g.src.count && g.nextClaim >= g.nextEmit+window {
-			g.cond.Wait()
+		x.mu.Lock()
+		for !x.closed && x.nextClaim < g.src.count && x.nextClaim >= g.nextEmit+window {
+			x.cond.Wait()
 		}
-		if g.closed || g.nextClaim >= g.src.count {
-			g.mu.Unlock()
+		if x.closed || x.nextClaim >= g.src.count {
+			x.mu.Unlock()
 			return
 		}
-		idx := g.nextClaim
-		g.nextClaim++
+		idx := x.nextClaim
+		x.nextClaim++
 		var res *morselResult
-		if n := len(g.free); n > 0 {
-			res, g.free = g.free[n-1], g.free[:n-1]
+		if n := len(x.free); n > 0 {
+			res, x.free = x.free[n-1], x.free[:n-1]
 		} else {
 			res = &morselResult{}
 		}
-		g.mu.Unlock()
+		x.mu.Unlock()
 
-		g.runMorsel(st, idx, res)
-		g.mu.Lock()
-		g.results[idx] = res
-		g.cond.Broadcast()
-		g.mu.Unlock()
+		x.runMorsel(st, idx, res)
+		x.mu.Lock()
+		x.results[idx] = res
+		x.cond.Broadcast()
+		x.mu.Unlock()
 	}
 }
 
 // runMorsel drains morsel idx through the worker's stack into res.
-func (g *gatherIter) runMorsel(st morselStack, idx int, res *morselResult) {
+func (x *exchange) runMorsel(st morselStack, idx int, res *morselResult) {
 	res.batches = res.batches[:0]
 	err := st.open(idx)
-	for err == nil && !g.stop.Load() {
+	for err == nil && !x.stop.Load() {
 		var b *storage.Batch
 		if b, err = st.NextBatch(); b == nil {
 			break
@@ -408,7 +428,8 @@ func (g *gatherIter) runMorsel(st morselStack, idx int, res *morselResult) {
 }
 
 func (g *gatherIter) NextBatch() (*storage.Batch, error) {
-	if g.workers == 1 {
+	x := g.par
+	if x == nil {
 		for g.opened {
 			b, err := g.st.NextBatch()
 			if b != nil || err != nil {
@@ -421,60 +442,58 @@ func (g *gatherIter) NextBatch() (*storage.Batch, error) {
 		return nil, nil
 	}
 	for {
-		if g.cur != nil {
-			if g.curPos < len(g.cur.batches) {
-				g.curPos++
-				return &g.cur.batches[g.curPos-1].Batch, nil
+		if x.cur != nil {
+			if x.curPos < len(x.cur.batches) {
+				x.curPos++
+				return &x.cur.batches[x.curPos-1].Batch, nil
 			}
-			if g.cur.err != nil {
-				return nil, g.cur.err // after the rows the morsel produced before failing
+			if x.cur.err != nil {
+				return nil, x.cur.err // after the rows the morsel produced before failing
 			}
-			g.mu.Lock()
-			g.free = append(g.free, g.cur)
-			g.cur = nil
+			x.mu.Lock()
+			x.free = append(x.free, x.cur)
+			x.cur = nil
 			g.nextEmit++
-			g.cond.Broadcast()
-			g.mu.Unlock()
+			x.cond.Broadcast()
+			x.mu.Unlock()
 		}
-		g.mu.Lock()
+		x.mu.Lock()
 		if g.nextEmit >= g.src.count {
-			g.mu.Unlock()
+			x.mu.Unlock()
 			return nil, nil
 		}
-		for g.results[g.nextEmit] == nil && !g.closed {
-			g.cond.Wait()
+		for x.results[g.nextEmit] == nil && !x.closed {
+			x.cond.Wait()
 		}
-		if g.closed {
-			g.mu.Unlock()
+		if x.closed {
+			x.mu.Unlock()
 			return nil, nil
 		}
-		g.cur, g.curPos = g.results[g.nextEmit], 0
-		delete(g.results, g.nextEmit)
-		g.mu.Unlock()
+		x.cur, x.curPos = x.results[g.nextEmit], 0
+		delete(x.results, g.nextEmit)
+		x.mu.Unlock()
 	}
 }
 
 // Close stops the source's consumption — the streamed morsel is closed,
 // or in-flight morsels are cancelled and every worker has exited, so no
 // goroutine outlives the query — and only then releases the shared pin.
+// Before Open, or after an Open that failed to pin, there is nothing to
+// stop.
 func (g *gatherIter) Close() error {
-	if g.src == nil {
-		return nil // Open never ran, or failed before it had a source
-	}
 	var err error
-	if g.workers == 1 {
-		if g.opened {
-			g.opened = false
-			err = g.st.Close()
-		}
-	} else {
-		g.stop.Store(true)
-		g.mu.Lock()
-		g.closed = true
-		g.cond.Broadcast()
-		g.mu.Unlock()
-		g.wg.Wait()
+	if x := g.par; x != nil {
+		x.stop.Store(true)
+		x.mu.Lock()
+		x.closed = true
+		x.cond.Broadcast()
+		x.mu.Unlock()
+		x.wg.Wait()
+		g.par = nil
+	} else if g.opened {
+		g.opened = false
+		err = g.st.Close()
 	}
-	g.src.Release()
+	g.src.release()
 	return err
 }

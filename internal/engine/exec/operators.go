@@ -9,51 +9,28 @@ import (
 // cursorIter is the single leaf operator: it hands up the batches of a
 // storage cursor — zero-copy views of the pinned snapshot's chunks for a
 // scan, the cursor's gathered vectors for an index probe — carrying only
-// the columns the plan needs. A plain access path (snap == nil) opens a
-// cursor that pins, and releases, its own snapshot: a scan of the whole
-// table, or with index set the probe's rows, resolved at Open. A morsel
-// stack's leaf reads the window [lo, hi) — of the rows, or with ids set
-// of the resolved ID list — that morselStack.open aims it at, through
-// one cursor over the pin its source shares among all workers, re-aimed
-// from morsel to morsel so the cursor's scratch is allocated once per
-// worker.
+// the columns the plan needs. It is a window over its source's pin: the
+// rows, or with an index leaf the positions of the resolved ID list, of
+// the morsel morselStack.open aims it at, read through one cursor
+// re-aimed from morsel to morsel, so the cursor's scratch is allocated
+// once per worker.
 type cursorIter struct {
-	table *storage.Table
-	index string // plain index probe
-	probe storage.IndexProbe
-	cols  []int
-	preds []storage.Pred
-
-	snap   *storage.Snap // morsel leaf: the source's pin
-	ids    []int         // and, for an index chain, its resolved IDs
-	byID   bool
-	lo, hi int
-
-	cur *storage.Cursor
+	src    *source
+	morsel int
+	cur    *storage.Cursor
 }
 
 func (s *cursorIter) Open() error {
 	if s.cur == nil {
-		switch {
-		case s.byID:
-			s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
-		case s.snap != nil:
-			s.cur = storage.NewRangeCursorAt(s.snap, 0, 0, 0)
-		case s.index != "":
-			cur, err := s.table.NewIndexCursor(s.index, s.probe, 0)
-			if err != nil {
-				return err
-			}
-			s.cur = cur
-		default:
-			s.cur = s.table.NewCursor(0)
+		if _, scan := s.src.chain.leaf.(*plan.Scan); scan {
+			s.cur = storage.NewRangeCursorAt(s.src.snap, 0, 0, 0)
+		} else {
+			s.cur = storage.NewIndexCursorAt(s.src.snap, s.src.ids, 0)
 		}
-		s.cur.SetCols(s.cols)
-		s.cur.SetPreds(s.preds)
+		s.cur.SetCols(s.src.chain.cols)
+		s.cur.SetPreds(s.src.chain.preds)
 	}
-	if s.snap != nil {
-		s.cur.Reset(s.lo, s.hi)
-	}
+	s.cur.Reset(s.morsel*morselRows, (s.morsel+1)*morselRows)
 	return nil
 }
 
@@ -71,24 +48,6 @@ func (s *cursorIter) Close() error {
 	return nil
 }
 
-// scanOf lowers a Scan node once and returns the constructor of its
-// operator stack: over the whole table (snap == nil), or as one worker's
-// morsel stack over a shared pin. The vectorizable conjuncts of the
-// pushed-down filter become the cursor's bitmaps; the rest is a
-// filterIter on top, so it sees only rows that survived the bitmaps.
-func scanOf(t *plan.Scan) func(snap *storage.Snap) morselStack {
-	preds, rest := splitVectorizable(t.Filter, t.Layout)
-	residual := newFilter(rest, t.Layout, t.Out)
-	return func(snap *storage.Snap) morselStack {
-		leaf := &cursorIter{table: t.Table, cols: t.Out, preds: preds, snap: snap}
-		st := morselStack{Iterator: residual(leaf)}
-		if snap != nil {
-			st.leaf, st.rows = leaf, snap.NumRows()
-		}
-		return st
-	}
-}
-
 // filterIter keeps the rows whose predicate is TRUE by narrowing the
 // selection; the vectors pass through untouched. It serves Filter nodes
 // and the residual (non-vectorizable or post-probe) predicate of every
@@ -103,10 +62,10 @@ type filterIter struct {
 
 // newFilter binds pred — over batches carrying the columns cols of layout
 // — once and returns the constructor of the operator, one instance per
-// worker; without a predicate the constructor returns its input.
+// worker; without a predicate there is no operator (nil).
 func newFilter(pred sqlparse.Expr, layout *plan.Layout, cols []int) func(Iterator) Iterator {
 	if pred == nil {
-		return func(it Iterator) Iterator { return it }
+		return nil
 	}
 	refs := bindExprs(layoutResolver(layout, cols), pred)
 	return func(it Iterator) Iterator {
@@ -168,7 +127,7 @@ type projectIter struct {
 	input Iterator
 	exprs *boundExprs
 	env   batchEnv
-	vals  [][]storage.Value // per computed expression: its cells, len ≥ the batch's N
+	vals  [][]storage.Value // per computed expression: its cells, len ≥ the batch's N; nil until one is computed
 	out   storage.Batch
 }
 
@@ -179,8 +138,7 @@ func newProject(t *plan.Project) func(Iterator) Iterator {
 	return func(it Iterator) Iterator {
 		return &projectIter{
 			input: it, exprs: exprs, env: batchEnv{refs: exprs.refs},
-			vals: make([][]storage.Value, len(t.Exprs)),
-			out:  storage.Batch{Cols: make([]storage.Vector, len(t.Exprs))},
+			out: storage.Batch{Cols: make([]storage.Vector, len(t.Exprs))},
 		}
 	}
 }
@@ -200,6 +158,9 @@ func (p *projectIter) NextBatch() (*storage.Batch, error) {
 			continue
 		}
 		computed = true
+		if p.vals == nil {
+			p.vals = make([][]storage.Value, len(p.exprs.exprs))
+		}
 		if cap(p.vals[k]) < b.N {
 			p.vals[k] = make([]storage.Value, b.N)
 		}

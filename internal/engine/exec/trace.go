@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crowddb/internal/engine/plan"
@@ -12,24 +13,20 @@ import (
 // OpStats is the per-operator actuals a traced execution records: rows
 // emitted by the operator and inclusive wall time spent inside it
 // (Open + every NextBatch + Close, children included — the PostgreSQL
-// EXPLAIN ANALYZE convention).
+// EXPLAIN ANALYZE convention), in nanoseconds. An operator of a chain
+// runs once per worker, and its workers add to the one OpStats of its
+// node: rows are exact, and time is the sum over workers.
 type OpStats struct {
-	Rows int64
-	Wall time.Duration
+	Rows atomic.Int64
+	Wall atomic.Int64
 }
 
-// Trace collects OpStats for the plan nodes build() lowers into
-// iterators: every node of a serial plan and, at dop > 1, everything but
-// the interior of marked morsel chains (under a Gather, or a marked side
-// of a HashJoin/Aggregate). A chain is lowered into one operator
-// stack per worker when its consumer opens (chainSource), not by
-// build(), so its nodes carry no stats; Annotate marks them as such. The root operator always has an
-// iterator, so root row counts are exact at any dop.
-//
-// A traced iterator is only ever driven by the goroutine running the
-// query: a built child reaches its parent as a one-morsel source, which
-// every consumer drains inline. Each OpStats therefore has one writer;
-// the mutex orders registration during build() against Stats readers.
+// Trace collects one OpStats per plan node: a built operator's is
+// registered when build() wraps it, a chain's nodes' when build() lowers
+// the chain, and the stacks every worker makes over the chain measure
+// into them (measure). So every node reports actuals, at any dop.
+// Registration happens during build(), before any worker runs; the mutex
+// orders it against Stats readers.
 type Trace struct {
 	mu  sync.Mutex
 	ops map[plan.Node]*OpStats
@@ -41,32 +38,41 @@ func NewTrace() *Trace {
 }
 
 // Stats returns the recorded actuals for n, or nil if build() never
-// lowered n (morsel-chain interior node).
+// lowered n.
 func (t *Trace) Stats(n plan.Node) *OpStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.ops[n]
 }
 
-// wrap registers n and returns it wrapped in a measuring iterator.
-func (t *Trace) wrap(n plan.Node, it Iterator) Iterator {
+// register gives n its OpStats.
+func (t *Trace) register(n plan.Node) *OpStats {
 	st := &OpStats{}
 	t.mu.Lock()
 	t.ops[n] = st
 	t.mu.Unlock()
-	return &tracedIter{inner: it, st: st}
+	return st
+}
+
+// wrap registers n and returns it wrapped in a measuring iterator.
+func (t *Trace) wrap(n plan.Node, it Iterator) Iterator {
+	return &tracedIter{inner: it, st: t.register(n)}
+}
+
+// measure registers the chain node n and returns the constructor of its
+// measuring wrapper, one per worker's stack.
+func (t *Trace) measure(n plan.Node) func(Iterator) Iterator {
+	st := t.register(n)
+	return func(it Iterator) Iterator { return &tracedIter{inner: it, st: st} }
 }
 
 // Annotate is the plan.ExplainWith hook rendering one node's actuals,
 // e.g. " (actual rows=42 time=1.3ms)", after the planner's own note on an
-// access path (plan.AccessNote). Nodes executed inside a morsel chain
-// report no per-operator actuals.
+// access path (plan.AccessNote).
 func (t *Trace) Annotate(n plan.Node) string {
 	st := t.Stats(n)
-	if st == nil {
-		return plan.AccessNote(n) + " (in parallel chain)"
-	}
-	return fmt.Sprintf("%s (actual rows=%d time=%s)", plan.AccessNote(n), st.Rows, st.Wall.Round(time.Microsecond))
+	wall := time.Duration(st.Wall.Load()).Round(time.Microsecond)
+	return fmt.Sprintf("%s (actual rows=%d time=%s)", plan.AccessNote(n), st.Rows.Load(), wall)
 }
 
 // tracedIter measures one operator: wall time across Open/NextBatch/
@@ -81,16 +87,16 @@ type tracedIter struct {
 func (t *tracedIter) Open() error {
 	start := time.Now()
 	err := t.inner.Open()
-	t.st.Wall += time.Since(start)
+	t.st.Wall.Add(int64(time.Since(start)))
 	return err
 }
 
 func (t *tracedIter) NextBatch() (*storage.Batch, error) {
 	start := time.Now()
 	b, err := t.inner.NextBatch()
-	t.st.Wall += time.Since(start)
+	t.st.Wall.Add(int64(time.Since(start)))
 	if b != nil {
-		t.st.Rows += int64(len(b.Sel))
+		t.st.Rows.Add(int64(len(b.Sel)))
 	}
 	return b, err
 }
@@ -98,6 +104,6 @@ func (t *tracedIter) NextBatch() (*storage.Batch, error) {
 func (t *tracedIter) Close() error {
 	start := time.Now()
 	err := t.inner.Close()
-	t.st.Wall += time.Since(start)
+	t.st.Wall.Add(int64(time.Since(start)))
 	return err
 }

@@ -91,15 +91,13 @@ func parallelize(n Node, dop int) Node {
 	}
 }
 
-// ChainLeaf returns the partitionable leaf (Scan or IndexRange) under a
-// chain of Filter/Project nodes, or nil when the subtree is not such a
-// chain. Exported for the executor, which lowers marked chains into
-// per-morsel iterator stacks.
+// ChainLeaf returns the partitionable leaf (Scan, IndexScan or
+// IndexRange) under a chain of Filter/Project nodes, or nil when the
+// subtree is not such a chain. Exported for the executor, which lowers
+// every chain, at any dop, into per-morsel iterator stacks.
 func ChainLeaf(n Node) Node {
 	switch t := n.(type) {
-	case *Scan:
-		return t
-	case *IndexRange:
+	case *Scan, *IndexScan, *IndexRange:
 		return t
 	case *Filter:
 		return ChainLeaf(t.Input)

@@ -225,10 +225,12 @@ func FuzzGeneratedSelects(f *testing.F) {
 // TestGeneratedSelectsCrossTheAdmissionLine: the fixed seeds of
 // FuzzGeneratedSelects write answers on both sides of the result cache's
 // admission line — some deferred on their first sighting, some stored at
-// once — and queries of every shape.
+// once — and queries of every shape, some of which EXPLAIN as an index
+// point probe or range.
 func TestGeneratedSelectsCrossTheAdmissionLine(t *testing.T) {
 	srv := newRefServer(t, 1)
 	shapes := []string{"JOIN", "GROUP BY", "HAVING", "DISTINCT", "ORDER BY", "LIMIT", "NOT", " OR ", "IS NULL", "IS NOT NULL", "AVG", "SUM", "MIN", "MAX", "COUNT(*)"}
+	leaves := []string{"IndexScan(", "IndexRange("}
 	seen := map[string]int{}
 	for seed := int64(0); seed < generatedSeeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -238,6 +240,18 @@ func TestGeneratedSelectsCrossTheAdmissionLine(t *testing.T) {
 			for _, shape := range shapes {
 				if strings.Contains(sql, shape) {
 					seen[shape]++
+				}
+			}
+			explain, _, err := srv.db.ExecSQLNoCache("EXPLAIN " + sql)
+			if err != nil {
+				t.Fatalf("seed %d: EXPLAIN %s: %v", seed, sql, err)
+			}
+			for _, row := range explain.Rows {
+				line, _ := row[0].AsText()
+				for _, leaf := range leaves {
+					if strings.Contains(line, leaf) {
+						seen[leaf]++
+					}
 				}
 			}
 			for n := 0; n < 3; n++ {
@@ -251,7 +265,7 @@ func TestGeneratedSelectsCrossTheAdmissionLine(t *testing.T) {
 	if st.Deferred == 0 || int(st.Deferred) >= generatedSeeds*generatedQueriesPerSeed || st.Hits == 0 {
 		t.Fatalf("the seeds' texts, each asked three times: %+v; want some deferred, some not, and hits", st)
 	}
-	for _, shape := range shapes {
+	for _, shape := range append(shapes, leaves...) {
 		if seen[shape] == 0 {
 			t.Errorf("no generated query has %s", shape)
 		}

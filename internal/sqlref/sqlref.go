@@ -30,10 +30,11 @@ import (
 // admission line, while a GROUP BY of a few groups answers far under it.
 const FixtureRows = 2*storage.ChunkRows + 100
 
-// Fixture returns the statements that create and fill the fixture:
+// Fixture returns the statements that create, index and fill the
+// fixture, whose indexes put index leaves under generated queries:
 //
-//	t (id INTEGER, k INTEGER, x FLOAT, s TEXT, b BOOLEAN) — FixtureRows rows
-//	u (k INTEGER, label TEXT, w INTEGER)                  — 10 rows
+//	t (id INTEGER, k INTEGER, x FLOAT, s TEXT, b BOOLEAN) — FixtureRows rows, on id, (k, x DESC) and s (hash)
+//	u (k INTEGER, label TEXT, w INTEGER)                  — 10 rows, on k
 //
 // id is the row's number and never NULL; every other column of t is NULL
 // on a stride of its own. u holds k = 3 twice and one NULL k.
@@ -41,6 +42,8 @@ func Fixture() []string {
 	stmts := []string{
 		`CREATE TABLE t (id INTEGER, k INTEGER, x FLOAT, s TEXT, b BOOLEAN)`,
 		`CREATE TABLE u (k INTEGER, label TEXT, w INTEGER)`,
+		`CREATE INDEX t_id ON t (id)`, `CREATE INDEX t_k_x ON t (k, x DESC)`,
+		`CREATE INDEX t_s ON t (s) USING HASH`, `CREATE INDEX u_k ON u (k)`,
 	}
 	var vals []string
 	for i := 0; i < FixtureRows; i++ {
@@ -314,24 +317,18 @@ func (q *Query) SQL() string {
 	if q.Where != nil {
 		b.WriteString(" WHERE " + q.Where.sql(q))
 	}
-	for i, g := range q.GroupBy {
-		if i == 0 {
-			b.WriteString(" GROUP BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(q.itemSQL(q.Items[g]))
+	lead := " GROUP BY "
+	for _, g := range q.GroupBy {
+		b.WriteString(lead + q.itemSQL(q.Items[g]))
+		lead = ", "
 	}
 	if q.Having != nil {
 		b.WriteString(" HAVING " + q.Having.sql(q))
 	}
-	for i, o := range q.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(q.itemSQL(q.Items[o.Item]))
+	lead = " ORDER BY "
+	for _, o := range q.OrderBy {
+		b.WriteString(lead + q.itemSQL(q.Items[o.Item]))
+		lead = ", "
 		if o.Desc {
 			b.WriteString(" DESC")
 		}
@@ -401,13 +398,9 @@ type env struct {
 }
 
 func (e *env) get(c *column) storage.Value {
-	row := e.t
+	row, cols := e.t, tCols
 	if c.table == "u" {
-		row = e.u
-	}
-	cols := tCols
-	if c.table == "u" {
-		cols = uCols
+		row, cols = e.u, uCols
 	}
 	for i := range cols {
 		if cols[i].name == c.name {

@@ -12,13 +12,13 @@ import (
 // (NewCursor, NewRangeCursor[At]) walks a window of physical rows one
 // storage window at a time: the vectorized predicates (SetPreds) and the
 // tombstones become a selection over the window, and the batch's vectors
-// are zero-copy views of the chunks. The index form (NewIndexCursor[At])
-// reads the rows an index probe resolved, in probe order, gathering them
-// into vectors of its own. Either way only the columns asked for
-// (SetCols) are touched, so the cost of a read does not grow with the
-// width of the table, and nothing is boxed: NextBatch hands typed vectors
-// up, and Next — for callers that want rows — boxes them into a reused
-// buffer. The selection bitmaps are storage's only filter: predicates the
+// are zero-copy views of the chunks. The index form (NewIndexCursorAt)
+// reads the rows an index probe resolved (PinIndexProbe), in probe
+// order, gathering them into vectors of its own. Either way only the
+// columns asked for (SetCols) are touched, so the cost of a read does not
+// grow with the width of the table, and nothing is boxed: NextBatch hands
+// typed vectors up, and Next — for callers that want rows — boxes them
+// into a reused buffer. The selection bitmaps are storage's only filter: predicates the
 // planner could not vectorize are evaluated by the executor.
 //
 // Consistency: the whole read observes exactly the snapshot pinned at

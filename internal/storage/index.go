@@ -361,10 +361,10 @@ func (t *Table) lookupIndex(indexName string, probe IndexProbe) (ColumnIndex, er
 // PinIndexProbe resolves probe against the named index and pins the
 // matching snapshot in one critical section — the (snapshot, IDs) pair
 // is mutually consistent because commits publish both sides under the
-// same lock. This is the partitioning primitive for morsel-parallel
-// index access: the caller splits the ID list into disjoint chunks and
-// reads each through NewIndexCursorAt against the returned snapshot,
-// releasing it once when all workers are done.
+// same lock. It is how every index read starts: the caller reads the ID
+// list — whole, or split into disjoint chunks for morsel workers —
+// through NewIndexCursorAt against the returned snapshot, and releases
+// the snapshot once, when all its readers are done.
 func (t *Table) PinIndexProbe(indexName string, probe IndexProbe) (*Snap, []int, error) {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
@@ -414,19 +414,4 @@ func (t *Table) IndexOnlyProbe(indexName string, probe IndexProbe) (ids []int, k
 		ids, keys = reverseKeyGroups(ids, keys)
 	}
 	return ids, keys, nil
-}
-
-// NewIndexCursor creates a cursor (index form, see Cursor) over the rows
-// the named index selects for probe, in probe order: ascending row ID for
-// point lookups, key order for ranges. The index must exist; a range
-// probe requires an ordered index. The IDs and the snapshot are captured
-// in one critical section; the cursor owns its snapshot pin.
-func (t *Table) NewIndexCursor(indexName string, probe IndexProbe, batchSize int) (*Cursor, error) {
-	snap, ids, err := t.PinIndexProbe(indexName, probe)
-	if err != nil {
-		return nil, err
-	}
-	c := NewIndexCursorAt(snap, ids, batchSize)
-	c.owns = true
-	return c, nil
 }

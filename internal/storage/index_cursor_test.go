@@ -126,6 +126,18 @@ func indexedTable(t *testing.T, rows int) *Table {
 	return tbl
 }
 
+// probeCursor reads the rows probe resolves the way the executor's index
+// leaves do: PinIndexProbe, then NewIndexCursorAt over the pinned
+// snapshot, released when the test ends.
+func probeCursor(t *testing.T, tbl *Table, index string, probe IndexProbe, batchSize int) (*Cursor, error) {
+	snap, ids, err := tbl.PinIndexProbe(index, probe)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(snap.Release)
+	return NewIndexCursorAt(snap, ids, batchSize), nil
+}
+
 func TestAttachIndexBulkLoadsAndMaintains(t *testing.T) {
 	tbl := indexedTable(t, 100)
 	meta, ok := tbl.IndexOn("K", false) // case-insensitive
@@ -136,7 +148,7 @@ func TestAttachIndexBulkLoadsAndMaintains(t *testing.T) {
 		t.Fatal(err)
 	}
 	point := Int(3)
-	cur, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 4)
+	cur, err := probeCursor(t, tbl, "ik", IndexProbe{Point: &point}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +171,10 @@ func TestAttachIndexBulkLoadsAndMaintains(t *testing.T) {
 func TestRangeProbeOnUnorderedIndexRejected(t *testing.T) {
 	tbl := indexedTable(t, 10)
 	lo := Int(1)
-	if _, err := tbl.NewIndexCursor("ik", IndexProbe{Lo: &lo}, 0); err == nil {
+	if _, err := probeCursor(t, tbl, "ik", IndexProbe{Lo: &lo}, 0); err == nil {
 		t.Fatal("range probe on a hash-like index must be rejected")
 	}
-	if _, err := tbl.NewIndexCursor("ghost", IndexProbe{Point: &lo}, 0); err == nil {
+	if _, err := probeCursor(t, tbl, "ghost", IndexProbe{Point: &lo}, 0); err == nil {
 		t.Fatal("unknown index must be rejected")
 	}
 }
@@ -173,13 +185,13 @@ func TestDeleteRemovesIndexEntries(t *testing.T) {
 	// removed point-wise; the surviving IDs don't move.
 	tbl.Delete([]int{0, 10, 20, 30, 40})
 	point := Int(0)
-	if cur, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 0); err != nil {
+	if cur, err := probeCursor(t, tbl, "ik", IndexProbe{Point: &point}, 0); err != nil {
 		t.Fatal(err)
 	} else if row, ok := cur.Next(); ok {
 		t.Fatalf("k=0 still probed a row after delete: %v", row)
 	}
 	point = Int(9)
-	cur, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 0)
+	cur, err := probeCursor(t, tbl, "ik", IndexProbe{Point: &point}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +219,7 @@ func TestDeleteRemovesIndexEntries(t *testing.T) {
 func TestIndexCursorSnapshotStability(t *testing.T) {
 	tbl := indexedTable(t, 100) // ten rows per key 0..9
 	point := Int(6)
-	cur, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 2)
+	cur, err := probeCursor(t, tbl, "ik", IndexProbe{Point: &point}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +265,7 @@ func TestIndexCursorSnapshotStability(t *testing.T) {
 		t.Fatalf("emitted %d rows, want 10 (snapshot isolation)", got)
 	}
 	// A cursor opened now sees the post-mutation state: no k=6 rows left.
-	cur2, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 0)
+	cur2, err := probeCursor(t, tbl, "ik", IndexProbe{Point: &point}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +302,12 @@ func TestIndexProbesUnderConcurrentInserts(t *testing.T) {
 				default:
 				}
 				point := Int(4)
-				cur, err := tbl.NewIndexCursor("ik", IndexProbe{Point: &point}, 8)
+				snap, ids, err := tbl.PinIndexProbe("ik", IndexProbe{Point: &point})
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				cur := NewIndexCursorAt(snap, ids, 8)
 				for {
 					row, ok := cur.Next()
 					if !ok {
@@ -302,9 +315,11 @@ func TestIndexProbesUnderConcurrentInserts(t *testing.T) {
 					}
 					if got, _ := row[0].AsInt(); got != 4 {
 						t.Errorf("probe saw k=%d", got)
+						snap.Release()
 						return
 					}
 				}
+				snap.Release()
 			}
 		}()
 	}

@@ -12,17 +12,6 @@ type SVCConfig struct {
 	Kernel Kernel
 	// C is the soft-margin penalty (default 1).
 	C float64
-	// Tol is the KKT violation tolerance (default 1e-3).
-	Tol float64
-	// MaxPasses is how many consecutive full passes without an update end
-	// training (default 5).
-	MaxPasses int
-	// MaxIter caps total passes as a safety valve (default 10_000).
-	MaxIter int
-	// CacheEntries caps the precomputed Gram matrix size in float32 cells
-	// (default 16M ≈ 64 MB); larger problems fall back to on-demand
-	// kernel evaluation.
-	CacheEntries int
 	// Seed drives the SMO's randomized second-index choice.
 	Seed int64
 	// PerSampleC optionally overrides C per training sample (len must
@@ -31,24 +20,26 @@ type SVCConfig struct {
 	PerSampleC []float64
 }
 
+// The SMO's fixed knobs: the KKT violation tolerance, how many
+// consecutive full passes without an update end training, and the cap on
+// total passes, a safety valve.
+const (
+	svcTol       = 1e-3
+	svcMaxPasses = 5
+	svcMaxIter   = 10000
+)
+
+// gramCacheEntries caps the precomputed Gram matrix size in float32 cells
+// (16M ≈ 64 MB); larger problems fall back to on-demand kernel
+// evaluation.
+const gramCacheEntries = 16 << 20
+
 func (c *SVCConfig) fillDefaults(X [][]float64) {
 	if c.Kernel == nil {
 		c.Kernel = RBFKernel{Gamma: DefaultGamma(X)}
 	}
 	if c.C <= 0 {
 		c.C = 1
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses <= 0 {
-		c.MaxPasses = 5
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 10000
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 16 << 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -174,7 +165,7 @@ func (t *Trainer) train(m *machine, X [][]float64, y []bool, cfg SVCConfig) erro
 	clear(fvals) // alpha = 0, b = 0
 	b := 0.0
 
-	km := newKernelMatrix(cfg.Kernel, X, cfg.CacheEntries, t.gram)
+	km := newKernelMatrix(cfg.Kernel, X, gramCacheEntries, t.gram)
 	if km.full != nil {
 		t.gram = km.full
 	}
@@ -185,11 +176,11 @@ func (t *Trainer) train(m *machine, X [][]float64, y []bool, cfg SVCConfig) erro
 	rng.Seed(cfg.Seed) // the state of a new source of that seed
 
 	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
+	for passes < svcMaxPasses && iter < svcMaxIter {
 		changed := 0
 		for i := 0; i < n; i++ {
 			Ei := fvals[i] - ys[i]
-			if !((ys[i]*Ei < -cfg.Tol && alpha[i] < Cs[i]) || (ys[i]*Ei > cfg.Tol && alpha[i] > 0)) {
+			if !((ys[i]*Ei < -svcTol && alpha[i] < Cs[i]) || (ys[i]*Ei > svcTol && alpha[i] > 0)) {
 				continue
 			}
 			// Pick j != i at random (simplified SMO heuristic).

@@ -14,16 +14,14 @@ type SVRConfig struct {
 	C float64
 	// Epsilon is the insensitive-tube half-width (default 0.1).
 	Epsilon float64
-	// Tol is the convergence tolerance on objective improvement
-	// (default 1e-4).
-	Tol float64
 	// MaxIter caps full coordinate passes (default 1000).
 	MaxIter int
-	// CacheEntries caps the Gram matrix cache (default 16M cells).
-	CacheEntries int
 	// Seed drives pair selection.
 	Seed int64
 }
+
+// svrTol is the convergence tolerance on a pass's objective improvement.
+const svrTol = 1e-4
 
 func (c *SVRConfig) fillDefaults(X [][]float64) {
 	if c.Kernel == nil {
@@ -35,14 +33,8 @@ func (c *SVRConfig) fillDefaults(X [][]float64) {
 	if c.Epsilon <= 0 {
 		c.Epsilon = 0.1
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-4
-	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 1000
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 16 << 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -78,7 +70,7 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 	cfg.fillDefaults(X)
 
 	n := len(X)
-	km := newKernelMatrix(cfg.Kernel, X, cfg.CacheEntries, nil)
+	km := newKernelMatrix(cfg.Kernel, X, gramCacheEntries, nil)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	beta := make([]float64, n)
@@ -175,7 +167,7 @@ func TrainSVR(X [][]float64, y []float64, cfg SVRConfig) (*SVR, error) {
 			beta[i] = best
 			beta[j] = s - best
 		}
-		if improved < cfg.Tol {
+		if improved < svrTol {
 			break
 		}
 	}

@@ -8,19 +8,20 @@ import (
 
 // TSVMConfig configures the transductive SVM trainer.
 type TSVMConfig struct {
-	// SVC carries the kernel, C (for labeled examples) and SMO knobs.
+	// SVC carries the kernel, C (for labeled examples) and the seed.
 	SVC SVCConfig
 	// PositiveFraction fixes the fraction of unlabeled examples assigned
 	// to the positive class (Joachims' num+ constraint). <= 0 means
 	// "estimate from the labeled class ratio".
 	PositiveFraction float64
-	// CStarInit is the starting penalty for unlabeled examples, raised
-	// geometrically toward C (default 1e-4 · C).
-	CStarInit float64
 	// MaxRetrains caps the total number of inner SVC trainings, the
 	// safety valve that keeps tests bounded (default 200).
 	MaxRetrains int
 }
+
+// cStarInit is the starting penalty for unlabeled examples, as a share
+// of C; it is raised geometrically toward C.
+const cStarInit = 1e-4
 
 // TSVMStats reports the work a transductive training performed; the
 // Section 5 experiment uses it to contrast SVM and TSVM runtimes.
@@ -103,10 +104,7 @@ func TrainTSVM(Xl [][]float64, yl []bool, Xu [][]float64, cfg TSVMConfig) (*SVC,
 	if labeledC <= 0 {
 		labeledC = 1
 	}
-	cStar := cfg.CStarInit
-	if cStar <= 0 {
-		cStar = 1e-4 * labeledC
-	}
+	cStar := cStarInit * labeledC
 
 	var model *SVC
 	train := func() error {
