@@ -76,7 +76,7 @@ fuzz:
 # index point lookup, read through the one-worker gather every serial
 # chain takes, stays under its 4 KiB.
 walls:
-	$(GO) test -run 'TestSpaceExpansionAllocationIsWidthIndependent$$' -count 20 ./internal/core
+	$(GO) test -run 'TestSpaceExpansionAllocationIsWidthIndependent$$|TestSpaceExpansionAllocatesPerJobNotPerJudgment$$' -count 20 ./internal/core
 	$(GO) test -run 'TestRunBatchOfOneIsRun$$' -count 20 ./internal/crowd
 	$(GO) test -run 'TestPointLookupAllocatesForOneRow$$' -count 20 ./internal/engine
 

@@ -490,7 +490,7 @@ func runConcurrentSelect(b *testing.B, gor int, serialize bool) {
 // question at a time: the benchmark's database has no batch window.
 type sleepingService struct{ latency time.Duration }
 
-func (s *sleepingService) Collect(reqs []crowddb.BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *sleepingService) Collect(reqs []crowddb.BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	time.Sleep(s.latency)
 	res := &crowd.RunResult{DurationMinutes: 1}
 	for _, id := range reqs[0].ItemIDs {
@@ -499,7 +499,8 @@ func (s *sleepingService) Collect(reqs []crowddb.BatchRequest, cfg crowd.JobConf
 		}
 	}
 	res.TotalCost = float64(len(res.Records)) * cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
-	return &crowd.BatchResult{Combined: res, PerQuestion: []*crowd.RunResult{res}}, nil
+	into.CopyFrom(&crowd.BatchResult{Combined: res, PerQuestion: []*crowd.RunResult{res}})
+	return nil
 }
 
 // runSelectDuringExpansion measures how many reads gor goroutines

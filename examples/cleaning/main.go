@@ -100,11 +100,11 @@ func main() {
 		ids = append(ids, r) // row index == movie_id in this table
 	}
 	svc := crowddb.NewSimulatedCrowd(pop, universe.CrowdItems, rng)
-	res, err := svc.Collect([]crowddb.BatchRequest{{Question: genre, ItemIDs: ids}}, crowd.JobConfig{
+	res := new(crowd.BatchResult)
+	if err := svc.Collect([]crowddb.BatchRequest{{Question: genre, ItemIDs: ids}}, crowd.JobConfig{
 		ItemsPerHIT: 10, AssignmentsPerItem: 15, PayPerHIT: 0.02,
 		JudgmentsPerMinute: 95, AllowDontKnow: true,
-	})
-	if err != nil {
+	}, res); err != nil {
 		log.Fatal(err)
 	}
 	votes := crowd.MajorityVote(res.Combined.Records)

@@ -21,12 +21,12 @@ type slowService struct {
 	calls atomic.Int32
 }
 
-func (s *slowService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *slowService) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	s.calls.Add(1)
 	if s.gate != nil {
 		<-s.gate
 	}
-	return perQuestion(parityRun).Collect(reqs, cfg)
+	return perQuestion(parityRun).Collect(reqs, cfg, into)
 }
 
 // newAsyncDB builds a 40-row table with a registered CROWD-method

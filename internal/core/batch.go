@@ -103,15 +103,17 @@ func (db *DB) runExpansionBatch(members []*jobs.BatchMember) {
 		for _, p := range part {
 			es, out = append(es, p.e), append(out, elicited{})
 		}
-		db.elicit(es, out)
+		ws := db.takeWorkspace() // whose log holds the shares, to the last member's fill
+		db.elicit(ws, es, out)
 		for i, o := range out {
 			if o.err != nil {
 				finish(part[i], nil, o.err)
 				continue
 			}
-			report, err := db.finishElicitation(part[i].e, o.share)
+			report, err := db.finishElicitation(ws, part[i].e, o.share)
 			finish(part[i], report, err)
 		}
+		db.giveWorkspace(ws)
 	}
 }
 

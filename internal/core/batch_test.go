@@ -23,27 +23,28 @@ import (
 // run is the job itself.
 type perQuestion func(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunResult, error)
 
-func (f perQuestion) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (f perQuestion) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	batch := &crowd.BatchResult{PerQuestion: make([]*crowd.RunResult, len(reqs))}
 	for i, req := range reqs {
 		res, err := f(req.Question, req.ItemIDs, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		batch.PerQuestion[i] = res
 	}
 	if len(reqs) == 1 {
 		batch.Combined = batch.PerQuestion[0]
-		return batch, nil
+	} else {
+		batch.Combined = &crowd.RunResult{}
+		for _, res := range batch.PerQuestion {
+			c := batch.Combined
+			c.Records = append(c.Records, res.Records...)
+			c.TotalCost += res.TotalCost
+			c.DurationMinutes = max(c.DurationMinutes, res.DurationMinutes)
+		}
 	}
-	batch.Combined = &crowd.RunResult{}
-	for _, res := range batch.PerQuestion {
-		c := batch.Combined
-		c.Records = append(c.Records, res.Records...)
-		c.TotalCost += res.TotalCost
-		c.DurationMinutes = max(c.DurationMinutes, res.DurationMinutes)
-	}
-	return batch, nil
+	into.CopyFrom(batch)
+	return nil
 }
 
 // batchCountingService is deterministic like slowService, counting how
@@ -71,9 +72,9 @@ func parityRun(question string, itemIDs []int, cfg crowd.JobConfig) (*crowd.RunR
 	return res, nil
 }
 
-func (s *batchCountingService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *batchCountingService) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	s.batchSizes.Store(s.calls.Add(1), len(reqs))
-	return perQuestion(parityRun).Collect(reqs, cfg)
+	return perQuestion(parityRun).Collect(reqs, cfg, into)
 }
 
 // newBatchedDB builds an in-memory DB with batching enabled and four
@@ -214,12 +215,12 @@ type moneyService struct {
 	answered atomic.Int32
 }
 
-func (s *moneyService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *moneyService) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	if s.fail {
-		return nil, errors.New("moneyService: the crowd is gone")
+		return errors.New("moneyService: the crowd is gone")
 	}
 	s.answered.Add(1)
-	return perQuestion(parityRun).Collect(reqs, cfg)
+	return perQuestion(parityRun).Collect(reqs, cfg, into)
 }
 
 // The money invariants of every way an expansion reaches the crowd, for

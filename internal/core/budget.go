@@ -30,14 +30,6 @@ type BudgetStatus struct {
 	Spent float64 `json:"spent"`
 }
 
-// Remaining is the budget left before the cap.
-func (b BudgetStatus) Remaining() float64 {
-	if r := b.Cap - b.Spent; r > 0 {
-		return r
-	}
-	return 0
-}
-
 // budgetBook tracks caps, durable spend, and transient in-flight
 // reservations per API key. The zero value is usable.
 type budgetBook struct {

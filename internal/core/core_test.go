@@ -336,13 +336,13 @@ type phaseProbe struct {
 	states []jobs.State
 }
 
-func (p *phaseProbe) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (p *phaseProbe) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	for _, st := range p.db.Jobs() {
 		if !st.State.Terminal() {
 			p.states = append(p.states, st.State)
 		}
 	}
-	return p.JudgmentService.Collect(reqs, cfg)
+	return p.JudgmentService.Collect(reqs, cfg, into)
 }
 
 func TestHybridExpansion(t *testing.T) {
@@ -513,13 +513,13 @@ func TestSimulatedCrowdUnknownItem(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pop := crowd.NewPopulation(crowd.PopulationConfig{Workers: 5}, rng)
 	svc := NewSimulatedCrowd(pop, u.CrowdItems, rng)
-	_, err := svc.Collect([]BatchRequest{{Question: "Comedy", ItemIDs: []int{999999}}}, crowd.JobConfig{
+	err := svc.Collect([]BatchRequest{{Question: "Comedy", ItemIDs: []int{999999}}}, crowd.JobConfig{
 		ItemsPerHIT: 10, AssignmentsPerItem: 1, PayPerHIT: 0.02, JudgmentsPerMinute: 95,
-	})
+	}, new(crowd.BatchResult))
 	if err == nil || !strings.Contains(err.Error(), "no crowd item model") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := svc.Collect([]BatchRequest{{Question: "NoSuchCategory", ItemIDs: []int{0}}}, crowd.JobConfig{}); err == nil {
+	if err := svc.Collect([]BatchRequest{{Question: "NoSuchCategory", ItemIDs: []int{0}}}, crowd.JobConfig{}, new(crowd.BatchResult)); err == nil {
 		t.Fatal("unknown question must fail")
 	}
 }

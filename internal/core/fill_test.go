@@ -65,11 +65,11 @@ type churnService struct {
 	calls  int
 }
 
-func (s *churnService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *churnService) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	s.calls++
-	res, err := s.inner.Collect(reqs, cfg)
+	err := s.inner.Collect(reqs, cfg, into)
 	s.once.Do(s.during)
-	return res, err
+	return err
 }
 
 // parityDB is a durable movies(movie_id, name) table holding items
@@ -325,11 +325,11 @@ type flakyService struct {
 	fail  bool
 }
 
-func (s *flakyService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *flakyService) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	if s.fail {
-		return nil, fmt.Errorf("flakyService: the crowd is gone")
+		return fmt.Errorf("flakyService: the crowd is gone")
 	}
-	return s.inner.Collect(reqs, cfg)
+	return s.inner.Collect(reqs, cfg, into)
 }
 
 // An expansion of a table without a binding holds a write fence while its
@@ -588,7 +588,7 @@ func TestFillColumnRecordRoundTripAndTornFrame(t *testing.T) {
 // the crowd simulator's.
 type cannedService struct{ batch *crowd.BatchResult }
 
-func (s *cannedService) Collect(reqs []BatchRequest, _ crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *cannedService) Collect(reqs []BatchRequest, _ crowd.JobConfig, into *crowd.BatchResult) error {
 	if s.batch == nil {
 		res := &crowd.RunResult{TotalCost: 1, DurationMinutes: 1}
 		for _, id := range reqs[0].ItemIDs {
@@ -602,7 +602,8 @@ func (s *cannedService) Collect(reqs []BatchRequest, _ crowd.JobConfig) (*crowd.
 		}
 		s.batch = &crowd.BatchResult{Combined: res, PerQuestion: []*crowd.RunResult{res}}
 	}
-	return s.batch, nil
+	into.CopyFrom(s.batch)
+	return nil
 }
 
 // One SPACE expansion of a new column costs the same whatever the width of
@@ -697,6 +698,56 @@ func TestSpaceExpansionAllocationIsWidthIndependent(t *testing.T) {
 	}
 }
 
+// A SPACE expansion through the crowd simulator allocates for its job,
+// not for its judgments: the judgment log, its worker statistics and the
+// job's bookkeeping live in the expansion's workspace and the simulator,
+// reused from one job to the next, so the same sample judged 5 or 15
+// times an item allocates the same within 1 KiB. A log made fresh for
+// every job — 32 B a judgment, 51 KB apart for 160 items — breaks it.
+func TestSpaceExpansionAllocatesPerJobNotPerJudgment(t *testing.T) {
+	const rows = 400
+	sp := paritySpace(rows, 4)
+	measure := func(assignments int) uint64 {
+		db, err := Open(Options{Service: parityCrowd(5, rows)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, _, err := db.ExecSQL(`CREATE TABLE movies (movie_id INTEGER)`); err != nil {
+			t.Fatal(err)
+		}
+		tbl, _ := db.Catalog().Get("movies")
+		for i := 0; i < rows; i++ {
+			if err := tbl.Insert(storage.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AttachSpace("movies", "movie_id", sp); err != nil {
+			t.Fatal(err)
+		}
+		opts := ExpandOptions{Method: sqlparse.ExpandSpace, Assignments: assignments}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 6; i++ { // the first sizes the workspace and the simulator
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := db.Expand("movies", fmt.Sprintf("c%d", i), storage.KindBool, opts)
+			runtime.ReadMemStats(&after)
+			if err != nil || rep.Judgments < 160*assignments {
+				t.Fatalf("%d assignments: report %+v, err %v", assignments, rep, err)
+			}
+			if i > 0 {
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return least
+	}
+	five, fifteen := measure(5), measure(15)
+	t.Logf("one SPACE expansion of %d rows through the simulator: %d B at 5 judgments an item, %d B at 15", rows, five, fifteen)
+	if diff := int64(fifteen) - int64(five); diff > 1<<10 || diff < -1<<10 {
+		t.Fatalf("a SPACE expansion allocates %d B at 5 judgments an item and %d B at 15: it allocates for its judgments", five, fifteen)
+	}
+}
+
 // The database keeps at most one idle workspace per expansion worker,
 // keeps none whose memory outgrew workspaceKeepBytes, and a model fitted
 // in a shared workspace's Trainer — whichever, after whatever — is the
@@ -755,5 +806,17 @@ func TestTrainersAreSharedBoundedAndForgetful(t *testing.T) {
 	db.giveWorkspace(ws)
 	if len(db.workspaces) != 0 {
 		t.Fatalf("a workspace holding %d B was kept (bound %d)", db.workspaces[0].footprint(), workspaceKeepBytes)
+	}
+	// A judgment log over the bound is dropped on its own: the workspace,
+	// its Trainer's memory included, is kept.
+	ws = db.takeWorkspace()
+	if _, err := ws.trainer.Fit(X[:100], y[:100], svm.SVCConfig{C: 2}); err != nil {
+		t.Fatal(err)
+	}
+	held := ws.trainer.Footprint()
+	ws.batch.Combined = &crowd.RunResult{Records: make([]crowd.Record, 0, workspaceKeepBytes/32+1)}
+	db.giveWorkspace(ws)
+	if len(db.workspaces) != 1 || db.workspaces[0] != ws || ws.batch.Combined != nil || ws.trainer.Footprint() != held {
+		t.Fatalf("a workspace with a %d-record log: %d kept, log dropped %v", workspaceKeepBytes/32+1, len(db.workspaces), ws.batch.Combined == nil)
 	}
 }

@@ -23,9 +23,9 @@ import (
 // crowd work.
 type deadService struct{ calls int }
 
-func (s *deadService) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *deadService) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	s.calls++
-	return nil, errors.New("deadService: the crowd is gone")
+	return errors.New("deadService: the crowd is gone")
 }
 
 // persistTestSpace builds a tiny deterministic space whose first half and

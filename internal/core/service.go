@@ -36,10 +36,11 @@ import (
 // the job it is.
 type JudgmentService interface {
 	// Collect runs ONE crowd job whose HITs ask every request's yes/no
-	// question about its items, and returns the combined run plus its
-	// per-question split, indexed like reqs. For a single request the
+	// question about its items, and writes the combined run plus its
+	// per-question split, indexed like reqs, into into: the caller's
+	// memory, of which the service keeps nothing. For a single request the
 	// split is the run itself: PerQuestion[0] is Combined.
-	Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error)
+	Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error
 }
 
 // BatchRequest is one elicitation's share of a crowd job: a yes/no
@@ -64,9 +65,9 @@ type SimulatedCrowd struct {
 	items      ItemModelFunc
 	rng        *rand.Rand
 	// selected is the item models of the job being run, and runner the
-	// job's working memory; both are kept from job to job (under mu) while
+	// job's bookkeeping; both are kept from job to job (under mu) while
 	// they stay within selectedKeep items. A job copies what it needs of
-	// the models and returns nothing of the runner's.
+	// the models and writes its log into the caller's result.
 	selected []crowd.Item
 	runner   crowd.Runner
 
@@ -125,7 +126,7 @@ func (s *SimulatedCrowd) keep(sel []crowd.Item) {
 // one simulated crowd job (shared HIT group, shared worker pass, one
 // wall-clock window) and the judgment log is split back per question; a
 // single request's items are the job as they are.
-func (s *SimulatedCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *SimulatedCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	total := 0
@@ -138,7 +139,7 @@ func (s *SimulatedCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*cro
 		from := len(selected)
 		var err error
 		if selected, err = s.selectItems(selected, req.Question, req.ItemIDs); err != nil {
-			return nil, err
+			return err
 		}
 		batch = append(batch, crowd.BatchRequest{Question: req.Question, Items: selected[from:]})
 	}
@@ -147,7 +148,7 @@ func (s *SimulatedCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*cro
 		cfg.GoldItems = s.Gold
 		cfg.GoldFailureLimit = s.GoldFailureLimit
 	}
-	return s.runner.RunBatch(s.population, batch, cfg, s.rng)
+	return s.runner.RunBatch(s.population, batch, cfg, s.rng, into)
 }
 
 // LedgerTotals is a point-in-time snapshot of crowd-sourcing spend.

@@ -285,10 +285,10 @@ func (db *DB) planElicitation(tbl *storage.Table, column string, opts ExpandOpti
 	return e, nil
 }
 
-// finishElicitation turns a judgment log (the elicitation's share of a
-// crowd run) into labels by item id, per the planned method, fills the
-// column with them and reports.
-func (db *DB) finishElicitation(e *elicitation, res *crowd.RunResult) (*ExpansionReport, error) {
+// finishElicitation turns a judgment log (the elicitation's share of the
+// crowd run in ws) into labels by item id, per the planned method, in ws,
+// fills the column with them and reports.
+func (db *DB) finishElicitation(ws *workspace, e *elicitation, res *crowd.RunResult) (*ExpansionReport, error) {
 	report := &ExpansionReport{
 		Table: e.tbl.Name(), Column: e.column, Method: e.method,
 		Judgments: len(res.Records), Cost: res.TotalCost, Minutes: res.DurationMinutes,
@@ -296,9 +296,9 @@ func (db *DB) finishElicitation(e *elicitation, res *crowd.RunResult) (*Expansio
 	var err error
 	switch e.method {
 	case sqlparse.ExpandCrowd:
-		err = db.finishCrowd(e, res, report)
+		err = db.finishCrowd(ws, e, res, report)
 	case sqlparse.ExpandSpace:
-		err = db.finishSpace(e, res, report)
+		err = db.finishSpace(ws, e, res, report)
 	default:
 		err = fmt.Errorf("core: cannot finish method %q", e.method)
 	}
@@ -311,11 +311,9 @@ func (db *DB) finishElicitation(e *elicitation, res *crowd.RunResult) (*Expansio
 }
 
 // finishCrowd majority-votes the log: the labels are the votes.
-func (db *DB) finishCrowd(e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
+func (db *DB) finishCrowd(ws *workspace, e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
 	e.opts.phase(jobs.StateFilling)
 	clock := time.Now()
-	ws := db.takeWorkspace()
-	defer db.giveWorkspace(ws) // after the fill, which reads the votes
 	votes := ws.vote(res.Records, e.opts)
 	e.steps.Vote = lap(&clock)
 	err := fillByItem(db, e.tbl, e.column, report, func(id int) (bool, bool) {
@@ -346,7 +344,7 @@ var ErrSingleClass = errors.New("core: crowd training sample is single-class")
 
 // finishSpace trains an RBF-SVM on the voted sample over the perceptual
 // space and predicts every item of the space: the labels are the model's.
-func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
+func (db *DB) finishSpace(ws *workspace, e *elicitation, res *crowd.RunResult, report *ExpansionReport) error {
 	binding := db.binding(e.tbl.Name())
 	if binding == nil {
 		return fmt.Errorf("core: space binding for %q vanished mid-expansion", e.tbl.Name())
@@ -354,8 +352,6 @@ func (db *DB) finishSpace(e *elicitation, res *crowd.RunResult, report *Expansio
 	sp := binding.space
 	e.opts.phase(jobs.StateTraining)
 	clock := time.Now()
-	ws := db.takeWorkspace()
-	defer db.giveWorkspace(ws) // after the fill, which reads the model's labels
 	votes := ws.vote(res.Records, e.opts)
 	e.steps.Vote = lap(&clock)
 
@@ -415,12 +411,12 @@ type elicited struct {
 // reserves each member's projected cost against its key's cap, in order,
 // so that same-key members cannot each pass against the same headroom; a
 // member the cap rejects is asked nothing and charged nothing. The rest
-// are asked in ONE Collect: one crowd job, one charge. The combined run
-// is booked once to the global ledger and the WAL, each member's share to
-// its key's budget and its job, and only then are the reservations
-// released — or when the call fails, or panics. It writes the outcomes to
-// out, indexed like es.
-func (db *DB) elicit(es []*elicitation, out []elicited) {
+// are asked in ONE Collect: one crowd job, one charge, its log written
+// into ws. The combined run is booked once to the global ledger and the
+// WAL, each member's share to its key's budget and its job, and only then
+// are the reservations released — or when the call fails, or panics. It
+// writes the outcomes to out, indexed like es; their shares are in ws.
+func (db *DB) elicit(ws *workspace, es []*elicitation, out []elicited) {
 	defer func() {
 		for _, o := range out {
 			if o.release != nil {
@@ -439,7 +435,8 @@ func (db *DB) elicit(es []*elicitation, out []elicited) {
 		return
 	}
 	clock := time.Now()
-	batch, err := db.service.Collect(reqs, es[0].opts.Job)
+	batch := &ws.batch
+	err := db.service.Collect(reqs, es[0].opts.Job, batch)
 	collect := lap(&clock)
 	if err != nil {
 		for i := range out {
@@ -470,13 +467,16 @@ func (db *DB) elicit(es []*elicitation, out []elicited) {
 	}
 }
 
-// elicitOne elicits e as a batch of one and finishes it.
+// elicitOne elicits e as a batch of one and finishes it, in one
+// workspace.
 func (db *DB) elicitOne(e *elicitation) (*ExpansionReport, error) {
+	ws := db.takeWorkspace()
+	defer db.giveWorkspace(ws) // after the fill, which reads the log, the votes and the model
 	var out [1]elicited
-	if db.elicit([]*elicitation{e}, out[:]); out[0].err != nil {
+	if db.elicit(ws, []*elicitation{e}, out[:]); out[0].err != nil {
 		return nil, out[0].err
 	}
-	return db.finishElicitation(e, out[0].share)
+	return db.finishElicitation(ws, e, out[0].share)
 }
 
 // expandHybrid crowd-sources everything, then uses the space to flag and
@@ -520,13 +520,13 @@ func (db *DB) expandHybrid(tbl *storage.Table, column string, opts ExpandOptions
 	// filling, and the lifecycle only moves forward — the HYBRID
 	// re-elicitation is part of the filling phase from the outside.
 	re.opts.onPhase = nil
+	ws := db.takeWorkspace()
+	defer db.giveWorkspace(ws) // after the relabelling, which reads the log and the votes
 	var out [1]elicited
-	if db.elicit([]*elicitation{re}, out[:]); out[0].err != nil {
+	if db.elicit(ws, []*elicitation{re}, out[:]); out[0].err != nil {
 		return nil, out[0].err
 	}
 	res := out[0].share
-	ws := db.takeWorkspace()
-	defer db.giveWorkspace(ws) // after the relabelling, which reads the votes
 	requeryLabels := ws.vote(res.Records, opts)
 
 	colIdx, _ := tbl.Schema().Lookup(column)

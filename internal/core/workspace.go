@@ -7,15 +7,16 @@ import (
 	"crowddb/internal/svm"
 )
 
-// workspace is the working memory of one expansion's vote → train →
-// predict → fill: the Voter whose maps hold the majority, the Trainer
-// whose Gram matrix, vectors and model arrays fit the SVM, the training
-// set's rows and labels, and the predicted labels. An expansion takes one
-// from the database's free list (takeWorkspace) and gives it back after
-// the fill (giveWorkspace) — not earlier: the votes and the model it
-// fills from live in it. What the expansion keeps or hands on — the
-// column's cells, the report, the judgment log — is never in it.
+// workspace is the working memory of one expansion's (or one batch
+// partition's) collect → vote → train → predict → fill: the judgment log,
+// the Voter whose maps hold the majority, the Trainer whose Gram matrix,
+// vectors and model arrays fit the SVM, the training rows and labels, and
+// the predicted labels. It is taken from the database's free list
+// (takeWorkspace) before the crowd is asked and given back after the last
+// fill (giveWorkspace) — not earlier: the log, the votes and the model it
+// fills from live in it. The column's cells and the report are never in it.
 type workspace struct {
+	batch   crowd.BatchResult
 	trainer svm.Trainer
 	voter   crowd.Voter
 	X       [][]float64
@@ -27,10 +28,11 @@ type workspace struct {
 // kept for the next expansion: a training sample of the default size (160
 // items) holds 0.15 MB, one of 500 items reaches the bound, and the 64 MB
 // Gram matrix of a cleaning pass over 4 000 labelled rows is garbage as
-// soon as its flags exist.
+// soon as its flags exist. The judgment log is held to the bound on its
+// own: the 1.3 MB log of a 4 000-row CROWD fill is dropped, the rest kept.
 const workspaceKeepBytes = 1 << 20
 
-// footprint is the number of bytes the workspace holds on to.
+// footprint is the number of bytes the workspace holds on to beside the log.
 func (w *workspace) footprint() int {
 	return w.trainer.Footprint() + w.voter.Footprint() + 24*cap(w.X) + cap(w.y) + cap(w.labels)
 }
@@ -66,6 +68,9 @@ func (db *DB) takeWorkspace() *workspace {
 func (db *DB) giveWorkspace(w *workspace) {
 	clear(w.X)
 	w.X, w.y = w.X[:0], w.y[:0]
+	if c := w.batch.Combined; c != nil && 32*cap(c.Records) > workspaceKeepBytes {
+		w.batch = crowd.BatchResult{} // 32 B a record
+	}
 	if w.footprint() > workspaceKeepBytes {
 		return
 	}

@@ -22,8 +22,8 @@ import (
 // asked and whatever runs beside it. It is safe for concurrent use.
 type questionCrowd struct{ pop *crowd.Population }
 
-func (s questionCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
-	return perQuestion(s.run).Collect(reqs, cfg)
+func (s questionCrowd) Collect(reqs []BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
+	return perQuestion(s.run).Collect(reqs, cfg, into)
 }
 
 func (s questionCrowd) run(question string, ids []int, cfg crowd.JobConfig) (*crowd.RunResult, error) {

@@ -3,6 +3,7 @@ package crowd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Batched HIT issuing: several pending elicitations — typically different
@@ -23,6 +24,8 @@ type BatchRequest struct {
 }
 
 // BatchResult is the outcome of one crowd job that served its questions.
+// RunBatch writes into it, reusing Combined's memory: what a job leaves in
+// Combined is valid until the next job into the result.
 type BatchResult struct {
 	// Combined is the shared job as the marketplace saw it: the full
 	// judgment timeline, total cost, total duration. Item IDs in a merged
@@ -37,20 +40,48 @@ type BatchResult struct {
 	PerQuestion []*RunResult
 }
 
+// CopyFrom makes b a copy of src that shares no memory with it, the
+// combined log copied into b's own: for a service that answers from a log
+// it keeps, and for a caller that keeps a job past the next one.
+func (b *BatchResult) CopyFrom(src *BatchResult) {
+	if b.Combined == nil {
+		b.Combined = new(RunResult)
+	}
+	c := *src.Combined
+	c.Records = append(b.Combined.Records[:0], c.Records...)
+	c.Stats, c.ExcludedWorkers = slices.Clone(c.Stats), slices.Clone(c.ExcludedWorkers)
+	*b.Combined = c
+	b.PerQuestion = b.PerQuestion[:0]
+	for _, q := range src.PerQuestion {
+		if q == src.Combined {
+			b.PerQuestion = append(b.PerQuestion, b.Combined)
+		} else {
+			b.PerQuestion = append(b.PerQuestion, clone(q))
+		}
+	}
+}
+
+// clone returns a copy of r that shares no memory with it.
+func clone(r *RunResult) *RunResult {
+	c := *r
+	c.Records, c.Stats, c.ExcludedWorkers = slices.Clone(r.Records), slices.Clone(r.Stats), slices.Clone(r.ExcludedWorkers)
+	return &c
+}
+
 // RunBatch executes elicitation requests as one crowd job in the Runner's
-// memory. One request is Run on its items: PerQuestion[0] is Combined.
-// Several are merged: each (question, item) pair is remapped onto a unique
-// slot ID, the slot list runs through Run — so worker behaviour, gold
-// screening, and marketplace dynamics are exactly those of a single job —
-// and the judgment log is split back per question afterwards.
+// memory, written into into. One request is Run on its items into
+// Combined: PerQuestion[0] is Combined. Several are merged: each (question,
+// item) pair is remapped onto a unique slot ID, the slot list runs through
+// Run — so worker behaviour, gold screening, and marketplace dynamics are
+// exactly those of a single job — and the log is split back per question.
 //
 // The combined cost is split across questions proportionally to the
 // judgments each question's items received; overhead judgments (gold
 // questions, discarded work from excluded workers) are distributed the
 // same way, so the per-question costs sum to the combined total.
-func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.Rand) (*BatchResult, error) {
+func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, rng *rand.Rand, into *BatchResult) error {
 	if len(reqs) == 0 {
-		return nil, fmt.Errorf("crowd: empty batch")
+		return fmt.Errorf("crowd: empty batch")
 	}
 
 	// Remap every (question, item) pair onto a dense non-negative slot ID.
@@ -65,14 +96,15 @@ func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, r
 		slots += len(req.Items)
 	}
 	if slots == 0 {
-		return nil, fmt.Errorf("crowd: batch has no items")
+		return fmt.Errorf("crowd: batch has no items")
 	}
+	if into.Combined == nil {
+		into.Combined = new(RunResult)
+	}
+	combined := into.Combined
 	if len(reqs) == 1 {
-		res, err := r.Run(pop, reqs[0].Items, cfg, rng)
-		if err != nil {
-			return nil, err
-		}
-		return &BatchResult{Combined: res, PerQuestion: []*RunResult{res}}, nil
+		into.PerQuestion = append(into.PerQuestion[:0], combined)
+		return r.Run(pop, reqs[0].Items, cfg, rng, combined)
 	}
 	merged := make([]Item, 0, slots)
 	origins := make([]origin, 0, slots)
@@ -85,9 +117,8 @@ func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, r
 		}
 	}
 
-	combined, err := r.Run(pop, merged, cfg, rng)
-	if err != nil {
-		return nil, err
+	if err := r.Run(pop, merged, cfg, rng, combined); err != nil {
+		return err
 	}
 
 	// Split the timeline back per question, restoring original item IDs.
@@ -95,10 +126,6 @@ func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, r
 	// in the combined order, they are already sorted by time. seen holds
 	// one row per question over the workers of the combined run's Stats:
 	// a question's distinct workers are the entries set in its row.
-	per := make([]*RunResult, len(reqs))
-	for i := range per {
-		per[i] = &RunResult{DurationMinutes: combined.DurationMinutes}
-	}
 	counts := make([]int, len(reqs))
 	kept := 0
 	for _, rec := range combined.Records {
@@ -107,9 +134,11 @@ func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, r
 			kept++
 		}
 	}
-	for i, r := range per {
-		r.Records = make([]Record, 0, counts[i])
+	per := into.PerQuestion[:0]
+	for _, n := range counts {
+		per = append(per, &RunResult{Records: make([]Record, 0, n), DurationMinutes: combined.DurationMinutes})
 	}
+	into.PerQuestion = per
 	workerAt := make(map[int]int, len(combined.Stats))
 	for i, st := range combined.Stats {
 		workerAt[st.WorkerID] = i
@@ -149,5 +178,5 @@ func (r *Runner) RunBatch(pop *Population, reqs []BatchRequest, cfg JobConfig, r
 	if last >= 0 {
 		per[last].TotalCost += combined.TotalCost - assigned
 	}
-	return &BatchResult{Combined: combined, PerQuestion: per}, nil
+	return nil
 }

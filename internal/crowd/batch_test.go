@@ -21,11 +21,11 @@ func TestRunBatchJobSplitsPerQuestion(t *testing.T) {
 	cfg := defaultJob()
 	cfg.AllowDontKnow = false
 
-	res, err := (&Runner{}).RunBatch(pop, []BatchRequest{
+	res := new(BatchResult)
+	if err := (&Runner{}).RunBatch(pop, []BatchRequest{
 		{Question: "comedy", Items: itemsA},
 		{Question: "drama", Items: itemsB},
-	}, cfg, rng)
-	if err != nil {
+	}, cfg, rng, res); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.PerQuestion) != 2 {
@@ -93,11 +93,11 @@ func TestRunBatchJobMajoritiesMatchSingleJobs(t *testing.T) {
 		a = append(a, Item{ID: i, Truth: i%2 == 0, Popularity: 1})
 		b = append(b, Item{ID: i, Truth: i%2 != 0, Popularity: 1})
 	}
-	res, err := (&Runner{}).RunBatch(pop, []BatchRequest{
+	res := new(BatchResult)
+	if err := (&Runner{}).RunBatch(pop, []BatchRequest{
 		{Question: "q-a", Items: a},
 		{Question: "q-b", Items: b},
-	}, cfg, rng)
-	if err != nil {
+	}, cfg, rng, res); err != nil {
 		t.Fatal(err)
 	}
 	for qi, items := range [][]Item{a, b} {
@@ -117,10 +117,10 @@ func TestRunBatchJobMajoritiesMatchSingleJobs(t *testing.T) {
 func TestRunBatchJobRejectsEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pop := NewPopulation(PopulationConfig{Workers: 5}, rng)
-	if _, err := (&Runner{}).RunBatch(pop, nil, defaultJob(), rng); err == nil {
+	if err := (&Runner{}).RunBatch(pop, nil, defaultJob(), rng, new(BatchResult)); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := (&Runner{}).RunBatch(pop, []BatchRequest{{Question: "q"}}, defaultJob(), rng); err == nil {
+	if err := (&Runner{}).RunBatch(pop, []BatchRequest{{Question: "q"}}, defaultJob(), rng, new(BatchResult)); err == nil {
 		t.Fatal("itemless batch accepted")
 	}
 }
@@ -128,8 +128,8 @@ func TestRunBatchJobRejectsEmpty(t *testing.T) {
 // A batch of one request is the job itself: RunBatch returns bit for bit
 // what Run returns for the same items and seed — gold records, cost,
 // duration, exclusions and worker counts — under the caller's item IDs,
-// and PerQuestion[0] is Combined. It allocates what Run does, plus the
-// BatchResult and its one-entry list.
+// and PerQuestion[0] is Combined. Into results they have held before,
+// both allocate nothing.
 func TestRunBatchOfOneIsRun(t *testing.T) {
 	job := func() (*Population, []Item, JobConfig, *rand.Rand) {
 		rng := rand.New(rand.NewSource(29))
@@ -146,16 +146,16 @@ func TestRunBatchOfOneIsRun(t *testing.T) {
 		return pop, items, cfg, rng
 	}
 	pop, items, cfg, rng := job()
-	want, err := (&Runner{}).Run(pop, items, cfg, rng)
-	if err != nil {
+	want := new(RunResult)
+	if err := (&Runner{}).Run(pop, items, cfg, rng, want); err != nil {
 		t.Fatal(err)
 	}
 	if len(want.ExcludedWorkers) == 0 {
 		t.Fatal("gold screening excluded no worker: the exclusion path is not covered")
 	}
 	pop, items, cfg, rng = job()
-	got, err := (&Runner{}).RunBatch(pop, []BatchRequest{{Question: "q", Items: items}}, cfg, rng)
-	if err != nil {
+	got := new(BatchResult)
+	if err := (&Runner{}).RunBatch(pop, []BatchRequest{{Question: "q", Items: items}}, cfg, rng, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Combined, want) {
@@ -168,18 +168,20 @@ func TestRunBatchOfOneIsRun(t *testing.T) {
 	}
 
 	var runner Runner
+	var res RunResult
 	runs := testing.AllocsPerRun(20, func() {
-		if _, err := runner.Run(pop, items, cfg, rng); err != nil {
+		if err := runner.Run(pop, items, cfg, rng, &res); err != nil {
 			t.Fatal(err)
 		}
 	})
 	reqs := []BatchRequest{{Question: "q", Items: items}}
+	var batch BatchResult
 	batches := testing.AllocsPerRun(20, func() {
-		if _, err := runner.RunBatch(pop, reqs, cfg, rng); err != nil {
+		if err := runner.RunBatch(pop, reqs, cfg, rng, &batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if batches > runs+2 {
-		t.Fatalf("a batch of one allocates %v times, its job %v", batches, runs)
+	if runs != 0 || batches != 0 {
+		t.Fatalf("into reused results a batch of one allocates %v times, its job %v; want nothing", batches, runs)
 	}
 }

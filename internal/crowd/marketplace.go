@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sort"
 )
 
 // JobConfig describes one crowd-sourcing job (a HIT group).
@@ -118,14 +119,8 @@ func (r *RunResult) CostAt(t float64, cfg JobConfig) float64 {
 	if r.DurationMinutes <= 0 {
 		return 0
 	}
-	perJudgment := cfg.PayPerHIT / float64(cfg.ItemsPerHIT)
-	n := 0
-	for _, rec := range r.Records {
-		if rec.Time <= t {
-			n++
-		}
-	}
-	return float64(n) * perJudgment
+	n := sort.Search(len(r.Records), func(i int) bool { return r.Records[i].Time > t })
+	return float64(n) * (cfg.PayPerHIT / float64(cfg.ItemsPerHIT))
 }
 
 // RunJob simulates executing a crowd job over items with the given worker
@@ -133,10 +128,14 @@ func (r *RunResult) CostAt(t float64, cfg JobConfig) float64 {
 // at an exponential rate of cfg.JudgmentsPerMinute and are served by
 // workers sampled proportionally to their Speed, subject to the constraint
 // that a worker judges any given item at most once. It is Run on a new
-// Runner.
+// Runner into a new result.
 func RunJob(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunResult, error) {
 	var r Runner
-	return r.Run(pop, items, cfg, rng)
+	res := new(RunResult)
+	if err := r.Run(pop, items, cfg, rng, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // slot is one entry of a job's work queue: an item to be judged
@@ -150,10 +149,10 @@ type slot struct {
 // assignments each entry still needs, the workers × entries bitset of who
 // judged what, the exclusions, the per-worker tallies and the owner of
 // every record — and reuses it from one job to the next: a job no larger
-// than one the Runner has run allocates only what it returns. Everything
-// is rewritten or cleared before a job reads it, so a job's result does
-// not depend on what its Runner ran before. A Runner is not safe for
-// concurrent use; the zero value is ready.
+// than one the Runner has run, into a result no smaller than one it has
+// held, allocates nothing. Everything is rewritten or cleared before a job
+// reads it, so a job's result does not depend on what its Runner ran
+// before. A Runner is not safe for concurrent use; the zero value is ready.
 type Runner struct {
 	queue    []slot
 	pending  []int
@@ -176,18 +175,19 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Run is RunJob in the Runner's memory. The result shares nothing with
-// the Runner.
-func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand) (*RunResult, error) {
+// Run is RunJob in the Runner's memory, written into res, whose arrays it
+// reuses: the result is valid until the next Run into res and shares
+// nothing with the Runner. On an error res is left as it was.
+func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Rand, res *RunResult) error {
 	if cfg.ItemsPerHIT <= 0 || cfg.AssignmentsPerItem <= 0 {
-		return nil, fmt.Errorf("crowd: ItemsPerHIT and AssignmentsPerItem must be positive")
+		return fmt.Errorf("crowd: ItemsPerHIT and AssignmentsPerItem must be positive")
 	}
 	if cfg.JudgmentsPerMinute <= 0 {
-		return nil, fmt.Errorf("crowd: JudgmentsPerMinute must be positive")
+		return fmt.Errorf("crowd: JudgmentsPerMinute must be positive")
 	}
 	workers := pop.Filter(cfg.ExcludeCountries).Workers
 	if len(workers) == 0 {
-		return nil, fmt.Errorf("crowd: no eligible workers after country filter")
+		return fmt.Errorf("crowd: no eligible workers after country filter")
 	}
 
 	// The work queue: every item needs AssignmentsPerItem judgments; gold
@@ -259,7 +259,7 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 		stats[i] = WorkerStats{WorkerID: w.ID, Archetype: w.Archetype}
 	}
 
-	records := make([]Record, 0, total)
+	records := slices.Grow(res.Records[:0], total)
 	r.owners = resize(r.owners, total)
 	recordOwner := r.owners[:0] // parallel to records: local worker index; never past total
 	now := 0.0
@@ -400,26 +400,27 @@ func (r *Runner) Run(pop *Population, items []Item, cfg JobConfig, rng *rand.Ran
 
 	slices.SortStableFunc(records, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
 
-	res := &RunResult{
+	*res = RunResult{
 		Records:         records,
 		DurationMinutes: now,
 		TotalCost:       float64(judgmentsDone) / float64(cfg.ItemsPerHIT) * cfg.PayPerHIT,
+		Stats:           res.Stats[:0],
+		ExcludedWorkers: res.ExcludedWorkers[:0],
 	}
+	res.Stats = slices.Grow(res.Stats, len(stats))
 	for i := range stats {
 		if stats[i].Judgments > 0 {
 			res.DistinctWorkers++
-		}
-	}
-	res.Stats = make([]WorkerStats, 0, res.DistinctWorkers)
-	for i := range stats {
-		if stats[i].Judgments > 0 {
 			res.Stats = append(res.Stats, stats[i])
 		}
 		if stats[i].Excluded {
 			res.ExcludedWorkers = append(res.ExcludedWorkers, stats[i].WorkerID)
 		}
 	}
-	return res, nil
+	if len(res.ExcludedWorkers) == 0 {
+		res.ExcludedWorkers = nil // as in a fresh result
+	}
+	return nil
 }
 
 // VoteOutcome is the result of majority voting over a judgment log.
@@ -430,9 +431,6 @@ type VoteOutcome struct {
 	// Unclassified lists item IDs that received judgments but no majority.
 	Unclassified []int
 }
-
-// Classified returns the number of items with a majority label.
-func (v *VoteOutcome) Classified() int { return len(v.Label) }
 
 // MajorityVote aggregates judgments per item, ignoring DontKnow answers and
 // gold questions. Ties and empty vote sets leave the item unclassified,
@@ -533,16 +531,4 @@ func (v *Voter) Unclassified() []int {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// AccuracyAgainst measures a vote outcome against ground truth: the number
-// of classified items, and of those, how many match truth.
-func (v *VoteOutcome) AccuracyAgainst(truth map[int]bool) (classified, correct int) {
-	for id, label := range v.Label {
-		classified++
-		if truth[id] == label {
-			correct++
-		}
-	}
-	return classified, correct
 }

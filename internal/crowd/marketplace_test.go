@@ -125,7 +125,7 @@ func TestSpammerContaminationDegradesAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	votesOpen := MajorityVote(resOpen.Records)
-	clOpen, okOpen := votesOpen.AccuracyAgainst(truth)
+	clOpen, okOpen := accuracyAgainst(votesOpen.Label, truth)
 
 	// Trusted population: country filter removes the spammers.
 	cfgTrusted := cfg
@@ -135,7 +135,7 @@ func TestSpammerContaminationDegradesAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	votesTrusted := MajorityVote(resTrusted.Records)
-	clTrusted, okTrusted := votesTrusted.AccuracyAgainst(truth)
+	clTrusted, okTrusted := accuracyAgainst(votesTrusted.Label, truth)
 
 	accOpen := float64(okOpen) / float64(clOpen)
 	accTrusted := float64(okTrusted) / float64(clTrusted)
@@ -244,8 +244,8 @@ func TestMajorityVote(t *testing.T) {
 	if !slices.Equal(v.Unclassified, []int{3, 4, 6}) {
 		t.Fatalf("unclassified = %v, want the tie and the two unanswered items", v.Unclassified)
 	}
-	if v.Classified() != 2 {
-		t.Fatalf("classified = %d", v.Classified())
+	if len(v.Label) != 2 {
+		t.Fatalf("classified = %d", len(v.Label))
 	}
 }
 
@@ -414,4 +414,16 @@ func TestRunJobAllocationIsPerJobNotPerJudgment(t *testing.T) {
 	if five != ten || five > 16 {
 		t.Fatalf("RunJob allocates %.0f objects at 5 assignments and %.0f at 10, want the same and at most 16", five, ten)
 	}
+}
+
+// accuracyAgainst measures vote labels against ground truth: the number
+// of classified items, and of those, how many match truth.
+func accuracyAgainst(label, truth map[int]bool) (classified, correct int) {
+	for id, l := range label {
+		classified++
+		if truth[id] == l {
+			correct++
+		}
+	}
+	return classified, correct
 }

@@ -155,8 +155,8 @@ func TestRunJobTimelineIsPinned(t *testing.T) {
 					{Question: "Drama", Items: makeItems(90, rng)},
 					{Question: "Horror", Items: makeItems(40, rng)},
 				}
-				res, err := (&Runner{}).RunBatch(pop, reqs, cfg, rng)
-				if err != nil {
+				res := new(BatchResult)
+				if err := (&Runner{}).RunBatch(pop, reqs, cfg, rng, res); err != nil {
 					t.Fatal(err)
 				}
 				if len(res.PerQuestion) != 3 {

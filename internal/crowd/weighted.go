@@ -5,21 +5,17 @@ import (
 	"sort"
 )
 
-// WeightedVoteOutcome is the result of reliability-weighted voting.
+// WeightedVoteOutcome is the result of reliability-weighted voting: its
+// VoteOutcome holds the inferred labels and the items whose posterior
+// stayed at exactly 0.5.
 type WeightedVoteOutcome struct {
-	// Label maps item ID to the inferred classification.
-	Label map[int]bool
+	VoteOutcome
 	// Confidence maps item ID to the posterior probability of the label.
 	Confidence map[int]float64
 	// WorkerReliability maps worker ID to the estimated probability that
 	// the worker's answer matches the inferred truth.
 	WorkerReliability map[int]float64
-	// Unclassified lists items whose posterior stayed at exactly 0.5.
-	Unclassified []int
 }
-
-// Classified returns the number of items with an inferred label.
-func (v *WeightedVoteOutcome) Classified() int { return len(v.Label) }
 
 // WeightedMajorityVote infers item labels and per-worker reliabilities
 // jointly by expectation-maximization — a binary Dawid–Skene model, the
@@ -109,7 +105,7 @@ func WeightedMajorityVote(records []Record, iterations int) *WeightedVoteOutcome
 	}
 
 	out := &WeightedVoteOutcome{
-		Label:             map[int]bool{},
+		VoteOutcome:       VoteOutcome{Label: map[int]bool{}},
 		Confidence:        map[int]float64{},
 		WorkerReliability: reliability,
 	}
@@ -127,15 +123,4 @@ func WeightedMajorityVote(records []Record, iterations int) *WeightedVoteOutcome
 	}
 	sort.Ints(out.Unclassified)
 	return out
-}
-
-// AccuracyAgainst measures the weighted outcome against ground truth.
-func (v *WeightedVoteOutcome) AccuracyAgainst(truth map[int]bool) (classified, correct int) {
-	for id, label := range v.Label {
-		classified++
-		if truth[id] == label {
-			correct++
-		}
-	}
-	return classified, correct
 }

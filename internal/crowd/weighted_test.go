@@ -20,8 +20,8 @@ func TestWeightedVoteBeatsPlainMajorityUnderSpam(t *testing.T) {
 	plain := MajorityVote(res.Records)
 	weighted := WeightedMajorityVote(res.Records, 10)
 
-	_, plainCorrect := plain.AccuracyAgainst(truth)
-	_, weightedCorrect := weighted.AccuracyAgainst(truth)
+	_, plainCorrect := accuracyAgainst(plain.Label, truth)
+	_, weightedCorrect := accuracyAgainst(weighted.Label, truth)
 	if weightedCorrect <= plainCorrect {
 		t.Fatalf("EM-weighted vote (%d correct) must beat plain majority (%d) under spam",
 			weightedCorrect, plainCorrect)
@@ -110,14 +110,14 @@ func TestWeightedVoteBasics(t *testing.T) {
 			t.Fatalf("reliability %v outside clamp", r)
 		}
 	}
-	if v.Classified() != 2 {
-		t.Fatalf("classified = %d", v.Classified())
+	if len(v.Label) != 2 {
+		t.Fatalf("classified = %d", len(v.Label))
 	}
 }
 
 func TestWeightedVoteEmptyAndDefaults(t *testing.T) {
 	v := WeightedMajorityVote(nil, 0)
-	if v.Classified() != 0 || len(v.Unclassified) != 0 {
+	if len(v.Label) != 0 || len(v.Unclassified) != 0 {
 		t.Fatal("empty input must yield empty outcome")
 	}
 }

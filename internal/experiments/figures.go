@@ -87,18 +87,19 @@ func checkpoints(duration float64) []float64 {
 
 // replay is the JudgmentService of a checkpoint: whatever it is asked, it
 // serves the judgments of a finished run up to minute at, and the money
-// the run had cost by then, as a batch of one.
+// the run had cost by then, as a batch of one copied into the caller's.
 type replay struct {
 	run *crowd.RunResult
 	cfg crowd.JobConfig
 	at  float64
 }
 
-func (r *replay) Collect([]core.BatchRequest, crowd.JobConfig) (*crowd.BatchResult, error) {
+func (r *replay) Collect(_ []core.BatchRequest, _ crowd.JobConfig, into *crowd.BatchResult) error {
 	recs := r.run.Records // sorted by time
 	n := sort.Search(len(recs), func(i int) bool { return recs[i].Time > r.at })
 	run := &crowd.RunResult{Records: recs[:n], DurationMinutes: r.at, TotalCost: r.run.CostAt(r.at, r.cfg)}
-	return &crowd.BatchResult{Combined: run, PerQuestion: []*crowd.RunResult{run}}, nil
+	into.CopyFrom(&crowd.BatchResult{Combined: run, PerQuestion: []*crowd.RunResult{run}})
+	return nil
 }
 
 func (e *Env) boostSeries(name string, ex *CrowdExperiment) (*BoostSeries, error) {

@@ -104,17 +104,19 @@ func (e *Env) RunCrowdExperiments() (*Table1Result, error) {
 	return res, nil
 }
 
-// recordedCrowd is a JudgmentService that keeps the last job it ran,
-// gold records included, whose timeline Figures 3/4 replay.
+// recordedCrowd is a JudgmentService that keeps a copy of the last job it
+// ran, gold records included, whose timeline Figures 3/4 replay.
 type recordedCrowd struct {
 	core.JudgmentService
-	last *crowd.BatchResult
+	last crowd.BatchResult
 }
 
-func (r *recordedCrowd) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
-	batch, err := r.JudgmentService.Collect(reqs, cfg)
-	r.last = batch
-	return batch, err
+func (r *recordedCrowd) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
+	err := r.JudgmentService.Collect(reqs, cfg, into)
+	if err == nil {
+		r.last.CopyFrom(into)
+	}
+	return err
 }
 
 // runCrowdExperiment expands the Comedy column of the sample with core's

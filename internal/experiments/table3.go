@@ -192,30 +192,24 @@ func (t *Table3Result) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "| experts\n")
 	for _, row := range t.Rows {
-		fmt.Fprintf(w, "%-14s %6.2f |", row.Genre, 0.50)
-		for _, v := range row.PerceptualGMean {
-			fmt.Fprintf(w, " %7.2f", v)
-		}
-		fmt.Fprintf(w, "|")
-		for _, v := range row.MetadataGMean {
-			fmt.Fprintf(w, " %7.2f", v)
-		}
-		fmt.Fprintf(w, "|")
-		for _, v := range row.ExpertGMean {
-			fmt.Fprintf(w, " %5.2f", v)
-		}
-		fmt.Fprintf(w, "\n")
+		renderTable3Row(w, row.Genre, row.PerceptualGMean, row.MetadataGMean, row.ExpertGMean)
 	}
-	fmt.Fprintf(w, "%-14s %6.2f |", "Mean", 0.50)
-	for _, v := range t.MeanPerceptual {
+	renderTable3Row(w, "Mean", t.MeanPerceptual, t.MeanMetadata, t.MeanExpert)
+}
+
+// renderTable3Row prints one line of Table 3: its label, the random
+// baseline, and the perceptual, metadata and expert g-means.
+func renderTable3Row(w io.Writer, label string, perceptual, metadata, expert []float64) {
+	fmt.Fprintf(w, "%-14s %6.2f |", label, 0.50)
+	for _, v := range perceptual {
 		fmt.Fprintf(w, " %7.2f", v)
 	}
 	fmt.Fprintf(w, "|")
-	for _, v := range t.MeanMetadata {
+	for _, v := range metadata {
 		fmt.Fprintf(w, " %7.2f", v)
 	}
 	fmt.Fprintf(w, "|")
-	for _, v := range t.MeanExpert {
+	for _, v := range expert {
 		fmt.Fprintf(w, " %5.2f", v)
 	}
 	fmt.Fprintf(w, "\n")

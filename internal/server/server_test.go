@@ -27,7 +27,7 @@ type fakeService struct {
 	calls atomic.Int32
 }
 
-func (s *fakeService) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig) (*crowd.BatchResult, error) {
+func (s *fakeService) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig, into *crowd.BatchResult) error {
 	s.calls.Add(1)
 	if s.gate != nil {
 		<-s.gate
@@ -49,7 +49,8 @@ func (s *fakeService) Collect(reqs []core.BatchRequest, cfg crowd.JobConfig) (*c
 		batch.Combined.Records = append(batch.Combined.Records, res.Records...)
 		batch.Combined.TotalCost += res.TotalCost
 	}
-	return batch, nil
+	into.CopyFrom(batch)
+	return nil
 }
 
 func newTestServer(t *testing.T, svc core.JudgmentService, cfg Config) (*Server, *httptest.Server) {

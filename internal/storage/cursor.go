@@ -47,13 +47,8 @@ type Cursor struct {
 	ids         []int
 	next, limit int
 
-	// Scan form: one window per batch column, then one per predicate
-	// column outside cols; the selection bitmap and its offsets.
-	winCols []int
-	wins    []window
-	predWin []int // per predicate: its window, or -1 for a column newer than the snapshot
-	sel     [ChunkRows / 64]uint64
-	offs    []int32
+	*scanState         // the scan form's window state; nil in the index form
+	offs       []int32 // the scan form's selection offsets
 
 	rows  []int // index form: the live row IDs of the current batch
 	batch Batch
@@ -68,6 +63,22 @@ type Cursor struct {
 
 	err  error
 	done bool
+}
+
+// scanState is what the scan form of a cursor reads a window with: one
+// window per batch column, then one per predicate column outside cols,
+// and the selection bitmap.
+type scanState struct {
+	winCols []int
+	wins    []window
+	predWin []int // per predicate: its window, or -1 for a column newer than the snapshot
+	sel     [ChunkRows / 64]uint64
+}
+
+// scanCursor is a scan-form cursor and its window state, allocated as one.
+type scanCursor struct {
+	Cursor
+	scanState
 }
 
 // DefaultBatchSize is the cursor batch size used when 0 is passed: the
@@ -108,7 +119,9 @@ func newCursorOn(snap *Snap, lo, hi, batchSize int) *Cursor {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	c := &Cursor{snap: snap, v: snap.v, width: snap.v.schema.Len(), size: batchSize}
+	sc := &scanCursor{Cursor: Cursor{snap: snap, v: snap.v, width: snap.v.schema.Len(), size: batchSize}}
+	c := &sc.Cursor
+	c.scanState = &sc.scanState
 	c.Reset(lo, hi)
 	return c
 }

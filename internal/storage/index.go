@@ -373,7 +373,7 @@ func (t *Table) PinIndexProbe(indexName string, probe IndexProbe) (*Snap, []int,
 		return nil, nil, err
 	}
 	ids := probe.resolve(idx)
-	return t.pinLocked(), ids, nil
+	return t.Pin(), ids, nil
 }
 
 // CountIndexRange reports how many rows a range probe of the named index

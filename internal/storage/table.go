@@ -289,7 +289,9 @@ func (t *Table) Get(i int) (Row, error) {
 		return nil, fmt.Errorf("storage: row %d is deleted", i)
 	}
 	row := make(Row, v.schema.Len())
-	v.materializeRow(i, row, len(row))
+	for c := range row {
+		row[c] = v.value(i, c)
+	}
 	return row, nil
 }
 

@@ -247,24 +247,6 @@ func (v *version) window(w *window, col, lo, hi int) error {
 	return nil
 }
 
-// materializeRow boxes physical row `row` into dst (len >= width) — the
-// point-read path; scans box column-at-a-time instead (window.box).
-func (v *version) materializeRow(row int, dst []Value, width int) {
-	ci, i := row/ChunkRows, row%ChunkRows
-	for c := 0; c < width; c++ {
-		cd := v.col(c)
-		ch := cd.tail
-		if row < v.sealed {
-			ch = cd.chunks[ci]
-		}
-		if ch == nil {
-			dst[c] = Value{}
-		} else {
-			dst[c] = ch.at(i)
-		}
-	}
-}
-
 // --- tombstone bitmap helpers ---
 
 func setDead(dead []uint64, row int) { dead[row>>6] |= 1 << (uint(row) & 63) }
@@ -309,11 +291,6 @@ func (t *Table) Pin() *Snap {
 	mSnapshotPins.Inc()
 	return &Snap{t: t, v: v}
 }
-
-// pinLocked pins the current snapshot; the caller holds t.idxMu (read or
-// write), coupling the pinned version to the index state read in the
-// same critical section.
-func (t *Table) pinLocked() *Snap { return t.Pin() }
 
 // Release unpins the snapshot. Safe to call more than once.
 func (s *Snap) Release() {
